@@ -280,11 +280,11 @@ fn bench_parallel_chunk_hashing(c: &mut Criterion) {
 
 /// The raw-speed crypto floor, each optimised core against the reference it
 /// replaced: multi-buffer SHA-256 versus the scalar loop on 512 B chunk
-/// leaves, the 64-bit-limb Montgomery RSA-768 signer versus the retained
-/// 32-bit-limb dispatch, and borrowed-slice audit-response decoding versus
-/// the owned decode.  Every pair asserts bit-identity before timing.
+/// leaves, and borrowed-slice audit-response decoding versus the owned
+/// decode.  Every pair asserts bit-identity before timing.  (The Montgomery
+/// RSA-768 signer is timed against `sign_digest_slow` in
+/// `fig6_snapshot_incremental`.)
 fn bench_crypto_floor(c: &mut Criterion) {
-    use avm_crypto::rsa::RsaKeyPair;
     use avm_crypto::sha256::{sha256, sha256_multi};
     use avm_vm::CHUNK_SIZE;
     use avm_wire::audit::seal_session_message;
@@ -313,22 +313,6 @@ fn bench_crypto_floor(c: &mut Criterion) {
     });
     group.bench_function("sha256_multibuffer_4096x512B", |b| {
         b.iter(|| sha256_multi(&slices))
-    });
-
-    // RSA-768 CRT signing: 64-bit limbs versus the 32-bit reference.
-    let mut rng = StdRng::seed_from_u64(64);
-    let kp = RsaKeyPair::generate(&mut rng, 768);
-    let digest = sha256(b"crypto floor signer");
-    assert_eq!(
-        kp.private.sign_digest(&digest),
-        kp.private.sign_digest_ref32(&digest),
-        "64-bit Montgomery signature must be bit-identical to the 32-bit reference"
-    );
-    group.bench_function("rsa768_sign_montgomery64", |b| {
-        b.iter(|| kp.private.sign_digest(&digest))
-    });
-    group.bench_function("rsa768_sign_montgomery32_ref", |b| {
-        b.iter(|| kp.private.sign_digest_ref32(&digest))
     });
 
     // Zero-copy wire frames: peel a sealed 64-blob response with the

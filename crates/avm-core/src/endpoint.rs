@@ -1,4 +1,5 @@
-//! Auditor/provider endpoints: one audit protocol over pluggable transports.
+//! Auditor/provider endpoints: one audit protocol, one audit session, two
+//! ways to drive it.
 //!
 //! The paper's audits are a *distributed* exchange — Alice downloads Bob's
 //! log, snapshots and on-demand state over a real link (§3.5; §6.8 measures
@@ -6,45 +7,49 @@
 //! reproduction one: every download an audit performs is an
 //! [`AuditRequest`]/[`AuditResponse`] exchange (defined in
 //! [`avm_wire::audit`]) between an [`AuditClient`] and an [`AuditServer`],
-//! carried by an [`AuditTransport`]:
+//! carried by an [`AuditTransport`].
 //!
-//! * [`DirectTransport`] answers each request in-process and *prices* it
-//!   under a configurable [`RttModel`] — the modelled-latency path the
-//!   spot-check wrappers in [`crate::spotcheck`] use, preserving their
-//!   historical numbers bit for bit.
-//! * [`SimNetTransport`] carries the same framed messages over an
-//!   [`avm_net::SimNet`] link, *paying* simulated wall time per round trip
-//!   (latency plus payload serialisation at the link bandwidth) and
-//!   surviving deterministic packet loss by timeout-and-retransmit, matched
-//!   by request id.
+//! The spot-check procedure itself lives in [`crate::session::AuditSession`],
+//! a sans-IO state machine that emits requests and consumes responses.
+//! [`AuditClient`] is its *blocking* driver: a loop over
+//! [`AuditTransport::exchange`].  ([`crate::fleet::FleetAuditor`] is the
+//! other driver, on a shared event loop; both hand the session the same
+//! borrowed view of the provider's packet.)
 //!
-//! Everything above the transport — digest selection, per-blob and manifest
-//! authentication, caching, the byte/round-trip accounting — is shared, so a
-//! spot check driven over the simulated network reaches the identical
-//! verdict, faults, and transfer accounting as the in-process path; the only
-//! thing that changes is the new wire-level [`TransportStats`] column
+//! [`SimNetTransport`] carries the framed messages over an
+//! [`avm_net::SimNet`] link, *paying* simulated wall time per round trip
+//! (latency plus payload serialisation at the link bandwidth) and surviving
+//! deterministic packet loss by timeout-and-retransmit, matched by request
+//! id.  A lossless exchange takes exactly what the link's
+//! [`avm_wire::RttModel`] prices per packet ([`LinkConfig::rtt_model`] /
+//! [`LinkConfig::from_rtt_model`]), which is how the free functions in
+//! [`crate::spotcheck`] report modelled WAN latency: they run over
+//! `from_rtt_model(&TRANSFER_RTT)`.  The wire-level cost of every check is
+//! its report's [`TransportStats`] column
 //! ([`crate::spotcheck::SpotCheckReport::transport`]).
 //!
 //! # The accounting plane vs the data plane
 //!
-//! Two reads deliberately bypass the transport, both via
-//! [`AuditTransport::provider_store`]:
+//! Two kinds of read deliberately bypass the transport, both through the
+//! one store reference [`AuditTransport::provider_store`] hands the audit
+//! session (its `oracle` constructor argument):
 //!
 //! 1. **Hypothetical columns.**  A spot-check report prices downloads that
 //!    did *not* happen (the full-dump and dedup columns of §3.5) next to the
 //!    one that did; pricing them must not add wire traffic.
-//! 2. **Staging.**  On-demand replay stages authentic blob contents so the
-//!    machine can fault them in inline; the *paid* exchange for exactly the
-//!    faulted blobs happens at settle time over the transport
-//!    ([`crate::ondemand::OnDemandSession::finish_with`]), which is the §3.5
-//!    model: bytes cross the wire only for state the replay touched.
+//! 2. **Staging.**  Replay state is materialized (full download) or staged
+//!    for inline fault-in (on demand) from the store; the *paid* exchange —
+//!    the section stream, or exactly the faulted blobs — crosses the
+//!    transport, which is the §3.5 model: bytes cross the wire only for
+//!    state the replay touched.
 //!
-//! # Example: a direct (in-process, RTT-modelled) audit endpoint
+//! # Example: an audit endpoint over a simulated link
 //!
 //! ```
-//! use avm_core::endpoint::{AuditClient, AuditServer, DirectTransport};
+//! use avm_core::endpoint::{AuditClient, AuditServer, SimNetTransport};
 //! use avm_core::snapshot::{capture, SnapshotStore};
 //! use avm_compress::CompressionLevel;
+//! use avm_net::LinkConfig;
 //! use avm_vm::bytecode::assemble;
 //! use avm_vm::{GuestRegistry, Machine, VmImage};
 //!
@@ -58,7 +63,7 @@
 //!
 //! // The auditor drives the protocol through a client over a transport.
 //! let server = AuditServer::for_store(&store);
-//! let mut client = AuditClient::new(DirectTransport::new(server));
+//! let mut client = AuditClient::new(SimNetTransport::new(server, LinkConfig::default()));
 //! let manifest = client.fetch_manifest(0).unwrap();
 //! assert_eq!(manifest.snapshot_id, 0);
 //!
@@ -72,17 +77,17 @@
 //! assert!(client.transport_stats().elapsed_micros > 0);
 //! ```
 
-use avm_compress::{CompressionLevel, CompressionStats};
+use avm_compress::CompressionLevel;
 use avm_crypto::sha256::Digest;
 use avm_log::{LogEntry, LogSource, TamperEvidentLog};
 use avm_net::{LinkConfig, NodeId, SimNet};
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::attest::AttestChallenge;
 use avm_wire::audit::{
-    open_message, open_session_frame, seal_message, AuditRequest, AuditResponse, SegmentAddress,
-    CLIENT_SESSION,
+    open_session_frame, open_session_message, seal_session_message, AuditRequest, AuditResponse,
+    AuditResponseRef, SegmentAddress, CLIENT_SESSION,
 };
-use avm_wire::{BlobRequest, BlobResponse, Decode, Encode, RttModel};
+use avm_wire::{BlobRequest, BlobResponseRef, Encode};
 
 use crate::attest::{Attestor, LaunchPolicy};
 use crate::audit::{audit_log, AuditReport};
@@ -90,12 +95,13 @@ use crate::error::{CoreError, FaultReason};
 use crate::ondemand::{
     dedup_transfer_from_manifest, AuditorBlobCache, BlobProvider, ChainManifest, DedupTransfer,
 };
-use crate::paraudit::{replay_chunk_parallel, ParallelReplayStats};
-use crate::replay::{ReplayOutcome, Replayer};
-use crate::snapshot::SnapshotStore;
-use crate::spotcheck::{
-    snapshot_positions_in, SpotCheckReport, TRANSFER_COMPRESSION, TRANSFER_RTT,
+use crate::paraudit::ParallelReplayStats;
+use crate::session::{
+    expect_attestation, expect_blobs, expect_log_segment, expect_manifest, expect_sections,
+    AuditSession, Step,
 };
+use crate::snapshot::SnapshotStore;
+use crate::spotcheck::{snapshot_positions_in, SpotCheckReport};
 
 // ---------------------------------------------------------------------------
 // Provider endpoint
@@ -338,9 +344,7 @@ pub struct TransportStats {
     /// Requests retransmitted after a timeout (always 0 on a lossless
     /// transport).
     pub retransmissions: u64,
-    /// Wall time the exchanges took: simulated network time for
-    /// [`SimNetTransport`], [`RttModel`]-priced time for
-    /// [`DirectTransport`].
+    /// Wall time the exchanges took, in simulated network microseconds.
     pub elapsed_micros: u64,
 }
 
@@ -363,98 +367,185 @@ impl TransportStats {
     }
 }
 
-/// Carries [`AuditRequest`]s to a provider and returns its
-/// [`AuditResponse`]s, accounting every exchange.
-///
-/// Implementations differ only in *how* the messages travel (and therefore
-/// in what [`TransportStats::elapsed_micros`] means); the protocol, the
-/// payload bytes, and the verdict-relevant behaviour are identical across
-/// transports — pinned by the `netaudit` experiment and the property tests.
-pub trait AuditTransport {
-    /// Performs one request/response exchange.
-    fn exchange(&mut self, request: &AuditRequest) -> Result<AuditResponse, CoreError>;
+/// Carries [`AuditRequest`]s to a provider and lends back its responses,
+/// accounting every exchange.  `'p` is the lifetime of the provider state
+/// behind the transport — the accounting-plane store outlives any one
+/// exchange.
+pub trait AuditTransport<'p> {
+    /// Performs one request/response exchange.  The response is *lent* to
+    /// `on_response` as a borrowed view of the packet it arrived in — the
+    /// bytes are parsed once, in place, and the caller copies only what it
+    /// keeps — and whatever `on_response` returns is returned.
+    fn exchange<R>(
+        &mut self,
+        request: &AuditRequest,
+        on_response: impl FnOnce(AuditResponseRef<'_>) -> R,
+    ) -> Result<R, CoreError>;
 
     /// Accumulated wire-level accounting.
     fn stats(&self) -> TransportStats;
 
     /// The provider's snapshot store, used as the zero-cost *accounting
-    /// plane*: staging contents for on-demand replay and pricing
-    /// hypothetical (modelled) download columns.  Paid transfers go through
+    /// plane*: staging contents for replay and pricing hypothetical
+    /// (modelled) download columns.  Paid transfers go through
     /// [`AuditTransport::exchange`] — see the module docs.
-    fn provider_store(&self) -> &SnapshotStore;
+    fn provider_store(&self) -> &'p SnapshotStore;
 }
 
-/// In-process transport: requests are answered synchronously by the wrapped
-/// [`AuditServer`], and each exchange is *priced* (not simulated) under an
-/// [`RttModel`] — one round trip plus the serialisation delay of both framed
-/// payloads.
-///
-/// This is the transport behind the historical free-function audit API
-/// ([`crate::spotcheck::spot_check`] and friends); it preserves those
-/// numbers bit for bit while giving every audit the measured-latency column.
-#[derive(Debug)]
-pub struct DirectTransport<'a> {
-    server: AuditServer<'a>,
-    model: RttModel,
-    stats: TransportStats,
+/// Node id the auditor endpoint binds by default.
+pub const AUDITOR_NODE: NodeId = NodeId(1);
+/// Node id the provider endpoint binds by default.
+pub const PROVIDER_NODE: NodeId = NodeId(2);
+
+/// Default cap on send attempts per exchange before the auditor gives up.
+pub const DEFAULT_MAX_ATTEMPTS: u32 = 16;
+
+/// The retransmit-if-silent timeout both drivers derive from a link: eight
+/// one-way latencies plus the serialisation time of 1 MiB.
+pub(crate) fn link_timeout_us(link: &LinkConfig) -> u64 {
+    8 * link.latency_us + link.serialise_micros(1 << 20)
+}
+
+/// One auditor's end of the wire: who its exchanges run between, under which
+/// session id, how patiently they wait, and what they have cost so far.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AuditorWire {
+    pub auditor: NodeId,
+    pub provider: NodeId,
+    pub session_id: u64,
+    /// Simulated µs an exchange waits on a silent wire before resending.
+    pub timeout_us: u64,
+    /// Send attempts per exchange before giving up.
+    pub max_attempts: u32,
+    pub stats: TransportStats,
     next_request_id: u64,
 }
 
-impl<'a> DirectTransport<'a> {
-    /// A direct transport priced under [`TRANSFER_RTT`] (the 2010-era WAN
-    /// all modelled spot-check columns use).
-    pub fn new(server: AuditServer<'a>) -> DirectTransport<'a> {
-        DirectTransport::with_model(server, TRANSFER_RTT)
-    }
-
-    /// A direct transport priced under `model`.  Pricing with
-    /// [`LinkConfig::rtt_model`] of some link makes this transport predict
-    /// exactly what [`SimNetTransport`] over that lossless link measures.
-    pub fn with_model(server: AuditServer<'a>, model: RttModel) -> DirectTransport<'a> {
-        DirectTransport {
-            server,
-            model,
+impl AuditorWire {
+    /// A wire with the default attempt cap and nothing sent yet.
+    pub(crate) fn new(
+        auditor: NodeId,
+        provider: NodeId,
+        session_id: u64,
+        timeout_us: u64,
+    ) -> AuditorWire {
+        AuditorWire {
+            auditor,
+            provider,
+            session_id,
+            timeout_us,
+            max_attempts: DEFAULT_MAX_ATTEMPTS,
             stats: TransportStats::default(),
             next_request_id: 1,
         }
     }
 
-    /// The pricing model.
-    pub fn model(&self) -> RttModel {
-        self.model
+    /// Seals `request` under the next request id of this session and sends
+    /// it.  Bytes are accounted per attempt *before* the send, dropped
+    /// packets included.
+    pub(crate) fn send(&mut self, net: &mut SimNet, request: &AuditRequest) -> PendingExchange {
+        let request_id = self.next_request_id;
+        self.next_request_id += 1;
+        let packet = seal_session_message(self.session_id, request_id, request);
+        self.stats.request_bytes += packet.len() as u64;
+        let started_at = net.now();
+        let _ = net.send(self.auditor, self.provider, packet.clone());
+        PendingExchange {
+            request_id,
+            packet,
+            started_at,
+            deadline: started_at + self.timeout_us,
+            attempts: 1,
+        }
     }
 }
 
-impl AuditTransport for DirectTransport<'_> {
-    fn exchange(&mut self, request: &AuditRequest) -> Result<AuditResponse, CoreError> {
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        // Seal and reopen both directions so the direct path exercises the
-        // exact bytes a networked transport ships (and is priced on them).
-        let request_packet = seal_message(request_id, request);
-        let (_, request) = open_message::<AuditRequest>(&request_packet)
-            .map_err(|e| CoreError::Snapshot(format!("audit request corrupt: {e}")))?;
-        let response_packet = seal_message(request_id, &self.server.handle(&request));
-        let (_, response) = open_message::<AuditResponse>(&response_packet)
-            .map_err(|e| CoreError::Snapshot(format!("audit response corrupt: {e}")))?;
-        self.stats.round_trips += 1;
-        self.stats.request_bytes += request_packet.len() as u64;
-        self.stats.response_bytes += response_packet.len() as u64;
-        // Priced per packet — one RTT plus each payload's serialisation
-        // delay — mirroring what the same exchange takes on a simulated
-        // link with the matching configuration.
-        self.stats.elapsed_micros += self.model.rtt_micros
-            + self.model.latency_micros(0, request_packet.len() as u64)
-            + self.model.latency_micros(0, response_packet.len() as u64);
-        Ok(response)
+/// What [`PendingExchange::on_timer`] did.
+pub(crate) enum Timer {
+    /// Nothing to do before this simulated instant.
+    Wait(u64),
+    /// The deadline passed but packets are still in flight; they will wake
+    /// the driver, which asks again once they are delivered.
+    WireBusy,
+    /// The request was sent again; the new deadline.
+    Resent(u64),
+    /// Every attempt went unanswered.
+    GaveUp(CoreError),
+}
+
+/// One in-flight request/response exchange ([`AuditorWire::send`]) and the
+/// whole retransmission policy: per-attempt byte accounting, the retransmit
+/// timer, the attempt cap.  Both auditor drivers —
+/// [`SimNetTransport::exchange`] and the fleet's event-loop endpoint — keep
+/// one of these per outstanding request.
+///
+/// Responses are matched by the (session, request) ids the envelope carries,
+/// so a late or duplicated response (after a retransmission) is discarded
+/// instead of being mistaken for the answer to a newer request.
+#[derive(Debug)]
+pub(crate) struct PendingExchange {
+    request_id: u64,
+    packet: Vec<u8>,
+    /// When the first send happened: elapsed time is measured from here,
+    /// across retransmissions.
+    started_at: u64,
+    /// Retransmit-if-silent deadline.
+    deadline: u64,
+    attempts: u32,
+}
+
+impl PendingExchange {
+    /// The response `packet` carries for this exchange, borrowed from it —
+    /// or `None` for anything else (corrupt framing, another session, a
+    /// stale duplicate, an undecodable body: the timer owns recovery).  The
+    /// envelope is peeked first, so a stale multi-megabyte section stream is
+    /// dropped before its body is parsed.  Acceptance completes the round
+    /// trip in `wire.stats`.
+    pub(crate) fn accept<'r>(
+        &self,
+        wire: &mut AuditorWire,
+        now: u64,
+        packet: &'r [u8],
+    ) -> Option<AuditResponseRef<'r>> {
+        let (session_id, request_id, body) = open_session_frame(packet).ok()?;
+        if session_id != wire.session_id || request_id != self.request_id {
+            return None;
+        }
+        let response = AuditResponseRef::decode_exact(body).ok()?;
+        wire.stats.round_trips += 1;
+        wire.stats.response_bytes += packet.len() as u64;
+        wire.stats.elapsed_micros += now - self.started_at;
+        Some(response)
     }
 
-    fn stats(&self) -> TransportStats {
-        self.stats
-    }
-
-    fn provider_store(&self) -> &SnapshotStore {
-        self.server.store()
+    /// Runs the retransmit timer at `net.now()`.  It only fires on a
+    /// *silent* wire: while any packet is still in flight (a large response
+    /// serialising past the nominal timeout, a stale duplicate draining) the
+    /// link is visibly active and retransmitting into it would only
+    /// duplicate traffic — so the deadline stretches to the wire going
+    /// quiet, and a lossless link never retransmits regardless of payload
+    /// size.
+    pub(crate) fn on_timer(&mut self, net: &mut SimNet, wire: &mut AuditorWire) -> Timer {
+        let now = net.now();
+        if now < self.deadline {
+            return Timer::Wait(self.deadline);
+        }
+        if net.in_flight_count() > 0 {
+            return Timer::WireBusy;
+        }
+        if self.attempts >= wire.max_attempts {
+            wire.stats.elapsed_micros += now - self.started_at;
+            return Timer::GaveUp(CoreError::Snapshot(format!(
+                "audit transport: no response after {} attempts ({} µs timeout each)",
+                wire.max_attempts, wire.timeout_us
+            )));
+        }
+        wire.stats.retransmissions += 1;
+        wire.stats.request_bytes += self.packet.len() as u64;
+        let _ = net.send(wire.auditor, wire.provider, self.packet.clone());
+        self.attempts += 1;
+        self.deadline = now + wire.timeout_us;
+        Timer::Resent(self.deadline)
     }
 }
 
@@ -463,30 +554,14 @@ impl AuditTransport for DirectTransport<'_> {
 /// serialisation delay, and surviving deterministic packet loss by
 /// timeout-and-retransmit.
 ///
-/// Responses are matched to requests by the id [`seal_message`] carries, so
-/// a late or duplicated response (after a retransmission) is discarded
-/// instead of being mistaken for the answer to a newer request.  The
-/// provider is stateless, so retransmitted requests are simply answered
-/// again.
+/// The provider is stateless, so retransmitted requests are simply answered
+/// again; the auditor keeps the first matching response and drops the rest.
 #[derive(Debug)]
 pub struct SimNetTransport<'a> {
     server: AuditServer<'a>,
     net: SimNet,
-    auditor: NodeId,
-    provider: NodeId,
-    timeout_us: u64,
-    max_attempts: u32,
-    stats: TransportStats,
-    next_request_id: u64,
+    wire: AuditorWire,
 }
-
-/// Node id the auditor endpoint binds by default.
-pub const AUDITOR_NODE: NodeId = NodeId(1);
-/// Node id the provider endpoint binds by default.
-pub const PROVIDER_NODE: NodeId = NodeId(2);
-
-/// Default cap on send attempts per exchange before the transport gives up.
-pub const DEFAULT_MAX_ATTEMPTS: u32 = 16;
 
 impl<'a> SimNetTransport<'a> {
     /// A two-node network where both directions use `link`.
@@ -496,11 +571,9 @@ impl<'a> SimNetTransport<'a> {
     /// the auditor waits on a *silent* wire before resending; a response
     /// still in flight past the deadline (arbitrarily large sections
     /// streams serialise for longer) is waited out instead of being
-    /// retransmitted into, so a lossless link never retransmits regardless
-    /// of payload size (which is what keeps the measured latency equal to
-    /// the modelled prediction).
+    /// retransmitted into, which is what keeps the measured latency of a
+    /// lossless exchange equal to what the link's model prices per packet.
     pub fn new(server: AuditServer<'a>, link: LinkConfig) -> SimNetTransport<'a> {
-        let timeout_us = 8 * link.latency_us + link.serialise_micros(1 << 20);
         let mut net = SimNet::new(link);
         // Make both directed links explicit so callers inspecting
         // `network().all_stats()` see the topology they configured.
@@ -509,25 +582,25 @@ impl<'a> SimNetTransport<'a> {
         SimNetTransport {
             server,
             net,
-            auditor: AUDITOR_NODE,
-            provider: PROVIDER_NODE,
-            timeout_us,
-            max_attempts: DEFAULT_MAX_ATTEMPTS,
-            stats: TransportStats::default(),
-            next_request_id: 1,
+            wire: AuditorWire::new(
+                AUDITOR_NODE,
+                PROVIDER_NODE,
+                CLIENT_SESSION,
+                link_timeout_us(&link),
+            ),
         }
     }
 
     /// Overrides the retransmission timeout (µs of simulated time an
     /// exchange waits for its response before resending the request).
     pub fn with_timeout(mut self, timeout_us: u64) -> SimNetTransport<'a> {
-        self.timeout_us = timeout_us;
+        self.wire.timeout_us = timeout_us;
         self
     }
 
     /// Overrides the per-exchange attempt cap.
     pub fn with_max_attempts(mut self, max_attempts: u32) -> SimNetTransport<'a> {
-        self.max_attempts = max_attempts.max(1);
+        self.wire.max_attempts = max_attempts.max(1);
         self
     }
 
@@ -539,107 +612,76 @@ impl<'a> SimNetTransport<'a> {
 
     /// The retransmission timeout in simulated microseconds.
     pub fn timeout_us(&self) -> u64 {
-        self.timeout_us
+        self.wire.timeout_us
     }
 }
 
-impl AuditTransport for SimNetTransport<'_> {
-    fn exchange(&mut self, request: &AuditRequest) -> Result<AuditResponse, CoreError> {
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        let packet = seal_message(request_id, request);
-        let started_at = self.net.now();
-        for attempt in 0..self.max_attempts {
-            if attempt > 0 {
-                self.stats.retransmissions += 1;
-            }
-            self.stats.request_bytes += packet.len() as u64;
-            let _ = self.net.send(self.auditor, self.provider, packet.clone());
-            let mut deadline = self.net.now() + self.timeout_us;
-            // Drive deliveries (ours and the provider's) until the response
-            // for *this* request id arrives or the timeout expires.  The
-            // timer only fires on a *silent* wire: while any packet is still
-            // in flight (a large response being serialised past the nominal
-            // timeout, or a stale duplicate draining), the link is visibly
-            // active and retransmitting into it would only duplicate
-            // traffic — so the deadline stretches to the next delivery.
-            while let Some(next_at) = self.net.next_delivery_at() {
-                if next_at > deadline {
-                    deadline = next_at;
-                }
-                for delivery in self.net.advance_to(next_at) {
-                    // Both directions peek the session envelope first
-                    // (borrowed, no copy): ids are matched before any
-                    // message body — possibly a multi-megabyte sections
-                    // stream on a stale duplicate — is decoded.
-                    let Ok((sid, rid, body)) = open_session_frame(&delivery.payload) else {
-                        continue;
-                    };
-                    if sid != CLIENT_SESSION {
-                        continue;
-                    }
-                    if delivery.to == self.provider {
+impl<'a> AuditTransport<'a> for SimNetTransport<'a> {
+    fn exchange<R>(
+        &mut self,
+        request: &AuditRequest,
+        on_response: impl FnOnce(AuditResponseRef<'_>) -> R,
+    ) -> Result<R, CoreError> {
+        let Self { server, net, wire } = self;
+        let mut pending = wire.send(net, request);
+        loop {
+            // Drive deliveries (ours and the provider's) until the wire is
+            // silent or the awaited response arrives.
+            while let Some(next_at) = net.next_delivery_at() {
+                for delivery in net.advance_to(next_at) {
+                    if delivery.to == wire.provider {
                         // The provider answers every (possibly duplicated)
                         // request it can decode, statelessly.
-                        if let Ok(req) = AuditRequest::decode_exact(body) {
-                            let response = self.server.handle(&req);
-                            let _ = self.net.send(
-                                self.provider,
-                                self.auditor,
-                                seal_message(rid, &response),
-                            );
+                        if let Ok((sid, rid, req)) =
+                            open_session_message::<AuditRequest>(&delivery.payload)
+                        {
+                            if sid == wire.session_id {
+                                let response = seal_session_message(sid, rid, &server.handle(&req));
+                                let _ = net.send(wire.provider, wire.auditor, response);
+                            }
                         }
-                    } else if delivery.to == self.auditor {
-                        if rid != request_id {
-                            continue; // stale response to an older exchange
-                        }
-                        let Ok(response) = AuditResponse::decode_exact(body) else {
-                            continue;
-                        };
-                        self.stats.round_trips += 1;
-                        self.stats.response_bytes += delivery.payload.len() as u64;
-                        self.stats.elapsed_micros += self.net.now() - started_at;
-                        return Ok(response);
+                    } else if let Some(response) =
+                        pending.accept(wire, net.now(), &delivery.payload)
+                    {
+                        return Ok(on_response(response));
                     }
                 }
             }
-            self.net.advance_to(deadline);
+            match pending.on_timer(net, wire) {
+                // A silent wire before the deadline: idle until it.
+                Timer::Wait(deadline) => {
+                    net.advance_to(deadline);
+                }
+                Timer::Resent(_) | Timer::WireBusy => {}
+                Timer::GaveUp(error) => return Err(error),
+            }
         }
-        self.stats.elapsed_micros += self.net.now() - started_at;
-        Err(CoreError::Snapshot(format!(
-            "audit transport: no response after {} attempts ({} µs timeout each)",
-            self.max_attempts, self.timeout_us
-        )))
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.wire.stats
     }
 
-    fn provider_store(&self) -> &SnapshotStore {
+    fn provider_store(&self) -> &'a SnapshotStore {
         self.server.store()
     }
 }
 
-/// Adapter: a transport is a [`BlobProvider`] — the settle-time blob
-/// exchange of on-demand replay rides the audit protocol like every other
-/// download.
-struct TransportBlobs<'t, T: AuditTransport>(&'t mut T);
+/// Adapter: a transport is a [`BlobProvider`] — a dedup download's blob
+/// exchange rides the audit protocol like every other download.
+struct TransportBlobs<'t, T>(&'t mut T);
 
-impl<T: AuditTransport> BlobProvider for TransportBlobs<'_, T> {
-    fn exchange_blobs(&mut self, request: &BlobRequest) -> Result<BlobResponse, CoreError> {
-        match self.0.exchange(&AuditRequest::Blobs(request.clone()))? {
-            AuditResponse::Blobs(response) => Ok(response),
-            AuditResponse::Error { message } => Err(CoreError::Snapshot(message)),
-            other => Err(protocol_violation("Blobs", other.variant_name())),
-        }
+impl<'p, T: AuditTransport<'p>> BlobProvider for TransportBlobs<'_, T> {
+    fn exchange_blobs<R>(
+        &mut self,
+        request: &BlobRequest,
+        accept: impl FnOnce(BlobResponseRef<'_>) -> Result<R, CoreError>,
+    ) -> Result<R, CoreError> {
+        self.0
+            .exchange(&AuditRequest::Blobs(request.clone()), |response| {
+                accept(expect_blobs(response)?)
+            })?
     }
-}
-
-pub(crate) fn protocol_violation(expected: &str, got: &str) -> CoreError {
-    CoreError::Snapshot(format!(
-        "audit protocol violation: expected {expected} response, got {got}"
-    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -650,16 +692,16 @@ pub(crate) fn protocol_violation(expected: &str, got: &str) -> CoreError {
 /// every audit — spot checks in both §3.5 download modes, full log audits,
 /// and standalone downloads — through an [`AuditTransport`].
 ///
-/// The free functions in [`crate::spotcheck`] and [`crate::ondemand`] are
-/// thin wrappers that build a client over a [`DirectTransport`]; building
-/// one over a [`SimNetTransport`] runs the *same* audit with every byte paid
-/// on the simulated network.
-pub struct AuditClient<T: AuditTransport> {
+/// Spot checks are one [`AuditSession`] each, driven by a blocking loop
+/// ([`AuditClient::spot_check`] and friends differ only in the session they
+/// build).  The free functions in [`crate::spotcheck`] are thin wrappers
+/// that build a client over a [`SimNetTransport`] on the modelled WAN link.
+pub struct AuditClient<T> {
     transport: T,
     cache: AuditorBlobCache,
 }
 
-impl<T: AuditTransport> AuditClient<T> {
+impl<'p, T: AuditTransport<'p>> AuditClient<T> {
     /// A client with an empty blob cache.
     pub fn new(transport: T) -> AuditClient<T> {
         AuditClient::with_cache(transport, AuditorBlobCache::new())
@@ -691,21 +733,20 @@ impl<T: AuditTransport> AuditClient<T> {
         self.transport.stats()
     }
 
-    /// One exchange, with provider-side errors surfaced as [`CoreError`].
-    fn request(&mut self, request: &AuditRequest) -> Result<AuditResponse, CoreError> {
-        match self.transport.exchange(request)? {
-            AuditResponse::Error { message } => Err(CoreError::Snapshot(message)),
-            response => Ok(response),
-        }
+    /// One exchange whose response `parse` (one of the
+    /// [`crate::session`] `expect_*` parsers) turns into a value;
+    /// provider-side errors surface as [`CoreError`].
+    fn request<R>(
+        &mut self,
+        request: &AuditRequest,
+        parse: impl FnOnce(AuditResponseRef<'_>) -> Result<R, CoreError>,
+    ) -> Result<R, CoreError> {
+        self.transport.exchange(request, parse)?
     }
 
     /// Downloads and decodes the chain manifest for `snapshot_id`.
     pub fn fetch_manifest(&mut self, snapshot_id: u64) -> Result<ChainManifest, CoreError> {
-        match self.request(&AuditRequest::Manifest { snapshot_id })? {
-            AuditResponse::Manifest { manifest } => ChainManifest::decode_exact(&manifest)
-                .map_err(|e| CoreError::Snapshot(format!("manifest does not decode: {e}"))),
-            other => Err(protocol_violation("Manifest", other.variant_name())),
-        }
+        self.request(&AuditRequest::Manifest { snapshot_id }, expect_manifest)
     }
 
     /// The attestation handshake: sends `challenge`, receives the
@@ -728,10 +769,8 @@ impl<T: AuditTransport> AuditClient<T> {
         ),
         CoreError,
     > {
-        match self.request(&AuditRequest::Attest(*challenge))? {
-            AuditResponse::Attestation(quote) => Ok(policy.verify(&quote, challenge, now_us)),
-            other => Err(protocol_violation("Attestation", other.variant_name())),
-        }
+        let quote = self.request(&AuditRequest::Attest(*challenge), expect_attestation)?;
+        Ok(policy.verify(&quote, challenge, now_us))
     }
 
     /// Downloads a log segment by sequence range (`to_seq == 0` = end of
@@ -741,15 +780,8 @@ impl<T: AuditTransport> AuditClient<T> {
         from_seq: u64,
         to_seq: u64,
     ) -> Result<(Digest, Vec<LogEntry>), CoreError> {
-        match self.request(&AuditRequest::LogSegment(SegmentAddress::Seq {
-            from_seq,
-            to_seq,
-        }))? {
-            AuditResponse::LogSegment { prev_hash, entries } => {
-                Ok((Digest(prev_hash), decode_entries(&entries)?))
-            }
-            other => Err(protocol_violation("LogSegment", other.variant_name())),
-        }
+        let address = SegmentAddress::Seq { from_seq, to_seq };
+        self.request(&AuditRequest::LogSegment(address), expect_log_segment)
     }
 
     /// Downloads the §3.5 chunk of `chunk` segments starting at
@@ -760,22 +792,20 @@ impl<T: AuditTransport> AuditClient<T> {
         start_snapshot: u64,
         chunk: u64,
     ) -> Result<Vec<LogEntry>, CoreError> {
-        match self.request(&AuditRequest::LogSegment(SegmentAddress::Chunk {
+        let address = SegmentAddress::Chunk {
             start_snapshot,
             chunk,
-        }))? {
-            AuditResponse::LogSegment { entries, .. } => decode_entries(&entries),
-            other => Err(protocol_violation("LogSegment", other.variant_name())),
-        }
+        };
+        self.request(&AuditRequest::LogSegment(address), expect_log_segment)
+            .map(|(_, entries)| entries)
     }
 
     /// Downloads the whole-section transfer stream up to `upto_id` — the
     /// full-download model's state transfer, paid on the wire.
     pub fn fetch_sections(&mut self, upto_id: u64) -> Result<Vec<u8>, CoreError> {
-        match self.request(&AuditRequest::Sections { upto_id })? {
-            AuditResponse::Sections { stream } => Ok(stream),
-            other => Err(protocol_violation("Sections", other.variant_name())),
-        }
+        self.request(&AuditRequest::Sections { upto_id }, |response| {
+            expect_sections(response).map(<[u8]>::to_vec)
+        })
     }
 
     /// Full audit of the provider's log: downloads the segment
@@ -828,8 +858,7 @@ impl<T: AuditTransport> AuditClient<T> {
     }
 
     /// Spot check with the snapshot state downloaded in full (sections over
-    /// the transport) — the networked form of
-    /// [`crate::spotcheck::spot_check`], field-for-field identical to it.
+    /// the transport), replayed by the serial replayer.
     pub fn spot_check(
         &mut self,
         start_snapshot: u64,
@@ -837,16 +866,17 @@ impl<T: AuditTransport> AuditClient<T> {
         image: &VmImage,
         registry: &GuestRegistry,
     ) -> Result<SpotCheckReport, CoreError> {
-        self.spot_check_impl(start_snapshot, k, image, registry, false)
+        self.run(start_snapshot, k, false, 0, image, registry)
+            .map(|(report, _)| report)
     }
 
     /// [`AuditClient::spot_check`] with the chunk's segments replayed in
     /// parallel on up to `workers` lanes (§6: segments between snapshots
     /// replay independently on multiple cores) — field-for-field identical
-    /// to the serial report by construction (see [`crate::paraudit`] for
-    /// the identity argument): the same two exchanges cross the wire in the
-    /// same order, so verdict, fault attribution, byte and round-trip
-    /// accounting all match.
+    /// to the serial report: it is the same session, so the same two
+    /// exchanges cross the wire in the same order, and the replay engine
+    /// merges to the serial verdict (see [`crate::paraudit`] for the
+    /// identity argument).
     pub fn spot_check_parallel(
         &mut self,
         start_snapshot: u64,
@@ -869,77 +899,11 @@ impl<T: AuditTransport> AuditClient<T> {
         registry: &GuestRegistry,
         workers: usize,
     ) -> Result<(SpotCheckReport, ParallelReplayStats), CoreError> {
-        let stats_before = self.transport.stats();
-        // Identical exchange sequence to the serial full-download path:
-        // chunk, then sections.  Only the replay step differs.
-        let entries = self.fetch_log_chunk(start_snapshot, k)?;
-        let log_cost = CompressionStats::measure_stream(
-            entries.iter().map(|e| e.encode_to_vec()),
-            TRANSFER_COMPRESSION,
-        );
-        if let Err(fault) = snapshot_positions_in(&entries) {
-            return Ok((
-                SpotCheckReport {
-                    start_snapshot,
-                    chunk_size: k,
-                    consistent: false,
-                    fault: Some(fault),
-                    entries_replayed: 0,
-                    steps_replayed: 0,
-                    snapshot_transfer_bytes: 0,
-                    log_transfer_bytes: log_cost.raw_bytes,
-                    snapshot_transfer_compressed_bytes: 0,
-                    log_transfer_compressed_bytes: log_cost.compressed_bytes,
-                    snapshot_transfer_dedup_bytes: 0,
-                    snapshot_transfer_dedup_compressed_bytes: 0,
-                    on_demand: None,
-                    transport: self.transport.stats().since(&stats_before),
-                },
-                ParallelReplayStats::default(),
-            ));
-        }
-        let stream = self.fetch_sections(start_snapshot)?;
-        debug_assert_eq!(
-            stream.len() as u64,
-            self.transport
-                .provider_store()
-                .transfer_bytes_upto(start_snapshot),
-            "section stream and full-dump accounting diverged"
-        );
-        let snapshot_cost = CompressionStats::measure(&stream, TRANSFER_COMPRESSION);
-        let outcome = replay_chunk_parallel(
-            &entries,
-            image,
-            registry,
-            self.transport.provider_store(),
-            start_snapshot,
-            workers,
-        )?;
-        Ok((
-            SpotCheckReport {
-                start_snapshot,
-                chunk_size: k,
-                consistent: outcome.consistent,
-                fault: outcome.fault,
-                entries_replayed: outcome.progress.entries_replayed,
-                steps_replayed: outcome.progress.steps_executed,
-                snapshot_transfer_bytes: snapshot_cost.raw_bytes,
-                log_transfer_bytes: log_cost.raw_bytes,
-                snapshot_transfer_compressed_bytes: snapshot_cost.compressed_bytes,
-                log_transfer_compressed_bytes: log_cost.compressed_bytes,
-                snapshot_transfer_dedup_bytes: 0,
-                snapshot_transfer_dedup_compressed_bytes: 0,
-                on_demand: None,
-                transport: self.transport.stats().since(&stats_before),
-            },
-            outcome.stats,
-        ))
+        self.run(start_snapshot, k, false, workers.max(1), image, registry)
     }
 
     /// Spot check in on-demand mode (§3.5 incremental state requests),
-    /// using and populating the client's persistent cache — the networked
-    /// form of [`crate::spotcheck::spot_check_on_demand`], field-for-field
-    /// identical to it.
+    /// using and populating the client's persistent cache.
     pub fn spot_check_on_demand(
         &mut self,
         start_snapshot: u64,
@@ -947,179 +911,77 @@ impl<T: AuditTransport> AuditClient<T> {
         image: &VmImage,
         registry: &GuestRegistry,
     ) -> Result<SpotCheckReport, CoreError> {
-        self.spot_check_impl(start_snapshot, k, image, registry, true)
+        self.run(start_snapshot, k, true, 0, image, registry)
+            .map(|(report, _)| report)
     }
 
-    fn spot_check_impl(
+    /// The blocking driver of [`AuditSession`]: every request the session
+    /// issues is one [`AuditTransport::exchange`], whose response goes
+    /// straight back in.  A blocking client charges no replay CPU and has
+    /// no clock, so session time stands still at 0 and `not_before_us` is
+    /// moot.
+    fn run(
         &mut self,
         start_snapshot: u64,
         k: u64,
+        on_demand: bool,
+        lanes: usize,
         image: &VmImage,
         registry: &GuestRegistry,
-        on_demand: bool,
-    ) -> Result<SpotCheckReport, CoreError> {
+    ) -> Result<(SpotCheckReport, ParallelReplayStats), CoreError> {
         let stats_before = self.transport.stats();
-        // 1. The log chunk, paid on the wire.  The provider resolves the
-        //    boundaries; a provider whose SNAPSHOT records do not all decode
-        //    returns its log prefix instead (see AuditServer::handle_log_chunk).
-        let entries = self.fetch_log_chunk(start_snapshot, k)?;
-        let log_cost = CompressionStats::measure_stream(
-            entries.iter().map(|e| e.encode_to_vec()),
-            TRANSFER_COMPRESSION,
-        );
-        // 2. Scan what was *received* — the auditor never trusts the
-        //    provider's classification.  A corrupt SNAPSHOT record is itself
-        //    the verdict; the log downloaded so far is the truthful cost.
-        if let Err(fault) = snapshot_positions_in(&entries) {
-            return Ok(SpotCheckReport {
-                start_snapshot,
-                chunk_size: k,
-                consistent: false,
-                fault: Some(fault),
-                entries_replayed: 0,
-                steps_replayed: 0,
-                snapshot_transfer_bytes: 0,
-                log_transfer_bytes: log_cost.raw_bytes,
-                snapshot_transfer_compressed_bytes: 0,
-                log_transfer_compressed_bytes: log_cost.compressed_bytes,
-                snapshot_transfer_dedup_bytes: 0,
-                snapshot_transfer_dedup_compressed_bytes: 0,
-                on_demand: None,
-                transport: self.transport.stats().since(&stats_before),
-            });
-        }
-        // 3. Verdict by replay in the selected download mode, which also
-        //    decides how the full-dump column is priced: in full-download
-        //    mode it *is* the fetched stream, in on-demand mode it is
-        //    modelled from the accounting plane (no stream crosses the
-        //    wire, and the provider need not build one).
-        let (snapshot_cost, consistent, fault, progress, dedup, on_demand_cost) = if !on_demand {
-            // Full-download mode: the section stream crosses the wire and
-            // is measured as the full-dump column; the machine materializes
-            // from the oracle, which holds the same authenticated bytes the
-            // stream carries.
-            let stream = self.fetch_sections(start_snapshot)?;
-            debug_assert_eq!(
-                stream.len() as u64,
-                self.transport
-                    .provider_store()
-                    .transfer_bytes_upto(start_snapshot),
-                "section stream and full-dump accounting diverged"
-            );
-            let snapshot_cost = CompressionStats::measure(&stream, TRANSFER_COMPRESSION);
-            let mut replayer = Replayer::from_snapshot(
-                image,
-                registry,
-                self.transport.provider_store(),
-                start_snapshot,
-            )?;
-            let (consistent, fault) = match replayer.replay(&entries) {
-                ReplayOutcome::Consistent(_) => (true, None),
-                ReplayOutcome::Fault(f) => (false, Some(f)),
+        let oracle = self.transport.provider_store();
+        let mut session =
+            AuditSession::new(start_snapshot, k, on_demand, lanes, image, registry, oracle)
+                .with_cache(std::mem::take(&mut self.cache));
+        let mut step = session.start(0);
+        let outcome = loop {
+            step = match step {
+                Step::Send { request, .. } => {
+                    let exchanged = self
+                        .transport
+                        .exchange(&request, |response| session.on_response(0, response));
+                    match exchanged {
+                        Ok(next) => next,
+                        Err(error) => break Err(error),
+                    }
+                }
+                Step::Done { outcome, .. } => break outcome,
             };
-            (
-                snapshot_cost,
-                consistent,
-                fault,
-                replayer.summary(),
-                None,
-                None,
-            )
-        } else {
-            // On-demand mode: manifest over the wire, divergent state staged
-            // from the oracle, blobs paid at settle time for exactly what
-            // replay faulted in.  The full-dump column is hypothetical here
-            // and priced from the accounting plane.
-            let snapshot_cost = self
-                .transport
-                .provider_store()
-                .transfer_cost_upto(start_snapshot, TRANSFER_COMPRESSION);
-            let manifest = self.fetch_manifest(start_snapshot)?;
-            let (mut replayer, session) = Replayer::from_manifest_on_demand(
-                manifest,
-                image,
-                registry,
-                self.transport.provider_store(),
-                &self.cache,
-            )?;
-            // Dedup column: priced from the session's staging classification
-            // against the cache state at session start (accounting plane —
-            // a hypothetical download adds no wire traffic).
-            let dedup = session
-                .price_full_download(self.transport.provider_store(), TRANSFER_COMPRESSION)?;
-            let (consistent, fault) = match replayer.replay(&entries) {
-                ReplayOutcome::Consistent(_) => (true, None),
-                ReplayOutcome::Fault(f) => (false, Some(f)),
-            };
-            let Self { transport, cache } = self;
-            let cost = session.finish_with(
-                replayer.machine(),
-                &mut TransportBlobs(transport),
-                cache,
-                TRANSFER_COMPRESSION,
-            )?;
-            (
-                snapshot_cost,
-                consistent,
-                fault,
-                replayer.summary(),
-                Some(dedup),
-                Some(cost),
-            )
         };
-
-        Ok(SpotCheckReport {
-            start_snapshot,
-            chunk_size: k,
-            consistent,
-            fault,
-            entries_replayed: progress.entries_replayed,
-            steps_replayed: progress.steps_executed,
-            snapshot_transfer_bytes: snapshot_cost.raw_bytes,
-            log_transfer_bytes: log_cost.raw_bytes,
-            snapshot_transfer_compressed_bytes: snapshot_cost.compressed_bytes,
-            log_transfer_compressed_bytes: log_cost.compressed_bytes,
-            snapshot_transfer_dedup_bytes: dedup.as_ref().map_or(0, |d| d.transfer.raw_bytes),
-            snapshot_transfer_dedup_compressed_bytes: dedup
-                .as_ref()
-                .map_or(0, |d| d.transfer.compressed_bytes),
-            on_demand: on_demand_cost,
-            transport: self.transport.stats().since(&stats_before),
-        })
+        let replay_stats = session.replay_stats().clone();
+        // Blobs fetched before a failure stay verified; keep them.
+        self.cache = session.into_cache();
+        let mut report = outcome?;
+        report.transport = self.transport.stats().since(&stats_before);
+        Ok((report, replay_stats))
     }
-}
-
-pub(crate) fn decode_entries<B: AsRef<[u8]>>(encoded: &[B]) -> Result<Vec<LogEntry>, CoreError> {
-    encoded
-        .iter()
-        .map(|bytes| {
-            LogEntry::decode_exact(bytes.as_ref())
-                .map_err(|e| CoreError::Snapshot(format!("log entry does not decode: {e}")))
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spotcheck::{spot_check, spot_check_on_demand};
+    use crate::spotcheck::{spot_check, spot_check_on_demand, TRANSFER_COMPRESSION, TRANSFER_RTT};
     use crate::testutil::{key, record_with_snapshots};
     use avm_log::EntryKind;
     use avm_vm::packet::encode_guest_packet;
+    use avm_wire::Decode;
 
     /// The acceptance pin for the endpoint redesign: a spot check driven
-    /// through `SimNetTransport` yields identical verdicts, faults and
-    /// transfer/round-trip accounting to the in-process path, and its
-    /// measured simulated latency on a lossless LAN link equals what a
-    /// `DirectTransport` priced under the matching `RttModel` predicts —
-    /// exactly per packet, and within 1% of the single-call model form.
+    /// over a LAN `SimNetTransport` yields identical verdicts, faults and
+    /// transfer/round-trip accounting to the free-function path (the same
+    /// check over the modelled WAN), and a lossless spot check over
+    /// `from_rtt_model(m)` takes exactly what `m` prices per packet — one
+    /// RTT per exchange plus each framed packet's serialisation delay —
+    /// within 1% of the single-call model form.
     #[test]
     fn simnet_spot_check_matches_direct_on_lossless_lan() {
         let (bob, image) = record_with_snapshots(4);
         let registry = GuestRegistry::new();
         let link = LinkConfig::default();
+        let server = AuditServer::new(bob.log(), bob.snapshots());
 
-        // In-process baseline through the free-function wrapper.
+        // The free-function wrapper runs over from_rtt_model(TRANSFER_RTT).
         let mut free_cache = AuditorBlobCache::new();
         let baseline = spot_check_on_demand(
             bob.log(),
@@ -1132,39 +994,58 @@ mod tests {
         )
         .unwrap();
 
-        // The same check over a direct transport priced under the link's
-        // model, and over the simulated network itself.
-        let mut direct = AuditClient::new(DirectTransport::with_model(
-            AuditServer::new(bob.log(), bob.snapshots()),
-            link.rtt_model(),
-        ));
-        let direct_report = direct
-            .spot_check_on_demand(2, 1, &image, &registry)
-            .unwrap();
-        let mut sim = AuditClient::new(SimNetTransport::new(
-            AuditServer::new(bob.log(), bob.snapshots()),
-            link,
-        ));
+        // The same check over the LAN link.
+        let mut sim = AuditClient::new(SimNetTransport::new(server, link));
         let sim_report = sim.spot_check_on_demand(2, 1, &image, &registry).unwrap();
 
-        // Identical semantics across all three paths.
+        // Identical semantics on both links.
         assert!(baseline.consistent);
-        assert_eq!(baseline.semantic(), direct_report.semantic());
         assert_eq!(baseline.semantic(), sim_report.semantic());
-        assert_eq!(
-            baseline.on_demand.as_ref().unwrap().fetched,
-            sim_report.on_demand.as_ref().unwrap().fetched
-        );
+        let fetched = &sim_report.on_demand.as_ref().unwrap().fetched;
+        assert_eq!(&baseline.on_demand.as_ref().unwrap().fetched, fetched);
 
-        // Identical wire accounting, and *exactly* equal measured time:
-        // the simulated exchange pays per packet what the model prices.
-        let d = direct_report.transport;
+        // Identical wire accounting …
+        let d = baseline.transport;
         let s = sim_report.transport;
         assert_eq!(s.retransmissions, 0);
         assert_eq!(d.round_trips, s.round_trips);
         assert_eq!(d.request_bytes, s.request_bytes);
         assert_eq!(d.response_bytes, s.response_bytes);
-        assert_eq!(d.elapsed_micros, s.elapsed_micros);
+
+        // … and *exactly* the per-packet price on each link.  Re-issue the
+        // check's exchanges one by one to learn each packet's framed size.
+        let mut requests = vec![
+            AuditRequest::LogSegment(SegmentAddress::Chunk {
+                start_snapshot: 2,
+                chunk: 1,
+            }),
+            AuditRequest::Manifest { snapshot_id: 2 },
+        ];
+        let digests: Vec<_> = fetched.iter().map(|d| d.0).collect();
+        let batches = BlobRequest::batches(&digests, avm_wire::DEFAULT_BLOB_BATCH);
+        requests.extend(batches.into_iter().map(AuditRequest::Blobs));
+        let mut probe = SimNetTransport::new(server, link);
+        let mut packets = Vec::new();
+        for request in &requests {
+            let before = probe.stats();
+            probe.exchange(request, |_| ()).unwrap();
+            let t = probe.stats().since(&before);
+            packets.push((t.request_bytes, t.response_bytes));
+        }
+        assert_eq!(probe.stats().round_trips, s.round_trips);
+        assert_eq!(probe.stats().wire_bytes(), s.wire_bytes());
+        let priced_per_packet = |model: &avm_wire::RttModel| -> u64 {
+            packets
+                .iter()
+                .map(|&(request, response)| {
+                    model.rtt_micros
+                        + model.latency_micros(0, request)
+                        + model.latency_micros(0, response)
+                })
+                .sum()
+        };
+        assert_eq!(s.elapsed_micros, priced_per_packet(&link.rtt_model()));
+        assert_eq!(d.elapsed_micros, priced_per_packet(&TRANSFER_RTT));
         assert!(s.elapsed_micros > 0);
 
         // Within 1% of the single-call RttModel prediction (which

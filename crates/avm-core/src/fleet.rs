@@ -17,18 +17,21 @@
 //!   into a shared response cache — N auditors checking the same epoch pay
 //!   the serialisation and hashing cost a single time.  Idle sessions can
 //!   be expired after a configurable quiet period.
-//! * [`FleetAuditor`] — the §3.5 spot check re-expressed as a
-//!   non-blocking state machine so hundreds of copies interleave on one
-//!   network.  It performs *exactly* the exchanges, accounting and
-//!   retransmission policy of [`crate::endpoint::AuditClient`] over a
-//!   [`crate::endpoint::SimNetTransport`]; a single-session fleet run is
-//!   field-identical to that path (pinned by unit and property tests).
-//!   With a [`ReplayCpuModel`] configured, replay CPU charges to the
-//!   simulated clock; in **pipelined** mode the auditor replays the chunk
-//!   segment-wise and puts each segment's blob batches on the wire the
-//!   moment that segment's CPU finishes — fetch for segment i+1 overlaps
-//!   replay of segment i instead of stalling behind the whole replay
-//!   (verdicts and transfer columns never move, only completion latency).
+//! * [`FleetAuditor`] — the event-loop driver of
+//!   [`crate::session::AuditSession`], so hundreds of sessions interleave
+//!   on one network.  The spot-check procedure is the session's — the same
+//!   one [`crate::endpoint::AuditClient`] drives with a blocking loop — and
+//!   the retransmission policy is the shared
+//!   [`crate::endpoint::SimNetTransport`] one; this endpoint adds only the
+//!   session envelope, the pending-exchange timer and the waits on modelled
+//!   replay CPU.  A single-session fleet run is field-identical to the
+//!   blocking path (pinned by unit and property tests).  With a
+//!   [`ReplayCpuModel`] configured, replay CPU charges to the simulated
+//!   clock; in **pipelined** mode the session replays the chunk
+//!   segment-wise and each segment's blob batches go on the wire the moment
+//!   that segment's CPU finishes — fetch for segment i+1 overlaps replay of
+//!   segment i instead of stalling behind the whole replay (verdicts and
+//!   transfer columns never move, only completion latency).
 //! * [`run_fleet`] — builds M providers and N auditors over one link
 //!   config, drives them with [`avm_net::run_event_loop`], and returns
 //!   every report plus per-session completion latencies, provider cache
@@ -42,33 +45,26 @@
 use std::collections::{HashMap, VecDeque};
 
 use avm_attest::AttestVerdict;
-use avm_compress::CompressionStats;
-use avm_crypto::sha256::Digest;
-use avm_log::{LogEntry, LogSource};
+use avm_log::LogSource;
 use avm_net::{
     run_event_loop, Delivery, Endpoint, EventLoopReport, LinkConfig, NodeId, NodeStats, SimNet,
 };
 use avm_vm::{GuestRegistry, VmImage};
-use avm_wire::attest::AttestChallenge;
 use avm_wire::audit::{
-    open_session_frame, open_session_message, seal_encoded_message, seal_session_message,
-    AuditRequest, AuditResponseRef, SegmentAddress, CLIENT_SESSION,
+    open_session_message, seal_encoded_message, AuditRequest, SegmentAddress, CLIENT_SESSION,
 };
-use avm_wire::{BlobRequest, Decode, Encode, DEFAULT_BLOB_BATCH};
+use avm_wire::Encode;
 
-use crate::attest::{challenge_nonce, Attestor, LaunchPolicy};
+use crate::attest::{Attestor, LaunchPolicy};
 use crate::endpoint::{
-    decode_entries, protocol_violation, AuditServer, TransportStats, DEFAULT_MAX_ATTEMPTS,
+    link_timeout_us, AuditServer, AuditorWire, PendingExchange, Timer, TransportStats,
 };
-use crate::error::{CoreError, FaultReason};
-use crate::ondemand::{
-    operator_missing, verify_blob_batch, AuditorBlobCache, BlobFetch, ChainManifest, DedupTransfer,
-    FaultClassification, OnDemandSession,
-};
-use crate::paraudit::{partition_chunk, ReplayCpuModel};
-use crate::replay::{ReplayOutcome, ReplaySummary, Replayer};
-use crate::snapshot::{SnapshotStore, TransferCost};
-use crate::spotcheck::{snapshot_positions_in, SpotCheckReport, TRANSFER_COMPRESSION};
+use crate::error::CoreError;
+use crate::ondemand::AuditorBlobCache;
+use crate::paraudit::ReplayCpuModel;
+use crate::session::{AuditSession, Step};
+use crate::snapshot::SnapshotStore;
+use crate::spotcheck::SpotCheckReport;
 
 // ---------------------------------------------------------------------------
 // Provider node
@@ -378,120 +374,33 @@ pub struct AuditTask {
     pub start_at_us: u64,
 }
 
-/// One in-flight request/response exchange.
-#[derive(Debug)]
-struct PendingExchange {
-    request_id: u64,
-    packet: Vec<u8>,
-    /// When the first send happened (elapsed time is measured from here,
-    /// across retransmissions — like the blocking transport).
-    started_at: u64,
-    /// Retransmit-if-silent deadline.
-    deadline: u64,
-    attempts: u32,
-}
-
-/// State carried across the on-demand blob exchange batches.
-struct BlobExchange {
-    log_cost: TransferCost,
-    snapshot_cost: TransferCost,
-    consistent: bool,
-    fault: Option<FaultReason>,
-    progress: ReplaySummary,
-    dedup: DedupTransfer,
-    session: OnDemandSession,
-    classification: FaultClassification,
-    batches: Vec<BlobRequest>,
-    /// Modelled instant each batch's request becomes sendable (0 = at
-    /// once).  The classic path leaves every entry at 0; the pipelined
-    /// path stamps each batch with the simulated time the replay CPU for
-    /// its segment finishes.
-    ready_at: Vec<u64>,
-    next_batch: usize,
-    fetch: BlobFetch,
-    encoded: Vec<u8>,
-}
-
-/// Where the spot-check state machine is.
-enum Phase {
-    /// Waiting for `start_at_us`.
-    Idle,
-    /// Attestation challenge sent; the session proceeds to the log chunk
-    /// only once the launch measurement verifies.
-    Attest { challenge: AttestChallenge },
-    /// Log chunk requested.
-    Chunk,
-    /// Full-download mode: sections requested.  In pipelined mode the
-    /// replay already ran while the sections stream is on the wire, and its
-    /// verdict rides here.
-    Sections {
-        entries: Vec<LogEntry>,
-        log_cost: TransferCost,
-        prereplayed: Option<(bool, Option<FaultReason>, ReplaySummary)>,
-    },
-    /// On-demand mode: manifest requested.
-    Manifest {
-        entries: Vec<LogEntry>,
-        log_cost: TransferCost,
-        snapshot_cost: TransferCost,
-    },
-    /// On-demand mode: settle-time blob batches in flight.
-    Blobs(Box<BlobExchange>),
-    /// Wire work done; modelled replay CPU still charging.  Complete at
-    /// `at` with the finished report.
-    Draining { at: u64, report: SpotCheckReport },
-    /// Finished (report or error recorded).
-    Done,
-}
-
-/// A §3.5 spot check as a non-blocking endpoint: the exchanges, accounting
-/// and retransmission policy of [`crate::endpoint::AuditClient`] over
-/// [`crate::endpoint::SimNetTransport`], restructured so N copies interleave
-/// on one shared network (see the module docs).
+/// A §3.5 spot check as a non-blocking endpoint: one
+/// [`AuditSession`] driven from [`Endpoint::on_delivery`] /
+/// [`Endpoint::on_tick`], so N copies interleave on one shared network (see
+/// the module docs).
 pub struct FleetAuditor<'a> {
-    node: NodeId,
-    provider: NodeId,
-    session_id: u64,
-    provider_store: &'a SnapshotStore,
-    image: &'a VmImage,
-    registry: &'a GuestRegistry,
-    task: AuditTask,
-    timeout_us: u64,
-    max_attempts: u32,
-    cache: AuditorBlobCache,
-    stats: TransportStats,
-    next_request_id: u64,
+    wire: AuditorWire,
+    /// Simulated µs at which the session opens.
+    start_at_us: u64,
+    started: bool,
+    session: AuditSession<'a>,
     pending: Option<PendingExchange>,
-    phase: Phase,
+    /// A step the session issued for a later simulated instant: a blob
+    /// batch staged behind its segment's replay CPU, or a verdict whose
+    /// replay CPU is still charging.
+    held: Option<Step>,
     outcome: Option<Result<SpotCheckReport, CoreError>>,
     finished_at_us: Option<u64>,
-    /// When set, replay CPU is charged to the simulated clock at this rate
-    /// (default: replay is a zero-time event, the pinned classic timing).
-    replay_cpu: Option<ReplayCpuModel>,
-    /// Overlap wire wait with modelled replay CPU (segment-wise replay,
-    /// per-segment fetches) instead of stalling fetches behind the full
-    /// replay.  Only meaningful with `replay_cpu` set.
-    pipelined: bool,
-    /// Modelled instant this auditor's replay CPU goes idle; settlement
-    /// never precedes it.
-    cpu_busy_until: u64,
-    /// A request staged until its segment's replay CPU finishes.
-    deferred: Option<(u64, AuditRequest)>,
-    /// When set, the session opens with an attestation challenge under this
-    /// policy and only proceeds to spot checks on a verified launch.
-    attest_policy: Option<&'a LaunchPolicy>,
-    /// The launch verdict, once the attestation exchange settled.
-    attest_verdict: Option<AttestVerdict>,
 }
 
 impl<'a> FleetAuditor<'a> {
     /// An auditor on `node` auditing `provider` inside session `session_id`.
     ///
     /// `provider_store` is the *accounting plane* (the same store the
-    /// provider serves from — see [`crate::endpoint::AuditTransport`]);
-    /// `timeout_us` is the retransmit-if-silent deadline, normally derived
-    /// from the link exactly like [`crate::endpoint::SimNetTransport::new`]
-    /// derives it.
+    /// provider serves from — the session's `oracle`, see
+    /// [`crate::session`]); `timeout_us` is the retransmit-if-silent
+    /// deadline, normally derived from the link exactly like
+    /// [`crate::endpoint::SimNetTransport::new`] derives it.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         node: NodeId,
@@ -504,34 +413,28 @@ impl<'a> FleetAuditor<'a> {
         timeout_us: u64,
     ) -> FleetAuditor<'a> {
         FleetAuditor {
-            node,
-            provider,
-            session_id,
-            provider_store,
-            image,
-            registry,
-            task,
-            timeout_us,
-            max_attempts: DEFAULT_MAX_ATTEMPTS,
-            cache: AuditorBlobCache::new(),
-            stats: TransportStats::default(),
-            next_request_id: 1,
+            wire: AuditorWire::new(node, provider, session_id, timeout_us),
+            start_at_us: task.start_at_us,
+            started: false,
+            session: AuditSession::new(
+                task.start_snapshot,
+                task.chunk,
+                task.on_demand,
+                0,
+                image,
+                registry,
+                provider_store,
+            ),
             pending: None,
-            phase: Phase::Idle,
+            held: None,
             outcome: None,
             finished_at_us: None,
-            replay_cpu: None,
-            pipelined: false,
-            cpu_busy_until: 0,
-            deferred: None,
-            attest_policy: None,
-            attest_verdict: None,
         }
     }
 
     /// Resumes with a persistent blob cache from earlier audits.
     pub fn with_cache(mut self, cache: AuditorBlobCache) -> FleetAuditor<'a> {
-        self.cache = cache;
+        self.session = self.session.with_cache(cache);
         self
     }
 
@@ -542,8 +445,7 @@ impl<'a> FleetAuditor<'a> {
     /// (stalled).  The verdict and every transfer column are unaffected —
     /// only the session's completion latency moves.
     pub fn with_replay_cpu(mut self, model: ReplayCpuModel, pipelined: bool) -> FleetAuditor<'a> {
-        self.replay_cpu = Some(model);
-        self.pipelined = pipelined;
+        self.session = self.session.with_replay_cpu(model, pipelined);
         self
     }
 
@@ -555,7 +457,7 @@ impl<'a> FleetAuditor<'a> {
     /// ([`crate::attest::challenge_nonce`]), so every session challenges
     /// with a distinct nonce and runs stay reproducible.
     pub fn with_attestation(mut self, policy: &'a LaunchPolicy) -> FleetAuditor<'a> {
-        self.attest_policy = Some(policy);
+        self.session = self.session.with_attestation(policy, self.wire.session_id);
         self
     }
 
@@ -563,7 +465,7 @@ impl<'a> FleetAuditor<'a> {
     /// until it settles, and always `None` without
     /// [`FleetAuditor::with_attestation`]).
     pub fn attest_verdict(&self) -> Option<AttestVerdict> {
-        self.attest_verdict
+        self.session.attest_verdict()
     }
 
     /// True once the session has a verdict (or failed).
@@ -575,12 +477,12 @@ impl<'a> FleetAuditor<'a> {
     /// start to the verdict.  `None` until finished.
     pub fn latency_us(&self) -> Option<u64> {
         self.finished_at_us
-            .map(|at| at.saturating_sub(self.task.start_at_us))
+            .map(|at| at.saturating_sub(self.start_at_us))
     }
 
     /// Wire accounting so far (the report's `transport` field once done).
     pub fn transport_stats(&self) -> TransportStats {
-        self.stats
+        self.wire.stats
     }
 
     /// Consumes the auditor: the report (or the error that ended the
@@ -590,649 +492,92 @@ impl<'a> FleetAuditor<'a> {
         let outcome = self.outcome.unwrap_or_else(|| {
             Err(CoreError::Snapshot(format!(
                 "audit session {} did not finish",
-                self.session_id
+                self.wire.session_id
             )))
         });
-        (outcome, self.cache)
-    }
-
-    /// Sends `request` as the next exchange of this session.
-    fn send_request(&mut self, net: &mut SimNet, request: &AuditRequest) {
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        let packet = seal_session_message(self.session_id, request_id, request);
-        // Accounted per attempt *before* the send, dropped packets included
-        // — identical to the blocking transport.
-        self.stats.request_bytes += packet.len() as u64;
-        let started_at = net.now();
-        let _ = net.send(self.node, self.provider, packet.clone());
-        self.pending = Some(PendingExchange {
-            request_id,
-            packet,
-            started_at,
-            deadline: started_at + self.timeout_us,
-            attempts: 1,
-        });
+        (outcome, self.session.into_cache())
     }
 
     fn complete(&mut self, now: u64, outcome: Result<SpotCheckReport, CoreError>) {
-        self.phase = Phase::Done;
         self.pending = None;
-        self.deferred = None;
+        self.held = None;
         self.outcome = Some(outcome);
         self.finished_at_us = Some(now);
     }
 
-    /// Advances the state machine with an accepted response (borrowed from
-    /// the delivered packet — bulk payloads are only copied where they are
-    /// kept).  `Err` ends the session (the caller records it).
-    fn handle_response(
-        &mut self,
-        net: &mut SimNet,
-        response: AuditResponseRef<'_>,
-    ) -> Result<(), CoreError> {
-        // Provider-side errors surface as CoreError, like AuditClient.
-        if let AuditResponseRef::Error { message } = response {
-            return Err(CoreError::Snapshot(message.to_string()));
-        }
-        match std::mem::replace(&mut self.phase, Phase::Done) {
-            Phase::Attest { challenge } => self.on_attest(net, response, challenge),
-            Phase::Chunk => self.on_chunk(net, response),
-            Phase::Sections {
-                entries,
-                log_cost,
-                prereplayed,
-            } => self.on_sections(net, response, entries, log_cost, prereplayed),
-            Phase::Manifest {
-                entries,
-                log_cost,
-                snapshot_cost,
-            } => self.on_manifest(net, response, entries, log_cost, snapshot_cost),
-            Phase::Blobs(exchange) => self.on_blobs(net, response, exchange),
-            // No exchange is pending while CPU drains, so no response can
-            // arrive here; restore the phase for form's sake.
-            Phase::Draining { at, report } => {
-                self.phase = Phase::Draining { at, report };
-                Ok(())
-            }
-            Phase::Idle | Phase::Done => Ok(()),
-        }
-    }
-
-    /// Sends the opening log-chunk request of the spot check.
-    fn start_chunk(&mut self, net: &mut SimNet) {
-        self.phase = Phase::Chunk;
-        let request = AuditRequest::LogSegment(SegmentAddress::Chunk {
-            start_snapshot: self.task.start_snapshot,
-            chunk: self.task.chunk,
-        });
-        self.send_request(net, &request);
-    }
-
-    fn on_attest(
-        &mut self,
-        net: &mut SimNet,
-        response: AuditResponseRef<'_>,
-        challenge: AttestChallenge,
-    ) -> Result<(), CoreError> {
-        let quote = match response {
-            AuditResponseRef::Attestation(quote) => quote.to_owned(),
-            other => return Err(protocol_violation("Attestation", other.variant_name())),
-        };
-        let policy = self
-            .attest_policy
-            .expect("Attest phase only entered with a policy");
-        let (verdict, _envelope) = policy.verify(&quote, &challenge, net.now());
-        self.attest_verdict = Some(verdict);
-        if !verdict.is_verified() {
-            return Err(CoreError::Snapshot(format!(
-                "attestation rejected: {verdict}"
-            )));
-        }
-        // Launch verified — the same session continues into the spot check.
-        self.start_chunk(net);
-        Ok(())
-    }
-
-    fn on_chunk(
-        &mut self,
-        net: &mut SimNet,
-        response: AuditResponseRef<'_>,
-    ) -> Result<(), CoreError> {
-        let encoded_entries = match response {
-            AuditResponseRef::LogSegment { entries, .. } => entries,
-            other => return Err(protocol_violation("LogSegment", other.variant_name())),
-        };
-        let entries = decode_entries(&encoded_entries)?;
-        let log_cost = CompressionStats::measure_stream(
-            entries.iter().map(|e| e.encode_to_vec()),
-            TRANSFER_COMPRESSION,
-        );
-        // The auditor never trusts the provider's classification: a corrupt
-        // SNAPSHOT record in what was *received* is itself the verdict.
-        if let Err(fault) = snapshot_positions_in(&entries) {
-            let report = SpotCheckReport {
-                start_snapshot: self.task.start_snapshot,
-                chunk_size: self.task.chunk,
-                consistent: false,
-                fault: Some(fault),
-                entries_replayed: 0,
-                steps_replayed: 0,
-                snapshot_transfer_bytes: 0,
-                log_transfer_bytes: log_cost.raw_bytes,
-                snapshot_transfer_compressed_bytes: 0,
-                log_transfer_compressed_bytes: log_cost.compressed_bytes,
-                snapshot_transfer_dedup_bytes: 0,
-                snapshot_transfer_dedup_compressed_bytes: 0,
-                on_demand: None,
-                transport: self.stats,
-            };
-            self.complete(net.now(), Ok(report));
-            return Ok(());
-        }
-        if self.task.on_demand {
-            // Accounting plane first (no wire traffic), then the manifest —
-            // the same order as the blocking client.
-            let snapshot_cost = self
-                .provider_store
-                .transfer_cost_upto(self.task.start_snapshot, TRANSFER_COMPRESSION);
-            let request = AuditRequest::Manifest {
-                snapshot_id: self.task.start_snapshot,
-            };
-            self.phase = Phase::Manifest {
-                entries,
-                log_cost,
-                snapshot_cost,
-            };
-            self.send_request(net, &request);
-        } else {
-            let request = AuditRequest::Sections {
-                upto_id: self.task.start_snapshot,
-            };
-            // Pipelined full-download mode: the verdict never depends on
-            // the sections stream (the machine materializes from the
-            // accounting plane, which holds the same authenticated bytes),
-            // so replay runs *while* the stream is on the wire and the
-            // session completes at max(stream arrival, CPU done) instead
-            // of their sum.
-            let prereplayed = match (self.pipelined, self.replay_cpu) {
-                (true, Some(model)) => {
-                    let mut replayer = Replayer::from_snapshot(
-                        self.image,
-                        self.registry,
-                        self.provider_store,
-                        self.task.start_snapshot,
-                    )?;
-                    let (consistent, fault) = match replayer.replay(&entries) {
-                        ReplayOutcome::Consistent(_) => (true, None),
-                        ReplayOutcome::Fault(f) => (false, Some(f)),
-                    };
-                    let progress = replayer.summary();
-                    self.cpu_busy_until = net.now()
-                        + model.cost_micros(progress.steps_executed, progress.entries_replayed);
-                    Some((consistent, fault, progress))
-                }
-                _ => None,
-            };
-            self.phase = Phase::Sections {
-                entries,
-                log_cost,
-                prereplayed,
-            };
-            self.send_request(net, &request);
-        }
-        Ok(())
-    }
-
-    fn on_sections(
-        &mut self,
-        net: &mut SimNet,
-        response: AuditResponseRef<'_>,
-        entries: Vec<LogEntry>,
-        log_cost: TransferCost,
-        prereplayed: Option<(bool, Option<FaultReason>, ReplaySummary)>,
-    ) -> Result<(), CoreError> {
-        // The stream is measured straight from the packet buffer — the
-        // full-dump column never materializes an owned copy of it.
-        let stream = match response {
-            AuditResponseRef::Sections { stream } => stream,
-            other => return Err(protocol_violation("Sections", other.variant_name())),
-        };
-        debug_assert_eq!(
-            stream.len() as u64,
-            self.provider_store
-                .transfer_bytes_upto(self.task.start_snapshot),
-            "section stream and full-dump accounting diverged"
-        );
-        let snapshot_cost = CompressionStats::measure(stream, TRANSFER_COMPRESSION);
-        let (consistent, fault, progress) = match prereplayed {
-            Some(verdict) => verdict,
-            None => {
-                let mut replayer = Replayer::from_snapshot(
-                    self.image,
-                    self.registry,
-                    self.provider_store,
-                    self.task.start_snapshot,
-                )?;
-                let (consistent, fault) = match replayer.replay(&entries) {
-                    ReplayOutcome::Consistent(_) => (true, None),
-                    ReplayOutcome::Fault(f) => (false, Some(f)),
-                };
-                let progress = replayer.summary();
-                if let Some(model) = self.replay_cpu {
-                    // Stalled mode: the whole replay charges after the
-                    // stream arrives.
-                    self.cpu_busy_until = net.now()
-                        + model.cost_micros(progress.steps_executed, progress.entries_replayed);
-                }
-                (consistent, fault, progress)
-            }
-        };
-        let report = SpotCheckReport {
-            start_snapshot: self.task.start_snapshot,
-            chunk_size: self.task.chunk,
-            consistent,
-            fault,
-            entries_replayed: progress.entries_replayed,
-            steps_replayed: progress.steps_executed,
-            snapshot_transfer_bytes: snapshot_cost.raw_bytes,
-            log_transfer_bytes: log_cost.raw_bytes,
-            snapshot_transfer_compressed_bytes: snapshot_cost.compressed_bytes,
-            log_transfer_compressed_bytes: log_cost.compressed_bytes,
-            snapshot_transfer_dedup_bytes: 0,
-            snapshot_transfer_dedup_compressed_bytes: 0,
-            on_demand: None,
-            transport: self.stats,
-        };
-        self.finish_report(net, report);
-        Ok(())
-    }
-
-    /// Records `report`, waiting out any modelled replay CPU still charging
-    /// (with no model configured this completes immediately — the pinned
-    /// classic timing).
-    fn finish_report(&mut self, net: &SimNet, report: SpotCheckReport) {
+    /// Carries out a step the session issued — now if it is due, on the
+    /// tick at its instant otherwise.
+    fn advance(&mut self, net: &mut SimNet, step: Step) {
         let now = net.now();
-        if self.cpu_busy_until > now {
-            self.phase = Phase::Draining {
-                at: self.cpu_busy_until,
-                report,
-            };
-            self.pending = None;
-        } else {
-            self.complete(now, Ok(report));
+        if now < step.not_before_us() {
+            self.held = Some(step);
+            return;
         }
-    }
-
-    fn on_manifest(
-        &mut self,
-        net: &mut SimNet,
-        response: AuditResponseRef<'_>,
-        entries: Vec<LogEntry>,
-        log_cost: TransferCost,
-        snapshot_cost: TransferCost,
-    ) -> Result<(), CoreError> {
-        // Decoded straight from the packet buffer; only the decoded
-        // manifest survives, never an owned copy of its encoding.
-        let manifest_bytes = match response {
-            AuditResponseRef::Manifest { manifest } => manifest,
-            other => return Err(protocol_violation("Manifest", other.variant_name())),
-        };
-        let manifest = ChainManifest::decode_exact(manifest_bytes)
-            .map_err(|e| CoreError::Snapshot(format!("manifest does not decode: {e}")))?;
-        let (mut replayer, session) = Replayer::from_manifest_on_demand(
-            manifest,
-            self.image,
-            self.registry,
-            self.provider_store,
-            &self.cache,
-        )?;
-        let dedup = session.price_full_download(self.provider_store, TRANSFER_COMPRESSION)?;
-        let (consistent, fault, progress, classification, batches, ready_at, fetch) =
-            match (self.pipelined, self.replay_cpu) {
-                (true, Some(model)) => {
-                    // Pipelined mode: replay segment-wise, classify the
-                    // faults each segment appended, and stamp that
-                    // segment's batches with the instant its replay CPU
-                    // finishes — so batch i rides the wire while segment
-                    // i+1 replays.  Replay itself never waits for the
-                    // wire (divergent state is staged from the accounting
-                    // plane; the blob exchange prices what faulted), which
-                    // is exactly what makes the overlap sound.
-                    let positions = snapshot_positions_in(&entries).unwrap_or_default();
-                    let units = partition_chunk(&entries, &positions);
-                    let mut classifier = session.incremental_classifier();
-                    let mut cpu_done = net.now();
-                    let mut consistent = true;
-                    let mut fault = None;
-                    let mut batches: Vec<BlobRequest> = Vec::new();
-                    let mut ready_at: Vec<u64> = Vec::new();
-                    let mut fetch = BlobFetch::default();
-                    let mut steps_before = 0u64;
-                    for unit in &units {
-                        let segment = &entries[unit.range.clone()];
-                        let outcome = replayer.replay(segment);
-                        let steps_now = replayer.summary().steps_executed;
-                        cpu_done +=
-                            model.cost_micros(steps_now - steps_before, segment.len() as u64);
-                        steps_before = steps_now;
-                        let fresh = classifier.classify_new(&session, replayer.machine())?;
-                        let mut missing: Vec<avm_wire::BlobDigest> = Vec::new();
-                        for digest in &fresh {
-                            if self.cache.contains(digest) {
-                                fetch.cache_hits += 1;
-                            } else {
-                                missing.push(digest.0);
-                            }
-                        }
-                        for batch in BlobRequest::batches(&missing, DEFAULT_BLOB_BATCH) {
-                            batches.push(batch);
-                            ready_at.push(cpu_done);
-                        }
-                        if let ReplayOutcome::Fault(f) = outcome {
-                            consistent = false;
-                            fault = Some(f);
-                            break; // serial replay stops at the fault too
-                        }
-                    }
-                    self.cpu_busy_until = cpu_done;
-                    let classification = classifier.into_classification(replayer.machine());
-                    let progress = replayer.summary();
-                    (
-                        consistent,
-                        fault,
-                        progress,
-                        classification,
-                        batches,
-                        ready_at,
-                        fetch,
-                    )
-                }
-                _ => {
-                    let (consistent, fault) = match replayer.replay(&entries) {
-                        ReplayOutcome::Consistent(_) => (true, None),
-                        ReplayOutcome::Fault(f) => (false, Some(f)),
-                    };
-                    let progress = replayer.summary();
-                    let classification = session.classify_faults(replayer.machine())?;
-                    if let Some(model) = self.replay_cpu {
-                        // Stalled mode: the full replay charges before the
-                        // first blob batch can go out.
-                        self.cpu_busy_until = net.now()
-                            + model.cost_micros(progress.steps_executed, progress.entries_replayed);
-                    }
-                    // The front half of the blob exchange: consult the
-                    // cache, batch the rest.  (`needed` is duplicate-free.)
-                    let mut fetch = BlobFetch::default();
-                    let mut missing: Vec<avm_wire::BlobDigest> = Vec::new();
-                    for digest in &classification.needed {
-                        if self.cache.contains(digest) {
-                            fetch.cache_hits += 1;
-                        } else {
-                            missing.push(digest.0);
-                        }
-                    }
-                    let batches = BlobRequest::batches(&missing, DEFAULT_BLOB_BATCH);
-                    let ready_at = vec![self.cpu_busy_until; batches.len()];
-                    (
-                        consistent,
-                        fault,
-                        progress,
-                        classification,
-                        batches,
-                        ready_at,
-                        fetch,
-                    )
-                }
-            };
-        let exchange = Box::new(BlobExchange {
-            log_cost,
-            snapshot_cost,
-            consistent,
-            fault,
-            progress,
-            dedup,
-            session,
-            classification,
-            batches,
-            ready_at,
-            next_batch: 0,
-            fetch,
-            encoded: Vec::new(),
-        });
-        let _ = entries; // replayed above; the chunk's job is done
-        if exchange.batches.is_empty() {
-            self.settle(net, *exchange);
-            return Ok(());
+        match step {
+            Step::Send { request, .. } => self.pending = Some(self.wire.send(net, &request)),
+            Step::Done { outcome, .. } => {
+                let outcome = outcome.map(|mut report| {
+                    report.transport = self.wire.stats;
+                    report
+                });
+                self.complete(now, outcome);
+            }
         }
-        let request = AuditRequest::Blobs(exchange.batches[0].clone());
-        let ready = exchange.ready_at[0];
-        self.phase = Phase::Blobs(exchange);
-        self.dispatch_batch(net, request, ready);
-        Ok(())
-    }
-
-    /// Sends a blob batch now, or stages it until its segment's replay CPU
-    /// is done (`ready` in the past — the classic path's 0 always is —
-    /// sends immediately).
-    fn dispatch_batch(&mut self, net: &mut SimNet, request: AuditRequest, ready: u64) {
-        if net.now() >= ready {
-            self.send_request(net, &request);
-        } else {
-            self.deferred = Some((ready, request));
-        }
-    }
-
-    fn on_blobs(
-        &mut self,
-        net: &mut SimNet,
-        response: AuditResponseRef<'_>,
-        mut exchange: Box<BlobExchange>,
-    ) -> Result<(), CoreError> {
-        let blob_response = match response {
-            AuditResponseRef::Blobs(r) => r,
-            other => return Err(protocol_violation("Blobs", other.variant_name())),
-        };
-        let request = &exchange.batches[exchange.next_batch];
-        // Per-blob authentication, exactly the shared protocol step — the
-        // payloads are verified while still borrowed from the packet (one
-        // multi-buffer hash batch per response) and copied only when they
-        // enter the cache.
-        if blob_response.blobs.len() != request.digests.len() {
-            return Err(CoreError::Snapshot(format!(
-                "blob response carries {} payloads for {} requested digests",
-                blob_response.blobs.len(),
-                request.digests.len()
-            )));
-        }
-        let digests: Vec<Digest> = request.digests.iter().map(|raw| Digest(*raw)).collect();
-        let mut payloads: Vec<&[u8]> = Vec::with_capacity(digests.len());
-        for (digest, blob) in digests.iter().zip(&blob_response.blobs) {
-            payloads.push(blob.ok_or_else(|| operator_missing(digest))?);
-        }
-        verify_blob_batch(&digests, &payloads)?;
-        exchange.fetch.round_trips += 1;
-        exchange.fetch.request_bytes += request.encoded_len() as u64;
-        exchange.fetch.payload_bytes += blob_response.payload_bytes();
-        exchange
-            .encoded
-            .extend_from_slice(&blob_response.encode_to_vec());
-        for (digest, payload) in digests.into_iter().zip(payloads) {
-            self.cache.insert_trusted(digest, payload.to_vec());
-            exchange.fetch.fetched.push(digest);
-        }
-        exchange.next_batch += 1;
-        if exchange.next_batch < exchange.batches.len() {
-            let request = AuditRequest::Blobs(exchange.batches[exchange.next_batch].clone());
-            let ready = exchange.ready_at[exchange.next_batch];
-            self.phase = Phase::Blobs(exchange);
-            self.dispatch_batch(net, request, ready);
-        } else {
-            self.settle(net, *exchange);
-        }
-        Ok(())
-    }
-
-    /// Assembles the final on-demand report from a finished blob exchange.
-    fn settle(&mut self, net: &SimNet, exchange: BlobExchange) {
-        let BlobExchange {
-            log_cost,
-            snapshot_cost,
-            consistent,
-            fault,
-            progress,
-            dedup,
-            session,
-            classification,
-            mut fetch,
-            encoded,
-            ..
-        } = exchange;
-        fetch.response.raw_bytes = encoded.len() as u64;
-        let cost = session.assemble_cost(classification, fetch, &encoded, TRANSFER_COMPRESSION);
-        let report = SpotCheckReport {
-            start_snapshot: self.task.start_snapshot,
-            chunk_size: self.task.chunk,
-            consistent,
-            fault,
-            entries_replayed: progress.entries_replayed,
-            steps_replayed: progress.steps_executed,
-            snapshot_transfer_bytes: snapshot_cost.raw_bytes,
-            log_transfer_bytes: log_cost.raw_bytes,
-            snapshot_transfer_compressed_bytes: snapshot_cost.compressed_bytes,
-            log_transfer_compressed_bytes: log_cost.compressed_bytes,
-            snapshot_transfer_dedup_bytes: dedup.transfer.raw_bytes,
-            snapshot_transfer_dedup_compressed_bytes: dedup.transfer.compressed_bytes,
-            on_demand: Some(cost),
-            transport: self.stats,
-        };
-        self.finish_report(net, report);
     }
 }
 
 impl Endpoint for FleetAuditor<'_> {
     fn node(&self) -> NodeId {
-        self.node
+        self.wire.auditor
     }
 
     fn on_delivery(&mut self, net: &mut SimNet, delivery: Delivery) {
-        if matches!(self.phase, Phase::Done) {
-            return;
-        }
         let Some(pending) = &self.pending else {
             return;
         };
-        // Peek the session envelope without decoding the body: stale
-        // retransmissions from older exchanges are discarded before the
-        // (potentially megabyte-sized) response payload is even parsed.
-        let Ok((session_id, request_id, body)) = open_session_frame(&delivery.payload) else {
+        let now = net.now();
+        let Some(response) = pending.accept(&mut self.wire, now, &delivery.payload) else {
             return;
         };
-        if session_id != self.session_id || request_id != pending.request_id {
-            return; // stale response to an older exchange
-        }
-        let Ok(response) = AuditResponseRef::decode_exact(body) else {
-            return;
-        };
-        self.stats.round_trips += 1;
-        self.stats.response_bytes += delivery.payload.len() as u64;
-        self.stats.elapsed_micros += net.now() - pending.started_at;
         self.pending = None;
-        if let Err(error) = self.handle_response(net, response) {
-            self.complete(net.now(), Err(error));
-        }
+        let step = self.session.on_response(now, response);
+        self.advance(net, step);
     }
 
     fn on_tick(&mut self, net: &mut SimNet) -> Option<u64> {
-        if matches!(self.phase, Phase::Done) {
+        if self.finished() {
             return None;
-        }
-        if matches!(self.phase, Phase::Idle) {
-            if net.now() < self.task.start_at_us {
-                return Some(self.task.start_at_us);
-            }
-            match self.attest_policy {
-                // Attest-then-audit: the session's first exchange proves
-                // the launch; the chunk request follows on a verified
-                // verdict ([`FleetAuditor::on_attest`]).
-                Some(_) => {
-                    let now = net.now();
-                    let challenge = AttestChallenge {
-                        nonce: challenge_nonce(self.session_id, now),
-                        issued_at_us: now,
-                    };
-                    self.phase = Phase::Attest { challenge };
-                    self.send_request(net, &AuditRequest::Attest(challenge));
-                }
-                None => self.start_chunk(net),
-            }
         }
         let now = net.now();
-        // Modelled replay CPU still charging: complete the moment it is
-        // done (the wire work already finished).
-        if matches!(self.phase, Phase::Draining { .. }) {
-            let Phase::Draining { at, report } = std::mem::replace(&mut self.phase, Phase::Done)
-            else {
-                unreachable!("matched Draining above");
-            };
-            if now < at {
-                self.phase = Phase::Draining { at, report };
+        if !self.started {
+            if now < self.start_at_us {
+                return Some(self.start_at_us);
+            }
+            self.started = true;
+            let step = self.session.start(now);
+            self.advance(net, step);
+        }
+        if let Some(step) = self.held.take() {
+            if now < step.not_before_us() {
+                let at = step.not_before_us();
+                self.held = Some(step);
                 return Some(at);
             }
-            self.complete(now, Ok(report));
-            return None;
-        }
-        // A blob batch staged behind its segment's replay CPU: send it the
-        // moment the CPU frees up.
-        if let Some((at, _)) = &self.deferred {
-            if now < *at {
-                return Some(*at);
+            self.advance(net, step);
+            if self.finished() {
+                return None;
             }
-            let (_, request) = self.deferred.take().expect("deferred checked");
-            self.send_request(net, &request);
         }
-        let (deadline, attempts, started_at, packet_len) = {
-            let pending = self.pending.as_ref()?;
-            (
-                pending.deadline,
-                pending.attempts,
-                pending.started_at,
-                pending.packet.len(),
-            )
-        };
-        if now < deadline {
-            return Some(deadline);
+        match self.pending.as_mut()?.on_timer(net, &mut self.wire) {
+            Timer::Wait(at) | Timer::Resent(at) => Some(at),
+            // Whatever is in flight will wake the loop; the next tick
+            // re-evaluates.
+            Timer::WireBusy => None,
+            Timer::GaveUp(error) => {
+                self.complete(now, Err(error));
+                None
+            }
         }
-        // The timer only fires on a *silent* wire: any packet still in
-        // flight (a large response serialising past the nominal timeout, a
-        // stale duplicate draining) will wake the loop, and the next tick
-        // re-evaluates — the deadline stretches to the wire going quiet,
-        // exactly like the blocking transport.
-        if net.in_flight_count() > 0 {
-            return None;
-        }
-        if attempts >= self.max_attempts {
-            self.stats.elapsed_micros += now - started_at;
-            let error = CoreError::Snapshot(format!(
-                "audit transport: no response after {} attempts ({} µs timeout each)",
-                self.max_attempts, self.timeout_us
-            ));
-            self.complete(now, Err(error));
-            return None;
-        }
-        self.stats.retransmissions += 1;
-        self.stats.request_bytes += packet_len as u64;
-        let packet = self
-            .pending
-            .as_ref()
-            .expect("pending checked")
-            .packet
-            .clone();
-        let _ = net.send(self.node, self.provider, packet);
-        let pending = self.pending.as_mut().expect("pending checked");
-        pending.attempts += 1;
-        pending.deadline = now + self.timeout_us;
-        Some(pending.deadline)
     }
 }
 
@@ -1361,7 +706,7 @@ fn run_fleet_inner(
     config: &FleetConfig,
     attest: Option<(&Attestor, &LaunchPolicy)>,
 ) -> FleetOutcome {
-    let timeout_us = 8 * config.link.latency_us + config.link.serialise_micros(1 << 20);
+    let timeout_us = link_timeout_us(&config.link);
     let mut net = SimNet::new(config.link);
     let provider_count = config.providers.max(1);
     let mut providers: Vec<ProviderNode> = (0..provider_count)
@@ -1414,11 +759,14 @@ fn run_fleet_inner(
     let mut attest_verdicts = Vec::with_capacity(auditors.len());
     let mut latencies_us = Vec::new();
     for auditor in auditors {
-        if let Some(latency) = auditor.latency_us() {
-            latencies_us.push(latency);
-        }
+        let latency = auditor.latency_us();
         attest_verdicts.push(auditor.attest_verdict());
         let (outcome, _cache) = auditor.into_parts();
+        // Only sessions that reached a verdict: a rejected launch or a
+        // timed-out exchange ends early and would drag the percentiles down.
+        if let (Ok(_), Some(latency)) = (&outcome, latency) {
+            latencies_us.push(latency);
+        }
         reports.push(outcome);
     }
     FleetOutcome {
@@ -1436,6 +784,7 @@ mod tests {
     use super::*;
     use crate::endpoint::{AuditClient, SimNetTransport};
     use crate::testutil::record_with_snapshots;
+    use avm_wire::audit::seal_session_message;
 
     /// The tentpole pin: a fleet of ONE is *field-identical* — semantics,
     /// transfer columns, wire accounting, measured simulated latency — to
@@ -1758,6 +1107,8 @@ mod tests {
         // Quotes are nonce-specific, so they never populate the shared
         // cache: same entries/misses as the unattested run.
         assert_eq!(attested.providers[0].cache, plain.providers[0].cache);
+        // One latency sample per session that reached a verdict.
+        assert_eq!(attested.latencies_us.len(), n);
 
         // A provider attesting a different image: every session records the
         // ImageMismatch verdict and ends in an error before any audit.
@@ -1786,8 +1137,10 @@ mod tests {
             let err = report.as_ref().unwrap_err().to_string();
             assert!(err.contains("image mismatch"), "{err}");
         }
-        // One challenge per session, nothing more.
+        // One challenge per session, nothing more — and a session turned
+        // away at the door contributes no audit latency sample.
         assert_eq!(rejected.providers[0].requests_served, n as u64);
+        assert!(rejected.latencies_us.is_empty());
     }
 
     /// Multiple provider nodes: auditors spread across them and each

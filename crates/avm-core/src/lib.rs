@@ -37,15 +37,19 @@
 //! * [`ondemand`] — the digest-addressed snapshot transfer protocol and
 //!   on-demand partial-state replay ("request the parts of the state that
 //!   are accessed", §3.5).
+//! * [`session`] — the §3.5 spot check itself, written once as the sans-IO
+//!   [`session::AuditSession`]: requests out, borrowed responses in, a
+//!   report at the end.
 //! * [`endpoint`] — the auditor/provider endpoints ([`endpoint::AuditClient`]
 //!   / [`endpoint::AuditServer`]) speaking the audit protocol of
-//!   [`avm_wire::audit`] over pluggable transports: in-process and
-//!   RTT-modelled ([`endpoint::DirectTransport`]) or over the simulated
-//!   network with retransmission ([`endpoint::SimNetTransport`]).
+//!   [`avm_wire::audit`] over the simulated network with retransmission
+//!   ([`endpoint::SimNetTransport`]); the client is the session's blocking
+//!   driver.
 //! * [`fleet`] — fleet-scale auditing: the sessionful [`fleet::ProviderNode`]
-//!   serving N concurrent [`fleet::FleetAuditor`] sessions over one shared
-//!   simulated network, with round-robin scheduling, a shared response cache
-//!   and idle-session expiry.
+//!   serving N concurrent [`fleet::FleetAuditor`]s — the session's
+//!   event-loop driver — over one shared simulated network, with
+//!   round-robin scheduling, a shared response cache and idle-session
+//!   expiry.
 //! * [`paraudit`] — segment-parallel audit replay (§6): partition a chunk
 //!   at its snapshot boundaries, replay the units concurrently on the
 //!   [`avm_crypto::parallel`] pool, merge to the serial verdict.
@@ -141,6 +145,7 @@ pub mod persist;
 pub mod recorder;
 pub mod replay;
 pub mod runtime;
+pub mod session;
 pub mod snapshot;
 pub mod spotcheck;
 #[cfg(test)]
@@ -149,9 +154,7 @@ pub(crate) mod testutil;
 pub use attest::{build_envelope, challenge_nonce, expected_launch, Attestor, LaunchPolicy};
 pub use audit::{audit_log, AuditOutcome, AuditReport, Evidence};
 pub use config::{AvmmOptions, ExecConfig};
-pub use endpoint::{
-    AuditClient, AuditServer, AuditTransport, DirectTransport, SimNetTransport, TransportStats,
-};
+pub use endpoint::{AuditClient, AuditServer, AuditTransport, SimNetTransport, TransportStats};
 pub use envelope::{Envelope, EnvelopeKind};
 pub use error::{CoreError, FaultReason};
 pub use events::{NdDetail, NdEventRecord, RecvRecord, SendRecord, SnapshotRecord};
@@ -163,4 +166,5 @@ pub use ondemand::{
 pub use persist::{PersistConfig, PersistError, Provider, RecoveryReport, SnapshotManifest};
 pub use recorder::{Avmm, HostClock, OutboundMessage};
 pub use replay::{ReplayOutcome, Replayer};
+pub use session::{AuditSession, Step};
 pub use snapshot::{Snapshot, SnapshotStore, StoredSnapshot, TransferCost};

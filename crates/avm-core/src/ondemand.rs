@@ -51,8 +51,8 @@ use avm_crypto::parallel::sha256_batch;
 use avm_crypto::sha256::{sha256, Digest};
 use avm_vm::{GuestRegistry, Machine, VmImage};
 use avm_wire::{
-    BlobRequest, BlobResponse, Decode, Encode, Reader, RttModel, WireResult, Writer,
-    DEFAULT_BLOB_BATCH,
+    BlobRequest, BlobResponse, BlobResponseRef, Decode, Encode, Reader, RttModel, WireResult,
+    Writer, DEFAULT_BLOB_BATCH,
 };
 
 use crate::error::CoreError;
@@ -353,7 +353,7 @@ fn persistence_error(e: avm_store::StoreError) -> CoreError {
 }
 
 /// Error for a digest the operator's store cannot substantiate.
-pub(crate) fn operator_missing(digest: &Digest) -> CoreError {
+fn operator_missing(digest: &Digest) -> CoreError {
     CoreError::Snapshot(format!(
         "operator could not serve blob {} referenced by its own snapshot",
         digest.short_hex()
@@ -371,7 +371,7 @@ fn blob_mismatch(digest: &Digest) -> CoreError {
 
 /// The per-blob authentication of the transfer protocol: a received payload
 /// must hash to the digest it was requested under.
-pub(crate) fn verify_blob(digest: &Digest, payload: &[u8]) -> Result<(), CoreError> {
+fn verify_blob(digest: &Digest, payload: &[u8]) -> Result<(), CoreError> {
     if sha256(payload) != *digest {
         return Err(blob_mismatch(digest));
     }
@@ -382,7 +382,7 @@ pub(crate) fn verify_blob(digest: &Digest, payload: &[u8]) -> Result<(), CoreErr
 /// multi-buffer SHA-256 lanes ([`sha256_batch`]) and compares each against
 /// the digest it travels under.  One batch per received blob response keeps
 /// the auditor's authentication step on the vectorised hashing floor.
-pub(crate) fn verify_blob_batch(digests: &[Digest], payloads: &[&[u8]]) -> Result<(), CoreError> {
+fn verify_blob_batch(digests: &[Digest], payloads: &[&[u8]]) -> Result<(), CoreError> {
     debug_assert_eq!(digests.len(), payloads.len());
     for (digest, hash) in digests.iter().zip(sha256_batch(payloads)) {
         if hash != *digest {
@@ -393,34 +393,50 @@ pub(crate) fn verify_blob_batch(digests: &[Digest], payloads: &[&[u8]]) -> Resul
 }
 
 /// The provider side of one blob exchange, as the auditor sees it: hand over
-/// a [`BlobRequest`], get the matching [`BlobResponse`] back.
+/// a [`BlobRequest`], be lent the matching response.
 ///
-/// This is the seam the audit transports plug into: an in-process provider
-/// is simply `&SnapshotStore` (the request is served straight from the
-/// content-addressed pool), while a networked provider
-/// ([`crate::endpoint::AuditTransport`]) carries the same messages over a
-/// (simulated) link.  Everything above the seam — digest selection, per-blob
-/// verification, caching, byte accounting — is transport-independent, which
-/// is what pins the networked exchange to the in-process numbers.
+/// The response is *lent*, not returned: its payloads stay borrowed from
+/// wherever they already live — the operator's content-addressed pool for an
+/// in-process provider (`&SnapshotStore`), the received packet for a
+/// networked one ([`crate::endpoint::AuditTransport`]) — so they are
+/// authenticated before anything is copied.  Everything above the seam —
+/// digest selection, per-blob verification, caching, byte accounting — is
+/// transport-independent, which is what pins the networked exchange to the
+/// in-process numbers.
 pub trait BlobProvider {
-    /// Performs one request/response exchange.
-    fn exchange_blobs(&mut self, request: &BlobRequest) -> Result<BlobResponse, CoreError>;
+    /// Performs one request/response exchange and hands the borrowed
+    /// response to `accept`, returning what it returns.
+    fn exchange_blobs<R>(
+        &mut self,
+        request: &BlobRequest,
+        accept: impl FnOnce(BlobResponseRef<'_>) -> Result<R, CoreError>,
+    ) -> Result<R, CoreError>;
 }
 
 impl BlobProvider for &SnapshotStore {
-    fn exchange_blobs(&mut self, request: &BlobRequest) -> Result<BlobResponse, CoreError> {
-        Ok(self.serve_blobs(request))
+    fn exchange_blobs<R>(
+        &mut self,
+        request: &BlobRequest,
+        accept: impl FnOnce(BlobResponseRef<'_>) -> Result<R, CoreError>,
+    ) -> Result<R, CoreError> {
+        accept(BlobResponseRef {
+            blobs: request
+                .digests
+                .iter()
+                .map(|raw| self.payload(&Digest(*raw)))
+                .collect(),
+        })
     }
 }
 
-/// Exchanges `request` with the provider and verifies every payload against
-/// the digest it was requested under — the protocol step every download
-/// model shares.
-fn serve_verified<P: BlobProvider>(
-    provider: &mut P,
+/// The authentication step every download model shares: `response` must
+/// carry one payload per digest of `request`, and each payload must hash to
+/// the digest it was requested under (one batched hashing pass).  Returns
+/// the payloads, still borrowed from the response.
+pub(crate) fn verify_blob_response<'r>(
     request: &BlobRequest,
-) -> Result<BlobResponse, CoreError> {
-    let response = provider.exchange_blobs(request)?;
+    response: &BlobResponseRef<'r>,
+) -> Result<Vec<&'r [u8]>, CoreError> {
     if response.blobs.len() != request.digests.len() {
         return Err(CoreError::Snapshot(format!(
             "blob response carries {} payloads for {} requested digests",
@@ -428,19 +444,13 @@ fn serve_verified<P: BlobProvider>(
             request.digests.len()
         )));
     }
-    let mut payloads = Vec::with_capacity(response.blobs.len());
-    for (raw, blob) in request.digests.iter().zip(&response.blobs) {
-        let digest = Digest(*raw);
-        let payload = blob.as_ref().ok_or_else(|| operator_missing(&digest))?;
-        payloads.push(payload.as_slice());
+    let digests: Vec<Digest> = request.digests.iter().map(|raw| Digest(*raw)).collect();
+    let mut payloads = Vec::with_capacity(digests.len());
+    for (digest, blob) in digests.iter().zip(&response.blobs) {
+        payloads.push(blob.ok_or_else(|| operator_missing(digest))?);
     }
-    // Authenticate the whole response in one batched hashing pass.
-    for (raw, hash) in request.digests.iter().zip(sha256_batch(&payloads)) {
-        if hash != Digest(*raw) {
-            return Err(blob_mismatch(&Digest(*raw)));
-        }
-    }
-    Ok(response)
+    verify_blob_batch(&digests, &payloads)?;
+    Ok(payloads)
 }
 
 /// Accounting for one blob exchange ([`fetch_blobs`]).
@@ -462,51 +472,87 @@ pub struct BlobFetch {
     pub payload_bytes: u64,
 }
 
-/// [`fetch_blobs`] without the compression measurement: returns the encoded
-/// response stream so callers (e.g. [`OnDemandSession::finish`]) can measure
-/// it jointly with other stream parts in *one* compression pass.  The
-/// returned accounting's `response` field carries the raw size only
-/// (`compressed_bytes` is zero — the caller owns the measurement).
+/// One batched blob download in progress: the accounting so far plus the
+/// encoded response stream, kept so callers can measure it jointly with
+/// other stream parts (the manifest) in *one* compression pass.  `fetch`'s
+/// `response` field carries the raw size only (`compressed_bytes` is zero —
+/// the caller owns the measurement).
 ///
-/// The exchange is split into [`BlobRequest`]s of at most `max_per_request`
-/// digests (`0` = one request for everything); `round_trips` records how
-/// many were issued.
+/// The two halves are the whole blob protocol, whoever carries the
+/// messages: [`BlobDownload::plan`] decides what to ask for,
+/// [`BlobDownload::accept`] authenticates and keeps one response.  The
+/// blocking [`fetch_blobs`] family and the sans-IO
+/// [`crate::session::AuditSession`] both run exactly these.
+#[derive(Debug, Default)]
+pub(crate) struct BlobDownload {
+    pub fetch: BlobFetch,
+    pub encoded: Vec<u8>,
+}
+
+impl BlobDownload {
+    /// The front half: collapses duplicates in `needed`, counts the digests
+    /// `cache` already holds as hits, and splits the rest into requests of
+    /// at most `max_per_request` digests (`0` = one request for everything).
+    pub(crate) fn plan(
+        &mut self,
+        cache: &AuditorBlobCache,
+        needed: &[Digest],
+        max_per_request: usize,
+    ) -> Vec<BlobRequest> {
+        let mut seen = HashSet::new();
+        let mut missing: Vec<avm_wire::BlobDigest> = Vec::new();
+        for digest in needed {
+            if !seen.insert(*digest) {
+                continue;
+            }
+            if cache.contains(digest) {
+                self.fetch.cache_hits += 1;
+            } else {
+                missing.push(digest.0);
+            }
+        }
+        BlobRequest::batches(&missing, max_per_request)
+    }
+
+    /// The back half: authenticates `response` against `request` while its
+    /// payloads are still borrowed, then accounts the round trip, appends
+    /// the encoded response to the download stream and copies each payload
+    /// into `cache` — the only copy a blob ever gets.
+    pub(crate) fn accept(
+        &mut self,
+        cache: &mut AuditorBlobCache,
+        request: &BlobRequest,
+        response: &BlobResponseRef<'_>,
+    ) -> Result<(), CoreError> {
+        let payloads = verify_blob_response(request, response)?;
+        self.fetch.round_trips += 1;
+        self.fetch.request_bytes += request.encoded_len() as u64;
+        self.fetch.payload_bytes += response.payload_bytes();
+        self.encoded.extend_from_slice(&response.encode_to_vec());
+        self.fetch.response.raw_bytes = self.encoded.len() as u64;
+        for (raw, payload) in request.digests.iter().zip(payloads) {
+            cache.insert_trusted(Digest(*raw), payload.to_vec());
+            self.fetch.fetched.push(Digest(*raw));
+        }
+        Ok(())
+    }
+}
+
+/// Plans the download of `needed` against `cache` and runs every batch
+/// through `provider` — the blocking driver of [`BlobDownload`].
 fn fetch_blobs_encoded<P: BlobProvider>(
     cache: &mut AuditorBlobCache,
     provider: &mut P,
     needed: &[Digest],
     max_per_request: usize,
-) -> Result<(BlobFetch, Vec<u8>), CoreError> {
-    let mut seen = HashSet::new();
-    let mut fetch = BlobFetch::default();
-    let mut missing: Vec<avm_wire::BlobDigest> = Vec::new();
-    for digest in needed {
-        if !seen.insert(*digest) {
-            continue;
-        }
-        if cache.contains(digest) {
-            fetch.cache_hits += 1;
-        } else {
-            missing.push(digest.0);
-        }
+) -> Result<BlobDownload, CoreError> {
+    let mut download = BlobDownload::default();
+    for request in download.plan(cache, needed, max_per_request) {
+        provider.exchange_blobs(&request, |response| {
+            download.accept(cache, &request, &response)
+        })?;
     }
-    let mut encoded = Vec::new();
-    for request in BlobRequest::batches(&missing, max_per_request) {
-        let response = serve_verified(provider, &request)?;
-        fetch.round_trips += 1;
-        fetch.request_bytes += request.encoded_len() as u64;
-        fetch.payload_bytes += response.payload_bytes();
-        // Encode before consuming the response so each payload moves into
-        // the cache instead of being cloned.
-        encoded.extend_from_slice(&response.encode_to_vec());
-        for (raw, blob) in request.digests.iter().zip(response.blobs) {
-            let digest = Digest(*raw);
-            cache.insert_trusted(digest, blob.expect("payload verified"));
-            fetch.fetched.push(digest);
-        }
-    }
-    fetch.response.raw_bytes = encoded.len() as u64;
-    Ok((fetch, encoded))
+    Ok(download)
 }
 
 /// Runs one digest-addressed exchange: requests every digest in `needed`
@@ -539,9 +585,22 @@ pub fn fetch_blobs_with<P: BlobProvider>(
     max_per_request: usize,
     level: CompressionLevel,
 ) -> Result<BlobFetch, CoreError> {
-    let (mut fetch, encoded) = fetch_blobs_encoded(cache, provider, needed, max_per_request)?;
+    let BlobDownload { mut fetch, encoded } =
+        fetch_blobs_encoded(cache, provider, needed, max_per_request)?;
     fetch.response = CompressionStats::measure(&encoded, level);
     Ok(fetch)
+}
+
+/// One authenticated exchange whose payloads are priced but never kept (the
+/// dedup column is a hypothetical download): the encoded response stream.
+fn verified_response_encoding<P: BlobProvider>(
+    provider: &mut P,
+    request: &BlobRequest,
+) -> Result<Vec<u8>, CoreError> {
+    provider.exchange_blobs(request, |response| {
+        verify_blob_response(request, &response)?;
+        Ok(response.encode_to_vec())
+    })
 }
 
 /// Accounting for a dedup-transfer full-state download
@@ -625,9 +684,8 @@ pub(crate) fn dedup_transfer_from_manifest<P: BlobProvider>(
             request.digests.push(digest.0);
         }
     }
-    let response = serve_verified(provider, &request)?;
+    let response_encoded = verified_response_encoding(provider, &request)?;
     let blobs_fetched = request.digests.len() as u64;
-    let response_encoded = response.encode_to_vec();
     let transfer = CompressionStats::measure_stream(
         [manifest_encoded.as_slice(), response_encoded.as_slice()],
         level,
@@ -737,7 +795,8 @@ pub(crate) struct FaultClassification {
 
 /// Incremental form of [`OnDemandSession::classify_faults`] for auditors
 /// that pause replay at segment boundaries and fetch as they go (the
-/// fleet's pipelined mode): each [`IncrementalFaultClassifier::classify_new`]
+/// audit session's pipelined mode; its unpipelined mode is the same loop
+/// over one whole-chunk segment): each [`IncrementalFaultClassifier::classify_new`]
 /// call classifies only the faults the machine appended since the previous
 /// call, returning the newly wire-needed digests, and
 /// [`IncrementalFaultClassifier::into_classification`] yields the merged
@@ -746,10 +805,10 @@ pub(crate) struct FaultClassification {
 /// Because the machine's fault lists record first-touch order and only
 /// grow, the union over all calls equals the one-shot classification:
 /// identical needed *set*, identical cache-hit / locally-derived / fault
-/// counters.  Only the order of `needed` can differ (the one-shot form
-/// processes all chunk faults before all block faults; the incremental form
-/// interleaves them per segment), which changes batch composition but never
-/// what crosses the wire.
+/// counters.  Only the order of `needed` can differ (one call processes all
+/// its chunk faults before all its block faults, so several calls interleave
+/// them per segment), which changes batch composition but never what
+/// crosses the wire.
 #[derive(Debug, Default)]
 pub(crate) struct IncrementalFaultClassifier {
     seen: HashSet<Digest>,
@@ -909,9 +968,9 @@ impl OnDemandSession {
         level: CompressionLevel,
     ) -> Result<OnDemandCost, CoreError> {
         let classification = self.classify_faults(machine)?;
-        let (fetch, response_encoded) =
+        let BlobDownload { fetch, encoded } =
             fetch_blobs_encoded(cache, provider, &classification.needed, DEFAULT_BLOB_BATCH)?;
-        Ok(self.assemble_cost(classification, fetch, &response_encoded, level))
+        Ok(self.assemble_cost(classification, fetch, &encoded, level))
     }
 
     /// The settle-time classification of the machine's fault lists: which
@@ -919,56 +978,13 @@ impl OnDemandSession {
     /// (cached / image-derivable), plus the fault and untouched counters.
     ///
     /// [`OnDemandSession::finish_with`] is `classify_faults` → blob exchange
-    /// → [`OnDemandSession::assemble_cost`]; the fleet auditor runs the same
-    /// halves around its non-blocking (event-loop-driven) blob exchange so
-    /// its accounting is the single-client accounting by construction.
-    pub(crate) fn classify_faults(
-        &self,
-        machine: &Machine,
-    ) -> Result<FaultClassification, CoreError> {
-        let faulted_chunks = machine.memory().faulted_chunks();
-        let faulted_blocks = machine.devices().disk.faulted_blocks();
-        let mut needed: Vec<Digest> = Vec::new();
-        let mut locally_derived = 0u64;
-        let mut cache_hits = 0u64;
-        let mut seen = HashSet::new();
-        let chunk_digests = faulted_chunks.iter().map(|idx| {
-            self.staged_chunks
-                .get(idx)
-                .ok_or_else(|| CoreError::Snapshot(format!("faulted chunk {idx} was never staged")))
-        });
-        let block_digests = faulted_blocks.iter().map(|idx| {
-            self.staged_blocks
-                .get(idx)
-                .ok_or_else(|| CoreError::Snapshot(format!("faulted block {idx} was never staged")))
-        });
-        for digest in chunk_digests.chain(block_digests) {
-            let digest = *digest?;
-            if !seen.insert(digest) {
-                continue;
-            }
-            match self.sources.get(&digest) {
-                Some(StagedSource::Remote) => needed.push(digest),
-                Some(StagedSource::Local) => locally_derived += 1,
-                Some(StagedSource::Cache) => cache_hits += 1,
-                None => {
-                    return Err(CoreError::Snapshot(format!(
-                        "faulted digest {} has no staging source",
-                        digest.short_hex()
-                    )))
-                }
-            }
-        }
-        let untouched =
-            machine.memory().staged_chunk_count() + machine.devices().disk.staged_block_count();
-        Ok(FaultClassification {
-            needed,
-            cache_hits,
-            locally_derived,
-            chunks_faulted: faulted_chunks.len() as u64,
-            blocks_faulted: faulted_blocks.len() as u64,
-            untouched_staged: untouched as u64,
-        })
+    /// → [`OnDemandSession::assemble_cost`]; [`crate::session::AuditSession`]
+    /// runs the incremental form ([`IncrementalFaultClassifier`]) around
+    /// the same exchange and the same `assemble_cost`.
+    fn classify_faults(&self, machine: &Machine) -> Result<FaultClassification, CoreError> {
+        let mut classifier = self.incremental_classifier();
+        classifier.classify_new(self, machine)?;
+        Ok(classifier.into_classification(machine))
     }
 
     /// Starts an incremental classification of this session's fault lists —
@@ -1023,8 +1039,7 @@ impl OnDemandSession {
         let request = BlobRequest {
             digests: self.remote_digests.iter().map(|d| d.0).collect(),
         };
-        let response = serve_verified(&mut provider, &request)?;
-        let response_encoded = response.encode_to_vec();
+        let response_encoded = verified_response_encoding(&mut provider, &request)?;
         let transfer = CompressionStats::measure_stream(
             [
                 self.manifest_encoded.as_slice(),

@@ -141,9 +141,9 @@ struct UnitResult {
 /// `(unit index, result)` pairs.
 type LaneTask = Box<dyn FnOnce() -> Vec<(usize, UnitResult)> + Send>;
 
-fn run_unit(mut replayer: Replayer, entries: Vec<LogEntry>) -> UnitResult {
+fn run_unit(mut replayer: Replayer, entries: &[LogEntry]) -> UnitResult {
     let started = Instant::now();
-    let fault = match replayer.replay(&entries) {
+    let fault = match replayer.replay(entries) {
         ReplayOutcome::Consistent(_) => None,
         ReplayOutcome::Fault(f) => Some(f),
     };
@@ -163,7 +163,7 @@ fn serial_outcome(
     fell_back: bool,
 ) -> Result<ChunkReplayOutcome, CoreError> {
     let replayer = Replayer::from_snapshot(image, registry, snapshots, start_snapshot)?;
-    let result = run_unit(replayer, entries.to_vec());
+    let result = run_unit(replayer, entries);
     Ok(ChunkReplayOutcome {
         consistent: result.fault.is_none(),
         fault: result.fault,
@@ -181,6 +181,11 @@ fn serial_outcome(
 /// `workers` concurrent lanes (including the calling thread), merging the
 /// per-unit outcomes into the serial verdict (see the module docs for the
 /// identity argument).
+///
+/// `workers == 0` asks for no engine at all: the whole chunk replays
+/// unpartitioned on the calling thread.  That is the serial reference every
+/// lane count is pinned against, and what a plain (non-parallel) spot check
+/// passes — so the two spot checks differ by this one integer.
 ///
 /// `snapshots` is the accounting plane the serial check materializes its
 /// start snapshot from; interior units materialize from the same store at
@@ -214,7 +219,7 @@ pub fn replay_chunk_parallel(
         }
     };
     let units = partition_chunk(entries, &positions);
-    if units.len() <= 1 {
+    if workers == 0 || units.len() <= 1 {
         return serial_outcome(image, registry, snapshots, start_snapshot, entries, false);
     }
 
@@ -264,7 +269,7 @@ pub fn replay_chunk_parallel(
     // Distribute units over lanes in contiguous runs (unit order within a
     // lane is preserved; results are re-indexed, so distribution affects
     // wall time only, never the merge).
-    let lanes = workers.max(1).min(prepared.len());
+    let lanes = workers.min(prepared.len());
     let per = prepared.len() / lanes;
     let rem = prepared.len() % lanes;
     let mut tasks: Vec<LaneTask> = Vec::with_capacity(lanes);
@@ -282,7 +287,7 @@ pub fn replay_chunk_parallel(
         tasks.push(Box::new(move || {
             lane_units
                 .into_iter()
-                .map(|(index, replayer, entries)| (index, run_unit(replayer, entries)))
+                .map(|(index, replayer, entries)| (index, run_unit(replayer, &entries)))
                 .collect()
         }));
     }

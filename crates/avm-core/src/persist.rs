@@ -914,7 +914,10 @@ mod tests {
         start: u64,
         k: u64,
     ) -> crate::spotcheck::SpotCheckReport {
-        let transport = crate::endpoint::DirectTransport::new(provider.audit_server());
+        let transport = crate::endpoint::SimNetTransport::new(
+            provider.audit_server(),
+            avm_net::LinkConfig::default(),
+        );
         let mut client = crate::endpoint::AuditClient::new(transport);
         client
             .spot_check(start, k, image, &GuestRegistry::new())
@@ -1156,7 +1159,10 @@ mod tests {
             SignatureScheme::Rsa(512),
             key(1).verifying_key(),
         );
-        let transport = crate::endpoint::DirectTransport::new(recovered.audit_server());
+        let transport = crate::endpoint::SimNetTransport::new(
+            recovered.audit_server(),
+            avm_net::LinkConfig::default(),
+        );
         let mut client = crate::endpoint::AuditClient::new(transport);
         let challenge = avm_wire::attest::AttestChallenge {
             nonce: crate::attest::challenge_nonce(1, 5_000),

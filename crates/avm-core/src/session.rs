@@ -1,0 +1,861 @@
+//! The §3.5 spot check as one sans-IO state machine.
+//!
+//! The paper has *one* spot-check procedure: fetch the log chunk, fetch the
+//! snapshot state — whole, or on demand — replay, compare.  [`AuditSession`]
+//! is that procedure, written once.  It owns no clock, no socket and no
+//! simulated network: a driver calls [`AuditSession::start`], puts each
+//! [`Step::Send`] request on whatever wire it has, and feeds every accepted
+//! response back through [`AuditSession::on_response`] until the session
+//! answers [`Step::Done`].  Two drivers exist:
+//!
+//! * [`crate::endpoint::AuditClient`] — a blocking loop over
+//!   [`crate::endpoint::AuditTransport::exchange`];
+//! * [`crate::fleet::FleetAuditor`] — an [`avm_net::Endpoint`] on a shared
+//!   event loop, adding only the session envelope, the retransmit timer and
+//!   the waits on modelled replay CPU.
+//!
+//! Responses arrive as the *borrowed* [`AuditResponseRef`]: the section
+//! stream is measured from the packet buffer, the manifest decoded in place,
+//! blob payloads authenticated before they are copied anywhere.  Every byte a
+//! provider sends is parsed and judged here and nowhere else, so this is the
+//! one surface a hostile provider can reach (and the one a fuzzer drives).
+//!
+//! # The accounting plane
+//!
+//! The session reads the provider's own [`SnapshotStore`] — its `oracle`
+//! constructor argument — at exactly five places: materializing full-download
+//! replay state, staging on-demand blob contents, pricing the hypothetical
+//! full-dump and dedup columns of an on-demand report, and a debug
+//! cross-check of the section stream's length.  None of them adds wire
+//! traffic; everything the auditor *pays* for crosses the driver's wire.
+//! Removing the oracle (ROADMAP item 1) deletes that one argument.
+
+use avm_attest::AttestVerdict;
+use avm_compress::CompressionStats;
+use avm_crypto::sha256::Digest;
+use avm_log::LogEntry;
+use avm_vm::{GuestRegistry, VmImage};
+use avm_wire::attest::{AttestChallenge, AttestQuote};
+use avm_wire::audit::{AuditRequest, AuditResponseRef, SegmentAddress};
+use avm_wire::{BlobRequest, BlobResponseRef, Decode, Encode, DEFAULT_BLOB_BATCH};
+
+use crate::attest::{challenge_nonce, LaunchPolicy};
+use crate::endpoint::TransportStats;
+use crate::error::{CoreError, FaultReason};
+use crate::ondemand::{
+    AuditorBlobCache, BlobDownload, ChainManifest, DedupTransfer, FaultClassification,
+    OnDemandCost, OnDemandSession,
+};
+use crate::paraudit::{
+    partition_chunk, replay_chunk_parallel, ParallelReplayStats, ReplayCpuModel,
+};
+use crate::replay::{ReplayOutcome, ReplaySummary, Replayer};
+use crate::snapshot::{SnapshotStore, TransferCost};
+use crate::spotcheck::{snapshot_positions_in, SpotCheckReport, TRANSFER_COMPRESSION};
+
+// ---------------------------------------------------------------------------
+// Response parsing
+// ---------------------------------------------------------------------------
+
+/// The error for a response of the wrong kind: the provider's own message
+/// when it answered with an error, a protocol violation otherwise.
+fn unexpected(expected: &str, got: AuditResponseRef<'_>) -> CoreError {
+    match got {
+        AuditResponseRef::Error { message } => CoreError::Snapshot(message.to_string()),
+        other => CoreError::Snapshot(format!(
+            "audit protocol violation: expected {expected} response, got {}",
+            other.variant_name()
+        )),
+    }
+}
+
+/// A log-segment response: the chain anchor and the decoded entries.
+pub(crate) fn expect_log_segment(
+    response: AuditResponseRef<'_>,
+) -> Result<(Digest, Vec<LogEntry>), CoreError> {
+    match response {
+        AuditResponseRef::LogSegment { prev_hash, entries } => {
+            let entries = entries
+                .into_iter()
+                .map(|bytes| {
+                    LogEntry::decode_exact(bytes)
+                        .map_err(|e| CoreError::Snapshot(format!("log entry does not decode: {e}")))
+                })
+                .collect::<Result<_, _>>()?;
+            Ok((Digest(prev_hash), entries))
+        }
+        other => Err(unexpected("LogSegment", other)),
+    }
+}
+
+/// A manifest response, decoded straight from the packet buffer.
+pub(crate) fn expect_manifest(response: AuditResponseRef<'_>) -> Result<ChainManifest, CoreError> {
+    match response {
+        AuditResponseRef::Manifest { manifest } => ChainManifest::decode_exact(manifest)
+            .map_err(|e| CoreError::Snapshot(format!("manifest does not decode: {e}"))),
+        other => Err(unexpected("Manifest", other)),
+    }
+}
+
+/// A sections response: the stream, still borrowed from the packet.
+pub(crate) fn expect_sections(response: AuditResponseRef<'_>) -> Result<&[u8], CoreError> {
+    match response {
+        AuditResponseRef::Sections { stream } => Ok(stream),
+        other => Err(unexpected("Sections", other)),
+    }
+}
+
+/// A blob response, payloads still borrowed from the packet.
+pub(crate) fn expect_blobs(
+    response: AuditResponseRef<'_>,
+) -> Result<BlobResponseRef<'_>, CoreError> {
+    match response {
+        AuditResponseRef::Blobs(blobs) => Ok(blobs),
+        other => Err(unexpected("Blobs", other)),
+    }
+}
+
+/// An attestation response: the provider's quote.
+pub(crate) fn expect_attestation(response: AuditResponseRef<'_>) -> Result<AttestQuote, CoreError> {
+    match response {
+        AuditResponseRef::Attestation(quote) => Ok(quote.to_owned()),
+        other => Err(unexpected("Attestation", other)),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The session
+// ---------------------------------------------------------------------------
+
+/// What the driver does next.  `not_before_us` is a simulated instant the
+/// session's modelled replay CPU is busy until (`0` = at once): drivers with
+/// a clock hold the step until then, a blocking driver ignores it.
+// One short-lived `Step` exists per exchange and is consumed at once; boxing
+// the report would buy nothing but an allocation.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum Step {
+    /// Put `request` on the wire as the session's next exchange and feed
+    /// the response to [`AuditSession::on_response`].
+    Send {
+        /// The request to send.
+        request: AuditRequest,
+        /// Earliest simulated µs the request may go out.
+        not_before_us: u64,
+    },
+    /// The session is over.  A report's `transport` column is zeroed — the
+    /// driver fills in what its wire measured.
+    Done {
+        /// The verdict, or the error that ended the session.
+        outcome: Result<SpotCheckReport, CoreError>,
+        /// Earliest simulated µs the verdict stands.
+        not_before_us: u64,
+    },
+}
+
+impl Step {
+    fn send(request: AuditRequest) -> Step {
+        Step::Send {
+            request,
+            not_before_us: 0,
+        }
+    }
+
+    /// The simulated instant this step is due (`0` = at once).
+    pub fn not_before_us(&self) -> u64 {
+        match self {
+            Step::Send { not_before_us, .. } | Step::Done { not_before_us, .. } => *not_before_us,
+        }
+    }
+}
+
+/// A replayed chunk's verdict: the fault (if any) and the truthful progress.
+type Replayed = (Option<FaultReason>, ReplaySummary);
+
+/// On-demand mode between the manifest and the verdict: the replay already
+/// ran; the blob batches it faulted are being fetched.
+struct BlobPhase {
+    log_cost: TransferCost,
+    snapshot_cost: TransferCost,
+    replayed: Replayed,
+    dedup: DedupTransfer,
+    ondemand: OnDemandSession,
+    classification: FaultClassification,
+    /// Each batch with the instant its request becomes sendable: when the
+    /// replay CPU of the segment that faulted it is done.
+    batches: Vec<(BlobRequest, u64)>,
+    next: usize,
+    download: BlobDownload,
+}
+
+/// Which response the session is waiting for.
+enum State {
+    Idle,
+    /// The launch must verify before any audit request goes out.
+    Attest {
+        challenge: AttestChallenge,
+    },
+    Chunk,
+    /// Full-download mode.  `prereplayed`: the pipelined session replayed
+    /// while the stream was on the wire.
+    Sections {
+        entries: Vec<LogEntry>,
+        log_cost: TransferCost,
+        prereplayed: Option<Replayed>,
+    },
+    /// On-demand mode.
+    Manifest {
+        entries: Vec<LogEntry>,
+        log_cost: TransferCost,
+        snapshot_cost: TransferCost,
+    },
+    Blobs(Box<BlobPhase>),
+    Done,
+}
+
+/// One §3.5 spot check, from the first request to the report (see the module
+/// docs for the driver contract).
+pub struct AuditSession<'a> {
+    start_snapshot: u64,
+    k: u64,
+    on_demand: bool,
+    lanes: usize,
+    image: &'a VmImage,
+    registry: &'a GuestRegistry,
+    oracle: &'a SnapshotStore,
+    cache: AuditorBlobCache,
+    /// The launch policy and the session id the challenge nonce derives from.
+    attest: Option<(&'a LaunchPolicy, u64)>,
+    /// Charge replay CPU to the driver's clock at this rate; `true` overlaps
+    /// it with the wire (replay segment-wise, fetch per segment).
+    replay_cpu: Option<(ReplayCpuModel, bool)>,
+    state: State,
+    cpu_busy_until: u64,
+    attest_verdict: Option<AttestVerdict>,
+    replay_stats: ParallelReplayStats,
+}
+
+impl<'a> AuditSession<'a> {
+    /// A session checking the `k`-chunk at `start_snapshot`, downloading the
+    /// snapshot state `on_demand` or in full; full-download replay runs on
+    /// `lanes` lanes ([`replay_chunk_parallel`]; `0` = the serial replayer).
+    /// `oracle` is the accounting plane (see the module docs).
+    pub fn new(
+        start_snapshot: u64,
+        k: u64,
+        on_demand: bool,
+        lanes: usize,
+        image: &'a VmImage,
+        registry: &'a GuestRegistry,
+        oracle: &'a SnapshotStore,
+    ) -> AuditSession<'a> {
+        AuditSession {
+            start_snapshot,
+            k,
+            on_demand,
+            lanes,
+            image,
+            registry,
+            oracle,
+            cache: AuditorBlobCache::new(),
+            attest: None,
+            replay_cpu: None,
+            state: State::Idle,
+            cpu_busy_until: 0,
+            attest_verdict: None,
+            replay_stats: ParallelReplayStats::default(),
+        }
+    }
+
+    /// Resumes with the auditor's persistent blob cache.
+    pub fn with_cache(mut self, cache: AuditorBlobCache) -> AuditSession<'a> {
+        self.cache = cache;
+        self
+    }
+
+    /// Opens the session with an attestation challenge under `policy`; the
+    /// nonce derives from `session_id` and the start time
+    /// ([`challenge_nonce`]).  The chunk request goes out only on a verified
+    /// launch; any other verdict ends the session.
+    pub fn with_attestation(
+        mut self,
+        policy: &'a LaunchPolicy,
+        session_id: u64,
+    ) -> AuditSession<'a> {
+        self.attest = Some((policy, session_id));
+        self
+    }
+
+    /// Charges replay CPU to the driver's clock under `model` — the steps
+    /// that follow a replay carry the instant its CPU is done.  `pipelined`
+    /// overlaps CPU with the wire: on-demand replay runs segment-wise and
+    /// each segment's blob batches are due the moment that segment's CPU
+    /// finishes; full-download replay runs while the section stream is in
+    /// flight.  Verdict and transfer columns never move, only the instants.
+    pub fn with_replay_cpu(mut self, model: ReplayCpuModel, pipelined: bool) -> AuditSession<'a> {
+        self.replay_cpu = Some((model, pipelined));
+        self
+    }
+
+    /// The launch verdict, once the attestation exchange settled (always
+    /// `None` without [`AuditSession::with_attestation`]).
+    pub fn attest_verdict(&self) -> Option<AttestVerdict> {
+        self.attest_verdict
+    }
+
+    /// How the full-download replay executed (default until it ran).
+    pub fn replay_stats(&self) -> &ParallelReplayStats {
+        &self.replay_stats
+    }
+
+    /// Ends the session, handing the blob cache back for the next one.
+    pub fn into_cache(self) -> AuditorBlobCache {
+        self.cache
+    }
+
+    /// Opens the session at simulated time `now_us`: the attestation
+    /// challenge if a policy is set, the log-chunk request otherwise.
+    pub fn start(&mut self, now_us: u64) -> Step {
+        match self.attest {
+            Some((_, session_id)) => {
+                let challenge = AttestChallenge {
+                    nonce: challenge_nonce(session_id, now_us),
+                    issued_at_us: now_us,
+                };
+                self.state = State::Attest { challenge };
+                Step::send(AuditRequest::Attest(challenge))
+            }
+            None => self.request_chunk(),
+        }
+    }
+
+    /// Consumes the response to the request last issued, at simulated time
+    /// `now_us`, and says what to do next.  A response of the wrong kind, a
+    /// provider-side error, or bytes that fail authentication end the
+    /// session with an error — never with a verdict.
+    pub fn on_response(&mut self, now_us: u64, response: AuditResponseRef<'_>) -> Step {
+        let next = match std::mem::replace(&mut self.state, State::Done) {
+            State::Attest { challenge } => self.on_attest(now_us, response, challenge),
+            State::Chunk => self.on_chunk(now_us, response),
+            State::Sections {
+                entries,
+                log_cost,
+                prereplayed,
+            } => self.on_sections(now_us, response, &entries, log_cost, prereplayed),
+            State::Manifest {
+                entries,
+                log_cost,
+                snapshot_cost,
+            } => self.on_manifest(now_us, response, &entries, log_cost, snapshot_cost),
+            State::Blobs(phase) => self.on_blobs(response, phase),
+            State::Idle | State::Done => Err(CoreError::Snapshot(
+                "audit session has no exchange outstanding".to_string(),
+            )),
+        };
+        next.unwrap_or_else(|error| Step::Done {
+            outcome: Err(error),
+            not_before_us: 0,
+        })
+    }
+
+    fn request_chunk(&mut self) -> Step {
+        self.state = State::Chunk;
+        Step::send(AuditRequest::LogSegment(SegmentAddress::Chunk {
+            start_snapshot: self.start_snapshot,
+            chunk: self.k,
+        }))
+    }
+
+    fn on_attest(
+        &mut self,
+        now_us: u64,
+        response: AuditResponseRef<'_>,
+        challenge: AttestChallenge,
+    ) -> Result<Step, CoreError> {
+        let quote = expect_attestation(response)?;
+        let (policy, _) = self
+            .attest
+            .expect("Attest state is only entered with a policy");
+        let (verdict, _envelope) = policy.verify(&quote, &challenge, now_us);
+        self.attest_verdict = Some(verdict);
+        if !verdict.is_verified() {
+            return Err(CoreError::Snapshot(format!(
+                "attestation rejected: {verdict}"
+            )));
+        }
+        // Launch verified — the same session continues into the spot check.
+        Ok(self.request_chunk())
+    }
+
+    fn on_chunk(&mut self, now_us: u64, response: AuditResponseRef<'_>) -> Result<Step, CoreError> {
+        // The provider resolves the chunk boundaries; one whose SNAPSHOT
+        // records do not all decode returns its log prefix instead (see
+        // `AuditServer::handle`).
+        let (_, entries) = expect_log_segment(response)?;
+        let log_cost = CompressionStats::measure_stream(
+            entries.iter().map(|e| e.encode_to_vec()),
+            TRANSFER_COMPRESSION,
+        );
+        // Scan what was *received* — the auditor never trusts the provider's
+        // classification.  A corrupt SNAPSHOT record is itself the verdict,
+        // and the log downloaded so far is the truthful cost.
+        if let Err(fault) = snapshot_positions_in(&entries) {
+            let replayed = (Some(fault), ReplaySummary::default());
+            return Ok(self.finish(replayed, log_cost, TransferCost::default(), None));
+        }
+        if self.on_demand {
+            // No section stream crosses the wire in this mode, so the
+            // full-dump column is hypothetical: priced from the oracle.
+            let snapshot_cost = self
+                .oracle
+                .transfer_cost_upto(self.start_snapshot, TRANSFER_COMPRESSION);
+            self.state = State::Manifest {
+                entries,
+                log_cost,
+                snapshot_cost,
+            };
+            Ok(Step::send(AuditRequest::Manifest {
+                snapshot_id: self.start_snapshot,
+            }))
+        } else {
+            // The verdict never depends on the section stream (the machine
+            // materializes from the oracle, which holds the same
+            // authenticated bytes), so a pipelined session replays *while*
+            // the stream is on the wire and finishes at max(stream arrival,
+            // CPU done) instead of their sum.
+            let prereplayed = match self.replay_cpu {
+                Some((_, true)) => Some(self.replay_full(now_us, &entries)?),
+                _ => None,
+            };
+            self.state = State::Sections {
+                entries,
+                log_cost,
+                prereplayed,
+            };
+            Ok(Step::send(AuditRequest::Sections {
+                upto_id: self.start_snapshot,
+            }))
+        }
+    }
+
+    /// Full-download replay from the oracle-materialized snapshot, charging
+    /// its CPU from `now_us`.
+    fn replay_full(&mut self, now_us: u64, entries: &[LogEntry]) -> Result<Replayed, CoreError> {
+        let outcome = replay_chunk_parallel(
+            entries,
+            self.image,
+            self.registry,
+            self.oracle,
+            self.start_snapshot,
+            self.lanes,
+        )?;
+        if let Some((model, _)) = self.replay_cpu {
+            self.cpu_busy_until = now_us
+                + model.cost_micros(
+                    outcome.progress.steps_executed,
+                    outcome.progress.entries_replayed,
+                );
+        }
+        self.replay_stats = outcome.stats;
+        Ok((outcome.fault, outcome.progress))
+    }
+
+    fn on_sections(
+        &mut self,
+        now_us: u64,
+        response: AuditResponseRef<'_>,
+        entries: &[LogEntry],
+        log_cost: TransferCost,
+        prereplayed: Option<Replayed>,
+    ) -> Result<Step, CoreError> {
+        // The stream *is* the full-dump column: measured straight from the
+        // packet buffer, never copied.
+        let stream = expect_sections(response)?;
+        debug_assert_eq!(
+            stream.len() as u64,
+            self.oracle.transfer_bytes_upto(self.start_snapshot),
+            "section stream and full-dump accounting diverged"
+        );
+        let snapshot_cost = CompressionStats::measure(stream, TRANSFER_COMPRESSION);
+        let replayed = match prereplayed {
+            Some(replayed) => replayed,
+            None => self.replay_full(now_us, entries)?,
+        };
+        Ok(self.finish(replayed, log_cost, snapshot_cost, None))
+    }
+
+    fn on_manifest(
+        &mut self,
+        now_us: u64,
+        response: AuditResponseRef<'_>,
+        entries: &[LogEntry],
+        log_cost: TransferCost,
+        snapshot_cost: TransferCost,
+    ) -> Result<Step, CoreError> {
+        let manifest = expect_manifest(response)?;
+        // Divergent state is staged from the oracle so replay faults it in
+        // inline and never waits for the wire; the blob exchange below then
+        // pays for exactly what replay touched.
+        let (mut replayer, ondemand) = Replayer::from_manifest_on_demand(
+            manifest,
+            self.image,
+            self.registry,
+            self.oracle,
+            &self.cache,
+        )?;
+        // The dedup column is a hypothetical download: priced from the
+        // oracle against the cache as it stood at staging time.
+        let dedup = ondemand.price_full_download(self.oracle, TRANSFER_COMPRESSION)?;
+        // Replay segment by segment, planning each segment's blob batches
+        // for the instant its replay CPU is done.  Unpipelined, the chunk is
+        // one segment and every batch waits for the whole replay.
+        let segments: Vec<_> = match self.replay_cpu {
+            Some((_, true)) => {
+                let positions = snapshot_positions_in(entries).unwrap_or_default();
+                let units = partition_chunk(entries, &positions);
+                units.into_iter().map(|unit| unit.range).collect()
+            }
+            _ => std::iter::once(0..entries.len()).collect(),
+        };
+        let mut classifier = ondemand.incremental_classifier();
+        let mut download = BlobDownload::default();
+        let mut batches = Vec::new();
+        let mut cpu_done = now_us;
+        let mut charged = (0u64, 0u64);
+        let mut fault = None;
+        for range in segments {
+            let outcome = replayer.replay(&entries[range]);
+            let progress = replayer.summary();
+            if let Some((model, _)) = self.replay_cpu {
+                cpu_done += model.cost_micros(
+                    progress.steps_executed - charged.0,
+                    progress.entries_replayed - charged.1,
+                );
+                charged = (progress.steps_executed, progress.entries_replayed);
+            }
+            let faulted = classifier.classify_new(&ondemand, replayer.machine())?;
+            for request in download.plan(&self.cache, &faulted, DEFAULT_BLOB_BATCH) {
+                batches.push((request, cpu_done));
+            }
+            if let ReplayOutcome::Fault(f) = outcome {
+                fault = Some(f);
+                break;
+            }
+        }
+        if self.replay_cpu.is_some() {
+            self.cpu_busy_until = cpu_done;
+        }
+        Ok(self.next_batch(Box::new(BlobPhase {
+            log_cost,
+            snapshot_cost,
+            replayed: (fault, replayer.summary()),
+            dedup,
+            classification: classifier.into_classification(replayer.machine()),
+            ondemand,
+            batches,
+            next: 0,
+            download,
+        })))
+    }
+
+    fn on_blobs(
+        &mut self,
+        response: AuditResponseRef<'_>,
+        mut phase: Box<BlobPhase>,
+    ) -> Result<Step, CoreError> {
+        let blobs = expect_blobs(response)?;
+        let (request, _) = &phase.batches[phase.next];
+        phase.download.accept(&mut self.cache, request, &blobs)?;
+        phase.next += 1;
+        Ok(self.next_batch(phase))
+    }
+
+    /// Requests the next planned blob batch, or settles the on-demand report
+    /// once every batch is in.
+    fn next_batch(&mut self, phase: Box<BlobPhase>) -> Step {
+        if let Some((request, ready_at)) = phase.batches.get(phase.next) {
+            let step = Step::Send {
+                request: AuditRequest::Blobs(request.clone()),
+                not_before_us: *ready_at,
+            };
+            self.state = State::Blobs(phase);
+            return step;
+        }
+        let BlobPhase {
+            log_cost,
+            snapshot_cost,
+            replayed,
+            dedup,
+            ondemand,
+            classification,
+            download,
+            ..
+        } = *phase;
+        let cost = ondemand.assemble_cost(
+            classification,
+            download.fetch,
+            &download.encoded,
+            TRANSFER_COMPRESSION,
+        );
+        self.finish(replayed, log_cost, snapshot_cost, Some((dedup, cost)))
+    }
+
+    /// Ends the session with its report — the one place a
+    /// [`SpotCheckReport`] is assembled.
+    fn finish(
+        &mut self,
+        (fault, progress): Replayed,
+        log_cost: TransferCost,
+        snapshot_cost: TransferCost,
+        on_demand: Option<(DedupTransfer, OnDemandCost)>,
+    ) -> Step {
+        self.state = State::Done;
+        let (dedup, on_demand) = on_demand.unzip();
+        let dedup = dedup.map_or(TransferCost::default(), |d| d.transfer);
+        Step::Done {
+            outcome: Ok(SpotCheckReport {
+                start_snapshot: self.start_snapshot,
+                chunk_size: self.k,
+                consistent: fault.is_none(),
+                fault,
+                entries_replayed: progress.entries_replayed,
+                steps_replayed: progress.steps_executed,
+                snapshot_transfer_bytes: snapshot_cost.raw_bytes,
+                log_transfer_bytes: log_cost.raw_bytes,
+                snapshot_transfer_compressed_bytes: snapshot_cost.compressed_bytes,
+                log_transfer_compressed_bytes: log_cost.compressed_bytes,
+                snapshot_transfer_dedup_bytes: dedup.raw_bytes,
+                snapshot_transfer_dedup_compressed_bytes: dedup.compressed_bytes,
+                on_demand,
+                transport: TransportStats::default(),
+            }),
+            not_before_us: self.cpu_busy_until,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::endpoint::AuditServer;
+    use crate::testutil::{key, record_with_snapshots};
+    use avm_log::EntryKind;
+    use avm_wire::audit::AuditResponse;
+
+    fn kind(request: &AuditRequest) -> &'static str {
+        match request {
+            AuditRequest::Attest(_) => "Attest",
+            AuditRequest::LogSegment(SegmentAddress::Chunk { .. }) => "Chunk",
+            AuditRequest::LogSegment(SegmentAddress::Seq { .. }) => "Seq",
+            AuditRequest::Sections { .. } => "Sections",
+            AuditRequest::Manifest { .. } => "Manifest",
+            AuditRequest::Blobs(_) => "Blobs",
+        }
+    }
+
+    /// Drives `session` with no network at all: every request is answered
+    /// by `AuditServer::handle`, passed through `tamper` (with the request's
+    /// position in the session), encoded, and handed back as the borrowed
+    /// view a driver would decode from a packet.  Returns the request kinds
+    /// in order and how the session ended.
+    fn drive(
+        mut session: AuditSession<'_>,
+        server: &AuditServer<'_>,
+        mut tamper: impl FnMut(usize, AuditResponse) -> AuditResponse,
+    ) -> (Vec<&'static str>, Result<SpotCheckReport, CoreError>) {
+        let mut sent = Vec::new();
+        let mut step = session.start(1_000);
+        loop {
+            match step {
+                Step::Send { request, .. } => {
+                    let response = tamper(sent.len(), server.handle(&request)).encode_to_vec();
+                    sent.push(kind(&request));
+                    let response = AuditResponseRef::decode_exact(&response).unwrap();
+                    step = session.on_response(2_000, response);
+                }
+                Step::Done { outcome, .. } => return (sent, outcome),
+            }
+        }
+    }
+
+    fn honest(_: usize, response: AuditResponse) -> AuditResponse {
+        response
+    }
+
+    #[test]
+    fn request_sequence_is_fixed_per_mode_with_and_without_attestation() {
+        let (bob, image) = record_with_snapshots(4);
+        let registry = GuestRegistry::new();
+        let attestor = crate::attest::Attestor::for_avmm(&bob, &image).unwrap();
+        let policy = LaunchPolicy::new(
+            &image,
+            "bob",
+            avm_crypto::keys::SignatureScheme::Rsa(512),
+            key(1).verifying_key(),
+        );
+        let server = AuditServer::new(bob.log(), bob.snapshots()).with_attestor(&attestor);
+        for (on_demand, attest) in [(false, false), (false, true), (true, false), (true, true)] {
+            let mut session =
+                AuditSession::new(2, 1, on_demand, 0, &image, &registry, bob.snapshots());
+            if attest {
+                session = session.with_attestation(&policy, 7);
+            }
+            let (sent, outcome) = drive(session, &server, honest);
+            let report = outcome.unwrap();
+            assert!(report.consistent, "{:?}", report.fault);
+            assert_eq!(report.transport, TransportStats::default());
+            let audit = &sent[usize::from(attest)..];
+            assert_eq!(sent[0] == "Attest", attest);
+            if on_demand {
+                let cost = report.on_demand.as_ref().unwrap();
+                assert!(!cost.fetched.is_empty(), "workload fetched nothing");
+                assert_eq!(&audit[..2], ["Chunk", "Manifest"]);
+                assert!(audit[2..].iter().all(|kind| *kind == "Blobs"));
+                assert_eq!(audit.len() as u64, 1 + cost.round_trips);
+            } else {
+                assert_eq!(audit, ["Chunk", "Sections"]);
+                assert!(report.on_demand.is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn wrong_variant_response_is_a_protocol_violation() {
+        let (bob, image) = record_with_snapshots(4);
+        let registry = GuestRegistry::new();
+        let server = AuditServer::new(bob.log(), bob.snapshots());
+        let stray = || AuditResponse::Sections { stream: vec![1, 2] };
+        for (on_demand, at, expected) in [
+            (true, 0, "LogSegment"),
+            (true, 1, "Manifest"),
+            (true, 2, "Blobs"),
+            (false, 0, "LogSegment"),
+        ] {
+            let session = AuditSession::new(2, 1, on_demand, 0, &image, &registry, bob.snapshots());
+            let (sent, outcome) = drive(
+                session,
+                &server,
+                |i, response| {
+                    if i == at {
+                        stray()
+                    } else {
+                        response
+                    }
+                },
+            );
+            assert_eq!(sent.len(), at + 1, "the violation ends the session");
+            let error = outcome.unwrap_err().to_string();
+            let wanted =
+                format!("audit protocol violation: expected {expected} response, got Sections");
+            assert!(error.contains(&wanted), "{error}");
+        }
+        // … and a manifest where the section stream belongs.
+        let session = AuditSession::new(2, 1, false, 0, &image, &registry, bob.snapshots());
+        let (_, outcome) = drive(session, &server, |i, response| match i {
+            1 => AuditResponse::Manifest { manifest: vec![] },
+            _ => response,
+        });
+        let error = outcome.unwrap_err().to_string();
+        assert!(
+            error.contains("expected Sections response, got Manifest"),
+            "{error}"
+        );
+    }
+
+    #[test]
+    fn unauthentic_blob_responses_never_reach_a_verdict() {
+        let (bob, image) = record_with_snapshots(4);
+        let registry = GuestRegistry::new();
+        let server = AuditServer::new(bob.log(), bob.snapshots());
+        type Tamper = fn(&mut Vec<Option<Vec<u8>>>);
+        let tampers: [(Tamper, &str); 3] = [
+            (|blobs| drop(blobs.pop()), "payloads for"),
+            (|blobs| blobs[0] = None, "could not serve blob"),
+            (
+                |blobs| blobs[0].as_mut().unwrap()[3] ^= 0x40,
+                "does not hash",
+            ),
+        ];
+        for (tamper, wanted) in tampers {
+            let session = AuditSession::new(2, 1, true, 0, &image, &registry, bob.snapshots());
+            let (sent, outcome) = drive(session, &server, |_, response| match response {
+                AuditResponse::Blobs(mut blobs) => {
+                    tamper(&mut blobs.blobs);
+                    AuditResponse::Blobs(blobs)
+                }
+                other => other,
+            });
+            assert_eq!(sent, ["Chunk", "Manifest", "Blobs"]);
+            let error = outcome.expect_err("tampered blobs must not yield a report");
+            assert!(error.to_string().contains(wanted), "{error}");
+        }
+    }
+
+    #[test]
+    fn provider_error_surfaces_as_snapshot_error_at_every_exchange() {
+        let (bob, image) = record_with_snapshots(4);
+        let registry = GuestRegistry::new();
+        let server = AuditServer::new(bob.log(), bob.snapshots());
+        for (on_demand, exchanges) in [(false, 2), (true, 3)] {
+            for at in 0..exchanges {
+                let session =
+                    AuditSession::new(2, 1, on_demand, 0, &image, &registry, bob.snapshots());
+                let (sent, outcome) = drive(session, &server, |i, response| {
+                    if i == at {
+                        AuditResponse::Error {
+                            message: "disk on fire".to_string(),
+                        }
+                    } else {
+                        response
+                    }
+                });
+                assert_eq!(sent.len(), at + 1);
+                match outcome {
+                    Err(CoreError::Snapshot(message)) => assert_eq!(message, "disk on fire"),
+                    other => panic!("expected the provider's error, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn undecodable_snapshot_record_is_the_malformed_log_verdict() {
+        let (bob, image) = record_with_snapshots(3);
+        let registry = GuestRegistry::new();
+        let mut rebuilt = avm_log::TamperEvidentLog::new();
+        let mut snapshots_seen = 0;
+        for e in bob.log().entries() {
+            let corrupt = e.kind == EntryKind::Snapshot && {
+                snapshots_seen += 1;
+                snapshots_seen == 2
+            };
+            let content = if corrupt {
+                vec![0xff, 0x01]
+            } else {
+                e.content.clone()
+            };
+            rebuilt.append(e.kind, content);
+        }
+        let server = AuditServer::new(&rebuilt, bob.snapshots());
+        for on_demand in [false, true] {
+            let session = AuditSession::new(0, 1, on_demand, 0, &image, &registry, bob.snapshots());
+            let (sent, outcome) = drive(session, &server, honest);
+            // The verdict comes from the received prefix alone: no snapshot
+            // state is requested, none is priced.
+            assert_eq!(sent, ["Chunk"]);
+            let report = outcome.unwrap();
+            assert!(!report.consistent);
+            assert!(matches!(
+                report.fault,
+                Some(FaultReason::MalformedLog { .. })
+            ));
+            assert_eq!(report.entries_replayed, 0);
+            assert!(report.log_transfer_bytes > 0);
+            assert_eq!(report.snapshot_transfer_bytes, 0);
+            assert_eq!(report.snapshot_transfer_compressed_bytes, 0);
+            assert_eq!(report.snapshot_transfer_dedup_bytes, 0);
+            assert_eq!(report.snapshot_transfer_dedup_compressed_bytes, 0);
+            assert!(report.on_demand.is_none());
+        }
+    }
+}

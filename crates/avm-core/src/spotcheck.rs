@@ -27,21 +27,22 @@
 //! fault-at-a-time auditor would have paid, convertible to modelled wall
 //! time through a configurable [`RttModel`] (default: [`TRANSFER_RTT`]).
 //!
-//! Since the endpoint redesign, every spot check is *driven through the
-//! audit protocol* ([`crate::endpoint`]): the free functions here are thin
-//! wrappers building an [`crate::endpoint::AuditClient`] over an in-process
-//! [`crate::endpoint::DirectTransport`], and the report's
-//! [`SpotCheckReport::transport`] column records the wire-level accounting
-//! of the exchanges the check actually performed — measured simulated time
-//! when the same check runs over [`crate::endpoint::SimNetTransport`].
+//! Every spot check is one [`crate::session::AuditSession`] *driven through
+//! the audit protocol* ([`crate::endpoint`]): the free functions here are
+//! thin wrappers building an [`crate::endpoint::AuditClient`] over a
+//! [`crate::endpoint::SimNetTransport`] whose link is the modelled WAN
+//! ([`TRANSFER_RTT`]), and the report's [`SpotCheckReport::transport`]
+//! column records the wire-level accounting of the exchanges the check
+//! actually performed, in simulated time.
 
 use avm_compress::CompressionLevel;
 use avm_crypto::sha256::Digest;
 use avm_log::{EntryKind, LogEntry, TamperEvidentLog};
+use avm_net::LinkConfig;
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::{Decode, RttModel};
 
-use crate::endpoint::{AuditClient, AuditServer, DirectTransport, TransportStats};
+use crate::endpoint::{AuditClient, AuditServer, SimNetTransport, TransportStats};
 use crate::error::{CoreError, FaultReason};
 use crate::events::SnapshotRecord;
 use crate::ondemand::{AuditorBlobCache, OnDemandCost};
@@ -105,9 +106,8 @@ pub struct SpotCheckReport {
     pub on_demand: Option<OnDemandCost>,
     /// Wire-level accounting of the exchanges this check drove through its
     /// [`crate::endpoint::AuditTransport`]: round trips, framed bytes,
-    /// retransmissions, and the **measured** latency — simulated network
-    /// time over `SimNetTransport`, [`RttModel`]-priced time over
-    /// `DirectTransport` — beside the modelled columns above.
+    /// retransmissions, and the **measured** latency in simulated network
+    /// time — beside the modelled columns above.
     pub transport: TransportStats,
 }
 
@@ -165,9 +165,8 @@ impl SpotCheckReport {
     }
 
     /// The **measured** latency of this check's actual exchanges, in
-    /// microseconds: real simulated network time when the check ran over
-    /// [`crate::endpoint::SimNetTransport`], per-exchange [`RttModel`]
-    /// pricing over [`crate::endpoint::DirectTransport`].
+    /// microseconds of simulated network time
+    /// ([`crate::endpoint::SimNetTransport`]).
     pub fn measured_latency_micros(&self) -> u64 {
         self.transport.elapsed_micros
     }
@@ -223,6 +222,21 @@ pub fn snapshot_positions_in(
         .collect()
 }
 
+/// An auditor endpoint over the lossless link equivalent of [`TRANSFER_RTT`]:
+/// every exchange takes exactly what that model prices per packet, so the
+/// free functions report modelled-WAN latency in their `transport` column.
+fn wan_client<'a>(
+    log: &'a TamperEvidentLog,
+    snapshots: &'a SnapshotStore,
+    cache: AuditorBlobCache,
+) -> AuditClient<SimNetTransport<'a>> {
+    let link = LinkConfig::from_rtt_model(&TRANSFER_RTT);
+    AuditClient::with_cache(
+        SimNetTransport::new(AuditServer::new(log, snapshots), link),
+        cache,
+    )
+}
+
 /// Spot-checks the `k`-chunk starting at snapshot `start_snapshot`, with the
 /// snapshot state downloaded in full (sections) — verdict by replay from a
 /// materialized snapshot.
@@ -234,10 +248,10 @@ pub fn snapshot_positions_in(
 /// [`spot_check_on_demand`] for the incremental-request mode, which also
 /// fills the dedup and on-demand columns.
 ///
-/// Thin wrapper over [`crate::endpoint::AuditClient::spot_check`] on an
-/// in-process [`DirectTransport`]; drive the same check over
-/// [`crate::endpoint::SimNetTransport`] to pay every exchange on the
-/// simulated network instead.
+/// Thin wrapper over [`crate::endpoint::AuditClient::spot_check`] on the
+/// modelled WAN (`LinkConfig::from_rtt_model(&TRANSFER_RTT)`); build the
+/// client over another [`LinkConfig`] to pay every exchange on that link
+/// instead.
 pub fn spot_check(
     log: &TamperEvidentLog,
     snapshots: &SnapshotStore,
@@ -246,9 +260,12 @@ pub fn spot_check(
     image: &VmImage,
     registry: &GuestRegistry,
 ) -> Result<SpotCheckReport, CoreError> {
-    let server = AuditServer::new(log, snapshots);
-    let mut client = AuditClient::new(DirectTransport::new(server));
-    client.spot_check(start_snapshot, k, image, registry)
+    wan_client(log, snapshots, AuditorBlobCache::new()).spot_check(
+        start_snapshot,
+        k,
+        image,
+        registry,
+    )
 }
 
 /// [`spot_check`] with the chunk's segments replayed in parallel on up to
@@ -256,8 +273,7 @@ pub fn spot_check(
 /// [`crate::paraudit`]).
 ///
 /// Thin wrapper over
-/// [`crate::endpoint::AuditClient::spot_check_parallel`] on an in-process
-/// [`DirectTransport`].
+/// [`crate::endpoint::AuditClient::spot_check_parallel`] on the modelled WAN.
 pub fn spot_check_parallel(
     log: &TamperEvidentLog,
     snapshots: &SnapshotStore,
@@ -267,9 +283,13 @@ pub fn spot_check_parallel(
     registry: &GuestRegistry,
     workers: usize,
 ) -> Result<SpotCheckReport, CoreError> {
-    let server = AuditServer::new(log, snapshots);
-    let mut client = AuditClient::new(DirectTransport::new(server));
-    client.spot_check_parallel(start_snapshot, k, image, registry, workers)
+    wan_client(log, snapshots, AuditorBlobCache::new()).spot_check_parallel(
+        start_snapshot,
+        k,
+        image,
+        registry,
+        workers,
+    )
 }
 
 /// Spot-checks the `k`-chunk starting at snapshot `start_snapshot` in
@@ -296,8 +316,7 @@ pub fn spot_check_on_demand(
     registry: &GuestRegistry,
     cache: &mut AuditorBlobCache,
 ) -> Result<SpotCheckReport, CoreError> {
-    let server = AuditServer::new(log, snapshots);
-    let mut client = AuditClient::with_cache(DirectTransport::new(server), std::mem::take(cache));
+    let mut client = wan_client(log, snapshots, std::mem::take(cache));
     let result = client.spot_check_on_demand(start_snapshot, k, image, registry);
     *cache = client.into_cache();
     result

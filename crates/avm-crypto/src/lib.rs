@@ -45,7 +45,7 @@ pub mod parallel;
 pub mod rsa;
 pub mod sha256;
 
-pub use bignum::{ct_select64, BigUint, MontgomeryCtx, MontgomeryCtx64};
+pub use bignum::{ct_select64, BigUint, MontgomeryCtx64};
 pub use hmac::{hmac_sha256, hmac_verify};
 pub use keys::{Certificate, Identity, KeyError, SignatureScheme, SigningKey, VerifyingKey};
 pub use merkle::{MerkleProof, MerkleTree};

@@ -215,30 +215,6 @@ impl RsaPrivateKey {
         m2.add(&h.mul(&self.q))
     }
 
-    /// CRT signing through the retained 32-bit-limb Montgomery reference.
-    ///
-    /// Same CRT structure as [`Self::sign_digest`] but every exponentiation
-    /// runs on [`BigUint::modpow_ref32`]: the Criterion before/after group
-    /// measures the 64-bit limb speedup against this, and the differential
-    /// battery pins the two bit-identical.
-    #[doc(hidden)]
-    pub fn sign_digest_ref32(&self, digest: &Digest) -> Vec<u8> {
-        let em = encode_digest(digest, self.modulus_len());
-        let m = BigUint::from_be_bytes(&em);
-        let m1 = m.modpow_ref32(&self.dp, &self.p);
-        let m2 = m.modpow_ref32(&self.dq, &self.q);
-        let m2_mod_p = m2.rem(&self.p);
-        let diff = if m1 >= m2_mod_p {
-            m1.sub(&m2_mod_p)
-        } else {
-            m1.add(&self.p).sub(&m2_mod_p)
-        };
-        let h = self.qinv.mulmod(&diff, &self.p);
-        let s = m2.add(&h.mul(&self.q));
-        s.to_be_bytes_padded(self.modulus_len())
-            .expect("signature fits modulus length")
-    }
-
     /// Naive non-CRT, non-Montgomery signing baseline.
     ///
     /// Retained so tests can assert the optimised path ([`Self::sign_digest`]:
@@ -396,16 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn ref32_matches_fast_path() {
-        let kp = test_keypair(512);
-        let digest = sha256(b"cross-check 32-bit reference");
-        assert_eq!(
-            kp.private.sign_digest(&digest),
-            kp.private.sign_digest_ref32(&digest)
-        );
-    }
-
-    #[test]
     fn modulus_has_requested_size() {
         for bits in [384usize, 512] {
             let mut rng = StdRng::seed_from_u64(bits as u64);
@@ -441,39 +407,5 @@ mod tests {
         let kp = RsaKeyPair::from_primes(p, q).unwrap();
         let sig = kp.sign(b"deterministic");
         kp.public().verify(b"deterministic", &sig).unwrap();
-    }
-
-    /// Release-mode speedup probe; ignored by default (meaningless in debug).
-    ///
-    /// ```text
-    /// cargo test --release -p avm-crypto rsa768_montgomery64_speedup -- --ignored --nocapture
-    /// ```
-    #[test]
-    #[ignore = "perf probe; run explicitly in release mode"]
-    fn rsa768_montgomery64_speedup() {
-        let mut rng = StdRng::seed_from_u64(0x768);
-        let kp = RsaKeyPair::generate(&mut rng, 768);
-        let digest = sha256(b"probe message");
-        assert_eq!(
-            kp.private.sign_digest(&digest),
-            kp.private.sign_digest_ref32(&digest)
-        );
-        let iters = 40;
-        let t0 = std::time::Instant::now();
-        for _ in 0..iters {
-            core::hint::black_box(kp.private.sign_digest_ref32(core::hint::black_box(&digest)));
-        }
-        let ref32 = t0.elapsed();
-        let t1 = std::time::Instant::now();
-        for _ in 0..iters {
-            core::hint::black_box(kp.private.sign_digest(core::hint::black_box(&digest)));
-        }
-        let fast = t1.elapsed();
-        println!(
-            "rsa768 sign: 32-bit ref {:?}, 64-bit {:?}, speedup {:.2}x",
-            ref32 / iters,
-            fast / iters,
-            ref32.as_secs_f64() / fast.as_secs_f64()
-        );
     }
 }

@@ -11,12 +11,13 @@
 //! re-stored).  An unkilled durable provider must be audit-identical to a
 //! plain in-memory recorder fed the same inputs.
 
-use avm_core::endpoint::{AuditClient, AuditServer, DirectTransport};
+use avm_core::endpoint::{AuditClient, AuditServer, SimNetTransport};
 use avm_core::persist::{PersistConfig, Provider};
 use avm_core::spotcheck::SpotCheckReport;
 use avm_core::{Avmm, AvmmOptions, Envelope, EnvelopeKind, HostClock};
 use avm_crypto::keys::{SignatureScheme, SigningKey};
 use avm_log::{EntryKind, LogSource, TamperEvidentLog};
+use avm_net::LinkConfig;
 use avm_store::{ArenaConfig, SegmentConfig, SegmentLog, SegmentStore, SimStorage, SyncPolicy};
 use avm_vm::bytecode::assemble;
 use avm_vm::packet::encode_guest_packet;
@@ -185,7 +186,7 @@ fn apply_reference(
 }
 
 fn spot_check_report(server: AuditServer<'_>, image: &VmImage, start: u64) -> SpotCheckReport {
-    let mut client = AuditClient::new(DirectTransport::new(server));
+    let mut client = AuditClient::new(SimNetTransport::new(server, LinkConfig::default()));
     client
         .spot_check(start, 1_000, image, &GuestRegistry::new())
         .expect("spot check over a recovered provider must run")
