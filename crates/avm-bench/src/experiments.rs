@@ -31,6 +31,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::hostmodel::{hyperthread_utilization, HostCostModel};
+use crate::pricing;
 use crate::scenario::GameScenario;
 
 fn scenario_sig_bits(quick: bool) -> usize {
@@ -725,35 +726,16 @@ pub fn exp_spotcheck(quick: bool) -> Vec<SpotCheckRow> {
         for start in 1..n_snapshots.saturating_sub(k) {
             let report =
                 spot_check(avmm.log(), avmm.snapshots(), start, k, &image, &registry).unwrap();
-            if !report.consistent {
-                if let Some(avm_core::error::FaultReason::EventDivergence { seq, .. })
-                | Some(avm_core::error::FaultReason::OutputDivergence { seq, .. }) =
-                    &report.fault
-                {
-                    for e in avmm
-                        .log()
-                        .entries()
-                        .iter()
-                        .filter(|e| e.seq + 6 > *seq && e.seq < seq + 3)
-                    {
-                        eprintln!(
-                            "DBG seq={} kind={:?} len={}",
-                            e.seq,
-                            e.kind,
-                            e.content.len()
-                        );
-                    }
-                }
-                panic!(
-                    "honest chunk failed (start={start}, k={k}): {:?}",
-                    report.fault
-                );
-            }
+            assert!(
+                report.consistent,
+                "honest chunk failed (start={start}, k={k}): {:?}",
+                report.fault
+            );
             replays.push(report.entries_replayed as f64 / total_entries as f64);
             transfers.push(report.total_transfer_bytes() as f64 / total_log_bytes as f64);
-            transfers_compressed.push(
-                report.total_transfer_compressed_bytes() as f64 / total_log_compressed_bytes as f64,
-            );
+            let compressed = pricing::log_chunk(avmm.log(), &report).compressed_bytes
+                + pricing::full_dump(avmm.snapshots(), &report).compressed_bytes;
+            transfers_compressed.push(compressed as f64 / total_log_compressed_bytes as f64);
         }
         if replays.is_empty() {
             continue;
@@ -1077,20 +1059,11 @@ fn sparse_touch_image(pages: usize) -> avm_vm::VmImage {
     .with_disk(vec![0u8; 8 * DISK_BLOCK_SIZE])
 }
 
-/// §3.5 substrate: spot-check transfer cost under the three download models
-/// — full snapshot dump, digest-addressed dedup transfer, and on-demand
-/// partial-state replay — on a sparse-touch workload.
-///
-/// Reproduces the claim that an auditor who "incrementally request\[s\] the
-/// parts of the state that are accessed" downloads strictly less than any
-/// full-state download: the chain accumulates divergent pages the chunk's
-/// replay never touches.
-pub fn exp_ondemand(quick: bool) -> OnDemandResult {
-    use avm_core::ondemand::AuditorBlobCache;
-    use avm_core::spotcheck::{spot_check, spot_check_on_demand};
-    use avm_vm::GuestRegistry;
-
-    let registry = GuestRegistry::new();
+/// The recording behind [`exp_ondemand`]: the sparse-touch guest fed one
+/// packet (touching one fresh page + one disk block) per snapshot.  Returns
+/// the provider, its image and the number of snapshots taken.
+pub(crate) fn record_sparse_touch(quick: bool) -> (Avmm, avm_vm::VmImage, u64) {
+    let registry = avm_vm::GuestRegistry::new();
     let scheme = SignatureScheme::Rsa(512);
     let mut rng = StdRng::seed_from_u64(11);
     let operator = Identity::generate(&mut rng, "host", scheme);
@@ -1109,7 +1082,6 @@ pub fn exp_ondemand(quick: bool) -> OnDemandResult {
     .unwrap();
     avmm.add_peer("client", client.verifying_key());
 
-    // One packet (touching one fresh page + one disk block) per snapshot.
     let mut clock = HostClock::at(1_000);
     avmm.run_slice(&clock, 50_000).unwrap();
     for i in 0..n_snapshots {
@@ -1129,6 +1101,24 @@ pub fn exp_ondemand(quick: bool) -> OnDemandResult {
         avmm.run_slice(&clock, 100_000).unwrap();
         avmm.take_snapshot();
     }
+    (avmm, image, n_snapshots)
+}
+
+/// §3.5 substrate: spot-check transfer cost under the three download models
+/// — full snapshot dump, digest-addressed dedup transfer, and on-demand
+/// partial-state replay — on a sparse-touch workload.
+///
+/// Reproduces the claim that an auditor who "incrementally request\[s\] the
+/// parts of the state that are accessed" downloads strictly less than any
+/// full-state download: the chain accumulates divergent pages the chunk's
+/// replay never touches.
+pub fn exp_ondemand(quick: bool) -> OnDemandResult {
+    use avm_core::ondemand::AuditorBlobCache;
+    use avm_core::spotcheck::{spot_check, spot_check_on_demand};
+    use avm_vm::GuestRegistry;
+
+    let registry = GuestRegistry::new();
+    let (avmm, image, n_snapshots) = record_sparse_touch(quick);
 
     // Fig. 9-style table: one row per k, averaged over starting snapshots,
     // with the three §3.5 transfer models side by side.  Each row uses fresh
@@ -1141,6 +1131,7 @@ pub fn exp_ondemand(quick: bool) -> OnDemandResult {
         let mut rows = 0u64;
         for start in 1..n_snapshots.saturating_sub(k) {
             let mut fresh = AuditorBlobCache::new();
+            let dedup = pricing::dedup_download(avmm.snapshots(), start, &image, &registry, &fresh);
             let report = spot_check_on_demand(
                 avmm.log(),
                 avmm.snapshots(),
@@ -1152,13 +1143,12 @@ pub fn exp_ondemand(quick: bool) -> OnDemandResult {
             )
             .unwrap();
             assert!(report.consistent, "honest chunk ({start},{k}) failed");
-            let od = report.on_demand.as_ref().unwrap();
-            cols[0] += report.snapshot_transfer_bytes;
-            cols[1] += report.snapshot_transfer_compressed_bytes;
-            cols[2] += report.snapshot_transfer_dedup_bytes;
-            cols[3] += report.snapshot_transfer_dedup_compressed_bytes;
-            cols[4] += od.transfer_bytes();
-            cols[5] += od.transfer_compressed_bytes();
+            let full = pricing::full_dump(avmm.snapshots(), &report);
+            let on_demand = pricing::on_demand_download(avmm.snapshots(), &report);
+            for (col, priced) in [full, dedup, on_demand].into_iter().enumerate() {
+                cols[2 * col] += priced.raw_bytes;
+                cols[2 * col + 1] += priced.compressed_bytes;
+            }
             rows += 1;
         }
         if rows == 0 {
@@ -1183,6 +1173,7 @@ pub fn exp_ondemand(quick: bool) -> OnDemandResult {
     let full_report =
         spot_check(avmm.log(), avmm.snapshots(), start, k, &image, &registry).unwrap();
     let mut cache = AuditorBlobCache::new();
+    let dedup = pricing::dedup_download(avmm.snapshots(), start, &image, &registry, &cache);
     let od_report = spot_check_on_demand(
         avmm.log(),
         avmm.snapshots(),
@@ -1194,6 +1185,8 @@ pub fn exp_ondemand(quick: bool) -> OnDemandResult {
     )
     .unwrap();
     let cost = od_report.on_demand.as_ref().unwrap();
+    let full = pricing::full_dump(avmm.snapshots(), &full_report);
+    let on_demand = pricing::on_demand_download(avmm.snapshots(), &od_report);
     let warm = spot_check_on_demand(
         avmm.log(),
         avmm.snapshots(),
@@ -1209,11 +1202,11 @@ pub fn exp_ondemand(quick: bool) -> OnDemandResult {
     let result = OnDemandResult {
         snapshots: n_snapshots,
         full_raw: full_report.snapshot_transfer_bytes,
-        full_compressed: full_report.snapshot_transfer_compressed_bytes,
-        dedup_raw: od_report.snapshot_transfer_dedup_bytes,
-        dedup_compressed: od_report.snapshot_transfer_dedup_compressed_bytes,
-        ondemand_raw: cost.transfer_bytes(),
-        ondemand_compressed: cost.transfer_compressed_bytes(),
+        full_compressed: full.compressed_bytes,
+        dedup_raw: dedup.raw_bytes,
+        dedup_compressed: dedup.compressed_bytes,
+        ondemand_raw: cost.transfer_bytes,
+        ondemand_compressed: on_demand.compressed_bytes,
         chunks_faulted: cost.chunks_faulted,
         untouched_staged: cost.untouched_staged,
         warm_refetches,
@@ -1342,7 +1335,7 @@ pub fn exp_chunked(quick: bool) -> ChunkedResult {
     use avm_core::replay::{ReplayOutcome, Replayer};
     use avm_core::snapshot::SNAPSHOT_HEADER_BYTES;
     use avm_core::spotcheck::{
-        snapshot_positions, spot_check, spot_check_on_demand, TRANSFER_COMPRESSION, TRANSFER_RTT,
+        spot_check, spot_check_on_demand, TRANSFER_COMPRESSION, TRANSFER_RTT,
     };
     use avm_crypto::sha256::sha256;
     use avm_vm::{GuestRegistry, CHUNKS_PER_PAGE, PAGE_SIZE};
@@ -1437,16 +1430,7 @@ pub fn exp_chunked(quick: bool) -> ChunkedResult {
     // session fetches several remote chunk blobs.
     let start = n_snapshots - 3;
     let k = 2u64;
-    let positions = snapshot_positions(avmm.log()).expect("well-formed log");
-    let start_pos = positions.iter().find(|(_, id, _)| *id == start).unwrap().0;
-    let end_pos = positions
-        .iter()
-        .find(|(_, id, _)| *id == start + k)
-        .map(|(i, _, _)| *i);
-    let entries = match end_pos {
-        Some(end) => &avmm.log().entries()[start_pos + 1..=end],
-        None => &avmm.log().entries()[start_pos + 1..],
-    };
+    let entries = pricing::chunk_entries(avmm.log(), start, k);
     let fresh = AuditorBlobCache::new();
     let (mut replayer, session) =
         Replayer::from_snapshot_on_demand(&image, &registry, avmm.snapshots(), start, &fresh)
@@ -1472,7 +1456,7 @@ pub fn exp_chunked(quick: bool) -> ChunkedResult {
             TRANSFER_COMPRESSION,
         )
         .unwrap();
-    let chunk_ondemand = cost.transfer_bytes();
+    let chunk_ondemand = cost.transfer_bytes;
     // Page-granular equivalent: the manifest carries one 36-byte ref per
     // divergent page instead of per divergent chunk, and every faulted
     // divergent page ships whole (its counter makes it non-derivable).
@@ -1502,11 +1486,9 @@ pub fn exp_chunked(quick: bool) -> ChunkedResult {
     )
     .unwrap();
     let rtts_batched = od_report.on_demand_round_trips().unwrap();
-    let rtts_unbatched = od_report.on_demand_round_trips_unbatched().unwrap();
     let latency_batched_us = od_report.on_demand_latency_micros(&TRANSFER_RTT).unwrap();
-    let latency_unbatched_us = od_report
-        .on_demand_latency_micros_unbatched(&TRANSFER_RTT)
-        .unwrap();
+    let (rtts_unbatched, latency_unbatched_us) =
+        pricing::unbatched_exchange(od_report.on_demand.as_ref().unwrap(), &TRANSFER_RTT);
 
     // Retention: prune the first half of the chain; surviving snapshots keep
     // materializing (authenticated internally) while unreferenced chunk

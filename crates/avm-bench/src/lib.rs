@@ -16,6 +16,7 @@
 
 pub mod experiments;
 pub mod hostmodel;
+pub mod pricing;
 pub mod scenario;
 pub mod trajectory;
 

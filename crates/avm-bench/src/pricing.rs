@@ -1,0 +1,165 @@
+//! What a spot check's downloads cost under the §3.5 / Figure 9 transfer
+//! models — priced here, where the numbers are printed, not by the audit.
+//!
+//! A [`SpotCheckReport`] states the raw bytes the auditor received.  The
+//! experiments also want compressed sizes (§6.12 ships compressed snapshots),
+//! the downloads the auditor did *not* make (the full dump beside an
+//! on-demand check, the digest-addressed dedup transfer) and what an
+//! unbatched blob exchange would have paid.  An experiment owns the
+//! provider's log and store, so it can rebuild each stream and price it; the
+//! rebuilds are pinned to the reports by this module's tests.
+
+use avm_compress::CompressionStats;
+use avm_core::ondemand::{dedup_transfer_upto, AuditorBlobCache, OnDemandCost};
+use avm_core::snapshot::{SnapshotStore, TransferCost};
+use avm_core::spotcheck::{snapshot_positions, SpotCheckReport, TRANSFER_COMPRESSION};
+use avm_log::{LogEntry, TamperEvidentLog};
+use avm_vm::{GuestRegistry, VmImage};
+use avm_wire::{BlobRequest, Encode, RttModel, DEFAULT_BLOB_BATCH};
+
+/// The `k`-chunk starting at snapshot `start` as the provider's server
+/// resolves it: the entries after the SNAPSHOT entry for `start` up to and
+/// including the SNAPSHOT entry `k` snapshots later (or the end of the log).
+/// The log must be well formed and contain `start`.
+pub fn chunk_entries(log: &TamperEvidentLog, start: u64, k: u64) -> &[LogEntry] {
+    let positions = snapshot_positions(log).expect("well-formed log");
+    let position_of = |id| positions.iter().find(|(_, i, _)| *i == id).map(|p| p.0);
+    let first = position_of(start).expect("start snapshot in log") + 1;
+    match position_of(start + k) {
+        Some(end) => &log.entries()[first..=end],
+        None => &log.entries()[first..],
+    }
+}
+
+/// The log download of `report`'s chunk, as one compressed stream.
+pub fn log_chunk(log: &TamperEvidentLog, report: &SpotCheckReport) -> TransferCost {
+    let entries = chunk_entries(log, report.start_snapshot, report.chunk_size);
+    CompressionStats::measure_stream(
+        entries.iter().map(|e| e.encode_to_vec()),
+        TRANSFER_COMPRESSION,
+    )
+}
+
+/// The full-dump model: the whole-section stream that starts `report`'s
+/// chunk — what a full-download check received, and what an on-demand check
+/// avoided.
+pub fn full_dump(store: &SnapshotStore, report: &SpotCheckReport) -> TransferCost {
+    store.transfer_cost_upto(report.start_snapshot, TRANSFER_COMPRESSION)
+}
+
+/// The dedup-transfer model: a digest-addressed download of the complete
+/// state at `start`, for an auditor holding `cache`.  Pass the cache as it
+/// stood *before* the on-demand check it is compared with.
+pub fn dedup_download(
+    store: &SnapshotStore,
+    start: u64,
+    image: &VmImage,
+    registry: &GuestRegistry,
+    cache: &AuditorBlobCache,
+) -> TransferCost {
+    dedup_transfer_upto(store, start, image, registry, cache, TRANSFER_COMPRESSION)
+        .expect("honest store prices its own dedup download")
+        .transfer
+}
+
+/// The on-demand download `report` made — manifest, then one blob response
+/// per batch of fetched digests — as one compressed stream.
+pub fn on_demand_download(store: &SnapshotStore, report: &SpotCheckReport) -> TransferCost {
+    let cost = report.on_demand.as_ref().expect("an on-demand report");
+    let manifest = store
+        .chain_manifest_upto(report.start_snapshot)
+        .expect("checked snapshot has a manifest");
+    let fetched: Vec<_> = cost.fetched.iter().map(|digest| digest.0).collect();
+    let responses = BlobRequest::batches(&fetched, DEFAULT_BLOB_BATCH)
+        .into_iter()
+        .map(|request| store.serve_blobs(&request).encode_to_vec());
+    CompressionStats::measure_stream(
+        std::iter::once(manifest.encode_to_vec()).chain(responses),
+        TRANSFER_COMPRESSION,
+    )
+}
+
+/// What a fault-at-a-time auditor would have paid for `cost`'s download:
+/// `(round trips, modelled µs under model)` with one trip for the manifest
+/// and one per fetched blob.
+pub fn unbatched_exchange(cost: &OnDemandCost, model: &RttModel) -> (u64, u64) {
+    let round_trips = 1 + cost.fetched.len() as u64;
+    (
+        round_trips,
+        model.latency_micros(round_trips, cost.transfer_bytes),
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::record_sparse_touch;
+    use avm_core::spotcheck::{spot_check, spot_check_on_demand, TRANSFER_RTT};
+
+    /// Every stream this module rebuilds from the provider's side is, byte
+    /// for byte in length, what the audit session reported receiving — a
+    /// drift between the two fails here instead of shifting a pinned key.
+    #[test]
+    fn reconstructions_match_what_the_sessions_received() {
+        let (avmm, image, n_snapshots) = record_sparse_touch(true);
+        let registry = GuestRegistry::new();
+        let (log, store) = (avmm.log(), avmm.snapshots());
+        for (start, k) in [(1, 1), (n_snapshots - 2, 1), (1, 2)] {
+            let full = spot_check(log, store, start, k, &image, &registry).unwrap();
+            let mut cache = AuditorBlobCache::new();
+            let od =
+                spot_check_on_demand(log, store, start, k, &image, &registry, &mut cache).unwrap();
+            assert!(full.consistent && od.consistent);
+            assert_eq!(log_chunk(log, &full).raw_bytes, full.log_transfer_bytes);
+            assert_eq!(log_chunk(log, &od).raw_bytes, od.log_transfer_bytes);
+            assert_eq!(
+                full_dump(store, &full).raw_bytes,
+                full.snapshot_transfer_bytes
+            );
+            let cost = od.on_demand.as_ref().unwrap();
+            assert!(!cost.fetched.is_empty());
+            assert_eq!(
+                on_demand_download(store, &od).raw_bytes,
+                cost.transfer_bytes
+            );
+            assert_eq!(od.snapshot_transfer_bytes, cost.transfer_bytes);
+        }
+    }
+
+    /// The orderings the paper predicts, on the priced columns: compression
+    /// helps every stream; on-demand ≤ dedup < full dump, raw and
+    /// compressed; a warm cache shrinks the dedup download; batching never
+    /// costs round trips or modelled time.
+    #[test]
+    fn priced_columns_order_as_the_paper_predicts() {
+        let (avmm, image, n_snapshots) = record_sparse_touch(true);
+        let registry = GuestRegistry::new();
+        let (log, store) = (avmm.log(), avmm.snapshots());
+        let start = n_snapshots - 2;
+        let mut cache = AuditorBlobCache::new();
+        let dedup = dedup_download(store, start, &image, &registry, &cache);
+        let od = spot_check_on_demand(log, store, start, 1, &image, &registry, &mut cache).unwrap();
+        let cost = od.on_demand.as_ref().unwrap();
+        let (full, on_demand) = (full_dump(store, &od), on_demand_download(store, &od));
+        // The log stream is priced on the whole log after snapshot 0: this
+        // check's own one-packet chunk is all signature and does not shrink.
+        let whole = spot_check(log, store, 0, n_snapshots, &image, &registry).unwrap();
+        let log_cost = log_chunk(log, &whole);
+        for priced in [log_cost, full, dedup, on_demand] {
+            assert!(priced.compressed_bytes > 0);
+            assert!(priced.compressed_bytes < priced.raw_bytes, "{priced:?}");
+        }
+        assert!(on_demand.raw_bytes <= dedup.raw_bytes);
+        assert!(on_demand.compressed_bytes <= dedup.compressed_bytes);
+        assert!(dedup.raw_bytes < full.raw_bytes);
+        assert!(dedup.compressed_bytes < full.compressed_bytes);
+        // The check's fetched blobs are now cached: the same full-state
+        // download gets cheaper, never dearer.
+        let warm = dedup_download(store, start, &image, &registry, &cache);
+        assert!(warm.raw_bytes < dedup.raw_bytes);
+
+        let (unbatched_rtts, unbatched_us) = unbatched_exchange(cost, &TRANSFER_RTT);
+        assert!(cost.round_trips <= unbatched_rtts);
+        assert!(cost.latency_micros(&TRANSFER_RTT) <= unbatched_us);
+    }
+}

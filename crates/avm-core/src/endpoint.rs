@@ -28,27 +28,21 @@
 //! its report's [`TransportStats`] column
 //! ([`crate::spotcheck::SpotCheckReport::transport`]).
 //!
-//! # The accounting plane vs the data plane
+//! # The one read that bypasses the transport
 //!
-//! Two kinds of read deliberately bypass the transport, both through the
-//! one store reference [`AuditTransport::provider_store`] hands the audit
-//! session (its `oracle` constructor argument):
-//!
-//! 1. **Hypothetical columns.**  A spot-check report prices downloads that
-//!    did *not* happen (the full-dump and dedup columns of §3.5) next to the
-//!    one that did; pricing them must not add wire traffic.
-//! 2. **Staging.**  Replay state is materialized (full download) or staged
-//!    for inline fault-in (on demand) from the store; the *paid* exchange —
-//!    the section stream, or exactly the faulted blobs — crosses the
-//!    transport, which is the §3.5 model: bytes cross the wire only for
-//!    state the replay touched.
+//! Replay state is materialized (full download) or staged for inline
+//! fault-in (on demand) from the store [`AuditTransport::provider_store`]
+//! hands the audit session (its `oracle` constructor argument); the *paid*
+//! exchange — the section stream, or exactly the faulted blobs — crosses
+//! the transport, which is the §3.5 model: bytes cross the wire only for
+//! state the replay touched.  Everything a report states was measured on
+//! that exchange; nothing in it is priced from the store.
 //!
 //! # Example: an audit endpoint over a simulated link
 //!
 //! ```
 //! use avm_core::endpoint::{AuditClient, AuditServer, SimNetTransport};
 //! use avm_core::snapshot::{capture, SnapshotStore};
-//! use avm_compress::CompressionLevel;
 //! use avm_net::LinkConfig;
 //! use avm_vm::bytecode::assemble;
 //! use avm_vm::{GuestRegistry, Machine, VmImage};
@@ -67,17 +61,13 @@
 //! let manifest = client.fetch_manifest(0).unwrap();
 //! assert_eq!(manifest.snapshot_id, 0);
 //!
-//! // A digest-addressed full-state download over the same endpoint
-//! // (its own manifest fetch plus one blob exchange).
-//! let dedup = client
-//!     .dedup_transfer(0, &image, &registry, CompressionLevel::Default)
-//!     .unwrap();
-//! assert!(dedup.blobs_fetched > 0);
-//! assert_eq!(client.transport_stats().round_trips, 3);
+//! // The full-download model's state transfer over the same endpoint.
+//! let stream = client.fetch_sections(0).unwrap();
+//! assert_eq!(stream.len() as u64, store.transfer_bytes_upto(0));
+//! assert_eq!(client.transport_stats().round_trips, 2);
 //! assert!(client.transport_stats().elapsed_micros > 0);
 //! ```
 
-use avm_compress::CompressionLevel;
 use avm_crypto::sha256::Digest;
 use avm_log::{LogEntry, LogSource, TamperEvidentLog};
 use avm_net::{LinkConfig, NodeId, SimNet};
@@ -87,18 +77,15 @@ use avm_wire::audit::{
     open_session_frame, open_session_message, seal_session_message, AuditRequest, AuditResponse,
     AuditResponseRef, SegmentAddress, CLIENT_SESSION,
 };
-use avm_wire::{BlobRequest, BlobResponseRef, Encode};
+use avm_wire::Encode;
 
 use crate::attest::{Attestor, LaunchPolicy};
 use crate::audit::{audit_log, AuditReport};
 use crate::error::{CoreError, FaultReason};
-use crate::ondemand::{
-    dedup_transfer_from_manifest, AuditorBlobCache, BlobProvider, ChainManifest, DedupTransfer,
-};
+use crate::ondemand::{AuditorBlobCache, ChainManifest};
 use crate::paraudit::ParallelReplayStats;
 use crate::session::{
-    expect_attestation, expect_blobs, expect_log_segment, expect_manifest, expect_sections,
-    AuditSession, Step,
+    expect_attestation, expect_log_segment, expect_manifest, expect_sections, AuditSession, Step,
 };
 use crate::snapshot::SnapshotStore;
 use crate::spotcheck::{snapshot_positions_in, SpotCheckReport};
@@ -369,8 +356,8 @@ impl TransportStats {
 
 /// Carries [`AuditRequest`]s to a provider and lends back its responses,
 /// accounting every exchange.  `'p` is the lifetime of the provider state
-/// behind the transport — the accounting-plane store outlives any one
-/// exchange.
+/// behind the transport — the store the session's oracle reads outlives any
+/// one exchange.
 pub trait AuditTransport<'p> {
     /// Performs one request/response exchange.  The response is *lent* to
     /// `on_response` as a borrowed view of the packet it arrived in — the
@@ -385,10 +372,9 @@ pub trait AuditTransport<'p> {
     /// Accumulated wire-level accounting.
     fn stats(&self) -> TransportStats;
 
-    /// The provider's snapshot store, used as the zero-cost *accounting
-    /// plane*: staging contents for replay and pricing hypothetical
-    /// (modelled) download columns.  Paid transfers go through
-    /// [`AuditTransport::exchange`] — see the module docs.
+    /// The provider's snapshot store — the audit session's `oracle`, from
+    /// which replay state is materialized or staged.  Paid transfers go
+    /// through [`AuditTransport::exchange`] — see the module docs.
     fn provider_store(&self) -> &'p SnapshotStore;
 }
 
@@ -667,23 +653,6 @@ impl<'a> AuditTransport<'a> for SimNetTransport<'a> {
     }
 }
 
-/// Adapter: a transport is a [`BlobProvider`] — a dedup download's blob
-/// exchange rides the audit protocol like every other download.
-struct TransportBlobs<'t, T>(&'t mut T);
-
-impl<'p, T: AuditTransport<'p>> BlobProvider for TransportBlobs<'_, T> {
-    fn exchange_blobs<R>(
-        &mut self,
-        request: &BlobRequest,
-        accept: impl FnOnce(BlobResponseRef<'_>) -> Result<R, CoreError>,
-    ) -> Result<R, CoreError> {
-        self.0
-            .exchange(&AuditRequest::Blobs(request.clone()), |response| {
-                accept(expect_blobs(response)?)
-            })?
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Auditor endpoint
 // ---------------------------------------------------------------------------
@@ -782,6 +751,7 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
     ) -> Result<(Digest, Vec<LogEntry>), CoreError> {
         let address = SegmentAddress::Seq { from_seq, to_seq };
         self.request(&AuditRequest::LogSegment(address), expect_log_segment)
+            .map(|(prev, entries, _)| (prev, entries))
     }
 
     /// Downloads the §3.5 chunk of `chunk` segments starting at
@@ -797,7 +767,7 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
             chunk,
         };
         self.request(&AuditRequest::LogSegment(address), expect_log_segment)
-            .map(|(_, entries)| entries)
+            .map(|(_, entries, _)| entries)
     }
 
     /// Downloads the whole-section transfer stream up to `upto_id` — the
@@ -833,28 +803,6 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
             reference,
             registry,
         ))
-    }
-
-    /// Digest-addressed download of the complete state at `upto_id`,
-    /// consulting (but not populating) the client's cache — the §3.5
-    /// "download an entire snapshot" mode, priced over this transport.
-    pub fn dedup_transfer(
-        &mut self,
-        upto_id: u64,
-        image: &VmImage,
-        registry: &GuestRegistry,
-        level: CompressionLevel,
-    ) -> Result<DedupTransfer, CoreError> {
-        let manifest = self.fetch_manifest(upto_id)?;
-        let Self { transport, cache } = self;
-        dedup_transfer_from_manifest(
-            &manifest,
-            &mut TransportBlobs(transport),
-            image,
-            registry,
-            cache,
-            level,
-        )
     }
 
     /// Spot check with the snapshot state downloaded in full (sections over
@@ -961,7 +909,7 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spotcheck::{spot_check, spot_check_on_demand, TRANSFER_COMPRESSION, TRANSFER_RTT};
+    use crate::spotcheck::{spot_check, spot_check_on_demand, TRANSFER_RTT};
     use crate::testutil::{key, record_with_snapshots};
     use avm_log::EntryKind;
     use avm_vm::packet::encode_guest_packet;
@@ -1011,6 +959,10 @@ mod tests {
         assert_eq!(d.round_trips, s.round_trips);
         assert_eq!(d.request_bytes, s.request_bytes);
         assert_eq!(d.response_bytes, s.response_bytes);
+        // … which carried everything the report says was downloaded.
+        assert!(
+            s.response_bytes >= sim_report.snapshot_transfer_bytes + sim_report.log_transfer_bytes
+        );
 
         // … and *exactly* the per-packet price on each link.  Re-issue the
         // check's exchanges one by one to learn each packet's framed size.
@@ -1022,7 +974,7 @@ mod tests {
             AuditRequest::Manifest { snapshot_id: 2 },
         ];
         let digests: Vec<_> = fetched.iter().map(|d| d.0).collect();
-        let batches = BlobRequest::batches(&digests, avm_wire::DEFAULT_BLOB_BATCH);
+        let batches = avm_wire::BlobRequest::batches(&digests, avm_wire::DEFAULT_BLOB_BATCH);
         requests.extend(batches.into_iter().map(AuditRequest::Blobs));
         let mut probe = SimNetTransport::new(server, link);
         let mut packets = Vec::new();
@@ -1086,6 +1038,11 @@ mod tests {
         assert!(
             sim_report.transport.response_bytes
                 >= sim_report.snapshot_transfer_bytes + sim_report.log_transfer_bytes
+        );
+        // An honest provider's stream is exactly its full-dump accounting.
+        assert_eq!(
+            sim_report.snapshot_transfer_bytes,
+            bob.snapshots().transfer_bytes_upto(1)
         );
     }
 
@@ -1291,31 +1248,17 @@ mod tests {
         assert!(!report.passed());
     }
 
-    /// The dedup download through a client equals the free-function model,
-    /// and a store-only server rejects log requests.
+    /// A store-only provider serves snapshot state and answers log requests
+    /// with a clean error.
     #[test]
-    fn dedup_transfer_over_endpoints_matches_free_function() {
-        let (bob, image) = record_with_snapshots(3);
-        let registry = GuestRegistry::new();
-        let cache = AuditorBlobCache::new();
-        let baseline = crate::ondemand::dedup_transfer_upto(
-            bob.snapshots(),
-            2,
-            &image,
-            &registry,
-            &cache,
-            TRANSFER_COMPRESSION,
-        )
-        .unwrap();
+    fn store_only_server_serves_state_and_rejects_log_requests() {
+        let (bob, _) = record_with_snapshots(3);
         let mut client = AuditClient::new(SimNetTransport::new(
             AuditServer::for_store(bob.snapshots()),
             LinkConfig::default(),
         ));
-        let over_net = client
-            .dedup_transfer(2, &image, &registry, TRANSFER_COMPRESSION)
-            .unwrap();
-        assert_eq!(baseline, over_net);
-        // Log requests against a store-only provider are a clean error.
+        let stream = client.fetch_sections(2).unwrap();
+        assert_eq!(stream, bob.snapshots().transfer_stream_upto(2));
         let err = client.fetch_log_chunk(0, 1).unwrap_err();
         assert!(err.to_string().contains("provider serves no log"), "{err}");
     }

@@ -396,11 +396,10 @@ pub struct FleetAuditor<'a> {
 impl<'a> FleetAuditor<'a> {
     /// An auditor on `node` auditing `provider` inside session `session_id`.
     ///
-    /// `provider_store` is the *accounting plane* (the same store the
-    /// provider serves from — the session's `oracle`, see
-    /// [`crate::session`]); `timeout_us` is the retransmit-if-silent
-    /// deadline, normally derived from the link exactly like
-    /// [`crate::endpoint::SimNetTransport::new`] derives it.
+    /// `provider_store` is the store the provider serves from, handed to
+    /// the session as its `oracle` (see [`crate::session`]); `timeout_us`
+    /// is the retransmit-if-silent deadline, normally derived from the link
+    /// exactly like [`crate::endpoint::SimNetTransport::new`] derives it.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         node: NodeId,

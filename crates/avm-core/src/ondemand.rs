@@ -24,18 +24,19 @@
 //!    replayed workload touches them, so the auditor downloads exactly the
 //!    512 B chunks the execution accesses — not the 4 KiB pages around
 //!    them.  [`OnDemandSession::finish`] turns the fault lists into the
-//!    actual blob exchange and its raw + compressed byte cost — the
-//!    "on-demand" column.
+//!    actual blob exchange and the bytes it moved — the "on-demand" column.
 //!
 //! # Round trips and batching
 //!
 //! Bytes are not the whole price of on-demand transfer: a naive auditor
 //! pays one network round trip per faulted blob.  The blob exchange here is
 //! therefore **batched** — up to [`avm_wire::DEFAULT_BLOB_BATCH`] digests
-//! per [`BlobRequest`] — and every accounting struct reports the exchange's
-//! round-trip counts both ways ([`BlobFetch::round_trips`],
-//! [`OnDemandCost::round_trips`] vs [`OnDemandCost::round_trips_unbatched`]),
-//! priced in modelled wall time by a configurable [`avm_wire::RttModel`].
+//! per [`BlobRequest`] — and every accounting struct reports the round trips
+//! the exchange performed ([`BlobFetch::round_trips`],
+//! [`OnDemandCost::round_trips`]), priced in modelled wall time by a
+//! configurable [`avm_wire::RttModel`].  (What a fault-at-a-time auditor
+//! would have paid instead is `1 + fetched.len()`; the comparison lives with
+//! the experiment that prints it, `avm_bench::pricing`.)
 //!
 //! Authentication never weakens in either mode: the manifest is verified by
 //! rebuilding the Merkle state root from its leaf hashes and comparing
@@ -46,7 +47,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use avm_compress::{CompressionLevel, CompressionStats};
+use avm_compress::{CompressionLevel, CompressionStats, StreamMeasurer};
 use avm_crypto::parallel::sha256_batch;
 use avm_crypto::sha256::{sha256, Digest};
 use avm_vm::{GuestRegistry, Machine, VmImage};
@@ -182,14 +183,18 @@ impl SnapshotStore {
     /// Operator side of the blob exchange: serves each requested digest from
     /// the content-addressed pool, in request order.
     pub fn serve_blobs(&self, request: &BlobRequest) -> BlobResponse {
-        BlobResponse {
+        self.lend_blobs(request).to_owned()
+    }
+
+    /// [`SnapshotStore::serve_blobs`] with the payloads still borrowed from
+    /// the pool — what an in-process auditor authenticates before it copies
+    /// anything.
+    pub fn lend_blobs(&self, request: &BlobRequest) -> BlobResponseRef<'_> {
+        BlobResponseRef {
             blobs: request
                 .digests
                 .iter()
-                .map(|raw| {
-                    let digest = Digest(*raw);
-                    self.payload(&digest).map(|b| b.to_vec())
-                })
+                .map(|raw| self.payload(&Digest(*raw)))
                 .collect(),
         }
     }
@@ -392,43 +397,6 @@ fn verify_blob_batch(digests: &[Digest], payloads: &[&[u8]]) -> Result<(), CoreE
     Ok(())
 }
 
-/// The provider side of one blob exchange, as the auditor sees it: hand over
-/// a [`BlobRequest`], be lent the matching response.
-///
-/// The response is *lent*, not returned: its payloads stay borrowed from
-/// wherever they already live — the operator's content-addressed pool for an
-/// in-process provider (`&SnapshotStore`), the received packet for a
-/// networked one ([`crate::endpoint::AuditTransport`]) — so they are
-/// authenticated before anything is copied.  Everything above the seam —
-/// digest selection, per-blob verification, caching, byte accounting — is
-/// transport-independent, which is what pins the networked exchange to the
-/// in-process numbers.
-pub trait BlobProvider {
-    /// Performs one request/response exchange and hands the borrowed
-    /// response to `accept`, returning what it returns.
-    fn exchange_blobs<R>(
-        &mut self,
-        request: &BlobRequest,
-        accept: impl FnOnce(BlobResponseRef<'_>) -> Result<R, CoreError>,
-    ) -> Result<R, CoreError>;
-}
-
-impl BlobProvider for &SnapshotStore {
-    fn exchange_blobs<R>(
-        &mut self,
-        request: &BlobRequest,
-        accept: impl FnOnce(BlobResponseRef<'_>) -> Result<R, CoreError>,
-    ) -> Result<R, CoreError> {
-        accept(BlobResponseRef {
-            blobs: request
-                .digests
-                .iter()
-                .map(|raw| self.payload(&Digest(*raw)))
-                .collect(),
-        })
-    }
-}
-
 /// The authentication step every download model shares: `response` must
 /// carry one payload per digest of `request`, and each payload must hash to
 /// the digest it was requested under (one batched hashing pass).  Returns
@@ -453,7 +421,13 @@ pub(crate) fn verify_blob_response<'r>(
     Ok(payloads)
 }
 
-/// Accounting for one blob exchange ([`fetch_blobs`]).
+/// Accounting for one batched blob download.
+///
+/// Its two crate-internal halves are the whole blob protocol, whoever
+/// carries the messages: `plan` decides what to ask for, `accept`
+/// authenticates and keeps one response.  The blocking
+/// [`fetch_blobs`] / [`OnDemandSession::finish`] and the sans-IO
+/// [`crate::session::AuditSession`] all run exactly these.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BlobFetch {
     /// Digests actually transferred, in request order (never contains a
@@ -466,30 +440,15 @@ pub struct BlobFetch {
     pub round_trips: u64,
     /// Encoded size of the upstream [`BlobRequest`]s, summed over batches.
     pub request_bytes: u64,
-    /// Encoded [`BlobResponse`] stream (the download), raw and compressed.
+    /// Encoded [`BlobResponse`] stream (the download).  `raw_bytes` is what
+    /// was received; `compressed_bytes` is filled only by [`fetch_blobs`],
+    /// the one caller that is handed a compression level to price it at.
     pub response: TransferCost,
     /// Raw payload bytes inside the response (excluding framing).
     pub payload_bytes: u64,
 }
 
-/// One batched blob download in progress: the accounting so far plus the
-/// encoded response stream, kept so callers can measure it jointly with
-/// other stream parts (the manifest) in *one* compression pass.  `fetch`'s
-/// `response` field carries the raw size only (`compressed_bytes` is zero —
-/// the caller owns the measurement).
-///
-/// The two halves are the whole blob protocol, whoever carries the
-/// messages: [`BlobDownload::plan`] decides what to ask for,
-/// [`BlobDownload::accept`] authenticates and keeps one response.  The
-/// blocking [`fetch_blobs`] family and the sans-IO
-/// [`crate::session::AuditSession`] both run exactly these.
-#[derive(Debug, Default)]
-pub(crate) struct BlobDownload {
-    pub fetch: BlobFetch,
-    pub encoded: Vec<u8>,
-}
-
-impl BlobDownload {
+impl BlobFetch {
     /// The front half: collapses duplicates in `needed`, counts the digests
     /// `cache` already holds as hits, and splits the rest into requests of
     /// at most `max_per_request` digests (`0` = one request for everything).
@@ -506,7 +465,7 @@ impl BlobDownload {
                 continue;
             }
             if cache.contains(digest) {
-                self.fetch.cache_hits += 1;
+                self.cache_hits += 1;
             } else {
                 missing.push(digest.0);
             }
@@ -515,9 +474,8 @@ impl BlobDownload {
     }
 
     /// The back half: authenticates `response` against `request` while its
-    /// payloads are still borrowed, then accounts the round trip, appends
-    /// the encoded response to the download stream and copies each payload
-    /// into `cache` — the only copy a blob ever gets.
+    /// payloads are still borrowed, then accounts the round trip and copies
+    /// each payload into `cache` — the only copy a blob ever gets.
     pub(crate) fn accept(
         &mut self,
         cache: &mut AuditorBlobCache,
@@ -525,45 +483,27 @@ impl BlobDownload {
         response: &BlobResponseRef<'_>,
     ) -> Result<(), CoreError> {
         let payloads = verify_blob_response(request, response)?;
-        self.fetch.round_trips += 1;
-        self.fetch.request_bytes += request.encoded_len() as u64;
-        self.fetch.payload_bytes += response.payload_bytes();
-        self.encoded.extend_from_slice(&response.encode_to_vec());
-        self.fetch.response.raw_bytes = self.encoded.len() as u64;
+        self.round_trips += 1;
+        self.request_bytes += request.encoded_len() as u64;
+        self.payload_bytes += response.payload_bytes();
+        self.response.raw_bytes += response.encoded_len() as u64;
         for (raw, payload) in request.digests.iter().zip(payloads) {
             cache.insert_trusted(Digest(*raw), payload.to_vec());
-            self.fetch.fetched.push(Digest(*raw));
+            self.fetched.push(Digest(*raw));
         }
         Ok(())
     }
 }
 
-/// Plans the download of `needed` against `cache` and runs every batch
-/// through `provider` — the blocking driver of [`BlobDownload`].
-fn fetch_blobs_encoded<P: BlobProvider>(
-    cache: &mut AuditorBlobCache,
-    provider: &mut P,
-    needed: &[Digest],
-    max_per_request: usize,
-) -> Result<BlobDownload, CoreError> {
-    let mut download = BlobDownload::default();
-    for request in download.plan(cache, needed, max_per_request) {
-        provider.exchange_blobs(&request, |response| {
-            download.accept(cache, &request, &response)
-        })?;
-    }
-    Ok(download)
-}
-
-/// Runs one digest-addressed exchange: requests every digest in `needed`
-/// that `cache` does not hold (duplicates collapsed) in batches of at most
-/// `max_per_request` digests (`0` = a single request), verifies each
-/// received blob against its digest, and inserts the verified blobs into
-/// `cache`.
+/// Runs one digest-addressed exchange against the operator's own store:
+/// requests every digest in `needed` that `cache` does not hold (duplicates
+/// collapsed) in batches of at most `max_per_request` digests (`0` = a
+/// single request), verifies each received blob against its digest, and
+/// inserts the verified blobs into `cache`.
 ///
-/// Returns the exchange's byte and round-trip accounting; fails if the store
-/// cannot serve a requested digest or serves content that does not hash to
-/// it.
+/// Returns the exchange's byte and round-trip accounting, with the response
+/// stream priced at `level`; fails if the store cannot serve a requested
+/// digest or serves content that does not hash to it.
 pub fn fetch_blobs(
     cache: &mut AuditorBlobCache,
     store: &SnapshotStore,
@@ -571,36 +511,15 @@ pub fn fetch_blobs(
     max_per_request: usize,
     level: CompressionLevel,
 ) -> Result<BlobFetch, CoreError> {
-    let mut provider = store;
-    fetch_blobs_with(cache, &mut provider, needed, max_per_request, level)
-}
-
-/// [`fetch_blobs`] against any [`BlobProvider`] — the transport-independent
-/// form the audit endpoints use; `fetch_blobs` is the in-process special
-/// case (`provider = &store`).
-pub fn fetch_blobs_with<P: BlobProvider>(
-    cache: &mut AuditorBlobCache,
-    provider: &mut P,
-    needed: &[Digest],
-    max_per_request: usize,
-    level: CompressionLevel,
-) -> Result<BlobFetch, CoreError> {
-    let BlobDownload { mut fetch, encoded } =
-        fetch_blobs_encoded(cache, provider, needed, max_per_request)?;
-    fetch.response = CompressionStats::measure(&encoded, level);
+    let mut fetch = BlobFetch::default();
+    let mut stream = StreamMeasurer::new();
+    for request in fetch.plan(cache, needed, max_per_request) {
+        let response = store.lend_blobs(&request);
+        fetch.accept(cache, &request, &response)?;
+        stream.push(&response.encode_to_vec());
+    }
+    fetch.response = stream.finish(level);
     Ok(fetch)
-}
-
-/// One authenticated exchange whose payloads are priced but never kept (the
-/// dedup column is a hypothetical download): the encoded response stream.
-fn verified_response_encoding<P: BlobProvider>(
-    provider: &mut P,
-    request: &BlobRequest,
-) -> Result<Vec<u8>, CoreError> {
-    provider.exchange_blobs(request, |response| {
-        verify_blob_response(request, &response)?;
-        Ok(response.encode_to_vec())
-    })
 }
 
 /// Accounting for a dedup-transfer full-state download
@@ -626,12 +545,10 @@ pub struct DedupTransfer {
 /// produce — the middle column between a full section download
 /// ([`SnapshotStore::transfer_cost_upto`]) and on-demand replay.
 ///
-/// The cache is consulted read-only: this is an accounting model, and
-/// letting it populate the cache would let a hypothetical download
-/// subsidise a measured one.  Building the derivable set hashes one
-/// reference-image machine; a spot check that already holds an
-/// [`OnDemandSession`] prices this column for free via
-/// [`OnDemandSession::price_full_download`] instead.
+/// This is provider-side pricing of a download nobody made (no audit calls
+/// it; `avm_bench::pricing` does).  The cache is consulted read-only:
+/// letting a hypothetical download populate it would subsidise a measured
+/// one.  Building the derivable set hashes one reference-image machine.
 pub fn dedup_transfer_upto(
     store: &SnapshotStore,
     upto_id: u64,
@@ -641,21 +558,6 @@ pub fn dedup_transfer_upto(
     level: CompressionLevel,
 ) -> Result<DedupTransfer, CoreError> {
     let manifest = store.chain_manifest_upto(upto_id)?;
-    let mut provider = store;
-    dedup_transfer_from_manifest(&manifest, &mut provider, image, registry, cache, level)
-}
-
-/// [`dedup_transfer_upto`] starting from an already-downloaded manifest and
-/// running the blob exchange against any [`BlobProvider`] — the form the
-/// audit endpoints use; the accounting is identical to the in-process form.
-pub(crate) fn dedup_transfer_from_manifest<P: BlobProvider>(
-    manifest: &ChainManifest,
-    provider: &mut P,
-    image: &VmImage,
-    registry: &GuestRegistry,
-    cache: &AuditorBlobCache,
-    level: CompressionLevel,
-) -> Result<DedupTransfer, CoreError> {
     let manifest_encoded = manifest.encode_to_vec();
     // Everything the auditor can derive locally from the reference image.
     let local = Machine::from_image(image, registry).map_err(CoreError::Vm)?;
@@ -684,15 +586,16 @@ pub(crate) fn dedup_transfer_from_manifest<P: BlobProvider>(
             request.digests.push(digest.0);
         }
     }
-    let response_encoded = verified_response_encoding(provider, &request)?;
-    let blobs_fetched = request.digests.len() as u64;
+    // Priced, never kept — but authenticated like any other download.
+    let response = store.lend_blobs(&request);
+    verify_blob_response(&request, &response)?;
     let transfer = CompressionStats::measure_stream(
-        [manifest_encoded.as_slice(), response_encoded.as_slice()],
+        [manifest_encoded.as_slice(), &response.encode_to_vec()],
         level,
     );
     Ok(DedupTransfer {
         manifest_bytes: manifest_encoded.len() as u64,
-        blobs_fetched,
+        blobs_fetched: request.digests.len() as u64,
         blobs_skipped: skipped,
         request_bytes: request.encoded_len() as u64,
         transfer,
@@ -726,35 +629,15 @@ pub struct OnDemandCost {
     /// Round trips the settled exchange performed: one for the manifest plus
     /// one per batched [`BlobRequest`].
     pub round_trips: u64,
-    /// Round trips a naive fault-at-a-time auditor would have performed for
-    /// the same download: one for the manifest plus one per fetched blob.
-    pub round_trips_unbatched: u64,
-    /// The download (manifest + blob response as one stream), raw and
-    /// compressed.
-    pub transfer: TransferCost,
+    /// Bytes the auditor downloaded: the encoded manifest plus every encoded
+    /// blob response.
+    pub transfer_bytes: u64,
 }
 
 impl OnDemandCost {
-    /// Raw bytes the auditor downloaded (manifest + blob response).
-    pub fn transfer_bytes(&self) -> u64 {
-        self.transfer.raw_bytes
-    }
-
-    /// Compressed size of the same download.
-    pub fn transfer_compressed_bytes(&self) -> u64 {
-        self.transfer.compressed_bytes
-    }
-
-    /// Modelled wall time of the batched download under `model`.
+    /// Modelled wall time of the download under `model`.
     pub fn latency_micros(&self, model: &RttModel) -> u64 {
-        model.latency_micros(self.round_trips, self.transfer.raw_bytes)
-    }
-
-    /// Modelled wall time of the same download without request batching
-    /// (one round trip per fetched blob) — always ≥
-    /// [`OnDemandCost::latency_micros`].
-    pub fn latency_micros_unbatched(&self, model: &RttModel) -> u64 {
-        model.latency_micros(self.round_trips_unbatched, self.transfer.raw_bytes)
+        model.latency_micros(self.round_trips, self.transfer_bytes)
     }
 }
 
@@ -894,18 +777,12 @@ impl IncrementalFaultClassifier {
 pub struct OnDemandSession {
     snapshot_id: u64,
     state_root: Digest,
-    manifest_encoded: Vec<u8>,
+    manifest_bytes: u64,
     staged_chunks: HashMap<usize, Digest>,
     staged_blocks: HashMap<usize, Digest>,
     /// Source classification per staged digest (a digest staged at several
     /// indices resolves identically everywhere).
     sources: HashMap<Digest, StagedSource>,
-    /// The [`StagedSource::Remote`] digests in manifest order — exactly the
-    /// set a dedup full-state download of this snapshot would transfer.
-    remote_digests: Vec<Digest>,
-    /// Unique digests across all manifest references (for the dedup model's
-    /// skipped-blob accounting).
-    unique_manifest_digests: u64,
 }
 
 impl OnDemandSession {
@@ -921,7 +798,7 @@ impl OnDemandSession {
 
     /// Encoded manifest size — the metadata download that starts the session.
     pub fn manifest_bytes(&self) -> u64 {
-        self.manifest_encoded.len() as u64
+        self.manifest_bytes
     }
 
     /// Number of memory chunks staged for demand paging (state that diverges
@@ -940,44 +817,33 @@ impl OnDemandSession {
     /// batched digest-addressed exchange for every touched blob the auditor
     /// could not produce itself (cached and image-derivable content is free,
     /// like in the dedup model), inserts the fetched blobs into `cache`, and
-    /// returns the accounting — bytes, compression and round trips.
+    /// returns the accounting — bytes and round trips.
     ///
     /// `machine` must be the machine returned by [`materialize_on_demand`]
     /// alongside this session; `store` is the operator's snapshot store the
-    /// blobs are fetched from.
+    /// blobs are fetched from.  `_level` is unused — the cost carries no
+    /// compressed size — and is kept so `tests/property_tests.rs` compiles
+    /// unchanged; drop it together with those call sites.
     pub fn finish(
         &self,
         machine: &Machine,
         store: &SnapshotStore,
         cache: &mut AuditorBlobCache,
-        level: CompressionLevel,
-    ) -> Result<OnDemandCost, CoreError> {
-        let mut provider = store;
-        self.finish_with(machine, &mut provider, cache, level)
-    }
-
-    /// [`OnDemandSession::finish`] against any [`BlobProvider`]: the settle-
-    /// time blob exchange crosses the provider (an audit transport pays it
-    /// on the simulated network), while the accounting stays identical to
-    /// the in-process form.
-    pub fn finish_with<P: BlobProvider>(
-        &self,
-        machine: &Machine,
-        provider: &mut P,
-        cache: &mut AuditorBlobCache,
-        level: CompressionLevel,
+        _level: CompressionLevel,
     ) -> Result<OnDemandCost, CoreError> {
         let classification = self.classify_faults(machine)?;
-        let BlobDownload { fetch, encoded } =
-            fetch_blobs_encoded(cache, provider, &classification.needed, DEFAULT_BLOB_BATCH)?;
-        Ok(self.assemble_cost(classification, fetch, &encoded, level))
+        let mut fetch = BlobFetch::default();
+        for request in fetch.plan(cache, &classification.needed, DEFAULT_BLOB_BATCH) {
+            fetch.accept(cache, &request, &store.lend_blobs(&request))?;
+        }
+        Ok(self.assemble_cost(classification, fetch))
     }
 
     /// The settle-time classification of the machine's fault lists: which
     /// unique faulted digests must cross the wire and which are free
     /// (cached / image-derivable), plus the fault and untouched counters.
     ///
-    /// [`OnDemandSession::finish_with`] is `classify_faults` → blob exchange
+    /// [`OnDemandSession::finish`] is `classify_faults` → blob exchange
     /// → [`OnDemandSession::assemble_cost`]; [`crate::session::AuditSession`]
     /// runs the incremental form ([`IncrementalFaultClassifier`]) around
     /// the same exchange and the same `assemble_cost`.
@@ -994,66 +860,24 @@ impl OnDemandSession {
     }
 
     /// Assembles the [`OnDemandCost`] from a classification and the blob
-    /// exchange it led to, measuring manifest + blob response as one
-    /// compressed download.
+    /// exchange it led to.
     pub(crate) fn assemble_cost(
         &self,
         classification: FaultClassification,
         fetch: BlobFetch,
-        response_encoded: &[u8],
-        level: CompressionLevel,
     ) -> OnDemandCost {
-        let transfer = CompressionStats::measure_stream(
-            [self.manifest_encoded.as_slice(), response_encoded],
-            level,
-        );
         OnDemandCost {
-            manifest_bytes: self.manifest_encoded.len() as u64,
+            manifest_bytes: self.manifest_bytes,
             chunks_faulted: classification.chunks_faulted,
             blocks_faulted: classification.blocks_faulted,
             untouched_staged: classification.untouched_staged,
             round_trips: 1 + fetch.round_trips,
-            round_trips_unbatched: 1 + fetch.fetched.len() as u64,
             fetched: fetch.fetched,
             cache_hits: classification.cache_hits + fetch.cache_hits,
             locally_derived: classification.locally_derived,
             request_bytes: fetch.request_bytes,
-            transfer,
+            transfer_bytes: self.manifest_bytes + fetch.response.raw_bytes,
         }
-    }
-
-    /// Prices the dedup-transfer ("download the entire snapshot, but
-    /// digest-addressed") column for the same snapshot without re-deriving
-    /// any reference state: the session already classified every manifest
-    /// digest at staging time, and its remote set is exactly what a
-    /// full-state download would transfer.
-    ///
-    /// Equivalent to [`dedup_transfer_upto`] with the cache the session was
-    /// created against, at none of its image-hashing cost.
-    pub fn price_full_download(
-        &self,
-        store: &SnapshotStore,
-        level: CompressionLevel,
-    ) -> Result<DedupTransfer, CoreError> {
-        let mut provider = store;
-        let request = BlobRequest {
-            digests: self.remote_digests.iter().map(|d| d.0).collect(),
-        };
-        let response_encoded = verified_response_encoding(&mut provider, &request)?;
-        let transfer = CompressionStats::measure_stream(
-            [
-                self.manifest_encoded.as_slice(),
-                response_encoded.as_slice(),
-            ],
-            level,
-        );
-        Ok(DedupTransfer {
-            manifest_bytes: self.manifest_encoded.len() as u64,
-            blobs_fetched: self.remote_digests.len() as u64,
-            blobs_skipped: self.unique_manifest_digests - self.remote_digests.len() as u64,
-            request_bytes: request.encoded_len() as u64,
-            transfer,
-        })
     }
 }
 
@@ -1118,7 +942,7 @@ pub fn materialize_on_demand(
 /// `store` here is the *staging oracle*: the operator's pool the authentic
 /// blob contents are staged from so replay can fault them in inline.  The
 /// staged bytes are not accounted as transferred — only the settle-time
-/// exchange ([`OnDemandSession::finish_with`]) pays for the blobs replay
+/// exchange ([`OnDemandSession::finish`]) pays for the blobs replay
 /// actually touched, which is exactly the set the real protocol would have
 /// fetched at fault time.
 pub fn materialize_with_manifest(
@@ -1129,7 +953,6 @@ pub fn materialize_with_manifest(
     cache: &AuditorBlobCache,
 ) -> Result<(Machine, OnDemandSession), CoreError> {
     let upto_id = manifest.snapshot_id;
-    let manifest_encoded = manifest.encode_to_vec();
     let mut machine = Machine::from_image(image, registry).map_err(CoreError::Vm)?;
     machine
         .restore_cpu_state(&manifest.cpu_state)
@@ -1189,10 +1012,7 @@ pub fn materialize_with_manifest(
     let mut staged_chunks = HashMap::new();
     let mut staged_blocks = HashMap::new();
     let mut sources: HashMap<Digest, StagedSource> = HashMap::new();
-    let mut remote_digests: Vec<Digest> = Vec::new();
-    let mut unique_manifest: HashSet<Digest> = HashSet::new();
     for (idx, digest) in &manifest.mem_refs {
-        unique_manifest.insert(*digest);
         let local = machine.memory().chunk_hash(*idx as usize).ok_or_else(|| {
             CoreError::Snapshot(format!("manifest references chunk {idx} out of range"))
         })?;
@@ -1205,12 +1025,9 @@ pub fn materialize_with_manifest(
             .stage_lazy_chunk(*idx as usize, content, *digest)
             .map_err(CoreError::Vm)?;
         staged_chunks.insert(*idx as usize, *digest);
-        if sources.insert(*digest, source).is_none() && source == StagedSource::Remote {
-            remote_digests.push(*digest);
-        }
+        sources.insert(*digest, source);
     }
     for (idx, digest) in &manifest.disk_refs {
-        unique_manifest.insert(*digest);
         let local = machine
             .devices()
             .disk
@@ -1228,9 +1045,7 @@ pub fn materialize_with_manifest(
             .stage_lazy_block(*idx as usize, content, *digest)
             .map_err(CoreError::Vm)?;
         staged_blocks.insert(*idx as usize, *digest);
-        if sources.insert(*digest, source).is_none() && source == StagedSource::Remote {
-            remote_digests.push(*digest);
-        }
+        sources.insert(*digest, source);
     }
     machine.clear_dirty_tracking();
 
@@ -1252,12 +1067,10 @@ pub fn materialize_with_manifest(
         OnDemandSession {
             snapshot_id: upto_id,
             state_root: manifest.state_root,
-            manifest_encoded,
+            manifest_bytes: manifest.encoded_len() as u64,
             staged_chunks,
             staged_blocks,
             sources,
-            remote_digests,
-            unique_manifest_digests: unique_manifest.len() as u64,
         },
     ))
 }
@@ -1398,15 +1211,11 @@ mod tests {
             cost.untouched_staged > 0,
             "sparse touch must leave staged state untransferred"
         );
-        assert!(cost.transfer_bytes() > 0);
-        assert!(cost.transfer_compressed_bytes() > 0);
-        assert!(cost.transfer_compressed_bytes() < cost.transfer_bytes());
-        // Round-trip accounting: batching can never do worse than a fault-
-        // at-a-time exchange, and pricing through any model preserves that.
-        assert!(cost.round_trips >= 1);
-        assert!(cost.round_trips <= cost.round_trips_unbatched);
-        let model = RttModel::default();
-        assert!(cost.latency_micros(&model) <= cost.latency_micros_unbatched(&model));
+        assert!(cost.transfer_bytes > cost.manifest_bytes);
+        // Round-trip accounting: the manifest plus at least one blob batch,
+        // never more than one trip per fetched blob.
+        assert!(cost.round_trips >= 2);
+        assert!(cost.round_trips <= 1 + cost.fetched.len() as u64);
         let _ = recorder;
     }
 
@@ -1436,9 +1245,9 @@ mod tests {
         );
         // The second check still paid for the manifest, nothing else — and
         // exactly one round trip (the manifest's).
-        assert!(second.transfer_bytes() < first.transfer_bytes());
+        assert_eq!(second.transfer_bytes, second.manifest_bytes);
+        assert!(second.transfer_bytes < first.transfer_bytes);
         assert_eq!(second.round_trips, 1);
-        assert_eq!(second.round_trips_unbatched, 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! contract (pinned by unit and property tests):
 //!
 //! * **Units start root-pinned.**  An interior unit's machine materializes
-//!   from the accounting plane (the same [`SnapshotStore`] the serial check
+//!   from the session's oracle (the same [`SnapshotStore`] the serial check
 //!   materializes its *start* snapshot from) and its state root is compared
 //!   against the root the log records at that boundary *before* any unit
 //!   runs.  A mismatch — a store whose snapshot diverges from what the log
@@ -187,7 +187,7 @@ fn serial_outcome(
 /// lane count is pinned against, and what a plain (non-parallel) spot check
 /// passes — so the two spot checks differ by this one integer.
 ///
-/// `snapshots` is the accounting plane the serial check materializes its
+/// `snapshots` is the oracle store the serial check materializes its
 /// start snapshot from; interior units materialize from the same store at
 /// zero wire cost — the §3.5 byte and round-trip accounting is untouched.
 /// Lanes run on the process-wide [`avm_crypto::parallel`] pool; actual

@@ -20,38 +20,39 @@
 //! provider sends is parsed and judged here and nowhere else, so this is the
 //! one surface a hostile provider can reach (and the one a fuzzer drives).
 //!
-//! # The accounting plane
+//! # The oracle
 //!
 //! The session reads the provider's own [`SnapshotStore`] — its `oracle`
-//! constructor argument — at exactly five places: materializing full-download
-//! replay state, staging on-demand blob contents, pricing the hypothetical
-//! full-dump and dedup columns of an on-demand report, and a debug
-//! cross-check of the section stream's length.  None of them adds wire
-//! traffic; everything the auditor *pays* for crosses the driver's wire.
-//! Removing the oracle (ROADMAP item 1) deletes that one argument.
+//! constructor argument — at exactly two places: materializing full-download
+//! replay state (`replay_full`) and staging on-demand blob contents
+//! (`on_manifest`).  Both stand in for a real transfer — the bytes they read
+//! are the ones the section stream / the faulted blobs carry over the
+//! driver's wire, where they are paid for — and both must be replaced by
+//! those received bytes for ROADMAP item 1, which then deletes the argument.
+//! Nothing else about the provider is visible here: the report states what
+//! the session received, and what a download nobody made *would* have cost
+//! is priced by the experiments that print it (`avm_bench::pricing`).
 
 use avm_attest::AttestVerdict;
-use avm_compress::CompressionStats;
 use avm_crypto::sha256::Digest;
 use avm_log::LogEntry;
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::attest::{AttestChallenge, AttestQuote};
 use avm_wire::audit::{AuditRequest, AuditResponseRef, SegmentAddress};
-use avm_wire::{BlobRequest, BlobResponseRef, Decode, Encode, DEFAULT_BLOB_BATCH};
+use avm_wire::{BlobRequest, BlobResponseRef, Decode, DEFAULT_BLOB_BATCH};
 
 use crate::attest::{challenge_nonce, LaunchPolicy};
 use crate::endpoint::TransportStats;
 use crate::error::{CoreError, FaultReason};
 use crate::ondemand::{
-    AuditorBlobCache, BlobDownload, ChainManifest, DedupTransfer, FaultClassification,
-    OnDemandCost, OnDemandSession,
+    AuditorBlobCache, BlobFetch, ChainManifest, FaultClassification, OnDemandCost, OnDemandSession,
 };
 use crate::paraudit::{
     partition_chunk, replay_chunk_parallel, ParallelReplayStats, ReplayCpuModel,
 };
 use crate::replay::{ReplayOutcome, ReplaySummary, Replayer};
-use crate::snapshot::{SnapshotStore, TransferCost};
-use crate::spotcheck::{snapshot_positions_in, SpotCheckReport, TRANSFER_COMPRESSION};
+use crate::snapshot::SnapshotStore;
+use crate::spotcheck::{snapshot_positions_in, SpotCheckReport};
 
 // ---------------------------------------------------------------------------
 // Response parsing
@@ -69,12 +70,14 @@ fn unexpected(expected: &str, got: AuditResponseRef<'_>) -> CoreError {
     }
 }
 
-/// A log-segment response: the chain anchor and the decoded entries.
+/// A log-segment response: the chain anchor, the decoded entries, and the
+/// bytes their encodings occupied in the packet.
 pub(crate) fn expect_log_segment(
     response: AuditResponseRef<'_>,
-) -> Result<(Digest, Vec<LogEntry>), CoreError> {
+) -> Result<(Digest, Vec<LogEntry>, u64), CoreError> {
     match response {
         AuditResponseRef::LogSegment { prev_hash, entries } => {
+            let received = entries.iter().map(|bytes| bytes.len() as u64).sum();
             let entries = entries
                 .into_iter()
                 .map(|bytes| {
@@ -82,7 +85,7 @@ pub(crate) fn expect_log_segment(
                         .map_err(|e| CoreError::Snapshot(format!("log entry does not decode: {e}")))
                 })
                 .collect::<Result<_, _>>()?;
-            Ok((Digest(prev_hash), entries))
+            Ok((Digest(prev_hash), entries, received))
         }
         other => Err(unexpected("LogSegment", other)),
     }
@@ -106,9 +109,7 @@ pub(crate) fn expect_sections(response: AuditResponseRef<'_>) -> Result<&[u8], C
 }
 
 /// A blob response, payloads still borrowed from the packet.
-pub(crate) fn expect_blobs(
-    response: AuditResponseRef<'_>,
-) -> Result<BlobResponseRef<'_>, CoreError> {
+fn expect_blobs(response: AuditResponseRef<'_>) -> Result<BlobResponseRef<'_>, CoreError> {
     match response {
         AuditResponseRef::Blobs(blobs) => Ok(blobs),
         other => Err(unexpected("Blobs", other)),
@@ -175,17 +176,15 @@ type Replayed = (Option<FaultReason>, ReplaySummary);
 /// On-demand mode between the manifest and the verdict: the replay already
 /// ran; the blob batches it faulted are being fetched.
 struct BlobPhase {
-    log_cost: TransferCost,
-    snapshot_cost: TransferCost,
+    log_bytes: u64,
     replayed: Replayed,
-    dedup: DedupTransfer,
     ondemand: OnDemandSession,
     classification: FaultClassification,
     /// Each batch with the instant its request becomes sendable: when the
     /// replay CPU of the segment that faulted it is done.
     batches: Vec<(BlobRequest, u64)>,
     next: usize,
-    download: BlobDownload,
+    download: BlobFetch,
 }
 
 /// Which response the session is waiting for.
@@ -200,14 +199,13 @@ enum State {
     /// while the stream was on the wire.
     Sections {
         entries: Vec<LogEntry>,
-        log_cost: TransferCost,
+        log_bytes: u64,
         prereplayed: Option<Replayed>,
     },
     /// On-demand mode.
     Manifest {
         entries: Vec<LogEntry>,
-        log_cost: TransferCost,
-        snapshot_cost: TransferCost,
+        log_bytes: u64,
     },
     Blobs(Box<BlobPhase>),
     Done,
@@ -239,7 +237,8 @@ impl<'a> AuditSession<'a> {
     /// A session checking the `k`-chunk at `start_snapshot`, downloading the
     /// snapshot state `on_demand` or in full; full-download replay runs on
     /// `lanes` lanes ([`replay_chunk_parallel`]; `0` = the serial replayer).
-    /// `oracle` is the accounting plane (see the module docs).
+    /// `oracle` is the provider's store replay state is read from (see the
+    /// module docs).
     pub fn new(
         start_snapshot: u64,
         k: u64,
@@ -339,14 +338,12 @@ impl<'a> AuditSession<'a> {
             State::Chunk => self.on_chunk(now_us, response),
             State::Sections {
                 entries,
-                log_cost,
+                log_bytes,
                 prereplayed,
-            } => self.on_sections(now_us, response, &entries, log_cost, prereplayed),
-            State::Manifest {
-                entries,
-                log_cost,
-                snapshot_cost,
-            } => self.on_manifest(now_us, response, &entries, log_cost, snapshot_cost),
+            } => self.on_sections(now_us, response, &entries, log_bytes, prereplayed),
+            State::Manifest { entries, log_bytes } => {
+                self.on_manifest(now_us, response, &entries, log_bytes)
+            }
             State::Blobs(phase) => self.on_blobs(response, phase),
             State::Idle | State::Done => Err(CoreError::Snapshot(
                 "audit session has no exchange outstanding".to_string(),
@@ -391,29 +388,16 @@ impl<'a> AuditSession<'a> {
         // The provider resolves the chunk boundaries; one whose SNAPSHOT
         // records do not all decode returns its log prefix instead (see
         // `AuditServer::handle`).
-        let (_, entries) = expect_log_segment(response)?;
-        let log_cost = CompressionStats::measure_stream(
-            entries.iter().map(|e| e.encode_to_vec()),
-            TRANSFER_COMPRESSION,
-        );
+        let (_, entries, log_bytes) = expect_log_segment(response)?;
         // Scan what was *received* — the auditor never trusts the provider's
         // classification.  A corrupt SNAPSHOT record is itself the verdict,
         // and the log downloaded so far is the truthful cost.
         if let Err(fault) = snapshot_positions_in(&entries) {
             let replayed = (Some(fault), ReplaySummary::default());
-            return Ok(self.finish(replayed, log_cost, TransferCost::default(), None));
+            return Ok(self.finish(replayed, log_bytes, 0, None));
         }
         if self.on_demand {
-            // No section stream crosses the wire in this mode, so the
-            // full-dump column is hypothetical: priced from the oracle.
-            let snapshot_cost = self
-                .oracle
-                .transfer_cost_upto(self.start_snapshot, TRANSFER_COMPRESSION);
-            self.state = State::Manifest {
-                entries,
-                log_cost,
-                snapshot_cost,
-            };
+            self.state = State::Manifest { entries, log_bytes };
             Ok(Step::send(AuditRequest::Manifest {
                 snapshot_id: self.start_snapshot,
             }))
@@ -429,7 +413,7 @@ impl<'a> AuditSession<'a> {
             };
             self.state = State::Sections {
                 entries,
-                log_cost,
+                log_bytes,
                 prereplayed,
             };
             Ok(Step::send(AuditRequest::Sections {
@@ -465,23 +449,17 @@ impl<'a> AuditSession<'a> {
         now_us: u64,
         response: AuditResponseRef<'_>,
         entries: &[LogEntry],
-        log_cost: TransferCost,
+        log_bytes: u64,
         prereplayed: Option<Replayed>,
     ) -> Result<Step, CoreError> {
-        // The stream *is* the full-dump column: measured straight from the
-        // packet buffer, never copied.
-        let stream = expect_sections(response)?;
-        debug_assert_eq!(
-            stream.len() as u64,
-            self.oracle.transfer_bytes_upto(self.start_snapshot),
-            "section stream and full-dump accounting diverged"
-        );
-        let snapshot_cost = CompressionStats::measure(stream, TRANSFER_COMPRESSION);
+        // The stream is the snapshot download; its length comes straight
+        // from the packet buffer, whatever the provider chose to send.
+        let snapshot_bytes = expect_sections(response)?.len() as u64;
         let replayed = match prereplayed {
             Some(replayed) => replayed,
             None => self.replay_full(now_us, entries)?,
         };
-        Ok(self.finish(replayed, log_cost, snapshot_cost, None))
+        Ok(self.finish(replayed, log_bytes, snapshot_bytes, None))
     }
 
     fn on_manifest(
@@ -489,8 +467,7 @@ impl<'a> AuditSession<'a> {
         now_us: u64,
         response: AuditResponseRef<'_>,
         entries: &[LogEntry],
-        log_cost: TransferCost,
-        snapshot_cost: TransferCost,
+        log_bytes: u64,
     ) -> Result<Step, CoreError> {
         let manifest = expect_manifest(response)?;
         // Divergent state is staged from the oracle so replay faults it in
@@ -503,9 +480,6 @@ impl<'a> AuditSession<'a> {
             self.oracle,
             &self.cache,
         )?;
-        // The dedup column is a hypothetical download: priced from the
-        // oracle against the cache as it stood at staging time.
-        let dedup = ondemand.price_full_download(self.oracle, TRANSFER_COMPRESSION)?;
         // Replay segment by segment, planning each segment's blob batches
         // for the instant its replay CPU is done.  Unpipelined, the chunk is
         // one segment and every batch waits for the whole replay.
@@ -518,7 +492,7 @@ impl<'a> AuditSession<'a> {
             _ => std::iter::once(0..entries.len()).collect(),
         };
         let mut classifier = ondemand.incremental_classifier();
-        let mut download = BlobDownload::default();
+        let mut download = BlobFetch::default();
         let mut batches = Vec::new();
         let mut cpu_done = now_us;
         let mut charged = (0u64, 0u64);
@@ -546,10 +520,8 @@ impl<'a> AuditSession<'a> {
             self.cpu_busy_until = cpu_done;
         }
         Ok(self.next_batch(Box::new(BlobPhase {
-            log_cost,
-            snapshot_cost,
+            log_bytes,
             replayed: (fault, replayer.summary()),
-            dedup,
             classification: classifier.into_classification(replayer.machine()),
             ondemand,
             batches,
@@ -582,22 +554,16 @@ impl<'a> AuditSession<'a> {
             return step;
         }
         let BlobPhase {
-            log_cost,
-            snapshot_cost,
+            log_bytes,
             replayed,
-            dedup,
             ondemand,
             classification,
             download,
             ..
         } = *phase;
-        let cost = ondemand.assemble_cost(
-            classification,
-            download.fetch,
-            &download.encoded,
-            TRANSFER_COMPRESSION,
-        );
-        self.finish(replayed, log_cost, snapshot_cost, Some((dedup, cost)))
+        let cost = ondemand.assemble_cost(classification, download);
+        // The manifest and the blob responses are the snapshot download.
+        self.finish(replayed, log_bytes, cost.transfer_bytes, Some(cost))
     }
 
     /// Ends the session with its report — the one place a
@@ -605,13 +571,11 @@ impl<'a> AuditSession<'a> {
     fn finish(
         &mut self,
         (fault, progress): Replayed,
-        log_cost: TransferCost,
-        snapshot_cost: TransferCost,
-        on_demand: Option<(DedupTransfer, OnDemandCost)>,
+        log_transfer_bytes: u64,
+        snapshot_transfer_bytes: u64,
+        on_demand: Option<OnDemandCost>,
     ) -> Step {
         self.state = State::Done;
-        let (dedup, on_demand) = on_demand.unzip();
-        let dedup = dedup.map_or(TransferCost::default(), |d| d.transfer);
         Step::Done {
             outcome: Ok(SpotCheckReport {
                 start_snapshot: self.start_snapshot,
@@ -620,12 +584,8 @@ impl<'a> AuditSession<'a> {
                 fault,
                 entries_replayed: progress.entries_replayed,
                 steps_replayed: progress.steps_executed,
-                snapshot_transfer_bytes: snapshot_cost.raw_bytes,
-                log_transfer_bytes: log_cost.raw_bytes,
-                snapshot_transfer_compressed_bytes: snapshot_cost.compressed_bytes,
-                log_transfer_compressed_bytes: log_cost.compressed_bytes,
-                snapshot_transfer_dedup_bytes: dedup.raw_bytes,
-                snapshot_transfer_dedup_compressed_bytes: dedup.compressed_bytes,
+                log_transfer_bytes,
+                snapshot_transfer_bytes,
                 on_demand,
                 transport: TransportStats::default(),
             }),
@@ -641,6 +601,7 @@ mod tests {
     use crate::testutil::{key, record_with_snapshots};
     use avm_log::EntryKind;
     use avm_wire::audit::AuditResponse;
+    use avm_wire::Encode;
 
     fn kind(request: &AuditRequest) -> &'static str {
         match request {
@@ -717,6 +678,66 @@ mod tests {
                 assert!(report.on_demand.is_none());
             }
         }
+    }
+
+    /// The report's byte columns are what the scripted provider put on the
+    /// wire, by kind — nothing is derived from the provider's store.
+    #[test]
+    fn report_columns_are_the_bytes_received_in_both_modes() {
+        let (bob, image) = record_with_snapshots(4);
+        let registry = GuestRegistry::new();
+        let server = AuditServer::new(bob.log(), bob.snapshots());
+        for on_demand in [false, true] {
+            let session = AuditSession::new(2, 1, on_demand, 0, &image, &registry, bob.snapshots());
+            let (mut log, mut snapshot, mut wire) = (0u64, 0u64, 0u64);
+            let (_, outcome) = drive(session, &server, |_, response| {
+                wire += response.encoded_len() as u64;
+                match &response {
+                    AuditResponse::LogSegment { entries, .. } => {
+                        log += entries.iter().map(|e| e.len() as u64).sum::<u64>();
+                    }
+                    AuditResponse::Sections { stream } => snapshot += stream.len() as u64,
+                    AuditResponse::Manifest { manifest } => snapshot += manifest.len() as u64,
+                    AuditResponse::Blobs(blobs) => snapshot += blobs.encoded_len() as u64,
+                    other => panic!("unexpected {} response", other.variant_name()),
+                }
+                response
+            });
+            let report = outcome.unwrap();
+            assert!(report.consistent, "{:?}", report.fault);
+            assert!(log > 0 && snapshot > 0);
+            assert_eq!(report.log_transfer_bytes, log);
+            assert_eq!(report.snapshot_transfer_bytes, snapshot);
+            assert_eq!(report.total_transfer_bytes(), log + snapshot);
+            assert_eq!(
+                report.on_demand.as_ref().map(|cost| cost.transfer_bytes),
+                on_demand.then_some(snapshot)
+            );
+            // What a driver's wire carries covers what the report claims.
+            assert!(wire >= report.snapshot_transfer_bytes + report.log_transfer_bytes);
+        }
+    }
+
+    /// A section stream of a length the provider's own accounting would not
+    /// produce is reported as received — provider bytes never reach an
+    /// assertion.
+    #[test]
+    fn truncated_section_stream_is_reported_as_received() {
+        let (bob, image) = record_with_snapshots(4);
+        let registry = GuestRegistry::new();
+        let server = AuditServer::new(bob.log(), bob.snapshots());
+        let honest_len = bob.snapshots().transfer_bytes_upto(2);
+        let session = AuditSession::new(2, 1, false, 0, &image, &registry, bob.snapshots());
+        let (sent, outcome) = drive(session, &server, |_, response| match response {
+            AuditResponse::Sections { mut stream } => {
+                assert_eq!(stream.len() as u64, honest_len);
+                stream.pop();
+                AuditResponse::Sections { stream }
+            }
+            other => other,
+        });
+        assert_eq!(sent, ["Chunk", "Sections"]);
+        assert_eq!(outcome.unwrap().snapshot_transfer_bytes, honest_len - 1);
     }
 
     #[test]
@@ -841,7 +862,7 @@ mod tests {
             let session = AuditSession::new(0, 1, on_demand, 0, &image, &registry, bob.snapshots());
             let (sent, outcome) = drive(session, &server, honest);
             // The verdict comes from the received prefix alone: no snapshot
-            // state is requested, none is priced.
+            // state is requested, none is reported.
             assert_eq!(sent, ["Chunk"]);
             let report = outcome.unwrap();
             assert!(!report.consistent);
@@ -852,9 +873,6 @@ mod tests {
             assert_eq!(report.entries_replayed, 0);
             assert!(report.log_transfer_bytes > 0);
             assert_eq!(report.snapshot_transfer_bytes, 0);
-            assert_eq!(report.snapshot_transfer_compressed_bytes, 0);
-            assert_eq!(report.snapshot_transfer_dedup_bytes, 0);
-            assert_eq!(report.snapshot_transfer_dedup_compressed_bytes, 0);
             assert!(report.on_demand.is_none());
         }
     }

@@ -9,23 +9,25 @@
 //!
 //! For the state an auditor must download to *start* a chunk, §3.5 offers a
 //! choice — "download an entire snapshot or incrementally request the parts
-//! of the state that are accessed during replay" — and every
-//! [`SpotCheckReport`] therefore accounts up to three transfer models side
-//! by side:
+//! of the state that are accessed during replay" — and a check runs in one of
+//! those two modes: [`spot_check`] downloads the snapshot chain as whole
+//! sections, [`spot_check_on_demand`] downloads metadata up front and blobs
+//! only as replay touches them.
 //!
-//! 1. **full dump** — the snapshot chain shipped as whole sections
-//!    ([`SnapshotStore::transfer_cost_upto`]);
-//! 2. **dedup transfer** — the same state downloaded digest-addressed, so
-//!    duplicate/derivable/cached content never crosses the wire
-//!    ([`crate::ondemand::dedup_transfer_upto`]);
-//! 3. **on-demand** — metadata up front, blobs fetched only as replay
-//!    touches them ([`spot_check_on_demand`]).
+//! A [`SpotCheckReport`] states what the check *observed*: the verdict,
+//! truthful replay progress, the bytes of log and of snapshot state it
+//! received, and the wire-level accounting of the exchanges it drove.  It
+//! prices nothing that did not happen.  The side-by-side comparison of the
+//! §3.5 transfer models (full dump vs digest-addressed dedup transfer vs
+//! on-demand), compressed sizes, and what an unbatched blob exchange would
+//! have cost are computed by the experiments that print them
+//! (`avm_bench::pricing`), which own the provider's log and store and may
+//! legitimately look at both sides.
 //!
-//! The on-demand column is additionally priced in **round trips**: the blob
-//! exchange is batched (multi-digest [`avm_wire::BlobRequest`]s), and the
-//! report carries both the batched round-trip count and what a naive
-//! fault-at-a-time auditor would have paid, convertible to modelled wall
-//! time through a configurable [`RttModel`] (default: [`TRANSFER_RTT`]).
+//! The on-demand download is additionally reported in **round trips** — the
+//! blob exchange is batched (multi-digest [`avm_wire::BlobRequest`]s) —
+//! convertible to modelled wall time through a configurable [`RttModel`]
+//! (default: [`TRANSFER_RTT`]).
 //!
 //! Every spot check is one [`crate::session::AuditSession`] *driven through
 //! the audit protocol* ([`crate::endpoint`]): the free functions here are
@@ -48,22 +50,23 @@ use crate::events::SnapshotRecord;
 use crate::ondemand::{AuditorBlobCache, OnDemandCost};
 use crate::snapshot::SnapshotStore;
 
-/// Compression level used to model transferred state and log segments; the
-/// audit tool compresses downloads at the default level.  Public so
-/// experiments comparing spot checks against a full-audit baseline compress
-/// both sides of the ratio identically.
+/// Compression level experiments price transferred state and log segments at
+/// (the audit tool compresses downloads at the default level).  No audit
+/// compresses anything; the constant lives here so every experiment that
+/// compares spot checks against a full-audit baseline compresses both sides
+/// of the ratio identically.
 pub const TRANSFER_COMPRESSION: CompressionLevel = CompressionLevel::Default;
 
 /// Round-trip model used when spot-check reports convert round-trip counts
-/// into modelled latency.  Public so experiments price batched and unbatched
-/// variants of the same download identically; pass a different [`RttModel`]
-/// to the report accessors to re-price under other link assumptions.
+/// into modelled latency, and the link the free functions below run over;
+/// pass a different [`RttModel`] to the report accessors to re-price under
+/// other link assumptions.
 pub const TRANSFER_RTT: RttModel = RttModel::DEFAULT;
 
-/// Outcome and cost accounting of one spot check — one data point of the
-/// paper's Figure 9, with the verdict, truthful replay-progress counters,
-/// and the log/snapshot download priced under the §3.5 transfer models (see
-/// the module docs for the three snapshot columns).
+/// Outcome and cost of one spot check — one data point of the paper's
+/// Figure 9: the verdict, truthful replay-progress counters, and the bytes
+/// the check received (see the module docs for what it deliberately leaves
+/// out).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpotCheckReport {
     /// Index of the first segment in the chunk (snapshot id the check starts from).
@@ -79,62 +82,31 @@ pub struct SpotCheckReport {
     pub entries_replayed: u64,
     /// Machine steps replayed (also truthful on a faulted chunk).
     pub steps_replayed: u64,
-    /// Bytes of snapshot state that had to be transferred to start the check.
-    pub snapshot_transfer_bytes: u64,
-    /// Bytes of log that had to be transferred for the chunk.
+    /// Bytes of log received for the chunk: the summed lengths of the entry
+    /// encodings as they arrived.
     pub log_transfer_bytes: u64,
-    /// Compressed size of the transferred snapshot state (the §6.12 numbers
-    /// report compressed snapshots).
-    pub snapshot_transfer_compressed_bytes: u64,
-    /// Compressed size of the transferred log segment.
-    pub log_transfer_compressed_bytes: u64,
-    /// Raw bytes of a digest-addressed full-state download of the same
-    /// snapshot state (manifest + blobs the auditor cannot derive locally or
-    /// from its cache) — the "dedup transfer" column.  Priced only by
-    /// [`spot_check_on_demand`] (zero in plain full-download checks, whose
-    /// callers should not pay the pricing cost for columns they never read).
-    pub snapshot_transfer_dedup_bytes: u64,
-    /// Compressed size of the dedup-transfer download (zero in plain
-    /// full-download checks, like the raw column).
-    pub snapshot_transfer_dedup_compressed_bytes: u64,
-    /// On-demand accounting — the state actually transferred because replay
-    /// touched it.  Present when the check ran via [`spot_check_on_demand`]
-    /// *and* replay started; absent in full-download mode and on the
-    /// malformed-log early return, where the corruption verdict is reached
-    /// before any snapshot state is downloaded (the dedup columns are zero
-    /// there for the same reason).
+    /// Bytes of snapshot state received to start the check: the section
+    /// stream in full-download mode, the manifest plus every blob response
+    /// in on-demand mode (equal to `on_demand.transfer_bytes`).  Zero on the
+    /// malformed-log early return, which downloads no snapshot state.
+    pub snapshot_transfer_bytes: u64,
+    /// On-demand detail — faults, cache hits, fetched digests, round trips.
+    /// Present when the check ran via [`spot_check_on_demand`] *and* replay
+    /// started; absent in full-download mode and on the malformed-log early
+    /// return, where the corruption verdict is reached before any snapshot
+    /// state is downloaded.
     pub on_demand: Option<OnDemandCost>,
     /// Wire-level accounting of the exchanges this check drove through its
     /// [`crate::endpoint::AuditTransport`]: round trips, framed bytes,
     /// retransmissions, and the **measured** latency in simulated network
-    /// time — beside the modelled columns above.
+    /// time.
     pub transport: TransportStats,
 }
 
 impl SpotCheckReport {
-    /// Total raw bytes transferred for this spot check (full-dump snapshot
-    /// model).
+    /// Total bytes of log and snapshot state this spot check received.
     pub fn total_transfer_bytes(&self) -> u64 {
         self.snapshot_transfer_bytes + self.log_transfer_bytes
-    }
-
-    /// Total compressed bytes transferred for this spot check (full-dump
-    /// snapshot model).
-    pub fn total_transfer_compressed_bytes(&self) -> u64 {
-        self.snapshot_transfer_compressed_bytes + self.log_transfer_compressed_bytes
-    }
-
-    /// Raw snapshot-state bytes under the on-demand model, when available.
-    pub fn snapshot_transfer_on_demand_bytes(&self) -> Option<u64> {
-        self.on_demand.as_ref().map(|c| c.transfer_bytes())
-    }
-
-    /// Compressed snapshot-state bytes under the on-demand model, when
-    /// available.
-    pub fn snapshot_transfer_on_demand_compressed_bytes(&self) -> Option<u64> {
-        self.on_demand
-            .as_ref()
-            .map(|c| c.transfer_compressed_bytes())
     }
 
     /// Round trips the on-demand download performed with batched blob
@@ -143,25 +115,10 @@ impl SpotCheckReport {
         self.on_demand.as_ref().map(|c| c.round_trips)
     }
 
-    /// Round trips a fault-at-a-time auditor would have paid for the same
-    /// on-demand download (manifest + one per fetched blob), when available.
-    pub fn on_demand_round_trips_unbatched(&self) -> Option<u64> {
-        self.on_demand.as_ref().map(|c| c.round_trips_unbatched)
-    }
-
-    /// Modelled wall time of the batched on-demand download under `model`
+    /// Modelled wall time of the on-demand download under `model`
     /// ([`TRANSFER_RTT`] for the default link), when available.
     pub fn on_demand_latency_micros(&self, model: &RttModel) -> Option<u64> {
         self.on_demand.as_ref().map(|c| c.latency_micros(model))
-    }
-
-    /// Modelled wall time of the unbatched (one round trip per fault)
-    /// variant of the same download — the RTT-modelled column batching is
-    /// measured against.
-    pub fn on_demand_latency_micros_unbatched(&self, model: &RttModel) -> Option<u64> {
-        self.on_demand
-            .as_ref()
-            .map(|c| c.latency_micros_unbatched(model))
     }
 
     /// The **measured** latency of this check's actual exchanges, in
@@ -243,10 +200,8 @@ fn wan_client<'a>(
 ///
 /// The chunk consists of the log entries between the SNAPSHOT entry for
 /// `start_snapshot` (exclusive) and the SNAPSHOT entry `k` snapshots later
-/// (inclusive), or the end of the log if there are fewer snapshots.  This
-/// mode prices only the full-dump and log columns; use
-/// [`spot_check_on_demand`] for the incremental-request mode, which also
-/// fills the dedup and on-demand columns.
+/// (inclusive), or the end of the log if there are fewer snapshots.  Use
+/// [`spot_check_on_demand`] for the incremental-request mode.
 ///
 /// Thin wrapper over [`crate::endpoint::AuditClient::spot_check`] on the
 /// modelled WAN (`LinkConfig::from_rtt_model(&TRANSFER_RTT)`); build the
@@ -527,25 +482,23 @@ mod tests {
         // Entries before the corrupt one are identical in the rebuilt log,
         // and the corrupt entry itself is counted on top.
         assert!(report.log_transfer_bytes > scanned_bytes);
-        assert!(report.log_transfer_compressed_bytes > 0);
-        assert!(report.log_transfer_compressed_bytes < report.log_transfer_bytes);
     }
 
-    /// The three snapshot-transfer columns order as the paper predicts
-    /// (on-demand ≤ dedup ≤ full dump for this workload), the on-demand
-    /// verdict equals the full verdict, and a second check against the same
-    /// cache re-downloads nothing.
+    /// The on-demand verdict equals the full verdict, each mode reports the
+    /// download it made (on-demand far below the section stream for this
+    /// workload), and a second check against the same cache re-downloads
+    /// nothing.
     #[test]
     fn on_demand_spot_check_columns_and_cache() {
         let (bob, image) = record_with_snapshots(4);
         let registry = GuestRegistry::new();
         let full = spot_check(bob.log(), bob.snapshots(), 2, 1, &image, &registry).unwrap();
         assert!(full.consistent);
-        // Plain full-download checks do not pay for pricing the dedup and
-        // on-demand columns.
         assert!(full.on_demand.is_none());
-        assert_eq!(full.snapshot_transfer_dedup_bytes, 0);
-        assert_eq!(full.snapshot_transfer_dedup_compressed_bytes, 0);
+        assert_eq!(
+            full.snapshot_transfer_bytes,
+            bob.snapshots().transfer_bytes_upto(2)
+        );
 
         let mut cache = AuditorBlobCache::new();
         let od = spot_check_on_demand(
@@ -561,39 +514,29 @@ mod tests {
         assert!(od.consistent);
         assert_eq!(od.entries_replayed, full.entries_replayed);
         assert_eq!(od.steps_replayed, full.steps_replayed);
+        assert_eq!(od.log_transfer_bytes, full.log_transfer_bytes);
         let cost = od.on_demand.as_ref().unwrap();
-        assert!(cost.transfer_bytes() > 0);
-        assert!(od.snapshot_transfer_dedup_bytes > 0);
+        assert!(cost.transfer_bytes > cost.manifest_bytes);
+        // The snapshot column is the download this check made, not the
+        // full dump it avoided.
+        assert_eq!(od.snapshot_transfer_bytes, cost.transfer_bytes);
         assert!(
-            od.snapshot_transfer_dedup_bytes < od.snapshot_transfer_bytes,
-            "digest-addressed download must undercut whole sections: {} vs {}",
-            od.snapshot_transfer_dedup_bytes,
-            od.snapshot_transfer_bytes
+            od.snapshot_transfer_bytes < full.snapshot_transfer_bytes,
+            "on-demand must undercut whole sections: {} vs {}",
+            od.snapshot_transfer_bytes,
+            full.snapshot_transfer_bytes
         );
-        assert!(
-            cost.transfer_bytes() <= od.snapshot_transfer_dedup_bytes,
-            "on-demand must not exceed the dedup full-state download: {} vs {}",
-            cost.transfer_bytes(),
-            od.snapshot_transfer_dedup_bytes
-        );
-        assert_eq!(
-            od.snapshot_transfer_on_demand_bytes(),
-            Some(cost.transfer_bytes())
-        );
-        // RTT-modelled column: the batched exchange never pays more round
-        // trips than fault-at-a-time, and the latency pricing follows.
+        // Manifest plus at least one batch, never more than one trip per blob.
         let rtts = od.on_demand_round_trips().unwrap();
-        let rtts_unbatched = od.on_demand_round_trips_unbatched().unwrap();
-        assert!(rtts >= 1);
-        assert!(rtts <= rtts_unbatched);
-        assert!(
-            od.on_demand_latency_micros(&TRANSFER_RTT).unwrap()
-                <= od
-                    .on_demand_latency_micros_unbatched(&TRANSFER_RTT)
-                    .unwrap()
+        assert!(rtts >= 2);
+        assert!(rtts <= 1 + cost.fetched.len() as u64);
+        assert_eq!(
+            od.on_demand_latency_micros(&TRANSFER_RTT),
+            Some(TRANSFER_RTT.latency_micros(rtts, cost.transfer_bytes))
         );
 
-        // Warm cache: the same check again fetches zero blobs.
+        // Warm cache: the same check again fetches zero blobs and pays for
+        // the manifest alone.
         let again = spot_check_on_demand(
             bob.log(),
             bob.snapshots(),
@@ -610,6 +553,7 @@ mod tests {
             again_cost.fetched.is_empty(),
             "cache must prevent re-downloading held digests"
         );
+        assert_eq!(again.snapshot_transfer_bytes, again_cost.manifest_bytes);
     }
 
     /// A fault inside the chunk is detected identically in on-demand mode,
@@ -652,31 +596,5 @@ mod tests {
         assert!(report.steps_replayed > 0);
         // The faulted check still settles its transfer accounting.
         assert!(report.on_demand.is_some());
-    }
-
-    #[test]
-    fn transfer_accounting_reports_compressed_alongside_raw() {
-        let (bob, image) = record_with_snapshots(4);
-        let report = spot_check(
-            bob.log(),
-            bob.snapshots(),
-            1,
-            2,
-            &image,
-            &GuestRegistry::new(),
-        )
-        .unwrap();
-        assert!(report.consistent);
-        // Compressed sizes are measured on the real transfer streams; guest
-        // state and replay logs are highly compressible, so the modelled
-        // download must come in under the raw size.
-        assert!(report.snapshot_transfer_compressed_bytes > 0);
-        assert!(report.log_transfer_compressed_bytes > 0);
-        assert!(report.snapshot_transfer_compressed_bytes < report.snapshot_transfer_bytes);
-        assert!(report.log_transfer_compressed_bytes < report.log_transfer_bytes);
-        assert_eq!(
-            report.total_transfer_compressed_bytes(),
-            report.snapshot_transfer_compressed_bytes + report.log_transfer_compressed_bytes
-        );
     }
 }
