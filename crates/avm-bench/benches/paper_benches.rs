@@ -345,6 +345,51 @@ fn bench_crypto_floor(c: &mut Criterion) {
     group.finish();
 }
 
+/// The three kernels every audited byte passes through before replay: the
+/// frame checksum, the hash-chain check, and the authenticator signature
+/// check — at the shape of a `game_sig` whole-log audit (≈1 MiB, ≈30k small
+/// entries, RSA-768).
+fn bench_verify_kernels(c: &mut Criterion) {
+    use avm_crypto::sha256::{sha256, Digest};
+    use avm_log::verify_chain;
+
+    let mut group = c.benchmark_group("crc32_1mib");
+    group.sample_size(10);
+    let buf: Vec<u8> = (0..1usize << 20)
+        .map(|i| (i * 31 + i / 251) as u8)
+        .collect();
+    group.bench_function("crc32", |b| b.iter(|| avm_wire::crc32(&buf)));
+    group.finish();
+
+    let mut group = c.benchmark_group("verify_chain_30k");
+    group.sample_size(10);
+    let mut log = TamperEvidentLog::new();
+    for i in 0..30_000u64 {
+        let content = vec![i as u8; 8 + (i % 7) as usize * 9];
+        log.append(EntryKind::NdEvent, content);
+    }
+    group.bench_function("verify_chain", |b| {
+        b.iter(|| verify_chain(&Digest::ZERO, log.entries()).unwrap())
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("rsa768_verify");
+    group.sample_size(10);
+    let mut rng = StdRng::seed_from_u64(3);
+    let key = SigningKey::generate(&mut rng, SignatureScheme::Rsa(768));
+    let verifier = key.verifying_key();
+    let digest = sha256(b"authenticator");
+    let sig = key.sign_digest(&digest);
+    group.bench_function("verify_digest", |b| {
+        b.iter(|| verifier.verify_digest(&digest, &sig).unwrap())
+    });
+    group.bench_function("parse_key", |b| {
+        let bytes = verifier.to_bytes();
+        b.iter(|| avm_crypto::VerifyingKey::from_bytes(&bytes).unwrap())
+    });
+    group.finish();
+}
+
 /// Durable-store substrate: `Provider::recover` — scan and chain-verify the
 /// segment files, rebuild the snapshot store from persisted manifests,
 /// replay the log tail with root verification — from the storage image a
@@ -400,6 +445,7 @@ criterion_group!(
     bench_fig6_snapshot_incremental,
     bench_parallel_chunk_hashing,
     bench_crypto_floor,
+    bench_verify_kernels,
     bench_snapshot_dedup,
     bench_fig9_spotcheck,
     bench_netaudit,

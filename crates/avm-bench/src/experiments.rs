@@ -1334,9 +1334,7 @@ pub fn exp_chunked(quick: bool) -> ChunkedResult {
     use avm_core::ondemand::AuditorBlobCache;
     use avm_core::replay::{ReplayOutcome, Replayer};
     use avm_core::snapshot::SNAPSHOT_HEADER_BYTES;
-    use avm_core::spotcheck::{
-        spot_check, spot_check_on_demand, TRANSFER_COMPRESSION, TRANSFER_RTT,
-    };
+    use avm_core::spotcheck::{spot_check, spot_check_on_demand, TRANSFER_RTT};
     use avm_crypto::sha256::sha256;
     use avm_vm::{GuestRegistry, CHUNKS_PER_PAGE, PAGE_SIZE};
     use std::collections::{HashMap, HashSet};
@@ -1449,12 +1447,7 @@ pub fn exp_chunked(quick: bool) -> ChunkedResult {
         .collect();
     let mut settle_cache = AuditorBlobCache::new();
     let cost = session
-        .finish(
-            replayer.machine(),
-            avmm.snapshots(),
-            &mut settle_cache,
-            TRANSFER_COMPRESSION,
-        )
+        .finish(replayer.machine(), avmm.snapshots(), &mut settle_cache)
         .unwrap();
     let chunk_ondemand = cost.transfer_bytes;
     // Page-granular equivalent: the manifest carries one 36-byte ref per

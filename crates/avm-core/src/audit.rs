@@ -188,6 +188,8 @@ pub fn audit_log(
 fn syntactic_content_checks(segment: &[LogEntry]) -> Result<(), FaultReason> {
     use std::collections::HashMap;
     let mut recvs: HashMap<u64, RecvRecord> = HashMap::new();
+    // SEND seqs in segment order: ascending, since `verify_segment` has
+    // already established dense sequence numbers.
     let mut send_seqs: Vec<u64> = Vec::new();
     for entry in segment {
         match entry.kind {
@@ -202,7 +204,7 @@ fn syntactic_content_checks(segment: &[LogEntry]) -> Result<(), FaultReason> {
             EntryKind::Ack => {
                 let rec = AckRecord::decode_exact(&entry.content)
                     .map_err(|_| FaultReason::MalformedLog { seq: entry.seq })?;
-                if !send_seqs.contains(&rec.send_seq) {
+                if send_seqs.binary_search(&rec.send_seq).is_err() {
                     return Err(FaultReason::CrossReferenceFailure {
                         seq: entry.seq,
                         detail: format!(
@@ -408,6 +410,39 @@ mod tests {
             report.fault(),
             Some(FaultReason::CrossReferenceFailure { .. })
         ));
+    }
+
+    #[test]
+    fn ack_naming_a_send_outside_the_segment_fails_at_that_ack() {
+        let ack = |send_seq: u64| {
+            AckRecord {
+                send_seq,
+                ack_bytes: Vec::new(),
+            }
+            .encode_to_vec()
+        };
+        let mut log = avm_log::TamperEvidentLog::new();
+        log.append(EntryKind::Meta, Vec::new()); // 1
+        log.append(EntryKind::Send, b"first".to_vec()); // 2
+        log.append(EntryKind::Send, b"second".to_vec()); // 3
+        log.append(EntryKind::Ack, ack(3)); // 4
+        log.append(EntryKind::Ack, ack(2)); // 5
+        log.append(EntryKind::Ack, ack(9)); // 6: no such SEND anywhere
+
+        // Whole log: both real SENDs are found (in either order); the ACK
+        // for the SEND that never existed is the fault, at its own seq.
+        let fault = syntactic_content_checks(log.entries()).unwrap_err();
+        assert!(
+            matches!(fault, FaultReason::CrossReferenceFailure { seq: 6, .. }),
+            "got {fault:?}"
+        );
+        // A segment that starts after SEND 2: the ACK at 5 now points outside.
+        let fault = syntactic_content_checks(log.entries_range(3..=5)).unwrap_err();
+        assert!(
+            matches!(fault, FaultReason::CrossReferenceFailure { seq: 5, .. }),
+            "got {fault:?}"
+        );
+        assert!(syntactic_content_checks(log.entries_range(2..=5)).is_ok());
     }
 
     #[test]

@@ -821,15 +821,12 @@ impl OnDemandSession {
     ///
     /// `machine` must be the machine returned by [`materialize_on_demand`]
     /// alongside this session; `store` is the operator's snapshot store the
-    /// blobs are fetched from.  `_level` is unused — the cost carries no
-    /// compressed size — and is kept so `tests/property_tests.rs` compiles
-    /// unchanged; drop it together with those call sites.
+    /// blobs are fetched from.
     pub fn finish(
         &self,
         machine: &Machine,
         store: &SnapshotStore,
         cache: &mut AuditorBlobCache,
-        _level: CompressionLevel,
     ) -> Result<OnDemandCost, CoreError> {
         let classification = self.classify_faults(machine)?;
         let mut fetch = BlobFetch::default();
@@ -896,7 +893,6 @@ impl OnDemandSession {
 /// ```
 /// use avm_core::ondemand::{materialize_on_demand, AuditorBlobCache};
 /// use avm_core::snapshot::{capture, compute_state_root, SnapshotStore};
-/// use avm_compress::CompressionLevel;
 /// use avm_vm::bytecode::assemble;
 /// use avm_vm::{GuestRegistry, Machine, VmImage};
 ///
@@ -918,9 +914,7 @@ impl OnDemandSession {
 /// // Touch one of the two divergent chunks: only its 512 B blob is
 /// // transferred.
 /// assert_eq!(lazy.memory_mut().read_u8(0x4000).unwrap(), 1);
-/// let cost = session
-///     .finish(&lazy, &store, &mut cache, CompressionLevel::Default)
-///     .unwrap();
+/// let cost = session.finish(&lazy, &store, &mut cache).unwrap();
 /// assert_eq!(cost.chunks_faulted, 1);
 /// assert_eq!(cost.untouched_staged, 1);
 /// ```
@@ -1203,9 +1197,7 @@ mod tests {
         );
         // The workload touched a strict subset of the staged state.
         let mut auditor_cache = AuditorBlobCache::new();
-        let cost = session
-            .finish(&lazy, &store, &mut auditor_cache, CompressionLevel::Default)
-            .unwrap();
+        let cost = session.finish(&lazy, &store, &mut auditor_cache).unwrap();
         assert!(cost.chunks_faulted > 0);
         assert!(
             cost.untouched_staged > 0,
@@ -1227,9 +1219,7 @@ mod tests {
             let (mut lazy, session) = materialize_on_demand(&store, 3, &img, &reg, cache).unwrap();
             lazy.inject_packet(vec![2]);
             run_until_idle(&mut lazy);
-            session
-                .finish(&lazy, &store, cache, CompressionLevel::Default)
-                .unwrap()
+            session.finish(&lazy, &store, cache).unwrap()
         };
         let first = run_check(&mut cache);
         assert!(!first.fetched.is_empty());
@@ -1411,9 +1401,7 @@ mod tests {
         lazy.inject_packet(vec![1]);
         run_until_idle(&mut lazy);
         let mut auditor = AuditorBlobCache::new();
-        let cost = session
-            .finish(&lazy, &store, &mut auditor, CompressionLevel::Default)
-            .unwrap();
+        let cost = session.finish(&lazy, &store, &mut auditor).unwrap();
         assert!(cost.chunks_faulted > 0);
         // Pruned snapshots have no manifest.
         assert!(store.chain_manifest_upto(1).is_err());
@@ -1433,9 +1421,7 @@ mod tests {
         let (mut lazy, session) = materialize_on_demand(&store, 3, &img, &reg, &cache).unwrap();
         lazy.inject_packet(vec![1]);
         run_until_idle(&mut lazy);
-        let first = session
-            .finish(&lazy, &store, &mut cache, CompressionLevel::Default)
-            .unwrap();
+        let first = session.finish(&lazy, &store, &mut cache).unwrap();
         assert!(!first.fetched.is_empty());
 
         // Persist, "restart" (drop the arena handle), recover from the
@@ -1458,9 +1444,7 @@ mod tests {
         lazy.inject_packet(vec![1]);
         run_until_idle(&mut lazy);
         let mut recovered = recovered;
-        let second = session
-            .finish(&lazy, &store, &mut recovered, CompressionLevel::Default)
-            .unwrap();
+        let second = session.finish(&lazy, &store, &mut recovered).unwrap();
         assert!(second.fetched.is_empty());
         assert!(second.cache_hits >= first.fetched.len() as u64);
     }

@@ -949,12 +949,7 @@ mod tests {
         // Settling the session yields a valid accounting and primes the
         // cache for later checks.
         let cost = session
-            .finish(
-                lazy.machine(),
-                bob.snapshots(),
-                &mut cache,
-                avm_compress::CompressionLevel::Default,
-            )
+            .finish(lazy.machine(), bob.snapshots(), &mut cache)
             .unwrap();
         assert!(cost.manifest_bytes > 0);
         assert_eq!(cache.len(), cost.fetched.len());

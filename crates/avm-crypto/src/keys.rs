@@ -9,7 +9,8 @@
 
 use rand::Rng;
 
-use crate::rsa::{RsaError, RsaKeyPair, RsaPublicKey};
+use crate::bignum::BigUint;
+use crate::rsa::{RsaError, RsaKeyPair, RsaPublicKey, MAX_EXPONENT_BITS, MAX_MODULUS_BITS};
 use crate::sha256::{sha256, Digest};
 
 /// Signature scheme selector, mirroring the paper's measurement configurations.
@@ -118,7 +119,7 @@ impl SigningKey {
     /// The scheme this key belongs to.
     pub fn scheme(&self) -> SignatureScheme {
         match self {
-            SigningKey::Rsa(kp) => SignatureScheme::Rsa(kp.public().n.bit_len()),
+            SigningKey::Rsa(kp) => SignatureScheme::Rsa(kp.public().n().bit_len()),
             SigningKey::Null => SignatureScheme::Null,
         }
     }
@@ -173,8 +174,8 @@ impl VerifyingKey {
     pub fn to_bytes(&self) -> Vec<u8> {
         match self {
             VerifyingKey::Rsa(pk) => {
-                let n = pk.n.to_be_bytes();
-                let e = pk.e.to_be_bytes();
+                let n = pk.n().to_be_bytes();
+                let e = pk.e().to_be_bytes();
                 let mut out = Vec::with_capacity(1 + 4 + n.len() + 4 + e.len());
                 out.push(1);
                 out.extend_from_slice(&(n.len() as u32).to_le_bytes());
@@ -188,45 +189,35 @@ impl VerifyingKey {
     }
 
     /// Deserializes a key produced by [`VerifyingKey::to_bytes`].
+    ///
+    /// The bytes come from a peer and an RSA key builds its Montgomery
+    /// context here, which is O(bits²) work: the encoded modulus and
+    /// exponent lengths are bounded ([`MAX_MODULUS_BITS`],
+    /// [`MAX_EXPONENT_BITS`]) on the borrowed input before anything is
+    /// copied or computed, and [`RsaPublicKey::new`] rejects small or even
+    /// moduli before building the context.
     pub fn from_bytes(bytes: &[u8]) -> Option<VerifyingKey> {
-        use crate::bignum::BigUint;
-        match bytes.first()? {
-            0 => {
-                if bytes.len() == 1 {
-                    Some(VerifyingKey::Null)
-                } else {
-                    None
-                }
+        /// Splits one `u32`-length-prefixed chunk of at most `max_len` bytes
+        /// off the front of `bytes`.
+        fn split_chunk(bytes: &[u8], max_len: usize) -> Option<(&[u8], &[u8])> {
+            let (len, rest) = bytes.split_first_chunk::<4>()?;
+            let len = u32::from_le_bytes(*len) as usize;
+            if len > max_len || len > rest.len() {
+                return None;
             }
-            1 => {
-                let mut pos = 1usize;
-                let read_chunk = |pos: &mut usize| -> Option<Vec<u8>> {
-                    if bytes.len() < *pos + 4 {
-                        return None;
-                    }
-                    let len = u32::from_le_bytes([
-                        bytes[*pos],
-                        bytes[*pos + 1],
-                        bytes[*pos + 2],
-                        bytes[*pos + 3],
-                    ]) as usize;
-                    *pos += 4;
-                    if bytes.len() < *pos + len {
-                        return None;
-                    }
-                    let out = bytes[*pos..*pos + len].to_vec();
-                    *pos += len;
-                    Some(out)
-                };
-                let n = read_chunk(&mut pos)?;
-                let e = read_chunk(&mut pos)?;
-                if pos != bytes.len() {
+            Some(rest.split_at(len))
+        }
+        match bytes.split_first()? {
+            (0, []) => Some(VerifyingKey::Null),
+            (1, rest) => {
+                let (n, rest) = split_chunk(rest, MAX_MODULUS_BITS / 8)?;
+                let (e, rest) = split_chunk(rest, MAX_EXPONENT_BITS / 8)?;
+                if !rest.is_empty() {
                     return None;
                 }
-                Some(VerifyingKey::Rsa(RsaPublicKey {
-                    n: BigUint::from_be_bytes(&n),
-                    e: BigUint::from_be_bytes(&e),
-                }))
+                RsaPublicKey::new(BigUint::from_be_bytes(n), BigUint::from_be_bytes(e))
+                    .ok()
+                    .map(VerifyingKey::Rsa)
             }
             _ => None,
         }
@@ -363,6 +354,60 @@ mod tests {
         let mut truncated = vk.to_bytes();
         truncated.truncate(truncated.len() - 3);
         assert!(VerifyingKey::from_bytes(&truncated).is_none());
+    }
+
+    /// Encodes an RSA key from raw modulus / exponent bytes, as a peer could.
+    fn encode_rsa(n: &[u8], e: &[u8]) -> Vec<u8> {
+        let mut out = vec![1];
+        out.extend_from_slice(&(n.len() as u32).to_le_bytes());
+        out.extend_from_slice(n);
+        out.extend_from_slice(&(e.len() as u32).to_le_bytes());
+        out.extend_from_slice(e);
+        out
+    }
+
+    #[test]
+    fn hostile_key_encodings_are_rejected_before_any_arithmetic() {
+        let e = [1, 0, 1];
+        let odd = |len: usize| {
+            let mut n = vec![0xffu8; len];
+            n[len - 1] |= 1;
+            n
+        };
+        // Sanity: a well-formed odd 512-bit modulus parses.
+        assert!(VerifyingKey::from_bytes(&encode_rsa(&odd(64), &e)).is_some());
+        // Over the cap (by one byte, and grossly), under the floor, even.
+        assert!(
+            VerifyingKey::from_bytes(&encode_rsa(&odd(MAX_MODULUS_BITS / 8 + 1), &e)).is_none()
+        );
+        assert!(VerifyingKey::from_bytes(&encode_rsa(&odd(1 << 16), &e)).is_none());
+        assert!(VerifyingKey::from_bytes(&encode_rsa(&odd(16), &e)).is_none());
+        let mut even = odd(64);
+        even[63] &= 0xfe;
+        assert!(VerifyingKey::from_bytes(&encode_rsa(&even, &e)).is_none());
+        // Leading zeros do not smuggle a small modulus past the floor.
+        let mut padded = vec![0u8; 48];
+        padded.extend_from_slice(&odd(16));
+        assert!(VerifyingKey::from_bytes(&encode_rsa(&padded, &e)).is_none());
+        // Exponent over 64 bits.
+        assert!(VerifyingKey::from_bytes(&encode_rsa(&odd(64), &[1; 9])).is_none());
+        // A length prefix that promises more than the input holds — up to
+        // 4 GiB — is refused on the borrowed bytes; nothing is reserved.
+        let mut lying = vec![1];
+        lying.extend_from_slice(&u32::MAX.to_le_bytes());
+        lying.extend_from_slice(&[0xff; 8]);
+        assert!(VerifyingKey::from_bytes(&lying).is_none());
+        // Truncated inside either length prefix, and trailing bytes.
+        let good = encode_rsa(&odd(64), &e);
+        for cut in [1, 3, 5, 5 + 64, 5 + 64 + 2, good.len() - 1] {
+            assert!(
+                VerifyingKey::from_bytes(&good[..cut]).is_none(),
+                "cut {cut}"
+            );
+        }
+        let mut trailing = good;
+        trailing.push(0);
+        assert!(VerifyingKey::from_bytes(&trailing).is_none());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use rand::Rng;
 
-use crate::bignum::BigUint;
+use crate::bignum::{BigUint, MontgomeryCtx64};
 use crate::sha256::{sha256, Digest};
 
 /// Errors from RSA operations.
@@ -20,6 +20,9 @@ pub enum RsaError {
     BadSignature,
     /// The signature bytes are malformed (e.g. numerically ≥ the modulus).
     MalformedSignature,
+    /// A public key is unusable: modulus over [`MAX_MODULUS_BITS`] or even,
+    /// or exponent over [`MAX_EXPONENT_BITS`].
+    InvalidPublicKey,
 }
 
 impl core::fmt::Display for RsaError {
@@ -30,6 +33,7 @@ impl core::fmt::Display for RsaError {
             }
             RsaError::BadSignature => write!(f, "signature verification failed"),
             RsaError::MalformedSignature => write!(f, "malformed signature"),
+            RsaError::InvalidPublicKey => write!(f, "invalid RSA public key"),
         }
     }
 }
@@ -39,14 +43,36 @@ impl std::error::Error for RsaError {}
 /// Minimum modulus size able to hold the PKCS#1-style padded SHA-256 digest.
 pub const MIN_MODULUS_BITS: usize = 384;
 
+/// Largest modulus a public key may have.  Public keys arrive from peers
+/// (certificates, logs), and building one costs O(bits²), so the size is
+/// capped before any arithmetic runs on it.
+pub const MAX_MODULUS_BITS: usize = 8192;
+
+/// Largest public exponent a key may have (65537 in this workspace).
+pub const MAX_EXPONENT_BITS: usize = 64;
+
 /// RSA public key.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Carries the Montgomery context for its modulus, built once by
+/// [`RsaPublicKey::new`], so a verification costs only the exponentiation.
+/// The fields are private so the context cannot go stale; equality is on
+/// `(n, e)`.
+#[derive(Debug, Clone)]
 pub struct RsaPublicKey {
-    /// Modulus `n = p * q`.
-    pub n: BigUint,
     /// Public exponent (65537 in this workspace).
-    pub e: BigUint,
+    e: BigUint,
+    /// Montgomery context for — and owner of — the modulus `n = p * q`
+    /// (boxed: keys are moved and stored in enums far more than verified).
+    ctx: Box<MontgomeryCtx64>,
 }
+
+impl PartialEq for RsaPublicKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.n() == other.n() && self.e == other.e
+    }
+}
+
+impl Eq for RsaPublicKey {}
 
 /// RSA private key with CRT parameters.
 #[derive(Debug, Clone)]
@@ -90,6 +116,9 @@ impl RsaKeyPair {
         if bits < MIN_MODULUS_BITS {
             return Err(RsaError::ModulusTooSmall(bits));
         }
+        if bits > MAX_MODULUS_BITS {
+            return Err(RsaError::InvalidPublicKey);
+        }
         let e = BigUint::from_u64(65537);
         let half = bits / 2;
         let mr_rounds = 16;
@@ -120,7 +149,7 @@ impl RsaKeyPair {
                 Some(v) => v,
                 None => continue,
             };
-            let public = RsaPublicKey { n, e: e.clone() };
+            let public = RsaPublicKey::new(n, e.clone())?;
             return Ok(RsaKeyPair {
                 private: RsaPrivateKey {
                     public,
@@ -138,10 +167,7 @@ impl RsaKeyPair {
     /// Builds a keypair from known prime factors (used by deterministic tests).
     pub fn from_primes(p: BigUint, q: BigUint) -> Result<RsaKeyPair, RsaError> {
         let e = BigUint::from_u64(65537);
-        let n = p.mul(&q);
-        if n.bit_len() < MIN_MODULUS_BITS {
-            return Err(RsaError::ModulusTooSmall(n.bit_len()));
-        }
+        let public = RsaPublicKey::new(p.mul(&q), e.clone())?;
         let one = BigUint::one();
         let p1 = p.sub(&one);
         let q1 = q.sub(&one);
@@ -152,7 +178,7 @@ impl RsaKeyPair {
         let qinv = q.modinv(&p).ok_or(RsaError::BadSignature)?;
         Ok(RsaKeyPair {
             private: RsaPrivateKey {
-                public: RsaPublicKey { n, e },
+                public,
                 d,
                 p,
                 q,
@@ -182,7 +208,7 @@ impl RsaKeyPair {
 impl RsaPrivateKey {
     /// Size of the modulus in whole bytes (rounded up).
     fn modulus_len(&self) -> usize {
-        self.public.n.bit_len().div_ceil(8)
+        self.public.modulus_len()
     }
 
     /// Signs a SHA-256 digest and returns the signature bytes
@@ -224,16 +250,44 @@ impl RsaPrivateKey {
     pub fn sign_digest_slow(&self, digest: &Digest) -> Vec<u8> {
         let em = encode_digest(digest, self.modulus_len());
         let m = BigUint::from_be_bytes(&em);
-        let s = m.modpow_slow(&self.d, &self.public.n);
+        let s = m.modpow_slow(&self.d, self.public.n());
         s.to_be_bytes_padded(self.modulus_len())
             .expect("signature fits modulus length")
     }
 }
 
 impl RsaPublicKey {
+    /// Builds a public key and its Montgomery context.
+    ///
+    /// The size and parity checks run before any arithmetic: the modulus
+    /// must have between [`MIN_MODULUS_BITS`] and [`MAX_MODULUS_BITS`] bits
+    /// and be odd (every product of two odd primes is), and the exponent
+    /// must fit [`MAX_EXPONENT_BITS`].
+    pub fn new(n: BigUint, e: BigUint) -> Result<RsaPublicKey, RsaError> {
+        let bits = n.bit_len();
+        if bits < MIN_MODULUS_BITS {
+            return Err(RsaError::ModulusTooSmall(bits));
+        }
+        if bits > MAX_MODULUS_BITS || e.bit_len() > MAX_EXPONENT_BITS {
+            return Err(RsaError::InvalidPublicKey);
+        }
+        let ctx = Box::new(MontgomeryCtx64::new(&n).ok_or(RsaError::InvalidPublicKey)?);
+        Ok(RsaPublicKey { e, ctx })
+    }
+
+    /// Modulus `n = p * q`.
+    pub fn n(&self) -> &BigUint {
+        self.ctx.modulus()
+    }
+
+    /// Public exponent.
+    pub fn e(&self) -> &BigUint {
+        &self.e
+    }
+
     /// Size of the modulus in whole bytes (rounded up).
     pub fn modulus_len(&self) -> usize {
-        self.n.bit_len().div_ceil(8)
+        self.n().bit_len().div_ceil(8)
     }
 
     /// Verifies `signature` over `message`.
@@ -247,10 +301,10 @@ impl RsaPublicKey {
             return Err(RsaError::MalformedSignature);
         }
         let s = BigUint::from_be_bytes(signature);
-        if s >= self.n {
+        if s >= *self.n() {
             return Err(RsaError::MalformedSignature);
         }
-        let m = s.modpow(&self.e, &self.n);
+        let m = self.ctx.modpow(&s, &self.e);
         let em = m
             .to_be_bytes_padded(self.modulus_len())
             .ok_or(RsaError::MalformedSignature)?;
@@ -264,7 +318,7 @@ impl RsaPublicKey {
 
     /// Stable fingerprint of the public key (hash of `n || e`).
     pub fn fingerprint(&self) -> Digest {
-        let mut data = self.n.to_be_bytes();
+        let mut data = self.n().to_be_bytes();
         data.extend_from_slice(&self.e.to_be_bytes());
         sha256(&data)
     }
@@ -376,7 +430,7 @@ mod tests {
         for bits in [384usize, 512] {
             let mut rng = StdRng::seed_from_u64(bits as u64);
             let kp = RsaKeyPair::generate(&mut rng, bits);
-            assert_eq!(kp.public().n.bit_len(), bits);
+            assert_eq!(kp.public().n().bit_len(), bits);
         }
     }
 

@@ -6,7 +6,7 @@ use avm_wire::{Decode, Encode, Reader, Writer};
 
 use crate::auth::Authenticator;
 use crate::entry::{EntryKind, LogEntry};
-use crate::verify::LogVerifyError;
+use crate::verify::{verify_chain, LogVerifyError};
 
 /// An append-only hash-chained log owned by one machine.
 #[derive(Debug, Clone, Default)]
@@ -121,20 +121,15 @@ impl TamperEvidentLog {
     /// segment files), verifying that they form a dense 1-based chain from
     /// the anchor `h_0 = 0`.
     pub fn from_entries(entries: Vec<LogEntry>) -> Result<TamperEvidentLog, LogVerifyError> {
-        let mut prev = Digest::ZERO;
-        for (i, e) in entries.iter().enumerate() {
-            let expected = i as u64 + 1;
-            if e.seq != expected {
+        if let Some(first) = entries.first() {
+            if first.seq != 1 {
                 return Err(LogVerifyError::BadSequence {
-                    expected,
-                    found: e.seq,
+                    expected: 1,
+                    found: first.seq,
                 });
             }
-            if !e.verify_against(&prev) {
-                return Err(LogVerifyError::BrokenChain { seq: e.seq });
-            }
-            prev = e.hash;
         }
+        verify_chain(&Digest::ZERO, &entries)?;
         Ok(TamperEvidentLog { entries })
     }
 

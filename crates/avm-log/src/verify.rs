@@ -8,7 +8,7 @@
 //! forked its log cannot pass this check.
 
 use avm_crypto::keys::VerifyingKey;
-use avm_crypto::sha256::Digest;
+use avm_crypto::sha256::{sha256_multi, Digest};
 
 use crate::auth::Authenticator;
 use crate::entry::LogEntry;
@@ -96,6 +96,65 @@ pub struct SegmentSummary {
     pub authenticators_checked: usize,
 }
 
+/// Entries hashed per batch by [`verify_chain`]: a whole number of
+/// eight-lane groups, small enough that the scratch buffers (one content
+/// hash, one 73-byte link and one link hash per entry) stay a few KiB
+/// however long the segment is.
+pub const CHAIN_BLOCK: usize = 64;
+
+/// Length of the link preimage `h_{i-1} || s_i || t_i || H(c_i)`.
+const LINK_LEN: usize = 32 + 8 + 1 + 32;
+
+/// The one chain check: `entries` have dense sequence numbers counting up
+/// from `entries[0].seq`, and every entry's hash extends the chain from
+/// `prev` (the hash of the entry before the first; `h_0 = 0` at the start of
+/// a log).
+///
+/// Entry `i` is checked against the hash entry `i-1` *claims*, not one
+/// recomputed for it — if that claim is false, entry `i-1` is itself
+/// reported first — so the entries are independent of one another and are
+/// hashed [`CHAIN_BLOCK`] at a time through the multi-buffer SHA-256 core:
+/// content hashes, then the 73-byte links, eight lanes each.  An in-order
+/// scan then reports the first offending entry, the same error an
+/// entry-at-a-time [`LogEntry::verify_against`] loop reports.
+pub fn verify_chain(prev: &Digest, entries: &[LogEntry]) -> Result<(), LogVerifyError> {
+    let Some(first) = entries.first() else {
+        return Ok(());
+    };
+    let mut expected = first.seq;
+    let mut prev = *prev;
+    for block in entries.chunks(CHAIN_BLOCK) {
+        let contents: Vec<&[u8]> = block.iter().map(|e| e.content.as_slice()).collect();
+        let content_hashes = sha256_multi(&contents);
+        let mut links = Vec::with_capacity(block.len());
+        for (entry, content_hash) in block.iter().zip(&content_hashes) {
+            let mut link = [0u8; LINK_LEN];
+            link[..32].copy_from_slice(prev.as_bytes());
+            link[32..40].copy_from_slice(&entry.seq.to_le_bytes());
+            link[40] = entry.kind.tag();
+            link[41..].copy_from_slice(content_hash.as_bytes());
+            links.push(link);
+            prev = entry.hash;
+        }
+        let link_views: Vec<&[u8]> = links.iter().map(|l| l.as_slice()).collect();
+        let hashes = sha256_multi(&link_views);
+        for (entry, hash) in block.iter().zip(&hashes) {
+            if entry.seq != expected {
+                return Err(LogVerifyError::BadSequence {
+                    expected,
+                    found: entry.seq,
+                });
+            }
+            if *hash != entry.hash {
+                return Err(LogVerifyError::BrokenChain { seq: entry.seq });
+            }
+            // Wrapping: a hostile first seq near u64::MAX must not panic.
+            expected = expected.wrapping_add(1);
+        }
+    }
+    Ok(())
+}
+
 /// Verifies a log segment.
 ///
 /// * `prev_hash` — hash of the entry immediately before the segment
@@ -114,19 +173,7 @@ pub fn verify_segment(
     let last = segment.last().expect("non-empty");
 
     // 1. Dense sequence numbers and intact hash chain.
-    let mut prev = *prev_hash;
-    for (expected_seq, entry) in (first.seq..).zip(segment.iter()) {
-        if entry.seq != expected_seq {
-            return Err(LogVerifyError::BadSequence {
-                expected: expected_seq,
-                found: entry.seq,
-            });
-        }
-        if !entry.verify_against(&prev) {
-            return Err(LogVerifyError::BrokenChain { seq: entry.seq });
-        }
-        prev = entry.hash;
-    }
+    verify_chain(prev_hash, segment)?;
 
     // 2. Every collected authenticator matches the corresponding entry.
     for auth in authenticators {

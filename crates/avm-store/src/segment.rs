@@ -30,7 +30,7 @@
 
 use avm_crypto::keys::VerifyingKey;
 use avm_crypto::sha256::Digest;
-use avm_log::{Authenticator, LogEntry, LogSource};
+use avm_log::{verify_chain, Authenticator, LogEntry, LogSource, LogVerifyError};
 use avm_wire::{read_frame, write_frame, Decode, Encode, FrameError, Reader, Writer};
 
 use crate::error::{StoreError, TamperKind};
@@ -131,10 +131,54 @@ pub fn scan_segments<S: Storage>(
         resume_file_len: 0,
         needs_header: true,
     };
+    let mut file_starts = Vec::with_capacity(names.len());
+    let records = scan_records(storage, &names, verifier, &mut scan, &mut file_starts);
+
+    // The record pass links headers and seals to the hashes entries *claim*;
+    // the claims themselves are checked here, in one batched pass.  Every
+    // collected entry was read before whatever stopped the record pass, so a
+    // chain fault is the earlier damage and is the one reported.
+    if let Some(index) = first_chain_fault(&scan.entries) {
+        let file = file_starts.partition_point(|&start| start <= index) - 1;
+        return Err(tamper(TamperKind::BrokenHashChain {
+            file: names[file].clone(),
+            seq: scan.entries[index].seq,
+        }));
+    }
+    records?;
+    Ok(scan)
+}
+
+/// Index of the first entry that does not extend the dense, 1-based chain
+/// from `h_0 = 0`.
+fn first_chain_fault(entries: &[LogEntry]) -> Option<usize> {
+    if entries.first()?.seq != 1 {
+        return Some(0);
+    }
+    // Entries before the fault are dense from 1, so index = seq - 1.
+    match verify_chain(&Digest::ZERO, entries) {
+        Ok(()) => None,
+        Err(LogVerifyError::BadSequence { expected, .. }) => Some((expected - 1) as usize),
+        Err(LogVerifyError::BrokenChain { seq }) => Some((seq - 1) as usize),
+        Err(other) => unreachable!("verify_chain reports only chain faults, got {other}"),
+    }
+}
+
+/// The record pass of [`scan_segments`]: framing, file structure and seals,
+/// with every entry accepted on its claimed hash.  `file_starts[i]` is the
+/// number of entries collected before file `i`.
+fn scan_records<S: Storage>(
+    storage: &S,
+    names: &[String],
+    verifier: Option<&VerifyingKey>,
+    scan: &mut SegmentScan,
+    file_starts: &mut Vec<usize>,
+) -> Result<(), StoreError> {
     let mut last_hash = Digest::ZERO;
     let mut prev_of_last = Digest::ZERO;
 
     for (fi, name) in names.iter().enumerate() {
+        file_starts.push(scan.entries.len());
         let data = storage.read(name)?;
         let is_last = fi + 1 == names.len();
         let mut off = 0usize;
@@ -215,13 +259,6 @@ pub fn scan_segments<S: Storage>(
                 REC_ENTRY => {
                     let entry = LogEntry::decode(&mut r)
                         .map_err(|e| bad_record(format!("entry: {e:?}")))?;
-                    let expected = scan.entries.len() as u64 + 1;
-                    if entry.seq != expected || !entry.verify_against(&last_hash) {
-                        return Err(tamper(TamperKind::BrokenHashChain {
-                            file: name.clone(),
-                            seq: entry.seq,
-                        }));
-                    }
                     prev_of_last = last_hash;
                     last_hash = entry.hash;
                     scan.entries.push(entry);
@@ -299,7 +336,7 @@ pub fn scan_segments<S: Storage>(
             scan.needs_header = !saw_header;
         }
     }
-    Ok(scan)
+    Ok(())
 }
 
 /// Appender over a chain of segment files.
@@ -768,6 +805,60 @@ mod tests {
         s.truncate("seg-000000", len - 5).unwrap();
         let err = scan_segments(&storage, Some(&signing.verifying_key())).unwrap_err();
         assert!(err.is_tamper(), "got {err:?}");
+    }
+
+    /// A forged entry re-framed with a valid CRC is a chain break in the
+    /// file that holds it — also when a later file is damaged too (the
+    /// batched chain pass runs after the record pass, and must still report
+    /// the earlier damage).
+    #[test]
+    fn reframed_forged_entry_is_a_chain_break_in_its_own_file() {
+        let signing = key();
+        let storage = SimStorage::new();
+        let mut store = SegmentStore::create(storage.clone(), small_cfg()).unwrap();
+        let mut log = TamperEvidentLog::new();
+        write_log(&mut store, &mut log, &signing, 25).unwrap();
+        assert!(store.segment_files() > 2);
+
+        // Rewrite seq 3 in seg-000000: new content under the old claimed hash.
+        let mut s = storage.clone();
+        let data = s.read("seg-000000").unwrap();
+        let mut rewritten = Vec::new();
+        let mut off = 0;
+        while off < data.len() {
+            let (payload, consumed) = read_frame(&data[off..]).unwrap();
+            let mut forged = None;
+            if payload[0] == REC_ENTRY {
+                let mut entry = LogEntry::decode_exact(&payload[1..]).unwrap();
+                if entry.seq == 3 {
+                    entry.content = b"forged".to_vec();
+                    let mut w = Writer::new();
+                    w.put_u8(REC_ENTRY);
+                    entry.encode(&mut w);
+                    forged = Some(w.into_bytes());
+                }
+            }
+            match forged {
+                Some(payload) => {
+                    write_frame(&mut rewritten, &payload);
+                }
+                None => rewritten.extend_from_slice(&data[off..off + consumed]),
+            }
+            off += consumed;
+        }
+        s.remove("seg-000000").unwrap();
+        s.append("seg-000000", &rewritten).unwrap();
+        // And chop the trailing seal off the second file.
+        let len = s.read("seg-000001").unwrap().len() as u64;
+        s.truncate("seg-000001", len - 5).unwrap();
+
+        assert_eq!(
+            scan_segments(&storage, Some(&signing.verifying_key())).unwrap_err(),
+            StoreError::Tamper(TamperKind::BrokenHashChain {
+                file: "seg-000000".into(),
+                seq: 3,
+            })
+        );
     }
 
     #[test]

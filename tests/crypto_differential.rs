@@ -9,16 +9,18 @@
 //!   multiply + div-rem and the plain square-and-multiply `modpow_slow`,
 //! * constant-time fixed-window table selection (`ct_select64`) vs. naive
 //!   indexing,
-//! * the RSA-CRT fast path vs. the non-CRT, non-Montgomery slow signer.
+//! * the RSA-CRT fast path vs. the non-CRT, non-Montgomery slow signer,
+//! * signature verification through the Montgomery context a public key
+//!   carries vs. `modpow_slow` on the bare `(n, e)`.
 //!
 //! A mismatch on any lane, limb width, or window index is a soundness bug in
 //! the accountability chain — hashes and signatures are what auditors check —
 //! so these run on every `cargo test`, plus in release mode in CI where the
 //! vectorised code paths actually engage.
 
-use avm_crypto::rsa::RsaKeyPair;
-use avm_crypto::sha256::{sha256, sha256_multi, sha256_multi_prefixed};
-use avm_crypto::{ct_select64, BigUint, MontgomeryCtx64};
+use avm_crypto::rsa::{RsaError, RsaKeyPair, RsaPublicKey};
+use avm_crypto::sha256::{sha256, sha256_multi, sha256_multi_prefixed, Digest};
+use avm_crypto::{ct_select64, BigUint, MontgomeryCtx64, VerifyingKey};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -178,5 +180,103 @@ fn rsa_sign_fast_path_matches_slow() {
             keys.sign_digest(&digest),
             keys.private.sign_digest_slow(&digest)
         );
+    }
+}
+
+/// Verification restated from the definition, on the bare `(n, e)`: length
+/// and range checks, schoolbook `s^e mod n`, and the PKCS#1 v1.5-style
+/// encoding `00 01 FF.. 00 || digest` spelled out byte by byte.
+fn reference_verify(key: &RsaPublicKey, digest: &Digest, signature: &[u8]) -> Result<(), RsaError> {
+    let len = key.n().bit_len().div_ceil(8);
+    if signature.len() != len {
+        return Err(RsaError::MalformedSignature);
+    }
+    let s = BigUint::from_be_bytes(signature);
+    if s >= *key.n() {
+        return Err(RsaError::MalformedSignature);
+    }
+    let mut expected = vec![0xffu8; len];
+    expected[0] = 0x00;
+    expected[1] = 0x01;
+    expected[len - 33] = 0x00;
+    expected[len - 32..].copy_from_slice(digest.as_bytes());
+    match s.modpow_slow(key.e(), key.n()).to_be_bytes_padded(len) {
+        Some(em) if em == expected => Ok(()),
+        _ => Err(RsaError::BadSignature),
+    }
+}
+
+/// The context-carrying `verify_digest` returns exactly what the reference
+/// returns — for honest signatures, bit-flipped ones, signatures over
+/// another digest or under another key, wrong lengths and `s ≥ n` — and a
+/// cloned or re-parsed key is the same key.
+#[test]
+fn rsa_verify_through_key_context_matches_slow_reference() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0e1f);
+    let stranger = RsaKeyPair::generate(&mut rng, 512);
+    for bits in [512usize, 768, 1024] {
+        let keys = RsaKeyPair::generate(&mut rng, bits);
+        let public = keys.public();
+        let len = public.modulus_len();
+        let digest = sha256(&[bits as u8; 9]);
+        let other_digest = sha256(b"another message");
+        let honest = keys.sign_digest(&digest);
+
+        let mut candidates = vec![
+            honest.clone(),
+            keys.sign_digest(&other_digest),
+            vec![0u8; len],
+            public.n().to_be_bytes_padded(len).unwrap(), // s = n
+            vec![0xff; len],                             // s > n
+            public
+                .n()
+                .sub(&BigUint::one())
+                .to_be_bytes_padded(len)
+                .unwrap(), // s = n - 1
+            honest[..len - 1].to_vec(),
+            [honest.as_slice(), &[0]].concat(),
+            Vec::new(),
+        ];
+        if bits == 512 {
+            candidates.push(stranger.sign_digest(&digest));
+        }
+        for bit in [0, 7, 8 * (len / 2), 8 * len - 9] {
+            let mut flipped = honest.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            candidates.push(flipped);
+        }
+
+        let cloned = public.clone();
+        let reparsed = match VerifyingKey::from_bytes(&VerifyingKey::Rsa(cloned.clone()).to_bytes())
+        {
+            Some(VerifyingKey::Rsa(key)) => key,
+            other => panic!("{bits}-bit key did not round-trip: {other:?}"),
+        };
+        assert_eq!(&cloned, public);
+        assert_eq!(&reparsed, public);
+
+        assert_eq!(public.verify_digest(&digest, &honest), Ok(()));
+        for candidate in &candidates {
+            let expected = reference_verify(public, &digest, candidate);
+            for key in [public, &cloned, &reparsed] {
+                assert_eq!(
+                    key.verify_digest(&digest, candidate),
+                    expected,
+                    "{bits}-bit key, {}-byte candidate",
+                    candidate.len()
+                );
+            }
+        }
+        for malformed in [
+            &candidates[3],
+            &candidates[4],
+            &candidates[6],
+            &candidates[7],
+        ] {
+            assert_eq!(
+                public.verify_digest(&digest, malformed),
+                Err(RsaError::MalformedSignature)
+            );
+        }
     }
 }

@@ -396,7 +396,7 @@ proptest! {
                 id
             );
             let cost = session
-                .finish(&lazy, &store, &mut auditor, CompressionLevel::Default)
+                .finish(&lazy, &store, &mut auditor)
                 .unwrap();
             for digest in &cost.fetched {
                 prop_assert!(
@@ -501,7 +501,7 @@ proptest! {
             let _ = lazy.memory_mut().read_u8(addr).unwrap();
             let mut settle = AuditorBlobCache::new();
             let cost = session
-                .finish(&lazy, &store, &mut settle, CompressionLevel::Default)
+                .finish(&lazy, &store, &mut settle)
                 .unwrap();
             prop_assert_eq!(compute_state_root(&lazy), compute_state_root(&full));
             prop_assert_eq!(
