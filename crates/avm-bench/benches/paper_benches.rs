@@ -8,7 +8,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use avm_bench::experiments;
-use avm_bench::hostmodel::HostCostModel;
 use avm_bench::scenario::GameScenario;
 use avm_compress::{compress, CompressionLevel};
 use avm_core::config::ExecConfig;
@@ -423,19 +422,6 @@ fn bench_persist_recovery(c: &mut Criterion) {
     group.finish();
 }
 
-/// Figures 5/6/8 cost model: derived from measured crypto and the host model.
-fn bench_fig568_host_model(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig5_fig6_fig8_host_model");
-    group.sample_size(10);
-    group.bench_function("calibrate_and_tabulate", |b| {
-        b.iter(|| {
-            let model = HostCostModel::calibrated();
-            experiments::exp_ping_rtt(&model).len()
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_fig5_signatures,
@@ -449,7 +435,6 @@ criterion_group!(
     bench_snapshot_dedup,
     bench_fig9_spotcheck,
     bench_netaudit,
-    bench_persist_recovery,
-    bench_fig568_host_model
+    bench_persist_recovery
 );
 criterion_main!(benches);

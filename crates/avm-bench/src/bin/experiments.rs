@@ -4,12 +4,11 @@
 //!
 //! ```text
 //! cargo run --release -p avm-bench --bin experiments -- all
-//! cargo run --release -p avm-bench --bin experiments -- table1 fig7 fig9
+//! cargo run --release -p avm-bench --bin experiments -- table1 fig9
 //! cargo run --release -p avm-bench --bin experiments -- --quick all
 //! ```
 
 use avm_bench::experiments;
-use avm_bench::hostmodel::HostCostModel;
 use avm_bench::trajectory;
 
 /// Writes a fresh trajectory metric file (`BENCH_OUT` dir, or the current
@@ -36,7 +35,6 @@ fn main() {
         selected
     };
 
-    let model = HostCostModel::calibrated();
     for name in selected {
         match name {
             "all" => experiments::run_all(quick),
@@ -57,18 +55,6 @@ fn main() {
             }
             "sec6.7" | "traffic" => {
                 experiments::exp_traffic(quick);
-            }
-            "fig5" | "rtt" => {
-                experiments::exp_ping_rtt(&model);
-            }
-            "fig6" | "cpu" => {
-                experiments::exp_cpu_utilization(quick, &model);
-            }
-            "fig7" | "framerate" => {
-                experiments::exp_frame_rate(quick, &model);
-            }
-            "fig8" | "online" => {
-                experiments::exp_online_audit_frame_rate(quick, &model);
             }
             "fig9" | "sec6.12" | "spotcheck" => {
                 experiments::exp_spotcheck(quick);
@@ -129,7 +115,7 @@ fn main() {
                     &experiments::fleet_metrics(&r, quick),
                 );
             }
-            "paraudit" | "parallel" | "pipeline" => {
+            "paraudit" | "parallel" => {
                 let r = experiments::exp_paraudit(quick);
                 write_bench(
                     "paraudit",
@@ -147,7 +133,7 @@ fn main() {
             }
             other => {
                 eprintln!("unknown experiment '{other}'");
-                eprintln!("known: all table1 functionality fig3 fig4 sec6.5 sec6.6 sec6.7 fig5 fig6 fig6inc dedup ondemand chunked netaudit persist fleet paraudit attest fig7 fig8 fig9");
+                eprintln!("known: all table1 functionality fig3 fig4 sec6.5 sec6.6 sec6.7 fig6inc dedup ondemand chunked netaudit persist fleet paraudit attest fig9");
                 std::process::exit(2);
             }
         }

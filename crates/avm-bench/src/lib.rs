@@ -7,18 +7,19 @@
 //! `EXPERIMENTS.md` records paper-reported versus measured values.
 //!
 //! Absolute numbers differ from the paper's 2010 testbed (our substrate is a
-//! simulator plus a host cost model, not VMware on a Core i7), but the
-//! *shape* of every result — who wins, by roughly what factor, where the
-//! crossovers are — is what these experiments reproduce.
+//! simulator, not VMware on a Core i7), but the *shape* of every result —
+//! who wins, by roughly what factor, where the crossovers are — is what
+//! these experiments reproduce.  They count bytes, entries, round trips and
+//! simulated network time; what recording and auditing cost in host time
+//! (the paper's Figures 5–8) is measured by the standalone `bench/` package,
+//! not modelled here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod hostmodel;
 pub mod pricing;
 pub mod scenario;
 pub mod trajectory;
 
-pub use hostmodel::HostCostModel;
 pub use scenario::{GameScenario, ScenarioResult};

@@ -12,15 +12,21 @@
 //! * `wall_*` — real wall-clock times.  Informational only: they vary with
 //!   the host, so the comparator skips them.
 //! * `tolerance_<key>` — per-key threshold config, not a metric: the pinned
-//!   value replaces the blanket `threshold_percent` for `<key>`, and the
-//!   overshoot it gates is a *hard* failure (`bench_compare` refuses to
-//!   downgrade it under `--warn-costs`).  This is how a cost key whose
-//!   value has proven stable graduates from the blanket warning threshold
-//!   to a pinned gate.  Tolerance entries are config, so one missing from a
-//!   fresh run is never itself a regression.
+//!   value replaces the blanket `threshold_percent` for `<key>`, the gate
+//!   becomes *two-sided* (a fresh value more than that percentage away from
+//!   the pin in either direction, so `0` means equal), and a breach is a
+//!   *hard* failure (`bench_compare` refuses to downgrade it under
+//!   `--warn-costs`).  This is how a cost key whose value has proven stable
+//!   graduates from the blanket warning threshold to a pinned gate.
+//!   Tolerance entries are config, so one missing from a fresh run is never
+//!   itself a regression.
 //! * everything else — deterministic simulated costs (modelled microseconds,
 //!   bytes, counts) where *bigger is worse*; a fresh value more than
-//!   `threshold_percent` above the pinned one is a regression.
+//!   `threshold_percent` above the pinned one is a regression.  The rule
+//!   reads every such key as a cost, so it gated the `paraudit` speedup
+//!   ratios (`w*_speedup_x100`, `pipeline_gain_x100`) in the wrong
+//!   direction until those keys were deleted; pin a higher-is-better
+//!   number with a `tolerance_` entry or not at all.
 //!
 //! The format is deliberately a flat string→integer map so that both the
 //! writer and the reader fit in a page of dependency-free code.
@@ -101,7 +107,7 @@ pub struct Regression {
     pub pinned: u64,
     /// The freshly measured value, or `None` if the fresh run lacks the key.
     pub fresh: Option<u64>,
-    /// The key had an explicit `tolerance_<key>` pin, so this overshoot
+    /// The key had an explicit `tolerance_<key>` pin, so this difference
     /// breached a per-key gate the trajectory graduated to — fatal even
     /// where blanket cost overshoots are downgraded to warnings.
     pub toleranced: bool,
@@ -125,8 +131,9 @@ impl core::fmt::Display for Regression {
 /// exist in the fresh run are fine (new metrics land before they are
 /// pinned); keys that disappeared, `ok_*` mismatches, and costs more than
 /// their threshold above the pin are not.  A `tolerance_<key>` pin
-/// overrides `threshold_percent` for `<key>` alone and marks the resulting
-/// regression as gate-breaching ([`Regression::toleranced`]).
+/// overrides `threshold_percent` for `<key>` alone, gates a drop as well as
+/// a rise, and marks the resulting regression as gate-breaching
+/// ([`Regression::toleranced`]).
 pub fn compare(
     pinned: &[(String, u64)],
     fresh: &[(String, u64)],
@@ -146,13 +153,18 @@ pub fn compare(
             continue;
         }
         let per_key = tolerance(key);
-        let threshold = per_key.unwrap_or(threshold_percent);
         let fresh_value = lookup(key);
-        let regressed = match fresh_value {
-            None => true,
-            Some(fresh_value) if key.starts_with("ok_") => fresh_value != *pinned_value,
+        let regressed = match (fresh_value, per_key) {
+            (None, _) => true,
+            (Some(fresh_value), _) if key.starts_with("ok_") => fresh_value != *pinned_value,
+            // Integer-exact form of `|fresh - pinned| > pinned * tolerance/100`.
+            (Some(fresh_value), Some(tolerance)) => {
+                fresh_value.abs_diff(*pinned_value) * 100 > pinned_value * tolerance
+            }
             // Integer-exact form of `fresh > pinned * (1 + threshold/100)`.
-            Some(fresh_value) => fresh_value * 100 > pinned_value * (100 + threshold),
+            (Some(fresh_value), None) => {
+                fresh_value * 100 > pinned_value * (100 + threshold_percent)
+            }
         };
         if regressed {
             regressions.push(Regression {
@@ -189,6 +201,8 @@ mod tests {
             ("ok_match", 1),
             ("wall_recovery_us", 50),
             ("gone", 3),
+            ("exact_bytes", 4096),
+            ("tolerance_exact_bytes", 0),
         ]);
         // Within threshold, flags equal, wall ignored even though it blew up.
         let fresh = m(&[
@@ -196,16 +210,24 @@ mod tests {
             ("ok_match", 1),
             ("wall_recovery_us", 5000),
             ("gone", 3),
+            ("exact_bytes", 4096),
             ("brand_new", 999),
         ]);
         assert!(compare(&pinned, &fresh, 15).is_empty());
 
-        // One past threshold, a flipped flag, and a vanished key all flag.
-        let bad = m(&[("cost", 116), ("ok_match", 0), ("wall_recovery_us", 50)]);
+        // One past threshold, a flipped flag, a vanished key, and a
+        // toleranced key that *dropped* all flag.
+        let bad = m(&[
+            ("cost", 116),
+            ("ok_match", 0),
+            ("wall_recovery_us", 50),
+            ("exact_bytes", 4095),
+        ]);
         let regressions = compare(&pinned, &bad, 15);
         let keys: Vec<&str> = regressions.iter().map(|r| r.key.as_str()).collect();
-        assert_eq!(keys, ["cost", "ok_match", "gone"]);
+        assert_eq!(keys, ["cost", "ok_match", "gone", "exact_bytes"]);
         assert_eq!(regressions[2].fresh, None);
+        assert!(regressions[3].toleranced);
     }
 
     #[test]

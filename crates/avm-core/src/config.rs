@@ -10,8 +10,8 @@
 //! | `avmm-nosig`   | yes         | yes              | yes                | no         |
 //! | `avmm-rsa768`  | yes         | yes              | yes                | RSA-768    |
 //!
-//! [`ExecConfig`] reproduces that matrix; the benchmark harness sweeps it to
-//! regenerate Figures 5–8.
+//! [`ExecConfig`] reproduces that matrix; the game scenarios in the
+//! experiment harness are parameterised by it.
 
 use avm_crypto::keys::SignatureScheme;
 
@@ -49,19 +49,6 @@ impl ExecConfig {
             ExecConfig::AvmmNoSig => "avmm-nosig",
             ExecConfig::AvmmRsa768 => "avmm-rsa768",
         }
-    }
-
-    /// Whether the guest runs under a VMM.
-    pub fn virtualized(&self) -> bool {
-        !matches!(self, ExecConfig::BareHw)
-    }
-
-    /// Whether nondeterministic inputs are recorded for replay.
-    pub fn records_replay_log(&self) -> bool {
-        matches!(
-            self,
-            ExecConfig::VmmRecord | ExecConfig::AvmmNoSig | ExecConfig::AvmmRsa768
-        )
     }
 
     /// Whether the tamper-evident log (authenticators, acks) is maintained.
@@ -177,10 +164,6 @@ mod tests {
     #[test]
     fn config_matrix_matches_paper() {
         assert_eq!(ExecConfig::ALL.len(), 5);
-        assert!(!ExecConfig::BareHw.virtualized());
-        assert!(ExecConfig::Vmm.virtualized());
-        assert!(!ExecConfig::Vmm.records_replay_log());
-        assert!(ExecConfig::VmmRecord.records_replay_log());
         assert!(!ExecConfig::VmmRecord.tamper_evident());
         assert!(ExecConfig::AvmmNoSig.tamper_evident());
         assert_eq!(

@@ -865,9 +865,8 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
 
     /// The blocking driver of [`AuditSession`]: every request the session
     /// issues is one [`AuditTransport::exchange`], whose response goes
-    /// straight back in.  A blocking client charges no replay CPU and has
-    /// no clock, so session time stands still at 0 and `not_before_us` is
-    /// moot.
+    /// straight back in.  A blocking client has no clock, so session time
+    /// stands still at 0.
     fn run(
         &mut self,
         start_snapshot: u64,
@@ -885,7 +884,7 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
         let mut step = session.start(0);
         let outcome = loop {
             step = match step {
-                Step::Send { request, .. } => {
+                Step::Send(request) => {
                     let exchanged = self
                         .transport
                         .exchange(&request, |response| session.on_response(0, response));
@@ -894,7 +893,7 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
                         Err(error) => break Err(error),
                     }
                 }
-                Step::Done { outcome, .. } => break outcome,
+                Step::Done(outcome) => break outcome,
             };
         };
         let replay_stats = session.replay_stats().clone();

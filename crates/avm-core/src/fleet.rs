@@ -23,15 +23,12 @@
 //!   one [`crate::endpoint::AuditClient`] drives with a blocking loop — and
 //!   the retransmission policy is the shared
 //!   [`crate::endpoint::SimNetTransport`] one; this endpoint adds only the
-//!   session envelope, the pending-exchange timer and the waits on modelled
-//!   replay CPU.  A single-session fleet run is field-identical to the
-//!   blocking path (pinned by unit and property tests).  With a
-//!   [`ReplayCpuModel`] configured, replay CPU charges to the simulated
-//!   clock; in **pipelined** mode the session replays the chunk
-//!   segment-wise and each segment's blob batches go on the wire the moment
-//!   that segment's CPU finishes — fetch for segment i+1 overlaps replay of
-//!   segment i instead of stalling behind the whole replay (verdicts and
-//!   transfer columns never move, only completion latency).
+//!   session envelope and the pending-exchange timer.  A single-session
+//!   fleet run is field-identical to the blocking path (pinned by unit and
+//!   property tests).  Simulated time is what [`SimNet`] measures — latency,
+//!   serialisation, retransmission — and nothing else: replay is a
+//!   zero-time event on that clock, and what it costs in wall-clock is
+//!   measured by `bench/`.
 //! * [`run_fleet`] — builds M providers and N auditors over one link
 //!   config, drives them with [`avm_net::run_event_loop`], and returns
 //!   every report plus per-session completion latencies, provider cache
@@ -61,7 +58,6 @@ use crate::endpoint::{
 };
 use crate::error::CoreError;
 use crate::ondemand::AuditorBlobCache;
-use crate::paraudit::ReplayCpuModel;
 use crate::session::{AuditSession, Step};
 use crate::snapshot::SnapshotStore;
 use crate::spotcheck::SpotCheckReport;
@@ -385,10 +381,6 @@ pub struct FleetAuditor<'a> {
     started: bool,
     session: AuditSession<'a>,
     pending: Option<PendingExchange>,
-    /// A step the session issued for a later simulated instant: a blob
-    /// batch staged behind its segment's replay CPU, or a verdict whose
-    /// replay CPU is still charging.
-    held: Option<Step>,
     outcome: Option<Result<SpotCheckReport, CoreError>>,
     finished_at_us: Option<u64>,
 }
@@ -425,7 +417,6 @@ impl<'a> FleetAuditor<'a> {
                 provider_store,
             ),
             pending: None,
-            held: None,
             outcome: None,
             finished_at_us: None,
         }
@@ -434,17 +425,6 @@ impl<'a> FleetAuditor<'a> {
     /// Resumes with a persistent blob cache from earlier audits.
     pub fn with_cache(mut self, cache: AuditorBlobCache) -> FleetAuditor<'a> {
         self.session = self.session.with_cache(cache);
-        self
-    }
-
-    /// Charges replay CPU to the simulated clock under `model`, optionally
-    /// `pipelined`: replay runs segment-wise and each segment's blob
-    /// batches go on the wire the moment that segment's CPU is done, so
-    /// wire wait and replay CPU overlap instead of strictly alternating
-    /// (stalled).  The verdict and every transfer column are unaffected —
-    /// only the session's completion latency moves.
-    pub fn with_replay_cpu(mut self, model: ReplayCpuModel, pipelined: bool) -> FleetAuditor<'a> {
-        self.session = self.session.with_replay_cpu(model, pipelined);
         self
     }
 
@@ -499,27 +479,20 @@ impl<'a> FleetAuditor<'a> {
 
     fn complete(&mut self, now: u64, outcome: Result<SpotCheckReport, CoreError>) {
         self.pending = None;
-        self.held = None;
         self.outcome = Some(outcome);
         self.finished_at_us = Some(now);
     }
 
-    /// Carries out a step the session issued — now if it is due, on the
-    /// tick at its instant otherwise.
+    /// Carries out a step the session issued.
     fn advance(&mut self, net: &mut SimNet, step: Step) {
-        let now = net.now();
-        if now < step.not_before_us() {
-            self.held = Some(step);
-            return;
-        }
         match step {
-            Step::Send { request, .. } => self.pending = Some(self.wire.send(net, &request)),
-            Step::Done { outcome, .. } => {
+            Step::Send(request) => self.pending = Some(self.wire.send(net, &request)),
+            Step::Done(outcome) => {
                 let outcome = outcome.map(|mut report| {
                     report.transport = self.wire.stats;
                     report
                 });
-                self.complete(now, outcome);
+                self.complete(net.now(), outcome);
             }
         }
     }
@@ -555,17 +528,6 @@ impl Endpoint for FleetAuditor<'_> {
             self.started = true;
             let step = self.session.start(now);
             self.advance(net, step);
-        }
-        if let Some(step) = self.held.take() {
-            if now < step.not_before_us() {
-                let at = step.not_before_us();
-                self.held = Some(step);
-                return Some(at);
-            }
-            self.advance(net, step);
-            if self.finished() {
-                return None;
-            }
         }
         match self.pending.as_mut()?.on_timer(net, &mut self.wire) {
             Timer::Wait(at) | Timer::Resent(at) => Some(at),
@@ -605,14 +567,6 @@ pub struct FleetConfig {
     pub chunk: u64,
     /// §3.5 on-demand mode (vs full state download).
     pub on_demand: bool,
-    /// Charge replay CPU to the simulated clock under this model.  `None`
-    /// (default): replay is a zero-time event — the pinned classic timing.
-    pub replay_cpu: Option<ReplayCpuModel>,
-    /// With `replay_cpu` set: overlap wire wait with replay CPU (fetch for
-    /// segment i+1 while segment i replays) instead of stalling fetches
-    /// behind the full replay.  Verdicts and transfer columns never move;
-    /// only completion latency does.
-    pub pipelined: bool,
     /// Provider scheduling and session-lifetime knobs.
     pub provider: ProviderConfig,
     /// Event-loop safety bound.
@@ -629,8 +583,6 @@ impl Default for FleetConfig {
             start_snapshot: 0,
             chunk: 1,
             on_demand: true,
-            replay_cpu: None,
-            pipelined: false,
             provider: ProviderConfig::default(),
             max_steps: 10_000_000,
         }
@@ -734,9 +686,6 @@ fn run_fleet_inner(
                 },
                 timeout_us,
             );
-            if let Some(model) = config.replay_cpu {
-                auditor = auditor.with_replay_cpu(model, config.pipelined);
-            }
             if let Some((_, policy)) = attest {
                 auditor = auditor.with_attestation(policy);
             }
@@ -870,111 +819,6 @@ mod tests {
         assert_eq!(provider.cache.entries, 2);
         assert_eq!(provider.cache.misses, 2);
         assert_eq!(provider.cache.hits, 2 * (n as u64 - 1));
-    }
-
-    /// With replay CPU charged to the simulated clock, the pipelined mode
-    /// (fetch segment i+1's blobs while segment i replays) strictly beats
-    /// the stalled mode (all replay, then all fetches) on a lossy link —
-    /// while the verdict, the fetched blob set and every fault counter stay
-    /// identical.  The classic zero-CPU report also agrees with the stalled
-    /// one on everything but timing (`semantic()` equality).
-    #[test]
-    fn pipelined_fetch_beats_stalled_fetch_on_a_lossy_link() {
-        let (bob, image) = record_with_snapshots(4);
-        let registry = GuestRegistry::new();
-        let link = LinkConfig {
-            drop_every: 3,
-            ..LinkConfig::default()
-        };
-        let run = |replay_cpu: Option<ReplayCpuModel>, pipelined: bool| {
-            let config = FleetConfig {
-                link,
-                on_demand: true,
-                start_snapshot: 0,
-                chunk: 4,
-                replay_cpu,
-                pipelined,
-                ..FleetConfig::default()
-            };
-            let outcome = run_fleet(bob.log(), bob.snapshots(), &image, &registry, &config);
-            assert!(outcome.event_loop.quiescent);
-            let report = outcome.reports[0].as_ref().unwrap().clone();
-            (report, outcome.latencies_us[0])
-        };
-        let model = ReplayCpuModel::DEFAULT;
-        let (classic, classic_latency) = run(None, false);
-        let (stalled, stalled_latency) = run(Some(model), false);
-        let (pipelined, pipelined_latency) = run(Some(model), true);
-
-        // Charging CPU moves *when*, never *what*: the stalled report equals
-        // the classic one outside the transport timing column.
-        assert_eq!(classic.semantic(), stalled.semantic());
-        assert!(stalled_latency > classic_latency);
-
-        // Pipelining recovers part of the CPU charge by overlapping it with
-        // the wire — strictly between the other two.
-        assert!(
-            pipelined_latency < stalled_latency,
-            "pipelined {pipelined_latency} !< stalled {stalled_latency}"
-        );
-        assert!(pipelined_latency >= classic_latency);
-
-        // Same verdict, same faults, same blobs over the wire; only batch
-        // boundaries (and so round-trip framing) may differ.
-        assert_eq!(pipelined.consistent, stalled.consistent);
-        assert_eq!(pipelined.fault, stalled.fault);
-        assert_eq!(pipelined.entries_replayed, stalled.entries_replayed);
-        assert_eq!(pipelined.steps_replayed, stalled.steps_replayed);
-        let stalled_cost = stalled.on_demand.as_ref().unwrap();
-        let pipelined_cost = pipelined.on_demand.as_ref().unwrap();
-        let sorted = |cost: &crate::ondemand::OnDemandCost| {
-            let mut fetched: Vec<[u8; 32]> = cost.fetched.iter().map(|d| d.0).collect();
-            fetched.sort_unstable();
-            fetched
-        };
-        assert!(!stalled_cost.fetched.is_empty(), "workload fetched nothing");
-        assert_eq!(sorted(stalled_cost), sorted(pipelined_cost));
-        assert_eq!(pipelined_cost.cache_hits, stalled_cost.cache_hits);
-        assert_eq!(pipelined_cost.chunks_faulted, stalled_cost.chunks_faulted);
-        assert_eq!(pipelined_cost.blocks_faulted, stalled_cost.blocks_faulted);
-        assert_eq!(
-            pipelined_cost.untouched_staged,
-            stalled_cost.untouched_staged
-        );
-        assert_eq!(pipelined_cost.manifest_bytes, stalled_cost.manifest_bytes);
-    }
-
-    /// Full-download mode with replay CPU charged: the pipelined auditor
-    /// replays while the sections stream is on the wire, completing at
-    /// max(stream, CPU) instead of their sum — same report either way.
-    #[test]
-    fn pipelined_full_download_overlaps_replay_with_the_stream() {
-        let (bob, image) = record_with_snapshots(4);
-        let registry = GuestRegistry::new();
-        let run = |replay_cpu: Option<ReplayCpuModel>, pipelined: bool| {
-            let config = FleetConfig {
-                on_demand: false,
-                start_snapshot: 0,
-                chunk: 4,
-                replay_cpu,
-                pipelined,
-                ..FleetConfig::default()
-            };
-            let outcome = run_fleet(bob.log(), bob.snapshots(), &image, &registry, &config);
-            assert!(outcome.event_loop.quiescent);
-            let report = outcome.reports[0].as_ref().unwrap().clone();
-            (report, outcome.latencies_us[0])
-        };
-        let model = ReplayCpuModel::DEFAULT;
-        let (classic, _) = run(None, false);
-        let (stalled, stalled_latency) = run(Some(model), false);
-        let (pipelined, pipelined_latency) = run(Some(model), true);
-        assert_eq!(classic, stalled); // full mode: only completion time moves
-        assert_eq!(classic, pipelined);
-        assert!(
-            pipelined_latency < stalled_latency,
-            "pipelined {pipelined_latency} !< stalled {stalled_latency}"
-        );
     }
 
     /// Idle expiry reclaims finished sessions (and only finished ones), and

@@ -676,97 +676,6 @@ pub(crate) struct FaultClassification {
     pub untouched_staged: u64,
 }
 
-/// Incremental form of [`OnDemandSession::classify_faults`] for auditors
-/// that pause replay at segment boundaries and fetch as they go (the
-/// audit session's pipelined mode; its unpipelined mode is the same loop
-/// over one whole-chunk segment): each [`IncrementalFaultClassifier::classify_new`]
-/// call classifies only the faults the machine appended since the previous
-/// call, returning the newly wire-needed digests, and
-/// [`IncrementalFaultClassifier::into_classification`] yields the merged
-/// classification of the finished machine.
-///
-/// Because the machine's fault lists record first-touch order and only
-/// grow, the union over all calls equals the one-shot classification:
-/// identical needed *set*, identical cache-hit / locally-derived / fault
-/// counters.  Only the order of `needed` can differ (one call processes all
-/// its chunk faults before all its block faults, so several calls interleave
-/// them per segment), which changes batch composition but never what
-/// crosses the wire.
-#[derive(Debug, Default)]
-pub(crate) struct IncrementalFaultClassifier {
-    seen: HashSet<Digest>,
-    chunks_seen: usize,
-    blocks_seen: usize,
-    needed: Vec<Digest>,
-    cache_hits: u64,
-    locally_derived: u64,
-}
-
-impl IncrementalFaultClassifier {
-    /// Classifies the faults appended since the last call, returning the
-    /// newly needed (wire-facing) digests in fault order.
-    pub(crate) fn classify_new(
-        &mut self,
-        session: &OnDemandSession,
-        machine: &Machine,
-    ) -> Result<Vec<Digest>, CoreError> {
-        let faulted_chunks = &machine.memory().faulted_chunks()[self.chunks_seen..];
-        let faulted_blocks = &machine.devices().disk.faulted_blocks()[self.blocks_seen..];
-        self.chunks_seen += faulted_chunks.len();
-        self.blocks_seen += faulted_blocks.len();
-        let chunk_digests = faulted_chunks.iter().map(|idx| {
-            session
-                .staged_chunks
-                .get(idx)
-                .ok_or_else(|| CoreError::Snapshot(format!("faulted chunk {idx} was never staged")))
-        });
-        let block_digests = faulted_blocks.iter().map(|idx| {
-            session
-                .staged_blocks
-                .get(idx)
-                .ok_or_else(|| CoreError::Snapshot(format!("faulted block {idx} was never staged")))
-        });
-        let mut fresh = Vec::new();
-        for digest in chunk_digests.chain(block_digests) {
-            let digest = *digest?;
-            if !self.seen.insert(digest) {
-                continue;
-            }
-            match session.sources.get(&digest) {
-                Some(StagedSource::Remote) => {
-                    fresh.push(digest);
-                    self.needed.push(digest);
-                }
-                Some(StagedSource::Local) => self.locally_derived += 1,
-                Some(StagedSource::Cache) => self.cache_hits += 1,
-                None => {
-                    return Err(CoreError::Snapshot(format!(
-                        "faulted digest {} has no staging source",
-                        digest.short_hex()
-                    )))
-                }
-            }
-        }
-        Ok(fresh)
-    }
-
-    /// The merged classification over every call so far, with the untouched
-    /// counter read from the finished machine — counter-identical to
-    /// [`OnDemandSession::classify_faults`] of the same machine.
-    pub(crate) fn into_classification(self, machine: &Machine) -> FaultClassification {
-        let untouched =
-            machine.memory().staged_chunk_count() + machine.devices().disk.staged_block_count();
-        FaultClassification {
-            needed: self.needed,
-            cache_hits: self.cache_hits,
-            locally_derived: self.locally_derived,
-            chunks_faulted: self.chunks_seen as u64,
-            blocks_faulted: self.blocks_seen as u64,
-            untouched_staged: untouched as u64,
-        }
-    }
-}
-
 /// Tracks one on-demand reconstruction from staging to settlement.
 ///
 /// Produced by [`materialize_on_demand`]; after the replay (or any workload)
@@ -840,20 +749,57 @@ impl OnDemandSession {
     /// unique faulted digests must cross the wire and which are free
     /// (cached / image-derivable), plus the fault and untouched counters.
     ///
-    /// [`OnDemandSession::finish`] is `classify_faults` → blob exchange
-    /// → [`OnDemandSession::assemble_cost`]; [`crate::session::AuditSession`]
-    /// runs the incremental form ([`IncrementalFaultClassifier`]) around
-    /// the same exchange and the same `assemble_cost`.
-    fn classify_faults(&self, machine: &Machine) -> Result<FaultClassification, CoreError> {
-        let mut classifier = self.incremental_classifier();
-        classifier.classify_new(self, machine)?;
-        Ok(classifier.into_classification(machine))
-    }
-
-    /// Starts an incremental classification of this session's fault lists —
-    /// the pipelined auditor's seam (see [`IncrementalFaultClassifier`]).
-    pub(crate) fn incremental_classifier(&self) -> IncrementalFaultClassifier {
-        IncrementalFaultClassifier::default()
+    /// [`OnDemandSession::finish`] and [`crate::session::AuditSession`] both
+    /// run `classify_faults` → blob exchange ([`BlobFetch`]) →
+    /// [`OnDemandSession::assemble_cost`]; only who carries the exchange
+    /// differs.
+    pub(crate) fn classify_faults(
+        &self,
+        machine: &Machine,
+    ) -> Result<FaultClassification, CoreError> {
+        let faulted_chunks = machine.memory().faulted_chunks();
+        let faulted_blocks = machine.devices().disk.faulted_blocks();
+        let chunk_digests = faulted_chunks.iter().map(|idx| {
+            self.staged_chunks
+                .get(idx)
+                .ok_or_else(|| CoreError::Snapshot(format!("faulted chunk {idx} was never staged")))
+        });
+        let block_digests = faulted_blocks.iter().map(|idx| {
+            self.staged_blocks
+                .get(idx)
+                .ok_or_else(|| CoreError::Snapshot(format!("faulted block {idx} was never staged")))
+        });
+        let mut needed = Vec::new();
+        let mut cache_hits = 0u64;
+        let mut locally_derived = 0u64;
+        let mut seen = HashSet::new();
+        for digest in chunk_digests.chain(block_digests) {
+            let digest = *digest?;
+            if !seen.insert(digest) {
+                continue;
+            }
+            match self.sources.get(&digest) {
+                Some(StagedSource::Remote) => needed.push(digest),
+                Some(StagedSource::Local) => locally_derived += 1,
+                Some(StagedSource::Cache) => cache_hits += 1,
+                None => {
+                    return Err(CoreError::Snapshot(format!(
+                        "faulted digest {} has no staging source",
+                        digest.short_hex()
+                    )))
+                }
+            }
+        }
+        let untouched =
+            machine.memory().staged_chunk_count() + machine.devices().disk.staged_block_count();
+        Ok(FaultClassification {
+            needed,
+            cache_hits,
+            locally_derived,
+            chunks_faulted: faulted_chunks.len() as u64,
+            blocks_faulted: faulted_blocks.len() as u64,
+            untouched_staged: untouched as u64,
+        })
     }
 
     /// Assembles the [`OnDemandCost`] from a classification and the blob

@@ -32,11 +32,10 @@
 //!   same totals the serial replayer reports, because units chain
 //!   end-step to start-step at verified snapshot boundaries.
 //!
-//! [`ReplayCpuModel`] prices replay CPU in simulated microseconds the same
-//! way [`avm_wire::RttModel`] prices round trips: deterministic modelled
-//! time, calibrated from measurement by the benchmarks, so pipelined-fetch
-//! experiments ([`crate::fleet`]) can overlap wire wait with replay work on
-//! a simulated clock.
+//! What the lanes buy in wall-clock is a measurement, not a property of this
+//! module: `bench/` times [`replay_chunk_parallel`] per lane count on the
+//! host it runs on (1.00x on the two-thread CI host), and the `paraudit`
+//! experiment records `wall_parallel_w*_us` beside the host's parallelism.
 
 use std::time::Instant;
 
@@ -111,8 +110,7 @@ pub struct ParallelReplayStats {
     /// does not materialize, or materializes to a root other than the log
     /// records) and the whole chunk was replayed serially instead.
     pub fell_back_serial: bool,
-    /// Measured replay CPU per unit, in µs, unit order — the makespan
-    /// inputs for modelling wall time at other worker counts.
+    /// Measured replay wall time per unit, in µs, unit order.
     pub unit_cpu_micros: Vec<u64>,
 }
 
@@ -330,70 +328,6 @@ pub fn replay_chunk_parallel(
     })
 }
 
-/// Deterministic makespan of scheduling `unit_cpu_micros` over `workers`
-/// lanes with longest-processing-time-first greedy assignment — the wall
-/// time a `workers`-core auditor needs for the same units.  The modelled
-/// companion to the measured single-core numbers, like
-/// [`avm_wire::RttModel`] for round trips.
-pub fn schedule_makespan_micros(unit_cpu_micros: &[u64], workers: usize) -> u64 {
-    let workers = workers.max(1);
-    let mut order: Vec<u64> = unit_cpu_micros.to_vec();
-    order.sort_unstable_by(|a, b| b.cmp(a));
-    let mut lanes = vec![0u64; workers];
-    for cost in order {
-        let lane = lanes
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, load)| **load)
-            .map(|(i, _)| i)
-            .expect("at least one lane");
-        lanes[lane] += cost;
-    }
-    lanes.into_iter().max().unwrap_or(0)
-}
-
-/// Prices replay CPU in simulated microseconds — the deterministic model
-/// the fleet's pipelined-fetch mode charges to the event-loop clock, so
-/// "replay segment i while the batch for segment i-1 is on the wire"
-/// becomes a measurable overlap instead of a zero-time artefact.
-///
-/// Calibrate from a measured serial replay with
-/// [`ReplayCpuModel::calibrated`], or use [`ReplayCpuModel::DEFAULT`] for
-/// pinned-trajectory determinism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayCpuModel {
-    /// Modelled cost per machine step, in nanoseconds.
-    pub ns_per_step: u64,
-    /// Modelled fixed cost per log entry (decode + cross-reference), in
-    /// nanoseconds.
-    pub ns_per_entry: u64,
-}
-
-impl ReplayCpuModel {
-    /// A deterministic default in the measured ballpark of the bytecode
-    /// interpreter with incremental root verification.
-    pub const DEFAULT: ReplayCpuModel = ReplayCpuModel {
-        ns_per_step: 200,
-        ns_per_entry: 2_000,
-    };
-
-    /// A model matching a measured replay: `cpu_micros` of CPU over
-    /// `steps` machine steps (per-entry cost folded into the per-step
-    /// rate).
-    pub fn calibrated(cpu_micros: u64, steps: u64) -> ReplayCpuModel {
-        ReplayCpuModel {
-            ns_per_step: (cpu_micros * 1_000) / steps.max(1),
-            ns_per_entry: 0,
-        }
-    }
-
-    /// Modelled CPU cost of replaying `entries` log entries over `steps`
-    /// machine steps, in microseconds.
-    pub fn cost_micros(&self, steps: u64, entries: u64) -> u64 {
-        (steps * self.ns_per_step + entries * self.ns_per_entry) / 1_000
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,27 +523,5 @@ mod tests {
         // errors identically, so either way is acceptable as long as it is
         // an error, not a bogus verdict.
         assert!(outcome.is_err() || outcome.unwrap().stats.units <= 1);
-    }
-
-    #[test]
-    fn makespan_schedules_longest_first() {
-        assert_eq!(schedule_makespan_micros(&[], 4), 0);
-        assert_eq!(schedule_makespan_micros(&[10, 20, 30], 1), 60);
-        // LPT on {30,20,10} over 2 lanes: {30} vs {20,10}.
-        assert_eq!(schedule_makespan_micros(&[10, 20, 30], 2), 30);
-        // More lanes than units: bounded by the largest unit.
-        assert_eq!(schedule_makespan_micros(&[10, 20, 30], 8), 30);
-    }
-
-    #[test]
-    fn cpu_model_prices_steps_and_entries() {
-        let model = ReplayCpuModel {
-            ns_per_step: 100,
-            ns_per_entry: 1_000,
-        };
-        assert_eq!(model.cost_micros(10_000, 5), 1_005);
-        let calibrated = ReplayCpuModel::calibrated(2_000, 10_000);
-        assert_eq!(calibrated.ns_per_step, 200);
-        assert_eq!(calibrated.cost_micros(10_000, 999), 2_000);
     }
 }

@@ -11,8 +11,7 @@
 //! * [`crate::endpoint::AuditClient`] — a blocking loop over
 //!   [`crate::endpoint::AuditTransport::exchange`];
 //! * [`crate::fleet::FleetAuditor`] — an [`avm_net::Endpoint`] on a shared
-//!   event loop, adding only the session envelope, the retransmit timer and
-//!   the waits on modelled replay CPU.
+//!   event loop, adding only the session envelope and the retransmit timer.
 //!
 //! Responses arrive as the *borrowed* [`AuditResponseRef`]: the section
 //! stream is measured from the packet buffer, the manifest decoded in place,
@@ -47,10 +46,8 @@ use crate::error::{CoreError, FaultReason};
 use crate::ondemand::{
     AuditorBlobCache, BlobFetch, ChainManifest, FaultClassification, OnDemandCost, OnDemandSession,
 };
-use crate::paraudit::{
-    partition_chunk, replay_chunk_parallel, ParallelReplayStats, ReplayCpuModel,
-};
-use crate::replay::{ReplayOutcome, ReplaySummary, Replayer};
+use crate::paraudit::{replay_chunk_parallel, ParallelReplayStats};
+use crate::replay::{ReplaySummary, Replayer};
 use crate::snapshot::SnapshotStore;
 use crate::spotcheck::{snapshot_positions_in, SpotCheckReport};
 
@@ -128,46 +125,16 @@ pub(crate) fn expect_attestation(response: AuditResponseRef<'_>) -> Result<Attes
 // The session
 // ---------------------------------------------------------------------------
 
-/// What the driver does next.  `not_before_us` is a simulated instant the
-/// session's modelled replay CPU is busy until (`0` = at once): drivers with
-/// a clock hold the step until then, a blocking driver ignores it.
-// One short-lived `Step` exists per exchange and is consumed at once; boxing
-// the report would buy nothing but an allocation.
-#[allow(clippy::large_enum_variant)]
+/// What the driver does next.
 #[derive(Debug)]
 pub enum Step {
-    /// Put `request` on the wire as the session's next exchange and feed
+    /// Put the request on the wire as the session's next exchange and feed
     /// the response to [`AuditSession::on_response`].
-    Send {
-        /// The request to send.
-        request: AuditRequest,
-        /// Earliest simulated µs the request may go out.
-        not_before_us: u64,
-    },
-    /// The session is over.  A report's `transport` column is zeroed — the
-    /// driver fills in what its wire measured.
-    Done {
-        /// The verdict, or the error that ended the session.
-        outcome: Result<SpotCheckReport, CoreError>,
-        /// Earliest simulated µs the verdict stands.
-        not_before_us: u64,
-    },
-}
-
-impl Step {
-    fn send(request: AuditRequest) -> Step {
-        Step::Send {
-            request,
-            not_before_us: 0,
-        }
-    }
-
-    /// The simulated instant this step is due (`0` = at once).
-    pub fn not_before_us(&self) -> u64 {
-        match self {
-            Step::Send { not_before_us, .. } | Step::Done { not_before_us, .. } => *not_before_us,
-        }
-    }
+    Send(AuditRequest),
+    /// The session is over: the verdict, or the error that ended it.  A
+    /// report's `transport` column is zeroed — the driver fills in what its
+    /// wire measured.
+    Done(Result<SpotCheckReport, CoreError>),
 }
 
 /// A replayed chunk's verdict: the fault (if any) and the truthful progress.
@@ -180,9 +147,7 @@ struct BlobPhase {
     replayed: Replayed,
     ondemand: OnDemandSession,
     classification: FaultClassification,
-    /// Each batch with the instant its request becomes sendable: when the
-    /// replay CPU of the segment that faulted it is done.
-    batches: Vec<(BlobRequest, u64)>,
+    batches: Vec<BlobRequest>,
     next: usize,
     download: BlobFetch,
 }
@@ -195,12 +160,10 @@ enum State {
         challenge: AttestChallenge,
     },
     Chunk,
-    /// Full-download mode.  `prereplayed`: the pipelined session replayed
-    /// while the stream was on the wire.
+    /// Full-download mode.
     Sections {
         entries: Vec<LogEntry>,
         log_bytes: u64,
-        prereplayed: Option<Replayed>,
     },
     /// On-demand mode.
     Manifest {
@@ -224,11 +187,7 @@ pub struct AuditSession<'a> {
     cache: AuditorBlobCache,
     /// The launch policy and the session id the challenge nonce derives from.
     attest: Option<(&'a LaunchPolicy, u64)>,
-    /// Charge replay CPU to the driver's clock at this rate; `true` overlaps
-    /// it with the wire (replay segment-wise, fetch per segment).
-    replay_cpu: Option<(ReplayCpuModel, bool)>,
     state: State,
-    cpu_busy_until: u64,
     attest_verdict: Option<AttestVerdict>,
     replay_stats: ParallelReplayStats,
 }
@@ -258,9 +217,7 @@ impl<'a> AuditSession<'a> {
             oracle,
             cache: AuditorBlobCache::new(),
             attest: None,
-            replay_cpu: None,
             state: State::Idle,
-            cpu_busy_until: 0,
             attest_verdict: None,
             replay_stats: ParallelReplayStats::default(),
         }
@@ -282,17 +239,6 @@ impl<'a> AuditSession<'a> {
         session_id: u64,
     ) -> AuditSession<'a> {
         self.attest = Some((policy, session_id));
-        self
-    }
-
-    /// Charges replay CPU to the driver's clock under `model` — the steps
-    /// that follow a replay carry the instant its CPU is done.  `pipelined`
-    /// overlaps CPU with the wire: on-demand replay runs segment-wise and
-    /// each segment's blob batches are due the moment that segment's CPU
-    /// finishes; full-download replay runs while the section stream is in
-    /// flight.  Verdict and transfer columns never move, only the instants.
-    pub fn with_replay_cpu(mut self, model: ReplayCpuModel, pipelined: bool) -> AuditSession<'a> {
-        self.replay_cpu = Some((model, pipelined));
         self
     }
 
@@ -322,42 +268,38 @@ impl<'a> AuditSession<'a> {
                     issued_at_us: now_us,
                 };
                 self.state = State::Attest { challenge };
-                Step::send(AuditRequest::Attest(challenge))
+                Step::Send(AuditRequest::Attest(challenge))
             }
             None => self.request_chunk(),
         }
     }
 
     /// Consumes the response to the request last issued, at simulated time
-    /// `now_us`, and says what to do next.  A response of the wrong kind, a
-    /// provider-side error, or bytes that fail authentication end the
-    /// session with an error — never with a verdict.
+    /// `now_us` (read only to judge a quote's freshness), and says what to
+    /// do next.  A response of the wrong kind, a provider-side error, or
+    /// bytes that fail authentication end the session with an error — never
+    /// with a verdict.
     pub fn on_response(&mut self, now_us: u64, response: AuditResponseRef<'_>) -> Step {
         let next = match std::mem::replace(&mut self.state, State::Done) {
             State::Attest { challenge } => self.on_attest(now_us, response, challenge),
-            State::Chunk => self.on_chunk(now_us, response),
-            State::Sections {
-                entries,
-                log_bytes,
-                prereplayed,
-            } => self.on_sections(now_us, response, &entries, log_bytes, prereplayed),
+            State::Chunk => self.on_chunk(response),
+            State::Sections { entries, log_bytes } => {
+                self.on_sections(response, &entries, log_bytes)
+            }
             State::Manifest { entries, log_bytes } => {
-                self.on_manifest(now_us, response, &entries, log_bytes)
+                self.on_manifest(response, &entries, log_bytes)
             }
             State::Blobs(phase) => self.on_blobs(response, phase),
             State::Idle | State::Done => Err(CoreError::Snapshot(
                 "audit session has no exchange outstanding".to_string(),
             )),
         };
-        next.unwrap_or_else(|error| Step::Done {
-            outcome: Err(error),
-            not_before_us: 0,
-        })
+        next.unwrap_or_else(|error| Step::Done(Err(error)))
     }
 
     fn request_chunk(&mut self) -> Step {
         self.state = State::Chunk;
-        Step::send(AuditRequest::LogSegment(SegmentAddress::Chunk {
+        Step::Send(AuditRequest::LogSegment(SegmentAddress::Chunk {
             start_snapshot: self.start_snapshot,
             chunk: self.k,
         }))
@@ -384,7 +326,7 @@ impl<'a> AuditSession<'a> {
         Ok(self.request_chunk())
     }
 
-    fn on_chunk(&mut self, now_us: u64, response: AuditResponseRef<'_>) -> Result<Step, CoreError> {
+    fn on_chunk(&mut self, response: AuditResponseRef<'_>) -> Result<Step, CoreError> {
         // The provider resolves the chunk boundaries; one whose SNAPSHOT
         // records do not all decode returns its log prefix instead (see
         // `AuditServer::handle`).
@@ -398,33 +340,19 @@ impl<'a> AuditSession<'a> {
         }
         if self.on_demand {
             self.state = State::Manifest { entries, log_bytes };
-            Ok(Step::send(AuditRequest::Manifest {
+            Ok(Step::Send(AuditRequest::Manifest {
                 snapshot_id: self.start_snapshot,
             }))
         } else {
-            // The verdict never depends on the section stream (the machine
-            // materializes from the oracle, which holds the same
-            // authenticated bytes), so a pipelined session replays *while*
-            // the stream is on the wire and finishes at max(stream arrival,
-            // CPU done) instead of their sum.
-            let prereplayed = match self.replay_cpu {
-                Some((_, true)) => Some(self.replay_full(now_us, &entries)?),
-                _ => None,
-            };
-            self.state = State::Sections {
-                entries,
-                log_bytes,
-                prereplayed,
-            };
-            Ok(Step::send(AuditRequest::Sections {
+            self.state = State::Sections { entries, log_bytes };
+            Ok(Step::Send(AuditRequest::Sections {
                 upto_id: self.start_snapshot,
             }))
         }
     }
 
-    /// Full-download replay from the oracle-materialized snapshot, charging
-    /// its CPU from `now_us`.
-    fn replay_full(&mut self, now_us: u64, entries: &[LogEntry]) -> Result<Replayed, CoreError> {
+    /// Full-download replay from the oracle-materialized snapshot.
+    fn replay_full(&mut self, entries: &[LogEntry]) -> Result<Replayed, CoreError> {
         let outcome = replay_chunk_parallel(
             entries,
             self.image,
@@ -433,38 +361,25 @@ impl<'a> AuditSession<'a> {
             self.start_snapshot,
             self.lanes,
         )?;
-        if let Some((model, _)) = self.replay_cpu {
-            self.cpu_busy_until = now_us
-                + model.cost_micros(
-                    outcome.progress.steps_executed,
-                    outcome.progress.entries_replayed,
-                );
-        }
         self.replay_stats = outcome.stats;
         Ok((outcome.fault, outcome.progress))
     }
 
     fn on_sections(
         &mut self,
-        now_us: u64,
         response: AuditResponseRef<'_>,
         entries: &[LogEntry],
         log_bytes: u64,
-        prereplayed: Option<Replayed>,
     ) -> Result<Step, CoreError> {
         // The stream is the snapshot download; its length comes straight
         // from the packet buffer, whatever the provider chose to send.
         let snapshot_bytes = expect_sections(response)?.len() as u64;
-        let replayed = match prereplayed {
-            Some(replayed) => replayed,
-            None => self.replay_full(now_us, entries)?,
-        };
+        let replayed = self.replay_full(entries)?;
         Ok(self.finish(replayed, log_bytes, snapshot_bytes, None))
     }
 
     fn on_manifest(
         &mut self,
-        now_us: u64,
         response: AuditResponseRef<'_>,
         entries: &[LogEntry],
         log_bytes: u64,
@@ -480,50 +395,15 @@ impl<'a> AuditSession<'a> {
             self.oracle,
             &self.cache,
         )?;
-        // Replay segment by segment, planning each segment's blob batches
-        // for the instant its replay CPU is done.  Unpipelined, the chunk is
-        // one segment and every batch waits for the whole replay.
-        let segments: Vec<_> = match self.replay_cpu {
-            Some((_, true)) => {
-                let positions = snapshot_positions_in(entries).unwrap_or_default();
-                let units = partition_chunk(entries, &positions);
-                units.into_iter().map(|unit| unit.range).collect()
-            }
-            _ => std::iter::once(0..entries.len()).collect(),
-        };
-        let mut classifier = ondemand.incremental_classifier();
+        let fault = replayer.replay(entries).fault().cloned();
+        let classification = ondemand.classify_faults(replayer.machine())?;
         let mut download = BlobFetch::default();
-        let mut batches = Vec::new();
-        let mut cpu_done = now_us;
-        let mut charged = (0u64, 0u64);
-        let mut fault = None;
-        for range in segments {
-            let outcome = replayer.replay(&entries[range]);
-            let progress = replayer.summary();
-            if let Some((model, _)) = self.replay_cpu {
-                cpu_done += model.cost_micros(
-                    progress.steps_executed - charged.0,
-                    progress.entries_replayed - charged.1,
-                );
-                charged = (progress.steps_executed, progress.entries_replayed);
-            }
-            let faulted = classifier.classify_new(&ondemand, replayer.machine())?;
-            for request in download.plan(&self.cache, &faulted, DEFAULT_BLOB_BATCH) {
-                batches.push((request, cpu_done));
-            }
-            if let ReplayOutcome::Fault(f) = outcome {
-                fault = Some(f);
-                break;
-            }
-        }
-        if self.replay_cpu.is_some() {
-            self.cpu_busy_until = cpu_done;
-        }
+        let batches = download.plan(&self.cache, &classification.needed, DEFAULT_BLOB_BATCH);
         Ok(self.next_batch(Box::new(BlobPhase {
             log_bytes,
             replayed: (fault, replayer.summary()),
-            classification: classifier.into_classification(replayer.machine()),
             ondemand,
+            classification,
             batches,
             next: 0,
             download,
@@ -536,7 +416,7 @@ impl<'a> AuditSession<'a> {
         mut phase: Box<BlobPhase>,
     ) -> Result<Step, CoreError> {
         let blobs = expect_blobs(response)?;
-        let (request, _) = &phase.batches[phase.next];
+        let request = &phase.batches[phase.next];
         phase.download.accept(&mut self.cache, request, &blobs)?;
         phase.next += 1;
         Ok(self.next_batch(phase))
@@ -545,11 +425,8 @@ impl<'a> AuditSession<'a> {
     /// Requests the next planned blob batch, or settles the on-demand report
     /// once every batch is in.
     fn next_batch(&mut self, phase: Box<BlobPhase>) -> Step {
-        if let Some((request, ready_at)) = phase.batches.get(phase.next) {
-            let step = Step::Send {
-                request: AuditRequest::Blobs(request.clone()),
-                not_before_us: *ready_at,
-            };
+        if let Some(request) = phase.batches.get(phase.next) {
+            let step = Step::Send(AuditRequest::Blobs(request.clone()));
             self.state = State::Blobs(phase);
             return step;
         }
@@ -576,21 +453,18 @@ impl<'a> AuditSession<'a> {
         on_demand: Option<OnDemandCost>,
     ) -> Step {
         self.state = State::Done;
-        Step::Done {
-            outcome: Ok(SpotCheckReport {
-                start_snapshot: self.start_snapshot,
-                chunk_size: self.k,
-                consistent: fault.is_none(),
-                fault,
-                entries_replayed: progress.entries_replayed,
-                steps_replayed: progress.steps_executed,
-                log_transfer_bytes,
-                snapshot_transfer_bytes,
-                on_demand,
-                transport: TransportStats::default(),
-            }),
-            not_before_us: self.cpu_busy_until,
-        }
+        Step::Done(Ok(SpotCheckReport {
+            start_snapshot: self.start_snapshot,
+            chunk_size: self.k,
+            consistent: fault.is_none(),
+            fault,
+            entries_replayed: progress.entries_replayed,
+            steps_replayed: progress.steps_executed,
+            log_transfer_bytes,
+            snapshot_transfer_bytes,
+            on_demand,
+            transport: TransportStats::default(),
+        }))
     }
 }
 
@@ -628,13 +502,13 @@ mod tests {
         let mut step = session.start(1_000);
         loop {
             match step {
-                Step::Send { request, .. } => {
+                Step::Send(request) => {
                     let response = tamper(sent.len(), server.handle(&request)).encode_to_vec();
                     sent.push(kind(&request));
                     let response = AuditResponseRef::decode_exact(&response).unwrap();
                     step = session.on_response(2_000, response);
                 }
-                Step::Done { outcome, .. } => return (sent, outcome),
+                Step::Done(outcome) => return (sent, outcome),
             }
         }
     }
@@ -678,6 +552,48 @@ mod tests {
                 assert!(report.on_demand.is_none());
             }
         }
+    }
+
+    /// The session and the one-shot [`OnDemandSession::finish`] run the same
+    /// `classify_faults` → `BlobFetch::plan`: over a chunk that spans
+    /// interior snapshots the session replays once, asks for the blobs in
+    /// full batches after the manifest, and reports the cost `finish`
+    /// settles from the same store and an equally empty cache.
+    #[test]
+    fn on_demand_session_is_the_one_shot_path_over_the_wire() {
+        let (bob, image) = record_with_snapshots(5);
+        let registry = GuestRegistry::new();
+        let server = AuditServer::new(bob.log(), bob.snapshots());
+        let session = AuditSession::new(1, 3, true, 0, &image, &registry, bob.snapshots());
+        let mut chunk = Vec::new();
+        let (sent, outcome) = drive(session, &server, |_, response| {
+            if let AuditResponse::LogSegment { entries, .. } = &response {
+                chunk = entries
+                    .iter()
+                    .map(|bytes| LogEntry::decode_exact(bytes).unwrap())
+                    .collect();
+            }
+            response
+        });
+        let report = outcome.unwrap();
+        assert!(report.consistent, "{:?}", report.fault);
+        let interior = snapshot_positions_in(&chunk).unwrap().len() - 1;
+        assert!(interior >= 2, "{interior} interior snapshots");
+
+        let mut cache = AuditorBlobCache::new();
+        let (mut replayer, ondemand) =
+            Replayer::from_snapshot_on_demand(&image, &registry, bob.snapshots(), 1, &cache)
+                .unwrap();
+        assert!(replayer.replay(&chunk).is_consistent());
+        let one_shot = ondemand
+            .finish(replayer.machine(), bob.snapshots(), &mut cache)
+            .unwrap();
+        assert!(!one_shot.fetched.is_empty(), "workload fetched nothing");
+        let batches = one_shot.fetched.len().div_ceil(DEFAULT_BLOB_BATCH);
+        let mut expected = vec!["Chunk", "Manifest"];
+        expected.resize(2 + batches, "Blobs");
+        assert_eq!(sent, expected);
+        assert_eq!(report.on_demand, Some(one_shot));
     }
 
     /// The report's byte columns are what the scripted provider put on the
