@@ -1,13 +1,12 @@
 //! Criterion benchmarks backing the paper's evaluation.
 //!
-//! One benchmark group per table/figure; each group exercises the code path
-//! that regenerates that result (at reduced scale, so `cargo bench` stays
-//! tractable).  The full-scale numbers are produced by the `experiments`
-//! binary and recorded in `EXPERIMENTS.md`.
+//! One benchmark group per kernel the evaluation leans on, each timed
+//! against the reference it replaced.  Whole record → audit paths are timed
+//! end to end by the standalone `bench/` package, and the deterministic
+//! tables and figures come from the `experiments` binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use avm_bench::experiments;
 use avm_bench::scenario::GameScenario;
 use avm_compress::{compress, CompressionLevel};
 use avm_core::config::ExecConfig;
@@ -53,19 +52,6 @@ fn bench_fig3_fig4_logging(c: &mut Criterion) {
     let bytes = log.to_bytes();
     group.bench_function("compress_log", |b| {
         b.iter(|| compress(&bytes, CompressionLevel::Fast).len())
-    });
-    group.finish();
-}
-
-/// Table 1 / §6.3 substrate: record a short cheating session and audit it.
-fn bench_table1_cheat_detection(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table1_cheat_detection");
-    group.sample_size(10);
-    group.bench_function("record_and_audit_cheater", |b| {
-        b.iter(|| {
-            let r = experiments::exp_table1(true);
-            assert_eq!(r.undetected, 0);
-        })
     });
     group.finish();
 }
@@ -131,28 +117,6 @@ fn bench_snapshot_dedup(c: &mut Criterion) {
                 .transfer_cost_upto(0, CompressionLevel::Fast)
                 .compressed_bytes
         })
-    });
-    group.finish();
-}
-
-/// Figure 9 substrate: spot-checking the database workload.
-fn bench_fig9_spotcheck(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig9_spotcheck");
-    group.sample_size(10);
-    group.bench_function("spotcheck_db_workload", |b| {
-        b.iter(|| experiments::exp_spotcheck(true).len())
-    });
-    group.finish();
-}
-
-/// Networked audit endpoints: the same spot check over the direct
-/// (RTT-modelled) transport and the simulated network, clean and lossy —
-/// the `netaudit` experiment's full comparison as one benchmark body.
-fn bench_netaudit(c: &mut Criterion) {
-    let mut group = c.benchmark_group("netaudit");
-    group.sample_size(10);
-    group.bench_function("netaudit_transport_comparison", |b| {
-        b.iter(|| experiments::exp_netaudit(true).measured_clean_us)
     });
     group.finish();
 }
@@ -426,15 +390,12 @@ criterion_group!(
     benches,
     bench_fig5_signatures,
     bench_fig3_fig4_logging,
-    bench_table1_cheat_detection,
     bench_fig7_framerate,
     bench_fig6_snapshot_incremental,
     bench_parallel_chunk_hashing,
     bench_crypto_floor,
     bench_verify_kernels,
     bench_snapshot_dedup,
-    bench_fig9_spotcheck,
-    bench_netaudit,
     bench_persist_recovery
 );
 criterion_main!(benches);

@@ -1,34 +1,20 @@
 //! Compares a fresh benchmark metric file against the committed pin and
-//! exits nonzero on regressions — the "benchmark trajectory as data" gate.
+//! exits nonzero unless they are equal — the "benchmark trajectory as data"
+//! gate.
 //!
 //! ```text
 //! cargo run -p avm-bench --bin bench_compare -- \
-//!     BENCH_persist.json target/bench/BENCH_persist.json \
-//!     [--threshold 15] [--warn-costs]
+//!     BENCH_persist.json target/bench/BENCH_persist.json
 //! ```
 //!
-//! The key conventions (which keys are exact flags, which are costs under
-//! the threshold, which are host-dependent and skipped) live in
-//! [`avm_bench::trajectory`].
-//!
-//! `ok_*` mismatches and missing keys are correctness regressions and
-//! always fail the run.  Cost overshoots fail too by default;
-//! `--warn-costs` downgrades *only those* to warnings, for environments
-//! whose cost profile legitimately drifts while semantics must not.  A key
-//! with an explicit `tolerance_<key>` pin has graduated past the blanket
-//! threshold: breaching its own gate stays fatal even under `--warn-costs`.
+//! Exit 1: some key differs or is present on one side only
+//! ([`avm_bench::trajectory::compare`]).  Exit 2: a file is unreadable,
+//! holds a non-integer value or holds no metrics.
 
 use std::path::Path;
 use std::process::exit;
 
 use avm_bench::trajectory;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: bench_compare <pinned.json> <fresh.json> [--threshold <percent>] [--warn-costs]"
-    );
-    exit(2);
-}
 
 fn load(path: &str) -> Vec<(String, u64)> {
     match trajectory::read_metrics(Path::new(path)) {
@@ -46,61 +32,21 @@ fn load(path: &str) -> Vec<(String, u64)> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut threshold: u64 = 15;
-    let mut warn_costs = false;
-    let mut files: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--threshold" {
-            threshold = match it.next().map(|v| v.parse()) {
-                Some(Ok(t)) => t,
-                _ => usage(),
-            };
-        } else if arg == "--warn-costs" {
-            warn_costs = true;
-        } else if arg.starts_with("--") {
-            usage();
-        } else {
-            files.push(arg);
-        }
-    }
-    let [pinned_path, fresh_path] = files[..] else {
-        usage();
+    let [pinned_path, fresh_path] = &args[..] else {
+        eprintln!("usage: bench_compare <pinned.json> <fresh.json>");
+        exit(2);
     };
 
     let pinned = load(pinned_path);
     let fresh = load(fresh_path);
-    println!("comparing {fresh_path} against pinned {pinned_path} (threshold {threshold}%)");
-    for (key, pin) in &pinned {
-        match fresh.iter().find(|(k, _)| k == key) {
-            Some((_, now)) => println!("  {key}: {pin} -> {now}"),
-            None => println!("  {key}: {pin} -> (missing)"),
-        }
-    }
-
-    let regressions = trajectory::compare(&pinned, &fresh, threshold);
+    println!("comparing {fresh_path} against pinned {pinned_path}");
+    let regressions = trajectory::compare(&pinned, &fresh);
     if regressions.is_empty() {
-        println!("no regressions: every pinned cost within {threshold}%, all flags intact");
+        println!("equal: all {} pinned keys reproduced", pinned.len());
         return;
     }
-    // `ok_*` mismatches and disappeared keys are correctness failures; a
-    // value overshoot on any other key is a cost regression — unless the
-    // key carries its own `tolerance_<key>` pin, in which case breaching
-    // that gate is as hard a failure as a flipped flag.
-    let mut fatal = 0;
     for regression in &regressions {
-        let hard = regression.key.starts_with("ok_")
-            || regression.fresh.is_none()
-            || regression.toleranced;
-        if hard || !warn_costs {
-            eprintln!("REGRESSION {regression}");
-            fatal += 1;
-        } else {
-            eprintln!("warning: cost regression {regression}");
-        }
+        eprintln!("REGRESSION {regression}");
     }
-    if fatal > 0 {
-        exit(1);
-    }
-    println!("cost regressions downgraded to warnings (--warn-costs); flags intact");
+    exit(1);
 }

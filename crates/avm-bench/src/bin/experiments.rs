@@ -5,138 +5,125 @@
 //! ```text
 //! cargo run --release -p avm-bench --bin experiments -- all
 //! cargo run --release -p avm-bench --bin experiments -- table1 fig9
-//! cargo run --release -p avm-bench --bin experiments -- --quick all
 //! ```
+//!
+//! Every experiment prints its rows and writes its `BENCH_*.json` metric
+//! file (into the `BENCH_OUT` directory, or the current one) for
+//! `bench_compare` to check against the committed pin.
 
-use avm_bench::experiments;
+use avm_bench::experiments as exp;
 use avm_bench::trajectory;
 
-/// Writes a fresh trajectory metric file (`BENCH_OUT` dir, or the current
-/// one) so `bench_compare` can diff it against the committed pin.
-fn write_bench(experiment: &str, file: &str, metrics: &[(String, u64)]) {
+/// The ids that select an experiment, the pin it writes, and the run that
+/// produces the pin's metrics.
+type Experiment = (
+    &'static [&'static str],
+    &'static str,
+    fn() -> Vec<(String, u64)>,
+);
+
+const EXPERIMENTS: &[Experiment] = &[
+    (
+        &["table1", "functionality", "sec6.3"],
+        "BENCH_table1.json",
+        || {
+            let table = exp::exp_table1();
+            let (honest_pass, cheaters_caught) = exp::exp_functionality();
+            exp::table1_metrics(&table, honest_pass, cheaters_caught)
+        },
+    ),
+    (
+        &[
+            "gamelog",
+            "fig3",
+            "fig4",
+            "loggrowth",
+            "sec6.5",
+            "clockopt",
+            "sec6.7",
+            "traffic",
+        ],
+        "BENCH_gamelog.json",
+        || {
+            exp::gamelog_metrics(
+                &exp::exp_log_growth(),
+                &exp::exp_clock_optimization(),
+                exp::exp_traffic(),
+            )
+        },
+    ),
+    (&["fig9", "sec6.12", "spotcheck"], "BENCH_fig9.json", || {
+        exp::fig9_metrics(&exp::exp_spotcheck())
+    }),
+    (
+        &["dedup", "cas", "snapshotdedup"],
+        "BENCH_dedup.json",
+        || exp::dedup_metrics(&exp::exp_snapshot_dedup()),
+    ),
+    (
+        &["ondemand", "sec3.5", "partialstate"],
+        "BENCH_ondemand.json",
+        || exp::ondemand_metrics(&exp::exp_ondemand()),
+    ),
+    (
+        &["chunked", "subpage", "chunks"],
+        "BENCH_chunked.json",
+        || exp::chunked_metrics(&exp::exp_chunked()),
+    ),
+    (
+        &["netaudit", "netcheck", "endpoints"],
+        "BENCH_netaudit.json",
+        || exp::netaudit_metrics(&exp::exp_netaudit()),
+    ),
+    (
+        &["persist", "durability", "crashrecovery"],
+        "BENCH_persist.json",
+        || exp::persist_metrics(&exp::exp_persist()),
+    ),
+    (&["fleet", "sessions", "scale"], "BENCH_fleet.json", || {
+        exp::fleet_metrics(&exp::exp_fleet())
+    }),
+    (&["paraudit", "parallel"], "BENCH_paraudit.json", || {
+        exp::paraudit_metrics(&exp::exp_paraudit())
+    }),
+    (
+        &["attest", "attestation", "launch"],
+        "BENCH_attest.json",
+        || exp::attest_metrics(&exp::exp_attest()),
+    ),
+];
+
+/// Runs one experiment and writes its fresh metric file.
+fn run(&(_, file, metrics): &Experiment) {
+    let label = file.trim_start_matches("BENCH_").trim_end_matches(".json");
     let path = trajectory::bench_out_path(file);
-    match trajectory::write_metrics(&path, experiment, metrics) {
-        Ok(written) => println!("wrote {}", written.display()),
-        Err(err) => eprintln!("failed to write {}: {err}", path.display()),
+    match trajectory::write_metrics(&path, label, &metrics()) {
+        Ok(written) => println!("wrote {}\n", written.display()),
+        Err(err) => {
+            eprintln!("failed to write {}: {err}", path.display());
+            std::process::exit(1);
+        }
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|s| s.as_str())
-        .collect();
-    let selected = if selected.is_empty() {
-        vec!["all"]
-    } else {
-        selected
-    };
-
-    for name in selected {
-        match name {
-            "all" => experiments::run_all(quick),
-            "table1" => {
-                experiments::exp_table1(quick);
-            }
-            "functionality" | "sec6.3" => {
-                experiments::exp_functionality(quick);
-            }
-            "fig3" | "fig4" | "loggrowth" => {
-                experiments::exp_log_growth(quick);
-            }
-            "sec6.5" | "clockopt" => {
-                experiments::exp_clock_optimization(quick);
-            }
-            "sec6.6" | "auditcost" => {
-                experiments::exp_audit_cost(quick);
-            }
-            "sec6.7" | "traffic" => {
-                experiments::exp_traffic(quick);
-            }
-            "fig9" | "sec6.12" | "spotcheck" => {
-                experiments::exp_spotcheck(quick);
-            }
-            "fig6inc" | "snapshotinc" | "incremental" => {
-                let r = experiments::exp_snapshot_incremental(quick);
-                write_bench(
-                    "fig6inc",
-                    "BENCH_fig6inc.json",
-                    &experiments::fig6inc_metrics(&r, quick),
-                );
-            }
-            "dedup" | "cas" | "snapshotdedup" => {
-                let r = experiments::exp_snapshot_dedup(quick);
-                write_bench(
-                    "dedup",
-                    "BENCH_dedup.json",
-                    &experiments::dedup_metrics(&r, quick),
-                );
-            }
-            "ondemand" | "sec3.5" | "partialstate" => {
-                let r = experiments::exp_ondemand(quick);
-                write_bench(
-                    "ondemand",
-                    "BENCH_ondemand.json",
-                    &experiments::ondemand_metrics(&r, quick),
-                );
-            }
-            "chunked" | "subpage" | "chunks" => {
-                let r = experiments::exp_chunked(quick);
-                write_bench(
-                    "chunked",
-                    "BENCH_chunked.json",
-                    &experiments::chunked_metrics(&r, quick),
-                );
-            }
-            "netaudit" | "netcheck" | "endpoints" => {
-                let r = experiments::exp_netaudit(quick);
-                write_bench(
-                    "netaudit",
-                    "BENCH_netaudit.json",
-                    &experiments::netaudit_metrics(&r, quick),
-                );
-            }
-            "persist" | "durability" | "crashrecovery" => {
-                let r = experiments::exp_persist(quick);
-                write_bench(
-                    "persist",
-                    "BENCH_persist.json",
-                    &experiments::persist_metrics(&r, quick),
-                );
-            }
-            "fleet" | "sessions" | "scale" => {
-                let r = experiments::exp_fleet(quick);
-                write_bench(
-                    "fleet",
-                    "BENCH_fleet.json",
-                    &experiments::fleet_metrics(&r, quick),
-                );
-            }
-            "paraudit" | "parallel" => {
-                let r = experiments::exp_paraudit(quick);
-                write_bench(
-                    "paraudit",
-                    "BENCH_paraudit.json",
-                    &experiments::paraudit_metrics(&r, quick),
-                );
-            }
-            "attest" | "attestation" | "launch" => {
-                let r = experiments::exp_attest(quick);
-                write_bench(
-                    "attest",
-                    "BENCH_attest.json",
-                    &experiments::attest_metrics(&r, quick),
-                );
-            }
-            other => {
-                eprintln!("unknown experiment '{other}'");
-                eprintln!("known: all table1 functionality fig3 fig4 sec6.5 sec6.6 sec6.7 fig6inc dedup ondemand chunked netaudit persist fleet paraudit attest fig9");
-                std::process::exit(2);
-            }
+    let mut selected: Vec<String> = std::env::args().skip(1).collect();
+    if selected.is_empty() {
+        selected.push("all".into());
+    }
+    for name in &selected {
+        if name == "all" {
+            EXPERIMENTS.iter().for_each(run);
+        } else if let Some(experiment) = EXPERIMENTS
+            .iter()
+            .find(|(ids, ..)| ids.contains(&name.as_str()))
+        {
+            run(experiment);
+        } else {
+            let known: Vec<&str> = EXPERIMENTS.iter().map(|(ids, ..)| ids[0]).collect();
+            eprintln!("unknown experiment '{name}'");
+            eprintln!("known: all {}", known.join(" "));
+            std::process::exit(2);
         }
-        println!();
     }
 }

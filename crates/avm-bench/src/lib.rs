@@ -3,8 +3,9 @@
 //!
 //! Each `exp_*` function in [`experiments`] corresponds to one table, figure
 //! or numbered subsection of the evaluation; `cargo run -p avm-bench --bin
-//! experiments -- <id>` prints the regenerated rows/series, and
-//! `EXPERIMENTS.md` records paper-reported versus measured values.
+//! experiments -- <id>` prints the regenerated rows/series and writes the
+//! `BENCH_*.json` metric file that [`trajectory::compare`] holds equal to the
+//! committed pin.
 //!
 //! Absolute numbers differ from the paper's 2010 testbed (our substrate is a
 //! simulator, not VMware on a Core i7), but the *shape* of every result —

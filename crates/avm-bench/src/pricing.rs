@@ -101,7 +101,7 @@ mod tests {
     /// drift between the two fails here instead of shifting a pinned key.
     #[test]
     fn reconstructions_match_what_the_sessions_received() {
-        let (avmm, image, n_snapshots) = record_sparse_touch(true);
+        let (avmm, image, n_snapshots) = record_sparse_touch();
         let registry = GuestRegistry::new();
         let (log, store) = (avmm.log(), avmm.snapshots());
         for (start, k) in [(1, 1), (n_snapshots - 2, 1), (1, 2)] {
@@ -132,7 +132,7 @@ mod tests {
     /// costs round trips or modelled time.
     #[test]
     fn priced_columns_order_as_the_paper_predicts() {
-        let (avmm, image, n_snapshots) = record_sparse_touch(true);
+        let (avmm, image, n_snapshots) = record_sparse_touch();
         let registry = GuestRegistry::new();
         let (log, store) = (avmm.log(), avmm.snapshots());
         let start = n_snapshots - 2;

@@ -32,8 +32,8 @@ pub struct GameScenario {
     pub frame_cap_fps: Option<u32>,
     /// Enable the clock-read optimisation (§6.5).
     pub clock_optimization: bool,
-    /// RSA modulus size used when the configuration signs (512 keeps the
-    /// test suite fast; experiments use 768 as in the paper).
+    /// RSA modulus size used when the configuration signs (the paper's is
+    /// 768; tests and experiments use 512 to stay fast).
     pub rsa_bits: usize,
 }
 
