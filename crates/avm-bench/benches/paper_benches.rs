@@ -386,6 +386,97 @@ fn bench_persist_recovery(c: &mut Criterion) {
     group.finish();
 }
 
+/// What an audit costs before it replays anything, on the two image shapes
+/// `bench/` audits: the db guest (512 KiB + 256 KiB disk, full snapshots)
+/// and the sparse guest (4 MiB + 256 KiB, dirty-only snapshots).  Each path
+/// starts from the image's memoised baseline (`VmImage::baseline`), so it
+/// costs what the snapshot changed, not a hash of the whole image; every
+/// root is first checked against `build_state_tree_uncached`.
+fn bench_image_baseline(c: &mut Criterion) {
+    use avm_bench::experiments::snapshot_image;
+    use avm_core::ondemand::{materialize_on_demand, AuditorBlobCache};
+    use avm_core::replay::Replayer;
+    use avm_core::snapshot::{
+        build_state_tree_uncached, capture_with_cache, compute_state_root, SnapshotStore,
+        StateTreeCache,
+    };
+    use avm_vm::devices::DISK_BLOCK_SIZE;
+    use avm_vm::{Machine, PAGE_SIZE};
+
+    let db = (
+        "db",
+        avm_db::db_image(&avm_db::server::DbConfig::new("customer")),
+        avm_db::db_registry(),
+        true,
+    );
+    let sparse = (
+        "sparse",
+        snapshot_image(1024, 64),
+        avm_vm::GuestRegistry::new(),
+        false,
+    );
+    let mut group = c.benchmark_group("image_baseline");
+    group.sample_size(10);
+    for (shape, image, registry, full_memory) in [db, sparse] {
+        // Two snapshots, each after four pages and one disk block changed.
+        let mut machine = Machine::from_image(&image, &registry).unwrap();
+        assert_eq!(
+            compute_state_root(&machine),
+            build_state_tree_uncached(&machine).root()
+        );
+        let mut tree = StateTreeCache::new();
+        let mut store = SnapshotStore::new();
+        for id in 0..2u64 {
+            for page in 0..4 {
+                let addr = ((17 + 5 * page + id as usize) * PAGE_SIZE) as u64;
+                machine.memory_mut().write_u64(addr, id + 1).unwrap();
+            }
+            let block = (id as usize * DISK_BLOCK_SIZE) as u64;
+            machine
+                .devices_mut()
+                .disk
+                .write(block, &[id as u8 + 1; 8])
+                .unwrap();
+            store.push(capture_with_cache(&mut machine, &mut tree, id, full_memory));
+        }
+        let recorded = build_state_tree_uncached(&machine).root();
+        let cache = AuditorBlobCache::new();
+        let restored = store.materialize(1, &image, &registry).unwrap();
+        assert_eq!(build_state_tree_uncached(&restored).root(), recorded);
+        let (lazy, _) = materialize_on_demand(&store, 1, &image, &registry, &cache).unwrap();
+        assert_eq!(compute_state_root(&lazy), recorded);
+        let mut replayer = Replayer::from_snapshot(&image, &registry, &store, 1).unwrap();
+        assert_eq!(replayer.current_state_root(), recorded);
+
+        group.bench_function(format!("{shape}_machine_from_image"), |b| {
+            b.iter(|| Machine::from_image(&image, &registry).unwrap().step_count())
+        });
+        group.bench_function(format!("{shape}_materialize_on_demand"), |b| {
+            b.iter(|| {
+                let (_, session) =
+                    materialize_on_demand(&store, 1, &image, &registry, &cache).unwrap();
+                session.staged_chunks()
+            })
+        });
+        group.bench_function(format!("{shape}_snapshot_materialize"), |b| {
+            b.iter(|| {
+                store
+                    .materialize(1, &image, &registry)
+                    .unwrap()
+                    .step_count()
+            })
+        });
+        group.bench_function(format!("{shape}_replayer_from_snapshot"), |b| {
+            b.iter(|| {
+                Replayer::from_snapshot(&image, &registry, &store, 1)
+                    .unwrap()
+                    .current_state_root()
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fig5_signatures,
@@ -396,6 +487,7 @@ criterion_group!(
     bench_crypto_floor,
     bench_verify_kernels,
     bench_snapshot_dedup,
+    bench_image_baseline,
     bench_persist_recovery
 );
 criterion_main!(benches);

@@ -388,10 +388,8 @@ pub fn exp_traffic() -> (u64, u64, u64) {
 /// [`exp_traffic`] — Figures 3/4, §6.5 and §6.7, all read off the same short
 /// game session — into the `BENCH_gamelog.json` trajectory metrics.
 ///
-/// `compressed_bytes` is not among them: `Runtime::tick` runs its hosts in
-/// `HashMap` order, so which player moves first — and with it the log's
-/// content, though none of its sizes or counts — varies from process to
-/// process, and the compressed size takes one of six values.
+/// `compressed_bytes` depends on the log's *content*, which is a function of
+/// the session's inputs because `Runtime` runs its hosts in name order.
 pub fn gamelog_metrics(
     growth: &LogGrowthResult,
     clock: &ClockOptResult,
@@ -399,6 +397,7 @@ pub fn gamelog_metrics(
 ) -> Vec<(String, u64)> {
     let mut m = vec![
         ("log_bytes".to_string(), growth.avmm_log_bytes),
+        ("compressed_bytes".to_string(), growth.compressed_bytes),
         ("replay_only_bytes".to_string(), growth.replay_only_bytes),
     ];
     for (class, bytes) in &growth.class_bytes {
@@ -920,7 +919,7 @@ pub fn exp_ondemand() -> OnDemandResult {
         let mut rows = 0u64;
         for start in 1..n_snapshots.saturating_sub(k) {
             let mut fresh = AuditorBlobCache::new();
-            let dedup = pricing::dedup_download(avmm.snapshots(), start, &image, &registry, &fresh);
+            let dedup = pricing::dedup_download(avmm.snapshots(), start, &image, &fresh);
             let report = spot_check_on_demand(
                 avmm.log(),
                 avmm.snapshots(),
@@ -962,7 +961,7 @@ pub fn exp_ondemand() -> OnDemandResult {
     let full_report =
         spot_check(avmm.log(), avmm.snapshots(), start, k, &image, &registry).unwrap();
     let mut cache = AuditorBlobCache::new();
-    let dedup = pricing::dedup_download(avmm.snapshots(), start, &image, &registry, &cache);
+    let dedup = pricing::dedup_download(avmm.snapshots(), start, &image, &cache);
     let od_report = spot_check_on_demand(
         avmm.log(),
         avmm.snapshots(),

@@ -14,7 +14,7 @@ use avm_core::ondemand::{dedup_transfer_upto, AuditorBlobCache, OnDemandCost};
 use avm_core::snapshot::{SnapshotStore, TransferCost};
 use avm_core::spotcheck::{snapshot_positions, SpotCheckReport, TRANSFER_COMPRESSION};
 use avm_log::{LogEntry, TamperEvidentLog};
-use avm_vm::{GuestRegistry, VmImage};
+use avm_vm::VmImage;
 use avm_wire::{BlobRequest, Encode, RttModel, DEFAULT_BLOB_BATCH};
 
 /// The `k`-chunk starting at snapshot `start` as the provider's server
@@ -54,10 +54,9 @@ pub fn dedup_download(
     store: &SnapshotStore,
     start: u64,
     image: &VmImage,
-    registry: &GuestRegistry,
     cache: &AuditorBlobCache,
 ) -> TransferCost {
-    dedup_transfer_upto(store, start, image, registry, cache, TRANSFER_COMPRESSION)
+    dedup_transfer_upto(store, start, image, cache, TRANSFER_COMPRESSION)
         .expect("honest store prices its own dedup download")
         .transfer
 }
@@ -95,6 +94,7 @@ mod tests {
     use super::*;
     use crate::experiments::record_sparse_touch;
     use avm_core::spotcheck::{spot_check, spot_check_on_demand, TRANSFER_RTT};
+    use avm_vm::GuestRegistry;
 
     /// Every stream this module rebuilds from the provider's side is, byte
     /// for byte in length, what the audit session reported receiving — a
@@ -137,7 +137,7 @@ mod tests {
         let (log, store) = (avmm.log(), avmm.snapshots());
         let start = n_snapshots - 2;
         let mut cache = AuditorBlobCache::new();
-        let dedup = dedup_download(store, start, &image, &registry, &cache);
+        let dedup = dedup_download(store, start, &image, &cache);
         let od = spot_check_on_demand(log, store, start, 1, &image, &registry, &mut cache).unwrap();
         let cost = od.on_demand.as_ref().unwrap();
         let (full, on_demand) = (full_dump(store, &od), on_demand_download(store, &od));
@@ -155,7 +155,7 @@ mod tests {
         assert!(dedup.compressed_bytes < full.compressed_bytes);
         // The check's fetched blobs are now cached: the same full-state
         // download gets cheaper, never dearer.
-        let warm = dedup_download(store, start, &image, &registry, &cache);
+        let warm = dedup_download(store, start, &image, &cache);
         assert!(warm.raw_bytes < dedup.raw_bytes);
 
         let (unbatched_rtts, unbatched_us) = unbatched_exchange(cost, &TRANSFER_RTT);

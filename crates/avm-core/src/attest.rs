@@ -40,14 +40,14 @@ use crate::recorder::Avmm;
 /// chunk.  Two images have equal canonical bytes iff they have equal
 /// digests.
 pub fn image_bytes(image: &VmImage) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(64 + image.disk.len());
+    let mut bytes = Vec::with_capacity(64 + image.disk().len());
     bytes.extend_from_slice(b"avm-image-v1");
-    bytes.extend_from_slice(&(image.name.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(image.name.as_bytes());
-    bytes.extend_from_slice(&image.mem_size.to_le_bytes());
-    bytes.extend_from_slice(&(image.disk.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&image.disk);
-    match &image.kind {
+    bytes.extend_from_slice(&(image.name().len() as u64).to_le_bytes());
+    bytes.extend_from_slice(image.name().as_bytes());
+    bytes.extend_from_slice(&image.mem_size().to_le_bytes());
+    bytes.extend_from_slice(&(image.disk().len() as u64).to_le_bytes());
+    bytes.extend_from_slice(image.disk());
+    match image.kind() {
         ImageKind::Bytecode {
             code,
             load_addr,

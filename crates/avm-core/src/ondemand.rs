@@ -10,9 +10,10 @@
 //!    references of the complete state at the starting snapshot — and then
 //!    requests payload *blobs by digest* ([`avm_wire::BlobRequest`] /
 //!    [`avm_wire::BlobResponse`]).  Digests the auditor can already produce
-//!    (from its persistent [`AuditorBlobCache`] or by hashing state derived
-//!    from the public reference image) are never transferred, and duplicate
-//!    content (every zero chunk, say) is transferred at most once.
+//!    (from its persistent [`AuditorBlobCache`], or because the public
+//!    reference image holds that content somewhere) are never transferred,
+//!    and duplicate content (every zero chunk, say) is transferred at most
+//!    once.
 //!    [`dedup_transfer_upto`] models a *full-state* download in this mode —
 //!    the "dedup" column of the spot-check accounting.
 //!
@@ -39,17 +40,31 @@
 //! the experiment that prints it, `avm_bench::pricing`.)
 //!
 //! Authentication never weakens in either mode: the manifest is verified by
-//! rebuilding the Merkle state root from its leaf hashes and comparing
+//! deriving the Merkle state root its leaf hashes imply and comparing
 //! against the recorded root, and every blob is verified against the digest
 //! it was requested under (which the root covers) before it is used or
 //! cached — a tampered manifest or substituted blob is rejected exactly like
 //! a tampered full snapshot.
+//!
+//! # What comes from the image, once
+//!
+//! Which references diverge from the reference image, which digests the
+//! image can produce itself, and the tree the manifest's root is derived
+//! from are all read off the image's memoised baseline
+//! ([`avm_vm::VmImage::baseline`]): staging compares each reference with the
+//! baseline's leaf, finds image-held content through its digest → location
+//! index and copies it out of the still-fresh machine, and authenticates by
+//! replacing the header and the staged leaves in a copy of the baseline's
+//! tree.  So staging costs what the snapshot changed — O(divergent · log n)
+//! — and hashes only bytes that came from the operator's pool; the tree then
+//! goes to the replayer, whose first root check is incremental too.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use avm_compress::{CompressionLevel, CompressionStats, StreamMeasurer};
 use avm_crypto::parallel::sha256_batch;
 use avm_crypto::sha256::{sha256, Digest};
+use avm_vm::image::BaselineLocation;
 use avm_vm::{GuestRegistry, Machine, VmImage};
 use avm_wire::{
     BlobRequest, BlobResponse, BlobResponseRef, Decode, Encode, Reader, RttModel, WireResult,
@@ -57,7 +72,7 @@ use avm_wire::{
 };
 
 use crate::error::CoreError;
-use crate::snapshot::{SnapshotStore, TransferCost};
+use crate::snapshot::{SnapshotStore, StateTreeCache, TransferCost};
 
 /// Snapshot metadata an auditor downloads to begin an on-demand (or
 /// dedup-transfer) reconstruction: everything about the state at a snapshot
@@ -548,30 +563,18 @@ pub struct DedupTransfer {
 /// This is provider-side pricing of a download nobody made (no audit calls
 /// it; `avm_bench::pricing` does).  The cache is consulted read-only:
 /// letting a hypothetical download populate it would subsidise a measured
-/// one.  Building the derivable set hashes one reference-image machine.
+/// one.  What the auditor can derive locally is whatever the image's
+/// baseline locates ([`avm_vm::image::ImageBaseline::locate`]).
 pub fn dedup_transfer_upto(
     store: &SnapshotStore,
     upto_id: u64,
     image: &VmImage,
-    registry: &GuestRegistry,
     cache: &AuditorBlobCache,
     level: CompressionLevel,
 ) -> Result<DedupTransfer, CoreError> {
     let manifest = store.chain_manifest_upto(upto_id)?;
     let manifest_encoded = manifest.encode_to_vec();
-    // Everything the auditor can derive locally from the reference image.
-    let local = Machine::from_image(image, registry).map_err(CoreError::Vm)?;
-    let mut derivable: HashSet<Digest> = HashSet::new();
-    let mem = local.memory();
-    let all_chunks: Vec<usize> = (0..mem.chunk_count()).collect();
-    mem.prime_chunk_hashes(&all_chunks);
-    for i in all_chunks {
-        derivable.insert(mem.chunk_hash(i).expect("chunk in range"));
-    }
-    let disk = &local.devices().disk;
-    for b in 0..disk.block_count() {
-        derivable.insert(disk.block_hash(b).expect("block in range"));
-    }
+    let baseline = image.baseline();
 
     let mut request = BlobRequest::default();
     let mut seen = HashSet::new();
@@ -580,7 +583,7 @@ pub fn dedup_transfer_upto(
         if !seen.insert(*digest) {
             continue;
         }
-        if derivable.contains(digest) || cache.contains(digest) {
+        if baseline.locate(digest).is_some() || cache.contains(digest) {
             skipped += 1;
         } else {
             request.digests.push(digest.0);
@@ -832,9 +835,9 @@ impl OnDemandSession {
 /// Contents are staged from `cache` when it holds the digest, otherwise from
 /// the store's pool, verified against the digest either way.  The manifest
 /// itself is authenticated before the machine is returned: the Merkle root
-/// over the manifest's leaf hashes (plus locally derived hashes for
-/// unreferenced leaves) must equal the recorded state root, so a manifest
-/// that lies about any reference is rejected before replay starts.
+/// over the manifest's leaf hashes (plus the reference image's own hashes
+/// for unreferenced leaves) must equal the recorded state root, so a
+/// manifest that lies about any reference is rejected before replay starts.
 ///
 /// ```
 /// use avm_core::ondemand::{materialize_on_demand, AuditorBlobCache};
@@ -892,7 +895,29 @@ pub fn materialize_with_manifest(
     registry: &GuestRegistry,
     cache: &AuditorBlobCache,
 ) -> Result<(Machine, OnDemandSession), CoreError> {
-    let upto_id = manifest.snapshot_id;
+    stage_from_manifest(manifest, store, image, registry, cache)
+        .map(|(machine, _, session)| (machine, session))
+}
+
+/// A manifest reference whose digest differs from what the reference image
+/// holds there, resolved to the contents that will be staged in its place.
+struct Divergent {
+    at: BaselineLocation,
+    digest: Digest,
+    content: Vec<u8>,
+    source: StagedSource,
+}
+
+/// [`materialize_with_manifest`], additionally handing over the state tree
+/// the manifest was authenticated with, in sync with the returned machine —
+/// a replayer continues from it.
+pub(crate) fn stage_from_manifest(
+    manifest: ChainManifest,
+    store: &SnapshotStore,
+    image: &VmImage,
+    registry: &GuestRegistry,
+    cache: &AuditorBlobCache,
+) -> Result<(Machine, StateTreeCache, OnDemandSession), CoreError> {
     let mut machine = Machine::from_image(image, registry).map_err(CoreError::Vm)?;
     machine
         .restore_cpu_state(&manifest.cpu_state)
@@ -903,97 +928,106 @@ pub fn materialize_with_manifest(
         .map_err(CoreError::Vm)?;
     machine.set_control_state(manifest.step, manifest.halted, false);
 
-    // Everything the auditor can derive from the reference image, keyed by
-    // content: a blob whose bytes sit *anywhere* in the local machine never
-    // needs to cross the wire (the same content-addressed skip the dedup
-    // model applies).  The chunk/block hashes are needed below for the root
-    // authentication anyway, so this map adds no extra hashing — and the
-    // hashing itself runs on the worker pool.
-    let mut local_content: HashMap<Digest, Vec<u8>> = HashMap::new();
-    {
-        let mem = machine.memory();
-        let all_chunks: Vec<usize> = (0..mem.chunk_count()).collect();
-        mem.prime_chunk_hashes(&all_chunks);
-        for i in all_chunks {
-            let hash = mem.chunk_hash(i).expect("chunk in range");
-            local_content
-                .entry(hash)
-                .or_insert_with(|| mem.chunk(i).expect("chunk in range").to_vec());
-        }
-        let disk = &machine.devices().disk;
-        let all_blocks: Vec<usize> = (0..disk.block_count()).collect();
-        disk.prime_block_hashes(&all_blocks);
-        for b in all_blocks {
-            let hash = disk.block_hash(b).expect("block in range");
-            local_content
-                .entry(hash)
-                .or_insert_with(|| disk.block(b).expect("block in range").to_vec());
-        }
-    }
-
-    // Resolve a blob for staging: cache and locally-derivable content are
-    // free; only the operator's pool costs a transfer when the blob is
-    // touched (verified here — the same check a received blob would get,
-    // performed when the modelled fetch is committed to).
-    let resolve = |digest: &Digest| -> Result<(Vec<u8>, StagedSource), CoreError> {
-        if let Some(cached) = cache.get(digest) {
-            return Ok((cached.to_vec(), StagedSource::Cache));
-        }
-        if let Some(local) = local_content.get(digest) {
-            return Ok((local.clone(), StagedSource::Local));
-        }
-        let payload = store
-            .payload(digest)
-            .ok_or_else(|| operator_missing(digest))?;
-        verify_blob(digest, payload)?;
-        Ok((payload.to_vec(), StagedSource::Remote))
-    };
-
-    let mut staged_chunks = HashMap::new();
-    let mut staged_blocks = HashMap::new();
-    let mut sources: HashMap<Digest, StagedSource> = HashMap::new();
-    for (idx, digest) in &manifest.mem_refs {
-        let local = machine.memory().chunk_hash(*idx as usize).ok_or_else(|| {
-            CoreError::Snapshot(format!("manifest references chunk {idx} out of range"))
-        })?;
-        if local == *digest {
+    // Resolve every reference that diverges from the reference image to the
+    // contents to stage.  The cache and the image are free — a blob whose
+    // bytes sit *anywhere* in a fresh machine never needs to cross the wire
+    // (the same content-addressed skip the dedup model applies), and this
+    // machine is still fresh, so they are copied straight out of it.  Only
+    // the operator's pool costs a transfer when the blob is touched.
+    let baseline = image.baseline();
+    let chunk_refs = manifest.mem_refs.iter();
+    let block_refs = manifest.disk_refs.iter();
+    let refs = chunk_refs
+        .map(|(i, digest)| (BaselineLocation::Chunk(*i as usize), digest))
+        .chain(block_refs.map(|(b, digest)| (BaselineLocation::Block(*b as usize), digest)));
+    let mut divergent: Vec<Divergent> = Vec::new();
+    for (at, digest) in refs {
+        let image_own = match at {
+            BaselineLocation::Chunk(i) => baseline.chunk_hashes().get(i).ok_or_else(|| {
+                CoreError::Snapshot(format!("manifest references chunk {i} out of range"))
+            }),
+            BaselineLocation::Block(b) => baseline.block_hashes().get(b).ok_or_else(|| {
+                CoreError::Snapshot(format!("manifest references disk block {b} out of range"))
+            }),
+        }?;
+        if image_own == digest {
             continue; // the reference image already yields this content here
         }
-        let (content, source) = resolve(digest)?;
-        machine
-            .memory_mut()
-            .stage_lazy_chunk(*idx as usize, content, *digest)
-            .map_err(CoreError::Vm)?;
-        staged_chunks.insert(*idx as usize, *digest);
-        sources.insert(*digest, source);
+        let held_by_image = || match baseline.locate(digest)? {
+            BaselineLocation::Chunk(i) => machine.memory().chunk(i),
+            BaselineLocation::Block(b) => machine.devices().disk.block(b),
+        };
+        let (content, source) = if let Some(cached) = cache.get(digest) {
+            (cached, StagedSource::Cache)
+        } else if let Some(local) = held_by_image() {
+            (local, StagedSource::Local)
+        } else {
+            let payload = store.payload(digest);
+            (
+                payload.ok_or_else(|| operator_missing(digest))?,
+                StagedSource::Remote,
+            )
+        };
+        divergent.push(Divergent {
+            at,
+            digest: *digest,
+            content: content.to_vec(),
+            source,
+        });
     }
-    for (idx, digest) in &manifest.disk_refs {
-        let local = machine
-            .devices()
-            .disk
-            .block_hash(*idx as usize)
-            .ok_or_else(|| {
-                CoreError::Snapshot(format!("manifest references disk block {idx} out of range"))
-            })?;
-        if local == *digest {
-            continue;
+
+    // The check a received blob gets, performed when the modelled fetch is
+    // committed to: everything that came out of the operator's pool must
+    // hash to the digest it is staged under — one batched pass, the first
+    // mismatch in manifest order reported.
+    let remote = || {
+        divergent
+            .iter()
+            .filter(|d| d.source == StagedSource::Remote)
+    };
+    let digests: Vec<Digest> = remote().map(|d| d.digest).collect();
+    let payloads: Vec<&[u8]> = remote().map(|d| d.content.as_slice()).collect();
+    verify_blob_batch(&digests, &payloads)?;
+
+    let mut session = OnDemandSession {
+        snapshot_id: manifest.snapshot_id,
+        state_root: manifest.state_root,
+        manifest_bytes: manifest.encoded_len() as u64,
+        staged_chunks: HashMap::new(),
+        staged_blocks: HashMap::new(),
+        sources: HashMap::new(),
+    };
+    for d in divergent {
+        session.sources.insert(d.digest, d.source);
+        match d.at {
+            BaselineLocation::Chunk(i) => {
+                machine
+                    .memory_mut()
+                    .stage_lazy_chunk(i, d.content, d.digest)
+                    .map_err(CoreError::Vm)?;
+                session.staged_chunks.insert(i, d.digest);
+            }
+            BaselineLocation::Block(b) => {
+                machine
+                    .devices_mut()
+                    .disk
+                    .stage_lazy_block(b, d.content, d.digest)
+                    .map_err(CoreError::Vm)?;
+                session.staged_blocks.insert(b, d.digest);
+            }
         }
-        let (content, source) = resolve(digest)?;
-        machine
-            .devices_mut()
-            .disk
-            .stage_lazy_block(*idx as usize, content, *digest)
-            .map_err(CoreError::Vm)?;
-        staged_blocks.insert(*idx as usize, *digest);
-        sources.insert(*digest, source);
     }
     machine.clear_dirty_tracking();
 
     // Authenticate the manifest: the root over header leaves (from the
     // restored metadata) and per-leaf hashes (staged or locally derived)
-    // must equal the recorded root.  stage_lazy_* seeded the hash caches, so
-    // the ordinary tree builder computes exactly that root.
-    let root = crate::snapshot::build_state_tree(&machine).root();
+    // must equal the recorded root.  Every leaf the manifest does not
+    // contradict is the reference image's own, so the image's tree with the
+    // header and the staged leaves replaced is exactly that root.
+    let staged_chunks: Vec<usize> = session.staged_chunks.keys().copied().collect();
+    let staged_blocks: Vec<usize> = session.staged_blocks.keys().copied().collect();
+    let mut state_tree = StateTreeCache::from_baseline(image);
+    let root = state_tree.refresh_leaves(&machine, &staged_chunks, &staged_blocks);
     if root != manifest.state_root {
         return Err(CoreError::Snapshot(format!(
             "manifest does not authenticate: derived root {} != recorded root {}",
@@ -1002,17 +1036,7 @@ pub fn materialize_with_manifest(
         )));
     }
 
-    Ok((
-        machine,
-        OnDemandSession {
-            snapshot_id: upto_id,
-            state_root: manifest.state_root,
-            manifest_bytes: manifest.encoded_len() as u64,
-            staged_chunks,
-            staged_blocks,
-            sources,
-        },
-    ))
+    Ok((machine, state_tree, session))
 }
 
 #[cfg(test)]
@@ -1195,7 +1219,7 @@ mod tests {
         // Full-state dedup download: with the seeded cache it only ships
         // divergent content; blobs skipped must cover all derivable ones.
         let dedup =
-            dedup_transfer_upto(&store, 2, &img, &reg, &seeded, CompressionLevel::Default).unwrap();
+            dedup_transfer_upto(&store, 2, &img, &seeded, CompressionLevel::Default).unwrap();
         assert!(dedup.blobs_fetched > 0);
         assert!(dedup.blobs_skipped > 0);
         assert!(dedup.transfer.raw_bytes > dedup.manifest_bytes);

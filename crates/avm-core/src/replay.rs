@@ -16,6 +16,12 @@
 //! touches them and the auditor pays transfer only for what was accessed
 //! (see [`crate::ondemand`]).  Both modes verify the same roots and reach
 //! the same verdicts; they differ only in what is downloaded.
+//!
+//! Every constructor hands the replayer the state tree its start state was
+//! authenticated with — a copy of the reference image's memoised tree
+//! ([`avm_vm::VmImage::baseline`]) with the snapshot's leaves replaced — so
+//! no replay ever builds a full tree: each root it checks costs the leaves
+//! written since the previous one.
 
 use std::collections::HashMap;
 
@@ -26,7 +32,7 @@ use avm_wire::Decode;
 
 use crate::error::{CoreError, FaultReason};
 use crate::events::{MetaRecord, NdDetail, NdEventRecord, RecvRecord, SendRecord, SnapshotRecord};
-use crate::ondemand::{materialize_on_demand, AuditorBlobCache, OnDemandSession};
+use crate::ondemand::{stage_from_manifest, AuditorBlobCache, OnDemandSession};
 use crate::snapshot::{SnapshotStore, StateTreeCache};
 
 /// Result of replaying a log segment.
@@ -104,7 +110,8 @@ impl Replayer {
     /// Creates a replayer starting from the reference image's initial state.
     pub fn from_image(image: &VmImage, registry: &GuestRegistry) -> Result<Replayer, CoreError> {
         let machine = Machine::from_image(image, registry)?;
-        Ok(Self::with_machine(machine, image.digest()))
+        let state_tree = StateTreeCache::from_baseline(image);
+        Ok(Self::with_machine(machine, state_tree, image.digest()))
     }
 
     /// Creates a replayer starting from a materialized snapshot (spot checks).
@@ -114,8 +121,9 @@ impl Replayer {
         snapshots: &SnapshotStore,
         snapshot_id: u64,
     ) -> Result<Replayer, CoreError> {
-        let machine = snapshots.materialize(snapshot_id, image, registry)?;
-        Ok(Self::with_machine(machine, image.digest()))
+        let (machine, state_tree, _) =
+            snapshots.materialize_with_tree(snapshot_id, image, registry)?;
+        Ok(Self::with_machine(machine, state_tree, image.digest()))
     }
 
     /// Creates a replayer starting from snapshot *metadata only* (§3.5
@@ -132,9 +140,8 @@ impl Replayer {
         snapshot_id: u64,
         cache: &AuditorBlobCache,
     ) -> Result<(Replayer, OnDemandSession), CoreError> {
-        let (machine, session) =
-            materialize_on_demand(snapshots, snapshot_id, image, registry, cache)?;
-        Ok((Self::with_machine(machine, image.digest()), session))
+        let manifest = snapshots.chain_manifest_upto(snapshot_id)?;
+        Self::from_manifest_on_demand(manifest, image, registry, snapshots, cache)
     }
 
     /// Creates a replayer from a manifest an audit endpoint already
@@ -148,18 +155,29 @@ impl Replayer {
         snapshots: &SnapshotStore,
         cache: &AuditorBlobCache,
     ) -> Result<(Replayer, OnDemandSession), CoreError> {
-        let (machine, session) = crate::ondemand::materialize_with_manifest(
-            manifest, snapshots, image, registry, cache,
-        )?;
-        Ok((Self::with_machine(machine, image.digest()), session))
+        let (machine, state_tree, session) =
+            stage_from_manifest(manifest, snapshots, image, registry, cache)?;
+        Ok((
+            Self::with_machine(machine, state_tree, image.digest()),
+            session,
+        ))
     }
 
-    fn with_machine(machine: Machine, reference_digest: Digest) -> Replayer {
+    /// `state_tree` must be in sync with `machine` (see
+    /// [`StateTreeCache`]'s invalidation contract): each constructor hands
+    /// over the tree it authenticated the start state with, so the first
+    /// root a replay checks costs what the replay wrote, like every later
+    /// one.
+    fn with_machine(
+        machine: Machine,
+        state_tree: StateTreeCache,
+        reference_digest: Digest,
+    ) -> Replayer {
         let start_step = machine.step_count();
         Replayer {
             machine,
             reference_digest,
-            state_tree: StateTreeCache::new(),
+            state_tree,
             pending_recvs: HashMap::new(),
             summary: ReplaySummary::default(),
             start_step,

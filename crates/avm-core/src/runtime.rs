@@ -7,7 +7,7 @@
 //! acknowledgments, and retransmits unacknowledged messages — "the original
 //! message is retransmitted a few times" (§4.3).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use avm_net::{LinkConfig, NodeId, SimNet};
 use avm_wire::{Decode, Encode};
@@ -41,7 +41,9 @@ struct HostEntry {
 /// The multi-node scenario runtime.
 pub struct Runtime {
     net: SimNet,
-    hosts: HashMap<String, HostEntry>,
+    /// Ordered by name: every loop over the hosts runs in the same order in
+    /// every process, so a session's logs are a function of its inputs.
+    hosts: BTreeMap<String, HostEntry>,
     node_names: HashMap<NodeId, String>,
     next_node: u32,
     steps_per_slice: u64,
@@ -52,7 +54,7 @@ impl Runtime {
     pub fn new(link: LinkConfig) -> Runtime {
         Runtime {
             net: SimNet::new(link),
-            hosts: HashMap::new(),
+            hosts: BTreeMap::new(),
             node_names: HashMap::new(),
             next_node: 1,
             steps_per_slice: 200_000,
@@ -115,9 +117,7 @@ impl Runtime {
 
     /// Names of all hosts, sorted.
     pub fn host_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.hosts.keys().cloned().collect();
-        v.sort();
-        v
+        self.hosts.keys().cloned().collect()
     }
 
     /// Runs one tick of `dt_us` simulated microseconds: every host executes a
@@ -129,7 +129,7 @@ impl Runtime {
         let steps = self.steps_per_slice;
 
         // 1. Run every guest and queue its outbound envelopes.
-        let names: Vec<String> = self.hosts.keys().cloned().collect();
+        let names = self.host_names();
         let mut to_transmit: Vec<(String, Envelope)> = Vec::new();
         for name in &names {
             let host = self.hosts.get_mut(name).expect("host exists");
@@ -463,6 +463,37 @@ mod tests {
             &GuestRegistry::new(),
         );
         assert!(report.passed(), "{:?}", report.fault());
+    }
+
+    /// A session's logs are a function of its inputs, not of the order the
+    /// hosts were added in (nor of a hash map's per-process iteration
+    /// order): two pingers contend for bob's receive queue in every tick,
+    /// so whichever runs first is what bob's log records first.
+    #[test]
+    fn logs_do_not_depend_on_host_insertion_order() {
+        let keys = [key(1), key(2), key(3)];
+        let names = ["alice", "bob", "carol"];
+        let session = |order: [usize; 3]| {
+            let mut rt = Runtime::lan();
+            rt.set_steps_per_slice(50_000);
+            for i in order {
+                let image = match names[i] {
+                    "bob" => echo_image(),
+                    _ => pinger_image("bob"),
+                };
+                let peers: Vec<(&str, &SigningKey)> = (0..3)
+                    .filter(|&j| j != i)
+                    .map(|j| (names[j], &keys[j]))
+                    .collect();
+                rt.add_host(make_avmm(names[i], &image, i as u64 + 1, &peers));
+            }
+            rt.run_for(12_000, 1_000).unwrap();
+            names.map(|name| rt.host(name).unwrap().log().entries().to_vec())
+        };
+        let forward = session([0, 1, 2]);
+        assert!(forward[1].len() > 10, "bob logged the contended traffic");
+        assert_eq!(forward, session([2, 1, 0]));
+        assert_eq!(forward, session([1, 2, 0]));
     }
 
     #[test]

@@ -87,6 +87,15 @@
 //!    [`avm_crypto::parallel::sha256_batch`]), so the remaining O(dirty)
 //!    work scales across cores for large guests.
 //!
+//! 3. Nobody builds the tree of a machine that is still what its image made
+//!    it: [`avm_vm::VmImage::baseline`] holds that tree (header leaves as
+//!    placeholders) and the leaf hashes under it, derived once per image.
+//!    [`SnapshotStore::materialize`] and the replayer start from a copy and
+//!    refresh it over the chunks and blocks the snapshot sections wrote —
+//!    before the dirty bits that name them are cleared — so reconstructing
+//!    and authenticating a snapshot hashes the bytes that came out of the
+//!    store and nothing that is the reference image's own.
+//!
 //! **Invalidation contract:** `refresh` trusts the dirty bits to name every
 //! chunk/block whose contents changed since the cache was last in sync.
 //! That holds as long as dirty bits are only cleared at capture points
@@ -104,7 +113,7 @@ use avm_compress::{CompressionLevel, CompressionStats};
 use avm_crypto::merkle::MerkleTree;
 use avm_crypto::sha256::{sha256, Digest};
 use avm_vm::devices::DISK_BLOCK_SIZE;
-use avm_vm::{GuestRegistry, Machine, VmImage, CHUNK_SIZE};
+use avm_vm::{GuestRegistry, Machine, VmImage, CHUNK_SIZE, STATE_HEADER_LEAVES};
 
 use crate::error::CoreError;
 
@@ -183,7 +192,7 @@ impl Snapshot {
 
 /// Hashes the three header leaves (CPU, devices, control word) that precede
 /// the per-chunk and per-block leaves in the fixed leaf order.
-fn header_leaves(machine: &Machine) -> [Digest; 3] {
+fn header_leaves(machine: &Machine) -> [Digest; STATE_HEADER_LEAVES] {
     let mut control = Vec::with_capacity(10);
     control.extend_from_slice(&machine.step_count().to_le_bytes());
     control.push(u8::from(machine.is_halted()));
@@ -220,7 +229,8 @@ pub fn build_state_tree(machine: &Machine) -> MerkleTree {
     mem.prime_chunk_hashes(&all_chunks);
     let all_blocks: Vec<usize> = (0..disk.block_count()).collect();
     disk.prime_block_hashes(&all_blocks);
-    let mut leaves: Vec<Digest> = Vec::with_capacity(3 + mem.chunk_count() + disk.block_count());
+    let mut leaves: Vec<Digest> =
+        Vec::with_capacity(STATE_HEADER_LEAVES + mem.chunk_count() + disk.block_count());
     leaves.extend_from_slice(&header_leaves(machine));
     for i in 0..mem.chunk_count() {
         leaves.push(mem.chunk_hash(i).expect("chunk in range"));
@@ -240,7 +250,8 @@ pub fn build_state_tree(machine: &Machine) -> MerkleTree {
 pub fn build_state_tree_uncached(machine: &Machine) -> MerkleTree {
     let mem = machine.memory();
     let disk = &machine.devices().disk;
-    let mut leaves: Vec<Digest> = Vec::with_capacity(3 + mem.chunk_count() + disk.block_count());
+    let mut leaves: Vec<Digest> =
+        Vec::with_capacity(STATE_HEADER_LEAVES + mem.chunk_count() + disk.block_count());
     leaves.extend_from_slice(&header_leaves(machine));
     for i in 0..mem.chunk_count() {
         leaves.push(sha256(mem.chunk(i).expect("chunk in range")));
@@ -275,6 +286,19 @@ impl StateTreeCache {
         StateTreeCache::default()
     }
 
+    /// A cache in sync with a machine fresh from `image`: a copy of the
+    /// tree the image's baseline holds ([`avm_vm::VmImage::baseline`]),
+    /// whose header leaves the first refresh fills in.  Whoever then changes
+    /// the machine keeps to the invalidation contract from here — which is
+    /// how an audit authenticates its start state by updating the leaves
+    /// that diverge from the image instead of building a tree.
+    pub(crate) fn from_baseline(image: &VmImage) -> StateTreeCache {
+        StateTreeCache {
+            tree: Some(image.baseline().state_tree().clone()),
+            header_version: None,
+        }
+    }
+
     /// Drops the cached tree, forcing the next refresh to rebuild it.
     ///
     /// Required before reusing the cache on a *different* machine, or after
@@ -300,31 +324,43 @@ impl StateTreeCache {
     /// the state those leaves cover, so an unchanged version proves the
     /// serialised headers (and hence their hashes) are identical.
     pub fn refresh(&mut self, machine: &Machine) -> Digest {
+        let dirty_chunks = machine.memory().dirty_chunks();
+        let dirty_blocks = machine.devices().disk.dirty_blocks();
+        self.refresh_leaves(machine, &dirty_chunks, &dirty_blocks)
+    }
+
+    /// [`StateTreeCache::refresh`] over leaves the caller names instead of
+    /// the dirty bits: on-demand staging changes what a chunk *hashes to*
+    /// without writing it, so it passes the indices it staged.
+    pub(crate) fn refresh_leaves(
+        &mut self,
+        machine: &Machine,
+        chunks: &[usize],
+        blocks: &[usize],
+    ) -> Digest {
         let mem = machine.memory();
         let disk = &machine.devices().disk;
-        let leaf_count = 3 + mem.chunk_count() + disk.block_count();
+        let leaf_count = STATE_HEADER_LEAVES + mem.chunk_count() + disk.block_count();
         let version = machine.state_version();
         match &mut self.tree {
             Some(tree) if tree.leaf_count() == leaf_count => {
-                let dirty_chunks = mem.dirty_chunks();
-                let dirty_blocks = disk.dirty_blocks();
-                // Fan the dirty-leaf hashing across the worker pool before
-                // the serial tree update reads the memoised values.
-                mem.prime_chunk_hashes(&dirty_chunks);
-                disk.prime_block_hashes(&dirty_blocks);
+                // Fan the leaf hashing across the worker pool before the
+                // serial tree update reads the memoised values.
+                mem.prime_chunk_hashes(chunks);
+                disk.prime_block_hashes(blocks);
                 let mut updates: Vec<(usize, Digest)> =
-                    Vec::with_capacity(3 + dirty_chunks.len() + dirty_blocks.len());
+                    Vec::with_capacity(STATE_HEADER_LEAVES + chunks.len() + blocks.len());
                 if self.header_version != Some(version) {
-                    let header = header_leaves(machine);
-                    updates.push((0, header[0]));
-                    updates.push((1, header[1]));
-                    updates.push((2, header[2]));
+                    updates.extend(header_leaves(machine).into_iter().enumerate());
                 }
-                for c in dirty_chunks {
-                    updates.push((3 + c, mem.chunk_hash(c).expect("dirty chunk in range")));
+                for &c in chunks {
+                    updates.push((
+                        STATE_HEADER_LEAVES + c,
+                        mem.chunk_hash(c).expect("dirty chunk in range"),
+                    ));
                 }
-                let block_base = 3 + mem.chunk_count();
-                for b in dirty_blocks {
+                let block_base = STATE_HEADER_LEAVES + mem.chunk_count();
+                for &b in blocks {
                     updates.push((
                         block_base + b,
                         disk.block_hash(b).expect("dirty block in range"),
@@ -958,10 +994,24 @@ impl SnapshotStore {
         image: &VmImage,
         registry: &GuestRegistry,
     ) -> Result<(Machine, u64), CoreError> {
+        self.materialize_with_tree(upto_id, image, registry)
+            .map(|(machine, _, consumed)| (machine, consumed))
+    }
+
+    /// [`SnapshotStore::materialize_with_cost`], additionally handing over
+    /// the state tree the reconstruction was authenticated with, in sync
+    /// with the returned machine — a replayer continues from it.
+    pub(crate) fn materialize_with_tree(
+        &self,
+        upto_id: u64,
+        image: &VmImage,
+        registry: &GuestRegistry,
+    ) -> Result<(Machine, StateTreeCache, u64), CoreError> {
         let target = self
             .get(upto_id)
             .ok_or_else(|| CoreError::Snapshot(format!("snapshot {upto_id} not found")))?;
         let mut machine = Machine::from_image(image, registry).map_err(CoreError::Vm)?;
+        let mut state_tree = StateTreeCache::from_baseline(image);
         let mut consumed = 0u64;
         let base = self.memory_base(upto_id);
         for s in self.chain_upto(upto_id) {
@@ -1010,10 +1060,13 @@ impl SnapshotStore {
             .restore_volatile(&target.dev_state)
             .map_err(CoreError::Vm)?;
         machine.set_control_state(target.step, target.halted, false);
-        machine.clear_dirty_tracking();
         consumed += target.cpu_state.len() as u64 + target.dev_state.len() as u64;
 
-        let root = compute_state_root(&machine);
+        // The dirty bits name exactly the chunks and blocks a section
+        // wrote: refreshing over them hashes every byte that came out of
+        // the store, and every other leaf is the reference image's own.
+        // Only then may the bits go.
+        let root = state_tree.refresh(&machine);
         if root != target.state_root {
             return Err(CoreError::Snapshot(format!(
                 "materialized state root {} does not match recorded root {}",
@@ -1021,7 +1074,8 @@ impl SnapshotStore {
                 target.state_root.short_hex()
             )));
         }
-        Ok((machine, consumed))
+        machine.clear_dirty_tracking();
+        Ok((machine, state_tree, consumed))
     }
 }
 

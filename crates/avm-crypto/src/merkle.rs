@@ -116,6 +116,11 @@ impl MerkleTree {
         self.levels.first().and_then(|l| l.get(index)).copied()
     }
 
+    /// Every leaf hash, in leaf order.
+    pub fn leaves(&self) -> &[Digest] {
+        self.levels.first().map_or(&[], |l| l.as_slice())
+    }
+
     /// Replaces leaf `index` with new data and updates the path to the root.
     ///
     /// Returns `false` if the index is out of range.
@@ -292,6 +297,7 @@ mod tests {
         let tree = MerkleTree::from_leaves::<Vec<u8>>(&[]);
         assert_eq!(tree.root(), leaf_hash(&[]));
         assert_eq!(tree.leaf_count(), 0);
+        assert!(tree.leaves().is_empty());
         assert!(tree.prove(0).is_none());
     }
 
@@ -299,6 +305,7 @@ mod tests {
     fn two_leaves_match_manual_computation() {
         let tree = MerkleTree::from_leaves(&[b"a".to_vec(), b"b".to_vec()]);
         assert_eq!(tree.root(), node_hash(&leaf_hash(b"a"), &leaf_hash(b"b")));
+        assert_eq!(tree.leaves(), [leaf_hash(b"a"), leaf_hash(b"b")]);
     }
 
     #[test]

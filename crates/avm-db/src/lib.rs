@@ -60,7 +60,7 @@ mod tests {
         assert!(reg.instantiate(DB_PROGRAM, &cfg.encode_to_vec()).is_ok());
         assert!(reg.instantiate(DB_PROGRAM, b"junk").is_err());
         let img = db_image(&cfg);
-        assert_eq!(img.disk.len(), DB_DISK_SIZE);
+        assert_eq!(img.disk().len(), DB_DISK_SIZE);
         assert_ne!(
             img.digest(),
             db_image(&server::DbConfig::new("other")).digest()

@@ -212,6 +212,17 @@ impl Disk {
         disk
     }
 
+    /// Fills every hash-cache slot from `hashes`, one per block — the disk
+    /// half of [`crate::GuestMemory::seed_chunk_hashes`], under the same
+    /// contract: only [`crate::Machine::from_image`] calls it, with the
+    /// hashes the image's baseline derived from identical contents.
+    pub(crate) fn seed_block_hashes(&mut self, hashes: &[Digest]) {
+        assert_eq!(hashes.len(), self.block_count(), "one hash per block");
+        for (slot, hash) in self.hash_cache.get_mut().iter_mut().zip(hashes) {
+            *slot = Some(*hash);
+        }
+    }
+
     /// Disk size in bytes.
     pub fn size(&self) -> u64 {
         self.data.len() as u64
@@ -640,6 +651,13 @@ mod tests {
         for i in 0..disk.block_count() {
             assert_eq!(disk.block_hash(i).unwrap(), sha256(disk.block(i).unwrap()));
         }
+        // Seeded slots (marker values) are emptied by exactly the writes
+        // that cover them.
+        let seeds = [sha256(b"block 0"), sha256(b"block 1")];
+        disk.seed_block_hashes(&seeds);
+        disk.write(DISK_BLOCK_SIZE as u64 + 7, &[4]).unwrap();
+        assert_eq!(disk.block_hash(0).unwrap(), seeds[0]);
+        assert_eq!(disk.block_hash(1).unwrap(), sha256(disk.block(1).unwrap()));
     }
 
     #[test]

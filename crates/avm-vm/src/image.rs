@@ -6,14 +6,42 @@
 //! Replay instantiates a fresh machine from that reference image; if the
 //! audited machine actually ran something else (a cheat module, a patched
 //! binary), replay diverges.
+//!
+//! # What the image alone determines
+//!
+//! An auditor holds one reference image and checks it against many chunks,
+//! so everything that is a function of the image and nothing else is derived
+//! once, on first use, and kept with the image as its [`ImageBaseline`]: the
+//! content digest, the SHA-256 of every memory chunk and disk block a fresh
+//! machine starts with, an index from each of those digests to the first
+//! place its content sits, and the Merkle state tree over those leaves.
+//! [`crate::Machine::from_image`] seeds its hash caches from the baseline, so
+//! a machine only ever hashes what was *written* to it, and `avm-core`
+//! starts every audit's state tree from a copy of the baseline's.
+//!
+//! The memo cannot go stale: the four fields it is derived from are private,
+//! the constructors and [`VmImage::with_disk`] are their only writers, and
+//! `with_disk` drops it.  It is shared by clones, ignored by `==` and
+//! `Debug`, and costs about 64 B per 512 B chunk (the leaf plus its share of
+//! the interior nodes) for as long as the image lives.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use avm_crypto::sha256::{Digest, Sha256};
+use avm_crypto::merkle::MerkleTree;
+use avm_crypto::parallel::sha256_batch;
+use avm_crypto::sha256::{sha256, Digest, Sha256};
 
+use crate::devices::Disk;
 use crate::error::{VmError, VmResult};
+use crate::mem::{GuestMemory, CHUNK_SIZE};
 use crate::native::GuestKernel;
+
+/// Leaves that precede the per-chunk leaves in the Merkle state tree: CPU
+/// state, volatile device state and the control word.  They depend on the
+/// machine, not the image, so [`ImageBaseline::state_tree`] leaves them as
+/// placeholders for `avm-core` to fill.
+pub const STATE_HEADER_LEAVES: usize = 3;
 
 /// What kind of guest the image contains.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,17 +65,123 @@ pub enum ImageKind {
     },
 }
 
+/// Where a fresh machine holds some chunk- or block-sized content.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BaselineLocation {
+    /// Memory chunk index.
+    Chunk(usize),
+    /// Disk block index.
+    Block(usize),
+}
+
+/// Everything a [`VmImage`] alone determines about a machine freshly built
+/// from it (see the module docs).  Obtained from [`VmImage::baseline`].
+#[derive(Debug)]
+pub struct ImageBaseline {
+    digest: Digest,
+    /// [`STATE_HEADER_LEAVES`] placeholders, one leaf per memory chunk, one
+    /// per disk block — `avm-core`'s fixed leaf order.
+    tree: MerkleTree,
+    chunks: usize,
+    locations: HashMap<Digest, BaselineLocation>,
+}
+
+impl ImageBaseline {
+    fn derive(image: &VmImage) -> ImageBaseline {
+        // A program that does not fit in memory has no machine
+        // (`Machine::from_image` fails on the same write), so the leaves
+        // derived here for it are never read; its digest still is.
+        let mem = image
+            .initial_memory()
+            .unwrap_or_else(|_| GuestMemory::new(image.mem_size));
+        // Fresh memory is zeros except where the program was just written,
+        // which is exactly what its dirty bits name.
+        let chunks = mem.chunk_count();
+        let mut leaves = vec![Digest::ZERO; STATE_HEADER_LEAVES];
+        leaves.resize(STATE_HEADER_LEAVES + chunks, sha256(&[0u8; CHUNK_SIZE]));
+        for chunk in mem.dirty_chunks() {
+            leaves[STATE_HEADER_LEAVES + chunk] = mem.chunk_hash(chunk).expect("chunk in range");
+        }
+        let disk = Disk::from_content(&image.disk);
+        let blocks: Vec<&[u8]> = (0..disk.block_count())
+            .map(|b| disk.block(b).expect("block in range"))
+            .collect();
+        leaves.extend(sha256_batch(&blocks));
+
+        let (chunk_leaves, block_leaves) = leaves[STATE_HEADER_LEAVES..].split_at(chunks);
+        let held_at = (chunk_leaves.iter().zip((0..).map(BaselineLocation::Chunk)))
+            .chain(block_leaves.iter().zip((0..).map(BaselineLocation::Block)));
+        let mut locations = HashMap::new();
+        for (hash, at) in held_at {
+            locations.entry(*hash).or_insert(at);
+        }
+        ImageBaseline {
+            digest: image.compute_digest(),
+            tree: MerkleTree::from_leaf_hashes(leaves),
+            chunks,
+            locations,
+        }
+    }
+
+    /// The image's content digest ([`VmImage::digest`]).
+    pub fn digest(&self) -> Digest {
+        self.digest
+    }
+
+    /// SHA-256 of every memory chunk of a fresh machine, in chunk order.
+    pub fn chunk_hashes(&self) -> &[Digest] {
+        &self.tree.leaves()[STATE_HEADER_LEAVES..STATE_HEADER_LEAVES + self.chunks]
+    }
+
+    /// SHA-256 of every disk block of a fresh machine, in block order.
+    pub fn block_hashes(&self) -> &[Digest] {
+        &self.tree.leaves()[STATE_HEADER_LEAVES + self.chunks..]
+    }
+
+    /// The first place a fresh machine holds content hashing to `digest`
+    /// (memory before disk, ascending index), if it holds it anywhere — the
+    /// auditor-local test for "derivable from the reference image".
+    pub fn locate(&self, digest: &Digest) -> Option<BaselineLocation> {
+        self.locations.get(digest).copied()
+    }
+
+    /// The Merkle state tree of a fresh machine, its first
+    /// [`STATE_HEADER_LEAVES`] leaves placeholders.
+    pub fn state_tree(&self) -> &MerkleTree {
+        &self.tree
+    }
+}
+
 /// A complete, content-addressed VM image.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct VmImage {
-    /// Human-readable image name (e.g. "game-client-v1").
-    pub name: String,
-    /// Guest RAM size in bytes.
-    pub mem_size: u64,
-    /// Initial disk contents.
-    pub disk: Vec<u8>,
-    /// The guest program.
-    pub kind: ImageKind,
+    name: String,
+    mem_size: u64,
+    disk: Vec<u8>,
+    kind: ImageKind,
+    /// Derived from the four fields above on first use; see the module docs
+    /// for why it cannot go stale.
+    baseline: OnceLock<Arc<ImageBaseline>>,
+}
+
+impl PartialEq for VmImage {
+    fn eq(&self, other: &VmImage) -> bool {
+        (&self.name, self.mem_size, &self.disk, &self.kind)
+            == (&other.name, other.mem_size, &other.disk, &other.kind)
+    }
+}
+
+impl Eq for VmImage {}
+
+impl core::fmt::Debug for VmImage {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("VmImage")
+            .field("name", &self.name)
+            .field("mem_size", &self.mem_size)
+            .field("disk", &self.disk)
+            .field("kind", &self.kind)
+            .finish()
+    }
 }
 
 impl VmImage {
@@ -68,6 +202,7 @@ impl VmImage {
                 load_addr,
                 entry,
             },
+            baseline: OnceLock::new(),
         }
     }
 
@@ -81,19 +216,67 @@ impl VmImage {
                 program: program.to_string(),
                 config,
             },
+            baseline: OnceLock::new(),
         }
     }
 
-    /// Attaches initial disk contents.
+    /// Attaches initial disk contents (a different image: whatever was
+    /// derived from the old one is dropped).
     pub fn with_disk(mut self, disk: Vec<u8>) -> VmImage {
         self.disk = disk;
+        self.baseline = OnceLock::new();
         self
+    }
+
+    /// Human-readable image name (e.g. "game-client-v1").
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Guest RAM size in bytes.
+    pub fn mem_size(&self) -> u64 {
+        self.mem_size
+    }
+
+    /// Initial disk contents.
+    pub fn disk(&self) -> &[u8] {
+        &self.disk
+    }
+
+    /// The guest program.
+    pub fn kind(&self) -> &ImageKind {
+        &self.kind
+    }
+
+    /// Everything this image alone determines, derived on the first call
+    /// and shared with every clone made after it.
+    pub fn baseline(&self) -> &ImageBaseline {
+        self.baseline
+            .get_or_init(|| Arc::new(ImageBaseline::derive(self)))
+    }
+
+    /// Guest RAM as a fresh machine holds it: zeros, with a bytecode image's
+    /// program at its load address.  The dirty bits name the chunks the
+    /// program covers.
+    pub(crate) fn initial_memory(&self) -> VmResult<GuestMemory> {
+        let mut mem = GuestMemory::new(self.mem_size);
+        if let ImageKind::Bytecode {
+            code, load_addr, ..
+        } = &self.kind
+        {
+            mem.write(*load_addr, code)?;
+        }
+        Ok(mem)
     }
 
     /// Content digest of the image: two parties agree on an image by
     /// comparing this value (e.g. the "official VM snapshot" distributed
-    /// before a game, §5.2).
+    /// before a game, §5.2).  Hashed once per image ([`VmImage::baseline`]).
     pub fn digest(&self) -> Digest {
+        self.baseline().digest
+    }
+
+    fn compute_digest(&self) -> Digest {
         let mut h = Sha256::new();
         h.update(b"avm-image-v1");
         h.update(&(self.name.len() as u64).to_le_bytes());
@@ -244,6 +427,71 @@ mod tests {
         let n2 = VmImage::native("img", 4096, "count", vec![1]);
         assert_ne!(n1.digest(), n2.digest());
         assert_ne!(a.digest(), n1.digest());
+    }
+
+    /// The baseline is what hashing a fresh machine from scratch yields,
+    /// for a program that straddles a chunk boundary and a disk that is not
+    /// a whole number of blocks.
+    #[test]
+    fn baseline_is_what_a_fresh_machine_hashes_to() {
+        use crate::devices::DISK_BLOCK_SIZE;
+        let code = vec![0x5a; 700];
+        let image =
+            VmImage::bytecode("img", 16 * 1024, code, 300, 300)
+                .with_disk(vec![3u8; DISK_BLOCK_SIZE + 9]);
+        let m = Machine::from_image(&image, &GuestRegistry::new()).unwrap();
+        let baseline = image.baseline();
+        assert_eq!(baseline.digest(), image.compute_digest());
+        assert_eq!(baseline.chunk_hashes().len(), m.memory().chunk_count());
+        for (i, hash) in baseline.chunk_hashes().iter().enumerate() {
+            assert_eq!(*hash, sha256(m.memory().chunk(i).unwrap()), "chunk {i}");
+            assert_eq!(m.memory().chunk_hash(i).unwrap(), *hash);
+        }
+        assert_eq!(baseline.block_hashes().len(), 2);
+        for (b, hash) in baseline.block_hashes().iter().enumerate() {
+            assert_eq!(*hash, sha256(m.devices().disk.block(b).unwrap()));
+            assert_eq!(m.devices().disk.block_hash(b).unwrap(), *hash);
+        }
+        // The index names the *first* holder of each content.
+        let zero = sha256(&[0u8; CHUNK_SIZE]);
+        assert_eq!(baseline.locate(&zero), Some(BaselineLocation::Chunk(2)));
+        assert_eq!(
+            baseline.locate(&baseline.block_hashes()[1]),
+            Some(BaselineLocation::Block(1))
+        );
+        assert_eq!(baseline.locate(&sha256(b"elsewhere")), None);
+        let tree = baseline.state_tree();
+        assert_eq!(tree.leaf_count(), STATE_HEADER_LEAVES + 32 + 2);
+        assert_eq!(tree.leaves()[..STATE_HEADER_LEAVES], [Digest::ZERO; 3]);
+        assert!(m.memory().dirty_chunks().is_empty());
+    }
+
+    /// The memo is shared by clones, invisible to `==` and `Debug`, and
+    /// dropped by the one method that changes what it was derived from.
+    #[test]
+    fn memo_follows_clones_and_is_dropped_by_with_disk() {
+        let cold = VmImage::bytecode("img", 4096, vec![1, 2, 3], 0, 0).with_disk(vec![7; 100]);
+        let warm = cold.clone();
+        let digest = warm.digest();
+        assert!(cold.baseline.get().is_none() && warm.baseline.get().is_some());
+        assert_eq!(cold, warm);
+        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+        let shared = warm.clone();
+        assert!(Arc::ptr_eq(
+            shared.baseline.get().unwrap(),
+            warm.baseline.get().unwrap()
+        ));
+        let changed = warm.clone().with_disk(vec![8; 100]);
+        assert!(changed.baseline.get().is_none());
+        assert_ne!(changed.digest(), digest);
+        assert_ne!(
+            changed.baseline().block_hashes(),
+            warm.baseline().block_hashes()
+        );
+        // A program that does not fit has a digest but no machine.
+        let unfit = VmImage::bytecode("img", 4096, vec![0; 64], 4090, 4090);
+        assert_ne!(unfit.digest(), digest);
+        assert!(Machine::from_image(&unfit, &GuestRegistry::new()).is_err());
     }
 
     #[test]

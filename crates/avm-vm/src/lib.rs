@@ -40,7 +40,7 @@ pub mod packet;
 
 pub use error::VmError;
 pub use exit::{StopCondition, VmExit};
-pub use image::{GuestRegistry, ImageKind, VmImage};
+pub use image::{GuestRegistry, ImageKind, VmImage, STATE_HEADER_LEAVES};
 pub use machine::{Machine, MachineConfig};
 pub use mem::{GuestMemory, CHUNKS_PER_PAGE, CHUNK_SIZE, PAGE_SIZE};
 pub use native::{GuestCtx, GuestKernel, GuestStep};

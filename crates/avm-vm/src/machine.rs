@@ -87,9 +87,17 @@ pub struct Machine {
 impl Machine {
     /// Creates a machine from parts.
     pub fn new(config: MachineConfig, cpu: Box<dyn CpuCore>) -> Machine {
+        Machine::assemble(
+            GuestMemory::new(config.mem_size),
+            DeviceState::new(&config.disk_content),
+            cpu,
+        )
+    }
+
+    fn assemble(mem: GuestMemory, dev: DeviceState, cpu: Box<dyn CpuCore>) -> Machine {
         Machine {
-            mem: GuestMemory::new(config.mem_size),
-            dev: DeviceState::new(&config.disk_content),
+            mem,
+            dev,
             cpu,
             step_count: 0,
             halted: false,
@@ -101,33 +109,33 @@ impl Machine {
 
     /// Instantiates a machine from a VM image, using `registry` to resolve
     /// native guest programs.
+    ///
+    /// The chunk and block hash caches start out filled from the image's
+    /// baseline ([`VmImage::baseline`]), so nothing downstream ever hashes
+    /// state that is still what the image put there.
     pub fn from_image(image: &VmImage, registry: &GuestRegistry) -> VmResult<Machine> {
-        let config = MachineConfig {
-            mem_size: image.mem_size,
-            disk_content: image.disk.clone(),
-        };
-        let cpu: Box<dyn CpuCore> = match &image.kind {
+        let cpu: Box<dyn CpuCore> = match image.kind() {
             ImageKind::Bytecode {
                 code,
                 load_addr,
                 entry,
             } => {
-                let machine_cpu = crate::bytecode::BytecodeCpu::new(*entry);
-                machine_cpu.validate_entry(*entry, *load_addr, code.len() as u64)?;
-                let mut m = Machine::new(config, Box::new(machine_cpu));
-                m.mem.write(*load_addr, code)?;
-                m.mem.clear_dirty();
-                return Ok(m);
+                let cpu = crate::bytecode::BytecodeCpu::new(*entry);
+                cpu.validate_entry(*entry, *load_addr, code.len() as u64)?;
+                Box::new(cpu)
             }
-            ImageKind::Native {
-                program,
-                config: guest_config,
-            } => {
-                let kernel = registry.instantiate(program, guest_config)?;
+            ImageKind::Native { program, config } => {
+                let kernel = registry.instantiate(program, config)?;
                 Box::new(crate::native::NativeCpu::new(kernel))
             }
         };
-        Ok(Machine::new(config, cpu))
+        let mut mem = image.initial_memory()?;
+        mem.clear_dirty();
+        let mut dev = DeviceState::new(image.disk());
+        let baseline = image.baseline();
+        mem.seed_chunk_hashes(baseline.chunk_hashes());
+        dev.disk.seed_block_hashes(baseline.block_hashes());
+        Ok(Machine::assemble(mem, dev, cpu))
     }
 
     /// Current step counter (total machine steps executed so far).

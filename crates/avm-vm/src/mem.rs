@@ -18,7 +18,10 @@
 //! Unlike the dirty bits the cache is *never* cleared wholesale — its
 //! validity tracks content changes, not snapshot boundaries — so state-root
 //! computations only rehash chunks written since the previous root, no
-//! matter how often dirty tracking is reset around them.
+//! matter how often dirty tracking is reset around them.  A machine built
+//! from a [`crate::VmImage`] starts with every slot already filled from the
+//! image's baseline ([`crate::image::ImageBaseline`]), so it never hashes a
+//! chunk that still holds what the image put there.
 //!
 //! # Demand paging (§3.5 on-demand audits)
 //!
@@ -93,6 +96,20 @@ impl GuestMemory {
             hash_cache: RefCell::new(vec![None; n_pages * CHUNKS_PER_PAGE]),
             staged: HashMap::new(),
             faulted: Vec::new(),
+        }
+    }
+
+    /// Fills every hash-cache slot from `hashes`, one per chunk.
+    ///
+    /// Only [`crate::Machine::from_image`] calls this, on memory it has just
+    /// built, with the hashes the image's baseline derived from identical
+    /// contents ([`crate::image::ImageBaseline`]).  From then on the slots
+    /// obey the cache's one rule — a write empties the slot — so a seeded
+    /// machine rehashes what was written and nothing else.
+    pub(crate) fn seed_chunk_hashes(&mut self, hashes: &[Digest]) {
+        assert_eq!(hashes.len(), self.chunk_count(), "one hash per chunk");
+        for (slot, hash) in self.hash_cache.get_mut().iter_mut().zip(hashes) {
+            *slot = Some(*hash);
         }
     }
 
@@ -551,6 +568,20 @@ mod tests {
         // The cached hash always equals a fresh hash of the contents.
         for i in 0..mem.chunk_count() {
             assert_eq!(mem.chunk_hash(i).unwrap(), sha256(mem.chunk(i).unwrap()));
+        }
+        // A seeded cache obeys the same rule: a write empties exactly the
+        // slots of the chunks it covers.  The seeds are marker values, so a
+        // slot that still answers with its marker was provably not rehashed.
+        let marker = |i: usize| sha256(&(i as u64).to_le_bytes());
+        let seeds: Vec<Digest> = (0..mem.chunk_count()).map(marker).collect();
+        mem.seed_chunk_hashes(&seeds);
+        mem.write(3 * CHUNK_SIZE as u64 - 1, &[1, 2]).unwrap();
+        for i in 0..mem.chunk_count() {
+            let expected = match i {
+                2 | 3 => sha256(mem.chunk(i).unwrap()),
+                _ => marker(i),
+            };
+            assert_eq!(mem.chunk_hash(i).unwrap(), expected, "chunk {i}");
         }
     }
 
