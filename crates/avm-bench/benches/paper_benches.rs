@@ -477,6 +477,100 @@ fn bench_image_baseline(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a response costs between the provider's state and the auditor's
+/// `&[LogEntry]`, with nothing checked or replayed: `AuditServer::respond`
+/// → `seal_encoded_message` → `open_session_frame` → borrowed decode → owned
+/// entries, on a `game_sig`-shaped whole-log segment (30k small entries),
+/// and `respond` → seal → open on the db shape's section stream (a full
+/// dump of the 512 KiB guest).  Each body is first checked against the
+/// owned `AuditResponse` built by hand and encoded by its own `Encode` —
+/// which is also the reference timed beside the log segment: one owned
+/// encoding per entry, the whole message encoded again, then framed.
+fn bench_response_path(c: &mut Criterion) {
+    use avm_core::endpoint::AuditServer;
+    use avm_core::snapshot::{capture, SnapshotStore};
+    use avm_crypto::sha256::Digest;
+    use avm_log::LogEntry;
+    use avm_vm::{Machine, PAGE_SIZE};
+    use avm_wire::audit::{
+        open_session_frame, seal_encoded_message, seal_session_message, AuditRequest,
+        AuditResponse, AuditResponseRef, SegmentAddress,
+    };
+    use avm_wire::{Decode, Encode};
+
+    let mut group = c.benchmark_group("response_path");
+    group.sample_size(10);
+
+    let mut log = TamperEvidentLog::new();
+    for i in 0..30_000u64 {
+        let content = vec![i as u8; 8 + (i % 7) as usize * 9];
+        log.append(EntryKind::NdEvent, content);
+    }
+    let no_snapshots = SnapshotStore::new();
+    let server = AuditServer::new(&log, &no_snapshots);
+    let whole_log = AuditRequest::LogSegment(SegmentAddress::Seq {
+        from_seq: 1,
+        to_seq: 0,
+    });
+    let owned_segment = || AuditResponse::LogSegment {
+        prev_hash: Digest::ZERO.0,
+        entries: log.entries().iter().map(|e| e.encode_to_vec()).collect(),
+    };
+    assert_eq!(server.respond(&whole_log), owned_segment().encode_to_vec());
+    let receive = |packet: &[u8]| {
+        let (_, _, body) = open_session_frame(packet).unwrap();
+        match AuditResponseRef::decode_exact(body).unwrap() {
+            AuditResponseRef::LogSegment { entries, .. } => {
+                let mut decoded = Vec::with_capacity(entries.len());
+                for bytes in entries {
+                    decoded.push(LogEntry::decode_exact(bytes).unwrap());
+                }
+                decoded
+            }
+            other => panic!("unexpected {} response", other.variant_name()),
+        }
+    };
+    assert_eq!(
+        receive(&seal_encoded_message(1, 1, &server.respond(&whole_log))),
+        log.entries()
+    );
+    group.bench_function("log_segment_30k", |b| {
+        b.iter(|| receive(&seal_encoded_message(1, 1, &server.respond(&whole_log))).len())
+    });
+    group.bench_function("log_segment_30k_owned_reference", |b| {
+        b.iter(|| receive(&seal_session_message(1, 1, &owned_segment())).len())
+    });
+
+    let image = avm_db::db_image(&avm_db::server::DbConfig::new("customer"));
+    let mut machine = Machine::from_image(&image, &avm_db::db_registry()).unwrap();
+    for page in 0..64 {
+        let addr = (2 * page * PAGE_SIZE) as u64;
+        machine
+            .memory_mut()
+            .write_u64(addr, page as u64 + 1)
+            .unwrap();
+    }
+    let mut store = SnapshotStore::new();
+    store.push(capture(&mut machine, 0, true));
+    let server = AuditServer::for_store(&store);
+    let sections = AuditRequest::Sections { upto_id: 0 };
+    let owned_sections = AuditResponse::Sections {
+        stream: store.transfer_stream_upto(0),
+    };
+    assert_eq!(server.respond(&sections), owned_sections.encode_to_vec());
+    group.bench_function("sections_db_full_dump", |b| {
+        b.iter(|| {
+            let packet = seal_encoded_message(1, 1, &server.respond(&sections));
+            let (_, _, body) = open_session_frame(&packet).unwrap();
+            match AuditResponseRef::decode_exact(body).unwrap() {
+                AuditResponseRef::Sections { stream } => stream.len(),
+                other => panic!("unexpected {} response", other.variant_name()),
+            }
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fig5_signatures,
@@ -488,6 +582,7 @@ criterion_group!(
     bench_verify_kernels,
     bench_snapshot_dedup,
     bench_image_baseline,
+    bench_response_path,
     bench_persist_recovery
 );
 criterion_main!(benches);

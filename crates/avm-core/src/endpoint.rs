@@ -28,6 +28,23 @@
 //! its report's [`TransportStats`] column
 //! ([`crate::spotcheck::SpotCheckReport::transport`]).
 //!
+//! # A response is written once
+//!
+//! [`AuditServer::respond`] is the one place a response is assembled: it
+//! returns the *encoded* [`AuditResponse`] body, each byte written once
+//! from the log and store the server only borrows (log entries encoded in
+//! place into a buffer sized up front, the section stream serialised
+//! straight into the body, blobs lent by the pool).  A provider driver seals
+//! that body ([`seal_encoded_message`]) and sends it — [`SimNetTransport`]
+//! here, [`crate::fleet::ProviderNode`] on a shared network — so a whole-log
+//! segment costs two copies and three allocations on the provider, however
+//! many entries it has.  [`AuditServer::handle`] is the decoded view of
+//! `respond`, for callers that inspect a response instead of sending it.
+//! The auditor's side is the mirror image: the packet is parsed in place
+//! ([`AuditResponseRef`]) and only what is kept is copied — for a log
+//! segment, one owned [`LogEntry`] each, into a vector sized from the entry
+//! count the borrowed parse already bounded by the bytes that arrived.
+//!
 //! # The one read that bypasses the transport
 //!
 //! Replay state is materialized (full download) or staged for inline
@@ -74,8 +91,9 @@ use avm_net::{LinkConfig, NodeId, SimNet};
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::attest::AttestChallenge;
 use avm_wire::audit::{
-    open_session_frame, open_session_message, seal_session_message, AuditRequest, AuditResponse,
-    AuditResponseRef, SegmentAddress, CLIENT_SESSION,
+    encode_log_segment, encode_sections_with, open_session_frame, open_session_message,
+    seal_encoded_message, seal_session_message, AuditRequest, AuditResponse, AuditResponseRef,
+    SegmentAddress, CLIENT_SESSION,
 };
 use avm_wire::Encode;
 
@@ -176,45 +194,65 @@ impl<'a> AuditServer<'a> {
         self.store
     }
 
-    /// Answers one request.  Failures are returned as
+    /// Answers one request with the *encoded* [`AuditResponse`] — the body a
+    /// transport seals ([`seal_encoded_message`]) — each byte written once
+    /// from state the server only borrows: log entries are encoded in place
+    /// from [`LogSource::entries`], the section stream is serialised straight
+    /// into the body, blobs are lent by the pool.  Failures are encoded as
     /// [`AuditResponse::Error`] with the message the in-process API would
-    /// have raised, so clients surface identical errors on every transport.
-    pub fn handle(&self, request: &AuditRequest) -> AuditResponse {
+    /// have raised, so clients surface identical errors on every transport;
+    /// a chunk request on a log whose SNAPSHOT records do not all decode is
+    /// answered with the log prefix ([`AuditResponse::LogSegment`]).
+    ///
+    /// This is the one place a response is assembled; [`AuditServer::handle`]
+    /// is its decoded view.
+    pub fn respond(&self, request: &AuditRequest) -> Vec<u8> {
         match request {
             AuditRequest::Manifest { snapshot_id } => {
                 match self.store.chain_manifest_upto(*snapshot_id) {
-                    Ok(manifest) => AuditResponse::Manifest {
-                        manifest: manifest.encode_to_vec(),
-                    },
-                    Err(e) => error_response(e),
+                    Ok(manifest) => AuditResponseRef::Manifest {
+                        manifest: &manifest.encode_to_vec(),
+                    }
+                    .encode_to_vec(),
+                    // The wrapper's message, not the Display form with its
+                    // "snapshot error:" prefix: the client re-wraps on receipt.
+                    Err(CoreError::Snapshot(message)) => error_response(&message),
+                    Err(other) => error_response(&other.to_string()),
                 }
             }
-            AuditRequest::Blobs(request) => AuditResponse::Blobs(self.store.serve_blobs(request)),
-            AuditRequest::LogSegment(addr) => self.handle_log_segment(*addr),
+            AuditRequest::Blobs(request) => {
+                AuditResponseRef::Blobs(self.store.lend_blobs(request)).encode_to_vec()
+            }
+            AuditRequest::LogSegment(addr) => self.respond_log_segment(*addr),
             AuditRequest::Sections { upto_id } => {
                 if self.store.get(*upto_id).is_none() {
-                    return AuditResponse::Error {
-                        message: format!("snapshot {upto_id} not found"),
-                    };
+                    return error_response(&format!("snapshot {upto_id} not found"));
                 }
-                AuditResponse::Sections {
-                    stream: self.store.transfer_stream_upto(*upto_id),
-                }
+                let len = self.store.transfer_bytes_upto(*upto_id) as usize;
+                encode_sections_with(len, |body| {
+                    self.store.append_transfer_stream_upto(*upto_id, body)
+                })
             }
             AuditRequest::Attest(challenge) => match self.attestor {
-                Some(attestor) => AuditResponse::Attestation(attestor.quote(challenge)),
-                None => AuditResponse::Error {
-                    message: "provider serves no attestation".to_string(),
-                },
+                Some(attestor) => {
+                    AuditResponse::Attestation(attestor.quote(challenge)).encode_to_vec()
+                }
+                None => error_response("provider serves no attestation"),
             },
         }
     }
 
-    fn handle_log_segment(&self, addr: SegmentAddress) -> AuditResponse {
+    /// [`AuditServer::respond`], decoded into an owned [`AuditResponse`] —
+    /// for callers that inspect a response instead of sending it.
+    pub fn handle(&self, request: &AuditRequest) -> AuditResponse {
+        AuditResponseRef::decode_exact(&self.respond(request))
+            .expect("respond writes a well-formed response")
+            .to_owned()
+    }
+
+    fn respond_log_segment(&self, addr: SegmentAddress) -> Vec<u8> {
         let Some(log) = self.log else {
-            return AuditResponse::Error {
-                message: "provider serves no log".to_string(),
-            };
+            return error_response("provider serves no log");
         };
         match addr {
             SegmentAddress::Seq { from_seq, to_seq } => {
@@ -223,17 +261,15 @@ impl<'a> AuditServer<'a> {
                 } else {
                     to_seq
                 };
-                match log.segment(from_seq, to) {
-                    Some((prev, entries)) => log_segment_response(prev, &entries),
-                    None => AuditResponse::Error {
-                        message: format!("log segment {from_seq}..{to} out of range"),
-                    },
+                match log.segment_slice(from_seq, to) {
+                    Some((prev, entries)) => encode_log_segment(&prev.0, entries),
+                    None => error_response(&format!("log segment {from_seq}..{to} out of range")),
                 }
             }
             SegmentAddress::Chunk {
                 start_snapshot,
                 chunk,
-            } => self.handle_log_chunk(log, start_snapshot, chunk),
+            } => self.respond_log_chunk(log, start_snapshot, chunk),
         }
     }
 
@@ -247,12 +283,7 @@ impl<'a> AuditServer<'a> {
     /// re-scans what it received and reaches the malformed-log verdict
     /// itself — paying for exactly the entries it had to download to
     /// discover the corruption, like the in-process scan does.
-    fn handle_log_chunk(
-        &self,
-        log: &dyn LogSource,
-        start_snapshot: u64,
-        chunk: u64,
-    ) -> AuditResponse {
+    fn respond_log_chunk(&self, log: &dyn LogSource, start_snapshot: u64, chunk: u64) -> Vec<u8> {
         let positions = match snapshot_positions_in(log.entries()) {
             Ok(positions) => positions,
             Err(FaultReason::MalformedLog { seq }) => {
@@ -263,23 +294,17 @@ impl<'a> AuditServer<'a> {
                     .map_or(log.entries().len(), |i| i + 1);
                 // The prefix starts at the first entry, whose chain anchor
                 // is the genesis hash.
-                return log_segment_response(Digest::ZERO, &log.entries()[..upto]);
+                return encode_log_segment(&Digest::ZERO.0, &log.entries()[..upto]);
             }
             // snapshot_positions only produces MalformedLog; be defensive.
-            Err(other) => {
-                return AuditResponse::Error {
-                    message: other.to_string(),
-                }
-            }
+            Err(other) => return error_response(&other.to_string()),
         };
         let Some(start_pos) = positions
             .iter()
             .find(|(_, id, _)| *id == start_snapshot)
             .map(|(i, _, _)| *i)
         else {
-            return AuditResponse::Error {
-                message: format!("snapshot {start_snapshot} not in log"),
-            };
+            return error_response(&format!("snapshot {start_snapshot} not in log"));
         };
         // checked_add: a hostile request with chunk near u64::MAX must get
         // an open-ended chunk (no snapshot can match), not a panic.
@@ -292,26 +317,12 @@ impl<'a> AuditServer<'a> {
             Some(end) => &log.entries()[start_pos + 1..=end],
             None => &log.entries()[start_pos + 1..],
         };
-        log_segment_response(log.entries()[start_pos].hash, entries)
+        encode_log_segment(&log.entries()[start_pos].hash.0, entries)
     }
 }
 
-fn log_segment_response(prev: Digest, entries: &[LogEntry]) -> AuditResponse {
-    AuditResponse::LogSegment {
-        prev_hash: prev.0,
-        entries: entries.iter().map(|e| e.encode_to_vec()).collect(),
-    }
-}
-
-fn error_response(e: CoreError) -> AuditResponse {
-    AuditResponse::Error {
-        message: match e {
-            // The wrapper's message, not the Display form with its
-            // "snapshot error:" prefix: the client re-wraps on receipt.
-            CoreError::Snapshot(message) => message,
-            other => other.to_string(),
-        },
-    }
+fn error_response(message: &str) -> Vec<u8> {
+    AuditResponseRef::Error { message }.encode_to_vec()
 }
 
 // ---------------------------------------------------------------------------
@@ -622,7 +633,8 @@ impl<'a> AuditTransport<'a> for SimNetTransport<'a> {
                             open_session_message::<AuditRequest>(&delivery.payload)
                         {
                             if sid == wire.session_id {
-                                let response = seal_session_message(sid, rid, &server.handle(&req));
+                                let response =
+                                    seal_encoded_message(sid, rid, &server.respond(&req));
                                 let _ = net.send(wire.provider, wire.auditor, response);
                             }
                         }
@@ -716,6 +728,7 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
     /// Downloads and decodes the chain manifest for `snapshot_id`.
     pub fn fetch_manifest(&mut self, snapshot_id: u64) -> Result<ChainManifest, CoreError> {
         self.request(&AuditRequest::Manifest { snapshot_id }, expect_manifest)
+            .map(|(manifest, _)| manifest)
     }
 
     /// The attestation handshake: sends `challenge`, receives the
@@ -755,7 +768,7 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
     }
 
     /// Downloads the §3.5 chunk of `chunk` segments starting at
-    /// `start_snapshot` (see [`AuditServer::handle`] for the malformed-log
+    /// `start_snapshot` (see [`AuditServer::respond`] for the malformed-log
     /// prefix behaviour).
     pub fn fetch_log_chunk(
         &mut self,

@@ -12,11 +12,13 @@
 //!   session id travels in every framed packet, giving each auditor a
 //!   private request-id space), requests queue per session, and a
 //!   round-robin scheduler with a configurable per-tick service budget
-//!   drains them fairly.  Responses to the cacheable, auditor-independent
-//!   requests (manifest, sections, §3.5 log chunks) are encoded **once**
-//!   into a shared response cache — N auditors checking the same epoch pay
-//!   the serialisation and hashing cost a single time.  Idle sessions can
-//!   be expired after a configurable quiet period.
+//!   drains them fairly.  Every response is the encoded body
+//!   [`AuditServer::respond`] writes, sealed under the asking session's
+//!   envelope; the bodies of the cacheable, auditor-independent requests
+//!   (manifest, sections, §3.5 log chunks) are kept in a shared response
+//!   cache — N auditors checking the same epoch pay the serialisation a
+//!   single time, and a cached and an uncached answer are the same bytes.
+//!   Idle sessions can be expired after a configurable quiet period.
 //! * [`FleetAuditor`] — the event-loop driver of
 //!   [`crate::session::AuditSession`], so hundreds of sessions interleave
 //!   on one network.  The spot-check procedure is the session's — the same
@@ -50,7 +52,6 @@ use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::audit::{
     open_session_message, seal_encoded_message, AuditRequest, SegmentAddress, CLIENT_SESSION,
 };
-use avm_wire::Encode;
 
 use crate::attest::{Attestor, LaunchPolicy};
 use crate::endpoint::{
@@ -235,17 +236,13 @@ impl<'a> ProviderNode<'a> {
                     self.cache_hits += 1;
                 } else {
                     self.cache_misses += 1;
-                    let encoded = self.server.handle(request).encode_to_vec();
+                    let encoded = self.server.respond(request);
                     self.cache_bytes += encoded.len() as u64;
                     self.cache.insert(key, encoded);
                 }
                 seal_encoded_message(session_id, request_id, &self.cache[&key])
             }
-            None => seal_encoded_message(
-                session_id,
-                request_id,
-                &self.server.handle(request).encode_to_vec(),
-            ),
+            None => seal_encoded_message(session_id, request_id, &self.server.respond(request)),
         }
     }
 

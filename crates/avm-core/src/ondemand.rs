@@ -895,7 +895,8 @@ pub fn materialize_with_manifest(
     registry: &GuestRegistry,
     cache: &AuditorBlobCache,
 ) -> Result<(Machine, OnDemandSession), CoreError> {
-    stage_from_manifest(manifest, store, image, registry, cache)
+    let manifest_bytes = manifest.encoded_len() as u64;
+    stage_from_manifest(manifest, manifest_bytes, store, image, registry, cache)
         .map(|(machine, _, session)| (machine, session))
 }
 
@@ -910,9 +911,12 @@ struct Divergent {
 
 /// [`materialize_with_manifest`], additionally handing over the state tree
 /// the manifest was authenticated with, in sync with the returned machine —
-/// a replayer continues from it.
+/// a replayer continues from it.  `manifest_bytes` is what the manifest
+/// cost to download: the length of the encoding that arrived, or of the one
+/// an in-process caller would have been sent.
 pub(crate) fn stage_from_manifest(
     manifest: ChainManifest,
+    manifest_bytes: u64,
     store: &SnapshotStore,
     image: &VmImage,
     registry: &GuestRegistry,
@@ -992,7 +996,7 @@ pub(crate) fn stage_from_manifest(
     let mut session = OnDemandSession {
         snapshot_id: manifest.snapshot_id,
         state_root: manifest.state_root,
-        manifest_bytes: manifest.encoded_len() as u64,
+        manifest_bytes,
         staged_chunks: HashMap::new(),
         staged_blocks: HashMap::new(),
         sources: HashMap::new(),

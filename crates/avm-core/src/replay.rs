@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use avm_crypto::sha256::Digest;
 use avm_log::{EntryKind, LogEntry};
 use avm_vm::{GuestRegistry, Machine, StopCondition, VmExit, VmImage};
-use avm_wire::Decode;
+use avm_wire::{Decode, Encode};
 
 use crate::error::{CoreError, FaultReason};
 use crate::events::{MetaRecord, NdDetail, NdEventRecord, RecvRecord, SendRecord, SnapshotRecord};
@@ -141,22 +141,25 @@ impl Replayer {
         cache: &AuditorBlobCache,
     ) -> Result<(Replayer, OnDemandSession), CoreError> {
         let manifest = snapshots.chain_manifest_upto(snapshot_id)?;
-        Self::from_manifest_on_demand(manifest, image, registry, snapshots, cache)
+        let manifest_bytes = manifest.encoded_len() as u64;
+        Self::from_manifest_on_demand(manifest, manifest_bytes, image, registry, snapshots, cache)
     }
 
     /// Creates a replayer from a manifest an audit endpoint already
-    /// downloaded ([`crate::ondemand::materialize_with_manifest`]):
-    /// `snapshots` is the staging oracle, the manifest authenticates against
-    /// the recorded root before the replayer is returned.
+    /// downloaded ([`crate::ondemand::materialize_with_manifest`]) in
+    /// `manifest_bytes` bytes of packet: `snapshots` is the staging oracle,
+    /// the manifest authenticates against the recorded root before the
+    /// replayer is returned.
     pub fn from_manifest_on_demand(
         manifest: crate::ondemand::ChainManifest,
+        manifest_bytes: u64,
         image: &VmImage,
         registry: &GuestRegistry,
         snapshots: &SnapshotStore,
         cache: &AuditorBlobCache,
     ) -> Result<(Replayer, OnDemandSession), CoreError> {
         let (machine, state_tree, session) =
-            stage_from_manifest(manifest, snapshots, image, registry, cache)?;
+            stage_from_manifest(manifest, manifest_bytes, snapshots, image, registry, cache)?;
         Ok((
             Self::with_machine(machine, state_tree, image.digest()),
             session,
@@ -574,7 +577,6 @@ mod tests {
     use avm_crypto::keys::{SignatureScheme, SigningKey};
     use avm_vm::bytecode::assemble;
     use avm_vm::packet::encode_guest_packet;
-    use avm_wire::Encode;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

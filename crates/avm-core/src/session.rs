@@ -75,23 +75,30 @@ pub(crate) fn expect_log_segment(
     match response {
         AuditResponseRef::LogSegment { prev_hash, entries } => {
             let received = entries.iter().map(|bytes| bytes.len() as u64).sum();
-            let entries = entries
-                .into_iter()
-                .map(|bytes| {
-                    LogEntry::decode_exact(bytes)
-                        .map_err(|e| CoreError::Snapshot(format!("log entry does not decode: {e}")))
-                })
-                .collect::<Result<_, _>>()?;
-            Ok((Digest(prev_hash), entries, received))
+            // Sized once: the borrowed decode already bounded the count by
+            // the bytes that arrived.
+            let mut decoded = Vec::with_capacity(entries.len());
+            for bytes in entries {
+                decoded.push(
+                    LogEntry::decode_exact(bytes).map_err(|e| {
+                        CoreError::Snapshot(format!("log entry does not decode: {e}"))
+                    })?,
+                );
+            }
+            Ok((Digest(prev_hash), decoded, received))
         }
         other => Err(unexpected("LogSegment", other)),
     }
 }
 
-/// A manifest response, decoded straight from the packet buffer.
-pub(crate) fn expect_manifest(response: AuditResponseRef<'_>) -> Result<ChainManifest, CoreError> {
+/// A manifest response, decoded straight from the packet buffer, and the
+/// bytes its encoding occupied there.
+pub(crate) fn expect_manifest(
+    response: AuditResponseRef<'_>,
+) -> Result<(ChainManifest, u64), CoreError> {
     match response {
         AuditResponseRef::Manifest { manifest } => ChainManifest::decode_exact(manifest)
+            .map(|decoded| (decoded, manifest.len() as u64))
             .map_err(|e| CoreError::Snapshot(format!("manifest does not decode: {e}"))),
         other => Err(unexpected("Manifest", other)),
     }
@@ -329,7 +336,7 @@ impl<'a> AuditSession<'a> {
     fn on_chunk(&mut self, response: AuditResponseRef<'_>) -> Result<Step, CoreError> {
         // The provider resolves the chunk boundaries; one whose SNAPSHOT
         // records do not all decode returns its log prefix instead (see
-        // `AuditServer::handle`).
+        // `AuditServer::respond`).
         let (_, entries, log_bytes) = expect_log_segment(response)?;
         // Scan what was *received* — the auditor never trusts the provider's
         // classification.  A corrupt SNAPSHOT record is itself the verdict,
@@ -384,12 +391,13 @@ impl<'a> AuditSession<'a> {
         entries: &[LogEntry],
         log_bytes: u64,
     ) -> Result<Step, CoreError> {
-        let manifest = expect_manifest(response)?;
+        let (manifest, manifest_bytes) = expect_manifest(response)?;
         // Divergent state is staged from the oracle so replay faults it in
         // inline and never waits for the wire; the blob exchange below then
         // pays for exactly what replay touched.
         let (mut replayer, ondemand) = Replayer::from_manifest_on_demand(
             manifest,
+            manifest_bytes,
             self.image,
             self.registry,
             self.oracle,
@@ -471,7 +479,7 @@ impl<'a> AuditSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::AuditServer;
+    use crate::endpoint::{AuditClient, AuditServer, AuditTransport};
     use crate::testutil::{key, record_with_snapshots};
     use avm_log::EntryKind;
     use avm_wire::audit::AuditResponse;
@@ -558,7 +566,9 @@ mod tests {
     /// `classify_faults` → `BlobFetch::plan`: over a chunk that spans
     /// interior snapshots the session replays once, asks for the blobs in
     /// full batches after the manifest, and reports the cost `finish`
-    /// settles from the same store and an equally empty cache.
+    /// settles from the same store and an equally empty cache —
+    /// `manifest_bytes` included: the slice that arrived is as long as the
+    /// `encoded_len()` the in-process path counts.
     #[test]
     fn on_demand_session_is_the_one_shot_path_over_the_wire() {
         let (bob, image) = record_with_snapshots(5);
@@ -725,6 +735,189 @@ mod tests {
             assert_eq!(sent, ["Chunk", "Manifest", "Blobs"]);
             let error = outcome.expect_err("tampered blobs must not yield a report");
             assert!(error.to_string().contains(wanted), "{error}");
+        }
+    }
+
+    /// A provider on no network whose encoded response passes through
+    /// `tamper` on its way to the auditor.  A body that no longer decodes is
+    /// dropped, as `PendingExchange::accept` drops it; with no retransmit
+    /// timer to wait out, the exchange fails on the spot.
+    struct TamperingTransport<'a, F> {
+        server: AuditServer<'a>,
+        tamper: F,
+    }
+
+    impl<'a, F: FnMut(Vec<u8>) -> Vec<u8>> AuditTransport<'a> for TamperingTransport<'a, F> {
+        fn exchange<R>(
+            &mut self,
+            request: &AuditRequest,
+            on_response: impl FnOnce(AuditResponseRef<'_>) -> R,
+        ) -> Result<R, CoreError> {
+            let body = (self.tamper)(self.server.respond(request));
+            let response = AuditResponseRef::decode_exact(&body)
+                .map_err(|e| CoreError::Snapshot(format!("response dropped: {e}")))?;
+            Ok(on_response(response))
+        }
+
+        fn stats(&self) -> TransportStats {
+            TransportStats::default()
+        }
+
+        fn provider_store(&self) -> &'a SnapshotStore {
+            self.server.store()
+        }
+    }
+
+    /// Offset of entry `index`'s length prefix in a `LogSegment` body, and
+    /// the entry's encoded length (one-byte prefixes only: the fixture's
+    /// entries are short).
+    fn entry_at(body: &[u8], index: usize) -> (usize, usize) {
+        // tag ‖ prev hash ‖ a count below 128.
+        let mut at = 1 + 32 + 1;
+        for _ in 0..index {
+            assert!(body[at] < 0x80);
+            at += 1 + body[at] as usize;
+        }
+        assert!(body[at] < 0x80);
+        (at, body[at] as usize)
+    }
+
+    /// The pre-sized decode stays bounded by the bytes that arrived: a count
+    /// no body could hold is refused before anything is allocated for it,
+    /// and it is the borrowed entry count — itself at most one per received
+    /// byte — that sizes the owned vector.
+    #[test]
+    fn hostile_entry_count_is_refused_before_allocation() {
+        let mut body = vec![3u8];
+        body.extend_from_slice(&[0x5a; 32]);
+        avm_wire::varint::write_varint(&mut body, 1 << 40);
+        body.resize(40, 0);
+        assert_eq!(
+            AuditResponseRef::decode_exact(&body).unwrap_err(),
+            avm_wire::WireError::LengthOverflow {
+                declared: 1 << 40,
+                max: 1,
+            }
+        );
+        // The largest count a 40-byte body can declare: one empty entry per
+        // remaining byte — which then fail to decode, one by one.
+        let mut body = vec![3u8];
+        body.extend_from_slice(&[0x5a; 32]);
+        body.push(6);
+        body.resize(40, 0);
+        let response = AuditResponseRef::decode_exact(&body).unwrap();
+        let error = expect_log_segment(response).unwrap_err().to_string();
+        assert!(
+            error.contains("log entry does not decode: unexpected end of input"),
+            "{error}"
+        );
+    }
+
+    /// One damaged entry encoding ends the session with the decode error the
+    /// entry's own bytes produce — never with a verdict.
+    #[test]
+    fn damaged_entry_encoding_ends_the_session_with_its_decode_error() {
+        let (bob, image) = record_with_snapshots(4);
+        let registry = GuestRegistry::new();
+        let server = AuditServer::new(bob.log(), bob.snapshots());
+        type Damage = fn(&mut Vec<u8>);
+        let damages: [Damage; 3] = [
+            |entry| entry.truncate(entry.len() - 1),
+            |entry| entry[1] = 77,
+            |entry| entry.push(0),
+        ];
+        for damage in damages {
+            let session = AuditSession::new(2, 1, false, 0, &image, &registry, bob.snapshots());
+            let mut wanted = String::new();
+            let (sent, outcome) = drive(session, &server, |_, response| match response {
+                AuditResponse::LogSegment {
+                    prev_hash,
+                    mut entries,
+                } => {
+                    damage(&mut entries[2]);
+                    let error = LogEntry::decode_exact(&entries[2]).unwrap_err();
+                    wanted = format!("log entry does not decode: {error}");
+                    AuditResponse::LogSegment { prev_hash, entries }
+                }
+                other => other,
+            });
+            assert_eq!(sent, ["Chunk"]);
+            match outcome {
+                Err(CoreError::Snapshot(message)) => assert_eq!(message, wanted),
+                other => panic!("expected a decode error, got {other:?}"),
+            }
+        }
+    }
+
+    /// An entry whose declared length overruns the packet is not a response
+    /// at all: the body is dropped and no audit runs on it.
+    #[test]
+    fn entry_overrunning_the_packet_never_reaches_an_audit() {
+        let (bob, image) = record_with_snapshots(2);
+        let registry = GuestRegistry::new();
+        let server = AuditServer::new(bob.log(), bob.snapshots());
+        let mut client = AuditClient::new(TamperingTransport {
+            server,
+            tamper: |mut body: Vec<u8>| {
+                // The last entry of whichever segment this is.
+                let (at, _) = entry_at(&body, body[33] as usize - 1);
+                body[at] += 1;
+                body
+            },
+        });
+        let error = client
+            .audit_log("bob", 1, 0, &[], &key(1).verifying_key(), &image, &registry)
+            .unwrap_err();
+        assert!(error.to_string().contains("response dropped"), "{error}");
+        let error = client.spot_check(0, 1, &image, &registry).unwrap_err();
+        assert!(error.to_string().contains("response dropped"), "{error}");
+    }
+
+    /// One content byte flipped in the body `respond` wrote: the entries
+    /// still decode, the frame would still check out (the provider seals
+    /// what it sends) — the hash chain is what catches it.
+    #[test]
+    fn flipped_content_byte_is_a_syntactic_failure_not_a_pass() {
+        let (bob, image) = record_with_snapshots(2);
+        let registry = GuestRegistry::new();
+        let server = AuditServer::new(bob.log(), bob.snapshots());
+        let target = bob
+            .log()
+            .entries()
+            .iter()
+            .position(|e| e.kind == EntryKind::Send)
+            .expect("the worker sends");
+        let honest = |body: Vec<u8>| body;
+        let flipped = |mut body: Vec<u8>| {
+            // seq ‖ kind ‖ content length, then the content's first byte.
+            let (at, len) = entry_at(&body, target);
+            assert!(len > 3 + 32);
+            body[at + 1 + 3] ^= 0x01;
+            body
+        };
+        let bob_key = key(1).verifying_key();
+        let mut client = AuditClient::new(TamperingTransport {
+            server,
+            tamper: honest,
+        });
+        let report = client
+            .audit_log("bob", 1, 0, &[], &bob_key, &image, &registry)
+            .unwrap();
+        assert!(report.passed(), "{:?}", report.fault());
+
+        let mut client = AuditClient::new(TamperingTransport {
+            server,
+            tamper: flipped,
+        });
+        let report = client
+            .audit_log("bob", 1, 0, &[], &bob_key, &image, &registry)
+            .unwrap();
+        assert!(!report.syntactic_ok);
+        match report.fault() {
+            Some(FaultReason::SyntacticFailure(detail)) => {
+                assert!(detail.contains("chain"), "{detail}")
+            }
+            other => panic!("expected a chain failure, got {other:?}"),
         }
     }
 

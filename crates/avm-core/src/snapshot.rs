@@ -937,6 +937,14 @@ impl SnapshotStore {
     /// guessed at.
     pub fn transfer_stream_upto(&self, upto_id: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.transfer_bytes_upto(upto_id) as usize);
+        self.append_transfer_stream_upto(upto_id, &mut out);
+        out
+    }
+
+    /// Appends [`SnapshotStore::transfer_stream_upto`] to `out` — exactly
+    /// [`SnapshotStore::transfer_bytes_upto`] bytes — so the audit endpoint
+    /// serialises the stream straight into its response body.
+    pub fn append_transfer_stream_upto(&self, upto_id: u64, out: &mut Vec<u8>) {
         let base = self.memory_base(upto_id);
         for s in self.chain_upto(upto_id) {
             out.extend_from_slice(&s.id.to_le_bytes());
@@ -959,7 +967,6 @@ impl SnapshotStore {
             out.extend_from_slice(&last.cpu_state);
             out.extend_from_slice(&last.dev_state);
         }
-        out
     }
 
     /// Raw and compressed bytes of the transfer up to snapshot `upto_id`,

@@ -1,6 +1,7 @@
 //! Log entries and the hash chain.
 
 use avm_crypto::sha256::{sha256, sha256_concat, Digest};
+use avm_wire::varint::varint_len;
 use avm_wire::{Decode, Encode, Reader, WireError, WireResult, Writer};
 
 /// The type tag `t_i` of a log entry.
@@ -120,6 +121,11 @@ impl Encode for LogEntry {
         w.put_bytes(&self.content);
         w.put_raw(self.hash.as_bytes());
     }
+
+    fn encoded_len(&self) -> usize {
+        let content = self.content.len();
+        varint_len(self.seq) + 1 + varint_len(content as u64) + content + 32
+    }
 }
 
 impl Decode for LogEntry {
@@ -144,6 +150,7 @@ impl Decode for LogEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn kinds_roundtrip_through_tags() {
@@ -201,6 +208,31 @@ mod tests {
         let bytes = e.encode_to_vec();
         assert_eq!(LogEntry::decode_exact(&bytes).unwrap(), e);
         assert_eq!(e.wire_size(), bytes.len());
+    }
+
+    proptest! {
+        /// The arithmetic `encoded_len` is the encoding's length, for
+        /// sequence numbers of every width and content lengths on both sides
+        /// of the varint boundaries.
+        #[test]
+        fn encoded_len_is_the_encoding_s_length(
+            seq_bits in 0u32..65,
+            seq in any::<u64>(),
+            boundary in 0usize..8,
+            jitter in 0usize..3,
+            tag in 1u8..7,
+        ) {
+            let seq = if seq_bits == 0 { 0 } else { seq >> (64 - seq_bits) };
+            let len = [0, 1, 126, 127, 128, 16_382, 16_383, 16_384][boundary] + jitter;
+            let e = LogEntry {
+                seq,
+                kind: EntryKind::from_tag(tag).unwrap(),
+                content: vec![tag; len],
+                hash: Digest::ZERO,
+            };
+            prop_assert_eq!(e.encoded_len(), e.encode_to_vec().len());
+            prop_assert_eq!(e.wire_size(), e.encoded_len());
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@ use avm_wire::{Decode, Encode, Reader, Writer};
 
 use crate::auth::Authenticator;
 use crate::entry::{EntryKind, LogEntry};
+use crate::source::LogSource;
 use crate::verify::{verify_chain, LogVerifyError};
 
 /// An append-only hash-chained log owned by one machine.
@@ -144,19 +145,7 @@ impl TamperEvidentLog {
     /// together with the hash of the entry preceding the segment (needed to
     /// verify the chain from the segment start).
     pub fn segment(&self, from_seq: u64, to_seq: u64) -> Option<(Digest, Vec<LogEntry>)> {
-        if from_seq == 0 || from_seq > to_seq {
-            return None;
-        }
-        let first = self.entry(from_seq)?;
-        self.entry(to_seq)?;
-        let prev_hash = if from_seq == 1 {
-            Digest::ZERO
-        } else {
-            self.entry(from_seq - 1)?.hash
-        };
-        let start = (first.seq - 1) as usize;
-        let end = to_seq as usize;
-        Some((prev_hash, self.entries[start..end].to_vec()))
+        LogSource::segment(self, from_seq, to_seq)
     }
 
     /// Total wire size of all entries, in bytes (log-growth accounting).

@@ -31,10 +31,13 @@ pub trait LogSource: core::fmt::Debug {
         self.entries().is_empty()
     }
 
-    /// The segment with sequence numbers in `[from_seq, to_seq]`, plus the
-    /// hash of the entry preceding it (needed to verify the chain from the
-    /// segment start).  Same contract as [`TamperEvidentLog::segment`].
-    fn segment(&self, from_seq: u64, to_seq: u64) -> Option<(Digest, Vec<LogEntry>)> {
+    /// The segment with sequence numbers in `[from_seq, to_seq]`, borrowed,
+    /// plus the hash of the entry preceding it (needed to verify the chain
+    /// from the segment start).  `None` when `from_seq` is 0, the range is
+    /// empty, or it reaches past the end of the log.  This is the one place
+    /// the bounds are checked: [`LogSource::segment`] clones what it
+    /// returns, and the audit endpoint encodes it in place.
+    fn segment_slice(&self, from_seq: u64, to_seq: u64) -> Option<(Digest, &[LogEntry])> {
         if from_seq == 0 || from_seq > to_seq {
             return None;
         }
@@ -49,17 +52,19 @@ pub trait LogSource: core::fmt::Debug {
         } else {
             entries[start - 1].hash
         };
-        Some((prev_hash, entries[start..end].to_vec()))
+        Some((prev_hash, &entries[start..end]))
+    }
+
+    /// [`LogSource::segment_slice`] with the entries cloned.
+    fn segment(&self, from_seq: u64, to_seq: u64) -> Option<(Digest, Vec<LogEntry>)> {
+        self.segment_slice(from_seq, to_seq)
+            .map(|(prev_hash, entries)| (prev_hash, entries.to_vec()))
     }
 }
 
 impl LogSource for TamperEvidentLog {
     fn entries(&self) -> &[LogEntry] {
         TamperEvidentLog::entries(self)
-    }
-
-    fn segment(&self, from_seq: u64, to_seq: u64) -> Option<(Digest, Vec<LogEntry>)> {
-        TamperEvidentLog::segment(self, from_seq, to_seq)
     }
 }
 
@@ -93,8 +98,7 @@ mod tests {
 
     #[test]
     fn default_segment_impl_is_correct() {
-        // A minimal implementor that only provides `entries`, exercising the
-        // default `segment` body rather than the inherent override.
+        // A minimal implementor that only provides `entries`.
         #[derive(Debug)]
         struct Plain(Vec<LogEntry>);
         impl LogSource for Plain {

@@ -46,10 +46,22 @@
 //! pin its N=1 run against the legacy transport.  [`seal_encoded_message`]
 //! seals an already-encoded message body, so a provider can serve one
 //! cached response encoding to many sessions without re-encoding it.
+//!
+//! # Writing a response once
+//!
+//! A provider does not need an owned [`AuditResponse`] to answer: the bulk
+//! variants have writers that produce the same bytes straight from what the
+//! provider holds.  [`encode_log_segment`] encodes each entry in place into
+//! a buffer sized from `Encode::encoded_len` (no `Vec` per entry);
+//! [`encode_sections_with`] lets the caller serialise the section stream
+//! into the body behind its length prefix; the small variants encode through
+//! the borrowed [`AuditResponseRef`].  Each writer is pinned equal to
+//! [`AuditResponse`]'s `Encode` by `tests/zero_copy.rs`.
 
 use crate::attest::{AttestChallenge, AttestQuote, AttestQuoteRef};
 use crate::blob::{BlobRequest, BlobResponse, BlobResponseRef};
 use crate::frame::{read_frame, write_frame_parts};
+use crate::varint::{varint_len, write_varint};
 use crate::{Decode, Encode, Reader, WireError, WireResult, Writer};
 
 /// How a log-segment fetch addresses the entries it wants.
@@ -256,6 +268,48 @@ impl Encode for AuditResponse {
             }
         }
     }
+}
+
+/// Encodes an [`AuditResponse::LogSegment`] straight from the entries a
+/// provider only borrows: byte-identical to the owned response holding
+/// `entries[i].encode_to_vec()` per element, but each entry is written once,
+/// in place, into a buffer sized from `E::encoded_len` — no owned copy per
+/// entry and no growth.  (`E` is `avm-log`'s `LogEntry`, which sits above
+/// this crate and overrides `encoded_len` with arithmetic.)
+pub fn encode_log_segment<E: Encode>(prev_hash: &[u8; 32], entries: &[E]) -> Vec<u8> {
+    let framed: usize = entries
+        .iter()
+        .map(|entry| {
+            let len = entry.encoded_len();
+            varint_len(len as u64) + len
+        })
+        .sum();
+    let mut w = Writer::with_capacity(1 + 32 + varint_len(entries.len() as u64) + framed);
+    w.put_u8(3);
+    w.put_raw(prev_hash);
+    w.put_varint(entries.len() as u64);
+    for entry in entries {
+        w.put_varint(entry.encoded_len() as u64);
+        entry.encode(&mut w);
+    }
+    w.into_bytes()
+}
+
+/// Encodes an [`AuditResponse::Sections`] whose `len`-byte stream `fill`
+/// appends in place, so the stream is serialised straight into the response
+/// body instead of into a `Vec` of its own first.
+///
+/// # Panics
+/// If `fill` appends anything but exactly `len` bytes — the length prefix is
+/// already written by then, so the body would not decode.
+pub fn encode_sections_with(len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut body = Vec::with_capacity(1 + varint_len(len as u64) + len);
+    body.push(4);
+    write_varint(&mut body, len as u64);
+    let start = body.len();
+    fill(&mut body);
+    assert_eq!(body.len() - start, len, "section stream length");
+    body
 }
 
 impl Decode for AuditResponse {

@@ -23,6 +23,7 @@
 //! lives in `avm-core` (`ondemand` module); this module is only the byte
 //! format.
 
+use crate::varint::varint_len;
 use crate::{Decode, Encode, Reader, WireError, WireResult, Writer};
 
 /// Length of a content digest on the wire (SHA-256).
@@ -105,6 +106,10 @@ impl Encode for BlobRequest {
             d.encode(w);
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        varint_len(self.digests.len() as u64) + self.digests.len() * BLOB_DIGEST_LEN
+    }
 }
 
 impl Decode for BlobRequest {
@@ -141,12 +146,25 @@ impl BlobResponse {
     }
 }
 
+/// Encoded size of a blob response holding `blobs`: the count, then per
+/// entry a tag byte and, when present, the length-prefixed payload.
+fn blobs_encoded_len<'a>(blobs: impl ExactSizeIterator<Item = Option<&'a [u8]>>) -> usize {
+    varint_len(blobs.len() as u64)
+        + blobs
+            .map(|blob| 1 + blob.map_or(0, |b| varint_len(b.len() as u64) + b.len()))
+            .sum::<usize>()
+}
+
 impl Encode for BlobResponse {
     fn encode(&self, w: &mut Writer) {
         w.put_varint(self.blobs.len() as u64);
         for blob in &self.blobs {
             blob.encode(w);
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        blobs_encoded_len(self.blobs.iter().map(Option::as_deref))
     }
 }
 
@@ -230,6 +248,10 @@ impl Encode for BlobResponseRef<'_> {
                 }
             }
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        blobs_encoded_len(self.blobs.iter().copied())
     }
 }
 

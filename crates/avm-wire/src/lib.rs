@@ -39,8 +39,8 @@ pub use attest::{
     AttestChallenge, AttestQuote, AttestQuoteRef, ATTEST_NONCE_LEN, DEFAULT_FRESHNESS_US,
 };
 pub use audit::{
-    open_message, open_session_frame, seal_message, AuditRequest, AuditResponse, AuditResponseRef,
-    SegmentAddress,
+    encode_log_segment, encode_sections_with, open_message, open_session_frame, seal_message,
+    AuditRequest, AuditResponse, AuditResponseRef, SegmentAddress,
 };
 pub use blob::{
     BlobDigest, BlobRequest, BlobResponse, BlobResponseRef, BLOB_DIGEST_LEN, DEFAULT_BLOB_BATCH,
@@ -121,6 +121,11 @@ pub trait Encode {
     }
 
     /// Number of bytes the encoding occupies.
+    ///
+    /// The default *encodes into a scratch buffer to count*; types whose
+    /// length is asked for on a hot path (log entries, blob messages)
+    /// override it with arithmetic, pinned equal to `encode_to_vec().len()`
+    /// by their tests.
     fn encoded_len(&self) -> usize {
         self.encode_to_vec().len()
     }

@@ -8,13 +8,36 @@
 //! re-sealing a decoded frame reproduces the original packet bit for bit.
 
 use avm_wire::audit::{
-    open_session_frame, open_session_message, seal_encoded_message, seal_session_message,
+    encode_log_segment, encode_sections_with, open_session_frame, open_session_message,
+    seal_encoded_message, seal_session_message,
 };
 use avm_wire::{
-    read_frame, write_frame, write_frame_parts, AuditResponse, AuditResponseRef, BlobResponse,
-    BlobResponseRef, Decode, Encode, Reader,
+    read_frame, write_frame, write_frame_parts, AuditResponse, AuditResponseRef, BlobRequest,
+    BlobResponse, BlobResponseRef, Decode, Encode, Reader, Writer,
 };
 use proptest::prelude::*;
+
+/// Payload lengths on both sides of every varint length-prefix boundary.
+const BOUNDARY_LENS: [usize; 8] = [0, 1, 127, 128, 129, 16_383, 16_384, 16_385];
+
+/// A byte string of a boundary length or a short arbitrary one.
+fn boundary_bytes() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        (0usize..BOUNDARY_LENS.len(), any::<u8>())
+            .prop_map(|(i, fill)| vec![fill; BOUNDARY_LENS[i]]),
+        proptest::collection::vec(any::<u8>(), 0..200),
+    ]
+}
+
+/// An entry whose encoding is its bytes, as `LogEntry`'s is its fields:
+/// stands in for the type `avm-log` defines above this crate.
+struct Raw(Vec<u8>);
+
+impl Encode for Raw {
+    fn encode(&self, w: &mut Writer) {
+        w.put_raw(&self.0);
+    }
+}
 
 /// Arbitrary audit responses covering every variant, including empty and
 /// `None` payloads.
@@ -68,6 +91,50 @@ proptest! {
         prop_assert_eq!(borrowed.payload_bytes(), response.payload_bytes());
         prop_assert_eq!(borrowed.to_owned(), response);
         prop_assert_eq!(borrowed.encode_to_vec(), encoded);
+    }
+
+    /// The arithmetic `encoded_len` overrides are the encoding's length, for
+    /// counts and payload lengths on both sides of the varint boundaries.
+    #[test]
+    fn blob_message_encoded_len_is_the_encoding_s_length(
+        digests in proptest::collection::vec(any::<[u8; 32]>(), 0..140),
+        blobs in proptest::collection::vec(proptest::option::of(boundary_bytes()), 0..6),
+        empties in 0usize..140,
+    ) {
+        let request = BlobRequest { digests };
+        prop_assert_eq!(request.encoded_len(), request.encode_to_vec().len());
+        // Few large payloads, then enough absent ones to push the count
+        // past one varint byte.
+        let mut blobs = blobs;
+        blobs.extend(std::iter::repeat_n(None, empties));
+        let response = BlobResponse { blobs };
+        let encoded = response.encode_to_vec();
+        prop_assert_eq!(response.encoded_len(), encoded.len());
+        let mut r = Reader::new(&encoded);
+        let borrowed = BlobResponseRef::decode(&mut r).unwrap();
+        prop_assert_eq!(borrowed.encoded_len(), encoded.len());
+    }
+
+    /// The in-place segment writer over any entry list is the owned
+    /// `LogSegment` response holding one encoding per entry.
+    #[test]
+    fn segment_writer_equals_the_owned_log_segment_encoding(
+        prev_hash in any::<[u8; 32]>(),
+        entries in proptest::collection::vec(boundary_bytes(), 0..6),
+        padding in 0usize..140,
+    ) {
+        let mut entries = entries;
+        entries.extend((0..padding).map(|i| vec![i as u8; i % 3]));
+        let owned = AuditResponse::LogSegment { prev_hash, entries: entries.clone() };
+        let raw: Vec<Raw> = entries.into_iter().map(Raw).collect();
+        prop_assert_eq!(encode_log_segment(&prev_hash, &raw), owned.encode_to_vec());
+    }
+
+    /// The fill-in-place sections writer is the owned `Sections` response.
+    #[test]
+    fn sections_writer_equals_the_owned_sections_encoding(stream in boundary_bytes()) {
+        let written = encode_sections_with(stream.len(), |body| body.extend_from_slice(&stream));
+        prop_assert_eq!(written, AuditResponse::Sections { stream }.encode_to_vec());
     }
 
     /// Sealing, peeking and re-sealing a session packet is lossless: the
