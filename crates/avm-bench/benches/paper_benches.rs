@@ -571,6 +571,71 @@ fn bench_response_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// What residency costs an on-demand replay that never faults: the same
+/// 200 k-step load/add/store loop on a 4 MiB machine with K chunks staged at
+/// the far end of memory (and, at the largest K, 64 staged disk blocks) that
+/// the loop never touches.  Every instruction fetch, load and store asks "is
+/// any chunk I touch staged?"; ns per step is the printed time ÷ 200 000 and
+/// must not depend on K.  Staged contents equal what the image holds there,
+/// so every variant must reach the root of the K = 0 run before it is timed.
+fn bench_ondemand_residency(c: &mut Criterion) {
+    use avm_core::snapshot::compute_state_root;
+    use avm_vm::bytecode::assemble;
+    use avm_vm::devices::DISK_BLOCK_SIZE;
+    use avm_vm::{GuestRegistry, Machine, StopCondition, VmExit, VmImage, CHUNK_SIZE};
+
+    const STEPS: u64 = 200_000;
+    let src = r"
+            movi r1, 0x2000
+        loop:
+            load r3, r1
+            addi r3, 1
+            store r3, r1
+            jmp loop
+        ";
+    let image = VmImage::bytecode("residency", 4 << 20, assemble(src, 0).unwrap(), 0, 0)
+        .with_disk(vec![0u8; 64 * DISK_BLOCK_SIZE]);
+    let registry = GuestRegistry::new();
+    let run = |machine: &mut Machine| {
+        let until = StopCondition::AtStep(machine.step_count() + STEPS);
+        assert_eq!(machine.run(until).unwrap(), VmExit::StepLimit);
+    };
+
+    let mut group = c.benchmark_group("ondemand_residency");
+    group.sample_size(10);
+    let mut expected_root = None;
+    for staged in [0usize, 1, 256, 4096] {
+        let mut machine = Machine::from_image(&image, &registry).unwrap();
+        let chunks = machine.memory().chunk_count();
+        for idx in chunks - staged..chunks {
+            let hash = machine.memory().chunk_hash(idx).unwrap();
+            machine
+                .memory_mut()
+                .stage_lazy_chunk(idx, vec![0u8; CHUNK_SIZE], hash)
+                .unwrap();
+        }
+        let blocks = if staged == 4096 { 64 } else { 0 };
+        for idx in 0..blocks {
+            let disk = &mut machine.devices_mut().disk;
+            let hash = disk.block_hash(idx).unwrap();
+            disk.stage_lazy_block(idx, vec![0u8; DISK_BLOCK_SIZE], hash)
+                .unwrap();
+        }
+        run(&mut machine);
+        let root = compute_state_root(&machine);
+        assert_eq!(*expected_root.get_or_insert(root), root, "K = {staged}");
+        assert_eq!(machine.memory().staged_chunk_count(), staged);
+        assert_eq!(machine.devices().disk.staged_block_count(), blocks);
+        group.bench_function(format!("loop_200k_steps_staged_{staged}"), |b| {
+            b.iter(|| {
+                run(&mut machine);
+                machine.step_count()
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fig5_signatures,
@@ -583,6 +648,7 @@ criterion_group!(
     bench_snapshot_dedup,
     bench_image_baseline,
     bench_response_path,
+    bench_ondemand_residency,
     bench_persist_recovery
 );
 criterion_main!(benches);

@@ -922,6 +922,40 @@ pub(crate) fn stage_from_manifest(
     registry: &GuestRegistry,
     cache: &AuditorBlobCache,
 ) -> Result<(Machine, StateTreeCache, OnDemandSession), CoreError> {
+    let (machine, session, staged_chunks, staged_blocks) =
+        stage_divergent(&manifest, manifest_bytes, store, image, registry, cache)?;
+
+    // Authenticate the manifest: the root over header leaves (from the
+    // restored metadata) and per-leaf hashes (staged or locally derived)
+    // must equal the recorded root.  Every leaf the manifest does not
+    // contradict is the reference image's own, so the image's tree with the
+    // header and the staged leaves replaced is exactly that root.
+    let mut state_tree = StateTreeCache::from_baseline(image);
+    let root = state_tree.refresh_leaves(&machine, &staged_chunks, &staged_blocks);
+    if root != manifest.state_root {
+        return Err(CoreError::Snapshot(format!(
+            "manifest does not authenticate: derived root {} != recorded root {}",
+            root.short_hex(),
+            manifest.state_root.short_hex()
+        )));
+    }
+
+    Ok((machine, state_tree, session))
+}
+
+/// The staging half of [`stage_from_manifest`]: a machine with the
+/// manifest's metadata restored and every divergent reference staged, its
+/// session, and the chunk and block indices staged — each in manifest
+/// order, so the leaf updates and hash batches they become repeat exactly
+/// from run to run.
+fn stage_divergent(
+    manifest: &ChainManifest,
+    manifest_bytes: u64,
+    store: &SnapshotStore,
+    image: &VmImage,
+    registry: &GuestRegistry,
+    cache: &AuditorBlobCache,
+) -> Result<(Machine, OnDemandSession, Vec<usize>, Vec<usize>), CoreError> {
     let mut machine = Machine::from_image(image, registry).map_err(CoreError::Vm)?;
     machine
         .restore_cpu_state(&manifest.cpu_state)
@@ -1001,6 +1035,8 @@ pub(crate) fn stage_from_manifest(
         staged_blocks: HashMap::new(),
         sources: HashMap::new(),
     };
+    let mut staged_chunks = Vec::new();
+    let mut staged_blocks = Vec::new();
     for d in divergent {
         session.sources.insert(d.digest, d.source);
         match d.at {
@@ -1010,6 +1046,7 @@ pub(crate) fn stage_from_manifest(
                     .stage_lazy_chunk(i, d.content, d.digest)
                     .map_err(CoreError::Vm)?;
                 session.staged_chunks.insert(i, d.digest);
+                staged_chunks.push(i);
             }
             BaselineLocation::Block(b) => {
                 machine
@@ -1018,29 +1055,12 @@ pub(crate) fn stage_from_manifest(
                     .stage_lazy_block(b, d.content, d.digest)
                     .map_err(CoreError::Vm)?;
                 session.staged_blocks.insert(b, d.digest);
+                staged_blocks.push(b);
             }
         }
     }
     machine.clear_dirty_tracking();
-
-    // Authenticate the manifest: the root over header leaves (from the
-    // restored metadata) and per-leaf hashes (staged or locally derived)
-    // must equal the recorded root.  Every leaf the manifest does not
-    // contradict is the reference image's own, so the image's tree with the
-    // header and the staged leaves replaced is exactly that root.
-    let staged_chunks: Vec<usize> = session.staged_chunks.keys().copied().collect();
-    let staged_blocks: Vec<usize> = session.staged_blocks.keys().copied().collect();
-    let mut state_tree = StateTreeCache::from_baseline(image);
-    let root = state_tree.refresh_leaves(&machine, &staged_chunks, &staged_blocks);
-    if root != manifest.state_root {
-        return Err(CoreError::Snapshot(format!(
-            "manifest does not authenticate: derived root {} != recorded root {}",
-            root.short_hex(),
-            manifest.state_root.short_hex()
-        )));
-    }
-
-    Ok((machine, state_tree, session))
+    Ok((machine, session, staged_chunks, staged_blocks))
 }
 
 #[cfg(test)]
@@ -1157,6 +1177,18 @@ mod tests {
         assert!(session.staged_chunks() > 0);
         assert_eq!(lazy.memory().faulted_chunks().len(), 0);
 
+        // The leaf lists handed to `refresh_leaves` are in manifest order —
+        // the same in every run, unlike the session's lookup maps.
+        let manifest = store.chain_manifest_upto(4).unwrap();
+        let stage = || stage_divergent(&manifest, 0, &store, &img, &reg, &cache).unwrap();
+        let (_, staged, chunks, blocks) = stage();
+        let (_, _, chunks_again, blocks_again) = stage();
+        assert_eq!((&chunks, &blocks), (&chunks_again, &blocks_again));
+        assert_eq!(chunks, [64, 128, 136, 144, 152, 160]);
+        assert_eq!(blocks, [0, 1, 2, 3, 4]);
+        assert_eq!(chunks.len(), staged.staged_chunks());
+        assert_eq!(blocks.len(), staged.staged_blocks());
+
         // Drive both machines identically; roots must stay equal.
         let mut full = store.materialize(4, &img, &reg).unwrap();
         for sel in [1u8, 3, 1] {
@@ -1183,6 +1215,27 @@ mod tests {
         assert!(cost.round_trips >= 2);
         assert!(cost.round_trips <= 1 + cost.fetched.len() as u64);
         let _ = recorder;
+    }
+
+    /// First-touch *order* is observable (it orders the blob requests), so
+    /// it is pinned as literals: per packet the guest reads the rx buffer
+    /// (chunk 0x8000 / 512 = 64, first packet only), then read-modify-writes
+    /// the counter chunk (128 + 8 · selector) and the 8 mirrored bytes of
+    /// disk block `selector`.  The code chunk is the image's own and never
+    /// staged; selector 2's chunk and block stay untouched.
+    #[test]
+    fn fault_order_is_first_touch_order() {
+        let (_, store, img, reg) = record_chain(5);
+        let cache = AuditorBlobCache::new();
+        let (mut lazy, _) = materialize_on_demand(&store, 4, &img, &reg, &cache).unwrap();
+        for sel in [3u8, 1, 3, 0, 4] {
+            lazy.inject_packet(vec![sel]);
+            run_until_idle(&mut lazy);
+        }
+        assert_eq!(lazy.memory().faulted_chunks(), &[64, 152, 136, 128, 160]);
+        assert_eq!(lazy.devices().disk.faulted_blocks(), &[3, 1, 0, 4]);
+        assert_eq!(lazy.memory().staged_chunk_count(), 1);
+        assert_eq!(lazy.devices().disk.staged_block_count(), 1);
     }
 
     #[test]

@@ -15,12 +15,13 @@
 //! * The **console** is an output-only diagnostic channel.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use avm_crypto::sha256::{sha256, Digest};
 use avm_wire::{Decode, Encode, Reader, WireError, WireResult, Writer};
 
 use crate::error::{VmError, VmResult};
+use crate::mem::StagedSlots;
 
 /// Size of one disk block for dirty tracking and incremental snapshots.
 pub const DISK_BLOCK_SIZE: usize = 4096;
@@ -169,6 +170,10 @@ impl InputQueue {
 /// at-snapshot contents that are installed the moment the guest first reads
 /// or writes the block, with [`Disk::block_hash`] reporting the staged hash
 /// throughout so state roots stay correct before the transfer happens.
+/// Staged contents sit in the same slot table guest memory uses, indexed by
+/// block number — an occupied slot is a block that is not resident yet — so
+/// a disk access asks "is this block staged?" with one compare when nothing
+/// is and one indexed load per touched block otherwise; it never hashes.
 /// Unlike guest memory — which is tracked and transferred in 512 B chunks —
 /// the disk keeps page-sized ([`DISK_BLOCK_SIZE`]) granularity: block-device
 /// writes arrive in whole sectors, so sub-block tracking would buy nothing.
@@ -180,8 +185,8 @@ pub struct Disk {
     /// same contract as `GuestMemory`'s page-hash cache: validity tracks
     /// content changes, never snapshot boundaries).
     hash_cache: RefCell<Vec<Option<Digest>>>,
-    /// Authentic contents staged for demand paging, keyed by block index.
-    staged: HashMap<usize, Vec<u8>>,
+    /// Authentic contents staged for demand paging, one slot per block.
+    staged: StagedSlots,
     /// Block indices installed from `staged`, in first-touch order.
     faulted: Vec<usize>,
     /// Sectors read by the guest (statistics only).
@@ -198,7 +203,7 @@ impl Disk {
             data: vec![0u8; blocks * DISK_BLOCK_SIZE],
             dirty: vec![false; blocks],
             hash_cache: RefCell::new(vec![None; blocks]),
-            staged: HashMap::new(),
+            staged: StagedSlots::default(),
             faulted: Vec::new(),
             reads: 0,
             writes: 0,
@@ -267,10 +272,10 @@ impl Disk {
             let fully_covered =
                 start <= b * DISK_BLOCK_SIZE && (b + 1) * DISK_BLOCK_SIZE <= end + 1;
             if overwrite && fully_covered {
-                self.staged.remove(&b);
+                self.staged.take(b);
                 continue;
             }
-            if let Some(content) = self.staged.remove(&b) {
+            if let Some(content) = self.staged.take(b) {
                 self.data[b * DISK_BLOCK_SIZE..(b + 1) * DISK_BLOCK_SIZE].copy_from_slice(&content);
                 self.faulted.push(b);
             }
@@ -321,7 +326,7 @@ impl Disk {
         }
         self.data[idx * DISK_BLOCK_SIZE..(idx + 1) * DISK_BLOCK_SIZE].copy_from_slice(content);
         // A wholesale overwrite supersedes staged contents; no fault needed.
-        self.staged.remove(&idx);
+        self.staged.take(idx);
         self.dirty[idx] = true;
         self.hash_cache.get_mut()[idx] = None;
         Ok(())
@@ -395,7 +400,7 @@ impl Disk {
             ));
         }
         self.hash_cache.get_mut()[idx] = Some(hash);
-        self.staged.insert(idx, content);
+        self.staged.stage(idx, content, self.block_count());
         Ok(())
     }
 

@@ -40,6 +40,18 @@
 //! [`GuestMemory::faulted_chunks`] records the first-touch order; the audit
 //! layer turns it into the exact set of blobs the auditor had to download.
 //!
+//! Residency is a **slot**, not a probe.  Staged contents live in one table
+//! indexed by chunk number (`StagedSlots`, shared with [`crate::devices::Disk`]
+//! where the index is a block number): a slot holding contents means "this
+//! chunk is not resident yet", an empty slot means "the page array is
+//! authoritative".  The table does not exist until something is staged and a
+//! live count sits beside it, so the question every guest access asks — "is
+//! any chunk I touch staged?" — costs one compare on a fully resident
+//! machine (the bare and recording paths) and one indexed load per touched
+//! chunk on a partially resident one.  The access path does no hashing and
+//! no search, which is why an on-demand replay runs at the bare
+//! interpreter's speed however many chunks are staged and never touched.
+//!
 //! Caveat: while chunks remain staged, [`GuestMemory::page`] /
 //! [`GuestMemory::chunk`] (raw contents) return the stale local bytes.  Root
 //! computations must therefore go through the hash cache (as
@@ -47,7 +59,6 @@
 //! through re-hashing raw contents.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use avm_crypto::parallel::sha256_batch;
 use avm_crypto::sha256::{sha256, Digest};
@@ -68,6 +79,49 @@ pub const CHUNKS_PER_PAGE: usize = PAGE_SIZE / CHUNK_SIZE;
 // must widen it, so fail the build rather than silently alias dirty bits.
 const _: () = assert!(CHUNKS_PER_PAGE <= 8, "dirty bitmask is u8-per-page");
 
+/// Staged-for-demand-paging contents, one slot per chunk (guest memory) or
+/// block (disk), indexed by its number — see the module docs, § "Demand
+/// paging".  `Some` = staged and not yet touched.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StagedSlots {
+    /// Empty until the first [`StagedSlots::stage`], then one slot per unit.
+    slots: Vec<Option<Vec<u8>>>,
+    /// Number of occupied slots.
+    live: usize,
+}
+
+impl StagedSlots {
+    /// True when nothing is staged: the whole answer on a resident machine.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Number of staged units not yet taken.
+    pub(crate) fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Stages `content` for unit `idx` of `units` (the caller has checked
+    /// `idx < units`), replacing what was staged there.
+    pub(crate) fn stage(&mut self, idx: usize, content: Vec<u8>, units: usize) {
+        if self.slots.is_empty() {
+            self.slots.resize_with(units, || None);
+        }
+        if self.slots[idx].replace(content).is_none() {
+            self.live += 1;
+        }
+    }
+
+    /// Empties slot `idx`, handing back what was staged there.
+    #[inline]
+    pub(crate) fn take(&mut self, idx: usize) -> Option<Vec<u8>> {
+        let content = self.slots.get_mut(idx)?.take()?;
+        self.live -= 1;
+        Some(content)
+    }
+}
+
 /// Byte-addressable guest RAM divided into [`PAGE_SIZE`] pages, dirty-tracked
 /// and content-addressed in [`CHUNK_SIZE`] chunks.
 #[derive(Debug, Clone)]
@@ -79,9 +133,9 @@ pub struct GuestMemory {
     /// Lazily filled SHA-256 per chunk; a slot is reset to `None` whenever
     /// the chunk is written (interior mutability so reads can fill it).
     hash_cache: RefCell<Vec<Option<Digest>>>,
-    /// Authentic contents staged for demand paging, keyed by chunk index;
+    /// Authentic contents staged for demand paging, one slot per chunk;
     /// installed into `pages` on first access (see the module docs).
-    staged: HashMap<usize, Vec<u8>>,
+    staged: StagedSlots,
     /// Chunk indices installed from `staged`, in first-touch order.
     faulted: Vec<usize>,
 }
@@ -94,7 +148,7 @@ impl GuestMemory {
             pages: (0..n_pages).map(|_| Box::new([0u8; PAGE_SIZE])).collect(),
             dirty: vec![0; n_pages],
             hash_cache: RefCell::new(vec![None; n_pages * CHUNKS_PER_PAGE]),
-            staged: HashMap::new(),
+            staged: StagedSlots::default(),
             faulted: Vec::new(),
         }
     }
@@ -176,10 +230,10 @@ impl GuestMemory {
             if overwrite && fully_covered {
                 // Wholesale overwrite supersedes the staged contents without
                 // needing them: no fault, no transfer.
-                self.staged.remove(&c);
+                self.staged.take(c);
                 continue;
             }
-            if let Some(content) = self.staged.remove(&c) {
+            if let Some(content) = self.staged.take(c) {
                 let page = c / CHUNKS_PER_PAGE;
                 let off = (c % CHUNKS_PER_PAGE) * CHUNK_SIZE;
                 self.pages[page][off..off + CHUNK_SIZE].copy_from_slice(&content);
@@ -330,7 +384,7 @@ impl GuestMemory {
         self.pages[page][off..off + CHUNK_SIZE].copy_from_slice(data);
         // A wholesale overwrite supersedes any staged contents without
         // needing them — drop the staging, record no fault.
-        self.staged.remove(&idx);
+        self.staged.take(idx);
         self.dirty[page] |= 1 << (idx % CHUNKS_PER_PAGE);
         self.hash_cache.get_mut()[idx] = None;
         Ok(())
@@ -426,7 +480,7 @@ impl GuestMemory {
             return Err(VmError::CorruptState("staged chunk index out of range"));
         }
         self.hash_cache.get_mut()[idx] = Some(hash);
-        self.staged.insert(idx, content);
+        self.staged.stage(idx, content, self.chunk_count());
         Ok(())
     }
 
