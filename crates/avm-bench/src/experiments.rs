@@ -2943,6 +2943,80 @@ pub fn attest_metrics(r: &AttestResult) -> Vec<(String, u64)> {
     m
 }
 
+/// The ids that select an experiment, the pin it writes, and the run that
+/// produces the pin's metrics.
+pub type Experiment = (
+    &'static [&'static str],
+    &'static str,
+    fn() -> Vec<(String, u64)>,
+);
+
+/// Every experiment, in the order `experiments all` runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    (
+        &["table1", "functionality", "sec6.3"],
+        "BENCH_table1.json",
+        || {
+            let table = exp_table1();
+            let (honest_pass, cheaters_caught) = exp_functionality();
+            table1_metrics(&table, honest_pass, cheaters_caught)
+        },
+    ),
+    (
+        &[
+            "gamelog",
+            "fig3",
+            "fig4",
+            "loggrowth",
+            "sec6.5",
+            "clockopt",
+            "sec6.7",
+            "traffic",
+        ],
+        "BENCH_gamelog.json",
+        || gamelog_metrics(&exp_log_growth(), &exp_clock_optimization(), exp_traffic()),
+    ),
+    (&["fig9", "sec6.12", "spotcheck"], "BENCH_fig9.json", || {
+        fig9_metrics(&exp_spotcheck())
+    }),
+    (
+        &["dedup", "cas", "snapshotdedup"],
+        "BENCH_dedup.json",
+        || dedup_metrics(&exp_snapshot_dedup()),
+    ),
+    (
+        &["ondemand", "sec3.5", "partialstate"],
+        "BENCH_ondemand.json",
+        || ondemand_metrics(&exp_ondemand()),
+    ),
+    (
+        &["chunked", "subpage", "chunks"],
+        "BENCH_chunked.json",
+        || chunked_metrics(&exp_chunked()),
+    ),
+    (
+        &["netaudit", "netcheck", "endpoints"],
+        "BENCH_netaudit.json",
+        || netaudit_metrics(&exp_netaudit()),
+    ),
+    (
+        &["persist", "durability", "crashrecovery"],
+        "BENCH_persist.json",
+        || persist_metrics(&exp_persist()),
+    ),
+    (&["fleet", "sessions", "scale"], "BENCH_fleet.json", || {
+        fleet_metrics(&exp_fleet())
+    }),
+    (&["paraudit", "parallel"], "BENCH_paraudit.json", || {
+        paraudit_metrics(&exp_paraudit())
+    }),
+    (
+        &["attest", "attestation", "launch"],
+        "BENCH_attest.json",
+        || attest_metrics(&exp_attest()),
+    ),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,7 +21,7 @@
 //!    builds the starting machine from the manifest *only*.  Memory chunks
 //!    and disk blocks whose manifest digest differs from what the local
 //!    reference image yields are staged for demand paging
-//!    ([`avm_vm::GuestMemory::stage_lazy_chunk`]) and fault in lazily as the
+//!    ([`avm_vm::LeafStore::stage_lazy`]) and fault in lazily as the
 //!    replayed workload touches them, so the auditor downloads exactly the
 //!    512 B chunks the execution accesses — not the 4 KiB pages around
 //!    them.  [`OnDemandSession::finish`] turns the fault lists into the
@@ -64,7 +64,6 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use avm_compress::{CompressionLevel, CompressionStats, StreamMeasurer};
 use avm_crypto::parallel::sha256_batch;
 use avm_crypto::sha256::{sha256, Digest};
-use avm_vm::image::BaselineLocation;
 use avm_vm::{GuestRegistry, Machine, VmImage};
 use avm_wire::{
     BlobRequest, BlobResponse, BlobResponseRef, Decode, Encode, Reader, RttModel, WireResult,
@@ -287,35 +286,24 @@ impl AuditorBlobCache {
     pub fn seed_from_machine(&mut self, machine: &Machine) {
         // A partially-resident machine pairs staged (authentic) hashes with
         // stale raw contents; seeding from one would poison the cache.
-        assert_eq!(
-            machine.memory().staged_chunk_count() + machine.devices().disk.staged_block_count(),
-            0,
+        assert!(
+            machine.stores().iter().all(|s| s.staged_count() == 0),
             "cannot seed a blob cache from a machine with staged demand-paged state"
         );
-        // insert_trusted, not insert_verified: chunk_hash/block_hash *are*
-        // the SHA-256 of exactly these contents, so re-hashing every chunk
-        // would double the seed's cost for zero added assurance.  The hash
-        // derivation itself runs on the worker pool.
-        let mem = machine.memory();
-        let all_chunks: Vec<usize> = (0..mem.chunk_count()).collect();
-        mem.prime_chunk_hashes(&all_chunks);
-        for i in all_chunks {
-            let hash = mem.chunk_hash(i).expect("chunk in range");
-            // A mostly-zero image repeats a handful of digests thousands of
-            // times; skip the payload copy for digests already held.
-            if !self.contains(&hash) {
-                let chunk = mem.chunk(i).expect("chunk in range");
-                self.insert_trusted(hash, chunk.to_vec());
-            }
-        }
-        let disk = &machine.devices().disk;
-        let all_blocks: Vec<usize> = (0..disk.block_count()).collect();
-        disk.prime_block_hashes(&all_blocks);
-        for b in all_blocks {
-            let hash = disk.block_hash(b).expect("block in range");
-            if !self.contains(&hash) {
-                let block = disk.block(b).expect("block in range");
-                self.insert_trusted(hash, block.to_vec());
+        // insert_trusted, not insert_verified: leaf_hash *is* the SHA-256 of
+        // exactly these contents, so re-hashing every leaf would double the
+        // seed's cost for zero added assurance.  The hash derivation itself
+        // runs on the worker pool.
+        for store in machine.stores() {
+            let all: Vec<usize> = (0..store.leaf_count()).collect();
+            store.prime_hashes(&all);
+            for i in all {
+                let hash = store.leaf_hash(i).expect("leaf in range");
+                // A mostly-zero image repeats a handful of digests thousands
+                // of times; skip the payload copy for digests already held.
+                if !self.contains(&hash) {
+                    self.insert_trusted(hash, store.leaf(i).expect("leaf in range").to_vec());
+                }
             }
         }
     }
@@ -690,8 +678,8 @@ pub struct OnDemandSession {
     snapshot_id: u64,
     state_root: Digest,
     manifest_bytes: u64,
-    staged_chunks: HashMap<usize, Digest>,
-    staged_blocks: HashMap<usize, Digest>,
+    /// Leaf index → staged digest, per store of [`Machine::stores`].
+    staged: [HashMap<usize, Digest>; 2],
     /// Source classification per staged digest (a digest staged at several
     /// indices resolves identically everywhere).
     sources: HashMap<Digest, StagedSource>,
@@ -717,12 +705,12 @@ impl OnDemandSession {
     /// from the reference image and *would* all have to be downloaded by a
     /// full transfer).
     pub fn staged_chunks(&self) -> usize {
-        self.staged_chunks.len()
+        self.staged[0].len()
     }
 
     /// Number of disk blocks staged for demand paging.
     pub fn staged_blocks(&self) -> usize {
-        self.staged_blocks.len()
+        self.staged[1].len()
     }
 
     /// Settles the session: reads the machine's fault lists, performs the
@@ -760,48 +748,44 @@ impl OnDemandSession {
         &self,
         machine: &Machine,
     ) -> Result<FaultClassification, CoreError> {
-        let faulted_chunks = machine.memory().faulted_chunks();
-        let faulted_blocks = machine.devices().disk.faulted_blocks();
-        let chunk_digests = faulted_chunks.iter().map(|idx| {
-            self.staged_chunks
-                .get(idx)
-                .ok_or_else(|| CoreError::Snapshot(format!("faulted chunk {idx} was never staged")))
-        });
-        let block_digests = faulted_blocks.iter().map(|idx| {
-            self.staged_blocks
-                .get(idx)
-                .ok_or_else(|| CoreError::Snapshot(format!("faulted block {idx} was never staged")))
-        });
+        let stores = machine.stores();
         let mut needed = Vec::new();
         let mut cache_hits = 0u64;
         let mut locally_derived = 0u64;
         let mut seen = HashSet::new();
-        for digest in chunk_digests.chain(block_digests) {
-            let digest = *digest?;
-            if !seen.insert(digest) {
-                continue;
-            }
-            match self.sources.get(&digest) {
-                Some(StagedSource::Remote) => needed.push(digest),
-                Some(StagedSource::Local) => locally_derived += 1,
-                Some(StagedSource::Cache) => cache_hits += 1,
-                None => {
-                    return Err(CoreError::Snapshot(format!(
-                        "faulted digest {} has no staging source",
-                        digest.short_hex()
-                    )))
+        // Memory's faults, then the disk's, each in first-touch order.
+        for (store, staged) in stores.iter().zip(&self.staged) {
+            for idx in store.faulted() {
+                let digest = *staged.get(idx).ok_or_else(|| {
+                    CoreError::Snapshot(format!(
+                        "faulted {} {idx} was never staged",
+                        store.leaf_name()
+                    ))
+                })?;
+                if !seen.insert(digest) {
+                    continue;
+                }
+                match self.sources.get(&digest) {
+                    Some(StagedSource::Remote) => needed.push(digest),
+                    Some(StagedSource::Local) => locally_derived += 1,
+                    Some(StagedSource::Cache) => cache_hits += 1,
+                    None => {
+                        return Err(CoreError::Snapshot(format!(
+                            "faulted digest {} has no staging source",
+                            digest.short_hex()
+                        )))
+                    }
                 }
             }
         }
-        let untouched =
-            machine.memory().staged_chunk_count() + machine.devices().disk.staged_block_count();
+        let [chunks_faulted, blocks_faulted] = stores.map(|s| s.faulted().len() as u64);
         Ok(FaultClassification {
             needed,
             cache_hits,
             locally_derived,
-            chunks_faulted: faulted_chunks.len() as u64,
-            blocks_faulted: faulted_blocks.len() as u64,
-            untouched_staged: untouched as u64,
+            chunks_faulted,
+            blocks_faulted,
+            untouched_staged: stores.iter().map(|s| s.staged_count() as u64).sum(),
         })
     }
 
@@ -903,7 +887,9 @@ pub fn materialize_with_manifest(
 /// A manifest reference whose digest differs from what the reference image
 /// holds there, resolved to the contents that will be staged in its place.
 struct Divergent {
-    at: BaselineLocation,
+    /// Position in [`Machine::stores`], and the leaf there.
+    store: usize,
+    leaf: usize,
     digest: Digest,
     content: Vec<u8>,
     source: StagedSource,
@@ -922,7 +908,7 @@ pub(crate) fn stage_from_manifest(
     registry: &GuestRegistry,
     cache: &AuditorBlobCache,
 ) -> Result<(Machine, StateTreeCache, OnDemandSession), CoreError> {
-    let (machine, session, staged_chunks, staged_blocks) =
+    let (machine, session, staged) =
         stage_divergent(&manifest, manifest_bytes, store, image, registry, cache)?;
 
     // Authenticate the manifest: the root over header leaves (from the
@@ -931,7 +917,7 @@ pub(crate) fn stage_from_manifest(
     // contradict is the reference image's own, so the image's tree with the
     // header and the staged leaves replaced is exactly that root.
     let mut state_tree = StateTreeCache::from_baseline(image);
-    let root = state_tree.refresh_leaves(&machine, &staged_chunks, &staged_blocks);
+    let root = state_tree.refresh_leaves(&machine, staged.each_ref().map(Vec::as_slice));
     if root != manifest.state_root {
         return Err(CoreError::Snapshot(format!(
             "manifest does not authenticate: derived root {} != recorded root {}",
@@ -945,9 +931,9 @@ pub(crate) fn stage_from_manifest(
 
 /// The staging half of [`stage_from_manifest`]: a machine with the
 /// manifest's metadata restored and every divergent reference staged, its
-/// session, and the chunk and block indices staged — each in manifest
-/// order, so the leaf updates and hash batches they become repeat exactly
-/// from run to run.
+/// session, and the leaf indices staged per store of [`Machine::stores`] —
+/// each in manifest order, so the leaf updates and hash batches they become
+/// repeat exactly from run to run.
 fn stage_divergent(
     manifest: &ChainManifest,
     manifest_bytes: u64,
@@ -955,7 +941,7 @@ fn stage_divergent(
     image: &VmImage,
     registry: &GuestRegistry,
     cache: &AuditorBlobCache,
-) -> Result<(Machine, OnDemandSession, Vec<usize>, Vec<usize>), CoreError> {
+) -> Result<(Machine, OnDemandSession, [Vec<usize>; 2]), CoreError> {
     let mut machine = Machine::from_image(image, registry).map_err(CoreError::Vm)?;
     machine
         .restore_cpu_state(&manifest.cpu_state)
@@ -973,45 +959,44 @@ fn stage_divergent(
     // machine is still fresh, so they are copied straight out of it.  Only
     // the operator's pool costs a transfer when the blob is touched.
     let baseline = image.baseline();
-    let chunk_refs = manifest.mem_refs.iter();
-    let block_refs = manifest.disk_refs.iter();
-    let refs = chunk_refs
-        .map(|(i, digest)| (BaselineLocation::Chunk(*i as usize), digest))
-        .chain(block_refs.map(|(b, digest)| (BaselineLocation::Block(*b as usize), digest)));
+    let stores = machine.stores();
+    let sections = [&manifest.mem_refs, &manifest.disk_refs];
     let mut divergent: Vec<Divergent> = Vec::new();
-    for (at, digest) in refs {
-        let image_own = match at {
-            BaselineLocation::Chunk(i) => baseline.chunk_hashes().get(i).ok_or_else(|| {
-                CoreError::Snapshot(format!("manifest references chunk {i} out of range"))
-            }),
-            BaselineLocation::Block(b) => baseline.block_hashes().get(b).ok_or_else(|| {
-                CoreError::Snapshot(format!("manifest references disk block {b} out of range"))
-            }),
-        }?;
-        if image_own == digest {
-            continue; // the reference image already yields this content here
+    for (at, (refs, image_own)) in sections.into_iter().zip(baseline.leaf_hashes()).enumerate() {
+        for (idx, digest) in refs {
+            let leaf = *idx as usize;
+            let own = image_own.get(leaf).ok_or_else(|| {
+                CoreError::Snapshot(format!(
+                    "manifest references {} {idx} out of range",
+                    stores[at].leaf_name()
+                ))
+            })?;
+            if own == digest {
+                continue; // the reference image already yields this content here
+            }
+            let held_by_image = || {
+                let (store, leaf) = baseline.locate(digest)?.store_and_leaf();
+                stores[store].leaf(leaf)
+            };
+            let (content, source) = if let Some(cached) = cache.get(digest) {
+                (cached, StagedSource::Cache)
+            } else if let Some(local) = held_by_image() {
+                (local, StagedSource::Local)
+            } else {
+                let payload = store.payload(digest);
+                (
+                    payload.ok_or_else(|| operator_missing(digest))?,
+                    StagedSource::Remote,
+                )
+            };
+            divergent.push(Divergent {
+                store: at,
+                leaf,
+                digest: *digest,
+                content: content.to_vec(),
+                source,
+            });
         }
-        let held_by_image = || match baseline.locate(digest)? {
-            BaselineLocation::Chunk(i) => machine.memory().chunk(i),
-            BaselineLocation::Block(b) => machine.devices().disk.block(b),
-        };
-        let (content, source) = if let Some(cached) = cache.get(digest) {
-            (cached, StagedSource::Cache)
-        } else if let Some(local) = held_by_image() {
-            (local, StagedSource::Local)
-        } else {
-            let payload = store.payload(digest);
-            (
-                payload.ok_or_else(|| operator_missing(digest))?,
-                StagedSource::Remote,
-            )
-        };
-        divergent.push(Divergent {
-            at,
-            digest: *digest,
-            content: content.to_vec(),
-            source,
-        });
     }
 
     // The check a received blob gets, performed when the modelled fetch is
@@ -1031,36 +1016,27 @@ fn stage_divergent(
         snapshot_id: manifest.snapshot_id,
         state_root: manifest.state_root,
         manifest_bytes,
-        staged_chunks: HashMap::new(),
-        staged_blocks: HashMap::new(),
+        staged: Default::default(),
         sources: HashMap::new(),
     };
-    let mut staged_chunks = Vec::new();
-    let mut staged_blocks = Vec::new();
+    let mut staged: [Vec<usize>; 2] = Default::default();
     for d in divergent {
         session.sources.insert(d.digest, d.source);
-        match d.at {
-            BaselineLocation::Chunk(i) => {
-                machine
-                    .memory_mut()
-                    .stage_lazy_chunk(i, d.content, d.digest)
-                    .map_err(CoreError::Vm)?;
-                session.staged_chunks.insert(i, d.digest);
-                staged_chunks.push(i);
-            }
-            BaselineLocation::Block(b) => {
-                machine
-                    .devices_mut()
-                    .disk
-                    .stage_lazy_block(b, d.content, d.digest)
-                    .map_err(CoreError::Vm)?;
-                session.staged_blocks.insert(b, d.digest);
-                staged_blocks.push(b);
-            }
-        }
+        let store = &mut machine.stores_mut()[d.store];
+        let name = store.leaf_name();
+        store
+            .stage_lazy(d.leaf, d.content, d.digest)
+            .ok_or_else(|| {
+                CoreError::Snapshot(format!(
+                    "content staged at {name} {} has a bad size",
+                    d.leaf
+                ))
+            })?;
+        session.staged[d.store].insert(d.leaf, d.digest);
+        staged[d.store].push(d.leaf);
     }
     machine.clear_dirty_tracking();
-    Ok((machine, session, staged_chunks, staged_blocks))
+    Ok((machine, session, staged))
 }
 
 #[cfg(test)]
@@ -1181,8 +1157,8 @@ mod tests {
         // the same in every run, unlike the session's lookup maps.
         let manifest = store.chain_manifest_upto(4).unwrap();
         let stage = || stage_divergent(&manifest, 0, &store, &img, &reg, &cache).unwrap();
-        let (_, staged, chunks, blocks) = stage();
-        let (_, _, chunks_again, blocks_again) = stage();
+        let (_, staged, [chunks, blocks]) = stage();
+        let (_, _, [chunks_again, blocks_again]) = stage();
         assert_eq!((&chunks, &blocks), (&chunks_again, &blocks_again));
         assert_eq!(chunks, [64, 128, 136, 144, 152, 160]);
         assert_eq!(blocks, [0, 1, 2, 3, 4]);

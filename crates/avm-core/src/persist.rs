@@ -642,11 +642,6 @@ impl<S: Storage + Clone> Provider<S> {
         self.segments.stats()
     }
 
-    /// Durable-write accounting for the blob arenas.
-    pub fn arena_stats(&self) -> DurabilityStats {
-        self.arenas.stats()
-    }
-
     /// Combined durable-write accounting (segments + arenas).
     pub fn durability_stats(&self) -> DurabilityStats {
         self.segments.stats().merged(&self.arenas.stats())

@@ -109,7 +109,6 @@ pub struct Avmm {
     last_clock_value: u64,
     consecutive_clock_reads: u32,
     stats: AvmmStats,
-    console: Vec<u8>,
 }
 
 impl Avmm {
@@ -143,7 +142,6 @@ impl Avmm {
             last_clock_value: 0,
             consecutive_clock_reads: 0,
             stats: AvmmStats::default(),
-            console: Vec::new(),
         };
         let meta = MetaRecord {
             image_digest,
@@ -228,7 +226,6 @@ impl Avmm {
             last_clock_value,
             consecutive_clock_reads: 0,
             stats,
-            console: Vec::new(),
         }
     }
 
@@ -299,11 +296,6 @@ impl Avmm {
         self.stats
     }
 
-    /// Console output the guest has produced so far.
-    pub fn console_output(&self) -> &[u8] {
-        &self.console
-    }
-
     /// Options in effect.
     pub fn options(&self) -> &AvmmOptions {
         &self.options
@@ -370,7 +362,6 @@ impl Avmm {
                 }
                 VmExit::ConsoleOut(data) => {
                     self.stats.console_bytes += data.len() as u64;
-                    self.console.extend_from_slice(&data);
                 }
                 VmExit::Idle | VmExit::StepLimit | VmExit::Halted => break,
             }

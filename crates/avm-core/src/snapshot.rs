@@ -69,21 +69,23 @@
 //! # The incremental state-root pipeline
 //!
 //! The state root covers a fixed leaf order — CPU state, device state,
-//! control word, every memory chunk, every disk block — so recorder and
-//! auditor always derive comparable roots.  Naively that is O(total state)
-//! of hashing per snapshot; the paper's own AVMM "maintains" the tree
-//! instead of rebuilding it, and so does this module:
+//! control word, then every leaf of each of [`Machine::stores`] (every
+//! memory chunk, every disk block) — so recorder and auditor always derive
+//! comparable roots.  That order is written down in `Machine::stores` and
+//! nowhere else: everything here walks the two stores with a running leaf
+//! base.  Naively a root is O(total state) of hashing per snapshot; the
+//! paper's own AVMM "maintains" the tree instead of rebuilding it, and so
+//! does this module:
 //!
-//! 1. `avm-vm` memoises each chunk/block SHA-256, invalidating a slot the
-//!    moment that chunk/block is written ([`avm_vm::GuestMemory::chunk_hash`],
-//!    [`avm_vm::devices::Disk::block_hash`]).
+//! 1. `avm-vm` memoises each leaf's SHA-256, emptying a slot the moment
+//!    that chunk/block is written ([`avm_vm::LeafStore::leaf_hash`]).
 //! 2. [`StateTreeCache`] keeps the Merkle tree alive across snapshots and,
 //!    on [`StateTreeCache::refresh`], re-derives only the three header
-//!    leaves plus the leaves flagged by the VM's dirty-chunk bitmasks,
-//!    updating the tree in one O(dirty + log n) batch
-//!    ([`MerkleTree::update_leaf_hashes`]).  The dirty-chunk hashing itself
+//!    leaves plus the leaves flagged by the stores' dirty bits, updating
+//!    the tree in one O(dirty + log n) batch
+//!    ([`MerkleTree::update_leaf_hashes`]).  The dirty-leaf hashing itself
 //!    is fanned across a small hand-rolled scoped-thread worker pool
-//!    ([`avm_vm::GuestMemory::prime_chunk_hashes`] →
+//!    ([`avm_vm::LeafStore::prime_hashes`] →
 //!    [`avm_crypto::parallel::sha256_batch`]), so the remaining O(dirty)
 //!    work scales across cores for large guests.
 //!
@@ -112,8 +114,7 @@ use std::collections::{BTreeMap, HashMap};
 use avm_compress::{CompressionLevel, CompressionStats};
 use avm_crypto::merkle::MerkleTree;
 use avm_crypto::sha256::{sha256, Digest};
-use avm_vm::devices::DISK_BLOCK_SIZE;
-use avm_vm::{GuestRegistry, Machine, VmImage, CHUNK_SIZE, STATE_HEADER_LEAVES};
+use avm_vm::{GuestRegistry, LeafStore, Machine, VmImage, STATE_HEADER_LEAVES};
 
 use crate::error::CoreError;
 
@@ -223,20 +224,14 @@ pub fn compute_state_root(machine: &Machine) -> Digest {
 /// pool before the leaves are collected, so a cold full build parallelises
 /// the same way an incremental refresh does.
 pub fn build_state_tree(machine: &Machine) -> MerkleTree {
-    let mem = machine.memory();
-    let disk = &machine.devices().disk;
-    let all_chunks: Vec<usize> = (0..mem.chunk_count()).collect();
-    mem.prime_chunk_hashes(&all_chunks);
-    let all_blocks: Vec<usize> = (0..disk.block_count()).collect();
-    disk.prime_block_hashes(&all_blocks);
-    let mut leaves: Vec<Digest> =
-        Vec::with_capacity(STATE_HEADER_LEAVES + mem.chunk_count() + disk.block_count());
-    leaves.extend_from_slice(&header_leaves(machine));
-    for i in 0..mem.chunk_count() {
-        leaves.push(mem.chunk_hash(i).expect("chunk in range"));
-    }
-    for i in 0..disk.block_count() {
-        leaves.push(disk.block_hash(i).expect("block in range"));
+    let mut leaves = header_leaves(machine).to_vec();
+    for store in machine.stores() {
+        let all: Vec<usize> = (0..store.leaf_count()).collect();
+        store.prime_hashes(&all);
+        leaves.extend(
+            all.iter()
+                .map(|&i| store.leaf_hash(i).expect("leaf in range")),
+        );
     }
     MerkleTree::from_leaf_hashes(leaves)
 }
@@ -248,16 +243,10 @@ pub fn build_state_tree(machine: &Machine) -> MerkleTree {
 /// This is the seed implementation's cost model, kept as the baseline the
 /// property tests cross-check against and the benches compare with.
 pub fn build_state_tree_uncached(machine: &Machine) -> MerkleTree {
-    let mem = machine.memory();
-    let disk = &machine.devices().disk;
-    let mut leaves: Vec<Digest> =
-        Vec::with_capacity(STATE_HEADER_LEAVES + mem.chunk_count() + disk.block_count());
-    leaves.extend_from_slice(&header_leaves(machine));
-    for i in 0..mem.chunk_count() {
-        leaves.push(sha256(mem.chunk(i).expect("chunk in range")));
-    }
-    for i in 0..disk.block_count() {
-        leaves.push(sha256(disk.block(i).expect("block in range")));
+    let mut leaves = header_leaves(machine).to_vec();
+    for store in machine.stores() {
+        leaves
+            .extend((0..store.leaf_count()).map(|i| sha256(store.leaf(i).expect("leaf in range"))));
     }
     MerkleTree::from_leaf_hashes(leaves)
 }
@@ -324,47 +313,35 @@ impl StateTreeCache {
     /// the state those leaves cover, so an unchanged version proves the
     /// serialised headers (and hence their hashes) are identical.
     pub fn refresh(&mut self, machine: &Machine) -> Digest {
-        let dirty_chunks = machine.memory().dirty_chunks();
-        let dirty_blocks = machine.devices().disk.dirty_blocks();
-        self.refresh_leaves(machine, &dirty_chunks, &dirty_blocks)
+        let dirty = machine.stores().map(|store| store.dirty_leaves());
+        self.refresh_leaves(machine, dirty.each_ref().map(Vec::as_slice))
     }
 
     /// [`StateTreeCache::refresh`] over leaves the caller names instead of
-    /// the dirty bits: on-demand staging changes what a chunk *hashes to*
-    /// without writing it, so it passes the indices it staged.
-    pub(crate) fn refresh_leaves(
-        &mut self,
-        machine: &Machine,
-        chunks: &[usize],
-        blocks: &[usize],
-    ) -> Digest {
-        let mem = machine.memory();
-        let disk = &machine.devices().disk;
-        let leaf_count = STATE_HEADER_LEAVES + mem.chunk_count() + disk.block_count();
+    /// the dirty bits, one list per store of [`Machine::stores`]: on-demand
+    /// staging changes what a leaf *hashes to* without writing it, so it
+    /// passes the indices it staged.
+    pub(crate) fn refresh_leaves(&mut self, machine: &Machine, leaves: [&[usize]; 2]) -> Digest {
+        let stores = machine.stores();
+        let leaf_count = STATE_HEADER_LEAVES + stores.iter().map(|s| s.leaf_count()).sum::<usize>();
         let version = machine.state_version();
         match &mut self.tree {
             Some(tree) if tree.leaf_count() == leaf_count => {
-                // Fan the leaf hashing across the worker pool before the
-                // serial tree update reads the memoised values.
-                mem.prime_chunk_hashes(chunks);
-                disk.prime_block_hashes(blocks);
-                let mut updates: Vec<(usize, Digest)> =
-                    Vec::with_capacity(STATE_HEADER_LEAVES + chunks.len() + blocks.len());
+                let mut updates: Vec<(usize, Digest)> = Vec::new();
                 if self.header_version != Some(version) {
                     updates.extend(header_leaves(machine).into_iter().enumerate());
                 }
-                for &c in chunks {
-                    updates.push((
-                        STATE_HEADER_LEAVES + c,
-                        mem.chunk_hash(c).expect("dirty chunk in range"),
-                    ));
-                }
-                let block_base = STATE_HEADER_LEAVES + mem.chunk_count();
-                for &b in blocks {
-                    updates.push((
-                        block_base + b,
-                        disk.block_hash(b).expect("dirty block in range"),
-                    ));
+                let mut base = STATE_HEADER_LEAVES;
+                for (store, indices) in stores.into_iter().zip(leaves) {
+                    // Fan the leaf hashing across the worker pool before the
+                    // serial tree update reads the memoised values.
+                    store.prime_hashes(indices);
+                    updates.extend(
+                        indices
+                            .iter()
+                            .map(|&i| (base + i, store.leaf_hash(i).expect("named leaf in range"))),
+                    );
+                    base += store.leaf_count();
                 }
                 let ok = tree.update_leaf_hashes(&updates);
                 debug_assert!(ok, "state tree leaf indices in range");
@@ -410,40 +387,32 @@ pub fn capture_with_cache(
     // stale bytes under authentic digests and poison every store the
     // snapshot is pushed into.  Recording machines never stage, so this is
     // loud protection against misuse, not a reachable runtime state.
-    assert_eq!(
-        machine.memory().staged_chunk_count() + machine.devices().disk.staged_block_count(),
-        0,
+    assert!(
+        machine.stores().iter().all(|s| s.staged_count() == 0),
         "cannot capture a machine with staged demand-paged state"
     );
     let state_root = cache.refresh(machine);
-    let mem = machine.memory();
     // The leaf hashes are memoised by the VM (and fresh after the refresh
     // above); carrying them with the payloads lets the content-addressed
     // store intern without rehashing.
-    let capture_chunk = |i: usize| {
-        (
-            i as u32,
-            mem.chunk_hash(i).expect("chunk hash"),
-            mem.chunk(i).expect("chunk").to_vec(),
-        )
+    let capture_leaves = |store: &LeafStore, whole: bool| -> Vec<(u32, Digest, Vec<u8>)> {
+        let indices = if whole {
+            (0..store.leaf_count()).collect()
+        } else {
+            store.dirty_leaves()
+        };
+        let captured = |i: usize| {
+            let hash = store.leaf_hash(i).expect("leaf hash");
+            (i as u32, hash, store.leaf(i).expect("leaf").to_vec())
+        };
+        indices.into_iter().map(captured).collect()
     };
-    let mem_chunks: Vec<(u32, Digest, Vec<u8>)> = if full_memory {
-        (0..mem.chunk_count()).map(capture_chunk).collect()
-    } else {
-        mem.dirty_chunks().into_iter().map(capture_chunk).collect()
-    };
-    let disk = &machine.devices().disk;
-    let disk_blocks = disk
-        .dirty_blocks()
-        .into_iter()
-        .map(|i| {
-            (
-                i as u32,
-                disk.block_hash(i).expect("block hash"),
-                disk.block(i).expect("block").to_vec(),
-            )
-        })
-        .collect();
+    // Memory is dumped whole on request; the disk is always incremental.
+    let [memory, disk] = machine.stores();
+    let (mem_chunks, disk_blocks) = (
+        capture_leaves(memory, full_memory),
+        capture_leaves(disk, false),
+    );
     let snapshot = Snapshot {
         id,
         step: machine.step_count(),
@@ -1023,40 +992,30 @@ impl SnapshotStore {
         let base = self.memory_base(upto_id);
         for s in self.chain_upto(upto_id) {
             consumed += SNAPSHOT_HEADER_BYTES;
-            if s.id >= base {
-                for (idx, hash) in &s.mem_chunks {
-                    let chunk = self.pool.get(hash).ok_or_else(|| {
+            // A later full dump supersedes earlier memory sections; the
+            // disk has no full dumps, so every disk section applies.
+            let mem_refs: &[(u32, Digest)] = if s.id >= base { &s.mem_chunks } else { &[] };
+            for (store, refs) in machine
+                .stores_mut()
+                .into_iter()
+                .zip([mem_refs, &s.disk_blocks])
+            {
+                let name = store.leaf_name();
+                for (idx, hash) in refs {
+                    let leaf = self.pool.get(hash).ok_or_else(|| {
                         CoreError::Snapshot(format!(
-                            "chunk {idx} of snapshot {} missing from pool",
+                            "{name} {idx} of snapshot {} missing from pool",
                             s.id
                         ))
                     })?;
-                    if chunk.len() != CHUNK_SIZE {
-                        return Err(CoreError::Snapshot("bad chunk size".to_string()));
-                    }
-                    machine
-                        .memory_mut()
-                        .set_chunk_from_slice(*idx as usize, chunk)
-                        .map_err(CoreError::Vm)?;
-                    consumed += 4 + chunk.len() as u64;
+                    store.set_leaf(*idx as usize, leaf).ok_or_else(|| {
+                        CoreError::Snapshot(format!(
+                            "{name} {idx} of snapshot {} has a bad size or index",
+                            s.id
+                        ))
+                    })?;
+                    consumed += 4 + leaf.len() as u64;
                 }
-            }
-            for (idx, hash) in &s.disk_blocks {
-                let block = self.pool.get(hash).ok_or_else(|| {
-                    CoreError::Snapshot(format!(
-                        "disk block {idx} of snapshot {} missing from pool",
-                        s.id
-                    ))
-                })?;
-                if block.len() != DISK_BLOCK_SIZE {
-                    return Err(CoreError::Snapshot("bad disk block size".to_string()));
-                }
-                machine
-                    .devices_mut()
-                    .disk
-                    .set_block(*idx as usize, block)
-                    .map_err(CoreError::Vm)?;
-                consumed += 4 + block.len() as u64;
             }
         }
         machine
@@ -1090,7 +1049,7 @@ impl SnapshotStore {
 mod tests {
     use super::*;
     use avm_vm::bytecode::assemble;
-    use avm_vm::{StopCondition, VmExit, CHUNKS_PER_PAGE, PAGE_SIZE};
+    use avm_vm::{StopCondition, VmExit, CHUNKS_PER_PAGE, CHUNK_SIZE, PAGE_SIZE};
 
     fn image() -> VmImage {
         // A guest that stores an increasing counter to memory and disk each
@@ -1265,6 +1224,68 @@ mod tests {
             // Or the forged bytes were applied and authentication caught it.
             Err(e) => assert!(matches!(e, CoreError::Snapshot(_))),
         }
+    }
+
+    /// The leaf order as literals: three header leaves, chunk `c` at leaf
+    /// `3 + c`, block `b` at leaf `3 + chunk_count + b` — on a machine with a
+    /// write and a staged leaf in each store, whichever way the tree is
+    /// built.
+    #[test]
+    fn leaf_order_is_header_then_chunks_then_blocks() {
+        let img = image();
+        let mut m = Machine::from_image(&img, &GuestRegistry::new()).unwrap();
+        let (chunks, blocks) = (m.memory().chunk_count(), m.devices().disk.block_count());
+        assert_eq!((chunks, blocks), (256, 4));
+        let mut written_chunk = vec![0u8; 512];
+        written_chunk[1] = 0xAA;
+        m.memory_mut().write_u8(5 * 512 + 1, 0xAA).unwrap();
+        let mut written_block = vec![0u8; 4096];
+        written_block[7] = 0xBB;
+        m.devices_mut().disk.write(2 * 4096 + 7, &[0xBB]).unwrap();
+        let (staged_chunk, staged_block) = (vec![0xCC; 512], vec![0xDD; 4096]);
+        m.memory_mut()
+            .stage_lazy_chunk(200, staged_chunk.clone(), sha256(&staged_chunk))
+            .unwrap();
+        m.devices_mut()
+            .disk
+            .stage_lazy_block(3, staged_block.clone(), sha256(&staged_block))
+            .unwrap();
+
+        let tree = build_state_tree(&m);
+        let root = tree.root();
+        assert_eq!(tree.leaf_count(), 3 + 256 + 4);
+        let proves = |leaf: usize, content: &[u8]| {
+            let proof = tree.prove(leaf).expect("leaf in range");
+            proof.verify_hash(sha256(content), &root)
+        };
+        assert!(proves(3 + 5, &written_chunk));
+        assert!(proves(3 + 200, &staged_chunk));
+        assert!(proves(3 + 256 + 2, &written_block));
+        assert!(proves(3 + 256 + 3, &staged_block));
+        assert!(!proves(3 + 6, &written_chunk) && !proves(3 + 256 + 1, &written_block));
+
+        // The image's tree with exactly those four leaves (and the header)
+        // replaced is the same tree.
+        let mut cache = StateTreeCache::from_baseline(&img);
+        assert_eq!(cache.refresh_leaves(&m, [&[5, 200], &[2, 3]]), root);
+        assert_eq!(cache.refresh(&m), root);
+        // So is a rehash of raw contents, once nothing is staged any more.
+        assert_eq!(m.memory_mut().read_u8(200 * 512).unwrap(), 0xCC);
+        let mut byte = [0u8];
+        m.devices_mut().disk.read(3 * 4096, &mut byte).unwrap();
+        assert_eq!(byte, [0xDD]);
+        let faulted = m.stores().map(|s| s.faulted().to_vec());
+        assert_eq!(faulted, [vec![200], vec![3]]);
+        // (Reading the disk bumped its read counter: a header leaf, not a
+        // store leaf — take the reference root from the cached builder.)
+        assert_eq!(
+            build_state_tree_uncached(&m).root(),
+            build_state_tree(&m).root()
+        );
+        assert_eq!(
+            build_state_tree_uncached(&m).leaves()[3..],
+            tree.leaves()[3..]
+        );
     }
 
     /// A partially-resident (demand-paged) machine must never be captured:

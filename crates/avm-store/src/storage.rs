@@ -71,11 +71,6 @@ impl SimStorage {
         self.inner.borrow_mut().crash_budget = Some(budget);
     }
 
-    /// Disarms a pending crash point.
-    pub fn clear_crash_point(&self) {
-        self.inner.borrow_mut().crash_budget = None;
-    }
-
     /// True once the injected crash has fired.
     pub fn crashed(&self) -> bool {
         self.inner.borrow().crashed

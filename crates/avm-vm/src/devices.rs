@@ -14,17 +14,16 @@
 //!   so reads need not be logged (paper §4.4).
 //! * The **console** is an output-only diagnostic channel.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 
-use avm_crypto::sha256::{sha256, Digest};
+use avm_crypto::sha256::Digest;
 use avm_wire::{Decode, Encode, Reader, WireError, WireResult, Writer};
 
 use crate::error::{VmError, VmResult};
-use crate::mem::StagedSlots;
+use crate::store::{LeafStore, PAGE_SIZE};
 
 /// Size of one disk block for dirty tracking and incremental snapshots.
-pub const DISK_BLOCK_SIZE: usize = 4096;
+pub const DISK_BLOCK_SIZE: usize = PAGE_SIZE;
 
 /// A local input event (keyboard, mouse, controller).
 ///
@@ -160,35 +159,20 @@ impl InputQueue {
     }
 }
 
-/// Virtual block disk with dirty-block tracking.
+/// Virtual block disk: a [`LeafStore`] in [`DISK_BLOCK_SIZE`] blocks plus the
+/// guest's access counters.
 ///
 /// Initial contents come from the VM image; because the guest is
 /// deterministic, the disk never needs to be logged — only snapshotted.
-///
-/// Like [`crate::GuestMemory`], the disk supports demand paging for
-/// on-demand audits (§3.5): [`Disk::stage_lazy_block`] stages authentic
-/// at-snapshot contents that are installed the moment the guest first reads
-/// or writes the block, with [`Disk::block_hash`] reporting the staged hash
-/// throughout so state roots stay correct before the transfer happens.
-/// Staged contents sit in the same slot table guest memory uses, indexed by
-/// block number — an occupied slot is a block that is not resident yet — so
-/// a disk access asks "is this block staged?" with one compare when nothing
-/// is and one indexed load per touched block otherwise; it never hashes.
-/// Unlike guest memory — which is tracked and transferred in 512 B chunks —
-/// the disk keeps page-sized ([`DISK_BLOCK_SIZE`]) granularity: block-device
-/// writes arrive in whole sectors, so sub-block tracking would buy nothing.
+/// How it is hashed, dirty-tracked and faulted in on demand is the store's
+/// ([`crate::store`]).  What is the disk's own: page-sized leaves — block
+/// devices write whole sectors, so sub-block tracking would buy nothing —
+/// the `reads`/`writes` statistics, which are part of the volatile device
+/// state, and [`VmError::DiskOutOfRange`], which even a zero-length access
+/// earns when it points past the end.
 #[derive(Debug, Clone)]
 pub struct Disk {
-    data: Vec<u8>,
-    dirty: Vec<bool>,
-    /// Lazily filled SHA-256 per block, invalidated by the write path (the
-    /// same contract as `GuestMemory`'s page-hash cache: validity tracks
-    /// content changes, never snapshot boundaries).
-    hash_cache: RefCell<Vec<Option<Digest>>>,
-    /// Authentic contents staged for demand paging, one slot per block.
-    staged: StagedSlots,
-    /// Block indices installed from `staged`, in first-touch order.
-    faulted: Vec<usize>,
+    store: LeafStore,
     /// Sectors read by the guest (statistics only).
     pub reads: u64,
     /// Sectors written by the guest (statistics only).
@@ -198,13 +182,8 @@ pub struct Disk {
 impl Disk {
     /// Creates a disk of `size` bytes (rounded up to whole blocks), zero-filled.
     pub fn new(size: u64) -> Disk {
-        let blocks = (size as usize).div_ceil(DISK_BLOCK_SIZE).max(1);
         Disk {
-            data: vec![0u8; blocks * DISK_BLOCK_SIZE],
-            dirty: vec![false; blocks],
-            hash_cache: RefCell::new(vec![None; blocks]),
-            staged: StagedSlots::default(),
-            faulted: Vec::new(),
+            store: LeafStore::new(size, DISK_BLOCK_SIZE, "disk block"),
             reads: 0,
             writes: 0,
         }
@@ -213,205 +192,110 @@ impl Disk {
     /// Creates a disk initialized with `content` (padded to whole blocks).
     pub fn from_content(content: &[u8]) -> Disk {
         let mut disk = Disk::new(content.len().max(1) as u64);
-        disk.data[..content.len()].copy_from_slice(content);
+        disk.store.write(0, content).expect("sized to fit");
+        disk.store.clear_dirty();
         disk
     }
 
-    /// Fills every hash-cache slot from `hashes`, one per block — the disk
-    /// half of [`crate::GuestMemory::seed_chunk_hashes`], under the same
-    /// contract: only [`crate::Machine::from_image`] calls it, with the
-    /// hashes the image's baseline derived from identical contents.
-    pub(crate) fn seed_block_hashes(&mut self, hashes: &[Digest]) {
-        assert_eq!(hashes.len(), self.block_count(), "one hash per block");
-        for (slot, hash) in self.hash_cache.get_mut().iter_mut().zip(hashes) {
-            *slot = Some(*hash);
-        }
+    /// The store behind this disk: its blocks are the disk leaves of the
+    /// Merkle state tree.
+    pub fn leaves(&self) -> &LeafStore {
+        &self.store
+    }
+
+    /// Mutable access to the store (snapshot restore and staging).
+    pub fn leaves_mut(&mut self) -> &mut LeafStore {
+        &mut self.store
     }
 
     /// Disk size in bytes.
     pub fn size(&self) -> u64 {
-        self.data.len() as u64
+        self.store.size()
     }
 
     /// Number of dirty-trackable blocks.
     pub fn block_count(&self) -> usize {
-        self.dirty.len()
+        self.store.leaf_count()
     }
 
-    fn check(&self, offset: u64, len: usize) -> VmResult<()> {
-        let end = offset
-            .checked_add(len as u64)
-            .ok_or(VmError::DiskOutOfRange {
+    /// The disk's verdict on an access the store answered with `accepted`.
+    /// The store refuses what does not fit and lets a zero-length access
+    /// through untouched; the disk still wants such an access to point at it.
+    fn verdict(&self, offset: u64, accepted: Option<()>) -> VmResult<()> {
+        match accepted {
+            Some(()) if offset <= self.size() => Ok(()),
+            _ => Err(VmError::DiskOutOfRange {
                 sector: offset / DISK_BLOCK_SIZE as u64,
                 sectors: self.block_count() as u64,
-            })?;
-        if end > self.size() {
-            return Err(VmError::DiskOutOfRange {
-                sector: offset / DISK_BLOCK_SIZE as u64,
-                sectors: self.block_count() as u64,
-            });
-        }
-        Ok(())
-    }
-
-    /// Installs staged blocks overlapping `[offset, offset+len)` (demand
-    /// paging; mirrors `GuestMemory::fault_in_range`).  For writes, blocks
-    /// the range fully covers are dropped from staging without a fault —
-    /// their contents are about to be overwritten wholesale.
-    fn fault_in_range(&mut self, offset: u64, len: usize, overwrite: bool) {
-        if self.staged.is_empty() || len == 0 {
-            return;
-        }
-        let start = offset as usize;
-        let Some(end) = start.checked_add(len - 1) else {
-            return;
-        };
-        let first = start / DISK_BLOCK_SIZE;
-        let last = (end / DISK_BLOCK_SIZE).min(self.dirty.len().saturating_sub(1));
-        for b in first..=last {
-            let fully_covered =
-                start <= b * DISK_BLOCK_SIZE && (b + 1) * DISK_BLOCK_SIZE <= end + 1;
-            if overwrite && fully_covered {
-                self.staged.take(b);
-                continue;
-            }
-            if let Some(content) = self.staged.take(b) {
-                self.data[b * DISK_BLOCK_SIZE..(b + 1) * DISK_BLOCK_SIZE].copy_from_slice(&content);
-                self.faulted.push(b);
-            }
+            }),
         }
     }
 
     /// Reads `buf.len()` bytes at byte `offset`.
     pub fn read(&mut self, offset: u64, buf: &mut [u8]) -> VmResult<()> {
-        self.check(offset, buf.len())?;
-        self.fault_in_range(offset, buf.len(), false);
-        buf.copy_from_slice(&self.data[offset as usize..offset as usize + buf.len()]);
+        let accepted = self.store.read(offset, buf);
+        self.verdict(offset, accepted)?;
         self.reads += 1;
         Ok(())
     }
 
     /// Writes `data` at byte `offset`, marking touched blocks dirty.
     pub fn write(&mut self, offset: u64, data: &[u8]) -> VmResult<()> {
-        self.check(offset, data.len())?;
-        self.fault_in_range(offset, data.len(), true);
-        self.data[offset as usize..offset as usize + data.len()].copy_from_slice(data);
-        let first = offset as usize / DISK_BLOCK_SIZE;
-        let last =
-            ((offset as usize + data.len().max(1) - 1) / DISK_BLOCK_SIZE).min(self.dirty.len() - 1);
-        let cache = self.hash_cache.get_mut();
-        for (dirty, slot) in self.dirty[first..=last]
-            .iter_mut()
-            .zip(&mut cache[first..=last])
-        {
-            *dirty = true;
-            *slot = None;
-        }
+        let accepted = self.store.write(offset, data);
+        self.verdict(offset, accepted)?;
         self.writes += 1;
         Ok(())
     }
 
     /// Returns block `idx` contents.
     pub fn block(&self, idx: usize) -> Option<&[u8]> {
-        if idx >= self.block_count() {
-            return None;
-        }
-        Some(&self.data[idx * DISK_BLOCK_SIZE..(idx + 1) * DISK_BLOCK_SIZE])
+        self.store.leaf(idx)
     }
 
     /// Overwrites block `idx` (snapshot restore).
     pub fn set_block(&mut self, idx: usize, content: &[u8]) -> VmResult<()> {
-        if idx >= self.block_count() || content.len() != DISK_BLOCK_SIZE {
-            return Err(VmError::CorruptState("disk block restore out of range"));
-        }
-        self.data[idx * DISK_BLOCK_SIZE..(idx + 1) * DISK_BLOCK_SIZE].copy_from_slice(content);
-        // A wholesale overwrite supersedes staged contents; no fault needed.
-        self.staged.take(idx);
-        self.dirty[idx] = true;
-        self.hash_cache.get_mut()[idx] = None;
-        Ok(())
+        self.store
+            .set_leaf(idx, content)
+            .ok_or(VmError::CorruptState("disk block restore out of range"))
     }
 
     /// SHA-256 of block `idx` contents, memoised until the block is written.
     pub fn block_hash(&self, idx: usize) -> Option<Digest> {
-        let block = self.block(idx)?;
-        let mut cache = self.hash_cache.borrow_mut();
-        if let Some(h) = cache[idx] {
-            return Some(h);
-        }
-        let h = sha256(block);
-        cache[idx] = Some(h);
-        Some(h)
-    }
-
-    /// Fills the hash-cache slots for `indices` that are currently empty,
-    /// hashing the missing blocks across the scoped worker pool (mirrors
-    /// [`crate::GuestMemory::prime_chunk_hashes`]).  Out-of-range indices
-    /// are ignored.
-    pub fn prime_block_hashes(&self, indices: &[usize]) {
-        let mut cache = self.hash_cache.borrow_mut();
-        let missing: Vec<usize> = indices
-            .iter()
-            .copied()
-            .filter(|&i| i < cache.len() && cache[i].is_none())
-            .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let inputs: Vec<&[u8]> = missing
-            .iter()
-            .map(|&i| self.block(i).expect("block in range"))
-            .collect();
-        for (i, digest) in missing
-            .iter()
-            .zip(avm_crypto::parallel::sha256_batch(&inputs))
-        {
-            cache[*i] = Some(digest);
-        }
+        self.store.leaf_hash(idx)
     }
 
     /// Indices of blocks written since the last [`Disk::clear_dirty`].
     pub fn dirty_blocks(&self) -> Vec<usize> {
-        self.dirty
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &d)| if d { Some(i) } else { None })
-            .collect()
+        self.store.dirty_leaves()
     }
 
     /// Clears all dirty bits.
     pub fn clear_dirty(&mut self) {
-        self.dirty.iter_mut().for_each(|d| *d = false);
+        self.store.clear_dirty();
     }
 
-    // --- Demand paging (on-demand audits, §3.5) --------------------------
-
     /// Stages authentic contents for block `idx` to be installed on first
-    /// access, seeding the hash cache with `hash` (the SHA-256 of `content`,
-    /// verified by the audit layer before staging).  Mirrors
-    /// [`crate::GuestMemory::stage_lazy_chunk`].
+    /// access, under the hash state roots report for it until then
+    /// ([`LeafStore::stage_lazy`]).
     pub fn stage_lazy_block(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> VmResult<()> {
-        if content.len() != DISK_BLOCK_SIZE {
-            return Err(VmError::CorruptState("staged disk block has wrong size"));
-        }
-        if idx >= self.block_count() {
-            return Err(VmError::CorruptState(
-                "staged disk block index out of range",
-            ));
-        }
-        self.hash_cache.get_mut()[idx] = Some(hash);
-        self.staged.stage(idx, content, self.block_count());
-        Ok(())
+        let refused = if content.len() != DISK_BLOCK_SIZE {
+            "staged disk block has wrong size"
+        } else {
+            "staged disk block index out of range"
+        };
+        self.store
+            .stage_lazy(idx, content, hash)
+            .ok_or(VmError::CorruptState(refused))
     }
 
     /// Block indices faulted in from staging so far, in first-touch order.
     pub fn faulted_blocks(&self) -> &[usize] {
-        &self.faulted
+        self.store.faulted()
     }
 
     /// Number of staged blocks not yet touched.
     pub fn staged_block_count(&self) -> usize {
-        self.staged.len()
+        self.store.staged_count()
     }
 }
 
@@ -546,6 +430,7 @@ impl DeviceState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avm_crypto::sha256::sha256;
 
     #[test]
     fn clock_request_response_cycle() {
@@ -623,6 +508,34 @@ mod tests {
         assert!(disk.write(u64::MAX, &[1]).is_err());
     }
 
+    /// A zero-length access on the disk is counted and touches nothing — no
+    /// dirty bit, no emptied hash slot, no fault — and past the end it is
+    /// still out of range.
+    #[test]
+    fn zero_length_disk_access_touches_nothing_but_is_judged() {
+        let mut disk = Disk::new(2 * DISK_BLOCK_SIZE as u64);
+        let staged = vec![5u8; DISK_BLOCK_SIZE];
+        let marker = sha256(b"not the block's hash");
+        disk.stage_lazy_block(1, staged, marker).unwrap();
+        let end = disk.size();
+        for offset in [0, DISK_BLOCK_SIZE as u64 + 9, end] {
+            disk.write(offset, &[]).unwrap();
+            disk.read(offset, &mut []).unwrap();
+        }
+        assert_eq!((disk.reads, disk.writes), (3, 3));
+        assert!(disk.dirty_blocks().is_empty() && disk.faulted_blocks().is_empty());
+        assert_eq!(disk.staged_block_count(), 1);
+        assert_eq!(disk.block_hash(1), Some(marker));
+        let past_end = VmError::DiskOutOfRange {
+            sector: 2,
+            sectors: 2,
+        };
+        assert_eq!(disk.write(end + 1, &[]), Err(past_end.clone()));
+        assert_eq!(disk.read(end + 1, &mut []), Err(past_end));
+        assert!(disk.write(u64::MAX, &[]).is_err());
+        assert_eq!((disk.reads, disk.writes), (3, 3));
+    }
+
     #[test]
     fn disk_from_content_and_blocks() {
         let content = vec![7u8; DISK_BLOCK_SIZE + 10];
@@ -659,7 +572,7 @@ mod tests {
         // Seeded slots (marker values) are emptied by exactly the writes
         // that cover them.
         let seeds = [sha256(b"block 0"), sha256(b"block 1")];
-        disk.seed_block_hashes(&seeds);
+        disk.leaves_mut().seed_hashes(&seeds);
         disk.write(DISK_BLOCK_SIZE as u64 + 7, &[4]).unwrap();
         assert_eq!(disk.block_hash(0).unwrap(), seeds[0]);
         assert_eq!(disk.block_hash(1).unwrap(), sha256(disk.block(1).unwrap()));

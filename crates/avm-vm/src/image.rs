@@ -15,7 +15,7 @@
 //! content digest, the SHA-256 of every memory chunk and disk block a fresh
 //! machine starts with, an index from each of those digests to the first
 //! place its content sits, and the Merkle state tree over those leaves.
-//! [`crate::Machine::from_image`] seeds its hash caches from the baseline, so
+//! [`crate::Machine::from_image`] seeds its stores' hash slots from the baseline, so
 //! a machine only ever hashes what was *written* to it, and `avm-core`
 //! starts every audit's state tree from a copy of the baseline's.
 //!
@@ -29,12 +29,11 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use avm_crypto::merkle::MerkleTree;
-use avm_crypto::parallel::sha256_batch;
 use avm_crypto::sha256::{sha256, Digest, Sha256};
 
 use crate::devices::Disk;
 use crate::error::{VmError, VmResult};
-use crate::mem::{GuestMemory, CHUNK_SIZE};
+use crate::mem::GuestMemory;
 use crate::native::GuestKernel;
 
 /// Leaves that precede the per-chunk leaves in the Merkle state tree: CPU
@@ -74,6 +73,17 @@ pub enum BaselineLocation {
     Block(usize),
 }
 
+impl BaselineLocation {
+    /// Which of [`crate::Machine::stores`] holds the content, and at which
+    /// leaf of it.
+    pub fn store_and_leaf(self) -> (usize, usize) {
+        match self {
+            BaselineLocation::Chunk(leaf) => (0, leaf),
+            BaselineLocation::Block(leaf) => (1, leaf),
+        }
+    }
+}
+
 /// Everything a [`VmImage`] alone determines about a machine freshly built
 /// from it (see the module docs).  Obtained from [`VmImage::baseline`].
 #[derive(Debug)]
@@ -94,31 +104,41 @@ impl ImageBaseline {
         let mem = image
             .initial_memory()
             .unwrap_or_else(|_| GuestMemory::new(image.mem_size));
-        // Fresh memory is zeros except where the program was just written,
-        // which is exactly what its dirty bits name.
-        let chunks = mem.chunk_count();
-        let mut leaves = vec![Digest::ZERO; STATE_HEADER_LEAVES];
-        leaves.resize(STATE_HEADER_LEAVES + chunks, sha256(&[0u8; CHUNK_SIZE]));
-        for chunk in mem.dirty_chunks() {
-            leaves[STATE_HEADER_LEAVES + chunk] = mem.chunk_hash(chunk).expect("chunk in range");
-        }
         let disk = Disk::from_content(&image.disk);
-        let blocks: Vec<&[u8]> = (0..disk.block_count())
-            .map(|b| disk.block(b).expect("block in range"))
-            .collect();
-        leaves.extend(sha256_batch(&blocks));
-
-        let (chunk_leaves, block_leaves) = leaves[STATE_HEADER_LEAVES..].split_at(chunks);
-        let held_at = (chunk_leaves.iter().zip((0..).map(BaselineLocation::Chunk)))
-            .chain(block_leaves.iter().zip((0..).map(BaselineLocation::Block)));
+        let mut leaves = vec![Digest::ZERO; STATE_HEADER_LEAVES];
         let mut locations = HashMap::new();
-        for (hash, at) in held_at {
-            locations.entry(*hash).or_insert(at);
+        let stores = [
+            (mem.leaves(), BaselineLocation::Chunk as fn(usize) -> _),
+            (disk.leaves(), BaselineLocation::Block),
+        ];
+        for (store, location) in stores {
+            // A fresh store is mostly zeros: one hash answers for every
+            // all-zero leaf, and only the leaves that hold something are
+            // hashed, in one batch.
+            let held: Vec<usize> = (0..store.leaf_count())
+                .filter(|&i| {
+                    store
+                        .leaf(i)
+                        .is_some_and(|leaf| leaf.iter().any(|&b| b != 0))
+                })
+                .collect();
+            store.prime_hashes(&held);
+            let base = leaves.len();
+            leaves.resize(
+                base + store.leaf_count(),
+                sha256(&vec![0u8; store.leaf_size()]),
+            );
+            for i in held {
+                leaves[base + i] = store.leaf_hash(i).expect("leaf in range");
+            }
+            for (i, hash) in leaves[base..].iter().enumerate() {
+                locations.entry(*hash).or_insert(location(i));
+            }
         }
         ImageBaseline {
             digest: image.compute_digest(),
             tree: MerkleTree::from_leaf_hashes(leaves),
-            chunks,
+            chunks: mem.chunk_count(),
             locations,
         }
     }
@@ -128,14 +148,21 @@ impl ImageBaseline {
         self.digest
     }
 
+    /// SHA-256 of every leaf of a fresh machine's two stores, in the order
+    /// of [`crate::Machine::stores`]: memory chunks, then disk blocks.
+    pub fn leaf_hashes(&self) -> [&[Digest]; 2] {
+        let (chunks, blocks) = self.tree.leaves()[STATE_HEADER_LEAVES..].split_at(self.chunks);
+        [chunks, blocks]
+    }
+
     /// SHA-256 of every memory chunk of a fresh machine, in chunk order.
     pub fn chunk_hashes(&self) -> &[Digest] {
-        &self.tree.leaves()[STATE_HEADER_LEAVES..STATE_HEADER_LEAVES + self.chunks]
+        self.leaf_hashes()[0]
     }
 
     /// SHA-256 of every disk block of a fresh machine, in block order.
     pub fn block_hashes(&self) -> &[Digest] {
-        &self.tree.leaves()[STATE_HEADER_LEAVES + self.chunks..]
+        self.leaf_hashes()[1]
     }
 
     /// The first place a fresh machine holds content hashing to `digest`
@@ -256,8 +283,7 @@ impl VmImage {
     }
 
     /// Guest RAM as a fresh machine holds it: zeros, with a bytecode image's
-    /// program at its load address.  The dirty bits name the chunks the
-    /// program covers.
+    /// program at its load address (whose chunks are left marked dirty).
     pub(crate) fn initial_memory(&self) -> VmResult<GuestMemory> {
         let mut mem = GuestMemory::new(self.mem_size);
         if let ImageKind::Bytecode {
@@ -364,7 +390,7 @@ mod tests {
     use super::*;
     use crate::machine::Machine;
     use crate::native::{GuestCtx, GuestStep};
-    use crate::StopCondition;
+    use crate::{StopCondition, CHUNK_SIZE};
 
     struct CountKernel {
         n: u64,

@@ -7,10 +7,14 @@
 //! deterministically from a snapshot.  This crate provides the equivalent
 //! machine model for the reproduction:
 //!
-//! * [`mem::GuestMemory`] — paged guest RAM with dirty-page tracking (the
-//!   basis for incremental snapshots),
-//! * [`devices`] — a virtual clock, NIC, block disk, local-input device and
-//!   console behind a single [`devices::DeviceState`],
+//! * [`store::LeafStore`] — the hashed, dirty-tracked, lazily resident byte
+//!   array that is both guest RAM and the disk (the basis for incremental
+//!   snapshots, state roots and on-demand audits),
+//! * [`mem::GuestMemory`] — guest RAM: a store in 512 B chunks behind byte,
+//!   scalar and page views,
+//! * [`devices`] — a virtual clock, NIC, block disk (a store in 4 KiB
+//!   blocks), local-input device and console behind a single
+//!   [`devices::DeviceState`],
 //! * [`bytecode`] — a small RISC-like ISA, an assembler and an interpreting
 //!   CPU, for guests expressed as machine code,
 //! * [`native`] — deterministic "guest kernels" written in Rust against the
@@ -37,6 +41,7 @@ pub mod machine;
 pub mod mem;
 pub mod native;
 pub mod packet;
+pub mod store;
 
 pub use error::VmError;
 pub use exit::{StopCondition, VmExit};
@@ -44,3 +49,4 @@ pub use image::{GuestRegistry, ImageKind, VmImage, STATE_HEADER_LEAVES};
 pub use machine::{Machine, MachineConfig};
 pub use mem::{GuestMemory, CHUNKS_PER_PAGE, CHUNK_SIZE, PAGE_SIZE};
 pub use native::{GuestCtx, GuestKernel, GuestStep};
+pub use store::LeafStore;

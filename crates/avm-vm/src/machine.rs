@@ -9,6 +9,7 @@ use crate::error::{VmError, VmResult};
 use crate::exit::{StopCondition, VmExit};
 use crate::image::{GuestRegistry, ImageKind, VmImage};
 use crate::mem::GuestMemory;
+use crate::store::LeafStore;
 
 /// Result of a single CPU step, produced by a [`CpuCore`] implementation.
 #[derive(Debug)]
@@ -110,9 +111,9 @@ impl Machine {
     /// Instantiates a machine from a VM image, using `registry` to resolve
     /// native guest programs.
     ///
-    /// The chunk and block hash caches start out filled from the image's
-    /// baseline ([`VmImage::baseline`]), so nothing downstream ever hashes
-    /// state that is still what the image put there.
+    /// Both stores' hash slots start out filled from the image's baseline
+    /// ([`VmImage::baseline`]), so nothing downstream ever hashes state that
+    /// is still what the image put there.
     pub fn from_image(image: &VmImage, registry: &GuestRegistry) -> VmResult<Machine> {
         let cpu: Box<dyn CpuCore> = match image.kind() {
             ImageKind::Bytecode {
@@ -129,13 +130,16 @@ impl Machine {
                 Box::new(crate::native::NativeCpu::new(kernel))
             }
         };
-        let mut mem = image.initial_memory()?;
-        mem.clear_dirty();
-        let mut dev = DeviceState::new(image.disk());
-        let baseline = image.baseline();
-        mem.seed_chunk_hashes(baseline.chunk_hashes());
-        dev.disk.seed_block_hashes(baseline.block_hashes());
-        Ok(Machine::assemble(mem, dev, cpu))
+        let (mem, dev) = (image.initial_memory()?, DeviceState::new(image.disk()));
+        let mut machine = Machine::assemble(mem, dev, cpu);
+        let hashes = image.baseline().leaf_hashes();
+        for (store, hashes) in machine.stores_mut().into_iter().zip(hashes) {
+            // Loading the program marked its chunks; a fresh machine has
+            // written nothing yet.
+            store.clear_dirty();
+            store.seed_hashes(hashes);
+        }
+        Ok(machine)
     }
 
     /// Current step counter (total machine steps executed so far).
@@ -174,6 +178,21 @@ impl Machine {
         &mut self.mem
     }
 
+    /// The machine's two leaf stores in the fixed Merkle order: after the
+    /// [`crate::STATE_HEADER_LEAVES`] header leaves of the state tree come
+    /// guest memory's chunks, then the disk's blocks.  This is the one place
+    /// that order is written down; whoever builds, refreshes, captures,
+    /// restores or stages machine state walks it with a running leaf base.
+    pub fn stores(&self) -> [&LeafStore; 2] {
+        [self.mem.leaves(), self.dev.disk.leaves()]
+    }
+
+    /// [`Machine::stores`], mutably (snapshot restore, staging).  The state
+    /// version stays put: store contents appear in no header leaf.
+    pub fn stores_mut(&mut self) -> [&mut LeafStore; 2] {
+        [self.mem.leaves_mut(), self.dev.disk.leaves_mut()]
+    }
+
     /// Immutable access to device state.
     pub fn devices(&self) -> &DeviceState {
         &self.dev
@@ -197,8 +216,9 @@ impl Machine {
     /// of reaching through [`Machine::devices_mut`] (which conservatively
     /// assumes device state may change).
     pub fn clear_dirty_tracking(&mut self) {
-        self.mem.clear_dirty();
-        self.dev.disk.clear_dirty();
+        for store in self.stores_mut() {
+            store.clear_dirty();
+        }
     }
 
     /// Runs the machine until an exit or until `stop` is reached.
@@ -311,11 +331,10 @@ impl Machine {
         h.update(&dev);
         h.update(&self.step_count.to_le_bytes());
         h.update(&[u8::from(self.halted), u8::from(self.waiting_clock)]);
-        for i in 0..self.mem.page_count() {
-            h.update(self.mem.page(i).expect("page in range"));
-        }
-        for i in 0..self.dev.disk.block_count() {
-            h.update(self.dev.disk.block(i).expect("block in range"));
+        for store in self.stores() {
+            for i in 0..store.page_count() {
+                h.update(store.page(i).expect("page in range"));
+            }
         }
         h.finalize()
     }

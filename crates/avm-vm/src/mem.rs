@@ -1,263 +1,75 @@
-//! Paged guest memory with chunk-granular dirty tracking, cached chunk
-//! hashes and chunk-level demand paging for on-demand audits.
+//! Guest RAM: a [`LeafStore`] in 512 B chunks behind byte, scalar and page
+//! views.
 //!
-//! Incremental snapshots (paper §4.4) "only contain the state that has
-//! changed since the last snapshot"; the AVMM therefore needs to know which
-//! state a guest has written.  Tracking whole 4 KiB pages makes an 8-byte
-//! counter bump cost a full page of hashing, storage and transfer, so the
-//! unit of accountability here is the 512 B **chunk** ([`CHUNK_SIZE`],
-//! [`CHUNKS_PER_PAGE`] per page): `GuestMemory` keeps one dirty-chunk bitmask
-//! byte per page that the snapshot machinery reads and clears, and every
-//! layer above — Merkle leaves, snapshot payloads, the content-addressed
-//! pool, the blob transfer protocol — addresses chunks.
-//!
-//! Independently of the dirty bits, every chunk's SHA-256 is memoised: a
-//! cache slot is invalidated by the write path the moment a chunk's contents
-//! change and repopulated lazily by [`GuestMemory::chunk_hash`] (or in bulk,
-//! across a scoped worker pool, by [`GuestMemory::prime_chunk_hashes`]).
-//! Unlike the dirty bits the cache is *never* cleared wholesale — its
-//! validity tracks content changes, not snapshot boundaries — so state-root
-//! computations only rehash chunks written since the previous root, no
-//! matter how often dirty tracking is reset around them.  A machine built
-//! from a [`crate::VmImage`] starts with every slot already filled from the
-//! image's baseline ([`crate::image::ImageBaseline`]), so it never hashes a
-//! chunk that still holds what the image put there.
-//!
-//! # Demand paging (§3.5 on-demand audits)
-//!
-//! An auditor "can either download an entire snapshot or incrementally
-//! request the parts of the state that are accessed during replay" (paper
-//! §3.5).  [`GuestMemory::stage_lazy_chunk`] supports the second mode: a
-//! staged chunk carries its authentic at-snapshot contents *beside* the page
-//! array together with the content hash, and the contents are installed
-//! ("faulted in") the moment the guest first reads or writes any byte of the
-//! chunk.  Until then the page array holds whatever the local reference
-//! image produced, while [`GuestMemory::chunk_hash`] already reports the
-//! staged (authentic) hash — so Merkle state roots are correct at every
-//! point even though untouched contents were never transferred.  Faulting at
-//! chunk rather than page granularity is what makes sparse replays cheap: a
-//! guest that reads 8 bytes pulls 512 bytes over the wire, not 4096.
-//! [`GuestMemory::faulted_chunks`] records the first-touch order; the audit
-//! layer turns it into the exact set of blobs the auditor had to download.
-//!
-//! Residency is a **slot**, not a probe.  Staged contents live in one table
-//! indexed by chunk number (`StagedSlots`, shared with [`crate::devices::Disk`]
-//! where the index is a block number): a slot holding contents means "this
-//! chunk is not resident yet", an empty slot means "the page array is
-//! authoritative".  The table does not exist until something is staged and a
-//! live count sits beside it, so the question every guest access asks — "is
-//! any chunk I touch staged?" — costs one compare on a fully resident
-//! machine (the bare and recording paths) and one indexed load per touched
-//! chunk on a partially resident one.  The access path does no hashing and
-//! no search, which is why an on-demand replay runs at the bare
-//! interpreter's speed however many chunks are staged and never touched.
-//!
-//! Caveat: while chunks remain staged, [`GuestMemory::page`] /
-//! [`GuestMemory::chunk`] (raw contents) return the stale local bytes.  Root
-//! computations must therefore go through the hash cache (as
-//! [`GuestMemory::chunk_hash`] and the state-tree builders do), never
-//! through re-hashing raw contents.
+//! Everything about how guest memory is hashed, dirty-tracked and faulted in
+//! is the store's ([`crate::store`]); what is memory's own is the leaf size —
+//! the 512 B **chunk** ([`CHUNK_SIZE`], [`CHUNKS_PER_PAGE`] per page), so an
+//! 8-byte counter bump costs one chunk of hashing, storage and transfer
+//! rather than a 4 KiB page, and a sparse replay that reads 8 bytes pulls 512
+//! over the wire, not 4096 — the scalar helpers the CPUs use, whole-page
+//! restore, and [`VmError::MemoryOutOfRange`], which a zero-length access
+//! never earns wherever it points.
 
-use std::cell::RefCell;
-
-use avm_crypto::parallel::sha256_batch;
-use avm_crypto::sha256::{sha256, Digest};
+use avm_crypto::sha256::Digest;
 
 use crate::error::{VmError, VmResult};
+use crate::store::LeafStore;
 
-/// Guest page size in bytes (4 KiB, matching a commodity PC).
-pub const PAGE_SIZE: usize = 4096;
+pub use crate::store::PAGE_SIZE;
 
 /// Dirty-tracking and transfer granularity: one eighth of a page.
 pub const CHUNK_SIZE: usize = 512;
 
-/// Chunks per page; the per-page dirty bitmask is exactly one byte.
+/// Chunks per page.
 pub const CHUNKS_PER_PAGE: usize = PAGE_SIZE / CHUNK_SIZE;
-
-// The dirty bitmask is a `u8` per page (`1 << (chunk % CHUNKS_PER_PAGE)`,
-// `0xff` = all dirty); changing the chunk geometry past 8 chunks per page
-// must widen it, so fail the build rather than silently alias dirty bits.
-const _: () = assert!(CHUNKS_PER_PAGE <= 8, "dirty bitmask is u8-per-page");
-
-/// Staged-for-demand-paging contents, one slot per chunk (guest memory) or
-/// block (disk), indexed by its number — see the module docs, § "Demand
-/// paging".  `Some` = staged and not yet touched.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct StagedSlots {
-    /// Empty until the first [`StagedSlots::stage`], then one slot per unit.
-    slots: Vec<Option<Vec<u8>>>,
-    /// Number of occupied slots.
-    live: usize,
-}
-
-impl StagedSlots {
-    /// True when nothing is staged: the whole answer on a resident machine.
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Number of staged units not yet taken.
-    pub(crate) fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Stages `content` for unit `idx` of `units` (the caller has checked
-    /// `idx < units`), replacing what was staged there.
-    pub(crate) fn stage(&mut self, idx: usize, content: Vec<u8>, units: usize) {
-        if self.slots.is_empty() {
-            self.slots.resize_with(units, || None);
-        }
-        if self.slots[idx].replace(content).is_none() {
-            self.live += 1;
-        }
-    }
-
-    /// Empties slot `idx`, handing back what was staged there.
-    #[inline]
-    pub(crate) fn take(&mut self, idx: usize) -> Option<Vec<u8>> {
-        let content = self.slots.get_mut(idx)?.take()?;
-        self.live -= 1;
-        Some(content)
-    }
-}
 
 /// Byte-addressable guest RAM divided into [`PAGE_SIZE`] pages, dirty-tracked
 /// and content-addressed in [`CHUNK_SIZE`] chunks.
 #[derive(Debug, Clone)]
 pub struct GuestMemory {
-    pages: Vec<Box<[u8; PAGE_SIZE]>>,
-    /// One bitmask byte per page: bit `c` set = chunk `c` of that page was
-    /// written since the last [`GuestMemory::clear_dirty`].
-    dirty: Vec<u8>,
-    /// Lazily filled SHA-256 per chunk; a slot is reset to `None` whenever
-    /// the chunk is written (interior mutability so reads can fill it).
-    hash_cache: RefCell<Vec<Option<Digest>>>,
-    /// Authentic contents staged for demand paging, one slot per chunk;
-    /// installed into `pages` on first access (see the module docs).
-    staged: StagedSlots,
-    /// Chunk indices installed from `staged`, in first-touch order.
-    faulted: Vec<usize>,
+    store: LeafStore,
 }
 
 impl GuestMemory {
     /// Allocates zeroed guest memory of `size` bytes (rounded up to whole pages).
     pub fn new(size: u64) -> GuestMemory {
-        let n_pages = (size as usize).div_ceil(PAGE_SIZE).max(1);
         GuestMemory {
-            pages: (0..n_pages).map(|_| Box::new([0u8; PAGE_SIZE])).collect(),
-            dirty: vec![0; n_pages],
-            hash_cache: RefCell::new(vec![None; n_pages * CHUNKS_PER_PAGE]),
-            staged: StagedSlots::default(),
-            faulted: Vec::new(),
+            store: LeafStore::new(size, CHUNK_SIZE, "chunk"),
         }
     }
 
-    /// Fills every hash-cache slot from `hashes`, one per chunk.
-    ///
-    /// Only [`crate::Machine::from_image`] calls this, on memory it has just
-    /// built, with the hashes the image's baseline derived from identical
-    /// contents ([`crate::image::ImageBaseline`]).  From then on the slots
-    /// obey the cache's one rule — a write empties the slot — so a seeded
-    /// machine rehashes what was written and nothing else.
-    pub(crate) fn seed_chunk_hashes(&mut self, hashes: &[Digest]) {
-        assert_eq!(hashes.len(), self.chunk_count(), "one hash per chunk");
-        for (slot, hash) in self.hash_cache.get_mut().iter_mut().zip(hashes) {
-            *slot = Some(*hash);
-        }
+    /// The store behind this memory: its chunks are the memory leaves of the
+    /// Merkle state tree.
+    pub fn leaves(&self) -> &LeafStore {
+        &self.store
+    }
+
+    /// Mutable access to the store (snapshot restore and staging).
+    pub fn leaves_mut(&mut self) -> &mut LeafStore {
+        &mut self.store
     }
 
     /// Total memory size in bytes.
     pub fn size(&self) -> u64 {
-        (self.pages.len() * PAGE_SIZE) as u64
+        self.store.size()
     }
 
     /// Number of pages.
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.store.page_count()
     }
 
     /// Number of chunks ([`CHUNKS_PER_PAGE`] per page) — the memory leaf
     /// count of the Merkle state tree.
     pub fn chunk_count(&self) -> usize {
-        self.pages.len() * CHUNKS_PER_PAGE
+        self.store.leaf_count()
     }
 
-    fn check(&self, addr: u64, len: usize) -> VmResult<()> {
-        if len == 0 {
-            return Ok(());
-        }
-        let end = addr
-            .checked_add(len as u64)
-            .ok_or(VmError::MemoryOutOfRange {
-                addr,
-                len,
-                mem_size: self.size(),
-            })?;
-        if end > self.size() {
-            return Err(VmError::MemoryOutOfRange {
-                addr,
-                len,
-                mem_size: self.size(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Installs any staged chunks overlapping `[addr, addr+len)` (demand
-    /// paging, see the module docs).  Touching a staged chunk replaces the
-    /// stale local contents with the authentic staged bytes *before* the
-    /// access proceeds, and records the chunk in the fault list.  Out-of-range
-    /// addresses are ignored here; the caller's bounds check reports them.
-    ///
-    /// When the access is a write, chunks the range *fully* covers are about
-    /// to be overwritten wholesale — their staged contents are never needed,
-    /// so staging is dropped without recording a fault (no transfer), like
-    /// [`GuestMemory::set_chunk_from_slice`] does.  Only partially-covered
-    /// chunks need the authentic surrounding bytes faulted in.
-    fn fault_in_range(&mut self, addr: u64, len: usize, overwrite: bool) {
-        if self.staged.is_empty() || len == 0 {
-            return;
-        }
-        let start = addr as usize;
-        let Some(end) = start.checked_add(len - 1) else {
-            return;
-        };
-        let first = start / CHUNK_SIZE;
-        let last = (end / CHUNK_SIZE).min(self.chunk_count().saturating_sub(1));
-        for c in first..=last {
-            let fully_covered = start <= c * CHUNK_SIZE && (c + 1) * CHUNK_SIZE <= end + 1;
-            if overwrite && fully_covered {
-                // Wholesale overwrite supersedes the staged contents without
-                // needing them: no fault, no transfer.
-                self.staged.take(c);
-                continue;
-            }
-            if let Some(content) = self.staged.take(c) {
-                let page = c / CHUNKS_PER_PAGE;
-                let off = (c % CHUNKS_PER_PAGE) * CHUNK_SIZE;
-                self.pages[page][off..off + CHUNK_SIZE].copy_from_slice(&content);
-                self.faulted.push(c);
-                // The hash cache keeps the hash seeded at staging time: the
-                // installed contents equal it by construction.  The dirty
-                // bit stays untouched — the chunk equals its at-snapshot
-                // contents, nothing changed since the capture point.
-            }
-        }
-    }
-
-    /// Marks the chunks covering `[addr, addr+len)` dirty and invalidates
-    /// their cached hashes (the write path's bookkeeping).
-    fn mark_written(&mut self, addr: u64, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = addr as usize / CHUNK_SIZE;
-        let last = (addr as usize + len - 1) / CHUNK_SIZE;
-        let cache = self.hash_cache.get_mut();
-        for (c, slot) in cache.iter_mut().enumerate().take(last + 1).skip(first) {
-            self.dirty[c / CHUNKS_PER_PAGE] |= 1 << (c % CHUNKS_PER_PAGE);
-            *slot = None;
+    fn out_of_range(&self, addr: u64, len: usize) -> VmError {
+        VmError::MemoryOutOfRange {
+            addr,
+            len,
+            mem_size: self.size(),
         }
     }
 
@@ -267,39 +79,16 @@ impl GuestMemory {
     /// [`GuestMemory::stage_lazy_chunk`]); for fully resident memory it
     /// mutates nothing.
     pub fn read(&mut self, addr: u64, buf: &mut [u8]) -> VmResult<()> {
-        self.check(addr, buf.len())?;
-        self.fault_in_range(addr, buf.len(), false);
-        let mut offset = addr as usize;
-        let mut copied = 0usize;
-        while copied < buf.len() {
-            let page = offset / PAGE_SIZE;
-            let in_page = offset % PAGE_SIZE;
-            let n = (PAGE_SIZE - in_page).min(buf.len() - copied);
-            buf[copied..copied + n].copy_from_slice(&self.pages[page][in_page..in_page + n]);
-            copied += n;
-            offset += n;
-        }
-        Ok(())
+        self.store
+            .read(addr, buf)
+            .ok_or_else(|| self.out_of_range(addr, buf.len()))
     }
 
     /// Writes `data` starting at `addr`, marking touched chunks dirty.
     pub fn write(&mut self, addr: u64, data: &[u8]) -> VmResult<()> {
-        self.check(addr, data.len())?;
-        // A partial-chunk write needs the authentic surrounding bytes faulted
-        // in; fully-overwritten staged chunks are dropped fault-free.
-        self.fault_in_range(addr, data.len(), true);
-        let mut offset = addr as usize;
-        let mut copied = 0usize;
-        while copied < data.len() {
-            let page = offset / PAGE_SIZE;
-            let in_page = offset % PAGE_SIZE;
-            let n = (PAGE_SIZE - in_page).min(data.len() - copied);
-            self.pages[page][in_page..in_page + n].copy_from_slice(&data[copied..copied + n]);
-            copied += n;
-            offset += n;
-        }
-        self.mark_written(addr, data.len());
-        Ok(())
+        self.store
+            .write(addr, data)
+            .ok_or_else(|| self.out_of_range(addr, data.len()))
     }
 
     /// Reads a vector of `len` bytes at `addr`.
@@ -335,37 +124,25 @@ impl GuestMemory {
 
     /// Returns the raw contents of page `idx`.
     pub fn page(&self, idx: usize) -> Option<&[u8; PAGE_SIZE]> {
-        self.pages.get(idx).map(|p| p.as_ref())
+        self.store.page(idx)
     }
 
     /// Returns the raw contents of chunk `idx` (a [`CHUNK_SIZE`] slice).
     pub fn chunk(&self, idx: usize) -> Option<&[u8]> {
-        let page = self.pages.get(idx / CHUNKS_PER_PAGE)?;
-        let off = (idx % CHUNKS_PER_PAGE) * CHUNK_SIZE;
-        Some(&page[off..off + CHUNK_SIZE])
+        self.store.leaf(idx)
     }
 
-    /// Overwrites page `idx` wholesale (used when restoring snapshots).
-    pub fn set_page(&mut self, idx: usize, data: &[u8; PAGE_SIZE]) -> VmResult<()> {
-        self.set_page_from_slice(idx, data)
-    }
-
-    /// Overwrites page `idx` from a slice that must be exactly one page long.
-    ///
-    /// Same as [`GuestMemory::set_page`] but avoids forcing callers holding a
-    /// `Vec<u8>` through an intermediate fixed-size array copy.
+    /// Overwrites page `idx` wholesale from a slice that must be exactly one
+    /// page long.
     pub fn set_page_from_slice(&mut self, idx: usize, data: &[u8]) -> VmResult<()> {
         if data.len() != PAGE_SIZE {
             return Err(VmError::CorruptState("snapshot page has wrong size"));
         }
-        if idx >= self.pages.len() {
+        if idx >= self.page_count() {
             return Err(VmError::CorruptState("snapshot page index out of range"));
         }
-        for c in 0..CHUNKS_PER_PAGE {
-            self.set_chunk_from_slice(
-                idx * CHUNKS_PER_PAGE + c,
-                &data[c * CHUNK_SIZE..(c + 1) * CHUNK_SIZE],
-            )?;
+        for (c, chunk) in data.chunks_exact(CHUNK_SIZE).enumerate() {
+            self.set_chunk_from_slice(idx * CHUNKS_PER_PAGE + c, chunk)?;
         }
         Ok(())
     }
@@ -373,132 +150,62 @@ impl GuestMemory {
     /// Overwrites chunk `idx` from a slice that must be exactly
     /// [`CHUNK_SIZE`] long (the snapshot-restore unit).
     pub fn set_chunk_from_slice(&mut self, idx: usize, data: &[u8]) -> VmResult<()> {
-        if data.len() != CHUNK_SIZE {
-            return Err(VmError::CorruptState("snapshot chunk has wrong size"));
-        }
-        if idx >= self.chunk_count() {
-            return Err(VmError::CorruptState("snapshot chunk index out of range"));
-        }
-        let page = idx / CHUNKS_PER_PAGE;
-        let off = (idx % CHUNKS_PER_PAGE) * CHUNK_SIZE;
-        self.pages[page][off..off + CHUNK_SIZE].copy_from_slice(data);
-        // A wholesale overwrite supersedes any staged contents without
-        // needing them — drop the staging, record no fault.
-        self.staged.take(idx);
-        self.dirty[page] |= 1 << (idx % CHUNKS_PER_PAGE);
-        self.hash_cache.get_mut()[idx] = None;
-        Ok(())
+        let refused = if data.len() != CHUNK_SIZE {
+            "snapshot chunk has wrong size"
+        } else {
+            "snapshot chunk index out of range"
+        };
+        self.store
+            .set_leaf(idx, data)
+            .ok_or(VmError::CorruptState(refused))
     }
 
     /// SHA-256 of chunk `idx` contents, memoised until the chunk is written.
     pub fn chunk_hash(&self, idx: usize) -> Option<Digest> {
-        let chunk = self.chunk(idx)?;
-        let mut cache = self.hash_cache.borrow_mut();
-        if let Some(h) = cache[idx] {
-            return Some(h);
-        }
-        let h = sha256(chunk);
-        cache[idx] = Some(h);
-        Some(h)
-    }
-
-    /// Fills the hash-cache slots for `indices` that are currently empty,
-    /// hashing the missing chunks across the scoped worker pool
-    /// ([`avm_crypto::parallel::sha256_batch`]).  Out-of-range indices are
-    /// ignored; subsequent [`GuestMemory::chunk_hash`] calls for primed
-    /// indices are pure cache hits.
-    pub fn prime_chunk_hashes(&self, indices: &[usize]) {
-        let mut cache = self.hash_cache.borrow_mut();
-        let missing: Vec<usize> = indices
-            .iter()
-            .copied()
-            .filter(|&i| i < cache.len() && cache[i].is_none())
-            .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let inputs: Vec<&[u8]> = missing
-            .iter()
-            .map(|&i| self.chunk(i).expect("chunk in range"))
-            .collect();
-        for (i, digest) in missing.iter().zip(sha256_batch(&inputs)) {
-            cache[*i] = Some(digest);
-        }
+        self.store.leaf_hash(idx)
     }
 
     /// Indices of chunks written since the last [`GuestMemory::clear_dirty`],
     /// in ascending order.
     pub fn dirty_chunks(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (p, &mask) in self.dirty.iter().enumerate() {
-            if mask == 0 {
-                continue;
-            }
-            for c in 0..CHUNKS_PER_PAGE {
-                if mask & (1 << c) != 0 {
-                    out.push(p * CHUNKS_PER_PAGE + c);
-                }
-            }
-        }
-        out
-    }
-
-    /// Indices of pages with at least one dirty chunk, in ascending order.
-    pub fn dirty_pages(&self) -> Vec<usize> {
-        self.dirty
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &m)| if m != 0 { Some(i) } else { None })
-            .collect()
+        self.store.dirty_leaves()
     }
 
     /// Clears all dirty bits.
     pub fn clear_dirty(&mut self) {
-        self.dirty.iter_mut().for_each(|d| *d = 0);
+        self.store.clear_dirty();
     }
-
-    /// Marks every chunk dirty (used after a wholesale restore).
-    pub fn mark_all_dirty(&mut self) {
-        self.dirty.iter_mut().for_each(|d| *d = 0xff);
-    }
-
-    // --- Demand paging (on-demand audits, §3.5) --------------------------
 
     /// Stages authentic contents for chunk `idx` to be installed on first
-    /// access, and seeds the hash cache with `hash` so state roots computed
-    /// before the chunk is touched already reflect the staged contents.
-    ///
-    /// The caller is responsible for `hash` being the SHA-256 of `content`
-    /// (the audit layer verifies this before staging — it is the same check
-    /// a downloaded blob gets).  The dirty bit is not set: a staged chunk
-    /// *is* the at-snapshot state, merely not transferred yet.
+    /// access, under the hash state roots report for it until then
+    /// ([`LeafStore::stage_lazy`]).
     pub fn stage_lazy_chunk(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> VmResult<()> {
-        if content.len() != CHUNK_SIZE {
-            return Err(VmError::CorruptState("staged chunk has wrong size"));
-        }
-        if idx >= self.chunk_count() {
-            return Err(VmError::CorruptState("staged chunk index out of range"));
-        }
-        self.hash_cache.get_mut()[idx] = Some(hash);
-        self.staged.stage(idx, content, self.chunk_count());
-        Ok(())
+        let refused = if content.len() != CHUNK_SIZE {
+            "staged chunk has wrong size"
+        } else {
+            "staged chunk index out of range"
+        };
+        self.store
+            .stage_lazy(idx, content, hash)
+            .ok_or(VmError::CorruptState(refused))
     }
 
     /// Chunk indices faulted in from staging so far, in first-touch order.
     pub fn faulted_chunks(&self) -> &[usize] {
-        &self.faulted
+        self.store.faulted()
     }
 
     /// Number of staged chunks not yet touched (their contents were never
     /// needed, hence never transferred).
     pub fn staged_chunk_count(&self) -> usize {
-        self.staged.len()
+        self.store.staged_count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avm_crypto::sha256::sha256;
 
     #[test]
     fn zeroed_on_creation() {
@@ -526,12 +233,11 @@ mod tests {
         mem.write(addr, &data).unwrap();
         assert_eq!(mem.read_vec(addr, 64).unwrap(), data);
         // Exactly the last chunk of page 0 and the first chunk of page 1 are
-        // dirty; both pages report dirty, the third does not.
+        // dirty.
         assert_eq!(
             mem.dirty_chunks(),
             vec![CHUNKS_PER_PAGE - 1, CHUNKS_PER_PAGE]
         );
-        assert_eq!(mem.dirty_pages(), vec![0, 1]);
     }
 
     #[test]
@@ -540,7 +246,6 @@ mod tests {
         // 8 bytes inside chunk 3 of page 0.
         mem.write_u64(3 * CHUNK_SIZE as u64 + 16, 7).unwrap();
         assert_eq!(mem.dirty_chunks(), vec![3]);
-        assert_eq!(mem.dirty_pages(), vec![0]);
         // A write spanning the chunk boundary dirties both chunks.
         mem.clear_dirty();
         mem.write(CHUNK_SIZE as u64 - 2, &[1, 2, 3, 4]).unwrap();
@@ -555,8 +260,21 @@ mod tests {
             VmError::MemoryOutOfRange { .. }
         ));
         assert!(mem.write(u64::MAX - 1, &[1, 2, 3]).is_err());
-        // Zero-length access at the end is fine.
-        mem.write(PAGE_SIZE as u64, &[]).unwrap();
+    }
+
+    /// A zero-length access is fine wherever it points, and touches nothing.
+    #[test]
+    fn zero_length_access_is_ok_anywhere_and_touches_nothing() {
+        let mut mem = GuestMemory::new(PAGE_SIZE as u64);
+        let staged = vec![5u8; CHUNK_SIZE];
+        mem.stage_lazy_chunk(1, staged.clone(), sha256(&staged))
+            .unwrap();
+        for addr in [0, CHUNK_SIZE as u64, PAGE_SIZE as u64, u64::MAX] {
+            mem.write(addr, &[]).unwrap();
+            assert_eq!(mem.read_vec(addr, 0).unwrap(), Vec::<u8>::new());
+        }
+        assert!(mem.dirty_chunks().is_empty() && mem.faulted_chunks().is_empty());
+        assert_eq!(mem.staged_chunk_count(), 1);
     }
 
     #[test]
@@ -575,8 +293,6 @@ mod tests {
         assert_eq!(mem.dirty_chunks(), vec![2 * CHUNKS_PER_PAGE]);
         mem.clear_dirty();
         assert!(mem.dirty_chunks().is_empty());
-        mem.mark_all_dirty();
-        assert_eq!(mem.dirty_chunks().len(), 4 * CHUNKS_PER_PAGE);
     }
 
     #[test]
@@ -628,7 +344,7 @@ mod tests {
         // slot that still answers with its marker was provably not rehashed.
         let marker = |i: usize| sha256(&(i as u64).to_le_bytes());
         let seeds: Vec<Digest> = (0..mem.chunk_count()).map(marker).collect();
-        mem.seed_chunk_hashes(&seeds);
+        mem.leaves_mut().seed_hashes(&seeds);
         mem.write(3 * CHUNK_SIZE as u64 - 1, &[1, 2]).unwrap();
         for i in 0..mem.chunk_count() {
             let expected = match i {
@@ -647,7 +363,7 @@ mod tests {
         // Out-of-range indices are ignored, not a panic.
         let mut with_oob = all.clone();
         with_oob.push(mem.chunk_count() + 10);
-        mem.prime_chunk_hashes(&with_oob);
+        mem.leaves().prime_hashes(&with_oob);
         for i in all {
             assert_eq!(mem.chunk_hash(i).unwrap(), sha256(mem.chunk(i).unwrap()));
         }
@@ -659,10 +375,10 @@ mod tests {
         let mut page = [0u8; PAGE_SIZE];
         page[0] = 0xaa;
         page[PAGE_SIZE - 1] = 0xbb;
-        mem.set_page(1, &page).unwrap();
+        mem.set_page_from_slice(1, &page).unwrap();
         assert_eq!(mem.read_u8(PAGE_SIZE as u64).unwrap(), 0xaa);
         assert_eq!(mem.read_u8(2 * PAGE_SIZE as u64 - 1).unwrap(), 0xbb);
-        assert!(mem.set_page(9, &page).is_err());
+        assert!(mem.set_page_from_slice(9, &page).is_err());
     }
 
     #[test]

@@ -1,0 +1,420 @@
+//! The leaf store: one hashed, dirty-tracked, lazily resident byte array.
+//!
+//! An AVM's state is committed as *one* hash tree over memory and disk (paper
+//! §4.4) and an auditor may fault that state in piece by piece (§3.5).  Guest
+//! RAM and the virtual disk are therefore the same container with a different
+//! leaf size, and [`LeafStore`] is that container, written once:
+//! [`crate::GuestMemory`] (512 B chunks) and [`crate::devices::Disk`] (4 KiB
+//! blocks) each wrap one and add only what is theirs, and every layer above
+//! walks [`crate::Machine::stores`] instead of naming chunks and blocks.
+//!
+//! Contents sit in boxed [`PAGE_SIZE`] pages; a **leaf** is a power-of-two
+//! fraction of a page, so it never straddles two.  Per leaf the store keeps
+//! three things, each with one rule.
+//!
+//! # Dirty bits
+//!
+//! Incremental snapshots "only contain the state that has changed since the
+//! last snapshot" (§4.4), so the AVMM must know which state a guest wrote.
+//! Every write path sets the bit of each leaf it covers;
+//! [`LeafStore::dirty_leaves`] reads them and [`LeafStore::clear_dirty`]
+//! resets them at a capture point.  Tracking guest memory in 512 B leaves
+//! rather than whole pages is what makes an 8-byte counter bump cost one
+//! chunk of hashing, storage and transfer instead of eight.
+//!
+//! # Hash slots
+//!
+//! Independently of the dirty bits, every leaf's SHA-256 is memoised: a slot
+//! is emptied by the write path the moment the leaf's contents change and
+//! refilled lazily by [`LeafStore::leaf_hash`] (or in bulk, across the scoped
+//! worker pool, by [`LeafStore::prime_hashes`]).  Unlike the dirty bits the
+//! slots are *never* cleared wholesale — their validity tracks content
+//! changes, not snapshot boundaries — so a state root rehashes only what was
+//! written since the previous root, however often dirty tracking is reset in
+//! between.  A machine built from a [`crate::VmImage`] starts with every slot
+//! filled from the image's baseline ([`crate::image::ImageBaseline`]), so it
+//! never hashes a leaf that still holds what the image put there.
+//!
+//! # Residency (§3.5 on-demand audits)
+//!
+//! An auditor "can either download an entire snapshot or incrementally
+//! request the parts of the state that are accessed during replay".
+//! [`LeafStore::stage_lazy`] supports the second mode: a staged leaf carries
+//! its authentic at-snapshot contents *beside* the pages together with their
+//! hash, and the contents are installed ("faulted in") the moment the guest
+//! first reads or writes any byte of the leaf.  Until then the pages hold
+//! whatever the local reference image produced, while
+//! [`LeafStore::leaf_hash`] already reports the staged (authentic) hash — so
+//! state roots are correct at every point even though untouched contents
+//! were never transferred.  [`LeafStore::faulted`] records the first-touch
+//! order; the audit layer turns it into the exact set of blobs the auditor
+//! had to download.
+//!
+//! Residency is a **slot**, not a probe.  Staged contents live in a table
+//! indexed by leaf number: an occupied slot means "this leaf is not resident
+//! yet", an empty one means "the pages are authoritative".  The table does
+//! not exist until something is staged and a live count sits beside it, so
+//! the question every guest access asks — "is any leaf I touch staged?" —
+//! costs one compare on a fully resident machine (the bare and recording
+//! paths) and one indexed load per touched leaf on a partially resident one.
+//! The access path does no hashing and no search, which is why an on-demand
+//! replay runs at the bare interpreter's speed however many leaves are
+//! staged and never touched.
+//!
+//! Caveat: while leaves remain staged, [`LeafStore::leaf`] (raw contents)
+//! returns the stale local bytes.  Root computations must go through the
+//! hash slots, never through re-hashing raw contents.
+//!
+//! A zero-length access touches nothing: it faults nothing in, sets no dirty
+//! bit and empties no hash slot, wherever it points.
+
+use std::cell::RefCell;
+
+use avm_crypto::parallel::sha256_batch;
+use avm_crypto::sha256::{sha256, Digest};
+
+/// Allocation granularity of a [`LeafStore`], and the guest page size
+/// (4 KiB, matching a commodity PC).
+pub const PAGE_SIZE: usize = 4096;
+
+/// A byte array in boxed [`PAGE_SIZE`] pages, hashed, dirty-tracked and
+/// demand-paged per leaf — see the module docs for the three contracts.
+#[derive(Debug, Clone)]
+pub struct LeafStore {
+    /// What one leaf is called in an error message ("chunk", "disk block").
+    leaf_name: &'static str,
+    /// log2 of the leaf size, so the access path shifts instead of dividing.
+    leaf_shift: u32,
+    pages: Vec<Box<[u8; PAGE_SIZE]>>,
+    /// Per leaf: written since the last [`LeafStore::clear_dirty`].
+    dirty: Vec<bool>,
+    /// Per leaf: its SHA-256 if known (interior mutability so reads fill it).
+    hashes: RefCell<Vec<Option<Digest>>>,
+    /// Per leaf: authentic contents staged and not yet touched.  Empty until
+    /// the first [`LeafStore::stage_lazy`], then one slot per leaf.
+    staged: Vec<Option<Vec<u8>>>,
+    /// Number of occupied `staged` slots.
+    staged_live: usize,
+    /// Leaves installed from `staged`, in first-touch order.
+    faulted: Vec<usize>,
+}
+
+impl LeafStore {
+    /// A zeroed store of `size` bytes (rounded up to whole pages, at least
+    /// one) in leaves of `leaf_size` bytes, a power of two no larger than a
+    /// page.
+    pub fn new(size: u64, leaf_size: usize, leaf_name: &'static str) -> LeafStore {
+        assert!(
+            leaf_size.is_power_of_two() && leaf_size <= PAGE_SIZE,
+            "a leaf is a power-of-two fraction of a page"
+        );
+        let n_pages = (size as usize).div_ceil(PAGE_SIZE).max(1);
+        let leaves = n_pages * (PAGE_SIZE / leaf_size);
+        LeafStore {
+            leaf_name,
+            leaf_shift: leaf_size.trailing_zeros(),
+            pages: (0..n_pages).map(|_| Box::new([0u8; PAGE_SIZE])).collect(),
+            dirty: vec![false; leaves],
+            hashes: RefCell::new(vec![None; leaves]),
+            staged: Vec::new(),
+            staged_live: 0,
+            faulted: Vec::new(),
+        }
+    }
+
+    /// What one leaf of this store is called in an error message.
+    pub fn leaf_name(&self) -> &'static str {
+        self.leaf_name
+    }
+
+    /// Bytes per leaf.
+    pub fn leaf_size(&self) -> usize {
+        1 << self.leaf_shift
+    }
+
+    /// Number of leaves — this store's share of the Merkle state tree.
+    pub fn leaf_count(&self) -> usize {
+        self.dirty.len()
+    }
+
+    /// Total size in bytes.
+    pub fn size(&self) -> u64 {
+        (self.pages.len() * PAGE_SIZE) as u64
+    }
+
+    /// Number of pages.
+    pub fn page_count(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// The raw contents of page `idx`.
+    pub fn page(&self, idx: usize) -> Option<&[u8; PAGE_SIZE]> {
+        self.pages.get(idx).map(|p| p.as_ref())
+    }
+
+    /// The one bounds check: `[addr, addr + len)` lies inside the store.
+    fn contains(&self, addr: u64, len: usize) -> bool {
+        addr.checked_add(len as u64)
+            .is_some_and(|end| end <= self.size())
+    }
+
+    /// Page number and in-page byte range of leaf `idx` (which may be out of
+    /// range: the page lookup is what rejects it).
+    fn locate(&self, idx: usize) -> (usize, std::ops::Range<usize>) {
+        let per_page_shift = PAGE_SIZE.trailing_zeros() - self.leaf_shift;
+        let off = (idx & ((1 << per_page_shift) - 1)) << self.leaf_shift;
+        (idx >> per_page_shift, off..off + self.leaf_size())
+    }
+
+    /// Empties staging slot `idx`, handing back what was staged there.
+    #[inline]
+    fn take_staged(&mut self, idx: usize) -> Option<Vec<u8>> {
+        let content = self.staged.get_mut(idx)?.take()?;
+        self.staged_live -= 1;
+        Some(content)
+    }
+
+    /// Installs the staged leaves the non-empty, in-range access
+    /// `[addr, addr + len)` touches — replacing the stale local contents with
+    /// the authentic staged bytes *before* the access proceeds — and records
+    /// each in the fault list.
+    ///
+    /// When the access is a write, leaves it *fully* covers are about to be
+    /// overwritten wholesale: their staged contents are never needed, so the
+    /// staging is dropped without a fault (no transfer), as
+    /// [`LeafStore::set_leaf`] does.  Only partially covered leaves need the
+    /// authentic surrounding bytes.
+    fn fault_in_range(&mut self, addr: u64, len: usize, overwrite: bool) {
+        if self.staged_live == 0 {
+            return;
+        }
+        let (start, end) = (addr as usize, addr as usize + len - 1);
+        for idx in start >> self.leaf_shift..=end >> self.leaf_shift {
+            let Some(content) = self.take_staged(idx) else {
+                continue;
+            };
+            let fully_covered =
+                start <= idx << self.leaf_shift && (idx + 1) << self.leaf_shift <= end + 1;
+            if overwrite && fully_covered {
+                continue;
+            }
+            let (page, range) = self.locate(idx);
+            self.pages[page][range].copy_from_slice(&content);
+            self.faulted.push(idx);
+            // The hash slot keeps the hash seeded at staging time: the
+            // installed contents equal it by construction.  The dirty bit
+            // stays untouched — the leaf equals its at-snapshot contents,
+            // nothing changed since the capture point.
+        }
+    }
+
+    /// Reads `buf.len()` bytes at `addr`; `None`, with nothing touched, when
+    /// the range is not inside the store.
+    ///
+    /// Takes `&mut self` because a read may fault in a staged leaf; on a
+    /// fully resident store it mutates nothing.
+    pub(crate) fn read(&mut self, addr: u64, buf: &mut [u8]) -> Option<()> {
+        if buf.is_empty() {
+            return Some(());
+        }
+        if !self.contains(addr, buf.len()) {
+            return None;
+        }
+        self.fault_in_range(addr, buf.len(), false);
+        let mut offset = addr as usize;
+        let mut copied = 0usize;
+        while copied < buf.len() {
+            let page = offset / PAGE_SIZE;
+            let in_page = offset % PAGE_SIZE;
+            let n = (PAGE_SIZE - in_page).min(buf.len() - copied);
+            buf[copied..copied + n].copy_from_slice(&self.pages[page][in_page..in_page + n]);
+            copied += n;
+            offset += n;
+        }
+        Some(())
+    }
+
+    /// Writes `data` at `addr`, setting the dirty bit and emptying the hash
+    /// slot of every leaf it covers; `None`, with nothing touched, when the
+    /// range is not inside the store.
+    pub(crate) fn write(&mut self, addr: u64, data: &[u8]) -> Option<()> {
+        if data.is_empty() {
+            return Some(());
+        }
+        if !self.contains(addr, data.len()) {
+            return None;
+        }
+        self.fault_in_range(addr, data.len(), true);
+        let mut offset = addr as usize;
+        let mut copied = 0usize;
+        while copied < data.len() {
+            let page = offset / PAGE_SIZE;
+            let in_page = offset % PAGE_SIZE;
+            let n = (PAGE_SIZE - in_page).min(data.len() - copied);
+            self.pages[page][in_page..in_page + n].copy_from_slice(&data[copied..copied + n]);
+            copied += n;
+            offset += n;
+        }
+        let first = addr as usize >> self.leaf_shift;
+        let last = (addr as usize + data.len() - 1) >> self.leaf_shift;
+        let marked = self.dirty[first..=last].iter_mut();
+        for (dirty, hash) in marked.zip(&mut self.hashes.get_mut()[first..=last]) {
+            *dirty = true;
+            *hash = None;
+        }
+        Some(())
+    }
+
+    /// The raw contents of leaf `idx` (stale while the leaf is staged).
+    pub fn leaf(&self, idx: usize) -> Option<&[u8]> {
+        let (page, range) = self.locate(idx);
+        Some(&self.pages.get(page)?[range])
+    }
+
+    /// Overwrites leaf `idx` wholesale (the snapshot-restore unit); `None`,
+    /// with nothing changed, unless `idx` is a leaf and `data` is exactly one
+    /// leaf long.
+    pub fn set_leaf(&mut self, idx: usize, data: &[u8]) -> Option<()> {
+        if data.len() != self.leaf_size() {
+            return None;
+        }
+        let (page, range) = self.locate(idx);
+        self.pages.get_mut(page)?[range].copy_from_slice(data);
+        // A wholesale overwrite supersedes any staged contents without
+        // needing them — drop the staging, record no fault.
+        self.take_staged(idx);
+        self.dirty[idx] = true;
+        self.hashes.get_mut()[idx] = None;
+        Some(())
+    }
+
+    /// SHA-256 of leaf `idx`, memoised until the leaf is written.
+    pub fn leaf_hash(&self, idx: usize) -> Option<Digest> {
+        let leaf = self.leaf(idx)?;
+        Some(*self.hashes.borrow_mut()[idx].get_or_insert_with(|| sha256(leaf)))
+    }
+
+    /// Fills the hash slots of `indices` that are empty, hashing the missing
+    /// leaves across the scoped worker pool
+    /// ([`avm_crypto::parallel::sha256_batch`]).  Out-of-range indices are
+    /// ignored; [`LeafStore::leaf_hash`] on a primed index is a pure hit.
+    pub fn prime_hashes(&self, indices: &[usize]) {
+        let mut hashes = self.hashes.borrow_mut();
+        let missing: Vec<usize> = indices
+            .iter()
+            .copied()
+            .filter(|&i| hashes.get(i).is_some_and(Option::is_none))
+            .collect();
+        if missing.is_empty() {
+            return;
+        }
+        let inputs: Vec<&[u8]> = missing
+            .iter()
+            .map(|&i| self.leaf(i).expect("leaf in range"))
+            .collect();
+        for (i, digest) in missing.iter().zip(sha256_batch(&inputs)) {
+            hashes[*i] = Some(digest);
+        }
+    }
+
+    /// Fills every hash slot from `hashes`, one per leaf.
+    ///
+    /// Only [`crate::Machine::from_image`] calls this, on a store it has just
+    /// built, with the hashes the image's baseline derived from identical
+    /// contents.  From then on the slots obey their one rule — a write
+    /// empties the slot — so a seeded machine rehashes what was written and
+    /// nothing else.
+    pub(crate) fn seed_hashes(&mut self, hashes: &[Digest]) {
+        assert_eq!(hashes.len(), self.leaf_count(), "one hash per leaf");
+        for (slot, hash) in self.hashes.get_mut().iter_mut().zip(hashes) {
+            *slot = Some(*hash);
+        }
+    }
+
+    /// Leaves written since the last [`LeafStore::clear_dirty`], ascending.
+    pub fn dirty_leaves(&self) -> Vec<usize> {
+        let dirty = self.dirty.iter().enumerate();
+        dirty.filter_map(|(i, &d)| d.then_some(i)).collect()
+    }
+
+    /// Clears all dirty bits.
+    pub fn clear_dirty(&mut self) {
+        self.dirty.fill(false);
+    }
+
+    /// Stages authentic `content` for leaf `idx`, to be installed on first
+    /// access, and fills its hash slot with `hash` so state roots computed
+    /// before the leaf is touched already reflect the staged contents.
+    /// `None`, with nothing changed, unless `idx` is a leaf and `content` is
+    /// exactly one leaf long.
+    ///
+    /// The caller is responsible for `hash` being the SHA-256 of `content`
+    /// (the audit layer verifies this before staging — it is the same check
+    /// a downloaded blob gets).  The dirty bit is not set: a staged leaf *is*
+    /// the at-snapshot state, merely not transferred yet.
+    pub fn stage_lazy(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> Option<()> {
+        if content.len() != self.leaf_size() || idx >= self.leaf_count() {
+            return None;
+        }
+        self.hashes.get_mut()[idx] = Some(hash);
+        if self.staged.is_empty() {
+            self.staged.resize_with(self.dirty.len(), || None);
+        }
+        if self.staged[idx].replace(content).is_none() {
+            self.staged_live += 1;
+        }
+        Some(())
+    }
+
+    /// Leaves faulted in from staging so far, in first-touch order.
+    pub fn faulted(&self) -> &[usize] {
+        &self.faulted
+    }
+
+    /// Number of staged leaves not yet touched (their contents were never
+    /// needed, hence never transferred).
+    pub fn staged_count(&self) -> usize {
+        self.staged_live
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_leaf_is_a_fraction_of_a_page() {
+        let store = LeafStore::new(PAGE_SIZE as u64 + 1, 1024, "leaf");
+        assert_eq!(
+            (store.size(), store.leaf_count()),
+            (2 * PAGE_SIZE as u64, 8)
+        );
+        assert_eq!(store.leaf_size(), 1024);
+        assert_eq!(store.leaf(7).unwrap().len(), 1024);
+        assert!(store.leaf(8).is_none() && store.leaf_hash(8).is_none());
+        assert_eq!(LeafStore::new(0, PAGE_SIZE, "leaf").leaf_count(), 1);
+        for bad in [0, 768, 2 * PAGE_SIZE] {
+            assert!(std::panic::catch_unwind(|| LeafStore::new(1, bad, "leaf")).is_err());
+        }
+    }
+
+    /// A zero-length access is accepted anywhere and touches nothing; an
+    /// out-of-range one is refused before it touches anything.
+    #[test]
+    fn empty_and_refused_accesses_touch_nothing() {
+        let mut store = LeafStore::new(PAGE_SIZE as u64, 512, "leaf");
+        let marker = sha256(b"staged");
+        store.stage_lazy(7, vec![1; 512], marker).unwrap();
+        for addr in [0, 7 * 512, PAGE_SIZE as u64, u64::MAX] {
+            assert_eq!(store.write(addr, &[]), Some(()));
+            assert_eq!(store.read(addr, &mut []), Some(()));
+        }
+        assert_eq!(store.write(PAGE_SIZE as u64 - 1, &[1, 2]), None);
+        assert_eq!(store.read(u64::MAX, &mut [0]), None);
+        assert!(store.dirty_leaves().is_empty() && store.faulted().is_empty());
+        assert_eq!(
+            (store.staged_count(), store.leaf_hash(7)),
+            (1, Some(marker))
+        );
+    }
+}

@@ -1,22 +1,24 @@
-//! Differential test: the residency slot table of [`GuestMemory`] and
-//! [`Disk`] against the `HashMap` staging it replaced.
+//! Differential test: [`GuestMemory`] and [`Disk`] — two facades over the
+//! one [`LeafStore`] — against a flat, map-staged reference.
 //!
 //! [`Model`] is the reference: flat contents, a `HashMap<usize, Vec<u8>>` of
 //! staged units and the map-probing `fault_in_range` loop exactly as both
-//! types ran it before the table (with the unit size a field instead of a
-//! constant).  After every step of a random sequence everything observable
-//! must agree: bytes read, every `VmError`, first-touch fault order, staged
-//! count, dirty set, every unit's hash and its raw (possibly stale) contents.
+//! types ran it before the slot table (with the unit size a field instead of
+//! a constant).  One driver ([`facade_matches_the_map_model`]) runs a random
+//! step sequence against either facade; after every step everything
+//! observable must agree: bytes read, every `VmError`, first-touch fault
+//! order, staged count, dirty set, every unit's hash and its raw (possibly
+//! stale) contents.
 
 use std::collections::HashMap;
 
 use avm_crypto::sha256::{sha256, Digest};
 use avm_vm::devices::{Disk, DISK_BLOCK_SIZE};
-use avm_vm::{GuestMemory, VmError, CHUNKS_PER_PAGE, CHUNK_SIZE, PAGE_SIZE};
+use avm_vm::{GuestMemory, LeafStore, VmError, CHUNKS_PER_PAGE, CHUNK_SIZE, PAGE_SIZE};
 use proptest::prelude::*;
 
 /// Which type a [`Model`] stands in for: the two differ in their error
-/// values and in how a zero-length access is bounds-checked and marked.
+/// values and in how a zero-length access is bounds-checked.
 #[derive(Debug, Clone, Copy)]
 enum Kind {
     Memory,
@@ -116,11 +118,10 @@ impl Model {
         self.check(addr, bytes.len())?;
         self.fault_in_range(addr, bytes.len(), true);
         self.writes += 1;
-        // `Disk::write` marks the block under a zero-length write; memory
-        // marks nothing.
+        // A zero-length write marks nothing, on either type.
         let marked = match self.kind {
             Kind::Memory => bytes.len(),
-            Kind::Disk => bytes.len().max(1),
+            Kind::Disk => bytes.len(),
         };
         if marked == 0 {
             return Ok(());
@@ -215,7 +216,7 @@ type Step = (u8, usize, usize, u8);
 
 fn step_sequence() -> impl Strategy<Value = Vec<Step>> {
     proptest::collection::vec(
-        (0u8..10, any::<usize>(), any::<usize>(), any::<u8>()),
+        (0u8..11, any::<usize>(), any::<usize>(), any::<u8>()),
         1..48,
     )
 }
@@ -252,166 +253,243 @@ fn staged_unit(unit: usize, a: usize, fill: u8) -> (Vec<u8>, Digest) {
     (vec![fill | 1; len], sha256(&[fill, a as u8]))
 }
 
-fn memory_agrees(mem: &GuestMemory, model: &mut Model) -> Result<(), TestCaseError> {
-    prop_assert_eq!(mem.faulted_chunks(), model.faulted.as_slice());
-    prop_assert_eq!(mem.staged_chunk_count(), model.staged.len());
-    prop_assert_eq!(mem.dirty_chunks(), model.dirty_units());
-    for i in 0..mem.chunk_count() {
-        prop_assert_eq!(mem.chunk_hash(i), Some(model.hash(i)), "chunk {}", i);
-        let raw = &model.data[i * CHUNK_SIZE..(i + 1) * CHUNK_SIZE];
-        prop_assert_eq!(mem.chunk(i), Some(raw), "chunk {}", i);
+/// What the driver needs of a facade: its geometry, its names for the
+/// store's operations, and whatever only it has.
+trait Facade: Clone {
+    const KIND: Kind;
+    const UNIT: usize;
+    const UNITS: usize;
+
+    fn new() -> Self;
+    fn store(&self) -> &LeafStore;
+    fn stage(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> Result<(), VmError>;
+    fn read(&mut self, addr: u64, len: usize) -> Result<Vec<u8>, VmError>;
+    fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), VmError>;
+    fn set_unit(&mut self, idx: usize, content: &[u8]) -> Result<(), VmError>;
+    fn clear_dirty(&mut self);
+
+    /// A 1- or 8-byte read and write; memory has scalar helpers for them.
+    fn read_scalar(&mut self, addr: u64, wide: bool) -> Result<Vec<u8>, VmError> {
+        self.read(addr, if wide { 8 } else { 1 })
+    }
+    fn write_scalar(&mut self, addr: u64, bytes: &[u8]) -> Result<(), VmError> {
+        self.write(addr, bytes)
+    }
+
+    /// Restores page `page` on the facade and the model: eight chunks at
+    /// once for memory, the one block that is a page for the disk.
+    fn set_page(
+        &mut self,
+        model: &mut Model,
+        page: usize,
+        content: &[u8],
+    ) -> [Result<(), VmError>; 2] {
+        [self.set_unit(page, content), model.set_unit(page, content)]
+    }
+
+    /// Observables only this facade has.
+    fn counters_agree(&self, _model: &Model) -> Result<(), TestCaseError> {
+        Ok(())
+    }
+}
+
+impl Facade for GuestMemory {
+    const KIND: Kind = Kind::Memory;
+    const UNIT: usize = CHUNK_SIZE;
+    const UNITS: usize = 3 * CHUNKS_PER_PAGE;
+
+    fn new() -> Self {
+        GuestMemory::new((Self::UNITS * CHUNK_SIZE) as u64)
+    }
+    fn store(&self) -> &LeafStore {
+        self.leaves()
+    }
+    fn stage(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> Result<(), VmError> {
+        self.stage_lazy_chunk(idx, content, hash)
+    }
+    fn read(&mut self, addr: u64, len: usize) -> Result<Vec<u8>, VmError> {
+        self.read_vec(addr, len)
+    }
+    fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), VmError> {
+        GuestMemory::write(self, addr, bytes)
+    }
+    fn set_unit(&mut self, idx: usize, content: &[u8]) -> Result<(), VmError> {
+        self.set_chunk_from_slice(idx, content)
+    }
+    fn clear_dirty(&mut self) {
+        GuestMemory::clear_dirty(self);
+    }
+    fn read_scalar(&mut self, addr: u64, wide: bool) -> Result<Vec<u8>, VmError> {
+        if wide {
+            self.read_u64(addr).map(|v| v.to_le_bytes().to_vec())
+        } else {
+            self.read_u8(addr).map(|v| vec![v])
+        }
+    }
+    fn write_scalar(&mut self, addr: u64, bytes: &[u8]) -> Result<(), VmError> {
+        match bytes.try_into() {
+            Ok(wide) => self.write_u64(addr, u64::from_le_bytes(wide)),
+            Err(_) => self.write_u8(addr, bytes[0]),
+        }
+    }
+    fn set_page(
+        &mut self,
+        model: &mut Model,
+        page: usize,
+        content: &[u8],
+    ) -> [Result<(), VmError>; 2] {
+        [
+            self.set_page_from_slice(page, content),
+            model.set_page(page, content),
+        ]
+    }
+}
+
+impl Facade for Disk {
+    const KIND: Kind = Kind::Disk;
+    const UNIT: usize = DISK_BLOCK_SIZE;
+    const UNITS: usize = 4;
+
+    fn new() -> Self {
+        Disk::new((Self::UNITS * DISK_BLOCK_SIZE) as u64)
+    }
+    fn store(&self) -> &LeafStore {
+        self.leaves()
+    }
+    fn stage(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> Result<(), VmError> {
+        self.stage_lazy_block(idx, content, hash)
+    }
+    fn read(&mut self, addr: u64, len: usize) -> Result<Vec<u8>, VmError> {
+        let mut buf = vec![0u8; len];
+        Disk::read(self, addr, &mut buf).map(|()| buf)
+    }
+    fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), VmError> {
+        Disk::write(self, addr, bytes)
+    }
+    fn set_unit(&mut self, idx: usize, content: &[u8]) -> Result<(), VmError> {
+        self.set_block(idx, content)
+    }
+    fn clear_dirty(&mut self) {
+        Disk::clear_dirty(self);
+    }
+    fn counters_agree(&self, model: &Model) -> Result<(), TestCaseError> {
+        prop_assert_eq!((self.reads, self.writes), (model.reads, model.writes));
+        Ok(())
+    }
+}
+
+/// Every observable of the store behind `facade` against `model`.
+fn agrees<F: Facade>(facade: &F, model: &mut Model) -> Result<(), TestCaseError> {
+    let store = facade.store();
+    prop_assert_eq!(store.faulted(), model.faulted.as_slice());
+    prop_assert_eq!(store.staged_count(), model.staged.len());
+    prop_assert_eq!(store.dirty_leaves(), model.dirty_units());
+    facade.counters_agree(model)?;
+    for i in 0..store.leaf_count() {
+        prop_assert_eq!(store.leaf_hash(i), Some(model.hash(i)), "unit {}", i);
+        let raw = &model.data[i * F::UNIT..(i + 1) * F::UNIT];
+        prop_assert_eq!(store.leaf(i), Some(raw), "unit {}", i);
     }
     Ok(())
 }
 
-fn disk_agrees(disk: &Disk, model: &mut Model) -> Result<(), TestCaseError> {
-    prop_assert_eq!(disk.faulted_blocks(), model.faulted.as_slice());
-    prop_assert_eq!(disk.staged_block_count(), model.staged.len());
-    prop_assert_eq!(disk.dirty_blocks(), model.dirty_units());
-    prop_assert_eq!((disk.reads, disk.writes), (model.reads, model.writes));
-    for i in 0..disk.block_count() {
-        prop_assert_eq!(disk.block_hash(i), Some(model.hash(i)), "block {}", i);
-        let raw = &model.data[i * DISK_BLOCK_SIZE..(i + 1) * DISK_BLOCK_SIZE];
-        prop_assert_eq!(disk.block(i), Some(raw), "block {}", i);
+/// The one driver: a random step sequence on a facade and on its model.
+fn facade_matches_the_map_model<F: Facade>(steps: Vec<Step>) -> Result<(), TestCaseError> {
+    let lens = [
+        0,
+        1,
+        8,
+        11,
+        F::UNIT,
+        F::UNIT + 1,
+        PAGE_SIZE.max(2 * F::UNIT) + 3,
+    ];
+    let mut facade = F::new();
+    let mut model = Model::new(F::KIND, F::UNIT, F::UNITS);
+    // Clones taken mid-sequence, each with the model of that moment: later
+    // steps on the original must not reach them.
+    let mut forks: Vec<(F, Model)> = Vec::new();
+    for (op, a, b, fill) in steps {
+        let addr = address(a, F::UNIT, F::UNITS);
+        let bytes = vec![fill; lens[b % lens.len()]];
+        match op {
+            0 | 1 => {
+                let idx = stage_target(&model, a, b);
+                let (content, hash) = staged_unit(F::UNIT, a, fill);
+                prop_assert_eq!(
+                    facade.stage(idx, content.clone(), hash),
+                    model.stage(idx, content, hash)
+                );
+            }
+            2 => prop_assert_eq!(
+                facade.read(addr, bytes.len()),
+                model.read(addr, bytes.len())
+            ),
+            3 => prop_assert_eq!(facade.write(addr, &bytes), model.write(addr, &bytes)),
+            4 => {
+                let wide = b & 1 == 1;
+                let expected = model.read(addr, if wide { 8 } else { 1 });
+                prop_assert_eq!(facade.read_scalar(addr, wide), expected);
+            }
+            5 => {
+                let value = ((a as u64) << 8 | fill as u64).to_le_bytes();
+                let scalar = &value[..if b & 1 == 1 { 8 } else { 1 }];
+                prop_assert_eq!(facade.write_scalar(addr, scalar), model.write(addr, scalar));
+            }
+            6 => {
+                let idx = a % (F::UNITS + 1);
+                let content = vec![fill; if b % 9 == 8 { F::UNIT + 1 } else { F::UNIT }];
+                prop_assert_eq!(
+                    facade.set_unit(idx, &content),
+                    model.set_unit(idx, &content)
+                );
+            }
+            7 => {
+                let page = a % (F::UNITS * F::UNIT / PAGE_SIZE + 1);
+                let content = vec![fill; if b % 9 == 8 { PAGE_SIZE - 1 } else { PAGE_SIZE }];
+                let [got, expected] = facade.set_page(&mut model, page, &content);
+                prop_assert_eq!(got, expected);
+            }
+            8 => {
+                facade.clear_dirty();
+                model.dirty.fill(false);
+            }
+            9 => {
+                // Prime, then write: a bulk-filled slot is a slot like any
+                // other — a staged marker survives priming, and the write
+                // empties exactly what it covers.
+                let first = a % F::UNITS;
+                let primed = [first, first + 1, F::UNITS + a % 3];
+                facade.store().prime_hashes(&primed);
+                for i in primed.into_iter().filter(|&i| i < F::UNITS) {
+                    model.hash(i);
+                }
+                prop_assert_eq!(facade.write(addr, &bytes), model.write(addr, &bytes));
+            }
+            _ => {
+                let clone = facade.clone();
+                forks.push((std::mem::replace(&mut facade, clone), model.clone()));
+            }
+        }
+        agrees(&facade, &mut model)?;
+    }
+    for (fork, mut fork_model) in forks {
+        agrees(&fork, &mut fork_model)?;
     }
     Ok(())
 }
-
-const MEM_PAGES: usize = 3;
-const MEM_LENS: [usize; 7] = [0, 1, 8, 11, CHUNK_SIZE, CHUNK_SIZE + 1, PAGE_SIZE + 3];
-const DISK_BLOCKS: usize = 4;
-const DISK_LENS: [usize; 7] = [
-    0,
-    1,
-    8,
-    11,
-    DISK_BLOCK_SIZE,
-    DISK_BLOCK_SIZE + 1,
-    2 * DISK_BLOCK_SIZE + 3,
-];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
     #[test]
     fn guest_memory_matches_the_map_model(steps in step_sequence()) {
-        let mut mem = GuestMemory::new((MEM_PAGES * PAGE_SIZE) as u64);
-        let mut model = Model::new(Kind::Memory, CHUNK_SIZE, MEM_PAGES * CHUNKS_PER_PAGE);
-        // Clones taken mid-sequence, each with the model of that moment:
-        // later steps on the original must not reach them.
-        let mut forks: Vec<(GuestMemory, Model)> = Vec::new();
-        for (op, a, b, fill) in steps {
-            let addr = address(a, CHUNK_SIZE, model.units());
-            let len = MEM_LENS[b % MEM_LENS.len()];
-            match op {
-                0 | 1 => {
-                    let idx = stage_target(&model, a, b);
-                    let (content, hash) = staged_unit(CHUNK_SIZE, a, fill);
-                    prop_assert_eq!(
-                        mem.stage_lazy_chunk(idx, content.clone(), hash),
-                        model.stage(idx, content, hash)
-                    );
-                }
-                2 => prop_assert_eq!(mem.read_vec(addr, len), model.read(addr, len)),
-                3 => {
-                    let bytes = vec![fill; len];
-                    prop_assert_eq!(mem.write(addr, &bytes), model.write(addr, &bytes));
-                }
-                4 if b & 1 == 0 => {
-                    let expected = model.read(addr, 1).map(|v| v[0]);
-                    prop_assert_eq!(mem.read_u8(addr), expected);
-                }
-                4 => {
-                    let expected = model
-                        .read(addr, 8)
-                        .map(|v| u64::from_le_bytes(v.try_into().expect("8 bytes")));
-                    prop_assert_eq!(mem.read_u64(addr), expected);
-                }
-                5 if b & 1 == 0 => {
-                    prop_assert_eq!(mem.write_u8(addr, fill), model.write(addr, &[fill]));
-                }
-                5 => {
-                    let v = (a as u64) << 8 | fill as u64;
-                    prop_assert_eq!(mem.write_u64(addr, v), model.write(addr, &v.to_le_bytes()));
-                }
-                6 => {
-                    let idx = a % (model.units() + 1);
-                    let content = vec![fill; if b % 9 == 8 { CHUNK_SIZE + 1 } else { CHUNK_SIZE }];
-                    prop_assert_eq!(
-                        mem.set_chunk_from_slice(idx, &content),
-                        model.set_unit(idx, &content)
-                    );
-                }
-                7 => {
-                    let page = a % (MEM_PAGES + 1);
-                    let content = vec![fill; if b % 9 == 8 { PAGE_SIZE - 1 } else { PAGE_SIZE }];
-                    prop_assert_eq!(
-                        mem.set_page_from_slice(page, &content),
-                        model.set_page(page, &content)
-                    );
-                }
-                8 => {
-                    mem.clear_dirty();
-                    model.dirty.fill(false);
-                }
-                _ => {
-                    let clone = mem.clone();
-                    forks.push((std::mem::replace(&mut mem, clone), model.clone()));
-                }
-            }
-            memory_agrees(&mem, &mut model)?;
-        }
-        for (fork, mut fork_model) in forks {
-            memory_agrees(&fork, &mut fork_model)?;
-        }
+        facade_matches_the_map_model::<GuestMemory>(steps)?;
     }
 
     #[test]
     fn disk_matches_the_map_model(steps in step_sequence()) {
-        let mut disk = Disk::new((DISK_BLOCKS * DISK_BLOCK_SIZE) as u64);
-        let mut model = Model::new(Kind::Disk, DISK_BLOCK_SIZE, DISK_BLOCKS);
-        let mut forks: Vec<(Disk, Model)> = Vec::new();
-        for (op, a, b, fill) in steps {
-            let addr = address(a, DISK_BLOCK_SIZE, model.units());
-            let len = DISK_LENS[b % DISK_LENS.len()];
-            match op {
-                0 | 1 => {
-                    let idx = stage_target(&model, a, b);
-                    let (content, hash) = staged_unit(DISK_BLOCK_SIZE, a, fill);
-                    prop_assert_eq!(
-                        disk.stage_lazy_block(idx, content.clone(), hash),
-                        model.stage(idx, content, hash)
-                    );
-                }
-                2..=4 => {
-                    let mut buf = vec![0u8; len];
-                    let got = disk.read(addr, &mut buf).map(|()| buf);
-                    prop_assert_eq!(got, model.read(addr, len));
-                }
-                5 | 6 => {
-                    let bytes = vec![fill; len];
-                    prop_assert_eq!(disk.write(addr, &bytes), model.write(addr, &bytes));
-                }
-                7 => {
-                    let idx = a % (model.units() + 1);
-                    let content =
-                        vec![fill; if b % 9 == 8 { DISK_BLOCK_SIZE - 1 } else { DISK_BLOCK_SIZE }];
-                    prop_assert_eq!(disk.set_block(idx, &content), model.set_unit(idx, &content));
-                }
-                8 => {
-                    disk.clear_dirty();
-                    model.dirty.fill(false);
-                }
-                _ => {
-                    let clone = disk.clone();
-                    forks.push((std::mem::replace(&mut disk, clone), model.clone()));
-                }
-            }
-            disk_agrees(&disk, &mut model)?;
-        }
-        for (fork, mut fork_model) in forks {
-            disk_agrees(&fork, &mut fork_model)?;
-        }
+        facade_matches_the_map_model::<Disk>(steps)?;
     }
 }
 
