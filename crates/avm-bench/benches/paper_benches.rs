@@ -353,6 +353,85 @@ fn bench_verify_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The four phases of a whole-log audit after the packet is opened, over a
+/// recorded game client's log (2 simulated seconds, > 10 000 entries) served
+/// as one packet: decoding the entries in place (against the owned decode it
+/// replaced on this path), then the chain check, the cross-reference check
+/// and the replay — each reading entry contents straight from the packet.
+fn bench_audit_segment(c: &mut Criterion) {
+    use avm_core::audit::syntactic_content_checks;
+    use avm_core::endpoint::AuditServer;
+    use avm_core::replay::Replayer;
+    use avm_crypto::sha256::Digest;
+    use avm_log::{verify_chain, EntryView, LogEntry, LogEntryRef};
+    use avm_wire::audit::{
+        open_session_frame, seal_encoded_message, AuditRequest, AuditResponseRef, SegmentAddress,
+    };
+    use avm_wire::Decode;
+
+    let scenario = GameScenario {
+        rsa_bits: 512,
+        ..GameScenario::standard(ExecConfig::AvmmRsa768, 2_000_000)
+    };
+    let result = scenario.run();
+    let avmm = result.avmm("alice");
+    assert!(avmm.log().len() >= 10_000, "{} entries", avmm.log().len());
+    let image = &result.reference_client_images[0];
+    let registry = avm_game::game_registry();
+
+    let whole_log = AuditRequest::LogSegment(SegmentAddress::Seq {
+        from_seq: 1,
+        to_seq: 0,
+    });
+    let server = AuditServer::new(avmm.log(), avmm.snapshots());
+    let packet = seal_encoded_message(1, 1, &server.respond(&whole_log));
+    let (_, _, body) = open_session_frame(&packet).unwrap();
+    let encodings = || match AuditResponseRef::decode_exact(body).unwrap() {
+        AuditResponseRef::LogSegment { entries, .. } => entries,
+        other => panic!("unexpected {} response", other.variant_name()),
+    };
+    let decode_in_place = || -> Vec<LogEntryRef<'_>> {
+        let entries = encodings();
+        let mut decoded = Vec::with_capacity(entries.len());
+        for bytes in entries {
+            decoded.push(LogEntryRef::decode_exact(bytes).unwrap());
+        }
+        decoded
+    };
+    let segment = decode_in_place();
+    assert!(segment
+        .iter()
+        .map(EntryView::to_entry)
+        .eq(avmm.log().entries().iter().cloned()));
+
+    let mut group = c.benchmark_group("audit_segment");
+    group.sample_size(10);
+    group.bench_function("decode_in_place", |b| b.iter(|| decode_in_place().len()));
+    group.bench_function("decode_owned_reference", |b| {
+        b.iter(|| {
+            let entries = encodings();
+            let mut decoded = Vec::with_capacity(entries.len());
+            for bytes in entries {
+                decoded.push(LogEntry::decode_exact(bytes).unwrap());
+            }
+            decoded.len()
+        })
+    });
+    group.bench_function("verify_chain", |b| {
+        b.iter(|| verify_chain(&Digest::ZERO, &segment).unwrap())
+    });
+    group.bench_function("content_checks", |b| {
+        b.iter(|| syntactic_content_checks(&segment).unwrap())
+    });
+    group.bench_function("replay", |b| {
+        b.iter(|| {
+            let mut replayer = Replayer::from_image(image, &registry).unwrap();
+            assert!(replayer.replay(&segment).is_consistent());
+        })
+    });
+    group.finish();
+}
+
 /// Durable-store substrate: `Provider::recover` — scan and chain-verify the
 /// segment files, rebuild the snapshot store from persisted manifests,
 /// replay the log tail with root verification — from the storage image a
@@ -648,6 +727,7 @@ criterion_group!(
     bench_snapshot_dedup,
     bench_image_baseline,
     bench_response_path,
+    bench_audit_segment,
     bench_ondemand_residency,
     bench_persist_recovery
 );

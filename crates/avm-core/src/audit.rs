@@ -8,13 +8,16 @@
 //! authenticators into [`Evidence`] that any third party can verify
 //! independently — without trusting the auditor or the audited machine.
 
+use std::collections::HashMap;
+
 use avm_crypto::keys::VerifyingKey;
-use avm_log::{verify_segment, Authenticator, EntryKind, LogEntry};
+use avm_crypto::sha256::{sha256, Digest};
+use avm_log::{verify_segment, Authenticator, EntryKind, EntryView, LogEntry};
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::Decode;
 
 use crate::error::FaultReason;
-use crate::events::{AckRecord, NdDetail, NdEventRecord, RecvRecord};
+use crate::events::{AckRecordRef, NdDetail, NdEventRecord, RecvRecordRef};
 use crate::replay::{ReplayOutcome, ReplaySummary, Replayer};
 
 /// Verdict of an audit.
@@ -67,13 +70,13 @@ pub struct Evidence {
     /// The fault the auditor claims to have found.
     pub fault: FaultReason,
     /// Hash of the entry preceding the segment (chain anchor).
-    pub prev_hash: avm_crypto::sha256::Digest,
+    pub prev_hash: Digest,
     /// The log segment.
     pub segment: Vec<LogEntry>,
     /// Authenticators collected from the machine's messages.
     pub authenticators: Vec<Authenticator>,
     /// Digest of the reference image the auditor replayed against.
-    pub reference_image: avm_crypto::sha256::Digest,
+    pub reference_image: Digest,
 }
 
 impl Evidence {
@@ -125,11 +128,17 @@ impl Evidence {
 ///
 /// This is the full-audit entry point ("replaying the log from the beginning
 /// of the execution"); spot checks go through [`crate::spotcheck`].
+///
+/// Generic over the [`EntryView`]: [`Evidence::verify`] passes the owned
+/// segment it carries, [`crate::endpoint::AuditClient::audit_log`] the
+/// entries it decoded in place from the provider's packet.  Nothing is
+/// copied out of the segment unless the audit fails — the [`Evidence`] is
+/// the one owned copy of it.
 #[allow(clippy::too_many_arguments)]
-pub fn audit_log(
+pub fn audit_log<E: EntryView>(
     machine_name: &str,
-    prev_hash: &avm_crypto::sha256::Digest,
-    segment: &[LogEntry],
+    prev_hash: &Digest,
+    segment: &[E],
     authenticators: &[Authenticator],
     machine_key: &VerifyingKey,
     reference: &VmImage,
@@ -142,7 +151,7 @@ pub fn audit_log(
             machine: machine_name.to_string(),
             fault,
             prev_hash: *prev_hash,
-            segment: segment.to_vec(),
+            segment: segment.iter().map(EntryView::to_entry).collect(),
             authenticators: authenticators.to_vec(),
             reference_image: reference.digest(),
         })),
@@ -185,28 +194,30 @@ pub fn audit_log(
 /// and every packet injection must cross-reference a logged RECV entry with
 /// a matching payload hash (paper §4.4: "the AVMM cross-references messages
 /// and inputs in such a way that any discrepancies can easily be detected").
-fn syntactic_content_checks(segment: &[LogEntry]) -> Result<(), FaultReason> {
-    use std::collections::HashMap;
-    let mut recvs: HashMap<u64, RecvRecord> = HashMap::new();
+///
+/// Records are decoded in place; per RECV the check keeps the one thing a
+/// later injection is compared with — the hash of its payload.
+pub fn syntactic_content_checks<E: EntryView>(segment: &[E]) -> Result<(), FaultReason> {
+    let mut recv_payload_hashes: HashMap<u64, Digest> = HashMap::new();
     // SEND seqs in segment order: ascending, since `verify_segment` has
     // already established dense sequence numbers.
     let mut send_seqs: Vec<u64> = Vec::new();
     for entry in segment {
-        match entry.kind {
+        let seq = entry.seq();
+        let malformed = |_| FaultReason::MalformedLog { seq };
+        match entry.kind() {
             EntryKind::Recv => {
-                let rec = RecvRecord::decode_exact(&entry.content)
-                    .map_err(|_| FaultReason::MalformedLog { seq: entry.seq })?;
-                recvs.insert(entry.seq, rec);
+                let rec = RecvRecordRef::decode_exact(entry.content()).map_err(malformed)?;
+                recv_payload_hashes.insert(seq, sha256(rec.payload));
             }
             EntryKind::Send => {
-                send_seqs.push(entry.seq);
+                send_seqs.push(seq);
             }
             EntryKind::Ack => {
-                let rec = AckRecord::decode_exact(&entry.content)
-                    .map_err(|_| FaultReason::MalformedLog { seq: entry.seq })?;
+                let rec = AckRecordRef::decode_exact(entry.content()).map_err(malformed)?;
                 if send_seqs.binary_search(&rec.send_seq).is_err() {
                     return Err(FaultReason::CrossReferenceFailure {
-                        seq: entry.seq,
+                        seq,
                         detail: format!(
                             "acknowledgment refers to SEND entry {} which is not in the segment",
                             rec.send_seq
@@ -215,24 +226,23 @@ fn syntactic_content_checks(segment: &[LogEntry]) -> Result<(), FaultReason> {
                 }
             }
             EntryKind::NdEvent => {
-                let rec = NdEventRecord::decode_exact(&entry.content)
-                    .map_err(|_| FaultReason::MalformedLog { seq: entry.seq })?;
+                let rec = NdEventRecord::decode_exact(entry.content()).map_err(malformed)?;
                 if let NdDetail::PacketInjected {
                     recv_seq,
                     payload_hash,
                 } = rec.detail
                 {
-                    match recvs.get(&recv_seq) {
-                        Some(recv) if recv.payload_hash() == payload_hash => {}
+                    match recv_payload_hashes.get(&recv_seq) {
+                        Some(logged) if *logged == payload_hash => {}
                         Some(_) => {
                             return Err(FaultReason::CrossReferenceFailure {
-                                seq: entry.seq,
+                                seq,
                                 detail: "injected payload differs from the logged RECV message".into(),
                             })
                         }
                         None => {
                             return Err(FaultReason::CrossReferenceFailure {
-                                seq: entry.seq,
+                                seq,
                                 detail: format!("injection references RECV entry {recv_seq} not present in the segment"),
                             })
                         }
@@ -250,6 +260,7 @@ mod tests {
     use super::*;
     use crate::config::AvmmOptions;
     use crate::envelope::{Envelope, EnvelopeKind};
+    use crate::events::AckRecord;
     use crate::recorder::{Avmm, HostClock};
     use avm_crypto::keys::{SignatureScheme, SigningKey};
     use avm_vm::bytecode::assemble;

@@ -41,9 +41,13 @@
 //! many entries it has.  [`AuditServer::handle`] is the decoded view of
 //! `respond`, for callers that inspect a response instead of sending it.
 //! The auditor's side is the mirror image: the packet is parsed in place
-//! ([`AuditResponseRef`]) and only what is kept is copied — for a log
-//! segment, one owned [`LogEntry`] each, into a vector sized from the entry
-//! count the borrowed parse already bounded by the bytes that arrived.
+//! ([`AuditResponseRef`]) and only what is kept is copied.  A whole-log
+//! audit keeps nothing: [`AuditClient::audit_log`] runs inside the
+//! exchange, on [`avm_log::LogEntryRef`]s whose contents are still the
+//! packet's bytes, in one vector sized from the entry count the borrowed
+//! parse already bounded by the bytes that arrived.  A spot check copies its
+//! ~40-entry chunk into owned [`LogEntry`]s, because the session holds it
+//! across its next exchanges.
 //!
 //! # The one read that bypasses the transport
 //!
@@ -103,7 +107,8 @@ use crate::error::{CoreError, FaultReason};
 use crate::ondemand::{AuditorBlobCache, ChainManifest};
 use crate::paraudit::ParallelReplayStats;
 use crate::session::{
-    expect_attestation, expect_log_segment, expect_manifest, expect_sections, AuditSession, Step,
+    expect_attestation, expect_log_entries, expect_log_segment, expect_manifest, expect_sections,
+    AuditSession, Step,
 };
 use crate::snapshot::SnapshotStore;
 use crate::spotcheck::{snapshot_positions_in, SpotCheckReport};
@@ -791,10 +796,14 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
         })
     }
 
-    /// Full audit of the provider's log: downloads the segment
+    /// Full audit of the provider's log: requests the segment
     /// `[from_seq, to_seq]` (`0` = end of log) with its chain anchor over
-    /// the transport, then runs the complete syntactic + semantic check
-    /// ([`crate::audit::audit_log`]) against `reference`.
+    /// the transport and runs the complete syntactic + semantic check
+    /// ([`crate::audit::audit_log`]) against `reference` *on the packet the
+    /// response arrived in*: entries are decoded in place, every content
+    /// byte is hashed and replayed from the packet buffer, and an owned
+    /// copy of the segment exists only as the [`crate::audit::Evidence`] of
+    /// a failed audit.
     #[allow(clippy::too_many_arguments)]
     pub fn audit_log(
         &mut self,
@@ -806,16 +815,19 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
         reference: &VmImage,
         registry: &GuestRegistry,
     ) -> Result<AuditReport, CoreError> {
-        let (prev, segment) = self.fetch_log_segment(from_seq, to_seq)?;
-        Ok(audit_log(
-            machine_name,
-            &prev,
-            &segment,
-            authenticators,
-            machine_key,
-            reference,
-            registry,
-        ))
+        let address = SegmentAddress::Seq { from_seq, to_seq };
+        self.request(&AuditRequest::LogSegment(address), |response| {
+            let (prev, segment, _) = expect_log_entries(response)?;
+            Ok(audit_log(
+                machine_name,
+                &prev,
+                &segment,
+                authenticators,
+                machine_key,
+                reference,
+                registry,
+            ))
+        })
     }
 
     /// Spot check with the snapshot state downloaded in full (sections over

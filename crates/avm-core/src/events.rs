@@ -6,11 +6,18 @@
 //! writes, plus the classification used to reproduce the log-composition
 //! breakdown of Figure 4 (TimeTracker vs MAC-layer vs other vs
 //! tamper-evident overhead).
+//!
+//! The records that carry a payload — SEND, RECV, ACK — also have a
+//! *borrowed* form ([`SendRecordRef`], [`RecvRecordRef`], [`AckRecordRef`])
+//! whose strings and byte fields are slices of the entry content they were
+//! decoded from: an audit compares and hashes them where they lie and copies
+//! only the one packet it injects.  Each owned record's `Decode` is the
+//! borrowed decode followed by a copy, so there is one parser per format.
 
 use avm_crypto::sha256::{sha256, Digest};
 use avm_log::EntryKind;
 use avm_vm::devices::InputEvent;
-use avm_wire::{Decode, Encode, Reader, WireError, WireResult, Writer};
+use avm_wire::{decode_exact_with, Decode, Encode, Reader, WireError, WireResult, Writer};
 
 /// Content of a SEND entry: an outgoing message and the instruction-stream
 /// position at which the guest emitted it.
@@ -34,11 +41,40 @@ impl Encode for SendRecord {
 
 impl Decode for SendRecord {
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
+        let rec = SendRecordRef::decode(r)?;
         Ok(SendRecord {
-            step: r.get_varint()?,
-            dest: r.get_string()?,
-            payload: r.get_bytes()?.to_vec(),
+            step: rec.step,
+            dest: rec.dest.to_string(),
+            payload: rec.payload.to_vec(),
         })
+    }
+}
+
+/// A [`SendRecord`] decoded in place: `dest` and `payload` borrow the entry
+/// content.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SendRecordRef<'a> {
+    /// Machine step count when the packet left the guest.
+    pub step: u64,
+    /// Destination node name.
+    pub dest: &'a str,
+    /// Packet payload exactly as the guest produced it.
+    pub payload: &'a [u8],
+}
+
+impl<'a> SendRecordRef<'a> {
+    /// Reads one record from `r`.
+    pub fn decode(r: &mut Reader<'a>) -> WireResult<SendRecordRef<'a>> {
+        Ok(SendRecordRef {
+            step: r.get_varint()?,
+            dest: r.get_str()?,
+            payload: r.get_bytes()?,
+        })
+    }
+
+    /// Decodes `content`, requiring that all of it is consumed.
+    pub fn decode_exact(content: &'a [u8]) -> WireResult<SendRecordRef<'a>> {
+        decode_exact_with(content, Self::decode)
     }
 }
 
@@ -71,11 +107,39 @@ impl Encode for RecvRecord {
 
 impl Decode for RecvRecord {
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
+        let rec = RecvRecordRef::decode(r)?;
         Ok(RecvRecord {
-            source: r.get_string()?,
-            payload: r.get_bytes()?.to_vec(),
-            signature: r.get_bytes()?.to_vec(),
+            source: rec.source.to_string(),
+            payload: rec.payload.to_vec(),
+            signature: rec.signature.to_vec(),
         })
+    }
+}
+
+/// A [`RecvRecord`] decoded in place: every field borrows the entry content.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecvRecordRef<'a> {
+    /// Name of the sending node.
+    pub source: &'a str,
+    /// Message payload.
+    pub payload: &'a [u8],
+    /// The sender's signature over the message.
+    pub signature: &'a [u8],
+}
+
+impl<'a> RecvRecordRef<'a> {
+    /// Reads one record from `r`.
+    pub fn decode(r: &mut Reader<'a>) -> WireResult<RecvRecordRef<'a>> {
+        Ok(RecvRecordRef {
+            source: r.get_str()?,
+            payload: r.get_bytes()?,
+            signature: r.get_bytes()?,
+        })
+    }
+
+    /// Decodes `content`, requiring that all of it is consumed.
+    pub fn decode_exact(content: &'a [u8]) -> WireResult<RecvRecordRef<'a>> {
+        decode_exact_with(content, Self::decode)
     }
 }
 
@@ -98,10 +162,35 @@ impl Encode for AckRecord {
 
 impl Decode for AckRecord {
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
+        let rec = AckRecordRef::decode(r)?;
         Ok(AckRecord {
-            send_seq: r.get_varint()?,
-            ack_bytes: r.get_bytes()?.to_vec(),
+            send_seq: rec.send_seq,
+            ack_bytes: rec.ack_bytes.to_vec(),
         })
+    }
+}
+
+/// An [`AckRecord`] decoded in place: `ack_bytes` borrows the entry content.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AckRecordRef<'a> {
+    /// Sequence number of the SEND entry being acknowledged.
+    pub send_seq: u64,
+    /// The peer's acknowledgment, encoded.
+    pub ack_bytes: &'a [u8],
+}
+
+impl<'a> AckRecordRef<'a> {
+    /// Reads one record from `r`.
+    pub fn decode(r: &mut Reader<'a>) -> WireResult<AckRecordRef<'a>> {
+        Ok(AckRecordRef {
+            send_seq: r.get_varint()?,
+            ack_bytes: r.get_bytes()?,
+        })
+    }
+
+    /// Decodes `content`, requiring that all of it is consumed.
+    pub fn decode_exact(content: &'a [u8]) -> WireResult<AckRecordRef<'a>> {
+        decode_exact_with(content, Self::decode)
     }
 }
 

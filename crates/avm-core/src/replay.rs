@@ -25,13 +25,15 @@
 
 use std::collections::HashMap;
 
-use avm_crypto::sha256::Digest;
-use avm_log::{EntryKind, LogEntry};
+use avm_crypto::sha256::{sha256, Digest};
+use avm_log::{EntryKind, EntryView};
 use avm_vm::{GuestRegistry, Machine, StopCondition, VmExit, VmImage};
 use avm_wire::{Decode, Encode};
 
 use crate::error::{CoreError, FaultReason};
-use crate::events::{MetaRecord, NdDetail, NdEventRecord, RecvRecord, SendRecord, SnapshotRecord};
+use crate::events::{
+    MetaRecord, NdDetail, NdEventRecord, RecvRecordRef, SendRecordRef, SnapshotRecord,
+};
 use crate::ondemand::{stage_from_manifest, AuditorBlobCache, OnDemandSession};
 use crate::snapshot::{SnapshotStore, StateTreeCache};
 
@@ -95,9 +97,10 @@ pub struct Replayer {
     /// re-derives only the leaves dirtied since the previous one, so
     /// replay-side root checks cost O(dirty + log n) like recording does.
     state_tree: StateTreeCache,
-    /// RECV entries seen so far, keyed by sequence number, for
-    /// cross-referencing packet injections (paper §4.4).
-    pending_recvs: HashMap<u64, RecvRecord>,
+    /// Payload of every RECV entry seen so far, keyed by sequence number:
+    /// what a packet injection is cross-referenced against (paper §4.4) and
+    /// then delivers.  An entry stays once seen — a log may inject it again.
+    pending_recvs: HashMap<u64, Vec<u8>>,
     summary: ReplaySummary,
     start_step: u64,
     /// True when a clock value has been provided but the guest has not yet
@@ -204,13 +207,11 @@ impl Replayer {
     /// Undecodable RECV entries are skipped — the serial replay faults *at*
     /// such an entry, which lives in an earlier unit, so the merged verdict
     /// never reaches this one.
-    pub fn preload_recvs(&mut self, entries: &[LogEntry]) {
+    pub fn preload_recvs<E: EntryView>(&mut self, entries: &[E]) {
         for entry in entries {
-            if entry.kind != EntryKind::Recv {
-                continue;
-            }
-            if let Ok(rec) = RecvRecord::decode_exact(&entry.content) {
-                self.pending_recvs.insert(entry.seq, rec);
+            if entry.kind() == EntryKind::Recv {
+                // Skipping an undecodable one is the contract above.
+                let _ = self.replay_recv(entry.seq(), entry.content());
             }
         }
     }
@@ -252,8 +253,9 @@ impl Replayer {
         summary
     }
 
-    /// Replays a complete segment of log entries.
-    pub fn replay(&mut self, entries: &[LogEntry]) -> ReplayOutcome {
+    /// Replays a complete segment of log entries — owned, or still borrowed
+    /// from the packet they arrived in ([`EntryView`]).
+    pub fn replay<E: EntryView>(&mut self, entries: &[E]) -> ReplayOutcome {
         for entry in entries {
             match self.replay_entry(entry) {
                 Ok(()) => {}
@@ -272,21 +274,26 @@ impl Replayer {
     }
 
     /// Replays a single log entry (exposed for online/incremental auditing).
-    pub fn replay_entry(&mut self, entry: &LogEntry) -> Result<(), FaultReason> {
+    ///
+    /// Records are decoded in place from the entry's content; the one copy
+    /// replay keeps of a log byte is a RECV payload, held for the injection
+    /// that delivers it.
+    pub fn replay_entry<E: EntryView>(&mut self, entry: &E) -> Result<(), FaultReason> {
         self.summary.entries_replayed += 1;
-        match entry.kind {
-            EntryKind::Meta => self.replay_meta(entry),
-            EntryKind::Recv => self.replay_recv(entry),
+        let (seq, content) = (entry.seq(), entry.content());
+        match entry.kind() {
+            EntryKind::Meta => self.replay_meta(seq, content),
+            EntryKind::Recv => self.replay_recv(seq, content),
             EntryKind::Ack => Ok(()), // checked by the syntactic phase
-            EntryKind::Send => self.replay_send(entry),
-            EntryKind::NdEvent => self.replay_nd(entry),
-            EntryKind::Snapshot => self.replay_snapshot(entry),
+            EntryKind::Send => self.replay_send(seq, content),
+            EntryKind::NdEvent => self.replay_nd(seq, content),
+            EntryKind::Snapshot => self.replay_snapshot(seq, content),
         }
     }
 
-    fn replay_meta(&mut self, entry: &LogEntry) -> Result<(), FaultReason> {
-        let meta = MetaRecord::decode_exact(&entry.content)
-            .map_err(|_| FaultReason::MalformedLog { seq: entry.seq })?;
+    fn replay_meta(&mut self, seq: u64, content: &[u8]) -> Result<(), FaultReason> {
+        let meta =
+            MetaRecord::decode_exact(content).map_err(|_| FaultReason::MalformedLog { seq })?;
         if meta.image_digest != self.reference_digest {
             return Err(FaultReason::ImageMismatch {
                 recorded: meta.image_digest.short_hex(),
@@ -296,26 +303,26 @@ impl Replayer {
         Ok(())
     }
 
-    fn replay_recv(&mut self, entry: &LogEntry) -> Result<(), FaultReason> {
-        let rec = RecvRecord::decode_exact(&entry.content)
-            .map_err(|_| FaultReason::MalformedLog { seq: entry.seq })?;
-        self.pending_recvs.insert(entry.seq, rec);
+    fn replay_recv(&mut self, seq: u64, content: &[u8]) -> Result<(), FaultReason> {
+        let rec =
+            RecvRecordRef::decode_exact(content).map_err(|_| FaultReason::MalformedLog { seq })?;
+        self.pending_recvs.insert(seq, rec.payload.to_vec());
         Ok(())
     }
 
-    fn replay_send(&mut self, entry: &LogEntry) -> Result<(), FaultReason> {
-        let rec = SendRecord::decode_exact(&entry.content)
-            .map_err(|_| FaultReason::MalformedLog { seq: entry.seq })?;
+    fn replay_send(&mut self, seq: u64, content: &[u8]) -> Result<(), FaultReason> {
+        let rec =
+            SendRecordRef::decode_exact(content).map_err(|_| FaultReason::MalformedLog { seq })?;
         // The reference execution must produce the same packet at the same
         // instruction-stream position.  The recorded step bounds the search
         // (plus one, so the emitting instruction itself can execute), so
         // replay terminates even if the reference execution idles forever.
-        let exit = self.run_until_interesting(entry.seq, Some(rec.step + 1))?;
+        let exit = self.run_until_interesting(seq, Some(rec.step + 1))?;
         match exit {
             VmExit::NetTx(payload) => {
                 if self.machine.step_count() != rec.step {
                     return Err(FaultReason::OutputDivergence {
-                        seq: entry.seq,
+                        seq,
                         detail: format!(
                             "output produced at step {} but log records step {}",
                             self.machine.step_count(),
@@ -325,7 +332,7 @@ impl Replayer {
                 }
                 if payload != rec.payload {
                     return Err(FaultReason::OutputDivergence {
-                        seq: entry.seq,
+                        seq,
                         detail: format!(
                             "payload mismatch: replay produced {} bytes, log records {} bytes",
                             payload.len(),
@@ -337,7 +344,7 @@ impl Replayer {
                 Ok(())
             }
             other => Err(FaultReason::OutputDivergence {
-                seq: entry.seq,
+                seq,
                 detail: format!(
                     "log records an outgoing message but the reference execution produced '{}'",
                     other.label()
@@ -346,17 +353,17 @@ impl Replayer {
         }
     }
 
-    fn replay_nd(&mut self, entry: &LogEntry) -> Result<(), FaultReason> {
-        let rec = NdEventRecord::decode_exact(&entry.content)
-            .map_err(|_| FaultReason::MalformedLog { seq: entry.seq })?;
+    fn replay_nd(&mut self, seq: u64, content: &[u8]) -> Result<(), FaultReason> {
+        let rec =
+            NdEventRecord::decode_exact(content).map_err(|_| FaultReason::MalformedLog { seq })?;
         match rec.detail {
             NdDetail::ClockRead { value } => {
                 // The clock-read pause does not consume a step, so allow the
                 // bound to pass the recorded position by one instruction.
-                let exit = self.run_until_interesting(entry.seq, Some(rec.step + 1))?;
+                let exit = self.run_until_interesting(seq, Some(rec.step + 1))?;
                 if exit != VmExit::ClockRead {
                     return Err(FaultReason::EventDivergence {
-                        seq: entry.seq,
+                        seq,
                         detail: format!(
                             "log records a clock read but the reference execution produced '{}'",
                             exit.label()
@@ -365,7 +372,7 @@ impl Replayer {
                 }
                 if self.machine.step_count() != rec.step {
                     return Err(FaultReason::EventDivergence {
-                        seq: entry.seq,
+                        seq,
                         detail: format!(
                             "clock read at step {} but log records step {}",
                             self.machine.step_count(),
@@ -376,7 +383,7 @@ impl Replayer {
                 self.machine
                     .provide_clock(value)
                     .map_err(|e| FaultReason::GuestFault {
-                        seq: entry.seq,
+                        seq,
                         detail: e.to_string(),
                     })?;
                 self.pending_clock_response = true;
@@ -387,25 +394,27 @@ impl Replayer {
                 recv_seq,
                 payload_hash,
             } => {
-                let rec_recv = self.pending_recvs.get(&recv_seq).cloned().ok_or(
+                let payload = self.pending_recvs.get(&recv_seq).ok_or(
                     FaultReason::CrossReferenceFailure {
-                        seq: entry.seq,
+                        seq,
                         detail: format!("injection references unknown RECV entry {recv_seq}"),
                     },
                 )?;
-                if rec_recv.payload_hash() != payload_hash {
+                if sha256(payload) != payload_hash {
                     return Err(FaultReason::CrossReferenceFailure {
-                        seq: entry.seq,
+                        seq,
                         detail: "injected payload does not match the logged RECV message".into(),
                     });
                 }
-                self.run_to_step(entry.seq, rec.step)?;
-                self.machine.inject_packet(rec_recv.payload.clone());
+                // The guest's copy; the table keeps its own.
+                let payload = payload.clone();
+                self.run_to_step(seq, rec.step)?;
+                self.machine.inject_packet(payload);
                 self.summary.inputs_reinjected += 1;
                 Ok(())
             }
             NdDetail::InputInjected { event } => {
-                self.run_to_step(entry.seq, rec.step)?;
+                self.run_to_step(seq, rec.step)?;
                 self.machine.inject_input(event);
                 self.summary.inputs_reinjected += 1;
                 Ok(())
@@ -413,13 +422,13 @@ impl Replayer {
         }
     }
 
-    fn replay_snapshot(&mut self, entry: &LogEntry) -> Result<(), FaultReason> {
-        let rec = SnapshotRecord::decode_exact(&entry.content)
-            .map_err(|_| FaultReason::MalformedLog { seq: entry.seq })?;
-        self.run_to_step(entry.seq, rec.step)?;
+    fn replay_snapshot(&mut self, seq: u64, content: &[u8]) -> Result<(), FaultReason> {
+        let rec =
+            SnapshotRecord::decode_exact(content).map_err(|_| FaultReason::MalformedLog { seq })?;
+        self.run_to_step(seq, rec.step)?;
         let root = self.state_tree.refresh(&self.machine);
         if root != rec.state_root {
-            return Err(FaultReason::SnapshotMismatch { seq: entry.seq });
+            return Err(FaultReason::SnapshotMismatch { seq });
         }
         // The recorder clears dirty tracking when it snapshots; mirror that
         // so later incremental captures stay comparable.
@@ -573,8 +582,10 @@ mod tests {
     use super::*;
     use crate::config::AvmmOptions;
     use crate::envelope::{Envelope, EnvelopeKind};
+    use crate::events::SendRecord;
     use crate::recorder::{Avmm, HostClock};
     use avm_crypto::keys::{SignatureScheme, SigningKey};
+    use avm_log::LogEntry;
     use avm_vm::bytecode::assemble;
     use avm_vm::packet::encode_guest_packet;
     use rand::rngs::StdRng;
@@ -842,6 +853,45 @@ mod tests {
             outcome.fault(),
             Some(FaultReason::CrossReferenceFailure { .. })
         ));
+    }
+
+    /// The RECV table keeps what it has seen: a log that injects the same
+    /// RECV entry twice gets the same payload both times, and the guest —
+    /// which now echoes twice where the log records one echo — diverges
+    /// where that second echo comes out.
+    #[test]
+    fn same_recv_injected_twice_delivers_the_payload_twice() {
+        let image = echo_image();
+        let (bob, _) = record_session(&image);
+        let entries = bob.log().entries();
+        let injection = entries
+            .iter()
+            .position(|e| {
+                e.kind == EntryKind::NdEvent
+                    && matches!(
+                        NdEventRecord::decode_exact(&e.content).unwrap().detail,
+                        NdDetail::PacketInjected { .. }
+                    )
+            })
+            .unwrap();
+        let mut replayer = Replayer::from_image(&image, &GuestRegistry::new()).unwrap();
+        for entry in &entries[..=injection] {
+            replayer.replay_entry(entry).unwrap();
+        }
+        let reinjected = replayer.summary().inputs_reinjected;
+        replayer.replay_entry(&entries[injection]).unwrap();
+        assert_eq!(replayer.summary().inputs_reinjected, reinjected + 1);
+        let fault = entries[injection + 1..]
+            .iter()
+            .find_map(|entry| replayer.replay_entry(entry).err())
+            .expect("the second echo is not in the log");
+        assert_eq!(
+            fault,
+            FaultReason::EventDivergence {
+                seq: 9,
+                detail: "unexpected 'net-tx' while resuming the guest after a clock read".into(),
+            }
+        );
     }
 
     #[test]

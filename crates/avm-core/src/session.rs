@@ -34,7 +34,7 @@
 
 use avm_attest::AttestVerdict;
 use avm_crypto::sha256::Digest;
-use avm_log::LogEntry;
+use avm_log::{EntryView, LogEntry, LogEntryRef};
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::attest::{AttestChallenge, AttestQuote};
 use avm_wire::audit::{AuditRequest, AuditResponseRef, SegmentAddress};
@@ -67,28 +67,45 @@ fn unexpected(expected: &str, got: AuditResponseRef<'_>) -> CoreError {
     }
 }
 
-/// A log-segment response: the chain anchor, the decoded entries, and the
-/// bytes their encodings occupied in the packet.
-pub(crate) fn expect_log_segment(
-    response: AuditResponseRef<'_>,
-) -> Result<(Digest, Vec<LogEntry>, u64), CoreError> {
+/// A log-segment response: the chain anchor, what `keep` made of each entry
+/// — handed over as a [`LogEntryRef`] decoded in place, its content still
+/// the packet's bytes — and the bytes the encodings occupied in the packet.
+fn log_segment_with<'r, T>(
+    response: AuditResponseRef<'r>,
+    keep: impl Fn(LogEntryRef<'r>) -> T,
+) -> Result<(Digest, Vec<T>, u64), CoreError> {
     match response {
         AuditResponseRef::LogSegment { prev_hash, entries } => {
             let received = entries.iter().map(|bytes| bytes.len() as u64).sum();
             // Sized once: the borrowed decode already bounded the count by
             // the bytes that arrived.
-            let mut decoded = Vec::with_capacity(entries.len());
+            let mut kept = Vec::with_capacity(entries.len());
             for bytes in entries {
-                decoded.push(
-                    LogEntry::decode_exact(bytes).map_err(|e| {
-                        CoreError::Snapshot(format!("log entry does not decode: {e}"))
-                    })?,
-                );
+                let entry = LogEntryRef::decode_exact(bytes)
+                    .map_err(|e| CoreError::Snapshot(format!("log entry does not decode: {e}")))?;
+                kept.push(keep(entry));
             }
-            Ok((Digest(prev_hash), decoded, received))
+            Ok((Digest(prev_hash), kept, received))
         }
         other => Err(unexpected("LogSegment", other)),
     }
+}
+
+/// A log segment audited where it landed: nothing is copied out of the
+/// packet ([`crate::endpoint::AuditClient::audit_log`] runs on exactly this).
+pub(crate) fn expect_log_entries(
+    response: AuditResponseRef<'_>,
+) -> Result<(Digest, Vec<LogEntryRef<'_>>, u64), CoreError> {
+    log_segment_with(response, |entry| entry)
+}
+
+/// A log segment kept past its exchange, every entry copied out of the
+/// packet: the standalone downloads, and the spot-check session (whose
+/// ~40-entry chunk waits through its next exchanges).
+pub(crate) fn expect_log_segment(
+    response: AuditResponseRef<'_>,
+) -> Result<(Digest, Vec<LogEntry>, u64), CoreError> {
+    log_segment_with(response, |entry| entry.to_entry())
 }
 
 /// A manifest response, decoded straight from the packet buffer, and the
@@ -806,11 +823,15 @@ mod tests {
         body.push(6);
         body.resize(40, 0);
         let response = AuditResponseRef::decode_exact(&body).unwrap();
-        let error = expect_log_segment(response).unwrap_err().to_string();
+        let error = expect_log_segment(response.clone())
+            .unwrap_err()
+            .to_string();
         assert!(
             error.contains("log entry does not decode: unexpected end of input"),
             "{error}"
         );
+        // The whole-log audit's parser is the same parser.
+        assert_eq!(expect_log_entries(response).unwrap_err().to_string(), error);
     }
 
     /// One damaged entry encoding ends the session with the decode error the
@@ -871,6 +892,70 @@ mod tests {
         assert!(error.to_string().contains("response dropped"), "{error}");
         let error = client.spot_check(0, 1, &image, &registry).unwrap_err();
         assert!(error.to_string().contains("response dropped"), "{error}");
+    }
+
+    /// The whole-log audit reads entries where they landed, so a hostile
+    /// provider reaches its in-place decoder directly.  A segment declaring
+    /// more entries than it has bytes is not a response at all; an entry
+    /// whose *content* length overruns the entry's own bytes ends the audit
+    /// with the decode error the owned decode gives for the same bytes —
+    /// an error, never a report.
+    #[test]
+    fn hostile_whole_log_segment_is_refused_with_its_decode_error() {
+        let (bob, image) = record_with_snapshots(2);
+        let registry = GuestRegistry::new();
+        let server = AuditServer::new(bob.log(), bob.snapshots());
+        let bob_key = key(1).verifying_key();
+        let entries = bob.log().len();
+        let audit_with = |tamper: &dyn Fn(Vec<u8>) -> Vec<u8>| {
+            AuditClient::new(TamperingTransport { server, tamper })
+                .audit_log("bob", 1, 0, &[], &bob_key, &image, &registry)
+                .unwrap_err()
+                .to_string()
+        };
+
+        // tag ‖ prev hash ‖ count: a count no body could hold …
+        let error = audit_with(&|mut body| {
+            let mut count = Vec::new();
+            avm_wire::varint::write_varint(&mut count, 1 << 40);
+            body.splice(33..34, count);
+            body
+        });
+        assert!(
+            error.starts_with(
+                "snapshot error: response dropped: declared length 1099511627776 exceeds maximum "
+            ),
+            "{error}"
+        );
+        // … and one more entry than the body has.
+        let error = audit_with(&|mut body| {
+            assert_eq!(body[33] as usize, entries);
+            body[33] += 1;
+            body
+        });
+        assert_eq!(
+            error,
+            "snapshot error: response dropped: unexpected end of input: needed 1 more bytes, 0 remaining"
+        );
+
+        // seq ‖ kind ‖ content length: the last entry's content now claims
+        // the hash bytes behind it, and more.
+        let damaged = std::cell::RefCell::new(Vec::new());
+        let error = audit_with(&|mut body| {
+            let (at, len) = entry_at(&body, entries - 1);
+            body[at + 1 + 2] += 40;
+            *damaged.borrow_mut() = body[at + 1..at + 1 + len].to_vec();
+            body
+        });
+        let owned_error = LogEntry::decode_exact(&damaged.borrow()).unwrap_err();
+        assert!(
+            matches!(owned_error, avm_wire::WireError::LengthOverflow { .. }),
+            "{owned_error}"
+        );
+        assert_eq!(
+            error,
+            format!("snapshot error: log entry does not decode: {owned_error}")
+        );
     }
 
     /// One content byte flipped in the body `respond` wrote: the entries

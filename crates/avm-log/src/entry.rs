@@ -2,7 +2,7 @@
 
 use avm_crypto::sha256::{sha256, sha256_concat, Digest};
 use avm_wire::varint::varint_len;
-use avm_wire::{Decode, Encode, Reader, WireError, WireResult, Writer};
+use avm_wire::{decode_exact_with, Decode, Encode, Reader, WireError, WireResult, Writer};
 
 /// The type tag `t_i` of a log entry.
 ///
@@ -79,6 +79,113 @@ pub struct LogEntry {
     pub hash: Digest,
 }
 
+/// Read access to one log entry `e_i = (s_i, t_i, c_i, h_i)`, whoever owns
+/// its content: a [`LogEntry`] owns it, a [`LogEntryRef`] borrows it from
+/// the packet it arrived in.  Every check an auditor runs over a segment —
+/// [`crate::verify_chain`], [`crate::verify_segment`], `avm-core`'s content
+/// checks and replay — is written once against this view.
+pub trait EntryView {
+    /// Sequence number `s_i`.
+    fn seq(&self) -> u64;
+    /// Entry type `t_i`.
+    fn kind(&self) -> EntryKind;
+    /// Entry content `c_i`.
+    fn content(&self) -> &[u8];
+    /// Chained hash `h_i`.
+    fn hash(&self) -> Digest;
+
+    /// An owned copy of the entry — what an auditor keeps of a segment that
+    /// failed its audit, as transferable evidence.
+    fn to_entry(&self) -> LogEntry {
+        LogEntry {
+            seq: self.seq(),
+            kind: self.kind(),
+            content: self.content().to_vec(),
+            hash: self.hash(),
+        }
+    }
+}
+
+impl EntryView for LogEntry {
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+    fn kind(&self) -> EntryKind {
+        self.kind
+    }
+    fn content(&self) -> &[u8] {
+        &self.content
+    }
+    fn hash(&self) -> Digest {
+        self.hash
+    }
+}
+
+/// A log entry decoded *in place*: sequence number and kind by value, content
+/// and hash still the bytes of the input it was decoded from.  Decoding one
+/// allocates nothing, so an auditor can check and replay a downloaded segment
+/// straight from the packet buffer.
+///
+/// The input is the audited machine's, so every length is checked against
+/// the bytes that remain before anything is sliced; [`LogEntry`]'s `Decode`
+/// is this decode followed by [`EntryView::to_entry`], so the two accept the
+/// same inputs and report the same [`WireError`] on the rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogEntryRef<'a> {
+    /// Monotonically increasing sequence number `s_i`.
+    pub seq: u64,
+    /// Entry type `t_i`.
+    pub kind: EntryKind,
+    /// Entry content `c_i`, borrowed from the input.
+    pub content: &'a [u8],
+    /// Chained hash `h_i`, borrowed from the input.
+    pub hash: &'a [u8; 32],
+}
+
+impl<'a> LogEntryRef<'a> {
+    /// Reads one entry from `r`; the content lives as long as `r`'s input.
+    pub fn decode(r: &mut Reader<'a>) -> WireResult<LogEntryRef<'a>> {
+        let seq = r.get_varint()?;
+        let tag = r.get_u8()?;
+        let kind = EntryKind::from_tag(tag).ok_or(WireError::InvalidTag {
+            what: "EntryKind",
+            tag: tag as u64,
+        })?;
+        let content = r.get_bytes()?;
+        let hash = r
+            .get_raw(32)?
+            .try_into()
+            .map_err(|_| WireError::Corrupt("digest"))?;
+        Ok(LogEntryRef {
+            seq,
+            kind,
+            content,
+            hash,
+        })
+    }
+
+    /// Decodes one entry from `bytes`, requiring that the whole input is
+    /// consumed.
+    pub fn decode_exact(bytes: &'a [u8]) -> WireResult<LogEntryRef<'a>> {
+        decode_exact_with(bytes, Self::decode)
+    }
+}
+
+impl EntryView for LogEntryRef<'_> {
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+    fn kind(&self) -> EntryKind {
+        self.kind
+    }
+    fn content(&self) -> &[u8] {
+        self.content
+    }
+    fn hash(&self) -> Digest {
+        Digest(*self.hash)
+    }
+}
+
 /// Computes `h_i = H(h_{i-1} || s_i || t_i || H(c_i))` (paper §4.3).
 pub fn chain_hash(prev: &Digest, seq: u64, kind: EntryKind, content: &[u8]) -> Digest {
     let content_hash = sha256(content);
@@ -130,20 +237,7 @@ impl Encode for LogEntry {
 
 impl Decode for LogEntry {
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        let seq = r.get_varint()?;
-        let tag = r.get_u8()?;
-        let kind = EntryKind::from_tag(tag).ok_or(WireError::InvalidTag {
-            what: "EntryKind",
-            tag: tag as u64,
-        })?;
-        let content = r.get_bytes()?.to_vec();
-        let hash = Digest::from_slice(r.get_raw(32)?).ok_or(WireError::Corrupt("digest"))?;
-        Ok(LogEntry {
-            seq,
-            kind,
-            content,
-            hash,
-        })
+        Ok(LogEntryRef::decode(r)?.to_entry())
     }
 }
 

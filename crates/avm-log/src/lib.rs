@@ -25,6 +25,12 @@
 //! SHA-256 core, then reports the first fault in order — the verdict of an
 //! entry-at-a-time loop (kept as the reference in
 //! `tests/chain_differential.rs`), several times faster.
+//!
+//! Both checks are written against [`EntryView`] — `seq`, `kind`, `content`,
+//! `hash` — not against who owns the content: a [`LogEntry`] owns it, a
+//! [`LogEntryRef`] is decoded in place and borrows it from the packet a
+//! segment arrived in, so an auditor verifies (and `avm-core` replays) a
+//! downloaded segment without copying an entry out of its buffer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +42,7 @@ pub mod source;
 pub mod verify;
 
 pub use auth::{Acknowledgment, Authenticator};
-pub use entry::{EntryKind, LogEntry};
+pub use entry::{EntryKind, EntryView, LogEntry, LogEntryRef};
 pub use log::TamperEvidentLog;
 pub use source::LogSource;
 pub use verify::{verify_chain, verify_segment, LogVerifyError, SegmentSummary};

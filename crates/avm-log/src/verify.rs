@@ -11,7 +11,7 @@ use avm_crypto::keys::VerifyingKey;
 use avm_crypto::sha256::{sha256_multi, Digest};
 
 use crate::auth::Authenticator;
-use crate::entry::LogEntry;
+use crate::entry::EntryView;
 
 /// Reasons a log segment fails syntactic verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,36 +117,42 @@ const LINK_LEN: usize = 32 + 8 + 1 + 32;
 /// content hashes, then the 73-byte links, eight lanes each.  An in-order
 /// scan then reports the first offending entry, the same error an
 /// entry-at-a-time [`LogEntry::verify_against`] loop reports.
-pub fn verify_chain(prev: &Digest, entries: &[LogEntry]) -> Result<(), LogVerifyError> {
+///
+/// Generic over the [`EntryView`]: an owned log and a segment still sitting
+/// in the packet it arrived in are checked by the same code, each content
+/// byte hashed from wherever the view says it is.
+///
+/// [`LogEntry::verify_against`]: crate::LogEntry::verify_against
+pub fn verify_chain<E: EntryView>(prev: &Digest, entries: &[E]) -> Result<(), LogVerifyError> {
     let Some(first) = entries.first() else {
         return Ok(());
     };
-    let mut expected = first.seq;
+    let mut expected = first.seq();
     let mut prev = *prev;
     for block in entries.chunks(CHAIN_BLOCK) {
-        let contents: Vec<&[u8]> = block.iter().map(|e| e.content.as_slice()).collect();
+        let contents: Vec<&[u8]> = block.iter().map(|e| e.content()).collect();
         let content_hashes = sha256_multi(&contents);
         let mut links = Vec::with_capacity(block.len());
         for (entry, content_hash) in block.iter().zip(&content_hashes) {
             let mut link = [0u8; LINK_LEN];
             link[..32].copy_from_slice(prev.as_bytes());
-            link[32..40].copy_from_slice(&entry.seq.to_le_bytes());
-            link[40] = entry.kind.tag();
+            link[32..40].copy_from_slice(&entry.seq().to_le_bytes());
+            link[40] = entry.kind().tag();
             link[41..].copy_from_slice(content_hash.as_bytes());
             links.push(link);
-            prev = entry.hash;
+            prev = entry.hash();
         }
         let link_views: Vec<&[u8]> = links.iter().map(|l| l.as_slice()).collect();
         let hashes = sha256_multi(&link_views);
         for (entry, hash) in block.iter().zip(&hashes) {
-            if entry.seq != expected {
+            if entry.seq() != expected {
                 return Err(LogVerifyError::BadSequence {
                     expected,
-                    found: entry.seq,
+                    found: entry.seq(),
                 });
             }
-            if *hash != entry.hash {
-                return Err(LogVerifyError::BrokenChain { seq: entry.seq });
+            if *hash != entry.hash() {
+                return Err(LogVerifyError::BrokenChain { seq: entry.seq() });
             }
             // Wrapping: a hostile first seq near u64::MAX must not panic.
             expected = expected.wrapping_add(1);
@@ -163,14 +169,15 @@ pub fn verify_chain(prev: &Digest, entries: &[LogEntry]) -> Result<(), LogVerify
 /// * `authenticators` — authenticators previously collected from the audited
 ///   machine; each must carry a valid signature under `machine_key` and must
 ///   match the entry with the same sequence number.
-pub fn verify_segment(
+pub fn verify_segment<E: EntryView>(
     prev_hash: &Digest,
-    segment: &[LogEntry],
+    segment: &[E],
     authenticators: &[Authenticator],
     machine_key: &VerifyingKey,
 ) -> Result<SegmentSummary, LogVerifyError> {
-    let first = segment.first().ok_or(LogVerifyError::EmptySegment)?;
+    let first_seq = segment.first().ok_or(LogVerifyError::EmptySegment)?.seq();
     let last = segment.last().expect("non-empty");
+    let last_seq = last.seq();
 
     // 1. Dense sequence numbers and intact hash chain.
     verify_chain(prev_hash, segment)?;
@@ -179,29 +186,28 @@ pub fn verify_segment(
     for auth in authenticators {
         auth.verify_signature(machine_key)
             .map_err(|_| LogVerifyError::BadAuthenticatorSignature { seq: auth.seq })?;
-        if auth.seq < first.seq || auth.seq > last.seq {
+        if auth.seq < first_seq || auth.seq > last_seq {
             return Err(LogVerifyError::AuthenticatorOutOfRange {
                 seq: auth.seq,
-                first: first.seq,
-                last: last.seq,
+                first: first_seq,
+                last: last_seq,
             });
         }
-        let idx = (auth.seq - first.seq) as usize;
-        let entry = &segment[idx];
+        let idx = (auth.seq - first_seq) as usize;
         let entry_prev = if idx == 0 {
             *prev_hash
         } else {
-            segment[idx - 1].hash
+            segment[idx - 1].hash()
         };
-        if entry.hash != auth.hash || entry_prev != auth.prev_hash {
+        if segment[idx].hash() != auth.hash || entry_prev != auth.prev_hash {
             return Err(LogVerifyError::AuthenticatorMismatch { seq: auth.seq });
         }
     }
 
     Ok(SegmentSummary {
-        first_seq: first.seq,
-        last_seq: last.seq,
-        final_hash: last.hash,
+        first_seq,
+        last_seq,
+        final_hash: last.hash(),
         authenticators_checked: authenticators.len(),
     })
 }
@@ -209,7 +215,7 @@ pub fn verify_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::EntryKind;
+    use crate::entry::{EntryKind, LogEntry};
     use crate::log::TamperEvidentLog;
     use avm_crypto::keys::{SignatureScheme, SigningKey};
     use rand::rngs::StdRng;
@@ -260,7 +266,7 @@ mod tests {
     fn empty_segment_rejected() {
         let k = key();
         assert_eq!(
-            verify_segment(&Digest::ZERO, &[], &[], &k.verifying_key()).unwrap_err(),
+            verify_segment::<LogEntry>(&Digest::ZERO, &[], &[], &k.verifying_key()).unwrap_err(),
             LogVerifyError::EmptySegment
         );
     }

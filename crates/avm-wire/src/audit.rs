@@ -62,7 +62,7 @@ use crate::attest::{AttestChallenge, AttestQuote, AttestQuoteRef};
 use crate::blob::{BlobRequest, BlobResponse, BlobResponseRef};
 use crate::frame::{read_frame, write_frame_parts};
 use crate::varint::{varint_len, write_varint};
-use crate::{Decode, Encode, Reader, WireError, WireResult, Writer};
+use crate::{decode_exact_with, Decode, Encode, Reader, WireError, WireResult, Writer};
 
 /// How a log-segment fetch addresses the entries it wants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -437,12 +437,7 @@ impl<'a> AuditResponseRef<'a> {
     /// Decodes a borrowed response from `bytes`, requiring that the whole
     /// input is consumed.
     pub fn decode_exact(bytes: &'a [u8]) -> WireResult<AuditResponseRef<'a>> {
-        let mut r = Reader::new(bytes);
-        let v = Self::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(WireError::TrailingBytes(r.remaining()));
-        }
-        Ok(v)
+        decode_exact_with(bytes, Self::decode)
     }
 
     /// Copies the borrowed payloads into an owned [`AuditResponse`].

@@ -138,13 +138,23 @@ pub trait Decode: Sized {
 
     /// Decodes a value from `bytes`, requiring that the whole input is consumed.
     fn decode_exact(bytes: &[u8]) -> WireResult<Self> {
-        let mut r = Reader::new(bytes);
-        let v = Self::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(WireError::TrailingBytes(r.remaining()));
-        }
-        Ok(v)
+        decode_exact_with(bytes, Self::decode)
     }
+}
+
+/// Runs `decode` over `bytes` and requires that it consumed them all —
+/// [`Decode::decode_exact`] for a decoder whose value *borrows* `bytes`
+/// (the trait erases the input lifetime, which a view must keep).
+pub fn decode_exact_with<'a, T>(
+    bytes: &'a [u8],
+    decode: impl FnOnce(&mut Reader<'a>) -> WireResult<T>,
+) -> WireResult<T> {
+    let mut r = Reader::new(bytes);
+    let v = decode(&mut r)?;
+    if r.remaining() != 0 {
+        return Err(WireError::TrailingBytes(r.remaining()));
+    }
+    Ok(v)
 }
 
 impl Encode for Vec<u8> {

@@ -28,6 +28,11 @@ pub fn write_varint(out: &mut Vec<u8>, mut value: u64) -> usize {
 /// Decodes a LEB128 varint from the front of `input`.
 ///
 /// Returns the value and the number of bytes consumed.
+///
+/// `#[inline]` so that [`crate::Reader::get_varint`] absorbs it instead of
+/// calling it: an audit reads three to five varints per log entry, tens of
+/// thousands of entries per segment.
+#[inline]
 pub fn read_varint(input: &[u8]) -> WireResult<(u64, usize)> {
     let mut value: u64 = 0;
     let mut shift = 0u32;

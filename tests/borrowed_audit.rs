@@ -1,0 +1,446 @@
+//! A log segment audited where it landed agrees with the owned audit.
+//!
+//! `avm_core::audit::audit_log` is one implementation, instantiated over
+//! [`LogEntryRef`]s decoded in place from the provider's bytes (what
+//! `AuditClient::audit_log` runs on) and over owned [`LogEntry`]s (what
+//! `Evidence::verify` and every `&[LogEntry]` caller pass).  These tests take
+//! the *encoded* segment of an honest recording, damage it one field at a
+//! time, and require the two instantiations to return the same
+//! [`AuditReport`] — verdict, fault, counts and, on failure, evidence that is
+//! equal and that a third party can verify — or the two decoders to refuse
+//! the bytes with the same error.
+//!
+//! `LogEntry`'s `Decode` is the in-place decode followed by a copy, so the
+//! decoders are also pinned against [`decode_reference`], the owned decode as
+//! it was written before there was a borrowed one.
+
+use std::sync::OnceLock;
+
+use avm_core::audit::{audit_log, AuditOutcome, AuditReport};
+use avm_core::config::AvmmOptions;
+use avm_core::envelope::{Envelope, EnvelopeKind};
+use avm_core::recorder::{Avmm, HostClock};
+use avm_core::FaultReason;
+use avm_crypto::keys::{SignatureScheme, SigningKey, VerifyingKey};
+use avm_crypto::sha256::Digest;
+use avm_log::{Authenticator, EntryKind, EntryView, LogEntry, LogEntryRef, TamperEvidentLog};
+use avm_vm::bytecode::assemble;
+use avm_vm::packet::encode_guest_packet;
+use avm_vm::{GuestRegistry, VmImage};
+use avm_wire::varint::{varint_len, write_varint};
+use avm_wire::{Decode, Encode, Reader, WireError, WireResult};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// What an auditor holds before it asks for the log, and the log it is sent.
+struct Recording {
+    image: VmImage,
+    key: VerifyingKey,
+    authenticators: Vec<Authenticator>,
+    /// The whole log as a provider serves it: one encoded entry per element.
+    encodings: Vec<Vec<u8>>,
+}
+
+/// An echo guest recorded over three packets and one snapshot, with the
+/// authenticators its peer collected — built once: RSA keygen is slow in
+/// debug.
+fn recording() -> &'static Recording {
+    static RECORDING: OnceLock<Recording> = OnceLock::new();
+    RECORDING.get_or_init(|| {
+        let src = r"
+                movi r1, 0x8000
+                movi r2, 512
+            loop:
+                clock r4
+                recv r0, r1, r2
+                cmp r0, r6
+                jne got
+                idle
+                jmp loop
+            got:
+                send r1, r0
+                jmp loop
+            ";
+        let image = VmImage::bytecode("echo", 128 * 1024, assemble(src, 0).unwrap(), 0, 0);
+        let mut rng = StdRng::seed_from_u64(41);
+        let bob_key = SigningKey::generate(&mut rng, SignatureScheme::Rsa(512));
+        let alice_key = SigningKey::generate(&mut rng, SignatureScheme::Rsa(512));
+        let key = bob_key.verifying_key();
+        let mut bob = Avmm::new(
+            "bob",
+            &image,
+            &GuestRegistry::new(),
+            bob_key,
+            AvmmOptions::default().with_scheme(SignatureScheme::Rsa(512)),
+        )
+        .unwrap();
+        bob.add_peer("alice", alice_key.verifying_key());
+        let mut authenticators = Vec::new();
+        let mut clock = HostClock::at(100);
+        bob.run_slice(&clock, 10_000).unwrap();
+        for i in 0..3u8 {
+            clock.advance_to(clock.now() + 500);
+            let env = Envelope::create(
+                EnvelopeKind::Data,
+                "alice",
+                "bob",
+                i as u64 + 1,
+                encode_guest_packet("alice", &[b'p', i]),
+                &alice_key,
+                None,
+            );
+            let ack = bob.deliver(&env).unwrap().unwrap();
+            authenticators.extend(ack.decode_ack().unwrap().authenticator);
+            for out in bob.run_slice(&clock, 50_000).unwrap() {
+                authenticators.extend(out.envelope.authenticator);
+            }
+            if i == 1 {
+                bob.take_snapshot();
+            }
+        }
+        let kinds: Vec<EntryKind> = bob.log().entries().iter().map(|e| e.kind).collect();
+        for kind in [
+            EntryKind::Meta,
+            EntryKind::Recv,
+            EntryKind::Send,
+            EntryKind::NdEvent,
+            EntryKind::Snapshot,
+        ] {
+            assert!(kinds.contains(&kind), "the recording has no {kind:?} entry");
+        }
+        assert!(!authenticators.is_empty());
+        Recording {
+            image,
+            key,
+            authenticators,
+            encodings: bob
+                .log()
+                .entries()
+                .iter()
+                .map(Encode::encode_to_vec)
+                .collect(),
+        }
+    })
+}
+
+/// The owned decode as `LogEntry::decode` was written before it became "the
+/// in-place decode, copied": the reference both decoders are held to.
+fn decode_reference(bytes: &[u8]) -> WireResult<LogEntry> {
+    let mut r = Reader::new(bytes);
+    let seq = r.get_varint()?;
+    let tag = r.get_u8()?;
+    let kind = EntryKind::from_tag(tag).ok_or(WireError::InvalidTag {
+        what: "EntryKind",
+        tag: tag as u64,
+    })?;
+    let content = r.get_bytes()?.to_vec();
+    let hash = Digest::from_slice(r.get_raw(32)?).ok_or(WireError::Corrupt("digest"))?;
+    if r.remaining() != 0 {
+        return Err(WireError::TrailingBytes(r.remaining()));
+    }
+    Ok(LogEntry {
+        seq,
+        kind,
+        content,
+        hash,
+    })
+}
+
+type Decoded<'a> = (Vec<LogEntryRef<'a>>, Vec<LogEntry>);
+
+/// Decodes `encodings` both ways.  Both decoders must accept the same inputs
+/// and refuse the rest with the same error — the one [`decode_reference`]
+/// reports; `None` when an entry was refused.
+fn decode_both(encodings: &[Vec<u8>]) -> Result<Option<Decoded<'_>>, TestCaseError> {
+    let mut views = Vec::new();
+    let mut owned = Vec::new();
+    for bytes in encodings {
+        let reference = decode_reference(bytes);
+        let view = LogEntryRef::decode_exact(bytes);
+        prop_assert_eq!(&LogEntry::decode_exact(bytes), &reference);
+        prop_assert_eq!(&view.clone().map(|e| e.to_entry()), &reference);
+        let (Ok(view), Ok(entry)) = (view, reference) else {
+            return Ok(None);
+        };
+        views.push(view);
+        owned.push(entry);
+    }
+    Ok(Some((views, owned)))
+}
+
+/// Audits `encodings` decoded in place and decoded into owned entries, and
+/// requires equal reports; a failing audit's evidence must be the owned
+/// segment and must verify for a third party.  `None` when the bytes do not
+/// decode (identically, see [`decode_both`]).
+fn audit_both(
+    encodings: &[Vec<u8>],
+    authenticators: &[Authenticator],
+) -> Result<Option<AuditReport>, TestCaseError> {
+    let rec = recording();
+    let registry = GuestRegistry::new();
+    let Some((views, owned)) = decode_both(encodings)? else {
+        return Ok(None);
+    };
+    let (name, prev) = ("bob", Digest::ZERO);
+    let borrowed = audit_log(
+        name,
+        &prev,
+        &views,
+        authenticators,
+        &rec.key,
+        &rec.image,
+        &registry,
+    );
+    let reference = audit_log(
+        name,
+        &prev,
+        &owned,
+        authenticators,
+        &rec.key,
+        &rec.image,
+        &registry,
+    );
+    // `outcome` (the fault and its evidence, or the replay summary),
+    // `entries_examined` and `syntactic_ok` are all of a report.
+    prop_assert_eq!(&borrowed, &reference);
+    prop_assert_eq!(borrowed.entries_examined, encodings.len() as u64);
+    if let AuditOutcome::Fail(evidence) = &borrowed.outcome {
+        prop_assert_eq!(&evidence.segment, &owned);
+        // An empty segment proves nothing to a third party, by design.
+        prop_assert_eq!(
+            evidence.verify(&rec.key, &rec.image, &registry),
+            !owned.is_empty()
+        );
+    }
+    Ok(Some(borrowed))
+}
+
+/// Where the fields of one entry encoding sit: `(seq varint length, content
+/// length varint offset, its length, content offset, content length)`.
+fn layout(encoding: &[u8]) -> (usize, usize, usize, usize, usize) {
+    let entry = decode_reference(encoding).expect("the recording's own encodings decode");
+    let seq_len = varint_len(entry.seq);
+    let len_at = seq_len + 1;
+    let len_len = varint_len(entry.content.len() as u64);
+    (
+        seq_len,
+        len_at,
+        len_len,
+        len_at + len_len,
+        entry.content.len(),
+    )
+}
+
+/// Replaces `encoding[at..at + len]` with the varint of `value`.
+fn splice_varint(encoding: &mut Vec<u8>, at: usize, len: usize, value: u64) {
+    let mut varint = Vec::new();
+    write_varint(&mut varint, value);
+    encoding.splice(at..at + len, varint);
+}
+
+/// One single-field mutation of the encoded segment; `pick` selects the
+/// byte, bit or value within the field.  Returns whether the mutation must
+/// turn a passing audit into a failing one whenever the bytes still decode.
+fn mutate(encodings: &mut Vec<Vec<u8>>, which: u8, index: usize, pick: u64) -> bool {
+    let index = index % encodings.len();
+    let (seq_len, len_at, len_len, content_at, content_len) = layout(&encodings[index]);
+    let entry = &mut encodings[index];
+    match which {
+        // seq: another value, any width.
+        0 => {
+            let old = decode_reference(entry).unwrap().seq;
+            let new = if pick.is_multiple_of(4) {
+                pick
+            } else {
+                old ^ (1 + pick % 64)
+            };
+            splice_varint(entry, 0, seq_len, new);
+            new != old
+        }
+        // kind tag: any byte, valid or not.
+        1 => {
+            let old = entry[seq_len];
+            entry[seq_len] = pick as u8;
+            pick as u8 != old
+        }
+        // one content bit.
+        2 if content_len > 0 => {
+            entry[content_at + pick as usize % content_len] ^= 1 << (pick % 8);
+            true
+        }
+        // one hash bit.
+        3 => {
+            let hash_at = content_at + content_len;
+            entry[hash_at + pick as usize % 32] ^= 1 << (pick % 8);
+            true
+        }
+        // content-length varint: the content now overruns or underruns.
+        4 => {
+            let declared = if pick.is_multiple_of(2) {
+                pick >> 8
+            } else {
+                pick % (2 * content_len as u64 + 2)
+            };
+            splice_varint(entry, len_at, len_len, declared);
+            false
+        }
+        // an entry dropped (a dropped last entry leaves an honest prefix).
+        5 => {
+            encodings.remove(index);
+            false
+        }
+        // an entry duplicated.
+        6 => {
+            let copy = encodings[index].clone();
+            encodings.insert(index, copy);
+            true
+        }
+        // two neighbours swapped.
+        7 if encodings.len() > 1 => {
+            let index = index % (encodings.len() - 1);
+            encodings.swap(index, index + 1);
+            true
+        }
+        // the tail of the last entry cut off.
+        8 => {
+            let last = encodings.last_mut().unwrap();
+            let cut = 1 + pick as usize % last.len();
+            last.truncate(last.len() - cut);
+            false
+        }
+        _ => false,
+    }
+}
+
+/// The recording with the content of entry `index` changed by `edit` and the
+/// hash chain rebuilt over it: well-formed to the chain check, so the fault
+/// — if the edit caused one — is for the content checks or replay to find.
+fn rechained(index: usize, edit: impl Fn(&mut Vec<u8>)) -> Vec<Vec<u8>> {
+    let mut log = TamperEvidentLog::new();
+    for (i, bytes) in recording().encodings.iter().enumerate() {
+        let mut entry = decode_reference(bytes).unwrap();
+        if i == index {
+            edit(&mut entry.content);
+        }
+        log.append(entry.kind, entry.content);
+    }
+    log.entries().iter().map(Encode::encode_to_vec).collect()
+}
+
+#[test]
+fn honest_recording_passes_both_ways() {
+    let rec = recording();
+    let report = audit_both(&rec.encodings, &rec.authenticators)
+        .unwrap()
+        .expect("the recording decodes");
+    assert!(report.passed(), "{:?}", report.fault());
+    assert!(report.syntactic_ok);
+    // An empty segment is refused the same way by both.
+    let report = audit_both(&[], &[]).unwrap().unwrap();
+    assert_eq!(
+        report.fault(),
+        Some(&FaultReason::SyntacticFailure(
+            "empty log segment".to_string()
+        ))
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// Every single-field mutation of the encoded segment: equal reports, or
+    /// equal decode errors.
+    #[test]
+    fn mutated_segment_is_judged_the_same_borrowed_and_owned(
+        which in 0u8..9,
+        index in any::<usize>(),
+        pick in any::<u64>(),
+    ) {
+        let rec = recording();
+        let mut encodings = rec.encodings.clone();
+        let must_fail = mutate(&mut encodings, which, index, pick);
+        if let Some(report) = audit_both(&encodings, &rec.authenticators)? {
+            prop_assert!(!(must_fail && report.passed()), "mutation {which} went unnoticed");
+            // A segment that differs from the recording fails syntactically:
+            // no single-field mutation keeps the chain intact.
+            prop_assert!(report.passed() || !report.syntactic_ok || encodings == rec.encodings);
+        }
+    }
+
+    /// Content edits under a rebuilt chain reach the content checks and the
+    /// replayer: the same fault, at the same entry, with the same detail.
+    #[test]
+    fn rechained_content_edit_is_judged_the_same_borrowed_and_owned(
+        index in any::<usize>(),
+        how in 0u8..8,
+        pick in any::<u64>(),
+    ) {
+        let index = index % recording().encodings.len();
+        // Mostly bit flips: a record that still decodes is what reaches the
+        // cross-reference check and the replayer.
+        let encodings = rechained(index, |content| match how {
+            0 => content.truncate(pick as usize % (content.len() + 1)),
+            1 => content.push(pick as u8),
+            2 => content.clear(),
+            _ if !content.is_empty() => {
+                let at = pick as usize % content.len();
+                content[at] ^= 1 << (pick % 8);
+            }
+            _ => {}
+        });
+        // Authenticators commit to the original chain; the rebuilt one is
+        // audited without them, as a machine that rewrote its log would
+        // hope to be.
+        let report = audit_both(&encodings, &[])?.expect("re-encoded entries decode");
+        prop_assert!(report.passed() || report.fault().is_some());
+    }
+
+    /// `LogEntryRef::decode` never panics, allocates nothing — the content
+    /// and hash it hands out are bytes of the input — and accepts, refuses
+    /// and consumes exactly as the reference owned decode does.
+    #[test]
+    fn decode_in_place_matches_the_owned_decode_on_arbitrary_bytes(
+        noise in proptest::collection::vec(any::<u8>(), 0..80),
+        from_recording in any::<bool>(),
+        index in any::<usize>(),
+        damage in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..3),
+        cut in proptest::option::of(any::<usize>()),
+    ) {
+        fn is_copy<T: Copy>() {}
+        is_copy::<LogEntryRef<'static>>();
+
+        let rec = recording();
+        let mut bytes = if from_recording {
+            rec.encodings[index % rec.encodings.len()].clone()
+        } else {
+            noise
+        };
+        for (at, byte) in damage {
+            if !bytes.is_empty() {
+                let at = at % bytes.len();
+                bytes[at] = byte;
+            }
+        }
+        if let Some(cut) = cut {
+            bytes.truncate(cut % (bytes.len() + 1));
+        }
+        let reference = decode_reference(&bytes);
+        prop_assert_eq!(&LogEntry::decode_exact(&bytes), &reference);
+        let view = LogEntryRef::decode_exact(&bytes);
+        prop_assert_eq!(&view.clone().map(|e| e.to_entry()), &reference);
+        if let Ok(view) = view {
+            let input = bytes.as_ptr_range();
+            prop_assert!(view.content.is_empty() || input.contains(&view.content.as_ptr()));
+            prop_assert!(input.contains(&view.hash.as_ptr()));
+            prop_assert_eq!(view.to_entry().encode_to_vec(), bytes.clone());
+        }
+        // The streaming form stops where the entry ends.
+        let mut padded = bytes.clone();
+        padded.extend_from_slice(&[0xa5; 3]);
+        let mut r = Reader::new(&padded);
+        if let Ok(view) = LogEntryRef::decode(&mut r) {
+            prop_assert_eq!(r.position(), view.to_entry().encoded_len());
+        }
+    }
+}
