@@ -322,6 +322,12 @@ fn bench_verify_kernels(c: &mut Criterion) {
         .map(|i| (i * 31 + i / 251) as u8)
         .collect();
     group.bench_function("crc32", |b| b.iter(|| avm_wire::crc32(&buf)));
+    // The frame sizes the workloads send: a small response, and the
+    // `db_durable` section stream a full-download spot check seals and opens.
+    group.bench_function("crc32_4kib", |b| b.iter(|| avm_wire::crc32(&buf[..4096])));
+    group.bench_function("crc32_614kb", |b| {
+        b.iter(|| avm_wire::crc32(&buf[..614_000]))
+    });
     group.finish();
 
     let mut group = c.benchmark_group("verify_chain_30k");

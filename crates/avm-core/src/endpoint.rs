@@ -1272,6 +1272,55 @@ mod tests {
         assert!(!report.passed());
     }
 
+    /// A request frame whose complete length prefix no packet could hold
+    /// (`u64::MAX - 2`: the header arithmetic used to overflow) is dropped
+    /// by both provider sides — the blocking transport's provider loop and
+    /// `ProviderNode::on_delivery` — and the session goes on unharmed.
+    #[test]
+    fn session_survives_a_hostile_request_length_prefix() {
+        use crate::fleet::{ProviderConfig, ProviderNode};
+        use avm_net::{Delivery, Endpoint};
+
+        let mut hostile = vec![avm_wire::FRAME_MAGIC];
+        avm_wire::varint::write_varint(&mut hostile, u64::MAX - 2);
+        hostile.extend_from_slice(&[0; 16]);
+        let (bob, image) = record_with_snapshots(3);
+        let registry = GuestRegistry::new();
+        let server = AuditServer::new(bob.log(), bob.snapshots());
+
+        let mut clean = AuditClient::new(SimNetTransport::new(server, LinkConfig::default()));
+        let expected = clean.spot_check(1, 1, &image, &registry).unwrap();
+        let mut transport = SimNetTransport::new(server, LinkConfig::default());
+        transport
+            .net
+            .send(AUDITOR_NODE, PROVIDER_NODE, hostile.clone());
+        let mut client = AuditClient::new(transport);
+        let report = client.spot_check(1, 1, &image, &registry).unwrap();
+        assert!(report.consistent);
+        assert_eq!(report.semantic(), expected.semantic());
+        let provider_rx = client.transport().network().stats(PROVIDER_NODE).rx_packets;
+        assert_eq!(provider_rx, report.transport.round_trips + 1);
+
+        let mut node = ProviderNode::new(PROVIDER_NODE, server, ProviderConfig::default());
+        let mut net = SimNet::new(LinkConfig::default());
+        for payload in [
+            hostile,
+            seal_session_message(7, 1, &AuditRequest::Manifest { snapshot_id: 1 }),
+        ] {
+            let delivery = Delivery {
+                from: AUDITOR_NODE,
+                to: PROVIDER_NODE,
+                payload,
+                deliver_at: 0,
+                sent_at: 0,
+            };
+            node.on_delivery(&mut net, delivery);
+        }
+        node.on_tick(&mut net);
+        assert_eq!(node.stats().sessions_created, 1);
+        assert_eq!(node.stats().requests_served, 1);
+    }
+
     /// A store-only provider serves snapshot state and answers log requests
     /// with a clean error.
     #[test]

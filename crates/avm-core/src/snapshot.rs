@@ -93,10 +93,13 @@
 //!    it: [`avm_vm::VmImage::baseline`] holds that tree (header leaves as
 //!    placeholders) and the leaf hashes under it, derived once per image.
 //!    [`SnapshotStore::materialize`] and the replayer start from a copy and
-//!    refresh it over the chunks and blocks the snapshot sections wrote —
+//!    refresh it over the chunks and blocks the snapshot sections changed —
 //!    before the dirty bits that name them are cleared — so reconstructing
 //!    and authenticating a snapshot hashes the bytes that came out of the
-//!    store and nothing that is the reference image's own.
+//!    store and nothing that is the reference image's own.  A section that
+//!    holds exactly what the leaf already holds (a full memory dump of a
+//!    chunk the guest never touched) costs a compare and sets no dirty bit
+//!    ([`avm_vm::LeafStore::set_leaf`]).
 //!
 //! **Invalidation contract:** `refresh` trusts the dirty bits to name every
 //! chunk/block whose contents changed since the cache was last in sync.
@@ -983,11 +986,37 @@ impl SnapshotStore {
         image: &VmImage,
         registry: &GuestRegistry,
     ) -> Result<(Machine, StateTreeCache, u64), CoreError> {
+        let (mut machine, state_root, consumed) = self.apply_chain(upto_id, image, registry)?;
+        // The dirty bits name exactly the chunks and blocks a section
+        // changed: refreshing over them hashes every byte that came out of
+        // the store and differs from the image, and every other leaf is the
+        // reference image's own.  Only then may the bits go.
+        let mut state_tree = StateTreeCache::from_baseline(image);
+        let root = state_tree.refresh(&machine);
+        if root != state_root {
+            return Err(CoreError::Snapshot(format!(
+                "materialized state root {} does not match recorded root {}",
+                root.short_hex(),
+                state_root.short_hex()
+            )));
+        }
+        machine.clear_dirty_tracking();
+        Ok((machine, state_tree, consumed))
+    }
+
+    /// A machine fresh from `image` with the chain up to snapshot `upto_id`
+    /// installed — its dirty bits still naming what the sections changed —
+    /// the root that snapshot recorded, and the transfer bytes consumed.
+    fn apply_chain(
+        &self,
+        upto_id: u64,
+        image: &VmImage,
+        registry: &GuestRegistry,
+    ) -> Result<(Machine, Digest, u64), CoreError> {
         let target = self
             .get(upto_id)
             .ok_or_else(|| CoreError::Snapshot(format!("snapshot {upto_id} not found")))?;
         let mut machine = Machine::from_image(image, registry).map_err(CoreError::Vm)?;
-        let mut state_tree = StateTreeCache::from_baseline(image);
         let mut consumed = 0u64;
         let base = self.memory_base(upto_id);
         for s in self.chain_upto(upto_id) {
@@ -1027,21 +1056,7 @@ impl SnapshotStore {
             .map_err(CoreError::Vm)?;
         machine.set_control_state(target.step, target.halted, false);
         consumed += target.cpu_state.len() as u64 + target.dev_state.len() as u64;
-
-        // The dirty bits name exactly the chunks and blocks a section
-        // wrote: refreshing over them hashes every byte that came out of
-        // the store, and every other leaf is the reference image's own.
-        // Only then may the bits go.
-        let root = state_tree.refresh(&machine);
-        if root != target.state_root {
-            return Err(CoreError::Snapshot(format!(
-                "materialized state root {} does not match recorded root {}",
-                root.short_hex(),
-                target.state_root.short_hex()
-            )));
-        }
-        machine.clear_dirty_tracking();
-        Ok((machine, state_tree, consumed))
+        Ok((machine, target.state_root, consumed))
     }
 }
 
@@ -1049,6 +1064,7 @@ impl SnapshotStore {
 mod tests {
     use super::*;
     use avm_vm::bytecode::assemble;
+    use avm_vm::devices::DISK_BLOCK_SIZE;
     use avm_vm::{StopCondition, VmExit, CHUNKS_PER_PAGE, CHUNK_SIZE, PAGE_SIZE};
 
     fn image() -> VmImage {
@@ -1191,6 +1207,42 @@ mod tests {
             store.materialize(0, &img, &reg).unwrap_err(),
             CoreError::Snapshot(_)
         ));
+    }
+
+    /// A full-memory chain whose memory is still the image's: installing it
+    /// leaves no memory leaf dirty, so the refresh is handed the disk blocks
+    /// whose bytes differ from the image and nothing else (plus the header
+    /// leaves, which a tree fresh from the baseline always re-derives) — and
+    /// the root is the one a tree built from scratch gives.
+    #[test]
+    fn full_dump_equal_to_the_image_refreshes_only_what_differs() {
+        let img = image();
+        let reg = GuestRegistry::new();
+        let mut m = Machine::from_image(&img, &reg).unwrap();
+        let mut store = SnapshotStore::new();
+        let disk = |m: &mut Machine, block: usize, byte: u8| {
+            let addr = (block * DISK_BLOCK_SIZE) as u64;
+            m.devices_mut().disk.write(addr, &[byte; 8]).unwrap();
+        };
+        disk(&mut m, 1, 7);
+        // Dirty on the recorder, but written back to the image's zeros.
+        disk(&mut m, 2, 0);
+        store.push(capture(&mut m, 0, true));
+        disk(&mut m, 3, 9);
+        store.push(capture(&mut m, 1, true));
+        assert_eq!(
+            store.get(1).unwrap().chunk_count(),
+            m.memory().chunk_count()
+        );
+
+        let (applied, _, _) = store.apply_chain(1, &img, &reg).unwrap();
+        let handed = applied.stores().map(|store| store.dirty_leaves());
+        assert_eq!(handed, [vec![], vec![1, 3]]);
+
+        let restored = store.materialize(1, &img, &reg).unwrap();
+        let root = build_state_tree_uncached(&restored).root();
+        assert_eq!(root, store.get(1).unwrap().state_root);
+        assert_eq!(restored.state_digest(), m.state_digest());
     }
 
     /// Tampering with a payload while keeping its original digest mis-keys

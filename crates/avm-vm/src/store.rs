@@ -16,17 +16,23 @@
 //!
 //! Incremental snapshots "only contain the state that has changed since the
 //! last snapshot" (§4.4), so the AVMM must know which state a guest wrote.
-//! Every write path sets the bit of each leaf it covers;
-//! [`LeafStore::dirty_leaves`] reads them and [`LeafStore::clear_dirty`]
-//! resets them at a capture point.  Tracking guest memory in 512 B leaves
-//! rather than whole pages is what makes an 8-byte counter bump cost one
-//! chunk of hashing, storage and transfer instead of eight.
+//! Every write path sets the bit of each leaf it covers, with one exception:
+//! a whole-leaf install ([`LeafStore::set_leaf`]) that changes no byte of a
+//! resident leaf sets nothing.  [`LeafStore::dirty_leaves`] reads the bits
+//! and [`LeafStore::clear_dirty`] resets them at a capture point.  Tracking
+//! guest memory in 512 B leaves rather than whole pages is what makes an
+//! 8-byte counter bump cost one chunk of hashing, storage and transfer
+//! instead of eight — and the install exception is what makes restoring a
+//! full memory dump that equals the image cost a compare per chunk instead
+//! of a hash.
 //!
 //! # Hash slots
 //!
 //! Independently of the dirty bits, every leaf's SHA-256 is memoised: a slot
-//! is emptied by the write path the moment the leaf's contents change and
-//! refilled lazily by [`LeafStore::leaf_hash`] (or in bulk, across the scoped
+//! is either empty or the hash of the leaf's current bytes (of its staged
+//! bytes, while it is staged).  The write path empties it the moment the
+//! leaf's contents change — an install that changes nothing keeps it — and
+//! [`LeafStore::leaf_hash`] refills it lazily (or in bulk, across the scoped
 //! worker pool, by [`LeafStore::prime_hashes`]).  Unlike the dirty bits the
 //! slots are *never* cleared wholesale — their validity tracks content
 //! changes, not snapshot boundaries — so a state root rehashes only what was
@@ -273,13 +279,21 @@ impl LeafStore {
 
     /// Overwrites leaf `idx` wholesale (the snapshot-restore unit); `None`,
     /// with nothing changed, unless `idx` is a leaf and `data` is exactly one
-    /// leaf long.
+    /// leaf long.  A resident leaf that already holds `data` is left alone:
+    /// no byte changes, so neither its dirty bit nor its hash slot does.
     pub fn set_leaf(&mut self, idx: usize, data: &[u8]) -> Option<()> {
         if data.len() != self.leaf_size() {
             return None;
         }
         let (page, range) = self.locate(idx);
-        self.pages.get_mut(page)?[range].copy_from_slice(data);
+        let leaf = &mut self.pages.get_mut(page)?[range];
+        // A staged leaf's pages hold stale local bytes, so equal bytes there
+        // prove nothing: it is installed like any other.
+        let resident = self.staged_live == 0 || self.staged[idx].is_none();
+        if resident && *leaf == *data {
+            return Some(());
+        }
+        leaf.copy_from_slice(data);
         // A wholesale overwrite supersedes any staged contents without
         // needing them — drop the staging, record no fault.
         self.take_staged(idx);
@@ -416,5 +430,36 @@ mod tests {
             (store.staged_count(), store.leaf_hash(7)),
             (1, Some(marker))
         );
+    }
+
+    /// An install is judged by its bytes: on a resident leaf, the leaf's own
+    /// bytes change nothing (the slot keeps its marker, the bit stays clear)
+    /// and a one-byte difference is a write; on a staged leaf the same bytes
+    /// are installed, because the pages there are stale.
+    #[test]
+    fn an_install_that_changes_no_byte_touches_nothing() {
+        let mut store = LeafStore::new(PAGE_SIZE as u64, 512, "leaf");
+        let markers: Vec<Digest> = (0..8u8).map(|i| sha256(&[i])).collect();
+        store.seed_hashes(&markers);
+        let own = store.leaf(2).unwrap().to_vec();
+        assert_eq!(store.set_leaf(2, &own), Some(()));
+        assert!(store.hashes.borrow()[2].is_some());
+        assert_eq!(store.leaf_hash(2), Some(markers[2]));
+        assert!(store.dirty_leaves().is_empty());
+
+        let mut last_differs = own.clone();
+        last_differs[511] ^= 1;
+        store.set_leaf(2, &last_differs).unwrap();
+        assert_eq!(store.dirty_leaves(), [2]);
+        assert!(store.hashes.borrow()[2].is_none());
+        assert_eq!(store.leaf(2), Some(&last_differs[..]));
+
+        store.stage_lazy(5, vec![9; 512], markers[0]).unwrap();
+        let stale = store.leaf(5).unwrap().to_vec();
+        store.set_leaf(5, &stale).unwrap();
+        assert_eq!(store.staged_count(), 0);
+        assert!(store.faulted().is_empty());
+        assert_eq!(store.dirty_leaves(), [2, 5]);
+        assert_eq!(store.leaf_hash(5), Some(sha256(&stale)));
     }
 }

@@ -155,7 +155,12 @@ impl Model {
         if idx >= self.units() {
             return Err(VmError::CorruptState(bad_idx));
         }
-        self.data[idx * self.unit..(idx + 1) * self.unit].copy_from_slice(content);
+        // A resident leaf set to its own bytes: nothing changes.
+        let current = &mut self.data[idx * self.unit..(idx + 1) * self.unit];
+        if !self.staged.contains_key(&idx) && *current == *content {
+            return Ok(());
+        }
+        current.copy_from_slice(content);
         self.staged.remove(&idx);
         self.dirty[idx] = true;
         self.hashes[idx] = None;
@@ -216,7 +221,7 @@ type Step = (u8, usize, usize, u8);
 
 fn step_sequence() -> impl Strategy<Value = Vec<Step>> {
     proptest::collection::vec(
-        (0u8..11, any::<usize>(), any::<usize>(), any::<u8>()),
+        (0u8..12, any::<usize>(), any::<usize>(), any::<u8>()),
         1..48,
     )
 }
@@ -465,6 +470,13 @@ fn facade_matches_the_map_model<F: Facade>(steps: Vec<Step>) -> Result<(), TestC
                     model.hash(i);
                 }
                 prop_assert_eq!(facade.write(addr, &bytes), model.write(addr, &bytes));
+            }
+            10 => {
+                // A unit set to the bytes it holds: nothing on a resident
+                // unit, an install on a staged one (its bytes are stale).
+                let idx = stage_target(&model, a, b) % F::UNITS;
+                let own = model.data[idx * F::UNIT..(idx + 1) * F::UNIT].to_vec();
+                prop_assert_eq!(facade.set_unit(idx, &own), model.set_unit(idx, &own));
             }
             _ => {
                 let clone = facade.clone();

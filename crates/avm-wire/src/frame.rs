@@ -120,9 +120,16 @@ pub fn read_frame(input: &[u8]) -> Result<(&[u8], usize), FrameError> {
         WireError::UnexpectedEof { .. } => FrameError::Truncated,
         _ => FrameError::BadLength,
     })?;
+    // The varint is complete, so a length no input could hold is corruption,
+    // not a torn append; a representable one longer than the input is
+    // truncation.
     let len = usize::try_from(len).map_err(|_| FrameError::BadLength)?;
     let header = 1 + len_bytes;
-    let total = header + len + 4;
+    let total = header
+        .checked_add(len)
+        .and_then(|n| n.checked_add(4))
+        .filter(|&n| n <= isize::MAX as usize)
+        .ok_or(FrameError::BadLength)?;
     if input.len() < total {
         return Err(FrameError::Truncated);
     }
@@ -219,6 +226,27 @@ mod tests {
         let mut bad = vec![FRAME_MAGIC];
         bad.extend_from_slice(&[0x80u8; 11]);
         assert_eq!(read_frame(&bad).unwrap_err(), FrameError::BadLength);
+    }
+
+    /// A complete length prefix whose frame no input could hold (the
+    /// header arithmetic would overflow) is `BadLength`, not a panic and not
+    /// `Truncated`; a representable length past the end stays `Truncated`.
+    #[test]
+    fn unrepresentable_length_is_bad_length() {
+        for len in [u64::MAX - 2, usize::MAX as u64, u64::MAX, 1 << 63] {
+            let mut hostile = vec![FRAME_MAGIC];
+            write_varint(&mut hostile, len);
+            hostile.extend_from_slice(b"some trailing bytes");
+            assert_eq!(
+                read_frame(&hostile).unwrap_err(),
+                FrameError::BadLength,
+                "length {len}"
+            );
+        }
+        let mut long = vec![FRAME_MAGIC];
+        write_varint(&mut long, 1 << 40);
+        long.extend_from_slice(&[0; 8]);
+        assert_eq!(read_frame(&long).unwrap_err(), FrameError::Truncated);
     }
 
     #[test]

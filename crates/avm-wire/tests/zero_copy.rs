@@ -193,3 +193,23 @@ proptest! {
         prop_assert_eq!(consumed, split.len());
     }
 }
+
+/// The same equality where the checksum's streamed path engages: parts
+/// larger than one 3-stream super-block, split off-stride, beside short and
+/// empty ones.
+#[test]
+fn frame_parts_with_a_part_above_a_super_block_equal_single_buffer_frame() {
+    let payload: Vec<u8> = (0..20_000u32).map(|i| (i * 131 + i / 97) as u8).collect();
+    for cuts in [
+        vec![0, 9_001, 9_004, 20_000],
+        vec![0, 3, 3, 12_345, 20_000],
+        vec![0, 20_000],
+    ] {
+        let parts: Vec<&[u8]> = cuts.windows(2).map(|w| &payload[w[0]..w[1]]).collect();
+        let mut whole = Vec::new();
+        write_frame(&mut whole, &payload);
+        let mut split = Vec::new();
+        assert_eq!(write_frame_parts(&mut split, &parts), whole.len());
+        assert_eq!(split, whole, "cuts {cuts:?}");
+    }
+}
