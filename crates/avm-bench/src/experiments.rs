@@ -735,12 +735,15 @@ pub fn exp_snapshot_dedup() -> SnapshotDedupResult {
     );
 
     // Round trip every snapshot (materialize authenticates the state root)
-    // and pin the accounting to the bytes materialization consumes.
+    // and pin the accounting to the stream it counts.
     for sid in 0..id {
-        let (_, consumed) = store
-            .materialize_with_cost(sid, &image, &registry)
+        store
+            .materialize(sid, &image, &registry)
             .expect("pooled snapshot must round-trip");
-        assert_eq!(consumed, store.transfer_bytes_upto(sid));
+        assert_eq!(
+            store.transfer_stream_upto(sid).len() as u64,
+            store.transfer_bytes_upto(sid)
+        );
     }
 
     let cost = store.transfer_cost_upto(id - 1, CompressionLevel::Default);
@@ -2216,167 +2219,8 @@ pub fn fleet_metrics(r: &FleetResult) -> Vec<(String, u64)> {
     }
     // No pool keys here: the fleet run never engages the hashing
     // pool (payloads sit below its batching threshold), and pinning
-    // idle-pool numbers would claim coverage the run doesn't have.  The
-    // `paraudit` trajectory reports genuine pool engagement instead.
+    // idle-pool numbers would claim coverage the run doesn't have.
     m
-}
-
-/// One worker-count row of the `paraudit` sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct ParauditRow {
-    /// Worker lanes requested.
-    pub workers: u64,
-    /// The parallel report was field-for-field identical to the serial one.
-    pub identical: bool,
-}
-
-/// Result of [`exp_paraudit`].
-#[derive(Debug, Clone)]
-pub struct ParauditResult {
-    /// Replay units the chunk partitioned into (one per segment).
-    pub units: u64,
-    /// Worker sweep 1..=8.
-    pub rows: Vec<ParauditRow>,
-    /// Every parallel report equalled the serial baseline.
-    pub all_identical: bool,
-    /// The engine fell back to serial replay in some run.
-    pub any_fallback: bool,
-    /// Generic replay tasks the worker pool executed during the sweep
-    /// (delta, deterministic: Σ lanes−1 per run).
-    pub pool_tasks: u64,
-    /// Pool worker threads (host-dependent; console only).
-    pub pool_workers: u64,
-}
-
-/// Segment-parallel audit replay (§6): partitions one recorded chunk at its
-/// snapshot boundaries, replays the units on 1..=8 worker lanes, and checks
-/// every parallel [`SpotCheckReport`] for field-identity with the serial
-/// baseline.  What the lanes buy in host time is `bench/`'s to measure
-/// (`paraudit.wall_ns_w1` / `wall_ns_wn` / `speedup_measured`).
-///
-/// [`SpotCheckReport`]: avm_core::spotcheck::SpotCheckReport
-pub fn exp_paraudit() -> ParauditResult {
-    use avm_core::endpoint::{AuditClient, AuditServer, SimNetTransport};
-    use avm_core::spotcheck::{spot_check, spot_check_parallel};
-    use avm_vm::GuestRegistry;
-
-    let registry = GuestRegistry::new();
-    let scheme = SignatureScheme::Rsa(512);
-    let mut rng = StdRng::seed_from_u64(23);
-    let operator = Identity::generate(&mut rng, "host", scheme);
-    let client_id = Identity::generate(&mut rng, "client", scheme);
-    let pages = 96;
-    let touch_pages = 6u64;
-    let n_snapshots: u64 = 8;
-    let image = sparse_writer_image(pages);
-    let mut avmm = Avmm::new(
-        "host",
-        &image,
-        &registry,
-        operator.signing_key.clone(),
-        AvmmOptions::default()
-            .with_scheme(scheme)
-            .with_incremental_snapshots(),
-    )
-    .unwrap();
-    avmm.add_peer("client", client_id.verifying_key());
-    let mut clock = HostClock::at(1_000);
-    avmm.run_slice(&clock, 50_000).unwrap();
-    for i in 0..n_snapshots {
-        clock.advance_to(clock.now() + 2_000);
-        let sel = (i % touch_pages) as u8;
-        let payload = encode_guest_packet("host", &[sel, (i % 8) as u8]);
-        let env = Envelope::create(
-            EnvelopeKind::Data,
-            "client",
-            "host",
-            i + 1,
-            payload,
-            &client_id.signing_key,
-            None,
-        );
-        avmm.deliver(&env).unwrap();
-        avmm.run_slice(&clock, 100_000).unwrap();
-        avmm.take_snapshot();
-    }
-
-    // The whole recording as one open chunk: one replay unit per segment.
-    let start = 0u64;
-    let k = n_snapshots;
-
-    let serial = spot_check(avmm.log(), avmm.snapshots(), start, k, &image, &registry).unwrap();
-    assert!(serial.consistent, "honest chunk must pass");
-
-    // One-lane detail run: pins the engine against the serial report.
-    let mut client = AuditClient::new(SimNetTransport::new(
-        AuditServer::new(avmm.log(), avmm.snapshots()),
-        avm_net::LinkConfig::from_rtt_model(&avm_core::spotcheck::TRANSFER_RTT),
-    ));
-    let (detail_report, stats) = client
-        .spot_check_parallel_detail(start, k, &image, &registry, 1)
-        .unwrap();
-    assert_eq!(detail_report, serial, "engine must match the serial report");
-    let units = stats.units as u64;
-    let any_fallback = stats.fell_back_serial;
-
-    let pool_before = avm_crypto::parallel::global_pool_stats();
-    let mut rows = Vec::with_capacity(8);
-    let mut all_identical = true;
-    for workers in 1..=8usize {
-        let report = spot_check_parallel(
-            avmm.log(),
-            avmm.snapshots(),
-            start,
-            k,
-            &image,
-            &registry,
-            workers,
-        )
-        .unwrap();
-        let identical = report == serial;
-        all_identical &= identical;
-        rows.push(ParauditRow {
-            workers: workers as u64,
-            identical,
-        });
-    }
-    let pool = avm_crypto::parallel::global_pool_stats().since(&pool_before);
-    assert!(all_identical, "every parallel report must equal serial");
-
-    println!("# Segment-parallel audit replay (chunk start={start}, k={k}, {units} units)");
-    println!("| workers | identical |");
-    println!("|---|---|");
-    for row in &rows {
-        println!("| {} | {} |", row.workers, row.identical);
-    }
-    println!(
-        "(pool ran {} replay tasks on {} workers)",
-        pool.tasks, pool.workers
-    );
-
-    ParauditResult {
-        units,
-        rows,
-        all_identical,
-        any_fallback,
-        pool_tasks: pool.tasks,
-        pool_workers: pool.workers as u64,
-    }
-}
-
-/// Flattens a [`ParauditResult`] into the `BENCH_paraudit.json` trajectory
-/// metrics.
-pub fn paraudit_metrics(r: &ParauditResult) -> Vec<(String, u64)> {
-    vec![
-        ("ok_parallel_identical".to_string(), r.all_identical as u64),
-        (
-            "ok_no_serial_fallback".to_string(),
-            (!r.any_fallback) as u64,
-        ),
-        ("ok_pool_engaged".to_string(), (r.pool_tasks > 0) as u64),
-        ("units".to_string(), r.units),
-        ("pool_replay_tasks".to_string(), r.pool_tasks),
-    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -3006,9 +2850,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ),
     (&["fleet", "sessions", "scale"], "BENCH_fleet.json", || {
         fleet_metrics(&exp_fleet())
-    }),
-    (&["paraudit", "parallel"], "BENCH_paraudit.json", || {
-        paraudit_metrics(&exp_paraudit())
     }),
     (
         &["attest", "attestation", "launch"],

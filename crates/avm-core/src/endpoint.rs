@@ -105,7 +105,6 @@ use crate::attest::{Attestor, LaunchPolicy};
 use crate::audit::{audit_log, AuditReport};
 use crate::error::{CoreError, FaultReason};
 use crate::ondemand::{AuditorBlobCache, ChainManifest};
-use crate::paraudit::ParallelReplayStats;
 use crate::session::{
     expect_attestation, expect_log_entries, expect_log_segment, expect_manifest, expect_sections,
     AuditSession, Step,
@@ -839,40 +838,7 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
         image: &VmImage,
         registry: &GuestRegistry,
     ) -> Result<SpotCheckReport, CoreError> {
-        self.run(start_snapshot, k, false, 0, image, registry)
-            .map(|(report, _)| report)
-    }
-
-    /// [`AuditClient::spot_check`] with the chunk's segments replayed in
-    /// parallel on up to `workers` lanes (§6: segments between snapshots
-    /// replay independently on multiple cores) — field-for-field identical
-    /// to the serial report: it is the same session, so the same two
-    /// exchanges cross the wire in the same order, and the replay engine
-    /// merges to the serial verdict (see [`crate::paraudit`] for the
-    /// identity argument).
-    pub fn spot_check_parallel(
-        &mut self,
-        start_snapshot: u64,
-        k: u64,
-        image: &VmImage,
-        registry: &GuestRegistry,
-        workers: usize,
-    ) -> Result<SpotCheckReport, CoreError> {
-        self.spot_check_parallel_detail(start_snapshot, k, image, registry, workers)
-            .map(|(report, _)| report)
-    }
-
-    /// [`AuditClient::spot_check_parallel`] plus the engine's execution
-    /// telemetry (unit count, lanes, per-unit CPU) — the benchmark seam.
-    pub fn spot_check_parallel_detail(
-        &mut self,
-        start_snapshot: u64,
-        k: u64,
-        image: &VmImage,
-        registry: &GuestRegistry,
-        workers: usize,
-    ) -> Result<(SpotCheckReport, ParallelReplayStats), CoreError> {
-        self.run(start_snapshot, k, false, workers.max(1), image, registry)
+        self.run(start_snapshot, k, false, image, registry)
     }
 
     /// Spot check in on-demand mode (§3.5 incremental state requests),
@@ -884,8 +850,7 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
         image: &VmImage,
         registry: &GuestRegistry,
     ) -> Result<SpotCheckReport, CoreError> {
-        self.run(start_snapshot, k, true, 0, image, registry)
-            .map(|(report, _)| report)
+        self.run(start_snapshot, k, true, image, registry)
     }
 
     /// The blocking driver of [`AuditSession`]: every request the session
@@ -897,15 +862,13 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
         start_snapshot: u64,
         k: u64,
         on_demand: bool,
-        lanes: usize,
         image: &VmImage,
         registry: &GuestRegistry,
-    ) -> Result<(SpotCheckReport, ParallelReplayStats), CoreError> {
+    ) -> Result<SpotCheckReport, CoreError> {
         let stats_before = self.transport.stats();
         let oracle = self.transport.provider_store();
-        let mut session =
-            AuditSession::new(start_snapshot, k, on_demand, lanes, image, registry, oracle)
-                .with_cache(std::mem::take(&mut self.cache));
+        let mut session = AuditSession::new(start_snapshot, k, on_demand, image, registry, oracle)
+            .with_cache(std::mem::take(&mut self.cache));
         let mut step = session.start(0);
         let outcome = loop {
             step = match step {
@@ -921,12 +884,11 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
                 Step::Done(outcome) => break outcome,
             };
         };
-        let replay_stats = session.replay_stats().clone();
         // Blobs fetched before a failure stay verified; keep them.
         self.cache = session.into_cache();
         let mut report = outcome?;
         report.transport = self.transport.stats().since(&stats_before);
-        Ok((report, replay_stats))
+        Ok(report)
     }
 }
 

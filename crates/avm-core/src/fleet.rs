@@ -408,7 +408,6 @@ impl<'a> FleetAuditor<'a> {
                 task.start_snapshot,
                 task.chunk,
                 task.on_demand,
-                0,
                 image,
                 registry,
                 provider_store,

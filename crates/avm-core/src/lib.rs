@@ -50,10 +50,8 @@
 //!   event-loop driver — over one shared simulated network, with
 //!   round-robin scheduling, a shared response cache and idle-session
 //!   expiry.
-//! * [`paraudit`] — segment-parallel audit replay (§6): partition a chunk
-//!   at its snapshot boundaries, replay the units concurrently on the
-//!   [`avm_crypto::parallel`] pool, merge to the serial verdict.
-//! * [`online`] — online (concurrent-with-execution) auditing (§6.11).
+//! * [`paraudit`] — segment-parallel chunk replay (§6), kept only for the
+//!   standalone benchmark's per-layer timings; no audit path calls it.
 //! * [`multiparty`] — authenticator collection, the challenge protocol and
 //!   evidence distribution for multi-party scenarios (§4.6).
 //! * [`runtime`] — a host runtime tying AVMM nodes to the simulated network,
@@ -139,7 +137,6 @@ pub mod events;
 pub mod fleet;
 pub mod multiparty;
 pub mod ondemand;
-pub mod online;
 pub mod paraudit;
 pub mod persist;
 pub mod recorder;

@@ -59,7 +59,7 @@
 //! — and hashes only bytes that came from the operator's pool; the tree then
 //! goes to the replayer, whose first root check is incremental too.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use avm_compress::{CompressionLevel, CompressionStats, StreamMeasurer};
 use avm_crypto::parallel::sha256_batch;
@@ -160,28 +160,14 @@ impl Decode for ChainManifest {
 
 impl SnapshotStore {
     /// Builds the [`ChainManifest`] for the state at snapshot `upto_id`:
-    /// walks the chain once, collapsing references the same way
-    /// [`SnapshotStore::materialize`] applies sections (later writes win,
-    /// memory sections before the last full dump are superseded).
+    /// the references the sections [`SnapshotStore::materialize`] applies
+    /// collapse to (later writes win, memory sections before the last full
+    /// dump are superseded).
     pub fn chain_manifest_upto(&self, upto_id: u64) -> Result<ChainManifest, CoreError> {
         let target = self
             .get(upto_id)
             .ok_or_else(|| CoreError::Snapshot(format!("snapshot {upto_id} not found")))?;
-        // The shared supersession predicate: manifest, materialize and the
-        // transfer accounting must agree on which memory sections count.
-        let base = self.memory_base(upto_id);
-        let mut mem: BTreeMap<u32, Digest> = BTreeMap::new();
-        let mut disk: BTreeMap<u32, Digest> = BTreeMap::new();
-        for s in self.chain_upto(upto_id) {
-            if s.id >= base {
-                for (idx, hash) in s.mem_chunk_refs() {
-                    mem.insert(*idx, *hash);
-                }
-            }
-            for (idx, hash) in s.disk_block_refs() {
-                disk.insert(*idx, *hash);
-            }
-        }
+        let [mem_refs, disk_refs] = self.effective_refs_upto(upto_id);
         Ok(ChainManifest {
             snapshot_id: target.id,
             step: target.step,
@@ -189,8 +175,8 @@ impl SnapshotStore {
             state_root: target.state_root,
             cpu_state: target.cpu_state.clone(),
             dev_state: target.dev_state.clone(),
-            mem_refs: mem.into_iter().collect(),
-            disk_refs: disk.into_iter().collect(),
+            mem_refs,
+            disk_refs,
         })
     }
 

@@ -1,5 +1,13 @@
 //! Segment-parallel audit replay — the paper's multicore claim (§6).
 //!
+//! **No audit path calls this module.**  The spot check replays its chunk
+//! serially ([`crate::session::AuditSession`]): no clock has ever seen the
+//! lanes below pay off (`paraudit.speedup_measured` reads 1.00–1.01).  What
+//! remains is [`replay_chunk_parallel`] and [`ParallelReplayStats`], whose
+//! one caller is the standalone benchmark's per-layer timing (`bench/`),
+//! and the unit tests pinning it to the serial replayer.  Both go together
+//! with the benchmark's `paraudit.*` keys.
+//!
 //! "Since the log segments between snapshots can be replayed independently,
 //! the auditor can replay different segments in parallel on multiple cores."
 //! A §3.5 chunk downloaded for a spot check already carries its own
@@ -34,8 +42,7 @@
 //!
 //! What the lanes buy in wall-clock is a measurement, not a property of this
 //! module: `bench/` times [`replay_chunk_parallel`] per lane count on the
-//! host it runs on (1.00x on the two-thread CI host), and the `paraudit`
-//! experiment records `wall_parallel_w*_us` beside the host's parallelism.
+//! host it runs on (1.00x on the two-thread CI host).
 
 use std::time::Instant;
 
@@ -181,13 +188,11 @@ fn serial_outcome(
 /// identity argument).
 ///
 /// `workers == 0` asks for no engine at all: the whole chunk replays
-/// unpartitioned on the calling thread.  That is the serial reference every
-/// lane count is pinned against, and what a plain (non-parallel) spot check
-/// passes — so the two spot checks differ by this one integer.
+/// unpartitioned on the calling thread — the serial reference every lane
+/// count is pinned against.
 ///
-/// `snapshots` is the oracle store the serial check materializes its
-/// start snapshot from; interior units materialize from the same store at
-/// zero wire cost — the §3.5 byte and round-trip accounting is untouched.
+/// `snapshots` is the store the start snapshot materializes from; interior
+/// units materialize from the same store.
 /// Lanes run on the process-wide [`avm_crypto::parallel`] pool; actual
 /// concurrency is additionally bounded by its worker count.
 pub fn replay_chunk_parallel(

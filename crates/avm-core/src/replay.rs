@@ -124,7 +124,7 @@ impl Replayer {
         snapshots: &SnapshotStore,
         snapshot_id: u64,
     ) -> Result<Replayer, CoreError> {
-        let (machine, state_tree, _) =
+        let (machine, state_tree) =
             snapshots.materialize_with_tree(snapshot_id, image, registry)?;
         Ok(Self::with_machine(machine, state_tree, image.digest()))
     }

@@ -46,7 +46,6 @@ use crate::error::{CoreError, FaultReason};
 use crate::ondemand::{
     AuditorBlobCache, BlobFetch, ChainManifest, FaultClassification, OnDemandCost, OnDemandSession,
 };
-use crate::paraudit::{replay_chunk_parallel, ParallelReplayStats};
 use crate::replay::{ReplaySummary, Replayer};
 use crate::snapshot::SnapshotStore;
 use crate::spotcheck::{snapshot_positions_in, SpotCheckReport};
@@ -204,7 +203,6 @@ pub struct AuditSession<'a> {
     start_snapshot: u64,
     k: u64,
     on_demand: bool,
-    lanes: usize,
     image: &'a VmImage,
     registry: &'a GuestRegistry,
     oracle: &'a SnapshotStore,
@@ -213,20 +211,16 @@ pub struct AuditSession<'a> {
     attest: Option<(&'a LaunchPolicy, u64)>,
     state: State,
     attest_verdict: Option<AttestVerdict>,
-    replay_stats: ParallelReplayStats,
 }
 
 impl<'a> AuditSession<'a> {
     /// A session checking the `k`-chunk at `start_snapshot`, downloading the
-    /// snapshot state `on_demand` or in full; full-download replay runs on
-    /// `lanes` lanes ([`replay_chunk_parallel`]; `0` = the serial replayer).
-    /// `oracle` is the provider's store replay state is read from (see the
-    /// module docs).
+    /// snapshot state `on_demand` or in full.  `oracle` is the provider's
+    /// store replay state is read from (see the module docs).
     pub fn new(
         start_snapshot: u64,
         k: u64,
         on_demand: bool,
-        lanes: usize,
         image: &'a VmImage,
         registry: &'a GuestRegistry,
         oracle: &'a SnapshotStore,
@@ -235,7 +229,6 @@ impl<'a> AuditSession<'a> {
             start_snapshot,
             k,
             on_demand,
-            lanes,
             image,
             registry,
             oracle,
@@ -243,7 +236,6 @@ impl<'a> AuditSession<'a> {
             attest: None,
             state: State::Idle,
             attest_verdict: None,
-            replay_stats: ParallelReplayStats::default(),
         }
     }
 
@@ -270,11 +262,6 @@ impl<'a> AuditSession<'a> {
     /// `None` without [`AuditSession::with_attestation`]).
     pub fn attest_verdict(&self) -> Option<AttestVerdict> {
         self.attest_verdict
-    }
-
-    /// How the full-download replay executed (default until it ran).
-    pub fn replay_stats(&self) -> &ParallelReplayStats {
-        &self.replay_stats
     }
 
     /// Ends the session, handing the blob cache back for the next one.
@@ -376,17 +363,11 @@ impl<'a> AuditSession<'a> {
     }
 
     /// Full-download replay from the oracle-materialized snapshot.
-    fn replay_full(&mut self, entries: &[LogEntry]) -> Result<Replayed, CoreError> {
-        let outcome = replay_chunk_parallel(
-            entries,
-            self.image,
-            self.registry,
-            self.oracle,
-            self.start_snapshot,
-            self.lanes,
-        )?;
-        self.replay_stats = outcome.stats;
-        Ok((outcome.fault, outcome.progress))
+    fn replay_full(&self, entries: &[LogEntry]) -> Result<Replayed, CoreError> {
+        let mut replayer =
+            Replayer::from_snapshot(self.image, self.registry, self.oracle, self.start_snapshot)?;
+        let fault = replayer.replay(entries).fault().cloned();
+        Ok((fault, replayer.summary()))
     }
 
     fn on_sections(
@@ -556,7 +537,7 @@ mod tests {
         let server = AuditServer::new(bob.log(), bob.snapshots()).with_attestor(&attestor);
         for (on_demand, attest) in [(false, false), (false, true), (true, false), (true, true)] {
             let mut session =
-                AuditSession::new(2, 1, on_demand, 0, &image, &registry, bob.snapshots());
+                AuditSession::new(2, 1, on_demand, &image, &registry, bob.snapshots());
             if attest {
                 session = session.with_attestation(&policy, 7);
             }
@@ -591,7 +572,7 @@ mod tests {
         let (bob, image) = record_with_snapshots(5);
         let registry = GuestRegistry::new();
         let server = AuditServer::new(bob.log(), bob.snapshots());
-        let session = AuditSession::new(1, 3, true, 0, &image, &registry, bob.snapshots());
+        let session = AuditSession::new(1, 3, true, &image, &registry, bob.snapshots());
         let mut chunk = Vec::new();
         let (sent, outcome) = drive(session, &server, |_, response| {
             if let AuditResponse::LogSegment { entries, .. } = &response {
@@ -631,7 +612,7 @@ mod tests {
         let registry = GuestRegistry::new();
         let server = AuditServer::new(bob.log(), bob.snapshots());
         for on_demand in [false, true] {
-            let session = AuditSession::new(2, 1, on_demand, 0, &image, &registry, bob.snapshots());
+            let session = AuditSession::new(2, 1, on_demand, &image, &registry, bob.snapshots());
             let (mut log, mut snapshot, mut wire) = (0u64, 0u64, 0u64);
             let (_, outcome) = drive(session, &server, |_, response| {
                 wire += response.encoded_len() as u64;
@@ -670,7 +651,7 @@ mod tests {
         let registry = GuestRegistry::new();
         let server = AuditServer::new(bob.log(), bob.snapshots());
         let honest_len = bob.snapshots().transfer_bytes_upto(2);
-        let session = AuditSession::new(2, 1, false, 0, &image, &registry, bob.snapshots());
+        let session = AuditSession::new(2, 1, false, &image, &registry, bob.snapshots());
         let (sent, outcome) = drive(session, &server, |_, response| match response {
             AuditResponse::Sections { mut stream } => {
                 assert_eq!(stream.len() as u64, honest_len);
@@ -695,7 +676,7 @@ mod tests {
             (true, 2, "Blobs"),
             (false, 0, "LogSegment"),
         ] {
-            let session = AuditSession::new(2, 1, on_demand, 0, &image, &registry, bob.snapshots());
+            let session = AuditSession::new(2, 1, on_demand, &image, &registry, bob.snapshots());
             let (sent, outcome) = drive(
                 session,
                 &server,
@@ -714,7 +695,7 @@ mod tests {
             assert!(error.contains(&wanted), "{error}");
         }
         // … and a manifest where the section stream belongs.
-        let session = AuditSession::new(2, 1, false, 0, &image, &registry, bob.snapshots());
+        let session = AuditSession::new(2, 1, false, &image, &registry, bob.snapshots());
         let (_, outcome) = drive(session, &server, |i, response| match i {
             1 => AuditResponse::Manifest { manifest: vec![] },
             _ => response,
@@ -741,7 +722,7 @@ mod tests {
             ),
         ];
         for (tamper, wanted) in tampers {
-            let session = AuditSession::new(2, 1, true, 0, &image, &registry, bob.snapshots());
+            let session = AuditSession::new(2, 1, true, &image, &registry, bob.snapshots());
             let (sent, outcome) = drive(session, &server, |_, response| match response {
                 AuditResponse::Blobs(mut blobs) => {
                     tamper(&mut blobs.blobs);
@@ -848,7 +829,7 @@ mod tests {
             |entry| entry.push(0),
         ];
         for damage in damages {
-            let session = AuditSession::new(2, 1, false, 0, &image, &registry, bob.snapshots());
+            let session = AuditSession::new(2, 1, false, &image, &registry, bob.snapshots());
             let mut wanted = String::new();
             let (sent, outcome) = drive(session, &server, |_, response| match response {
                 AuditResponse::LogSegment {
@@ -1014,7 +995,7 @@ mod tests {
         for (on_demand, exchanges) in [(false, 2), (true, 3)] {
             for at in 0..exchanges {
                 let session =
-                    AuditSession::new(2, 1, on_demand, 0, &image, &registry, bob.snapshots());
+                    AuditSession::new(2, 1, on_demand, &image, &registry, bob.snapshots());
                 let (sent, outcome) = drive(session, &server, |i, response| {
                     if i == at {
                         AuditResponse::Error {
@@ -1053,7 +1034,7 @@ mod tests {
         }
         let server = AuditServer::new(&rebuilt, bob.snapshots());
         for on_demand in [false, true] {
-            let session = AuditSession::new(0, 1, on_demand, 0, &image, &registry, bob.snapshots());
+            let session = AuditSession::new(0, 1, on_demand, &image, &registry, bob.snapshots());
             let (sent, outcome) = drive(session, &server, honest);
             // The verdict comes from the received prefix alone: no snapshot
             // state is requested, none is reported.

@@ -56,15 +56,18 @@
 //! must *download*, which is a different quantity from the bytes the store
 //! keeps: the modelled transfer protocol ships snapshot *sections* (headers,
 //! indexed chunks, indexed disk blocks), exactly the sections
-//! [`SnapshotStore::materialize`] applies.  One shared base index decides
-//! which memory sections a later full dump supersedes, so
-//! [`SnapshotStore::transfer_bytes_upto`] is always equal to the bytes
-//! materialization consumes ([`SnapshotStore::materialize_with_cost`] counts
-//! them at the apply sites; tests pin the equality).  Because the paper's
-//! prototype ships snapshots *compressed* (§6.12 reports compressed
+//! [`SnapshotStore::materialize`] applies.  Which sections those are — a
+//! later full memory dump supersedes every earlier memory section, every
+//! disk section applies — is decided in one walk, `sections_upto`, that
+//! materialization, [`SnapshotStore::transfer_bytes_upto`], the transfer
+//! stream, the on-demand manifest and pruning all consume, so none of them
+//! can disagree with another about what an auditor downloads.  Because the
+//! paper's prototype ships snapshots *compressed* (§6.12 reports compressed
 //! numbers), [`SnapshotStore::transfer_stream_upto`] serialises the exact
-//! transfer byte stream and [`SnapshotStore::transfer_cost_upto`] routes it
-//! through `avm-compress`, yielding raw and compressed sizes side by side.
+//! transfer byte stream (its layout is on
+//! [`SnapshotStore::append_transfer_stream_upto`]) and
+//! [`SnapshotStore::transfer_cost_upto`] routes it through `avm-compress`,
+//! yielding raw and compressed sizes side by side.
 //!
 //! # The incremental state-root pipeline
 //!
@@ -734,14 +737,51 @@ impl SnapshotStore {
         &self.snapshots
     }
 
-    /// The retained prefix of the chain with ids `<= upto_id` (clamped, so
-    /// wild ids from an untrusted log stay total).
-    pub(crate) fn chain_upto(&self, upto_id: u64) -> &[StoredSnapshot] {
+    /// The sections that make up the state at snapshot `upto_id`: each
+    /// retained snapshot with ids `<= upto_id`, in order, with its
+    /// `[memory, disk]` references in [`Machine::stores`] order.
+    ///
+    /// This is the one place the supersession rule is written.  The last
+    /// full memory dump in the chain overwrites every chunk, so the memory
+    /// sections before it come out empty; the disk has no full dumps, so
+    /// every disk section applies.  A section is therefore either whole or
+    /// empty.  Materialization, the transfer accounting, the transfer
+    /// stream, the on-demand manifest and pruning all walk this, so they
+    /// cannot disagree about which sections an auditor must download.
+    /// `upto_id` may exceed the store (an untrusted log can reference ids
+    /// the store never saw); the range is clamped so every walk stays total.
+    pub(crate) fn sections_upto(
+        &self,
+        upto_id: u64,
+    ) -> impl Iterator<Item = (&StoredSnapshot, [&[(u32, Digest)]; 2])> {
         let end = upto_id
             .saturating_sub(self.base_id)
             .saturating_add(if upto_id >= self.base_id { 1 } else { 0 })
             .min(self.snapshots.len() as u64);
-        &self.snapshots[..end as usize]
+        let chain = &self.snapshots[..end as usize];
+        let base = chain
+            .iter()
+            .rev()
+            .find(|s| s.full_memory)
+            .map_or(self.base_id, |s| s.id);
+        chain.iter().map(move |s| {
+            let memory: &[(u32, Digest)] = if s.id >= base { &s.mem_chunks } else { &[] };
+            (s, [memory, s.disk_blocks.as_slice()])
+        })
+    }
+
+    /// The effective `[memory, disk]` references at snapshot `upto_id`:
+    /// [`SnapshotStore::sections_upto`] collapsed so the latest write of
+    /// each leaf wins, sorted by index.  This is the content of the
+    /// on-demand manifest and of the snapshot a prune rebases onto.
+    pub(crate) fn effective_refs_upto(&self, upto_id: u64) -> [Vec<(u32, Digest)>; 2] {
+        let mut effective: [BTreeMap<u32, Digest>; 2] = Default::default();
+        for (_, sections) in self.sections_upto(upto_id) {
+            for (leaves, refs) in effective.iter_mut().zip(sections) {
+                leaves.extend(refs.iter().copied());
+            }
+        }
+        effective.map(|leaves| leaves.into_iter().collect())
     }
 
     /// Resolves a content hash to its payload, if the pool holds it.
@@ -773,28 +813,6 @@ impl SnapshotStore {
         self.pool.blobs.len()
     }
 
-    /// Id of the first snapshot whose memory section is part of the state
-    /// at `upto_id`: the last full-memory snapshot in the retained chain
-    /// (its dump overwrites every chunk, superseding every earlier memory
-    /// section), or the base id when the chain holds no full dump.  Computed
-    /// once per traversal, so the accounting and materialization walks stay
-    /// O(chain).
-    ///
-    /// This single base id drives [`SnapshotStore::materialize`], the
-    /// transfer accounting and the on-demand chain manifest
-    /// ([`SnapshotStore::chain_manifest_upto`]), so they can never disagree
-    /// about which sections an auditor must download.  `upto_id` may exceed
-    /// the store (an untrusted log can reference snapshot ids the store
-    /// never saw); the range is clamped so the accounting entry points stay
-    /// total.
-    pub(crate) fn memory_base(&self, upto_id: u64) -> u64 {
-        self.chain_upto(upto_id)
-            .iter()
-            .rev()
-            .find(|s| s.full_memory)
-            .map_or(self.base_id, |s| s.id)
-    }
-
     /// Rebases the chain onto snapshot `new_base_id`: snapshots with smaller
     /// ids are dropped, the chain state they contributed is collapsed into a
     /// synthetic full snapshot at `new_base_id` (the exact state
@@ -819,23 +837,7 @@ impl SnapshotStore {
         let target = self.get(new_base_id).ok_or_else(|| {
             CoreError::Snapshot(format!("cannot prune at unretained snapshot {new_base_id}"))
         })?;
-        // Collapse the chain into the effective state at the new base, with
-        // the same supersession predicate every other walk uses.
-        let base = self.memory_base(new_base_id);
-        let mut mem: BTreeMap<u32, Digest> = BTreeMap::new();
-        let mut disk: BTreeMap<u32, Digest> = BTreeMap::new();
-        for s in self.chain_upto(new_base_id) {
-            if s.id >= base {
-                for (idx, hash) in s.mem_chunk_refs() {
-                    mem.insert(*idx, *hash);
-                }
-            }
-            for (idx, hash) in s.disk_block_refs() {
-                disk.insert(*idx, *hash);
-            }
-        }
-        let mem_chunks: Vec<(u32, Digest)> = mem.into_iter().collect();
-        let disk_blocks: Vec<(u32, Digest)> = disk.into_iter().collect();
+        let [mem_chunks, disk_blocks] = self.effective_refs_upto(new_base_id);
         let payload_len = |hash: &Digest| {
             self.pool.get(hash).map(|b| b.len() as u64).expect(
                 "every reference of a retained snapshot holds a pool ref, so the blob exists",
@@ -880,16 +882,18 @@ impl SnapshotStore {
     /// chain of incremental disk blocks, the memory sections not superseded
     /// by a later full dump (including the base full dump itself), per-entry
     /// index framing, and the target's CPU/device state — exactly the bytes
-    /// [`SnapshotStore::materialize`] consumes.
+    /// [`SnapshotStore::materialize`] applies.
     pub fn transfer_bytes_upto(&self, upto_id: u64) -> u64 {
         let mut total = 0u64;
-        let base = self.memory_base(upto_id);
-        for s in self.chain_upto(upto_id) {
-            if s.id >= base {
-                total += s.memory_bytes() + s.mem_chunks.len() as u64 * 4;
-            }
-            total += s.disk_bytes() + s.disk_blocks.len() as u64 * 4;
+        for (s, sections) in self.sections_upto(upto_id) {
             total += SNAPSHOT_HEADER_BYTES;
+            // A section is whole or empty, so a non-empty one costs the
+            // snapshot's own payload bytes for it.
+            for (refs, payload) in sections.into_iter().zip([s.memory_bytes(), s.disk_bytes()]) {
+                if !refs.is_empty() {
+                    total += refs.len() as u64 * 4 + payload;
+                }
+            }
         }
         let Some(last) = self.get(upto_id) else {
             return total;
@@ -898,10 +902,8 @@ impl SnapshotStore {
     }
 
     /// Serialises the exact byte stream the modelled transfer protocol ships
-    /// for a download up to snapshot `upto_id`: per snapshot a fixed header
-    /// (id, step, flags, state root), the needed memory sections and the
-    /// incremental disk sections as `u32 index || payload`, and finally the
-    /// target's CPU and device state.
+    /// for a download up to snapshot `upto_id` (the layout is on
+    /// [`SnapshotStore::append_transfer_stream_upto`]).
     ///
     /// The stream's length always equals
     /// [`SnapshotStore::transfer_bytes_upto`]; it exists so compression of
@@ -916,23 +918,28 @@ impl SnapshotStore {
     /// Appends [`SnapshotStore::transfer_stream_upto`] to `out` — exactly
     /// [`SnapshotStore::transfer_bytes_upto`] bytes — so the audit endpoint
     /// serialises the stream straight into its response body.
+    ///
+    /// The layout, all integers little-endian:
+    ///
+    /// * per retained snapshot with id `<= upto_id`, in id order:
+    ///   `id u64 ‖ step u64 ‖ full u8 ‖ halted u8 ‖ root[32]`, then one
+    ///   `u32 idx ‖ payload` item per memory reference (none when a later
+    ///   full dump supersedes the section) and per disk reference;
+    /// * then the target's `cpu_state ‖ dev_state`.
+    ///
+    /// The stream carries no section counts and no CPU/device lengths, so
+    /// it is not self-delimiting: only a reader that already knows the
+    /// chain's shape can split it.
     pub fn append_transfer_stream_upto(&self, upto_id: u64, out: &mut Vec<u8>) {
-        let base = self.memory_base(upto_id);
-        for s in self.chain_upto(upto_id) {
+        for (s, sections) in self.sections_upto(upto_id) {
             out.extend_from_slice(&s.id.to_le_bytes());
             out.extend_from_slice(&s.step.to_le_bytes());
             out.push(u8::from(s.full_memory));
             out.push(u8::from(s.halted));
             out.extend_from_slice(s.state_root.as_bytes());
-            if s.id >= base {
-                for (idx, hash) in &s.mem_chunks {
-                    out.extend_from_slice(&idx.to_le_bytes());
-                    out.extend_from_slice(self.pool.get(hash).expect("pooled chunk"));
-                }
-            }
-            for (idx, hash) in &s.disk_blocks {
+            for (idx, hash) in sections.into_iter().flatten() {
                 out.extend_from_slice(&idx.to_le_bytes());
-                out.extend_from_slice(self.pool.get(hash).expect("pooled block"));
+                out.extend_from_slice(self.pool.get(hash).expect("pooled leaf"));
             }
         }
         if let Some(last) = self.get(upto_id) {
@@ -959,34 +966,20 @@ impl SnapshotStore {
         image: &VmImage,
         registry: &GuestRegistry,
     ) -> Result<Machine, CoreError> {
-        self.materialize_with_cost(upto_id, image, registry)
+        self.materialize_with_tree(upto_id, image, registry)
             .map(|(machine, _)| machine)
     }
 
-    /// [`SnapshotStore::materialize`], additionally returning the transfer
-    /// bytes consumed — counted at the apply sites, so tests can pin the
-    /// accounting in [`SnapshotStore::transfer_bytes_upto`] to what
-    /// materialization actually uses.
-    pub fn materialize_with_cost(
-        &self,
-        upto_id: u64,
-        image: &VmImage,
-        registry: &GuestRegistry,
-    ) -> Result<(Machine, u64), CoreError> {
-        self.materialize_with_tree(upto_id, image, registry)
-            .map(|(machine, _, consumed)| (machine, consumed))
-    }
-
-    /// [`SnapshotStore::materialize_with_cost`], additionally handing over
-    /// the state tree the reconstruction was authenticated with, in sync
-    /// with the returned machine — a replayer continues from it.
+    /// [`SnapshotStore::materialize`], additionally handing over the state
+    /// tree the reconstruction was authenticated with, in sync with the
+    /// returned machine — a replayer continues from it.
     pub(crate) fn materialize_with_tree(
         &self,
         upto_id: u64,
         image: &VmImage,
         registry: &GuestRegistry,
-    ) -> Result<(Machine, StateTreeCache, u64), CoreError> {
-        let (mut machine, state_root, consumed) = self.apply_chain(upto_id, image, registry)?;
+    ) -> Result<(Machine, StateTreeCache), CoreError> {
+        let (mut machine, state_root) = self.apply_chain(upto_id, image, registry)?;
         // The dirty bits name exactly the chunks and blocks a section
         // changed: refreshing over them hashes every byte that came out of
         // the store and differs from the image, and every other leaf is the
@@ -1001,34 +994,24 @@ impl SnapshotStore {
             )));
         }
         machine.clear_dirty_tracking();
-        Ok((machine, state_tree, consumed))
+        Ok((machine, state_tree))
     }
 
     /// A machine fresh from `image` with the chain up to snapshot `upto_id`
     /// installed — its dirty bits still naming what the sections changed —
-    /// the root that snapshot recorded, and the transfer bytes consumed.
+    /// and the root that snapshot recorded.
     fn apply_chain(
         &self,
         upto_id: u64,
         image: &VmImage,
         registry: &GuestRegistry,
-    ) -> Result<(Machine, Digest, u64), CoreError> {
+    ) -> Result<(Machine, Digest), CoreError> {
         let target = self
             .get(upto_id)
             .ok_or_else(|| CoreError::Snapshot(format!("snapshot {upto_id} not found")))?;
         let mut machine = Machine::from_image(image, registry).map_err(CoreError::Vm)?;
-        let mut consumed = 0u64;
-        let base = self.memory_base(upto_id);
-        for s in self.chain_upto(upto_id) {
-            consumed += SNAPSHOT_HEADER_BYTES;
-            // A later full dump supersedes earlier memory sections; the
-            // disk has no full dumps, so every disk section applies.
-            let mem_refs: &[(u32, Digest)] = if s.id >= base { &s.mem_chunks } else { &[] };
-            for (store, refs) in machine
-                .stores_mut()
-                .into_iter()
-                .zip([mem_refs, &s.disk_blocks])
-            {
+        for (s, sections) in self.sections_upto(upto_id) {
+            for (store, refs) in machine.stores_mut().into_iter().zip(sections) {
                 let name = store.leaf_name();
                 for (idx, hash) in refs {
                     let leaf = self.pool.get(hash).ok_or_else(|| {
@@ -1043,7 +1026,6 @@ impl SnapshotStore {
                             s.id
                         ))
                     })?;
-                    consumed += 4 + leaf.len() as u64;
                 }
             }
         }
@@ -1055,8 +1037,7 @@ impl SnapshotStore {
             .restore_volatile(&target.dev_state)
             .map_err(CoreError::Vm)?;
         machine.set_control_state(target.step, target.halted, false);
-        consumed += target.cpu_state.len() as u64 + target.dev_state.len() as u64;
-        Ok((machine, target.state_root, consumed))
+        Ok((machine, target.state_root))
     }
 }
 
@@ -1235,7 +1216,7 @@ mod tests {
             m.memory().chunk_count()
         );
 
-        let (applied, _, _) = store.apply_chain(1, &img, &reg).unwrap();
+        let (applied, _) = store.apply_chain(1, &img, &reg).unwrap();
         let handed = applied.stores().map(|store| store.dirty_leaves());
         assert_eq!(handed, [vec![], vec![1, 3]]);
 
@@ -1434,11 +1415,9 @@ mod tests {
             t2 > base_dump_bytes,
             "transfer accounting must include the base full dump ({base_dump_bytes} bytes), got {t2}"
         );
-        // The accounting equals the bytes materialization consumes, and the
-        // serialised transfer stream is exactly that long.
+        // The serialised transfer stream is exactly as long as the
+        // accounting says.
         for id in 0..3u64 {
-            let (_, consumed) = store.materialize_with_cost(id, &img, &reg).unwrap();
-            assert_eq!(consumed, store.transfer_bytes_upto(id), "snapshot {id}");
             assert_eq!(
                 store.transfer_stream_upto(id).len() as u64,
                 store.transfer_bytes_upto(id),
@@ -1463,8 +1442,7 @@ mod tests {
             run_until_idle(&mut m);
             store.push(capture(&mut m, i, full));
         }
-        let (restored, consumed) = store.materialize_with_cost(3, &img, &reg).unwrap();
-        assert_eq!(consumed, store.transfer_bytes_upto(3));
+        let restored = store.materialize(3, &img, &reg).unwrap();
         assert_eq!(restored.state_digest(), m.state_digest());
         // Superseded sections excluded: the total is less than the sum of all
         // snapshots' memory payloads would imply.
@@ -1557,8 +1535,8 @@ mod tests {
         for id in 2..5u64 {
             let restored = store.materialize(id, &img, &reg).unwrap();
             assert_eq!(restored.state_digest(), digests[id as usize], "id {id}");
-            let (_, consumed) = store.materialize_with_cost(id, &img, &reg).unwrap();
-            assert_eq!(consumed, store.transfer_bytes_upto(id), "id {id}");
+            let stream = store.transfer_stream_upto(id);
+            assert_eq!(stream.len() as u64, store.transfer_bytes_upto(id));
         }
 
         // Recapture after the prune: the chain keeps growing from next_id.

@@ -223,30 +223,6 @@ pub fn spot_check(
     )
 }
 
-/// [`spot_check`] with the chunk's segments replayed in parallel on up to
-/// `workers` lanes (§6) — field-identical to the serial report (see
-/// [`crate::paraudit`]).
-///
-/// Thin wrapper over
-/// [`crate::endpoint::AuditClient::spot_check_parallel`] on the modelled WAN.
-pub fn spot_check_parallel(
-    log: &TamperEvidentLog,
-    snapshots: &SnapshotStore,
-    start_snapshot: u64,
-    k: u64,
-    image: &VmImage,
-    registry: &GuestRegistry,
-    workers: usize,
-) -> Result<SpotCheckReport, CoreError> {
-    wan_client(log, snapshots, AuditorBlobCache::new()).spot_check_parallel(
-        start_snapshot,
-        k,
-        image,
-        registry,
-        workers,
-    )
-}
-
 /// Spot-checks the `k`-chunk starting at snapshot `start_snapshot` in
 /// on-demand mode (§3.5's "incrementally request the parts of the state
 /// that are accessed during replay").

@@ -173,10 +173,12 @@ proptest! {
         prop_assert_eq!(cache.refresh(&m), build_state_tree_uncached(&m).root());
     }
 
-    /// Transfer accounting equals the bytes materialization consumes, for
-    /// every snapshot in a chain built from an arbitrary interleaving of
-    /// memory writes, disk writes, and full/incremental captures — and the
-    /// content-addressed store never holds more than the logical payload.
+    /// Transfer accounting equals the stream the sections materialization
+    /// applies are shipped as, for every snapshot in a chain built from an
+    /// arbitrary interleaving of memory writes, disk writes, and
+    /// full/incremental captures; the content-addressed store never holds
+    /// more than the logical payload; and a prune is invisible to every
+    /// surviving snapshot's manifest and materialized state.
     ///
     /// Each op is `(kind, location, value)`: kind 0-2 writes memory, 3-5
     /// writes the disk, 6-7 takes a snapshot (full when `value` is even).
@@ -223,13 +225,7 @@ proptest! {
         for id in 0..captures {
             // materialize authenticates the rebuilt state against the
             // recorded root internally, so this doubles as a round-trip test.
-            let (_restored, consumed) = store.materialize_with_cost(id, &image, &registry).unwrap();
-            prop_assert_eq!(
-                consumed,
-                store.transfer_bytes_upto(id),
-                "transfer accounting diverged from materialization at snapshot {}",
-                id
-            );
+            store.materialize(id, &image, &registry).unwrap();
             prop_assert_eq!(
                 store.transfer_stream_upto(id).len() as u64,
                 store.transfer_bytes_upto(id),
@@ -253,16 +249,36 @@ proptest! {
         // Pruning at an arbitrary retained point must preserve every
         // surviving snapshot bit-for-bit (materialize re-authenticates the
         // root internally) and keep the accounting equality intact, while
-        // never growing the pool.
+        // never growing the pool.  The prune collapses the chain with the
+        // same walk the manifest does, so a surviving snapshot's manifest
+        // and materialized state are what they were before it.
         let prune_at = captures / 2;
+        let before: Vec<_> = (prune_at..captures)
+            .map(|id| {
+                let manifest = store.chain_manifest_upto(id).unwrap();
+                let digest = store.materialize(id, &image, &registry).unwrap().state_digest();
+                (manifest, digest)
+            })
+            .collect();
         store.prune_upto(prune_at).unwrap();
         prop_assert!(store.stored_payload_bytes() <= stored_before);
-        for id in prune_at..captures {
-            let (_, consumed) = store.materialize_with_cost(id, &image, &registry).unwrap();
+        for (id, (manifest, digest)) in (prune_at..captures).zip(before) {
             prop_assert_eq!(
-                consumed,
+                store.transfer_stream_upto(id).len() as u64,
                 store.transfer_bytes_upto(id),
                 "post-prune accounting diverged at snapshot {}",
+                id
+            );
+            prop_assert_eq!(
+                store.chain_manifest_upto(id).unwrap(),
+                manifest,
+                "prune changed the manifest at snapshot {}",
+                id
+            );
+            prop_assert_eq!(
+                store.materialize(id, &image, &registry).unwrap().state_digest(),
+                digest,
+                "prune changed the state at snapshot {}",
                 id
             );
         }
