@@ -533,9 +533,6 @@ fn bench_image_baseline(c: &mut Criterion) {
         let mut replayer = Replayer::from_snapshot(&image, &registry, &store, 1).unwrap();
         assert_eq!(replayer.current_state_root(), recorded);
 
-        group.bench_function(format!("{shape}_machine_from_image"), |b| {
-            b.iter(|| Machine::from_image(&image, &registry).unwrap().step_count())
-        });
         group.bench_function(format!("{shape}_materialize_on_demand"), |b| {
             b.iter(|| {
                 let (_, session) =
@@ -556,6 +553,50 @@ fn bench_image_baseline(c: &mut Criterion) {
                 Replayer::from_snapshot(&image, &registry, &store, 1)
                     .unwrap()
                     .current_state_root()
+            })
+        });
+    }
+    group.finish();
+}
+
+/// What a fresh machine costs: `Machine::from_image` and its drop, on the
+/// sparse guest's shape (4 MiB of memory holding one page of program, a
+/// 256 KiB zero disk) and on the db guest (512 KiB + 256 KiB disk).  Every
+/// recording, bare run and audit pays this once per machine.  Both stores
+/// share the image baseline's pages until written, so it is reference counts
+/// and per-leaf bookkeeping, not a copy of the image; each image's machine is
+/// first checked against `build_state_tree_uncached`.
+fn bench_machine_from_image(c: &mut Criterion) {
+    use avm_bench::experiments::snapshot_image;
+    use avm_core::snapshot::{build_state_tree_uncached, compute_state_root};
+    use avm_vm::Machine;
+
+    let mut group = c.benchmark_group("machine_from_image");
+    group.sample_size(20);
+    let shapes = [
+        (
+            "sparse_4mib",
+            snapshot_image(1024, 64),
+            avm_vm::GuestRegistry::new(),
+        ),
+        (
+            "db",
+            avm_db::db_image(&avm_db::server::DbConfig::new("customer")),
+            avm_db::db_registry(),
+        ),
+    ];
+    for (shape, image, registry) in shapes {
+        let machine = Machine::from_image(&image, &registry).unwrap();
+        assert_eq!(
+            compute_state_root(&machine),
+            build_state_tree_uncached(&machine).root()
+        );
+        group.bench_function(shape, |b| {
+            b.iter(|| {
+                let machine = Machine::from_image(&image, &registry).unwrap();
+                let steps = machine.step_count();
+                drop(machine);
+                steps
             })
         });
     }
@@ -732,6 +773,7 @@ criterion_group!(
     bench_verify_kernels,
     bench_snapshot_dedup,
     bench_image_baseline,
+    bench_machine_from_image,
     bench_response_path,
     bench_audit_segment,
     bench_ondemand_residency,

@@ -121,121 +121,96 @@ impl Sha256 {
         }
     }
 
-    /// Feeds `data` into the hash.
+    /// Feeds `data` into the hash.  Whole blocks are compressed where they
+    /// lie in `data`; only a partial block is copied, into the buffer.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
         // Fill a partially filled buffer first.
         if self.buffer_len > 0 {
-            let want = 64 - self.buffer_len;
-            let take = want.min(input.len());
+            let take = (64 - self.buffer_len).min(input.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
             self.buffer_len += take;
             input = &input[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress_block(&mut self.state, &self.buffer);
                 self.buffer_len = 0;
             }
         }
-        // Process whole blocks directly from the input.
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
+        let mut blocks = input.chunks_exact(64);
+        for block in &mut blocks {
+            compress_block(&mut self.state, block.try_into().expect("64-byte block"));
         }
-        // Stash the remainder.
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
+        // Stash the remainder (when there is one, the buffer is empty).
+        let rest = blocks.remainder();
+        if !rest.is_empty() {
+            self.buffer[..rest.len()].copy_from_slice(rest);
+            self.buffer_len = rest.len();
         }
     }
 
     /// Finishes the hash and returns the digest.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 8 bytes remain in the block.
-        self.update_padding(0x80);
-        while self.buffer_len != 56 {
-            self.update_padding(0x00);
+        // Padding: 0x80, zeros until 8 bytes remain in a block, then the
+        // message length in bits — one block, or two when fewer than 9 bytes
+        // of the buffered block are free.
+        let n = self.buffer_len;
+        let mut tail = [0u8; 128];
+        tail[..n].copy_from_slice(&self.buffer[..n]);
+        tail[n] = 0x80;
+        let end = if n < 56 { 64 } else { 128 };
+        tail[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        for block in tail[..end].chunks_exact(64) {
+            compress_block(&mut self.state, block.try_into().expect("64-byte block"));
         }
-        let len_bytes = bit_len.to_be_bytes();
-        for b in len_bytes {
-            self.update_padding(b);
-        }
-        debug_assert_eq!(self.buffer_len, 0);
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
-    }
-
-    /// Appends one padding byte without counting it toward the message length.
-    fn update_padding(&mut self, byte: u8) {
-        self.buffer[self.buffer_len] = byte;
-        self.buffer_len += 1;
-        if self.buffer_len == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-        }
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        compress_block(&mut self.state, block);
+        digest_from_state(&self.state)
     }
 }
 
-/// One scalar FIPS 180-4 compression round over a 64-byte block.
+/// One FIPS 180-4 round: `s` is `[a, b, c, d, e, f, g, h]`.
+#[inline(always)]
+fn round(s: &mut [u32; 8], k: u32, w: u32) {
+    let [a, b, c, d, e, f, g, h] = *s;
+    let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+    let ch = (e & f) ^ ((!e) & g);
+    let temp1 = h
+        .wrapping_add(s1)
+        .wrapping_add(ch)
+        .wrapping_add(k)
+        .wrapping_add(w);
+    let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+    let maj = (a & b) ^ (a & c) ^ (b & c);
+    let temp2 = s0.wrapping_add(maj);
+    let (new_a, new_e) = (temp1.wrapping_add(temp2), d.wrapping_add(temp1));
+    *s = [new_a, a, b, c, new_e, e, f, g];
+}
+
+/// One scalar FIPS 180-4 compression over a 64-byte block.  The message
+/// schedule rolls through 16 words: `w[i % 16]` holds word `i` from the
+/// moment it is computed until word `i + 16` replaces it.
 fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
-    let mut w = [0u32; 64];
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("4-byte word"));
+    }
+    let mut s = *state;
     for i in 0..16 {
-        w[i] = u32::from_be_bytes([
-            block[i * 4],
-            block[i * 4 + 1],
-            block[i * 4 + 2],
-            block[i * 4 + 3],
-        ]);
+        round(&mut s, K[i], w[i]);
     }
     for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16]
+        let (w15, w2) = (w[(i - 15) % 16], w[(i - 2) % 16]);
+        let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+        let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+        let wi = w[i % 16]
             .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
+            .wrapping_add(w[(i - 7) % 16])
             .wrapping_add(s1);
+        w[i % 16] = wi;
+        round(&mut s, K[i], wi);
     }
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-    for i in 0..64 {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ ((!e) & g);
-        let temp1 = h
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(K[i])
-            .wrapping_add(w[i]);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let temp2 = s0.wrapping_add(maj);
-        h = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(temp1);
-        d = c;
-        c = b;
-        b = a;
-        a = temp1.wrapping_add(temp2);
+    for (word, sum) in state.iter_mut().zip(s) {
+        *word = word.wrapping_add(sum);
     }
-    state[0] = state[0].wrapping_add(a);
-    state[1] = state[1].wrapping_add(b);
-    state[2] = state[2].wrapping_add(c);
-    state[3] = state[3].wrapping_add(d);
-    state[4] = state[4].wrapping_add(e);
-    state[5] = state[5].wrapping_add(f);
-    state[6] = state[6].wrapping_add(g);
-    state[7] = state[7].wrapping_add(h);
 }
 
 fn digest_from_state(state: &[u32; 8]) -> Digest {

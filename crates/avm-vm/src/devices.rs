@@ -20,7 +20,7 @@ use avm_crypto::sha256::Digest;
 use avm_wire::{Decode, Encode, Reader, WireError, WireResult, Writer};
 
 use crate::error::{VmError, VmResult};
-use crate::store::{LeafStore, PAGE_SIZE};
+use crate::store::{LeafStore, SharedPage, PAGE_SIZE};
 
 /// Size of one disk block for dirty tracking and incremental snapshots.
 pub const DISK_BLOCK_SIZE: usize = PAGE_SIZE;
@@ -192,9 +192,26 @@ impl Disk {
     /// Creates a disk initialized with `content` (padded to whole blocks).
     pub fn from_content(content: &[u8]) -> Disk {
         let mut disk = Disk::new(content.len().max(1) as u64);
-        disk.store.write(0, content).expect("sized to fit");
+        // A new disk is the shared zero page repeated; only a page that holds
+        // something is written, so the rest stay shared.
+        for (i, page) in content.chunks(PAGE_SIZE).enumerate() {
+            if page.iter().any(|&b| b != 0) {
+                let offset = (i * PAGE_SIZE) as u64;
+                disk.store.write(offset, page).expect("sized to fit");
+            }
+        }
         disk.store.clear_dirty();
         disk
+    }
+
+    /// A disk that shares `pages` until it writes them, with every block's
+    /// hash known ([`LeafStore::from_shared`]).
+    pub(crate) fn from_shared(pages: &[SharedPage], hashes: &[Digest]) -> Disk {
+        Disk {
+            store: LeafStore::from_shared(pages, hashes, DISK_BLOCK_SIZE, "disk block"),
+            reads: 0,
+            writes: 0,
+        }
     }
 
     /// The store behind this disk: its blocks are the disk leaves of the
@@ -339,11 +356,16 @@ pub struct DeviceState {
 impl DeviceState {
     /// Creates device state with a disk initialized from `disk_content`.
     pub fn new(disk_content: &[u8]) -> DeviceState {
+        DeviceState::with_disk(Disk::from_content(disk_content))
+    }
+
+    /// Creates device state around `disk`, every other device fresh.
+    pub(crate) fn with_disk(disk: Disk) -> DeviceState {
         DeviceState {
             clock: ClockPort::default(),
             nic: Nic::default(),
             input: InputQueue::default(),
-            disk: Disk::from_content(disk_content),
+            disk,
             console: Console::default(),
         }
     }
@@ -549,6 +571,15 @@ mod tests {
         assert_eq!(disk.block(1).unwrap()[0], 1);
         assert!(disk.set_block(5, &new_block).is_err());
         assert!(disk.set_block(0, &[1, 2]).is_err());
+        // Pages of zeros are left shared, not skipped with what they hold:
+        // a byte anywhere in a page, or in a partial last page, is written.
+        let mut sparse = vec![0u8; 3 * DISK_BLOCK_SIZE + 5];
+        sparse[2 * DISK_BLOCK_SIZE - 1] = 4;
+        sparse[3 * DISK_BLOCK_SIZE + 4] = 6;
+        let disk = Disk::from_content(&sparse);
+        let held: Vec<&[u8]> = (0..4).map(|b| disk.block(b).unwrap()).collect();
+        assert_eq!(held.concat()[..sparse.len()], sparse);
+        assert!(disk.dirty_blocks().is_empty());
     }
 
     #[test]
@@ -572,7 +603,7 @@ mod tests {
         // Seeded slots (marker values) are emptied by exactly the writes
         // that cover them.
         let seeds = [sha256(b"block 0"), sha256(b"block 1")];
-        disk.leaves_mut().seed_hashes(&seeds);
+        let mut disk = Disk::from_shared(&disk.leaves().shared_pages(), &seeds);
         disk.write(DISK_BLOCK_SIZE as u64 + 7, &[4]).unwrap();
         assert_eq!(disk.block_hash(0).unwrap(), seeds[0]);
         assert_eq!(disk.block_hash(1).unwrap(), sha256(disk.block(1).unwrap()));

@@ -12,18 +12,23 @@
 //! An auditor holds one reference image and checks it against many chunks,
 //! so everything that is a function of the image and nothing else is derived
 //! once, on first use, and kept with the image as its [`ImageBaseline`]: the
-//! content digest, the SHA-256 of every memory chunk and disk block a fresh
-//! machine starts with, an index from each of those digests to the first
-//! place its content sits, and the Merkle state tree over those leaves.
-//! [`crate::Machine::from_image`] seeds its stores' hash slots from the baseline, so
-//! a machine only ever hashes what was *written* to it, and `avm-core`
-//! starts every audit's state tree from a copy of the baseline's.
+//! pages of a fresh machine's memory (program loaded) and disk, the content
+//! digest, the SHA-256 of every memory chunk and disk block those pages
+//! hold, an index from each of those digests to the first place its content
+//! sits, and the Merkle state tree over those leaves.
+//! [`crate::Machine::from_image`] builds its stores from the baseline: they
+//! share its pages until they write them (`crate::store` § Pages) and start
+//! with every hash slot filled, so a machine holds and hashes only what was
+//! *written* to it, and `avm-core` starts every audit's state tree from a
+//! copy of the baseline's.
 //!
 //! The memo cannot go stale: the four fields it is derived from are private,
 //! the constructors and [`VmImage::with_disk`] are their only writers, and
 //! `with_disk` drops it.  It is shared by clones, ignored by `==` and
-//! `Debug`, and costs about 64 B per 512 B chunk (the leaf plus its share of
-//! the interior nodes) for as long as the image lives.
+//! `Debug`, and for as long as the image lives costs about 64 B per 512 B
+//! chunk (the leaf plus its share of the interior nodes) plus one page per
+//! page of the image that is not all zeros: its all-zero pages are the one
+//! zero page every store shares.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -35,6 +40,7 @@ use crate::devices::Disk;
 use crate::error::{VmError, VmResult};
 use crate::mem::GuestMemory;
 use crate::native::GuestKernel;
+use crate::store::SharedPage;
 
 /// Leaves that precede the per-chunk leaves in the Merkle state tree: CPU
 /// state, volatile device state and the control word.  They depend on the
@@ -94,16 +100,20 @@ pub struct ImageBaseline {
     tree: MerkleTree,
     chunks: usize,
     locations: HashMap<Digest, BaselineLocation>,
+    /// A fresh machine's memory and disk pages, in the order of
+    /// [`crate::Machine::stores`], which every machine built from the image
+    /// shares until it writes them — or why the image has no machine.
+    pages: VmResult<[Vec<SharedPage>; 2]>,
 }
 
 impl ImageBaseline {
     fn derive(image: &VmImage) -> ImageBaseline {
-        // A program that does not fit in memory has no machine
-        // (`Machine::from_image` fails on the same write), so the leaves
+        // A program that does not fit in memory has no machine, so the leaves
         // derived here for it are never read; its digest still is.
-        let mem = image
-            .initial_memory()
-            .unwrap_or_else(|_| GuestMemory::new(image.mem_size));
+        let (mem, fits) = match image.initial_memory() {
+            Ok(mem) => (mem, Ok(())),
+            Err(unfit) => (GuestMemory::new(image.mem_size), Err(unfit)),
+        };
         let disk = Disk::from_content(&image.disk);
         let mut leaves = vec![Digest::ZERO; STATE_HEADER_LEAVES];
         let mut locations = HashMap::new();
@@ -140,7 +150,21 @@ impl ImageBaseline {
             tree: MerkleTree::from_leaf_hashes(leaves),
             chunks: mem.chunk_count(),
             locations,
+            pages: fits.map(|()| [mem.leaves().shared_pages(), disk.leaves().shared_pages()]),
         }
+    }
+
+    /// A fresh machine's memory and disk, built from the baseline's pages and
+    /// leaf hashes: they cost reference counts, not copies, and hash nothing
+    /// until written.  Fails, as the image's program did, when it does not
+    /// fit in memory.
+    pub(crate) fn fresh_stores(&self) -> VmResult<(GuestMemory, Disk)> {
+        let [mem, disk] = self.pages.as_ref().map_err(VmError::clone)?;
+        let [mem_hashes, disk_hashes] = self.leaf_hashes();
+        Ok((
+            GuestMemory::from_shared(mem, mem_hashes),
+            Disk::from_shared(disk, disk_hashes),
+        ))
     }
 
     /// The image's content digest ([`VmImage::digest`]).
@@ -190,6 +214,13 @@ pub struct VmImage {
     /// for why it cannot go stale.
     baseline: OnceLock<Arc<ImageBaseline>>,
 }
+
+// Images live in statics and cross threads: whatever the baseline holds, its
+// shared pages included, must keep them `Send + Sync`.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<VmImage>();
+};
 
 impl PartialEq for VmImage {
     fn eq(&self, other: &VmImage) -> bool {

@@ -111,9 +111,11 @@ impl Machine {
     /// Instantiates a machine from a VM image, using `registry` to resolve
     /// native guest programs.
     ///
-    /// Both stores' hash slots start out filled from the image's baseline
-    /// ([`VmImage::baseline`]), so nothing downstream ever hashes state that
-    /// is still what the image put there.
+    /// Both stores share the pages of the image's baseline
+    /// ([`VmImage::baseline`]) until the machine writes them, and their hash
+    /// slots start out filled from it, so a machine costs what diverged from
+    /// the image and nothing downstream ever hashes state that is still what
+    /// the image put there.
     pub fn from_image(image: &VmImage, registry: &GuestRegistry) -> VmResult<Machine> {
         let cpu: Box<dyn CpuCore> = match image.kind() {
             ImageKind::Bytecode {
@@ -130,16 +132,8 @@ impl Machine {
                 Box::new(crate::native::NativeCpu::new(kernel))
             }
         };
-        let (mem, dev) = (image.initial_memory()?, DeviceState::new(image.disk()));
-        let mut machine = Machine::assemble(mem, dev, cpu);
-        let hashes = image.baseline().leaf_hashes();
-        for (store, hashes) in machine.stores_mut().into_iter().zip(hashes) {
-            // Loading the program marked its chunks; a fresh machine has
-            // written nothing yet.
-            store.clear_dirty();
-            store.seed_hashes(hashes);
-        }
-        Ok(machine)
+        let (mem, disk) = image.baseline().fresh_stores()?;
+        Ok(Machine::assemble(mem, DeviceState::with_disk(disk), cpu))
     }
 
     /// Current step counter (total machine steps executed so far).

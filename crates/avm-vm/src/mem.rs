@@ -13,7 +13,7 @@
 use avm_crypto::sha256::Digest;
 
 use crate::error::{VmError, VmResult};
-use crate::store::LeafStore;
+use crate::store::{LeafStore, SharedPage};
 
 pub use crate::store::PAGE_SIZE;
 
@@ -35,6 +35,14 @@ impl GuestMemory {
     pub fn new(size: u64) -> GuestMemory {
         GuestMemory {
             store: LeafStore::new(size, CHUNK_SIZE, "chunk"),
+        }
+    }
+
+    /// Memory that shares `pages` until it writes them, with every chunk's
+    /// hash known ([`LeafStore::from_shared`]).
+    pub(crate) fn from_shared(pages: &[SharedPage], hashes: &[Digest]) -> GuestMemory {
+        GuestMemory {
+            store: LeafStore::from_shared(pages, hashes, CHUNK_SIZE, "chunk"),
         }
     }
 
@@ -344,7 +352,7 @@ mod tests {
         // slot that still answers with its marker was provably not rehashed.
         let marker = |i: usize| sha256(&(i as u64).to_le_bytes());
         let seeds: Vec<Digest> = (0..mem.chunk_count()).map(marker).collect();
-        mem.leaves_mut().seed_hashes(&seeds);
+        let mut mem = GuestMemory::from_shared(&mem.leaves().shared_pages(), &seeds);
         mem.write(3 * CHUNK_SIZE as u64 - 1, &[1, 2]).unwrap();
         for i in 0..mem.chunk_count() {
             let expected = match i {

@@ -8,9 +8,25 @@
 //! blocks) each wrap one and add only what is theirs, and every layer above
 //! walks [`crate::Machine::stores`] instead of naming chunks and blocks.
 //!
-//! Contents sit in boxed [`PAGE_SIZE`] pages; a **leaf** is a power-of-two
-//! fraction of a page, so it never straddles two.  Per leaf the store keeps
-//! three things, each with one rule.
+//! Contents sit in [`PAGE_SIZE`] pages; a **leaf** is a power-of-two fraction
+//! of a page, so it never straddles two.  Per leaf the store keeps three
+//! things, each with one rule.
+//!
+//! # Pages
+//!
+//! A machine costs what diverged from its image, not the image's size.  A
+//! page is either *shared* — read-only, held by reference count with every
+//! other store built from the same source — or *owned* by this store.  A
+//! fresh store ([`LeafStore::new`]) is one process-wide zero page, repeated;
+//! a store built from a [`crate::VmImage`] shares the pages of the image's
+//! baseline ([`crate::image::ImageBaseline`]).  The one rule: **the first
+//! change to a shared page's bytes copies it**, whichever path makes it — a
+//! write, a whole-leaf install that changes a byte, or a fault-in install.
+//! An install that changes no byte changes nothing, so the page stays
+//! shared.  After the copy the page is owned, and writing it again touches
+//! no reference count.  Nothing else about a page is observable: reads, the
+//! three per-leaf contracts below and every hash are the same for both
+//! states.
 //!
 //! # Dirty bits
 //!
@@ -38,7 +54,7 @@
 //! changes, not snapshot boundaries — so a state root rehashes only what was
 //! written since the previous root, however often dirty tracking is reset in
 //! between.  A machine built from a [`crate::VmImage`] starts with every slot
-//! filled from the image's baseline ([`crate::image::ImageBaseline`]), so it
+//! filled from the image's baseline (`LeafStore::from_shared`), so it
 //! never hashes a leaf that still holds what the image put there.
 //!
 //! # Residency (§3.5 on-demand audits)
@@ -75,6 +91,7 @@
 //! bit and empties no hash slot, wherever it points.
 
 use std::cell::RefCell;
+use std::sync::{Arc, LazyLock};
 
 use avm_crypto::parallel::sha256_batch;
 use avm_crypto::sha256::{sha256, Digest};
@@ -83,15 +100,53 @@ use avm_crypto::sha256::{sha256, Digest};
 /// (4 KiB, matching a commodity PC).
 pub const PAGE_SIZE: usize = 4096;
 
-/// A byte array in boxed [`PAGE_SIZE`] pages, hashed, dirty-tracked and
-/// demand-paged per leaf — see the module docs for the three contracts.
+/// A read-only page that any number of stores share until one writes it.
+pub(crate) type SharedPage = Arc<[u8; PAGE_SIZE]>;
+
+/// The page every fresh store is made of.
+static ZERO_PAGE: LazyLock<SharedPage> = LazyLock::new(|| Arc::new([0; PAGE_SIZE]));
+
+/// One page of a store, in one of the two states of the module docs'
+/// "# Pages" contract.
+#[derive(Debug, Clone)]
+enum Page {
+    Shared(SharedPage),
+    Owned(Box<[u8; PAGE_SIZE]>),
+}
+
+impl Page {
+    #[inline]
+    fn bytes(&self) -> &[u8; PAGE_SIZE] {
+        match self {
+            Page::Shared(page) => page,
+            Page::Owned(page) => page,
+        }
+    }
+
+    /// The page's bytes, to change: a shared page is copied first, an owned
+    /// one is handed out as it is.
+    #[inline]
+    fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        if let Page::Shared(page) = self {
+            *self = Page::Owned(Box::new(**page));
+        }
+        match self {
+            Page::Owned(page) => page,
+            Page::Shared(_) => unreachable!("a shared page was copied above"),
+        }
+    }
+}
+
+/// A byte array in [`PAGE_SIZE`] pages, shared until written, hashed,
+/// dirty-tracked and demand-paged per leaf — see the module docs for the
+/// contracts.
 #[derive(Debug, Clone)]
 pub struct LeafStore {
     /// What one leaf is called in an error message ("chunk", "disk block").
     leaf_name: &'static str,
     /// log2 of the leaf size, so the access path shifts instead of dividing.
     leaf_shift: u32,
-    pages: Vec<Box<[u8; PAGE_SIZE]>>,
+    pages: Vec<Page>,
     /// Per leaf: written since the last [`LeafStore::clear_dirty`].
     dirty: Vec<bool>,
     /// Per leaf: its SHA-256 if known (interior mutability so reads fill it).
@@ -110,22 +165,71 @@ impl LeafStore {
     /// one) in leaves of `leaf_size` bytes, a power of two no larger than a
     /// page.
     pub fn new(size: u64, leaf_size: usize, leaf_name: &'static str) -> LeafStore {
+        let n_pages = (size as usize).div_ceil(PAGE_SIZE).max(1);
+        let pages = vec![Page::Shared(Arc::clone(&ZERO_PAGE)); n_pages];
+        LeafStore::assemble(pages, None, leaf_size, leaf_name)
+    }
+
+    /// A store that shares `pages` and whose hash slots hold `hashes`, one
+    /// per leaf of `leaf_size` bytes: the hashes of those very pages' leaves
+    /// (the caller's obligation, as it is [`LeafStore::stage_lazy`]'s).  No
+    /// leaf is dirty and no page is owned.
+    ///
+    /// [`crate::Machine::from_image`] builds both stores this way from the
+    /// image's baseline, so a fresh machine costs reference counts.
+    pub(crate) fn from_shared(
+        pages: &[SharedPage],
+        hashes: &[Digest],
+        leaf_size: usize,
+        leaf_name: &'static str,
+    ) -> LeafStore {
+        let pages = pages.iter().cloned().map(Page::Shared).collect();
+        LeafStore::assemble(pages, Some(hashes), leaf_size, leaf_name)
+    }
+
+    /// `pages` in leaves of `leaf_size` bytes, nothing dirty or staged, the
+    /// hash slots filled from `hashes` or else empty.
+    fn assemble(
+        pages: Vec<Page>,
+        hashes: Option<&[Digest]>,
+        leaf_size: usize,
+        leaf_name: &'static str,
+    ) -> LeafStore {
         assert!(
             leaf_size.is_power_of_two() && leaf_size <= PAGE_SIZE,
             "a leaf is a power-of-two fraction of a page"
         );
-        let n_pages = (size as usize).div_ceil(PAGE_SIZE).max(1);
-        let leaves = n_pages * (PAGE_SIZE / leaf_size);
+        let leaves = pages.len() * PAGE_SIZE / leaf_size;
+        let hashes = match hashes {
+            Some(hashes) => {
+                assert_eq!(hashes.len(), leaves, "one hash per leaf");
+                hashes.iter().copied().map(Some).collect()
+            }
+            None => vec![None; leaves],
+        };
         LeafStore {
             leaf_name,
             leaf_shift: leaf_size.trailing_zeros(),
-            pages: (0..n_pages).map(|_| Box::new([0u8; PAGE_SIZE])).collect(),
+            pages,
             dirty: vec![false; leaves],
-            hashes: RefCell::new(vec![None; leaves]),
+            hashes: RefCell::new(hashes),
             staged: Vec::new(),
             staged_live: 0,
             faulted: Vec::new(),
         }
+    }
+
+    /// Every page of this store, as pages that stores built by
+    /// [`LeafStore::from_shared`] share: a shared page is handed on, an
+    /// owned one copied once.
+    pub(crate) fn shared_pages(&self) -> Vec<SharedPage> {
+        self.pages
+            .iter()
+            .map(|page| match page {
+                Page::Shared(page) => Arc::clone(page),
+                Page::Owned(page) => Arc::new(**page),
+            })
+            .collect()
     }
 
     /// What one leaf of this store is called in an error message.
@@ -155,7 +259,7 @@ impl LeafStore {
 
     /// The raw contents of page `idx`.
     pub fn page(&self, idx: usize) -> Option<&[u8; PAGE_SIZE]> {
-        self.pages.get(idx).map(|p| p.as_ref())
+        self.pages.get(idx).map(Page::bytes)
     }
 
     /// The one bounds check: `[addr, addr + len)` lies inside the store.
@@ -205,7 +309,7 @@ impl LeafStore {
                 continue;
             }
             let (page, range) = self.locate(idx);
-            self.pages[page][range].copy_from_slice(&content);
+            self.pages[page].bytes_mut()[range].copy_from_slice(&content);
             self.faulted.push(idx);
             // The hash slot keeps the hash seeded at staging time: the
             // installed contents equal it by construction.  The dirty bit
@@ -233,7 +337,8 @@ impl LeafStore {
             let page = offset / PAGE_SIZE;
             let in_page = offset % PAGE_SIZE;
             let n = (PAGE_SIZE - in_page).min(buf.len() - copied);
-            buf[copied..copied + n].copy_from_slice(&self.pages[page][in_page..in_page + n]);
+            buf[copied..copied + n]
+                .copy_from_slice(&self.pages[page].bytes()[in_page..in_page + n]);
             copied += n;
             offset += n;
         }
@@ -257,7 +362,8 @@ impl LeafStore {
             let page = offset / PAGE_SIZE;
             let in_page = offset % PAGE_SIZE;
             let n = (PAGE_SIZE - in_page).min(data.len() - copied);
-            self.pages[page][in_page..in_page + n].copy_from_slice(&data[copied..copied + n]);
+            self.pages[page].bytes_mut()[in_page..in_page + n]
+                .copy_from_slice(&data[copied..copied + n]);
             copied += n;
             offset += n;
         }
@@ -274,26 +380,27 @@ impl LeafStore {
     /// The raw contents of leaf `idx` (stale while the leaf is staged).
     pub fn leaf(&self, idx: usize) -> Option<&[u8]> {
         let (page, range) = self.locate(idx);
-        Some(&self.pages.get(page)?[range])
+        Some(&self.pages.get(page)?.bytes()[range])
     }
 
     /// Overwrites leaf `idx` wholesale (the snapshot-restore unit); `None`,
     /// with nothing changed, unless `idx` is a leaf and `data` is exactly one
     /// leaf long.  A resident leaf that already holds `data` is left alone:
-    /// no byte changes, so neither its dirty bit nor its hash slot does.
+    /// no byte changes, so neither its dirty bit nor its hash slot does, and
+    /// a shared page stays shared.
     pub fn set_leaf(&mut self, idx: usize, data: &[u8]) -> Option<()> {
         if data.len() != self.leaf_size() {
             return None;
         }
         let (page, range) = self.locate(idx);
-        let leaf = &mut self.pages.get_mut(page)?[range];
+        let leaf = &self.pages.get(page)?.bytes()[range.clone()];
         // A staged leaf's pages hold stale local bytes, so equal bytes there
         // prove nothing: it is installed like any other.
         let resident = self.staged_live == 0 || self.staged[idx].is_none();
         if resident && *leaf == *data {
             return Some(());
         }
-        leaf.copy_from_slice(data);
+        self.pages[page].bytes_mut()[range].copy_from_slice(data);
         // A wholesale overwrite supersedes any staged contents without
         // needing them — drop the staging, record no fault.
         self.take_staged(idx);
@@ -328,20 +435,6 @@ impl LeafStore {
             .collect();
         for (i, digest) in missing.iter().zip(sha256_batch(&inputs)) {
             hashes[*i] = Some(digest);
-        }
-    }
-
-    /// Fills every hash slot from `hashes`, one per leaf.
-    ///
-    /// Only [`crate::Machine::from_image`] calls this, on a store it has just
-    /// built, with the hashes the image's baseline derived from identical
-    /// contents.  From then on the slots obey their one rule — a write
-    /// empties the slot — so a seeded machine rehashes what was written and
-    /// nothing else.
-    pub(crate) fn seed_hashes(&mut self, hashes: &[Digest]) {
-        assert_eq!(hashes.len(), self.leaf_count(), "one hash per leaf");
-        for (slot, hash) in self.hashes.get_mut().iter_mut().zip(hashes) {
-            *slot = Some(*hash);
         }
     }
 
@@ -432,20 +525,63 @@ mod tests {
         );
     }
 
+    fn owned_pages(store: &LeafStore) -> usize {
+        let owned = |page: &&Page| matches!(page, Page::Owned(_));
+        store.pages.iter().filter(owned).count()
+    }
+
+    /// A page is shared until a byte of it changes.  A fresh store and one
+    /// built from shared pages own none, and reads and a zero-length write
+    /// leave it so; a one-byte write owns exactly the page it lands on (the
+    /// shared original, and whoever else holds it, keep their bytes), a
+    /// second write there copies nothing more, and a fault-in install owns
+    /// its page too.
+    #[test]
+    fn a_page_is_shared_until_a_byte_of_it_changes() {
+        assert_eq!(owned_pages(&LeafStore::new(1 << 20, 512, "leaf")), 0);
+        let pages: Vec<SharedPage> = (0..4u8).map(|i| Arc::new([i; PAGE_SIZE])).collect();
+        let hashes: Vec<Digest> = (0..32u8).map(|i| sha256(&[i / 8; 512])).collect();
+        let mut store = LeafStore::from_shared(&pages, &hashes, 512, "leaf");
+        let mut buf = [0u8; 600];
+        store.read(PAGE_SIZE as u64 - 8, &mut buf).unwrap();
+        store.write(5, &[]).unwrap();
+        assert_eq!(owned_pages(&store), 0);
+        assert_eq!(store.leaf_hash(17), Some(hashes[17]));
+
+        store.write(2 * PAGE_SIZE as u64 + 9, &[7]).unwrap();
+        assert_eq!(owned_pages(&store), 1);
+        assert!(matches!(store.pages[2], Page::Owned(_)));
+        assert_eq!((Arc::strong_count(&pages[2]), pages[2][9]), (1, 2));
+        store.write(2 * PAGE_SIZE as u64 + 10, &[8]).unwrap();
+        assert_eq!(owned_pages(&store), 1);
+        assert_eq!(store.leaf(16).unwrap()[8..12], [2, 7, 8, 2]);
+        assert_eq!(store.leaf_hash(17), Some(hashes[17]));
+
+        store
+            .stage_lazy(25, vec![9; 512], sha256(&[9; 512]))
+            .unwrap();
+        assert_eq!(owned_pages(&store), 1);
+        store.read(25 * 512, &mut buf[..1]).unwrap();
+        assert_eq!((owned_pages(&store), buf[0]), (2, 9));
+        assert_eq!(Arc::strong_count(&pages[3]), 1);
+    }
+
     /// An install is judged by its bytes: on a resident leaf, the leaf's own
-    /// bytes change nothing (the slot keeps its marker, the bit stays clear)
-    /// and a one-byte difference is a write; on a staged leaf the same bytes
-    /// are installed, because the pages there are stale.
+    /// bytes change nothing (the slot keeps its marker, the bit stays clear,
+    /// the page stays shared) and a one-byte difference is a write; on a
+    /// staged leaf the same bytes are installed, because the pages there are
+    /// stale.
     #[test]
     fn an_install_that_changes_no_byte_touches_nothing() {
-        let mut store = LeafStore::new(PAGE_SIZE as u64, 512, "leaf");
         let markers: Vec<Digest> = (0..8u8).map(|i| sha256(&[i])).collect();
-        store.seed_hashes(&markers);
+        let page: SharedPage = Arc::new([0; PAGE_SIZE]);
+        let mut store = LeafStore::from_shared(&[page], &markers, 512, "leaf");
         let own = store.leaf(2).unwrap().to_vec();
         assert_eq!(store.set_leaf(2, &own), Some(()));
         assert!(store.hashes.borrow()[2].is_some());
         assert_eq!(store.leaf_hash(2), Some(markers[2]));
         assert!(store.dirty_leaves().is_empty());
+        assert_eq!(owned_pages(&store), 0);
 
         let mut last_differs = own.clone();
         last_differs[511] ^= 1;
@@ -453,6 +589,7 @@ mod tests {
         assert_eq!(store.dirty_leaves(), [2]);
         assert!(store.hashes.borrow()[2].is_none());
         assert_eq!(store.leaf(2), Some(&last_differs[..]));
+        assert_eq!(owned_pages(&store), 1);
 
         store.stage_lazy(5, vec![9; 512], markers[0]).unwrap();
         let stale = store.leaf(5).unwrap().to_vec();

@@ -11,7 +11,10 @@
 //! for report, fault for fault, root for root; (c) tampered manifests,
 //! sections and blobs fail with the errors they always failed with; (d) a
 //! write to a seeded machine invalidates the slots it covers and no others;
-//! and the memo cannot outlive a change to what it was derived from.
+//! (e) machines built from one image share its pages until they write them,
+//! and no write, install or fault-in on one shows in another or in the
+//! baseline; and the memo cannot outlive a change to what it was derived
+//! from.
 
 use std::sync::OnceLock;
 
@@ -37,8 +40,8 @@ use avm_vm::devices::DISK_BLOCK_SIZE;
 use avm_vm::image::BaselineLocation;
 use avm_vm::packet::encode_guest_packet;
 use avm_vm::{
-    GuestCtx, GuestKernel, GuestRegistry, GuestStep, Machine, StopCondition, VmError, VmExit,
-    VmImage, CHUNK_SIZE, STATE_HEADER_LEAVES,
+    GuestCtx, GuestKernel, GuestRegistry, GuestStep, ImageKind, Machine, StopCondition, VmError,
+    VmExit, VmImage, CHUNK_SIZE, STATE_HEADER_LEAVES,
 };
 use avm_wire::attest::AttestChallenge;
 use proptest::prelude::*;
@@ -93,8 +96,9 @@ fn idle_registry(state: &'static [u8]) -> GuestRegistry {
     registry
 }
 
-/// The baseline against a machine hashed from raw contents: every leaf, and
-/// the root through each path that now starts from the memo.
+/// The baseline against a machine hashed from raw contents: every leaf, the
+/// root through each path that now starts from the memo, and the raw
+/// contents against the image itself.
 fn check_baseline(image: &VmImage, registry: &GuestRegistry) -> Result<(), TestCaseError> {
     let machine = Machine::from_image(image, registry).unwrap();
     let reference = build_state_tree_uncached(&machine);
@@ -116,6 +120,20 @@ fn check_baseline(image: &VmImage, registry: &GuestRegistry) -> Result<(), TestC
         prop_assert_eq!(content.map(sha256), Some(*hash), "leaf {}", i);
     }
     prop_assert_eq!(compute_state_root(&machine), reference.root());
+    // And the machine holds what the image says: zeros, but for a bytecode
+    // program at its load address and the image's disk from offset 0.
+    let [mut mem, mut disk] = contents(&machine);
+    if let ImageKind::Bytecode {
+        code, load_addr, ..
+    } = image.kind()
+    {
+        let program = *load_addr as usize..*load_addr as usize + code.len();
+        prop_assert_eq!(&mem[program.clone()], &code[..]);
+        mem[program].fill(0);
+    }
+    prop_assert_eq!(&disk[..image.disk().len()], image.disk());
+    disk[..image.disk().len()].fill(0);
+    prop_assert!(mem.iter().chain(&disk).all(|&b| b == 0));
     let mut replayer = Replayer::from_image(image, registry).unwrap();
     prop_assert_eq!(replayer.current_state_root(), reference.root());
     Ok(())
@@ -147,6 +165,79 @@ fn worker_image() -> VmImage {
         ";
     VmImage::bytecode("baseline-prop", 128 * 1024, assemble(src, 0).unwrap(), 0, 0)
         .with_disk([vec![0u8; 2 * DISK_BLOCK_SIZE], vec![7u8; 100]].concat())
+}
+
+/// A machine's memory and disk, byte for byte, in `Machine::stores` order.
+fn contents(machine: &Machine) -> [Vec<u8>; 2] {
+    machine.stores().map(|store| {
+        let leaves = (0..store.leaf_count()).map(|i| store.leaf(i).unwrap());
+        leaves.collect::<Vec<_>>().concat()
+    })
+}
+
+/// One step of `machines_from_one_image_keep_their_writes_to_themselves` on
+/// `machine`, mirrored in `expected` (its `contents`): a write, a whole-leaf
+/// install (of the leaf's own bytes when `val` is even), or a leaf staged and
+/// faulted in by a one-byte read — in memory or on the disk.
+fn apply(
+    machine: &mut Machine,
+    expected: &mut [Vec<u8>; 2],
+    kind: u8,
+    to_disk: bool,
+    (loc, len, val): (u16, usize, u8),
+) -> Result<(), TestCaseError> {
+    let expected = &mut expected[to_disk as usize];
+    let leaf = if to_disk { DISK_BLOCK_SIZE } else { CHUNK_SIZE };
+    let idx = loc as usize % (expected.len() / leaf);
+    let range = idx * leaf..(idx + 1) * leaf;
+    match kind {
+        0 => {
+            let len = len.min(expected.len());
+            let addr = loc as usize * 37 % (expected.len() - len + 1);
+            let data = vec![val; len];
+            if to_disk {
+                machine
+                    .devices_mut()
+                    .disk
+                    .write(addr as u64, &data)
+                    .unwrap();
+            } else {
+                machine.memory_mut().write(addr as u64, &data).unwrap();
+            }
+            expected[addr..addr + len].copy_from_slice(&data);
+        }
+        1 => {
+            let data = match val % 2 {
+                0 => expected[range.clone()].to_vec(),
+                _ => vec![val; leaf],
+            };
+            if to_disk {
+                machine.devices_mut().disk.set_block(idx, &data).unwrap();
+            } else {
+                machine
+                    .memory_mut()
+                    .set_chunk_from_slice(idx, &data)
+                    .unwrap();
+            }
+            expected[range].copy_from_slice(&data);
+        }
+        _ => {
+            let content = vec![val; leaf];
+            let (hash, mut byte) = (sha256(&content), [0u8]);
+            if to_disk {
+                let disk = &mut machine.devices_mut().disk;
+                disk.stage_lazy_block(idx, content.clone(), hash).unwrap();
+                disk.read(range.start as u64, &mut byte).unwrap();
+            } else {
+                let mem = machine.memory_mut();
+                mem.stage_lazy_chunk(idx, content.clone(), hash).unwrap();
+                mem.read(range.start as u64, &mut byte).unwrap();
+            }
+            prop_assert_eq!(byte[0], val);
+            expected[range].copy_from_slice(&content);
+        }
+    }
+    Ok(())
 }
 
 fn data_envelope(to: &str, msg_id: u64, body: &[u8]) -> Envelope {
@@ -280,6 +371,43 @@ proptest! {
                 prop_assert_eq!(hash, baseline.chunk_hashes()[c]);
             }
         }
+    }
+
+    /// (e) Two machines from one image, arbitrary interleaved writes,
+    /// installs and fault-ins on either: after every step each holds exactly
+    /// what was done to it (never the other's bytes), its cached root is the
+    /// uncached one, and the baseline — digest, leaf hashes, root — is what
+    /// it was; a machine built afterwards starts where both did.
+    #[test]
+    fn machines_from_one_image_keep_their_writes_to_themselves(
+        steps in proptest::collection::vec(
+            (any::<bool>(), 0u8..3, any::<bool>(), (any::<u16>(), 1usize..1100, any::<u8>())),
+            1..16,
+        )
+    ) {
+        let (image, registry) = (worker_image(), GuestRegistry::new());
+        let baseline = image.baseline();
+        let derived = |b: &avm_vm::image::ImageBaseline| {
+            (b.digest(), b.leaf_hashes().map(<[_]>::to_vec), b.state_tree().root())
+        };
+        let before = derived(baseline);
+        let mut machines = [(); 2].map(|()| Machine::from_image(&image, &registry).unwrap());
+        let fresh = contents(&machines[0]);
+        let mut expected = [fresh.clone(), fresh.clone()];
+        for (second, kind, to_disk, at) in steps {
+            let which = second as usize;
+            apply(&mut machines[which], &mut expected[which], kind, to_disk, at)?;
+            for (machine, expected) in machines.iter().zip(&expected) {
+                prop_assert!(contents(machine) == *expected);
+                prop_assert_eq!(
+                    compute_state_root(machine),
+                    build_state_tree_uncached(machine).root()
+                );
+            }
+            prop_assert!(derived(baseline) == before);
+        }
+        let late = Machine::from_image(&image, &registry).unwrap();
+        prop_assert!(contents(&late) == fresh);
     }
 }
 
