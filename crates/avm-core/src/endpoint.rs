@@ -51,13 +51,14 @@
 //!
 //! # The one read that bypasses the transport
 //!
-//! Replay state is materialized (full download) or staged for inline
-//! fault-in (on demand) from the store [`AuditTransport::provider_store`]
-//! hands the audit session (its `oracle` constructor argument); the *paid*
-//! exchange — the section stream, or exactly the faulted blobs — crosses
-//! the transport, which is the §3.5 model: bytes cross the wire only for
-//! state the replay touched.  Everything a report states was measured on
-//! that exchange; nothing in it is priced from the store.
+//! A full download builds its replay state from the section stream that
+//! crossed the transport, and from nothing else.  On demand, blob contents
+//! are staged for inline fault-in from the store
+//! [`AuditTransport::provider_store`] hands the audit session (its `oracle`
+//! constructor argument); the *paid* exchange — exactly the faulted blobs —
+//! crosses the transport afterwards, which is the §3.5 model: bytes cross
+//! the wire only for state the replay touched.  Everything a report states
+//! was measured on the exchanges; nothing in it is priced from the store.
 //!
 //! # Example: an audit endpoint over a simulated link
 //!
@@ -388,7 +389,7 @@ pub trait AuditTransport<'p> {
     fn stats(&self) -> TransportStats;
 
     /// The provider's snapshot store — the audit session's `oracle`, from
-    /// which replay state is materialized or staged.  Paid transfers go
+    /// which on-demand blob contents are staged.  Paid transfers go
     /// through [`AuditTransport::exchange`] — see the module docs.
     fn provider_store(&self) -> &'p SnapshotStore;
 }

@@ -71,7 +71,7 @@ use avm_wire::{
 };
 
 use crate::error::CoreError;
-use crate::snapshot::{SnapshotStore, StateTreeCache, TransferCost};
+use crate::snapshot::{restore_header, SnapshotStore, StateTreeCache, TransferCost};
 
 /// Snapshot metadata an auditor downloads to begin an on-demand (or
 /// dedup-transfer) reconstruction: everything about the state at a snapshot
@@ -929,14 +929,13 @@ fn stage_divergent(
     cache: &AuditorBlobCache,
 ) -> Result<(Machine, OnDemandSession, [Vec<usize>; 2]), CoreError> {
     let mut machine = Machine::from_image(image, registry).map_err(CoreError::Vm)?;
-    machine
-        .restore_cpu_state(&manifest.cpu_state)
-        .map_err(CoreError::Vm)?;
-    machine
-        .devices_mut()
-        .restore_volatile(&manifest.dev_state)
-        .map_err(CoreError::Vm)?;
-    machine.set_control_state(manifest.step, manifest.halted, false);
+    restore_header(
+        &mut machine,
+        &manifest.cpu_state,
+        &manifest.dev_state,
+        manifest.step,
+        manifest.halted,
+    )?;
 
     // Resolve every reference that diverges from the reference image to the
     // contents to stage.  The cache and the image are free — a blob whose

@@ -10,7 +10,8 @@
 //! as a fault.
 //!
 //! Spot checks can start the replayer two ways (paper §3.5): from a fully
-//! downloaded snapshot ([`Replayer::from_snapshot`]) or from snapshot
+//! downloaded snapshot ([`Replayer::from_sections`] over the received
+//! section stream; [`Replayer::from_snapshot`] over a store's) or from snapshot
 //! *metadata only* ([`Replayer::from_snapshot_on_demand`]), where divergent
 //! memory chunks and disk blocks fault in lazily as the replayed workload
 //! touches them and the auditor pays transfer only for what was accessed
@@ -35,7 +36,7 @@ use crate::events::{
     MetaRecord, NdDetail, NdEventRecord, RecvRecordRef, SendRecordRef, SnapshotRecord,
 };
 use crate::ondemand::{stage_from_manifest, AuditorBlobCache, OnDemandSession};
-use crate::snapshot::{SnapshotStore, StateTreeCache};
+use crate::snapshot::{install_sections, SnapshotStore, StateTreeCache};
 
 /// Result of replaying a log segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,7 +85,7 @@ pub struct ReplaySummary {
 /// The deterministic replayer — the paper's semantic audit check (§4.5).
 ///
 /// Construct it from the reference image ([`Replayer::from_image`], full
-/// audits), from a downloaded snapshot ([`Replayer::from_snapshot`], spot
+/// audits), from a downloaded snapshot ([`Replayer::from_sections`], spot
 /// checks) or from snapshot metadata with lazy state fault-in
 /// ([`Replayer::from_snapshot_on_demand`], §3.5 on-demand spot checks), then
 /// feed it the log: it re-injects every recorded nondeterministic input at
@@ -117,7 +118,7 @@ impl Replayer {
         Ok(Self::with_machine(machine, state_tree, image.digest()))
     }
 
-    /// Creates a replayer starting from a materialized snapshot (spot checks).
+    /// Creates a replayer starting from a materialized snapshot.
     pub fn from_snapshot(
         image: &VmImage,
         registry: &GuestRegistry,
@@ -126,6 +127,19 @@ impl Replayer {
     ) -> Result<Replayer, CoreError> {
         let (machine, state_tree) =
             snapshots.materialize_with_tree(snapshot_id, image, registry)?;
+        Ok(Self::with_machine(machine, state_tree, image.digest()))
+    }
+
+    /// Creates a replayer starting from the state a received section stream
+    /// installs at snapshot `snapshot_id` ([`install_sections`]): a
+    /// full-download spot check.
+    pub fn from_sections(
+        image: &VmImage,
+        registry: &GuestRegistry,
+        stream: &[u8],
+        snapshot_id: u64,
+    ) -> Result<Replayer, CoreError> {
+        let (machine, state_tree) = install_sections(stream, snapshot_id, image, registry)?;
         Ok(Self::with_machine(machine, state_tree, image.digest()))
     }
 

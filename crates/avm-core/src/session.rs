@@ -14,7 +14,8 @@
 //!   event loop, adding only the session envelope and the retransmit timer.
 //!
 //! Responses arrive as the *borrowed* [`AuditResponseRef`]: the section
-//! stream is measured from the packet buffer, the manifest decoded in place,
+//! stream is installed onto the start machine from the packet buffer
+//! ([`crate::snapshot::install_sections`]), the manifest decoded in place,
 //! blob payloads authenticated before they are copied anywhere.  Every byte a
 //! provider sends is parsed and judged here and nowhere else, so this is the
 //! one surface a hostile provider can reach (and the one a fuzzer drives).
@@ -22,15 +23,16 @@
 //! # The oracle
 //!
 //! The session reads the provider's own [`SnapshotStore`] — its `oracle`
-//! constructor argument — at exactly two places: materializing full-download
-//! replay state (`replay_full`) and staging on-demand blob contents
-//! (`on_manifest`).  Both stand in for a real transfer — the bytes they read
-//! are the ones the section stream / the faulted blobs carry over the
-//! driver's wire, where they are paid for — and both must be replaced by
-//! those received bytes for ROADMAP item 1, which then deletes the argument.
-//! Nothing else about the provider is visible here: the report states what
-//! the session received, and what a download nobody made *would* have cost
-//! is priced by the experiments that print it (`avm_bench::pricing`).
+//! constructor argument — at exactly one place: staging on-demand blob
+//! contents (`on_manifest`), so replay can fault them in inline.  That read
+//! stands in for a real transfer — the bytes it stages are the ones the
+//! faulted blobs carry over the driver's wire afterwards, where they are
+//! paid for — and it must be replaced by those received bytes for ROADMAP
+//! item 1, which then deletes the argument.  A full download reads nothing
+//! but the section stream it received.  Nothing else about the provider is
+//! visible here: the report states what the session received, and what a
+//! download nobody made *would* have cost is priced by the experiments that
+//! print it (`avm_bench::pricing`).
 
 use avm_attest::AttestVerdict;
 use avm_crypto::sha256::Digest;
@@ -216,7 +218,8 @@ pub struct AuditSession<'a> {
 impl<'a> AuditSession<'a> {
     /// A session checking the `k`-chunk at `start_snapshot`, downloading the
     /// snapshot state `on_demand` or in full.  `oracle` is the provider's
-    /// store replay state is read from (see the module docs).
+    /// store on-demand staging reads blob contents from (see the module
+    /// docs).
     pub fn new(
         start_snapshot: u64,
         k: u64,
@@ -362,25 +365,21 @@ impl<'a> AuditSession<'a> {
         }
     }
 
-    /// Full-download replay from the oracle-materialized snapshot.
-    fn replay_full(&self, entries: &[LogEntry]) -> Result<Replayed, CoreError> {
-        let mut replayer =
-            Replayer::from_snapshot(self.image, self.registry, self.oracle, self.start_snapshot)?;
-        let fault = replayer.replay(entries).fault().cloned();
-        Ok((fault, replayer.summary()))
-    }
-
     fn on_sections(
         &mut self,
         response: AuditResponseRef<'_>,
         entries: &[LogEntry],
         log_bytes: u64,
     ) -> Result<Step, CoreError> {
-        // The stream is the snapshot download; its length comes straight
-        // from the packet buffer, whatever the provider chose to send.
-        let snapshot_bytes = expect_sections(response)?.len() as u64;
-        let replayed = self.replay_full(entries)?;
-        Ok(self.finish(replayed, log_bytes, snapshot_bytes, None))
+        // The stream is the snapshot download: the start state is installed
+        // from it where it lies in the packet, and its length is what the
+        // download cost.
+        let stream = expect_sections(response)?;
+        let mut replayer =
+            Replayer::from_sections(self.image, self.registry, stream, self.start_snapshot)?;
+        let fault = replayer.replay(entries).fault().cloned();
+        let replayed = (fault, replayer.summary());
+        Ok(self.finish(replayed, log_bytes, stream.len() as u64, None))
     }
 
     fn on_manifest(
@@ -642,26 +641,49 @@ mod tests {
         }
     }
 
-    /// A section stream of a length the provider's own accounting would not
-    /// produce is reported as received — provider bytes never reach an
-    /// assertion.
+    /// The start state comes from the section stream that arrived, so a
+    /// short, a long and a count-inflated stream each end the session with
+    /// an error — never with a report built from the provider's store.
     #[test]
-    fn truncated_section_stream_is_reported_as_received() {
+    fn truncated_section_stream_is_refused() {
         let (bob, image) = record_with_snapshots(4);
         let registry = GuestRegistry::new();
         let server = AuditServer::new(bob.log(), bob.snapshots());
         let honest_len = bob.snapshots().transfer_bytes_upto(2);
-        let session = AuditSession::new(2, 1, false, &image, &registry, bob.snapshots());
-        let (sent, outcome) = drive(session, &server, |_, response| match response {
-            AuditResponse::Sections { mut stream } => {
-                assert_eq!(stream.len() as u64, honest_len);
-                stream.pop();
-                AuditResponse::Sections { stream }
+        type Damage = fn(&mut Vec<u8>);
+        let damages: [(Damage, &str); 3] = [
+            (
+                |stream| {
+                    stream.pop();
+                },
+                "unexpected end of input",
+            ),
+            (|stream| stream.push(0), "1 trailing bytes"),
+            // The first header's memory count: id, step, flags, root.
+            (
+                |stream| stream[50..54].copy_from_slice(&u32::MAX.to_le_bytes()),
+                "declares 4294967295 chunks",
+            ),
+        ];
+        for (damage, wanted) in damages {
+            let session = AuditSession::new(2, 1, false, &image, &registry, bob.snapshots());
+            let (sent, outcome) = drive(session, &server, |_, response| match response {
+                AuditResponse::Sections { mut stream } => {
+                    assert_eq!(stream.len() as u64, honest_len);
+                    damage(&mut stream);
+                    AuditResponse::Sections { stream }
+                }
+                other => other,
+            });
+            assert_eq!(sent, ["Chunk", "Sections"]);
+            match outcome {
+                Err(CoreError::Snapshot(message)) => {
+                    assert!(message.starts_with("section stream: "), "{message}");
+                    assert!(message.contains(wanted), "{message}");
+                }
+                other => panic!("expected the stream to be refused, got {other:?}"),
             }
-            other => other,
-        });
-        assert_eq!(sent, ["Chunk", "Sections"]);
-        assert_eq!(outcome.unwrap().snapshot_transfer_bytes, honest_len - 1);
+        }
     }
 
     #[test]

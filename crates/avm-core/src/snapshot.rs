@@ -38,8 +38,9 @@
 //! *within* one snapshot, e.g. zero chunks — share a single blob, so repeated
 //! captures of a mostly-idle guest add almost nothing to the pool.
 //! [`SnapshotStore::materialize`] resolves references back through the pool
-//! and still authenticates the reconstructed state against the recorded
-//! Merkle root, so a corrupted or substituted blob can never go unnoticed.
+//! into the transfer stream and installs that, authenticating the
+//! reconstructed state against the recorded Merkle root, so a corrupted or
+//! substituted blob can never go unnoticed.
 //!
 //! Pool entries are reference-counted by the snapshots holding them, which
 //! makes retention bounded: [`SnapshotStore::prune_upto`] rebases the chain
@@ -50,24 +51,32 @@
 //! everything from it onward keeps materializing and authenticating as
 //! before, and new captures keep appending.
 //!
-//! # Transfer accounting: raw and compressed
+//! # The section stream: one writer, one reader
 //!
-//! Spot-check evaluation (§3.5, §6.12, Fig. 9) needs the bytes an auditor
-//! must *download*, which is a different quantity from the bytes the store
-//! keeps: the modelled transfer protocol ships snapshot *sections* (headers,
-//! indexed chunks, indexed disk blocks), exactly the sections
-//! [`SnapshotStore::materialize`] applies.  Which sections those are — a
-//! later full memory dump supersedes every earlier memory section, every
-//! disk section applies — is decided in one walk, `sections_upto`, that
-//! materialization, [`SnapshotStore::transfer_bytes_upto`], the transfer
-//! stream, the on-demand manifest and pruning all consume, so none of them
-//! can disagree with another about what an auditor downloads.  Because the
-//! paper's prototype ships snapshots *compressed* (§6.12 reports compressed
-//! numbers), [`SnapshotStore::transfer_stream_upto`] serialises the exact
-//! transfer byte stream (its layout is on
-//! [`SnapshotStore::append_transfer_stream_upto`]) and
-//! [`SnapshotStore::transfer_cost_upto`] routes it through `avm-compress`,
-//! yielding raw and compressed sizes side by side.
+//! A full download (§3.5) ships the state at snapshot `n` as one byte
+//! stream of snapshot *sections* (headers, indexed chunks, indexed disk
+//! blocks, then the target's CPU and device state).  Which sections those
+//! are — a later full memory dump supersedes every earlier memory section,
+//! every disk section applies — is decided in one walk, `sections_upto`,
+//! that [`SnapshotStore::append_transfer_stream_upto`] (the one writer; the
+//! layout is on it), [`SnapshotStore::transfer_bytes_upto`], the on-demand
+//! manifest and pruning all consume, so none of them can disagree with
+//! another about what an auditor downloads.
+//!
+//! [`install_sections`] is the one reader.  The stream is self-delimiting
+//! and the reader trusts none of it: every count and length is checked
+//! against the bytes remaining before anything is read, nothing is sized by
+//! a number it read, and the installed state must hash to the root the last
+//! header records.  A spot check runs it on the stream still borrowed from
+//! the packet; [`SnapshotStore::materialize`] (and so
+//! [`crate::replay::Replayer::from_snapshot`] and recovery) runs it on the
+//! stream the store would have sent.  So "the full state at snapshot `n`"
+//! has one builder, and it reads wire bytes.
+//!
+//! Because the paper's prototype ships snapshots *compressed* (§6.12
+//! reports compressed numbers), [`SnapshotStore::transfer_cost_upto`]
+//! routes the same stream through `avm-compress`, yielding raw and
+//! compressed sizes side by side.
 //!
 //! # The incremental state-root pipeline
 //!
@@ -95,7 +104,7 @@
 //! 3. Nobody builds the tree of a machine that is still what its image made
 //!    it: [`avm_vm::VmImage::baseline`] holds that tree (header leaves as
 //!    placeholders) and the leaf hashes under it, derived once per image.
-//!    [`SnapshotStore::materialize`] and the replayer start from a copy and
+//!    [`install_sections`] and the replayer start from a copy and
 //!    refresh it over the chunks and blocks the snapshot sections changed —
 //!    before the dirty bits that name them are cleared — so reconstructing
 //!    and authenticating a snapshot hashes the bytes that came out of the
@@ -121,12 +130,20 @@ use avm_compress::{CompressionLevel, CompressionStats};
 use avm_crypto::merkle::MerkleTree;
 use avm_crypto::sha256::{sha256, Digest};
 use avm_vm::{GuestRegistry, LeafStore, Machine, VmImage, STATE_HEADER_LEAVES};
+use avm_wire::Reader;
 
 use crate::error::CoreError;
 
 /// Fixed framing bytes per snapshot: `id` (8) + `step` (8) + the
 /// `full_memory`/`halted` flags (2) + the state root (32).
 pub const SNAPSHOT_HEADER_BYTES: u64 = 50;
+
+/// Bytes a snapshot header occupies in the section stream: the framing
+/// ([`SNAPSHOT_HEADER_BYTES`]) plus its memory and disk section counts.
+const STREAM_HEADER_BYTES: u64 = SNAPSHOT_HEADER_BYTES + 8;
+
+/// The `u32` lengths in front of the section stream's CPU and device state.
+const STREAM_TRAILER_BYTES: u64 = 8;
 
 /// A point-in-time capture of AVM state.
 #[derive(Debug, Clone)]
@@ -878,15 +895,16 @@ impl SnapshotStore {
     }
 
     /// Number of bytes an auditor must download to reconstruct the state at
-    /// snapshot `upto_id`: every snapshot header in the retained chain, the
-    /// chain of incremental disk blocks, the memory sections not superseded
-    /// by a later full dump (including the base full dump itself), per-entry
-    /// index framing, and the target's CPU/device state — exactly the bytes
-    /// [`SnapshotStore::materialize`] applies.
+    /// snapshot `upto_id`: every snapshot header (with its two section
+    /// counts) in the retained chain, the chain of incremental disk blocks,
+    /// the memory sections not superseded by a later full dump (including
+    /// the base full dump itself), per-entry index framing, and the target's
+    /// length-prefixed CPU/device state — exactly the length of
+    /// [`SnapshotStore::transfer_stream_upto`].
     pub fn transfer_bytes_upto(&self, upto_id: u64) -> u64 {
         let mut total = 0u64;
         for (s, sections) in self.sections_upto(upto_id) {
-            total += SNAPSHOT_HEADER_BYTES;
+            total += STREAM_HEADER_BYTES;
             // A section is whole or empty, so a non-empty one costs the
             // snapshot's own payload bytes for it.
             for (refs, payload) in sections.into_iter().zip([s.memory_bytes(), s.disk_bytes()]) {
@@ -898,17 +916,16 @@ impl SnapshotStore {
         let Some(last) = self.get(upto_id) else {
             return total;
         };
-        total + last.cpu_state.len() as u64 + last.dev_state.len() as u64
+        total + STREAM_TRAILER_BYTES + last.cpu_state.len() as u64 + last.dev_state.len() as u64
     }
 
-    /// Serialises the exact byte stream the modelled transfer protocol ships
-    /// for a download up to snapshot `upto_id` (the layout is on
+    /// Serialises the section stream a full download up to snapshot
+    /// `upto_id` ships (the layout is on
     /// [`SnapshotStore::append_transfer_stream_upto`]).
     ///
     /// The stream's length always equals
-    /// [`SnapshotStore::transfer_bytes_upto`]; it exists so compression of
-    /// the transferred state can be measured on the real payload rather than
-    /// guessed at.
+    /// [`SnapshotStore::transfer_bytes_upto`]; [`install_sections`] reads it
+    /// back.
     pub fn transfer_stream_upto(&self, upto_id: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.transfer_bytes_upto(upto_id) as usize);
         self.append_transfer_stream_upto(upto_id, &mut out);
@@ -922,14 +939,14 @@ impl SnapshotStore {
     /// The layout, all integers little-endian:
     ///
     /// * per retained snapshot with id `<= upto_id`, in id order:
-    ///   `id u64 ‖ step u64 ‖ full u8 ‖ halted u8 ‖ root[32]`, then one
-    ///   `u32 idx ‖ payload` item per memory reference (none when a later
-    ///   full dump supersedes the section) and per disk reference;
-    /// * then the target's `cpu_state ‖ dev_state`.
-    ///
-    /// The stream carries no section counts and no CPU/device lengths, so
-    /// it is not self-delimiting: only a reader that already knows the
-    /// chain's shape can split it.
+    ///   `id u64 ‖ step u64 ‖ full u8 ‖ halted u8 ‖ root[32] ‖
+    ///   mem_count u32 ‖ disk_count u32`, then `mem_count` memory items and
+    ///   `disk_count` disk items, each `u32 idx ‖ payload` with a payload of
+    ///   exactly the store's leaf size (`mem_count` is 0 when a later full
+    ///   dump supersedes the section);
+    /// * then the target's `cpu_len u32 ‖ cpu_state ‖ dev_len u32 ‖
+    ///   dev_state` (absent when `upto_id` is not retained, which
+    ///   [`install_sections`] refuses).
     pub fn append_transfer_stream_upto(&self, upto_id: u64, out: &mut Vec<u8>) {
         for (s, sections) in self.sections_upto(upto_id) {
             out.extend_from_slice(&s.id.to_le_bytes());
@@ -937,14 +954,19 @@ impl SnapshotStore {
             out.push(u8::from(s.full_memory));
             out.push(u8::from(s.halted));
             out.extend_from_slice(s.state_root.as_bytes());
+            for refs in sections {
+                out.extend_from_slice(&(refs.len() as u32).to_le_bytes());
+            }
             for (idx, hash) in sections.into_iter().flatten() {
                 out.extend_from_slice(&idx.to_le_bytes());
                 out.extend_from_slice(self.pool.get(hash).expect("pooled leaf"));
             }
         }
         if let Some(last) = self.get(upto_id) {
-            out.extend_from_slice(&last.cpu_state);
-            out.extend_from_slice(&last.dev_state);
+            for state in [&last.cpu_state, &last.dev_state] {
+                out.extend_from_slice(&(state.len() as u32).to_le_bytes());
+                out.extend_from_slice(state);
+            }
         }
     }
 
@@ -955,8 +977,8 @@ impl SnapshotStore {
         CompressionStats::measure(&self.transfer_stream_upto(upto_id), level)
     }
 
-    /// Reconstructs a machine in the state captured by snapshot `upto_id`,
-    /// starting from the reference `image` and applying the snapshot chain.
+    /// Reconstructs a machine in the state captured by snapshot `upto_id`:
+    /// [`install_sections`] over the stream a full download of it ships.
     ///
     /// The reconstructed state is authenticated against the stored root; a
     /// mismatch means the snapshot data was tampered with.
@@ -979,66 +1001,128 @@ impl SnapshotStore {
         image: &VmImage,
         registry: &GuestRegistry,
     ) -> Result<(Machine, StateTreeCache), CoreError> {
-        let (mut machine, state_root) = self.apply_chain(upto_id, image, registry)?;
-        // The dirty bits name exactly the chunks and blocks a section
-        // changed: refreshing over them hashes every byte that came out of
-        // the store and differs from the image, and every other leaf is the
-        // reference image's own.  Only then may the bits go.
-        let mut state_tree = StateTreeCache::from_baseline(image);
-        let root = state_tree.refresh(&machine);
-        if root != state_root {
-            return Err(CoreError::Snapshot(format!(
-                "materialized state root {} does not match recorded root {}",
-                root.short_hex(),
-                state_root.short_hex()
+        if self.get(upto_id).is_none() {
+            return Err(CoreError::Snapshot(format!("snapshot {upto_id} not found")));
+        }
+        install_sections(
+            &self.transfer_stream_upto(upto_id),
+            upto_id,
+            image,
+            registry,
+        )
+    }
+}
+
+/// Builds the state at snapshot `upto_id` from a section stream (the layout
+/// is on [`SnapshotStore::append_transfer_stream_upto`]): a machine fresh
+/// from `image` with every section installed and the target's CPU, device
+/// and control state restored, authenticated against the root the last
+/// header records, and the state tree it was authenticated with, in sync
+/// with the machine — a replayer continues from it.
+///
+/// This is the one reader of the stream, and it trusts none of it: a
+/// truncated or over-long stream, a count or length the remaining bytes
+/// cannot hold, header ids that do not strictly increase or do not end at
+/// `upto_id`, an index outside its store, and a state whose root differs
+/// from the recorded one are each a [`CoreError::Snapshot`].
+pub fn install_sections(
+    stream: &[u8],
+    upto_id: u64,
+    image: &VmImage,
+    registry: &GuestRegistry,
+) -> Result<(Machine, StateTreeCache), CoreError> {
+    let (mut machine, state_root) = install_unverified(stream, upto_id, image, registry)?;
+    // The dirty bits name exactly the chunks and blocks a section changed:
+    // refreshing over them hashes every received byte that differs from the
+    // image, and every other leaf is the reference image's own.  Only then
+    // may the bits go.
+    let mut state_tree = StateTreeCache::from_baseline(image);
+    let root = state_tree.refresh(&machine);
+    if root != state_root {
+        return Err(CoreError::Snapshot(format!(
+            "materialized state root {} does not match recorded root {}",
+            root.short_hex(),
+            state_root.short_hex()
+        )));
+    }
+    machine.clear_dirty_tracking();
+    Ok((machine, state_tree))
+}
+
+/// The install half of [`install_sections`]: a machine fresh from `image`
+/// with the stream installed — its dirty bits still naming what the
+/// sections changed — and the root the last header records.
+fn install_unverified(
+    stream: &[u8],
+    upto_id: u64,
+    image: &VmImage,
+    registry: &GuestRegistry,
+) -> Result<(Machine, Digest), CoreError> {
+    let refused = |what: String| CoreError::Snapshot(format!("section stream: {what}"));
+    let wire = |e: avm_wire::WireError| refused(e.to_string());
+    let mut machine = Machine::from_image(image, registry)?;
+    let mut r = Reader::new(stream);
+    let mut prev: Option<u64> = None;
+    let (step, halted, root) = loop {
+        let id = r.get_u64().map_err(wire)?;
+        if id > upto_id || prev.is_some_and(|prev| id <= prev) {
+            return Err(refused(format!(
+                "snapshot {id} out of order on the way to snapshot {upto_id}"
             )));
         }
-        machine.clear_dirty_tracking();
-        Ok((machine, state_tree))
-    }
-
-    /// A machine fresh from `image` with the chain up to snapshot `upto_id`
-    /// installed — its dirty bits still naming what the sections changed —
-    /// and the root that snapshot recorded.
-    fn apply_chain(
-        &self,
-        upto_id: u64,
-        image: &VmImage,
-        registry: &GuestRegistry,
-    ) -> Result<(Machine, Digest), CoreError> {
-        let target = self
-            .get(upto_id)
-            .ok_or_else(|| CoreError::Snapshot(format!("snapshot {upto_id} not found")))?;
-        let mut machine = Machine::from_image(image, registry).map_err(CoreError::Vm)?;
-        for (s, sections) in self.sections_upto(upto_id) {
-            for (store, refs) in machine.stores_mut().into_iter().zip(sections) {
-                let name = store.leaf_name();
-                for (idx, hash) in refs {
-                    let leaf = self.pool.get(hash).ok_or_else(|| {
-                        CoreError::Snapshot(format!(
-                            "{name} {idx} of snapshot {} missing from pool",
-                            s.id
-                        ))
-                    })?;
-                    store.set_leaf(*idx as usize, leaf).ok_or_else(|| {
-                        CoreError::Snapshot(format!(
-                            "{name} {idx} of snapshot {} has a bad size or index",
-                            s.id
-                        ))
-                    })?;
-                }
+        let step = r.get_u64().map_err(wire)?;
+        let _full = r.get_bool().map_err(wire)?;
+        let halted = r.get_bool().map_err(wire)?;
+        let root = Digest::from_slice(r.get_raw(32).map_err(wire)?).expect("32 bytes read");
+        let counts = [r.get_u32().map_err(wire)?, r.get_u32().map_err(wire)?];
+        for (store, count) in machine.stores_mut().into_iter().zip(counts) {
+            let name = store.leaf_name();
+            let item = 4 + store.leaf_size();
+            if u64::from(count) * item as u64 > r.remaining() as u64 {
+                return Err(refused(format!(
+                    "snapshot {id} declares {count} {name}s in {} bytes",
+                    r.remaining()
+                )));
+            }
+            for _ in 0..count {
+                let idx = r.get_u32().map_err(wire)?;
+                let leaf = r.get_raw(item - 4).map_err(wire)?;
+                store.set_leaf(idx as usize, leaf).ok_or_else(|| {
+                    refused(format!("{name} {idx} of snapshot {id} is out of range"))
+                })?;
             }
         }
-        machine
-            .restore_cpu_state(&target.cpu_state)
-            .map_err(CoreError::Vm)?;
-        machine
-            .devices_mut()
-            .restore_volatile(&target.dev_state)
-            .map_err(CoreError::Vm)?;
-        machine.set_control_state(target.step, target.halted, false);
-        Ok((machine, target.state_root))
+        if id == upto_id {
+            break (step, halted, root);
+        }
+        prev = Some(id);
+    };
+    let mut state = [&[][..]; 2];
+    for slot in &mut state {
+        let len = r.get_u32().map_err(wire)?;
+        *slot = r.get_raw(len as usize).map_err(wire)?;
     }
+    if !r.is_empty() {
+        return Err(refused(format!("{} trailing bytes", r.remaining())));
+    }
+    restore_header(&mut machine, state[0], state[1], step, halted)?;
+    Ok((machine, root))
+}
+
+/// Restores what the three header leaves cover — CPU state, volatile device
+/// state, control word — onto a machine whose stores are already installed
+/// (full download) or staged (on demand).
+pub(crate) fn restore_header(
+    machine: &mut Machine,
+    cpu_state: &[u8],
+    dev_state: &[u8],
+    step: u64,
+    halted: bool,
+) -> Result<(), CoreError> {
+    machine.restore_cpu_state(cpu_state)?;
+    machine.devices_mut().restore_volatile(dev_state)?;
+    machine.set_control_state(step, halted, false);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1216,7 +1300,8 @@ mod tests {
             m.memory().chunk_count()
         );
 
-        let (applied, _) = store.apply_chain(1, &img, &reg).unwrap();
+        let (applied, _) =
+            install_unverified(&store.transfer_stream_upto(1), 1, &img, &reg).unwrap();
         let handed = applied.stores().map(|store| store.dirty_leaves());
         assert_eq!(handed, [vec![], vec![1, 3]]);
 

@@ -1,7 +1,9 @@
 //! Property-based tests over the core data structures and invariants.
 
 use avm_compress::{compress, decompress, CompressionLevel};
-use avm_core::snapshot::{build_state_tree_uncached, capture_with_cache, StateTreeCache};
+use avm_core::snapshot::{
+    build_state_tree_uncached, capture_with_cache, install_sections, SnapshotStore, StateTreeCache,
+};
 use avm_crypto::merkle::MerkleTree;
 use avm_crypto::sha256::{sha256, Digest};
 use avm_log::{verify_segment, EntryKind, LogEntry, TamperEvidentLog};
@@ -10,6 +12,43 @@ use avm_vm::{GuestRegistry, Machine, StopCondition, VmExit, VmImage};
 use avm_wire::varint::{read_varint, varint_len, write_varint, zigzag_decode, zigzag_encode};
 use avm_wire::{read_frame, write_frame};
 use proptest::prelude::*;
+
+/// The state at snapshot `upto_id` built by walking `store`'s pool instead of
+/// reading a section stream: the reference [`install_sections`] is held to.
+/// Memory sections before the chain's last full dump are superseded; every
+/// disk section applies.
+fn pool_walk(store: &SnapshotStore, upto_id: u64, image: &VmImage) -> Machine {
+    let chain: Vec<_> = store.all().iter().filter(|s| s.id <= upto_id).collect();
+    let base = chain.iter().rev().find(|s| s.full_memory).map(|s| s.id);
+    let mut machine = Machine::from_image(image, &GuestRegistry::new()).unwrap();
+    for s in &chain {
+        let memory = if base.is_none_or(|base| s.id >= base) {
+            s.mem_chunk_refs()
+        } else {
+            &[]
+        };
+        for (store_leaves, refs) in machine
+            .stores_mut()
+            .into_iter()
+            .zip([memory, s.disk_block_refs()])
+        {
+            for (idx, hash) in refs {
+                let leaf = store.payload(hash).expect("pooled leaf");
+                store_leaves
+                    .set_leaf(*idx as usize, leaf)
+                    .expect("leaf in range");
+            }
+        }
+    }
+    let target = chain.last().expect("retained snapshot");
+    machine.restore_cpu_state(&target.cpu_state).unwrap();
+    machine
+        .devices_mut()
+        .restore_volatile(&target.dev_state)
+        .unwrap();
+    machine.set_control_state(target.step, target.halted, false);
+    machine
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -176,9 +215,11 @@ proptest! {
     /// Transfer accounting equals the stream the sections materialization
     /// applies are shipped as, for every snapshot in a chain built from an
     /// arbitrary interleaving of memory writes, disk writes, and
-    /// full/incremental captures; the content-addressed store never holds
-    /// more than the logical payload; and a prune is invisible to every
-    /// surviving snapshot's manifest and materialized state.
+    /// full/incremental captures; installing that stream gives the machine
+    /// and the root a walk of the pool gives, before and after a prune; the
+    /// content-addressed store never holds more than the logical payload;
+    /// and a prune is invisible to every surviving snapshot's manifest and
+    /// materialized state.
     ///
     /// Each op is `(kind, location, value)`: kind 0-2 writes memory, 3-5
     /// writes the disk, 6-7 takes a snapshot (full when `value` is even).
@@ -186,7 +227,6 @@ proptest! {
     fn transfer_accounting_matches_materialize_consumption(
         ops in proptest::collection::vec((0u8..8, any::<u16>(), any::<u8>()), 1..32)
     ) {
-        use avm_core::snapshot::SnapshotStore;
         let pages = 16usize;
         let image = VmImage::bytecode(
             "transfer-prop",
@@ -222,10 +262,23 @@ proptest! {
         store.push(capture_with_cache(&mut m, &mut cache, captures, true));
         captures += 1;
 
+        // The section stream installs the state a walk of the pool builds:
+        // the same machine, and the root the snapshot recorded.
+        let round_trip = |store: &SnapshotStore, id: u64| -> Result<(), TestCaseError> {
+            let (installed, _) =
+                install_sections(&store.transfer_stream_upto(id), id, &image, &registry).unwrap();
+            let walked = pool_walk(store, id, &image);
+            prop_assert_eq!(installed.state_digest(), walked.state_digest(), "snapshot {}", id);
+            let root = build_state_tree_uncached(&installed).root();
+            prop_assert_eq!(root, build_state_tree_uncached(&walked).root(), "snapshot {}", id);
+            prop_assert_eq!(root, store.get(id).unwrap().state_root, "snapshot {}", id);
+            Ok(())
+        };
         for id in 0..captures {
             // materialize authenticates the rebuilt state against the
             // recorded root internally, so this doubles as a round-trip test.
             store.materialize(id, &image, &registry).unwrap();
+            round_trip(&store, id)?;
             prop_assert_eq!(
                 store.transfer_stream_upto(id).len() as u64,
                 store.transfer_bytes_upto(id),
@@ -263,6 +316,7 @@ proptest! {
         store.prune_upto(prune_at).unwrap();
         prop_assert!(store.stored_payload_bytes() <= stored_before);
         for (id, (manifest, digest)) in (prune_at..captures).zip(before) {
+            round_trip(&store, id)?;
             prop_assert_eq!(
                 store.transfer_stream_upto(id).len() as u64,
                 store.transfer_bytes_upto(id),
