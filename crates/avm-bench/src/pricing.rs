@@ -15,7 +15,7 @@ use avm_core::snapshot::{SnapshotStore, TransferCost};
 use avm_core::spotcheck::{snapshot_positions, SpotCheckReport, TRANSFER_COMPRESSION};
 use avm_log::{LogEntry, TamperEvidentLog};
 use avm_vm::VmImage;
-use avm_wire::{BlobRequest, Encode, RttModel, DEFAULT_BLOB_BATCH};
+use avm_wire::{BlobRequest, Encode, RttModel};
 
 /// The `k`-chunk starting at snapshot `start` as the provider's server
 /// resolves it: the entries after the SNAPSHOT entry for `start` up to and
@@ -61,17 +61,20 @@ pub fn dedup_download(
         .transfer
 }
 
-/// The on-demand download `report` made — manifest, then one blob response
-/// per batch of fetched digests — as one compressed stream.
+/// The on-demand download `report` made — manifest, then the blob response
+/// of each exchange, one per miss — as one compressed stream.
 pub fn on_demand_download(store: &SnapshotStore, report: &SpotCheckReport) -> TransferCost {
     let cost = report.on_demand.as_ref().expect("an on-demand report");
     let manifest = store
         .chain_manifest_upto(report.start_snapshot)
         .expect("checked snapshot has a manifest");
-    let fetched: Vec<_> = cost.fetched.iter().map(|digest| digest.0).collect();
-    let responses = BlobRequest::batches(&fetched, DEFAULT_BLOB_BATCH)
-        .into_iter()
-        .map(|request| store.serve_blobs(&request).encode_to_vec());
+    let mut fetched = cost.fetched.iter().map(|digest| digest.0);
+    let responses = cost.fetched_per_exchange.iter().map(|&n| {
+        let request = BlobRequest {
+            digests: fetched.by_ref().take(n).collect(),
+        };
+        store.serve_blobs(&request).encode_to_vec()
+    });
     CompressionStats::measure_stream(
         std::iter::once(manifest.encode_to_vec()).chain(responses),
         TRANSFER_COMPRESSION,
@@ -128,8 +131,8 @@ mod tests {
 
     /// The orderings the paper predicts, on the priced columns: compression
     /// helps every stream; on-demand ≤ dedup < full dump, raw and
-    /// compressed; a warm cache shrinks the dedup download; batching never
-    /// costs round trips or modelled time.
+    /// compressed; a warm cache shrinks the dedup download; an exchange per
+    /// miss never costs more round trips or modelled time than one per blob.
     #[test]
     fn priced_columns_order_as_the_paper_predicts() {
         let (avmm, image, n_snapshots) = record_sparse_touch();

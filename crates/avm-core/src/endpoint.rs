@@ -49,17 +49,6 @@
 //! ~40-entry chunk into owned [`LogEntry`]s, because the session holds it
 //! across its next exchanges.
 //!
-//! # The one read that bypasses the transport
-//!
-//! A full download builds its replay state from the section stream that
-//! crossed the transport, and from nothing else.  On demand, blob contents
-//! are staged for inline fault-in from the store
-//! [`AuditTransport::provider_store`] hands the audit session (its `oracle`
-//! constructor argument); the *paid* exchange — exactly the faulted blobs —
-//! crosses the transport afterwards, which is the §3.5 model: bytes cross
-//! the wire only for state the replay touched.  Everything a report states
-//! was measured on the exchanges; nothing in it is priced from the store.
-//!
 //! # Example: an audit endpoint over a simulated link
 //!
 //! ```
@@ -192,11 +181,6 @@ impl<'a> AuditServer<'a> {
     pub fn with_attestor(mut self, attestor: &'a Attestor) -> AuditServer<'a> {
         self.attestor = Some(attestor);
         self
-    }
-
-    /// The snapshot store this endpoint serves from.
-    pub fn store(&self) -> &'a SnapshotStore {
-        self.store
     }
 
     /// Answers one request with the *encoded* [`AuditResponse`] — the body a
@@ -371,10 +355,9 @@ impl TransportStats {
 }
 
 /// Carries [`AuditRequest`]s to a provider and lends back its responses,
-/// accounting every exchange.  `'p` is the lifetime of the provider state
-/// behind the transport — the store the session's oracle reads outlives any
-/// one exchange.
-pub trait AuditTransport<'p> {
+/// accounting every exchange.  The responses are all an auditor learns of
+/// the provider.
+pub trait AuditTransport {
     /// Performs one request/response exchange.  The response is *lent* to
     /// `on_response` as a borrowed view of the packet it arrived in — the
     /// bytes are parsed once, in place, and the caller copies only what it
@@ -387,11 +370,6 @@ pub trait AuditTransport<'p> {
 
     /// Accumulated wire-level accounting.
     fn stats(&self) -> TransportStats;
-
-    /// The provider's snapshot store — the audit session's `oracle`, from
-    /// which on-demand blob contents are staged.  Paid transfers go
-    /// through [`AuditTransport::exchange`] — see the module docs.
-    fn provider_store(&self) -> &'p SnapshotStore;
 }
 
 /// Node id the auditor endpoint binds by default.
@@ -618,7 +596,7 @@ impl<'a> SimNetTransport<'a> {
     }
 }
 
-impl<'a> AuditTransport<'a> for SimNetTransport<'a> {
+impl AuditTransport for SimNetTransport<'_> {
     fn exchange<R>(
         &mut self,
         request: &AuditRequest,
@@ -664,10 +642,6 @@ impl<'a> AuditTransport<'a> for SimNetTransport<'a> {
     fn stats(&self) -> TransportStats {
         self.wire.stats
     }
-
-    fn provider_store(&self) -> &'a SnapshotStore {
-        self.server.store()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -687,7 +661,7 @@ pub struct AuditClient<T> {
     cache: AuditorBlobCache,
 }
 
-impl<'p, T: AuditTransport<'p>> AuditClient<T> {
+impl<T: AuditTransport> AuditClient<T> {
     /// A client with an empty blob cache.
     pub fn new(transport: T) -> AuditClient<T> {
         AuditClient::with_cache(transport, AuditorBlobCache::new())
@@ -867,8 +841,7 @@ impl<'p, T: AuditTransport<'p>> AuditClient<T> {
         registry: &GuestRegistry,
     ) -> Result<SpotCheckReport, CoreError> {
         let stats_before = self.transport.stats();
-        let oracle = self.transport.provider_store();
-        let mut session = AuditSession::new(start_snapshot, k, on_demand, image, registry, oracle)
+        let mut session = AuditSession::new(start_snapshot, k, on_demand, image, registry)
             .with_cache(std::mem::take(&mut self.cache));
         let mut step = session.start(0);
         let outcome = loop {
@@ -936,8 +909,8 @@ mod tests {
         // Identical semantics on both links.
         assert!(baseline.consistent);
         assert_eq!(baseline.semantic(), sim_report.semantic());
-        let fetched = &sim_report.on_demand.as_ref().unwrap().fetched;
-        assert_eq!(&baseline.on_demand.as_ref().unwrap().fetched, fetched);
+        let cost = sim_report.on_demand.as_ref().unwrap();
+        assert_eq!(baseline.on_demand.as_ref(), Some(cost));
 
         // Identical wire accounting …
         let d = baseline.transport;
@@ -960,9 +933,11 @@ mod tests {
             }),
             AuditRequest::Manifest { snapshot_id: 2 },
         ];
-        let digests: Vec<_> = fetched.iter().map(|d| d.0).collect();
-        let batches = avm_wire::BlobRequest::batches(&digests, avm_wire::DEFAULT_BLOB_BATCH);
-        requests.extend(batches.into_iter().map(AuditRequest::Blobs));
+        let mut digests = cost.fetched.iter().map(|d| d.0);
+        for &n in &cost.fetched_per_exchange {
+            let digests = digests.by_ref().take(n).collect();
+            requests.push(AuditRequest::Blobs(avm_wire::BlobRequest { digests }));
+        }
         let mut probe = SimNetTransport::new(server, link);
         let mut packets = Vec::new();
         for request in &requests {

@@ -385,16 +385,13 @@ pub struct FleetAuditor<'a> {
 impl<'a> FleetAuditor<'a> {
     /// An auditor on `node` auditing `provider` inside session `session_id`.
     ///
-    /// `provider_store` is the store the provider serves from, handed to
-    /// the session as its `oracle` (see [`crate::session`]); `timeout_us`
-    /// is the retransmit-if-silent deadline, normally derived from the link
-    /// exactly like [`crate::endpoint::SimNetTransport::new`] derives it.
-    #[allow(clippy::too_many_arguments)]
+    /// `timeout_us` is the retransmit-if-silent deadline, normally derived
+    /// from the link exactly like [`crate::endpoint::SimNetTransport::new`]
+    /// derives it.
     pub fn new(
         node: NodeId,
         provider: NodeId,
         session_id: u64,
-        provider_store: &'a SnapshotStore,
         image: &'a VmImage,
         registry: &'a GuestRegistry,
         task: AuditTask,
@@ -410,7 +407,6 @@ impl<'a> FleetAuditor<'a> {
                 task.on_demand,
                 image,
                 registry,
-                provider_store,
             ),
             pending: None,
             outcome: None,
@@ -671,7 +667,6 @@ fn run_fleet_inner(
                 NodeId((provider_count + 1 + i) as u32),
                 NodeId((i % provider_count) as u32 + 1),
                 CLIENT_SESSION + i as u64,
-                store,
                 image,
                 registry,
                 AuditTask {

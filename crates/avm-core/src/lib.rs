@@ -156,8 +156,8 @@ pub use envelope::{Envelope, EnvelopeKind};
 pub use error::{CoreError, FaultReason};
 pub use events::{NdDetail, NdEventRecord, RecvRecord, SendRecord, SnapshotRecord};
 pub use ondemand::{
-    dedup_transfer_upto, fetch_blobs, materialize_on_demand, materialize_with_manifest,
-    AuditorBlobCache, ChainManifest, DedupTransfer, OnDemandCost, OnDemandSession,
+    dedup_transfer_upto, fetch_blobs, materialize_on_demand, AuditorBlobCache, ChainManifest,
+    DedupTransfer, OnDemandCost, OnDemandSession,
 };
 pub use persist::{PersistConfig, PersistError, Provider, RecoveryReport, SnapshotManifest};
 pub use recorder::{Avmm, HostClock, OutboundMessage};

@@ -17,27 +17,35 @@
 //!    [`dedup_transfer_upto`] models a *full-state* download in this mode —
 //!    the "dedup" column of the spot-check accounting.
 //!
-//! 2. **On-demand replay.**  [`materialize_on_demand`] goes further: it
-//!    builds the starting machine from the manifest *only*.  Memory chunks
-//!    and disk blocks whose manifest digest differs from what the local
-//!    reference image yields are staged for demand paging
-//!    ([`avm_vm::LeafStore::stage_lazy`]) and fault in lazily as the
-//!    replayed workload touches them, so the auditor downloads exactly the
-//!    512 B chunks the execution accesses — not the 4 KiB pages around
-//!    them.  [`OnDemandSession::finish`] turns the fault lists into the
-//!    actual blob exchange and the bytes it moved — the "on-demand" column.
+//! 2. **On-demand replay.**  The starting machine is built from the
+//!    manifest *only*.  Memory chunks and disk blocks whose manifest digest
+//!    differs from what the local reference image yields are staged for
+//!    demand paging and fault in lazily as the replayed workload touches
+//!    them, so the auditor downloads exactly the 512 B chunks the execution
+//!    accesses — not the 4 KiB pages around them.  What the auditor can
+//!    produce itself (its cache, the image) is staged with its contents
+//!    ([`avm_vm::LeafStore::stage_lazy`]); the rest is staged *byteless*
+//!    ([`avm_vm::LeafStore::stage_byteless`]), and the first touch of such a
+//!    leaf is a miss the audit session answers with one blob exchange
+//!    ([`crate::session`], "# Misses").  A provider auditing itself
+//!    ([`materialize_on_demand`], [`crate::replay::Replayer::from_snapshot_on_demand`])
+//!    stages the same way with its own store as the source of the rest, and
+//!    [`OnDemandSession::finish`] turns the fault lists into the blob
+//!    exchange that store would have served — the "on-demand" column.
 //!
 //! # Round trips and batching
 //!
-//! Bytes are not the whole price of on-demand transfer: a naive auditor
-//! pays one network round trip per faulted blob.  The blob exchange here is
-//! therefore **batched** — up to [`avm_wire::DEFAULT_BLOB_BATCH`] digests
-//! per [`BlobRequest`] — and every accounting struct reports the round trips
-//! the exchange performed ([`BlobFetch::round_trips`],
-//! [`OnDemandCost::round_trips`]), priced in modelled wall time by a
-//! configurable [`avm_wire::RttModel`].  (What a fault-at-a-time auditor
-//! would have paid instead is `1 + fetched.len()`; the comparison lives with
-//! the experiment that prints it, `avm_bench::pricing`.)
+//! Bytes are not the whole price of on-demand transfer: every exchange is a
+//! network round trip.  An audit session asks, per miss, for every blob the
+//! missing access needs in one [`BlobRequest`]; the provider-side
+//! [`fetch_blobs`] / [`OnDemandSession::finish`] batch up to
+//! [`avm_wire::DEFAULT_BLOB_BATCH`] digests per request.  Every accounting
+//! struct reports the round trips the exchange performed
+//! ([`BlobFetch::round_trips`], [`OnDemandCost::round_trips`]), priced in
+//! modelled wall time by a configurable [`avm_wire::RttModel`].  (What a
+//! blob-at-a-time auditor would have paid instead is `1 + fetched.len()`;
+//! the comparison lives with the experiment that prints it,
+//! `avm_bench::pricing`.)
 //!
 //! Authentication never weakens in either mode: the manifest is verified by
 //! deriving the Merkle state root its leaf hashes imply and comparing
@@ -56,8 +64,9 @@
 //! index and copies it out of the still-fresh machine, and authenticates by
 //! replacing the header and the staged leaves in a copy of the baseline's
 //! tree.  So staging costs what the snapshot changed — O(divergent · log n)
-//! — and hashes only bytes that came from the operator's pool; the tree then
-//! goes to the replayer, whose first root check is incremental too.
+//! — and hashes nothing: a blob is hashed once, when it is received
+//! ([`BlobFetch`]); the tree then goes to the replayer, whose first root
+//! check is incremental too.
 
 use std::collections::{HashMap, HashSet};
 
@@ -264,6 +273,13 @@ impl AuditorBlobCache {
         }
     }
 
+    /// Moves every blob of `other` into this cache.
+    pub(crate) fn absorb(&mut self, other: AuditorBlobCache) {
+        for (digest, payload) in other.blobs {
+            self.insert_trusted(digest, payload);
+        }
+    }
+
     /// Seeds the cache with every memory chunk and disk block payload of
     /// `machine` (normally a machine freshly instantiated from the public
     /// reference image): content the auditor can derive locally never needs
@@ -394,14 +410,16 @@ pub(crate) fn verify_blob_response<'r>(
     request: &BlobRequest,
     response: &BlobResponseRef<'r>,
 ) -> Result<Vec<&'r [u8]>, CoreError> {
-    if response.blobs.len() != request.digests.len() {
+    let digests: Vec<Digest> = request.digests.iter().map(|raw| Digest(*raw)).collect();
+    if response.blobs.len() != digests.len() {
+        let named: Vec<String> = digests.iter().map(Digest::short_hex).collect();
         return Err(CoreError::Snapshot(format!(
-            "blob response carries {} payloads for {} requested digests",
+            "blob response carries {} payloads for {} requested digests ({})",
             response.blobs.len(),
-            request.digests.len()
+            digests.len(),
+            named.join(", ")
         )));
     }
-    let digests: Vec<Digest> = request.digests.iter().map(|raw| Digest(*raw)).collect();
     let mut payloads = Vec::with_capacity(digests.len());
     for (digest, blob) in digests.iter().zip(&response.blobs) {
         payloads.push(blob.ok_or_else(|| operator_missing(digest))?);
@@ -410,18 +428,20 @@ pub(crate) fn verify_blob_response<'r>(
     Ok(payloads)
 }
 
-/// Accounting for one batched blob download.
+/// Accounting for one blob download.
 ///
-/// Its two crate-internal halves are the whole blob protocol, whoever
-/// carries the messages: `plan` decides what to ask for, `accept`
-/// authenticates and keeps one response.  The blocking
-/// [`fetch_blobs`] / [`OnDemandSession::finish`] and the sans-IO
-/// [`crate::session::AuditSession`] all run exactly these.
+/// `accept` authenticates and keeps one response, whoever carries the
+/// messages and however the requests were chosen: the provider-side
+/// [`fetch_blobs`] / [`OnDemandSession::finish`] `plan` batches up front,
+/// the sans-IO [`crate::session::AuditSession`] asks for what each miss
+/// needs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BlobFetch {
     /// Digests actually transferred, in request order (never contains a
     /// digest the cache already held).
     pub fetched: Vec<Digest>,
+    /// How many of `fetched` each exchange carried, in order.
+    pub per_exchange: Vec<usize>,
     /// Digests satisfied from the cache instead of the wire.
     pub cache_hits: u64,
     /// Request/response round trips the exchange performed (0 when nothing
@@ -473,6 +493,7 @@ impl BlobFetch {
     ) -> Result<(), CoreError> {
         let payloads = verify_blob_response(request, response)?;
         self.round_trips += 1;
+        self.per_exchange.push(payloads.len());
         self.request_bytes += request.encoded_len() as u64;
         self.payload_bytes += response.payload_bytes();
         self.response.raw_bytes += response.encoded_len() as u64;
@@ -592,8 +613,11 @@ pub struct OnDemandCost {
     /// Staged chunks/blocks the replay never touched — divergent state whose
     /// contents were never transferred (the §3.5 saving).
     pub untouched_staged: u64,
-    /// Digests actually transferred for the faults (after dedup and cache).
+    /// Digests actually transferred for the faults (after dedup and cache),
+    /// in the order they were received.
     pub fetched: Vec<Digest>,
+    /// How many of `fetched` each blob exchange carried, in order.
+    pub fetched_per_exchange: Vec<usize>,
     /// Unique faulted digests served from the auditor cache at zero transfer
     /// cost.
     pub cache_hits: u64,
@@ -603,8 +627,8 @@ pub struct OnDemandCost {
     pub locally_derived: u64,
     /// Encoded size of the upstream requests, summed over batches.
     pub request_bytes: u64,
-    /// Round trips the settled exchange performed: one for the manifest plus
-    /// one per batched [`BlobRequest`].
+    /// Round trips the download performed: one for the manifest plus one
+    /// per [`BlobRequest`].
     pub round_trips: u64,
     /// Bytes the auditor downloaded: the encoded manifest plus every encoded
     /// blob response.
@@ -635,7 +659,8 @@ enum StagedSource {
 /// What [`OnDemandSession::classify_faults`] decided about a finished
 /// replay's fault lists — the wire-facing half (`needed`) and the free
 /// half (cache hits, locally derived), plus the counters the final
-/// [`OnDemandCost`] reports.
+/// [`OnDemandCost`] reports.  An audit session received every `needed`
+/// blob on a miss; [`OnDemandSession::finish`] still has to fetch them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct FaultClassification {
     /// Unique faulted digests only the operator can serve, in fault order.
@@ -722,14 +747,43 @@ impl OnDemandSession {
         Ok(self.assemble_cost(classification, fetch))
     }
 
+    /// Digests of the leaves `machine`'s first refused access needed
+    /// ([`avm_vm::LeafStore::missed`]), memory's before the disk's, each
+    /// once: what one blob request asks for.
+    pub(crate) fn missed(&self, machine: &Machine) -> Vec<Digest> {
+        let mut digests = Vec::new();
+        for (store, staged) in machine.stores().iter().zip(&self.staged) {
+            for leaf in store.missed() {
+                if let Some(digest) = staged.get(leaf) {
+                    if !digests.contains(digest) {
+                        digests.push(*digest);
+                    }
+                }
+            }
+        }
+        digests
+    }
+
+    /// Hands `content` — received, and checked to hash to `digest` — to
+    /// every leaf of `machine` still staged byteless under `digest`.
+    pub(crate) fn supply(&self, machine: &mut Machine, digest: &Digest, content: &[u8]) {
+        for (store, staged) in machine.stores_mut().into_iter().zip(&self.staged) {
+            for (&leaf, _) in staged.iter().filter(|(_, d)| *d == digest) {
+                // A leaf that already has its bytes, or was overwritten
+                // whole, needs none.
+                let _ = store.supply(leaf, content.to_vec());
+            }
+        }
+    }
+
     /// The settle-time classification of the machine's fault lists: which
     /// unique faulted digests must cross the wire and which are free
     /// (cached / image-derivable), plus the fault and untouched counters.
     ///
     /// [`OnDemandSession::finish`] and [`crate::session::AuditSession`] both
-    /// run `classify_faults` → blob exchange ([`BlobFetch`]) →
-    /// [`OnDemandSession::assemble_cost`]; only who carries the exchange
-    /// differs.
+    /// settle with `classify_faults` → [`OnDemandSession::assemble_cost`];
+    /// `finish` fetches what is `needed` in between, the session already
+    /// received it on its misses.
     pub(crate) fn classify_faults(
         &self,
         machine: &Machine,
@@ -789,6 +843,7 @@ impl OnDemandSession {
             untouched_staged: classification.untouched_staged,
             round_trips: 1 + fetch.round_trips,
             fetched: fetch.fetched,
+            fetched_per_exchange: fetch.per_exchange,
             cache_hits: classification.cache_hits + fetch.cache_hits,
             locally_derived: classification.locally_derived,
             request_bytes: fetch.request_bytes,
@@ -802,12 +857,14 @@ impl OnDemandSession {
 /// reference image are only staged — they fault in (and are accounted as
 /// transferred) when the workload actually touches them (paper §3.5).
 ///
-/// Contents are staged from `cache` when it holds the digest, otherwise from
-/// the store's pool, verified against the digest either way.  The manifest
-/// itself is authenticated before the machine is returned: the Merkle root
-/// over the manifest's leaf hashes (plus the reference image's own hashes
-/// for unreferenced leaves) must equal the recorded state root, so a
-/// manifest that lies about any reference is rejected before replay starts.
+/// This is the provider auditing itself: contents are staged from `cache`
+/// when it holds the digest, from the image when it holds the content, and
+/// otherwise from the store's own pool — the same staging an audit session
+/// runs with nothing but what it received.  The manifest itself is
+/// authenticated before the machine is returned: the Merkle root over the
+/// manifest's leaf hashes (plus the reference image's own hashes for
+/// unreferenced leaves) must equal the recorded state root, so a manifest
+/// that lies about any reference is rejected before replay starts.
 ///
 /// ```
 /// use avm_core::ondemand::{materialize_on_demand, AuditorBlobCache};
@@ -845,57 +902,51 @@ pub fn materialize_on_demand(
     cache: &AuditorBlobCache,
 ) -> Result<(Machine, OnDemandSession), CoreError> {
     let manifest = store.chain_manifest_upto(upto_id)?;
-    materialize_with_manifest(manifest, store, image, registry, cache)
-}
-
-/// [`materialize_on_demand`] starting from an already-downloaded
-/// [`ChainManifest`] — the form the audit endpoints use after fetching the
-/// manifest over a transport.
-///
-/// `store` here is the *staging oracle*: the operator's pool the authentic
-/// blob contents are staged from so replay can fault them in inline.  The
-/// staged bytes are not accounted as transferred — only the settle-time
-/// exchange ([`OnDemandSession::finish`]) pays for the blobs replay
-/// actually touched, which is exactly the set the real protocol would have
-/// fetched at fault time.
-pub fn materialize_with_manifest(
-    manifest: ChainManifest,
-    store: &SnapshotStore,
-    image: &VmImage,
-    registry: &GuestRegistry,
-    cache: &AuditorBlobCache,
-) -> Result<(Machine, OnDemandSession), CoreError> {
     let manifest_bytes = manifest.encoded_len() as u64;
-    stage_from_manifest(manifest, manifest_bytes, store, image, registry, cache)
-        .map(|(machine, _, session)| (machine, session))
+    stage_from_manifest(
+        &manifest,
+        manifest_bytes,
+        image,
+        registry,
+        cache,
+        Some(store),
+    )
+    .map(|(machine, _, session)| (machine, session))
 }
 
 /// A manifest reference whose digest differs from what the reference image
-/// holds there, resolved to the contents that will be staged in its place.
+/// holds there, resolved to the contents that will be staged in its place
+/// (`None`: staged byteless).
 struct Divergent {
     /// Position in [`Machine::stores`], and the leaf there.
     store: usize,
     leaf: usize,
     digest: Digest,
-    content: Vec<u8>,
+    content: Option<Vec<u8>>,
     source: StagedSource,
 }
 
-/// [`materialize_with_manifest`], additionally handing over the state tree
-/// the manifest was authenticated with, in sync with the returned machine —
-/// a replayer continues from it.  `manifest_bytes` is what the manifest
-/// cost to download: the length of the encoding that arrived, or of the one
-/// an in-process caller would have been sent.
+/// The on-demand start state of `manifest`: a machine with the manifest's
+/// metadata restored and every divergent reference staged, the state tree
+/// the manifest was authenticated with (in sync with the machine — a
+/// replayer continues from it) and the session that settles the accounting.
+/// `manifest_bytes` is what the manifest cost to download: the length of
+/// the encoding that arrived, or of the one an in-process caller would have
+/// been sent.
+///
+/// What `cache` or the image holds is staged with its contents; the rest is
+/// staged with what `remote` — a provider's own store — holds, or byteless
+/// without one (an audit session's start: see [`crate::session`]).
 pub(crate) fn stage_from_manifest(
-    manifest: ChainManifest,
+    manifest: &ChainManifest,
     manifest_bytes: u64,
-    store: &SnapshotStore,
     image: &VmImage,
     registry: &GuestRegistry,
     cache: &AuditorBlobCache,
+    remote: Option<&SnapshotStore>,
 ) -> Result<(Machine, StateTreeCache, OnDemandSession), CoreError> {
     let (machine, session, staged) =
-        stage_divergent(&manifest, manifest_bytes, store, image, registry, cache)?;
+        stage_divergent(manifest, manifest_bytes, image, registry, cache, remote)?;
 
     // Authenticate the manifest: the root over header leaves (from the
     // restored metadata) and per-leaf hashes (staged or locally derived)
@@ -923,10 +974,10 @@ pub(crate) fn stage_from_manifest(
 fn stage_divergent(
     manifest: &ChainManifest,
     manifest_bytes: u64,
-    store: &SnapshotStore,
     image: &VmImage,
     registry: &GuestRegistry,
     cache: &AuditorBlobCache,
+    remote: Option<&SnapshotStore>,
 ) -> Result<(Machine, OnDemandSession, [Vec<usize>; 2]), CoreError> {
     let mut machine = Machine::from_image(image, registry).map_err(CoreError::Vm)?;
     restore_header(
@@ -964,13 +1015,12 @@ fn stage_divergent(
                 stores[store].leaf(leaf)
             };
             let (content, source) = if let Some(cached) = cache.get(digest) {
-                (cached, StagedSource::Cache)
+                (Some(cached), StagedSource::Cache)
             } else if let Some(local) = held_by_image() {
-                (local, StagedSource::Local)
+                (Some(local), StagedSource::Local)
             } else {
-                let payload = store.payload(digest);
                 (
-                    payload.ok_or_else(|| operator_missing(digest))?,
+                    remote.and_then(|store| store.payload(digest)),
                     StagedSource::Remote,
                 )
             };
@@ -978,24 +1028,11 @@ fn stage_divergent(
                 store: at,
                 leaf,
                 digest: *digest,
-                content: content.to_vec(),
+                content: content.map(<[u8]>::to_vec),
                 source,
             });
         }
     }
-
-    // The check a received blob gets, performed when the modelled fetch is
-    // committed to: everything that came out of the operator's pool must
-    // hash to the digest it is staged under — one batched pass, the first
-    // mismatch in manifest order reported.
-    let remote = || {
-        divergent
-            .iter()
-            .filter(|d| d.source == StagedSource::Remote)
-    };
-    let digests: Vec<Digest> = remote().map(|d| d.digest).collect();
-    let payloads: Vec<&[u8]> = remote().map(|d| d.content.as_slice()).collect();
-    verify_blob_batch(&digests, &payloads)?;
 
     let mut session = OnDemandSession {
         snapshot_id: manifest.snapshot_id,
@@ -1009,14 +1046,16 @@ fn stage_divergent(
         session.sources.insert(d.digest, d.source);
         let store = &mut machine.stores_mut()[d.store];
         let name = store.leaf_name();
-        store
-            .stage_lazy(d.leaf, d.content, d.digest)
-            .ok_or_else(|| {
-                CoreError::Snapshot(format!(
-                    "content staged at {name} {} has a bad size",
-                    d.leaf
-                ))
-            })?;
+        let staging = match d.content {
+            Some(content) => store.stage_lazy(d.leaf, content, d.digest),
+            None => store.stage_byteless(d.leaf, d.digest),
+        };
+        staging.ok_or_else(|| {
+            CoreError::Snapshot(format!(
+                "content staged at {name} {} has a bad size",
+                d.leaf
+            ))
+        })?;
         session.staged[d.store].insert(d.leaf, d.digest);
         staged[d.store].push(d.leaf);
     }
@@ -1141,7 +1180,7 @@ mod tests {
         // The leaf lists handed to `refresh_leaves` are in manifest order —
         // the same in every run, unlike the session's lookup maps.
         let manifest = store.chain_manifest_upto(4).unwrap();
-        let stage = || stage_divergent(&manifest, 0, &store, &img, &reg, &cache).unwrap();
+        let stage = || stage_divergent(&manifest, 0, &img, &reg, &cache, Some(&store)).unwrap();
         let (_, staged, [chunks, blocks]) = stage();
         let (_, _, [chunks_again, blocks_again]) = stage();
         assert_eq!((&chunks, &blocks), (&chunks_again, &blocks_again));

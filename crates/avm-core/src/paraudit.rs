@@ -23,8 +23,8 @@
 //! contract (pinned by unit and property tests):
 //!
 //! * **Units start root-pinned.**  An interior unit's machine materializes
-//!   from the session's oracle (the same [`SnapshotStore`] the serial check
-//!   materializes its *start* snapshot from) and its state root is compared
+//!   from the [`SnapshotStore`] the caller hands in (the provider's own: no
+//!   audit runs this module, `bench/` times it) and its state root is compared
 //!   against the root the log records at that boundary *before* any unit
 //!   runs.  A mismatch — a store whose snapshot diverges from what the log
 //!   claims — falls back to full serial replay, so the adversarial case

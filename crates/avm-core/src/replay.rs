@@ -18,6 +18,17 @@
 //! (see [`crate::ondemand`]).  Both modes verify the same roots and reach
 //! the same verdicts; they differ only in what is downloaded.
 //!
+//! An on-demand start state may hold leaves staged *byteless*: an access
+//! that needs one is a miss ([`avm_vm::VmError::Miss`]).  The audit session
+//! replays such a state with a crate-internal form of [`Replayer::replay`]
+//! that stops at a miss instead of reaching a verdict.  A bytecode step
+//! stops before any side effect, so once the bytes are supplied the same
+//! replayer resumes with the entries it has not finished
+//! ([`Replayer::summary`]'s `entries_replayed` counts only finished ones);
+//! a native step cannot be unwound, so its replayer is rebuilt instead (see
+//! [`crate::session`], "# Misses").  Everywhere else a miss is the guest
+//! fault it would be on a machine nobody supplies.
+//!
 //! Every constructor hands the replayer the state tree its start state was
 //! authenticated with — a copy of the reference image's memoised tree
 //! ([`avm_vm::VmImage::baseline`]) with the snapshot's leaves replaced — so
@@ -82,6 +93,32 @@ pub struct ReplaySummary {
     pub final_state: Option<Digest>,
 }
 
+/// Why replaying an entry stopped before its end.
+enum Stop {
+    /// The log is inconsistent with the reference execution.
+    Fault(FaultReason),
+    /// The machine needs contents it has not received (a miss).
+    Missed,
+}
+
+impl From<FaultReason> for Stop {
+    fn from(fault: FaultReason) -> Stop {
+        Stop::Fault(fault)
+    }
+}
+
+/// What a failed machine operation at entry `seq` means: a miss stays a
+/// miss, anything else is the guest's fault.
+fn machine_error(seq: u64) -> impl Fn(avm_vm::VmError) -> Stop {
+    move |error| match error {
+        avm_vm::VmError::Miss => Stop::Missed,
+        other => Stop::Fault(FaultReason::GuestFault {
+            seq,
+            detail: other.to_string(),
+        }),
+    }
+}
+
 /// The deterministic replayer — the paper's semantic audit check (§4.5).
 ///
 /// Construct it from the reference image ([`Replayer::from_image`], full
@@ -144,8 +181,9 @@ impl Replayer {
     }
 
     /// Creates a replayer starting from snapshot *metadata only* (§3.5
-    /// on-demand spot checks): state that diverges from the reference image
-    /// is staged and faults in lazily as replay touches it.
+    /// on-demand spot checks) of the provider's own `snapshots`: state that
+    /// diverges from the reference image is staged — from `cache`, the
+    /// image, or else the store — and faults in lazily as replay touches it.
     ///
     /// The returned [`OnDemandSession`] settles the accounting after replay:
     /// call [`OnDemandSession::finish`] with [`Replayer::machine`] to obtain
@@ -159,24 +197,41 @@ impl Replayer {
     ) -> Result<(Replayer, OnDemandSession), CoreError> {
         let manifest = snapshots.chain_manifest_upto(snapshot_id)?;
         let manifest_bytes = manifest.encoded_len() as u64;
-        Self::from_manifest_on_demand(manifest, manifest_bytes, image, registry, snapshots, cache)
+        Self::on_demand(
+            &manifest,
+            manifest_bytes,
+            image,
+            registry,
+            cache,
+            Some(snapshots),
+        )
     }
 
-    /// Creates a replayer from a manifest an audit endpoint already
-    /// downloaded ([`crate::ondemand::materialize_with_manifest`]) in
-    /// `manifest_bytes` bytes of packet: `snapshots` is the staging oracle,
-    /// the manifest authenticates against the recorded root before the
-    /// replayer is returned.
+    /// Creates a replayer from a manifest an auditor received in
+    /// `manifest_bytes` bytes of packet: what `cache` or the image holds is
+    /// staged with its contents, the rest byteless — replay misses on it
+    /// (module docs).  The manifest authenticates against the recorded root
+    /// before the replayer is returned.
     pub fn from_manifest_on_demand(
-        manifest: crate::ondemand::ChainManifest,
+        manifest: &crate::ondemand::ChainManifest,
         manifest_bytes: u64,
         image: &VmImage,
         registry: &GuestRegistry,
-        snapshots: &SnapshotStore,
         cache: &AuditorBlobCache,
     ) -> Result<(Replayer, OnDemandSession), CoreError> {
+        Self::on_demand(manifest, manifest_bytes, image, registry, cache, None)
+    }
+
+    fn on_demand(
+        manifest: &crate::ondemand::ChainManifest,
+        manifest_bytes: u64,
+        image: &VmImage,
+        registry: &GuestRegistry,
+        cache: &AuditorBlobCache,
+        remote: Option<&SnapshotStore>,
+    ) -> Result<(Replayer, OnDemandSession), CoreError> {
         let (machine, state_tree, session) =
-            stage_from_manifest(manifest, manifest_bytes, snapshots, image, registry, cache)?;
+            stage_from_manifest(manifest, manifest_bytes, image, registry, cache, remote)?;
         Ok((
             Self::with_machine(machine, state_tree, image.digest()),
             session,
@@ -208,6 +263,12 @@ impl Replayer {
     /// The machine being replayed (for inspection after replay).
     pub fn machine(&self) -> &Machine {
         &self.machine
+    }
+
+    /// The machine, to supply the contents a miss asked for.  Nothing else
+    /// may change it behind the replayer's back.
+    pub(crate) fn machine_mut(&mut self) -> &mut Machine {
+        &mut self.machine
     }
 
     /// Seeds the RECV cross-reference table from entries that precede the
@@ -271,14 +332,36 @@ impl Replayer {
     /// from the packet they arrived in ([`EntryView`]).
     pub fn replay<E: EntryView>(&mut self, entries: &[E]) -> ReplayOutcome {
         for entry in entries {
-            match self.replay_entry(entry) {
-                Ok(()) => {}
-                Err(fault) => {
-                    self.summary.steps_executed = self.steps_executed();
-                    return ReplayOutcome::Fault(fault);
-                }
+            if let Err(fault) = self.replay_entry(entry) {
+                self.summary.steps_executed = self.steps_executed();
+                return ReplayOutcome::Fault(fault);
             }
         }
+        self.conclude()
+    }
+
+    /// [`Replayer::replay`] stopping at a miss instead: `None` means the
+    /// machine needs staged contents it has not received.  Supply them and
+    /// call again with the entries past the `entries_replayed` finished
+    /// ones (module docs).
+    pub(crate) fn replay_until_miss<E: EntryView>(
+        &mut self,
+        entries: &[E],
+    ) -> Option<ReplayOutcome> {
+        for entry in entries {
+            if let Err(stop) = self.step_entry(entry) {
+                self.summary.steps_executed = self.steps_executed();
+                return match stop {
+                    Stop::Fault(fault) => Some(ReplayOutcome::Fault(fault)),
+                    Stop::Missed => None,
+                };
+            }
+        }
+        Some(self.conclude())
+    }
+
+    /// The verdict of a segment replayed to its end.
+    fn conclude(&mut self) -> ReplayOutcome {
         self.summary.steps_executed = self.steps_executed();
         // The state root, not Machine::state_digest(): the latter hashes raw
         // contents and would be wrong on a partially-resident on-demand
@@ -292,17 +375,38 @@ impl Replayer {
     /// Records are decoded in place from the entry's content; the one copy
     /// replay keeps of a log byte is a RECV payload, held for the injection
     /// that delivers it.
+    /// A miss is the guest fault it would be on a machine nobody supplies:
+    /// a caller that stages byteless leaves replays with
+    /// [`Replayer::replay`].
     pub fn replay_entry<E: EntryView>(&mut self, entry: &E) -> Result<(), FaultReason> {
-        self.summary.entries_replayed += 1;
+        self.step_entry(entry).map_err(|stop| match stop {
+            Stop::Fault(fault) => fault,
+            Stop::Missed => {
+                self.summary.entries_replayed += 1;
+                FaultReason::GuestFault {
+                    seq: entry.seq(),
+                    detail: avm_vm::VmError::Miss.to_string(),
+                }
+            }
+        })
+    }
+
+    /// Replays one entry; an entry a miss stopped is not counted, so it is
+    /// replayed again from its start once the contents are supplied.
+    fn step_entry<E: EntryView>(&mut self, entry: &E) -> Result<(), Stop> {
         let (seq, content) = (entry.seq(), entry.content());
-        match entry.kind() {
-            EntryKind::Meta => self.replay_meta(seq, content),
-            EntryKind::Recv => self.replay_recv(seq, content),
+        let result = match entry.kind() {
+            EntryKind::Meta => self.replay_meta(seq, content).map_err(Stop::from),
+            EntryKind::Recv => self.replay_recv(seq, content).map_err(Stop::from),
             EntryKind::Ack => Ok(()), // checked by the syntactic phase
             EntryKind::Send => self.replay_send(seq, content),
             EntryKind::NdEvent => self.replay_nd(seq, content),
             EntryKind::Snapshot => self.replay_snapshot(seq, content),
+        };
+        if !matches!(result, Err(Stop::Missed)) {
+            self.summary.entries_replayed += 1;
         }
+        result
     }
 
     fn replay_meta(&mut self, seq: u64, content: &[u8]) -> Result<(), FaultReason> {
@@ -324,7 +428,7 @@ impl Replayer {
         Ok(())
     }
 
-    fn replay_send(&mut self, seq: u64, content: &[u8]) -> Result<(), FaultReason> {
+    fn replay_send(&mut self, seq: u64, content: &[u8]) -> Result<(), Stop> {
         let rec =
             SendRecordRef::decode_exact(content).map_err(|_| FaultReason::MalformedLog { seq })?;
         // The reference execution must produce the same packet at the same
@@ -342,7 +446,8 @@ impl Replayer {
                             self.machine.step_count(),
                             rec.step
                         ),
-                    });
+                    }
+                    .into());
                 }
                 if payload != rec.payload {
                     return Err(FaultReason::OutputDivergence {
@@ -352,7 +457,8 @@ impl Replayer {
                             payload.len(),
                             rec.payload.len()
                         ),
-                    });
+                    }
+                    .into());
                 }
                 self.summary.outputs_matched += 1;
                 Ok(())
@@ -363,11 +469,12 @@ impl Replayer {
                     "log records an outgoing message but the reference execution produced '{}'",
                     other.label()
                 ),
-            }),
+            }
+            .into()),
         }
     }
 
-    fn replay_nd(&mut self, seq: u64, content: &[u8]) -> Result<(), FaultReason> {
+    fn replay_nd(&mut self, seq: u64, content: &[u8]) -> Result<(), Stop> {
         let rec =
             NdEventRecord::decode_exact(content).map_err(|_| FaultReason::MalformedLog { seq })?;
         match rec.detail {
@@ -382,7 +489,8 @@ impl Replayer {
                             "log records a clock read but the reference execution produced '{}'",
                             exit.label()
                         ),
-                    });
+                    }
+                    .into());
                 }
                 if self.machine.step_count() != rec.step {
                     return Err(FaultReason::EventDivergence {
@@ -392,14 +500,12 @@ impl Replayer {
                             self.machine.step_count(),
                             rec.step
                         ),
-                    });
+                    }
+                    .into());
                 }
                 self.machine
                     .provide_clock(value)
-                    .map_err(|e| FaultReason::GuestFault {
-                        seq,
-                        detail: e.to_string(),
-                    })?;
+                    .map_err(machine_error(seq))?;
                 self.pending_clock_response = true;
                 self.summary.inputs_reinjected += 1;
                 Ok(())
@@ -418,7 +524,8 @@ impl Replayer {
                     return Err(FaultReason::CrossReferenceFailure {
                         seq,
                         detail: "injected payload does not match the logged RECV message".into(),
-                    });
+                    }
+                    .into());
                 }
                 // The guest's copy; the table keeps its own.
                 let payload = payload.clone();
@@ -436,13 +543,13 @@ impl Replayer {
         }
     }
 
-    fn replay_snapshot(&mut self, seq: u64, content: &[u8]) -> Result<(), FaultReason> {
+    fn replay_snapshot(&mut self, seq: u64, content: &[u8]) -> Result<(), Stop> {
         let rec =
             SnapshotRecord::decode_exact(content).map_err(|_| FaultReason::MalformedLog { seq })?;
         self.run_to_step(seq, rec.step)?;
         let root = self.state_tree.refresh(&self.machine);
         if root != rec.state_root {
-            return Err(FaultReason::SnapshotMismatch { seq });
+            return Err(FaultReason::SnapshotMismatch { seq }.into());
         }
         // The recorder clears dirty tracking when it snapshots; mirror that
         // so later incremental captures stay comparable.
@@ -456,11 +563,7 @@ impl Replayer {
     /// (the recorder resumed idle guests too); console output is not part of
     /// the fault model and is skipped.  A guest that idles without making any
     /// step progress is reported as divergent rather than spinning forever.
-    fn run_until_interesting(
-        &mut self,
-        seq: u64,
-        step_bound: Option<u64>,
-    ) -> Result<VmExit, FaultReason> {
+    fn run_until_interesting(&mut self, seq: u64, step_bound: Option<u64>) -> Result<VmExit, Stop> {
         // A guest already paused on a clock read (e.g. left there by
         // `drain_pending_clock`) is itself the interesting event.
         if self.machine.is_waiting_clock() {
@@ -474,13 +577,7 @@ impl Replayer {
                 Some(s) => StopCondition::AtStep(s),
                 None => StopCondition::Unbounded,
             };
-            let exit = self
-                .machine
-                .run(stop)
-                .map_err(|e| FaultReason::GuestFault {
-                    seq,
-                    detail: e.to_string(),
-                })?;
+            let exit = self.machine.run(stop).map_err(machine_error(seq))?;
             match exit {
                 VmExit::Idle => {
                     let step = self.machine.step_count();
@@ -490,7 +587,8 @@ impl Replayer {
                             detail: format!(
                                 "reference execution is idle at step {step} waiting for input the log does not provide"
                             ),
-                        });
+                        }
+                        .into());
                     }
                     last_idle_step = Some(step);
                     continue;
@@ -506,23 +604,28 @@ impl Replayer {
     /// answering a clock read, so by the time it injects the next input the
     /// guest has consumed the value and gone idle.  Any output produced here
     /// would have appeared in the log before the current entry, so producing
-    /// one now is a divergence.
-    fn drain_pending_clock(&mut self, seq: u64, upto_step: u64) -> Result<(), FaultReason> {
+    /// one now is a divergence.  A miss leaves the value pending, so the
+    /// resumed entry drains again from where the guest stopped.
+    fn drain_pending_clock(&mut self, seq: u64) -> Result<(), Stop> {
         if !self.pending_clock_response {
             return Ok(());
         }
-        self.pending_clock_response = false;
-        let _ = upto_step;
+        let drained = self.resume_after_clock(seq);
+        if !matches!(drained, Err(Stop::Missed)) {
+            self.pending_clock_response = false;
+        }
+        drained
+    }
+
+    fn resume_after_clock(&mut self, seq: u64) -> Result<(), Stop> {
         loop {
             // Unbounded: the guest must be resumed at least once so it can
             // consume the value, exactly as the recorder's run loop did.  It
             // stops at its next pause (idle or a further clock read).
-            let exit = self.machine.run(StopCondition::Unbounded).map_err(|e| {
-                FaultReason::GuestFault {
-                    seq,
-                    detail: e.to_string(),
-                }
-            })?;
+            let exit = self
+                .machine
+                .run(StopCondition::Unbounded)
+                .map_err(machine_error(seq))?;
             match exit {
                 VmExit::Idle | VmExit::StepLimit | VmExit::Halted | VmExit::ClockRead => {
                     return Ok(())
@@ -535,7 +638,8 @@ impl Replayer {
                             "unexpected '{}' while resuming the guest after a clock read",
                             other.label()
                         ),
-                    })
+                    }
+                    .into())
                 }
             }
         }
@@ -546,8 +650,8 @@ impl Replayer {
     /// Encountering an output or a clock request on the way means the
     /// reference execution diverges from the log (those events would have
     /// been logged before this point).
-    fn run_to_step(&mut self, seq: u64, step: u64) -> Result<(), FaultReason> {
-        self.drain_pending_clock(seq, step)?;
+    fn run_to_step(&mut self, seq: u64, step: u64) -> Result<(), Stop> {
+        self.drain_pending_clock(seq)?;
         if self.machine.step_count() > step {
             return Err(FaultReason::EventDivergence {
                 seq,
@@ -555,7 +659,8 @@ impl Replayer {
                     "log positions an event at step {step} but replay is already at step {}",
                     self.machine.step_count()
                 ),
-            });
+            }
+            .into());
         }
         if self.machine.step_count() == step {
             return Ok(());
@@ -569,7 +674,8 @@ impl Replayer {
                     "reference execution halted at step {} before reaching step {step}",
                     self.machine.step_count()
                 ),
-            }),
+            }
+            .into()),
             other => Err(FaultReason::EventDivergence {
                 seq,
                 detail: format!(
@@ -577,7 +683,8 @@ impl Replayer {
                     other.label(),
                     self.machine.step_count()
                 ),
-            }),
+            }
+            .into()),
         }
     }
 }
@@ -597,6 +704,7 @@ mod tests {
     use crate::config::AvmmOptions;
     use crate::envelope::{Envelope, EnvelopeKind};
     use crate::events::SendRecord;
+    use crate::ondemand::AuditorBlobCache;
     use crate::recorder::{Avmm, HostClock};
     use avm_crypto::keys::{SignatureScheme, SigningKey};
     use avm_log::LogEntry;
@@ -1037,5 +1145,87 @@ mod tests {
             .unwrap();
         assert!(cost.manifest_bytes > 0);
         assert_eq!(cache.len(), cost.fetched.len());
+    }
+
+    /// A miss inside the drain that resumes the guest after a clock read
+    /// leaves the drain to be resumed.  A log that omits the SEND the guest
+    /// makes right after consuming a clock value, replayed from a start
+    /// whose written chunk is byteless (each miss supplied from the store),
+    /// ends in the drain's own fault — the one replay from a start the store
+    /// fills in reaches.
+    #[test]
+    fn a_miss_inside_the_clock_drain_resumes_the_drain() {
+        let src = r"
+                movi r9, 0x4000
+                movi r8, 8
+            loop:
+                clock r4
+                store r4, r9
+                send r9, r8
+                idle
+                jmp loop
+            ";
+        let image = VmImage::bytecode("drain", 64 * 1024, assemble(src, 0).unwrap(), 0, 0);
+        let registry = GuestRegistry::new();
+        let mut machine = Machine::from_image(&image, &registry).unwrap();
+        let mut store = SnapshotStore::new();
+        let mut log = avm_log::TamperEvidentLog::new();
+        let mut clock_reads = Vec::new();
+        let mut run_to_idle = |machine: &mut Machine, value: u64| loop {
+            match machine.run(StopCondition::Unbounded).unwrap() {
+                VmExit::ClockRead => {
+                    clock_reads.push(machine.step_count());
+                    machine.provide_clock(value).unwrap();
+                }
+                VmExit::Idle => break,
+                _ => {}
+            }
+        };
+        run_to_idle(&mut machine, 5);
+        store.push(crate::snapshot::capture(&mut machine, 0, true));
+        run_to_idle(&mut machine, 7);
+        let read = NdEventRecord {
+            step: clock_reads[1],
+            detail: NdDetail::ClockRead { value: 7 },
+        };
+        log.append(EntryKind::NdEvent, read.encode_to_vec());
+        let snapshot = crate::snapshot::capture(&mut machine, 1, true);
+        let record = SnapshotRecord {
+            step: machine.step_count(),
+            snapshot_id: 1,
+            state_root: snapshot.state_root,
+        };
+        log.append(EntryKind::Snapshot, record.encode_to_vec());
+        store.push(snapshot);
+
+        let cache = AuditorBlobCache::new();
+        let filled = Replayer::from_snapshot_on_demand(&image, &registry, &store, 0, &cache)
+            .unwrap()
+            .0
+            .replay(log.entries());
+        let manifest = store.chain_manifest_upto(0).unwrap();
+        let (mut lazy, staged) =
+            Replayer::from_manifest_on_demand(&manifest, 0, &image, &registry, &cache).unwrap();
+        let mut misses = 0;
+        let outcome = loop {
+            let done = lazy.summary().entries_replayed as usize;
+            if let Some(outcome) = lazy.replay_until_miss(&log.entries()[done..]) {
+                break outcome;
+            }
+            misses += 1;
+            for digest in staged.missed(lazy.machine()) {
+                let payload = store.payload(&digest).unwrap();
+                staged.supply(lazy.machine_mut(), &digest, payload);
+            }
+        };
+        assert_eq!(misses, 1);
+        assert_eq!(outcome, filled);
+        let Some(FaultReason::EventDivergence { detail, .. }) = outcome.fault() else {
+            panic!("expected the omitted SEND to diverge, got {outcome:?}");
+        };
+        assert!(
+            detail.contains("while resuming the guest after a clock read"),
+            "{detail}"
+        );
     }
 }

@@ -19,37 +19,47 @@
 //! blob payloads authenticated before they are copied anywhere.  Every byte a
 //! provider sends is parsed and judged here and nowhere else, so this is the
 //! one surface a hostile provider can reach (and the one a fuzzer drives).
+//! It holds no reference to provider state: what it knows is the image, its
+//! own blob cache and the bytes it received.  The report states what the
+//! session received, and what a download nobody made *would* have cost is
+//! priced by the experiments that print it (`avm_bench::pricing`).
 //!
-//! # The oracle
+//! # Misses
 //!
-//! The session reads the provider's own [`SnapshotStore`] — its `oracle`
-//! constructor argument — at exactly one place: staging on-demand blob
-//! contents (`on_manifest`), so replay can fault them in inline.  That read
-//! stands in for a real transfer — the bytes it stages are the ones the
-//! faulted blobs carry over the driver's wire afterwards, where they are
-//! paid for — and it must be replaced by those received bytes for ROADMAP
-//! item 1, which then deletes the argument.  A full download reads nothing
-//! but the section stream it received.  Nothing else about the provider is
-//! visible here: the report states what the session received, and what a
-//! download nobody made *would* have cost is priced by the experiments that
-//! print it (`avm_bench::pricing`).
+//! On demand, the start state is staged from the manifest: what the
+//! auditor's cache or the image holds with its contents, every other
+//! divergent leaf *byteless* — its digest in the hash slot, so every root is
+//! right, and nothing else ([`avm_vm::LeafStore::stage_byteless`]).  The
+//! first access that needs such a leaf's bytes is a **miss**: replay stops,
+//! and the session sends one [`AuditRequest::Blobs`] for the digests the
+//! missing access needs.  The response is authenticated blob by blob
+//! against those digests, every leaf staged under a received digest gets the
+//! bytes, and replay goes on:
+//!
+//! * **bytecode** — a step stops at the access, before any side effect, so
+//!   the same replayer resumes in place;
+//! * **native** — a kernel step cannot be unwound and may swallow the error,
+//!   so the miss is reported after the step and the session re-stages the
+//!   manifest with everything received so far and replays the chunk again.
+//!   Only the run that reaches the verdict counts in the report.
+//!
+//! So a blob crosses the wire only when replay touched it, in first-touch
+//! order, one round trip per miss; a warm cache makes none.
 
 use avm_attest::AttestVerdict;
 use avm_crypto::sha256::Digest;
 use avm_log::{EntryView, LogEntry, LogEntryRef};
+use avm_vm::image::ImageKind;
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::attest::{AttestChallenge, AttestQuote};
 use avm_wire::audit::{AuditRequest, AuditResponseRef, SegmentAddress};
-use avm_wire::{BlobRequest, BlobResponseRef, Decode, DEFAULT_BLOB_BATCH};
+use avm_wire::{BlobRequest, BlobResponseRef, Decode};
 
 use crate::attest::{challenge_nonce, LaunchPolicy};
 use crate::endpoint::TransportStats;
 use crate::error::{CoreError, FaultReason};
-use crate::ondemand::{
-    AuditorBlobCache, BlobFetch, ChainManifest, FaultClassification, OnDemandCost, OnDemandSession,
-};
+use crate::ondemand::{AuditorBlobCache, BlobFetch, ChainManifest, OnDemandCost, OnDemandSession};
 use crate::replay::{ReplaySummary, Replayer};
-use crate::snapshot::SnapshotStore;
 use crate::spotcheck::{snapshot_positions_in, SpotCheckReport};
 
 // ---------------------------------------------------------------------------
@@ -152,6 +162,8 @@ pub(crate) fn expect_attestation(response: AuditResponseRef<'_>) -> Result<Attes
 
 /// What the driver does next.
 #[derive(Debug)]
+// A session ends once: boxing its report would buy nothing.
+#[allow(clippy::large_enum_variant)]
 pub enum Step {
     /// Put the request on the wire as the session's next exchange and feed
     /// the response to [`AuditSession::on_response`].
@@ -165,16 +177,17 @@ pub enum Step {
 /// A replayed chunk's verdict: the fault (if any) and the truthful progress.
 type Replayed = (Option<FaultReason>, ReplaySummary);
 
-/// On-demand mode between the manifest and the verdict: the replay already
-/// ran; the blob batches it faulted are being fetched.
-struct BlobPhase {
+/// On-demand mode from the manifest to the verdict: the replay, and what it
+/// resumes or re-stages from after a miss.
+struct OnDemandReplay {
+    entries: Vec<LogEntry>,
     log_bytes: u64,
-    replayed: Replayed,
+    manifest: ChainManifest,
+    manifest_bytes: u64,
+    replayer: Replayer,
     ondemand: OnDemandSession,
-    classification: FaultClassification,
-    batches: Vec<BlobRequest>,
-    next: usize,
-    download: BlobFetch,
+    /// The blob exchanges so far.
+    fetch: BlobFetch,
 }
 
 /// Which response the session is waiting for.
@@ -195,7 +208,11 @@ enum State {
         entries: Vec<LogEntry>,
         log_bytes: u64,
     },
-    Blobs(Box<BlobPhase>),
+    /// On-demand replay stopped on a miss; `request` asks for what it needs.
+    Missed {
+        replay: Box<OnDemandReplay>,
+        request: BlobRequest,
+    },
     Done,
 }
 
@@ -207,8 +224,10 @@ pub struct AuditSession<'a> {
     on_demand: bool,
     image: &'a VmImage,
     registry: &'a GuestRegistry,
-    oracle: &'a SnapshotStore,
     cache: AuditorBlobCache,
+    /// Blobs received by this session; they join `cache` when it ends, so
+    /// that staging reads only what the session started with.
+    received: AuditorBlobCache,
     /// The launch policy and the session id the challenge nonce derives from.
     attest: Option<(&'a LaunchPolicy, u64)>,
     state: State,
@@ -217,16 +236,13 @@ pub struct AuditSession<'a> {
 
 impl<'a> AuditSession<'a> {
     /// A session checking the `k`-chunk at `start_snapshot`, downloading the
-    /// snapshot state `on_demand` or in full.  `oracle` is the provider's
-    /// store on-demand staging reads blob contents from (see the module
-    /// docs).
+    /// snapshot state `on_demand` or in full.
     pub fn new(
         start_snapshot: u64,
         k: u64,
         on_demand: bool,
         image: &'a VmImage,
         registry: &'a GuestRegistry,
-        oracle: &'a SnapshotStore,
     ) -> AuditSession<'a> {
         AuditSession {
             start_snapshot,
@@ -234,8 +250,8 @@ impl<'a> AuditSession<'a> {
             on_demand,
             image,
             registry,
-            oracle,
             cache: AuditorBlobCache::new(),
+            received: AuditorBlobCache::new(),
             attest: None,
             state: State::Idle,
             attest_verdict: None,
@@ -267,9 +283,12 @@ impl<'a> AuditSession<'a> {
         self.attest_verdict
     }
 
-    /// Ends the session, handing the blob cache back for the next one.
+    /// Ends the session, handing the blob cache — with every blob the
+    /// session received — back for the next one.
     pub fn into_cache(self) -> AuditorBlobCache {
-        self.cache
+        let mut cache = self.cache;
+        cache.absorb(self.received);
+        cache
     }
 
     /// Opens the session at simulated time `now_us`: the attestation
@@ -301,9 +320,9 @@ impl<'a> AuditSession<'a> {
                 self.on_sections(response, &entries, log_bytes)
             }
             State::Manifest { entries, log_bytes } => {
-                self.on_manifest(response, &entries, log_bytes)
+                self.on_manifest(response, entries, log_bytes)
             }
-            State::Blobs(phase) => self.on_blobs(response, phase),
+            State::Missed { replay, request } => self.on_blobs(response, replay, &request),
             State::Idle | State::Done => Err(CoreError::Snapshot(
                 "audit session has no exchange outstanding".to_string(),
             )),
@@ -385,67 +404,109 @@ impl<'a> AuditSession<'a> {
     fn on_manifest(
         &mut self,
         response: AuditResponseRef<'_>,
-        entries: &[LogEntry],
+        entries: Vec<LogEntry>,
         log_bytes: u64,
     ) -> Result<Step, CoreError> {
         let (manifest, manifest_bytes) = expect_manifest(response)?;
-        // Divergent state is staged from the oracle so replay faults it in
-        // inline and never waits for the wire; the blob exchange below then
-        // pays for exactly what replay touched.
+        let (replayer, ondemand) = self.stage(&manifest, manifest_bytes, &[])?;
+        self.replay(Box::new(OnDemandReplay {
+            entries,
+            log_bytes,
+            manifest,
+            manifest_bytes,
+            replayer,
+            ondemand,
+            fetch: BlobFetch::default(),
+        }))
+    }
+
+    /// The on-demand start state of `manifest` (module docs, "# Misses"),
+    /// with the `fetched` blobs this session received handed to their
+    /// leaves.
+    fn stage(
+        &self,
+        manifest: &ChainManifest,
+        manifest_bytes: u64,
+        fetched: &[Digest],
+    ) -> Result<(Replayer, OnDemandSession), CoreError> {
         let (mut replayer, ondemand) = Replayer::from_manifest_on_demand(
             manifest,
             manifest_bytes,
             self.image,
             self.registry,
-            self.oracle,
             &self.cache,
         )?;
-        let fault = replayer.replay(entries).fault().cloned();
-        let classification = ondemand.classify_faults(replayer.machine())?;
-        let mut download = BlobFetch::default();
-        let batches = download.plan(&self.cache, &classification.needed, DEFAULT_BLOB_BATCH);
-        Ok(self.next_batch(Box::new(BlobPhase {
-            log_bytes,
-            replayed: (fault, replayer.summary()),
-            ondemand,
-            classification,
-            batches,
-            next: 0,
-            download,
-        })))
+        for digest in fetched {
+            self.supply(&ondemand, &mut replayer, digest);
+        }
+        Ok((replayer, ondemand))
+    }
+
+    /// Hands the received blob `digest` to every leaf staged under it.
+    fn supply(&self, ondemand: &OnDemandSession, replayer: &mut Replayer, digest: &Digest) {
+        let content = self
+            .received
+            .get(digest)
+            .expect("only received blobs are supplied");
+        ondemand.supply(replayer.machine_mut(), digest, content);
+    }
+
+    /// Replays (or resumes) the chunk until it reaches a verdict, or stops
+    /// on a miss and asks for the blobs the missing access needs.
+    fn replay(&mut self, mut run: Box<OnDemandReplay>) -> Result<Step, CoreError> {
+        let finished = run.replayer.summary().entries_replayed as usize;
+        let Some(outcome) = run.replayer.replay_until_miss(&run.entries[finished..]) else {
+            // Every miss must ask for something new, or replay would never
+            // end: a received payload that fits no leaf staged under its
+            // digest is missed again.
+            let missed = run.ondemand.missed(run.replayer.machine());
+            if let Some(again) = missed.iter().find(|d| self.received.contains(d)) {
+                return Err(CoreError::Snapshot(format!(
+                    "on-demand replay missed blob {} again: it fits no leaf staged under it",
+                    again.short_hex()
+                )));
+            }
+            if missed.is_empty() {
+                return Err(CoreError::Snapshot(
+                    "on-demand replay missed no staged leaf".to_string(),
+                ));
+            }
+            let request = BlobRequest {
+                digests: missed.iter().map(|digest| digest.0).collect(),
+            };
+            let step = Step::Send(AuditRequest::Blobs(request.clone()));
+            self.state = State::Missed {
+                replay: run,
+                request,
+            };
+            return Ok(step);
+        };
+        let replayed = (outcome.fault().cloned(), run.replayer.summary());
+        let classification = run.ondemand.classify_faults(run.replayer.machine())?;
+        let cost = run.ondemand.assemble_cost(classification, run.fetch);
+        // The manifest and the blob responses are the snapshot download.
+        Ok(self.finish(replayed, run.log_bytes, cost.transfer_bytes, Some(cost)))
     }
 
     fn on_blobs(
         &mut self,
         response: AuditResponseRef<'_>,
-        mut phase: Box<BlobPhase>,
+        mut run: Box<OnDemandReplay>,
+        request: &BlobRequest,
     ) -> Result<Step, CoreError> {
         let blobs = expect_blobs(response)?;
-        let request = &phase.batches[phase.next];
-        phase.download.accept(&mut self.cache, request, &blobs)?;
-        phase.next += 1;
-        Ok(self.next_batch(phase))
-    }
-
-    /// Requests the next planned blob batch, or settles the on-demand report
-    /// once every batch is in.
-    fn next_batch(&mut self, phase: Box<BlobPhase>) -> Step {
-        if let Some(request) = phase.batches.get(phase.next) {
-            let step = Step::Send(AuditRequest::Blobs(request.clone()));
-            self.state = State::Blobs(phase);
-            return step;
+        run.fetch.accept(&mut self.received, request, &blobs)?;
+        if matches!(self.image.kind(), ImageKind::Native { .. }) {
+            // The native step that missed ran on; start over with every
+            // blob received so far.
+            (run.replayer, run.ondemand) =
+                self.stage(&run.manifest, run.manifest_bytes, &run.fetch.fetched)?;
+        } else {
+            for raw in &request.digests {
+                self.supply(&run.ondemand, &mut run.replayer, &Digest(*raw));
+            }
         }
-        let BlobPhase {
-            log_bytes,
-            replayed,
-            ondemand,
-            classification,
-            download,
-            ..
-        } = *phase;
-        let cost = ondemand.assemble_cost(classification, download);
-        // The manifest and the blob responses are the snapshot download.
-        self.finish(replayed, log_bytes, cost.transfer_bytes, Some(cost))
+        self.replay(run)
     }
 
     /// Ends the session with its report — the one place a
@@ -465,6 +526,7 @@ impl<'a> AuditSession<'a> {
             fault,
             entries_replayed: progress.entries_replayed,
             steps_replayed: progress.steps_executed,
+            final_state: progress.final_state,
             log_transfer_bytes,
             snapshot_transfer_bytes,
             on_demand,
@@ -477,7 +539,7 @@ impl<'a> AuditSession<'a> {
 mod tests {
     use super::*;
     use crate::endpoint::{AuditClient, AuditServer, AuditTransport};
-    use crate::testutil::{key, record_with_snapshots};
+    use crate::testutil::{key, record_with_snapshots, TamperingTransport};
     use avm_log::EntryKind;
     use avm_wire::audit::AuditResponse;
     use avm_wire::Encode;
@@ -535,8 +597,7 @@ mod tests {
         );
         let server = AuditServer::new(bob.log(), bob.snapshots()).with_attestor(&attestor);
         for (on_demand, attest) in [(false, false), (false, true), (true, false), (true, true)] {
-            let mut session =
-                AuditSession::new(2, 1, on_demand, &image, &registry, bob.snapshots());
+            let mut session = AuditSession::new(2, 1, on_demand, &image, &registry);
             if attest {
                 session = session.with_attestation(&policy, 7);
             }
@@ -559,19 +620,21 @@ mod tests {
         }
     }
 
-    /// The session and the one-shot [`OnDemandSession::finish`] run the same
-    /// `classify_faults` → `BlobFetch::plan`: over a chunk that spans
-    /// interior snapshots the session replays once, asks for the blobs in
-    /// full batches after the manifest, and reports the cost `finish`
-    /// settles from the same store and an equally empty cache —
-    /// `manifest_bytes` included: the slice that arrived is as long as the
-    /// `encoded_len()` the in-process path counts.
+    /// Over a chunk that spans interior snapshots, the session and the
+    /// provider's one-shot path ([`Replayer::from_snapshot_on_demand`] +
+    /// [`OnDemandSession::finish`]) replay the same execution from the same
+    /// manifest: the same verdict, progress and final root, the same faults
+    /// and free blobs, and the same blobs fetched — the session in
+    /// first-touch order, one `Blobs` exchange per miss, where `finish`
+    /// batches them afterwards.  `manifest_bytes` is the same too: the slice
+    /// that arrived is as long as the `encoded_len()` the one-shot path
+    /// counts.
     #[test]
     fn on_demand_session_is_the_one_shot_path_over_the_wire() {
         let (bob, image) = record_with_snapshots(5);
         let registry = GuestRegistry::new();
         let server = AuditServer::new(bob.log(), bob.snapshots());
-        let session = AuditSession::new(1, 3, true, &image, &registry, bob.snapshots());
+        let session = AuditSession::new(1, 3, true, &image, &registry);
         let mut chunk = Vec::new();
         let (sent, outcome) = drive(session, &server, |_, response| {
             if let AuditResponse::LogSegment { entries, .. } = &response {
@@ -592,15 +655,39 @@ mod tests {
             Replayer::from_snapshot_on_demand(&image, &registry, bob.snapshots(), 1, &cache)
                 .unwrap();
         assert!(replayer.replay(&chunk).is_consistent());
+        let summary = replayer.summary();
+        assert_eq!(
+            (report.entries_replayed, report.steps_replayed),
+            (summary.entries_replayed, summary.steps_executed)
+        );
+        assert_eq!(report.final_state, summary.final_state);
         let one_shot = ondemand
             .finish(replayer.machine(), bob.snapshots(), &mut cache)
             .unwrap();
-        assert!(!one_shot.fetched.is_empty(), "workload fetched nothing");
-        let batches = one_shot.fetched.len().div_ceil(DEFAULT_BLOB_BATCH);
+        let cost = report.on_demand.unwrap();
+        assert!(!cost.fetched.is_empty(), "workload fetched nothing");
+        let misses = cost.fetched_per_exchange.len();
         let mut expected = vec!["Chunk", "Manifest"];
-        expected.resize(2 + batches, "Blobs");
+        expected.resize(2 + misses, "Blobs");
         assert_eq!(sent, expected);
-        assert_eq!(report.on_demand, Some(one_shot));
+        assert_eq!(cost.round_trips, 1 + misses as u64);
+        assert_eq!(
+            cost.fetched_per_exchange.iter().sum::<usize>(),
+            cost.fetched.len()
+        );
+        let set = |fetched: &[Digest]| {
+            fetched
+                .iter()
+                .copied()
+                .collect::<std::collections::BTreeSet<_>>()
+        };
+        assert_eq!(set(&cost.fetched), set(&one_shot.fetched));
+        assert_eq!(cost.fetched.len(), one_shot.fetched.len());
+        let counters = |c: &OnDemandCost| {
+            let faults = (c.chunks_faulted, c.blocks_faulted, c.untouched_staged);
+            (c.manifest_bytes, faults, c.cache_hits, c.locally_derived)
+        };
+        assert_eq!(counters(&cost), counters(&one_shot));
     }
 
     /// The report's byte columns are what the scripted provider put on the
@@ -611,7 +698,7 @@ mod tests {
         let registry = GuestRegistry::new();
         let server = AuditServer::new(bob.log(), bob.snapshots());
         for on_demand in [false, true] {
-            let session = AuditSession::new(2, 1, on_demand, &image, &registry, bob.snapshots());
+            let session = AuditSession::new(2, 1, on_demand, &image, &registry);
             let (mut log, mut snapshot, mut wire) = (0u64, 0u64, 0u64);
             let (_, outcome) = drive(session, &server, |_, response| {
                 wire += response.encoded_len() as u64;
@@ -666,7 +753,7 @@ mod tests {
             ),
         ];
         for (damage, wanted) in damages {
-            let session = AuditSession::new(2, 1, false, &image, &registry, bob.snapshots());
+            let session = AuditSession::new(2, 1, false, &image, &registry);
             let (sent, outcome) = drive(session, &server, |_, response| match response {
                 AuditResponse::Sections { mut stream } => {
                     assert_eq!(stream.len() as u64, honest_len);
@@ -698,7 +785,7 @@ mod tests {
             (true, 2, "Blobs"),
             (false, 0, "LogSegment"),
         ] {
-            let session = AuditSession::new(2, 1, on_demand, &image, &registry, bob.snapshots());
+            let session = AuditSession::new(2, 1, on_demand, &image, &registry);
             let (sent, outcome) = drive(
                 session,
                 &server,
@@ -717,7 +804,7 @@ mod tests {
             assert!(error.contains(&wanted), "{error}");
         }
         // … and a manifest where the section stream belongs.
-        let session = AuditSession::new(2, 1, false, &image, &registry, bob.snapshots());
+        let session = AuditSession::new(2, 1, false, &image, &registry);
         let (_, outcome) = drive(session, &server, |i, response| match i {
             1 => AuditResponse::Manifest { manifest: vec![] },
             _ => response,
@@ -744,7 +831,7 @@ mod tests {
             ),
         ];
         for (tamper, wanted) in tampers {
-            let session = AuditSession::new(2, 1, true, &image, &registry, bob.snapshots());
+            let session = AuditSession::new(2, 1, true, &image, &registry);
             let (sent, outcome) = drive(session, &server, |_, response| match response {
                 AuditResponse::Blobs(mut blobs) => {
                     tamper(&mut blobs.blobs);
@@ -755,36 +842,6 @@ mod tests {
             assert_eq!(sent, ["Chunk", "Manifest", "Blobs"]);
             let error = outcome.expect_err("tampered blobs must not yield a report");
             assert!(error.to_string().contains(wanted), "{error}");
-        }
-    }
-
-    /// A provider on no network whose encoded response passes through
-    /// `tamper` on its way to the auditor.  A body that no longer decodes is
-    /// dropped, as `PendingExchange::accept` drops it; with no retransmit
-    /// timer to wait out, the exchange fails on the spot.
-    struct TamperingTransport<'a, F> {
-        server: AuditServer<'a>,
-        tamper: F,
-    }
-
-    impl<'a, F: FnMut(Vec<u8>) -> Vec<u8>> AuditTransport<'a> for TamperingTransport<'a, F> {
-        fn exchange<R>(
-            &mut self,
-            request: &AuditRequest,
-            on_response: impl FnOnce(AuditResponseRef<'_>) -> R,
-        ) -> Result<R, CoreError> {
-            let body = (self.tamper)(self.server.respond(request));
-            let response = AuditResponseRef::decode_exact(&body)
-                .map_err(|e| CoreError::Snapshot(format!("response dropped: {e}")))?;
-            Ok(on_response(response))
-        }
-
-        fn stats(&self) -> TransportStats {
-            TransportStats::default()
-        }
-
-        fn provider_store(&self) -> &'a SnapshotStore {
-            self.server.store()
         }
     }
 
@@ -851,7 +908,7 @@ mod tests {
             |entry| entry.push(0),
         ];
         for damage in damages {
-            let session = AuditSession::new(2, 1, false, &image, &registry, bob.snapshots());
+            let session = AuditSession::new(2, 1, false, &image, &registry);
             let mut wanted = String::new();
             let (sent, outcome) = drive(session, &server, |_, response| match response {
                 AuditResponse::LogSegment {
@@ -882,7 +939,7 @@ mod tests {
         let server = AuditServer::new(bob.log(), bob.snapshots());
         let mut client = AuditClient::new(TamperingTransport {
             server,
-            tamper: |mut body: Vec<u8>| {
+            tamper: |_: &AuditRequest, mut body: Vec<u8>| {
                 // The last entry of whichever segment this is.
                 let (at, _) = entry_at(&body, body[33] as usize - 1);
                 body[at] += 1;
@@ -911,6 +968,7 @@ mod tests {
         let bob_key = key(1).verifying_key();
         let entries = bob.log().len();
         let audit_with = |tamper: &dyn Fn(Vec<u8>) -> Vec<u8>| {
+            let tamper = |_: &AuditRequest, body| tamper(body);
             AuditClient::new(TamperingTransport { server, tamper })
                 .audit_log("bob", 1, 0, &[], &bob_key, &image, &registry)
                 .unwrap_err()
@@ -975,8 +1033,8 @@ mod tests {
             .iter()
             .position(|e| e.kind == EntryKind::Send)
             .expect("the worker sends");
-        let honest = |body: Vec<u8>| body;
-        let flipped = |mut body: Vec<u8>| {
+        let honest = |_: &AuditRequest, body: Vec<u8>| body;
+        let flipped = |_: &AuditRequest, mut body: Vec<u8>| {
             // seq ‖ kind ‖ content length, then the content's first byte.
             let (at, len) = entry_at(&body, target);
             assert!(len > 3 + 32);
@@ -1016,8 +1074,7 @@ mod tests {
         let server = AuditServer::new(bob.log(), bob.snapshots());
         for (on_demand, exchanges) in [(false, 2), (true, 3)] {
             for at in 0..exchanges {
-                let session =
-                    AuditSession::new(2, 1, on_demand, &image, &registry, bob.snapshots());
+                let session = AuditSession::new(2, 1, on_demand, &image, &registry);
                 let (sent, outcome) = drive(session, &server, |i, response| {
                     if i == at {
                         AuditResponse::Error {
@@ -1056,7 +1113,7 @@ mod tests {
         }
         let server = AuditServer::new(&rebuilt, bob.snapshots());
         for on_demand in [false, true] {
-            let session = AuditSession::new(0, 1, on_demand, &image, &registry, bob.snapshots());
+            let session = AuditSession::new(0, 1, on_demand, &image, &registry);
             let (sent, outcome) = drive(session, &server, honest);
             // The verdict comes from the received prefix alone: no snapshot
             // state is requested, none is reported.
@@ -1071,6 +1128,207 @@ mod tests {
             assert!(report.log_transfer_bytes > 0);
             assert_eq!(report.snapshot_transfer_bytes, 0);
             assert!(report.on_demand.is_none());
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // The audit wire is the whole interface
+    // -----------------------------------------------------------------------
+
+    use crate::testutil::{
+        db_recording, fleet_spot_check, worker_recording, Recording, TamperingProvider,
+    };
+    use avm_net::LinkConfig;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// A transport that keeps a copy of every exchange it carries: the
+    /// request, and the response body as it arrived.
+    struct Recorded<T> {
+        inner: T,
+        exchanges: Vec<(AuditRequest, Vec<u8>)>,
+    }
+
+    impl<T: AuditTransport> AuditTransport for Recorded<T> {
+        fn exchange<R>(
+            &mut self,
+            request: &AuditRequest,
+            on_response: impl FnOnce(AuditResponseRef<'_>) -> R,
+        ) -> Result<R, CoreError> {
+            let exchanges = &mut self.exchanges;
+            self.inner.exchange(request, |response| {
+                exchanges.push((request.clone(), response.encode_to_vec()));
+                on_response(response)
+            })
+        }
+
+        fn stats(&self) -> TransportStats {
+            self.inner.stats()
+        }
+    }
+
+    /// A transport with no provider behind it — no server, no store, no
+    /// lifetime: it answers each request with the next recorded body, and
+    /// only the request that body answered.
+    struct Transcript {
+        exchanges: VecDeque<(AuditRequest, Vec<u8>)>,
+    }
+
+    impl AuditTransport for Transcript {
+        fn exchange<R>(
+            &mut self,
+            request: &AuditRequest,
+            on_response: impl FnOnce(AuditResponseRef<'_>) -> R,
+        ) -> Result<R, CoreError> {
+            let (asked, body) = self.exchanges.pop_front().expect("transcript is exhausted");
+            assert_eq!(&asked, request, "the session asked something else");
+            Ok(on_response(AuditResponseRef::decode_exact(&body).unwrap()))
+        }
+
+        fn stats(&self) -> TransportStats {
+            TransportStats::default()
+        }
+    }
+
+    /// The recordings the wire tests audit on demand: the bytecode worker
+    /// and the native database guest, each beside its twin execution.
+    fn recordings() -> [(&'static Recording, &'static Recording); 2] {
+        [
+            (worker_recording(false), worker_recording(true)),
+            (db_recording(false), db_recording(true)),
+        ]
+    }
+
+    /// An on-demand spot check needs nothing but the bytes it received: the
+    /// responses of an honest check over the simulated network, replayed to
+    /// a fresh client by a transport that holds only those bytes, reach the
+    /// same report — on a guest that resumes after a miss and on one that
+    /// re-stages.
+    #[test]
+    fn a_spot_check_needs_no_provider_behind_its_transport() {
+        for (recording, _) in recordings() {
+            let (image, registry) = (&recording.image, &recording.registry);
+            let server = AuditServer::new(&recording.log, &recording.store);
+            let mut client = AuditClient::new(Recorded {
+                inner: crate::endpoint::SimNetTransport::new(server, LinkConfig::default()),
+                exchanges: Vec::new(),
+            });
+            let honest = client.spot_check_on_demand(0, 1, image, registry).unwrap();
+            assert!(honest.consistent, "{:?}", honest.fault);
+            let exchanges = client.transport().exchanges.clone();
+            let blobs = exchanges
+                .iter()
+                .filter(|(request, _)| matches!(request, AuditRequest::Blobs(_)))
+                .count();
+            assert!(blobs > 0, "{}: the check missed nothing", image.name());
+
+            let mut offline = AuditClient::new(Transcript {
+                exchanges: exchanges.into(),
+            });
+            let replayed = offline.spot_check_on_demand(0, 1, image, registry).unwrap();
+            assert_eq!(replayed.semantic(), honest.semantic());
+            assert!(offline.transport().exchanges.is_empty());
+        }
+    }
+
+    /// How a lying provider answers.
+    #[derive(Debug, Clone, Copy)]
+    enum Lie {
+        /// Manifest and blobs from the store of a twin execution.
+        TwinStore,
+        /// Another blob's payload in place of the one asked for.
+        Swap,
+        /// The payload asked for left out.
+        Drop,
+        /// One payload more than asked for.
+        Append,
+    }
+
+    /// Blob exchanges an honest on-demand check of the chunk after `start`
+    /// makes.
+    fn misses(recording: &Recording, start: u64) -> usize {
+        let server = AuditServer::new(&recording.log, &recording.store);
+        let mut count = 0;
+        let tamper = |request: &AuditRequest, body| {
+            count += usize::from(matches!(request, AuditRequest::Blobs(_)));
+            body
+        };
+        AuditClient::new(TamperingTransport { server, tamper })
+            .spot_check_on_demand(start, 1, &recording.image, &recording.registry)
+            .unwrap();
+        count
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A provider that lies about the state behind its log — answering
+        /// from a twin execution's store, or at one miss swapping, dropping
+        /// or adding a payload — never gets a consistent verdict from either
+        /// driver, never panics one, and a lie about a blob is an error that
+        /// names the digest asked for.
+        #[test]
+        fn a_lying_provider_is_never_consistent(
+            db in any::<bool>(),
+            fleet in any::<bool>(),
+            lie in 0usize..4,
+            start in 0u64..2,
+            at in 0usize..8,
+        ) {
+            let lie = [Lie::TwinStore, Lie::Swap, Lie::Drop, Lie::Append][lie];
+            let (honest, twin) = recordings()[usize::from(db)];
+            let at = at % misses(honest, start);
+            let store = match lie {
+                Lie::TwinStore => &twin.store,
+                _ => &honest.store,
+            };
+            let other = honest.store.pooled_digests()[0];
+            let mut blob_exchanges = 0;
+            let mut named = None;
+            let tamper = |request: &AuditRequest, body: Vec<u8>| {
+                let AuditRequest::Blobs(asked) = request else {
+                    return body;
+                };
+                blob_exchanges += 1;
+                if blob_exchanges != at + 1 || matches!(lie, Lie::TwinStore) {
+                    return body;
+                }
+                let digest = Digest(asked.digests[0]);
+                named = Some(digest.short_hex());
+                let AuditResponse::Blobs(mut blobs) = AuditResponse::decode_exact(&body).unwrap()
+                else {
+                    panic!("a blob request gets blobs");
+                };
+                match lie {
+                    Lie::Swap => {
+                        let swapped = if other == digest { honest.store.pooled_digests()[1] } else { other };
+                        let request = BlobRequest { digests: vec![swapped.0] };
+                        blobs.blobs[0] = honest.store.serve_blobs(&request).blobs.remove(0);
+                    }
+                    Lie::Drop => drop(blobs.blobs.remove(0)),
+                    Lie::Append => blobs.blobs.push(Some(vec![0; 512])),
+                    Lie::TwinStore => unreachable!(),
+                }
+                AuditResponse::Blobs(blobs).encode_to_vec()
+            };
+            let server = AuditServer::new(&honest.log, store);
+            let (image, registry) = (&honest.image, &honest.registry);
+            let outcome = if fleet {
+                fleet_spot_check(&mut TamperingProvider { server, tamper }, image, registry, start)
+            } else {
+                AuditClient::new(TamperingTransport { server, tamper })
+                    .spot_check_on_demand(start, 1, image, registry)
+            };
+            match (outcome, named) {
+                (Ok(report), None) => prop_assert!(!report.consistent, "{:?}", lie),
+                (Err(_), None) => {}
+                (Err(error), Some(named)) => {
+                    prop_assert!(error.to_string().contains(&named), "{error} names no {named}")
+                }
+                (Ok(report), Some(_)) => {
+                    prop_assert!(false, "{:?} reached a verdict: {:?}", lie, report.fault)
+                }
+            }
         }
     }
 }

@@ -24,10 +24,10 @@
 //! (`avm_bench::pricing`), which own the provider's log and store and may
 //! legitimately look at both sides.
 //!
-//! The on-demand download is additionally reported in **round trips** — the
-//! blob exchange is batched (multi-digest [`avm_wire::BlobRequest`]s) —
-//! convertible to modelled wall time through a configurable [`RttModel`]
-//! (default: [`TRANSFER_RTT`]).
+//! The on-demand download is additionally reported in **round trips** — one
+//! for the manifest, one per miss replay ran into
+//! ([`crate::session`], "# Misses") — convertible to modelled wall time
+//! through a configurable [`RttModel`] (default: [`TRANSFER_RTT`]).
 //!
 //! Every spot check is one [`crate::session::AuditSession`] *driven through
 //! the audit protocol* ([`crate::endpoint`]): the free functions here are
@@ -82,6 +82,9 @@ pub struct SpotCheckReport {
     pub entries_replayed: u64,
     /// Machine steps replayed (also truthful on a faulted chunk).
     pub steps_replayed: u64,
+    /// Merkle state root replay ended in, when the chunk replayed
+    /// consistently: the same in both download modes.
+    pub final_state: Option<Digest>,
     /// Bytes of log received for the chunk: the summed lengths of the entry
     /// encodings as they arrived.
     pub log_transfer_bytes: u64,
@@ -109,8 +112,8 @@ impl SpotCheckReport {
         self.snapshot_transfer_bytes + self.log_transfer_bytes
     }
 
-    /// Round trips the on-demand download performed with batched blob
-    /// requests (manifest + one per multi-digest request), when available.
+    /// Round trips the on-demand download performed (manifest + one blob
+    /// request per miss), when available.
     pub fn on_demand_round_trips(&self) -> Option<u64> {
         self.on_demand.as_ref().map(|c| c.round_trips)
     }

@@ -1,15 +1,27 @@
 //! Shared test fixtures: the worker guest + AVMM recording the spot-check
 //! and endpoint test suites both audit.  One definition keeps their
 //! "identical semantics across transports" comparisons honest — both sides
-//! always record the same workload.
+//! always record the same workload.  Beside it: shared unsigned recordings
+//! of the worker and the database guest (each with a twin execution), and
+//! providers that tamper with what they send, for both audit drivers.
+
+use std::sync::OnceLock;
 
 use crate::config::AvmmOptions;
+use crate::endpoint::{link_timeout_us, AuditServer, AuditTransport, TransportStats};
 use crate::envelope::{Envelope, EnvelopeKind};
+use crate::error::CoreError;
+use crate::fleet::{AuditTask, FleetAuditor};
 use crate::recorder::{Avmm, HostClock};
+use crate::snapshot::SnapshotStore;
+use crate::spotcheck::SpotCheckReport;
 use avm_crypto::keys::{SignatureScheme, SigningKey};
+use avm_log::TamperEvidentLog;
+use avm_net::{run_event_loop, Delivery, Endpoint, LinkConfig, NodeId, SimNet};
 use avm_vm::bytecode::assemble;
 use avm_vm::packet::encode_guest_packet;
 use avm_vm::{GuestRegistry, VmImage};
+use avm_wire::audit::{open_session_message, seal_encoded_message, AuditRequest, AuditResponseRef};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -81,4 +93,162 @@ pub(crate) fn record_with_snapshots(n_snapshots: u64) -> (Avmm, VmImage) {
         bob.take_snapshot();
     }
     (bob, image)
+}
+
+/// A recording whose provider state is owned, so fixtures can be shared.
+pub(crate) struct Recording {
+    pub image: VmImage,
+    pub registry: GuestRegistry,
+    pub log: TamperEvidentLog,
+    pub store: SnapshotStore,
+}
+
+/// Records `image` (unsigned, so it builds fast) over one delivered packet
+/// per entry of `payloads`, snapshotting after every `snapshot_every`-th
+/// packet and after the last.
+fn record(
+    image: VmImage,
+    registry: GuestRegistry,
+    payloads: impl Iterator<Item = Vec<u8>>,
+    snapshot_every: u64,
+) -> Recording {
+    let options = AvmmOptions::default().with_scheme(SignatureScheme::Null);
+    let mut bob = Avmm::new("bob", &image, &registry, SigningKey::Null, options).unwrap();
+    bob.add_peer("alice", SigningKey::Null.verifying_key());
+    let mut clock = HostClock::at(10);
+    bob.run_slice(&clock, 20_000).unwrap();
+    let mut sent = 0;
+    for payload in payloads {
+        sent += 1;
+        clock.advance_to(clock.now() + 1_000);
+        let env = Envelope::create(
+            EnvelopeKind::Data,
+            "alice",
+            "bob",
+            sent,
+            payload,
+            &SigningKey::Null,
+            None,
+        );
+        bob.deliver(&env).unwrap();
+        bob.run_slice(&clock, 100_000).unwrap();
+        if sent % snapshot_every == 0 {
+            bob.take_snapshot();
+        }
+    }
+    bob.take_snapshot();
+    Recording {
+        image,
+        registry,
+        log: bob.log().clone(),
+        store: bob.snapshots().clone(),
+    }
+}
+
+/// The bytecode worker guest over four packets, a snapshot after each;
+/// `twin` sends longer packets, so its store is another execution's, one
+/// whose counter no replay of the honest log reaches.  (No spot check
+/// compares the start state with the root the log committed to — ROADMAP
+/// item 2 — so a twin that converges onto the honest state would pass.)
+pub(crate) fn worker_recording(twin: bool) -> &'static Recording {
+    static RECORDINGS: [OnceLock<Recording>; 2] = [OnceLock::new(), OnceLock::new()];
+    RECORDINGS[usize::from(twin)].get_or_init(|| {
+        let tag = if twin { "twins" } else { "work" };
+        let payloads =
+            (0..4).map(move |i| encode_guest_packet("alice", format!("{tag}-{i}").as_bytes()));
+        record(worker_image(), GuestRegistry::new(), payloads, 1)
+    })
+}
+
+/// The native database guest over its `sql-bench` workload, a snapshot
+/// every 8 requests; `twin` runs the workload over more rows.
+pub(crate) fn db_recording(twin: bool) -> &'static Recording {
+    static RECORDINGS: [OnceLock<Recording>; 2] = [OnceLock::new(), OnceLock::new()];
+    RECORDINGS[usize::from(twin)].get_or_init(|| {
+        let cfg = avm_db::server::DbConfig::new("alice");
+        let mut workload = avm_db::WorkloadGen::new(if twin { 7 } else { 6 });
+        let payloads = std::iter::from_fn(move || workload.next_packet("bob"));
+        record(avm_db::db_image(&cfg), avm_db::db_registry(), payloads, 8)
+    })
+}
+
+/// A provider on no network whose encoded response passes through `tamper`
+/// (with the request it answers) on its way to the auditor.  A body that no
+/// longer decodes is dropped, as `PendingExchange::accept` drops it; with no
+/// retransmit timer to wait out, the exchange fails on the spot.
+pub(crate) struct TamperingTransport<'a, F> {
+    pub server: AuditServer<'a>,
+    pub tamper: F,
+}
+
+impl<F: FnMut(&AuditRequest, Vec<u8>) -> Vec<u8>> AuditTransport for TamperingTransport<'_, F> {
+    fn exchange<R>(
+        &mut self,
+        request: &AuditRequest,
+        on_response: impl FnOnce(AuditResponseRef<'_>) -> R,
+    ) -> Result<R, CoreError> {
+        let body = (self.tamper)(request, self.server.respond(request));
+        let response = AuditResponseRef::decode_exact(&body)
+            .map_err(|e| CoreError::Snapshot(format!("response dropped: {e}")))?;
+        Ok(on_response(response))
+    }
+
+    fn stats(&self) -> TransportStats {
+        TransportStats::default()
+    }
+}
+
+/// [`TamperingTransport`]'s provider as an endpoint on a shared network:
+/// each request is answered, through `tamper`, the moment it arrives.
+pub(crate) struct TamperingProvider<'a, F> {
+    pub server: AuditServer<'a>,
+    pub tamper: F,
+}
+
+/// Node the fleet fixtures' provider binds.
+const PROVIDER: NodeId = NodeId(1);
+
+impl<F: FnMut(&AuditRequest, Vec<u8>) -> Vec<u8>> Endpoint for TamperingProvider<'_, F> {
+    fn node(&self) -> NodeId {
+        PROVIDER
+    }
+
+    fn on_delivery(&mut self, net: &mut SimNet, delivery: Delivery) {
+        let Ok((session, id, request)) = open_session_message::<AuditRequest>(&delivery.payload)
+        else {
+            return;
+        };
+        let body = (self.tamper)(&request, self.server.respond(&request));
+        let _ = net.send(
+            PROVIDER,
+            delivery.from,
+            seal_encoded_message(session, id, &body),
+        );
+    }
+
+    fn on_tick(&mut self, _: &mut SimNet) -> Option<u64> {
+        None
+    }
+}
+
+/// An on-demand spot check of the chunk after `start` by one
+/// [`FleetAuditor`] against `provider` on a lossless shared network.
+pub(crate) fn fleet_spot_check(
+    provider: &mut dyn Endpoint,
+    image: &VmImage,
+    registry: &GuestRegistry,
+    start: u64,
+) -> Result<SpotCheckReport, CoreError> {
+    let link = LinkConfig::default();
+    let task = AuditTask {
+        start_snapshot: start,
+        chunk: 1,
+        on_demand: true,
+        start_at_us: 0,
+    };
+    let timeout = link_timeout_us(&link);
+    let mut auditor = FleetAuditor::new(NodeId(2), PROVIDER, 7, image, registry, task, timeout);
+    let mut net = SimNet::new(link);
+    run_event_loop(&mut net, &mut [provider, &mut auditor], 1_000_000);
+    auditor.into_parts().0
 }

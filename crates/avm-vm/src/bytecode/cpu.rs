@@ -82,6 +82,21 @@ impl BytecodeCpu {
     }
 }
 
+/// A stack access's error: a miss stays a miss (the step resumes once the
+/// bytes arrive), anything else is the guest's stack fault.
+fn stack_error(pc: u64) -> impl Fn(VmError) -> VmError {
+    move |error| match error {
+        VmError::Miss => VmError::Miss,
+        _ => VmError::StackFault { pc },
+    }
+}
+
+/// One step changes nothing before it can no longer miss: every side effect
+/// (a register, the flag, the pc, a device queue or counter, a byte) comes
+/// after the last access that can be a [`VmError::Miss`], so a refused step
+/// resumes in place once the missing bytes are supplied.  `recv` and
+/// `diskrd`, which would otherwise consume input before writing memory,
+/// probe their destination first (`GuestMemory::probe_write`).
 impl CpuCore for BytecodeCpu {
     fn step(&mut self, mem: &mut GuestMemory, dev: &mut DeviceState) -> VmResult<CpuAction> {
         if self.halted {
@@ -172,26 +187,25 @@ impl CpuCore for BytecodeCpu {
             Instruction::Push(rs) => {
                 let sp = self.regs[STACK_POINTER].wrapping_sub(8);
                 mem.write_u64(sp, self.regs[rs.index()])
-                    .map_err(|_| VmError::StackFault { pc })?;
+                    .map_err(stack_error(pc))?;
                 self.regs[STACK_POINTER] = sp;
             }
             Instruction::Pop(rd) => {
                 let sp = self.regs[STACK_POINTER];
-                let v = mem.read_u64(sp).map_err(|_| VmError::StackFault { pc })?;
+                let v = mem.read_u64(sp).map_err(stack_error(pc))?;
                 self.regs[rd.index()] = v;
                 self.regs[STACK_POINTER] = sp.wrapping_add(8);
             }
             Instruction::Call(a) => {
                 let sp = self.regs[STACK_POINTER].wrapping_sub(8);
-                mem.write_u64(sp, next)
-                    .map_err(|_| VmError::StackFault { pc })?;
+                mem.write_u64(sp, next).map_err(stack_error(pc))?;
                 self.regs[STACK_POINTER] = sp;
                 self.pc = a;
                 return Ok(CpuAction::Ran { cost: 1, outputs });
             }
             Instruction::Ret => {
                 let sp = self.regs[STACK_POINTER];
-                let ret = mem.read_u64(sp).map_err(|_| VmError::StackFault { pc })?;
+                let ret = mem.read_u64(sp).map_err(stack_error(pc))?;
                 self.regs[STACK_POINTER] = sp.wrapping_add(8);
                 self.pc = ret;
                 return Ok(CpuAction::Ran { cost: 1, outputs });
@@ -217,6 +231,9 @@ impl CpuCore for BytecodeCpu {
             Instruction::Recv(rd, rp, rm) => {
                 let ptr = self.regs[rp.index()];
                 let max = self.regs[rm.index()] as usize;
+                if let Some(pkt) = dev.nic.rx_queue.front() {
+                    mem.probe_write(ptr, pkt.len().min(max))?;
+                }
                 match dev.nic.guest_recv() {
                     Some(pkt) => {
                         let n = pkt.len().min(max);
@@ -247,6 +264,7 @@ impl CpuCore for BytecodeCpu {
                 let off = self.regs[ro.index()];
                 let ptr = self.regs[rp.index()];
                 let len = self.regs[rl.index()] as usize;
+                mem.probe_write(ptr, len)?;
                 let mut buf = vec![0u8; len];
                 dev.disk.read(off, &mut buf)?;
                 mem.write(ptr, &buf)?;

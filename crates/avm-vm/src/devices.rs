@@ -20,7 +20,7 @@ use avm_crypto::sha256::Digest;
 use avm_wire::{Decode, Encode, Reader, WireError, WireResult, Writer};
 
 use crate::error::{VmError, VmResult};
-use crate::store::{LeafStore, SharedPage, PAGE_SIZE};
+use crate::store::{LeafStore, Refused, SharedPage, PAGE_SIZE};
 
 /// Size of one disk block for dirty tracking and incremental snapshots.
 pub const DISK_BLOCK_SIZE: usize = PAGE_SIZE;
@@ -236,11 +236,13 @@ impl Disk {
     }
 
     /// The disk's verdict on an access the store answered with `accepted`.
-    /// The store refuses what does not fit and lets a zero-length access
-    /// through untouched; the disk still wants such an access to point at it.
-    fn verdict(&self, offset: u64, accepted: Option<()>) -> VmResult<()> {
+    /// The store refuses what does not fit or misses and lets a zero-length
+    /// access through untouched; the disk still wants such an access to
+    /// point at it.
+    fn verdict(&self, offset: u64, accepted: Result<(), Refused>) -> VmResult<()> {
         match accepted {
-            Some(()) if offset <= self.size() => Ok(()),
+            Ok(()) if offset <= self.size() => Ok(()),
+            Err(Refused::Miss) => Err(VmError::Miss),
             _ => Err(VmError::DiskOutOfRange {
                 sector: offset / DISK_BLOCK_SIZE as u64,
                 sectors: self.block_count() as u64,

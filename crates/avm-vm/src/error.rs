@@ -43,6 +43,10 @@ pub enum VmError {
         /// Number of sectors on the disk.
         sectors: u64,
     },
+    /// An access needs the contents of a leaf staged without them (an
+    /// on-demand auditor has not received them yet).  The access changed
+    /// nothing; `LeafStore::missed` names the leaves (see `avm_vm::store`).
+    Miss,
     /// A snapshot or saved state blob could not be restored.
     CorruptState(&'static str),
     /// A native guest image referenced a program that is not registered.
@@ -77,6 +81,7 @@ impl core::fmt::Display for VmError {
             VmError::DiskOutOfRange { sector, sectors } => {
                 write!(f, "disk access out of range: sector={sector} of {sectors}")
             }
+            VmError::Miss => write!(f, "access needs staged contents not yet received"),
             VmError::CorruptState(what) => write!(f, "corrupt state: {what}"),
             VmError::UnknownGuest(name) => write!(f, "unknown native guest '{name}'"),
             VmError::InvalidImage(msg) => write!(f, "invalid image: {msg}"),

@@ -13,7 +13,7 @@
 use avm_crypto::sha256::Digest;
 
 use crate::error::{VmError, VmResult};
-use crate::store::{LeafStore, SharedPage};
+use crate::store::{LeafStore, Refused, SharedPage};
 
 pub use crate::store::PAGE_SIZE;
 
@@ -73,11 +73,15 @@ impl GuestMemory {
         self.store.leaf_count()
     }
 
-    fn out_of_range(&self, addr: u64, len: usize) -> VmError {
-        VmError::MemoryOutOfRange {
-            addr,
-            len,
-            mem_size: self.size(),
+    /// The error for an access `[addr, addr + len)` the store refused.
+    fn refused(&self, addr: u64, len: usize, why: Refused) -> VmError {
+        match why {
+            Refused::OutOfRange => VmError::MemoryOutOfRange {
+                addr,
+                len,
+                mem_size: self.size(),
+            },
+            Refused::Miss => VmError::Miss,
         }
     }
 
@@ -89,14 +93,23 @@ impl GuestMemory {
     pub fn read(&mut self, addr: u64, buf: &mut [u8]) -> VmResult<()> {
         self.store
             .read(addr, buf)
-            .ok_or_else(|| self.out_of_range(addr, buf.len()))
+            .map_err(|why| self.refused(addr, buf.len(), why))
     }
 
     /// Writes `data` starting at `addr`, marking touched chunks dirty.
     pub fn write(&mut self, addr: u64, data: &[u8]) -> VmResult<()> {
         self.store
             .write(addr, data)
-            .ok_or_else(|| self.out_of_range(addr, data.len()))
+            .map_err(|why| self.refused(addr, data.len(), why))
+    }
+
+    /// [`VmError::Miss`] exactly when a `len`-byte [`GuestMemory::write`] at
+    /// `addr` would be one, changing nothing else: what an instruction with
+    /// a side effect before its write asks first.
+    pub(crate) fn probe_write(&mut self, addr: u64, len: usize) -> VmResult<()> {
+        self.store
+            .probe_write(addr, len)
+            .map_err(|why| self.refused(addr, len, why))
     }
 
     /// Reads a vector of `len` bytes at `addr`.

@@ -173,6 +173,12 @@ impl crate::machine::CpuCore for NativeCpu {
         let mut ctx = GuestCtx::new(mem, dev);
         let step = self.kernel.step(&mut ctx);
         let outputs = ctx.into_outputs();
+        // A kernel step cannot be unwound, and a kernel may carry on past a
+        // refused access or drop its error: a miss is reported after the
+        // step, which leaves the machine to be rebuilt, not resumed.
+        if !mem.leaves().missed().is_empty() || !dev.disk.leaves().missed().is_empty() {
+            return Err(VmError::Miss);
+        }
         let action = match step {
             GuestStep::Ran { cost } => CpuAction::Ran {
                 cost: cost.max(1),

@@ -78,7 +78,8 @@
 //! not exist until something is staged and a live count sits beside it, so
 //! the question every guest access asks — "is any leaf I touch staged?" —
 //! costs one compare on a fully resident machine (the bare and recording
-//! paths) and one indexed load per touched leaf on a partially resident one.
+//! paths) and, on a partially resident one, two indexed loads per touched
+//! leaf: the miss check, then the install.
 //! The access path does no hashing and no search, which is why an on-demand
 //! replay runs at the bare interpreter's speed however many leaves are
 //! staged and never touched.
@@ -86,6 +87,19 @@
 //! Caveat: while leaves remain staged, [`LeafStore::leaf`] (raw contents)
 //! returns the stale local bytes.  Root computations must go through the
 //! hash slots, never through re-hashing raw contents.
+//!
+//! # Misses
+//!
+//! An auditor stages what it can produce itself with its contents and the
+//! rest *byteless* ([`LeafStore::stage_byteless`]): the hash slot alone,
+//! so every root is still right.  The first access that needs such a leaf's
+//! bytes is a **miss**: it is refused before it changes anything — no byte,
+//! no dirty bit, no hash slot, no fault — and the leaves it needed are
+//! listed by [`LeafStore::missed`] until [`LeafStore::supply`] hands their
+//! contents over; the access then goes through like any other first touch.
+//! A write that covers a byteless leaf whole never needed its bytes and is
+//! no miss.  Only the first refused access is listed: whatever a caller
+//! does after ignoring a miss is not what the recorded execution did.
 //!
 //! A zero-length access touches nothing: it faults nothing in, sets no dirty
 //! bit and empties no hash slot, wherever it points.
@@ -137,6 +151,24 @@ impl Page {
     }
 }
 
+/// What sits in an occupied staging slot (module docs, "# Misses").
+#[derive(Debug, Clone)]
+enum Staged {
+    /// The leaf's authentic contents, installed on first touch.
+    Bytes(Vec<u8>),
+    /// Nothing yet: a first touch that needs the contents is a miss.
+    Byteless,
+}
+
+/// Why the store refused an access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Refused {
+    /// The range is not inside the store.
+    OutOfRange,
+    /// The access needs a byteless leaf's contents ([`LeafStore::missed`]).
+    Miss,
+}
+
 /// A byte array in [`PAGE_SIZE`] pages, shared until written, hashed,
 /// dirty-tracked and demand-paged per leaf — see the module docs for the
 /// contracts.
@@ -151,13 +183,16 @@ pub struct LeafStore {
     dirty: Vec<bool>,
     /// Per leaf: its SHA-256 if known (interior mutability so reads fill it).
     hashes: RefCell<Vec<Option<Digest>>>,
-    /// Per leaf: authentic contents staged and not yet touched.  Empty until
-    /// the first [`LeafStore::stage_lazy`], then one slot per leaf.
-    staged: Vec<Option<Vec<u8>>>,
+    /// Per leaf: staged and not yet touched.  Empty until the first
+    /// [`LeafStore::stage_lazy`] or [`LeafStore::stage_byteless`], then one
+    /// slot per leaf.
+    staged: Vec<Option<Staged>>,
     /// Number of occupied `staged` slots.
     staged_live: usize,
     /// Leaves installed from `staged`, in first-touch order.
     faulted: Vec<usize>,
+    /// Byteless leaves the first refused access needed, not yet supplied.
+    missed: Vec<usize>,
 }
 
 impl LeafStore {
@@ -216,6 +251,7 @@ impl LeafStore {
             staged: Vec::new(),
             staged_live: 0,
             faulted: Vec::new(),
+            missed: Vec::new(),
         }
     }
 
@@ -278,34 +314,71 @@ impl LeafStore {
 
     /// Empties staging slot `idx`, handing back what was staged there.
     #[inline]
-    fn take_staged(&mut self, idx: usize) -> Option<Vec<u8>> {
-        let content = self.staged.get_mut(idx)?.take()?;
+    fn take_staged(&mut self, idx: usize) -> Option<Staged> {
+        let staged = self.staged.get_mut(idx)?.take()?;
         self.staged_live -= 1;
-        Some(content)
+        if !self.missed.is_empty() {
+            self.missed.retain(|&leaf| leaf != idx);
+        }
+        Some(staged)
+    }
+
+    /// Leaves of the non-empty, in-range access `[addr, addr + len)`.
+    fn leaves_of(&self, addr: u64, len: usize) -> std::ops::RangeInclusive<usize> {
+        (addr as usize >> self.leaf_shift)..=((addr as usize + len - 1) >> self.leaf_shift)
+    }
+
+    /// Whether the access `[addr, addr + len)` (an `overwrite` or not)
+    /// covers all of leaf `idx`, so needs none of its old bytes.
+    fn covers(&self, addr: u64, len: usize, overwrite: bool, idx: usize) -> bool {
+        let (start, end) = (addr as usize, addr as usize + len);
+        overwrite && start <= idx << self.leaf_shift && (idx + 1) << self.leaf_shift <= end
+    }
+
+    /// The miss check of the non-empty, in-range access `[addr, addr + len)`:
+    /// [`Refused::Miss`] if it needs the bytes of a byteless leaf, with the
+    /// leaves listed in `missed` when no earlier miss is still listed.
+    fn check_staged(&mut self, addr: u64, len: usize, overwrite: bool) -> Result<(), Refused> {
+        if self.staged_live == 0 {
+            return Ok(());
+        }
+        let needs_bytes = |store: &LeafStore, idx: usize| {
+            matches!(store.staged.get(idx), Some(Some(Staged::Byteless)))
+                && !store.covers(addr, len, overwrite, idx)
+        };
+        // On the guest's access path: a plain scan, no allocation.
+        if !self.leaves_of(addr, len).any(|idx| needs_bytes(self, idx)) {
+            return Ok(());
+        }
+        if self.missed.is_empty() {
+            let leaves = self.leaves_of(addr, len);
+            self.missed = leaves.filter(|&idx| needs_bytes(self, idx)).collect();
+        }
+        Err(Refused::Miss)
     }
 
     /// Installs the staged leaves the non-empty, in-range access
     /// `[addr, addr + len)` touches — replacing the stale local contents with
     /// the authentic staged bytes *before* the access proceeds — and records
-    /// each in the fault list.
+    /// each in the fault list; or, changing nothing, refuses the access as a
+    /// miss (module docs, "# Misses").
     ///
     /// When the access is a write, leaves it *fully* covers are about to be
     /// overwritten wholesale: their staged contents are never needed, so the
     /// staging is dropped without a fault (no transfer), as
     /// [`LeafStore::set_leaf`] does.  Only partially covered leaves need the
     /// authentic surrounding bytes.
-    fn fault_in_range(&mut self, addr: u64, len: usize, overwrite: bool) {
+    fn fault_in_range(&mut self, addr: u64, len: usize, overwrite: bool) -> Result<(), Refused> {
         if self.staged_live == 0 {
-            return;
+            return Ok(());
         }
-        let (start, end) = (addr as usize, addr as usize + len - 1);
-        for idx in start >> self.leaf_shift..=end >> self.leaf_shift {
-            let Some(content) = self.take_staged(idx) else {
+        self.check_staged(addr, len, overwrite)?;
+        for idx in self.leaves_of(addr, len) {
+            let Some(Staged::Bytes(content)) = self.take_staged(idx) else {
+                // Unstaged, or byteless under a write that covers it whole.
                 continue;
             };
-            let fully_covered =
-                start <= idx << self.leaf_shift && (idx + 1) << self.leaf_shift <= end + 1;
-            if overwrite && fully_covered {
+            if self.covers(addr, len, overwrite, idx) {
                 continue;
             }
             let (page, range) = self.locate(idx);
@@ -316,21 +389,33 @@ impl LeafStore {
             // stays untouched — the leaf equals its at-snapshot contents,
             // nothing changed since the capture point.
         }
+        Ok(())
     }
 
-    /// Reads `buf.len()` bytes at `addr`; `None`, with nothing touched, when
-    /// the range is not inside the store.
+    /// The checks [`LeafStore::write`] makes before it touches anything,
+    /// alone: [`Refused::Miss`] exactly when a `len`-byte write at `addr`
+    /// would be a miss (listed as that write would list it).  Anything
+    /// else, out-of-range included, is the write's own to judge.
+    pub(crate) fn probe_write(&mut self, addr: u64, len: usize) -> Result<(), Refused> {
+        if len == 0 || !self.contains(addr, len) {
+            return Ok(());
+        }
+        self.check_staged(addr, len, true)
+    }
+
+    /// Reads `buf.len()` bytes at `addr`; refused, with nothing touched,
+    /// when the range is not inside the store or the read is a miss.
     ///
     /// Takes `&mut self` because a read may fault in a staged leaf; on a
     /// fully resident store it mutates nothing.
-    pub(crate) fn read(&mut self, addr: u64, buf: &mut [u8]) -> Option<()> {
+    pub(crate) fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), Refused> {
         if buf.is_empty() {
-            return Some(());
+            return Ok(());
         }
         if !self.contains(addr, buf.len()) {
-            return None;
+            return Err(Refused::OutOfRange);
         }
-        self.fault_in_range(addr, buf.len(), false);
+        self.fault_in_range(addr, buf.len(), false)?;
         let mut offset = addr as usize;
         let mut copied = 0usize;
         while copied < buf.len() {
@@ -342,20 +427,20 @@ impl LeafStore {
             copied += n;
             offset += n;
         }
-        Some(())
+        Ok(())
     }
 
     /// Writes `data` at `addr`, setting the dirty bit and emptying the hash
-    /// slot of every leaf it covers; `None`, with nothing touched, when the
-    /// range is not inside the store.
-    pub(crate) fn write(&mut self, addr: u64, data: &[u8]) -> Option<()> {
+    /// slot of every leaf it covers; refused, with nothing touched, when the
+    /// range is not inside the store or the write is a miss.
+    pub(crate) fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), Refused> {
         if data.is_empty() {
-            return Some(());
+            return Ok(());
         }
         if !self.contains(addr, data.len()) {
-            return None;
+            return Err(Refused::OutOfRange);
         }
-        self.fault_in_range(addr, data.len(), true);
+        self.fault_in_range(addr, data.len(), true)?;
         let mut offset = addr as usize;
         let mut copied = 0usize;
         while copied < data.len() {
@@ -374,7 +459,7 @@ impl LeafStore {
             *dirty = true;
             *hash = None;
         }
-        Some(())
+        Ok(())
     }
 
     /// The raw contents of leaf `idx` (stale while the leaf is staged).
@@ -456,21 +541,61 @@ impl LeafStore {
     /// exactly one leaf long.
     ///
     /// The caller is responsible for `hash` being the SHA-256 of `content`
-    /// (the audit layer verifies this before staging — it is the same check
-    /// a downloaded blob gets).  The dirty bit is not set: a staged leaf *is*
-    /// the at-snapshot state, merely not transferred yet.
+    /// (the audit layer stages only bytes it received under `hash`, derived
+    /// from the image, or took from the provider's own store).  The dirty
+    /// bit is not set: a staged leaf *is* the at-snapshot state, merely not
+    /// transferred yet.
     pub fn stage_lazy(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> Option<()> {
-        if content.len() != self.leaf_size() || idx >= self.leaf_count() {
+        if content.len() != self.leaf_size() {
+            return None;
+        }
+        self.stage(idx, Staged::Bytes(content), hash)
+    }
+
+    /// Stages leaf `idx` under `hash` with no contents yet: state roots
+    /// report `hash` for it, and the first access that needs its bytes is a
+    /// miss until [`LeafStore::supply`] (module docs, "# Misses").  `None`,
+    /// with nothing changed, unless `idx` is a leaf.
+    pub fn stage_byteless(&mut self, idx: usize, hash: Digest) -> Option<()> {
+        self.stage(idx, Staged::Byteless, hash)
+    }
+
+    fn stage(&mut self, idx: usize, staged: Staged, hash: Digest) -> Option<()> {
+        if idx >= self.leaf_count() {
             return None;
         }
         self.hashes.get_mut()[idx] = Some(hash);
         if self.staged.is_empty() {
             self.staged.resize_with(self.dirty.len(), || None);
         }
-        if self.staged[idx].replace(content).is_none() {
+        if self.staged[idx].replace(staged).is_none() {
             self.staged_live += 1;
         }
         Some(())
+    }
+
+    /// Hands a byteless leaf its contents, which the caller has checked
+    /// hash to what the leaf was staged under, and strikes it from
+    /// [`LeafStore::missed`]; the leaf then faults in on its next touch like
+    /// any staged leaf.  `None`, with nothing changed, unless leaf `idx` is
+    /// byteless and `content` is exactly one leaf long.
+    pub fn supply(&mut self, idx: usize, content: Vec<u8>) -> Option<()> {
+        if content.len() != self.leaf_size() {
+            return None;
+        }
+        let slot = self.staged.get_mut(idx)?;
+        if !matches!(slot, Some(Staged::Byteless)) {
+            return None;
+        }
+        *slot = Some(Staged::Bytes(content));
+        self.missed.retain(|&leaf| leaf != idx);
+        Some(())
+    }
+
+    /// Byteless leaves whose contents the first refused access needed, in
+    /// the order it touches them, until each is supplied.
+    pub fn missed(&self) -> &[usize] {
+        &self.missed
     }
 
     /// Leaves faulted in from staging so far, in first-touch order.
@@ -513,11 +638,14 @@ mod tests {
         let marker = sha256(b"staged");
         store.stage_lazy(7, vec![1; 512], marker).unwrap();
         for addr in [0, 7 * 512, PAGE_SIZE as u64, u64::MAX] {
-            assert_eq!(store.write(addr, &[]), Some(()));
-            assert_eq!(store.read(addr, &mut []), Some(()));
+            assert_eq!(store.write(addr, &[]), Ok(()));
+            assert_eq!(store.read(addr, &mut []), Ok(()));
         }
-        assert_eq!(store.write(PAGE_SIZE as u64 - 1, &[1, 2]), None);
-        assert_eq!(store.read(u64::MAX, &mut [0]), None);
+        assert_eq!(
+            store.write(PAGE_SIZE as u64 - 1, &[1, 2]),
+            Err(Refused::OutOfRange)
+        );
+        assert_eq!(store.read(u64::MAX, &mut [0]), Err(Refused::OutOfRange));
         assert!(store.dirty_leaves().is_empty() && store.faulted().is_empty());
         assert_eq!(
             (store.staged_count(), store.leaf_hash(7)),
@@ -598,5 +726,45 @@ mod tests {
         assert!(store.faulted().is_empty());
         assert_eq!(store.dirty_leaves(), [2, 5]);
         assert_eq!(store.leaf_hash(5), Some(sha256(&stale)));
+    }
+
+    /// A byteless leaf refuses the first access that needs its bytes and
+    /// changes nothing on the way: not a byte, dirty bit, hash slot or fault,
+    /// not even of a leaf with bytes the same access covers.  Only the first
+    /// refused access is listed; a whole-leaf write never needed the bytes;
+    /// once supplied, the access goes through as a first touch.
+    #[test]
+    fn a_byteless_leaf_is_a_miss_until_supplied() {
+        let mut store = LeafStore::new(PAGE_SIZE as u64, 512, "leaf");
+        let (four, five) = ([4u8; 512], [5u8; 512]);
+        store.stage_lazy(4, four.to_vec(), sha256(&four)).unwrap();
+        store.stage_byteless(5, sha256(&five)).unwrap();
+        store.stage_byteless(6, sha256(&[6u8; 512])).unwrap();
+        let spanning = 5 * 512 - 2;
+        let mut buf = [0u8; 4];
+        assert_eq!(store.read(spanning, &mut buf), Err(Refused::Miss));
+        assert_eq!(store.write(spanning, &[1; 4]), Err(Refused::Miss));
+        assert_eq!(store.read(6 * 512, &mut buf), Err(Refused::Miss));
+        assert_eq!(store.missed(), [5]);
+        assert_eq!(store.probe_write(6 * 512 + 1, 4), Err(Refused::Miss));
+        assert_eq!(store.probe_write(5 * 512, 512), Ok(()));
+        assert_eq!(store.probe_write(PAGE_SIZE as u64, 1), Ok(()));
+        assert_eq!(store.leaf(4), Some(&[0u8; 512][..]));
+        assert_eq!(store.leaf_hash(5), Some(sha256(&five)));
+        assert!(store.faulted().is_empty() && store.dirty_leaves().is_empty());
+        assert_eq!(store.staged_count(), 3);
+
+        assert!(store.supply(4, four.to_vec()).is_none(), "4 has its bytes");
+        assert!(store.supply(5, vec![5; 3]).is_none());
+        store.supply(5, five.to_vec()).unwrap();
+        assert!(store.missed().is_empty());
+        store.read(spanning, &mut buf).unwrap();
+        assert_eq!(buf, [4, 4, 5, 5]);
+        assert_eq!(store.faulted(), [4, 5]);
+        assert!(store.dirty_leaves().is_empty());
+
+        store.write(6 * 512, &[7; 512]).unwrap();
+        assert_eq!(store.faulted(), [4, 5]);
+        assert_eq!((store.staged_count(), store.dirty_leaves()), (0, vec![6]));
     }
 }

@@ -257,7 +257,6 @@ fn heterogeneous_chunk_ranges_miss_per_distinct_key() {
                 NodeId(2 + i as u32),
                 NodeId(1),
                 CLIENT_SESSION + i as u64,
-                avmm.snapshots(),
                 &image,
                 &registry,
                 AuditTask {

@@ -23,7 +23,7 @@ use avm_core::attest::{challenge_nonce, Attestor, LaunchPolicy};
 use avm_core::config::AvmmOptions;
 use avm_core::envelope::{Envelope, EnvelopeKind};
 use avm_core::error::CoreError;
-use avm_core::ondemand::{materialize_on_demand, materialize_with_manifest, AuditorBlobCache};
+use avm_core::ondemand::{materialize_on_demand, AuditorBlobCache};
 use avm_core::recorder::{Avmm, HostClock};
 use avm_core::replay::Replayer;
 use avm_core::snapshot::{
@@ -550,8 +550,8 @@ fn tampered_manifest_section_and_blob_still_fail() {
     for lie in [pooled, image_own] {
         let mut forged = manifest.clone();
         forged.mem_refs[COUNTER_CHUNK].1 = lie;
-        let message = snapshot_error(materialize_with_manifest(
-            forged, &store, &image, &registry, &cache,
+        let message = snapshot_error(Replayer::from_manifest_on_demand(
+            &forged, 0, &image, &registry, &cache,
         ));
         assert!(
             message.contains("manifest does not authenticate"),
@@ -565,10 +565,14 @@ fn tampered_manifest_section_and_blob_still_fail() {
     assert!(message.contains("materialized state root"), "{message}");
     assert!(message.contains("does not match"), "{message}");
 
-    // The same bytes staged for on-demand replay: the blob check names them.
-    let message = snapshot_error(materialize_on_demand(
-        &tampered, 0, &image, &registry, &cache,
-    ));
+    // The same bytes served on demand: staging hashes nothing, the blob
+    // check on receipt names them.
+    let (mut lazy, session) =
+        materialize_on_demand(&tampered, 0, &image, &registry, &cache).unwrap();
+    lazy.memory_mut()
+        .read_u8(COUNTER_CHUNK as u64 * 512)
+        .unwrap();
+    let message = snapshot_error(session.finish(&lazy, &tampered, &mut cache.clone()));
     assert!(message.contains("received blob does not hash"), "{message}");
 }
 

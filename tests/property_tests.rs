@@ -647,7 +647,9 @@ proptest! {
     /// verdict, fault, progress counters, and transfer-byte/round-trip
     /// accounting as the in-process path, under arbitrary write/snapshot
     /// interleavings, chunk choices, download modes, and deterministic link
-    /// loss — and a lossless link never retransmits.
+    /// loss — and a lossless link never retransmits.  On demand, the
+    /// miss-driven check also equals the provider replaying from its own
+    /// store and settling afterwards.
     #[test]
     fn networked_spot_check_equals_in_process(
         workload in proptest::collection::vec((0u8..6, any::<bool>()), 2..6),
@@ -661,6 +663,7 @@ proptest! {
         use avm_core::envelope::{Envelope, EnvelopeKind};
         use avm_core::ondemand::AuditorBlobCache;
         use avm_core::recorder::{Avmm, HostClock};
+        use avm_core::replay::Replayer;
         use avm_core::spotcheck::{spot_check, spot_check_on_demand};
         use avm_crypto::keys::{SignatureScheme, SigningKey};
         use avm_net::LinkConfig;
@@ -750,6 +753,38 @@ proptest! {
             let net_report = client.spot_check_on_demand(start, k, &image, &registry).unwrap();
             let fetched_equal = baseline.on_demand.as_ref().map(|c| c.fetched.clone())
                 == net_report.on_demand.as_ref().map(|c| c.fetched.clone());
+
+            // The miss-driven check against the provider staging its own
+            // store and settling afterwards: the same verdict, progress and
+            // final root, and the same blobs — received in first-touch
+            // order, one request per miss.
+            let chunk = client.fetch_log_chunk(start, k).unwrap();
+            let mut cache = AuditorBlobCache::new();
+            let (mut replayer, staged) = Replayer::from_snapshot_on_demand(
+                &image, &registry, avmm.snapshots(), start, &cache,
+            ).unwrap();
+            let outcome = replayer.replay(&chunk);
+            let summary = replayer.summary();
+            prop_assert_eq!(net_report.consistent, outcome.is_consistent());
+            prop_assert_eq!(net_report.fault.as_ref(), outcome.fault());
+            prop_assert_eq!(net_report.entries_replayed, summary.entries_replayed);
+            prop_assert_eq!(net_report.steps_replayed, summary.steps_executed);
+            prop_assert_eq!(net_report.final_state, summary.final_state);
+            let settled = staged.finish(replayer.machine(), avmm.snapshots(), &mut cache).unwrap();
+            let cost = net_report.on_demand.as_ref().unwrap();
+            let manifest = avmm.snapshots().chain_manifest_upto(start).unwrap();
+            // First-touch order within each store is the order its faults
+            // list: the order the settled exchange asks in.
+            for refs in [&manifest.mem_refs, &manifest.disk_refs] {
+                let of_store = |fetched: &[Digest]| -> Vec<Digest> {
+                    fetched.iter().copied().filter(|d| refs.iter().any(|(_, r)| r == d)).collect()
+                };
+                prop_assert_eq!(of_store(&cost.fetched), of_store(&settled.fetched));
+            }
+            prop_assert_eq!(cost.fetched.len(), settled.fetched.len());
+            prop_assert_eq!(cost.round_trips, 1 + cost.fetched_per_exchange.len() as u64);
+            let blob_exchanges = net_report.transport.round_trips - 2;
+            prop_assert_eq!(cost.round_trips, 1 + blob_exchanges);
             (baseline, net_report, fetched_equal)
         } else {
             let baseline = spot_check(

@@ -138,7 +138,7 @@ fn spot_check_with(start: u64, stream: &[u8]) -> Result<SpotCheckReport, CoreErr
     let fx = recording();
     let registry = GuestRegistry::new();
     let server = AuditServer::new(&fx.log, &fx.store);
-    let mut session = AuditSession::new(start, 1, false, &fx.image, &registry, &fx.store);
+    let mut session = AuditSession::new(start, 1, false, &fx.image, &registry);
     let mut step = session.start(0);
     loop {
         match step {
