@@ -7,6 +7,15 @@
 //! When either check fails, the auditor packages the log segment and the
 //! authenticators into [`Evidence`] that any third party can verify
 //! independently — without trusting the auditor or the audited machine.
+//!
+//! There is one audit, with two starts.  [`syntactic_phase`] is the first
+//! check of every segment an auditor receives: the hash chain from the
+//! segment's anchor, the held authenticators, the cross-references.  Only
+//! then does the replay begin — from the image for the whole log
+//! ([`audit_log`], and [`crate::session::AuditSession`] started at
+//! [`crate::session::Start::Image`]), or from a downloaded snapshot for a
+//! §3.5 spot check (the same session started at
+//! [`crate::session::Start::Snapshot`]).
 
 use std::collections::HashMap;
 
@@ -17,7 +26,7 @@ use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::Decode;
 
 use crate::error::FaultReason;
-use crate::events::{AckRecordRef, NdDetail, NdEventRecord, RecvRecordRef};
+use crate::events::{AckRecordRef, NdDetail, NdEventRecord, RecvRecordRef, SnapshotRecord};
 use crate::replay::{ReplayOutcome, ReplaySummary, Replayer};
 
 /// Verdict of an audit.
@@ -43,6 +52,14 @@ pub struct AuditReport {
 }
 
 impl AuditReport {
+    /// Names the audited machine, in the report and in its evidence.
+    pub(crate) fn name(&mut self, machine: &str) {
+        self.machine = machine.to_string();
+        if let AuditOutcome::Fail(evidence) = &mut self.outcome {
+            evidence.machine = machine.to_string();
+        }
+    }
+
     /// True if the audit found no fault.
     pub fn passed(&self) -> bool {
         matches!(self.outcome, AuditOutcome::Pass(_))
@@ -123,17 +140,18 @@ impl Evidence {
     }
 }
 
-/// Audits a log segment: syntactic check, cross-reference checks, then
-/// deterministic replay against the reference image.
+/// Audits a log segment: the syntactic phase, then deterministic replay
+/// against the reference image.
 ///
 /// This is the full-audit entry point ("replaying the log from the beginning
-/// of the execution"); spot checks go through [`crate::spotcheck`].
+/// of the execution"); over the wire it is an
+/// [`crate::session::AuditSession`] started at the image, which makes the
+/// same two calls (`audit_from_image`).
 ///
 /// Generic over the [`EntryView`]: [`Evidence::verify`] passes the owned
-/// segment it carries, [`crate::endpoint::AuditClient::audit_log`] the
-/// entries it decoded in place from the provider's packet.  Nothing is
-/// copied out of the segment unless the audit fails — the [`Evidence`] is
-/// the one owned copy of it.
+/// segment it carries, the session the entries it decoded in place from the
+/// provider's packet.  Nothing is copied out of the segment unless the audit
+/// fails — the [`Evidence`] is the one owned copy of it.
 #[allow(clippy::too_many_arguments)]
 pub fn audit_log<E: EntryView>(
     machine_name: &str,
@@ -144,60 +162,100 @@ pub fn audit_log<E: EntryView>(
     reference: &VmImage,
     registry: &GuestRegistry,
 ) -> AuditReport {
-    let entries_examined = segment.len() as u64;
-    let fail = |syntactic_ok: bool, fault: FaultReason| AuditReport {
-        machine: machine_name.to_string(),
-        outcome: AuditOutcome::Fail(Box::new(Evidence {
-            machine: machine_name.to_string(),
-            fault,
-            prev_hash: *prev_hash,
-            segment: segment.iter().map(EntryView::to_entry).collect(),
-            authenticators: authenticators.to_vec(),
-            reference_image: reference.digest(),
-        })),
-        entries_examined,
-        syntactic_ok,
-    };
-
-    // --- Syntactic check -------------------------------------------------
-    if let Err(e) = verify_segment(prev_hash, segment, authenticators, machine_key) {
-        return fail(false, FaultReason::SyntacticFailure(e.to_string()));
-    }
-    if let Err(fault) = syntactic_content_checks(segment) {
-        return fail(false, fault);
-    }
-
-    // --- Semantic check (deterministic replay) ---------------------------
-    let mut replayer = match Replayer::from_image(reference, registry) {
-        Ok(r) => r,
-        Err(e) => {
-            return fail(
-                true,
-                FaultReason::SyntacticFailure(format!(
-                    "could not instantiate reference machine: {e}"
-                )),
-            )
-        }
-    };
-    match replayer.replay(segment) {
-        ReplayOutcome::Consistent(summary) => AuditReport {
-            machine: machine_name.to_string(),
-            outcome: AuditOutcome::Pass(summary),
-            entries_examined,
-            syntactic_ok: true,
-        },
-        ReplayOutcome::Fault(fault) => fail(true, fault),
-    }
+    let (mut report, _) = audit_from_image(
+        prev_hash,
+        segment,
+        authenticators,
+        machine_key,
+        reference,
+        registry,
+    );
+    report.name(machine_name);
+    report
 }
 
-/// Additional syntactic checks on entry contents: every entry must decode,
-/// and every packet injection must cross-reference a logged RECV entry with
-/// a matching payload hash (paper §4.4: "the AVMM cross-references messages
-/// and inputs in such a way that any discrepancies can easily be detected").
+/// The whole-log audit's two calls — [`syntactic_phase`], then
+/// [`Replayer::replay`] from a fresh machine of `reference` — and the report
+/// they add up to, with the replay's truthful progress beside it.  The
+/// report names no machine yet ([`AuditReport::name`]).
+pub(crate) fn audit_from_image<E: EntryView>(
+    prev_hash: &Digest,
+    segment: &[E],
+    authenticators: &[Authenticator],
+    machine_key: &VerifyingKey,
+    reference: &VmImage,
+    registry: &GuestRegistry,
+) -> (AuditReport, ReplaySummary) {
+    let report = |syntactic_ok: bool, outcome: Result<ReplaySummary, FaultReason>| AuditReport {
+        machine: String::new(),
+        outcome: match outcome {
+            Ok(summary) => AuditOutcome::Pass(summary),
+            Err(fault) => AuditOutcome::Fail(Box::new(Evidence {
+                machine: String::new(),
+                fault,
+                prev_hash: *prev_hash,
+                segment: segment.iter().map(EntryView::to_entry).collect(),
+                authenticators: authenticators.to_vec(),
+                reference_image: reference.digest(),
+            })),
+        },
+        entries_examined: segment.len() as u64,
+        syntactic_ok,
+    };
+    if let Err(fault) = syntactic_phase(prev_hash, segment, authenticators, machine_key) {
+        return (report(false, Err(fault)), ReplaySummary::default());
+    }
+    let mut replayer = match Replayer::from_image(reference, registry) {
+        Ok(replayer) => replayer,
+        Err(e) => {
+            let fault = FaultReason::SyntacticFailure(format!(
+                "could not instantiate reference machine: {e}"
+            ));
+            return (report(true, Err(fault)), ReplaySummary::default());
+        }
+    };
+    let outcome = match replayer.replay(segment) {
+        ReplayOutcome::Consistent(summary) => Ok(summary),
+        ReplayOutcome::Fault(fault) => Err(fault),
+    };
+    (report(true, outcome), replayer.summary())
+}
+
+/// The syntactic phase (§4.5) of a segment the auditor received, run before
+/// anything is replayed or any state is requested: the hash chain extends
+/// `prev_hash` with dense sequence numbers, every authenticator in
+/// `authenticators` is genuine under `machine_key` and matches the entry it
+/// names (so each must name one inside the segment), and the contents pass
+/// [`syntactic_content_checks`].  An empty segment is a fault: it proves
+/// nothing.  A failure is the audit's verdict.
+pub fn syntactic_phase<E: EntryView>(
+    prev_hash: &Digest,
+    segment: &[E],
+    authenticators: &[Authenticator],
+    machine_key: &VerifyingKey,
+) -> Result<(), FaultReason> {
+    verify_segment(prev_hash, segment, authenticators, machine_key)
+        .map_err(|e| FaultReason::SyntacticFailure(e.to_string()))?;
+    syntactic_content_checks(segment)
+}
+
+/// Additional syntactic checks on entry contents: every RECV, ACK,
+/// nondeterministic-event and SNAPSHOT record must decode, and every packet
+/// injection must cross-reference a logged RECV entry with a matching
+/// payload hash (paper §4.4: "the AVMM cross-references messages and inputs
+/// in such a way that any discrepancies can easily be detected"), and every
+/// ACK a logged SEND.
+///
+/// A reference to a seq below the segment's first is to an entry the
+/// auditor did not receive — a spot check's chunk starts mid-log — so it is
+/// not a fault here; a whole log starts at seq 1, where there is no such
+/// seq.  (Replay still needs an injection's RECV: it faults on one it never
+/// saw.)
 ///
 /// Records are decoded in place; per RECV the check keeps the one thing a
 /// later injection is compared with — the hash of its payload.
 pub fn syntactic_content_checks<E: EntryView>(segment: &[E]) -> Result<(), FaultReason> {
+    let first = segment.first().map_or(0, EntryView::seq);
     let mut recv_payload_hashes: HashMap<u64, Digest> = HashMap::new();
     // SEND seqs in segment order: ascending, since `verify_segment` has
     // already established dense sequence numbers.
@@ -213,9 +271,12 @@ pub fn syntactic_content_checks<E: EntryView>(segment: &[E]) -> Result<(), Fault
             EntryKind::Send => {
                 send_seqs.push(seq);
             }
+            EntryKind::Snapshot => {
+                SnapshotRecord::decode_exact(entry.content()).map_err(malformed)?;
+            }
             EntryKind::Ack => {
                 let rec = AckRecordRef::decode_exact(entry.content()).map_err(malformed)?;
-                if send_seqs.binary_search(&rec.send_seq).is_err() {
+                if rec.send_seq >= first && send_seqs.binary_search(&rec.send_seq).is_err() {
                     return Err(FaultReason::CrossReferenceFailure {
                         seq,
                         detail: format!(
@@ -240,16 +301,17 @@ pub fn syntactic_content_checks<E: EntryView>(segment: &[E]) -> Result<(), Fault
                                 detail: "injected payload differs from the logged RECV message".into(),
                             })
                         }
-                        None => {
+                        None if recv_seq >= first => {
                             return Err(FaultReason::CrossReferenceFailure {
                                 seq,
                                 detail: format!("injection references RECV entry {recv_seq} not present in the segment"),
                             })
                         }
+                        None => {}
                     }
                 }
             }
-            EntryKind::Meta | EntryKind::Snapshot => {}
+            EntryKind::Meta => {}
         }
     }
     Ok(())
@@ -447,13 +509,17 @@ mod tests {
             matches!(fault, FaultReason::CrossReferenceFailure { seq: 6, .. }),
             "got {fault:?}"
         );
-        // A segment that starts after SEND 2: the ACK at 5 now points outside.
-        let fault = syntactic_content_checks(log.entries_range(3..=5)).unwrap_err();
+        // A segment that starts after SEND 2: the ACK at 5 names an entry
+        // the auditor did not receive — a spot check's chunk starts mid-log
+        // — which proves nothing either way, so it is no fault.
+        assert!(syntactic_content_checks(log.entries_range(3..=5)).is_ok());
+        assert!(syntactic_content_checks(log.entries_range(2..=5)).is_ok());
+        // A seq from the segment's first on must be a SEND before the ACK.
+        let fault = syntactic_content_checks(log.entries_range(4..=6)).unwrap_err();
         assert!(
-            matches!(fault, FaultReason::CrossReferenceFailure { seq: 5, .. }),
+            matches!(fault, FaultReason::CrossReferenceFailure { seq: 6, .. }),
             "got {fault:?}"
         );
-        assert!(syntactic_content_checks(log.entries_range(2..=5)).is_ok());
     }
 
     #[test]

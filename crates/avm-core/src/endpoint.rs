@@ -9,10 +9,11 @@
 //! [`avm_wire::audit`]) between an [`AuditClient`] and an [`AuditServer`],
 //! carried by an [`AuditTransport`].
 //!
-//! The spot-check procedure itself lives in [`crate::session::AuditSession`],
-//! a sans-IO state machine that emits requests and consumes responses.
-//! [`AuditClient`] is its *blocking* driver: a loop over
-//! [`AuditTransport::exchange`].  ([`crate::fleet::FleetAuditor`] is the
+//! The audit procedure itself — from the image or from a snapshot — lives in
+//! [`crate::session::AuditSession`], a sans-IO state machine that emits
+//! requests and consumes responses.  [`AuditClient`] is its *blocking*
+//! driver: a loop over [`AuditTransport::exchange`], which runs whole-log
+//! audits and spot checks alike.  ([`crate::fleet::FleetAuditor`] is the
 //! other driver, on a shared event loop; both hand the session the same
 //! borrowed view of the provider's packet.)
 //!
@@ -41,13 +42,14 @@
 //! many entries it has.  [`AuditServer::handle`] is the decoded view of
 //! `respond`, for callers that inspect a response instead of sending it.
 //! The auditor's side is the mirror image: the packet is parsed in place
-//! ([`AuditResponseRef`]) and only what is kept is copied.  A whole-log
-//! audit keeps nothing: [`AuditClient::audit_log`] runs inside the
-//! exchange, on [`avm_log::LogEntryRef`]s whose contents are still the
-//! packet's bytes, in one vector sized from the entry count the borrowed
-//! parse already bounded by the bytes that arrived.  A spot check copies its
-//! ~40-entry chunk into owned [`LogEntry`]s, because the session holds it
-//! across its next exchanges.
+//! ([`AuditResponseRef`]) and only what is kept is copied.  Every session
+//! judges its segment inside the exchange, on [`avm_log::LogEntryRef`]s
+//! whose contents are still the packet's bytes, in one vector sized from
+//! the entry count the borrowed parse already bounded by the bytes that
+//! arrived: the syntactic phase always, and from the image the replay too,
+//! so a whole-log audit ([`AuditClient::audit_log`]) keeps nothing.  A spot
+//! check copies its ~40-entry chunk into owned [`LogEntry`]s once the phase
+//! passed, because the session holds it across its next exchanges.
 //!
 //! # Example: an audit endpoint over a simulated link
 //!
@@ -92,12 +94,12 @@ use avm_wire::audit::{
 use avm_wire::Encode;
 
 use crate::attest::{Attestor, LaunchPolicy};
-use crate::audit::{audit_log, AuditReport};
+use crate::audit::AuditReport;
 use crate::error::{CoreError, FaultReason};
 use crate::ondemand::{AuditorBlobCache, ChainManifest};
 use crate::session::{
-    expect_attestation, expect_log_entries, expect_log_segment, expect_manifest, expect_sections,
-    AuditSession, Step,
+    expect_attestation, expect_log_segment, expect_manifest, expect_sections, AuditSession, Start,
+    Step,
 };
 use crate::snapshot::SnapshotStore;
 use crate::spotcheck::{snapshot_positions_in, SpotCheckReport};
@@ -268,10 +270,10 @@ impl<'a> AuditServer<'a> {
     ///
     /// When the provider's own SNAPSHOT records do not all decode, an honest
     /// provider cannot resolve chunk boundaries; it returns the log *prefix*
-    /// up to and including the first undecodable record.  The auditor
-    /// re-scans what it received and reaches the malformed-log verdict
-    /// itself — paying for exactly the entries it had to download to
-    /// discover the corruption, like the in-process scan does.
+    /// up to and including the first undecodable record.  The auditor's
+    /// syntactic phase reaches the malformed-log verdict on what it
+    /// received — paying for exactly the entries it had to download to
+    /// discover the corruption.
     fn respond_log_chunk(&self, log: &dyn LogSource, start_snapshot: u64, chunk: u64) -> Vec<u8> {
         let positions = match snapshot_positions_in(log.entries()) {
             Ok(positions) => positions,
@@ -652,10 +654,12 @@ impl AuditTransport for SimNetTransport<'_> {
 /// every audit — spot checks in both §3.5 download modes, full log audits,
 /// and standalone downloads — through an [`AuditTransport`].
 ///
-/// Spot checks are one [`AuditSession`] each, driven by a blocking loop
-/// ([`AuditClient::spot_check`] and friends differ only in the session they
-/// build).  The free functions in [`crate::spotcheck`] are thin wrappers
-/// that build a client over a [`SimNetTransport`] on the modelled WAN link.
+/// Every audit is one [`AuditSession`], driven by a blocking loop
+/// ([`AuditClient::run`]; [`AuditClient::audit_log`],
+/// [`AuditClient::spot_check`] and [`AuditClient::spot_check_on_demand`]
+/// differ only in the session they build).  The free functions in
+/// [`crate::spotcheck`] are thin wrappers that build a client over a
+/// [`SimNetTransport`] on the modelled WAN link.
 pub struct AuditClient<T> {
     transport: T,
     cache: AuditorBlobCache,
@@ -770,14 +774,14 @@ impl<T: AuditTransport> AuditClient<T> {
         })
     }
 
-    /// Full audit of the provider's log: requests the segment
-    /// `[from_seq, to_seq]` (`0` = end of log) with its chain anchor over
-    /// the transport and runs the complete syntactic + semantic check
-    /// ([`crate::audit::audit_log`]) against `reference` *on the packet the
-    /// response arrived in*: entries are decoded in place, every content
-    /// byte is hashed and replayed from the packet buffer, and an owned
-    /// copy of the segment exists only as the [`crate::audit::Evidence`] of
-    /// a failed audit.
+    /// Full audit of the provider's log: an [`AuditSession`] started at
+    /// [`Start::Image`] over the segment `[from_seq, to_seq]` (`0` = end of
+    /// log), holding `authenticators`.  The syntactic and the semantic check
+    /// ([`crate::audit::audit_log`]'s) run against `reference` *on the
+    /// packet the response arrived in*: entries are decoded in place, every
+    /// content byte is hashed and replayed from the packet buffer, and an
+    /// owned copy of the segment exists only as the
+    /// [`crate::audit::Evidence`] of a failed audit.
     #[allow(clippy::too_many_arguments)]
     pub fn audit_log(
         &mut self,
@@ -789,19 +793,12 @@ impl<T: AuditTransport> AuditClient<T> {
         reference: &VmImage,
         registry: &GuestRegistry,
     ) -> Result<AuditReport, CoreError> {
-        let address = SegmentAddress::Seq { from_seq, to_seq };
-        self.request(&AuditRequest::LogSegment(address), |response| {
-            let (prev, segment, _) = expect_log_entries(response)?;
-            Ok(audit_log(
-                machine_name,
-                &prev,
-                &segment,
-                authenticators,
-                machine_key,
-                reference,
-                registry,
-            ))
-        })
+        let mut session = AuditSession::new(Start::Image { from_seq, to_seq }, reference, registry)
+            .with_authenticators(machine_key, authenticators);
+        self.drive(&mut session)?;
+        Ok(session
+            .into_audit_report(machine_name)
+            .expect("an image start that settled has judged its segment"))
     }
 
     /// Spot check with the snapshot state downloaded in full (sections over
@@ -813,7 +810,12 @@ impl<T: AuditTransport> AuditClient<T> {
         image: &VmImage,
         registry: &GuestRegistry,
     ) -> Result<SpotCheckReport, CoreError> {
-        self.run(start_snapshot, k, false, image, registry)
+        let start = Start::Snapshot {
+            id: start_snapshot,
+            k,
+            on_demand: false,
+        };
+        self.run(AuditSession::new(start, image, registry))
     }
 
     /// Spot check in on-demand mode (§3.5 incremental state requests),
@@ -825,24 +827,30 @@ impl<T: AuditTransport> AuditClient<T> {
         image: &VmImage,
         registry: &GuestRegistry,
     ) -> Result<SpotCheckReport, CoreError> {
-        self.run(start_snapshot, k, true, image, registry)
+        let start = Start::Snapshot {
+            id: start_snapshot,
+            k,
+            on_demand: true,
+        };
+        self.run(AuditSession::new(start, image, registry))
+    }
+
+    /// Runs `session` to its report over this client's transport, with the
+    /// client's blob cache in place of the session's.
+    pub fn run(&mut self, session: AuditSession<'_>) -> Result<SpotCheckReport, CoreError> {
+        let mut session = session.with_cache(std::mem::take(&mut self.cache));
+        let outcome = self.drive(&mut session);
+        // Blobs fetched before a failure stay verified; keep them.
+        self.cache = session.into_cache();
+        outcome
     }
 
     /// The blocking driver of [`AuditSession`]: every request the session
     /// issues is one [`AuditTransport::exchange`], whose response goes
     /// straight back in.  A blocking client has no clock, so session time
     /// stands still at 0.
-    fn run(
-        &mut self,
-        start_snapshot: u64,
-        k: u64,
-        on_demand: bool,
-        image: &VmImage,
-        registry: &GuestRegistry,
-    ) -> Result<SpotCheckReport, CoreError> {
+    fn drive(&mut self, session: &mut AuditSession<'_>) -> Result<SpotCheckReport, CoreError> {
         let stats_before = self.transport.stats();
-        let mut session = AuditSession::new(start_snapshot, k, on_demand, image, registry)
-            .with_cache(std::mem::take(&mut self.cache));
         let mut step = session.start(0);
         let outcome = loop {
             step = match step {
@@ -858,8 +866,6 @@ impl<T: AuditTransport> AuditClient<T> {
                 Step::Done(outcome) => break outcome,
             };
         };
-        // Blobs fetched before a failure stay verified; keep them.
-        self.cache = session.into_cache();
         let mut report = outcome?;
         report.transport = self.transport.stats().since(&stats_before);
         Ok(report)
@@ -1115,7 +1121,7 @@ mod tests {
 
     /// A corrupt SNAPSHOT record reaches the same malformed-log verdict and
     /// truthful log accounting over the network: the provider returns its
-    /// log prefix, the auditor re-scans what it received.
+    /// log prefix, the auditor's syntactic phase refuses it.
     #[test]
     fn malformed_log_verdict_is_identical_over_the_network() {
         let (bob, image) = record_with_snapshots(3);

@@ -44,7 +44,8 @@
 use std::collections::{HashMap, VecDeque};
 
 use avm_attest::AttestVerdict;
-use avm_log::LogSource;
+use avm_crypto::keys::VerifyingKey;
+use avm_log::{Authenticator, LogSource};
 use avm_net::{
     run_event_loop, Delivery, Endpoint, EventLoopReport, LinkConfig, NodeId, NodeStats, SimNet,
 };
@@ -59,7 +60,7 @@ use crate::endpoint::{
 };
 use crate::error::CoreError;
 use crate::ondemand::AuditorBlobCache;
-use crate::session::{AuditSession, Step};
+use crate::session::{AuditSession, Start, Step};
 use crate::snapshot::SnapshotStore;
 use crate::spotcheck::SpotCheckReport;
 
@@ -367,6 +368,17 @@ pub struct AuditTask {
     pub start_at_us: u64,
 }
 
+impl AuditTask {
+    /// Where the task's session starts: the chunk after its snapshot.
+    pub(crate) fn start(&self) -> Start {
+        Start::Snapshot {
+            id: self.start_snapshot,
+            k: self.chunk,
+            on_demand: self.on_demand,
+        }
+    }
+}
+
 /// A §3.5 spot check as a non-blocking endpoint: one
 /// [`AuditSession`] driven from [`Endpoint::on_delivery`] /
 /// [`Endpoint::on_tick`], so N copies interleave on one shared network (see
@@ -401,13 +413,7 @@ impl<'a> FleetAuditor<'a> {
             wire: AuditorWire::new(node, provider, session_id, timeout_us),
             start_at_us: task.start_at_us,
             started: false,
-            session: AuditSession::new(
-                task.start_snapshot,
-                task.chunk,
-                task.on_demand,
-                image,
-                registry,
-            ),
+            session: AuditSession::new(task.start(), image, registry),
             pending: None,
             outcome: None,
             finished_at_us: None,
@@ -417,6 +423,19 @@ impl<'a> FleetAuditor<'a> {
     /// Resumes with a persistent blob cache from earlier audits.
     pub fn with_cache(mut self, cache: AuditorBlobCache) -> FleetAuditor<'a> {
         self.session = self.session.with_cache(cache);
+        self
+    }
+
+    /// Judges the chunk against `authenticators` the audited machine signed
+    /// under `machine_key` ([`AuditSession::with_authenticators`]).
+    pub fn with_authenticators(
+        mut self,
+        machine_key: &'a VerifyingKey,
+        authenticators: &'a [Authenticator],
+    ) -> FleetAuditor<'a> {
+        self.session = self
+            .session
+            .with_authenticators(machine_key, authenticators);
         self
     }
 

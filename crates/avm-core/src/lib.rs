@@ -37,9 +37,10 @@
 //! * [`ondemand`] — the digest-addressed snapshot transfer protocol and
 //!   on-demand partial-state replay ("request the parts of the state that
 //!   are accessed", §3.5).
-//! * [`session`] — the §3.5 spot check itself, written once as the sans-IO
-//!   [`session::AuditSession`]: requests out, borrowed responses in, a
-//!   report at the end.
+//! * [`session`] — the audit itself, written once as the sans-IO
+//!   [`session::AuditSession`] started at the image (the whole log) or at a
+//!   snapshot (a §3.5 spot check): requests out, borrowed responses in, the
+//!   syntactic phase before any state request, a report at the end.
 //! * [`endpoint`] — the auditor/provider endpoints ([`endpoint::AuditClient`]
 //!   / [`endpoint::AuditServer`]) speaking the audit protocol of
 //!   [`avm_wire::audit`] over the simulated network with retransmission
@@ -162,5 +163,5 @@ pub use ondemand::{
 pub use persist::{PersistConfig, PersistError, Provider, RecoveryReport, SnapshotManifest};
 pub use recorder::{Avmm, HostClock, OutboundMessage};
 pub use replay::{ReplayOutcome, Replayer};
-pub use session::{AuditSession, Step};
+pub use session::{AuditSession, Start, Step};
 pub use snapshot::{Snapshot, SnapshotStore, StoredSnapshot, TransferCost};

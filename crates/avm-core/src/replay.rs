@@ -370,7 +370,9 @@ impl Replayer {
         ReplayOutcome::Consistent(self.summary.clone())
     }
 
-    /// Replays a single log entry (exposed for online/incremental auditing).
+    /// Replays a single log entry: the step of [`Replayer::replay`], public
+    /// so a caller can advance several replayers in lockstep and compare
+    /// them entry by entry (the image-baseline equivalence tests do).
     ///
     /// Records are decoded in place from the entry's content; the one copy
     /// replay keeps of a log byte is a RECV payload, held for the injection

@@ -1,28 +1,59 @@
-//! The §3.5 spot check as one sans-IO state machine.
+//! The audit as one sans-IO state machine.
 //!
-//! The paper has *one* spot-check procedure: fetch the log chunk, fetch the
-//! snapshot state — whole, or on demand — replay, compare.  [`AuditSession`]
-//! is that procedure, written once.  It owns no clock, no socket and no
-//! simulated network: a driver calls [`AuditSession::start`], puts each
-//! [`Step::Send`] request on whatever wire it has, and feeds every accepted
-//! response back through [`AuditSession::on_response`] until the session
-//! answers [`Step::Done`].  Two drivers exist:
+//! The paper has *one* audit: a syntactic check of the log, then a semantic
+//! check that replays it (§4.5).  A §3.5 spot check is the same audit of a
+//! segment that starts at a snapshot instead of the image.  [`AuditSession`]
+//! is that procedure, written once, with one [`Start`]:
+//!
+//! * [`Start::Image`] — the log segment by sequence number, replayed from a
+//!   fresh machine of the image: the whole-log audit.  No state is
+//!   requested; on a fault the session keeps transferable evidence
+//!   ([`AuditSession::into_audit_report`]).
+//! * [`Start::Snapshot`] — the `k`-chunk after a snapshot, replayed from the
+//!   snapshot's state, downloaded in full or on demand.
+//!
+//! Either way the first response is the segment, and the session runs the
+//! **syntactic phase** on it ([`crate::audit::syntactic_phase`]) where it
+//! landed, on [`LogEntryRef`]s, before it asks for anything else: the hash
+//! chain from the response's anchor, every held authenticator the segment
+//! covers, and the content checks (every record decodes, every injection
+//! and acknowledgment names a logged RECV / SEND).  A failed phase is the
+//! verdict — `consistent: false` with the fault [`crate::audit::audit_log`]
+//! would give — after the one segment exchange.
+//!
+//! The authenticators are what bind the segment to the machine's history:
+//! [`AuditSession::with_authenticators`] hands the session the machine's
+//! key and what its clients collected, and a spot check judges its chunk
+//! against those whose seq the chunk covers
+//! ([`SpotCheckReport::authenticators_checked`]).  A check that held none
+//! (or none inside its chunk) reports 0, and then proves only that the
+//! chunk is *a* well-formed log that replays from the state served with it
+//! — a provider answering with a consistent twin execution's log and store
+//! passes it.
+//!
+//! The session owns no clock, no socket and no simulated network: a driver
+//! calls [`AuditSession::start`], puts each [`Step::Send`] request on
+//! whatever wire it has, and feeds every accepted response back through
+//! [`AuditSession::on_response`] until the session answers [`Step::Done`].
+//! Two drivers exist:
 //!
 //! * [`crate::endpoint::AuditClient`] — a blocking loop over
 //!   [`crate::endpoint::AuditTransport::exchange`];
 //! * [`crate::fleet::FleetAuditor`] — an [`avm_net::Endpoint`] on a shared
 //!   event loop, adding only the session envelope and the retransmit timer.
 //!
-//! Responses arrive as the *borrowed* [`AuditResponseRef`]: the section
+//! Responses arrive as the *borrowed* [`AuditResponseRef`]: the segment is
+//! checked (and, from the image, replayed) in the packet, the section
 //! stream is installed onto the start machine from the packet buffer
 //! ([`crate::snapshot::install_sections`]), the manifest decoded in place,
 //! blob payloads authenticated before they are copied anywhere.  Every byte a
 //! provider sends is parsed and judged here and nowhere else, so this is the
 //! one surface a hostile provider can reach (and the one a fuzzer drives).
-//! It holds no reference to provider state: what it knows is the image, its
-//! own blob cache and the bytes it received.  The report states what the
-//! session received, and what a download nobody made *would* have cost is
-//! priced by the experiments that print it (`avm_bench::pricing`).
+//! It holds no reference to provider state: what it knows is the image, the
+//! key and authenticators it was given, its own blob cache and the bytes it
+//! received.  The report states what the session received, and what a
+//! download nobody made *would* have cost is priced by the experiments that
+//! print it (`avm_bench::pricing`).
 //!
 //! # Misses
 //!
@@ -47,8 +78,9 @@
 //! order, one round trip per miss; a warm cache makes none.
 
 use avm_attest::AttestVerdict;
+use avm_crypto::keys::VerifyingKey;
 use avm_crypto::sha256::Digest;
-use avm_log::{EntryView, LogEntry, LogEntryRef};
+use avm_log::{Authenticator, EntryView, LogEntry, LogEntryRef};
 use avm_vm::image::ImageKind;
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::attest::{AttestChallenge, AttestQuote};
@@ -56,11 +88,12 @@ use avm_wire::audit::{AuditRequest, AuditResponseRef, SegmentAddress};
 use avm_wire::{BlobRequest, BlobResponseRef, Decode};
 
 use crate::attest::{challenge_nonce, LaunchPolicy};
+use crate::audit::{audit_from_image, syntactic_phase, AuditReport};
 use crate::endpoint::TransportStats;
 use crate::error::{CoreError, FaultReason};
 use crate::ondemand::{AuditorBlobCache, BlobFetch, ChainManifest, OnDemandCost, OnDemandSession};
 use crate::replay::{ReplaySummary, Replayer};
-use crate::spotcheck::{snapshot_positions_in, SpotCheckReport};
+use crate::spotcheck::SpotCheckReport;
 
 // ---------------------------------------------------------------------------
 // Response parsing
@@ -78,45 +111,41 @@ fn unexpected(expected: &str, got: AuditResponseRef<'_>) -> CoreError {
     }
 }
 
-/// A log-segment response: the chain anchor, what `keep` made of each entry
-/// — handed over as a [`LogEntryRef`] decoded in place, its content still
-/// the packet's bytes — and the bytes the encodings occupied in the packet.
-fn log_segment_with<'r, T>(
-    response: AuditResponseRef<'r>,
-    keep: impl Fn(LogEntryRef<'r>) -> T,
-) -> Result<(Digest, Vec<T>, u64), CoreError> {
+/// A log-segment response: the chain anchor, each entry as a
+/// [`LogEntryRef`] decoded in place — its content still the packet's bytes,
+/// nothing copied out — and the bytes the encodings occupied in the packet.
+/// The session judges a segment where it landed.
+fn expect_log_entries(
+    response: AuditResponseRef<'_>,
+) -> Result<(Digest, Vec<LogEntryRef<'_>>, u64), CoreError> {
     match response {
         AuditResponseRef::LogSegment { prev_hash, entries } => {
             let received = entries.iter().map(|bytes| bytes.len() as u64).sum();
             // Sized once: the borrowed decode already bounded the count by
             // the bytes that arrived.
-            let mut kept = Vec::with_capacity(entries.len());
+            let mut views = Vec::with_capacity(entries.len());
             for bytes in entries {
                 let entry = LogEntryRef::decode_exact(bytes)
                     .map_err(|e| CoreError::Snapshot(format!("log entry does not decode: {e}")))?;
-                kept.push(keep(entry));
+                views.push(entry);
             }
-            Ok((Digest(prev_hash), kept, received))
+            Ok((Digest(prev_hash), views, received))
         }
         other => Err(unexpected("LogSegment", other)),
     }
 }
 
-/// A log segment audited where it landed: nothing is copied out of the
-/// packet ([`crate::endpoint::AuditClient::audit_log`] runs on exactly this).
-pub(crate) fn expect_log_entries(
-    response: AuditResponseRef<'_>,
-) -> Result<(Digest, Vec<LogEntryRef<'_>>, u64), CoreError> {
-    log_segment_with(response, |entry| entry)
-}
-
 /// A log segment kept past its exchange, every entry copied out of the
-/// packet: the standalone downloads, and the spot-check session (whose
-/// ~40-entry chunk waits through its next exchanges).
+/// packet: the standalone downloads.
 pub(crate) fn expect_log_segment(
     response: AuditResponseRef<'_>,
 ) -> Result<(Digest, Vec<LogEntry>, u64), CoreError> {
-    log_segment_with(response, |entry| entry.to_entry())
+    let (prev_hash, entries, received) = expect_log_entries(response)?;
+    Ok((
+        prev_hash,
+        entries.iter().map(EntryView::to_entry).collect(),
+        received,
+    ))
 }
 
 /// A manifest response, decoded straight from the packet buffer, and the
@@ -160,6 +189,32 @@ pub(crate) fn expect_attestation(response: AuditResponseRef<'_>) -> Result<Attes
 // The session
 // ---------------------------------------------------------------------------
 
+/// Where an audit starts: the state its replay begins from, and so the log
+/// segment it asks for first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Start {
+    /// A fresh machine of the image, replaying the log segment
+    /// `[from_seq, to_seq]` (`to_seq == 0`: to the end of the log) — the
+    /// whole-log audit.  Every held authenticator must fall inside the
+    /// segment: one past its end is a withheld tail.
+    Image {
+        /// First sequence number asked for (1: the whole log).
+        from_seq: u64,
+        /// Last sequence number asked for, `0` for the end of the log.
+        to_seq: u64,
+    },
+    /// Snapshot `id`, replaying the `k`-chunk after it (§3.5), its state
+    /// downloaded `on_demand` or in full.
+    Snapshot {
+        /// Snapshot the chunk starts at.
+        id: u64,
+        /// Chunk size: snapshots the chunk spans.
+        k: u64,
+        /// §3.5 incremental state requests instead of a full download.
+        on_demand: bool,
+    },
+}
+
 /// What the driver does next.
 #[derive(Debug)]
 // A session ends once: boxing its report would buy nothing.
@@ -181,7 +236,6 @@ type Replayed = (Option<FaultReason>, ReplaySummary);
 /// resumes or re-stages from after a miss.
 struct OnDemandReplay {
     entries: Vec<LogEntry>,
-    log_bytes: u64,
     manifest: ChainManifest,
     manifest_bytes: u64,
     replayer: Replayer,
@@ -197,16 +251,14 @@ enum State {
     Attest {
         challenge: AttestChallenge,
     },
-    Chunk,
-    /// Full-download mode.
+    Segment,
+    /// Full-download mode, the chunk through its syntactic phase.
     Sections {
         entries: Vec<LogEntry>,
-        log_bytes: u64,
     },
-    /// On-demand mode.
+    /// On-demand mode, the chunk through its syntactic phase.
     Manifest {
         entries: Vec<LogEntry>,
-        log_bytes: u64,
     },
     /// On-demand replay stopped on a miss; `request` asks for what it needs.
     Missed {
@@ -216,14 +268,14 @@ enum State {
     Done,
 }
 
-/// One §3.5 spot check, from the first request to the report (see the module
-/// docs for the driver contract).
+/// One audit, from the first request to the report (see the module docs for
+/// the driver contract).
 pub struct AuditSession<'a> {
-    start_snapshot: u64,
-    k: u64,
-    on_demand: bool,
+    start: Start,
     image: &'a VmImage,
     registry: &'a GuestRegistry,
+    /// The audited machine's key and the authenticators the auditor holds.
+    held: (&'a VerifyingKey, &'a [Authenticator]),
     cache: AuditorBlobCache,
     /// Blobs received by this session; they join `cache` when it ends, so
     /// that staging reads only what the session started with.
@@ -232,30 +284,42 @@ pub struct AuditSession<'a> {
     attest: Option<(&'a LaunchPolicy, u64)>,
     state: State,
     attest_verdict: Option<AttestVerdict>,
+    /// Bytes the segment's entries occupied in their packet.
+    log_bytes: u64,
+    /// Held authenticators the segment was judged against.
+    authenticators_checked: usize,
+    /// An image start's whole-log report, once judged.
+    whole_log: Option<AuditReport>,
 }
 
 impl<'a> AuditSession<'a> {
-    /// A session checking the `k`-chunk at `start_snapshot`, downloading the
-    /// snapshot state `on_demand` or in full.
-    pub fn new(
-        start_snapshot: u64,
-        k: u64,
-        on_demand: bool,
-        image: &'a VmImage,
-        registry: &'a GuestRegistry,
-    ) -> AuditSession<'a> {
+    /// A session auditing from `start`, holding no authenticators.
+    pub fn new(start: Start, image: &'a VmImage, registry: &'a GuestRegistry) -> AuditSession<'a> {
         AuditSession {
-            start_snapshot,
-            k,
-            on_demand,
+            start,
             image,
             registry,
+            held: (&VerifyingKey::Null, &[]),
             cache: AuditorBlobCache::new(),
             received: AuditorBlobCache::new(),
             attest: None,
             state: State::Idle,
             attest_verdict: None,
+            log_bytes: 0,
+            authenticators_checked: 0,
+            whole_log: None,
         }
+    }
+
+    /// Judges the segment against `authenticators` the audited machine
+    /// signed under `machine_key` (module docs).
+    pub fn with_authenticators(
+        mut self,
+        machine_key: &'a VerifyingKey,
+        authenticators: &'a [Authenticator],
+    ) -> AuditSession<'a> {
+        self.held = (machine_key, authenticators);
+        self
     }
 
     /// Resumes with the auditor's persistent blob cache.
@@ -266,8 +330,8 @@ impl<'a> AuditSession<'a> {
 
     /// Opens the session with an attestation challenge under `policy`; the
     /// nonce derives from `session_id` and the start time
-    /// ([`challenge_nonce`]).  The chunk request goes out only on a verified
-    /// launch; any other verdict ends the session.
+    /// ([`challenge_nonce`]).  The segment request goes out only on a
+    /// verified launch; any other verdict ends the session.
     pub fn with_attestation(
         mut self,
         policy: &'a LaunchPolicy,
@@ -291,8 +355,19 @@ impl<'a> AuditSession<'a> {
         cache
     }
 
+    /// Ends an image-start session with its whole-log report — the verdict,
+    /// and on a fault the [`crate::audit::Evidence`] a third party can
+    /// check — naming the audited `machine`.  `None` before a verdict, and
+    /// for a snapshot start, whose chunk a third party could not replay from
+    /// the image.
+    pub fn into_audit_report(self, machine: &str) -> Option<AuditReport> {
+        let mut report = self.whole_log?;
+        report.name(machine);
+        Some(report)
+    }
+
     /// Opens the session at simulated time `now_us`: the attestation
-    /// challenge if a policy is set, the log-chunk request otherwise.
+    /// challenge if a policy is set, the segment request otherwise.
     pub fn start(&mut self, now_us: u64) -> Step {
         match self.attest {
             Some((_, session_id)) => {
@@ -303,7 +378,7 @@ impl<'a> AuditSession<'a> {
                 self.state = State::Attest { challenge };
                 Step::Send(AuditRequest::Attest(challenge))
             }
-            None => self.request_chunk(),
+            None => self.request_segment(),
         }
     }
 
@@ -315,13 +390,9 @@ impl<'a> AuditSession<'a> {
     pub fn on_response(&mut self, now_us: u64, response: AuditResponseRef<'_>) -> Step {
         let next = match std::mem::replace(&mut self.state, State::Done) {
             State::Attest { challenge } => self.on_attest(now_us, response, challenge),
-            State::Chunk => self.on_chunk(response),
-            State::Sections { entries, log_bytes } => {
-                self.on_sections(response, &entries, log_bytes)
-            }
-            State::Manifest { entries, log_bytes } => {
-                self.on_manifest(response, entries, log_bytes)
-            }
+            State::Segment => self.on_segment(response),
+            State::Sections { entries } => self.on_sections(response, &entries),
+            State::Manifest { entries } => self.on_manifest(response, entries),
             State::Missed { replay, request } => self.on_blobs(response, replay, &request),
             State::Idle | State::Done => Err(CoreError::Snapshot(
                 "audit session has no exchange outstanding".to_string(),
@@ -330,12 +401,16 @@ impl<'a> AuditSession<'a> {
         next.unwrap_or_else(|error| Step::Done(Err(error)))
     }
 
-    fn request_chunk(&mut self) -> Step {
-        self.state = State::Chunk;
-        Step::Send(AuditRequest::LogSegment(SegmentAddress::Chunk {
-            start_snapshot: self.start_snapshot,
-            chunk: self.k,
-        }))
+    fn request_segment(&mut self) -> Step {
+        self.state = State::Segment;
+        let address = match self.start {
+            Start::Image { from_seq, to_seq } => SegmentAddress::Seq { from_seq, to_seq },
+            Start::Snapshot { id, k, .. } => SegmentAddress::Chunk {
+                start_snapshot: id,
+                chunk: k,
+            },
+        };
+        Step::Send(AuditRequest::LogSegment(address))
     }
 
     fn on_attest(
@@ -355,32 +430,59 @@ impl<'a> AuditSession<'a> {
                 "attestation rejected: {verdict}"
             )));
         }
-        // Launch verified — the same session continues into the spot check.
-        Ok(self.request_chunk())
+        // Launch verified — the same session continues into the audit.
+        Ok(self.request_segment())
     }
 
-    fn on_chunk(&mut self, response: AuditResponseRef<'_>) -> Result<Step, CoreError> {
-        // The provider resolves the chunk boundaries; one whose SNAPSHOT
-        // records do not all decode returns its log prefix instead (see
-        // `AuditServer::respond`).
-        let (_, entries, log_bytes) = expect_log_segment(response)?;
-        // Scan what was *received* — the auditor never trusts the provider's
-        // classification.  A corrupt SNAPSHOT record is itself the verdict,
-        // and the log downloaded so far is the truthful cost.
-        if let Err(fault) = snapshot_positions_in(&entries) {
-            let replayed = (Some(fault), ReplaySummary::default());
-            return Ok(self.finish(replayed, log_bytes, 0, None));
+    /// The segment, judged where it landed before anything else is asked
+    /// for (module docs).  The provider resolves a chunk's boundaries; one
+    /// whose SNAPSHOT records do not all decode returns its log prefix
+    /// instead (see `AuditServer::respond`), which the syntactic phase
+    /// refuses at the record.
+    fn on_segment(&mut self, response: AuditResponseRef<'_>) -> Result<Step, CoreError> {
+        let (prev_hash, entries, log_bytes) = expect_log_entries(response)?;
+        self.log_bytes = log_bytes;
+        let (key, held) = self.held;
+        let Start::Snapshot { id, on_demand, .. } = self.start else {
+            // The start state is the image: both phases run on the packet.
+            self.authenticators_checked = held.len();
+            let (report, progress) =
+                audit_from_image(&prev_hash, &entries, held, key, self.image, self.registry);
+            let fault = report.fault().cloned();
+            self.whole_log = Some(report);
+            return Ok(self.finish((fault, progress), 0, None));
+        };
+        // A chunk starts mid-log, so it answers for the authenticators whose
+        // seq it covers; an empty one (its start snapshot ends the log)
+        // covers none and has no chain to check.
+        if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
+            let covered = first.seq()..=last.seq();
+            let inside: Vec<Authenticator> = held
+                .iter()
+                .filter(|auth| covered.contains(&auth.seq))
+                .cloned()
+                .collect();
+            self.authenticators_checked = inside.len();
+            if let Err(fault) = syntactic_phase(&prev_hash, &entries, &inside, key) {
+                return Ok(self.finish((Some(fault), ReplaySummary::default()), 0, None));
+            }
         }
-        if self.on_demand {
-            self.state = State::Manifest { entries, log_bytes };
-            Ok(Step::Send(AuditRequest::Manifest {
-                snapshot_id: self.start_snapshot,
-            }))
+        let entries = entries.iter().map(EntryView::to_entry).collect();
+        if on_demand {
+            self.state = State::Manifest { entries };
+            Ok(Step::Send(AuditRequest::Manifest { snapshot_id: id }))
         } else {
-            self.state = State::Sections { entries, log_bytes };
-            Ok(Step::Send(AuditRequest::Sections {
-                upto_id: self.start_snapshot,
-            }))
+            self.state = State::Sections { entries };
+            Ok(Step::Send(AuditRequest::Sections { upto_id: id }))
+        }
+    }
+
+    /// The snapshot a chunk starts at and its size `k` (both 0 from the
+    /// image).
+    fn chunk(&self) -> (u64, u64) {
+        match self.start {
+            Start::Snapshot { id, k, .. } => (id, k),
+            Start::Image { .. } => (0, 0),
         }
     }
 
@@ -388,30 +490,27 @@ impl<'a> AuditSession<'a> {
         &mut self,
         response: AuditResponseRef<'_>,
         entries: &[LogEntry],
-        log_bytes: u64,
     ) -> Result<Step, CoreError> {
         // The stream is the snapshot download: the start state is installed
         // from it where it lies in the packet, and its length is what the
         // download cost.
         let stream = expect_sections(response)?;
         let mut replayer =
-            Replayer::from_sections(self.image, self.registry, stream, self.start_snapshot)?;
+            Replayer::from_sections(self.image, self.registry, stream, self.chunk().0)?;
         let fault = replayer.replay(entries).fault().cloned();
         let replayed = (fault, replayer.summary());
-        Ok(self.finish(replayed, log_bytes, stream.len() as u64, None))
+        Ok(self.finish(replayed, stream.len() as u64, None))
     }
 
     fn on_manifest(
         &mut self,
         response: AuditResponseRef<'_>,
         entries: Vec<LogEntry>,
-        log_bytes: u64,
     ) -> Result<Step, CoreError> {
         let (manifest, manifest_bytes) = expect_manifest(response)?;
         let (replayer, ondemand) = self.stage(&manifest, manifest_bytes, &[])?;
         self.replay(Box::new(OnDemandReplay {
             entries,
-            log_bytes,
             manifest,
             manifest_bytes,
             replayer,
@@ -485,7 +584,7 @@ impl<'a> AuditSession<'a> {
         let classification = run.ondemand.classify_faults(run.replayer.machine())?;
         let cost = run.ondemand.assemble_cost(classification, run.fetch);
         // The manifest and the blob responses are the snapshot download.
-        Ok(self.finish(replayed, run.log_bytes, cost.transfer_bytes, Some(cost)))
+        Ok(self.finish(replayed, cost.transfer_bytes, Some(cost)))
     }
 
     fn on_blobs(
@@ -514,20 +613,21 @@ impl<'a> AuditSession<'a> {
     fn finish(
         &mut self,
         (fault, progress): Replayed,
-        log_transfer_bytes: u64,
         snapshot_transfer_bytes: u64,
         on_demand: Option<OnDemandCost>,
     ) -> Step {
         self.state = State::Done;
+        let (start_snapshot, chunk_size) = self.chunk();
         Step::Done(Ok(SpotCheckReport {
-            start_snapshot: self.start_snapshot,
-            chunk_size: self.k,
+            start_snapshot,
+            chunk_size,
             consistent: fault.is_none(),
             fault,
             entries_replayed: progress.entries_replayed,
             steps_replayed: progress.steps_executed,
             final_state: progress.final_state,
-            log_transfer_bytes,
+            authenticators_checked: self.authenticators_checked,
+            log_transfer_bytes: self.log_bytes,
             snapshot_transfer_bytes,
             on_demand,
             transport: TransportStats::default(),
@@ -539,6 +639,7 @@ impl<'a> AuditSession<'a> {
 mod tests {
     use super::*;
     use crate::endpoint::{AuditClient, AuditServer, AuditTransport};
+    use crate::spotcheck::snapshot_positions_in;
     use crate::testutil::{key, record_with_snapshots, TamperingTransport};
     use avm_log::EntryKind;
     use avm_wire::audit::AuditResponse;
@@ -597,7 +698,15 @@ mod tests {
         );
         let server = AuditServer::new(bob.log(), bob.snapshots()).with_attestor(&attestor);
         for (on_demand, attest) in [(false, false), (false, true), (true, false), (true, true)] {
-            let mut session = AuditSession::new(2, 1, on_demand, &image, &registry);
+            let mut session = AuditSession::new(
+                Start::Snapshot {
+                    id: 2,
+                    k: 1,
+                    on_demand,
+                },
+                &image,
+                &registry,
+            );
             if attest {
                 session = session.with_attestation(&policy, 7);
             }
@@ -634,7 +743,15 @@ mod tests {
         let (bob, image) = record_with_snapshots(5);
         let registry = GuestRegistry::new();
         let server = AuditServer::new(bob.log(), bob.snapshots());
-        let session = AuditSession::new(1, 3, true, &image, &registry);
+        let session = AuditSession::new(
+            Start::Snapshot {
+                id: 1,
+                k: 3,
+                on_demand: true,
+            },
+            &image,
+            &registry,
+        );
         let mut chunk = Vec::new();
         let (sent, outcome) = drive(session, &server, |_, response| {
             if let AuditResponse::LogSegment { entries, .. } = &response {
@@ -698,7 +815,15 @@ mod tests {
         let registry = GuestRegistry::new();
         let server = AuditServer::new(bob.log(), bob.snapshots());
         for on_demand in [false, true] {
-            let session = AuditSession::new(2, 1, on_demand, &image, &registry);
+            let session = AuditSession::new(
+                Start::Snapshot {
+                    id: 2,
+                    k: 1,
+                    on_demand,
+                },
+                &image,
+                &registry,
+            );
             let (mut log, mut snapshot, mut wire) = (0u64, 0u64, 0u64);
             let (_, outcome) = drive(session, &server, |_, response| {
                 wire += response.encoded_len() as u64;
@@ -753,7 +878,15 @@ mod tests {
             ),
         ];
         for (damage, wanted) in damages {
-            let session = AuditSession::new(2, 1, false, &image, &registry);
+            let session = AuditSession::new(
+                Start::Snapshot {
+                    id: 2,
+                    k: 1,
+                    on_demand: false,
+                },
+                &image,
+                &registry,
+            );
             let (sent, outcome) = drive(session, &server, |_, response| match response {
                 AuditResponse::Sections { mut stream } => {
                     assert_eq!(stream.len() as u64, honest_len);
@@ -785,7 +918,15 @@ mod tests {
             (true, 2, "Blobs"),
             (false, 0, "LogSegment"),
         ] {
-            let session = AuditSession::new(2, 1, on_demand, &image, &registry);
+            let session = AuditSession::new(
+                Start::Snapshot {
+                    id: 2,
+                    k: 1,
+                    on_demand,
+                },
+                &image,
+                &registry,
+            );
             let (sent, outcome) = drive(
                 session,
                 &server,
@@ -804,7 +945,15 @@ mod tests {
             assert!(error.contains(&wanted), "{error}");
         }
         // … and a manifest where the section stream belongs.
-        let session = AuditSession::new(2, 1, false, &image, &registry);
+        let session = AuditSession::new(
+            Start::Snapshot {
+                id: 2,
+                k: 1,
+                on_demand: false,
+            },
+            &image,
+            &registry,
+        );
         let (_, outcome) = drive(session, &server, |i, response| match i {
             1 => AuditResponse::Manifest { manifest: vec![] },
             _ => response,
@@ -831,7 +980,15 @@ mod tests {
             ),
         ];
         for (tamper, wanted) in tampers {
-            let session = AuditSession::new(2, 1, true, &image, &registry);
+            let session = AuditSession::new(
+                Start::Snapshot {
+                    id: 2,
+                    k: 1,
+                    on_demand: true,
+                },
+                &image,
+                &registry,
+            );
             let (sent, outcome) = drive(session, &server, |_, response| match response {
                 AuditResponse::Blobs(mut blobs) => {
                     tamper(&mut blobs.blobs);
@@ -890,7 +1047,7 @@ mod tests {
             error.contains("log entry does not decode: unexpected end of input"),
             "{error}"
         );
-        // The whole-log audit's parser is the same parser.
+        // The session's in-place parser is the same parser.
         assert_eq!(expect_log_entries(response).unwrap_err().to_string(), error);
     }
 
@@ -908,7 +1065,15 @@ mod tests {
             |entry| entry.push(0),
         ];
         for damage in damages {
-            let session = AuditSession::new(2, 1, false, &image, &registry);
+            let session = AuditSession::new(
+                Start::Snapshot {
+                    id: 2,
+                    k: 1,
+                    on_demand: false,
+                },
+                &image,
+                &registry,
+            );
             let mut wanted = String::new();
             let (sent, outcome) = drive(session, &server, |_, response| match response {
                 AuditResponse::LogSegment {
@@ -1074,7 +1239,15 @@ mod tests {
         let server = AuditServer::new(bob.log(), bob.snapshots());
         for (on_demand, exchanges) in [(false, 2), (true, 3)] {
             for at in 0..exchanges {
-                let session = AuditSession::new(2, 1, on_demand, &image, &registry);
+                let session = AuditSession::new(
+                    Start::Snapshot {
+                        id: 2,
+                        k: 1,
+                        on_demand,
+                    },
+                    &image,
+                    &registry,
+                );
                 let (sent, outcome) = drive(session, &server, |i, response| {
                     if i == at {
                         AuditResponse::Error {
@@ -1113,7 +1286,15 @@ mod tests {
         }
         let server = AuditServer::new(&rebuilt, bob.snapshots());
         for on_demand in [false, true] {
-            let session = AuditSession::new(0, 1, on_demand, &image, &registry);
+            let session = AuditSession::new(
+                Start::Snapshot {
+                    id: 0,
+                    k: 1,
+                    on_demand,
+                },
+                &image,
+                &registry,
+            );
             let (sent, outcome) = drive(session, &server, honest);
             // The verdict comes from the received prefix alone: no snapshot
             // state is requested, none is reported.
@@ -1135,12 +1316,15 @@ mod tests {
     // The audit wire is the whole interface
     // -----------------------------------------------------------------------
 
+    use crate::events::AckRecord;
     use crate::testutil::{
-        db_recording, fleet_spot_check, worker_recording, Recording, TamperingProvider,
+        db_recording, fleet_auditor, fleet_spot_check, worker_recording, Recording,
+        TamperingProvider,
     };
     use avm_net::LinkConfig;
     use proptest::prelude::*;
     use std::collections::VecDeque;
+    use std::convert::identity;
 
     /// A transport that keeps a copy of every exchange it carries: the
     /// request, and the response body as it arrived.
@@ -1314,7 +1498,7 @@ mod tests {
             let server = AuditServer::new(&honest.log, store);
             let (image, registry) = (&honest.image, &honest.registry);
             let outcome = if fleet {
-                fleet_spot_check(&mut TamperingProvider { server, tamper }, image, registry, start)
+                fleet_spot_check(&mut TamperingProvider { server, tamper }, fleet_auditor(image, registry, start, true))
             } else {
                 AuditClient::new(TamperingTransport { server, tamper })
                     .spot_check_on_demand(start, 1, image, registry)
@@ -1329,6 +1513,232 @@ mod tests {
                     prop_assert!(false, "{:?} reached a verdict: {:?}", lie, report.fault)
                 }
             }
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // The syntactic phase comes first
+    // -----------------------------------------------------------------------
+
+    /// Every (on-demand, fleet) pair: both download modes on both drivers.
+    const MODES: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
+
+    /// A spot check of the chunk after `start` (`k = 1`) of `recording`'s
+    /// image, in one of [`MODES`], against `server` with the chunk's encoded
+    /// entries passed through `damage`, judged against `held` (signed under
+    /// the fixtures' null key): the request kinds sent and how it ended.
+    fn check(
+        recording: &Recording,
+        server: AuditServer<'_>,
+        held: &[Authenticator],
+        (on_demand, fleet): (bool, bool),
+        start: u64,
+        mut damage: impl FnMut(Vec<Vec<u8>>) -> Vec<Vec<u8>>,
+    ) -> (Vec<&'static str>, Result<SpotCheckReport, CoreError>) {
+        let (image, registry) = (&recording.image, &recording.registry);
+        let null = VerifyingKey::Null;
+        let mut sent = Vec::new();
+        let tamper = |request: &AuditRequest, body: Vec<u8>| {
+            sent.push(kind(request));
+            if !matches!(request, AuditRequest::LogSegment(_)) {
+                return body;
+            }
+            match AuditResponse::decode_exact(&body).unwrap() {
+                AuditResponse::LogSegment { prev_hash, entries } => AuditResponse::LogSegment {
+                    prev_hash,
+                    entries: damage(entries),
+                }
+                .encode_to_vec(),
+                _ => body,
+            }
+        };
+        let outcome = if fleet {
+            let auditor =
+                fleet_auditor(image, registry, start, on_demand).with_authenticators(&null, held);
+            fleet_spot_check(&mut TamperingProvider { server, tamper }, auditor)
+        } else {
+            let start = Start::Snapshot {
+                id: start,
+                k: 1,
+                on_demand,
+            };
+            let session =
+                AuditSession::new(start, image, registry).with_authenticators(&null, held);
+            AuditClient::new(TamperingTransport { server, tamper }).run(session)
+        };
+        (sent, outcome)
+    }
+
+    /// The twin execution's log and store, served to an auditor holding the
+    /// honest run's authenticators: the chunk is refused at the first
+    /// authenticator it covers, before any state is asked for — in both
+    /// modes, on both drivers.  Held by no one, the same twin replays
+    /// consistently, and the report says nothing bound it to a history.
+    #[test]
+    fn a_twin_history_is_a_syntactic_failure() {
+        for (honest, twin) in recordings() {
+            let server = AuditServer::new(&twin.log, &twin.store);
+            for mode in MODES {
+                let (sent, outcome) =
+                    check(twin, server, &honest.authenticators, mode, 0, identity);
+                let report = outcome.unwrap();
+                assert_eq!(sent, ["Chunk"], "{mode:?}");
+                assert!(!report.consistent);
+                match &report.fault {
+                    Some(FaultReason::SyntacticFailure(detail)) => {
+                        assert!(detail.contains("authenticator does not match"), "{detail}")
+                    }
+                    other => panic!("expected an authenticator mismatch, got {other:?}"),
+                }
+                assert!(report.authenticators_checked > 0);
+                assert_eq!(report.snapshot_transfer_bytes, 0);
+
+                let (sent, outcome) = check(twin, server, &[], mode, 0, identity);
+                let report = outcome.unwrap();
+                assert!(report.consistent, "{:?}", report.fault);
+                assert_eq!(report.authenticators_checked, 0);
+                assert!(sent.len() > 1);
+            }
+        }
+    }
+
+    /// The honest chunk opens with ACKs of SENDs from before it — entries
+    /// the auditor did not receive, so no fault — and passes with the
+    /// authenticators it covers checked.  An ACK naming a seq inside the
+    /// chunk that is no SEND is a cross-reference failure, found before any
+    /// state is asked for.
+    #[test]
+    fn acks_are_judged_against_the_chunk_they_arrive_in() {
+        let request = AuditRequest::LogSegment(SegmentAddress::Chunk {
+            start_snapshot: 0,
+            chunk: 1,
+        });
+        for (honest, _) in recordings() {
+            let server = AuditServer::new(&honest.log, &honest.store);
+            let AuditResponse::LogSegment { entries, .. } = server.handle(&request) else {
+                panic!("the chunk is served");
+            };
+            let chunk: Vec<LogEntry> = entries
+                .iter()
+                .map(|bytes| LogEntry::decode_exact(bytes).unwrap())
+                .collect();
+            let ack = chunk
+                .iter()
+                .find(|e| {
+                    e.kind == EntryKind::Ack
+                        && AckRecord::decode_exact(&e.content).unwrap().send_seq < chunk[0].seq
+                })
+                .expect("the chunk acknowledges a SEND from before it");
+            for mode in MODES {
+                let (_, outcome) = check(honest, server, &honest.authenticators, mode, 0, identity);
+                let report = outcome.unwrap();
+                assert!(report.consistent, "{mode:?}: {:?}", report.fault);
+                assert!(report.authenticators_checked > 0);
+            }
+
+            // The same ACK naming itself, the chain rebuilt over it.
+            let mut rebuilt = avm_log::TamperEvidentLog::new();
+            for e in honest.log.entries() {
+                let content = if e.seq == ack.seq {
+                    AckRecord {
+                        send_seq: ack.seq,
+                        ack_bytes: Vec::new(),
+                    }
+                    .encode_to_vec()
+                } else {
+                    e.content.clone()
+                };
+                rebuilt.append(e.kind, content);
+            }
+            let server = AuditServer::new(&rebuilt, &honest.store);
+            for mode in MODES {
+                let (sent, outcome) = check(honest, server, &[], mode, 0, identity);
+                assert_eq!(sent, ["Chunk"]);
+                let fault = outcome.unwrap().fault;
+                assert!(
+                    matches!(fault, Some(FaultReason::CrossReferenceFailure { seq, .. }) if seq == ack.seq),
+                    "{fault:?}"
+                );
+            }
+        }
+    }
+
+    /// A chunk that starts at the snapshot ending the log is empty: nothing
+    /// to check, nothing to replay, and consistent.
+    #[test]
+    fn an_empty_chunk_is_consistent_with_no_entries() {
+        for (honest, _) in recordings() {
+            let entries = honest.log.entries();
+            assert_eq!(entries.last().unwrap().kind, EntryKind::Snapshot);
+            let last = snapshot_positions_in(entries).unwrap().last().unwrap().1;
+            let server = AuditServer::new(&honest.log, &honest.store);
+            for mode in MODES {
+                let (sent, outcome) =
+                    check(honest, server, &honest.authenticators, mode, last, identity);
+                let report = outcome.unwrap();
+                assert!(report.consistent, "{mode:?}: {:?}", report.fault);
+                assert_eq!(report.entries_replayed, 0);
+                assert_eq!(report.authenticators_checked, 0);
+                assert_eq!(report.log_transfer_bytes, 0);
+                assert_eq!(sent[0], "Chunk");
+                assert!(sent.len() > 1);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// One entry of the chunk dropped (any but the last: the rest of the
+        /// chunk is then an honest, shorter one), duplicated, swapped with
+        /// its neighbour, or one content byte flipped: the syntactic phase
+        /// refuses it, and no state is ever requested — both recordings,
+        /// both modes, both drivers, with and without authenticators.
+        #[test]
+        fn a_damaged_chunk_is_caught_before_any_state_is_requested(
+            db in any::<bool>(),
+            mode in 0usize..4,
+            held in any::<bool>(),
+            damage in 0usize..4,
+            index in any::<usize>(),
+            pick in any::<u64>(),
+        ) {
+            let (honest, _) = recordings()[usize::from(db)];
+            let held: &[Authenticator] = if held { &honest.authenticators } else { &[] };
+            let server = AuditServer::new(&honest.log, &honest.store);
+            let (sent, outcome) = check(honest, server, held, MODES[mode], 0, |mut entries| {
+                let n = entries.len();
+                assert!(n >= 2, "a chunk of {n} entries");
+                let at = index % (n - 1);
+                match damage {
+                    0 => drop(entries.remove(at)),
+                    1 => {
+                        let copy = entries[at].clone();
+                        entries.insert(at, copy);
+                    }
+                    2 => entries.swap(at, at + 1),
+                    _ => {
+                        let decoded = |bytes: &[u8]| LogEntry::decode_exact(bytes).unwrap();
+                        let i = (at..n)
+                            .chain(0..at)
+                            .find(|&i| !decoded(&entries[i]).content.is_empty())
+                            .expect("an entry has content");
+                        let mut entry = decoded(&entries[i]);
+                        let len = entry.content.len();
+                        entry.content[pick as usize % len] ^= 1 << (pick % 8);
+                        entries[i] = entry.encode_to_vec();
+                    }
+                }
+                entries
+            });
+            prop_assert_eq!(sent, vec!["Chunk"]);
+            let report = outcome.unwrap();
+            prop_assert!(!report.consistent);
+            prop_assert!(
+                matches!(report.fault, Some(FaultReason::SyntacticFailure(_))),
+                "{:?}",
+                report.fault
+            );
         }
     }
 }

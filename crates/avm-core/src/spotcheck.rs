@@ -69,9 +69,10 @@ pub const TRANSFER_RTT: RttModel = RttModel::DEFAULT;
 /// out).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpotCheckReport {
-    /// Index of the first segment in the chunk (snapshot id the check starts from).
+    /// Index of the first segment in the chunk (snapshot id the check starts
+    /// from; 0 for an audit started at the image).
     pub start_snapshot: u64,
-    /// Number of consecutive segments covered (`k`).
+    /// Number of consecutive segments covered (`k`; 0 from the image).
     pub chunk_size: u64,
     /// Whether the chunk replayed consistently.
     pub consistent: bool,
@@ -85,19 +86,24 @@ pub struct SpotCheckReport {
     /// Merkle state root replay ended in, when the chunk replayed
     /// consistently: the same in both download modes.
     pub final_state: Option<Digest>,
+    /// Held authenticators the chunk was judged against: those whose seq it
+    /// covers.  0 means the check bound the chunk to no signed history — it
+    /// shows only that the chunk is a well-formed log replaying from the
+    /// state served with it ([`crate::session`]).
+    pub authenticators_checked: usize,
     /// Bytes of log received for the chunk: the summed lengths of the entry
     /// encodings as they arrived.
     pub log_transfer_bytes: u64,
     /// Bytes of snapshot state received to start the check: the section
     /// stream in full-download mode, the manifest plus every blob response
-    /// in on-demand mode (equal to `on_demand.transfer_bytes`).  Zero on the
-    /// malformed-log early return, which downloads no snapshot state.
+    /// in on-demand mode (equal to `on_demand.transfer_bytes`).  Zero when
+    /// the syntactic phase failed, which ends the check before any snapshot
+    /// state is requested.
     pub snapshot_transfer_bytes: u64,
     /// On-demand detail — faults, cache hits, fetched digests, round trips.
     /// Present when the check ran via [`spot_check_on_demand`] *and* replay
-    /// started; absent in full-download mode and on the malformed-log early
-    /// return, where the corruption verdict is reached before any snapshot
-    /// state is downloaded.
+    /// started; absent in full-download mode and after a failed syntactic
+    /// phase.
     pub on_demand: Option<OnDemandCost>,
     /// Wire-level accounting of the exchanges this check drove through its
     /// [`crate::endpoint::AuditTransport`]: round trips, framed bytes,
@@ -164,9 +170,10 @@ pub fn snapshot_positions(
     snapshot_positions_in(log.entries())
 }
 
-/// [`snapshot_positions`] over a slice of entries — the form an auditor
-/// applies to a log segment it *downloaded* (it never trusts the provider's
-/// own classification of its log).
+/// [`snapshot_positions`] over a slice of entries: the provider resolving a
+/// chunk's boundaries.  (An auditor finds an undecodable SNAPSHOT record in
+/// what it received with the syntactic phase,
+/// [`crate::audit::syntactic_content_checks`].)
 pub fn snapshot_positions_in(
     entries: &[LogEntry],
 ) -> Result<Vec<(usize, u64, Digest)>, FaultReason> {

@@ -16,7 +16,7 @@ use crate::recorder::{Avmm, HostClock};
 use crate::snapshot::SnapshotStore;
 use crate::spotcheck::SpotCheckReport;
 use avm_crypto::keys::{SignatureScheme, SigningKey};
-use avm_log::TamperEvidentLog;
+use avm_log::{Authenticator, TamperEvidentLog};
 use avm_net::{run_event_loop, Delivery, Endpoint, LinkConfig, NodeId, SimNet};
 use avm_vm::bytecode::assemble;
 use avm_vm::packet::encode_guest_packet;
@@ -101,11 +101,17 @@ pub(crate) struct Recording {
     pub registry: GuestRegistry,
     pub log: TamperEvidentLog,
     pub store: SnapshotStore,
+    /// What the peer collected: the authenticator of every acknowledgment
+    /// and of every envelope the machine sent (all under
+    /// `VerifyingKey::Null`).
+    pub authenticators: Vec<Authenticator>,
 }
 
 /// Records `image` (unsigned, so it builds fast) over one delivered packet
 /// per entry of `payloads`, snapshotting after every `snapshot_every`-th
-/// packet and after the last.
+/// packet and after the last.  The peer acknowledges each packet the machine
+/// sends once the snapshot decision is made, so a chunk can open with ACKs
+/// of SENDs from before it.
 fn record(
     image: VmImage,
     registry: GuestRegistry,
@@ -117,6 +123,7 @@ fn record(
     bob.add_peer("alice", SigningKey::Null.verifying_key());
     let mut clock = HostClock::at(10);
     bob.run_slice(&clock, 20_000).unwrap();
+    let mut authenticators = Vec::new();
     let mut sent = 0;
     for payload in payloads {
         sent += 1;
@@ -130,10 +137,27 @@ fn record(
             &SigningKey::Null,
             None,
         );
-        bob.deliver(&env).unwrap();
-        bob.run_slice(&clock, 100_000).unwrap();
+        let ack = bob
+            .deliver(&env)
+            .unwrap()
+            .expect("a recording machine acknowledges");
+        authenticators.extend(ack.decode_ack().and_then(|ack| ack.authenticator));
+        let outbound = bob.run_slice(&clock, 100_000).unwrap();
         if sent % snapshot_every == 0 {
             bob.take_snapshot();
+        }
+        for out in outbound {
+            authenticators.extend(out.envelope.authenticator);
+            let ack = Envelope::create(
+                EnvelopeKind::Ack,
+                "alice",
+                "bob",
+                out.envelope.msg_id,
+                Vec::new(),
+                &SigningKey::Null,
+                None,
+            );
+            bob.deliver(&ack).unwrap();
         }
     }
     bob.take_snapshot();
@@ -142,14 +166,15 @@ fn record(
         registry,
         log: bob.log().clone(),
         store: bob.snapshots().clone(),
+        authenticators,
     }
 }
 
 /// The bytecode worker guest over four packets, a snapshot after each;
-/// `twin` sends longer packets, so its store is another execution's, one
-/// whose counter no replay of the honest log reaches.  (No spot check
-/// compares the start state with the root the log committed to — ROADMAP
-/// item 2 — so a twin that converges onto the honest state would pass.)
+/// `twin` sends longer packets, so its log and store are another
+/// execution's, one whose counter no replay of the honest log reaches.  An
+/// auditor holding the honest run's authenticators refuses the twin's log;
+/// one holding none judges only the chunk and the state served with it.
 pub(crate) fn worker_recording(twin: bool) -> &'static Recording {
     static RECORDINGS: [OnceLock<Recording>; 2] = [OnceLock::new(), OnceLock::new()];
     RECORDINGS[usize::from(twin)].get_or_init(|| {
@@ -231,24 +256,30 @@ impl<F: FnMut(&AuditRequest, Vec<u8>) -> Vec<u8>> Endpoint for TamperingProvider
     }
 }
 
-/// An on-demand spot check of the chunk after `start` by one
-/// [`FleetAuditor`] against `provider` on a lossless shared network.
-pub(crate) fn fleet_spot_check(
-    provider: &mut dyn Endpoint,
-    image: &VmImage,
-    registry: &GuestRegistry,
+/// A [`FleetAuditor`] for the fleet fixtures' provider, checking the chunk
+/// after `start` (`k = 1`) `on_demand` or in full.
+pub(crate) fn fleet_auditor<'a>(
+    image: &'a VmImage,
+    registry: &'a GuestRegistry,
     start: u64,
-) -> Result<SpotCheckReport, CoreError> {
-    let link = LinkConfig::default();
+    on_demand: bool,
+) -> FleetAuditor<'a> {
     let task = AuditTask {
         start_snapshot: start,
         chunk: 1,
-        on_demand: true,
+        on_demand,
         start_at_us: 0,
     };
-    let timeout = link_timeout_us(&link);
-    let mut auditor = FleetAuditor::new(NodeId(2), PROVIDER, 7, image, registry, task, timeout);
-    let mut net = SimNet::new(link);
+    let timeout = link_timeout_us(&LinkConfig::default());
+    FleetAuditor::new(NodeId(2), PROVIDER, 7, image, registry, task, timeout)
+}
+
+/// Runs `auditor` against `provider` on a lossless shared network.
+pub(crate) fn fleet_spot_check(
+    provider: &mut dyn Endpoint,
+    mut auditor: FleetAuditor<'_>,
+) -> Result<SpotCheckReport, CoreError> {
+    let mut net = SimNet::new(LinkConfig::default());
     run_event_loop(&mut net, &mut [provider, &mut auditor], 1_000_000);
     auditor.into_parts().0
 }

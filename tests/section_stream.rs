@@ -14,7 +14,7 @@ use avm_core::config::AvmmOptions;
 use avm_core::endpoint::AuditServer;
 use avm_core::envelope::{Envelope, EnvelopeKind};
 use avm_core::recorder::{Avmm, HostClock};
-use avm_core::session::{AuditSession, Step};
+use avm_core::session::{AuditSession, Start, Step};
 use avm_core::snapshot::{install_sections, SnapshotStore};
 use avm_core::spotcheck::SpotCheckReport;
 use avm_core::CoreError;
@@ -138,7 +138,15 @@ fn spot_check_with(start: u64, stream: &[u8]) -> Result<SpotCheckReport, CoreErr
     let fx = recording();
     let registry = GuestRegistry::new();
     let server = AuditServer::new(&fx.log, &fx.store);
-    let mut session = AuditSession::new(start, 1, false, &fx.image, &registry);
+    let mut session = AuditSession::new(
+        Start::Snapshot {
+            id: start,
+            k: 1,
+            on_demand: false,
+        },
+        &fx.image,
+        &registry,
+    );
     let mut step = session.start(0);
     loop {
         match step {
