@@ -3,8 +3,8 @@
 //!
 //! A [`SpotCheckReport`] states the raw bytes the auditor received.  The
 //! experiments also want compressed sizes (§6.12 ships compressed snapshots),
-//! the downloads the auditor did *not* make (the full dump beside an
-//! on-demand check, the digest-addressed dedup transfer) and what an
+//! the downloads the auditor did *not* make (the full dump beside either
+//! check, the digest-addressed dedup transfer) and what an
 //! unbatched blob exchange would have paid.  An experiment owns the
 //! provider's log and store, so it can rebuild each stream and price it; the
 //! rebuilds are pinned to the reports by this module's tests.
@@ -41,8 +41,8 @@ pub fn log_chunk(log: &TamperEvidentLog, report: &SpotCheckReport) -> TransferCo
 }
 
 /// The full-dump model: the whole-section stream that starts `report`'s
-/// chunk — what a full-download check received, and what an on-demand check
-/// avoided.
+/// chunk — the paper's full snapshot download, which a check of either mode
+/// avoids (a full download fetches only what the image and its cache lack).
 pub fn full_dump(store: &SnapshotStore, report: &SpotCheckReport) -> TransferCost {
     store.transfer_cost_upto(report.start_snapshot, TRANSFER_COMPRESSION)
 }
@@ -61,10 +61,14 @@ pub fn dedup_download(
         .transfer
 }
 
-/// The on-demand download `report` made — manifest, then the blob response
-/// of each exchange, one per miss — as one compressed stream.
+/// The snapshot download `report` made — manifest, then the blob response
+/// of each exchange, one per miss on demand or per prefetch batch in full —
+/// as one compressed stream.
 pub fn on_demand_download(store: &SnapshotStore, report: &SpotCheckReport) -> TransferCost {
-    let cost = report.on_demand.as_ref().expect("an on-demand report");
+    let cost = report
+        .on_demand
+        .as_ref()
+        .expect("a report whose replay started");
     let manifest = store
         .chain_manifest_upto(report.start_snapshot)
         .expect("checked snapshot has a manifest");
@@ -115,17 +119,25 @@ mod tests {
             assert!(full.consistent && od.consistent);
             assert_eq!(log_chunk(log, &full).raw_bytes, full.log_transfer_bytes);
             assert_eq!(log_chunk(log, &od).raw_bytes, od.log_transfer_bytes);
-            assert_eq!(
-                full_dump(store, &full).raw_bytes,
-                full.snapshot_transfer_bytes
-            );
-            let cost = od.on_demand.as_ref().unwrap();
-            assert!(!cost.fetched.is_empty());
-            assert_eq!(
-                on_demand_download(store, &od).raw_bytes,
-                cost.transfer_bytes
-            );
-            assert_eq!(od.snapshot_transfer_bytes, cost.transfer_bytes);
+            // Both downloads are the manifest plus the blob responses
+            // received: batches of what the image lacks, or one per miss.
+            for (report, batched) in [(&full, true), (&od, false)] {
+                let cost = report.on_demand.as_ref().unwrap();
+                assert!(!cost.fetched.is_empty());
+                if batched {
+                    let digests: Vec<_> = cost.fetched.iter().map(|d| d.0).collect();
+                    let batches = BlobRequest::batches(&digests, avm_wire::DEFAULT_BLOB_BATCH);
+                    let sizes: Vec<usize> = batches.iter().map(BlobRequest::len).collect();
+                    assert_eq!(cost.fetched_per_exchange, sizes);
+                }
+                assert_eq!(
+                    on_demand_download(store, report).raw_bytes,
+                    cost.transfer_bytes
+                );
+                assert_eq!(report.snapshot_transfer_bytes, cost.transfer_bytes);
+            }
+            // … and neither is the whole-section dump.
+            assert!(full.snapshot_transfer_bytes < full_dump(store, &full).raw_bytes);
         }
     }
 

@@ -74,7 +74,7 @@
 //! let manifest = client.fetch_manifest(0).unwrap();
 //! assert_eq!(manifest.snapshot_id, 0);
 //!
-//! // The full-download model's state transfer over the same endpoint.
+//! // The paper's whole-section snapshot dump over the same endpoint.
 //! let stream = client.fetch_sections(0).unwrap();
 //! assert_eq!(stream.len() as u64, store.transfer_bytes_upto(0));
 //! assert_eq!(client.transport_stats().round_trips, 2);
@@ -98,8 +98,7 @@ use crate::audit::AuditReport;
 use crate::error::{CoreError, FaultReason};
 use crate::ondemand::{AuditorBlobCache, ChainManifest};
 use crate::session::{
-    expect_attestation, expect_log_segment, expect_manifest, expect_sections, AuditSession, Start,
-    Step,
+    expect_attestation, expect_log_segment, expect_manifest, unexpected, AuditSession, Start, Step,
 };
 use crate::snapshot::SnapshotStore;
 use crate::spotcheck::{snapshot_positions_in, SpotCheckReport};
@@ -767,11 +766,17 @@ impl<T: AuditTransport> AuditClient<T> {
     }
 
     /// Downloads the whole-section transfer stream up to `upto_id` — the
-    /// full-download model's state transfer, paid on the wire.
+    /// paper's full snapshot dump, paid on the wire.  No audit session asks
+    /// for it: a full-download spot check fetches the manifest and the blobs
+    /// the image and its cache lack.
     pub fn fetch_sections(&mut self, upto_id: u64) -> Result<Vec<u8>, CoreError> {
-        self.request(&AuditRequest::Sections { upto_id }, |response| {
-            expect_sections(response).map(<[u8]>::to_vec)
-        })
+        self.request(
+            &AuditRequest::Sections { upto_id },
+            |response| match response {
+                AuditResponseRef::Sections { stream } => Ok(stream.to_vec()),
+                other => Err(unexpected("Sections", other)),
+            },
+        )
     }
 
     /// Full audit of the provider's log: an [`AuditSession`] started at
@@ -801,8 +806,9 @@ impl<T: AuditTransport> AuditClient<T> {
             .expect("an image start that settled has judged its segment"))
     }
 
-    /// Spot check with the snapshot state downloaded in full (sections over
-    /// the transport), replayed by the serial replayer.
+    /// Spot check with the snapshot state downloaded in full before replay:
+    /// the manifest, then every blob neither the image nor the client's
+    /// cache holds, in batches (see [`crate::session`]).
     pub fn spot_check(
         &mut self,
         start_snapshot: u64,
@@ -985,11 +991,11 @@ mod tests {
         assert_eq!(net.stats(AUDITOR_NODE).dropped, 0);
     }
 
-    /// Full-download mode over the network: same equality, and the section
-    /// stream actually crosses the wire (response bytes dominate the
-    /// modelled full-dump column).
+    /// Full-download mode over the network: same equality, and what crosses
+    /// the wire is what the image lacks — the manifest and one batch of the
+    /// blobs the image does not hold — not the whole-section dump.
     #[test]
-    fn simnet_full_download_spot_check_matches_and_pays_sections() {
+    fn simnet_full_download_spot_check_matches_and_pays_what_the_image_lacks() {
         let (bob, image) = record_with_snapshots(3);
         let registry = GuestRegistry::new();
         let baseline = spot_check(bob.log(), bob.snapshots(), 1, 1, &image, &registry).unwrap();
@@ -999,19 +1005,21 @@ mod tests {
         ));
         let sim_report = sim.spot_check(1, 1, &image, &registry).unwrap();
         assert_eq!(baseline.semantic(), sim_report.semantic());
-        assert!(sim_report.on_demand.is_none());
-        // Log chunk + sections: two exchanges, carrying at least the
-        // full-dump stream plus the log segment.
-        assert_eq!(sim_report.transport.round_trips, 2);
+        // Log chunk, manifest, one prefetch batch: three exchanges, carrying
+        // at least what the report says was downloaded.
+        let cost = sim_report.on_demand.as_ref().unwrap();
+        assert!(!cost.fetched.is_empty());
+        assert_eq!(cost.fetched_per_exchange, [cost.fetched.len()]);
+        assert_eq!(sim_report.transport.round_trips, 3);
         assert!(
             sim_report.transport.response_bytes
                 >= sim_report.snapshot_transfer_bytes + sim_report.log_transfer_bytes
         );
-        // An honest provider's stream is exactly its full-dump accounting.
-        assert_eq!(
-            sim_report.snapshot_transfer_bytes,
-            bob.snapshots().transfer_bytes_upto(1)
-        );
+        // The manifest plus the blob response, far below the full dump.
+        let manifest = bob.snapshots().chain_manifest_upto(1).unwrap();
+        assert_eq!(cost.manifest_bytes, manifest.encoded_len() as u64);
+        assert_eq!(sim_report.snapshot_transfer_bytes, cost.transfer_bytes);
+        assert!(sim_report.snapshot_transfer_bytes < bob.snapshots().transfer_bytes_upto(1) / 2);
     }
 
     /// Deterministic loss: the exchange retransmits on timeout and still
@@ -1099,8 +1107,8 @@ mod tests {
     fn in_flight_response_is_never_timed_out() {
         let (bob, image) = record_with_snapshots(2);
         let registry = GuestRegistry::new();
-        // A slow link (1 byte/µs) and a timeout far below the section
-        // stream's multi-hundred-millisecond serialisation time.
+        // A slow link (1 byte/µs) and a timeout far below the manifest's
+        // multi-millisecond serialisation time.
         let slow_link = LinkConfig {
             latency_us: 50,
             drop_every: 0,
@@ -1113,7 +1121,7 @@ mod tests {
         let report = client.spot_check(0, 1, &image, &registry).unwrap();
         assert!(report.consistent);
         assert_eq!(report.transport.retransmissions, 0);
-        // The sections response alone serialises for far longer than the
+        // The manifest response alone serialises for far longer than the
         // 200 µs timeout — the wait was genuinely exercised.
         assert!(report.transport.response_bytes > 10_000);
         assert!(report.transport.elapsed_micros > report.transport.response_bytes);

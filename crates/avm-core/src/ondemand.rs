@@ -14,7 +14,8 @@
 //!    reference image holds that content somewhere) are never transferred,
 //!    and duplicate content (every zero chunk, say) is transferred at most
 //!    once.
-//!    [`dedup_transfer_upto`] models a *full-state* download in this mode —
+//!    A full-download audit session makes exactly that download, in
+//!    batches; [`dedup_transfer_upto`] prices it from the provider's side —
 //!    the "dedup" column of the spot-check accounting.
 //!
 //! 2. **On-demand replay.**  The starting machine is built from the
@@ -36,11 +37,12 @@
 //! # Round trips and batching
 //!
 //! Bytes are not the whole price of on-demand transfer: every exchange is a
-//! network round trip.  An audit session asks, per miss, for every blob the
-//! missing access needs in one [`BlobRequest`]; the provider-side
-//! [`fetch_blobs`] / [`OnDemandSession::finish`] batch up to
-//! [`avm_wire::DEFAULT_BLOB_BATCH`] digests per request.  Every accounting
-//! struct reports the round trips the exchange performed
+//! network round trip.  An on-demand audit session asks, per miss, for every
+//! blob the missing access needs in one [`BlobRequest`]; a full-download
+//! session asks for every digest it staged byteless before replay, and the
+//! provider-side [`fetch_blobs`] / [`OnDemandSession::finish`] settle after
+//! it, both in requests of up to [`avm_wire::DEFAULT_BLOB_BATCH`] digests.
+//! Every accounting struct reports the round trips the exchange performed
 //! ([`BlobFetch::round_trips`], [`OnDemandCost::round_trips`]), priced in
 //! modelled wall time by a configurable [`avm_wire::RttModel`].  (What a
 //! blob-at-a-time auditor would have paid instead is `1 + fetched.len()`;
@@ -74,6 +76,7 @@ use avm_compress::{CompressionLevel, CompressionStats, StreamMeasurer};
 use avm_crypto::parallel::sha256_batch;
 use avm_crypto::sha256::{sha256, Digest};
 use avm_vm::{GuestRegistry, Machine, VmImage};
+use avm_wire::varint::varint_len;
 use avm_wire::{
     BlobRequest, BlobResponse, BlobResponseRef, Decode, Encode, Reader, RttModel, WireResult,
     Writer, DEFAULT_BLOB_BATCH,
@@ -114,6 +117,9 @@ pub struct ChainManifest {
     pub disk_refs: Vec<(u32, Digest)>,
 }
 
+/// Encoded size of one reference: a 4-byte index and a 32-byte digest.
+const REF_LEN: usize = 4 + 32;
+
 fn encode_refs(w: &mut Writer, refs: &[(u32, Digest)]) {
     w.put_varint(refs.len() as u64);
     for (idx, hash) in refs {
@@ -122,9 +128,17 @@ fn encode_refs(w: &mut Writer, refs: &[(u32, Digest)]) {
     }
 }
 
+fn refs_encoded_len(refs: &[(u32, Digest)]) -> usize {
+    varint_len(refs.len() as u64) + refs.len() * REF_LEN
+}
+
+fn bytes_encoded_len(bytes: &[u8]) -> usize {
+    varint_len(bytes.len() as u64) + bytes.len()
+}
+
 fn decode_refs(r: &mut Reader<'_>) -> WireResult<Vec<(u32, Digest)>> {
     let n = r.get_varint()?;
-    let max = (r.remaining() / 36) as u64; // 4-byte index + 32-byte digest
+    let max = (r.remaining() / REF_LEN) as u64;
     if n > max {
         return Err(avm_wire::WireError::LengthOverflow { declared: n, max });
     }
@@ -148,6 +162,19 @@ impl Encode for ChainManifest {
         w.put_bytes(&self.dev_state);
         encode_refs(w, &self.mem_refs);
         encode_refs(w, &self.disk_refs);
+    }
+
+    /// By arithmetic: a manifest is ~40 KB, and its size is read on every
+    /// on-demand start.
+    fn encoded_len(&self) -> usize {
+        varint_len(self.snapshot_id)
+            + varint_len(self.step)
+            + 1
+            + 32
+            + bytes_encoded_len(&self.cpu_state)
+            + bytes_encoded_len(&self.dev_state)
+            + refs_encoded_len(&self.mem_refs)
+            + refs_encoded_len(&self.disk_refs)
     }
 }
 
@@ -433,8 +460,8 @@ pub(crate) fn verify_blob_response<'r>(
 /// `accept` authenticates and keeps one response, whoever carries the
 /// messages and however the requests were chosen: the provider-side
 /// [`fetch_blobs`] / [`OnDemandSession::finish`] `plan` batches up front,
-/// the sans-IO [`crate::session::AuditSession`] asks for what each miss
-/// needs.
+/// the sans-IO [`crate::session::AuditSession`] prefetches in batches (full
+/// download) or asks for what each miss needs (on demand).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BlobFetch {
     /// Digests actually transferred, in request order (never contains a
@@ -694,6 +721,8 @@ pub struct OnDemandSession {
     /// Source classification per staged digest (a digest staged at several
     /// indices resolves identically everywhere).
     sources: HashMap<Digest, StagedSource>,
+    /// Digests staged without their bytes, each once, in manifest order.
+    byteless: Vec<Digest>,
 }
 
 impl OnDemandSession {
@@ -722,6 +751,13 @@ impl OnDemandSession {
     /// Number of disk blocks staged for demand paging.
     pub fn staged_blocks(&self) -> usize {
         self.staged[1].len()
+    }
+
+    /// The digests staged byteless — neither the cache nor the image held
+    /// them — each once, in manifest order: everything a full download
+    /// fetches before replay.
+    pub(crate) fn byteless(&self) -> &[Digest] {
+        &self.byteless
     }
 
     /// Settles the session: reads the machine's fault lists, performs the
@@ -1040,10 +1076,14 @@ fn stage_divergent(
         manifest_bytes,
         staged: Default::default(),
         sources: HashMap::new(),
+        byteless: Vec::new(),
     };
     let mut staged: [Vec<usize>; 2] = Default::default();
     for d in divergent {
-        session.sources.insert(d.digest, d.source);
+        let first = session.sources.insert(d.digest, d.source).is_none();
+        if first && d.content.is_none() {
+            session.byteless.push(d.digest);
+        }
         let store = &mut machine.stores_mut()[d.store];
         let name = store.leaf_name();
         let staging = match d.content {
@@ -1070,6 +1110,7 @@ mod tests {
     use avm_vm::bytecode::assemble;
     use avm_vm::devices::DISK_BLOCK_SIZE;
     use avm_vm::{StopCondition, VmExit, PAGE_SIZE};
+    use proptest::prelude::*;
 
     /// A guest that, per packet, bumps a counter page selected by the first
     /// payload byte and mirrors 8 bytes of it to the matching disk block.
@@ -1474,6 +1515,39 @@ mod tests {
         let second = session.finish(&lazy, &store, &mut recovered).unwrap();
         assert!(second.fetched.is_empty());
         assert!(second.cache_hits >= first.fetched.len() as u64);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The arithmetic `encoded_len` is the length of the encoding, for
+        /// every width of every varint the manifest carries.
+        #[test]
+        fn manifest_encoded_len_is_the_encoding_length(
+            snapshot_id in any::<u64>(),
+            step in any::<u64>(),
+            halted in any::<bool>(),
+            root in any::<[u8; 32]>(),
+            cpu_state in collection::vec(any::<u8>(), 0..300),
+            dev_state in collection::vec(any::<u8>(), 0..20),
+            mem_refs in collection::vec((any::<u32>(), any::<[u8; 32]>()), 0..300),
+            disk_refs in collection::vec((any::<u32>(), any::<[u8; 32]>()), 0..3),
+        ) {
+            let refs = |refs: Vec<(u32, [u8; 32])>| -> Vec<(u32, Digest)> {
+                refs.into_iter().map(|(idx, raw)| (idx, Digest(raw))).collect()
+            };
+            let manifest = ChainManifest {
+                snapshot_id,
+                step,
+                halted,
+                state_root: Digest(root),
+                cpu_state,
+                dev_state,
+                mem_refs: refs(mem_refs),
+                disk_refs: refs(disk_refs),
+            };
+            prop_assert_eq!(manifest.encoded_len(), manifest.encode_to_vec().len());
+        }
     }
 
     /// Recovery re-verifies payloads: a flipped byte in the arena surfaces

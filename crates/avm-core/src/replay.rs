@@ -9,14 +9,15 @@
 //! a snapshot hash that does not match — terminates replay and is reported
 //! as a fault.
 //!
-//! Spot checks can start the replayer two ways (paper §3.5): from a fully
-//! downloaded snapshot ([`Replayer::from_sections`] over the received
-//! section stream; [`Replayer::from_snapshot`] over a store's) or from snapshot
-//! *metadata only* ([`Replayer::from_snapshot_on_demand`]), where divergent
-//! memory chunks and disk blocks fault in lazily as the replayed workload
-//! touches them and the auditor pays transfer only for what was accessed
-//! (see [`crate::ondemand`]).  Both modes verify the same roots and reach
-//! the same verdicts; they differ only in what is downloaded.
+//! A spot check starts the replayer from snapshot *metadata*
+//! ([`Replayer::from_manifest_on_demand`]): divergent memory chunks and disk
+//! blocks are staged and fault in lazily as the replayed workload touches
+//! them (see [`crate::ondemand`]).  The two §3.5 download modes differ only
+//! in when the staged bytes arrive — all of them before replay (full
+//! download) or each as replay first needs it (on demand) — so they verify
+//! the same roots and reach the same verdicts.  A provider replays its own
+//! store from a materialized snapshot ([`Replayer::from_snapshot`]) or stages
+//! it the same way ([`Replayer::from_snapshot_on_demand`]).
 //!
 //! An on-demand start state may hold leaves staged *byteless*: an access
 //! that needs one is a miss ([`avm_vm::VmError::Miss`]).  The audit session
@@ -47,7 +48,7 @@ use crate::events::{
     MetaRecord, NdDetail, NdEventRecord, RecvRecordRef, SendRecordRef, SnapshotRecord,
 };
 use crate::ondemand::{stage_from_manifest, AuditorBlobCache, OnDemandSession};
-use crate::snapshot::{install_sections, SnapshotStore, StateTreeCache};
+use crate::snapshot::{SnapshotStore, StateTreeCache};
 
 /// Result of replaying a log segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,9 +123,9 @@ fn machine_error(seq: u64) -> impl Fn(avm_vm::VmError) -> Stop {
 /// The deterministic replayer — the paper's semantic audit check (§4.5).
 ///
 /// Construct it from the reference image ([`Replayer::from_image`], full
-/// audits), from a downloaded snapshot ([`Replayer::from_sections`], spot
-/// checks) or from snapshot metadata with lazy state fault-in
-/// ([`Replayer::from_snapshot_on_demand`], §3.5 on-demand spot checks), then
+/// audits), from a materialized snapshot ([`Replayer::from_snapshot`]) or
+/// from snapshot metadata with lazy state fault-in
+/// ([`Replayer::from_manifest_on_demand`], §3.5 spot checks), then
 /// feed it the log: it re-injects every recorded nondeterministic input at
 /// its recorded step, re-derives every output and snapshot root, and reports
 /// the first discrepancy as a [`FaultReason`].
@@ -164,19 +165,6 @@ impl Replayer {
     ) -> Result<Replayer, CoreError> {
         let (machine, state_tree) =
             snapshots.materialize_with_tree(snapshot_id, image, registry)?;
-        Ok(Self::with_machine(machine, state_tree, image.digest()))
-    }
-
-    /// Creates a replayer starting from the state a received section stream
-    /// installs at snapshot `snapshot_id` ([`install_sections`]): a
-    /// full-download spot check.
-    pub fn from_sections(
-        image: &VmImage,
-        registry: &GuestRegistry,
-        stream: &[u8],
-        snapshot_id: u64,
-    ) -> Result<Replayer, CoreError> {
-        let (machine, state_tree) = install_sections(stream, snapshot_id, image, registry)?;
         Ok(Self::with_machine(machine, state_tree, image.digest()))
     }
 

@@ -10,7 +10,8 @@
 //!   requested; on a fault the session keeps transferable evidence
 //!   ([`AuditSession::into_audit_report`]).
 //! * [`Start::Snapshot`] — the `k`-chunk after a snapshot, replayed from the
-//!   snapshot's state, downloaded in full or on demand.
+//!   snapshot's state, its bytes fetched before replay (full download) or
+//!   as replay needs them (on demand).
 //!
 //! Either way the first response is the segment, and the session runs the
 //! **syntactic phase** on it ([`crate::audit::syntactic_phase`]) where it
@@ -43,29 +44,38 @@
 //!   event loop, adding only the session envelope and the retransmit timer.
 //!
 //! Responses arrive as the *borrowed* [`AuditResponseRef`]: the segment is
-//! checked (and, from the image, replayed) in the packet, the section
-//! stream is installed onto the start machine from the packet buffer
-//! ([`crate::snapshot::install_sections`]), the manifest decoded in place,
-//! blob payloads authenticated before they are copied anywhere.  Every byte a
-//! provider sends is parsed and judged here and nowhere else, so this is the
-//! one surface a hostile provider can reach (and the one a fuzzer drives).
+//! checked (and, from the image, replayed) in the packet, the manifest
+//! decoded in place, blob payloads authenticated before they are copied
+//! anywhere.  Every byte a provider sends is parsed and judged here and
+//! nowhere else, so this is the one surface a hostile provider can reach
+//! (and the one a fuzzer drives).
 //! It holds no reference to provider state: what it knows is the image, the
 //! key and authenticators it was given, its own blob cache and the bytes it
 //! received.  The report states what the session received, and what a
 //! download nobody made *would* have cost is priced by the experiments that
 //! print it (`avm_bench::pricing`).
 //!
-//! # Misses
+//! # Prefetch and misses
 //!
-//! On demand, the start state is staged from the manifest: what the
-//! auditor's cache or the image holds with its contents, every other
-//! divergent leaf *byteless* — its digest in the hash slot, so every root is
-//! right, and nothing else ([`avm_vm::LeafStore::stage_byteless`]).  The
-//! first access that needs such a leaf's bytes is a **miss**: replay stops,
-//! and the session sends one [`AuditRequest::Blobs`] for the digests the
-//! missing access needs.  The response is authenticated blob by blob
-//! against those digests, every leaf staged under a received digest gets the
-//! bytes, and replay goes on:
+//! From a snapshot, both modes stage the start state from the manifest the
+//! same way, and it authenticates against the same root: what the auditor's
+//! cache or the image holds with its contents, every other divergent leaf
+//! *byteless* — its digest in the hash slot, so every root is right, and
+//! nothing else ([`avm_vm::LeafStore::stage_byteless`]).  Every blob
+//! response is authenticated blob by blob against the digests it was asked
+//! for, and every leaf staged under a received digest gets the bytes.
+//!
+//! A **full download** then asks for every byteless digest, in
+//! [`AuditRequest::Blobs`] batches of [`DEFAULT_BLOB_BATCH`], and replays the
+//! chunk once when the last batch is in — nothing has run yet, so a native
+//! guest is supplied in place like a bytecode one.  It downloads what the
+//! image and the cache lack: the manifest and those blobs, one round trip
+//! for the manifest and one per batch.
+//!
+//! **On demand** prefetches nothing.  The first access that needs a
+//! byteless leaf's bytes is a **miss**: replay stops, and the session sends
+//! one [`AuditRequest::Blobs`] for the digests the missing access needs.
+//! Once they are supplied, replay goes on:
 //!
 //! * **bytecode** — a step stops at the access, before any side effect, so
 //!   the same replayer resumes in place;
@@ -74,8 +84,8 @@
 //!   manifest with everything received so far and replays the chunk again.
 //!   Only the run that reaches the verdict counts in the report.
 //!
-//! So a blob crosses the wire only when replay touched it, in first-touch
-//! order, one round trip per miss; a warm cache makes none.
+//! So on demand a blob crosses the wire only when replay touched it, in
+//! first-touch order, one round trip per miss; a warm cache makes none.
 
 use avm_attest::AttestVerdict;
 use avm_crypto::keys::VerifyingKey;
@@ -85,7 +95,7 @@ use avm_vm::image::ImageKind;
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::attest::{AttestChallenge, AttestQuote};
 use avm_wire::audit::{AuditRequest, AuditResponseRef, SegmentAddress};
-use avm_wire::{BlobRequest, BlobResponseRef, Decode};
+use avm_wire::{BlobRequest, BlobResponseRef, Decode, DEFAULT_BLOB_BATCH};
 
 use crate::attest::{challenge_nonce, LaunchPolicy};
 use crate::audit::{audit_from_image, syntactic_phase, AuditReport};
@@ -101,7 +111,7 @@ use crate::spotcheck::SpotCheckReport;
 
 /// The error for a response of the wrong kind: the provider's own message
 /// when it answered with an error, a protocol violation otherwise.
-fn unexpected(expected: &str, got: AuditResponseRef<'_>) -> CoreError {
+pub(crate) fn unexpected(expected: &str, got: AuditResponseRef<'_>) -> CoreError {
     match got {
         AuditResponseRef::Error { message } => CoreError::Snapshot(message.to_string()),
         other => CoreError::Snapshot(format!(
@@ -161,14 +171,6 @@ pub(crate) fn expect_manifest(
     }
 }
 
-/// A sections response: the stream, still borrowed from the packet.
-pub(crate) fn expect_sections(response: AuditResponseRef<'_>) -> Result<&[u8], CoreError> {
-    match response {
-        AuditResponseRef::Sections { stream } => Ok(stream),
-        other => Err(unexpected("Sections", other)),
-    }
-}
-
 /// A blob response, payloads still borrowed from the packet.
 fn expect_blobs(response: AuditResponseRef<'_>) -> Result<BlobResponseRef<'_>, CoreError> {
     match response {
@@ -204,13 +206,15 @@ pub enum Start {
         to_seq: u64,
     },
     /// Snapshot `id`, replaying the `k`-chunk after it (§3.5), its state
-    /// downloaded `on_demand` or in full.
+    /// downloaded `on_demand` or in full (module docs, "# Prefetch and
+    /// misses").
     Snapshot {
         /// Snapshot the chunk starts at.
         id: u64,
         /// Chunk size: snapshots the chunk spans.
         k: u64,
-        /// §3.5 incremental state requests instead of a full download.
+        /// §3.5 incremental state requests: fetch what replay misses
+        /// instead of everything the image and cache lack.
         on_demand: bool,
     },
 }
@@ -232,9 +236,9 @@ pub enum Step {
 /// A replayed chunk's verdict: the fault (if any) and the truthful progress.
 type Replayed = (Option<FaultReason>, ReplaySummary);
 
-/// On-demand mode from the manifest to the verdict: the replay, and what it
-/// resumes or re-stages from after a miss.
-struct OnDemandReplay {
+/// A snapshot start from the manifest to the verdict: the replay, and what
+/// it is supplied, resumed or re-staged from.
+struct StagedReplay {
     entries: Vec<LogEntry>,
     manifest: ChainManifest,
     manifest_bytes: u64,
@@ -252,17 +256,20 @@ enum State {
         challenge: AttestChallenge,
     },
     Segment,
-    /// Full-download mode, the chunk through its syntactic phase.
-    Sections {
-        entries: Vec<LogEntry>,
-    },
-    /// On-demand mode, the chunk through its syntactic phase.
+    /// A snapshot start, the chunk through its syntactic phase.
     Manifest {
         entries: Vec<LogEntry>,
     },
+    /// A full download before replay: `request` asks for one batch of what
+    /// the image and the cache lack, `queued` holds the batches after it.
+    Prefetch {
+        replay: Box<StagedReplay>,
+        request: BlobRequest,
+        queued: std::vec::IntoIter<BlobRequest>,
+    },
     /// On-demand replay stopped on a miss; `request` asks for what it needs.
     Missed {
-        replay: Box<OnDemandReplay>,
+        replay: Box<StagedReplay>,
         request: BlobRequest,
     },
     Done,
@@ -391,9 +398,13 @@ impl<'a> AuditSession<'a> {
         let next = match std::mem::replace(&mut self.state, State::Done) {
             State::Attest { challenge } => self.on_attest(now_us, response, challenge),
             State::Segment => self.on_segment(response),
-            State::Sections { entries } => self.on_sections(response, &entries),
             State::Manifest { entries } => self.on_manifest(response, entries),
-            State::Missed { replay, request } => self.on_blobs(response, replay, &request),
+            State::Prefetch {
+                replay,
+                request,
+                queued,
+            } => self.on_prefetch(response, replay, &request, queued),
+            State::Missed { replay, request } => self.on_missed(response, replay, &request),
             State::Idle | State::Done => Err(CoreError::Snapshot(
                 "audit session has no exchange outstanding".to_string(),
             )),
@@ -443,7 +454,7 @@ impl<'a> AuditSession<'a> {
         let (prev_hash, entries, log_bytes) = expect_log_entries(response)?;
         self.log_bytes = log_bytes;
         let (key, held) = self.held;
-        let Start::Snapshot { id, on_demand, .. } = self.start else {
+        let Start::Snapshot { id, .. } = self.start else {
             // The start state is the image: both phases run on the packet.
             self.authenticators_checked = held.len();
             let (report, progress) =
@@ -468,13 +479,8 @@ impl<'a> AuditSession<'a> {
             }
         }
         let entries = entries.iter().map(EntryView::to_entry).collect();
-        if on_demand {
-            self.state = State::Manifest { entries };
-            Ok(Step::Send(AuditRequest::Manifest { snapshot_id: id }))
-        } else {
-            self.state = State::Sections { entries };
-            Ok(Step::Send(AuditRequest::Sections { upto_id: id }))
-        }
+        self.state = State::Manifest { entries };
+        Ok(Step::Send(AuditRequest::Manifest { snapshot_id: id }))
     }
 
     /// The snapshot a chunk starts at and its size `k` (both 0 from the
@@ -486,22 +492,6 @@ impl<'a> AuditSession<'a> {
         }
     }
 
-    fn on_sections(
-        &mut self,
-        response: AuditResponseRef<'_>,
-        entries: &[LogEntry],
-    ) -> Result<Step, CoreError> {
-        // The stream is the snapshot download: the start state is installed
-        // from it where it lies in the packet, and its length is what the
-        // download cost.
-        let stream = expect_sections(response)?;
-        let mut replayer =
-            Replayer::from_sections(self.image, self.registry, stream, self.chunk().0)?;
-        let fault = replayer.replay(entries).fault().cloned();
-        let replayed = (fault, replayer.summary());
-        Ok(self.finish(replayed, stream.len() as u64, None))
-    }
-
     fn on_manifest(
         &mut self,
         response: AuditResponseRef<'_>,
@@ -509,19 +499,50 @@ impl<'a> AuditSession<'a> {
     ) -> Result<Step, CoreError> {
         let (manifest, manifest_bytes) = expect_manifest(response)?;
         let (replayer, ondemand) = self.stage(&manifest, manifest_bytes, &[])?;
-        self.replay(Box::new(OnDemandReplay {
+        // A full download asks for every leaf staged without its bytes; on
+        // demand nothing is prefetched.
+        let prefetch = match self.start {
+            Start::Snapshot {
+                on_demand: false, ..
+            } => {
+                let byteless: Vec<_> = ondemand.byteless().iter().map(|digest| digest.0).collect();
+                BlobRequest::batches(&byteless, DEFAULT_BLOB_BATCH)
+            }
+            _ => Vec::new(),
+        };
+        let run = Box::new(StagedReplay {
             entries,
             manifest,
             manifest_bytes,
             replayer,
             ondemand,
             fetch: BlobFetch::default(),
-        }))
+        });
+        self.prefetch(run, prefetch.into_iter())
     }
 
-    /// The on-demand start state of `manifest` (module docs, "# Misses"),
-    /// with the `fetched` blobs this session received handed to their
-    /// leaves.
+    /// Asks for the next prefetch batch or, every batch in, replays the
+    /// chunk.
+    fn prefetch(
+        &mut self,
+        run: Box<StagedReplay>,
+        mut queued: std::vec::IntoIter<BlobRequest>,
+    ) -> Result<Step, CoreError> {
+        let Some(request) = queued.next() else {
+            return self.replay(run);
+        };
+        let step = Step::Send(AuditRequest::Blobs(request.clone()));
+        self.state = State::Prefetch {
+            replay: run,
+            request,
+            queued,
+        };
+        Ok(step)
+    }
+
+    /// The start state of `manifest` (module docs, "# Prefetch and
+    /// misses"), with the `fetched` blobs this session received handed to
+    /// their leaves.
     fn stage(
         &self,
         manifest: &ChainManifest,
@@ -552,7 +573,7 @@ impl<'a> AuditSession<'a> {
 
     /// Replays (or resumes) the chunk until it reaches a verdict, or stops
     /// on a miss and asks for the blobs the missing access needs.
-    fn replay(&mut self, mut run: Box<OnDemandReplay>) -> Result<Step, CoreError> {
+    fn replay(&mut self, mut run: Box<StagedReplay>) -> Result<Step, CoreError> {
         let finished = run.replayer.summary().entries_replayed as usize;
         let Some(outcome) = run.replayer.replay_until_miss(&run.entries[finished..]) else {
             // Every miss must ask for something new, or replay would never
@@ -587,23 +608,45 @@ impl<'a> AuditSession<'a> {
         Ok(self.finish(replayed, cost.transfer_bytes, Some(cost)))
     }
 
-    fn on_blobs(
+    /// Authenticates a blob response against `request` and hands every
+    /// payload to the leaves staged under its digest.
+    fn receive(
         &mut self,
         response: AuditResponseRef<'_>,
-        mut run: Box<OnDemandReplay>,
+        run: &mut StagedReplay,
         request: &BlobRequest,
-    ) -> Result<Step, CoreError> {
+    ) -> Result<(), CoreError> {
         let blobs = expect_blobs(response)?;
         run.fetch.accept(&mut self.received, request, &blobs)?;
+        for raw in &request.digests {
+            self.supply(&run.ondemand, &mut run.replayer, &Digest(*raw));
+        }
+        Ok(())
+    }
+
+    fn on_prefetch(
+        &mut self,
+        response: AuditResponseRef<'_>,
+        mut run: Box<StagedReplay>,
+        request: &BlobRequest,
+        queued: std::vec::IntoIter<BlobRequest>,
+    ) -> Result<Step, CoreError> {
+        self.receive(response, &mut run, request)?;
+        self.prefetch(run, queued)
+    }
+
+    fn on_missed(
+        &mut self,
+        response: AuditResponseRef<'_>,
+        mut run: Box<StagedReplay>,
+        request: &BlobRequest,
+    ) -> Result<Step, CoreError> {
+        self.receive(response, &mut run, request)?;
         if matches!(self.image.kind(), ImageKind::Native { .. }) {
             // The native step that missed ran on; start over with every
             // blob received so far.
             (run.replayer, run.ondemand) =
                 self.stage(&run.manifest, run.manifest_bytes, &run.fetch.fetched)?;
-        } else {
-            for raw in &request.digests {
-                self.supply(&run.ondemand, &mut run.replayer, &Digest(*raw));
-            }
         }
         self.replay(run)
     }
@@ -716,15 +759,15 @@ mod tests {
             assert_eq!(report.transport, TransportStats::default());
             let audit = &sent[usize::from(attest)..];
             assert_eq!(sent[0] == "Attest", attest);
-            if on_demand {
-                let cost = report.on_demand.as_ref().unwrap();
-                assert!(!cost.fetched.is_empty(), "workload fetched nothing");
-                assert_eq!(&audit[..2], ["Chunk", "Manifest"]);
-                assert!(audit[2..].iter().all(|kind| *kind == "Blobs"));
-                assert_eq!(audit.len() as u64, 1 + cost.round_trips);
-            } else {
-                assert_eq!(audit, ["Chunk", "Sections"]);
-                assert!(report.on_demand.is_none());
+            let cost = report.on_demand.as_ref().unwrap();
+            assert!(!cost.fetched.is_empty(), "workload fetched nothing");
+            assert_eq!(&audit[..2], ["Chunk", "Manifest"]);
+            assert!(audit[2..].iter().all(|kind| *kind == "Blobs"));
+            assert_eq!(audit.len() as u64, 1 + cost.round_trips);
+            if !on_demand {
+                // One batch per DEFAULT_BLOB_BATCH digests, nothing after.
+                let batches = cost.fetched.len().div_ceil(DEFAULT_BLOB_BATCH);
+                assert_eq!(audit.len(), 2 + batches);
             }
         }
     }
@@ -831,7 +874,6 @@ mod tests {
                     AuditResponse::LogSegment { entries, .. } => {
                         log += entries.iter().map(|e| e.len() as u64).sum::<u64>();
                     }
-                    AuditResponse::Sections { stream } => snapshot += stream.len() as u64,
                     AuditResponse::Manifest { manifest } => snapshot += manifest.len() as u64,
                     AuditResponse::Blobs(blobs) => snapshot += blobs.encoded_len() as u64,
                     other => panic!("unexpected {} response", other.variant_name()),
@@ -846,66 +888,15 @@ mod tests {
             assert_eq!(report.total_transfer_bytes(), log + snapshot);
             assert_eq!(
                 report.on_demand.as_ref().map(|cost| cost.transfer_bytes),
-                on_demand.then_some(snapshot)
+                Some(snapshot)
             );
             // What a driver's wire carries covers what the report claims.
             assert!(wire >= report.snapshot_transfer_bytes + report.log_transfer_bytes);
         }
     }
 
-    /// The start state comes from the section stream that arrived, so a
-    /// short, a long and a count-inflated stream each end the session with
-    /// an error — never with a report built from the provider's store.
-    #[test]
-    fn truncated_section_stream_is_refused() {
-        let (bob, image) = record_with_snapshots(4);
-        let registry = GuestRegistry::new();
-        let server = AuditServer::new(bob.log(), bob.snapshots());
-        let honest_len = bob.snapshots().transfer_bytes_upto(2);
-        type Damage = fn(&mut Vec<u8>);
-        let damages: [(Damage, &str); 3] = [
-            (
-                |stream| {
-                    stream.pop();
-                },
-                "unexpected end of input",
-            ),
-            (|stream| stream.push(0), "1 trailing bytes"),
-            // The first header's memory count: id, step, flags, root.
-            (
-                |stream| stream[50..54].copy_from_slice(&u32::MAX.to_le_bytes()),
-                "declares 4294967295 chunks",
-            ),
-        ];
-        for (damage, wanted) in damages {
-            let session = AuditSession::new(
-                Start::Snapshot {
-                    id: 2,
-                    k: 1,
-                    on_demand: false,
-                },
-                &image,
-                &registry,
-            );
-            let (sent, outcome) = drive(session, &server, |_, response| match response {
-                AuditResponse::Sections { mut stream } => {
-                    assert_eq!(stream.len() as u64, honest_len);
-                    damage(&mut stream);
-                    AuditResponse::Sections { stream }
-                }
-                other => other,
-            });
-            assert_eq!(sent, ["Chunk", "Sections"]);
-            match outcome {
-                Err(CoreError::Snapshot(message)) => {
-                    assert!(message.starts_with("section stream: "), "{message}");
-                    assert!(message.contains(wanted), "{message}");
-                }
-                other => panic!("expected the stream to be refused, got {other:?}"),
-            }
-        }
-    }
-
+    /// A section stream is no answer to any request an auditor sends, nor a
+    /// manifest one to a blob request.
     #[test]
     fn wrong_variant_response_is_a_protocol_violation() {
         let (bob, image) = record_with_snapshots(4);
@@ -917,6 +908,8 @@ mod tests {
             (true, 1, "Manifest"),
             (true, 2, "Blobs"),
             (false, 0, "LogSegment"),
+            (false, 1, "Manifest"),
+            (false, 2, "Blobs"),
         ] {
             let session = AuditSession::new(
                 Start::Snapshot {
@@ -944,7 +937,7 @@ mod tests {
                 format!("audit protocol violation: expected {expected} response, got Sections");
             assert!(error.contains(&wanted), "{error}");
         }
-        // … and a manifest where the section stream belongs.
+        // … and a manifest where a prefetch batch belongs.
         let session = AuditSession::new(
             Start::Snapshot {
                 id: 2,
@@ -955,12 +948,12 @@ mod tests {
             &registry,
         );
         let (_, outcome) = drive(session, &server, |i, response| match i {
-            1 => AuditResponse::Manifest { manifest: vec![] },
+            2 => AuditResponse::Manifest { manifest: vec![] },
             _ => response,
         });
         let error = outcome.unwrap_err().to_string();
         assert!(
-            error.contains("expected Sections response, got Manifest"),
+            error.contains("expected Blobs response, got Manifest"),
             "{error}"
         );
     }
@@ -1237,7 +1230,7 @@ mod tests {
         let (bob, image) = record_with_snapshots(4);
         let registry = GuestRegistry::new();
         let server = AuditServer::new(bob.log(), bob.snapshots());
-        for (on_demand, exchanges) in [(false, 2), (true, 3)] {
+        for (on_demand, exchanges) in [(false, 3), (true, 3)] {
             for at in 0..exchanges {
                 let session = AuditSession::new(
                     Start::Snapshot {
@@ -1416,92 +1409,130 @@ mod tests {
     }
 
     /// How a lying provider answers.
-    #[derive(Debug, Clone, Copy)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Lie {
         /// Manifest and blobs from the store of a twin execution.
         TwinStore,
+        /// A manifest whose first memory reference names other content.
+        Manifest,
         /// Another blob's payload in place of the one asked for.
         Swap,
         /// The payload asked for left out.
         Drop,
         /// One payload more than asked for.
         Append,
+        /// The payload asked for, one byte short.
+        Short,
+        /// The first two payloads of a batch in each other's place.
+        Reorder,
     }
 
-    /// Blob exchanges an honest on-demand check of the chunk after `start`
-    /// makes.
-    fn misses(recording: &Recording, start: u64) -> usize {
+    /// Blob exchanges an honest check of the chunk after `start` makes:
+    /// prefetch batches, or misses on demand.
+    fn blob_exchanges(recording: &Recording, start: u64, on_demand: bool) -> usize {
         let server = AuditServer::new(&recording.log, &recording.store);
         let mut count = 0;
         let tamper = |request: &AuditRequest, body| {
             count += usize::from(matches!(request, AuditRequest::Blobs(_)));
             body
         };
+        let start = Start::Snapshot {
+            id: start,
+            k: 1,
+            on_demand,
+        };
+        let session = AuditSession::new(start, &recording.image, &recording.registry);
         AuditClient::new(TamperingTransport { server, tamper })
-            .spot_check_on_demand(start, 1, &recording.image, &recording.registry)
+            .run(session)
             .unwrap();
         count
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// A provider that lies about the state behind its log — answering
-        /// from a twin execution's store, or at one miss swapping, dropping
-        /// or adding a payload — never gets a consistent verdict from either
-        /// driver, never panics one, and a lie about a blob is an error that
-        /// names the digest asked for.
+        /// from a twin execution's store, with a manifest that does not
+        /// authenticate, or at one prefetch batch or miss swapping,
+        /// dropping, adding, shortening or reordering payloads — never gets
+        /// a consistent verdict in either mode from either driver, never
+        /// panics one, and a lie about a blob or the manifest is an error
+        /// that names the digest asked for or the root recorded.
         #[test]
         fn a_lying_provider_is_never_consistent(
             db in any::<bool>(),
             fleet in any::<bool>(),
-            lie in 0usize..4,
+            on_demand in any::<bool>(),
+            lie in 0usize..7,
             start in 0u64..2,
             at in 0usize..8,
         ) {
-            let lie = [Lie::TwinStore, Lie::Swap, Lie::Drop, Lie::Append][lie];
+            use Lie::*;
+            let lie = [TwinStore, Manifest, Swap, Drop, Append, Short, Reorder][lie];
             let (honest, twin) = recordings()[usize::from(db)];
-            let at = at % misses(honest, start);
+            let exchanges = blob_exchanges(honest, start, on_demand);
+            prop_assert!(exchanges > 0, "the check fetches nothing");
+            let at = at % exchanges;
             let store = match lie {
-                Lie::TwinStore => &twin.store,
+                TwinStore => &twin.store,
                 _ => &honest.store,
             };
             let other = honest.store.pooled_digests()[0];
-            let mut blob_exchanges = 0;
+            let mut blob_exchange = 0;
             let mut named = None;
             let tamper = |request: &AuditRequest, body: Vec<u8>| {
-                let AuditRequest::Blobs(asked) = request else {
-                    return body;
-                };
-                blob_exchanges += 1;
-                if blob_exchanges != at + 1 || matches!(lie, Lie::TwinStore) {
-                    return body;
-                }
-                let digest = Digest(asked.digests[0]);
-                named = Some(digest.short_hex());
-                let AuditResponse::Blobs(mut blobs) = AuditResponse::decode_exact(&body).unwrap()
-                else {
-                    panic!("a blob request gets blobs");
-                };
-                match lie {
-                    Lie::Swap => {
-                        let swapped = if other == digest { honest.store.pooled_digests()[1] } else { other };
-                        let request = BlobRequest { digests: vec![swapped.0] };
-                        blobs.blobs[0] = honest.store.serve_blobs(&request).blobs.remove(0);
+                match (request, lie) {
+                    (AuditRequest::Manifest { .. }, Manifest) => {
+                        let Ok(AuditResponse::Manifest { manifest }) = AuditResponse::decode_exact(&body)
+                        else {
+                            panic!("a manifest request gets a manifest");
+                        };
+                        let mut manifest = ChainManifest::decode_exact(&manifest).unwrap();
+                        named = Some(manifest.state_root.short_hex());
+                        manifest.mem_refs[0].1 .0[0] ^= 1;
+                        AuditResponse::Manifest { manifest: manifest.encode_to_vec() }.encode_to_vec()
                     }
-                    Lie::Drop => drop(blobs.blobs.remove(0)),
-                    Lie::Append => blobs.blobs.push(Some(vec![0; 512])),
-                    Lie::TwinStore => unreachable!(),
+                    (AuditRequest::Blobs(asked), Swap | Drop | Append | Short | Reorder) => {
+                        blob_exchange += 1;
+                        if blob_exchange != at + 1 {
+                            return body;
+                        }
+                        let digest = Digest(asked.digests[0]);
+                        named = Some(digest.short_hex());
+                        let AuditResponse::Blobs(mut blobs) = AuditResponse::decode_exact(&body).unwrap()
+                        else {
+                            panic!("a blob request gets blobs");
+                        };
+                        let first = &mut blobs.blobs[0];
+                        // A request for one digest has nothing to reorder:
+                        // its payload is swapped for another instead.
+                        let one = asked.digests.len() == 1;
+                        match lie {
+                            Reorder if !one => blobs.blobs.swap(0, 1),
+                            Swap | Reorder => {
+                                let swapped = if other == digest { honest.store.pooled_digests()[1] } else { other };
+                                let request = BlobRequest { digests: vec![swapped.0] };
+                                *first = honest.store.serve_blobs(&request).blobs.remove(0);
+                            }
+                            Drop => drop(blobs.blobs.remove(0)),
+                            Append => blobs.blobs.push(Some(vec![0; 512])),
+                            Short => drop(first.as_mut().unwrap().pop()),
+                            TwinStore | Manifest => unreachable!(),
+                        }
+                        AuditResponse::Blobs(blobs).encode_to_vec()
+                    }
+                    _ => body,
                 }
-                AuditResponse::Blobs(blobs).encode_to_vec()
             };
             let server = AuditServer::new(&honest.log, store);
             let (image, registry) = (&honest.image, &honest.registry);
             let outcome = if fleet {
-                fleet_spot_check(&mut TamperingProvider { server, tamper }, fleet_auditor(image, registry, start, true))
+                let auditor = fleet_auditor(image, registry, start, on_demand);
+                fleet_spot_check(&mut TamperingProvider { server, tamper }, auditor).0
             } else {
+                let start = Start::Snapshot { id: start, k: 1, on_demand };
                 AuditClient::new(TamperingTransport { server, tamper })
-                    .spot_check_on_demand(start, 1, image, registry)
+                    .run(AuditSession::new(start, image, registry))
             };
             match (outcome, named) {
                 (Ok(report), None) => prop_assert!(!report.consistent, "{:?}", lie),
@@ -1523,38 +1554,53 @@ mod tests {
     /// Every (on-demand, fleet) pair: both download modes on both drivers.
     const MODES: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
 
+    /// What one spot check did.
+    struct Checked {
+        /// The request kinds, in order.
+        sent: Vec<&'static str>,
+        /// Bytes of snapshot state received: manifest and blob responses.
+        state_bytes: u64,
+        outcome: Result<SpotCheckReport, CoreError>,
+        /// The blob cache it left.
+        cache: AuditorBlobCache,
+    }
+
     /// A spot check of the chunk after `start` (`k = 1`) of `recording`'s
-    /// image, in one of [`MODES`], against `server` with the chunk's encoded
-    /// entries passed through `damage`, judged against `held` (signed under
-    /// the fixtures' null key): the request kinds sent and how it ended.
-    fn check(
+    /// image, in one of [`MODES`], starting from `cache`, against `server`
+    /// with the chunk's encoded entries passed through `damage`, judged
+    /// against `held` (signed under the fixtures' null key).
+    fn spot(
         recording: &Recording,
         server: AuditServer<'_>,
         held: &[Authenticator],
         (on_demand, fleet): (bool, bool),
         start: u64,
+        cache: AuditorBlobCache,
         mut damage: impl FnMut(Vec<Vec<u8>>) -> Vec<Vec<u8>>,
-    ) -> (Vec<&'static str>, Result<SpotCheckReport, CoreError>) {
+    ) -> Checked {
         let (image, registry) = (&recording.image, &recording.registry);
         let null = VerifyingKey::Null;
-        let mut sent = Vec::new();
+        let (mut sent, mut state_bytes) = (Vec::new(), 0);
         let tamper = |request: &AuditRequest, body: Vec<u8>| {
             sent.push(kind(request));
-            if !matches!(request, AuditRequest::LogSegment(_)) {
-                return body;
-            }
             match AuditResponse::decode_exact(&body).unwrap() {
-                AuditResponse::LogSegment { prev_hash, entries } => AuditResponse::LogSegment {
-                    prev_hash,
-                    entries: damage(entries),
+                AuditResponse::LogSegment { prev_hash, entries } => {
+                    return AuditResponse::LogSegment {
+                        prev_hash,
+                        entries: damage(entries),
+                    }
+                    .encode_to_vec()
                 }
-                .encode_to_vec(),
-                _ => body,
+                AuditResponse::Manifest { manifest } => state_bytes += manifest.len() as u64,
+                AuditResponse::Blobs(blobs) => state_bytes += blobs.encoded_len() as u64,
+                _ => {}
             }
+            body
         };
-        let outcome = if fleet {
-            let auditor =
-                fleet_auditor(image, registry, start, on_demand).with_authenticators(&null, held);
+        let (outcome, cache) = if fleet {
+            let auditor = fleet_auditor(image, registry, start, on_demand)
+                .with_cache(cache)
+                .with_authenticators(&null, held);
             fleet_spot_check(&mut TamperingProvider { server, tamper }, auditor)
         } else {
             let start = Start::Snapshot {
@@ -1564,9 +1610,37 @@ mod tests {
             };
             let session =
                 AuditSession::new(start, image, registry).with_authenticators(&null, held);
-            AuditClient::new(TamperingTransport { server, tamper }).run(session)
+            let mut client = AuditClient::with_cache(TamperingTransport { server, tamper }, cache);
+            (client.run(session), client.into_cache())
         };
-        (sent, outcome)
+        Checked {
+            sent,
+            state_bytes,
+            outcome,
+            cache,
+        }
+    }
+
+    /// [`spot`] with an empty cache: the request kinds sent and how it
+    /// ended.
+    fn check(
+        recording: &Recording,
+        server: AuditServer<'_>,
+        held: &[Authenticator],
+        mode: (bool, bool),
+        start: u64,
+        damage: impl FnMut(Vec<Vec<u8>>) -> Vec<Vec<u8>>,
+    ) -> (Vec<&'static str>, Result<SpotCheckReport, CoreError>) {
+        let checked = spot(
+            recording,
+            server,
+            held,
+            mode,
+            start,
+            AuditorBlobCache::new(),
+            damage,
+        );
+        (checked.sent, checked.outcome)
     }
 
     /// The twin execution's log and store, served to an auditor holding the
@@ -1683,6 +1757,69 @@ mod tests {
                 assert_eq!(sent[0], "Chunk");
                 assert!(sent.len() > 1);
             }
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // A full download is the prefetched on-demand audit
+    // -----------------------------------------------------------------------
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// From any start snapshot, on both recordings and both drivers,
+        /// over the honest run, the twin run and the honest log served with
+        /// the twin's store: the two modes reach the same verdict, progress
+        /// and final root.  A full download sends the chunk request, the
+        /// manifest request and one `Blobs` request per `DEFAULT_BLOB_BATCH`
+        /// digests it lacks — no miss follows, so its one replay reached the
+        /// verdict — and no `Sections`.  Its snapshot column is the manifest
+        /// plus the blob responses it received, its fetched set covers every
+        /// blob the on-demand replay touched, and once its cache holds them
+        /// the same download sends no `Blobs` at all.
+        #[test]
+        fn a_full_download_is_the_prefetched_on_demand_audit(
+            db in any::<bool>(),
+            fleet in any::<bool>(),
+            served in 0usize..3,
+            pick in any::<u64>(),
+        ) {
+            let (honest, twin) = recordings()[usize::from(db)];
+            let (log, store) = [(honest, honest), (twin, twin), (honest, twin)][served];
+            let start = pick % log.store.len().min(store.store.len()) as u64;
+            let server = AuditServer::new(&log.log, &store.store);
+            let run = |on_demand, cache| {
+                spot(log, server, &[], (on_demand, fleet), start, cache, identity)
+            };
+            let verdict = |checked: &Checked| {
+                checked
+                    .outcome
+                    .as_ref()
+                    .map(|r| (r.consistent, r.fault.clone(), r.entries_replayed, r.steps_replayed, r.final_state))
+                    .map_err(ToString::to_string)
+            };
+            let on_demand = run(true, AuditorBlobCache::new());
+            let full = run(false, AuditorBlobCache::new());
+            prop_assert_eq!(verdict(&full), verdict(&on_demand));
+            prop_assert!(full.outcome.is_ok(), "{:?}", verdict(&full));
+
+            let report = full.outcome.as_ref().unwrap();
+            let cost = report.on_demand.as_ref().unwrap();
+            let digests: Vec<_> = cost.fetched.iter().map(|digest| digest.0).collect();
+            let batches: Vec<usize> =
+                BlobRequest::batches(&digests, DEFAULT_BLOB_BATCH).iter().map(BlobRequest::len).collect();
+            prop_assert_eq!(&cost.fetched_per_exchange, &batches);
+            let mut expected = vec!["Chunk", "Manifest"];
+            expected.resize(2 + batches.len(), "Blobs");
+            prop_assert_eq!(&full.sent, &expected);
+            prop_assert_eq!(report.snapshot_transfer_bytes, full.state_bytes);
+            prop_assert_eq!(cost.transfer_bytes, full.state_bytes);
+            let touched = &on_demand.outcome.as_ref().unwrap().on_demand.as_ref().unwrap().fetched;
+            prop_assert!(touched.iter().all(|digest| cost.fetched.contains(digest)));
+
+            let warm = run(false, full.cache);
+            prop_assert_eq!(&warm.sent, &["Chunk", "Manifest"]);
+            prop_assert_eq!(verdict(&warm), verdict(&on_demand));
         }
     }
 

@@ -53,9 +53,12 @@
 //!
 //! # The section stream: one writer, one reader
 //!
-//! A full download (§3.5) ships the state at snapshot `n` as one byte
-//! stream of snapshot *sections* (headers, indexed chunks, indexed disk
-//! blocks, then the target's CPU and device state).  Which sections those
+//! The paper's full download (§3.5) ships the state at snapshot `n` as one
+//! byte stream of snapshot *sections* (headers, indexed chunks, indexed disk
+//! blocks, then the target's CPU and device state).  No spot check asks for
+//! it — a full-download session fetches the manifest and the blobs its image
+//! and cache lack ([`crate::session`]) — but the provider builds its own
+//! state from it, and the experiments price it.  Which sections those
 //! are — a later full memory dump supersedes every earlier memory section,
 //! every disk section applies — is decided in one walk, `sections_upto`,
 //! that [`SnapshotStore::append_transfer_stream_upto`] (the one writer; the
@@ -67,11 +70,10 @@
 //! and the reader trusts none of it: every count and length is checked
 //! against the bytes remaining before anything is read, nothing is sized by
 //! a number it read, and the installed state must hash to the root the last
-//! header records.  A spot check runs it on the stream still borrowed from
-//! the packet; [`SnapshotStore::materialize`] (and so
+//! header records.  [`SnapshotStore::materialize`] (and so
 //! [`crate::replay::Replayer::from_snapshot`] and recovery) runs it on the
-//! stream the store would have sent.  So "the full state at snapshot `n`"
-//! has one builder, and it reads wire bytes.
+//! stream the store would send.  So "the full state at snapshot `n`" has one
+//! builder on the provider's side, and it reads wire bytes.
 //!
 //! Because the paper's prototype ships snapshots *compressed* (§6.12
 //! reports compressed numbers), [`SnapshotStore::transfer_cost_upto`]
@@ -919,8 +921,8 @@ impl SnapshotStore {
         total + STREAM_TRAILER_BYTES + last.cpu_state.len() as u64 + last.dev_state.len() as u64
     }
 
-    /// Serialises the section stream a full download up to snapshot
-    /// `upto_id` ships (the layout is on
+    /// Serialises the section stream of the full dump up to snapshot
+    /// `upto_id` (the layout is on
     /// [`SnapshotStore::append_transfer_stream_upto`]).
     ///
     /// The stream's length always equals
@@ -1453,6 +1455,45 @@ mod tests {
                 store.materialize(wild_id, &img, &reg).unwrap_err(),
                 CoreError::Snapshot(_)
             ));
+        }
+    }
+
+    /// The stream `materialize` installs from is refused short, long or
+    /// with a section count no stream could hold — an error, never a
+    /// machine.
+    #[test]
+    fn truncated_section_stream_is_refused() {
+        let (bob, image) = crate::testutil::record_with_snapshots(4);
+        let registry = GuestRegistry::new();
+        let honest = bob.snapshots().transfer_stream_upto(2);
+        assert_eq!(honest.len() as u64, bob.snapshots().transfer_bytes_upto(2));
+        assert!(install_sections(&honest, 2, &image, &registry).is_ok());
+        type Damage = fn(&mut Vec<u8>);
+        let damages: [(Damage, &str); 3] = [
+            (
+                |stream| {
+                    stream.pop();
+                },
+                "unexpected end of input",
+            ),
+            (|stream| stream.push(0), "1 trailing bytes"),
+            // The first header's memory count: id, step, flags, root.
+            (
+                |stream| stream[50..54].copy_from_slice(&u32::MAX.to_le_bytes()),
+                "declares 4294967295 chunks",
+            ),
+        ];
+        for (damage, wanted) in damages {
+            let mut stream = honest.clone();
+            damage(&mut stream);
+            match install_sections(&stream, 2, &image, &registry) {
+                Err(CoreError::Snapshot(message)) => {
+                    assert!(message.starts_with("section stream: "), "{message}");
+                    assert!(message.contains(wanted), "{message}");
+                }
+                Err(other) => panic!("expected a section-stream error, got {other}"),
+                Ok(_) => panic!("a damaged stream was installed"),
+            }
         }
     }
 

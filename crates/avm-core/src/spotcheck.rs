@@ -10,9 +10,10 @@
 //! For the state an auditor must download to *start* a chunk, §3.5 offers a
 //! choice — "download an entire snapshot or incrementally request the parts
 //! of the state that are accessed during replay" — and a check runs in one of
-//! those two modes: [`spot_check`] downloads the snapshot chain as whole
-//! sections, [`spot_check_on_demand`] downloads metadata up front and blobs
-//! only as replay touches them.
+//! those two modes.  Both download the snapshot's manifest first; then
+//! [`spot_check`] downloads every blob the image and the auditor's cache
+//! lack before replay, and [`spot_check_on_demand`] downloads blobs only as
+//! replay touches them.
 //!
 //! A [`SpotCheckReport`] states what the check *observed*: the verdict,
 //! truthful replay progress, the bytes of log and of snapshot state it
@@ -24,10 +25,10 @@
 //! (`avm_bench::pricing`), which own the provider's log and store and may
 //! legitimately look at both sides.
 //!
-//! The on-demand download is additionally reported in **round trips** — one
-//! for the manifest, one per miss replay ran into
-//! ([`crate::session`], "# Misses") — convertible to modelled wall time
-//! through a configurable [`RttModel`] (default: [`TRANSFER_RTT`]).
+//! The snapshot download is additionally reported in **round trips** — one
+//! for the manifest, then one per prefetch batch or per miss replay ran into
+//! ([`crate::session`], "# Prefetch and misses") — convertible to modelled
+//! wall time through a configurable [`RttModel`] (default: [`TRANSFER_RTT`]).
 //!
 //! Every spot check is one [`crate::session::AuditSession`] *driven through
 //! the audit protocol* ([`crate::endpoint`]): the free functions here are
@@ -94,16 +95,16 @@ pub struct SpotCheckReport {
     /// Bytes of log received for the chunk: the summed lengths of the entry
     /// encodings as they arrived.
     pub log_transfer_bytes: u64,
-    /// Bytes of snapshot state received to start the check: the section
-    /// stream in full-download mode, the manifest plus every blob response
-    /// in on-demand mode (equal to `on_demand.transfer_bytes`).  Zero when
-    /// the syntactic phase failed, which ends the check before any snapshot
-    /// state is requested.
+    /// Bytes of snapshot state received to start the check: the manifest
+    /// plus every blob response, in both modes (equal to
+    /// `on_demand.transfer_bytes`).  Zero when the syntactic phase failed,
+    /// which ends the check before any snapshot state is requested.
     pub snapshot_transfer_bytes: u64,
-    /// On-demand detail — faults, cache hits, fetched digests, round trips.
-    /// Present when the check ran via [`spot_check_on_demand`] *and* replay
-    /// started; absent in full-download mode and after a failed syntactic
-    /// phase.
+    /// The digest-addressed download's detail — faults, cache hits, fetched
+    /// digests, round trips.  Present once replay started, in both modes: a
+    /// full download's `fetched` is everything the image and the cache
+    /// lacked, in prefetch batches; an on-demand check's is what its misses
+    /// asked for.  Absent after a failed syntactic phase.
     pub on_demand: Option<OnDemandCost>,
     /// Wire-level accounting of the exchanges this check drove through its
     /// [`crate::endpoint::AuditTransport`]: round trips, framed bytes,
@@ -118,8 +119,8 @@ impl SpotCheckReport {
         self.snapshot_transfer_bytes + self.log_transfer_bytes
     }
 
-    /// Round trips the on-demand download performed (manifest + one blob
-    /// request per miss), when available.
+    /// Round trips the snapshot download performed (manifest + one blob
+    /// request per batch or miss), when available.
     pub fn on_demand_round_trips(&self) -> Option<u64> {
         self.on_demand.as_ref().map(|c| c.round_trips)
     }
@@ -205,8 +206,8 @@ fn wan_client<'a>(
 }
 
 /// Spot-checks the `k`-chunk starting at snapshot `start_snapshot`, with the
-/// snapshot state downloaded in full (sections) — verdict by replay from a
-/// materialized snapshot.
+/// snapshot state downloaded in full before replay: the manifest, then every
+/// blob the image does not hold.
 ///
 /// The chunk consists of the log entries between the SNAPSHOT entry for
 /// `start_snapshot` (exclusive) and the SNAPSHOT entry `k` snapshots later
@@ -471,20 +472,18 @@ mod tests {
     }
 
     /// The on-demand verdict equals the full verdict, each mode reports the
-    /// download it made (on-demand far below the section stream for this
-    /// workload), and a second check against the same cache re-downloads
-    /// nothing.
+    /// download it made (on-demand at most what the full download fetched,
+    /// both far below the section stream for this workload), and a second
+    /// check against the same cache re-downloads nothing.
     #[test]
     fn on_demand_spot_check_columns_and_cache() {
         let (bob, image) = record_with_snapshots(4);
         let registry = GuestRegistry::new();
         let full = spot_check(bob.log(), bob.snapshots(), 2, 1, &image, &registry).unwrap();
         assert!(full.consistent);
-        assert!(full.on_demand.is_none());
-        assert_eq!(
-            full.snapshot_transfer_bytes,
-            bob.snapshots().transfer_bytes_upto(2)
-        );
+        let full_cost = full.on_demand.as_ref().unwrap();
+        assert_eq!(full.snapshot_transfer_bytes, full_cost.transfer_bytes);
+        assert!(full.snapshot_transfer_bytes < bob.snapshots().transfer_bytes_upto(2) / 2);
 
         let mut cache = AuditorBlobCache::new();
         let od = spot_check_on_demand(
@@ -504,14 +503,11 @@ mod tests {
         let cost = od.on_demand.as_ref().unwrap();
         assert!(cost.transfer_bytes > cost.manifest_bytes);
         // The snapshot column is the download this check made, not the
-        // full dump it avoided.
+        // full dump it avoided; it fetched a subset of what the full
+        // download prefetched.
         assert_eq!(od.snapshot_transfer_bytes, cost.transfer_bytes);
-        assert!(
-            od.snapshot_transfer_bytes < full.snapshot_transfer_bytes,
-            "on-demand must undercut whole sections: {} vs {}",
-            od.snapshot_transfer_bytes,
-            full.snapshot_transfer_bytes
-        );
+        assert_eq!(od.final_state, full.final_state);
+        assert!(cost.fetched.iter().all(|d| full_cost.fetched.contains(d)));
         // Manifest plus at least one batch, never more than one trip per blob.
         let rtts = od.on_demand_round_trips().unwrap();
         assert!(rtts >= 2);

@@ -12,6 +12,7 @@ use crate::endpoint::{link_timeout_us, AuditServer, AuditTransport, TransportSta
 use crate::envelope::{Envelope, EnvelopeKind};
 use crate::error::CoreError;
 use crate::fleet::{AuditTask, FleetAuditor};
+use crate::ondemand::AuditorBlobCache;
 use crate::recorder::{Avmm, HostClock};
 use crate::snapshot::SnapshotStore;
 use crate::spotcheck::SpotCheckReport;
@@ -274,12 +275,13 @@ pub(crate) fn fleet_auditor<'a>(
     FleetAuditor::new(NodeId(2), PROVIDER, 7, image, registry, task, timeout)
 }
 
-/// Runs `auditor` against `provider` on a lossless shared network.
+/// Runs `auditor` against `provider` on a lossless shared network: how it
+/// ended, and the blob cache it left.
 pub(crate) fn fleet_spot_check(
     provider: &mut dyn Endpoint,
     mut auditor: FleetAuditor<'_>,
-) -> Result<SpotCheckReport, CoreError> {
+) -> (Result<SpotCheckReport, CoreError>, AuditorBlobCache) {
     let mut net = SimNet::new(LinkConfig::default());
     run_event_loop(&mut net, &mut [provider, &mut auditor], 1_000_000);
-    auditor.into_parts().0
+    auditor.into_parts()
 }

@@ -140,7 +140,8 @@ pub enum AuditRequest {
     /// "Send me this log segment" (by seq range or snapshot chunk).
     LogSegment(SegmentAddress),
     /// "Send me the whole-section transfer stream up to snapshot `upto_id`"
-    /// — the full-download model's state transfer.
+    /// — the paper's full snapshot dump.  No audit session sends it: a
+    /// full-download spot check asks for the manifest and blobs.
     Sections {
         /// Snapshot the download reconstructs.
         upto_id: u64,
@@ -214,8 +215,9 @@ pub enum AuditResponse {
     /// For a [`SegmentAddress::Chunk`] request on a log whose SNAPSHOT
     /// records do not all decode, an honest provider returns the log
     /// *prefix* up to and including the first undecodable record — the
-    /// auditor re-scans what it received and reaches the malformed-log
-    /// verdict itself (it never trusts the provider's own classification).
+    /// auditor's syntactic phase, which decodes every record it received,
+    /// reaches the malformed-log verdict itself (it never trusts the
+    /// provider's own classification).
     LogSegment {
         /// Hash of the entry preceding the segment (the chain anchor a
         /// syntactic check verifies against).
