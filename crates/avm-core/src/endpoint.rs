@@ -1107,24 +1107,49 @@ mod tests {
     fn in_flight_response_is_never_timed_out() {
         let (bob, image) = record_with_snapshots(2);
         let registry = GuestRegistry::new();
-        // A slow link (1 byte/µs) and a timeout far below the manifest's
-        // multi-millisecond serialisation time.
+        // A slow link (10 µs per byte) and a timeout far below the largest
+        // response's multi-millisecond serialisation time.
         let slow_link = LinkConfig {
             latency_us: 50,
             drop_every: 0,
-            bytes_per_sec: 1_000_000,
+            bytes_per_sec: 100_000,
         };
-        let mut client = AuditClient::new(
-            SimNetTransport::new(AuditServer::new(bob.log(), bob.snapshots()), slow_link)
-                .with_timeout(200),
-        );
+        let serialise_us = |bytes: u64| bytes * 1_000_000 / slow_link.bytes_per_sec;
+        let server = AuditServer::new(bob.log(), bob.snapshots());
+        let mut client =
+            AuditClient::new(SimNetTransport::new(server, slow_link).with_timeout(200));
         let report = client.spot_check(0, 1, &image, &registry).unwrap();
         assert!(report.consistent);
         assert_eq!(report.transport.retransmissions, 0);
-        // The manifest response alone serialises for far longer than the
+        // The largest response alone serialises for far longer than the
         // 200 µs timeout — the wait was genuinely exercised.
-        assert!(report.transport.response_bytes > 10_000);
-        assert!(report.transport.elapsed_micros > report.transport.response_bytes);
+        let fetched: Vec<_> = report
+            .on_demand
+            .as_ref()
+            .unwrap()
+            .fetched
+            .iter()
+            .map(|d| d.0)
+            .collect();
+        let mut requests = vec![
+            AuditRequest::LogSegment(SegmentAddress::Chunk {
+                start_snapshot: 0,
+                chunk: 1,
+            }),
+            AuditRequest::Manifest { snapshot_id: 0 },
+        ];
+        requests.extend(
+            avm_wire::BlobRequest::batches(&fetched, avm_wire::DEFAULT_BLOB_BATCH)
+                .into_iter()
+                .map(AuditRequest::Blobs),
+        );
+        let largest = requests
+            .iter()
+            .map(|request| server.respond(request).len() as u64)
+            .max()
+            .unwrap();
+        assert!(serialise_us(largest) > 10_000);
+        assert!(report.transport.elapsed_micros > serialise_us(report.transport.response_bytes));
     }
 
     /// A corrupt SNAPSHOT record reaches the same malformed-log verdict and

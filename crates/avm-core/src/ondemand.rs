@@ -7,7 +7,8 @@
 //!
 //! 1. **Digest-addressed transfer.**  The auditor first downloads a
 //!    [`ChainManifest`] — snapshot metadata plus the `(index, SHA-256)`
-//!    references of the complete state at the starting snapshot — and then
+//!    references of the state at the starting snapshot that the reference
+//!    image does not already hold — and then
 //!    requests payload *blobs by digest* ([`avm_wire::BlobRequest`] /
 //!    [`avm_wire::BlobResponse`]).  Digests the auditor can already produce
 //!    (from its persistent [`AuditorBlobCache`], or because the public
@@ -83,7 +84,9 @@ use avm_wire::{
 };
 
 use crate::error::CoreError;
-use crate::snapshot::{restore_header, SnapshotStore, StateTreeCache, TransferCost};
+use crate::snapshot::{
+    first_out_of_order, restore_header, SnapshotStore, StateTreeCache, TransferCost,
+};
 
 /// Snapshot metadata an auditor downloads to begin an on-demand (or
 /// dedup-transfer) reconstruction: everything about the state at a snapshot
@@ -91,11 +94,14 @@ use crate::snapshot::{restore_header, SnapshotStore, StateTreeCache, TransferCos
 ///
 /// `mem_refs` and `disk_refs` are the *effective* references of the complete
 /// state — the snapshot chain already collapsed (last write per index wins,
-/// memory sections superseded by a later full dump dropped), sorted by
-/// index.  Memory references address 512 B chunks; disk references address
-/// whole blocks.  Indices absent from the lists are state the reference
-/// image already determines, which the auditor derives locally at zero
-/// transfer cost.
+/// memory sections superseded by a later full dump dropped), strictly
+/// increasing by index — that the reference image does not already hold.
+/// Memory references address 512 B chunks; disk references address whole
+/// blocks.  An index absent from the lists holds the image's own leaf
+/// there, which the auditor derives locally at zero transfer cost; the root
+/// check covers it like any listed leaf.  (A store that knows no image,
+/// [`SnapshotStore::new`], lists the image-equal references too; staging
+/// skips them.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainManifest {
     /// Id of the snapshot this manifest reconstructs.
@@ -111,9 +117,11 @@ pub struct ChainManifest {
     pub cpu_state: Vec<u8>,
     /// Serialized volatile device state at the snapshot.
     pub dev_state: Vec<u8>,
-    /// Effective `(chunk index, content hash)` references, sorted by index.
+    /// Effective `(chunk index, content hash)` references the image does
+    /// not hold, strictly increasing by index.
     pub mem_refs: Vec<(u32, Digest)>,
-    /// Effective `(block index, content hash)` references, sorted by index.
+    /// Effective `(block index, content hash)` references the image does
+    /// not hold, strictly increasing by index.
     pub disk_refs: Vec<(u32, Digest)>,
 }
 
@@ -198,12 +206,16 @@ impl SnapshotStore {
     /// Builds the [`ChainManifest`] for the state at snapshot `upto_id`:
     /// the references the sections [`SnapshotStore::materialize`] applies
     /// collapse to (later writes win, memory sections before the last full
-    /// dump are superseded).
+    /// dump are superseded), less every reference whose digest is the leaf
+    /// the store's image holds at that index ([`SnapshotStore::for_image`];
+    /// a store that knows no image lists them all).  So the manifest costs
+    /// what the snapshot changed: a guest that keeps its state in CPU state
+    /// sends a full memory dump's worth of nothing.
     pub fn chain_manifest_upto(&self, upto_id: u64) -> Result<ChainManifest, CoreError> {
         let target = self
             .get(upto_id)
             .ok_or_else(|| CoreError::Snapshot(format!("snapshot {upto_id} not found")))?;
-        let [mem_refs, disk_refs] = self.effective_refs_upto(upto_id);
+        let [mem_refs, disk_refs] = self.lacking_refs_upto(upto_id);
         Ok(ChainManifest {
             snapshot_id: target.id,
             step: target.step,
@@ -1035,6 +1047,15 @@ fn stage_divergent(
     let sections = [&manifest.mem_refs, &manifest.disk_refs];
     let mut divergent: Vec<Divergent> = Vec::new();
     for (at, (refs, image_own)) in sections.into_iter().zip(baseline.leaf_hashes()).enumerate() {
+        // A list out of order could name one leaf twice, once with a
+        // digest the root check never sees; it is refused before anything
+        // stages.
+        if let Some(idx) = first_out_of_order(refs.iter().map(|(idx, _)| *idx)) {
+            return Err(CoreError::Snapshot(format!(
+                "manifest references are not strictly increasing at {} {idx}",
+                stores[at].leaf_name()
+            )));
+        }
         for (idx, digest) in refs {
             let leaf = *idx as usize;
             let own = image_own.get(leaf).ok_or_else(|| {

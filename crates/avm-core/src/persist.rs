@@ -428,14 +428,12 @@ impl<S: Storage + Clone> Provider<S> {
         for (id, digest) in &scan.manifests {
             manifest_digests.insert(*id, *digest);
         }
-        let mut store = match scan.prunes.last().copied() {
-            Some((base_id, base_digest)) => {
-                manifest_digests = manifest_digests.split_off(&base_id);
-                manifest_digests.insert(base_id, base_digest);
-                SnapshotStore::with_base(base_id)
-            }
-            None => SnapshotStore::new(),
-        };
+        let mut store = SnapshotStore::for_image(image);
+        if let Some((base_id, base_digest)) = scan.prunes.last().copied() {
+            manifest_digests = manifest_digests.split_off(&base_id);
+            manifest_digests.insert(base_id, base_digest);
+            store = store.with_base(base_id);
+        }
 
         // SNAPSHOT entries in the durable log, as (snapshot id, log position).
         let mut snapshot_entries: Vec<(u64, usize)> = Vec::new();
@@ -452,14 +450,22 @@ impl<S: Storage + Clone> Provider<S> {
         // every later snapshot whose SNAPSHOT entry became durable.  The
         // write ordering guarantees their manifests and blobs are durable
         // too; a miss here is real corruption, not a crash artefact.
+        // A section that is not strictly increasing by index was never
+        // captured: it is refused as tampering.
+        let rebuild = |store: &mut SnapshotStore, id: u64| {
+            let snapshot = rebuild_snapshot(id, &manifest_digests, &blobs)?;
+            store
+                .try_push(snapshot)
+                .map_err(|e| PersistError::Tampered(FaultReason::SyntacticFailure(e.to_string())))
+        };
         if store.next_id() > 0 && manifest_digests.contains_key(&store.base_id()) {
             let base_id = store.base_id();
-            store.push(rebuild_snapshot(base_id, &manifest_digests, &blobs)?);
+            rebuild(&mut store, base_id)?;
         }
         let mut last_durable: Option<(u64, usize)> = None;
         for (id, pos) in &snapshot_entries {
             if *id >= store.next_id() {
-                store.push(rebuild_snapshot(*id, &manifest_digests, &blobs)?);
+                rebuild(&mut store, *id)?;
             }
             if *id < store.next_id() && store.get(*id).is_some() {
                 last_durable = Some((*id, *pos));
@@ -1081,6 +1087,43 @@ mod tests {
         .unwrap_err();
         assert!(err.is_tamper(), "got non-tamper error: {err}");
         assert!(matches!(err, PersistError::Store(StoreError::Tamper(_))));
+    }
+
+    /// A persisted section whose indices are not strictly increasing holds
+    /// the same leaves as the captured one, so its state still
+    /// authenticates; it was never captured, and recovery refuses it as
+    /// tampering, naming the index, before the chain is collapsed.
+    #[test]
+    fn a_persisted_section_out_of_order_is_tamper() {
+        let storage = SimStorage::new();
+        let (mut bob, image) = provider_with_snapshots(storage.clone(), 2, small_cfg());
+        let mut manifest = manifest_of_stored(bob.avmm().snapshots().get(1).unwrap());
+        assert!(manifest.mem_chunks.len() >= 2, "a full memory dump");
+        manifest.mem_chunks.swap(0, 1);
+        let swapped = manifest.mem_chunks[1].0;
+        let bytes = manifest.encode_to_vec();
+        let digest = sha256(&bytes);
+        bob.arenas.put(digest, &bytes).unwrap();
+        bob.arenas.flush().unwrap();
+        bob.segments.append_manifest(1, digest).unwrap();
+        bob.segments.flush_batch().unwrap();
+        drop(bob);
+        let err = Provider::recover(
+            storage.reboot(),
+            "bob",
+            &image,
+            &GuestRegistry::new(),
+            key(1),
+            AvmmOptions::default().with_scheme(SignatureScheme::Rsa(512)),
+            small_cfg(),
+        )
+        .unwrap_err();
+        assert!(err.is_tamper(), "got non-tamper error: {err}");
+        let named = format!("snapshot 1 section is not strictly increasing at chunk {swapped}");
+        assert!(
+            matches!(&err, PersistError::Tampered(FaultReason::SyntacticFailure(d)) if d.contains(&named)),
+            "{err}"
+        );
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl Avmm {
             signing_key,
             peer_keys: HashMap::new(),
             log: TamperEvidentLog::new(),
-            snapshots: SnapshotStore::new(),
+            snapshots: SnapshotStore::for_image(image),
             state_tree: StateTreeCache::new(),
             outstanding_sends: HashMap::new(),
             msg_counter: 0,

@@ -58,10 +58,16 @@
 //! # Prefetch and misses
 //!
 //! From a snapshot, both modes stage the start state from the manifest the
-//! same way, and it authenticates against the same root: what the auditor's
-//! cache or the image holds with its contents, every other divergent leaf
-//! *byteless* — its digest in the hash slot, so every root is right, and
-//! nothing else ([`avm_vm::LeafStore::stage_byteless`]).  Every blob
+//! same way, and it authenticates against the same root.  The manifest
+//! lists only the references the image lacks: an index it leaves out holds
+//! the image's own leaf, which the root check covers like any listed one,
+//! so a manifest that drops a divergent reference or adds one the image
+//! determines does not authenticate.  Each list must be strictly increasing
+//! by index — a list that names a leaf twice is refused, naming the index,
+//! before anything stages.  What the auditor's cache or the image holds is
+//! staged with its contents, every other divergent leaf *byteless* — its
+//! digest in the hash slot, so every root is right, and nothing else
+//! ([`avm_vm::LeafStore::stage_byteless`]).  Every blob
 //! response is authenticated blob by blob against the digests it was asked
 //! for, and every leaf staged under a received digest gets the bytes.
 //!
@@ -69,8 +75,9 @@
 //! [`AuditRequest::Blobs`] batches of [`DEFAULT_BLOB_BATCH`], and replays the
 //! chunk once when the last batch is in — nothing has run yet, so a native
 //! guest is supplied in place like a bytecode one.  It downloads what the
-//! image and the cache lack: the manifest and those blobs, one round trip
-//! for the manifest and one per batch.
+//! image and the cache lack: the manifest of the references the image
+//! lacks and the blobs of those the cache lacks too, one round trip for the
+//! manifest and one per batch.
 //!
 //! **On demand** prefetches nothing.  The first access that needs a
 //! byteless leaf's bytes is a **miss**: replay stops, and the session sends
@@ -1413,8 +1420,12 @@ mod tests {
     enum Lie {
         /// Manifest and blobs from the store of a twin execution.
         TwinStore,
-        /// A manifest whose first memory reference names other content.
-        Manifest,
+        /// A manifest whose first reference names other content.
+        FlipDigest,
+        /// A manifest without its first (divergent) reference.
+        DropRef,
+        /// A manifest naming other content at a chunk the image determines.
+        InsertRef,
         /// Another blob's payload in place of the one asked for.
         Swap,
         /// The payload asked for left out.
@@ -1448,27 +1459,57 @@ mod tests {
         count
     }
 
+    /// `manifest` with `lie` told about its references: the first reference
+    /// of whichever list is non-empty (the db guest's chunks all equal the
+    /// image's, so its list of them is) with a digest byte flipped, or left
+    /// out, or a reference inserted, in order, at the first chunk the image
+    /// determines, naming other content than the image's there.
+    fn lie_about_refs(manifest: &mut ChainManifest, lie: Lie, image: &VmImage) {
+        if lie == Lie::InsertRef {
+            let refs = &mut manifest.mem_refs;
+            let at = (0..)
+                .find(|&i| refs.get(i).is_none_or(|(idx, _)| *idx as usize != i))
+                .unwrap();
+            let mut other = image.baseline().chunk_hashes()[at];
+            other.0[0] ^= 1;
+            refs.insert(at, (at as u32, other));
+            return;
+        }
+        let refs = match manifest.mem_refs.is_empty() {
+            true => &mut manifest.disk_refs,
+            false => &mut manifest.mem_refs,
+        };
+        assert!(!refs.is_empty(), "the honest manifest lists nothing");
+        match lie {
+            Lie::FlipDigest => refs[0].1 .0[0] ^= 1,
+            Lie::DropRef => drop(refs.remove(0)),
+            other => unreachable!("{other:?} is no lie about references"),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// A provider that lies about the state behind its log — answering
-        /// from a twin execution's store, with a manifest that does not
-        /// authenticate, or at one prefetch batch or miss swapping,
-        /// dropping, adding, shortening or reordering payloads — never gets
-        /// a consistent verdict in either mode from either driver, never
-        /// panics one, and a lie about a blob or the manifest is an error
-        /// that names the digest asked for or the root recorded.
+        /// from a twin execution's store, with a manifest that flips,
+        /// drops or inserts a reference, or at one prefetch batch or miss
+        /// swapping, dropping, adding, shortening or reordering payloads —
+        /// never gets a consistent verdict in either mode from either
+        /// driver, never panics one, and a lie about a blob is an error that
+        /// names the digest asked for, a lie about the manifest one that
+        /// says it does not authenticate and names the root recorded.
         #[test]
         fn a_lying_provider_is_never_consistent(
             db in any::<bool>(),
             fleet in any::<bool>(),
             on_demand in any::<bool>(),
-            lie in 0usize..7,
+            lie in 0usize..9,
             start in 0u64..2,
             at in 0usize..8,
         ) {
             use Lie::*;
-            let lie = [TwinStore, Manifest, Swap, Drop, Append, Short, Reorder][lie];
+            let lie = [TwinStore, FlipDigest, DropRef, InsertRef, Swap, Drop, Append, Short, Reorder][lie];
+            let about_manifest = matches!(lie, FlipDigest | DropRef | InsertRef);
             let (honest, twin) = recordings()[usize::from(db)];
             let exchanges = blob_exchanges(honest, start, on_demand);
             prop_assert!(exchanges > 0, "the check fetches nothing");
@@ -1478,21 +1519,22 @@ mod tests {
                 _ => &honest.store,
             };
             let other = honest.store.pooled_digests()[0];
+            let (image, registry) = (&honest.image, &honest.registry);
             let mut blob_exchange = 0;
             let mut named = None;
             let tamper = |request: &AuditRequest, body: Vec<u8>| {
-                match (request, lie) {
-                    (AuditRequest::Manifest { .. }, Manifest) => {
+                match request {
+                    AuditRequest::Manifest { .. } if about_manifest => {
                         let Ok(AuditResponse::Manifest { manifest }) = AuditResponse::decode_exact(&body)
                         else {
                             panic!("a manifest request gets a manifest");
                         };
                         let mut manifest = ChainManifest::decode_exact(&manifest).unwrap();
-                        named = Some(manifest.state_root.short_hex());
-                        manifest.mem_refs[0].1 .0[0] ^= 1;
+                        named = Some(format!("recorded root {}", manifest.state_root.short_hex()));
+                        lie_about_refs(&mut manifest, lie, image);
                         AuditResponse::Manifest { manifest: manifest.encode_to_vec() }.encode_to_vec()
                     }
-                    (AuditRequest::Blobs(asked), Swap | Drop | Append | Short | Reorder) => {
+                    AuditRequest::Blobs(asked) if matches!(lie, Swap | Drop | Append | Short | Reorder) => {
                         blob_exchange += 1;
                         if blob_exchange != at + 1 {
                             return body;
@@ -1517,7 +1559,7 @@ mod tests {
                             Drop => drop(blobs.blobs.remove(0)),
                             Append => blobs.blobs.push(Some(vec![0; 512])),
                             Short => drop(first.as_mut().unwrap().pop()),
-                            TwinStore | Manifest => unreachable!(),
+                            _ => unreachable!(),
                         }
                         AuditResponse::Blobs(blobs).encode_to_vec()
                     }
@@ -1525,7 +1567,6 @@ mod tests {
                 }
             };
             let server = AuditServer::new(&honest.log, store);
-            let (image, registry) = (&honest.image, &honest.registry);
             let outcome = if fleet {
                 let auditor = fleet_auditor(image, registry, start, on_demand);
                 fleet_spot_check(&mut TamperingProvider { server, tamper }, auditor).0
@@ -1538,7 +1579,12 @@ mod tests {
                 (Ok(report), None) => prop_assert!(!report.consistent, "{:?}", lie),
                 (Err(_), None) => {}
                 (Err(error), Some(named)) => {
-                    prop_assert!(error.to_string().contains(&named), "{error} names no {named}")
+                    prop_assert!(error.to_string().contains(&named), "{error} names no {named}");
+                    prop_assert!(
+                        !about_manifest || error.to_string().contains("manifest does not authenticate"),
+                        "{:?}: {error}",
+                        lie
+                    );
                 }
                 (Ok(report), Some(_)) => {
                     prop_assert!(false, "{:?} reached a verdict: {:?}", lie, report.fault)
@@ -1567,8 +1613,8 @@ mod tests {
 
     /// A spot check of the chunk after `start` (`k = 1`) of `recording`'s
     /// image, in one of [`MODES`], starting from `cache`, against `server`
-    /// with the chunk's encoded entries passed through `damage`, judged
-    /// against `held` (signed under the fixtures' null key).
+    /// with every response passed through `edit`, judged against `held`
+    /// (signed under the fixtures' null key).
     fn spot(
         recording: &Recording,
         server: AuditServer<'_>,
@@ -1576,26 +1622,20 @@ mod tests {
         (on_demand, fleet): (bool, bool),
         start: u64,
         cache: AuditorBlobCache,
-        mut damage: impl FnMut(Vec<Vec<u8>>) -> Vec<Vec<u8>>,
+        mut edit: impl FnMut(AuditResponse) -> AuditResponse,
     ) -> Checked {
         let (image, registry) = (&recording.image, &recording.registry);
         let null = VerifyingKey::Null;
         let (mut sent, mut state_bytes) = (Vec::new(), 0);
         let tamper = |request: &AuditRequest, body: Vec<u8>| {
             sent.push(kind(request));
-            match AuditResponse::decode_exact(&body).unwrap() {
-                AuditResponse::LogSegment { prev_hash, entries } => {
-                    return AuditResponse::LogSegment {
-                        prev_hash,
-                        entries: damage(entries),
-                    }
-                    .encode_to_vec()
-                }
+            let response = edit(AuditResponse::decode_exact(&body).unwrap());
+            match &response {
                 AuditResponse::Manifest { manifest } => state_bytes += manifest.len() as u64,
                 AuditResponse::Blobs(blobs) => state_bytes += blobs.encoded_len() as u64,
                 _ => {}
             }
-            body
+            response.encode_to_vec()
         };
         let (outcome, cache) = if fleet {
             let auditor = fleet_auditor(image, registry, start, on_demand)
@@ -1621,16 +1661,23 @@ mod tests {
         }
     }
 
-    /// [`spot`] with an empty cache: the request kinds sent and how it
-    /// ended.
+    /// [`spot`] with an empty cache and the chunk's encoded entries passed
+    /// through `damage`: the request kinds sent and how it ended.
     fn check(
         recording: &Recording,
         server: AuditServer<'_>,
         held: &[Authenticator],
         mode: (bool, bool),
         start: u64,
-        damage: impl FnMut(Vec<Vec<u8>>) -> Vec<Vec<u8>>,
+        mut damage: impl FnMut(Vec<Vec<u8>>) -> Vec<Vec<u8>>,
     ) -> (Vec<&'static str>, Result<SpotCheckReport, CoreError>) {
+        let edit = |response| match response {
+            AuditResponse::LogSegment { prev_hash, entries } => AuditResponse::LogSegment {
+                prev_hash,
+                entries: damage(entries),
+            },
+            other => other,
+        };
         let checked = spot(
             recording,
             server,
@@ -1638,7 +1685,7 @@ mod tests {
             mode,
             start,
             AuditorBlobCache::new(),
-            damage,
+            edit,
         );
         (checked.sent, checked.outcome)
     }
@@ -1820,6 +1867,112 @@ mod tests {
             let warm = run(false, full.cache);
             prop_assert_eq!(&warm.sent, &["Chunk", "Manifest"]);
             prop_assert_eq!(verdict(&warm), verdict(&on_demand));
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // The manifest lists what the image lacks
+    // -----------------------------------------------------------------------
+
+    /// [`spot`] of the honest recording with an empty cache and its
+    /// manifest passed through `edit`.
+    fn spot_manifest(
+        recording: &Recording,
+        mode: (bool, bool),
+        start: u64,
+        mut edit: impl FnMut(&mut ChainManifest),
+    ) -> Checked {
+        let server = AuditServer::new(&recording.log, &recording.store);
+        let edit = |response| match response {
+            AuditResponse::Manifest { manifest } => {
+                let mut manifest = ChainManifest::decode_exact(&manifest).unwrap();
+                edit(&mut manifest);
+                AuditResponse::Manifest {
+                    manifest: manifest.encode_to_vec(),
+                }
+            }
+            other => other,
+        };
+        spot(
+            recording,
+            server,
+            &[],
+            mode,
+            start,
+            AuditorBlobCache::new(),
+            edit,
+        )
+    }
+
+    /// A manifest naming one leaf twice, or two out of order, would stage
+    /// the same set as the honest one and so pass the root check; it is
+    /// refused before anything stages or is fetched, with an error naming
+    /// the index — both recordings, both modes, both drivers.
+    #[test]
+    fn an_unordered_manifest_is_refused_before_staging() {
+        for (honest, _) in recordings() {
+            for mode in MODES {
+                for start in 0..2 {
+                    let mut named = String::new();
+                    let checked = spot_manifest(honest, mode, start, |manifest| {
+                        let (refs, name) = match manifest.mem_refs.is_empty() {
+                            true => (&mut manifest.disk_refs, "disk block"),
+                            false => (&mut manifest.mem_refs, "chunk"),
+                        };
+                        match refs.len() {
+                            0 => panic!("the honest manifest lists nothing"),
+                            1 => refs.push(refs[0]),
+                            _ => refs.swap(0, 1),
+                        }
+                        named = format!("not strictly increasing at {name} {}", refs[1].0);
+                    });
+                    assert_eq!(checked.sent, ["Chunk", "Manifest"], "{mode:?}");
+                    let error = checked.outcome.unwrap_err().to_string();
+                    assert!(error.contains(&named), "{mode:?}: {error} names no {named}");
+                }
+            }
+        }
+    }
+
+    /// The provider leaves out every reference that equals the image's leaf
+    /// there.  Put back, they change only the bytes of the snapshot
+    /// download: the same requests, verdict, fault, progress, final root and
+    /// fetched blobs — both recordings, both modes, both drivers, every
+    /// start — and every such manifest is larger than the one served.
+    #[test]
+    fn image_equal_references_change_only_the_snapshot_bytes() {
+        let bytes_blind = |report: &SpotCheckReport| {
+            let mut report = report.semantic();
+            report.snapshot_transfer_bytes = 0;
+            let cost = report.on_demand.as_mut().unwrap();
+            (cost.manifest_bytes, cost.transfer_bytes) = (0, 0);
+            report
+        };
+        for (honest, _) in recordings() {
+            for mode in MODES {
+                for start in 0..honest.store.len() as u64 {
+                    let filtered = spot_manifest(honest, mode, start, |_| {});
+                    let unfiltered = spot_manifest(honest, mode, start, |manifest| {
+                        let [mem_refs, disk_refs] = honest.store.effective_refs_upto(start);
+                        for (listed, all) in [
+                            (&manifest.mem_refs, &mem_refs),
+                            (&manifest.disk_refs, &disk_refs),
+                        ] {
+                            assert!(listed.iter().all(|r| all.contains(r)));
+                        }
+                        (manifest.mem_refs, manifest.disk_refs) = (mem_refs, disk_refs);
+                    });
+                    assert_eq!(unfiltered.sent, filtered.sent, "{mode:?}");
+                    let (filtered, unfiltered) =
+                        (filtered.outcome.unwrap(), unfiltered.outcome.unwrap());
+                    assert!(filtered.consistent, "{:?}", filtered.fault);
+                    assert_eq!(bytes_blind(&unfiltered), bytes_blind(&filtered), "{mode:?}");
+                    assert!(
+                        unfiltered.snapshot_transfer_bytes > filtered.snapshot_transfer_bytes,
+                        "{mode:?} {start}"
+                    );
+                }
+            }
         }
     }
 

@@ -125,12 +125,15 @@
 //! [`build_state_tree_uncached`] remains as the reference implementation;
 //! tests and benches cross-check the cached root against it.
 
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use avm_compress::{CompressionLevel, CompressionStats};
 use avm_crypto::merkle::MerkleTree;
 use avm_crypto::sha256::{sha256, Digest};
+use avm_vm::image::ImageBaseline;
 use avm_vm::{GuestRegistry, LeafStore, Machine, VmImage, STATE_HEADER_LEAVES};
 use avm_wire::Reader;
 
@@ -659,24 +662,39 @@ pub struct SnapshotStore {
     pool: PayloadPool,
     /// Id of the first retained snapshot (> 0 after pruning).
     base_id: u64,
+    /// The baseline of the image the machine started from, when the store
+    /// was created for one: the on-demand manifest leaves out every
+    /// reference equal to its leaf at that index.
+    image: Option<Arc<ImageBaseline>>,
 }
 
 impl SnapshotStore {
-    /// Creates an empty store.
+    /// Creates an empty store that knows no image: its on-demand manifest
+    /// ([`SnapshotStore::chain_manifest_upto`]) lists every effective
+    /// reference, the image's own leaves included.
     pub fn new() -> SnapshotStore {
         SnapshotStore::default()
     }
 
-    /// Creates an empty store whose next pushed snapshot must carry
+    /// Creates an empty store for a machine built from `image`: its
+    /// on-demand manifest lists only the references whose digest differs
+    /// from the image's own leaf there ([`VmImage::baseline`]), which is
+    /// all an auditor holding the image lacks.
+    pub fn for_image(image: &VmImage) -> SnapshotStore {
+        SnapshotStore {
+            image: Some(Arc::clone(image.shared_baseline())),
+            ..SnapshotStore::default()
+        }
+    }
+
+    /// This empty store, with the next pushed snapshot required to carry
     /// `base_id` — the shape a store has right after
     /// [`SnapshotStore::prune_upto`] dropped everything below `base_id`.
     /// Recovery uses this to rebuild a pruned store from persisted
     /// manifests without replaying the pruned-away history.
-    pub fn with_base(base_id: u64) -> SnapshotStore {
-        SnapshotStore {
-            base_id,
-            ..SnapshotStore::default()
-        }
+    pub fn with_base(self, base_id: u64) -> SnapshotStore {
+        debug_assert!(self.is_empty(), "only an empty store is rebased");
+        SnapshotStore { base_id, ..self }
     }
 
     /// Digests of every payload blob the pool currently holds (unordered).
@@ -689,7 +707,37 @@ impl SnapshotStore {
     /// Adds a snapshot (ids must be dense and increasing; the next id is
     /// [`SnapshotStore::next_id`]), interning its payloads into the
     /// content-addressed pool.
+    ///
+    /// # Panics
+    ///
+    /// If a section of `snapshot` is not strictly increasing by index,
+    /// which no [`capture`] produces; [`SnapshotStore::try_push`] refuses
+    /// such a snapshot instead.
     pub fn push(&mut self, snapshot: Snapshot) {
+        if let Err(e) = self.try_push(snapshot) {
+            panic!("{e}");
+        }
+    }
+
+    /// [`SnapshotStore::push`] for a snapshot from outside the recorder
+    /// (recovery reads it back from storage): a section that is not
+    /// strictly increasing by index — the precondition of the merge that
+    /// collapses the chain into the on-demand manifest and into a prune's
+    /// rebased snapshot — is refused, with nothing changed, naming the
+    /// first index out of order.
+    pub fn try_push(&mut self, snapshot: Snapshot) -> Result<(), CoreError> {
+        let sections = [
+            ("chunk", &snapshot.mem_chunks),
+            ("disk block", &snapshot.disk_blocks),
+        ];
+        for (name, leaves) in sections {
+            if let Some(idx) = first_out_of_order(leaves.iter().map(|(idx, ..)| *idx)) {
+                return Err(CoreError::Snapshot(format!(
+                    "snapshot {} section is not strictly increasing at {name} {idx}",
+                    snapshot.id
+                )));
+            }
+        }
         debug_assert_eq!(snapshot.id, self.next_id());
         let mem_payload_bytes = snapshot.memory_bytes();
         let disk_payload_bytes = snapshot.disk_bytes();
@@ -722,6 +770,7 @@ impl SnapshotStore {
             mem_payload_bytes,
             disk_payload_bytes,
         });
+        Ok(())
     }
 
     /// Number of retained snapshots.
@@ -791,16 +840,40 @@ impl SnapshotStore {
 
     /// The effective `[memory, disk]` references at snapshot `upto_id`:
     /// [`SnapshotStore::sections_upto`] collapsed so the latest write of
-    /// each leaf wins, sorted by index.  This is the content of the
-    /// on-demand manifest and of the snapshot a prune rebases onto.
+    /// each leaf wins, sorted by index.  This is the snapshot a prune
+    /// rebases onto, and the on-demand manifest before the image's own
+    /// leaves are left out.
+    ///
+    /// Every section is strictly increasing by index
+    /// ([`SnapshotStore::try_push`] refuses one that is not, and a rebased
+    /// section is this function's output), so the collapse is one k-way
+    /// merge per store over the non-empty sections — O(references · log
+    /// sections), a plain copy when one section holds the store's
+    /// references — instead of a map rebuilt on every manifest request.
     pub(crate) fn effective_refs_upto(&self, upto_id: u64) -> [Vec<(u32, Digest)>; 2] {
-        let mut effective: [BTreeMap<u32, Digest>; 2] = Default::default();
-        for (_, sections) in self.sections_upto(upto_id) {
-            for (leaves, refs) in effective.iter_mut().zip(sections) {
-                leaves.extend(refs.iter().copied());
+        let mut sections: [Vec<&[(u32, Digest)]>; 2] = Default::default();
+        for (_, refs) in self.sections_upto(upto_id) {
+            for (chain, refs) in sections.iter_mut().zip(refs) {
+                if !refs.is_empty() {
+                    chain.push(refs);
+                }
             }
         }
-        effective.map(|leaves| leaves.into_iter().collect())
+        sections.map(|chain| merge_latest(&chain))
+    }
+
+    /// [`SnapshotStore::effective_refs_upto`] less every reference whose
+    /// digest is the image's own leaf at that index
+    /// ([`SnapshotStore::for_image`]): what an auditor holding the image
+    /// lacks, and so the content of the on-demand manifest.
+    pub(crate) fn lacking_refs_upto(&self, upto_id: u64) -> [Vec<(u32, Digest)>; 2] {
+        let mut effective = self.effective_refs_upto(upto_id);
+        if let Some(image) = &self.image {
+            for (refs, own) in effective.iter_mut().zip(image.leaf_hashes()) {
+                refs.retain(|(idx, digest)| own.get(*idx as usize) != Some(digest));
+            }
+        }
+        effective
     }
 
     /// Resolves a content hash to its payload, if the pool holds it.
@@ -1015,6 +1088,50 @@ impl SnapshotStore {
     }
 }
 
+/// The first index of `indices` that is not above the one before it.
+pub(crate) fn first_out_of_order(indices: impl Iterator<Item = u32>) -> Option<u32> {
+    let mut last = None;
+    for idx in indices {
+        if last.is_some_and(|last| idx <= last) {
+            return Some(idx);
+        }
+        last = Some(idx);
+    }
+    None
+}
+
+/// Merges `sections` (oldest first, each strictly increasing by index) into
+/// one strictly increasing list in which the latest section's reference
+/// wins each index.  A min-heap holds each section's next index, ties
+/// broken towards the later section, so the first time an index is popped
+/// it comes from its last writer and every later pop of it is skipped.  A
+/// lone section — memory since a full dump that nothing wrote after — is
+/// copied without the heap, which would cost more on the db guest's
+/// 1,024-chunk dump than the rest of its manifest request.
+fn merge_latest(sections: &[&[(u32, Digest)]]) -> Vec<(u32, Digest)> {
+    if let [only] = sections {
+        return only.to_vec();
+    }
+    let mut heads: BinaryHeap<Reverse<(u32, Reverse<usize>)>> = sections
+        .iter()
+        .enumerate()
+        .map(|(at, refs)| Reverse((refs[0].0, Reverse(at))))
+        .collect();
+    let mut cursors = vec![0usize; sections.len()];
+    let mut merged: Vec<(u32, Digest)> =
+        Vec::with_capacity(sections.iter().map(|refs| refs.len()).max().unwrap_or(0));
+    while let Some(Reverse((idx, Reverse(at)))) = heads.pop() {
+        if merged.last().is_none_or(|(last, _)| *last != idx) {
+            merged.push(sections[at][cursors[at]]);
+        }
+        cursors[at] += 1;
+        if let Some((next, _)) = sections[at].get(cursors[at]) {
+            heads.push(Reverse((*next, Reverse(at))));
+        }
+    }
+    merged
+}
+
 /// Builds the state at snapshot `upto_id` from a section stream (the layout
 /// is on [`SnapshotStore::append_transfer_stream_upto`]): a machine fresh
 /// from `image` with every section installed and the target's CPU, device
@@ -1133,6 +1250,7 @@ mod tests {
     use avm_vm::bytecode::assemble;
     use avm_vm::devices::DISK_BLOCK_SIZE;
     use avm_vm::{StopCondition, VmExit, CHUNKS_PER_PAGE, CHUNK_SIZE, PAGE_SIZE};
+    use proptest::prelude::*;
 
     fn image() -> VmImage {
         // A guest that stores an increasing counter to memory and disk each
@@ -1855,5 +1973,101 @@ mod tests {
         assert!(tree.leaf_count() > 3);
         let proof = tree.prove(0).unwrap();
         assert!(proof.verify_hash(sha256(&m.save_cpu_state()), &tree.root()));
+    }
+
+    /// The effective references at `upto_id` as the chain collapsed before
+    /// the merge: every retained section up to it (memory from the last
+    /// full dump on, every disk section) inserted into a map in id order,
+    /// so the latest write of each index wins.
+    fn btreemap_collapse(store: &SnapshotStore, upto_id: u64) -> [Vec<(u32, Digest)>; 2] {
+        use std::collections::BTreeMap;
+        let chain: Vec<&StoredSnapshot> = store.all().iter().filter(|s| s.id <= upto_id).collect();
+        let base = chain.iter().rev().find(|s| s.full_memory).map(|s| s.id);
+        let mut leaves: [BTreeMap<u32, Digest>; 2] = Default::default();
+        for s in chain {
+            if base.is_none_or(|base| base <= s.id) {
+                leaves[0].extend(s.mem_chunk_refs().iter().copied());
+            }
+            leaves[1].extend(s.disk_block_refs().iter().copied());
+        }
+        leaves.map(|leaves| leaves.into_iter().collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over random chains of full and incremental captures of a
+        /// bytecode guest — writes to random chunks and blocks, often back
+        /// to the image's zeros — with prunes interleaved, at every retained
+        /// snapshot: the merge is the map collapse; the manifest is that
+        /// collapse less every reference equal to the image's leaf; the
+        /// manifest authenticates as an auditor receives it; and the
+        /// provider's on-demand start has the full download's root.
+        ///
+        /// Each op is `(kind, location, value)`: kind 0-2 writes memory, 3-4
+        /// writes the disk (the value is small, so a write is often a zero),
+        /// 5-7 takes a snapshot (full when `value` is even), 8 prunes at a
+        /// retained snapshot.
+        #[test]
+        fn linear_collapse_is_the_btreemap_collapse(
+            ops in proptest::collection::vec(
+                (0u8..9, any::<u16>(), any::<u8>()),
+                1..40,
+            )
+        ) {
+            use crate::ondemand::{materialize_on_demand, AuditorBlobCache};
+            use crate::replay::Replayer;
+            use avm_wire::Encode;
+
+            let img = image();
+            let reg = GuestRegistry::new();
+            let mut m = Machine::from_image(&img, &reg).unwrap();
+            let mut cache = StateTreeCache::new();
+            let mut store = SnapshotStore::for_image(&img);
+            for (kind, loc, val) in ops {
+                let val = val % 4;
+                match kind {
+                    0..=2 => {
+                        let addr = loc as u64 * 7 % m.memory().size();
+                        m.memory_mut().write_u8(addr, val).unwrap();
+                    }
+                    3..=4 => {
+                        let off = loc as u64 * 7 % m.devices().disk.size();
+                        m.devices_mut().disk.write(off, &[val]).unwrap();
+                    }
+                    5..=7 => {
+                        let id = store.next_id();
+                        store.push(capture_with_cache(&mut m, &mut cache, id, val % 2 == 0));
+                    }
+                    _ if store.is_empty() => {}
+                    _ => {
+                        let at = store.base_id() + u64::from(val) % store.len() as u64;
+                        store.prune_upto(at).unwrap();
+                    }
+                }
+            }
+            let id = store.next_id();
+            store.push(capture_with_cache(&mut m, &mut cache, id, false));
+
+            let own = img.baseline().leaf_hashes();
+            let no_cache = AuditorBlobCache::new();
+            for id in store.base_id()..store.next_id() {
+                let reference = btreemap_collapse(&store, id);
+                prop_assert_eq!(&store.effective_refs_upto(id), &reference, "snapshot {}", id);
+
+                let manifest = store.chain_manifest_upto(id).unwrap();
+                let [mem_refs, disk_refs] = reference.map(|refs| refs.into_iter());
+                let lacks = |at: usize| move |(idx, digest): &(u32, Digest)| own[at][*idx as usize] != *digest;
+                prop_assert_eq!(&manifest.mem_refs, &mem_refs.filter(lacks(0)).collect::<Vec<_>>());
+                prop_assert_eq!(&manifest.disk_refs, &disk_refs.filter(lacks(1)).collect::<Vec<_>>());
+
+                let received = manifest.encoded_len() as u64;
+                let audited = Replayer::from_manifest_on_demand(&manifest, received, &img, &reg, &no_cache);
+                prop_assert!(audited.is_ok(), "snapshot {}: {:?}", id, audited.err());
+                let (lazy, _) = materialize_on_demand(&store, id, &img, &reg, &no_cache).unwrap();
+                let full = store.materialize(id, &img, &reg).unwrap();
+                prop_assert_eq!(compute_state_root(&lazy), compute_state_root(&full), "snapshot {}", id);
+            }
+        }
     }
 }

@@ -309,6 +309,13 @@ impl VmImage {
     /// Everything this image alone determines, derived on the first call
     /// and shared with every clone made after it.
     pub fn baseline(&self) -> &ImageBaseline {
+        self.shared_baseline()
+    }
+
+    /// [`VmImage::baseline`] as a handle that outlives the borrow of the
+    /// image, for a holder that keeps reading it (a snapshot store leaves
+    /// the image's own leaves out of its manifests).
+    pub fn shared_baseline(&self) -> &Arc<ImageBaseline> {
         self.baseline
             .get_or_init(|| Arc::new(ImageBaseline::derive(self)))
     }
