@@ -337,8 +337,13 @@ fn bench_verify_kernels(c: &mut Criterion) {
         let content = vec![i as u8; 8 + (i % 7) as usize * 9];
         log.append(EntryKind::NdEvent, content);
     }
+    // `verify_chain` splits 30k entries into `parts_for` parts on a
+    // multi-core host; `one_part` is the same check on the calling thread.
     group.bench_function("verify_chain", |b| {
         b.iter(|| verify_chain(&Digest::ZERO, log.entries()).unwrap())
+    });
+    group.bench_function("one_part", |b| {
+        b.iter(|| avm_log::verify::chain_in_parts(&Digest::ZERO, log.entries(), 1).unwrap())
     });
     group.finish();
 

@@ -10,17 +10,22 @@
 //!
 //! There is one audit, with two starts.  [`syntactic_phase`] is the first
 //! check of every segment an auditor receives: the hash chain from the
-//! segment's anchor, the held authenticators, the cross-references.  Only
-//! then does the replay begin — from the image for the whole log
-//! ([`audit_log`], and [`crate::session::AuditSession`] started at
-//! [`crate::session::Start::Image`]), or from a downloaded snapshot for a
-//! §3.5 spot check (the same session started at
-//! [`crate::session::Start::Snapshot`]).
+//! segment's anchor, the held authenticators, the cross-references.  Its
+//! verdict comes before the replay's.  From the image — the whole log:
+//! [`audit_log`], and [`crate::session::AuditSession`] started at
+//! [`crate::session::Start::Image`] — a long segment is replayed side by
+//! side with its syntactic phase, which wins and stops the replay when it
+//! fails; nothing is requested that could wait for it.  From a downloaded
+//! snapshot — a §3.5 spot check, the same session started at
+//! [`crate::session::Start::Snapshot`] — no state is requested until the
+//! syntactic phase has passed.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use avm_crypto::keys::VerifyingKey;
 use avm_crypto::sha256::{sha256, Digest};
+use avm_log::verify::parts_for;
 use avm_log::{verify_segment, Authenticator, EntryKind, EntryView, LogEntry};
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::Decode;
@@ -140,13 +145,14 @@ impl Evidence {
     }
 }
 
-/// Audits a log segment: the syntactic phase, then deterministic replay
-/// against the reference image.
+/// Audits a log segment: the syntactic phase and deterministic replay
+/// against the reference image, side by side; the syntactic verdict wins
+/// and stops the replay.
 ///
 /// This is the full-audit entry point ("replaying the log from the beginning
 /// of the execution"); over the wire it is an
 /// [`crate::session::AuditSession`] started at the image, which makes the
-/// same two calls (`audit_from_image`).
+/// same call (`audit_from_image`).
 ///
 /// Generic over the [`EntryView`]: [`Evidence::verify`] passes the owned
 /// segment it carries, the session the entries it decoded in place from the
@@ -174,10 +180,13 @@ pub fn audit_log<E: EntryView>(
     report
 }
 
-/// The whole-log audit's two calls — [`syntactic_phase`], then
-/// [`Replayer::replay`] from a fresh machine of `reference` — and the report
-/// they add up to, with the replay's truthful progress beside it.  The
-/// report names no machine yet ([`AuditReport::name`]).
+/// The whole-log audit — [`syntactic_phase`] and [`Replayer::replay`] from
+/// a fresh machine of `reference`, side by side — and the report they add
+/// up to, with the replay's truthful progress beside it.  A failed
+/// syntactic phase is the verdict with `ReplaySummary::default()` for
+/// progress, exactly as when it ran first and nothing was replayed; it
+/// also stops the replay at its next entry, so the verdict does not wait
+/// for it.  The report names no machine yet ([`AuditReport::name`]).
 pub(crate) fn audit_from_image<E: EntryView>(
     prev_hash: &Digest,
     segment: &[E],
@@ -202,23 +211,99 @@ pub(crate) fn audit_from_image<E: EntryView>(
         entries_examined: segment.len() as u64,
         syntactic_ok,
     };
-    if let Err(fault) = syntactic_phase(prev_hash, segment, authenticators, machine_key) {
+    let (syntactic, (verdict, progress)) = both_phases(
+        prev_hash,
+        segment,
+        authenticators,
+        machine_key,
+        reference,
+        registry,
+    );
+    if let Err(fault) = syntactic {
         return (report(false, Err(fault)), ReplaySummary::default());
     }
+    let verdict = verdict.expect("only a failed syntactic phase stops the replay");
+    (report(true, verdict), progress)
+}
+
+/// What a replay from the image came to: its verdict — `None` when a failed
+/// syntactic phase stopped it first — and its truthful progress.
+type FromImage = (Option<Result<ReplaySummary, FaultReason>>, ReplaySummary);
+
+/// The two phases of a whole-log audit.  A segment that
+/// [`avm_log::verify::parts_for`] splits is audited side by side: the
+/// syntactic phase (itself in parts) on a scoped thread, the replay on this
+/// one, and a failed syntactic phase stops the replay at its next entry.
+/// Any other segment — shorter than [`avm_log::verify::SPLIT_THRESHOLD`],
+/// or on a one-core host — is audited in sequence, and a failed syntactic
+/// phase replays nothing.
+fn both_phases<E: EntryView>(
+    prev_hash: &Digest,
+    segment: &[E],
+    authenticators: &[Authenticator],
+    machine_key: &VerifyingKey,
+    reference: &VmImage,
+    registry: &GuestRegistry,
+) -> (Result<(), FaultReason>, FromImage) {
+    let syntactic = || syntactic_phase(prev_hash, segment, authenticators, machine_key);
+    let stop = AtomicBool::new(false);
+    if parts_for(segment.len()) > 1 {
+        let side_by_side = std::thread::scope(|scope| {
+            let checker = std::thread::Builder::new()
+                .spawn_scoped(scope, || {
+                    let verdict = syntactic();
+                    if verdict.is_err() {
+                        // Relaxed: the flag publishes nothing; the verdict
+                        // itself comes back through the join.
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                    verdict
+                })
+                .ok()?;
+            let replayed = replay_from_image(reference, registry, segment, &stop);
+            let verdict = checker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            Some((verdict, replayed))
+        });
+        // `None`: the host refused a thread; audit in sequence.
+        if let Some(both) = side_by_side {
+            return both;
+        }
+    }
+    match syntactic() {
+        Ok(()) => (
+            Ok(()),
+            replay_from_image(reference, registry, segment, &stop),
+        ),
+        Err(fault) => (Err(fault), (None, ReplaySummary::default())),
+    }
+}
+
+/// The semantic phase from a fresh machine of `reference`, giving up before
+/// its next entry once `stop` is set.
+fn replay_from_image<E: EntryView>(
+    reference: &VmImage,
+    registry: &GuestRegistry,
+    segment: &[E],
+    stop: &AtomicBool,
+) -> FromImage {
     let mut replayer = match Replayer::from_image(reference, registry) {
         Ok(replayer) => replayer,
         Err(e) => {
             let fault = FaultReason::SyntacticFailure(format!(
                 "could not instantiate reference machine: {e}"
             ));
-            return (report(true, Err(fault)), ReplaySummary::default());
+            return (Some(Err(fault)), ReplaySummary::default());
         }
     };
-    let outcome = match replayer.replay(segment) {
-        ReplayOutcome::Consistent(summary) => Ok(summary),
-        ReplayOutcome::Fault(fault) => Err(fault),
-    };
-    (report(true, outcome), replayer.summary())
+    let verdict = replayer
+        .replay_unless(segment, stop)
+        .map(|outcome| match outcome {
+            ReplayOutcome::Consistent(summary) => Ok(summary),
+            ReplayOutcome::Fault(fault) => Err(fault),
+        });
+    (verdict, replayer.summary())
 }
 
 /// The syntactic phase (§4.5) of a segment the auditor received, run before
@@ -557,6 +642,97 @@ mod tests {
             panic!()
         };
         assert!(evidence.verify(&bob_pub, &image, &GuestRegistry::new()));
+    }
+
+    /// A chain-valid log of `n` entries after its META whose replay costs
+    /// `steps` guest steps per entry: input events on a guest that spins.
+    fn slow_replay_log(image: &VmImage, n: u64, steps: u64) -> avm_log::TamperEvidentLog {
+        use crate::events::MetaRecord;
+        use avm_vm::devices::InputEvent;
+        let mut log = avm_log::TamperEvidentLog::new();
+        let meta = MetaRecord {
+            image_digest: image.digest(),
+            node_name: "bob".into(),
+            scheme_label: "nosig".into(),
+        };
+        log.append(EntryKind::Meta, meta.encode_to_vec());
+        for i in 1..=n {
+            let event = NdEventRecord {
+                step: i * steps,
+                detail: NdDetail::InputInjected {
+                    event: InputEvent {
+                        device: 0,
+                        code: 1,
+                        value: 1,
+                    },
+                },
+            };
+            log.append(EntryKind::NdEvent, event.encode_to_vec());
+        }
+        log
+    }
+
+    #[test]
+    fn a_raised_flag_stops_the_replay_before_its_next_entry() {
+        let image = VmImage::bytecode("spin", 4096, assemble("l: jmp l", 0).unwrap(), 0, 0);
+        let log = slow_replay_log(&image, 8, 100);
+        let registry = GuestRegistry::new();
+        let (verdict, progress) =
+            replay_from_image(&image, &registry, log.entries(), &AtomicBool::new(false));
+        assert!(verdict.unwrap().is_ok());
+        assert_eq!(progress.entries_replayed, 9);
+        let (verdict, progress) =
+            replay_from_image(&image, &registry, log.entries(), &AtomicBool::new(true));
+        assert_eq!(verdict, None);
+        assert_eq!(progress.entries_replayed, 0);
+    }
+
+    /// The counter: a syntactic phase that fails beside a replay stops it
+    /// long before the end of the segment.  The segment is one past the
+    /// split threshold, its last hash flipped; replaying it whole would take
+    /// hundreds of times longer than its chain check.
+    #[test]
+    fn a_failed_syntactic_phase_stops_the_replay_before_the_end() {
+        let image = VmImage::bytecode("spin", 4096, assemble("l: jmp l", 0).unwrap(), 0, 0);
+        let n = avm_log::verify::SPLIT_THRESHOLD as u64;
+        let log = slow_replay_log(&image, n, 20_000);
+        let mut segment = log.entries().to_vec();
+        let last = segment.last_mut().unwrap();
+        last.hash = sha256(last.hash.as_bytes());
+        let key = key(1).verifying_key();
+        let (syntactic, (verdict, progress)) = both_phases(
+            &Digest::ZERO,
+            &segment,
+            &[],
+            &key,
+            &image,
+            &GuestRegistry::new(),
+        );
+        assert_eq!(
+            syntactic,
+            Err(FaultReason::SyntacticFailure(format!(
+                "hash chain broken at sequence {}",
+                n + 1
+            )))
+        );
+        assert_eq!(verdict, None, "the replay reached a verdict");
+        assert!(
+            progress.entries_replayed < n / 2,
+            "replayed {} of {} entries",
+            progress.entries_replayed,
+            n + 1
+        );
+        // The report carries the syntactic fault and no progress.
+        let (report, progress) = audit_from_image(
+            &Digest::ZERO,
+            &segment,
+            &[],
+            &key,
+            &image,
+            &GuestRegistry::new(),
+        );
+        assert!(!report.syntactic_ok);
+        assert_eq!(progress, ReplaySummary::default());
     }
 
     #[test]

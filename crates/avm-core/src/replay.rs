@@ -37,6 +37,7 @@
 //! written since the previous one.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use avm_crypto::sha256::{sha256, Digest};
 use avm_log::{EntryKind, EntryView};
@@ -319,13 +320,28 @@ impl Replayer {
     /// Replays a complete segment of log entries — owned, or still borrowed
     /// from the packet they arrived in ([`EntryView`]).
     pub fn replay<E: EntryView>(&mut self, entries: &[E]) -> ReplayOutcome {
+        self.replay_unless(entries, &AtomicBool::new(false))
+            .expect("nothing else sees the flag")
+    }
+
+    /// [`Replayer::replay`] giving up before its next entry once `stop` is
+    /// set — by a syntactic phase that failed beside it — with `None`.
+    pub(crate) fn replay_unless<E: EntryView>(
+        &mut self,
+        entries: &[E],
+        stop: &AtomicBool,
+    ) -> Option<ReplayOutcome> {
         for entry in entries {
+            if stop.load(Ordering::Relaxed) {
+                self.summary.steps_executed = self.steps_executed();
+                return None;
+            }
             if let Err(fault) = self.replay_entry(entry) {
                 self.summary.steps_executed = self.steps_executed();
-                return ReplayOutcome::Fault(fault);
+                return Some(ReplayOutcome::Fault(fault));
             }
         }
-        self.conclude()
+        Some(self.conclude())
     }
 
     /// [`Replayer::replay`] stopping at a miss instead: `None` means the

@@ -7,7 +7,10 @@
 //!
 //! * [`Start::Image`] — the log segment by sequence number, replayed from a
 //!   fresh machine of the image: the whole-log audit.  No state is
-//!   requested; on a fault the session keeps transferable evidence
+//!   requested, so nothing waits for the syntactic phase to pass: on a long
+//!   segment it runs beside the replay ([`crate::audit::audit_log`]), its
+//!   verdict wins, and its failure stops the replay.  On a fault the
+//!   session keeps transferable evidence
 //!   ([`AuditSession::into_audit_report`]).
 //! * [`Start::Snapshot`] — the `k`-chunk after a snapshot, replayed from the
 //!   snapshot's state, its bytes fetched before replay (full download) or
@@ -462,7 +465,8 @@ impl<'a> AuditSession<'a> {
         self.log_bytes = log_bytes;
         let (key, held) = self.held;
         let Start::Snapshot { id, .. } = self.start else {
-            // The start state is the image: both phases run on the packet.
+            // The start state is the image: both phases run on the packet,
+            // side by side on a long segment.
             self.authenticators_checked = held.len();
             let (report, progress) =
                 audit_from_image(&prev_hash, &entries, held, key, self.image, self.registry);

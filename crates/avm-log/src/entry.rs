@@ -83,8 +83,9 @@ pub struct LogEntry {
 /// its content: a [`LogEntry`] owns it, a [`LogEntryRef`] borrows it from
 /// the packet it arrived in.  Every check an auditor runs over a segment —
 /// [`crate::verify_chain`], [`crate::verify_segment`], `avm-core`'s content
-/// checks and replay — is written once against this view.
-pub trait EntryView {
+/// checks and replay — is written once against this view.  A view is
+/// `Sync`: a long segment is checked in parts, on several threads at once.
+pub trait EntryView: Sync {
     /// Sequence number `s_i`.
     fn seq(&self) -> u64;
     /// Entry type `t_i`.

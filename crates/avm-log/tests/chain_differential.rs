@@ -1,16 +1,28 @@
 //! Differential test: the batched [`verify_chain`] against the
-//! entry-at-a-time loop it replaced.
+//! entry-at-a-time loop it replaced, and the split of a long segment into
+//! parts ([`chain_in_parts`], [`segment_in_parts`]) against the same loop
+//! and an in-order authenticator loop.
 //!
-//! The loop below is the only serial chain check left in the workspace; it
-//! stays as the reference.  Equality of the two `Result`s is the whole
-//! contract: the same `Ok`, or the same error variant naming the same
-//! sequence number(s).  Runs in release in CI too, where the eight-lane
-//! SHA-256 path actually vectorises.
+//! The loops below are the only serial chain and authenticator checks left
+//! in the workspace; they stay as the reference.  Equality of the two
+//! `Result`s is the whole contract: the same `Ok`, or the same error
+//! variant naming the same sequence number(s) — the seq `avm-store` cuts a
+//! torn tail at.  The split is driven with an explicit part count, so it is
+//! exercised on a host of any core count.  Runs in release in CI too, where
+//! the eight-lane SHA-256 path actually vectorises.
 
+use std::sync::OnceLock;
+
+use avm_crypto::keys::{SignatureScheme, SigningKey, VerifyingKey};
 use avm_crypto::sha256::Digest;
-use avm_log::verify::CHAIN_BLOCK;
-use avm_log::{verify_chain, EntryKind, LogEntry, LogVerifyError};
+use avm_log::verify::{chain_in_parts, segment_in_parts, CHAIN_BLOCK, SPLIT_THRESHOLD};
+use avm_log::{
+    verify_chain, verify_segment, Authenticator, EntryKind, LogEntry, LogVerifyError,
+    SegmentSummary,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Content lengths around the SHA-256 padding boundaries (one block with and
 /// without room for the length, exactly one block, two-block boundary) plus
@@ -160,4 +172,239 @@ fn sequence_numbers_at_the_top_of_the_range_do_not_panic() {
         verify_chain(&Digest::ZERO, &entries),
         verify_chain_serial(&Digest::ZERO, &entries)
     );
+}
+
+// ---------------------------------------------------------------------------
+// Long segments, checked in parts
+// ---------------------------------------------------------------------------
+
+/// First seq of the long chain: seqs below it are out of range.
+const LONG_FIRST: u64 = 100;
+/// The long chain is this much longer than the split threshold; a test cuts
+/// a prefix of it, so every length in `SPLIT_THRESHOLD + 1 ..= SPLIT_THRESHOLD
+/// + LONG_EXTRA` is an honest chain.
+const LONG_EXTRA: usize = 1500;
+
+/// A long honest chain, the key that signs for it and a pool of
+/// authenticators — built once: RSA key generation and signing are slow in
+/// debug.
+struct Long {
+    entries: Vec<LogEntry>,
+    key: VerifyingKey,
+    /// Genuine authenticators spread over the chain.
+    honest: Vec<Authenticator>,
+    /// Genuinely signed, for seqs no prefix of the chain holds.
+    out_of_range: Vec<Authenticator>,
+    /// Genuinely signed, for seqs of the chain but over a twin history's
+    /// hashes.
+    twins: Vec<Authenticator>,
+}
+
+fn long() -> &'static Long {
+    static LONG: OnceLock<Long> = OnceLock::new();
+    LONG.get_or_init(|| {
+        let len = SPLIT_THRESHOLD + LONG_EXTRA;
+        let shape: Vec<(usize, usize)> = (0..len).map(|i| (i % 5, i % 7)).collect();
+        let entries = honest_chain(&Digest::ZERO, LONG_FIRST, &shape);
+        let mut rng = StdRng::seed_from_u64(35);
+        let signer = SigningKey::generate(&mut rng, SignatureScheme::Rsa(512));
+        let prev_of = |i: usize| match i {
+            0 => Digest::ZERO,
+            i => entries[i - 1].hash,
+        };
+        let authenticate = |i: usize| Authenticator::create(&signer, &entries[i], prev_of(i));
+        // Every 199th entry, and both ends.
+        let honest = (0..len)
+            .step_by(199)
+            .chain([len - 1])
+            .map(authenticate)
+            .collect();
+        let out_of_range = [LONG_FIRST - 1, LONG_FIRST + len as u64 + 7]
+            .into_iter()
+            .map(|seq| {
+                let entry = LogEntry::chained(&Digest::ZERO, seq, EntryKind::Send, b"x".to_vec());
+                Authenticator::create(&signer, &entry, Digest::ZERO)
+            })
+            .collect();
+        let twins = (0..len)
+            .step_by(613)
+            .map(|i| {
+                let e = &entries[i];
+                let twin = LogEntry::chained(&prev_of(i), e.seq, e.kind, b"twin".to_vec());
+                Authenticator::create(&signer, &twin, prev_of(i))
+            })
+            .collect();
+        Long {
+            entries,
+            key: signer.verifying_key(),
+            honest,
+            out_of_range,
+            twins,
+        }
+    })
+}
+
+/// The reference for a segment: the serial chain loop, then one
+/// authenticator at a time in list order — signature, range, hashes.
+fn verify_segment_serial(
+    prev: &Digest,
+    segment: &[LogEntry],
+    authenticators: &[Authenticator],
+    key: &VerifyingKey,
+) -> Result<SegmentSummary, LogVerifyError> {
+    let first = segment.first().ok_or(LogVerifyError::EmptySegment)?.seq;
+    let last = segment.last().expect("non-empty");
+    verify_chain_serial(prev, segment)?;
+    for auth in authenticators {
+        auth.verify_signature(key)
+            .map_err(|_| LogVerifyError::BadAuthenticatorSignature { seq: auth.seq })?;
+        if auth.seq < first || auth.seq > last.seq {
+            return Err(LogVerifyError::AuthenticatorOutOfRange {
+                seq: auth.seq,
+                first,
+                last: last.seq,
+            });
+        }
+        let idx = (auth.seq - first) as usize;
+        let entry_prev = if idx == 0 {
+            *prev
+        } else {
+            segment[idx - 1].hash
+        };
+        if segment[idx].hash != auth.hash || entry_prev != auth.prev_hash {
+            return Err(LogVerifyError::AuthenticatorMismatch { seq: auth.seq });
+        }
+    }
+    Ok(SegmentSummary {
+        first_seq: first,
+        last_seq: last.seq,
+        final_hash: last.hash,
+        authenticators_checked: authenticators.len(),
+    })
+}
+
+/// The first and last entry of every part `len` entries are cut into when
+/// checked in `parts` parts (part `i` starts at `i * len / parts`).
+fn part_ends(len: usize, parts: usize) -> Vec<usize> {
+    (1..parts)
+        .flat_map(|i| {
+            let start = i * len / parts;
+            [start - 1, start]
+        })
+        .chain([0, len - 1])
+        .collect()
+}
+
+/// One piece of damage to a long segment: a flipped content byte, a seq gap
+/// (the entry dropped), a flipped claimed hash, a seq bumped in place or a
+/// fork, at `at` — or, with `at_part_end`, at the first or last entry of a
+/// part.
+fn damage(
+    prev: &mut Digest,
+    entries: &mut Vec<LogEntry>,
+    parts: usize,
+    (kind, at, at_part_end): (usize, usize, bool),
+) {
+    let at = if at_part_end {
+        let ends = part_ends(entries.len(), parts);
+        ends[at % ends.len()]
+    } else {
+        at % entries.len()
+    };
+    match kind % 5 {
+        0 => mutate(prev, entries, 1, at),
+        1 => {
+            entries.remove(at);
+        }
+        2 => mutate(prev, entries, 4, at),
+        3 => mutate(prev, entries, 2, at),
+        _ => mutate(prev, entries, 5, at),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A segment above the threshold, split into 2–4 parts, with up to three
+    /// pieces of damage: the split reports the serial loop's first fault.
+    #[test]
+    fn split_chain_matches_the_serial_loop(
+        extra in 1usize..LONG_EXTRA,
+        parts in 2usize..5,
+        damages in proptest::collection::vec((0usize..5, any::<usize>(), any::<bool>()), 0..4),
+    ) {
+        let mut prev = Digest::ZERO;
+        let mut entries = long().entries[..SPLIT_THRESHOLD + extra].to_vec();
+        for d in damages {
+            damage(&mut prev, &mut entries, parts, d);
+        }
+        let serial = verify_chain_serial(&prev, &entries);
+        prop_assert_eq!(chain_in_parts(&prev, &entries, parts), serial.clone());
+        // And in as many parts as this host picks.
+        prop_assert_eq!(verify_chain(&prev, &entries), serial);
+    }
+
+    /// Authenticators checked in parts: a bad signature, a seq outside the
+    /// segment, a flipped `prev_hash` or a twin history's hash, each at a
+    /// random list position (and now and then a damaged chain, whose error
+    /// comes first) give what the in-order serial loop gives.
+    #[test]
+    fn split_authenticators_match_the_serial_loop(
+        extra in 1usize..LONG_EXTRA,
+        parts in 2usize..5,
+        picks in proptest::collection::vec((any::<usize>(), 0usize..6), 1..10),
+        chain_damage in proptest::option::of((0usize..5, any::<usize>(), any::<bool>())),
+    ) {
+        let long = long();
+        let mut prev = Digest::ZERO;
+        let mut entries = long.entries[..SPLIT_THRESHOLD + extra].to_vec();
+        let auths: Vec<Authenticator> = picks
+            .into_iter()
+            .map(|(i, what)| {
+                let mut auth = long.honest[i % long.honest.len()].clone();
+                match what {
+                    1 => auth.signature[3] ^= 0x40,
+                    2 => auth = long.out_of_range[i % long.out_of_range.len()].clone(),
+                    3 => auth.prev_hash = flip(&auth.prev_hash),
+                    4 => auth = long.twins[i % long.twins.len()].clone(),
+                    _ => {}
+                }
+                auth
+            })
+            .collect();
+        if let Some(d) = chain_damage {
+            damage(&mut prev, &mut entries, parts, d);
+        }
+        let serial = verify_segment_serial(&prev, &entries, &auths, &long.key);
+        prop_assert_eq!(
+            segment_in_parts(&prev, &entries, &auths, &long.key, parts),
+            serial.clone()
+        );
+        prop_assert_eq!(verify_segment(&prev, &entries, &auths, &long.key), serial);
+    }
+}
+
+/// Every kind of damage at the first and last entry of every part of a
+/// segment one past the threshold, split in three.
+#[test]
+fn part_ends_report_the_same_first_fault() {
+    let parts = 3;
+    let len = SPLIT_THRESHOLD + 1;
+    let ends = part_ends(len, parts);
+    for (at, &position) in ends.iter().enumerate() {
+        for kind in 0..5 {
+            let mut prev = Digest::ZERO;
+            let mut entries = long().entries[..len].to_vec();
+            damage(&mut prev, &mut entries, parts, (kind, at, true));
+            let got = chain_in_parts(&prev, &entries, parts);
+            assert_eq!(
+                got,
+                verify_chain_serial(&prev, &entries),
+                "damage {kind} at entry {position}"
+            );
+            // Dropping the last entry leaves an honest, shorter chain.
+            let honest = kind == 1 && position == len - 1;
+            assert_eq!(got.is_ok(), honest, "damage {kind} at entry {position}");
+        }
+    }
 }
