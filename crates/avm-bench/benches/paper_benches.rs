@@ -490,8 +490,7 @@ fn bench_image_baseline(c: &mut Criterion) {
         build_state_tree_uncached, capture_with_cache, compute_state_root, SnapshotStore,
         StateTreeCache,
     };
-    use avm_vm::devices::DISK_BLOCK_SIZE;
-    use avm_vm::{Machine, PAGE_SIZE};
+    use avm_vm::{Machine, CHUNK_SIZE, PAGE_SIZE};
 
     let db = (
         "db",
@@ -521,7 +520,7 @@ fn bench_image_baseline(c: &mut Criterion) {
                 let addr = ((17 + 5 * page + id as usize) * PAGE_SIZE) as u64;
                 machine.memory_mut().write_u64(addr, id + 1).unwrap();
             }
-            let block = (id as usize * DISK_BLOCK_SIZE) as u64;
+            let block = (id as usize * CHUNK_SIZE) as u64;
             machine
                 .devices_mut()
                 .disk
@@ -712,8 +711,7 @@ fn bench_response_path(c: &mut Criterion) {
 fn bench_ondemand_residency(c: &mut Criterion) {
     use avm_core::snapshot::compute_state_root;
     use avm_vm::bytecode::assemble;
-    use avm_vm::devices::DISK_BLOCK_SIZE;
-    use avm_vm::{GuestRegistry, Machine, StopCondition, VmExit, VmImage, CHUNK_SIZE};
+    use avm_vm::{GuestRegistry, Machine, StopCondition, VmExit, VmImage, CHUNK_SIZE, PAGE_SIZE};
 
     const STEPS: u64 = 200_000;
     let src = r"
@@ -725,7 +723,7 @@ fn bench_ondemand_residency(c: &mut Criterion) {
             jmp loop
         ";
     let image = VmImage::bytecode("residency", 4 << 20, assemble(src, 0).unwrap(), 0, 0)
-        .with_disk(vec![0u8; 64 * DISK_BLOCK_SIZE]);
+        .with_disk(vec![0u8; 64 * PAGE_SIZE]);
     let registry = GuestRegistry::new();
     let run = |machine: &mut Machine| {
         let until = StopCondition::AtStep(machine.step_count() + STEPS);
@@ -749,7 +747,7 @@ fn bench_ondemand_residency(c: &mut Criterion) {
         for idx in 0..blocks {
             let disk = &mut machine.devices_mut().disk;
             let hash = disk.block_hash(idx).unwrap();
-            disk.stage_lazy_block(idx, vec![0u8; DISK_BLOCK_SIZE], hash)
+            disk.stage_lazy_block(idx, vec![0u8; CHUNK_SIZE], hash)
                 .unwrap();
         }
         run(&mut machine);

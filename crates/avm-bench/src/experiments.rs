@@ -636,21 +636,20 @@ pub fn fig9_metrics(rows: &[SpotCheckRow]) -> Vec<(String, u64)> {
 
 /// The reference image behind [`snapshot_machine`]: an idle guest with
 /// `pages` of memory and a small disk.
-pub fn snapshot_image(pages: usize, disk_blocks: usize) -> avm_vm::VmImage {
+pub fn snapshot_image(pages: usize, disk_pages: usize) -> avm_vm::VmImage {
     use avm_vm::bytecode::assemble;
-    use avm_vm::devices::DISK_BLOCK_SIZE;
     use avm_vm::{VmImage, PAGE_SIZE};
     let code = assemble("halt", 0).unwrap();
     VmImage::bytecode("fig6-snapshot", (pages * PAGE_SIZE) as u64, code, 0, 0)
-        .with_disk(vec![0u8; disk_blocks * DISK_BLOCK_SIZE])
+        .with_disk(vec![0u8; disk_pages * PAGE_SIZE])
 }
 
 /// Builds an idle machine with `pages` of guest memory and a small disk,
 /// used by the snapshot experiments and the `fig6_snapshot_incremental` and
 /// `snapshot_dedup` bench groups.
-pub fn snapshot_machine(pages: usize, disk_blocks: usize) -> avm_vm::Machine {
+pub fn snapshot_machine(pages: usize, disk_pages: usize) -> avm_vm::Machine {
     use avm_vm::{GuestRegistry, Machine};
-    Machine::from_image(&snapshot_image(pages, disk_blocks), &GuestRegistry::new()).unwrap()
+    Machine::from_image(&snapshot_image(pages, disk_pages), &GuestRegistry::new()).unwrap()
 }
 
 // ---------------------------------------------------------------------------
@@ -815,7 +814,6 @@ pub struct OnDemandResult {
 /// log segment touches only a couple of pages.
 fn sparse_touch_image(pages: usize) -> avm_vm::VmImage {
     use avm_vm::bytecode::assemble;
-    use avm_vm::devices::DISK_BLOCK_SIZE;
     use avm_vm::{VmImage, PAGE_SIZE};
     let src = r"
             movi r1, 0x8000     ; rx buffer
@@ -852,7 +850,7 @@ fn sparse_touch_image(pages: usize) -> avm_vm::VmImage {
         0,
         0,
     )
-    .with_disk(vec![0u8; 8 * DISK_BLOCK_SIZE])
+    .with_disk(vec![0u8; 8 * PAGE_SIZE])
 }
 
 /// The recording behind [`exp_ondemand`]: the sparse-touch guest fed one
@@ -1078,7 +1076,6 @@ pub struct ChunkedResult {
 /// accountability.
 fn sparse_writer_image(pages: usize) -> avm_vm::VmImage {
     use avm_vm::bytecode::assemble;
-    use avm_vm::devices::DISK_BLOCK_SIZE;
     use avm_vm::{VmImage, PAGE_SIZE};
     let src = r"
             movi r1, 0x8000     ; rx buffer
@@ -1113,7 +1110,7 @@ fn sparse_writer_image(pages: usize) -> avm_vm::VmImage {
         0,
         0,
     )
-    .with_disk(vec![0u8; 8 * DISK_BLOCK_SIZE])
+    .with_disk(vec![0u8; 8 * PAGE_SIZE])
 }
 
 /// Chunk-granular state pipeline end-to-end: records a sparse writer with
@@ -1226,7 +1223,8 @@ pub fn exp_chunked() -> ChunkedResult {
     // session fetches several remote chunk blobs.
     let start = n_snapshots - 3;
     let k = 2u64;
-    let entries = pricing::chunk_entries(avmm.log(), start, k);
+    // Replay runs the entries after the chunk's anchor.
+    let entries = &pricing::chunk_entries(avmm.log(), start, k)[1..];
     let fresh = AuditorBlobCache::new();
     let (mut replayer, session) =
         Replayer::from_snapshot_on_demand(&image, &registry, avmm.snapshots(), start, &fresh)

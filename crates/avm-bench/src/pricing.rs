@@ -18,13 +18,13 @@ use avm_vm::VmImage;
 use avm_wire::{BlobRequest, Encode, RttModel};
 
 /// The `k`-chunk starting at snapshot `start` as the provider's server
-/// resolves it: the entries after the SNAPSHOT entry for `start` up to and
-/// including the SNAPSHOT entry `k` snapshots later (or the end of the log).
-/// The log must be well formed and contain `start`.
+/// resolves it: the SNAPSHOT entry for `start` (the chunk's anchor) up to
+/// and including the SNAPSHOT entry `k` snapshots later (or the end of the
+/// log).  The log must be well formed and contain `start`.
 pub fn chunk_entries(log: &TamperEvidentLog, start: u64, k: u64) -> &[LogEntry] {
     let positions = snapshot_positions(log).expect("well-formed log");
     let position_of = |id| positions.iter().find(|(_, i, _)| *i == id).map(|p| p.0);
-    let first = position_of(start).expect("start snapshot in log") + 1;
+    let first = position_of(start).expect("start snapshot in log");
     match position_of(start + k) {
         Some(end) => &log.entries()[first..=end],
         None => &log.entries()[first..],

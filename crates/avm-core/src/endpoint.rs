@@ -263,9 +263,10 @@ impl<'a> AuditServer<'a> {
         }
     }
 
-    /// Resolves a §3.5 chunk: the entries between the SNAPSHOT entry for
-    /// `start_snapshot` (exclusive) and the SNAPSHOT entry `chunk` snapshots
-    /// later (inclusive), or the end of the log.
+    /// Resolves a §3.5 chunk: the entries from the SNAPSHOT entry for
+    /// `start_snapshot` to the SNAPSHOT entry `chunk` snapshots later (both
+    /// inclusive), or the end of the log, anchored at the hash of the entry
+    /// before the first (`ZERO` at seq 1).
     ///
     /// When the provider's own SNAPSHOT records do not all decode, an honest
     /// provider cannot resolve chunk boundaries; it returns the log *prefix*
@@ -303,11 +304,18 @@ impl<'a> AuditServer<'a> {
             .iter()
             .find(|(_, id, _)| Some(*id) == end_id)
             .map(|(i, _, _)| *i);
+        // The chunk starts at its start SNAPSHOT entry, so the root the
+        // auditor authenticates the start state against is one the log
+        // commits to; the anchor is the hash of the entry before it.
         let entries: &[LogEntry] = match end_idx {
-            Some(end) => &log.entries()[start_pos + 1..=end],
-            None => &log.entries()[start_pos + 1..],
+            Some(end) => &log.entries()[start_pos..=end],
+            None => &log.entries()[start_pos..],
         };
-        encode_log_segment(&log.entries()[start_pos].hash.0, entries)
+        let prev_hash = match start_pos.checked_sub(1) {
+            Some(before) => log.entries()[before].hash,
+            None => Digest::ZERO,
+        };
+        encode_log_segment(&prev_hash.0, entries)
     }
 }
 
@@ -750,8 +758,10 @@ impl<T: AuditTransport> AuditClient<T> {
     }
 
     /// Downloads the §3.5 chunk of `chunk` segments starting at
-    /// `start_snapshot` (see [`AuditServer::respond`] for the malformed-log
-    /// prefix behaviour).
+    /// `start_snapshot` and returns the entries a replay from that snapshot
+    /// runs: every entry after the first, the chunk's anchor — its start
+    /// SNAPSHOT entry (see [`AuditServer::respond`] for the malformed-log
+    /// prefix a provider sends instead).
     pub fn fetch_log_chunk(
         &mut self,
         start_snapshot: u64,
@@ -762,7 +772,7 @@ impl<T: AuditTransport> AuditClient<T> {
             chunk,
         };
         self.request(&AuditRequest::LogSegment(address), expect_log_segment)
-            .map(|(_, entries, _)| entries)
+            .map(|(_, entries, _)| entries.into_iter().skip(1).collect())
     }
 
     /// Downloads the whole-section transfer stream up to `upto_id` — the

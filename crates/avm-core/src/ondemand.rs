@@ -953,6 +953,7 @@ pub fn materialize_on_demand(
     let manifest_bytes = manifest.encoded_len() as u64;
     stage_from_manifest(
         &manifest,
+        &manifest.state_root,
         manifest_bytes,
         image,
         registry,
@@ -978,6 +979,9 @@ struct Divergent {
 /// metadata restored and every divergent reference staged, the state tree
 /// the manifest was authenticated with (in sync with the machine — a
 /// replayer continues from it) and the session that settles the accounting.
+/// The staged state must hash to `root`: for an auditor, the root the
+/// chunk's chain-verified start SNAPSHOT entry records, never one the
+/// provider labels; for a provider staging its own store, the manifest's.
 /// `manifest_bytes` is what the manifest cost to download: the length of
 /// the encoding that arrived, or of the one an in-process caller would have
 /// been sent.
@@ -987,6 +991,7 @@ struct Divergent {
 /// without one (an audit session's start: see [`crate::session`]).
 pub(crate) fn stage_from_manifest(
     manifest: &ChainManifest,
+    root: &Digest,
     manifest_bytes: u64,
     image: &VmImage,
     registry: &GuestRegistry,
@@ -1002,12 +1007,12 @@ pub(crate) fn stage_from_manifest(
     // contradict is the reference image's own, so the image's tree with the
     // header and the staged leaves replaced is exactly that root.
     let mut state_tree = StateTreeCache::from_baseline(image);
-    let root = state_tree.refresh_leaves(&machine, staged.each_ref().map(Vec::as_slice));
-    if root != manifest.state_root {
+    let derived = state_tree.refresh_leaves(&machine, staged.each_ref().map(Vec::as_slice));
+    if derived != *root {
         return Err(CoreError::Snapshot(format!(
             "manifest does not authenticate: derived root {} != recorded root {}",
-            root.short_hex(),
-            manifest.state_root.short_hex()
+            derived.short_hex(),
+            root.short_hex()
         )));
     }
 
@@ -1129,7 +1134,6 @@ mod tests {
     use super::*;
     use crate::snapshot::{capture, capture_with_cache, SnapshotStore, StateTreeCache};
     use avm_vm::bytecode::assemble;
-    use avm_vm::devices::DISK_BLOCK_SIZE;
     use avm_vm::{StopCondition, VmExit, PAGE_SIZE};
     use proptest::prelude::*;
 
@@ -1162,7 +1166,7 @@ mod tests {
             ";
         let code = assemble(src, 0).unwrap();
         VmImage::bytecode("ondemand-test", (pages * PAGE_SIZE) as u64, code, 0, 0)
-            .with_disk(vec![0u8; 8 * DISK_BLOCK_SIZE])
+            .with_disk(vec![0u8; 8 * PAGE_SIZE])
     }
 
     fn run_until_idle(m: &mut Machine) {
@@ -1247,7 +1251,7 @@ mod tests {
         let (_, _, [chunks_again, blocks_again]) = stage();
         assert_eq!((&chunks, &blocks), (&chunks_again, &blocks_again));
         assert_eq!(chunks, [64, 128, 136, 144, 152, 160]);
-        assert_eq!(blocks, [0, 1, 2, 3, 4]);
+        assert_eq!(blocks, [0, 8, 16, 24, 32]);
         assert_eq!(chunks.len(), staged.staged_chunks());
         assert_eq!(blocks.len(), staged.staged_blocks());
 
@@ -1283,7 +1287,8 @@ mod tests {
     /// it is pinned as literals: per packet the guest reads the rx buffer
     /// (chunk 0x8000 / 512 = 64, first packet only), then read-modify-writes
     /// the counter chunk (128 + 8 · selector) and the 8 mirrored bytes of
-    /// disk block `selector`.  The code chunk is the image's own and never
+    /// disk block 8 · selector (offset `selector · 4096`, in 512 B leaves).
+    /// The code chunk is the image's own and never
     /// staged; selector 2's chunk and block stay untouched.
     #[test]
     fn fault_order_is_first_touch_order() {
@@ -1295,7 +1300,7 @@ mod tests {
             run_until_idle(&mut lazy);
         }
         assert_eq!(lazy.memory().faulted_chunks(), &[64, 152, 136, 128, 160]);
-        assert_eq!(lazy.devices().disk.faulted_blocks(), &[3, 1, 0, 4]);
+        assert_eq!(lazy.devices().disk.faulted_blocks(), &[24, 8, 0, 32]);
         assert_eq!(lazy.memory().staged_chunk_count(), 1);
         assert_eq!(lazy.devices().disk.staged_block_count(), 1);
     }

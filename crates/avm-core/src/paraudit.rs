@@ -342,9 +342,9 @@ mod tests {
     use avm_vm::GuestRegistry;
     use avm_wire::{Decode, Encode};
 
-    /// The chunk an auditor downloads for `(start, k)`: entries strictly
-    /// after the start SNAPSHOT entry, through the SNAPSHOT entry `k`
-    /// snapshots later (or end of log).
+    /// The entries an auditor replays for `(start, k)`: strictly after the
+    /// start SNAPSHOT entry (the chunk's anchor), through the SNAPSHOT entry
+    /// `k` snapshots later (or end of log).
     fn chunk_entries(log: &avm_log::TamperEvidentLog, start: u64, k: u64) -> Vec<LogEntry> {
         let positions = snapshot_positions(log).unwrap();
         let start_pos = positions.iter().find(|(_, id, _)| *id == start).unwrap().0;

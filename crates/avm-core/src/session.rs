@@ -25,15 +25,27 @@
 //! verdict — `consistent: false` with the fault [`crate::audit::audit_log`]
 //! would give — after the one segment exchange.
 //!
+//! A spot check's chunk starts at its **anchor**: the SNAPSHOT entry of the
+//! start snapshot, chained from the hash of the entry before it.  Once the
+//! syntactic phase passed, the session requires that first entry to be the
+//! SNAPSHOT record for the snapshot it asked for, reads the state root it
+//! records, and authenticates the start state it stages from the manifest
+//! against that root — not against the `state_root` the manifest names.  So
+//! the state a replay starts from is the one the log commits to: a provider
+//! cannot serve a *converging twin*, a different start state that the chunk
+//! overwrites before it reads it, which no replay could tell apart.  Such a
+//! state ends the session after the manifest with the root-mismatch
+//! [`CoreError::Snapshot`].
+//!
 //! The authenticators are what bind the segment to the machine's history:
 //! [`AuditSession::with_authenticators`] hands the session the machine's
-//! key and what its clients collected, and a spot check judges its chunk
-//! against those whose seq the chunk covers
+//! key and what its clients collected, and a spot check judges its chunk —
+//! anchor included — against those whose seq the chunk covers
 //! ([`SpotCheckReport::authenticators_checked`]).  A check that held none
-//! (or none inside its chunk) reports 0, and then proves only that the
-//! chunk is *a* well-formed log that replays from the state served with it
-//! — a provider answering with a consistent twin execution's log and store
-//! passes it.
+//! (or none inside its chunk) reports 0: its anchor is bound to nothing, and
+//! it proves only that the chunk is *a* well-formed log that replays from
+//! the state its anchor records — a provider answering with a consistent
+//! twin execution's log and store passes it.
 //!
 //! The session owns no clock, no socket and no simulated network: a driver
 //! calls [`AuditSession::start`], puts each [`Step::Send`] request on
@@ -100,7 +112,7 @@
 use avm_attest::AttestVerdict;
 use avm_crypto::keys::VerifyingKey;
 use avm_crypto::sha256::Digest;
-use avm_log::{Authenticator, EntryView, LogEntry, LogEntryRef};
+use avm_log::{Authenticator, EntryKind, EntryView, LogEntry, LogEntryRef};
 use avm_vm::image::ImageKind;
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::attest::{AttestChallenge, AttestQuote};
@@ -111,6 +123,7 @@ use crate::attest::{challenge_nonce, LaunchPolicy};
 use crate::audit::{audit_from_image, syntactic_phase, AuditReport};
 use crate::endpoint::TransportStats;
 use crate::error::{CoreError, FaultReason};
+use crate::events::SnapshotRecord;
 use crate::ondemand::{AuditorBlobCache, BlobFetch, ChainManifest, OnDemandCost, OnDemandSession};
 use crate::replay::{ReplaySummary, Replayer};
 use crate::spotcheck::SpotCheckReport;
@@ -197,6 +210,25 @@ pub(crate) fn expect_attestation(response: AuditResponseRef<'_>) -> Result<Attes
     }
 }
 
+/// The root a chunk's anchor records: `anchor` — the first entry of a
+/// chunk that passed its syntactic phase, so its record decodes — must be
+/// the SNAPSHOT entry for snapshot `id`.  A chunk that starts anywhere else
+/// is not the segment the session asked for.
+fn anchor_root(anchor: &LogEntryRef<'_>, id: u64) -> Result<Digest, CoreError> {
+    let record = match anchor.kind() {
+        EntryKind::Snapshot => SnapshotRecord::decode_exact(anchor.content()).ok(),
+        _ => None,
+    };
+    match record {
+        Some(record) if record.snapshot_id == id => Ok(record.state_root),
+        _ => Err(CoreError::Snapshot(format!(
+            "chunk does not start at the SNAPSHOT entry for snapshot {id} (seq {} is {:?})",
+            anchor.seq(),
+            anchor.kind()
+        ))),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The session
 // ---------------------------------------------------------------------------
@@ -250,6 +282,8 @@ type Replayed = (Option<FaultReason>, ReplaySummary);
 /// it is supplied, resumed or re-staged from.
 struct StagedReplay {
     entries: Vec<LogEntry>,
+    /// The root the chunk's anchor records for the start state.
+    root: Digest,
     manifest: ChainManifest,
     manifest_bytes: u64,
     replayer: Replayer,
@@ -266,9 +300,11 @@ enum State {
         challenge: AttestChallenge,
     },
     Segment,
-    /// A snapshot start, the chunk through its syntactic phase.
+    /// A snapshot start, the chunk through its syntactic phase: the
+    /// entries after its anchor, and the root the anchor records.
     Manifest {
         entries: Vec<LogEntry>,
+        root: Digest,
     },
     /// A full download before replay: `request` asks for one batch of what
     /// the image and the cache lack, `queued` holds the batches after it.
@@ -408,7 +444,7 @@ impl<'a> AuditSession<'a> {
         let next = match std::mem::replace(&mut self.state, State::Done) {
             State::Attest { challenge } => self.on_attest(now_us, response, challenge),
             State::Segment => self.on_segment(response),
-            State::Manifest { entries } => self.on_manifest(response, entries),
+            State::Manifest { entries, root } => self.on_manifest(response, entries, root),
             State::Prefetch {
                 replay,
                 request,
@@ -474,23 +510,24 @@ impl<'a> AuditSession<'a> {
             self.whole_log = Some(report);
             return Ok(self.finish((fault, progress), 0, None));
         };
-        // A chunk starts mid-log, so it answers for the authenticators whose
-        // seq it covers; an empty one (its start snapshot ends the log)
-        // covers none and has no chain to check.
-        if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
-            let covered = first.seq()..=last.seq();
-            let inside: Vec<Authenticator> = held
-                .iter()
-                .filter(|auth| covered.contains(&auth.seq))
-                .cloned()
-                .collect();
-            self.authenticators_checked = inside.len();
-            if let Err(fault) = syntactic_phase(&prev_hash, &entries, &inside, key) {
-                return Ok(self.finish((Some(fault), ReplaySummary::default()), 0, None));
-            }
+        // A chunk starts mid-log, at its anchor, so it answers for the
+        // authenticators whose seq it covers (an empty one covers none, and
+        // its syntactic phase refuses it).
+        let covered = entries.first().zip(entries.last());
+        let inside: Vec<Authenticator> = held
+            .iter()
+            .filter(|auth| {
+                covered.is_some_and(|(first, last)| (first.seq()..=last.seq()).contains(&auth.seq))
+            })
+            .cloned()
+            .collect();
+        self.authenticators_checked = inside.len();
+        if let Err(fault) = syntactic_phase(&prev_hash, &entries, &inside, key) {
+            return Ok(self.finish((Some(fault), ReplaySummary::default()), 0, None));
         }
-        let entries = entries.iter().map(EntryView::to_entry).collect();
-        self.state = State::Manifest { entries };
+        let root = anchor_root(&entries[0], id)?;
+        let entries = entries[1..].iter().map(EntryView::to_entry).collect();
+        self.state = State::Manifest { entries, root };
         Ok(Step::Send(AuditRequest::Manifest { snapshot_id: id }))
     }
 
@@ -507,9 +544,10 @@ impl<'a> AuditSession<'a> {
         &mut self,
         response: AuditResponseRef<'_>,
         entries: Vec<LogEntry>,
+        root: Digest,
     ) -> Result<Step, CoreError> {
         let (manifest, manifest_bytes) = expect_manifest(response)?;
-        let (replayer, ondemand) = self.stage(&manifest, manifest_bytes, &[])?;
+        let (replayer, ondemand) = self.stage(&manifest, &root, manifest_bytes, &[])?;
         // A full download asks for every leaf staged without its bytes; on
         // demand nothing is prefetched.
         let prefetch = match self.start {
@@ -523,6 +561,7 @@ impl<'a> AuditSession<'a> {
         };
         let run = Box::new(StagedReplay {
             entries,
+            root,
             manifest,
             manifest_bytes,
             replayer,
@@ -551,17 +590,19 @@ impl<'a> AuditSession<'a> {
         Ok(step)
     }
 
-    /// The start state of `manifest` (module docs, "# Prefetch and
-    /// misses"), with the `fetched` blobs this session received handed to
-    /// their leaves.
+    /// The start state of `manifest`, authenticated against the logged
+    /// `root` (module docs, "# Prefetch and misses"), with the `fetched`
+    /// blobs this session received handed to their leaves.
     fn stage(
         &self,
         manifest: &ChainManifest,
+        root: &Digest,
         manifest_bytes: u64,
         fetched: &[Digest],
     ) -> Result<(Replayer, OnDemandSession), CoreError> {
         let (mut replayer, ondemand) = Replayer::from_manifest_on_demand(
             manifest,
+            root,
             manifest_bytes,
             self.image,
             self.registry,
@@ -656,8 +697,12 @@ impl<'a> AuditSession<'a> {
         if matches!(self.image.kind(), ImageKind::Native { .. }) {
             // The native step that missed ran on; start over with every
             // blob received so far.
-            (run.replayer, run.ondemand) =
-                self.stage(&run.manifest, run.manifest_bytes, &run.fetch.fetched)?;
+            (run.replayer, run.ondemand) = self.stage(
+                &run.manifest,
+                &run.root,
+                run.manifest_bytes,
+                &run.fetch.fetched,
+            )?;
         }
         self.replay(run)
     }
@@ -818,6 +863,9 @@ mod tests {
         });
         let report = outcome.unwrap();
         assert!(report.consistent, "{:?}", report.fault);
+        // The chunk opens with its anchor; replay runs what follows it.
+        let anchor = chunk.remove(0);
+        assert_eq!(anchor.kind, EntryKind::Snapshot);
         let interior = snapshot_positions_in(&chunk).unwrap().len() - 1;
         assert!(interior >= 2, "{interior} interior snapshots");
 
@@ -1321,11 +1369,15 @@ mod tests {
     // -----------------------------------------------------------------------
 
     use crate::events::AckRecord;
+    use crate::snapshot::SnapshotStore;
     use crate::testutil::{
-        db_recording, fleet_auditor, fleet_spot_check, worker_recording, Recording,
-        TamperingProvider,
+        converging_worker_twin, db_recording, disk_counter_recording, fleet_auditor,
+        fleet_spot_check, flip_disk_counter, ledger_recording, worker_edited_at, worker_recording,
+        Recording, TamperingProvider, CONVERGING_AT, WORKER_RX_BUFFER,
     };
     use avm_net::LinkConfig;
+    use avm_vm::packet::encode_guest_packet;
+    use avm_vm::CHUNK_SIZE;
     use proptest::prelude::*;
     use std::collections::VecDeque;
     use std::convert::identity;
@@ -1788,8 +1840,8 @@ mod tests {
         }
     }
 
-    /// A chunk that starts at the snapshot ending the log is empty: nothing
-    /// to check, nothing to replay, and consistent.
+    /// A chunk that starts at the snapshot ending the log is its anchor
+    /// alone: nothing to replay, and consistent.
     #[test]
     fn an_empty_chunk_is_consistent_with_no_entries() {
         for (honest, _) in recordings() {
@@ -1804,11 +1856,263 @@ mod tests {
                 assert!(report.consistent, "{mode:?}: {:?}", report.fault);
                 assert_eq!(report.entries_replayed, 0);
                 assert_eq!(report.authenticators_checked, 0);
-                assert_eq!(report.log_transfer_bytes, 0);
+                let anchor = entries.last().unwrap().encode_to_vec();
+                assert_eq!(report.log_transfer_bytes, anchor.len() as u64);
                 assert_eq!(sent[0], "Chunk");
                 assert!(sent.len() > 1);
             }
         }
+    }
+
+    /// A chunk must start at its anchor: one whose first entry is not the
+    /// SNAPSHOT entry for the start snapshot — the anchor dropped and the
+    /// chain re-anchored at it, or the anchor of another snapshot — is not
+    /// the segment the session asked for, and an empty one proves nothing.
+    /// Either way the session ends before any state is asked for.
+    #[test]
+    fn a_chunk_must_start_at_its_anchor() {
+        let (honest, _) = recordings()[0];
+        let server = AuditServer::new(&honest.log, &honest.store);
+        let drop_anchor = |response| match response {
+            AuditResponse::LogSegment { entries, .. } => {
+                let anchor = LogEntry::decode_exact(&entries[0]).unwrap();
+                AuditResponse::LogSegment {
+                    prev_hash: anchor.hash.0,
+                    entries: entries[1..].to_vec(),
+                }
+            }
+            other => other,
+        };
+        let other = server.handle(&AuditRequest::LogSegment(SegmentAddress::Chunk {
+            start_snapshot: 2,
+            chunk: 1,
+        }));
+        let other_anchor = |response| match response {
+            AuditResponse::LogSegment { .. } => other.clone(),
+            other => other,
+        };
+        for mode in MODES {
+            for edit in [
+                &drop_anchor as &dyn Fn(AuditResponse) -> AuditResponse,
+                &other_anchor,
+            ] {
+                let checked = spot(honest, server, &[], mode, 1, AuditorBlobCache::new(), edit);
+                assert_eq!(checked.sent, ["Chunk"], "{mode:?}");
+                match checked.outcome {
+                    Err(CoreError::Snapshot(message)) => assert!(
+                        message.contains("does not start at the SNAPSHOT entry for snapshot 1"),
+                        "{message}"
+                    ),
+                    other => panic!("{mode:?}: expected a refusal, got {other:?}"),
+                }
+            }
+            let (sent, outcome) = check(honest, server, &[], mode, 1, |_| Vec::new());
+            assert_eq!(sent, ["Chunk"]);
+            let fault = outcome.unwrap().fault;
+            assert!(
+                matches!(&fault, Some(FaultReason::SyntacticFailure(_))),
+                "{fault:?}"
+            );
+        }
+    }
+
+    /// The honest log served with a *converging twin*'s store — a start
+    /// state that differs from the one the log records only in bytes the
+    /// chunk overwrites before it reads them, so a replay from it reaches
+    /// every later root — is refused once the manifest arrives, in both
+    /// modes and on both drivers: `CoreError::Snapshot`, "manifest does not
+    /// authenticate".  The start state must hash to the root the chunk's
+    /// chain-verified anchor records, not to the one the provider's manifest
+    /// names.  The twin's own replay of the chunk shows what went undetected
+    /// while the auditor took the manifest's word for it.
+    #[test]
+    fn a_converging_twin_start_state_is_refused_after_the_state_exchange() {
+        let honest = worker_recording(false);
+        let twin = converging_worker_twin();
+        let root = |r: &Recording| r.store.get(CONVERGING_AT).unwrap().state_root;
+        assert_ne!(root(twin), root(honest));
+        let next = |r: &Recording| r.store.get(CONVERGING_AT + 1).unwrap().state_root;
+        assert_eq!(next(twin), next(honest));
+        assert!(converges(honest, &twin.store, CONVERGING_AT));
+
+        let server = AuditServer::new(&honest.log, &twin.store);
+        for mode in MODES {
+            let (sent, outcome) = check(
+                honest,
+                server,
+                &honest.authenticators,
+                mode,
+                CONVERGING_AT,
+                identity,
+            );
+            assert_eq!(sent, ["Chunk", "Manifest"], "{mode:?}");
+            assert_root_refused(outcome);
+        }
+    }
+
+    /// The replay of `honest`'s chunk after `id`, from `store`'s state at
+    /// `id` — as its provider would run it — is consistent.
+    fn converges(honest: &Recording, store: &SnapshotStore, id: u64) -> bool {
+        let server = AuditServer::new(&honest.log, &honest.store);
+        let mut client = AuditClient::new(TamperingTransport {
+            server,
+            tamper: |_: &AuditRequest, body| body,
+        });
+        let chunk = client.fetch_log_chunk(id, 1).unwrap();
+        let mut replayer =
+            Replayer::from_snapshot(&honest.image, &honest.registry, store, id).unwrap();
+        replayer.replay(&chunk).is_consistent()
+    }
+
+    fn assert_root_refused(outcome: Result<SpotCheckReport, CoreError>) {
+        match outcome {
+            Err(CoreError::Snapshot(message)) => {
+                assert!(
+                    message.contains("manifest does not authenticate"),
+                    "{message}"
+                )
+            }
+            other => panic!("expected the root-mismatch refusal, got {other:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Any converging twin is refused: random packets, a random start
+        /// snapshot, and a start state that differs from the logged root
+        /// only in leaves the chunk overwrites before it reads them — some
+        /// bytes of the worker's disk counter and of the rx buffer the next
+        /// packet lands on.  The twin's own replay of the honest chunk is
+        /// consistent (it converges); every session over the honest log and
+        /// the twin's store ends after the manifest with the root-mismatch
+        /// refusal, whichever mode and driver.
+        #[test]
+        fn a_start_state_converging_onto_the_log_is_never_accepted(
+            lens in proptest::collection::vec(1usize..48, 3..6),
+            pick in any::<u64>(),
+            disk_mask in 1u8..255,
+            rx_flips in proptest::collection::vec(any::<u8>(), 0..48),
+            on_demand in any::<bool>(),
+            fleet in any::<bool>(),
+        ) {
+            let payloads: Vec<Vec<u8>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| encode_guest_packet("alice", &vec![b'a' + i as u8; len]))
+                .collect();
+            // Snapshot `id` is taken after packet `id`; its chunk delivers
+            // packet `id + 1`, which `recv` writes over the rx buffer.
+            let id = pick % (payloads.len() as u64 - 1);
+            let overwritten = payloads[id as usize + 1].len().min(512);
+            let rx: Vec<u8> = rx_flips.iter().copied().take(overwritten).collect();
+            let honest = worker_edited_at(&payloads, id, |_| {});
+            let twin = worker_edited_at(&payloads, id, |machine| {
+                flip_disk_counter(machine, disk_mask);
+                let memory = machine.memory_mut();
+                let mut held = memory.read_vec(WORKER_RX_BUFFER, rx.len()).unwrap();
+                for (byte, flip) in held.iter_mut().zip(&rx) {
+                    *byte ^= flip;
+                }
+                memory.write(WORKER_RX_BUFFER, &held).unwrap();
+            });
+            let root = |r: &Recording, at| r.store.get(at).unwrap().state_root;
+            prop_assert_ne!(root(&twin, id), root(&honest, id));
+            prop_assert_eq!(root(&twin, id + 1), root(&honest, id + 1));
+            prop_assert!(converges(&honest, &twin.store, id));
+
+            let server = AuditServer::new(&honest.log, &twin.store);
+            let checked = spot(&honest, server, &[], (on_demand, fleet), id, AuditorBlobCache::new(), identity);
+            prop_assert_eq!(&checked.sent, &["Chunk", "Manifest"]);
+            assert_root_refused(checked.outcome);
+        }
+    }
+
+    /// A guest's 8-byte read-modify-write of a divergent disk leaf costs an
+    /// on-demand check one 512 B blob — the leaf, not the page around it —
+    /// on both drivers: one miss, one `Blobs` exchange, one payload.
+    #[test]
+    fn an_eight_byte_disk_update_fetches_one_leaf() {
+        let recording = disk_counter_recording();
+        let server = AuditServer::new(&recording.log, &recording.store);
+        for fleet in [false, true] {
+            let checked = spot(
+                recording,
+                server,
+                &[],
+                (true, fleet),
+                1,
+                AuditorBlobCache::new(),
+                identity,
+            );
+            assert_eq!(checked.sent, ["Chunk", "Manifest", "Blobs"]);
+            let report = checked.outcome.unwrap();
+            assert!(report.consistent, "{:?}", report.fault);
+            let cost = report.on_demand.unwrap();
+            assert_eq!((cost.chunks_faulted, cost.blocks_faulted), (0, 1));
+            assert_eq!(cost.fetched.len(), 1);
+            let blob = checked.cache.get(&cost.fetched[0]).unwrap();
+            assert_eq!(blob.len(), CHUNK_SIZE);
+            let response = avm_wire::BlobResponse {
+                blobs: vec![Some(blob.to_vec())],
+            };
+            assert_eq!(
+                checked.state_bytes,
+                cost.manifest_bytes + response.encoded_len() as u64
+            );
+        }
+    }
+
+    /// The native ledger's second pass appends across the boundary of two
+    /// leaves that both diverge from the image: on demand, that one write
+    /// misses both at once, the session fetches them in one exchange and
+    /// replays the chunk again from a re-staged start — and reaches the
+    /// verdict, progress and final root of a full download, from every start
+    /// snapshot, on both drivers.
+    #[test]
+    fn a_native_append_across_two_divergent_leaves_is_the_full_download_verdict() {
+        let recording = ledger_recording();
+        let server = AuditServer::new(&recording.log, &recording.store);
+        let mut straddled = 0;
+        for start in 0..recording.store.len() as u64 - 1 {
+            for fleet in [false, true] {
+                let run = |on_demand| {
+                    let checked = spot(
+                        recording,
+                        server,
+                        &[],
+                        (on_demand, fleet),
+                        start,
+                        AuditorBlobCache::new(),
+                        identity,
+                    );
+                    checked.outcome.unwrap()
+                };
+                let (on_demand, full) = (run(true), run(false));
+                assert!(on_demand.consistent, "{start}: {:?}", on_demand.fault);
+                let verdict = |r: &SpotCheckReport| {
+                    (
+                        r.consistent,
+                        r.fault.clone(),
+                        r.entries_replayed,
+                        r.steps_replayed,
+                        r.final_state,
+                    )
+                };
+                assert_eq!(verdict(&on_demand), verdict(&full), "start {start}");
+                let cost = on_demand.on_demand.unwrap();
+                if cost.fetched_per_exchange == [2] {
+                    assert_eq!(cost.blocks_faulted, 2);
+                    straddled += 1;
+                }
+            }
+        }
+        // Records of 100 B in a 1 KiB ring: the second pass's append at
+        // byte 500 straddles leaves 0 and 1.
+        assert!(
+            straddled >= 2,
+            "no chunk appended across two divergent leaves"
+        );
     }
 
     // -----------------------------------------------------------------------
@@ -1821,7 +2125,9 @@ mod tests {
         /// From any start snapshot, on both recordings and both drivers,
         /// over the honest run, the twin run and the honest log served with
         /// the twin's store: the two modes reach the same verdict, progress
-        /// and final root.  A full download sends the chunk request, the
+        /// and final root — for the last, the same refusal as soon as the
+        /// manifest arrives, since the twin's state does not hash to the
+        /// root the log records.  A full download sends the chunk request, the
         /// manifest request and one `Blobs` request per `DEFAULT_BLOB_BATCH`
         /// digests it lacks — no miss follows, so its one replay reached the
         /// verdict — and no `Sections`.  Its snapshot column is the manifest
@@ -1852,6 +2158,14 @@ mod tests {
             let on_demand = run(true, AuditorBlobCache::new());
             let full = run(false, AuditorBlobCache::new());
             prop_assert_eq!(verdict(&full), verdict(&on_demand));
+            let root = |r: &Recording| r.store.get(start).unwrap().state_root;
+            if root(log) != root(store) {
+                let refused = full.outcome.as_ref().unwrap_err().to_string();
+                prop_assert!(refused.contains("manifest does not authenticate"), "{}", refused);
+                prop_assert_eq!(&full.sent, &["Chunk", "Manifest"]);
+                prop_assert_eq!(&on_demand.sent, &["Chunk", "Manifest"]);
+                return Ok(());
+            }
             prop_assert!(full.outcome.is_ok(), "{:?}", verdict(&full));
 
             let report = full.outcome.as_ref().unwrap();

@@ -12,13 +12,16 @@
 //! # Chunk granularity
 //!
 //! The unit of accountability throughout this module is the 512 B **chunk**
-//! ([`avm_vm::CHUNK_SIZE`], eight per page): snapshot payloads, Merkle
-//! leaves, pool blobs and transfer sections are all chunk-sized, matching
-//! the VM's chunk-granular dirty tracking.  A guest that bumps an 8-byte
-//! counter therefore costs one 512 B chunk of hashing, storage and transfer
-//! instead of a 4 KiB page.  Disk blocks keep their page-sized granularity
-//! ([`avm_vm::devices::DISK_BLOCK_SIZE`]): block devices write whole
-//! sectors, so sub-block tracking would buy nothing.
+//! ([`avm_vm::CHUNK_SIZE`], eight per page), the one leaf of every machine
+//! store, memory and disk alike: snapshot payloads, Merkle leaves, pool
+//! blobs, manifest references and transfer sections are all chunk-sized,
+//! matching the VM's chunk-granular dirty tracking.  A guest that bumps an
+//! 8-byte counter therefore costs one 512 B chunk of hashing, storage and
+//! transfer instead of a 4 KiB page — in memory or on the disk.  (A
+//! physical disk writes whole sectors, which would make leaves finer than a
+//! sector pointless; this VM's disk is byte-addressed, and its guests write
+//! a few bytes at a time: a `diskwr` of one counter, a database's appended
+//! record.)  A disk "block" below is a disk leaf.
 //!
 //! Mirroring the prototype's behaviour reported in §6.12, a snapshot carries
 //! a *full* dump of guest memory chunks plus *incremental* (dirty-only) disk
@@ -1248,7 +1251,6 @@ pub(crate) fn restore_header(
 mod tests {
     use super::*;
     use avm_vm::bytecode::assemble;
-    use avm_vm::devices::DISK_BLOCK_SIZE;
     use avm_vm::{StopCondition, VmExit, CHUNKS_PER_PAGE, CHUNK_SIZE, PAGE_SIZE};
     use proptest::prelude::*;
 
@@ -1406,7 +1408,7 @@ mod tests {
         let mut m = Machine::from_image(&img, &reg).unwrap();
         let mut store = SnapshotStore::new();
         let disk = |m: &mut Machine, block: usize, byte: u8| {
-            let addr = (block * DISK_BLOCK_SIZE) as u64;
+            let addr = (block * CHUNK_SIZE) as u64;
             m.devices_mut().disk.write(addr, &[byte; 8]).unwrap();
         };
         disk(&mut m, 1, 7);
@@ -1473,14 +1475,14 @@ mod tests {
         let img = image();
         let mut m = Machine::from_image(&img, &GuestRegistry::new()).unwrap();
         let (chunks, blocks) = (m.memory().chunk_count(), m.devices().disk.block_count());
-        assert_eq!((chunks, blocks), (256, 4));
+        assert_eq!((chunks, blocks), (256, 32));
         let mut written_chunk = vec![0u8; 512];
         written_chunk[1] = 0xAA;
         m.memory_mut().write_u8(5 * 512 + 1, 0xAA).unwrap();
-        let mut written_block = vec![0u8; 4096];
+        let mut written_block = vec![0u8; 512];
         written_block[7] = 0xBB;
-        m.devices_mut().disk.write(2 * 4096 + 7, &[0xBB]).unwrap();
-        let (staged_chunk, staged_block) = (vec![0xCC; 512], vec![0xDD; 4096]);
+        m.devices_mut().disk.write(2 * 512 + 7, &[0xBB]).unwrap();
+        let (staged_chunk, staged_block) = (vec![0xCC; 512], vec![0xDD; 512]);
         m.memory_mut()
             .stage_lazy_chunk(200, staged_chunk.clone(), sha256(&staged_chunk))
             .unwrap();
@@ -1491,7 +1493,7 @@ mod tests {
 
         let tree = build_state_tree(&m);
         let root = tree.root();
-        assert_eq!(tree.leaf_count(), 3 + 256 + 4);
+        assert_eq!(tree.leaf_count(), 3 + 256 + 32);
         let proves = |leaf: usize, content: &[u8]| {
             let proof = tree.prove(leaf).expect("leaf in range");
             proof.verify_hash(sha256(content), &root)
@@ -1510,7 +1512,7 @@ mod tests {
         // So is a rehash of raw contents, once nothing is staged any more.
         assert_eq!(m.memory_mut().read_u8(200 * 512).unwrap(), 0xCC);
         let mut byte = [0u8];
-        m.devices_mut().disk.read(3 * 4096, &mut byte).unwrap();
+        m.devices_mut().disk.read(3 * 512, &mut byte).unwrap();
         assert_eq!(byte, [0xDD]);
         let faulted = m.stores().map(|s| s.faulted().to_vec());
         assert_eq!(faulted, [vec![200], vec![3]]);
@@ -2062,7 +2064,7 @@ mod tests {
                 prop_assert_eq!(&manifest.disk_refs, &disk_refs.filter(lacks(1)).collect::<Vec<_>>());
 
                 let received = manifest.encoded_len() as u64;
-                let audited = Replayer::from_manifest_on_demand(&manifest, received, &img, &reg, &no_cache);
+                let audited = Replayer::from_manifest_on_demand(&manifest, &store.get(id).unwrap().state_root, received, &img, &reg, &no_cache);
                 prop_assert!(audited.is_ok(), "snapshot {}: {:?}", id, audited.err());
                 let (lazy, _) = materialize_on_demand(&store, id, &img, &reg, &no_cache).unwrap();
                 let full = store.materialize(id, &img, &reg).unwrap();

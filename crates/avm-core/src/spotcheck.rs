@@ -209,9 +209,11 @@ fn wan_client<'a>(
 /// snapshot state downloaded in full before replay: the manifest, then every
 /// blob the image does not hold.
 ///
-/// The chunk consists of the log entries between the SNAPSHOT entry for
-/// `start_snapshot` (exclusive) and the SNAPSHOT entry `k` snapshots later
-/// (inclusive), or the end of the log if there are fewer snapshots.  Use
+/// The chunk consists of the log entries from the SNAPSHOT entry for
+/// `start_snapshot` — its anchor, whose root the start state must hash to —
+/// to the SNAPSHOT entry `k` snapshots later (both inclusive), or the end of
+/// the log if there are fewer snapshots; replay runs the entries after the
+/// anchor.  Use
 /// [`spot_check_on_demand`] for the incremental-request mode.
 ///
 /// Thin wrapper over [`crate::endpoint::AuditClient::spot_check`] on the

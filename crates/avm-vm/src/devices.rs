@@ -20,10 +20,7 @@ use avm_crypto::sha256::Digest;
 use avm_wire::{Decode, Encode, Reader, WireError, WireResult, Writer};
 
 use crate::error::{VmError, VmResult};
-use crate::store::{LeafStore, Refused, SharedPage, PAGE_SIZE};
-
-/// Size of one disk block for dirty tracking and incremental snapshots.
-pub const DISK_BLOCK_SIZE: usize = PAGE_SIZE;
+use crate::store::{LeafStore, Refused, SharedPage, CHUNK_SIZE, PAGE_SIZE};
 
 /// A local input event (keyboard, mouse, controller).
 ///
@@ -159,17 +156,21 @@ impl InputQueue {
     }
 }
 
-/// Virtual block disk: a [`LeafStore`] in [`DISK_BLOCK_SIZE`] blocks plus the
-/// guest's access counters.
+/// Virtual disk: a [`LeafStore`] in [`CHUNK_SIZE`] leaves ("blocks") plus
+/// the guest's access counters.
 ///
 /// Initial contents come from the VM image; because the guest is
 /// deterministic, the disk never needs to be logged — only snapshotted.
 /// How it is hashed, dirty-tracked and faulted in on demand is the store's
-/// ([`crate::store`]).  What is the disk's own: page-sized leaves — block
-/// devices write whole sectors, so sub-block tracking would buy nothing —
-/// the `reads`/`writes` statistics, which are part of the volatile device
-/// state, and [`VmError::DiskOutOfRange`], which even a zero-length access
-/// earns when it points past the end.
+/// ([`crate::store`]), and so is the leaf: the disk's is memory's.  A
+/// physical block device writes whole sectors, which would make leaves
+/// smaller than a sector pointless; this disk is byte-addressed — a guest's
+/// `diskwr` writes exactly the bytes it names, and a database appends records
+/// of a few dozen bytes — so a page-sized leaf would hash, store and ship
+/// 4 KiB to carry each such write.  What is the disk's own: the
+/// `reads`/`writes` statistics, which are part of the volatile device state,
+/// and [`VmError::DiskOutOfRange`], counted in leaves, which even a
+/// zero-length access earns when it points past the end.
 #[derive(Debug, Clone)]
 pub struct Disk {
     store: LeafStore,
@@ -180,16 +181,16 @@ pub struct Disk {
 }
 
 impl Disk {
-    /// Creates a disk of `size` bytes (rounded up to whole blocks), zero-filled.
+    /// Creates a disk of `size` bytes (rounded up to whole pages), zero-filled.
     pub fn new(size: u64) -> Disk {
         Disk {
-            store: LeafStore::new(size, DISK_BLOCK_SIZE, "disk block"),
+            store: LeafStore::new(size, CHUNK_SIZE, "disk block"),
             reads: 0,
             writes: 0,
         }
     }
 
-    /// Creates a disk initialized with `content` (padded to whole blocks).
+    /// Creates a disk initialized with `content` (padded to whole pages).
     pub fn from_content(content: &[u8]) -> Disk {
         let mut disk = Disk::new(content.len().max(1) as u64);
         // A new disk is the shared zero page repeated; only a page that holds
@@ -208,7 +209,7 @@ impl Disk {
     /// hash known ([`LeafStore::from_shared`]).
     pub(crate) fn from_shared(pages: &[SharedPage], hashes: &[Digest]) -> Disk {
         Disk {
-            store: LeafStore::from_shared(pages, hashes, DISK_BLOCK_SIZE, "disk block"),
+            store: LeafStore::from_shared(pages, hashes, CHUNK_SIZE, "disk block"),
             reads: 0,
             writes: 0,
         }
@@ -230,7 +231,7 @@ impl Disk {
         self.store.size()
     }
 
-    /// Number of dirty-trackable blocks.
+    /// Number of blocks: the disk's leaves of the Merkle state tree.
     pub fn block_count(&self) -> usize {
         self.store.leaf_count()
     }
@@ -238,13 +239,15 @@ impl Disk {
     /// The disk's verdict on an access the store answered with `accepted`.
     /// The store refuses what does not fit or misses and lets a zero-length
     /// access through untouched; the disk still wants such an access to
-    /// point at it.
+    /// point at it.  Both numbers of [`VmError::DiskOutOfRange`] count
+    /// blocks, so `sector < sectors` exactly when the access starts on the
+    /// disk.
     fn verdict(&self, offset: u64, accepted: Result<(), Refused>) -> VmResult<()> {
         match accepted {
             Ok(()) if offset <= self.size() => Ok(()),
             Err(Refused::Miss) => Err(VmError::Miss),
             _ => Err(VmError::DiskOutOfRange {
-                sector: offset / DISK_BLOCK_SIZE as u64,
+                sector: offset / self.store.leaf_size() as u64,
                 sectors: self.block_count() as u64,
             }),
         }
@@ -297,7 +300,7 @@ impl Disk {
     /// access, under the hash state roots report for it until then
     /// ([`LeafStore::stage_lazy`]).
     pub fn stage_lazy_block(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> VmResult<()> {
-        let refused = if content.len() != DISK_BLOCK_SIZE {
+        let refused = if content.len() != self.store.leaf_size() {
             "staged disk block has wrong size"
         } else {
             "staged disk block index out of range"
@@ -454,6 +457,7 @@ impl DeviceState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::CHUNKS_PER_PAGE;
     use avm_crypto::sha256::sha256;
 
     #[test]
@@ -519,17 +523,93 @@ mod tests {
 
     #[test]
     fn disk_read_write_and_dirty_blocks() {
-        let mut disk = Disk::new(3 * DISK_BLOCK_SIZE as u64);
-        assert_eq!(disk.block_count(), 3);
-        disk.write(DISK_BLOCK_SIZE as u64 - 2, &[9; 4]).unwrap();
+        let mut disk = Disk::new(PAGE_SIZE as u64);
+        assert_eq!(disk.block_count(), CHUNKS_PER_PAGE);
+        disk.write(CHUNK_SIZE as u64 - 2, &[9; 4]).unwrap();
         let mut buf = [0u8; 4];
-        disk.read(DISK_BLOCK_SIZE as u64 - 2, &mut buf).unwrap();
+        disk.read(CHUNK_SIZE as u64 - 2, &mut buf).unwrap();
         assert_eq!(buf, [9; 4]);
         assert_eq!(disk.dirty_blocks(), vec![0, 1]);
         disk.clear_dirty();
         assert!(disk.dirty_blocks().is_empty());
-        assert!(disk.read(3 * DISK_BLOCK_SIZE as u64, &mut buf).is_err());
+        assert!(disk.read(PAGE_SIZE as u64, &mut buf).is_err());
         assert!(disk.write(u64::MAX, &[1]).is_err());
+    }
+
+    /// The disk's leaf is memory's: a guest's 8-byte `diskwr` dirties, and
+    /// re-hashes, the one 512 B leaf it lands in — not the page around it.
+    #[test]
+    fn an_eight_byte_write_dirties_exactly_one_leaf() {
+        let mut disk = Disk::new(2 * PAGE_SIZE as u64);
+        let before: Vec<Digest> = (0..disk.block_count())
+            .map(|b| disk.block_hash(b).unwrap())
+            .collect();
+        let leaf = CHUNKS_PER_PAGE + 3;
+        disk.write((leaf * CHUNK_SIZE + 100) as u64, &[0xAB; 8])
+            .unwrap();
+        assert_eq!(disk.dirty_blocks(), vec![leaf]);
+        for (b, hash) in before.iter().enumerate() {
+            assert_eq!(disk.block_hash(b).unwrap() != *hash, b == leaf, "block {b}");
+        }
+        assert_eq!(disk.block(leaf).unwrap().len(), CHUNK_SIZE);
+    }
+
+    /// A write across a leaf boundary dirties the leaf on each side of it,
+    /// and nothing else; so does one across a page boundary.
+    #[test]
+    fn a_write_straddling_a_leaf_boundary_dirties_both_leaves() {
+        let mut disk = Disk::new(2 * PAGE_SIZE as u64);
+        disk.write(2 * CHUNK_SIZE as u64 - 4, &[1; 8]).unwrap();
+        assert_eq!(disk.dirty_blocks(), vec![1, 2]);
+        disk.clear_dirty();
+        disk.write(PAGE_SIZE as u64 - 1, &[2; 2]).unwrap();
+        assert_eq!(
+            disk.dirty_blocks(),
+            vec![CHUNKS_PER_PAGE - 1, CHUNKS_PER_PAGE]
+        );
+        let mut bytes = [0u8; 8];
+        disk.read(2 * CHUNK_SIZE as u64 - 4, &mut bytes).unwrap();
+        assert_eq!(bytes, [1; 8]);
+    }
+
+    /// `DiskOutOfRange` counts both numbers in blocks: a refused access
+    /// reports a `sector` below `sectors` exactly when it starts on the disk
+    /// (and runs off its end), never when it starts past the end.
+    #[test]
+    fn an_out_of_range_access_names_its_block_in_the_disks_unit() {
+        let mut disk = Disk::new(2 * PAGE_SIZE as u64);
+        let size = disk.size();
+        let sectors = disk.block_count() as u64;
+        let mut refused = 0;
+        for offset in [
+            0,
+            1,
+            CHUNK_SIZE as u64,
+            size - 8,
+            size - 1,
+            size,
+            size + 1,
+            2 * size,
+            u64::MAX - 3,
+        ] {
+            for len in [0usize, 1, 8, CHUNK_SIZE, PAGE_SIZE] {
+                let fits = offset
+                    .checked_add(len as u64)
+                    .is_some_and(|end| end <= size);
+                match disk.write(offset, &vec![7; len]) {
+                    Ok(()) => assert!(fits, "{offset}+{len} accepted"),
+                    Err(VmError::DiskOutOfRange { sector, sectors: n }) => {
+                        assert!(!fits, "{offset}+{len} refused");
+                        assert_eq!(n, sectors);
+                        assert_eq!(sector, offset / CHUNK_SIZE as u64);
+                        assert_eq!(sector < sectors, offset < size, "{offset}+{len}");
+                        refused += 1;
+                    }
+                    Err(other) => panic!("{offset}+{len}: {other:?}"),
+                }
+            }
+        }
+        assert!(refused > 20);
     }
 
     /// A zero-length access on the disk is counted and touches nothing — no
@@ -537,12 +617,12 @@ mod tests {
     /// still out of range.
     #[test]
     fn zero_length_disk_access_touches_nothing_but_is_judged() {
-        let mut disk = Disk::new(2 * DISK_BLOCK_SIZE as u64);
-        let staged = vec![5u8; DISK_BLOCK_SIZE];
+        let mut disk = Disk::new(2 * PAGE_SIZE as u64);
+        let staged = vec![5u8; CHUNK_SIZE];
         let marker = sha256(b"not the block's hash");
         disk.stage_lazy_block(1, staged, marker).unwrap();
         let end = disk.size();
-        for offset in [0, DISK_BLOCK_SIZE as u64 + 9, end] {
+        for offset in [0, CHUNK_SIZE as u64 + 9, end] {
             disk.write(offset, &[]).unwrap();
             disk.read(offset, &mut []).unwrap();
         }
@@ -550,9 +630,10 @@ mod tests {
         assert!(disk.dirty_blocks().is_empty() && disk.faulted_blocks().is_empty());
         assert_eq!(disk.staged_block_count(), 1);
         assert_eq!(disk.block_hash(1), Some(marker));
+        let leaves = 2 * CHUNKS_PER_PAGE as u64;
         let past_end = VmError::DiskOutOfRange {
-            sector: 2,
-            sectors: 2,
+            sector: leaves,
+            sectors: leaves,
         };
         assert_eq!(disk.write(end + 1, &[]), Err(past_end.clone()));
         assert_eq!(disk.read(end + 1, &mut []), Err(past_end));
@@ -562,31 +643,34 @@ mod tests {
 
     #[test]
     fn disk_from_content_and_blocks() {
-        let content = vec![7u8; DISK_BLOCK_SIZE + 10];
+        let content = vec![7u8; CHUNK_SIZE + 10];
         let mut disk = Disk::from_content(&content);
-        assert_eq!(disk.block_count(), 2);
+        assert_eq!(disk.block_count(), CHUNKS_PER_PAGE);
         assert_eq!(disk.block(0).unwrap()[0], 7);
+        assert_eq!(disk.block(1).unwrap()[9], 7);
         assert_eq!(disk.block(1).unwrap()[10], 0);
-        assert!(disk.block(2).is_none());
-        let new_block = vec![1u8; DISK_BLOCK_SIZE];
+        assert!(disk.block(CHUNKS_PER_PAGE).is_none());
+        let new_block = vec![1u8; CHUNK_SIZE];
         disk.set_block(1, &new_block).unwrap();
         assert_eq!(disk.block(1).unwrap()[0], 1);
-        assert!(disk.set_block(5, &new_block).is_err());
+        assert!(disk.set_block(CHUNKS_PER_PAGE, &new_block).is_err());
         assert!(disk.set_block(0, &[1, 2]).is_err());
         // Pages of zeros are left shared, not skipped with what they hold:
         // a byte anywhere in a page, or in a partial last page, is written.
-        let mut sparse = vec![0u8; 3 * DISK_BLOCK_SIZE + 5];
-        sparse[2 * DISK_BLOCK_SIZE - 1] = 4;
-        sparse[3 * DISK_BLOCK_SIZE + 4] = 6;
+        let mut sparse = vec![0u8; 3 * PAGE_SIZE + 5];
+        sparse[2 * PAGE_SIZE - 1] = 4;
+        sparse[3 * PAGE_SIZE + 4] = 6;
         let disk = Disk::from_content(&sparse);
-        let held: Vec<&[u8]> = (0..4).map(|b| disk.block(b).unwrap()).collect();
+        let held: Vec<&[u8]> = (0..4 * CHUNKS_PER_PAGE)
+            .map(|b| disk.block(b).unwrap())
+            .collect();
         assert_eq!(held.concat()[..sparse.len()], sparse);
         assert!(disk.dirty_blocks().is_empty());
     }
 
     #[test]
     fn disk_block_hash_cache_invalidated_by_writes() {
-        let mut disk = Disk::new(2 * DISK_BLOCK_SIZE as u64);
+        let mut disk = Disk::new(PAGE_SIZE as u64);
         let h0 = disk.block_hash(0).unwrap();
         assert_eq!(disk.block_hash(0).unwrap(), h0);
         disk.write(10, &[1, 2, 3]).unwrap();
@@ -595,26 +679,29 @@ mod tests {
         // Dirty clearing leaves the cache intact; the hash stays correct.
         disk.clear_dirty();
         assert_eq!(disk.block_hash(0).unwrap(), h1);
-        let block = vec![9u8; DISK_BLOCK_SIZE];
+        let block = vec![9u8; CHUNK_SIZE];
         disk.set_block(1, &block).unwrap();
         assert_eq!(disk.block_hash(1).unwrap(), sha256(&block));
-        assert!(disk.block_hash(2).is_none());
+        assert!(disk.block_hash(disk.block_count()).is_none());
         for i in 0..disk.block_count() {
             assert_eq!(disk.block_hash(i).unwrap(), sha256(disk.block(i).unwrap()));
         }
         // Seeded slots (marker values) are emptied by exactly the writes
         // that cover them.
-        let seeds = [sha256(b"block 0"), sha256(b"block 1")];
+        let seeds: Vec<Digest> = (0..disk.block_count())
+            .map(|b| sha256(format!("block {b}").as_bytes()))
+            .collect();
         let mut disk = Disk::from_shared(&disk.leaves().shared_pages(), &seeds);
-        disk.write(DISK_BLOCK_SIZE as u64 + 7, &[4]).unwrap();
+        disk.write(CHUNK_SIZE as u64 + 7, &[4]).unwrap();
         assert_eq!(disk.block_hash(0).unwrap(), seeds[0]);
         assert_eq!(disk.block_hash(1).unwrap(), sha256(disk.block(1).unwrap()));
+        assert_eq!(disk.block_hash(2).unwrap(), seeds[2]);
     }
 
     #[test]
     fn staged_block_faults_in_on_access() {
-        let mut disk = Disk::new(3 * DISK_BLOCK_SIZE as u64);
-        let mut authentic = vec![0u8; DISK_BLOCK_SIZE];
+        let mut disk = Disk::new(PAGE_SIZE as u64);
+        let mut authentic = vec![0u8; CHUNK_SIZE];
         authentic[0] = 0x55;
         let hash = sha256(&authentic);
         disk.stage_lazy_block(1, authentic.clone(), hash).unwrap();
@@ -624,36 +711,40 @@ mod tests {
         assert_eq!(disk.staged_block_count(), 1);
         // A read faults it in without marking it dirty.
         let mut buf = [0u8; 1];
-        disk.read(DISK_BLOCK_SIZE as u64, &mut buf).unwrap();
+        disk.read(CHUNK_SIZE as u64, &mut buf).unwrap();
         assert_eq!(buf[0], 0x55);
         assert_eq!(disk.faulted_blocks(), &[1]);
         assert!(disk.dirty_blocks().is_empty());
         assert_eq!(disk.block_hash(1).unwrap(), hash);
         // A partial write to another staged block lands on authentic bytes.
-        let mut b2 = vec![0u8; DISK_BLOCK_SIZE];
+        let mut b2 = vec![0u8; CHUNK_SIZE];
         b2[10] = 0x77;
         disk.stage_lazy_block(2, b2.clone(), sha256(&b2)).unwrap();
-        disk.write(2 * DISK_BLOCK_SIZE as u64, &[0x11]).unwrap();
+        disk.write(2 * CHUNK_SIZE as u64, &[0x11]).unwrap();
         assert_eq!(disk.faulted_blocks(), &[1, 2]);
         assert_eq!(disk.block(2).unwrap()[10], 0x77);
         assert_eq!(disk.block(2).unwrap()[0], 0x11);
         assert_eq!(disk.dirty_blocks(), vec![2]);
         // set_block drops staging without recording a fault.
-        let mut disk2 = Disk::new(DISK_BLOCK_SIZE as u64);
+        let mut disk2 = Disk::new(CHUNK_SIZE as u64);
         disk2.stage_lazy_block(0, authentic.clone(), hash).unwrap();
-        disk2.set_block(0, &vec![1u8; DISK_BLOCK_SIZE]).unwrap();
+        disk2.set_block(0, &vec![1u8; CHUNK_SIZE]).unwrap();
         assert!(disk2.faulted_blocks().is_empty());
         assert_eq!(disk2.staged_block_count(), 0);
         // So does a write() that fully covers the staged block.
-        let mut disk3 = Disk::new(DISK_BLOCK_SIZE as u64);
+        let mut disk3 = Disk::new(CHUNK_SIZE as u64);
         disk3.stage_lazy_block(0, authentic.clone(), hash).unwrap();
-        disk3.write(0, &vec![2u8; DISK_BLOCK_SIZE]).unwrap();
+        disk3.write(0, &vec![2u8; CHUNK_SIZE]).unwrap();
         assert!(disk3.faulted_blocks().is_empty());
         assert_eq!(disk3.staged_block_count(), 0);
         assert_eq!(disk3.block(0).unwrap()[0], 2);
         // Validation.
-        assert!(disk2.stage_lazy_block(5, authentic.clone(), hash).is_err());
+        let past_end = disk2.block_count();
+        assert!(disk2
+            .stage_lazy_block(past_end, authentic.clone(), hash)
+            .is_err());
         assert!(disk2.stage_lazy_block(0, vec![1, 2], hash).is_err());
+        assert!(disk2.stage_lazy_block(0, vec![1; PAGE_SIZE], hash).is_err());
     }
 
     #[test]

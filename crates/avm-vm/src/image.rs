@@ -498,11 +498,11 @@ mod tests {
     /// a whole number of blocks.
     #[test]
     fn baseline_is_what_a_fresh_machine_hashes_to() {
-        use crate::devices::DISK_BLOCK_SIZE;
+        use crate::CHUNKS_PER_PAGE;
         let code = vec![0x5a; 700];
         let image =
             VmImage::bytecode("img", 16 * 1024, code, 300, 300)
-                .with_disk(vec![3u8; DISK_BLOCK_SIZE + 9]);
+                .with_disk(vec![3u8; CHUNK_SIZE + 9]);
         let m = Machine::from_image(&image, &GuestRegistry::new()).unwrap();
         let baseline = image.baseline();
         assert_eq!(baseline.digest(), image.compute_digest());
@@ -511,7 +511,7 @@ mod tests {
             assert_eq!(*hash, sha256(m.memory().chunk(i).unwrap()), "chunk {i}");
             assert_eq!(m.memory().chunk_hash(i).unwrap(), *hash);
         }
-        assert_eq!(baseline.block_hashes().len(), 2);
+        assert_eq!(baseline.block_hashes().len(), CHUNKS_PER_PAGE);
         for (b, hash) in baseline.block_hashes().iter().enumerate() {
             assert_eq!(*hash, sha256(m.devices().disk.block(b).unwrap()));
             assert_eq!(m.devices().disk.block_hash(b).unwrap(), *hash);
@@ -525,7 +525,10 @@ mod tests {
         );
         assert_eq!(baseline.locate(&sha256(b"elsewhere")), None);
         let tree = baseline.state_tree();
-        assert_eq!(tree.leaf_count(), STATE_HEADER_LEAVES + 32 + 2);
+        assert_eq!(
+            tree.leaf_count(),
+            STATE_HEADER_LEAVES + 32 + CHUNKS_PER_PAGE
+        );
         assert_eq!(tree.leaves()[..STATE_HEADER_LEAVES], [Digest::ZERO; 3]);
         assert!(m.memory().dirty_chunks().is_empty());
     }

@@ -2,26 +2,20 @@
 //! views.
 //!
 //! Everything about how guest memory is hashed, dirty-tracked and faulted in
-//! is the store's ([`crate::store`]); what is memory's own is the leaf size —
-//! the 512 B **chunk** ([`CHUNK_SIZE`], [`CHUNKS_PER_PAGE`] per page), so an
-//! 8-byte counter bump costs one chunk of hashing, storage and transfer
-//! rather than a 4 KiB page, and a sparse replay that reads 8 bytes pulls 512
-//! over the wire, not 4096 — the scalar helpers the CPUs use, whole-page
-//! restore, and [`VmError::MemoryOutOfRange`], which a zero-length access
-//! never earns wherever it points.
+//! is the store's ([`crate::store`]), and so is the leaf size — the 512 B
+//! **chunk** ([`CHUNK_SIZE`], [`CHUNKS_PER_PAGE`] per page), so an 8-byte
+//! counter bump costs one chunk of hashing, storage and transfer rather than
+//! a 4 KiB page, and a sparse replay that reads 8 bytes pulls 512 over the
+//! wire, not 4096.  What is memory's own: the scalar helpers the CPUs use,
+//! whole-page restore, and [`VmError::MemoryOutOfRange`], which a
+//! zero-length access never earns wherever it points.
 
 use avm_crypto::sha256::Digest;
 
 use crate::error::{VmError, VmResult};
 use crate::store::{LeafStore, Refused, SharedPage};
 
-pub use crate::store::PAGE_SIZE;
-
-/// Dirty-tracking and transfer granularity: one eighth of a page.
-pub const CHUNK_SIZE: usize = 512;
-
-/// Chunks per page.
-pub const CHUNKS_PER_PAGE: usize = PAGE_SIZE / CHUNK_SIZE;
+pub use crate::store::{CHUNKS_PER_PAGE, CHUNK_SIZE, PAGE_SIZE};
 
 /// Byte-addressable guest RAM divided into [`PAGE_SIZE`] pages, dirty-tracked
 /// and content-addressed in [`CHUNK_SIZE`] chunks.

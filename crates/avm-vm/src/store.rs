@@ -2,15 +2,16 @@
 //!
 //! An AVM's state is committed as *one* hash tree over memory and disk (paper
 //! §4.4) and an auditor may fault that state in piece by piece (§3.5).  Guest
-//! RAM and the virtual disk are therefore the same container with a different
-//! leaf size, and [`LeafStore`] is that container, written once:
-//! [`crate::GuestMemory`] (512 B chunks) and [`crate::devices::Disk`] (4 KiB
-//! blocks) each wrap one and add only what is theirs, and every layer above
-//! walks [`crate::Machine::stores`] instead of naming chunks and blocks.
+//! RAM and the virtual disk are therefore the same container, and
+//! [`LeafStore`] is that container, written once: [`crate::GuestMemory`] and
+//! [`crate::devices::Disk`] each wrap one in leaves of [`CHUNK_SIZE`] and add
+//! only what is theirs, and every layer above walks
+//! [`crate::Machine::stores`] instead of naming chunks and blocks.
 //!
 //! Contents sit in [`PAGE_SIZE`] pages; a **leaf** is a power-of-two fraction
-//! of a page, so it never straddles two.  Per leaf the store keeps three
-//! things, each with one rule.
+//! of a page, so it never straddles two.  How big a leaf is, is decided here
+//! once ([`CHUNK_SIZE`]): all state is hashed, snapshotted and shipped at one
+//! granularity.  Per leaf the store keeps three things, each with one rule.
 //!
 //! # Pages
 //!
@@ -113,6 +114,15 @@ use avm_crypto::sha256::{sha256, Digest};
 /// Allocation granularity of a [`LeafStore`], and the guest page size
 /// (4 KiB, matching a commodity PC).
 pub const PAGE_SIZE: usize = 4096;
+
+/// The leaf of every machine store, memory and disk alike: one eighth of a
+/// page.  Dirty tracking, Merkle leaves, snapshot sections, pool blobs and
+/// on-demand transfers are all this size, so an 8-byte write costs 512 B of
+/// hashing, storage and transfer wherever it lands.
+pub const CHUNK_SIZE: usize = 512;
+
+/// Leaves per page.
+pub const CHUNKS_PER_PAGE: usize = PAGE_SIZE / CHUNK_SIZE;
 
 /// A read-only page that any number of stores share until one writes it.
 pub(crate) type SharedPage = Arc<[u8; PAGE_SIZE]>;

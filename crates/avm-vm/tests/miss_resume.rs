@@ -14,8 +14,9 @@
 
 use avm_crypto::sha256::{sha256, Digest};
 use avm_vm::bytecode::assemble;
-use avm_vm::devices::DISK_BLOCK_SIZE;
-use avm_vm::{GuestRegistry, Machine, StopCondition, VmError, VmExit, VmImage, CHUNK_SIZE};
+use avm_vm::{
+    GuestRegistry, Machine, StopCondition, VmError, VmExit, VmImage, CHUNK_SIZE, PAGE_SIZE,
+};
 
 /// Memory leaf of the data every case touches (0x4000).
 const DATA: usize = 0x4000 / CHUNK_SIZE;
@@ -32,7 +33,7 @@ struct Case {
 
 fn image(src: &str) -> VmImage {
     VmImage::bytecode("miss", 64 * 1024, assemble(src, 0).unwrap(), 0, 0)
-        .with_disk(vec![0u8; 2 * DISK_BLOCK_SIZE])
+        .with_disk(vec![0u8; 2 * PAGE_SIZE])
 }
 
 fn data_chunk() -> (usize, usize, Vec<u8>) {
@@ -40,7 +41,7 @@ fn data_chunk() -> (usize, usize, Vec<u8>) {
 }
 
 fn disk_block() -> (usize, usize, Vec<u8>) {
-    (1, 0, (0..DISK_BLOCK_SIZE).map(|i| (i * 7) as u8).collect())
+    (1, 0, (0..CHUNK_SIZE).map(|i| (i * 7) as u8).collect())
 }
 
 fn cases() -> Vec<Case> {

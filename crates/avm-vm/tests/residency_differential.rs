@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use avm_crypto::sha256::{sha256, Digest};
-use avm_vm::devices::{Disk, DISK_BLOCK_SIZE};
+use avm_vm::devices::Disk;
 use avm_vm::{GuestMemory, LeafStore, VmError, CHUNKS_PER_PAGE, CHUNK_SIZE, PAGE_SIZE};
 use proptest::prelude::*;
 
@@ -28,7 +28,7 @@ enum Kind {
 #[derive(Debug, Clone)]
 struct Model {
     kind: Kind,
-    /// `CHUNK_SIZE` or `DISK_BLOCK_SIZE`.
+    /// `CHUNK_SIZE`: both facades' leaf.
     unit: usize,
     data: Vec<u8>,
     dirty: Vec<bool>,
@@ -282,14 +282,23 @@ trait Facade: Clone {
     }
 
     /// Restores page `page` on the facade and the model: eight chunks at
-    /// once for memory, the one block that is a page for the disk.
+    /// once for memory; for the disk, which has no page restore, its blocks
+    /// one by one up to the first refused.
     fn set_page(
         &mut self,
         model: &mut Model,
         page: usize,
         content: &[u8],
     ) -> [Result<(), VmError>; 2] {
-        [self.set_unit(page, content), model.set_unit(page, content)]
+        let first = page * (PAGE_SIZE / Self::UNIT);
+        let leaves = || {
+            let leaves = content.chunks(Self::UNIT).enumerate();
+            leaves.map(move |(c, leaf)| (first + c, leaf))
+        };
+        [
+            leaves().try_for_each(|(idx, leaf)| self.set_unit(idx, leaf)),
+            leaves().try_for_each(|(idx, leaf)| model.set_unit(idx, leaf)),
+        ]
     }
 
     /// Observables only this facade has.
@@ -352,11 +361,11 @@ impl Facade for GuestMemory {
 
 impl Facade for Disk {
     const KIND: Kind = Kind::Disk;
-    const UNIT: usize = DISK_BLOCK_SIZE;
-    const UNITS: usize = 4;
+    const UNIT: usize = CHUNK_SIZE;
+    const UNITS: usize = 4 * CHUNKS_PER_PAGE;
 
     fn new() -> Self {
-        Disk::new((Self::UNITS * DISK_BLOCK_SIZE) as u64)
+        Disk::new((Self::UNITS * CHUNK_SIZE) as u64)
     }
     fn store(&self) -> &LeafStore {
         self.leaves()
@@ -575,13 +584,12 @@ fn staging_then_faulting_everything_leaves_nothing_staged() {
     assert_eq!(whole.iter().filter(|&&b| b != 0).count(), 4 * CHUNK_SIZE);
     assert_eq!(mem.faulted_chunks(), &[15, 9, 5, 0]);
 
-    let mut disk = Disk::new(2 * DISK_BLOCK_SIZE as u64);
-    let block = vec![3u8; DISK_BLOCK_SIZE];
+    let mut disk = Disk::new(2 * PAGE_SIZE as u64);
+    let block = vec![3u8; CHUNK_SIZE];
     disk.stage_lazy_block(1, block.clone(), sha256(&block))
         .unwrap();
     let mut byte = [0u8; 1];
-    disk.read(2 * DISK_BLOCK_SIZE as u64 - 1, &mut byte)
-        .unwrap();
+    disk.read(2 * CHUNK_SIZE as u64 - 1, &mut byte).unwrap();
     assert_eq!((byte[0], disk.faulted_blocks()), (3, &[1usize][..]));
     assert_eq!(disk.staged_block_count(), 0);
 }

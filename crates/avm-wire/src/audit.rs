@@ -75,10 +75,12 @@ pub enum SegmentAddress {
         /// Last sequence number requested (0 = end of log).
         to_seq: u64,
     },
-    /// The §3.5 chunk between two snapshots: every entry after the SNAPSHOT
-    /// entry for `start_snapshot` (exclusive) up to the SNAPSHOT entry
-    /// `chunk` snapshots later (inclusive), or the end of the log.  The
-    /// provider resolves the boundaries — only it knows its log's layout.
+    /// The §3.5 chunk between two snapshots: the SNAPSHOT entry for
+    /// `start_snapshot` — the chunk's anchor, which records the root of the
+    /// state replay starts from — and every entry after it up to the
+    /// SNAPSHOT entry `chunk` snapshots later (both inclusive), or the end
+    /// of the log.  The provider resolves the boundaries — only it knows its
+    /// log's layout.
     Chunk {
         /// Snapshot id the chunk starts from.
         start_snapshot: u64,

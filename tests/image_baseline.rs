@@ -36,12 +36,11 @@ use avm_db::server::DbConfig;
 use avm_db::{db_image, db_registry};
 use avm_log::LogEntry;
 use avm_vm::bytecode::assemble;
-use avm_vm::devices::DISK_BLOCK_SIZE;
 use avm_vm::image::BaselineLocation;
 use avm_vm::packet::encode_guest_packet;
 use avm_vm::{
     GuestCtx, GuestKernel, GuestRegistry, GuestStep, ImageKind, Machine, StopCondition, VmError,
-    VmExit, VmImage, CHUNK_SIZE, STATE_HEADER_LEAVES,
+    VmExit, VmImage, CHUNKS_PER_PAGE, CHUNK_SIZE, PAGE_SIZE, STATE_HEADER_LEAVES,
 };
 use avm_wire::attest::AttestChallenge;
 use proptest::prelude::*;
@@ -164,7 +163,7 @@ fn worker_image() -> VmImage {
             jmp loop
         ";
     VmImage::bytecode("baseline-prop", 128 * 1024, assemble(src, 0).unwrap(), 0, 0)
-        .with_disk([vec![0u8; 2 * DISK_BLOCK_SIZE], vec![7u8; 100]].concat())
+        .with_disk([vec![0u8; 2 * CHUNK_SIZE], vec![7u8; 100]].concat())
 }
 
 /// A machine's memory and disk, byte for byte, in `Machine::stores` order.
@@ -187,7 +186,7 @@ fn apply(
     (loc, len, val): (u16, usize, u8),
 ) -> Result<(), TestCaseError> {
     let expected = &mut expected[to_disk as usize];
-    let leaf = if to_disk { DISK_BLOCK_SIZE } else { CHUNK_SIZE };
+    let leaf = CHUNK_SIZE;
     let idx = loc as usize % (expected.len() / leaf);
     let range = idx * leaf..(idx + 1) * leaf;
     match kind {
@@ -313,7 +312,7 @@ proptest! {
         pages in 1usize..6,
         load_pick in any::<u16>(),
         code in proptest::collection::vec(any::<u8>(), 1..1400),
-        disk in proptest::collection::vec(any::<u8>(), 0..(2 * DISK_BLOCK_SIZE + 50)),
+        disk in proptest::collection::vec(any::<u8>(), 0..(2 * PAGE_SIZE + 50)),
     ) {
         let mem_size = (pages * avm_vm::PAGE_SIZE) as u64;
         let code = &code[..code.len().min(mem_size as usize)];
@@ -329,7 +328,7 @@ proptest! {
     fn baseline_of_native_images(
         pages in 1usize..6,
         config in proptest::collection::vec(any::<u8>(), 0..16),
-        disk in proptest::option::of(proptest::collection::vec(any::<u8>(), 1..(DISK_BLOCK_SIZE + 700))),
+        disk in proptest::option::of(proptest::collection::vec(any::<u8>(), 1..(PAGE_SIZE + 700))),
     ) {
         let mut image = VmImage::native("shape", (pages * avm_vm::PAGE_SIZE) as u64, "idle", config);
         if let Some(disk) = disk {
@@ -551,7 +550,12 @@ fn tampered_manifest_section_and_blob_still_fail() {
         let mut forged = manifest.clone();
         forged.mem_refs[COUNTER_CHUNK].1 = lie;
         let message = snapshot_error(Replayer::from_manifest_on_demand(
-            &forged, 0, &image, &registry, &cache,
+            &forged,
+            &manifest.state_root,
+            0,
+            &image,
+            &registry,
+            &cache,
         ));
         assert!(
             message.contains("manifest does not authenticate"),
@@ -598,7 +602,7 @@ fn content_the_image_holds_elsewhere_is_staged_locally() {
         lazy.memory_mut().read_vec(0x9000, CHUNK_SIZE).unwrap(),
         code
     );
-    let mut block = vec![0u8; DISK_BLOCK_SIZE];
+    let mut block = vec![0u8; CHUNK_SIZE];
     lazy.devices_mut().disk.read(0, &mut block).unwrap();
     assert_eq!(block, sevens);
     let cost = session
@@ -628,11 +632,14 @@ fn warmed_clone_with_disk_forgets_the_baseline() {
     let rogue = image.clone().with_disk(vec![0xEE; 512]);
     assert_ne!(rogue, image);
     assert_ne!(rogue.digest(), digest);
+    let zero = sha256(&[0; CHUNK_SIZE]);
     assert_eq!(
         rogue.baseline().block_hashes(),
-        [sha256(
-            &[[0xEE; 512].as_slice(), &[0; DISK_BLOCK_SIZE - 512]].concat()
-        )]
+        [
+            &[sha256(&[0xEE; CHUNK_SIZE])][..],
+            &[zero; CHUNKS_PER_PAGE - 1]
+        ]
+        .concat()
     );
     assert!(!blocks.contains(&rogue.baseline().block_hashes()[0]));
     let machine = Machine::from_image(&rogue, &registry).unwrap();

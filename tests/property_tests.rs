@@ -183,7 +183,7 @@ proptest! {
             0,
             0,
         )
-        .with_disk(vec![0u8; 8 * avm_vm::devices::DISK_BLOCK_SIZE]);
+        .with_disk(vec![0u8; 8 * avm_vm::PAGE_SIZE]);
         let mut m = Machine::from_image(&image, &GuestRegistry::new()).unwrap();
         let mut cache = StateTreeCache::new();
         let mut snapshots = 0u64;
@@ -235,7 +235,7 @@ proptest! {
             0,
             0,
         )
-        .with_disk(vec![0u8; 8 * avm_vm::devices::DISK_BLOCK_SIZE]);
+        .with_disk(vec![0u8; 8 * avm_vm::PAGE_SIZE]);
         let registry = GuestRegistry::new();
         let mut m = Machine::from_image(&image, &registry).unwrap();
         let mut cache = StateTreeCache::new();
@@ -399,7 +399,7 @@ proptest! {
             0,
             0,
         )
-        .with_disk(vec![0u8; 4 * avm_vm::devices::DISK_BLOCK_SIZE]);
+        .with_disk(vec![0u8; 4 * avm_vm::PAGE_SIZE]);
         let registry = GuestRegistry::new();
         let mut m = Machine::from_image(&image, &registry).unwrap();
         let run_until_idle = |m: &mut Machine| loop {
@@ -511,7 +511,7 @@ proptest! {
             0,
             0,
         )
-        .with_disk(vec![0u8; 4 * avm_vm::devices::DISK_BLOCK_SIZE]);
+        .with_disk(vec![0u8; 4 * avm_vm::PAGE_SIZE]);
         let registry = GuestRegistry::new();
         let mut m = Machine::from_image(&image, &registry).unwrap();
         let mut cache = StateTreeCache::new();

@@ -252,23 +252,24 @@ fn cases(provider: &Provider) -> Vec<(AuditRequest, AuditResponse)> {
         error(format!("log segment {0}..{0} out of range", u64::MAX)),
     ));
 
-    // LogSegment by snapshot chunk.
+    // LogSegment by snapshot chunk: from the start SNAPSHOT entry, anchored
+    // at the entry before it.
     cases.push((
         chunk(0, 1),
-        segment(entries[snaps[0]].hash, &entries[snaps[0] + 1..=snaps[1]]),
+        segment(entries[snaps[0] - 1].hash, &entries[snaps[0]..=snaps[1]]),
     ));
     cases.push((
         chunk(1, 2),
-        segment(entries[snaps[1]].hash, &entries[snaps[1] + 1..=snaps[3]]),
+        segment(entries[snaps[1] - 1].hash, &entries[snaps[1]..=snaps[3]]),
     ));
     let last = snaps[3];
     cases.push((
         chunk(SNAPSHOTS - 1, 1),
-        segment(entries[last].hash, &entries[last + 1..]),
+        segment(entries[last - 1].hash, &entries[last..]),
     ));
     cases.push((
         chunk(1, u64::MAX),
-        segment(entries[snaps[1]].hash, &entries[snaps[1] + 1..]),
+        segment(entries[snaps[1] - 1].hash, &entries[snaps[1]..]),
     ));
     cases.push((chunk(99, 1), error("snapshot 99 not in log")));
 

@@ -18,9 +18,8 @@ use avm_core::snapshot::{install_sections, SnapshotStore};
 use avm_core::CoreError;
 use avm_crypto::keys::{SignatureScheme, SigningKey};
 use avm_vm::bytecode::assemble;
-use avm_vm::devices::DISK_BLOCK_SIZE;
 use avm_vm::packet::encode_guest_packet;
-use avm_vm::{GuestRegistry, VmImage, CHUNK_SIZE};
+use avm_vm::{GuestRegistry, VmImage, CHUNK_SIZE, PAGE_SIZE};
 use proptest::prelude::*;
 
 /// Snapshots in the recording.
@@ -60,7 +59,7 @@ fn recording() -> &'static Recording {
                 jmp loop
             ";
         let image = VmImage::bytecode("worker", 128 * 1024, assemble(src, 0).unwrap(), 0, 0)
-            .with_disk(vec![0u8; 2 * DISK_BLOCK_SIZE]);
+            .with_disk(vec![0u8; 2 * PAGE_SIZE]);
         let options = AvmmOptions::default()
             .with_scheme(SignatureScheme::Null)
             .with_incremental_snapshots();
@@ -115,9 +114,7 @@ fn layout(stream: &[u8], headers: usize) -> Layout {
         let counts = [u32_at(at + 50), u32_at(at + 54)];
         let items = at + 58;
         out.push((at, counts, items));
-        at = items
-            + counts[0] as usize * (4 + CHUNK_SIZE)
-            + counts[1] as usize * (4 + DISK_BLOCK_SIZE);
+        at = items + counts[0] as usize * (4 + CHUNK_SIZE) + counts[1] as usize * (4 + CHUNK_SIZE);
     }
     Layout {
         headers: out,
