@@ -98,7 +98,8 @@ use crate::audit::AuditReport;
 use crate::error::{CoreError, FaultReason};
 use crate::ondemand::{AuditorBlobCache, ChainManifest};
 use crate::session::{
-    expect_attestation, expect_log_segment, expect_manifest, unexpected, AuditSession, Start, Step,
+    anchor_root, expect_attestation, expect_log_segment, expect_manifest, unexpected, AuditSession,
+    Start, Step,
 };
 use crate::snapshot::SnapshotStore;
 use crate::spotcheck::{snapshot_positions_in, SpotCheckReport};
@@ -759,9 +760,10 @@ impl<T: AuditTransport> AuditClient<T> {
 
     /// Downloads the §3.5 chunk of `chunk` segments starting at
     /// `start_snapshot` and returns the entries a replay from that snapshot
-    /// runs: every entry after the first, the chunk's anchor — its start
-    /// SNAPSHOT entry (see [`AuditServer::respond`] for the malformed-log
-    /// prefix a provider sends instead).
+    /// runs: every entry after the chunk's anchor, its start SNAPSHOT entry.
+    /// A chunk that does not start at that anchor — the malformed-log prefix
+    /// an honest provider sends instead (see [`AuditServer::respond`]) among
+    /// them — is a [`CoreError::Snapshot`]: only an audit session judges it.
     pub fn fetch_log_chunk(
         &mut self,
         start_snapshot: u64,
@@ -771,8 +773,14 @@ impl<T: AuditTransport> AuditClient<T> {
             start_snapshot,
             chunk,
         };
-        self.request(&AuditRequest::LogSegment(address), expect_log_segment)
-            .map(|(_, entries, _)| entries.into_iter().skip(1).collect())
+        let (_, mut entries, _) =
+            self.request(&AuditRequest::LogSegment(address), expect_log_segment)?;
+        let anchor = entries.first().ok_or_else(|| {
+            CoreError::Snapshot(format!("chunk from snapshot {start_snapshot} is empty"))
+        })?;
+        anchor_root(anchor, start_snapshot)?;
+        entries.remove(0);
+        Ok(entries)
     }
 
     /// Downloads the whole-section transfer stream up to `upto_id` — the
@@ -1164,7 +1172,8 @@ mod tests {
 
     /// A corrupt SNAPSHOT record reaches the same malformed-log verdict and
     /// truthful log accounting over the network: the provider returns its
-    /// log prefix, the auditor's syntactic phase refuses it.
+    /// log prefix, the auditor's syntactic phase refuses it, and
+    /// `fetch_log_chunk` refuses to hand it out as a chunk.
     #[test]
     fn malformed_log_verdict_is_identical_over_the_network() {
         let (bob, image) = record_with_snapshots(3);
@@ -1197,6 +1206,14 @@ mod tests {
         assert_eq!(baseline.semantic(), sim_report.semantic());
         // Only the log-prefix exchange happened before the early verdict.
         assert_eq!(sim_report.transport.round_trips, 1);
+        // The prefix does not start at snapshot 2's anchor, so it is no
+        // chunk to replay from there.
+        let err = sim.fetch_log_chunk(2, 1).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Snapshot(message)
+                if message.contains("does not start at the SNAPSHOT entry for snapshot 2")),
+            "{err}"
+        );
     }
 
     /// Provider-side errors cross the wire with the message the in-process

@@ -953,7 +953,6 @@ pub fn materialize_on_demand(
     let manifest_bytes = manifest.encoded_len() as u64;
     stage_from_manifest(
         &manifest,
-        &manifest.state_root,
         manifest_bytes,
         image,
         registry,
@@ -979,9 +978,6 @@ struct Divergent {
 /// metadata restored and every divergent reference staged, the state tree
 /// the manifest was authenticated with (in sync with the machine — a
 /// replayer continues from it) and the session that settles the accounting.
-/// The staged state must hash to `root`: for an auditor, the root the
-/// chunk's chain-verified start SNAPSHOT entry records, never one the
-/// provider labels; for a provider staging its own store, the manifest's.
 /// `manifest_bytes` is what the manifest cost to download: the length of
 /// the encoding that arrived, or of the one an in-process caller would have
 /// been sent.
@@ -991,7 +987,6 @@ struct Divergent {
 /// without one (an audit session's start: see [`crate::session`]).
 pub(crate) fn stage_from_manifest(
     manifest: &ChainManifest,
-    root: &Digest,
     manifest_bytes: u64,
     image: &VmImage,
     registry: &GuestRegistry,
@@ -1007,12 +1002,12 @@ pub(crate) fn stage_from_manifest(
     // contradict is the reference image's own, so the image's tree with the
     // header and the staged leaves replaced is exactly that root.
     let mut state_tree = StateTreeCache::from_baseline(image);
-    let derived = state_tree.refresh_leaves(&machine, staged.each_ref().map(Vec::as_slice));
-    if derived != *root {
+    let root = state_tree.refresh_leaves(&machine, staged.each_ref().map(Vec::as_slice));
+    if root != manifest.state_root {
         return Err(CoreError::Snapshot(format!(
             "manifest does not authenticate: derived root {} != recorded root {}",
-            derived.short_hex(),
-            root.short_hex()
+            root.short_hex(),
+            manifest.state_root.short_hex()
         )));
     }
 

@@ -188,7 +188,6 @@ impl Replayer {
         let manifest_bytes = manifest.encoded_len() as u64;
         Self::on_demand(
             &manifest,
-            &manifest.state_root,
             manifest_bytes,
             image,
             registry,
@@ -200,46 +199,28 @@ impl Replayer {
     /// Creates a replayer from a manifest an auditor received in
     /// `manifest_bytes` bytes of packet: what `cache` or the image holds is
     /// staged with its contents, the rest byteless — replay misses on it
-    /// (module docs).  The manifest authenticates against `logged_root`, the
-    /// root the log records for the snapshot, before the replayer is
-    /// returned.
+    /// (module docs).  The manifest authenticates against the recorded root
+    /// before the replayer is returned.
     pub fn from_manifest_on_demand(
         manifest: &crate::ondemand::ChainManifest,
-        logged_root: &Digest,
         manifest_bytes: u64,
         image: &VmImage,
         registry: &GuestRegistry,
         cache: &AuditorBlobCache,
     ) -> Result<(Replayer, OnDemandSession), CoreError> {
-        Self::on_demand(
-            manifest,
-            logged_root,
-            manifest_bytes,
-            image,
-            registry,
-            cache,
-            None,
-        )
+        Self::on_demand(manifest, manifest_bytes, image, registry, cache, None)
     }
 
     fn on_demand(
         manifest: &crate::ondemand::ChainManifest,
-        root: &Digest,
         manifest_bytes: u64,
         image: &VmImage,
         registry: &GuestRegistry,
         cache: &AuditorBlobCache,
         remote: Option<&SnapshotStore>,
     ) -> Result<(Replayer, OnDemandSession), CoreError> {
-        let (machine, state_tree, session) = stage_from_manifest(
-            manifest,
-            root,
-            manifest_bytes,
-            image,
-            registry,
-            cache,
-            remote,
-        )?;
+        let (machine, state_tree, session) =
+            stage_from_manifest(manifest, manifest_bytes, image, registry, cache, remote)?;
         Ok((
             Self::with_machine(machine, state_tree, image.digest()),
             session,
@@ -1229,10 +1210,8 @@ mod tests {
             .0
             .replay(log.entries());
         let manifest = store.chain_manifest_upto(0).unwrap();
-        let root = store.get(0).unwrap().state_root;
         let (mut lazy, staged) =
-            Replayer::from_manifest_on_demand(&manifest, &root, 0, &image, &registry, &cache)
-                .unwrap();
+            Replayer::from_manifest_on_demand(&manifest, 0, &image, &registry, &cache).unwrap();
         let mut misses = 0;
         let outcome = loop {
             let done = lazy.summary().entries_replayed as usize;

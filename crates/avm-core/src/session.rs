@@ -28,10 +28,10 @@
 //! A spot check's chunk starts at its **anchor**: the SNAPSHOT entry of the
 //! start snapshot, chained from the hash of the entry before it.  Once the
 //! syntactic phase passed, the session requires that first entry to be the
-//! SNAPSHOT record for the snapshot it asked for, reads the state root it
-//! records, and authenticates the start state it stages from the manifest
-//! against that root — not against the `state_root` the manifest names.  So
-//! the state a replay starts from is the one the log commits to: a provider
+//! SNAPSHOT record for the snapshot it asked for and reads the state root it
+//! records.  The manifest must name that root, and staging proves the start
+//! state hashes to the manifest's root, so the state a replay starts from is
+//! the one the log commits to — not merely one the provider labels: a provider
 //! cannot serve a *converging twin*, a different start state that the chunk
 //! overwrites before it reads it, which no replay could tell apart.  Such a
 //! state ends the session after the manifest with the root-mismatch
@@ -214,7 +214,7 @@ pub(crate) fn expect_attestation(response: AuditResponseRef<'_>) -> Result<Attes
 /// chunk that passed its syntactic phase, so its record decodes — must be
 /// the SNAPSHOT entry for snapshot `id`.  A chunk that starts anywhere else
 /// is not the segment the session asked for.
-fn anchor_root(anchor: &LogEntryRef<'_>, id: u64) -> Result<Digest, CoreError> {
+pub(crate) fn anchor_root(anchor: &impl EntryView, id: u64) -> Result<Digest, CoreError> {
     let record = match anchor.kind() {
         EntryKind::Snapshot => SnapshotRecord::decode_exact(anchor.content()).ok(),
         _ => None,
@@ -282,8 +282,6 @@ type Replayed = (Option<FaultReason>, ReplaySummary);
 /// it is supplied, resumed or re-staged from.
 struct StagedReplay {
     entries: Vec<LogEntry>,
-    /// The root the chunk's anchor records for the start state.
-    root: Digest,
     manifest: ChainManifest,
     manifest_bytes: u64,
     replayer: Replayer,
@@ -547,7 +545,16 @@ impl<'a> AuditSession<'a> {
         root: Digest,
     ) -> Result<Step, CoreError> {
         let (manifest, manifest_bytes) = expect_manifest(response)?;
-        let (replayer, ondemand) = self.stage(&manifest, &root, manifest_bytes, &[])?;
+        // Staging proves the start state hashes to the manifest's root, so
+        // that root must be the one the anchor records.
+        if manifest.state_root != root {
+            return Err(CoreError::Snapshot(format!(
+                "manifest does not authenticate: manifest root {} != recorded root {}",
+                manifest.state_root.short_hex(),
+                root.short_hex()
+            )));
+        }
+        let (replayer, ondemand) = self.stage(&manifest, manifest_bytes, &[])?;
         // A full download asks for every leaf staged without its bytes; on
         // demand nothing is prefetched.
         let prefetch = match self.start {
@@ -561,7 +568,6 @@ impl<'a> AuditSession<'a> {
         };
         let run = Box::new(StagedReplay {
             entries,
-            root,
             manifest,
             manifest_bytes,
             replayer,
@@ -590,19 +596,17 @@ impl<'a> AuditSession<'a> {
         Ok(step)
     }
 
-    /// The start state of `manifest`, authenticated against the logged
-    /// `root` (module docs, "# Prefetch and misses"), with the `fetched`
-    /// blobs this session received handed to their leaves.
+    /// The start state of `manifest` (module docs, "# Prefetch and
+    /// misses"), with the `fetched` blobs this session received handed to
+    /// their leaves.
     fn stage(
         &self,
         manifest: &ChainManifest,
-        root: &Digest,
         manifest_bytes: u64,
         fetched: &[Digest],
     ) -> Result<(Replayer, OnDemandSession), CoreError> {
         let (mut replayer, ondemand) = Replayer::from_manifest_on_demand(
             manifest,
-            root,
             manifest_bytes,
             self.image,
             self.registry,
@@ -697,12 +701,8 @@ impl<'a> AuditSession<'a> {
         if matches!(self.image.kind(), ImageKind::Native { .. }) {
             // The native step that missed ran on; start over with every
             // blob received so far.
-            (run.replayer, run.ondemand) = self.stage(
-                &run.manifest,
-                &run.root,
-                run.manifest_bytes,
-                &run.fetch.fetched,
-            )?;
+            (run.replayer, run.ondemand) =
+                self.stage(&run.manifest, run.manifest_bytes, &run.fetch.fetched)?;
         }
         self.replay(run)
     }

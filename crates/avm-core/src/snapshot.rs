@@ -137,7 +137,7 @@ use avm_compress::{CompressionLevel, CompressionStats};
 use avm_crypto::merkle::MerkleTree;
 use avm_crypto::sha256::{sha256, Digest};
 use avm_vm::image::ImageBaseline;
-use avm_vm::{GuestRegistry, LeafStore, Machine, VmImage, STATE_HEADER_LEAVES};
+use avm_vm::{GuestRegistry, LeafStore, Machine, VmImage, CHUNK_SIZE, STATE_HEADER_LEAVES};
 use avm_wire::Reader;
 
 use crate::error::CoreError;
@@ -1199,7 +1199,7 @@ fn install_unverified(
         let counts = [r.get_u32().map_err(wire)?, r.get_u32().map_err(wire)?];
         for (store, count) in machine.stores_mut().into_iter().zip(counts) {
             let name = store.leaf_name();
-            let item = 4 + store.leaf_size();
+            let item = 4 + CHUNK_SIZE;
             if u64::from(count) * item as u64 > r.remaining() as u64 {
                 return Err(refused(format!(
                     "snapshot {id} declares {count} {name}s in {} bytes",
@@ -1251,7 +1251,7 @@ pub(crate) fn restore_header(
 mod tests {
     use super::*;
     use avm_vm::bytecode::assemble;
-    use avm_vm::{StopCondition, VmExit, CHUNKS_PER_PAGE, CHUNK_SIZE, PAGE_SIZE};
+    use avm_vm::{StopCondition, VmExit, CHUNKS_PER_PAGE, PAGE_SIZE};
     use proptest::prelude::*;
 
     fn image() -> VmImage {
@@ -2064,7 +2064,7 @@ mod tests {
                 prop_assert_eq!(&manifest.disk_refs, &disk_refs.filter(lacks(1)).collect::<Vec<_>>());
 
                 let received = manifest.encoded_len() as u64;
-                let audited = Replayer::from_manifest_on_demand(&manifest, &store.get(id).unwrap().state_root, received, &img, &reg, &no_cache);
+                let audited = Replayer::from_manifest_on_demand(&manifest, received, &img, &reg, &no_cache);
                 prop_assert!(audited.is_ok(), "snapshot {}: {:?}", id, audited.err());
                 let (lazy, _) = materialize_on_demand(&store, id, &img, &reg, &no_cache).unwrap();
                 let full = store.materialize(id, &img, &reg).unwrap();

@@ -184,7 +184,7 @@ impl Disk {
     /// Creates a disk of `size` bytes (rounded up to whole pages), zero-filled.
     pub fn new(size: u64) -> Disk {
         Disk {
-            store: LeafStore::new(size, CHUNK_SIZE, "disk block"),
+            store: LeafStore::new(size, "disk block"),
             reads: 0,
             writes: 0,
         }
@@ -209,7 +209,7 @@ impl Disk {
     /// hash known ([`LeafStore::from_shared`]).
     pub(crate) fn from_shared(pages: &[SharedPage], hashes: &[Digest]) -> Disk {
         Disk {
-            store: LeafStore::from_shared(pages, hashes, CHUNK_SIZE, "disk block"),
+            store: LeafStore::from_shared(pages, hashes, "disk block"),
             reads: 0,
             writes: 0,
         }
@@ -247,7 +247,7 @@ impl Disk {
             Ok(()) if offset <= self.size() => Ok(()),
             Err(Refused::Miss) => Err(VmError::Miss),
             _ => Err(VmError::DiskOutOfRange {
-                sector: offset / self.store.leaf_size() as u64,
+                sector: offset / CHUNK_SIZE as u64,
                 sectors: self.block_count() as u64,
             }),
         }
@@ -300,7 +300,7 @@ impl Disk {
     /// access, under the hash state roots report for it until then
     /// ([`LeafStore::stage_lazy`]).
     pub fn stage_lazy_block(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> VmResult<()> {
-        let refused = if content.len() != self.store.leaf_size() {
+        let refused = if content.len() != CHUNK_SIZE {
             "staged disk block has wrong size"
         } else {
             "staged disk block index out of range"

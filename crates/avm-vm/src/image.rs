@@ -40,7 +40,7 @@ use crate::devices::Disk;
 use crate::error::{VmError, VmResult};
 use crate::mem::GuestMemory;
 use crate::native::GuestKernel;
-use crate::store::SharedPage;
+use crate::store::{SharedPage, CHUNK_SIZE};
 
 /// Leaves that precede the per-chunk leaves in the Merkle state tree: CPU
 /// state, volatile device state and the control word.  They depend on the
@@ -134,10 +134,7 @@ impl ImageBaseline {
                 .collect();
             store.prime_hashes(&held);
             let base = leaves.len();
-            leaves.resize(
-                base + store.leaf_count(),
-                sha256(&vec![0u8; store.leaf_size()]),
-            );
+            leaves.resize(base + store.leaf_count(), sha256(&[0u8; CHUNK_SIZE]));
             for i in held {
                 leaves[base + i] = store.leaf_hash(i).expect("leaf in range");
             }

@@ -28,7 +28,7 @@ impl GuestMemory {
     /// Allocates zeroed guest memory of `size` bytes (rounded up to whole pages).
     pub fn new(size: u64) -> GuestMemory {
         GuestMemory {
-            store: LeafStore::new(size, CHUNK_SIZE, "chunk"),
+            store: LeafStore::new(size, "chunk"),
         }
     }
 
@@ -36,7 +36,7 @@ impl GuestMemory {
     /// hash known ([`LeafStore::from_shared`]).
     pub(crate) fn from_shared(pages: &[SharedPage], hashes: &[Digest]) -> GuestMemory {
         GuestMemory {
-            store: LeafStore::from_shared(pages, hashes, CHUNK_SIZE, "chunk"),
+            store: LeafStore::from_shared(pages, hashes, "chunk"),
         }
     }
 

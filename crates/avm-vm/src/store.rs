@@ -124,6 +124,17 @@ pub const CHUNK_SIZE: usize = 512;
 /// Leaves per page.
 pub const CHUNKS_PER_PAGE: usize = PAGE_SIZE / CHUNK_SIZE;
 
+/// log2 of [`CHUNK_SIZE`], so the access path shifts instead of dividing.
+const LEAF_SHIFT: u32 = CHUNK_SIZE.trailing_zeros();
+
+/// log2 of [`CHUNKS_PER_PAGE`].
+const PER_PAGE_SHIFT: u32 = CHUNKS_PER_PAGE.trailing_zeros();
+
+const _: () = assert!(
+    CHUNK_SIZE.is_power_of_two() && CHUNK_SIZE <= PAGE_SIZE,
+    "a leaf is a power-of-two fraction of a page"
+);
+
 /// A read-only page that any number of stores share until one writes it.
 pub(crate) type SharedPage = Arc<[u8; PAGE_SIZE]>;
 
@@ -186,8 +197,6 @@ pub(crate) enum Refused {
 pub struct LeafStore {
     /// What one leaf is called in an error message ("chunk", "disk block").
     leaf_name: &'static str,
-    /// log2 of the leaf size, so the access path shifts instead of dividing.
-    leaf_shift: u32,
     pages: Vec<Page>,
     /// Per leaf: written since the last [`LeafStore::clear_dirty`].
     dirty: Vec<bool>,
@@ -207,16 +216,15 @@ pub struct LeafStore {
 
 impl LeafStore {
     /// A zeroed store of `size` bytes (rounded up to whole pages, at least
-    /// one) in leaves of `leaf_size` bytes, a power of two no larger than a
-    /// page.
-    pub fn new(size: u64, leaf_size: usize, leaf_name: &'static str) -> LeafStore {
+    /// one).
+    pub fn new(size: u64, leaf_name: &'static str) -> LeafStore {
         let n_pages = (size as usize).div_ceil(PAGE_SIZE).max(1);
         let pages = vec![Page::Shared(Arc::clone(&ZERO_PAGE)); n_pages];
-        LeafStore::assemble(pages, None, leaf_size, leaf_name)
+        LeafStore::assemble(pages, None, leaf_name)
     }
 
     /// A store that shares `pages` and whose hash slots hold `hashes`, one
-    /// per leaf of `leaf_size` bytes: the hashes of those very pages' leaves
+    /// per leaf: the hashes of those very pages' leaves
     /// (the caller's obligation, as it is [`LeafStore::stage_lazy`]'s).  No
     /// leaf is dirty and no page is owned.
     ///
@@ -225,26 +233,16 @@ impl LeafStore {
     pub(crate) fn from_shared(
         pages: &[SharedPage],
         hashes: &[Digest],
-        leaf_size: usize,
         leaf_name: &'static str,
     ) -> LeafStore {
         let pages = pages.iter().cloned().map(Page::Shared).collect();
-        LeafStore::assemble(pages, Some(hashes), leaf_size, leaf_name)
+        LeafStore::assemble(pages, Some(hashes), leaf_name)
     }
 
-    /// `pages` in leaves of `leaf_size` bytes, nothing dirty or staged, the
-    /// hash slots filled from `hashes` or else empty.
-    fn assemble(
-        pages: Vec<Page>,
-        hashes: Option<&[Digest]>,
-        leaf_size: usize,
-        leaf_name: &'static str,
-    ) -> LeafStore {
-        assert!(
-            leaf_size.is_power_of_two() && leaf_size <= PAGE_SIZE,
-            "a leaf is a power-of-two fraction of a page"
-        );
-        let leaves = pages.len() * PAGE_SIZE / leaf_size;
+    /// `pages`, nothing dirty or staged, the hash slots filled from
+    /// `hashes` or else empty.
+    fn assemble(pages: Vec<Page>, hashes: Option<&[Digest]>, leaf_name: &'static str) -> LeafStore {
+        let leaves = pages.len() * CHUNKS_PER_PAGE;
         let hashes = match hashes {
             Some(hashes) => {
                 assert_eq!(hashes.len(), leaves, "one hash per leaf");
@@ -254,7 +252,6 @@ impl LeafStore {
         };
         LeafStore {
             leaf_name,
-            leaf_shift: leaf_size.trailing_zeros(),
             pages,
             dirty: vec![false; leaves],
             hashes: RefCell::new(hashes),
@@ -281,11 +278,6 @@ impl LeafStore {
     /// What one leaf of this store is called in an error message.
     pub fn leaf_name(&self) -> &'static str {
         self.leaf_name
-    }
-
-    /// Bytes per leaf.
-    pub fn leaf_size(&self) -> usize {
-        1 << self.leaf_shift
     }
 
     /// Number of leaves — this store's share of the Merkle state tree.
@@ -317,9 +309,8 @@ impl LeafStore {
     /// Page number and in-page byte range of leaf `idx` (which may be out of
     /// range: the page lookup is what rejects it).
     fn locate(&self, idx: usize) -> (usize, std::ops::Range<usize>) {
-        let per_page_shift = PAGE_SIZE.trailing_zeros() - self.leaf_shift;
-        let off = (idx & ((1 << per_page_shift) - 1)) << self.leaf_shift;
-        (idx >> per_page_shift, off..off + self.leaf_size())
+        let off = (idx & (CHUNKS_PER_PAGE - 1)) << LEAF_SHIFT;
+        (idx >> PER_PAGE_SHIFT, off..off + CHUNK_SIZE)
     }
 
     /// Empties staging slot `idx`, handing back what was staged there.
@@ -335,14 +326,14 @@ impl LeafStore {
 
     /// Leaves of the non-empty, in-range access `[addr, addr + len)`.
     fn leaves_of(&self, addr: u64, len: usize) -> std::ops::RangeInclusive<usize> {
-        (addr as usize >> self.leaf_shift)..=((addr as usize + len - 1) >> self.leaf_shift)
+        (addr as usize >> LEAF_SHIFT)..=((addr as usize + len - 1) >> LEAF_SHIFT)
     }
 
     /// Whether the access `[addr, addr + len)` (an `overwrite` or not)
     /// covers all of leaf `idx`, so needs none of its old bytes.
     fn covers(&self, addr: u64, len: usize, overwrite: bool, idx: usize) -> bool {
         let (start, end) = (addr as usize, addr as usize + len);
-        overwrite && start <= idx << self.leaf_shift && (idx + 1) << self.leaf_shift <= end
+        overwrite && start <= idx << LEAF_SHIFT && (idx + 1) << LEAF_SHIFT <= end
     }
 
     /// The miss check of the non-empty, in-range access `[addr, addr + len)`:
@@ -462,8 +453,8 @@ impl LeafStore {
             copied += n;
             offset += n;
         }
-        let first = addr as usize >> self.leaf_shift;
-        let last = (addr as usize + data.len() - 1) >> self.leaf_shift;
+        let first = addr as usize >> LEAF_SHIFT;
+        let last = (addr as usize + data.len() - 1) >> LEAF_SHIFT;
         let marked = self.dirty[first..=last].iter_mut();
         for (dirty, hash) in marked.zip(&mut self.hashes.get_mut()[first..=last]) {
             *dirty = true;
@@ -484,7 +475,7 @@ impl LeafStore {
     /// no byte changes, so neither its dirty bit nor its hash slot does, and
     /// a shared page stays shared.
     pub fn set_leaf(&mut self, idx: usize, data: &[u8]) -> Option<()> {
-        if data.len() != self.leaf_size() {
+        if data.len() != CHUNK_SIZE {
             return None;
         }
         let (page, range) = self.locate(idx);
@@ -556,7 +547,7 @@ impl LeafStore {
     /// bit is not set: a staged leaf *is* the at-snapshot state, merely not
     /// transferred yet.
     pub fn stage_lazy(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> Option<()> {
-        if content.len() != self.leaf_size() {
+        if content.len() != CHUNK_SIZE {
             return None;
         }
         self.stage(idx, Staged::Bytes(content), hash)
@@ -590,7 +581,7 @@ impl LeafStore {
     /// any staged leaf.  `None`, with nothing changed, unless leaf `idx` is
     /// byteless and `content` is exactly one leaf long.
     pub fn supply(&mut self, idx: usize, content: Vec<u8>) -> Option<()> {
-        if content.len() != self.leaf_size() {
+        if content.len() != CHUNK_SIZE {
             return None;
         }
         let slot = self.staged.get_mut(idx)?;
@@ -624,27 +615,28 @@ impl LeafStore {
 mod tests {
     use super::*;
 
+    /// A leaf is [`CHUNK_SIZE`] bytes and never straddles a page: the first
+    /// byte of a page is the first byte of a leaf.
     #[test]
     fn a_leaf_is_a_fraction_of_a_page() {
-        let store = LeafStore::new(PAGE_SIZE as u64 + 1, 1024, "leaf");
+        let mut store = LeafStore::new(PAGE_SIZE as u64 + 1, "leaf");
+        let leaves = 2 * CHUNKS_PER_PAGE;
         assert_eq!(
             (store.size(), store.leaf_count()),
-            (2 * PAGE_SIZE as u64, 8)
+            (2 * PAGE_SIZE as u64, leaves)
         );
-        assert_eq!(store.leaf_size(), 1024);
-        assert_eq!(store.leaf(7).unwrap().len(), 1024);
-        assert!(store.leaf(8).is_none() && store.leaf_hash(8).is_none());
-        assert_eq!(LeafStore::new(0, PAGE_SIZE, "leaf").leaf_count(), 1);
-        for bad in [0, 768, 2 * PAGE_SIZE] {
-            assert!(std::panic::catch_unwind(|| LeafStore::new(1, bad, "leaf")).is_err());
-        }
+        assert_eq!(store.leaf(leaves - 1).unwrap().len(), CHUNK_SIZE);
+        assert!(store.leaf(leaves).is_none() && store.leaf_hash(leaves).is_none());
+        assert_eq!(LeafStore::new(0, "leaf").leaf_count(), CHUNKS_PER_PAGE);
+        store.write(PAGE_SIZE as u64 - 1, &[1, 2]).unwrap();
+        assert_eq!(store.dirty_leaves(), [CHUNKS_PER_PAGE - 1, CHUNKS_PER_PAGE]);
     }
 
     /// A zero-length access is accepted anywhere and touches nothing; an
     /// out-of-range one is refused before it touches anything.
     #[test]
     fn empty_and_refused_accesses_touch_nothing() {
-        let mut store = LeafStore::new(PAGE_SIZE as u64, 512, "leaf");
+        let mut store = LeafStore::new(PAGE_SIZE as u64, "leaf");
         let marker = sha256(b"staged");
         store.stage_lazy(7, vec![1; 512], marker).unwrap();
         for addr in [0, 7 * 512, PAGE_SIZE as u64, u64::MAX] {
@@ -676,10 +668,10 @@ mod tests {
     /// its page too.
     #[test]
     fn a_page_is_shared_until_a_byte_of_it_changes() {
-        assert_eq!(owned_pages(&LeafStore::new(1 << 20, 512, "leaf")), 0);
+        assert_eq!(owned_pages(&LeafStore::new(1 << 20, "leaf")), 0);
         let pages: Vec<SharedPage> = (0..4u8).map(|i| Arc::new([i; PAGE_SIZE])).collect();
         let hashes: Vec<Digest> = (0..32u8).map(|i| sha256(&[i / 8; 512])).collect();
-        let mut store = LeafStore::from_shared(&pages, &hashes, 512, "leaf");
+        let mut store = LeafStore::from_shared(&pages, &hashes, "leaf");
         let mut buf = [0u8; 600];
         store.read(PAGE_SIZE as u64 - 8, &mut buf).unwrap();
         store.write(5, &[]).unwrap();
@@ -713,7 +705,7 @@ mod tests {
     fn an_install_that_changes_no_byte_touches_nothing() {
         let markers: Vec<Digest> = (0..8u8).map(|i| sha256(&[i])).collect();
         let page: SharedPage = Arc::new([0; PAGE_SIZE]);
-        let mut store = LeafStore::from_shared(&[page], &markers, 512, "leaf");
+        let mut store = LeafStore::from_shared(&[page], &markers, "leaf");
         let own = store.leaf(2).unwrap().to_vec();
         assert_eq!(store.set_leaf(2, &own), Some(()));
         assert!(store.hashes.borrow()[2].is_some());
@@ -745,7 +737,7 @@ mod tests {
     /// once supplied, the access goes through as a first touch.
     #[test]
     fn a_byteless_leaf_is_a_miss_until_supplied() {
-        let mut store = LeafStore::new(PAGE_SIZE as u64, 512, "leaf");
+        let mut store = LeafStore::new(PAGE_SIZE as u64, "leaf");
         let (four, five) = ([4u8; 512], [5u8; 512]);
         store.stage_lazy(4, four.to_vec(), sha256(&four)).unwrap();
         store.stage_byteless(5, sha256(&five)).unwrap();

@@ -550,12 +550,7 @@ fn tampered_manifest_section_and_blob_still_fail() {
         let mut forged = manifest.clone();
         forged.mem_refs[COUNTER_CHUNK].1 = lie;
         let message = snapshot_error(Replayer::from_manifest_on_demand(
-            &forged,
-            &manifest.state_root,
-            0,
-            &image,
-            &registry,
-            &cache,
+            &forged, 0, &image, &registry, &cache,
         ));
         assert!(
             message.contains("manifest does not authenticate"),
