@@ -339,11 +339,33 @@ fn bench_verify_kernels(c: &mut Criterion) {
     }
     // `verify_chain` splits 30k entries into `parts_for` parts on a
     // multi-core host; `one_part` is the same check on the calling thread.
+    // Both over the stored log, every hash claimed; `shipped` and
+    // `shipped_one_part` over the same log as a segment response carries it
+    // (a hash every 64 entries), decoded in place: what an auditor checks.
     group.bench_function("verify_chain", |b| {
         b.iter(|| verify_chain(&Digest::ZERO, log.entries()).unwrap())
     });
     group.bench_function("one_part", |b| {
-        b.iter(|| avm_log::verify::chain_in_parts(&Digest::ZERO, log.entries(), 1).unwrap())
+        b.iter(|| {
+            avm_log::verify::chain_in_parts(&Digest::ZERO, log.entries(), 1)
+                .verdict
+                .unwrap()
+        })
+    });
+    let wire: Vec<Vec<u8>> = avm_log::wire::wire_entries(log.entries())
+        .map(|e| avm_wire::Encode::encode_to_vec(&e))
+        .collect();
+    let wire: Vec<&[u8]> = wire.iter().map(Vec::as_slice).collect();
+    let shipped = avm_log::wire::decode_entries(&wire).unwrap();
+    group.bench_function("shipped", |b| {
+        b.iter(|| verify_chain(&Digest::ZERO, &shipped).unwrap())
+    });
+    group.bench_function("shipped_one_part", |b| {
+        b.iter(|| {
+            avm_log::verify::chain_in_parts(&Digest::ZERO, &shipped, 1)
+                .verdict
+                .unwrap()
+        })
     });
     group.finish();
 
@@ -366,19 +388,20 @@ fn bench_verify_kernels(c: &mut Criterion) {
 
 /// The four phases of a whole-log audit after the packet is opened, over a
 /// recorded game client's log (2 simulated seconds, > 10 000 entries) served
-/// as one packet: decoding the entries in place (against the owned decode it
-/// replaced on this path), then the chain check, the cross-reference check
+/// as one packet: decoding the entries in place (against the decode that
+/// copies every entry out), then the chain check, the cross-reference check
 /// and the replay — each reading entry contents straight from the packet.
 fn bench_audit_segment(c: &mut Criterion) {
     use avm_core::audit::syntactic_content_checks;
     use avm_core::endpoint::AuditServer;
     use avm_core::replay::Replayer;
     use avm_crypto::sha256::Digest;
-    use avm_log::{verify_chain, EntryView, LogEntry, LogEntryRef};
+    use avm_log::verify::chain_in_parts;
+    use avm_log::wire::decode_entries;
+    use avm_log::{verify_chain, EntryView, LogEntryRef};
     use avm_wire::audit::{
         open_session_frame, seal_encoded_message, AuditRequest, AuditResponseRef, SegmentAddress,
     };
-    use avm_wire::Decode;
 
     let scenario = GameScenario {
         rsa_bits: 512,
@@ -401,18 +424,13 @@ fn bench_audit_segment(c: &mut Criterion) {
         AuditResponseRef::LogSegment { entries, .. } => entries,
         other => panic!("unexpected {} response", other.variant_name()),
     };
-    let decode_in_place = || -> Vec<LogEntryRef<'_>> {
-        let entries = encodings();
-        let mut decoded = Vec::with_capacity(entries.len());
-        for bytes in entries {
-            decoded.push(LogEntryRef::decode_exact(bytes).unwrap());
-        }
-        decoded
-    };
+    let decode_in_place = || -> Vec<LogEntryRef<'_>> { decode_entries(&encodings()).unwrap() };
     let segment = decode_in_place();
+    let hashes = chain_in_parts(&Digest::ZERO, &segment, 1).hashes;
     assert!(segment
         .iter()
-        .map(EntryView::to_entry)
+        .zip(hashes)
+        .map(|(entry, hash)| entry.to_entry(hash))
         .eq(avmm.log().entries().iter().cloned()));
 
     let mut group = c.benchmark_group("audit_segment");
@@ -420,11 +438,10 @@ fn bench_audit_segment(c: &mut Criterion) {
     group.bench_function("decode_in_place", |b| b.iter(|| decode_in_place().len()));
     group.bench_function("decode_owned_reference", |b| {
         b.iter(|| {
-            let entries = encodings();
-            let mut decoded = Vec::with_capacity(entries.len());
-            for bytes in entries {
-                decoded.push(LogEntry::decode_exact(bytes).unwrap());
-            }
+            let decoded: Vec<_> = decode_in_place()
+                .iter()
+                .map(|entry| entry.to_entry(Digest::ZERO))
+                .collect();
             decoded.len()
         })
     });
@@ -620,13 +637,15 @@ fn bench_response_path(c: &mut Criterion) {
     use avm_core::endpoint::AuditServer;
     use avm_core::snapshot::{capture, SnapshotStore};
     use avm_crypto::sha256::Digest;
-    use avm_log::LogEntry;
+    use avm_log::verify::chain_in_parts;
+    use avm_log::wire::{carries_hash, decode_entries};
+    use avm_log::{EntryView, LogEntry, LogEntryRef};
     use avm_vm::{Machine, PAGE_SIZE};
     use avm_wire::audit::{
         open_session_frame, seal_encoded_message, seal_session_message, AuditRequest,
         AuditResponse, AuditResponseRef, SegmentAddress,
     };
-    use avm_wire::{Decode, Encode};
+    use avm_wire::Encode;
 
     let mut group = c.benchmark_group("response_path");
     group.sample_size(10);
@@ -642,33 +661,57 @@ fn bench_response_path(c: &mut Criterion) {
         from_seq: 1,
         to_seq: 0,
     });
+    // Each stored encoding, less its hash where no checkpoint falls.
+    let n = log.len();
     let owned_segment = || AuditResponse::LogSegment {
         prev_hash: Digest::ZERO.0,
-        entries: log.entries().iter().map(|e| e.encode_to_vec()).collect(),
+        entries: log
+            .entries()
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let mut stored = e.encode_to_vec();
+                if !carries_hash(n, i) {
+                    stored.truncate(stored.len() - 32);
+                }
+                stored
+            })
+            .collect(),
     };
     assert_eq!(server.respond(&whole_log), owned_segment().encode_to_vec());
-    let receive = |packet: &[u8]| {
+    let receive = |packet: &[u8], check: &dyn Fn(&[LogEntryRef<'_>])| {
         let (_, _, body) = open_session_frame(packet).unwrap();
         match AuditResponseRef::decode_exact(body).unwrap() {
             AuditResponseRef::LogSegment { entries, .. } => {
-                let mut decoded = Vec::with_capacity(entries.len());
-                for bytes in entries {
-                    decoded.push(LogEntry::decode_exact(bytes).unwrap());
-                }
-                decoded
+                let decoded = decode_entries(&entries).unwrap();
+                check(&decoded);
+                decoded.len()
             }
             other => panic!("unexpected {} response", other.variant_name()),
         }
     };
-    assert_eq!(
-        receive(&seal_encoded_message(1, 1, &server.respond(&whole_log))),
-        log.entries()
+    receive(
+        &seal_encoded_message(1, 1, &server.respond(&whole_log)),
+        &|decoded| {
+            let hashes = chain_in_parts(&Digest::ZERO, decoded, 1).hashes;
+            let owned: Vec<LogEntry> = decoded
+                .iter()
+                .zip(hashes)
+                .map(|(entry, hash)| entry.to_entry(hash))
+                .collect();
+            assert_eq!(owned, log.entries());
+        },
     );
     group.bench_function("log_segment_30k", |b| {
-        b.iter(|| receive(&seal_encoded_message(1, 1, &server.respond(&whole_log))).len())
+        b.iter(|| {
+            receive(
+                &seal_encoded_message(1, 1, &server.respond(&whole_log)),
+                &|_| {},
+            )
+        })
     });
     group.bench_function("log_segment_30k_owned_reference", |b| {
-        b.iter(|| receive(&seal_session_message(1, 1, &owned_segment())).len())
+        b.iter(|| receive(&seal_session_message(1, 1, &owned_segment()), &|_| {}))
     });
 
     let image = avm_db::db_image(&avm_db::server::DbConfig::new("customer"));

@@ -255,7 +255,7 @@ pub fn exp_log_growth() -> LogGrowthResult {
     for e in log.entries() {
         let class = classify_entry(e.kind, &e.content);
         let slot = class_bytes.iter_mut().find(|(c, _)| *c == class).unwrap();
-        slot.1 += e.wire_size() as u64;
+        slot.1 += e.stored_size() as u64;
     }
     // Replay-only ("equivalent VMware") log: drop the acknowledgments and the
     // per-entry signatures that only exist for tamper evidence.
@@ -263,7 +263,7 @@ pub fn exp_log_growth() -> LogGrowthResult {
         .entries()
         .iter()
         .filter(|e| e.kind != EntryKind::Ack)
-        .map(|e| e.wire_size() as u64)
+        .map(|e| e.stored_size() as u64)
         .sum::<u64>()
         .saturating_sub(
             avmm.stats().packets_in * result.identities[0].verifying_key().signature_len() as u64,
@@ -505,17 +505,14 @@ pub fn exp_spotcheck() -> Vec<SpotCheckRow> {
     }
     avmm.take_snapshot();
 
-    // Full-audit baseline.
+    // Full-audit baseline: a full audit downloads the whole log (no
+    // snapshot state — replay starts from the reference image) as one
+    // segment, priced like the spot-check chunks, raw and through the same
+    // compression model.
     let total_entries = avmm.log().len() as u64;
-    let total_log_bytes = avmm.log().total_wire_size();
-    // Compressed full-audit baseline: a full audit downloads the whole log
-    // (no snapshot state — replay starts from the reference image), shipped
-    // through the same compression model as the spot-check transfers.
-    let total_log_compressed_bytes = avm_compress::CompressionStats::measure_stream(
-        avmm.log().entries().iter().map(|e| e.encode_to_vec()),
-        avm_core::spotcheck::TRANSFER_COMPRESSION,
-    )
-    .compressed_bytes;
+    let whole_log = pricing::log_segment(avmm.log().entries());
+    let (total_log_bytes, total_log_compressed_bytes) =
+        (whole_log.raw_bytes, whole_log.compressed_bytes);
     let n_snapshots = avmm.snapshots().len() as u64;
 
     println!("# §6.12 snapshots");

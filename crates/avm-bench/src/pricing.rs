@@ -13,6 +13,7 @@ use avm_compress::CompressionStats;
 use avm_core::ondemand::{dedup_transfer_upto, AuditorBlobCache, OnDemandCost};
 use avm_core::snapshot::{SnapshotStore, TransferCost};
 use avm_core::spotcheck::{snapshot_positions, SpotCheckReport, TRANSFER_COMPRESSION};
+use avm_log::wire::wire_entries;
 use avm_log::{LogEntry, TamperEvidentLog};
 use avm_vm::VmImage;
 use avm_wire::{BlobRequest, Encode, RttModel};
@@ -20,7 +21,8 @@ use avm_wire::{BlobRequest, Encode, RttModel};
 /// The `k`-chunk starting at snapshot `start` as the provider's server
 /// resolves it: the SNAPSHOT entry for `start` (the chunk's anchor) up to
 /// and including the SNAPSHOT entry `k` snapshots later (or the end of the
-/// log).  The log must be well formed and contain `start`.
+/// log).  The log must be well formed and contain `start`.  These are the
+/// stored entries; [`log_chunk`] prices them as the segment ships them.
 pub fn chunk_entries(log: &TamperEvidentLog, start: u64, k: u64) -> &[LogEntry] {
     let positions = snapshot_positions(log).expect("well-formed log");
     let position_of = |id| positions.iter().find(|(_, i, _)| *i == id).map(|p| p.0);
@@ -31,13 +33,19 @@ pub fn chunk_entries(log: &TamperEvidentLog, start: u64, k: u64) -> &[LogEntry] 
     }
 }
 
-/// The log download of `report`'s chunk, as one compressed stream.
-pub fn log_chunk(log: &TamperEvidentLog, report: &SpotCheckReport) -> TransferCost {
-    let entries = chunk_entries(log, report.start_snapshot, report.chunk_size);
+/// The download of `entries` as one segment response ships them — each
+/// entry's record, its hash only at the segment's checkpoints
+/// ([`avm_log::wire`]) — as one compressed stream.
+pub fn log_segment(entries: &[LogEntry]) -> TransferCost {
     CompressionStats::measure_stream(
-        entries.iter().map(|e| e.encode_to_vec()),
+        wire_entries(entries).map(|e| e.encode_to_vec()),
         TRANSFER_COMPRESSION,
     )
+}
+
+/// The log download of `report`'s chunk, as one compressed stream.
+pub fn log_chunk(log: &TamperEvidentLog, report: &SpotCheckReport) -> TransferCost {
+    log_segment(chunk_entries(log, report.start_snapshot, report.chunk_size))
 }
 
 /// The full-dump model: the whole-section stream that starts `report`'s

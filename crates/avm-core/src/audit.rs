@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use avm_crypto::keys::VerifyingKey;
 use avm_crypto::sha256::{sha256, Digest};
-use avm_log::verify::parts_for;
+use avm_log::verify::{chain_in_parts, parts_for};
 use avm_log::{verify_segment, Authenticator, EntryKind, EntryView, LogEntry};
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::Decode;
@@ -195,22 +195,6 @@ pub(crate) fn audit_from_image<E: EntryView>(
     reference: &VmImage,
     registry: &GuestRegistry,
 ) -> (AuditReport, ReplaySummary) {
-    let report = |syntactic_ok: bool, outcome: Result<ReplaySummary, FaultReason>| AuditReport {
-        machine: String::new(),
-        outcome: match outcome {
-            Ok(summary) => AuditOutcome::Pass(summary),
-            Err(fault) => AuditOutcome::Fail(Box::new(Evidence {
-                machine: String::new(),
-                fault,
-                prev_hash: *prev_hash,
-                segment: segment.iter().map(EntryView::to_entry).collect(),
-                authenticators: authenticators.to_vec(),
-                reference_image: reference.digest(),
-            })),
-        },
-        entries_examined: segment.len() as u64,
-        syntactic_ok,
-    };
     let (syntactic, (verdict, progress)) = both_phases(
         prev_hash,
         segment,
@@ -219,11 +203,46 @@ pub(crate) fn audit_from_image<E: EntryView>(
         reference,
         registry,
     );
-    if let Err(fault) = syntactic {
-        return (report(false, Err(fault)), ReplaySummary::default());
-    }
-    let verdict = verdict.expect("only a failed syntactic phase stops the replay");
-    (report(true, verdict), progress)
+    let (syntactic_ok, outcome, progress) = match syntactic {
+        Ok(hashes) => {
+            let verdict = verdict.expect("only a failed syntactic phase stops the replay");
+            (true, verdict.map_err(|fault| (fault, hashes)), progress)
+        }
+        Err(fault) => {
+            // The hashes the failed check gave the segment: computed, with
+            // the received claims at the checkpoints, so a third party's
+            // check of the evidence finds the same fault.
+            let hashes = chain_in_parts(prev_hash, segment, parts_for(segment.len())).hashes;
+            (false, Err((fault, hashes)), ReplaySummary::default())
+        }
+    };
+    let report = AuditReport {
+        machine: String::new(),
+        outcome: match outcome {
+            Ok(summary) => AuditOutcome::Pass(summary),
+            Err((fault, hashes)) => AuditOutcome::Fail(Box::new(Evidence {
+                machine: String::new(),
+                fault,
+                prev_hash: *prev_hash,
+                segment: owned_segment(segment, &hashes),
+                authenticators: authenticators.to_vec(),
+                reference_image: reference.digest(),
+            })),
+        },
+        entries_examined: segment.len() as u64,
+        syntactic_ok,
+    };
+    (report, progress)
+}
+
+/// `segment` copied out as owned entries, each with the hash the chain
+/// check gave it (`hashes`, in order).
+pub(crate) fn owned_segment<E: EntryView>(segment: &[E], hashes: &[Digest]) -> Vec<LogEntry> {
+    segment
+        .iter()
+        .zip(hashes)
+        .map(|(entry, hash)| entry.to_entry(*hash))
+        .collect()
 }
 
 /// What a replay from the image came to: its verdict — `None` when a failed
@@ -244,7 +263,7 @@ fn both_phases<E: EntryView>(
     machine_key: &VerifyingKey,
     reference: &VmImage,
     registry: &GuestRegistry,
-) -> (Result<(), FaultReason>, FromImage) {
+) -> (Result<Vec<Digest>, FaultReason>, FromImage) {
     let syntactic = || syntactic_phase(prev_hash, segment, authenticators, machine_key);
     let stop = AtomicBool::new(false);
     if parts_for(segment.len()) > 1 {
@@ -272,8 +291,8 @@ fn both_phases<E: EntryView>(
         }
     }
     match syntactic() {
-        Ok(()) => (
-            Ok(()),
+        Ok(hashes) => (
+            Ok(hashes),
             replay_from_image(reference, registry, segment, &stop),
         ),
         Err(fault) => (Err(fault), (None, ReplaySummary::default())),
@@ -312,16 +331,18 @@ fn replay_from_image<E: EntryView>(
 /// `authenticators` is genuine under `machine_key` and matches the entry it
 /// names (so each must name one inside the segment), and the contents pass
 /// [`syntactic_content_checks`].  An empty segment is a fault: it proves
-/// nothing.  A failure is the audit's verdict.
+/// nothing.  A failure is the audit's verdict; a pass gives the hash of
+/// every entry, which a wire segment carries only at its checkpoints.
 pub fn syntactic_phase<E: EntryView>(
     prev_hash: &Digest,
     segment: &[E],
     authenticators: &[Authenticator],
     machine_key: &VerifyingKey,
-) -> Result<(), FaultReason> {
-    verify_segment(prev_hash, segment, authenticators, machine_key)
+) -> Result<Vec<Digest>, FaultReason> {
+    let summary = verify_segment(prev_hash, segment, authenticators, machine_key)
         .map_err(|e| FaultReason::SyntacticFailure(e.to_string()))?;
-    syntactic_content_checks(segment)
+    syntactic_content_checks(segment)?;
+    Ok(summary.hashes)
 }
 
 /// Additional syntactic checks on entry contents: every RECV, ACK,

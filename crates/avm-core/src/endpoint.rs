@@ -82,6 +82,7 @@
 //! ```
 
 use avm_crypto::sha256::Digest;
+use avm_log::wire::wire_entries;
 use avm_log::{LogEntry, LogSource, TamperEvidentLog};
 use avm_net::{LinkConfig, NodeId, SimNet};
 use avm_vm::{GuestRegistry, VmImage};
@@ -253,7 +254,7 @@ impl<'a> AuditServer<'a> {
                     to_seq
                 };
                 match log.segment_slice(from_seq, to) {
-                    Some((prev, entries)) => encode_log_segment(&prev.0, entries),
+                    Some((prev, entries)) => encode_log_segment(&prev.0, wire_entries(entries)),
                     None => error_response(&format!("log segment {from_seq}..{to} out of range")),
                 }
             }
@@ -286,7 +287,7 @@ impl<'a> AuditServer<'a> {
                     .map_or(log.entries().len(), |i| i + 1);
                 // The prefix starts at the first entry, whose chain anchor
                 // is the genesis hash.
-                return encode_log_segment(&Digest::ZERO.0, &log.entries()[..upto]);
+                return encode_log_segment(&Digest::ZERO.0, wire_entries(&log.entries()[..upto]));
             }
             // snapshot_positions only produces MalformedLog; be defensive.
             Err(other) => return error_response(&other.to_string()),
@@ -316,7 +317,7 @@ impl<'a> AuditServer<'a> {
             Some(before) => log.entries()[before].hash,
             None => Digest::ZERO,
         };
-        encode_log_segment(&prev_hash.0, entries)
+        encode_log_segment(&prev_hash.0, wire_entries(entries))
     }
 }
 
@@ -747,7 +748,10 @@ impl<T: AuditTransport> AuditClient<T> {
     }
 
     /// Downloads a log segment by sequence range (`to_seq == 0` = end of
-    /// log), returning the chain anchor and the decoded entries.
+    /// log), returning the chain anchor and the decoded entries, each with
+    /// the hash the chain check computed for it (the segment ships hashes
+    /// only at its checkpoints).  A segment whose chain does not check is a
+    /// [`CoreError::Snapshot`].
     pub fn fetch_log_segment(
         &mut self,
         from_seq: u64,
@@ -760,10 +764,12 @@ impl<T: AuditTransport> AuditClient<T> {
 
     /// Downloads the §3.5 chunk of `chunk` segments starting at
     /// `start_snapshot` and returns the entries a replay from that snapshot
-    /// runs: every entry after the chunk's anchor, its start SNAPSHOT entry.
-    /// A chunk that does not start at that anchor — the malformed-log prefix
-    /// an honest provider sends instead (see [`AuditServer::respond`]) among
-    /// them — is a [`CoreError::Snapshot`]: only an audit session judges it.
+    /// runs: every entry after the chunk's anchor, its start SNAPSHOT entry,
+    /// each with the hash the chain check computed for it.  A chunk whose
+    /// chain does not check, or that does not start at that anchor — the
+    /// malformed-log prefix an honest provider sends instead (see
+    /// [`AuditServer::respond`]) among them — is a [`CoreError::Snapshot`]:
+    /// only an audit session judges it.
     pub fn fetch_log_chunk(
         &mut self,
         start_snapshot: u64,

@@ -581,9 +581,10 @@ impl Avmm {
         compute_state_root(&self.machine)
     }
 
-    /// Total log size in bytes, as it would be stored or transferred.
+    /// Total log size in bytes, as it is stored (a segment of it ships
+    /// fewer: hashes only at its checkpoints).
     pub fn log_bytes(&self) -> u64 {
-        self.log.total_wire_size()
+        self.log.total_stored_size()
     }
 }
 

@@ -112,6 +112,8 @@
 use avm_attest::AttestVerdict;
 use avm_crypto::keys::VerifyingKey;
 use avm_crypto::sha256::Digest;
+use avm_log::verify::{chain_in_parts, parts_for};
+use avm_log::wire::decode_entries;
 use avm_log::{Authenticator, EntryKind, EntryView, LogEntry, LogEntryRef};
 use avm_vm::image::ImageKind;
 use avm_vm::{GuestRegistry, VmImage};
@@ -120,7 +122,7 @@ use avm_wire::audit::{AuditRequest, AuditResponseRef, SegmentAddress};
 use avm_wire::{BlobRequest, BlobResponseRef, Decode, DEFAULT_BLOB_BATCH};
 
 use crate::attest::{challenge_nonce, LaunchPolicy};
-use crate::audit::{audit_from_image, syntactic_phase, AuditReport};
+use crate::audit::{audit_from_image, owned_segment, syntactic_phase, AuditReport};
 use crate::endpoint::TransportStats;
 use crate::error::{CoreError, FaultReason};
 use crate::events::SnapshotRecord;
@@ -145,23 +147,18 @@ pub(crate) fn unexpected(expected: &str, got: AuditResponseRef<'_>) -> CoreError
 }
 
 /// A log-segment response: the chain anchor, each entry as a
-/// [`LogEntryRef`] decoded in place — its content still the packet's bytes,
-/// nothing copied out — and the bytes the encodings occupied in the packet.
-/// The session judges a segment where it landed.
+/// [`LogEntryRef`] decoded in place — its content and any checkpoint's
+/// claimed hash still the packet's bytes, nothing copied out
+/// ([`avm_log::wire::decode_entries`]) — and the bytes the encodings
+/// occupied in the packet.  The session judges a segment where it landed.
 fn expect_log_entries(
     response: AuditResponseRef<'_>,
 ) -> Result<(Digest, Vec<LogEntryRef<'_>>, u64), CoreError> {
     match response {
         AuditResponseRef::LogSegment { prev_hash, entries } => {
             let received = entries.iter().map(|bytes| bytes.len() as u64).sum();
-            // Sized once: the borrowed decode already bounded the count by
-            // the bytes that arrived.
-            let mut views = Vec::with_capacity(entries.len());
-            for bytes in entries {
-                let entry = LogEntryRef::decode_exact(bytes)
-                    .map_err(|e| CoreError::Snapshot(format!("log entry does not decode: {e}")))?;
-                views.push(entry);
-            }
+            let views = decode_entries(&entries)
+                .map_err(|e| CoreError::Snapshot(format!("log entry does not decode: {e}")))?;
             Ok((Digest(prev_hash), views, received))
         }
         other => Err(unexpected("LogSegment", other)),
@@ -169,16 +166,18 @@ fn expect_log_entries(
 }
 
 /// A log segment kept past its exchange, every entry copied out of the
-/// packet: the standalone downloads.
+/// packet with the hash the chain check computed for it: the standalone
+/// downloads.  A segment whose chain does not check — a run that misses
+/// its checkpoint, a seq out of place — is refused.
 pub(crate) fn expect_log_segment(
     response: AuditResponseRef<'_>,
 ) -> Result<(Digest, Vec<LogEntry>, u64), CoreError> {
     let (prev_hash, entries, received) = expect_log_entries(response)?;
-    Ok((
-        prev_hash,
-        entries.iter().map(EntryView::to_entry).collect(),
-        received,
-    ))
+    let chain = chain_in_parts(&prev_hash, &entries, parts_for(entries.len()));
+    chain
+        .verdict
+        .map_err(|e| CoreError::Snapshot(format!("log segment does not check: {e}")))?;
+    Ok((prev_hash, owned_segment(&entries, &chain.hashes), received))
 }
 
 /// A manifest response, decoded straight from the packet buffer, and the
@@ -520,11 +519,14 @@ impl<'a> AuditSession<'a> {
             .cloned()
             .collect();
         self.authenticators_checked = inside.len();
-        if let Err(fault) = syntactic_phase(&prev_hash, &entries, &inside, key) {
-            return Ok(self.finish((Some(fault), ReplaySummary::default()), 0, None));
-        }
+        let hashes = match syntactic_phase(&prev_hash, &entries, &inside, key) {
+            Ok(hashes) => hashes,
+            Err(fault) => {
+                return Ok(self.finish((Some(fault), ReplaySummary::default()), 0, None));
+            }
+        };
         let root = anchor_root(&entries[0], id)?;
-        let entries = entries[1..].iter().map(EntryView::to_entry).collect();
+        let entries = owned_segment(&entries[1..], &hashes[1..]);
         self.state = State::Manifest { entries, root };
         Ok(Step::Send(AuditRequest::Manifest { snapshot_id: id }))
     }
@@ -755,6 +757,24 @@ mod tests {
         }
     }
 
+    /// A segment response's entries copied out, each with the hash its
+    /// chain check gives it; the response must be an honest one.
+    fn received(prev_hash: &[u8; 32], entries: &[Vec<u8>]) -> Vec<LogEntry> {
+        let slices: Vec<&[u8]> = entries.iter().map(Vec::as_slice).collect();
+        let views = decode_entries(&slices).unwrap();
+        let chain = chain_in_parts(&Digest(*prev_hash), &views, 1);
+        assert_eq!(chain.verdict, Ok(()));
+        owned_segment(&views, &chain.hashes)
+    }
+
+    /// `entries` as a segment response carries them: each claims its own
+    /// hash at the checkpoints of a segment of their number.
+    fn shipped(entries: &[LogEntry]) -> Vec<Vec<u8>> {
+        avm_log::wire::wire_entries(entries)
+            .map(|entry| entry.encode_to_vec())
+            .collect()
+    }
+
     /// Drives `session` with no network at all: every request is answered
     /// by `AuditServer::handle`, passed through `tamper` (with the request's
     /// position in the session), encoded, and handed back as the borrowed
@@ -853,11 +873,8 @@ mod tests {
         );
         let mut chunk = Vec::new();
         let (sent, outcome) = drive(session, &server, |_, response| {
-            if let AuditResponse::LogSegment { entries, .. } = &response {
-                chunk = entries
-                    .iter()
-                    .map(|bytes| LogEntry::decode_exact(bytes).unwrap())
-                    .collect();
+            if let AuditResponse::LogSegment { prev_hash, entries } = &response {
+                chunk = received(prev_hash, entries);
             }
             response
         });
@@ -1133,7 +1150,8 @@ mod tests {
                     mut entries,
                 } => {
                     damage(&mut entries[2]);
-                    let error = LogEntry::decode_exact(&entries[2]).unwrap_err();
+                    let slices: Vec<&[u8]> = entries.iter().map(Vec::as_slice).collect();
+                    let error = decode_entries(&slices).unwrap_err();
                     wanted = format!("log entry does not decode: {error}");
                     AuditResponse::LogSegment { prev_hash, entries }
                 }
@@ -1145,6 +1163,71 @@ mod tests {
                 other => panic!("expected a decode error, got {other:?}"),
             }
         }
+    }
+
+    /// The standalone downloads hand out each entry with the hash the chain
+    /// check computed for it — the recorded one — and refuse a segment whose
+    /// run misses its checkpoint: a content byte flipped in an entry that
+    /// ships without its hash names the next checkpoint.
+    #[test]
+    fn standalone_downloads_compute_hashes_and_refuse_a_broken_run() {
+        let (bob, _) = record_with_snapshots(4);
+        let server = AuditServer::new(bob.log(), bob.snapshots());
+        let honest = |_: &AuditRequest, body: Vec<u8>| body;
+        let mut client = AuditClient::new(TamperingTransport {
+            server,
+            tamper: honest,
+        });
+        let (prev, entries) = client.fetch_log_segment(1, 0).unwrap();
+        assert_eq!(prev, Digest::ZERO);
+        assert_eq!(entries, bob.log().entries());
+        let chunk = client.fetch_log_chunk(1, 2).unwrap();
+        let first = chunk[0].seq as usize - 1;
+        assert_eq!(chunk, bob.log().entries()[first..first + chunk.len()]);
+
+        // Where the whole log ships without a hash, and the next claim.
+        let AuditResponse::LogSegment { entries: wire, .. } =
+            server.handle(&AuditRequest::LogSegment(SegmentAddress::Seq {
+                from_seq: 1,
+                to_seq: 0,
+            }))
+        else {
+            panic!("a segment");
+        };
+        let slices: Vec<&[u8]> = wire.iter().map(Vec::as_slice).collect();
+        let views = decode_entries(&slices).unwrap();
+        let at = views
+            .iter()
+            .position(|v| v.claim.is_none() && !v.content.is_empty())
+            .expect("a long log ships entries without their hash");
+        let checkpoint = at + views[at..].iter().position(|v| v.claim.is_some()).unwrap();
+        let flip = |request: &AuditRequest, body: Vec<u8>| match request {
+            AuditRequest::LogSegment(SegmentAddress::Seq { .. }) => {
+                let AuditResponse::LogSegment {
+                    prev_hash,
+                    mut entries,
+                } = AuditResponse::decode_exact(&body).unwrap()
+                else {
+                    panic!("a segment");
+                };
+                let last = entries[at].len() - 1;
+                entries[at][last] ^= 1;
+                AuditResponse::LogSegment { prev_hash, entries }.encode_to_vec()
+            }
+            _ => body,
+        };
+        let mut client = AuditClient::new(TamperingTransport {
+            server,
+            tamper: flip,
+        });
+        let error = client.fetch_log_segment(1, 0).unwrap_err().to_string();
+        assert!(
+            error.contains(&format!(
+                "log segment does not check: hash chain broken at sequence {}",
+                checkpoint + 1
+            )),
+            "{error}"
+        );
     }
 
     /// An entry whose declared length overruns the packet is not a response
@@ -1717,20 +1800,22 @@ mod tests {
         }
     }
 
-    /// [`spot`] with an empty cache and the chunk's encoded entries passed
-    /// through `damage`: the request kinds sent and how it ended.
+    /// [`spot`] with an empty cache and the chunk's entries passed through
+    /// `damage` — a provider that re-ships what it altered, each entry
+    /// claiming its own hash at the new segment's checkpoints: the request
+    /// kinds sent and how it ended.
     fn check(
         recording: &Recording,
         server: AuditServer<'_>,
         held: &[Authenticator],
         mode: (bool, bool),
         start: u64,
-        mut damage: impl FnMut(Vec<Vec<u8>>) -> Vec<Vec<u8>>,
+        mut damage: impl FnMut(Vec<LogEntry>) -> Vec<LogEntry>,
     ) -> (Vec<&'static str>, Result<SpotCheckReport, CoreError>) {
         let edit = |response| match response {
             AuditResponse::LogSegment { prev_hash, entries } => AuditResponse::LogSegment {
                 prev_hash,
-                entries: damage(entries),
+                entries: shipped(&damage(received(&prev_hash, &entries))),
             },
             other => other,
         };
@@ -1792,13 +1877,10 @@ mod tests {
         });
         for (honest, _) in recordings() {
             let server = AuditServer::new(&honest.log, &honest.store);
-            let AuditResponse::LogSegment { entries, .. } = server.handle(&request) else {
+            let AuditResponse::LogSegment { prev_hash, entries } = server.handle(&request) else {
                 panic!("the chunk is served");
             };
-            let chunk: Vec<LogEntry> = entries
-                .iter()
-                .map(|bytes| LogEntry::decode_exact(bytes).unwrap())
-                .collect();
+            let chunk = received(&prev_hash, &entries);
             let ack = chunk
                 .iter()
                 .find(|e| {
@@ -1874,11 +1956,11 @@ mod tests {
         let (honest, _) = recordings()[0];
         let server = AuditServer::new(&honest.log, &honest.store);
         let drop_anchor = |response| match response {
-            AuditResponse::LogSegment { entries, .. } => {
-                let anchor = LogEntry::decode_exact(&entries[0]).unwrap();
+            AuditResponse::LogSegment { prev_hash, entries } => {
+                let entries = received(&prev_hash, &entries);
                 AuditResponse::LogSegment {
-                    prev_hash: anchor.hash.0,
-                    entries: entries[1..].to_vec(),
+                    prev_hash: entries[0].hash.0,
+                    entries: shipped(&entries[1..]),
                 }
             }
             other => other,
@@ -2326,15 +2408,12 @@ mod tests {
                     }
                     2 => entries.swap(at, at + 1),
                     _ => {
-                        let decoded = |bytes: &[u8]| LogEntry::decode_exact(bytes).unwrap();
                         let i = (at..n)
                             .chain(0..at)
-                            .find(|&i| !decoded(&entries[i]).content.is_empty())
+                            .find(|&i| !entries[i].content.is_empty())
                             .expect("an entry has content");
-                        let mut entry = decoded(&entries[i]);
-                        let len = entry.content.len();
-                        entry.content[pick as usize % len] ^= 1 << (pick % 8);
-                        entries[i] = entry.encode_to_vec();
+                        let len = entries[i].content.len();
+                        entries[i].content[pick as usize % len] ^= 1 << (pick % 8);
                     }
                 }
                 entries

@@ -461,16 +461,16 @@ mod tests {
         // No snapshot state was downloaded, but discovering the corruption
         // cost the auditor the log up to the corrupt entry.
         assert_eq!(report.snapshot_transfer_bytes, 0);
-        let scanned_bytes: u64 = bob
-            .log()
-            .entries()
-            .iter()
-            .take(corrupted_seq as usize - 1)
-            .map(|e| e.wire_size() as u64)
-            .sum();
-        // Entries before the corrupt one are identical in the rebuilt log,
-        // and the corrupt entry itself is counted on top.
+        // As the prefix ships: hashes at its checkpoints only.
+        let shipped: Vec<u64> =
+            avm_log::wire::wire_entries(&rebuilt.entries()[..corrupted_seq as usize])
+                .map(|e| avm_wire::Encode::encoded_len(&e) as u64)
+                .collect();
+        let scanned_bytes: u64 = shipped[..shipped.len() - 1].iter().sum();
+        // The corrupt entry itself is counted on top of the entries before
+        // it, and nothing after it is.
         assert!(report.log_transfer_bytes > scanned_bytes);
+        assert_eq!(report.log_transfer_bytes, shipped.iter().sum::<u64>());
     }
 
     /// The on-demand verdict equals the full verdict, each mode reports the

@@ -85,6 +85,10 @@ pub struct LogEntry {
 /// [`crate::verify_chain`], [`crate::verify_segment`], `avm-core`'s content
 /// checks and replay — is written once against this view.  A view is
 /// `Sync`: a long segment is checked in parts, on several threads at once.
+///
+/// A view need not carry its hash.  A stored entry claims one; an entry of a
+/// wire segment claims one only at a checkpoint ([`crate::wire`]), and
+/// [`crate::verify_chain`] computes the rest from the claim before them.
 pub trait EntryView: Sync {
     /// Sequence number `s_i`.
     fn seq(&self) -> u64;
@@ -92,17 +96,18 @@ pub trait EntryView: Sync {
     fn kind(&self) -> EntryKind;
     /// Entry content `c_i`.
     fn content(&self) -> &[u8];
-    /// Chained hash `h_i`.
-    fn hash(&self) -> Digest;
+    /// The chained hash `h_i` this entry claims, if it carries one.
+    fn claim(&self) -> Option<Digest>;
 
-    /// An owned copy of the entry — what an auditor keeps of a segment that
-    /// failed its audit, as transferable evidence.
-    fn to_entry(&self) -> LogEntry {
+    /// An owned copy of the entry with hash `hash` — the one
+    /// [`crate::verify_chain`] gave it — which is what an auditor keeps of a
+    /// segment that failed its audit, as transferable evidence.
+    fn to_entry(&self, hash: Digest) -> LogEntry {
         LogEntry {
             seq: self.seq(),
             kind: self.kind(),
             content: self.content().to_vec(),
-            hash: self.hash(),
+            hash,
         }
     }
 }
@@ -117,20 +122,23 @@ impl EntryView for LogEntry {
     fn content(&self) -> &[u8] {
         &self.content
     }
-    fn hash(&self) -> Digest {
-        self.hash
+    fn claim(&self) -> Option<Digest> {
+        Some(self.hash)
     }
 }
 
 /// A log entry decoded *in place*: sequence number and kind by value, content
-/// and hash still the bytes of the input it was decoded from.  Decoding one
-/// allocates nothing, so an auditor can check and replay a downloaded segment
-/// straight from the packet buffer.
+/// and any claimed hash still the bytes of the input it was decoded from.
+/// Decoding one allocates nothing, so an auditor can check and replay a
+/// downloaded segment straight from the packet buffer.
 ///
-/// The input is the audited machine's, so every length is checked against
-/// the bytes that remain before anything is sliced; [`LogEntry`]'s `Decode`
-/// is this decode followed by [`EntryView::to_entry`], so the two accept the
-/// same inputs and report the same [`WireError`] on the rest.
+/// [`LogEntryRef::decode`] reads the *record* `s_i ‖ t_i ‖ c_i`, which is an
+/// entry as a wire segment carries it between checkpoints; a stored entry is
+/// the record followed by its hash.  The input is the audited machine's, so
+/// every length is checked against the bytes that remain before anything is
+/// sliced; [`LogEntry`]'s `Decode` is this decode, the hash after it and
+/// a copy, so the two accept the same records and report the same
+/// [`WireError`] on the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogEntryRef<'a> {
     /// Monotonically increasing sequence number `s_i`.
@@ -139,12 +147,15 @@ pub struct LogEntryRef<'a> {
     pub kind: EntryKind,
     /// Entry content `c_i`, borrowed from the input.
     pub content: &'a [u8],
-    /// Chained hash `h_i`, borrowed from the input.
-    pub hash: &'a [u8; 32],
+    /// The chained hash `h_i` the entry claims, borrowed from the input: set
+    /// at a checkpoint of a wire segment ([`crate::wire::decode_entries`]),
+    /// `None` elsewhere.
+    pub claim: Option<&'a [u8; 32]>,
 }
 
 impl<'a> LogEntryRef<'a> {
-    /// Reads one entry from `r`; the content lives as long as `r`'s input.
+    /// Reads one record from `r`, claiming no hash; the content lives as
+    /// long as `r`'s input.
     pub fn decode(r: &mut Reader<'a>) -> WireResult<LogEntryRef<'a>> {
         let seq = r.get_varint()?;
         let tag = r.get_u8()?;
@@ -153,23 +164,26 @@ impl<'a> LogEntryRef<'a> {
             tag: tag as u64,
         })?;
         let content = r.get_bytes()?;
-        let hash = r
-            .get_raw(32)?
-            .try_into()
-            .map_err(|_| WireError::Corrupt("digest"))?;
         Ok(LogEntryRef {
             seq,
             kind,
             content,
-            hash,
+            claim: None,
         })
     }
 
-    /// Decodes one entry from `bytes`, requiring that the whole input is
+    /// Decodes one record from `bytes`, requiring that the whole input is
     /// consumed.
     pub fn decode_exact(bytes: &'a [u8]) -> WireResult<LogEntryRef<'a>> {
         decode_exact_with(bytes, Self::decode)
     }
+}
+
+/// Reads a 32-byte hash from `r`, borrowed from its input.
+pub(crate) fn get_hash<'a>(r: &mut Reader<'a>) -> WireResult<&'a [u8; 32]> {
+    r.get_raw(32)?
+        .try_into()
+        .map_err(|_| WireError::Corrupt("digest"))
 }
 
 impl EntryView for LogEntryRef<'_> {
@@ -182,8 +196,8 @@ impl EntryView for LogEntryRef<'_> {
     fn content(&self) -> &[u8] {
         self.content
     }
-    fn hash(&self) -> Digest {
-        Digest(*self.hash)
+    fn claim(&self) -> Option<Digest> {
+        self.claim.map(|hash| Digest(*hash))
     }
 }
 
@@ -215,30 +229,43 @@ impl LogEntry {
         chain_hash(prev, self.seq, self.kind, &self.content) == self.hash
     }
 
-    /// Size of the entry on the wire, in bytes (used by the log-growth
-    /// experiments).
-    pub fn wire_size(&self) -> usize {
+    /// Size of the stored entry — its record and its hash — in bytes: what
+    /// the log grows by (`Avmm::log_bytes`), not what a segment ships.
+    pub fn stored_size(&self) -> usize {
         self.encoded_len()
     }
-}
 
-impl Encode for LogEntry {
-    fn encode(&self, w: &mut Writer) {
+    /// Writes the record `s_i ‖ t_i ‖ c_i`: the entry without its hash.
+    pub(crate) fn encode_record(&self, w: &mut Writer) {
         w.put_varint(self.seq);
         w.put_u8(self.kind.tag());
         w.put_bytes(&self.content);
+    }
+
+    /// Length of [`LogEntry::encode_record`]'s output.
+    pub(crate) fn record_len(&self) -> usize {
+        let content = self.content.len();
+        varint_len(self.seq) + 1 + varint_len(content as u64) + content
+    }
+}
+
+/// A stored entry: its record, then its hash.
+impl Encode for LogEntry {
+    fn encode(&self, w: &mut Writer) {
+        self.encode_record(w);
         w.put_raw(self.hash.as_bytes());
     }
 
     fn encoded_len(&self) -> usize {
-        let content = self.content.len();
-        varint_len(self.seq) + 1 + varint_len(content as u64) + content + 32
+        self.record_len() + 32
     }
 }
 
 impl Decode for LogEntry {
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(LogEntryRef::decode(r)?.to_entry())
+        let record = LogEntryRef::decode(r)?;
+        let hash = get_hash(r)?;
+        Ok(record.to_entry(Digest(*hash)))
     }
 }
 
@@ -302,7 +329,7 @@ mod tests {
         let e = LogEntry::chained(&Digest::ZERO, 42, EntryKind::NdEvent, vec![1, 2, 3]);
         let bytes = e.encode_to_vec();
         assert_eq!(LogEntry::decode_exact(&bytes).unwrap(), e);
-        assert_eq!(e.wire_size(), bytes.len());
+        assert_eq!(e.stored_size(), bytes.len());
     }
 
     proptest! {
@@ -326,7 +353,7 @@ mod tests {
                 hash: Digest::ZERO,
             };
             prop_assert_eq!(e.encoded_len(), e.encode_to_vec().len());
-            prop_assert_eq!(e.wire_size(), e.encoded_len());
+            prop_assert_eq!(e.stored_size(), e.encoded_len());
         }
     }
 

@@ -19,17 +19,19 @@
 //! the hash chain over a run of entries.  [`verify_segment`] (an auditor's
 //! downloaded segment), [`TamperEvidentLog::from_entries`] (a log rebuilt
 //! from recovered entries) and `avm-store`'s segment scan all call it; none
-//! of them walks the chain itself.  Each entry is checked against the hash
-//! its predecessor *claims*, so entries are independent of one another and
-//! `verify_chain` hashes them in fixed-size batches through the eight-lane
-//! SHA-256 core, then reports the first fault in order — the verdict of an
-//! entry-at-a-time loop (kept as the reference in
-//! `tests/chain_differential.rs`), several times faster.
+//! of them walks the chain itself.  Each run of entries up to one that
+//! claims its hash is hashed from the claim before it, so runs are
+//! independent of one another: `verify_chain` hashes them side by side
+//! through the eight-lane SHA-256 core, then reports the first fault in
+//! order — the verdict of an entry-at-a-time loop evaluated at the claims
+//! (kept as the reference in `tests/chain_differential.rs`).  A stored entry
+//! claims its hash; a segment on the wire claims one only at its
+//! checkpoints ([`wire`]), and the check computes the rest.
 //!
 //! Both checks are written against [`EntryView`] — `seq`, `kind`, `content`,
-//! `hash` — not against who owns the content: a [`LogEntry`] owns it, a
-//! [`LogEntryRef`] is decoded in place and borrows it from the packet a
-//! segment arrived in, so an auditor verifies (and `avm-core` replays) a
+//! the claimed hash — not against who owns the content: a [`LogEntry`] owns
+//! it, a [`LogEntryRef`] is decoded in place and borrows it from the packet
+//! a segment arrived in, so an auditor verifies (and `avm-core` replays) a
 //! downloaded segment without copying an entry out of its buffer.
 
 #![forbid(unsafe_code)]
@@ -40,9 +42,10 @@ pub mod entry;
 pub mod log;
 pub mod source;
 pub mod verify;
+pub mod wire;
 
 pub use auth::{Acknowledgment, Authenticator};
 pub use entry::{EntryKind, EntryView, LogEntry, LogEntryRef};
 pub use log::TamperEvidentLog;
 pub use source::LogSource;
-pub use verify::{verify_chain, verify_segment, LogVerifyError, SegmentSummary};
+pub use verify::{verify_chain, verify_segment, Chain, LogVerifyError, SegmentSummary};

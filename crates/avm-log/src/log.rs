@@ -148,9 +148,10 @@ impl TamperEvidentLog {
         LogSource::segment(self, from_seq, to_seq)
     }
 
-    /// Total wire size of all entries, in bytes (log-growth accounting).
-    pub fn total_wire_size(&self) -> u64 {
-        self.entries.iter().map(|e| e.wire_size() as u64).sum()
+    /// Total stored size of all entries, in bytes (log-growth accounting):
+    /// what the log holds, not what a segment of it ships.
+    pub fn total_stored_size(&self) -> u64 {
+        self.entries.iter().map(|e| e.stored_size() as u64).sum()
     }
 
     /// Serializes the whole log.
@@ -278,7 +279,7 @@ mod tests {
         let restored = TamperEvidentLog::from_bytes(&bytes).unwrap();
         assert_eq!(restored.entries(), log.entries());
         assert!(TamperEvidentLog::from_bytes(&bytes[..bytes.len() - 2]).is_err());
-        assert!(log.total_wire_size() > 0);
+        assert!(log.total_stored_size() > 0);
     }
 
     #[test]

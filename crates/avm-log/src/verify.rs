@@ -7,21 +7,23 @@
 //! corresponding entry.  A machine that has tampered with, reordered, or
 //! forked its log cannot pass this check.
 //!
-//! A long segment is checked on every core.  Each entry is checked against
-//! the hash its predecessor *claims*, so any contiguous range of entries can
-//! be checked on its own: [`verify_chain`] and [`verify_segment`] cut a
-//! segment of at least [`SPLIT_THRESHOLD`] entries into contiguous parts,
-//! two per core ([`parts_for`]), check part `i` against the claimed hash of
-//! the entry before its first on a scoped thread, and the authenticators in
-//! contiguous parts of their list beside it.  Of the parts' results the
-//! first error in seq order wins — in list order for authenticators, and a
-//! chain error before any authenticator error — which is exactly the
-//! `Result` the serial scan returns.  A shorter segment, or any segment on
-//! a one-core host, is checked on the calling thread and spawns nothing.
+//! A long segment is checked on every core.  Each run of entries is hashed
+//! from the hash the entry before it *claims* (see [`verify_chain`]), so
+//! any contiguous range of whole runs can be checked on its own:
+//! [`verify_chain`] and [`verify_segment`] cut a segment of at least
+//! [`SPLIT_THRESHOLD`] entries into contiguous parts, two per core
+//! ([`parts_for`]), each starting at a run boundary, check part `i` from
+//! the claim before its first entry on a scoped thread, and verify the
+//! signatures of contiguous parts of the authenticator list beside it.  Of
+//! the parts' results the first error in seq order wins, and a chain error
+//! before any authenticator error; the authenticators are then matched in
+//! list order against the hashes the parts computed — exactly the `Result`
+//! the serial scan returns.  A shorter segment, or any segment on a
+//! one-core host, is checked on the calling thread and spawns nothing.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use avm_crypto::keys::VerifyingKey;
 use avm_crypto::sha256::{sha256_multi, Digest};
@@ -110,11 +112,13 @@ pub struct SegmentSummary {
     pub final_hash: Digest,
     /// Number of authenticators that were checked against the segment.
     pub authenticators_checked: usize,
+    /// The hash of every entry, in order ([`Chain::hashes`]).
+    pub hashes: Vec<Digest>,
 }
 
-/// Entries hashed per batch by the chain check: a whole number of
+/// Runs hashed side by side by the chain check: a whole number of
 /// eight-lane groups, small enough that the scratch buffers (one content
-/// hash, one 73-byte link and one link hash per entry) stay a few KiB
+/// hash, one 73-byte link and one link hash per run) stay a few KiB
 /// however long the segment is.
 pub const CHAIN_BLOCK: usize = 64;
 
@@ -156,33 +160,47 @@ fn part(len: usize, parts: usize, i: usize) -> Range<usize> {
     i * len / parts..(i + 1) * len / parts
 }
 
-/// `check(i)` for every part `i < parts`, in part order: part 0 on the
-/// calling thread, every other on a scoped thread of its own (or on the
-/// calling thread too, should the host refuse a thread).  Scoped, not
-/// `avm_crypto::parallel`'s parked pool: a part borrows the entries where
-/// they lie — in the packet, for an audit — and a pool worker could only
-/// take an owned copy.
-fn in_parts<R: Send>(parts: usize, check: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    if parts <= 1 {
-        return vec![check(0)];
+/// `check(i, input)` for every part `i`, in part order, each part taking
+/// its own input — a disjoint slice of one output buffer, say — exactly
+/// once: part 0 on the calling thread, every other on a scoped thread of
+/// its own (or on the calling thread too, should the host refuse a
+/// thread).  Scoped, not `avm_crypto::parallel`'s parked pool: a part
+/// borrows the entries where they lie — in the packet, for an audit — and
+/// a pool worker could only take an owned copy.
+fn in_parts<T: Send, R: Send>(inputs: Vec<T>, check: impl Fn(usize, T) -> R + Sync) -> Vec<R> {
+    if inputs.len() <= 1 {
+        return inputs
+            .into_iter()
+            .enumerate()
+            .map(|(i, input)| check(i, input))
+            .collect();
     }
+    let slots: Vec<Mutex<Option<T>>> = inputs.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let run = |i: usize| {
+        let input = slots[i]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("each part runs once");
+        check(i, input)
+    };
     std::thread::scope(|scope| {
-        let check = &check;
-        let spawned: Vec<_> = (1..parts)
+        let run = &run;
+        let spawned: Vec<_> = (1..slots.len())
             .map(|i| {
                 std::thread::Builder::new()
-                    .spawn_scoped(scope, move || check(i))
+                    .spawn_scoped(scope, move || run(i))
                     .map_err(|_| i)
             })
             .collect();
-        let mut results = Vec::with_capacity(parts);
-        results.push(check(0));
+        let mut results = Vec::with_capacity(slots.len());
+        results.push(run(0));
         for handle in spawned {
             results.push(match handle {
                 Ok(handle) => handle
                     .join()
                     .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                Err(i) => check(i),
+                Err(i) => run(i),
             });
         }
         results
@@ -192,74 +210,175 @@ fn in_parts<R: Send>(parts: usize, check: impl Fn(usize) -> R + Sync) -> Vec<R> 
 /// Length of the link preimage `h_{i-1} || s_i || t_i || H(c_i)`.
 const LINK_LEN: usize = 32 + 8 + 1 + 32;
 
-/// The one chain check, of the entries at `range` of `entries`: their
-/// sequence numbers count up densely from `entries[0].seq` and every one's
-/// hash extends the chain from `prev` (the hash of the entry before the
-/// segment; `h_0 = 0` at the start of a log).  The first entry of the range
-/// is checked against the hash the entry before it *claims* — `prev` for
-/// the segment's first — so a range is checked without the ones before it.
+/// What [`verify_chain`] found: the hash of every entry, and the verdict.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Chain {
+    /// `h_i` of every entry, in order: its claim where it makes one, else
+    /// the hash computed from the claim before it.
+    pub hashes: Vec<Digest>,
+    /// The first fault in seq order, or `Ok`.
+    pub verdict: Result<(), LogVerifyError>,
+}
+
+/// The `parts` contiguous ranges `entries` is checked in, each paired with
+/// its share of `hashes` (one slot per entry): part `i` starts at the first
+/// entry at or after `i * len / parts` that follows a claim (or at 0), so
+/// every part is made of whole runs.
+fn run_parts<'h, E: EntryView>(
+    entries: &[E],
+    parts: usize,
+    mut hashes: &'h mut [Digest],
+) -> Vec<(Range<usize>, &'h mut [Digest])> {
+    let len = entries.len();
+    let mut starts: Vec<usize> = (0..parts)
+        .map(|i| {
+            let mut start = part(len, parts, i).start;
+            while start > 0 && start < len && entries[start - 1].claim().is_none() {
+                start += 1;
+            }
+            start
+        })
+        .collect();
+    starts.push(len);
+    starts
+        .windows(2)
+        .map(|w| {
+            let (share, rest) = std::mem::take(&mut hashes).split_at_mut(w[1] - w[0]);
+            hashes = rest;
+            (w[0]..w[1], share)
+        })
+        .collect()
+}
+
+/// The one chain check, of the entries at `range` of `entries` — whole runs,
+/// so the entry before the range (if any) claims its hash.  Their sequence
+/// numbers count up densely from `entries[0].seq`, and every *run* of
+/// entries up to one that claims its hash is hashed from the claim before
+/// it (`prev` for the segment's first) and must reach that claim.  A range
+/// is thereby checked without the ones before it.
 ///
-/// Entries are hashed [`CHAIN_BLOCK`] at a time through the multi-buffer
-/// SHA-256 core: content hashes, then the 73-byte links, eight lanes each.
-/// An in-order scan then reports the range's first offending entry.
+/// Runs are hashed side by side through the multi-buffer SHA-256 core,
+/// [`CHAIN_BLOCK`] at a time, one entry of each per step: content hashes,
+/// then the 73-byte links.  The range's first fault in entry order is
+/// reported — at an entry whose seq is wrong, or at the claim its run does
+/// not reach (a seq error first where both fall on one entry) — and every
+/// entry gets its hash either way, the claim where it makes one.  A run
+/// that no claim ends, after the last claim of the segment, is bound to
+/// nothing: a broken chain at the segment's last entry.
 fn chain_part<E: EntryView>(
     prev: &Digest,
     entries: &[E],
     range: Range<usize>,
+    hashes: &mut [Digest],
 ) -> Result<(), LogVerifyError> {
-    let Some(first) = entries.first() else {
+    if range.is_empty() {
         return Ok(());
-    };
-    // Wrapping: a hostile first seq near u64::MAX must not panic.
-    let mut expected = first.seq().wrapping_add(range.start as u64);
-    let mut prev = match range.start {
+    }
+    let first = &entries[0];
+    let head = match range.start {
         0 => *prev,
-        start => entries[start - 1].hash(),
+        start => entries[start - 1]
+            .claim()
+            .expect("a part starts after a claim"),
     };
-    for block in entries[range].chunks(CHAIN_BLOCK) {
-        let contents: Vec<&[u8]> = block.iter().map(|e| e.content()).collect();
-        let content_hashes = sha256_multi(&contents);
-        let mut links = Vec::with_capacity(block.len());
-        for (entry, content_hash) in block.iter().zip(&content_hashes) {
-            let mut link = [0u8; LINK_LEN];
-            link[..32].copy_from_slice(prev.as_bytes());
-            link[32..40].copy_from_slice(&entry.seq().to_le_bytes());
-            link[40] = entry.kind().tag();
-            link[41..].copy_from_slice(content_hash.as_bytes());
-            links.push(link);
-            prev = entry.hash();
-        }
-        let link_views: Vec<&[u8]> = links.iter().map(|l| l.as_slice()).collect();
-        let hashes = sha256_multi(&link_views);
-        for (entry, hash) in block.iter().zip(&hashes) {
-            if entry.seq() != expected {
-                return Err(LogVerifyError::BadSequence {
-                    expected,
-                    found: entry.seq(),
-                });
-            }
-            if *hash != entry.hash() {
-                return Err(LogVerifyError::BrokenChain { seq: entry.seq() });
-            }
-            expected = expected.wrapping_add(1);
+    let base = range.start;
+    let part = &entries[range];
+    // Wrapping: a hostile first seq near u64::MAX must not panic.
+    let bad_seq = part.iter().enumerate().find_map(|(j, entry)| {
+        let expected = first.seq().wrapping_add((base + j) as u64);
+        (entry.seq() != expected).then_some((
+            j,
+            LogVerifyError::BadSequence {
+                expected,
+                found: entry.seq(),
+            },
+        ))
+    });
+
+    // Every claim is an entry's hash whatever the run before it computes,
+    // and the head of the run after it.
+    let mut runs = Vec::new();
+    let mut start = 0;
+    for (j, entry) in part.iter().enumerate() {
+        if let Some(claim) = entry.claim() {
+            hashes[j] = claim;
+            runs.push(start..j + 1);
+            start = j + 1;
         }
     }
-    Ok(())
+    let mut broken = (start < part.len()).then(|| part.len() - 1);
+    if start < part.len() {
+        runs.push(start..part.len());
+    }
+    for group in runs.chunks(CHAIN_BLOCK) {
+        let mut heads: Vec<Digest> = group
+            .iter()
+            .map(|run| match run.start {
+                0 => head,
+                start => hashes[start - 1],
+            })
+            .collect();
+        let longest = group.iter().map(Range::len).max().unwrap_or(0);
+        for step in 0..longest {
+            let live: Vec<(usize, usize)> = group
+                .iter()
+                .enumerate()
+                .filter(|(_, run)| step < run.len())
+                .map(|(g, run)| (g, run.start + step))
+                .collect();
+            let contents: Vec<&[u8]> = live.iter().map(|&(_, j)| part[j].content()).collect();
+            let content_hashes = sha256_multi(&contents);
+            let links: Vec<[u8; LINK_LEN]> = live
+                .iter()
+                .zip(&content_hashes)
+                .map(|(&(g, j), content_hash)| {
+                    let mut link = [0u8; LINK_LEN];
+                    link[..32].copy_from_slice(heads[g].as_bytes());
+                    link[32..40].copy_from_slice(&part[j].seq().to_le_bytes());
+                    link[40] = part[j].kind().tag();
+                    link[41..].copy_from_slice(content_hash.as_bytes());
+                    link
+                })
+                .collect();
+            let link_views: Vec<&[u8]> = links.iter().map(|l| l.as_slice()).collect();
+            for (&(g, j), hash) in live.iter().zip(sha256_multi(&link_views)) {
+                heads[g] = hash;
+                match part[j].claim() {
+                    Some(claim) if claim != hash && broken.is_none_or(|b| j < b) => {
+                        broken = Some(j);
+                    }
+                    Some(_) => {}
+                    None => hashes[j] = hash,
+                }
+            }
+        }
+    }
+    match (bad_seq, broken) {
+        (Some((s, _)), Some(b)) if b < s => Err(LogVerifyError::BrokenChain { seq: part[b].seq() }),
+        (Some((_, error)), _) => Err(error),
+        (None, Some(b)) => Err(LogVerifyError::BrokenChain { seq: part[b].seq() }),
+        (None, None) => Ok(()),
+    }
 }
 
 /// The chain check: `entries` have dense sequence numbers counting up from
-/// `entries[0].seq`, and every entry's hash extends the chain from `prev`
-/// (the hash of the entry before the first; `h_0 = 0` at the start of a
-/// log).
+/// `entries[0].seq`, and their hashes extend the chain from `prev` (the
+/// hash of the entry before the first; `h_0 = 0` at the start of a log).
 ///
-/// Entry `i` is checked against the hash entry `i-1` *claims*, not one
-/// recomputed for it — if that claim is false, entry `i-1` is itself
-/// reported first — so the entries are independent of one another: they
-/// are hashed [`CHAIN_BLOCK`] at a time through the multi-buffer SHA-256
-/// core, and a segment of [`SPLIT_THRESHOLD`] entries or more is cut into
-/// [`parts_for`] contiguous parts checked side by side (module docs).  The
-/// first offending entry in seq order is reported, the same error an
-/// entry-at-a-time [`LogEntry::verify_against`] loop reports.
+/// Every entry that claims its hash ends a *run*: the entries after the
+/// claim before it (`prev` for the first run) are hashed from that claim
+/// and must reach this one.  A stored entry claims its hash, so an owned
+/// log is checked entry by entry; a wire segment claims one only at its
+/// checkpoints ([`crate::wire`]).  Either way the runs are independent of
+/// one another: they are hashed side by side through the multi-buffer
+/// SHA-256 core, and a segment of [`SPLIT_THRESHOLD`] entries or more is
+/// cut into [`parts_for`] contiguous parts of whole runs, checked side by
+/// side (module docs).  The first fault in seq order is reported — the
+/// serial scan's, evaluated at the claims: with every hash claimed, the
+/// error an entry-at-a-time [`LogEntry::verify_against`] loop reports; with
+/// checkpoints, the first claim at or after an altered entry.  The hashes
+/// the check gave every entry, fault or not, are [`chain_in_parts`]'s
+/// ([`Chain::hashes`]).
 ///
 /// Generic over the [`EntryView`]: an owned log and a segment still sitting
 /// in the packet it arrived in are checked by the same code, each content
@@ -267,24 +386,25 @@ fn chain_part<E: EntryView>(
 ///
 /// [`LogEntry::verify_against`]: crate::LogEntry::verify_against
 pub fn verify_chain<E: EntryView>(prev: &Digest, entries: &[E]) -> Result<(), LogVerifyError> {
-    chain_in_parts(prev, entries, parts_for(entries.len()))
+    chain_in_parts(prev, entries, parts_for(entries.len())).verdict
 }
 
 /// [`verify_chain`] cut into `parts` contiguous parts (at least one, at
-/// most one per entry; part `i` starts at entry `i * len / parts`) whatever
-/// the host: the split itself, which the differential tests hold to the
-/// serial scan on any number of cores.
-pub fn chain_in_parts<E: EntryView>(
-    prev: &Digest,
-    entries: &[E],
-    parts: usize,
-) -> Result<(), LogVerifyError> {
+/// most one per entry; part `i` starts at the first run boundary at or
+/// after entry `i * len / parts`) whatever the host, with the hash it gave
+/// every entry: the split itself, which the differential tests hold to the
+/// serial scan on any number of cores, and what an auditor that keeps a
+/// segment ([`parts_for`] parts) copies the hashes from.
+pub fn chain_in_parts<E: EntryView>(prev: &Digest, entries: &[E], parts: usize) -> Chain {
     let parts = parts.clamp(1, entries.len().max(1));
-    in_parts(parts, |i| {
-        chain_part(prev, entries, part(entries.len(), parts, i))
-    })
+    let mut hashes = vec![Digest::ZERO; entries.len()];
+    let verdict = in_parts(
+        run_parts(entries, parts, &mut hashes),
+        |_, (range, share)| chain_part(prev, entries, range, share),
+    )
     .into_iter()
-    .collect()
+    .collect();
+    Chain { hashes, verdict }
 }
 
 /// Verifies a log segment.
@@ -296,11 +416,14 @@ pub fn chain_in_parts<E: EntryView>(
 ///   machine; each must carry a valid signature under `machine_key` and must
 ///   match the entry with the same sequence number.
 ///
-/// The result is the serial scan's: the chain's first error, else the first
-/// authenticator in list order that fails.  A segment of
-/// [`SPLIT_THRESHOLD`] entries or more is checked in [`parts_for`] parts
-/// side by side — each a contiguous range of the chain and a contiguous
-/// share of the authenticator list (module docs).
+/// The result is the serial scan's: the chain's first error
+/// ([`verify_chain`]), else the first authenticator in list order that
+/// fails.  An authenticator is matched against the hashes the chain check
+/// gave the entries, so it may name any entry of a wire segment, a
+/// checkpoint or not.  A segment of [`SPLIT_THRESHOLD`] entries or more is
+/// checked in [`parts_for`] parts side by side — each a contiguous range of
+/// the chain and the signatures of a contiguous share of the authenticator
+/// list (module docs).
 pub fn verify_segment<E: EntryView>(
     prev_hash: &Digest,
     segment: &[E],
@@ -326,49 +449,63 @@ pub fn segment_in_parts<E: EntryView>(
     parts: usize,
 ) -> Result<SegmentSummary, LogVerifyError> {
     let first_seq = segment.first().ok_or(LogVerifyError::EmptySegment)?.seq();
-    let last = segment.last().expect("non-empty");
-    let last_seq = last.seq();
+    let last_seq = segment.last().expect("non-empty").seq();
     let parts = parts.clamp(1, segment.len());
 
     // Per part: 1. dense sequence numbers and an intact hash chain over its
-    // range; 2. every collected authenticator in its share of the list
-    // matches the corresponding entry.  A part whose chain fails skips its
-    // authenticators: a chain error is the verdict whatever they say.
-    let (chain, auths): (Vec<_>, Vec<_>) = in_parts(parts, |i| {
-        let chain = chain_part(prev_hash, segment, part(segment.len(), parts, i));
-        let auths = match chain {
-            Ok(()) => authenticators[part(authenticators.len(), parts, i)]
+    // range; 2. the signatures of its share of the authenticator list (the
+    // costly half of an authenticator check).
+    let mut hashes = vec![Digest::ZERO; segment.len()];
+    let mut chain = Ok(());
+    let mut bad_signature = None;
+    let checked = in_parts(
+        run_parts(segment, parts, &mut hashes),
+        |i, (range, share)| {
+            let verdict = chain_part(prev_hash, segment, range, share);
+            let share = part(authenticators.len(), parts, i);
+            let bad = authenticators[share.clone()]
                 .iter()
-                .try_for_each(|auth| check_authenticator(auth, prev_hash, segment, machine_key)),
-            Err(_) => Ok(()),
-        };
-        (chain, auths)
-    })
-    .into_iter()
-    .unzip();
-    chain.into_iter().collect::<Result<(), _>>()?;
-    auths.into_iter().collect::<Result<(), _>>()?;
+                .position(|auth| auth.verify_signature(machine_key).is_err())
+                .map(|j| share.start + j);
+            (verdict, bad)
+        },
+    );
+    for (verdict, bad) in checked {
+        if chain.is_ok() {
+            chain = verdict;
+        }
+        bad_signature = bad_signature.or(bad);
+    }
+    chain?;
+    // 3. Every authenticator in list order: its signature, then its seq
+    // and hashes against the chain.
+    for (i, auth) in authenticators.iter().enumerate() {
+        if bad_signature == Some(i) {
+            return Err(LogVerifyError::BadAuthenticatorSignature { seq: auth.seq });
+        }
+        check_authenticator(auth, prev_hash, first_seq, last_seq, &hashes)?;
+    }
 
     Ok(SegmentSummary {
         first_seq,
         last_seq,
-        final_hash: last.hash(),
+        final_hash: *hashes.last().expect("non-empty"),
         authenticators_checked: authenticators.len(),
+        hashes,
     })
 }
 
-/// One collected authenticator against the non-empty `segment`: a valid
-/// signature, a seq inside the segment, and the hashes of that entry and of
-/// the one before it.
-fn check_authenticator<E: EntryView>(
+/// One collected authenticator whose signature verified, against a segment
+/// whose chain passed — so seq `first_seq + idx` is at `idx`, and `hashes`
+/// holds every entry's hash: a seq inside the segment, and the hashes of
+/// that entry and of the one before it.
+fn check_authenticator(
     auth: &Authenticator,
     prev_hash: &Digest,
-    segment: &[E],
-    machine_key: &VerifyingKey,
+    first_seq: u64,
+    last_seq: u64,
+    hashes: &[Digest],
 ) -> Result<(), LogVerifyError> {
-    let (first_seq, last_seq) = (segment[0].seq(), segment[segment.len() - 1].seq());
-    auth.verify_signature(machine_key)
-        .map_err(|_| LogVerifyError::BadAuthenticatorSignature { seq: auth.seq })?;
     if auth.seq < first_seq || auth.seq > last_seq {
         return Err(LogVerifyError::AuthenticatorOutOfRange {
             seq: auth.seq,
@@ -376,19 +513,15 @@ fn check_authenticator<E: EntryView>(
             last: last_seq,
         });
     }
-    // A chain that passed puts seq `first_seq + idx` at `idx`.  Checked in
-    // parts, this may run beside a part whose chain fails, with seqs that
-    // are not dense; that part's error is then the verdict, and a seq with
-    // no entry at its index only has to be some error.
     let idx = usize::try_from(auth.seq - first_seq).unwrap_or(usize::MAX);
-    let Some(entry) = segment.get(idx) else {
+    let Some(hash) = hashes.get(idx) else {
         return Err(LogVerifyError::AuthenticatorMismatch { seq: auth.seq });
     };
     let entry_prev = match idx {
         0 => *prev_hash,
-        _ => segment[idx - 1].hash(),
+        _ => hashes[idx - 1],
     };
-    if entry.hash() != auth.hash || entry_prev != auth.prev_hash {
+    if *hash != auth.hash || entry_prev != auth.prev_hash {
         return Err(LogVerifyError::AuthenticatorMismatch { seq: auth.seq });
     }
     Ok(())
@@ -518,6 +651,32 @@ mod tests {
             err,
             LogVerifyError::AuthenticatorOutOfRange { .. }
         ));
+    }
+
+    /// Entries that claim no hash are bound to nothing, however the check
+    /// is cut: a broken chain at the last, with every hash computed.
+    #[test]
+    fn an_unclaimed_tail_is_broken_in_any_number_of_parts() {
+        use crate::entry::LogEntryRef;
+        let k = key();
+        let (log, _) = build(40, &k);
+        let views: Vec<LogEntryRef<'_>> = log
+            .entries()
+            .iter()
+            .enumerate()
+            .map(|(i, e)| LogEntryRef {
+                seq: e.seq,
+                kind: e.kind,
+                content: &e.content,
+                claim: (i < 3).then_some(e.hash.as_bytes()),
+            })
+            .collect();
+        for parts in 1..5 {
+            let chain = chain_in_parts(&Digest::ZERO, &views, parts);
+            assert_eq!(chain.verdict, Err(LogVerifyError::BrokenChain { seq: 40 }));
+            let recorded: Vec<Digest> = log.entries().iter().map(|e| e.hash).collect();
+            assert_eq!(chain.hashes, recorded);
+        }
     }
 
     #[test]

@@ -1,25 +1,32 @@
-//! Differential test: the batched [`verify_chain`] against the
+//! Differential test: the run-based [`verify_chain`] against the
 //! entry-at-a-time loop it replaced, and the split of a long segment into
 //! parts ([`chain_in_parts`], [`segment_in_parts`]) against the same loop
 //! and an in-order authenticator loop.
 //!
 //! The loops below are the only serial chain and authenticator checks left
-//! in the workspace; they stay as the reference.  Equality of the two
-//! `Result`s is the whole contract: the same `Ok`, or the same error
-//! variant naming the same sequence number(s) — the seq `avm-store` cuts a
-//! torn tail at.  The split is driven with an explicit part count, so it is
-//! exercised on a host of any core count.  Runs in release in CI too, where
-//! the eight-lane SHA-256 path actually vectorises.
+//! in the workspace; they stay as the reference.  [`verify_chain_serial`] is
+//! the loop as it was when every entry claimed its hash (an owned log);
+//! [`serial_at_claims`] is the same loop evaluated at the claims only, as a
+//! wire segment carries them (hashes at checkpoints, [`avm_log::wire`]), and
+//! reduces to the first when every entry claims.  Equality of the results
+//! is the whole contract: the same `Ok`, or the same error variant naming
+//! the same sequence number(s) — the seq `avm-store` cuts a torn tail at —
+//! and the same hash for every entry.  The split is driven with an explicit
+//! part count, so it is exercised on a host of any core count.  Runs in
+//! release in CI too, where the eight-lane SHA-256 path actually vectorises.
 
 use std::sync::OnceLock;
 
 use avm_crypto::keys::{SignatureScheme, SigningKey, VerifyingKey};
 use avm_crypto::sha256::Digest;
+use avm_log::entry::chain_hash;
 use avm_log::verify::{chain_in_parts, segment_in_parts, CHAIN_BLOCK, SPLIT_THRESHOLD};
+use avm_log::wire::{carries_hash, decode_entries, wire_entries};
 use avm_log::{
-    verify_chain, verify_segment, Authenticator, EntryKind, LogEntry, LogVerifyError,
-    SegmentSummary,
+    verify_chain, verify_segment, Authenticator, Chain, EntryKind, EntryView, LogEntry,
+    LogVerifyError, SegmentSummary,
 };
+use avm_wire::Encode;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,6 +65,87 @@ fn verify_chain_serial(prev: &Digest, entries: &[LogEntry]) -> Result<(), LogVer
         prev = entry.hash;
     }
     Ok(())
+}
+
+/// An entry as a segment carries it, owned so that a test can damage any
+/// field: a claimed hash, or none.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Shipped {
+    seq: u64,
+    kind: EntryKind,
+    content: Vec<u8>,
+    claim: Option<Digest>,
+}
+
+impl EntryView for Shipped {
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+    fn kind(&self) -> EntryKind {
+        self.kind
+    }
+    fn content(&self) -> &[u8] {
+        &self.content
+    }
+    fn claim(&self) -> Option<Digest> {
+        self.claim
+    }
+}
+
+/// `entries` as a segment of their number ships them: each claims its
+/// stored hash at a checkpoint.
+fn ship(entries: &[LogEntry]) -> Vec<Shipped> {
+    entries
+        .iter()
+        .enumerate()
+        .map(|(i, e)| Shipped {
+            seq: e.seq,
+            kind: e.kind,
+            content: e.content.clone(),
+            claim: carries_hash(entries.len(), i).then_some(e.hash),
+        })
+        .collect()
+}
+
+/// The reference at the claims: entry by entry in order, the seq, then the
+/// hash from the one before — the claim where an entry makes one, else the
+/// hash computed for it — compared with the entry's claim where it makes
+/// one.  After the last claim nothing binds an entry: a broken chain at the
+/// last.  Every entry's hash comes back beside the first fault.
+fn serial_at_claims<E: EntryView>(prev: &Digest, entries: &[E]) -> Chain {
+    let mut chain = Chain {
+        hashes: Vec::new(),
+        verdict: Ok(()),
+    };
+    let Some(first) = entries.first() else {
+        return chain;
+    };
+    let mut head = *prev;
+    for (i, entry) in entries.iter().enumerate() {
+        let expected = first.seq().wrapping_add(i as u64);
+        if chain.verdict.is_ok() && entry.seq() != expected {
+            chain.verdict = Err(LogVerifyError::BadSequence {
+                expected,
+                found: entry.seq(),
+            });
+        }
+        let hash = chain_hash(&head, entry.seq(), entry.kind(), entry.content());
+        head = match entry.claim() {
+            Some(claim) => {
+                if chain.verdict.is_ok() && claim != hash {
+                    chain.verdict = Err(LogVerifyError::BrokenChain { seq: entry.seq() });
+                }
+                claim
+            }
+            None => hash,
+        };
+        chain.hashes.push(head);
+    }
+    let last = entries.last().expect("non-empty");
+    if chain.verdict.is_ok() && last.claim().is_none() {
+        chain.verdict = Err(LogVerifyError::BrokenChain { seq: last.seq() });
+    }
+    chain
 }
 
 fn flip(d: &Digest) -> Digest {
@@ -131,10 +219,15 @@ proptest! {
         let mut entries = honest_chain(&prev, first_seq, &shape);
         prop_assert_eq!(verify_chain(&prev, &entries), Ok(()));
         mutate(&mut prev, &mut entries, what, at);
-        prop_assert_eq!(
-            verify_chain(&prev, &entries),
-            verify_chain_serial(&prev, &entries)
-        );
+        let serial = verify_chain_serial(&prev, &entries);
+        prop_assert_eq!(verify_chain(&prev, &entries), serial.clone());
+        // Every hash claimed: the reference at the claims is today's loop,
+        // and the hashes are the claims.
+        let at_claims = serial_at_claims(&prev, &entries);
+        prop_assert_eq!(&at_claims.verdict, &serial);
+        let claimed: Vec<Digest> = entries.iter().map(|e| e.hash).collect();
+        prop_assert_eq!(&at_claims.hashes, &claimed);
+        prop_assert_eq!(chain_in_parts(&prev, &entries, 1), at_claims);
     }
 }
 
@@ -244,42 +337,42 @@ fn long() -> &'static Long {
     })
 }
 
-/// The reference for a segment: the serial chain loop, then one
-/// authenticator at a time in list order — signature, range, hashes.
-fn verify_segment_serial(
+/// The reference for a segment: the serial chain loop at the claims, then
+/// one authenticator at a time in list order — signature, range, hashes
+/// (the ones that loop gave the entries).
+fn verify_segment_serial<E: EntryView>(
     prev: &Digest,
-    segment: &[LogEntry],
+    segment: &[E],
     authenticators: &[Authenticator],
     key: &VerifyingKey,
 ) -> Result<SegmentSummary, LogVerifyError> {
-    let first = segment.first().ok_or(LogVerifyError::EmptySegment)?.seq;
-    let last = segment.last().expect("non-empty");
-    verify_chain_serial(prev, segment)?;
+    let first = segment.first().ok_or(LogVerifyError::EmptySegment)?.seq();
+    let last = segment.last().expect("non-empty").seq();
+    let chain = serial_at_claims(prev, segment);
+    chain.verdict?;
+    let hashes = chain.hashes;
     for auth in authenticators {
         auth.verify_signature(key)
             .map_err(|_| LogVerifyError::BadAuthenticatorSignature { seq: auth.seq })?;
-        if auth.seq < first || auth.seq > last.seq {
+        if auth.seq < first || auth.seq > last {
             return Err(LogVerifyError::AuthenticatorOutOfRange {
                 seq: auth.seq,
                 first,
-                last: last.seq,
+                last,
             });
         }
         let idx = (auth.seq - first) as usize;
-        let entry_prev = if idx == 0 {
-            *prev
-        } else {
-            segment[idx - 1].hash
-        };
-        if segment[idx].hash != auth.hash || entry_prev != auth.prev_hash {
+        let entry_prev = if idx == 0 { *prev } else { hashes[idx - 1] };
+        if hashes[idx] != auth.hash || entry_prev != auth.prev_hash {
             return Err(LogVerifyError::AuthenticatorMismatch { seq: auth.seq });
         }
     }
     Ok(SegmentSummary {
         first_seq: first,
-        last_seq: last.seq,
-        final_hash: last.hash,
+        last_seq: last,
+        final_hash: *hashes.last().expect("non-empty"),
         authenticators_checked: authenticators.len(),
+        hashes,
     })
 }
 
@@ -339,7 +432,9 @@ proptest! {
             damage(&mut prev, &mut entries, parts, d);
         }
         let serial = verify_chain_serial(&prev, &entries);
-        prop_assert_eq!(chain_in_parts(&prev, &entries, parts), serial.clone());
+        let split = chain_in_parts(&prev, &entries, parts);
+        prop_assert_eq!(&split.verdict, &serial);
+        prop_assert_eq!(split, serial_at_claims(&prev, &entries));
         // And in as many parts as this host picks.
         prop_assert_eq!(verify_chain(&prev, &entries), serial);
     }
@@ -381,6 +476,15 @@ proptest! {
             serial.clone()
         );
         prop_assert_eq!(verify_segment(&prev, &entries, &auths, &long.key), serial);
+        // The same segment as it ships: the authenticators name entries
+        // that carry no hash, and are matched against computed ones.
+        let shipped = ship(&entries);
+        let serial = verify_segment_serial(&prev, &shipped, &auths, &long.key);
+        prop_assert_eq!(
+            segment_in_parts(&prev, &shipped, &auths, &long.key, parts),
+            serial.clone()
+        );
+        prop_assert_eq!(verify_segment(&prev, &shipped, &auths, &long.key), serial);
     }
 }
 
@@ -396,7 +500,7 @@ fn part_ends_report_the_same_first_fault() {
             let mut prev = Digest::ZERO;
             let mut entries = long().entries[..len].to_vec();
             damage(&mut prev, &mut entries, parts, (kind, at, true));
-            let got = chain_in_parts(&prev, &entries, parts);
+            let got = chain_in_parts(&prev, &entries, parts).verdict;
             assert_eq!(
                 got,
                 verify_chain_serial(&prev, &entries),
@@ -407,4 +511,193 @@ fn part_ends_report_the_same_first_fault() {
             assert_eq!(got.is_ok(), honest, "damage {kind} at entry {position}");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Segments as they ship: hashes at checkpoints
+// ---------------------------------------------------------------------------
+
+/// Where a check in `parts` parts starts each part: at the first entry at or
+/// after `i * len / parts` that follows a claim.
+fn run_aligned_starts(entries: &[Shipped], parts: usize) -> Vec<usize> {
+    (0..parts)
+        .map(|i| {
+            let mut start = i * entries.len() / parts;
+            while start > 0 && start < entries.len() && entries[start - 1].claim.is_none() {
+                start += 1;
+            }
+            start
+        })
+        .collect()
+}
+
+/// The honest `stored` entries shipped, then one piece of damage at `at`:
+/// 0 a content byte, 1 a seq bumped, 2 the claim of the checkpoint at or
+/// after `at` flipped, 3 an entry dropped or 4 duplicated and the rest
+/// re-shipped (claims where a segment of the new length puts them), 5 an
+/// entry dropped with the claims left where they were, 6 a fork (the entry
+/// extends a different predecessor), 7 a claim taken away, 8 a false claim
+/// added.
+fn damaged_shipment(
+    prev: &mut Digest,
+    stored: &[LogEntry],
+    what: usize,
+    at: usize,
+) -> Vec<Shipped> {
+    let at = at % stored.len();
+    match what % 9 {
+        3 => {
+            let mut stored = stored.to_vec();
+            stored.remove(at);
+            ship(&stored)
+        }
+        4 => {
+            let mut stored = stored.to_vec();
+            stored.insert(at, stored[at].clone());
+            ship(&stored)
+        }
+        6 => {
+            let mut stored = stored.to_vec();
+            mutate(prev, &mut stored, 5, at);
+            ship(&stored)
+        }
+        what => {
+            let mut shipped = ship(stored);
+            match what {
+                0 => {
+                    let mut stored = stored.to_vec();
+                    mutate(prev, &mut stored, 1, at);
+                    shipped[at].content = stored[at].content.clone();
+                }
+                1 => shipped[at].seq = shipped[at].seq.wrapping_add(1),
+                2 => {
+                    let claimed = (at..shipped.len())
+                        .find(|&i| shipped[i].claim.is_some())
+                        .expect("the last entry claims");
+                    shipped[claimed].claim = shipped[claimed].claim.map(|c| flip(&c));
+                }
+                5 => {
+                    shipped.remove(at);
+                }
+                7 => shipped[at].claim = None,
+                _ => shipped[at].claim = Some(flip(&stored[at].hash)),
+            }
+            shipped
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// An honest segment of any length ships with hashes at its
+    /// checkpoints only, and the check computes every other one: in any
+    /// number of parts the hashes are the recorded ones — also through the
+    /// encoded bytes and the in-place decode.
+    #[test]
+    fn honest_segments_compute_the_recorded_hashes(
+        len in 0usize..700,
+        seed in any::<u8>(),
+        first_seq in 1u64..5_000,
+        parts in 1usize..5,
+    ) {
+        let shape: Vec<(usize, usize)> =
+            (0..len).map(|i| (i + seed as usize, i * 7 + seed as usize)).collect();
+        let prev = Digest::from_slice(&[seed; 32]).expect("32 bytes");
+        let stored = honest_chain(&prev, first_seq, &shape);
+        let recorded = Chain {
+            hashes: stored.iter().map(|e| e.hash).collect(),
+            verdict: Ok(()),
+        };
+        let shipped = ship(&stored);
+        prop_assert_eq!(chain_in_parts(&prev, &shipped, parts), recorded.clone());
+        prop_assert_eq!(serial_at_claims(&prev, &shipped), recorded.clone());
+        let bytes: Vec<Vec<u8>> = wire_entries(&stored).map(|e| e.encode_to_vec()).collect();
+        let slices: Vec<&[u8]> = bytes.iter().map(Vec::as_slice).collect();
+        let views = decode_entries(&slices).expect("an honest segment decodes");
+        prop_assert_eq!(chain_in_parts(&prev, &views, parts), recorded);
+    }
+
+    /// Each kind of damage at any entry, checked in any number of parts:
+    /// the verdict and every hash are the serial loop's at the claims.
+    #[test]
+    fn damaged_segments_match_the_serial_loop_at_claims(
+        len in 1usize..700,
+        seed in any::<u8>(),
+        what in 0usize..9,
+        at in any::<usize>(),
+        parts in 1usize..5,
+    ) {
+        let shape: Vec<(usize, usize)> =
+            (0..len).map(|i| (i * 3 + seed as usize, i + seed as usize)).collect();
+        let mut prev = Digest::ZERO;
+        let stored = honest_chain(&prev, 1, &shape);
+        let shipped = damaged_shipment(&mut prev, &stored, what, at);
+        let serial = serial_at_claims(&prev, &shipped);
+        prop_assert_eq!(chain_in_parts(&prev, &shipped, parts), serial.clone());
+        prop_assert_eq!(verify_chain(&prev, &shipped), serial.verdict);
+    }
+}
+
+/// Every kind of damage at the first and last entry of every run-aligned
+/// part of a long shipped segment (hashes every 64 entries), split in two
+/// to four parts: the serial loop's verdict and hashes.
+#[test]
+fn run_aligned_part_ends_report_the_same_first_fault() {
+    let len = SPLIT_THRESHOLD + 777;
+    let stored = &long().entries[..len];
+    for parts in 2..5 {
+        let starts = run_aligned_starts(&ship(stored), parts);
+        let ends: Vec<usize> = starts[1..]
+            .iter()
+            .flat_map(|&start| [start - 1, start])
+            .chain([0, len - 1])
+            .collect();
+        for &at in &ends {
+            for what in 0..9 {
+                let mut prev = Digest::ZERO;
+                let shipped = damaged_shipment(&mut prev, stored, what, at);
+                let got = chain_in_parts(&prev, &shipped, parts);
+                assert_eq!(
+                    got,
+                    serial_at_claims(&prev, &shipped),
+                    "{parts} parts, damage {what} at entry {at}"
+                );
+                // Dropping the last entry and re-shipping leaves an honest,
+                // shorter segment; a claim taken away before the last only
+                // merges two runs; a fork changes nothing but the forked
+                // entry's hash, which ships only at a checkpoint.
+                let harmless = (what == 3 && at == len - 1)
+                    || (what == 7 && at < len - 1)
+                    || (what == 6 && at > 0 && !carries_hash(len, at));
+                assert_eq!(got.verdict.is_ok(), harmless, "damage {what} at {at}");
+            }
+        }
+    }
+}
+
+/// A received segment whose entries do not hash to a claim is broken at
+/// the first checkpoint at or after the altered entry, not at the entry
+/// itself; an owned copy with the hashes the check gave it (what evidence
+/// holds) claims every hash and names the same seq.
+#[test]
+fn a_broken_run_names_its_checkpoint_and_its_owned_copy_agrees() {
+    let shape: Vec<(usize, usize)> = (0..100).map(|i| (i, i)).collect();
+    let mut prev = Digest::ZERO;
+    let stored = honest_chain(&prev, 1, &shape);
+    // K = 12: entry 3 runs to the checkpoint at entry 11 (seq 12).
+    let shipped = damaged_shipment(&mut prev, &stored, 0, 3);
+    let chain = verify_chain_on(&prev, &shipped);
+    assert_eq!(chain.verdict, Err(LogVerifyError::BrokenChain { seq: 12 }));
+    let owned: Vec<LogEntry> = shipped
+        .iter()
+        .zip(&chain.hashes)
+        .map(|(e, hash)| e.to_entry(*hash))
+        .collect();
+    assert_eq!(verify_chain(&prev, &owned), chain.verdict);
+    assert_eq!(verify_chain_serial(&prev, &owned), chain.verdict);
+}
+
+fn verify_chain_on(prev: &Digest, shipped: &[Shipped]) -> Chain {
+    chain_in_parts(prev, shipped, 1)
 }

@@ -24,7 +24,9 @@
 //! Manifest and section payloads are *opaque byte strings* at this layer:
 //! `avm-wire` sits below `avm-core`, so the semantic types (`ChainManifest`,
 //! the section stream) encode themselves and travel here as bytes.  Log
-//! entries travel as one encoded `LogEntry` per element for the same reason.
+//! entries travel as one opaque byte string per element for the same
+//! reason: `avm-log` decides what each holds (its record, and its hash at a
+//! checkpoint).
 //!
 //! # Envelopes, sessions, and retransmission
 //!
@@ -212,7 +214,9 @@ pub enum AuditResponse {
     /// The payloads for a [`AuditRequest::Blobs`] request.
     Blobs(BlobResponse),
     /// A log segment: the chain hash preceding the first returned entry and
-    /// one encoded `LogEntry` per element.
+    /// one encoded entry per element — its record, followed by its hash only
+    /// at a checkpoint (`avm-log`'s `wire` module decides which; at this
+    /// layer each entry is an opaque byte string).
     ///
     /// For a [`SegmentAddress::Chunk`] request on a log whose SNAPSHOT
     /// records do not all decode, an honest provider returns the log
@@ -224,7 +228,7 @@ pub enum AuditResponse {
         /// Hash of the entry preceding the segment (the chain anchor a
         /// syntactic check verifies against).
         prev_hash: [u8; 32],
-        /// The entries, each encoded as a `LogEntry`.
+        /// The entries, each an encoded wire entry.
         entries: Vec<Vec<u8>>,
     },
     /// The whole-section transfer stream (opaque at this layer).
@@ -276,13 +280,18 @@ impl Encode for AuditResponse {
 
 /// Encodes an [`AuditResponse::LogSegment`] straight from the entries a
 /// provider only borrows: byte-identical to the owned response holding
-/// `entries[i].encode_to_vec()` per element, but each entry is written once,
-/// in place, into a buffer sized from `E::encoded_len` — no owned copy per
-/// entry and no growth.  (`E` is `avm-log`'s `LogEntry`, which sits above
-/// this crate and overrides `encoded_len` with arithmetic.)
-pub fn encode_log_segment<E: Encode>(prev_hash: &[u8; 32], entries: &[E]) -> Vec<u8> {
+/// `entry.encode_to_vec()` per element, but each entry is written once, in
+/// place, into a buffer sized from `E::encoded_len` — no owned copy per
+/// entry and no growth.  (`E` is `avm-log`'s `WireEntry`, which sits above
+/// this crate, decides which entries carry their hash and overrides
+/// `encoded_len` with arithmetic; `entries` is walked twice, to size and to
+/// write.)
+pub fn encode_log_segment<E: Encode>(
+    prev_hash: &[u8; 32],
+    entries: impl ExactSizeIterator<Item = E> + Clone,
+) -> Vec<u8> {
     let framed: usize = entries
-        .iter()
+        .clone()
         .map(|entry| {
             let len = entry.encoded_len();
             varint_len(len as u64) + len
@@ -382,7 +391,7 @@ pub enum AuditResponseRef<'a> {
     LogSegment {
         /// Hash of the entry preceding the segment.
         prev_hash: [u8; 32],
-        /// The entries, each an encoded `LogEntry` slice.
+        /// The entries, each an encoded wire entry's slice.
         entries: Vec<&'a [u8]>,
     },
     /// The whole-section transfer stream, borrowed from the packet.

@@ -3,16 +3,18 @@
 //! `avm_core::audit::audit_log` is one implementation, instantiated over
 //! [`LogEntryRef`]s decoded in place from the provider's bytes (what
 //! `AuditClient::audit_log` runs on) and over owned [`LogEntry`]s (what
-//! `Evidence::verify` and every `&[LogEntry]` caller pass).  These tests take
-//! the *encoded* segment of an honest recording, damage it one field at a
-//! time, and require the two instantiations to return the same
-//! [`AuditReport`] — verdict, fault, counts and, on failure, evidence that is
-//! equal and that a third party can verify — or the two decoders to refuse
-//! the bytes with the same error.
+//! `Evidence::verify` and every `&[LogEntry]` caller pass).  A segment ships
+//! a hash only at its checkpoints ([`avm_log::wire`]); the owned segment is
+//! the one an auditor keeps — every entry with the hash the chain check gave
+//! it, so every entry claims one.  These tests take the *encoded* segment of
+//! an honest recording, damage it one field at a time, and require the two
+//! instantiations to return the same [`AuditReport`] — verdict, fault, counts
+//! and, on failure, evidence that is equal and that a third party can
+//! verify — or the decoder to refuse the bytes with the reference's error.
 //!
-//! `LogEntry`'s `Decode` is the in-place decode followed by a copy, so the
-//! decoders are also pinned against [`decode_reference`], the owned decode as
-//! it was written before there was a borrowed one.
+//! `LogEntry`'s `Decode` is the in-place decode followed by its hash and a
+//! copy, so the decoders are also pinned against [`decode_reference`], the
+//! owned decode as it was written before there was a borrowed one.
 
 use std::sync::OnceLock;
 
@@ -23,6 +25,8 @@ use avm_core::recorder::{Avmm, HostClock};
 use avm_core::FaultReason;
 use avm_crypto::keys::{SignatureScheme, SigningKey, VerifyingKey};
 use avm_crypto::sha256::Digest;
+use avm_log::verify::chain_in_parts;
+use avm_log::wire::{carries_hash, decode_entries, wire_entries};
 use avm_log::{Authenticator, EntryKind, EntryView, LogEntry, LogEntryRef, TamperEvidentLog};
 use avm_vm::bytecode::assemble;
 use avm_vm::packet::encode_guest_packet;
@@ -38,8 +42,16 @@ struct Recording {
     image: VmImage,
     key: VerifyingKey,
     authenticators: Vec<Authenticator>,
-    /// The whole log as a provider serves it: one encoded entry per element.
+    /// The whole log as the machine stores it.
+    entries: Vec<LogEntry>,
+    /// The whole log as a provider serves it: one encoded entry per element,
+    /// hashes at the checkpoints.
     encodings: Vec<Vec<u8>>,
+}
+
+/// `entries` as a segment response ships them.
+fn shipped(entries: &[LogEntry]) -> Vec<Vec<u8>> {
+    wire_entries(entries).map(|e| e.encode_to_vec()).collect()
 }
 
 /// An echo guest recorded over three packets and one snapshot, with the
@@ -110,23 +122,26 @@ fn recording() -> &'static Recording {
             assert!(kinds.contains(&kind), "the recording has no {kind:?} entry");
         }
         assert!(!authenticators.is_empty());
+        let entries = bob.log().entries().to_vec();
+        // Long enough that some entries ship without their hash.
+        assert!(entries.len() >= 16, "{} entries", entries.len());
         Recording {
             image,
             key,
             authenticators,
-            encodings: bob
-                .log()
-                .entries()
-                .iter()
-                .map(Encode::encode_to_vec)
-                .collect(),
+            encodings: shipped(&entries),
+            entries,
         }
     })
 }
 
 /// The owned decode as `LogEntry::decode` was written before it became "the
-/// in-place decode, copied": the reference both decoders are held to.
-fn decode_reference(bytes: &[u8]) -> WireResult<LogEntry> {
+/// in-place decode, copied" — for an entry that carries its hash
+/// (`claims`), else for the bare record — the reference the decoders are
+/// held to: the seq, kind, content and claimed hash.
+type Fields = (u64, EntryKind, Vec<u8>, Option<Digest>);
+
+fn decode_reference(bytes: &[u8], claims: bool) -> WireResult<Fields> {
     let mut r = Reader::new(bytes);
     let seq = r.get_varint()?;
     let tag = r.get_u8()?;
@@ -135,37 +150,50 @@ fn decode_reference(bytes: &[u8]) -> WireResult<LogEntry> {
         tag: tag as u64,
     })?;
     let content = r.get_bytes()?.to_vec();
-    let hash = Digest::from_slice(r.get_raw(32)?).ok_or(WireError::Corrupt("digest"))?;
+    let claim = match claims {
+        true => Some(Digest::from_slice(r.get_raw(32)?).ok_or(WireError::Corrupt("digest"))?),
+        false => None,
+    };
     if r.remaining() != 0 {
         return Err(WireError::TrailingBytes(r.remaining()));
     }
-    Ok(LogEntry {
-        seq,
-        kind,
-        content,
-        hash,
-    })
+    Ok((seq, kind, content, claim))
+}
+
+fn fields(view: &LogEntryRef<'_>) -> Fields {
+    (view.seq, view.kind, view.content.to_vec(), view.claim())
 }
 
 type Decoded<'a> = (Vec<LogEntryRef<'a>>, Vec<LogEntry>);
 
-/// Decodes `encodings` both ways.  Both decoders must accept the same inputs
-/// and refuse the rest with the same error — the one [`decode_reference`]
-/// reports; `None` when an entry was refused.
+/// Decodes `encodings` in place — each entry with its claim where the
+/// segment's checkpoints put one — and requires what the reference decodes,
+/// or its first error; `None` when an entry was refused.  The owned copy is
+/// the segment with the hashes its chain check gives it.
 fn decode_both(encodings: &[Vec<u8>]) -> Result<Option<Decoded<'_>>, TestCaseError> {
-    let mut views = Vec::new();
-    let mut owned = Vec::new();
-    for bytes in encodings {
-        let reference = decode_reference(bytes);
-        let view = LogEntryRef::decode_exact(bytes);
-        prop_assert_eq!(&LogEntry::decode_exact(bytes), &reference);
-        prop_assert_eq!(&view.clone().map(|e| e.to_entry()), &reference);
-        let (Ok(view), Ok(entry)) = (view, reference) else {
-            return Ok(None);
-        };
-        views.push(view);
-        owned.push(entry);
-    }
+    let len = encodings.len();
+    let reference: WireResult<Vec<Fields>> = encodings
+        .iter()
+        .enumerate()
+        .map(|(i, bytes)| decode_reference(bytes, carries_hash(len, i)))
+        .collect();
+    let slices: Vec<&[u8]> = encodings.iter().map(Vec::as_slice).collect();
+    let views = decode_entries(&slices);
+    prop_assert_eq!(
+        &views
+            .clone()
+            .map(|views| views.iter().map(fields).collect()),
+        &reference
+    );
+    let Ok(views) = views else {
+        return Ok(None);
+    };
+    let hashes = chain_in_parts(&Digest::ZERO, &views, 1).hashes;
+    let owned = views
+        .iter()
+        .zip(hashes)
+        .map(|(view, hash)| view.to_entry(hash))
+        .collect();
     Ok(Some((views, owned)))
 }
 
@@ -218,18 +246,13 @@ fn audit_both(
 
 /// Where the fields of one entry encoding sit: `(seq varint length, content
 /// length varint offset, its length, content offset, content length)`.
-fn layout(encoding: &[u8]) -> (usize, usize, usize, usize, usize) {
-    let entry = decode_reference(encoding).expect("the recording's own encodings decode");
-    let seq_len = varint_len(entry.seq);
+fn layout(encoding: &[u8], claims: bool) -> (usize, usize, usize, usize, usize) {
+    let (seq, _, content, _) =
+        decode_reference(encoding, claims).expect("the recording's own encodings decode");
+    let seq_len = varint_len(seq);
     let len_at = seq_len + 1;
-    let len_len = varint_len(entry.content.len() as u64);
-    (
-        seq_len,
-        len_at,
-        len_len,
-        len_at + len_len,
-        entry.content.len(),
-    )
+    let len_len = varint_len(content.len() as u64);
+    (seq_len, len_at, len_len, len_at + len_len, content.len())
 }
 
 /// Replaces `encoding[at..at + len]` with the varint of `value`.
@@ -243,13 +266,15 @@ fn splice_varint(encoding: &mut Vec<u8>, at: usize, len: usize, value: u64) {
 /// byte, bit or value within the field.  Returns whether the mutation must
 /// turn a passing audit into a failing one whenever the bytes still decode.
 fn mutate(encodings: &mut Vec<Vec<u8>>, which: u8, index: usize, pick: u64) -> bool {
-    let index = index % encodings.len();
-    let (seq_len, len_at, len_len, content_at, content_len) = layout(&encodings[index]);
+    let len = encodings.len();
+    let index = index % len;
+    let claims = carries_hash(len, index);
+    let (seq_len, len_at, len_len, content_at, content_len) = layout(&encodings[index], claims);
     let entry = &mut encodings[index];
     match which {
         // seq: another value, any width.
         0 => {
-            let old = decode_reference(entry).unwrap().seq;
+            let old = decode_reference(entry, claims).unwrap().0;
             let new = if pick.is_multiple_of(4) {
                 pick
             } else {
@@ -269,10 +294,12 @@ fn mutate(encodings: &mut Vec<Vec<u8>>, which: u8, index: usize, pick: u64) -> b
             entry[content_at + pick as usize % content_len] ^= 1 << (pick % 8);
             true
         }
-        // one hash bit.
+        // one bit of a claimed hash: this entry's, or the next checkpoint's.
         3 => {
-            let hash_at = content_at + content_len;
-            entry[hash_at + pick as usize % 32] ^= 1 << (pick % 8);
+            let at = (index..len).find(|&i| carries_hash(len, i)).unwrap();
+            let claim = &mut encodings[at];
+            let hash_at = claim.len() - 32;
+            claim[hash_at + pick as usize % 32] ^= 1 << (pick % 8);
             true
         }
         // content-length varint: the content now overruns or underruns.
@@ -318,14 +345,14 @@ fn mutate(encodings: &mut Vec<Vec<u8>>, which: u8, index: usize, pick: u64) -> b
 /// — if the edit caused one — is for the content checks or replay to find.
 fn rechained(index: usize, edit: impl Fn(&mut Vec<u8>)) -> Vec<Vec<u8>> {
     let mut log = TamperEvidentLog::new();
-    for (i, bytes) in recording().encodings.iter().enumerate() {
-        let mut entry = decode_reference(bytes).unwrap();
+    for (i, entry) in recording().entries.iter().enumerate() {
+        let mut content = entry.content.clone();
         if i == index {
-            edit(&mut entry.content);
+            edit(&mut content);
         }
-        log.append(entry.kind, entry.content);
+        log.append(entry.kind, content);
     }
-    log.entries().iter().map(Encode::encode_to_vec).collect()
+    shipped(log.entries())
 }
 
 #[test]
@@ -397,8 +424,10 @@ proptest! {
     }
 
     /// `LogEntryRef::decode` never panics, allocates nothing — the content
-    /// and hash it hands out are bytes of the input — and accepts, refuses
-    /// and consumes exactly as the reference owned decode does.
+    /// and claimed hash it hands out are bytes of the input — and accepts,
+    /// refuses and consumes exactly as the reference owned decode does: a
+    /// bare record, a segment's one entry (which claims its hash) and a
+    /// stored entry.
     #[test]
     fn decode_in_place_matches_the_owned_decode_on_arbitrary_bytes(
         noise in proptest::collection::vec(any::<u8>(), 0..80),
@@ -412,7 +441,7 @@ proptest! {
 
         let rec = recording();
         let mut bytes = if from_recording {
-            rec.encodings[index % rec.encodings.len()].clone()
+            rec.entries[index % rec.entries.len()].encode_to_vec()
         } else {
             noise
         };
@@ -425,22 +454,28 @@ proptest! {
         if let Some(cut) = cut {
             bytes.truncate(cut % (bytes.len() + 1));
         }
-        let reference = decode_reference(&bytes);
-        prop_assert_eq!(&LogEntry::decode_exact(&bytes), &reference);
-        let view = LogEntryRef::decode_exact(&bytes);
-        prop_assert_eq!(&view.clone().map(|e| e.to_entry()), &reference);
-        if let Ok(view) = view {
+        let stored = decode_reference(&bytes, true);
+        prop_assert_eq!(
+            &LogEntry::decode_exact(&bytes).map(|e| (e.seq, e.kind, e.content, Some(e.hash))),
+            &stored
+        );
+        let record = LogEntryRef::decode_exact(&bytes);
+        prop_assert_eq!(&record.map(|e| fields(&e)), &decode_reference(&bytes, false));
+        let one = decode_entries(&[&bytes]).map(|views| views[0]);
+        prop_assert_eq!(&one.clone().map(|e| fields(&e)), &stored);
+        if let Ok(view) = one {
             let input = bytes.as_ptr_range();
             prop_assert!(view.content.is_empty() || input.contains(&view.content.as_ptr()));
-            prop_assert!(input.contains(&view.hash.as_ptr()));
-            prop_assert_eq!(view.to_entry().encode_to_vec(), bytes.clone());
+            let claim = view.claim.expect("a segment's last entry claims its hash");
+            prop_assert!(input.contains(&claim.as_ptr()));
+            prop_assert_eq!(view.to_entry(Digest(*claim)).encode_to_vec(), bytes.clone());
         }
-        // The streaming form stops where the entry ends.
+        // The streaming form stops where the record ends.
         let mut padded = bytes.clone();
         padded.extend_from_slice(&[0xa5; 3]);
         let mut r = Reader::new(&padded);
         if let Ok(view) = LogEntryRef::decode(&mut r) {
-            prop_assert_eq!(r.position(), view.to_entry().encoded_len());
+            prop_assert_eq!(r.position() + 32, view.to_entry(Digest::ZERO).encoded_len());
         }
     }
 }

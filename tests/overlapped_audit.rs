@@ -10,8 +10,12 @@
 //! record, a history whose replay faults differently from its syntactic
 //! phase — and hold both drivers to the sequential composition written out
 //! below: the same verdict, fault, `entries_examined`, `syntactic_ok`,
-//! replay progress, and evidence that verifies.  On a one-core host the
-//! audit takes the sequential path and the equalities hold trivially.
+//! replay progress, and evidence that verifies.  The audit over the wire
+//! is held to the composition over the segment as it ships — a hash every
+//! 64 entries ([`avm_log::wire`]) — so a damaged run is named at its
+//! checkpoint, and its evidence holds the hashes the chain check computed.
+//! On a one-core host the audit takes the sequential path and the
+//! equalities hold trivially.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -29,8 +33,12 @@ use avm_core::FaultReason;
 use avm_crypto::keys::{Identity, SignatureScheme, VerifyingKey};
 use avm_crypto::sha256::Digest;
 use avm_game::{client_image, game_registry, server_image, ClientConfig, ServerConfig};
-use avm_log::verify::{segment_in_parts, SPLIT_THRESHOLD};
-use avm_log::{Acknowledgment, Authenticator, EntryKind, LogEntry, LogSource, TamperEvidentLog};
+use avm_log::verify::{chain_in_parts, segment_in_parts, SPLIT_THRESHOLD};
+use avm_log::wire::{carries_hash, decode_entries, wire_entries};
+use avm_log::{
+    Acknowledgment, Authenticator, EntryKind, EntryView, LogEntry, LogEntryRef, LogSource,
+    TamperEvidentLog,
+};
 use avm_net::LinkConfig;
 use avm_vm::devices::InputEvent;
 use avm_vm::VmImage;
@@ -219,8 +227,8 @@ struct Sequential {
     progress: ReplaySummary,
 }
 
-fn sequential(
-    segment: &[LogEntry],
+fn sequential<E: EntryView>(
+    segment: &[E],
     authenticators: &[Authenticator],
     key: &VerifyingKey,
     image: &VmImage,
@@ -249,6 +257,18 @@ fn sequential(
     }
 }
 
+/// `segment` as a provider ships it: one encoding per entry, hashes at the
+/// checkpoints.
+fn shipped(segment: &[LogEntry]) -> Vec<Vec<u8>> {
+    wire_entries(segment).map(|e| e.encode_to_vec()).collect()
+}
+
+/// The shipped segment decoded in place, as an auditor receives it.
+fn received(shipped: &[Vec<u8>]) -> Vec<LogEntryRef<'_>> {
+    let slices: Vec<&[u8]> = shipped.iter().map(Vec::as_slice).collect();
+    decode_entries(&slices).unwrap()
+}
+
 /// A provider that serves `entries` exactly as given, damage included.
 #[derive(Debug)]
 struct Served(Vec<LogEntry>);
@@ -269,8 +289,19 @@ fn audit_both_ways(
     let registry = game_registry();
     let (key, image) = (&player.key, &player.image);
     let want = sequential(segment, authenticators, key, image);
+    // What the auditor receives over the wire, and the copy of it evidence
+    // keeps: each entry with the hash the chain check gives it.
+    let bytes = shipped(segment);
+    let views = received(&bytes);
+    let want_wire = sequential(&views, authenticators, key, image);
+    let hashes = chain_in_parts(&Digest::ZERO, &views, 1).hashes;
+    let kept: Vec<LogEntry> = views
+        .iter()
+        .zip(hashes)
+        .map(|(view, hash)| view.to_entry(hash))
+        .collect();
 
-    let check = |report: &AuditReport, driver: &str| {
+    let check = |report: &AuditReport, driver: &str, want: &Sequential, kept: &[LogEntry]| {
         assert_eq!(report.machine, player.name, "{driver}");
         assert_eq!(report.entries_examined, segment.len() as u64, "{driver}");
         assert_eq!(report.syntactic_ok, want.syntactic_ok, "{driver}");
@@ -278,10 +309,21 @@ fn audit_both_ways(
         match &report.outcome {
             AuditOutcome::Pass(summary) => assert_eq!(Some(summary), want.passed.as_ref()),
             AuditOutcome::Fail(evidence) => {
-                assert_eq!(evidence.segment, segment, "{driver}");
+                assert_eq!(evidence.segment, kept, "{driver}");
                 assert_eq!(evidence.authenticators, authenticators, "{driver}");
                 assert_eq!(evidence.prev_hash, Digest::ZERO, "{driver}");
                 assert!(evidence.verify(key, image, &registry), "{driver}");
+                // A third party's audit of the evidence finds the same fault.
+                let again = audit_log(
+                    player.name,
+                    &evidence.prev_hash,
+                    &evidence.segment,
+                    &evidence.authenticators,
+                    key,
+                    image,
+                    &registry,
+                );
+                assert_eq!(again.fault(), want.fault.as_ref(), "{driver}");
             }
         }
     };
@@ -295,7 +337,7 @@ fn audit_both_ways(
         image,
         &registry,
     );
-    check(&local, "audit::audit_log");
+    check(&local, "audit::audit_log", &want, segment);
 
     let served = Served(segment.to_vec());
     let store = SnapshotStore::new();
@@ -308,8 +350,11 @@ fn audit_both_ways(
     let remote = client()
         .audit_log(player.name, 1, 0, authenticators, key, image, &registry)
         .unwrap();
-    check(&remote, "AuditClient::audit_log");
-    assert_eq!(remote, local);
+    check(&remote, "AuditClient::audit_log", &want_wire, &kept);
+    // Where no hash is altered, the wire changes nothing.
+    if kept == segment {
+        assert_eq!(remote, local);
+    }
 
     // The same session, read for its progress.
     let session = AuditSession::new(
@@ -322,11 +367,11 @@ fn audit_both_ways(
     )
     .with_authenticators(key, authenticators);
     let report = client().run(session).unwrap();
-    assert_eq!(report.consistent, want.fault.is_none());
-    assert_eq!(report.fault, want.fault);
-    assert_eq!(report.entries_replayed, want.progress.entries_replayed);
-    assert_eq!(report.steps_replayed, want.progress.steps_executed);
-    assert_eq!(report.final_state, want.progress.final_state);
+    assert_eq!(report.consistent, want_wire.fault.is_none());
+    assert_eq!(report.fault, want_wire.fault);
+    assert_eq!(report.entries_replayed, want_wire.progress.entries_replayed);
+    assert_eq!(report.steps_replayed, want_wire.progress.steps_executed);
+    assert_eq!(report.final_state, want_wire.progress.final_state);
     assert_eq!(report.authenticators_checked, authenticators.len());
     want.fault
 }
@@ -396,10 +441,17 @@ fn a_flipped_content_byte_breaks_the_chain() {
         + at;
     log[byte].content[0] ^= 0x01;
     let fault = audit_both_ways(p, &log, &p.authenticators);
-    assert!(
-        matches!(&fault, Some(FaultReason::SyntacticFailure(d)) if d.contains("hash chain broken")),
-        "{fault:?}"
-    );
+    let broken_at =
+        |seq: usize| FaultReason::SyntacticFailure(format!("hash chain broken at sequence {seq}"));
+    assert_eq!(fault, Some(broken_at(byte + 1)));
+    // On the wire the flipped entry carries no hash: the first checkpoint
+    // at or after it is where the chain breaks (`audit_both_ways` holds the
+    // audit over the wire and its evidence to this).
+    let n = log.len();
+    let checkpoint = (byte..n).find(|&i| carries_hash(n, i)).unwrap();
+    let bytes = shipped(&log);
+    let wire = sequential(&received(&bytes), &p.authenticators, &p.key, &p.image);
+    assert_eq!(wire.fault, Some(broken_at(checkpoint + 1)));
 }
 
 #[test]

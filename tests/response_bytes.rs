@@ -20,6 +20,7 @@ use avm_core::recorder::{Avmm, HostClock};
 use avm_core::snapshot::SnapshotStore;
 use avm_crypto::keys::{SignatureScheme, SigningKey};
 use avm_crypto::sha256::Digest;
+use avm_log::wire::carries_hash;
 use avm_log::{EntryKind, LogEntry, TamperEvidentLog};
 use avm_net::{Endpoint, LinkConfig, NodeId, SimNet};
 use avm_vm::bytecode::assemble;
@@ -120,12 +121,23 @@ fn fixture() -> &'static Provider {
     })
 }
 
-/// The response `entries` make, built the way the parent built it: one owned
-/// encoding per entry.
+/// The response `entries` make, built by hand: one owned encoding per entry
+/// — the stored entry, less its trailing 32-byte hash wherever no checkpoint
+/// of a segment of their number falls.
 fn segment(prev: Digest, entries: &[LogEntry]) -> AuditResponse {
     AuditResponse::LogSegment {
         prev_hash: prev.0,
-        entries: entries.iter().map(|e| e.encode_to_vec()).collect(),
+        entries: entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let mut stored = e.encode_to_vec();
+                if !carries_hash(entries.len(), i) {
+                    stored.truncate(stored.len() - 32);
+                }
+                stored
+            })
+            .collect(),
     }
 }
 
