@@ -352,11 +352,10 @@ fn bench_verify_kernels(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    let wire: Vec<Vec<u8>> = avm_log::wire::wire_entries(log.entries())
-        .map(|e| avm_wire::Encode::encode_to_vec(&e))
+    let run: Vec<u8> = avm_log::wire::wire_entries(log.entries())
+        .flat_map(|e| avm_wire::Encode::encode_to_vec(&e))
         .collect();
-    let wire: Vec<&[u8]> = wire.iter().map(Vec::as_slice).collect();
-    let shipped = avm_log::wire::decode_entries(&wire).unwrap();
+    let shipped = avm_log::wire::decode_entries(1, log.len() as u64, &run).unwrap();
     group.bench_function("shipped", |b| {
         b.iter(|| verify_chain(&Digest::ZERO, &shipped).unwrap())
     });
@@ -420,11 +419,17 @@ fn bench_audit_segment(c: &mut Criterion) {
     let server = AuditServer::new(avmm.log(), avmm.snapshots());
     let packet = seal_encoded_message(1, 1, &server.respond(&whole_log));
     let (_, _, body) = open_session_frame(&packet).unwrap();
-    let encodings = || match AuditResponseRef::decode_exact(body).unwrap() {
-        AuditResponseRef::LogSegment { entries, .. } => entries,
-        other => panic!("unexpected {} response", other.variant_name()),
+    let decode_in_place = || -> Vec<LogEntryRef<'_>> {
+        match AuditResponseRef::decode_exact(body).unwrap() {
+            AuditResponseRef::LogSegment {
+                first_seq,
+                count,
+                records,
+                ..
+            } => decode_entries(first_seq, count, records).unwrap(),
+            other => panic!("unexpected {} response", other.variant_name()),
+        }
     };
-    let decode_in_place = || -> Vec<LogEntryRef<'_>> { decode_entries(&encodings()).unwrap() };
     let segment = decode_in_place();
     let hashes = chain_in_parts(&Digest::ZERO, &segment, 1).hashes;
     assert!(segment
@@ -631,8 +636,9 @@ fn bench_machine_from_image(c: &mut Criterion) {
 /// and `respond` → seal → open on the db shape's section stream (a full
 /// dump of the 512 KiB guest).  Each body is first checked against the
 /// owned `AuditResponse` built by hand and encoded by its own `Encode` —
-/// which is also the reference timed beside the log segment: one owned
-/// encoding per entry, the whole message encoded again, then framed.
+/// which is also the reference timed beside the log segment: the run of
+/// records built from each stored encoding, the whole message encoded
+/// again, then framed.
 fn bench_response_path(c: &mut Criterion) {
     use avm_core::endpoint::AuditServer;
     use avm_core::snapshot::{capture, SnapshotStore};
@@ -661,29 +667,38 @@ fn bench_response_path(c: &mut Criterion) {
         from_seq: 1,
         to_seq: 0,
     });
-    // Each stored encoding, less its hash where no checkpoint falls.
+    // One run of the stored encodings, each less its seq varint, and less
+    // its hash where no checkpoint falls.
     let n = log.len();
-    let owned_segment = || AuditResponse::LogSegment {
-        prev_hash: Digest::ZERO.0,
-        entries: log
-            .entries()
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let mut stored = e.encode_to_vec();
-                if !carries_hash(n, i) {
-                    stored.truncate(stored.len() - 32);
-                }
-                stored
-            })
-            .collect(),
+    let owned_segment = || {
+        let mut records = Vec::new();
+        for (i, e) in log.entries().iter().enumerate() {
+            let stored = e.encode_to_vec();
+            let seq_len = avm_wire::varint::varint_len(e.seq);
+            let end = match carries_hash(n, i) {
+                true => stored.len(),
+                false => stored.len() - 32,
+            };
+            records.extend_from_slice(&stored[seq_len..end]);
+        }
+        AuditResponse::LogSegment {
+            prev_hash: Digest::ZERO.0,
+            first_seq: 1,
+            count: n as u64,
+            records,
+        }
     };
     assert_eq!(server.respond(&whole_log), owned_segment().encode_to_vec());
     let receive = |packet: &[u8], check: &dyn Fn(&[LogEntryRef<'_>])| {
         let (_, _, body) = open_session_frame(packet).unwrap();
         match AuditResponseRef::decode_exact(body).unwrap() {
-            AuditResponseRef::LogSegment { entries, .. } => {
-                let decoded = decode_entries(&entries).unwrap();
+            AuditResponseRef::LogSegment {
+                first_seq,
+                count,
+                records,
+                ..
+            } => {
+                let decoded = decode_entries(first_seq, count, records).unwrap();
                 check(&decoded);
                 decoded.len()
             }

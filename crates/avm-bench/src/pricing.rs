@@ -33,8 +33,8 @@ pub fn chunk_entries(log: &TamperEvidentLog, start: u64, k: u64) -> &[LogEntry] 
     }
 }
 
-/// The download of `entries` as one segment response ships them — each
-/// entry's record, its hash only at the segment's checkpoints
+/// The download of `entries` as one segment response ships them — one run
+/// of records, no seq, hashes only at the segment's checkpoints
 /// ([`avm_log::wire`]) — as one compressed stream.
 pub fn log_segment(entries: &[LogEntry]) -> TransferCost {
     CompressionStats::measure_stream(

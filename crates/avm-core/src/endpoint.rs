@@ -254,7 +254,9 @@ impl<'a> AuditServer<'a> {
                     to_seq
                 };
                 match log.segment_slice(from_seq, to) {
-                    Some((prev, entries)) => encode_log_segment(&prev.0, wire_entries(entries)),
+                    Some((prev, entries)) => {
+                        encode_log_segment(&prev.0, from_seq, wire_entries(entries))
+                    }
                     None => error_response(&format!("log segment {from_seq}..{to} out of range")),
                 }
             }
@@ -287,7 +289,8 @@ impl<'a> AuditServer<'a> {
                     .map_or(log.entries().len(), |i| i + 1);
                 // The prefix starts at the first entry, whose chain anchor
                 // is the genesis hash.
-                return encode_log_segment(&Digest::ZERO.0, wire_entries(&log.entries()[..upto]));
+                let prefix = &log.entries()[..upto];
+                return encode_log_segment(&Digest::ZERO.0, 1, wire_entries(prefix));
             }
             // snapshot_positions only produces MalformedLog; be defensive.
             Err(other) => return error_response(&other.to_string()),
@@ -317,7 +320,7 @@ impl<'a> AuditServer<'a> {
             Some(before) => log.entries()[before].hash,
             None => Digest::ZERO,
         };
-        encode_log_segment(&prev_hash.0, wire_entries(entries))
+        encode_log_segment(&prev_hash.0, entries[0].seq, wire_entries(entries))
     }
 }
 
@@ -750,16 +753,19 @@ impl<T: AuditTransport> AuditClient<T> {
     /// Downloads a log segment by sequence range (`to_seq == 0` = end of
     /// log), returning the chain anchor and the decoded entries, each with
     /// the hash the chain check computed for it (the segment ships hashes
-    /// only at its checkpoints).  A segment whose chain does not check is a
-    /// [`CoreError::Snapshot`].
+    /// only at its checkpoints).  A segment whose chain does not check, or
+    /// that does not start at `from_seq` (at `h_0 = 0` when that is 1), is
+    /// a [`CoreError::Snapshot`].
     pub fn fetch_log_segment(
         &mut self,
         from_seq: u64,
         to_seq: u64,
     ) -> Result<(Digest, Vec<LogEntry>), CoreError> {
         let address = SegmentAddress::Seq { from_seq, to_seq };
-        self.request(&AuditRequest::LogSegment(address), expect_log_segment)
-            .map(|(prev, entries, _)| (prev, entries))
+        self.request(&AuditRequest::LogSegment(address), |response| {
+            expect_log_segment(response, Some(from_seq))
+        })
+        .map(|(prev, entries, _)| (prev, entries))
     }
 
     /// Downloads the §3.5 chunk of `chunk` segments starting at
@@ -779,8 +785,9 @@ impl<T: AuditTransport> AuditClient<T> {
             start_snapshot,
             chunk,
         };
-        let (_, mut entries, _) =
-            self.request(&AuditRequest::LogSegment(address), expect_log_segment)?;
+        let (_, mut entries, _) = self.request(&AuditRequest::LogSegment(address), |response| {
+            expect_log_segment(response, None)
+        })?;
         let anchor = entries.first().ok_or_else(|| {
             CoreError::Snapshot(format!("chunk from snapshot {start_snapshot} is empty"))
         })?;

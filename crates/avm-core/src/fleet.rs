@@ -394,6 +394,16 @@ pub struct FleetAuditor<'a> {
     finished_at_us: Option<u64>,
 }
 
+#[cfg(test)]
+impl<'a> FleetAuditor<'a> {
+    /// This auditor running `session` instead of its task's: a start no
+    /// [`AuditTask`] names, such as a whole log.
+    pub(crate) fn with_session(mut self, session: AuditSession<'a>) -> FleetAuditor<'a> {
+        self.session = session;
+        self
+    }
+}
+
 impl<'a> FleetAuditor<'a> {
     /// An auditor on `node` auditing `provider` inside session `session_id`.
     ///

@@ -147,32 +147,62 @@ pub(crate) fn unexpected(expected: &str, got: AuditResponseRef<'_>) -> CoreError
 }
 
 /// A log-segment response: the chain anchor, each entry as a
-/// [`LogEntryRef`] decoded in place — its content and any checkpoint's
-/// claimed hash still the packet's bytes, nothing copied out
-/// ([`avm_log::wire::decode_entries`]) — and the bytes the encodings
-/// occupied in the packet.  The session judges a segment where it landed.
+/// [`LogEntryRef`] decoded in place — its seq its position after the
+/// segment's first, its content and any checkpoint's claimed hash still the
+/// packet's bytes, nothing copied out ([`avm_log::wire::decode_entries`]) —
+/// and the bytes the records occupied in the packet.  The session judges a
+/// segment where it landed.
+///
+/// `asked` is the `from_seq` of a [`SegmentAddress::Seq`] request: such a
+/// segment must start where it was asked, and one asked from seq 1 must
+/// hang off the genesis hash `h_0 = 0`.  The first seq is the auditor's to
+/// choose, so a segment that starts elsewhere — a log whose head was cut
+/// and re-anchored on the hash before the cut — is a protocol error before
+/// anything is checked or replayed.  A chunk's start is the provider's to
+/// resolve; its anchor entry is checked instead ([`anchor_root`]).
 fn expect_log_entries(
     response: AuditResponseRef<'_>,
+    asked: Option<u64>,
 ) -> Result<(Digest, Vec<LogEntryRef<'_>>, u64), CoreError> {
-    match response {
-        AuditResponseRef::LogSegment { prev_hash, entries } => {
-            let received = entries.iter().map(|bytes| bytes.len() as u64).sum();
-            let views = decode_entries(&entries)
-                .map_err(|e| CoreError::Snapshot(format!("log entry does not decode: {e}")))?;
-            Ok((Digest(prev_hash), views, received))
+    let AuditResponseRef::LogSegment {
+        prev_hash,
+        first_seq,
+        count,
+        records,
+    } = response
+    else {
+        return Err(unexpected("LogSegment", response));
+    };
+    let prev_hash = Digest(prev_hash);
+    if let Some(from_seq) = asked {
+        if first_seq != from_seq {
+            return Err(CoreError::Snapshot(format!(
+                "audit protocol violation: segment asked from seq {from_seq} starts at seq {first_seq}"
+            )));
         }
-        other => Err(unexpected("LogSegment", other)),
+        if from_seq == 1 && prev_hash != Digest::ZERO {
+            return Err(CoreError::Snapshot(
+                "audit protocol violation: segment from seq 1 is not anchored at h_0 = 0"
+                    .to_string(),
+            ));
+        }
     }
+    let views = decode_entries(first_seq, count, records)
+        .map_err(|e| CoreError::Snapshot(format!("log entry does not decode: {e}")))?;
+    Ok((prev_hash, views, records.len() as u64))
 }
 
 /// A log segment kept past its exchange, every entry copied out of the
 /// packet with the hash the chain check computed for it: the standalone
 /// downloads.  A segment whose chain does not check — a run that misses
-/// its checkpoint, a seq out of place — is refused.
+/// its checkpoint, a record out of place — is refused, and so is a
+/// [`SegmentAddress::Seq`] segment that does not start where it was asked
+/// (`asked`, see [`expect_log_entries`]).
 pub(crate) fn expect_log_segment(
     response: AuditResponseRef<'_>,
+    asked: Option<u64>,
 ) -> Result<(Digest, Vec<LogEntry>, u64), CoreError> {
-    let (prev_hash, entries, received) = expect_log_entries(response)?;
+    let (prev_hash, entries, received) = expect_log_entries(response, asked)?;
     let chain = chain_in_parts(&prev_hash, &entries, parts_for(entries.len()));
     chain
         .verdict
@@ -334,7 +364,7 @@ pub struct AuditSession<'a> {
     attest: Option<(&'a LaunchPolicy, u64)>,
     state: State,
     attest_verdict: Option<AttestVerdict>,
-    /// Bytes the segment's entries occupied in their packet.
+    /// Bytes the segment's records occupied in their packet.
     log_bytes: u64,
     /// Held authenticators the segment was judged against.
     authenticators_checked: usize,
@@ -494,7 +524,11 @@ impl<'a> AuditSession<'a> {
     /// instead (see `AuditServer::respond`), which the syntactic phase
     /// refuses at the record.
     fn on_segment(&mut self, response: AuditResponseRef<'_>) -> Result<Step, CoreError> {
-        let (prev_hash, entries, log_bytes) = expect_log_entries(response)?;
+        let asked = match self.start {
+            Start::Image { from_seq, .. } => Some(from_seq),
+            Start::Snapshot { .. } => None,
+        };
+        let (prev_hash, entries, log_bytes) = expect_log_entries(response, asked)?;
         self.log_bytes = log_bytes;
         let (key, held) = self.held;
         let Start::Snapshot { id, .. } = self.start else {
@@ -741,9 +775,14 @@ mod tests {
     use super::*;
     use crate::endpoint::{AuditClient, AuditServer, AuditTransport};
     use crate::spotcheck::snapshot_positions_in;
-    use crate::testutil::{key, record_with_snapshots, TamperingTransport};
+    use crate::testutil::{
+        fleet_auditor, fleet_spot_check, key, record_with_snapshots, TamperingProvider,
+        TamperingTransport,
+    };
+    use avm_log::wire::wire_entries;
     use avm_log::EntryKind;
-    use avm_wire::audit::AuditResponse;
+    use avm_wire::audit::{encode_log_segment, AuditResponse};
+    use avm_wire::varint::varint_len;
     use avm_wire::Encode;
 
     fn kind(request: &AuditRequest) -> &'static str {
@@ -759,20 +798,68 @@ mod tests {
 
     /// A segment response's entries copied out, each with the hash its
     /// chain check gives it; the response must be an honest one.
-    fn received(prev_hash: &[u8; 32], entries: &[Vec<u8>]) -> Vec<LogEntry> {
-        let slices: Vec<&[u8]> = entries.iter().map(Vec::as_slice).collect();
-        let views = decode_entries(&slices).unwrap();
+    fn received(response: &AuditResponse) -> Vec<LogEntry> {
+        let AuditResponse::LogSegment {
+            prev_hash,
+            first_seq,
+            count,
+            records,
+        } = response
+        else {
+            panic!("a segment, got {}", response.variant_name());
+        };
+        let views = decode_entries(*first_seq, *count, records).unwrap();
         let chain = chain_in_parts(&Digest(*prev_hash), &views, 1);
         assert_eq!(chain.verdict, Ok(()));
         owned_segment(&views, &chain.hashes)
     }
 
-    /// `entries` as a segment response carries them: each claims its own
-    /// hash at the checkpoints of a segment of their number.
-    fn shipped(entries: &[LogEntry]) -> Vec<Vec<u8>> {
-        avm_log::wire::wire_entries(entries)
-            .map(|entry| entry.encode_to_vec())
+    /// `entries` as a segment response anchored at `prev_hash` carries
+    /// them: from the first one's seq, each record claiming its own hash at
+    /// the checkpoints of a segment of their number.
+    fn shipped(prev_hash: [u8; 32], entries: &[LogEntry]) -> AuditResponse {
+        let first_seq = entries.first().map_or(1, |e| e.seq);
+        let body = encode_log_segment(&prev_hash, first_seq, wire_entries(entries));
+        AuditResponse::decode_exact(&body).unwrap()
+    }
+
+    /// The records of a segment response, one per element, as the decode
+    /// delimits them — what a test damages one record at a time.
+    fn split(first_seq: u64, count: u64, records: &[u8]) -> Vec<Vec<u8>> {
+        let base = records.as_ptr() as usize;
+        spans(base, first_seq, count, records)
+            .into_iter()
+            .map(|(at, len)| records[at..at + len].to_vec())
             .collect()
+    }
+
+    /// Offset from `base` and length of each record in `records`, its
+    /// claim included.
+    fn spans(base: usize, first_seq: u64, count: u64, records: &[u8]) -> Vec<(usize, usize)> {
+        let views = decode_entries(first_seq, count, records).unwrap();
+        views
+            .iter()
+            .map(|view| {
+                let len_len = varint_len(view.content.len() as u64);
+                let at = view.content.as_ptr() as usize - base - len_len - 1;
+                let claim = if view.claim.is_some() { 32 } else { 0 };
+                (at, 1 + len_len + view.content.len() + claim)
+            })
+            .collect()
+    }
+
+    /// Offset and length of each record of a `LogSegment` body, in the body.
+    fn records_in(body: &[u8]) -> Vec<(usize, usize)> {
+        let AuditResponseRef::LogSegment {
+            first_seq,
+            count,
+            records,
+            ..
+        } = AuditResponseRef::decode_exact(body).unwrap()
+        else {
+            panic!("a segment");
+        };
+        spans(body.as_ptr() as usize, first_seq, count, records)
     }
 
     /// Drives `session` with no network at all: every request is answered
@@ -873,8 +960,8 @@ mod tests {
         );
         let mut chunk = Vec::new();
         let (sent, outcome) = drive(session, &server, |_, response| {
-            if let AuditResponse::LogSegment { prev_hash, entries } = &response {
-                chunk = received(prev_hash, entries);
+            if let AuditResponse::LogSegment { .. } = &response {
+                chunk = received(&response);
             }
             response
         });
@@ -947,9 +1034,7 @@ mod tests {
             let (_, outcome) = drive(session, &server, |_, response| {
                 wire += response.encoded_len() as u64;
                 match &response {
-                    AuditResponse::LogSegment { entries, .. } => {
-                        log += entries.iter().map(|e| e.len() as u64).sum::<u64>();
-                    }
+                    AuditResponse::LogSegment { records, .. } => log += records.len() as u64,
                     AuditResponse::Manifest { manifest } => snapshot += manifest.len() as u64,
                     AuditResponse::Blobs(blobs) => snapshot += blobs.encoded_len() as u64,
                     other => panic!("unexpected {} response", other.variant_name()),
@@ -1071,45 +1156,36 @@ mod tests {
         }
     }
 
-    /// Offset of entry `index`'s length prefix in a `LogSegment` body, and
-    /// the entry's encoded length (one-byte prefixes only: the fixture's
-    /// entries are short).
-    fn entry_at(body: &[u8], index: usize) -> (usize, usize) {
-        // tag ‖ prev hash ‖ a count below 128.
-        let mut at = 1 + 32 + 1;
-        for _ in 0..index {
-            assert!(body[at] < 0x80);
-            at += 1 + body[at] as usize;
-        }
-        assert!(body[at] < 0x80);
-        (at, body[at] as usize)
-    }
-
     /// The pre-sized decode stays bounded by the bytes that arrived: a count
     /// no body could hold is refused before anything is allocated for it,
-    /// and it is the borrowed entry count — itself at most one per received
-    /// byte — that sizes the owned vector.
+    /// and the count that sizes the vector of views is at most one per two
+    /// received bytes (a record is at least a tag and a content length).
     #[test]
     fn hostile_entry_count_is_refused_before_allocation() {
-        let mut body = vec![3u8];
-        body.extend_from_slice(&[0x5a; 32]);
-        avm_wire::varint::write_varint(&mut body, 1 << 40);
-        body.resize(40, 0);
-        assert_eq!(
-            AuditResponseRef::decode_exact(&body).unwrap_err(),
-            avm_wire::WireError::LengthOverflow {
-                declared: 1 << 40,
-                max: 1,
-            }
-        );
-        // The largest count a 40-byte body can declare: one empty entry per
-        // remaining byte — which then fail to decode, one by one.
-        let mut body = vec![3u8];
-        body.extend_from_slice(&[0x5a; 32]);
-        body.push(6);
-        body.resize(40, 0);
+        // tag ‖ prev hash ‖ first seq ‖ count ‖ a six-byte run.
+        let body = |count: u64, run: &[u8]| {
+            let mut body = vec![3u8];
+            body.extend_from_slice(&[0x5a; 32]);
+            avm_wire::varint::write_varint(&mut body, 1);
+            avm_wire::varint::write_varint(&mut body, count);
+            avm_wire::varint::write_varint(&mut body, run.len() as u64);
+            body.extend_from_slice(run);
+            body
+        };
+        for count in [1 << 40, 4] {
+            assert_eq!(
+                AuditResponseRef::decode_exact(&body(count, &[0; 6])).unwrap_err(),
+                avm_wire::WireError::LengthOverflow {
+                    declared: count,
+                    max: 3,
+                }
+            );
+        }
+        // The largest count a six-byte run can declare: three records of
+        // two bytes each — which then fail to decode.
+        let body = body(3, &[1, 0, 1, 0, 1, 0]);
         let response = AuditResponseRef::decode_exact(&body).unwrap();
-        let error = expect_log_segment(response.clone())
+        let error = expect_log_segment(response.clone(), None)
             .unwrap_err()
             .to_string();
         assert!(
@@ -1117,11 +1193,14 @@ mod tests {
             "{error}"
         );
         // The session's in-place parser is the same parser.
-        assert_eq!(expect_log_entries(response).unwrap_err().to_string(), error);
+        assert_eq!(
+            expect_log_entries(response, None).unwrap_err().to_string(),
+            error
+        );
     }
 
-    /// One damaged entry encoding ends the session with the decode error the
-    /// entry's own bytes produce — never with a verdict.
+    /// One damaged record ends the session with the decode error the run of
+    /// records it sits in produces — never with a verdict.
     #[test]
     fn damaged_entry_encoding_ends_the_session_with_its_decode_error() {
         let (bob, image) = record_with_snapshots(4);
@@ -1129,9 +1208,9 @@ mod tests {
         let server = AuditServer::new(bob.log(), bob.snapshots());
         type Damage = fn(&mut Vec<u8>);
         let damages: [Damage; 3] = [
-            |entry| entry.truncate(entry.len() - 1),
-            |entry| entry[1] = 77,
-            |entry| entry.push(0),
+            |record| record.truncate(record.len() - 1),
+            |record| record[0] = 77,
+            |record| record.push(0),
         ];
         for damage in damages {
             let session = AuditSession::new(
@@ -1147,13 +1226,21 @@ mod tests {
             let (sent, outcome) = drive(session, &server, |_, response| match response {
                 AuditResponse::LogSegment {
                     prev_hash,
-                    mut entries,
+                    first_seq,
+                    count,
+                    records,
                 } => {
-                    damage(&mut entries[2]);
-                    let slices: Vec<&[u8]> = entries.iter().map(Vec::as_slice).collect();
-                    let error = decode_entries(&slices).unwrap_err();
+                    let mut split = split(first_seq, count, &records);
+                    damage(&mut split[2]);
+                    let records = split.concat();
+                    let error = decode_entries(first_seq, count, &records).unwrap_err();
                     wanted = format!("log entry does not decode: {error}");
-                    AuditResponse::LogSegment { prev_hash, entries }
+                    AuditResponse::LogSegment {
+                        prev_hash,
+                        first_seq,
+                        count,
+                        records,
+                    }
                 }
                 other => other,
             });
@@ -1186,33 +1273,29 @@ mod tests {
         assert_eq!(chunk, bob.log().entries()[first..first + chunk.len()]);
 
         // Where the whole log ships without a hash, and the next claim.
-        let AuditResponse::LogSegment { entries: wire, .. } =
-            server.handle(&AuditRequest::LogSegment(SegmentAddress::Seq {
-                from_seq: 1,
-                to_seq: 0,
-            }))
+        let AuditResponse::LogSegment {
+            first_seq,
+            count,
+            records,
+            ..
+        } = server.handle(&AuditRequest::LogSegment(SegmentAddress::Seq {
+            from_seq: 1,
+            to_seq: 0,
+        }))
         else {
             panic!("a segment");
         };
-        let slices: Vec<&[u8]> = wire.iter().map(Vec::as_slice).collect();
-        let views = decode_entries(&slices).unwrap();
+        let views = decode_entries(first_seq, count, &records).unwrap();
         let at = views
             .iter()
             .position(|v| v.claim.is_none() && !v.content.is_empty())
             .expect("a long log ships entries without their hash");
         let checkpoint = at + views[at..].iter().position(|v| v.claim.is_some()).unwrap();
-        let flip = |request: &AuditRequest, body: Vec<u8>| match request {
+        let flip = |request: &AuditRequest, mut body: Vec<u8>| match request {
             AuditRequest::LogSegment(SegmentAddress::Seq { .. }) => {
-                let AuditResponse::LogSegment {
-                    prev_hash,
-                    mut entries,
-                } = AuditResponse::decode_exact(&body).unwrap()
-                else {
-                    panic!("a segment");
-                };
-                let last = entries[at].len() - 1;
-                entries[at][last] ^= 1;
-                AuditResponse::LogSegment { prev_hash, entries }.encode_to_vec()
+                let (record, len) = records_in(&body)[at];
+                body[record + len - 1] ^= 1;
+                body
             }
             _ => body,
         };
@@ -1230,6 +1313,105 @@ mod tests {
         );
     }
 
+    /// A `Seq` segment starts where it was asked.  A provider that drops
+    /// the head of its log — everything before the first SNAPSHOT record,
+    /// seq `k` — and re-anchors the rest on the real `h_{k−1}` serves a
+    /// chain that checks from its anchor.  Shipped from seq `k`, it is not
+    /// the segment asked for; shipped as if from seq 1, it does not hang
+    /// off `h_0 = 0`.  Either ends the audit with a protocol error before
+    /// anything is replayed, on both auditors, and so does a segment asked
+    /// from a later seq that starts elsewhere.
+    #[test]
+    fn a_seq_segment_starts_where_it_was_asked() {
+        let (bob, image) = record_with_snapshots(4);
+        let registry = GuestRegistry::new();
+        let server = AuditServer::new(bob.log(), bob.snapshots());
+        let bob_key = key(1).verifying_key();
+        let log = bob.log().entries();
+        let k = 1 + log
+            .iter()
+            .position(|e| e.kind == EntryKind::Snapshot)
+            .expect("the recording snapshots");
+        assert!(k > 2, "the head is more than one entry");
+        let tail = &log[k - 1..];
+        let anchor = log[k - 2].hash.0;
+        type Cut = fn(u64, &[LogEntry], [u8; 32]) -> Vec<u8>;
+        let cuts: [(Cut, u64, String); 3] = [
+            (
+                |k, tail, anchor| encode_log_segment(&anchor, k, wire_entries(tail)),
+                1,
+                format!("segment asked from seq 1 starts at seq {k}"),
+            ),
+            (
+                |_, tail, anchor| encode_log_segment(&anchor, 1, wire_entries(tail)),
+                1,
+                "segment from seq 1 is not anchored at h_0 = 0".to_string(),
+            ),
+            (
+                |k, tail, anchor| encode_log_segment(&anchor, k, wire_entries(tail)),
+                2,
+                format!("segment asked from seq 2 starts at seq {k}"),
+            ),
+        ];
+        let honest = client_audit(server, &|_, body| body, 1, &bob_key, &image, &registry);
+        assert!(honest.unwrap().passed());
+        for (cut, from_seq, wanted) in cuts {
+            let tamper = |request: &AuditRequest, body: Vec<u8>| match request {
+                AuditRequest::LogSegment(SegmentAddress::Seq { .. }) => cut(k as u64, tail, anchor),
+                _ => body,
+            };
+            let start = Start::Image {
+                from_seq,
+                to_seq: 0,
+            };
+            let outcomes = [
+                client_audit(server, &tamper, from_seq, &bob_key, &image, &registry)
+                    .map(|report| format!("{:?}", report.fault())),
+                AuditClient::new(TamperingTransport { server, tamper })
+                    .run(AuditSession::new(start, &image, &registry))
+                    .map(|report| format!("{:?}", report.fault)),
+                fleet_spot_check(
+                    &mut TamperingProvider { server, tamper },
+                    fleet_auditor(&image, &registry, 0, false)
+                        .with_session(AuditSession::new(start, &image, &registry)),
+                )
+                .0
+                .map(|report| format!("{:?}", report.fault)),
+            ];
+            for (outcome, way) in outcomes.into_iter().zip(["audit_log", "run", "fleet"]) {
+                match outcome {
+                    Err(CoreError::Snapshot(message)) => assert_eq!(
+                        message,
+                        format!("audit protocol violation: {wanted}"),
+                        "{way}"
+                    ),
+                    other => panic!("{way}: expected a refusal, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// `AuditClient::audit_log` from `from_seq` to the end of the log, each
+    /// response passed through `tamper`.
+    fn client_audit(
+        server: AuditServer<'_>,
+        tamper: &dyn Fn(&AuditRequest, Vec<u8>) -> Vec<u8>,
+        from_seq: u64,
+        key: &VerifyingKey,
+        image: &VmImage,
+        registry: &GuestRegistry,
+    ) -> Result<AuditReport, CoreError> {
+        AuditClient::new(TamperingTransport { server, tamper }).audit_log(
+            "bob",
+            from_seq,
+            0,
+            &[],
+            key,
+            image,
+            registry,
+        )
+    }
+
     /// An entry whose declared length overruns the packet is not a response
     /// at all: the body is dropped and no audit runs on it.
     #[test]
@@ -1239,11 +1421,15 @@ mod tests {
         let server = AuditServer::new(bob.log(), bob.snapshots());
         let mut client = AuditClient::new(TamperingTransport {
             server,
-            tamper: |_: &AuditRequest, mut body: Vec<u8>| {
-                // The last entry of whichever segment this is.
-                let (at, _) = entry_at(&body, body[33] as usize - 1);
-                body[at] += 1;
-                body
+            tamper: |_: &AuditRequest, body: Vec<u8>| {
+                // The run of records of whichever segment this is, one
+                // byte longer than the packet holds.
+                let (at, _) = records_in(&body)[0];
+                let run = (body.len() - at) as u64;
+                let mut longer = body[..at - varint_len(run)].to_vec();
+                avm_wire::varint::write_varint(&mut longer, run + 1);
+                longer.extend_from_slice(&body[at..]);
+                longer
             },
         });
         let error = client
@@ -1256,10 +1442,11 @@ mod tests {
 
     /// The whole-log audit reads entries where they landed, so a hostile
     /// provider reaches its in-place decoder directly.  A segment declaring
-    /// more entries than it has bytes is not a response at all; an entry
-    /// whose *content* length overruns the entry's own bytes ends the audit
-    /// with the decode error the owned decode gives for the same bytes —
-    /// an error, never a report.
+    /// more entries than its bytes could hold is not a response at all; one
+    /// more entry than its run has, or a record whose *content* length
+    /// overruns the run, ends the audit with the decode error — for the
+    /// record, the one the owned decode gives for the same bytes — an
+    /// error, never a report.
     #[test]
     fn hostile_whole_log_segment_is_refused_with_its_decode_error() {
         let (bob, image) = record_with_snapshots(2);
@@ -1275,37 +1462,66 @@ mod tests {
                 .to_string()
         };
 
-        // tag ‖ prev hash ‖ count: a count no body could hold …
-        let error = audit_with(&|mut body| {
-            let mut count = Vec::new();
-            avm_wire::varint::write_varint(&mut count, 1 << 40);
-            body.splice(33..34, count);
-            body
-        });
+        // A count no body could hold …
+        let recount = |body: Vec<u8>, count: &dyn Fn(u64) -> u64| {
+            let AuditResponse::LogSegment {
+                prev_hash,
+                first_seq,
+                count: honest,
+                records,
+            } = AuditResponse::decode_exact(&body).unwrap()
+            else {
+                panic!("a segment");
+            };
+            assert_eq!(honest as usize, entries);
+            let count = count(honest);
+            AuditResponse::LogSegment {
+                prev_hash,
+                first_seq,
+                count,
+                records,
+            }
+            .encode_to_vec()
+        };
+        let error = audit_with(&|body| recount(body, &|_| 1 << 40));
         assert!(
             error.starts_with(
                 "snapshot error: response dropped: declared length 1099511627776 exceeds maximum "
             ),
             "{error}"
         );
-        // … and one more entry than the body has.
-        let error = audit_with(&|mut body| {
-            assert_eq!(body[33] as usize, entries);
-            body[33] += 1;
+        // … and one more entry than the run has: its records no longer fall
+        // where a segment of that number puts its claims.
+        let wanted = std::cell::RefCell::new(String::new());
+        let error = audit_with(&|body| {
+            let body = recount(body, &|honest| honest + 1);
+            let Ok(AuditResponseRef::LogSegment {
+                first_seq,
+                count,
+                records,
+                ..
+            }) = AuditResponseRef::decode_exact(&body)
+            else {
+                panic!("still a segment");
+            };
+            let error = decode_entries(first_seq, count, records).unwrap_err();
+            *wanted.borrow_mut() = format!("snapshot error: log entry does not decode: {error}");
             body
         });
-        assert_eq!(
-            error,
-            "snapshot error: response dropped: unexpected end of input: needed 1 more bytes, 0 remaining"
-        );
+        assert_eq!(error, *wanted.borrow());
 
-        // seq ‖ kind ‖ content length: the last entry's content now claims
-        // the hash bytes behind it, and more.
+        // tag ‖ content length: the last record's content now claims the
+        // hash bytes behind it, and more — the error the owned decode gives
+        // for the stored entry those bytes make.
         let damaged = std::cell::RefCell::new(Vec::new());
         let error = audit_with(&|mut body| {
-            let (at, len) = entry_at(&body, entries - 1);
-            body[at + 1 + 2] += 40;
-            *damaged.borrow_mut() = body[at + 1..at + 1 + len].to_vec();
+            let (at, len) = records_in(&body)[entries - 1];
+            assert!(body[at + 1] < 0x80 - 40, "a one-byte content length");
+            body[at + 1] += 40;
+            let mut stored = Vec::new();
+            avm_wire::varint::write_varint(&mut stored, entries as u64);
+            stored.extend_from_slice(&body[at..at + len]);
+            *damaged.borrow_mut() = stored;
             body
         });
         let owned_error = LogEntry::decode_exact(&damaged.borrow()).unwrap_err();
@@ -1335,10 +1551,10 @@ mod tests {
             .expect("the worker sends");
         let honest = |_: &AuditRequest, body: Vec<u8>| body;
         let flipped = |_: &AuditRequest, mut body: Vec<u8>| {
-            // seq ‖ kind ‖ content length, then the content's first byte.
-            let (at, len) = entry_at(&body, target);
-            assert!(len > 3 + 32);
-            body[at + 1 + 3] ^= 0x01;
+            // kind ‖ content length, then the content's first byte.
+            let (at, len) = records_in(&body)[target];
+            assert!(len > 2 + 32 && body[at + 1] < 0x80);
+            body[at + 2] ^= 0x01;
             body
         };
         let bob_key = key(1).verifying_key();
@@ -1454,9 +1670,9 @@ mod tests {
     use crate::events::AckRecord;
     use crate::snapshot::SnapshotStore;
     use crate::testutil::{
-        converging_worker_twin, db_recording, disk_counter_recording, fleet_auditor,
-        fleet_spot_check, flip_disk_counter, ledger_recording, worker_edited_at, worker_recording,
-        Recording, TamperingProvider, CONVERGING_AT, WORKER_RX_BUFFER,
+        converging_worker_twin, db_recording, disk_counter_recording, flip_disk_counter,
+        ledger_recording, worker_edited_at, worker_recording, Recording, CONVERGING_AT,
+        WORKER_RX_BUFFER,
     };
     use avm_net::LinkConfig;
     use avm_vm::packet::encode_guest_packet;
@@ -1813,10 +2029,9 @@ mod tests {
         mut damage: impl FnMut(Vec<LogEntry>) -> Vec<LogEntry>,
     ) -> (Vec<&'static str>, Result<SpotCheckReport, CoreError>) {
         let edit = |response| match response {
-            AuditResponse::LogSegment { prev_hash, entries } => AuditResponse::LogSegment {
-                prev_hash,
-                entries: shipped(&damage(received(&prev_hash, &entries))),
-            },
+            AuditResponse::LogSegment { prev_hash, .. } => {
+                shipped(prev_hash, &damage(received(&response)))
+            }
             other => other,
         };
         let checked = spot(
@@ -1877,10 +2092,7 @@ mod tests {
         });
         for (honest, _) in recordings() {
             let server = AuditServer::new(&honest.log, &honest.store);
-            let AuditResponse::LogSegment { prev_hash, entries } = server.handle(&request) else {
-                panic!("the chunk is served");
-            };
-            let chunk = received(&prev_hash, &entries);
+            let chunk = received(&server.handle(&request));
             let ack = chunk
                 .iter()
                 .find(|e| {
@@ -1938,8 +2150,12 @@ mod tests {
                 assert!(report.consistent, "{mode:?}: {:?}", report.fault);
                 assert_eq!(report.entries_replayed, 0);
                 assert_eq!(report.authenticators_checked, 0);
-                let anchor = entries.last().unwrap().encode_to_vec();
-                assert_eq!(report.log_transfer_bytes, anchor.len() as u64);
+                // The anchor's record and its hash: a one-entry segment's
+                // entry is its checkpoint.
+                let anchor: usize = wire_entries(&entries[entries.len() - 1..])
+                    .map(|e| e.encoded_len())
+                    .sum();
+                assert_eq!(report.log_transfer_bytes, anchor as u64);
                 assert_eq!(sent[0], "Chunk");
                 assert!(sent.len() > 1);
             }
@@ -1956,12 +2172,9 @@ mod tests {
         let (honest, _) = recordings()[0];
         let server = AuditServer::new(&honest.log, &honest.store);
         let drop_anchor = |response| match response {
-            AuditResponse::LogSegment { prev_hash, entries } => {
-                let entries = received(&prev_hash, &entries);
-                AuditResponse::LogSegment {
-                    prev_hash: entries[0].hash.0,
-                    entries: shipped(&entries[1..]),
-                }
+            AuditResponse::LogSegment { .. } => {
+                let entries = received(&response);
+                shipped(entries[0].hash.0, &entries[1..])
             }
             other => other,
         };

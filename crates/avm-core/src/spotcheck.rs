@@ -92,8 +92,8 @@ pub struct SpotCheckReport {
     /// shows only that the chunk is a well-formed log replaying from the
     /// state served with it ([`crate::session`]).
     pub authenticators_checked: usize,
-    /// Bytes of log received for the chunk: the summed lengths of the entry
-    /// encodings as they arrived.
+    /// Bytes of log received for the chunk: the length of its run of
+    /// records as it arrived.
     pub log_transfer_bytes: u64,
     /// Bytes of snapshot state received to start the check: the manifest
     /// plus every blob response, in both modes (equal to
@@ -461,7 +461,8 @@ mod tests {
         // No snapshot state was downloaded, but discovering the corruption
         // cost the auditor the log up to the corrupt entry.
         assert_eq!(report.snapshot_transfer_bytes, 0);
-        // As the prefix ships: hashes at its checkpoints only.
+        // As the prefix ships: one run of records, no seq in any of them,
+        // hashes at its checkpoints only.
         let shipped: Vec<u64> =
             avm_log::wire::wire_entries(&rebuilt.entries()[..corrupted_seq as usize])
                 .map(|e| avm_wire::Encode::encoded_len(&e) as u64)

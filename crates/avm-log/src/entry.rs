@@ -2,7 +2,7 @@
 
 use avm_crypto::sha256::{sha256, sha256_concat, Digest};
 use avm_wire::varint::varint_len;
-use avm_wire::{decode_exact_with, Decode, Encode, Reader, WireError, WireResult, Writer};
+use avm_wire::{Decode, Encode, Reader, WireError, WireResult, Writer};
 
 /// The type tag `t_i` of a log entry.
 ///
@@ -132,13 +132,14 @@ impl EntryView for LogEntry {
 /// Decoding one allocates nothing, so an auditor can check and replay a
 /// downloaded segment straight from the packet buffer.
 ///
-/// [`LogEntryRef::decode`] reads the *record* `s_i ‖ t_i ‖ c_i`, which is an
-/// entry as a wire segment carries it between checkpoints; a stored entry is
-/// the record followed by its hash.  The input is the audited machine's, so
-/// every length is checked against the bytes that remain before anything is
-/// sliced; [`LogEntry`]'s `Decode` is this decode, the hash after it and
-/// a copy, so the two accept the same records and report the same
-/// [`WireError`] on the rest.
+/// [`LogEntryRef::decode_record`] reads the *record* `t_i ‖ c_i`, which is
+/// an entry as a wire segment carries it between checkpoints — the seq is
+/// the record's position in the segment, so the caller supplies it; a
+/// stored entry is `s_i`, the record and its hash.  The input is the
+/// audited machine's, so every length is checked against the bytes that
+/// remain before anything is sliced; [`LogEntry`]'s `Decode` is the seq,
+/// this decode, the hash after it and a copy, so the two accept the same
+/// records and report the same [`WireError`] on the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogEntryRef<'a> {
     /// Monotonically increasing sequence number `s_i`.
@@ -154,10 +155,11 @@ pub struct LogEntryRef<'a> {
 }
 
 impl<'a> LogEntryRef<'a> {
-    /// Reads one record from `r`, claiming no hash; the content lives as
-    /// long as `r`'s input.
-    pub fn decode(r: &mut Reader<'a>) -> WireResult<LogEntryRef<'a>> {
-        let seq = r.get_varint()?;
+    /// Reads one record `t_i ‖ c_i` from `r` as the entry with seq `seq`,
+    /// claiming no hash; the content lives as long as `r`'s input.  The one
+    /// record parser: a wire segment's decode and a stored entry's both
+    /// call it.
+    pub fn decode_record(r: &mut Reader<'a>, seq: u64) -> WireResult<LogEntryRef<'a>> {
         let tag = r.get_u8()?;
         let kind = EntryKind::from_tag(tag).ok_or(WireError::InvalidTag {
             what: "EntryKind",
@@ -170,12 +172,6 @@ impl<'a> LogEntryRef<'a> {
             content,
             claim: None,
         })
-    }
-
-    /// Decodes one record from `bytes`, requiring that the whole input is
-    /// consumed.
-    pub fn decode_exact(bytes: &'a [u8]) -> WireResult<LogEntryRef<'a>> {
-        decode_exact_with(bytes, Self::decode)
     }
 }
 
@@ -235,9 +231,8 @@ impl LogEntry {
         self.encoded_len()
     }
 
-    /// Writes the record `s_i ‖ t_i ‖ c_i`: the entry without its hash.
+    /// Writes the record `t_i ‖ c_i`: the entry without its seq and hash.
     pub(crate) fn encode_record(&self, w: &mut Writer) {
-        w.put_varint(self.seq);
         w.put_u8(self.kind.tag());
         w.put_bytes(&self.content);
     }
@@ -245,25 +240,27 @@ impl LogEntry {
     /// Length of [`LogEntry::encode_record`]'s output.
     pub(crate) fn record_len(&self) -> usize {
         let content = self.content.len();
-        varint_len(self.seq) + 1 + varint_len(content as u64) + content
+        1 + varint_len(content as u64) + content
     }
 }
 
-/// A stored entry: its record, then its hash.
+/// A stored entry: its seq, its record, then its hash.
 impl Encode for LogEntry {
     fn encode(&self, w: &mut Writer) {
+        w.put_varint(self.seq);
         self.encode_record(w);
         w.put_raw(self.hash.as_bytes());
     }
 
     fn encoded_len(&self) -> usize {
-        self.record_len() + 32
+        varint_len(self.seq) + self.record_len() + 32
     }
 }
 
 impl Decode for LogEntry {
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        let record = LogEntryRef::decode(r)?;
+        let seq = r.get_varint()?;
+        let record = LogEntryRef::decode_record(r, seq)?;
         let hash = get_hash(r)?;
         Ok(record.to_entry(Digest(*hash)))
     }

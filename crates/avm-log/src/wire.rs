@@ -1,23 +1,29 @@
-//! A log segment on the wire: hashes at checkpoints.
+//! A log segment on the wire: one run of records, hashes at checkpoints.
 //!
-//! A stored entry is its record `s_i ‖ t_i ‖ c_i` followed by its hash
-//! `h_i`.  But `h_i = H(h_{i-1} ‖ s_i ‖ t_i ‖ H(c_i))` is a function of the
-//! entries before it, and an auditor hashes every entry it receives anyway,
-//! so a segment need not ship it.  A segment of `n` entries carries a
-//! claimed hash only at its *checkpoints* — every `K`-th entry and its last,
-//! with `K = clamp(n / 8, 1, 64)` ([`carries_hash`]) — and every other entry
-//! as its bare record.  [`crate::verify_chain`] computes each *run* of
-//! entries up to a checkpoint from the claim before it (the segment's
-//! `prev_hash` for the first) and compares the result with the checkpoint's
-//! claim: eight runs or more fill the eight SHA-256 lanes, even on a
-//! 42-entry spot-check chunk.
+//! A stored entry is its seq `s_i`, its record `t_i ‖ c_i` and its hash
+//! `h_i`.  A segment ships less:
+//!
+//! * **No seq.**  Sequence numbers count up densely (§4.3), so the segment
+//!   names its first one and entry `i` is `first_seq + i`.  A record the
+//!   provider drops, duplicates or reorders is hashed under the seq of the
+//!   place it landed in, and the chain breaks there.
+//! * **No outer length.**  A record ends where its content length says, so
+//!   the segment's records are one byte run, parsed in one pass.
+//! * **Hashes at checkpoints.**  `h_i = H(h_{i-1} ‖ s_i ‖ t_i ‖ H(c_i))` is a
+//!   function of the entries before it, and an auditor hashes every entry
+//!   it receives anyway.  A segment of `n` entries carries a claimed hash
+//!   only at its *checkpoints* — every `K`-th entry and its last, with
+//!   `K = clamp(n / 8, 1, 64)` ([`carries_hash`]).  [`crate::verify_chain`]
+//!   computes each *run* of entries up to a checkpoint from the claim before
+//!   it (the segment's `prev_hash` for the first) and compares the result
+//!   with the checkpoint's claim: eight runs or more fill the eight SHA-256
+//!   lanes, even on a 42-entry spot-check chunk.
 //!
 //! This module owns the format: [`carries_hash`] is the one spacing rule,
 //! [`wire_entries`] is what a provider encodes and [`decode_entries`] what
-//! an auditor decodes.  `avm-wire` carries each entry as an opaque byte
-//! string.
+//! an auditor decodes.  `avm-wire` carries the records as one opaque run.
 
-use avm_wire::{decode_exact_with, Encode, WireResult, Writer};
+use avm_wire::{decode_exact_with, Encode, WireError, WireResult, Writer};
 
 use crate::entry::{get_hash, LogEntry, LogEntryRef};
 
@@ -37,8 +43,8 @@ pub fn carries_hash(len: usize, i: usize) -> bool {
     i % k == k - 1 || i + 1 == len
 }
 
-/// One entry as a segment carries it: its record, followed by its hash at a
-/// checkpoint.
+/// One entry as a segment carries it: its record `t_i ‖ c_i` — no seq, no
+/// length in front — followed by its hash at a checkpoint.
 #[derive(Debug, Clone, Copy)]
 pub struct WireEntry<'a> {
     entry: &'a LogEntry,
@@ -58,7 +64,8 @@ impl Encode for WireEntry<'_> {
     }
 }
 
-/// `entries` as a segment carries them, for `avm_wire::audit::encode_log_segment`.
+/// `entries` as a segment carries them, for `avm_wire::audit::encode_log_segment`
+/// (which names the first entry's seq beside them).
 pub fn wire_entries(entries: &[LogEntry]) -> impl ExactSizeIterator<Item = WireEntry<'_>> + Clone {
     let len = entries.len();
     entries.iter().enumerate().map(move |(i, entry)| WireEntry {
@@ -67,24 +74,40 @@ pub fn wire_entries(entries: &[LogEntry]) -> impl ExactSizeIterator<Item = WireE
     })
 }
 
-/// Decodes the entries of a received segment in place, one encoded entry
-/// per element: entry `i` is its record, followed by its claimed hash where
-/// [`carries_hash`] puts one, and nothing after.  One allocation, of one
-/// view per element: the caller's list is already bounded by the bytes
-/// that arrived.
-pub fn decode_entries<'a>(entries: &[&'a [u8]]) -> WireResult<Vec<LogEntryRef<'a>>> {
-    let len = entries.len();
-    let mut views = Vec::with_capacity(len);
-    for (i, bytes) in entries.iter().enumerate() {
-        views.push(decode_exact_with(bytes, |r| {
-            let mut entry = LogEntryRef::decode(r)?;
+/// Decodes the `count` entries of a received segment in place, in one pass
+/// over its `records`: entry `i` is the record with seq `first_seq + i`,
+/// followed by its claimed hash where [`carries_hash`] puts one, and
+/// nothing follows the last.  One allocation, of one view per entry: a
+/// `count` the bytes cannot hold (every record is at least a tag and a
+/// content length) is refused before it, and a seq past `u64::MAX` is an
+/// error, not a wrap.
+pub fn decode_entries(
+    first_seq: u64,
+    count: u64,
+    records: &[u8],
+) -> WireResult<Vec<LogEntryRef<'_>>> {
+    let max = (records.len() / 2) as u64;
+    if count > max {
+        return Err(WireError::LengthOverflow {
+            declared: count,
+            max,
+        });
+    }
+    let len = count as usize;
+    decode_exact_with(records, |r| {
+        let mut views = Vec::with_capacity(len);
+        for i in 0..len {
+            let seq = first_seq
+                .checked_add(i as u64)
+                .ok_or(WireError::Corrupt("log segment seq past u64::MAX"))?;
+            let mut entry = LogEntryRef::decode_record(r, seq)?;
             if carries_hash(len, i) {
                 entry.claim = Some(get_hash(r)?);
             }
-            Ok(entry)
-        })?);
-    }
-    Ok(views)
+            views.push(entry);
+        }
+        Ok(views)
+    })
 }
 
 #[cfg(test)]
@@ -126,7 +149,7 @@ mod tests {
     }
 
     #[test]
-    fn a_stored_entry_is_its_wire_entry_and_its_hash() {
+    fn a_stored_entry_is_its_seq_its_wire_record_and_its_hash() {
         let mut prev = Digest::ZERO;
         let entries: Vec<LogEntry> = (1..=40u64)
             .map(|seq| {
@@ -141,23 +164,45 @@ mod tests {
                 w.encode_to_vec()
             })
             .collect();
-        let slices: Vec<&[u8]> = wire.iter().map(Vec::as_slice).collect();
-        let views = decode_entries(&slices).unwrap();
+        let records = wire.concat();
+        let views = decode_entries(1, 40, &records).unwrap();
         for (i, ((entry, bytes), view)) in entries.iter().zip(&wire).zip(&views).enumerate() {
             let stored = entry.encode_to_vec();
+            let (seq, rest) = stored.split_at(stored.len() - entry.record_len() - 32);
+            let mut varint = Vec::new();
+            avm_wire::varint::write_varint(&mut varint, entry.seq);
+            assert_eq!(seq, varint);
             if carries_hash(entries.len(), i) {
-                assert_eq!(bytes, &stored);
+                assert_eq!(bytes[..], *rest);
                 assert_eq!(view.claim(), Some(entry.hash));
             } else {
-                assert_eq!(bytes[..], stored[..stored.len() - 32]);
+                assert_eq!(bytes[..], rest[..rest.len() - 32]);
                 assert_eq!(view.claim(), None);
             }
             assert_eq!(view.to_entry(entry.hash), *entry);
         }
-        // A claim where the rule puts none, or none where it puts one, is
-        // trailing bytes or a truncation.
-        let mut shifted = slices.clone();
-        shifted.pop();
-        assert!(decode_entries(&shifted).is_err());
+        // A count other than the one encoded puts a claim where the rule
+        // puts none, or none where it puts one: the run frames itself, so
+        // that is trailing bytes or a truncation.
+        assert!(decode_entries(1, 39, &records).is_err());
+        assert!(decode_entries(1, 41, &records).is_err());
+        // The seq is the position: the same run from another first seq is
+        // the same records under other seqs.
+        let moved = decode_entries(7, 40, &records).unwrap();
+        for (m, v) in moved.iter().zip(&views) {
+            assert_eq!(
+                (m.seq, m.kind, m.content, m.claim),
+                (v.seq + 6, v.kind, v.content, v.claim)
+            );
+        }
+        // A seq past u64::MAX is an error, not a wrap.
+        let two: Vec<u8> = wire_entries(&entries[..2])
+            .flat_map(|w| w.encode_to_vec())
+            .collect();
+        assert!(decode_entries(u64::MAX - 1, 2, &two).is_ok());
+        assert!(matches!(
+            decode_entries(u64::MAX, 2, &two),
+            Err(WireError::Corrupt(_))
+        ));
     }
 }

@@ -8,7 +8,11 @@
 //! the loop as it was when every entry claimed its hash (an owned log);
 //! [`serial_at_claims`] is the same loop evaluated at the claims only, as a
 //! wire segment carries them (hashes at checkpoints, [`avm_log::wire`]), and
-//! reduces to the first when every entry claims.  Equality of the results
+//! reduces to the first when every entry claims.  A wire segment carries no
+//! seq: entry `i` is `first_seq + i`, so a record dropped, duplicated or
+//! swapped is hashed under the seq of the place it landed in, and what the
+//! owned loop calls `BadSequence` a wire segment sees as `BrokenChain` at
+//! the next claim.  Equality of the results
 //! is the whole contract: the same `Ok`, or the same error variant naming
 //! the same sequence number(s) — the seq `avm-store` cuts a torn tail at —
 //! and the same hash for every entry.  The split is driven with an explicit
@@ -68,7 +72,7 @@ fn verify_chain_serial(prev: &Digest, entries: &[LogEntry]) -> Result<(), LogVer
 }
 
 /// An entry as a segment carries it, owned so that a test can damage any
-/// field: a claimed hash, or none.
+/// field: its seq the position it landed in, a claimed hash, or none.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Shipped {
     seq: u64,
@@ -92,19 +96,58 @@ impl EntryView for Shipped {
     }
 }
 
-/// `entries` as a segment of their number ships them: each claims its
-/// stored hash at a checkpoint.
-fn ship(entries: &[LogEntry]) -> Vec<Shipped> {
+/// `entries` as a segment of their number ships them from `first_seq`:
+/// entry `i` has seq `first_seq + i` — its position, whatever seq it was
+/// stored under — and claims its stored hash at a checkpoint.
+fn ship_from(first_seq: u64, entries: &[LogEntry]) -> Vec<Shipped> {
     entries
         .iter()
         .enumerate()
         .map(|(i, e)| Shipped {
-            seq: e.seq,
+            seq: first_seq.wrapping_add(i as u64),
             kind: e.kind,
             content: e.content.clone(),
             claim: carries_hash(entries.len(), i).then_some(e.hash),
         })
         .collect()
+}
+
+/// [`ship_from`] the first entry's own seq.
+fn ship(entries: &[LogEntry]) -> Vec<Shipped> {
+    ship_from(entries.first().map_or(1, |e| e.seq), entries)
+}
+
+/// `shipped` through the bytes when a body can carry it — seqs dense from
+/// the first, claims where [`carries_hash`] puts them: its records encoded
+/// as one run and decoded in place, which must give back every field.
+fn through_the_body(shipped: &[Shipped]) -> Option<Vec<Shipped>> {
+    let n = shipped.len();
+    let first = shipped.first().map_or(1, |e| e.seq);
+    let carried = shipped.iter().enumerate().all(|(i, e)| {
+        e.seq == first.wrapping_add(i as u64) && e.claim.is_some() == carries_hash(n, i)
+    });
+    if !carried {
+        return None;
+    }
+    let as_stored: Vec<LogEntry> = shipped
+        .iter()
+        .map(|e| e.to_entry(e.claim.unwrap_or(Digest::ZERO)))
+        .collect();
+    let run: Vec<u8> = wire_entries(&as_stored)
+        .flat_map(|e| e.encode_to_vec())
+        .collect();
+    let views = decode_entries(first, n as u64, &run).expect("a carried segment decodes");
+    Some(
+        views
+            .iter()
+            .map(|v| Shipped {
+                seq: v.seq,
+                kind: v.kind,
+                content: v.content.to_vec(),
+                claim: v.claim(),
+            })
+            .collect(),
+    )
 }
 
 /// The reference at the claims: entry by entry in order, the seq, then the
@@ -531,13 +574,16 @@ fn run_aligned_starts(entries: &[Shipped], parts: usize) -> Vec<usize> {
         .collect()
 }
 
+/// Kinds of damage [`damaged_shipment`] does.
+const DAMAGES: usize = 11;
+
 /// The honest `stored` entries shipped, then one piece of damage at `at`:
-/// 0 a content byte, 1 a seq bumped, 2 the claim of the checkpoint at or
-/// after `at` flipped, 3 an entry dropped or 4 duplicated and the rest
-/// re-shipped (claims where a segment of the new length puts them), 5 an
-/// entry dropped with the claims left where they were, 6 a fork (the entry
-/// extends a different predecessor), 7 a claim taken away, 8 a false claim
-/// added.
+/// 0 a content byte, 1 a wrong first seq, 2 the claim of the checkpoint at
+/// or after `at` flipped, 3 a record dropped, 4 duplicated or 9 swapped
+/// with the next and the rest re-shipped from the same first seq (claims
+/// where a segment of the new length puts them), 5 a record dropped with
+/// the claims left where they were, 6 a fork (the entry extends a different
+/// predecessor), 7 a claim taken away, 8 a false claim added, 10 a tag.
 fn damaged_shipment(
     prev: &mut Digest,
     stored: &[LogEntry],
@@ -545,17 +591,22 @@ fn damaged_shipment(
     at: usize,
 ) -> Vec<Shipped> {
     let at = at % stored.len();
-    match what % 9 {
-        3 => {
-            let mut stored = stored.to_vec();
-            stored.remove(at);
-            ship(&stored)
-        }
-        4 => {
-            let mut stored = stored.to_vec();
-            stored.insert(at, stored[at].clone());
-            ship(&stored)
-        }
+    let first = stored[0].seq;
+    let reshipped = |edit: &dyn Fn(&mut Vec<LogEntry>)| {
+        let mut stored = stored.to_vec();
+        edit(&mut stored);
+        ship_from(first, &stored)
+    };
+    match what % DAMAGES {
+        1 => ship_from(first.wrapping_add(1 + at as u64 % 7), stored),
+        3 => reshipped(&|stored| drop(stored.remove(at))),
+        4 => reshipped(&|stored| stored.insert(at, stored[at].clone())),
+        9 => reshipped(&|stored| {
+            let n = stored.len();
+            if n > 1 {
+                stored.swap(at % (n - 1), at % (n - 1) + 1);
+            }
+        }),
         6 => {
             let mut stored = stored.to_vec();
             mutate(prev, &mut stored, 5, at);
@@ -569,7 +620,10 @@ fn damaged_shipment(
                     mutate(prev, &mut stored, 1, at);
                     shipped[at].content = stored[at].content.clone();
                 }
-                1 => shipped[at].seq = shipped[at].seq.wrapping_add(1),
+                10 => {
+                    let tag = shipped[at].kind.tag();
+                    shipped[at].kind = EntryKind::from_tag(tag % 6 + 1).expect("tags are 1..=6");
+                }
                 2 => {
                     let claimed = (at..shipped.len())
                         .find(|&i| shipped[i].claim.is_some())
@@ -578,6 +632,9 @@ fn damaged_shipment(
                 }
                 5 => {
                     shipped.remove(at);
+                    for (i, entry) in shipped.iter_mut().enumerate() {
+                        entry.seq = first.wrapping_add(i as u64);
+                    }
                 }
                 7 => shipped[at].claim = None,
                 _ => shipped[at].claim = Some(flip(&stored[at].hash)),
@@ -591,9 +648,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// An honest segment of any length ships with hashes at its
-    /// checkpoints only, and the check computes every other one: in any
-    /// number of parts the hashes are the recorded ones — also through the
-    /// encoded bytes and the in-place decode.
+    /// checkpoints only and no seq, and the check computes every other
+    /// hash: in any number of parts the hashes are the recorded ones — also
+    /// through the encoded run of records and the in-place decode.
     #[test]
     fn honest_segments_compute_the_recorded_hashes(
         len in 0usize..700,
@@ -612,30 +669,43 @@ proptest! {
         let shipped = ship(&stored);
         prop_assert_eq!(chain_in_parts(&prev, &shipped, parts), recorded.clone());
         prop_assert_eq!(serial_at_claims(&prev, &shipped), recorded.clone());
-        let bytes: Vec<Vec<u8>> = wire_entries(&stored).map(|e| e.encode_to_vec()).collect();
-        let slices: Vec<&[u8]> = bytes.iter().map(Vec::as_slice).collect();
-        let views = decode_entries(&slices).expect("an honest segment decodes");
+        let run: Vec<u8> = wire_entries(&stored).flat_map(|e| e.encode_to_vec()).collect();
+        let views =
+            decode_entries(first_seq, len as u64, &run).expect("an honest segment decodes");
         prop_assert_eq!(chain_in_parts(&prev, &views, parts), recorded);
+        prop_assert_eq!(through_the_body(&shipped), Some(shipped));
     }
 
     /// Each kind of damage at any entry, checked in any number of parts:
-    /// the verdict and every hash are the serial loop's at the claims.
+    /// the verdict and every hash are the serial loop's at the claims — also
+    /// decoded from the body, for every kind a body can carry.  A wire
+    /// segment's seqs are dense by construction, so its fault is never
+    /// `BadSequence`.
     #[test]
     fn damaged_segments_match_the_serial_loop_at_claims(
         len in 1usize..700,
         seed in any::<u8>(),
-        what in 0usize..9,
+        first_seq in 1u64..5_000,
+        what in 0usize..DAMAGES,
         at in any::<usize>(),
         parts in 1usize..5,
     ) {
         let shape: Vec<(usize, usize)> =
             (0..len).map(|i| (i * 3 + seed as usize, i + seed as usize)).collect();
         let mut prev = Digest::ZERO;
-        let stored = honest_chain(&prev, 1, &shape);
+        let stored = honest_chain(&prev, first_seq, &shape);
         let shipped = damaged_shipment(&mut prev, &stored, what, at);
         let serial = serial_at_claims(&prev, &shipped);
+        prop_assert!(!matches!(serial.verdict, Err(LogVerifyError::BadSequence { .. })));
         prop_assert_eq!(chain_in_parts(&prev, &shipped, parts), serial.clone());
-        prop_assert_eq!(verify_chain(&prev, &shipped), serial.verdict);
+        prop_assert_eq!(verify_chain(&prev, &shipped), serial.verdict.clone());
+        let carried = through_the_body(&shipped);
+        let byte_kinds = [0, 1, 2, 3, 4, 6, 9, 10];
+        prop_assert!(carried.is_some() || !byte_kinds.contains(&what), "damage {}", what);
+        if let Some(decoded) = carried {
+            prop_assert_eq!(&decoded, &shipped);
+            prop_assert_eq!(chain_in_parts(&prev, &decoded, parts), serial);
+        }
     }
 }
 
@@ -654,7 +724,7 @@ fn run_aligned_part_ends_report_the_same_first_fault() {
             .chain([0, len - 1])
             .collect();
         for &at in &ends {
-            for what in 0..9 {
+            for what in 0..DAMAGES {
                 let mut prev = Digest::ZERO;
                 let shipped = damaged_shipment(&mut prev, stored, what, at);
                 let got = chain_in_parts(&prev, &shipped, parts);

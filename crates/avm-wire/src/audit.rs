@@ -23,10 +23,10 @@
 //!
 //! Manifest and section payloads are *opaque byte strings* at this layer:
 //! `avm-wire` sits below `avm-core`, so the semantic types (`ChainManifest`,
-//! the section stream) encode themselves and travel here as bytes.  Log
-//! entries travel as one opaque byte string per element for the same
-//! reason: `avm-log` decides what each holds (its record, and its hash at a
-//! checkpoint).
+//! the section stream) encode themselves and travel here as bytes.  A log
+//! segment's entries travel as one opaque run of records for the same
+//! reason: `avm-log` decides what a record holds (its tag and content, and
+//! its hash at a checkpoint) and where it ends.
 //!
 //! # Envelopes, sessions, and retransmission
 //!
@@ -53,7 +53,7 @@
 //!
 //! A provider does not need an owned [`AuditResponse`] to answer: the bulk
 //! variants have writers that produce the same bytes straight from what the
-//! provider holds.  [`encode_log_segment`] encodes each entry in place into
+//! provider holds.  [`encode_log_segment`] encodes each record in place into
 //! a buffer sized from `Encode::encoded_len` (no `Vec` per entry);
 //! [`encode_sections_with`] lets the caller serialise the section stream
 //! into the body behind its length prefix; the small variants encode through
@@ -213,10 +213,12 @@ pub enum AuditResponse {
     },
     /// The payloads for a [`AuditRequest::Blobs`] request.
     Blobs(BlobResponse),
-    /// A log segment: the chain hash preceding the first returned entry and
-    /// one encoded entry per element — its record, followed by its hash only
-    /// at a checkpoint (`avm-log`'s `wire` module decides which; at this
-    /// layer each entry is an opaque byte string).
+    /// A log segment: the chain hash preceding its first entry, that
+    /// entry's sequence number, the number of entries and their records as
+    /// one byte run.  Entry `i` has seq `first_seq + i`, so no record
+    /// carries one, and a record frames itself (`avm-log`'s `wire` module
+    /// owns its layout: tag, content, and its hash only at a checkpoint; at
+    /// this layer the run is opaque).
     ///
     /// For a [`SegmentAddress::Chunk`] request on a log whose SNAPSHOT
     /// records do not all decode, an honest provider returns the log
@@ -228,8 +230,12 @@ pub enum AuditResponse {
         /// Hash of the entry preceding the segment (the chain anchor a
         /// syntactic check verifies against).
         prev_hash: [u8; 32],
-        /// The entries, each an encoded wire entry.
-        entries: Vec<Vec<u8>>,
+        /// Sequence number of the first entry.
+        first_seq: u64,
+        /// Number of entries in `records`.
+        count: u64,
+        /// The entries' records, back to back.
+        records: Vec<u8>,
     },
     /// The whole-section transfer stream (opaque at this layer).
     Sections {
@@ -257,11 +263,12 @@ impl Encode for AuditResponse {
                 w.put_u8(2);
                 resp.encode(w);
             }
-            AuditResponse::LogSegment { prev_hash, entries } => {
-                w.put_u8(3);
-                w.put_raw(prev_hash);
-                entries.encode(w);
-            }
+            AuditResponse::LogSegment {
+                prev_hash,
+                first_seq,
+                count,
+                records,
+            } => put_log_segment(w, prev_hash, *first_seq, *count, records),
             AuditResponse::Sections { stream } => {
                 w.put_u8(4);
                 w.put_bytes(stream);
@@ -278,32 +285,65 @@ impl Encode for AuditResponse {
     }
 }
 
-/// Encodes an [`AuditResponse::LogSegment`] straight from the entries a
-/// provider only borrows: byte-identical to the owned response holding
-/// `entry.encode_to_vec()` per element, but each entry is written once, in
-/// place, into a buffer sized from `E::encoded_len` — no owned copy per
-/// entry and no growth.  (`E` is `avm-log`'s `WireEntry`, which sits above
-/// this crate, decides which entries carry their hash and overrides
-/// `encoded_len` with arithmetic; `entries` is walked twice, to size and to
-/// write.)
-pub fn encode_log_segment<E: Encode>(
+/// Writes a [`AuditResponse::LogSegment`] body: the one layout both
+/// response types and [`encode_log_segment`] produce.
+fn put_log_segment(
+    w: &mut Writer,
     prev_hash: &[u8; 32],
-    entries: impl ExactSizeIterator<Item = E> + Clone,
-) -> Vec<u8> {
-    let framed: usize = entries
-        .clone()
-        .map(|entry| {
-            let len = entry.encoded_len();
-            varint_len(len as u64) + len
-        })
-        .sum();
-    let mut w = Writer::with_capacity(1 + 32 + varint_len(entries.len() as u64) + framed);
+    first_seq: u64,
+    count: u64,
+    records: &[u8],
+) {
     w.put_u8(3);
     w.put_raw(prev_hash);
-    w.put_varint(entries.len() as u64);
-    for entry in entries {
-        w.put_varint(entry.encoded_len() as u64);
-        entry.encode(&mut w);
+    w.put_varint(first_seq);
+    w.put_varint(count);
+    w.put_bytes(records);
+}
+
+/// Reads a [`AuditResponse::LogSegment`] body after its tag, records still
+/// borrowed.  A record is at least a tag and a content length, so a `count`
+/// above `records.len() / 2` is refused before anyone sizes a list by it.
+fn get_log_segment<'a>(r: &mut Reader<'a>) -> WireResult<([u8; 32], u64, u64, &'a [u8])> {
+    let mut prev_hash = [0u8; 32];
+    prev_hash.copy_from_slice(r.get_raw(32)?);
+    let first_seq = r.get_varint()?;
+    let count = r.get_varint()?;
+    let records = r.get_bytes()?;
+    let max = (records.len() / 2) as u64;
+    if count > max {
+        return Err(WireError::LengthOverflow {
+            declared: count,
+            max,
+        });
+    }
+    Ok((prev_hash, first_seq, count, records))
+}
+
+/// Encodes an [`AuditResponse::LogSegment`] straight from the entries a
+/// provider only borrows: byte-identical to the owned response holding
+/// their records back to back, but each record is written once, in place,
+/// into a buffer sized from `E::encoded_len` — no owned copy and no growth.
+/// (`E` is `avm-log`'s `WireEntry`, which sits above this crate, decides
+/// which records carry their hash and overrides `encoded_len` with
+/// arithmetic; `records` is walked twice, to size and to write.)
+pub fn encode_log_segment<E: Encode>(
+    prev_hash: &[u8; 32],
+    first_seq: u64,
+    records: impl ExactSizeIterator<Item = E> + Clone,
+) -> Vec<u8> {
+    let len: usize = records.clone().map(|record| record.encoded_len()).sum();
+    let count = records.len() as u64;
+    let mut w = Writer::with_capacity(
+        1 + 32 + varint_len(first_seq) + varint_len(count) + varint_len(len as u64) + len,
+    );
+    w.put_u8(3);
+    w.put_raw(prev_hash);
+    w.put_varint(first_seq);
+    w.put_varint(count);
+    w.put_varint(len as u64);
+    for record in records {
+        record.encode(&mut w);
     }
     w.into_bytes()
 }
@@ -333,11 +373,12 @@ impl Decode for AuditResponse {
             }),
             2 => Ok(AuditResponse::Blobs(BlobResponse::decode(r)?)),
             3 => {
-                let mut prev_hash = [0u8; 32];
-                prev_hash.copy_from_slice(r.get_raw(32)?);
+                let (prev_hash, first_seq, count, records) = get_log_segment(r)?;
                 Ok(AuditResponse::LogSegment {
                     prev_hash,
-                    entries: Vec::<Vec<u8>>::decode(r)?,
+                    first_seq,
+                    count,
+                    records: records.to_vec(),
                 })
             }
             4 => Ok(AuditResponse::Sections {
@@ -370,7 +411,7 @@ impl AuditResponse {
 }
 
 /// Borrowed view of an [`AuditResponse`]: every bulk payload — the manifest
-/// bytes, each blob, each encoded log entry, the sections stream — aliases
+/// bytes, each blob, a log segment's records, the sections stream — aliases
 /// the packet buffer it was decoded from.
 ///
 /// This is what lets a receiver parse a response straight out of the framed
@@ -387,12 +428,17 @@ pub enum AuditResponseRef<'a> {
     },
     /// The payloads for a blob request, each borrowed from the packet.
     Blobs(BlobResponseRef<'a>),
-    /// A log segment with its chain anchor; entries borrow from the packet.
+    /// A log segment with its chain anchor; the records borrow from the
+    /// packet.
     LogSegment {
         /// Hash of the entry preceding the segment.
         prev_hash: [u8; 32],
-        /// The entries, each an encoded wire entry's slice.
-        entries: Vec<&'a [u8]>,
+        /// Sequence number of the first entry.
+        first_seq: u64,
+        /// Number of entries in `records`.
+        count: u64,
+        /// The entries' records, back to back.
+        records: &'a [u8],
     },
     /// The whole-section transfer stream, borrowed from the packet.
     Sections {
@@ -419,19 +465,13 @@ impl<'a> AuditResponseRef<'a> {
             }),
             2 => Ok(AuditResponseRef::Blobs(BlobResponseRef::decode(r)?)),
             3 => {
-                let mut prev_hash = [0u8; 32];
-                prev_hash.copy_from_slice(r.get_raw(32)?);
-                let n = r.get_varint()?;
-                // Every entry costs at least its one-byte length prefix.
-                let max = r.remaining() as u64;
-                if n > max {
-                    return Err(WireError::LengthOverflow { declared: n, max });
-                }
-                let mut entries = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    entries.push(r.get_bytes()?);
-                }
-                Ok(AuditResponseRef::LogSegment { prev_hash, entries })
+                let (prev_hash, first_seq, count, records) = get_log_segment(r)?;
+                Ok(AuditResponseRef::LogSegment {
+                    prev_hash,
+                    first_seq,
+                    count,
+                    records,
+                })
             }
             4 => Ok(AuditResponseRef::Sections {
                 stream: r.get_bytes()?,
@@ -460,9 +500,16 @@ impl<'a> AuditResponseRef<'a> {
                 manifest: manifest.to_vec(),
             },
             AuditResponseRef::Blobs(resp) => AuditResponse::Blobs(resp.to_owned()),
-            AuditResponseRef::LogSegment { prev_hash, entries } => AuditResponse::LogSegment {
+            AuditResponseRef::LogSegment {
+                prev_hash,
+                first_seq,
+                count,
+                records,
+            } => AuditResponse::LogSegment {
                 prev_hash: *prev_hash,
-                entries: entries.iter().map(|e| e.to_vec()).collect(),
+                first_seq: *first_seq,
+                count: *count,
+                records: records.to_vec(),
             },
             AuditResponseRef::Sections { stream } => AuditResponse::Sections {
                 stream: stream.to_vec(),
@@ -498,14 +545,12 @@ impl Encode for AuditResponseRef<'_> {
                 w.put_u8(2);
                 resp.encode(w);
             }
-            AuditResponseRef::LogSegment { prev_hash, entries } => {
-                w.put_u8(3);
-                w.put_raw(prev_hash);
-                w.put_varint(entries.len() as u64);
-                for entry in entries {
-                    w.put_bytes(entry);
-                }
-            }
+            AuditResponseRef::LogSegment {
+                prev_hash,
+                first_seq,
+                count,
+                records,
+            } => put_log_segment(w, prev_hash, *first_seq, *count, records),
             AuditResponseRef::Sections { stream } => {
                 w.put_u8(4);
                 w.put_bytes(stream);
@@ -645,7 +690,9 @@ mod tests {
         }));
         roundtrip_response(AuditResponse::LogSegment {
             prev_hash: [0xab; 32],
-            entries: vec![vec![1, 2], vec![], vec![3]],
+            first_seq: 300,
+            count: 3,
+            records: vec![1, 0, 2, 0, 3, 1, 9],
         });
         roundtrip_response(AuditResponse::Sections {
             stream: vec![0u8; 100],
@@ -771,7 +818,9 @@ mod tests {
             }),
             AuditResponse::LogSegment {
                 prev_hash: [0xab; 32],
-                entries: vec![vec![1, 2], vec![], vec![3]],
+                first_seq: 1,
+                count: 3,
+                records: vec![1, 0, 2, 0, 3, 1, 9],
             },
             AuditResponse::Sections {
                 stream: vec![0u8; 100],
@@ -826,16 +875,22 @@ mod tests {
             let bytes = resp.encode_to_vec();
             assert!(AuditResponseRef::decode_exact(&bytes[..bytes.len() - 1]).is_err());
         }
-        // A corrupt entry count larger than the remaining input is rejected
-        // before any allocation.
-        let mut corrupt = vec![3u8];
-        corrupt.extend_from_slice(&[0u8; 32]);
-        corrupt.push(0xff);
-        corrupt.push(0xff);
-        corrupt.push(0x7f);
-        assert!(matches!(
-            AuditResponseRef::decode_exact(&corrupt).unwrap_err(),
-            WireError::LengthOverflow { .. }
-        ));
+        // An entry count above what the records could hold — every record
+        // is at least a tag and a content length — is refused by both
+        // decoders before anyone sizes a list by it.
+        for (count, records) in [
+            (0x1f_ffffu64, &[1u8, 0][..]),
+            (2, &[1, 0, 1][..]),
+            (1, &[][..]),
+        ] {
+            let mut corrupt = Writer::new();
+            put_log_segment(&mut corrupt, &[0; 32], 1, count, records);
+            let corrupt = corrupt.into_bytes();
+            assert!(matches!(
+                AuditResponseRef::decode_exact(&corrupt).unwrap_err(),
+                WireError::LengthOverflow { declared, .. } if declared == count
+            ));
+            assert!(AuditResponse::decode_exact(&corrupt).is_err());
+        }
     }
 }

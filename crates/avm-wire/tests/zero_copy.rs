@@ -29,7 +29,7 @@ fn boundary_bytes() -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
-/// An entry whose encoding is its bytes, as a wire entry's is its fields:
+/// A record whose encoding is its bytes, as a wire entry's is its fields:
 /// stands in for the type `avm-log` defines above this crate.
 struct Raw<'a>(&'a [u8]);
 
@@ -47,8 +47,15 @@ fn audit_response_strategy() -> impl Strategy<Value = AuditResponse> {
         bytes().prop_map(|manifest| AuditResponse::Manifest { manifest }),
         proptest::collection::vec(proptest::option::of(bytes()), 0..6)
             .prop_map(|blobs| AuditResponse::Blobs(BlobResponse { blobs })),
-        (any::<[u8; 32]>(), proptest::collection::vec(bytes(), 0..6))
-            .prop_map(|(prev_hash, entries)| AuditResponse::LogSegment { prev_hash, entries }),
+        // Any count the run could hold: at least two bytes per record.
+        (any::<[u8; 32]>(), any::<u64>(), any::<u64>(), bytes()).prop_map(
+            |(prev_hash, first_seq, count, records)| AuditResponse::LogSegment {
+                prev_hash,
+                first_seq,
+                count: count % (records.len() as u64 / 2 + 1),
+                records,
+            }
+        ),
         bytes().prop_map(|stream| AuditResponse::Sections { stream }),
         proptest::collection::vec(any::<u8>(), 0..60).prop_map(|raw| AuditResponse::Error {
             // Project arbitrary bytes into printable ASCII so the message is
@@ -115,19 +122,26 @@ proptest! {
         prop_assert_eq!(borrowed.encoded_len(), encoded.len());
     }
 
-    /// The in-place segment writer over any entry list is the owned
-    /// `LogSegment` response holding one encoding per entry.
+    /// The in-place segment writer over any record list is the owned
+    /// `LogSegment` response holding their run, for counts, first seqs and
+    /// run lengths on both sides of the varint boundaries.
     #[test]
     fn segment_writer_equals_the_owned_log_segment_encoding(
         prev_hash in any::<[u8; 32]>(),
-        entries in proptest::collection::vec(boundary_bytes(), 0..6),
+        first_seq in any::<u64>(),
+        records in proptest::collection::vec(boundary_bytes(), 0..6),
         padding in 0usize..140,
     ) {
-        let mut entries = entries;
-        entries.extend((0..padding).map(|i| vec![i as u8; i % 3]));
-        let owned = AuditResponse::LogSegment { prev_hash, entries: entries.clone() };
-        let raw = entries.iter().map(|entry| Raw(entry));
-        prop_assert_eq!(encode_log_segment(&prev_hash, raw), owned.encode_to_vec());
+        let mut records = records;
+        records.extend((0..padding).map(|i| vec![i as u8; i % 3]));
+        let owned = AuditResponse::LogSegment {
+            prev_hash,
+            first_seq,
+            count: records.len() as u64,
+            records: records.concat(),
+        };
+        let raw = records.iter().map(|record| Raw(record));
+        prop_assert_eq!(encode_log_segment(&prev_hash, first_seq, raw), owned.encode_to_vec());
     }
 
     /// The fill-in-place sections writer is the owned `Sections` response.

@@ -7,14 +7,16 @@
 //! a hash only at its checkpoints ([`avm_log::wire`]); the owned segment is
 //! the one an auditor keeps — every entry with the hash the chain check gave
 //! it, so every entry claims one.  These tests take the *encoded* segment of
-//! an honest recording, damage it one field at a time, and require the two
+//! an honest recording — its first seq and its run of records, no record
+//! carrying a seq — damage it one field at a time, and require the two
 //! instantiations to return the same [`AuditReport`] — verdict, fault, counts
 //! and, on failure, evidence that is equal and that a third party can
 //! verify — or the decoder to refuse the bytes with the reference's error.
 //!
-//! `LogEntry`'s `Decode` is the in-place decode followed by its hash and a
-//! copy, so the decoders are also pinned against [`decode_reference`], the
-//! owned decode as it was written before there was a borrowed one.
+//! `LogEntry`'s `Decode` is its seq, the in-place record decode, its hash
+//! and a copy, so the decoders are also pinned against [`segment_reference`]
+//! and [`stored_reference`], the owned decodes as they were written before
+//! there was a borrowed one.
 
 use std::sync::OnceLock;
 
@@ -44,14 +46,16 @@ struct Recording {
     authenticators: Vec<Authenticator>,
     /// The whole log as the machine stores it.
     entries: Vec<LogEntry>,
-    /// The whole log as a provider serves it: one encoded entry per element,
-    /// hashes at the checkpoints.
-    encodings: Vec<Vec<u8>>,
+    /// The whole log as a provider serves it.
+    segment: Shipped,
 }
 
-/// `entries` as a segment response ships them.
-fn shipped(entries: &[LogEntry]) -> Vec<Vec<u8>> {
-    wire_entries(entries).map(|e| e.encode_to_vec()).collect()
+/// `entries`, a log from seq 1, as a segment response ships them.
+fn shipped(entries: &[LogEntry]) -> Shipped {
+    Shipped {
+        first_seq: 1,
+        records: wire_entries(entries).map(|e| e.encode_to_vec()).collect(),
+    }
 }
 
 /// An echo guest recorded over three packets and one snapshot, with the
@@ -129,21 +133,19 @@ fn recording() -> &'static Recording {
             image,
             key,
             authenticators,
-            encodings: shipped(&entries),
+            segment: shipped(&entries),
             entries,
         }
     })
 }
 
-/// The owned decode as `LogEntry::decode` was written before it became "the
-/// in-place decode, copied" — for an entry that carries its hash
-/// (`claims`), else for the bare record — the reference the decoders are
-/// held to: the seq, kind, content and claimed hash.
+/// The seq, kind, content and claimed hash of one decoded entry.
 type Fields = (u64, EntryKind, Vec<u8>, Option<Digest>);
 
-fn decode_reference(bytes: &[u8], claims: bool) -> WireResult<Fields> {
-    let mut r = Reader::new(bytes);
-    let seq = r.get_varint()?;
+/// One record `t_i ‖ c_i` read as the entry with seq `seq`, then its hash
+/// if it `claims` one: the owned decode as it was written before there was
+/// a borrowed one.
+fn record_reference(r: &mut Reader<'_>, seq: u64, claims: bool) -> WireResult<Fields> {
     let tag = r.get_u8()?;
     let kind = EntryKind::from_tag(tag).ok_or(WireError::InvalidTag {
         what: "EntryKind",
@@ -154,36 +156,77 @@ fn decode_reference(bytes: &[u8], claims: bool) -> WireResult<Fields> {
         true => Some(Digest::from_slice(r.get_raw(32)?).ok_or(WireError::Corrupt("digest"))?),
         false => None,
     };
+    Ok((seq, kind, content, claim))
+}
+
+fn exact<T>(bytes: &[u8], decode: impl FnOnce(&mut Reader<'_>) -> WireResult<T>) -> WireResult<T> {
+    let mut r = Reader::new(bytes);
+    let value = decode(&mut r)?;
     if r.remaining() != 0 {
         return Err(WireError::TrailingBytes(r.remaining()));
     }
-    Ok((seq, kind, content, claim))
+    Ok(value)
+}
+
+/// A stored entry: its seq varint, its record and its hash.
+fn stored_reference(bytes: &[u8]) -> WireResult<Fields> {
+    exact(bytes, |r| {
+        let seq = r.get_varint()?;
+        record_reference(r, seq, true)
+    })
+}
+
+/// A segment's `count` records from `first_seq`, one after another, each
+/// claiming its hash where the checkpoints put one — the reference the
+/// in-place decode is held to, error for error.
+fn segment_reference(first_seq: u64, count: u64, records: &[u8]) -> WireResult<Vec<Fields>> {
+    if count > records.len() as u64 / 2 {
+        return Err(WireError::LengthOverflow {
+            declared: count,
+            max: records.len() as u64 / 2,
+        });
+    }
+    exact(records, |r| {
+        (0..count)
+            .map(|i| {
+                let seq = first_seq
+                    .checked_add(i)
+                    .ok_or(WireError::Corrupt("log segment seq past u64::MAX"))?;
+                record_reference(r, seq, carries_hash(count as usize, i as usize))
+            })
+            .collect()
+    })
 }
 
 fn fields(view: &LogEntryRef<'_>) -> Fields {
     (view.seq, view.kind, view.content.to_vec(), view.claim())
 }
 
+/// A segment as a provider ships it, kept one record per element so a test
+/// can damage one: the first seq, and each entry's record with its hash at
+/// a checkpoint.  On the wire the records are one run.
+#[derive(Clone, PartialEq)]
+struct Shipped {
+    first_seq: u64,
+    records: Vec<Vec<u8>>,
+}
+
 type Decoded<'a> = (Vec<LogEntryRef<'a>>, Vec<LogEntry>);
 
-/// Decodes `encodings` in place — each entry with its claim where the
-/// segment's checkpoints put one — and requires what the reference decodes,
-/// or its first error; `None` when an entry was refused.  The owned copy is
-/// the segment with the hashes its chain check gives it.
-fn decode_both(encodings: &[Vec<u8>]) -> Result<Option<Decoded<'_>>, TestCaseError> {
-    let len = encodings.len();
-    let reference: WireResult<Vec<Fields>> = encodings
-        .iter()
-        .enumerate()
-        .map(|(i, bytes)| decode_reference(bytes, carries_hash(len, i)))
-        .collect();
-    let slices: Vec<&[u8]> = encodings.iter().map(Vec::as_slice).collect();
-    let views = decode_entries(&slices);
+/// Decodes the segment `first_seq`, `count`, `run` in place and requires
+/// what the reference decodes, or its error; `None` when it was refused.
+/// The owned copy is the segment with the hashes its chain check gives it.
+fn decode_both(
+    first_seq: u64,
+    count: u64,
+    run: &[u8],
+) -> Result<Option<Decoded<'_>>, TestCaseError> {
+    let views = decode_entries(first_seq, count, run);
     prop_assert_eq!(
         &views
             .clone()
             .map(|views| views.iter().map(fields).collect()),
-        &reference
+        &segment_reference(first_seq, count, run)
     );
     let Ok(views) = views else {
         return Ok(None);
@@ -197,17 +240,19 @@ fn decode_both(encodings: &[Vec<u8>]) -> Result<Option<Decoded<'_>>, TestCaseErr
     Ok(Some((views, owned)))
 }
 
-/// Audits `encodings` decoded in place and decoded into owned entries, and
+/// Audits `segment` decoded in place and decoded into owned entries, and
 /// requires equal reports; a failing audit's evidence must be the owned
 /// segment and must verify for a third party.  `None` when the bytes do not
 /// decode (identically, see [`decode_both`]).
 fn audit_both(
-    encodings: &[Vec<u8>],
+    segment: &Shipped,
     authenticators: &[Authenticator],
 ) -> Result<Option<AuditReport>, TestCaseError> {
     let rec = recording();
     let registry = GuestRegistry::new();
-    let Some((views, owned)) = decode_both(encodings)? else {
+    let run = segment.records.concat();
+    let count = segment.records.len() as u64;
+    let Some((views, owned)) = decode_both(segment.first_seq, count, &run)? else {
         return Ok(None);
     };
     let (name, prev) = ("bob", Digest::ZERO);
@@ -232,7 +277,7 @@ fn audit_both(
     // `outcome` (the fault and its evidence, or the replay summary),
     // `entries_examined` and `syntactic_ok` are all of a report.
     prop_assert_eq!(&borrowed, &reference);
-    prop_assert_eq!(borrowed.entries_examined, encodings.len() as u64);
+    prop_assert_eq!(borrowed.entries_examined, count);
     if let AuditOutcome::Fail(evidence) = &borrowed.outcome {
         prop_assert_eq!(&evidence.segment, &owned);
         // An empty segment proves nothing to a third party, by design.
@@ -244,15 +289,14 @@ fn audit_both(
     Ok(Some(borrowed))
 }
 
-/// Where the fields of one entry encoding sit: `(seq varint length, content
+/// Where the fields of one record sit after its one-byte tag: `(content
 /// length varint offset, its length, content offset, content length)`.
-fn layout(encoding: &[u8], claims: bool) -> (usize, usize, usize, usize, usize) {
-    let (seq, _, content, _) =
-        decode_reference(encoding, claims).expect("the recording's own encodings decode");
-    let seq_len = varint_len(seq);
-    let len_at = seq_len + 1;
+fn layout(record: &[u8], claims: bool) -> (usize, usize, usize, usize) {
+    let (_, _, content, _) = exact(record, |r| record_reference(r, 0, claims))
+        .expect("the recording's own records decode");
+    let len_at = 1;
     let len_len = varint_len(content.len() as u64);
-    (seq_len, len_at, len_len, len_at + len_len, content.len())
+    (len_at, len_len, len_at + len_len, content.len())
 }
 
 /// Replaces `encoding[at..at + len]` with the varint of `value`.
@@ -262,42 +306,44 @@ fn splice_varint(encoding: &mut Vec<u8>, at: usize, len: usize, value: u64) {
     encoding.splice(at..at + len, varint);
 }
 
-/// One single-field mutation of the encoded segment; `pick` selects the
+/// One single-field mutation of the shipped segment; `pick` selects the
 /// byte, bit or value within the field.  Returns whether the mutation must
 /// turn a passing audit into a failing one whenever the bytes still decode.
-fn mutate(encodings: &mut Vec<Vec<u8>>, which: u8, index: usize, pick: u64) -> bool {
-    let len = encodings.len();
+/// A record dropped, duplicated or swapped is hashed under the seq of the
+/// place it landed in, so the chain breaks at the next checkpoint.
+fn mutate(segment: &mut Shipped, which: u8, index: usize, pick: u64) -> bool {
+    let records = &mut segment.records;
+    let len = records.len();
     let index = index % len;
     let claims = carries_hash(len, index);
-    let (seq_len, len_at, len_len, content_at, content_len) = layout(&encodings[index], claims);
-    let entry = &mut encodings[index];
+    let (len_at, len_len, content_at, content_len) = layout(&records[index], claims);
+    let record = &mut records[index];
     match which {
-        // seq: another value, any width.
+        // the first seq: another value, any width.
         0 => {
-            let old = decode_reference(entry, claims).unwrap().0;
-            let new = if pick.is_multiple_of(4) {
+            let old = segment.first_seq;
+            segment.first_seq = if pick.is_multiple_of(4) {
                 pick
             } else {
                 old ^ (1 + pick % 64)
             };
-            splice_varint(entry, 0, seq_len, new);
-            new != old
+            segment.first_seq != old
         }
         // kind tag: any byte, valid or not.
         1 => {
-            let old = entry[seq_len];
-            entry[seq_len] = pick as u8;
+            let old = record[0];
+            record[0] = pick as u8;
             pick as u8 != old
         }
         // one content bit.
         2 if content_len > 0 => {
-            entry[content_at + pick as usize % content_len] ^= 1 << (pick % 8);
+            record[content_at + pick as usize % content_len] ^= 1 << (pick % 8);
             true
         }
         // one bit of a claimed hash: this entry's, or the next checkpoint's.
         3 => {
             let at = (index..len).find(|&i| carries_hash(len, i)).unwrap();
-            let claim = &mut encodings[at];
+            let claim = &mut records[at];
             let hash_at = claim.len() - 32;
             claim[hash_at + pick as usize % 32] ^= 1 << (pick % 8);
             true
@@ -309,29 +355,29 @@ fn mutate(encodings: &mut Vec<Vec<u8>>, which: u8, index: usize, pick: u64) -> b
             } else {
                 pick % (2 * content_len as u64 + 2)
             };
-            splice_varint(entry, len_at, len_len, declared);
+            splice_varint(record, len_at, len_len, declared);
             false
         }
-        // an entry dropped (a dropped last entry leaves an honest prefix).
+        // a record dropped (a dropped last record leaves an honest prefix).
         5 => {
-            encodings.remove(index);
+            records.remove(index);
             false
         }
-        // an entry duplicated.
+        // a record duplicated.
         6 => {
-            let copy = encodings[index].clone();
-            encodings.insert(index, copy);
+            let copy = records[index].clone();
+            records.insert(index, copy);
             true
         }
         // two neighbours swapped.
-        7 if encodings.len() > 1 => {
-            let index = index % (encodings.len() - 1);
-            encodings.swap(index, index + 1);
+        7 if records.len() > 1 => {
+            let index = index % (records.len() - 1);
+            records.swap(index, index + 1);
             true
         }
-        // the tail of the last entry cut off.
+        // the tail of the last record cut off.
         8 => {
-            let last = encodings.last_mut().unwrap();
+            let last = records.last_mut().unwrap();
             let cut = 1 + pick as usize % last.len();
             last.truncate(last.len() - cut);
             false
@@ -343,7 +389,7 @@ fn mutate(encodings: &mut Vec<Vec<u8>>, which: u8, index: usize, pick: u64) -> b
 /// The recording with the content of entry `index` changed by `edit` and the
 /// hash chain rebuilt over it: well-formed to the chain check, so the fault
 /// — if the edit caused one — is for the content checks or replay to find.
-fn rechained(index: usize, edit: impl Fn(&mut Vec<u8>)) -> Vec<Vec<u8>> {
+fn rechained(index: usize, edit: impl Fn(&mut Vec<u8>)) -> Shipped {
     let mut log = TamperEvidentLog::new();
     for (i, entry) in recording().entries.iter().enumerate() {
         let mut content = entry.content.clone();
@@ -358,13 +404,13 @@ fn rechained(index: usize, edit: impl Fn(&mut Vec<u8>)) -> Vec<Vec<u8>> {
 #[test]
 fn honest_recording_passes_both_ways() {
     let rec = recording();
-    let report = audit_both(&rec.encodings, &rec.authenticators)
+    let report = audit_both(&rec.segment, &rec.authenticators)
         .unwrap()
         .expect("the recording decodes");
     assert!(report.passed(), "{:?}", report.fault());
     assert!(report.syntactic_ok);
     // An empty segment is refused the same way by both.
-    let report = audit_both(&[], &[]).unwrap().unwrap();
+    let report = audit_both(&shipped(&[]), &[]).unwrap().unwrap();
     assert_eq!(
         report.fault(),
         Some(&FaultReason::SyntacticFailure(
@@ -385,13 +431,13 @@ proptest! {
         pick in any::<u64>(),
     ) {
         let rec = recording();
-        let mut encodings = rec.encodings.clone();
-        let must_fail = mutate(&mut encodings, which, index, pick);
-        if let Some(report) = audit_both(&encodings, &rec.authenticators)? {
+        let mut segment = rec.segment.clone();
+        let must_fail = mutate(&mut segment, which, index, pick);
+        if let Some(report) = audit_both(&segment, &rec.authenticators)? {
             prop_assert!(!(must_fail && report.passed()), "mutation {which} went unnoticed");
             // A segment that differs from the recording fails syntactically:
             // no single-field mutation keeps the chain intact.
-            prop_assert!(report.passed() || !report.syntactic_ok || encodings == rec.encodings);
+            prop_assert!(report.passed() || !report.syntactic_ok || segment == rec.segment);
         }
     }
 
@@ -403,10 +449,10 @@ proptest! {
         how in 0u8..8,
         pick in any::<u64>(),
     ) {
-        let index = index % recording().encodings.len();
+        let index = index % recording().entries.len();
         // Mostly bit flips: a record that still decodes is what reaches the
         // cross-reference check and the replayer.
-        let encodings = rechained(index, |content| match how {
+        let segment = rechained(index, |content| match how {
             0 => content.truncate(pick as usize % (content.len() + 1)),
             1 => content.push(pick as u8),
             2 => content.clear(),
@@ -419,31 +465,35 @@ proptest! {
         // Authenticators commit to the original chain; the rebuilt one is
         // audited without them, as a machine that rewrote its log would
         // hope to be.
-        let report = audit_both(&encodings, &[])?.expect("re-encoded entries decode");
+        let report = audit_both(&segment, &[])?.expect("re-encoded entries decode");
         prop_assert!(report.passed() || report.fault().is_some());
     }
 
-    /// `LogEntryRef::decode` never panics, allocates nothing — the content
-    /// and claimed hash it hands out are bytes of the input — and accepts,
-    /// refuses and consumes exactly as the reference owned decode does: a
-    /// bare record, a segment's one entry (which claims its hash) and a
-    /// stored entry.
+    /// `LogEntryRef::decode_record` never panics, allocates nothing — the
+    /// content and claimed hash it hands out are bytes of the input — and
+    /// accepts, refuses and consumes exactly as the reference owned decode
+    /// does: a stored entry, and a one-entry segment (whose entry claims
+    /// its hash) from any first seq.
     #[test]
     fn decode_in_place_matches_the_owned_decode_on_arbitrary_bytes(
         noise in proptest::collection::vec(any::<u8>(), 0..80),
-        from_recording in any::<bool>(),
+        from_recording in 0u8..3,
         index in any::<usize>(),
+        which_seq in 0u8..3,
+        any_seq in any::<u64>(),
         damage in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..3),
         cut in proptest::option::of(any::<usize>()),
     ) {
         fn is_copy<T: Copy>() {}
         is_copy::<LogEntryRef<'static>>();
 
+        let first_seq = [1, u64::MAX, any_seq][which_seq as usize];
         let rec = recording();
-        let mut bytes = if from_recording {
-            rec.entries[index % rec.entries.len()].encode_to_vec()
-        } else {
-            noise
+        let entry = &rec.entries[index % rec.entries.len()];
+        let mut bytes = match from_recording {
+            0 => noise,
+            1 => entry.encode_to_vec(),
+            _ => wire_entries(std::slice::from_ref(entry)).next().unwrap().encode_to_vec(),
         };
         for (at, byte) in damage {
             if !bytes.is_empty() {
@@ -454,28 +504,28 @@ proptest! {
         if let Some(cut) = cut {
             bytes.truncate(cut % (bytes.len() + 1));
         }
-        let stored = decode_reference(&bytes, true);
         prop_assert_eq!(
             &LogEntry::decode_exact(&bytes).map(|e| (e.seq, e.kind, e.content, Some(e.hash))),
-            &stored
+            &stored_reference(&bytes)
         );
-        let record = LogEntryRef::decode_exact(&bytes);
-        prop_assert_eq!(&record.map(|e| fields(&e)), &decode_reference(&bytes, false));
-        let one = decode_entries(&[&bytes]).map(|views| views[0]);
-        prop_assert_eq!(&one.clone().map(|e| fields(&e)), &stored);
+        let one = decode_entries(first_seq, 1, &bytes).map(|views| views[0]);
+        let reference = segment_reference(first_seq, 1, &bytes).map(|mut all| all.remove(0));
+        prop_assert_eq!(&one.clone().map(|e| fields(&e)), &reference);
         if let Ok(view) = one {
             let input = bytes.as_ptr_range();
             prop_assert!(view.content.is_empty() || input.contains(&view.content.as_ptr()));
             let claim = view.claim.expect("a segment's last entry claims its hash");
             prop_assert!(input.contains(&claim.as_ptr()));
-            prop_assert_eq!(view.to_entry(Digest(*claim)).encode_to_vec(), bytes.clone());
+            let stored = view.to_entry(Digest(*claim)).encode_to_vec();
+            prop_assert_eq!(&stored[varint_len(first_seq)..], &bytes[..]);
         }
         // The streaming form stops where the record ends.
         let mut padded = bytes.clone();
         padded.extend_from_slice(&[0xa5; 3]);
         let mut r = Reader::new(&padded);
-        if let Ok(view) = LogEntryRef::decode(&mut r) {
-            prop_assert_eq!(r.position() + 32, view.to_entry(Digest::ZERO).encoded_len());
+        if let Ok(view) = LogEntryRef::decode_record(&mut r, first_seq) {
+            let stored = view.to_entry(Digest::ZERO).encoded_len();
+            prop_assert_eq!(r.position() + varint_len(first_seq) + 32, stored);
         }
     }
 }

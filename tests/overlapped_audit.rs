@@ -42,7 +42,7 @@ use avm_log::{
 use avm_net::LinkConfig;
 use avm_vm::devices::InputEvent;
 use avm_vm::VmImage;
-use avm_wire::{Decode, Encode};
+use avm_wire::{encode_log_segment, AuditResponseRef, Decode, Encode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -257,16 +257,23 @@ fn sequential<E: EntryView>(
     }
 }
 
-/// `segment` as a provider ships it: one encoding per entry, hashes at the
-/// checkpoints.
-fn shipped(segment: &[LogEntry]) -> Vec<Vec<u8>> {
-    wire_entries(segment).map(|e| e.encode_to_vec()).collect()
+/// `segment`, a log from seq 1, as a provider ships it: the response body,
+/// one run of records with hashes at the checkpoints.
+fn shipped(segment: &[LogEntry]) -> Vec<u8> {
+    encode_log_segment(&Digest::ZERO.0, 1, wire_entries(segment))
 }
 
 /// The shipped segment decoded in place, as an auditor receives it.
-fn received(shipped: &[Vec<u8>]) -> Vec<LogEntryRef<'_>> {
-    let slices: Vec<&[u8]> = shipped.iter().map(Vec::as_slice).collect();
-    decode_entries(&slices).unwrap()
+fn received(body: &[u8]) -> Vec<LogEntryRef<'_>> {
+    match AuditResponseRef::decode_exact(body).unwrap() {
+        AuditResponseRef::LogSegment {
+            first_seq,
+            count,
+            records,
+            ..
+        } => decode_entries(first_seq, count, records).unwrap(),
+        other => panic!("{}", other.variant_name()),
+    }
 }
 
 /// A provider that serves `entries` exactly as given, damage included.

@@ -31,6 +31,7 @@ use avm_wire::audit::{
     seal_encoded_message, seal_session_message, AuditRequest, AuditResponse, SegmentAddress,
     CLIENT_SESSION,
 };
+use avm_wire::varint::write_varint;
 use avm_wire::{BlobRequest, BlobResponse, Encode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -121,23 +122,28 @@ fn fixture() -> &'static Provider {
     })
 }
 
-/// The response `entries` make, built by hand: one owned encoding per entry
-/// — the stored entry, less its trailing 32-byte hash wherever no checkpoint
-/// of a segment of their number falls.
+/// The response `entries` make, built by hand: the first entry's seq, the
+/// count, and one run of the stored entries, each less its leading seq
+/// varint and less its trailing 32-byte hash wherever no checkpoint of a
+/// segment of their number falls.
 fn segment(prev: Digest, entries: &[LogEntry]) -> AuditResponse {
+    let mut records = Vec::new();
+    for (i, e) in entries.iter().enumerate() {
+        let stored = e.encode_to_vec();
+        let mut seq = Vec::new();
+        write_varint(&mut seq, e.seq);
+        assert_eq!(stored[..seq.len()], seq);
+        let end = match carries_hash(entries.len(), i) {
+            true => stored.len(),
+            false => stored.len() - 32,
+        };
+        records.extend_from_slice(&stored[seq.len()..end]);
+    }
     AuditResponse::LogSegment {
         prev_hash: prev.0,
-        entries: entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let mut stored = e.encode_to_vec();
-                if !carries_hash(entries.len(), i) {
-                    stored.truncate(stored.len() - 32);
-                }
-                stored
-            })
-            .collect(),
+        first_seq: entries[0].seq,
+        count: entries.len() as u64,
+        records,
     }
 }
 

@@ -11,9 +11,12 @@
 //! provider half serves only honest bodies), and `FleetAuditor` against a
 //! real `ProviderNode` behind a relay that rewrites its sealed responses.
 //!
-//! A body whose entry count, entry lengths or checkpoint bytes disagree
-//! with its size is refused before anything is allocated for it beyond one
-//! view per entry it really holds.
+//! A segment body is `prev_hash ‖ first_seq ‖ count ‖ records`, the records
+//! one run with no seq and no length of their own.  A body whose count,
+//! record lengths, checkpoint bytes or first seq disagree with its size —
+//! a count above what the bytes allow, a record cut mid-content, trailing
+//! bytes, a seq past `u64::MAX` — is refused without a panic, before
+//! anything is allocated for it beyond one view per two bytes of its run.
 
 use std::sync::OnceLock;
 
@@ -120,23 +123,25 @@ fn recording() -> &'static Recording {
     })
 }
 
-/// Which byte of a `LogSegment` body to corrupt, and how: each byte gets a
-/// different bit flipped, or, with `all_bits`, all of them.
+/// What happens to a `LogSegment` body on its way to the auditor.
 #[derive(Debug, Clone, Copy)]
-struct Corruption {
-    at: usize,
-    all_bits: bool,
+enum Corruption {
+    /// Byte `at` gets a bit flipped — a different bit for each byte — or,
+    /// with `all_bits`, all of them.
+    Byte { at: usize, all_bits: bool },
+    /// The body is rewritten.
+    Rewrite(fn(&[u8]) -> Vec<u8>),
 }
 
 fn corrupt(body: &[u8], corruption: Corruption) -> Vec<u8> {
-    let mut body = body.to_vec();
-    let at = corruption.at;
-    body[at] ^= if corruption.all_bits {
-        0xff
-    } else {
-        1 << (at % 8)
-    };
-    body
+    match corruption {
+        Corruption::Byte { at, all_bits } => {
+            let mut body = body.to_vec();
+            body[at] ^= if all_bits { 0xff } else { 1 << (at % 8) };
+            body
+        }
+        Corruption::Rewrite(rewrite) => rewrite(body),
+    }
 }
 
 /// A provider answering in process whose `LogSegment` bodies are corrupted,
@@ -363,7 +368,7 @@ fn every_single_byte_corruption_of_a_segment_is_refused() {
     };
     for at in 0..whole_len {
         for all_bits in [false, true] {
-            let corruption = Corruption { at, all_bits };
+            let corruption = Corruption::Byte { at, all_bits };
             tally(
                 corruption,
                 "whole log",
@@ -387,73 +392,159 @@ fn every_single_byte_corruption_of_a_segment_is_refused() {
     );
 }
 
-/// A body whose count, entry lengths or checkpoint bytes disagree with its
-/// size is refused, and no more views are ever allocated than there are
-/// entries the body could hold.
+/// The parts of a `LogSegment` body, records still borrowed.
+fn parts(body: &[u8]) -> ([u8; 32], u64, u64, &[u8]) {
+    match AuditResponseRef::decode_exact(body).unwrap() {
+        AuditResponseRef::LogSegment {
+            prev_hash,
+            first_seq,
+            count,
+            records,
+        } => (prev_hash, first_seq, count, records),
+        other => panic!("a segment, got {}", other.variant_name()),
+    }
+}
+
+/// A `LogSegment` body from its parts, whatever they say.
+fn body_of(prev_hash: [u8; 32], first_seq: u64, count: u64, records: &[u8]) -> Vec<u8> {
+    let mut body = vec![3u8];
+    body.extend_from_slice(&prev_hash);
+    write_varint(&mut body, first_seq);
+    write_varint(&mut body, count);
+    write_varint(&mut body, records.len() as u64);
+    body.extend_from_slice(records);
+    body
+}
+
+/// One more record than two bytes each allow.
+fn count_above_the_bytes(body: &[u8]) -> Vec<u8> {
+    let (prev, first, _, records) = parts(body);
+    body_of(prev, first, records.len() as u64 / 2 + 1, records)
+}
+
+/// The run cut in the middle of its last record's content.
+fn record_cut_mid_content(body: &[u8]) -> Vec<u8> {
+    let (prev, first, count, records) = parts(body);
+    let views = decode_entries(first, count, records).unwrap();
+    let last = views.last().unwrap();
+    assert!(last.content.len() >= 2, "the last record has content");
+    let content_at = last.content.as_ptr() as usize - records.as_ptr() as usize;
+    let cut = content_at + last.content.len() / 2;
+    body_of(prev, first, count, &records[..cut])
+}
+
+/// Bytes after the last record, inside the run.
+fn trailing_bytes_in_the_run(body: &[u8]) -> Vec<u8> {
+    let (prev, first, count, records) = parts(body);
+    body_of(prev, first, count, &[records, &[0, 0, 0]].concat())
+}
+
+/// Bytes after the run, inside the body.
+fn trailing_bytes_after_the_run(body: &[u8]) -> Vec<u8> {
+    [body, &[1][..]].concat()
+}
+
+/// A first seq whose last entry's seq, `first_seq + count − 1`, is past
+/// `u64::MAX`.
+fn seq_past_the_end(body: &[u8]) -> Vec<u8> {
+    let (prev, _, count, records) = parts(body);
+    body_of(prev, u64::MAX - count + 2, count, records)
+}
+
+/// Each hostile body — for a whole log and for a chunk — is refused by
+/// both auditors with an error, never a report and never a panic; the
+/// decoders refuse it within the input: a count above what the run could
+/// hold before any view is allocated, and an honest run's views at most
+/// one per two bytes of it.
 #[test]
 fn a_body_at_odds_with_its_size_is_refused_within_the_input() {
     let rec = recording();
-    let body = AuditServer::new(&rec.log, &rec.store).respond(&whole_log());
-    let AuditResponseRef::LogSegment { entries, .. } =
-        AuditResponseRef::decode_exact(&body).unwrap()
-    else {
-        panic!("a segment");
-    };
-    let n = entries.len();
-    // tag ‖ prev hash ‖ count ‖ (length ‖ entry)*
-    let count_at = 1 + 32;
-    let first_at = count_at + varint_len(n as u64);
-    let with_varint = |at: usize, len: usize, value: u64| {
-        let mut varint = Vec::new();
-        write_varint(&mut varint, value);
-        let mut odd = body.clone();
-        odd.splice(at..at + len, varint);
-        odd
-    };
-    let count_len = varint_len(n as u64);
-
-    // A count no body could hold is refused before anything is allocated.
-    assert!(matches!(
-        AuditResponseRef::decode_exact(&with_varint(count_at, count_len, u64::MAX >> 1))
-            .unwrap_err(),
-        WireError::LengthOverflow { .. }
-    ));
-    // One entry more or fewer than the body holds.
-    for count in [n + 1, n - 1] {
-        let odd = with_varint(count_at, count_len, count as u64);
-        assert!(
-            AuditResponseRef::decode_exact(&odd).is_err(),
-            "count {count}"
-        );
+    let server = AuditServer::new(&rec.log, &rec.store);
+    type Rewrite = fn(&[u8]) -> Vec<u8>;
+    // A body that is no response at all is dropped: `AuditClient` names
+    // the decode error, the fleet auditor waits out its retransmissions.
+    let hostile: [(Rewrite, &str); 5] = [
+        (count_above_the_bytes, "response dropped: declared length"),
+        (record_cut_mid_content, "log entry does not decode"),
+        (
+            trailing_bytes_in_the_run,
+            "log entry does not decode: 3 trailing bytes",
+        ),
+        (
+            trailing_bytes_after_the_run,
+            "response dropped: 1 trailing bytes",
+        ),
+        (seq_past_the_end, "seq past u64::MAX"),
+    ];
+    for (rewrite, wanted) in hostile {
+        for (request, name) in [(whole_log(), "whole log"), (chunk_after_1(), "chunk")] {
+            let body = rewrite(&server.respond(&request));
+            let decoded = AuditResponseRef::decode_exact(&body);
+            if let Ok(AuditResponseRef::LogSegment {
+                first_seq,
+                count,
+                records,
+                ..
+            }) = decoded
+            {
+                assert!(count <= records.len() as u64 / 2, "{name}: {wanted}");
+                assert!(decode_entries(first_seq, count, records).is_err(), "{name}");
+            }
+            let corruption = Some(Corruption::Rewrite(rewrite));
+            let outcomes = [
+                refused_whole_log(rec, corruption),
+                refused_chunk(rec, corruption),
+                refused_fleet_chunk(rec, corruption),
+            ];
+            for (outcome, way) in outcomes.into_iter().zip(["whole log", "chunk", "fleet"]) {
+                let error = outcome.expect_err(way);
+                // A whole log that does not start at seq 1 is refused
+                // before it is decoded.
+                let refused_early = way == "whole log" && error.contains("starts at seq");
+                let dropped = wanted.starts_with("response dropped")
+                    && way == "fleet"
+                    && error.contains("no response after");
+                assert!(
+                    error.contains(wanted) || refused_early || dropped,
+                    "{way}: {error}"
+                );
+            }
+        }
     }
-    // An entry longer than the rest of the body.
-    let first_len = varint_len(entries[0].len() as u64);
-    let odd = with_varint(first_at, first_len, body.len() as u64);
+    // The count bound is the decoder's own, not only the response's.
+    let body = server.respond(&whole_log());
+    let (_, first, count, records) = parts(&body);
     assert!(matches!(
-        AuditResponseRef::decode_exact(&odd).unwrap_err(),
-        WireError::LengthOverflow { .. } | WireError::UnexpectedEof { .. }
+        decode_entries(first, records.len() as u64 / 2 + 1, records),
+        Err(WireError::LengthOverflow { .. })
     ));
+    assert!(decode_entries(first, u64::MAX, records).is_err());
 
-    // Checkpoint bytes: a checkpoint without its hash, an entry between
+    // Checkpoint bytes: a checkpoint without its hash, a record between
     // checkpoints with one.
+    let n = count as usize;
+    let views = decode_entries(first, count, records).unwrap();
+    let span = |i: usize| {
+        let view = &views[i];
+        let len_len = varint_len(view.content.len() as u64);
+        let at = view.content.as_ptr() as usize - records.as_ptr() as usize - len_len - 1;
+        let claim = if view.claim.is_some() { 32 } else { 0 };
+        (at, 1 + len_len + view.content.len() + claim)
+    };
     let checkpoint = (0..n).find(|&i| carries_hash(n, i)).unwrap();
     let between = (0..n).find(|&i| !carries_hash(n, i)).unwrap();
-    let mut missing: Vec<Vec<u8>> = entries.iter().map(|e| e.to_vec()).collect();
-    let cut = missing[checkpoint].len() - 32;
-    missing[checkpoint].truncate(cut);
-    let mut extra: Vec<Vec<u8>> = entries.iter().map(|e| e.to_vec()).collect();
-    extra[between].extend_from_slice(&[0u8; 32]);
-    for (list, want) in [(missing, "unexpected end of input"), (extra, "trailing")] {
-        let refs: Vec<&[u8]> = list.iter().map(Vec::as_slice).collect();
-        let error = decode_entries(&refs).unwrap_err().to_string();
-        assert!(error.contains(want), "{error}");
+    let (at, len) = span(checkpoint);
+    let missing = [&records[..at + len - 32], &records[at + len..]].concat();
+    let (at, len) = span(between);
+    let extra = [&records[..at + len], &[0u8; 32][..], &records[at + len..]].concat();
+    for run in [missing, extra] {
+        assert!(decode_entries(first, count, &run).is_err());
     }
 
-    // The honest decode allocates one view per entry: at most one per body
-    // byte, whatever a count claims.
-    let views = decode_entries(&entries).unwrap();
+    // The honest decode allocates one view per entry: at most one per two
+    // bytes of the run, whatever a count claims.
     assert_eq!(views.len(), n);
-    assert!(views.capacity() <= body.len());
+    assert!(views.capacity() <= records.len() / 2);
     assert!(views.iter().any(|v| v.claim.is_none()));
     assert!(views.iter().any(|v| v.kind == EntryKind::Snapshot));
 }
