@@ -207,22 +207,19 @@ impl Attestor {
     }
 }
 
-/// The auditor-side attestation policy: reference launch state, the
-/// provider's key, and the freshness window.
+/// The auditor-side attestation policy: reference launch state and the
+/// provider's key.  A quote must answer a challenge issued within
+/// [`avm_wire::attest::DEFAULT_FRESHNESS_US`].
 #[derive(Debug, Clone)]
 pub struct LaunchPolicy {
     /// The reference launch (image measurement + expected META content).
     pub expected: ExpectedLaunch,
     /// The provider's verification key.
     pub provider_key: VerifyingKey,
-    /// Freshness window in microseconds (see
-    /// [`avm_wire::attest::DEFAULT_FRESHNESS_US`]).
-    pub freshness_us: u64,
 }
 
 impl LaunchPolicy {
-    /// A policy expecting `image` run as `node_name` under `scheme`, with
-    /// the default freshness window.
+    /// A policy expecting `image` run as `node_name` under `scheme`.
     pub fn new(
         image: &VmImage,
         node_name: &str,
@@ -232,14 +229,7 @@ impl LaunchPolicy {
         LaunchPolicy {
             expected: expected_launch(image, node_name, scheme),
             provider_key,
-            freshness_us: avm_wire::attest::DEFAULT_FRESHNESS_US,
         }
-    }
-
-    /// Overrides the freshness window.
-    pub fn with_freshness_us(mut self, freshness_us: u64) -> LaunchPolicy {
-        self.freshness_us = freshness_us;
-        self
     }
 
     /// Verifies `quote` against `challenge` at verifier time `now_us`.
@@ -253,7 +243,7 @@ impl LaunchPolicy {
             quote,
             challenge,
             now_us,
-            self.freshness_us,
+            avm_wire::attest::DEFAULT_FRESHNESS_US,
             &self.expected,
             &self.provider_key,
         )

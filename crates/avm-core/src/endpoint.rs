@@ -454,6 +454,12 @@ impl AuditorWire {
     }
 }
 
+/// The error an exchange ends with when its response arrives intact but its
+/// body does not decode.
+pub(crate) fn undecodable(error: avm_wire::WireError) -> CoreError {
+    CoreError::Snapshot(format!("audit transport: undecodable response: {error}"))
+}
+
 /// What [`PendingExchange::on_timer`] did.
 pub(crate) enum Timer {
     /// Nothing to do before this simulated instant.
@@ -489,27 +495,27 @@ pub(crate) struct PendingExchange {
 }
 
 impl PendingExchange {
-    /// The response `packet` carries for this exchange, borrowed from it —
-    /// or `None` for anything else (corrupt framing, another session, a
-    /// stale duplicate, an undecodable body: the timer owns recovery).  The
-    /// envelope is peeked first, so a stale multi-megabyte section stream is
-    /// dropped before its body is parsed.  Acceptance completes the round
-    /// trip in `wire.stats`.
+    /// The answer `packet` carries for this exchange — the response,
+    /// borrowed from it, or its body's decode error: a checksummed body is
+    /// what the provider sent, and asking again would fetch it again — or
+    /// `None` for anything else (corrupt framing, another session, a stale
+    /// duplicate: the timer owns recovery).  The envelope is peeked first,
+    /// so a stale multi-megabyte section stream is dropped before its body
+    /// is parsed.  An answer completes the round trip in `wire.stats`.
     pub(crate) fn accept<'r>(
         &self,
         wire: &mut AuditorWire,
         now: u64,
         packet: &'r [u8],
-    ) -> Option<AuditResponseRef<'r>> {
+    ) -> Option<Result<AuditResponseRef<'r>, CoreError>> {
         let (session_id, request_id, body) = open_session_frame(packet).ok()?;
         if session_id != wire.session_id || request_id != self.request_id {
             return None;
         }
-        let response = AuditResponseRef::decode_exact(body).ok()?;
         wire.stats.round_trips += 1;
         wire.stats.response_bytes += packet.len() as u64;
         wire.stats.elapsed_micros += now - self.started_at;
-        Some(response)
+        Some(AuditResponseRef::decode_exact(body).map_err(undecodable))
     }
 
     /// Runs the retransmit timer at `net.now()`.  It only fires on a
@@ -635,10 +641,9 @@ impl AuditTransport for SimNetTransport<'_> {
                                 let _ = net.send(wire.provider, wire.auditor, response);
                             }
                         }
-                    } else if let Some(response) =
-                        pending.accept(wire, net.now(), &delivery.payload)
+                    } else if let Some(answer) = pending.accept(wire, net.now(), &delivery.payload)
                     {
-                        return Ok(on_response(response));
+                        return answer.map(on_response);
                     }
                 }
             }
@@ -799,7 +804,9 @@ impl<T: AuditTransport> AuditClient<T> {
     /// Downloads the whole-section transfer stream up to `upto_id` — the
     /// paper's full snapshot dump, paid on the wire.  No audit session asks
     /// for it: a full-download spot check fetches the manifest and the blobs
-    /// the image and its cache lack.
+    /// the image and its cache lack.  Only the `bench/` harness sends
+    /// `Sections`, to time the request, and nothing in the workspace reads
+    /// the stream it returns.
     pub fn fetch_sections(&mut self, upto_id: u64) -> Result<Vec<u8>, CoreError> {
         self.request(
             &AuditRequest::Sections { upto_id },
@@ -1102,6 +1109,27 @@ mod tests {
         );
         let net = lossy.transport().network();
         assert!(net.stats(AUDITOR_NODE).dropped + net.stats(PROVIDER_NODE).dropped > 0);
+    }
+
+    /// A checksummed answer that does not decode ends the exchange on its
+    /// first copy, on both drivers (each hands `accept`'s error straight
+    /// back): one round trip, nothing sent again.  A packet for another
+    /// request is no answer.
+    #[test]
+    fn an_undecodable_answer_ends_the_exchange_on_its_first_copy() {
+        let mut net = SimNet::new(LinkConfig::default());
+        let mut wire = AuditorWire::new(AUDITOR_NODE, PROVIDER_NODE, CLIENT_SESSION, 1_000);
+        let pending = wire.send(&mut net, &AuditRequest::Manifest { snapshot_id: 0 });
+        let [stale, packet] = [2, 1].map(|id| seal_encoded_message(CLIENT_SESSION, id, &[0xff]));
+        assert!(pending.accept(&mut wire, 0, &stale).is_none());
+        let Some(Err(error)) = pending.accept(&mut wire, 0, &packet) else {
+            panic!("an undecodable answer is an error");
+        };
+        assert!(
+            error.to_string().contains("undecodable response: "),
+            "{error}"
+        );
+        assert_eq!((wire.stats.round_trips, wire.stats.retransmissions), (1, 0));
     }
 
     /// A link that drops everything: the transport gives up after its

@@ -529,12 +529,17 @@ impl Endpoint for FleetAuditor<'_> {
             return;
         };
         let now = net.now();
-        let Some(response) = pending.accept(&mut self.wire, now, &delivery.payload) else {
+        let Some(answer) = pending.accept(&mut self.wire, now, &delivery.payload) else {
             return;
         };
         self.pending = None;
-        let step = self.session.on_response(now, response);
-        self.advance(net, step);
+        match answer {
+            Ok(response) => {
+                let step = self.session.on_response(now, response);
+                self.advance(net, step);
+            }
+            Err(error) => self.complete(now, Err(error)),
+        }
     }
 
     fn on_tick(&mut self, net: &mut SimNet) -> Option<u64> {

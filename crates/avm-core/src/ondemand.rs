@@ -3,7 +3,8 @@
 //! Paper §3.5: an auditor starting a spot check "can either download an
 //! entire snapshot or incrementally request the parts of the state that are
 //! accessed during replay".  This module implements both halves of that
-//! sentence on top of the content-addressed [`SnapshotStore`]:
+//! sentence, and the provider's own full build, on top of the
+//! content-addressed [`SnapshotStore`]:
 //!
 //! 1. **Digest-addressed transfer.**  The auditor first downloads a
 //!    [`ChainManifest`] — snapshot metadata plus the `(index, SHA-256)`
@@ -34,6 +35,11 @@
 //!    stages the same way with its own store as the source of the rest, and
 //!    [`OnDemandSession::finish`] turns the fault lists into the blob
 //!    exchange that store would have served — the "on-demand" column.
+//!
+//! 3. **The provider's own full state.**  [`SnapshotStore::materialize`]
+//!    is the same staging from the store's pool, plus one pass that
+//!    installs each staged leaf once it hashes to its digest
+//!    (`OnDemandSession::install`).
 //!
 //! # Round trips and batching
 //!
@@ -84,9 +90,7 @@ use avm_wire::{
 };
 
 use crate::error::CoreError;
-use crate::snapshot::{
-    first_out_of_order, restore_header, SnapshotStore, StateTreeCache, TransferCost,
-};
+use crate::snapshot::{first_out_of_order, SnapshotStore, StateTreeCache, TransferCost};
 
 /// Snapshot metadata an auditor downloads to begin an on-demand (or
 /// dedup-transfer) reconstruction: everything about the state at a snapshot
@@ -212,10 +216,21 @@ impl SnapshotStore {
     /// what the snapshot changed: a guest that keeps its state in CPU state
     /// sends a full memory dump's worth of nothing.
     pub fn chain_manifest_upto(&self, upto_id: u64) -> Result<ChainManifest, CoreError> {
+        self.manifest_listing(upto_id, self.lacking_refs_upto(upto_id))
+    }
+
+    /// The manifest of snapshot `upto_id` with `[mem_refs, disk_refs]` as
+    /// its references: [`SnapshotStore::chain_manifest_upto`] lists what the
+    /// store's image lacks, [`SnapshotStore::materialize`] every effective
+    /// reference, so it builds the same state whatever image it is given.
+    pub(crate) fn manifest_listing(
+        &self,
+        upto_id: u64,
+        [mem_refs, disk_refs]: [Vec<(u32, Digest)>; 2],
+    ) -> Result<ChainManifest, CoreError> {
         let target = self
             .get(upto_id)
             .ok_or_else(|| CoreError::Snapshot(format!("snapshot {upto_id} not found")))?;
-        let [mem_refs, disk_refs] = self.lacking_refs_upto(upto_id);
         Ok(ChainManifest {
             snapshot_id: target.id,
             step: target.step,
@@ -824,6 +839,29 @@ impl OnDemandSession {
         }
     }
 
+    /// Makes `machine` — staged by this session, untouched since — fully
+    /// resident: every staged leaf is installed without a fault
+    /// ([`avm_vm::LeafStore::install_staged`]) and must hash to the digest
+    /// it was staged under, the check a received blob gets.  After an error
+    /// `machine` holds unchecked bytes and is to be dropped.
+    pub(crate) fn install(&self, machine: &mut Machine) -> Result<(), CoreError> {
+        for (store, staged) in machine.stores_mut().into_iter().zip(&self.staged) {
+            let mut staged: Vec<(usize, Digest)> = staged.iter().map(|(&l, &d)| (l, d)).collect();
+            staged.sort_unstable_by_key(|&(leaf, _)| leaf);
+            for (leaf, digest) in &staged {
+                store
+                    .install_staged(*leaf)
+                    .ok_or_else(|| operator_missing(digest))?;
+            }
+            let (digests, payloads): (Vec<Digest>, Vec<&[u8]>) = staged
+                .iter()
+                .map(|&(leaf, digest)| (digest, store.leaf(leaf).expect("a staged leaf")))
+                .unzip();
+            verify_blob_batch(&digests, &payloads)?;
+        }
+        Ok(())
+    }
+
     /// The settle-time classification of the machine's fault lists: which
     /// unique faulted digests must cross the wire and which are free
     /// (cached / image-derivable), plus the fault and untouched counters.
@@ -1028,13 +1066,12 @@ fn stage_divergent(
     remote: Option<&SnapshotStore>,
 ) -> Result<(Machine, OnDemandSession, [Vec<usize>; 2]), CoreError> {
     let mut machine = Machine::from_image(image, registry).map_err(CoreError::Vm)?;
-    restore_header(
-        &mut machine,
-        &manifest.cpu_state,
-        &manifest.dev_state,
-        manifest.step,
-        manifest.halted,
-    )?;
+    // What the three header leaves cover: CPU, volatile devices, control.
+    machine.restore_cpu_state(&manifest.cpu_state)?;
+    machine
+        .devices_mut()
+        .restore_volatile(&manifest.dev_state)?;
+    machine.set_control_state(manifest.step, manifest.halted, false);
 
     // Resolve every reference that diverges from the reference image to the
     // contents to stage.  The cache and the image are free — a blob whose

@@ -1413,7 +1413,8 @@ mod tests {
     }
 
     /// An entry whose declared length overruns the packet is not a response
-    /// at all: the body is dropped and no audit runs on it.
+    /// at all: the exchange ends with the decode error and no audit runs on
+    /// it.
     #[test]
     fn entry_overrunning_the_packet_never_reaches_an_audit() {
         let (bob, image) = record_with_snapshots(2);
@@ -1435,9 +1436,9 @@ mod tests {
         let error = client
             .audit_log("bob", 1, 0, &[], &key(1).verifying_key(), &image, &registry)
             .unwrap_err();
-        assert!(error.to_string().contains("response dropped"), "{error}");
+        assert!(error.to_string().contains("undecodable"), "{error}");
         let error = client.spot_check(0, 1, &image, &registry).unwrap_err();
-        assert!(error.to_string().contains("response dropped"), "{error}");
+        assert!(error.to_string().contains("undecodable"), "{error}");
     }
 
     /// The whole-log audit reads entries where they landed, so a hostile
@@ -1486,7 +1487,7 @@ mod tests {
         let error = audit_with(&|body| recount(body, &|_| 1 << 40));
         assert!(
             error.starts_with(
-                "snapshot error: response dropped: declared length 1099511627776 exceeds maximum "
+                "snapshot error: audit transport: undecodable response: declared length 1099511627776 exceeds maximum "
             ),
             "{error}"
         );

@@ -10,7 +10,7 @@
 use std::sync::OnceLock;
 
 use crate::config::AvmmOptions;
-use crate::endpoint::{link_timeout_us, AuditServer, AuditTransport, TransportStats};
+use crate::endpoint::{link_timeout_us, undecodable, AuditServer, AuditTransport, TransportStats};
 use crate::envelope::{Envelope, EnvelopeKind};
 use crate::error::CoreError;
 use crate::fleet::{AuditTask, FleetAuditor};
@@ -384,8 +384,8 @@ pub(crate) fn db_recording(twin: bool) -> &'static Recording {
 
 /// A provider on no network whose encoded response passes through `tamper`
 /// (with the request it answers) on its way to the auditor.  A body that no
-/// longer decodes is dropped, as `PendingExchange::accept` drops it; with no
-/// retransmit timer to wait out, the exchange fails on the spot.
+/// longer decodes ends the exchange with its decode error, as
+/// `PendingExchange::accept` ends it.
 pub(crate) struct TamperingTransport<'a, F> {
     pub server: AuditServer<'a>,
     pub tamper: F,
@@ -398,8 +398,7 @@ impl<F: FnMut(&AuditRequest, Vec<u8>) -> Vec<u8>> AuditTransport for TamperingTr
         on_response: impl FnOnce(AuditResponseRef<'_>) -> R,
     ) -> Result<R, CoreError> {
         let body = (self.tamper)(request, self.server.respond(request));
-        let response = AuditResponseRef::decode_exact(&body)
-            .map_err(|e| CoreError::Snapshot(format!("response dropped: {e}")))?;
+        let response = AuditResponseRef::decode_exact(&body).map_err(undecodable)?;
         Ok(on_response(response))
     }
 

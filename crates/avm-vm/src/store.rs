@@ -71,7 +71,9 @@
 //! state roots are correct at every point even though untouched contents
 //! were never transferred.  [`LeafStore::faulted`] records the first-touch
 //! order; the audit layer turns it into the exact set of blobs the auditor
-//! had to download.
+//! had to download.  [`LeafStore::install_staged`] installs a staged leaf
+//! with no touch and no fault, which is how a staged state becomes a fully
+//! resident one.
 //!
 //! Residency is a **slot**, not a probe.  Staged contents live in a table
 //! indexed by leaf number: an occupied slot means "this leaf is not resident
@@ -590,6 +592,24 @@ impl LeafStore {
         }
         *slot = Some(Staged::Bytes(content));
         self.missed.retain(|&leaf| leaf != idx);
+        Some(())
+    }
+
+    /// Installs the contents staged at leaf `idx` now, as its first touch
+    /// would but recording no fault: the way a staged machine that must be
+    /// fully resident (a provider materializing its own snapshot) takes
+    /// each leaf.  The hash slot keeps the hash the leaf was staged under
+    /// and the dirty bit is left alone.  `None`, with nothing changed,
+    /// unless leaf `idx` is staged with its contents.
+    pub fn install_staged(&mut self, idx: usize) -> Option<()> {
+        if !matches!(self.staged.get(idx), Some(Some(Staged::Bytes(_)))) {
+            return None;
+        }
+        let Some(Staged::Bytes(content)) = self.take_staged(idx) else {
+            unreachable!("the slot holds contents");
+        };
+        let (page, range) = self.locate(idx);
+        self.pages[page].bytes_mut()[range].copy_from_slice(&content);
         Some(())
     }
 

@@ -8,7 +8,8 @@
 //! step sequence against either facade; after every step everything
 //! observable must agree: bytes read, every `VmError`, first-touch fault
 //! order, staged count, dirty set, every unit's hash and its raw (possibly
-//! stale) contents.
+//! stale) contents.  Installing a staged unit without a touch
+//! (`LeafStore::install_staged`) is one of the steps.
 
 use std::collections::HashMap;
 
@@ -205,6 +206,14 @@ impl Model {
         Ok(())
     }
 
+    /// `install_staged`: a staged unit's contents go in now, with no fault,
+    /// no dirty bit and the hash it was staged under kept.
+    fn install_staged(&mut self, idx: usize) -> Option<()> {
+        let content = self.staged.remove(&idx)?;
+        self.data[idx * self.unit..(idx + 1) * self.unit].copy_from_slice(&content);
+        Some(())
+    }
+
     fn hash(&mut self, idx: usize) -> Digest {
         let unit = &self.data[idx * self.unit..(idx + 1) * self.unit];
         *self.hashes[idx].get_or_insert_with(|| sha256(unit))
@@ -221,7 +230,7 @@ type Step = (u8, usize, usize, u8);
 
 fn step_sequence() -> impl Strategy<Value = Vec<Step>> {
     proptest::collection::vec(
-        (0u8..12, any::<usize>(), any::<usize>(), any::<u8>()),
+        (0u8..13, any::<usize>(), any::<usize>(), any::<u8>()),
         1..48,
     )
 }
@@ -267,6 +276,7 @@ trait Facade: Clone {
 
     fn new() -> Self;
     fn store(&self) -> &LeafStore;
+    fn store_mut(&mut self) -> &mut LeafStore;
     fn stage(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> Result<(), VmError>;
     fn read(&mut self, addr: u64, len: usize) -> Result<Vec<u8>, VmError>;
     fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), VmError>;
@@ -317,6 +327,9 @@ impl Facade for GuestMemory {
     }
     fn store(&self) -> &LeafStore {
         self.leaves()
+    }
+    fn store_mut(&mut self) -> &mut LeafStore {
+        self.leaves_mut()
     }
     fn stage(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> Result<(), VmError> {
         self.stage_lazy_chunk(idx, content, hash)
@@ -369,6 +382,9 @@ impl Facade for Disk {
     }
     fn store(&self) -> &LeafStore {
         self.leaves()
+    }
+    fn store_mut(&mut self) -> &mut LeafStore {
+        self.leaves_mut()
     }
     fn stage(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> Result<(), VmError> {
         self.stage_lazy_block(idx, content, hash)
@@ -486,6 +502,15 @@ fn facade_matches_the_map_model<F: Facade>(steps: Vec<Step>) -> Result<(), TestC
                 let idx = stage_target(&model, a, b) % F::UNITS;
                 let own = model.data[idx * F::UNIT..(idx + 1) * F::UNIT].to_vec();
                 prop_assert_eq!(facade.set_unit(idx, &own), model.set_unit(idx, &own));
+            }
+            11 => {
+                // Any target: a staged unit installs; a resident, faulted or
+                // out-of-range one is refused with nothing changed.
+                let idx = stage_target(&model, a, b);
+                prop_assert_eq!(
+                    facade.store_mut().install_staged(idx),
+                    model.install_staged(idx)
+                );
             }
             _ => {
                 let clone = facade.clone();

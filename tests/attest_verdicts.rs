@@ -21,7 +21,7 @@ use avm_log::TamperEvidentLog;
 use avm_vm::bytecode::assemble;
 use avm_vm::packet::encode_guest_packet;
 use avm_vm::{GuestRegistry, VmImage};
-use avm_wire::attest::AttestChallenge;
+use avm_wire::attest::{AttestChallenge, DEFAULT_FRESHNESS_US};
 use avm_wire::{Decode, Encode, Reader};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -229,7 +229,7 @@ proptest! {
                 issued_at_us,
             };
             // Any verification time inside the freshness window.
-            let now = issued_at_us + skew % policy.freshness_us;
+            let now = issued_at_us + skew % DEFAULT_FRESHNESS_US;
             let attestor = match tamper {
                 Tamper::Honest => honest_attestor.clone(),
                 Tamper::Image => Attestor::from_envelope_bytes(
@@ -288,7 +288,7 @@ proptest! {
             nonce: challenge_nonce(session_id, issued_at_us),
             issued_at_us,
         };
-        let late = issued_at_us + policy.freshness_us + age.unwrap_or(1);
+        let late = issued_at_us + DEFAULT_FRESHNESS_US + age.unwrap_or(1);
         let (verdict, _) = policy.verify(&attestor.quote(&challenge), &challenge, late);
         prop_assert_eq!(verdict, AttestVerdict::Expired);
     }

@@ -2,7 +2,7 @@
 
 use avm_compress::{compress, decompress, CompressionLevel};
 use avm_core::snapshot::{
-    build_state_tree_uncached, capture_with_cache, install_sections, SnapshotStore, StateTreeCache,
+    build_state_tree_uncached, capture_with_cache, SnapshotStore, StateTreeCache,
 };
 use avm_crypto::merkle::MerkleTree;
 use avm_crypto::sha256::{sha256, Digest};
@@ -13,8 +13,9 @@ use avm_wire::varint::{read_varint, varint_len, write_varint, zigzag_decode, zig
 use avm_wire::{read_frame, write_frame};
 use proptest::prelude::*;
 
-/// The state at snapshot `upto_id` built by walking `store`'s pool instead of
-/// reading a section stream: the reference [`install_sections`] is held to.
+/// The state at snapshot `upto_id` built by walking `store`'s pool section by
+/// section instead of staging its collapsed references: the reference
+/// [`SnapshotStore::materialize`] is held to.
 /// Memory sections before the chain's last full dump are superseded; every
 /// disk section applies.
 fn pool_walk(store: &SnapshotStore, upto_id: u64, image: &VmImage) -> Machine {
@@ -212,11 +213,11 @@ proptest! {
         prop_assert_eq!(cache.refresh(&m), build_state_tree_uncached(&m).root());
     }
 
-    /// Transfer accounting equals the stream the sections materialization
-    /// applies are shipped as, for every snapshot in a chain built from an
+    /// Transfer accounting equals the length of the section stream a full
+    /// dump is shipped as, for every snapshot in a chain built from an
     /// arbitrary interleaving of memory writes, disk writes, and
-    /// full/incremental captures; installing that stream gives the machine
-    /// and the root a walk of the pool gives, before and after a prune; the
+    /// full/incremental captures; materialization gives the machine and the
+    /// root a walk of the pool gives, before and after a prune; the
     /// content-addressed store never holds more than the logical payload;
     /// and a prune is invisible to every surviving snapshot's manifest and
     /// materialized state.
@@ -262,11 +263,10 @@ proptest! {
         store.push(capture_with_cache(&mut m, &mut cache, captures, true));
         captures += 1;
 
-        // The section stream installs the state a walk of the pool builds:
-        // the same machine, and the root the snapshot recorded.
+        // Materialization builds the state a walk of the pool builds: the
+        // same machine, and the root the snapshot recorded.
         let round_trip = |store: &SnapshotStore, id: u64| -> Result<(), TestCaseError> {
-            let (installed, _) =
-                install_sections(&store.transfer_stream_upto(id), id, &image, &registry).unwrap();
+            let installed = store.materialize(id, &image, &registry).unwrap();
             let walked = pool_walk(store, id, &image);
             prop_assert_eq!(installed.state_digest(), walked.state_digest(), "snapshot {}", id);
             let root = build_state_tree_uncached(&installed).root();
@@ -275,9 +275,6 @@ proptest! {
             Ok(())
         };
         for id in 0..captures {
-            // materialize authenticates the rebuilt state against the
-            // recorded root internally, so this doubles as a round-trip test.
-            store.materialize(id, &image, &registry).unwrap();
             round_trip(&store, id)?;
             prop_assert_eq!(
                 store.transfer_stream_upto(id).len() as u64,

@@ -165,9 +165,11 @@ impl AuditTransport for CorruptingTransport<'_> {
         }
         self.next_request_id += 1;
         let packet = seal_encoded_message(CLIENT_SESSION, self.next_request_id, &body);
-        let dropped = |e: WireError| CoreError::Snapshot(format!("response dropped: {e}"));
-        let (_, _, body) = open_session_frame(&packet).map_err(dropped)?;
-        let response = AuditResponseRef::decode_exact(body).map_err(dropped)?;
+        let undecodable = |e: WireError| {
+            CoreError::Snapshot(format!("audit transport: undecodable response: {e}"))
+        };
+        let (_, _, body) = open_session_frame(&packet).map_err(undecodable)?;
+        let response = AuditResponseRef::decode_exact(body).map_err(undecodable)?;
         Ok(on_response(response))
     }
 
@@ -239,6 +241,9 @@ fn fleet_chunk_check(
         &mut [&mut relay, &mut provider, &mut auditor],
         100_000,
     );
+    // A lossless link: an answer that does not decode ends the exchange on
+    // its first copy, and nothing is ever sent again.
+    assert_eq!(auditor.transport_stats().retransmissions, 0);
     auditor.into_parts().0
 }
 
@@ -461,10 +466,13 @@ fn a_body_at_odds_with_its_size_is_refused_within_the_input() {
     let rec = recording();
     let server = AuditServer::new(&rec.log, &rec.store);
     type Rewrite = fn(&[u8]) -> Vec<u8>;
-    // A body that is no response at all is dropped: `AuditClient` names
-    // the decode error, the fleet auditor waits out its retransmissions.
+    // A body that is no response at all ends the exchange on its first copy:
+    // both auditors name the decode error.
     let hostile: [(Rewrite, &str); 5] = [
-        (count_above_the_bytes, "response dropped: declared length"),
+        (
+            count_above_the_bytes,
+            "audit transport: undecodable response: declared length",
+        ),
         (record_cut_mid_content, "log entry does not decode"),
         (
             trailing_bytes_in_the_run,
@@ -472,7 +480,7 @@ fn a_body_at_odds_with_its_size_is_refused_within_the_input() {
         ),
         (
             trailing_bytes_after_the_run,
-            "response dropped: 1 trailing bytes",
+            "audit transport: undecodable response: 1 trailing bytes",
         ),
         (seq_past_the_end, "seq past u64::MAX"),
     ];
@@ -501,13 +509,7 @@ fn a_body_at_odds_with_its_size_is_refused_within_the_input() {
                 // A whole log that does not start at seq 1 is refused
                 // before it is decoded.
                 let refused_early = way == "whole log" && error.contains("starts at seq");
-                let dropped = wanted.starts_with("response dropped")
-                    && way == "fleet"
-                    && error.contains("no response after");
-                assert!(
-                    error.contains(wanted) || refused_early || dropped,
-                    "{way}: {error}"
-                );
+                assert!(error.contains(wanted) || refused_early, "{way}: {error}");
             }
         }
     }
