@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use avm_crypto::keys::SigningKey;
 use avm_crypto::sha256::{sha256, Digest};
-use avm_log::{Authenticator, EntryKind, LogEntry, LogSource, TamperEvidentLog};
+use avm_log::{Authenticator, EntryKind, LogSource, TamperEvidentLog};
 use avm_store::{ArenaStore, DurabilityStats, SegmentLog, SegmentStore, Storage, StoreError};
 use avm_vm::devices::InputEvent;
 use avm_vm::{GuestRegistry, VmImage};
@@ -677,14 +677,16 @@ impl<S: Storage + Clone> Provider<S> {
 
     /// Mirrors the log entries the AVMM appended since the last flush to
     /// the segment files, persisting snapshot payloads ahead of the
-    /// SNAPSHOT entries that reference them.
+    /// SNAPSHOT entries that reference them, and ends the batch with a HEAD
+    /// that binds its entries to their hash on disk.
     fn flush(&mut self) -> Result<(), PersistError> {
         let start = self.persisted_entries as usize;
-        if self.avmm.log().entries().len() == start {
+        let end = self.avmm.log().len();
+        if end == start {
             return Ok(());
         }
-        let new_entries: Vec<LogEntry> = self.avmm.log().entries()[start..].to_vec();
-        for entry in new_entries {
+        for index in start..end {
+            let entry = &self.avmm.log().entries()[index];
             if entry.kind == EntryKind::Snapshot {
                 let rec = SnapshotRecord::decode_exact(&entry.content).map_err(|_| {
                     PersistError::Corrupt(format!("own SNAPSHOT entry {} undecodable", entry.seq))
@@ -695,19 +697,21 @@ impl<S: Storage + Clone> Provider<S> {
                 // manifest and blobs are durable.
                 self.arenas.flush()?;
             }
+            let entry = &self.avmm.log().entries()[index];
             let prev = self
                 .segment_log
                 .entries()
                 .last()
                 .map_or(Digest::ZERO, |e| e.hash);
-            self.segments.append_entry(&entry)?;
+            self.segments.append_entry(entry)?;
             self.segment_log.push(entry.clone());
             self.persisted_entries += 1;
             if self.segments.needs_seal() {
-                let auth = Authenticator::create(self.avmm.signing_key(), &entry, prev);
+                let auth = Authenticator::create(self.avmm.signing_key(), entry, prev);
                 self.segments.seal(&auth)?;
             }
         }
+        self.segments.append_head()?;
         self.arenas.flush()?;
         self.segments.flush_batch()?;
         Ok(())
@@ -838,7 +842,7 @@ mod tests {
     fn small_cfg() -> PersistConfig {
         PersistConfig {
             segments: SegmentConfig {
-                max_segment_bytes: 2048,
+                max_segment_bytes: 1024,
                 seal_every_entries: 4,
                 sync_policy: SyncPolicy::PerBatch,
                 ..SegmentConfig::default()

@@ -1381,36 +1381,58 @@ mod tests {
     }
 
     /// Tampering with a payload while keeping its original digest mis-keys
-    /// the blob.  If the pool already holds the true content under that key
-    /// (dedup), materialization silently self-heals; if not, the state-root
-    /// authentication rejects the forged bytes.  Either way the forgery
-    /// cannot produce a wrong-but-accepted state.
+    /// the blob.  A chunk whose bytes no other leaf of the snapshot shares
+    /// is pooled as forged (a chunk sharing its digest with a leaf pooled
+    /// before it would dedup to that leaf's true bytes), so only the install
+    /// pass's hash of every installed leaf against the digest it was staged
+    /// under stands between the forgery and the restored state — the
+    /// manifest's root is computed from the digests, which are the true
+    /// ones.  Materialization must refuse it, naming that digest.
     #[test]
     fn stale_digest_tampering_cannot_forge_state() {
         let img = image();
         let reg = GuestRegistry::new();
         let mut m = Machine::from_image(&img, &reg).unwrap();
         run_until_idle(&mut m);
-        m.inject_packet(vec![1]);
+        // The rx buffer then holds 7, unlike the counter cell and its disk
+        // copy (both 1), so its chunk shares its bytes with no other leaf.
+        m.inject_packet(vec![7]);
         run_until_idle(&mut m);
-        let reference = m.state_digest();
         let mut snap = capture(&mut m, 0, true);
-        if let Some((_, _, chunk)) = snap
+        let digests = |snap: &Snapshot| -> Vec<Digest> {
+            snap.mem_chunks
+                .iter()
+                .chain(&snap.disk_blocks)
+                .map(|(_, digest, _)| *digest)
+                .collect()
+        };
+        let leaves = digests(&snap);
+        // Nor may the image hold it: staging takes the image's own leaves
+        // from the image.
+        let mut fresh = Machine::from_image(&img, &reg).unwrap();
+        let image_leaves = digests(&capture(&mut fresh, 0, true));
+        let (_, digest, chunk) = snap
             .mem_chunks
             .iter_mut()
-            .find(|(idx, _, _)| *idx == COUNTER_CHUNK)
-        {
-            chunk[0] ^= 0xff; // content changed, digest left stale
-        }
+            .find(|(_, digest, _)| {
+                leaves.iter().filter(|l| *l == digest).count() == 1
+                    && !image_leaves.contains(digest)
+            })
+            .expect("a written chunk no other leaf shares");
+        chunk[0] ^= 0xff; // content changed, digest left stale
+        let digest = *digest;
         let mut store = SnapshotStore::new();
         store.push(snap);
-        match store.materialize(0, &img, &reg) {
-            // Dedup resolved the stale key to the true content: the forged
-            // bytes never made it into the reconstructed state.
-            Ok(restored) => assert_eq!(restored.state_digest(), reference),
-            // Or the forged bytes were applied and authentication caught it.
-            Err(e) => assert!(matches!(e, CoreError::Snapshot(_))),
-        }
+        let Err(CoreError::Snapshot(detail)) = store.materialize(0, &img, &reg) else {
+            panic!("forged bytes accepted");
+        };
+        assert_eq!(
+            detail,
+            format!(
+                "received blob does not hash to its requested digest {}",
+                digest.short_hex()
+            )
+        );
     }
 
     /// The leaf order as literals: three header leaves, chunk `c` at leaf

@@ -86,9 +86,10 @@ pub struct LogEntry {
 /// checks and replay — is written once against this view.  A view is
 /// `Sync`: a long segment is checked in parts, on several threads at once.
 ///
-/// A view need not carry its hash.  A stored entry claims one; an entry of a
-/// wire segment claims one only at a checkpoint ([`crate::wire`]), and
-/// [`crate::verify_chain`] computes the rest from the claim before them.
+/// A view need not carry its hash.  An owned [`LogEntry`] claims one; an
+/// entry of a wire segment or of a segment file claims one only at a
+/// checkpoint ([`crate::wire`], `avm-store`), and [`crate::verify_chain`]
+/// computes the rest from the claim before them.
 pub trait EntryView: Sync {
     /// Sequence number `s_i`.
     fn seq(&self) -> u64;
@@ -133,9 +134,9 @@ impl EntryView for LogEntry {
 /// downloaded segment straight from the packet buffer.
 ///
 /// [`LogEntryRef::decode_record`] reads the *record* `t_i ‖ c_i`, which is
-/// an entry as a wire segment carries it between checkpoints — the seq is
-/// the record's position in the segment, so the caller supplies it; a
-/// stored entry is `s_i`, the record and its hash.  The input is the
+/// an entry as a wire segment carries it between checkpoints and as a
+/// segment file stores it — the seq is the record's position, so the caller
+/// supplies it.  The input is the
 /// audited machine's, so every length is checked against the bytes that
 /// remain before anything is sliced; [`LogEntry`]'s `Decode` is the seq,
 /// this decode, the hash after it and a copy, so the two accept the same
@@ -157,8 +158,8 @@ pub struct LogEntryRef<'a> {
 impl<'a> LogEntryRef<'a> {
     /// Reads one record `t_i ‖ c_i` from `r` as the entry with seq `seq`,
     /// claiming no hash; the content lives as long as `r`'s input.  The one
-    /// record parser: a wire segment's decode and a stored entry's both
-    /// call it.
+    /// record parser: a wire segment's decode, a segment file's scan and
+    /// [`crate::TamperEvidentLog::from_bytes`] all call it.
     pub fn decode_record(r: &mut Reader<'a>, seq: u64) -> WireResult<LogEntryRef<'a>> {
         let tag = r.get_u8()?;
         let kind = EntryKind::from_tag(tag).ok_or(WireError::InvalidTag {
@@ -225,26 +226,27 @@ impl LogEntry {
         chain_hash(prev, self.seq, self.kind, &self.content) == self.hash
     }
 
-    /// Size of the stored entry — its record and its hash — in bytes: what
-    /// the log grows by (`Avmm::log_bytes`), not what a segment ships.
+    /// Size of the stored entry — its record `t_i ‖ c_i` — in bytes: what
+    /// the log grows by (`Avmm::log_bytes`) and what `avm-store` writes for
+    /// the entry inside its frame.  The seq is the entry's position and the
+    /// hash is derived from the checkpoints around it, so neither is stored.
     pub fn stored_size(&self) -> usize {
-        self.encoded_len()
-    }
-
-    /// Writes the record `t_i ‖ c_i`: the entry without its seq and hash.
-    pub(crate) fn encode_record(&self, w: &mut Writer) {
-        w.put_u8(self.kind.tag());
-        w.put_bytes(&self.content);
-    }
-
-    /// Length of [`LogEntry::encode_record`]'s output.
-    pub(crate) fn record_len(&self) -> usize {
         let content = self.content.len();
         1 + varint_len(content as u64) + content
     }
+
+    /// Writes the record `t_i ‖ c_i`: the entry without its seq and hash,
+    /// as a log segment ships it and as a segment file stores it
+    /// ([`LogEntryRef::decode_record`] reads it back).
+    pub fn encode_record(&self, w: &mut Writer) {
+        w.put_u8(self.kind.tag());
+        w.put_bytes(&self.content);
+    }
 }
 
-/// A stored entry: its seq, its record, then its hash.
+/// A self-contained entry: its seq, its record, then its hash.  Neither the
+/// store nor the wire holds an entry in this form; it is what a caller that
+/// wants one owned entry as bytes, on its own, gets.
 impl Encode for LogEntry {
     fn encode(&self, w: &mut Writer) {
         w.put_varint(self.seq);
@@ -253,7 +255,7 @@ impl Encode for LogEntry {
     }
 
     fn encoded_len(&self) -> usize {
-        varint_len(self.seq) + self.record_len() + 32
+        varint_len(self.seq) + self.stored_size() + 32
     }
 }
 
@@ -326,7 +328,10 @@ mod tests {
         let e = LogEntry::chained(&Digest::ZERO, 42, EntryKind::NdEvent, vec![1, 2, 3]);
         let bytes = e.encode_to_vec();
         assert_eq!(LogEntry::decode_exact(&bytes).unwrap(), e);
-        assert_eq!(e.stored_size(), bytes.len());
+        let mut record = Writer::new();
+        e.encode_record(&mut record);
+        assert_eq!(bytes[1..bytes.len() - 32], *record.as_slice());
+        assert_eq!(e.stored_size(), record.as_slice().len());
     }
 
     proptest! {
@@ -350,7 +355,10 @@ mod tests {
                 hash: Digest::ZERO,
             };
             prop_assert_eq!(e.encoded_len(), e.encode_to_vec().len());
-            prop_assert_eq!(e.stored_size(), e.encoded_len());
+            let mut record = Writer::new();
+            e.encode_record(&mut record);
+            prop_assert_eq!(e.stored_size(), record.as_slice().len());
+            prop_assert_eq!(e.encoded_len(), varint_len(seq) + e.stored_size() + 32);
         }
     }
 

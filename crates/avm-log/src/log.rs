@@ -2,12 +2,12 @@
 
 use avm_crypto::keys::SigningKey;
 use avm_crypto::sha256::Digest;
-use avm_wire::{Decode, Encode, Reader, Writer};
+use avm_wire::{Reader, Writer};
 
 use crate::auth::Authenticator;
-use crate::entry::{EntryKind, LogEntry};
+use crate::entry::{get_hash, EntryKind, EntryView, LogEntry, LogEntryRef};
 use crate::source::LogSource;
-use crate::verify::{verify_chain, LogVerifyError};
+use crate::verify::{chain_in_parts, parts_for, verify_chain, LogVerifyError};
 
 /// An append-only hash-chained log owned by one machine.
 #[derive(Debug, Clone, Default)]
@@ -154,30 +154,47 @@ impl TamperEvidentLog {
         self.entries.iter().map(|e| e.stored_size() as u64).sum()
     }
 
-    /// Serializes the whole log.
+    /// Serializes the whole log as a segment file stores it: the entry
+    /// count, every entry's record `t_i ‖ c_i` (the seq is its position,
+    /// from 1) and the hash of the last entry — the one checkpoint the rest
+    /// of the chain is derived towards.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_varint(self.entries.len() as u64);
         for e in &self.entries {
-            e.encode(&mut w);
+            e.encode_record(&mut w);
+        }
+        if let Some(last) = self.entries.last() {
+            w.put_raw(last.hash.as_bytes());
         }
         w.into_bytes()
     }
 
-    /// Deserializes a log produced by [`TamperEvidentLog::to_bytes`].
-    ///
-    /// The chain is *not* verified here; auditors use
-    /// [`crate::verify::verify_segment`] for that.
+    /// Deserializes a log produced by [`TamperEvidentLog::to_bytes`],
+    /// deriving every entry's hash from `h_0 = 0`; records that do not
+    /// reach the stored head hash are [`avm_wire::WireError::Corrupt`].
     pub fn from_bytes(bytes: &[u8]) -> Result<TamperEvidentLog, avm_wire::WireError> {
         let mut r = Reader::new(bytes);
         let n = r.get_varint()?;
-        let mut entries = Vec::with_capacity((n as usize).min(1 << 20));
-        for _ in 0..n {
-            entries.push(LogEntry::decode(&mut r)?);
+        let mut views = Vec::with_capacity((n as usize).min(r.remaining() / 2));
+        for seq in 1..=n {
+            views.push(LogEntryRef::decode_record(&mut r, seq)?);
+        }
+        if let Some(last) = views.last_mut() {
+            last.claim = Some(get_hash(&mut r)?);
         }
         if !r.is_empty() {
             return Err(avm_wire::WireError::TrailingBytes(r.remaining()));
         }
+        let chain = chain_in_parts(&Digest::ZERO, &views, parts_for(views.len()));
+        chain.verdict.map_err(|_| {
+            avm_wire::WireError::Corrupt("log records do not reach their head hash")
+        })?;
+        let entries = views
+            .iter()
+            .zip(chain.hashes)
+            .map(|(view, hash)| view.to_entry(hash))
+            .collect();
         Ok(TamperEvidentLog { entries })
     }
 }
@@ -279,7 +296,15 @@ mod tests {
         let restored = TamperEvidentLog::from_bytes(&bytes).unwrap();
         assert_eq!(restored.entries(), log.entries());
         assert!(TamperEvidentLog::from_bytes(&bytes[..bytes.len() - 2]).is_err());
-        assert!(log.total_stored_size() > 0);
+        // The count, every entry's record, and one hash.
+        assert_eq!(bytes.len() as u64, 1 + log.total_stored_size() + 32);
+        // A changed record no longer reaches the head hash.
+        let mut damaged = bytes.clone();
+        damaged[4] ^= 1;
+        assert!(TamperEvidentLog::from_bytes(&damaged).is_err());
+        let empty = TamperEvidentLog::new().to_bytes();
+        assert_eq!(empty, [0]);
+        assert!(TamperEvidentLog::from_bytes(&empty).unwrap().is_empty());
     }
 
     #[test]

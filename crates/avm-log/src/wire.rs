@@ -1,7 +1,8 @@
 //! A log segment on the wire: one run of records, hashes at checkpoints.
 //!
-//! A stored entry is its seq `s_i`, its record `t_i ‖ c_i` and its hash
-//! `h_i`.  A segment ships less:
+//! An owned entry is its seq `s_i`, its record `t_i ‖ c_i` and its hash
+//! `h_i`.  A segment ships less — the same record a segment file stores
+//! (`avm-store`), with claims at checkpoints of its own:
 //!
 //! * **No seq.**  Sequence numbers count up densely (§4.3), so the segment
 //!   names its first one and entry `i` is `first_seq + i`.  A record the
@@ -60,7 +61,7 @@ impl Encode for WireEntry<'_> {
     }
 
     fn encoded_len(&self) -> usize {
-        self.entry.record_len() + if self.claims { 32 } else { 0 }
+        self.entry.stored_size() + if self.claims { 32 } else { 0 }
     }
 }
 
@@ -149,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn a_stored_entry_is_its_seq_its_wire_record_and_its_hash() {
+    fn a_wire_entry_is_its_stored_record_and_its_claim() {
         let mut prev = Digest::ZERO;
         let entries: Vec<LogEntry> = (1..=40u64)
             .map(|seq| {
@@ -167,16 +168,15 @@ mod tests {
         let records = wire.concat();
         let views = decode_entries(1, 40, &records).unwrap();
         for (i, ((entry, bytes), view)) in entries.iter().zip(&wire).zip(&views).enumerate() {
-            let stored = entry.encode_to_vec();
-            let (seq, rest) = stored.split_at(stored.len() - entry.record_len() - 32);
-            let mut varint = Vec::new();
-            avm_wire::varint::write_varint(&mut varint, entry.seq);
-            assert_eq!(seq, varint);
+            let mut record = Writer::new();
+            entry.encode_record(&mut record);
+            let record = record.into_bytes();
+            assert_eq!(record.len(), entry.stored_size());
             if carries_hash(entries.len(), i) {
-                assert_eq!(bytes[..], *rest);
+                assert_eq!(bytes[..], [&record[..], entry.hash.as_bytes()].concat());
                 assert_eq!(view.claim(), Some(entry.hash));
             } else {
-                assert_eq!(bytes[..], rest[..rest.len() - 32]);
+                assert_eq!(bytes[..], record[..]);
                 assert_eq!(view.claim(), None);
             }
             assert_eq!(view.to_entry(entry.hash), *entry);

@@ -13,8 +13,9 @@ use crate::storage::Storage;
 /// When the segment writer issues an fsync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Sync after every appended record: nothing is ever lost, at one device
-    /// flush per log entry.
+    /// Sync after every appended entry and manifest: no entry is ever lost,
+    /// at one device flush per log entry (a batch's unsigned HEAD rides on
+    /// the next one).
     PerEntry,
     /// Sync once per flushed batch (one flush per provider event).
     PerBatch,

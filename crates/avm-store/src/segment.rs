@@ -4,34 +4,60 @@
 //!
 //! The log lives in files `seg-000000`, `seg-000001`, … each a stream of
 //! CRC-framed records (`avm_wire::write_frame`: magic, varint length,
-//! payload, crc32).  Record payloads start with a one-byte tag:
+//! payload, crc32).  An entry's record is the entry as a log segment ships
+//! it, `t_i ‖ varint len ‖ c_i` ([`LogEntry::encode_record`]), so its first
+//! byte is its kind tag (1–6); every other record opens with a zero byte and
+//! its type:
 //!
-//! | tag | record   | payload after the tag                              |
-//! |-----|----------|----------------------------------------------------|
-//! | 0   | HEADER   | varint segment index, varint first seq, `h` anchor |
-//! | 1   | ENTRY    | an encoded [`LogEntry`]                            |
-//! | 2   | SEAL     | an encoded [`Authenticator`] for the last entry    |
-//! | 3   | MANIFEST | varint snapshot id, manifest digest                |
-//! | 4   | PRUNE    | varint base snapshot id, base manifest digest      |
+//! | payload                   | record   | after the two leading bytes                          |
+//! |---------------------------|----------|------------------------------------------------------|
+//! | `t_i ‖ varint len ‖ c_i`  | ENTRY    | (the whole payload is the entry's record)            |
+//! | `0 ‖ 0 ‖ …`               | HEADER   | varint segment index, varint first seq, `h` anchor   |
+//! | `0 ‖ 1 ‖ …`               | SEAL     | an encoded [`Authenticator`] for the last entry      |
+//! | `0 ‖ 2 ‖ …`               | MANIFEST | varint snapshot id, manifest digest                  |
+//! | `0 ‖ 3 ‖ …`               | PRUNE    | varint base snapshot id, base manifest digest        |
+//! | `0 ‖ 4 ‖ …`               | HEAD     | `h` of the last entry, unsigned                      |
+//!
+//! No single changed byte turns one kind of record into another: as an
+//! entry, a zero-led record's type byte is a content length far shorter
+//! than the record, and each zero-led record but MANIFEST/PRUNE has a shape
+//! of its own.
 //!
 //! Every file opens with a HEADER whose anchor is the chained hash of the
-//! last entry in the previous segment (`h_0 = 0` for `seg-000000`), so each
-//! file is independently verifiable and the set of files is totally ordered.
-//! A SEAL carries the provider's own signed authenticator for the chain
-//! head; seals are written every `seal_every_entries` entries, always
-//! fsynced, and a segment only rotates immediately after a seal — so every
-//! file except the last ends with a SEAL, and recovery can classify damage:
+//! last entry in the previous segment (`h_0 = 0` for `seg-000000`) and
+//! whose first seq names the file's first entry; entry `i` of the file is
+//! `first seq + i`.  An entry stores no hash: `h_i` is a function of the
+//! entries before it, so the files keep the chain only at *checkpoints* —
+//! the HEADER anchors, the SEALs (which commit to `h_{s-1}` and `h_s`)
+//! and the HEADs — and [`scan_segments`]
+//! derives every hash with the auditor's [`chain_in_parts`], each run of
+//! entries from the checkpoint before it to the one that must match it.  A
+//! damaged entry is a [`TamperKind::BrokenHashChain`] at the first
+//! checkpoint at or after it.  A SEAL carries the provider's own signed
+//! authenticator for the chain head; seals are written every
+//! `seal_every_entries` entries, always fsynced, and a segment only rotates
+//! immediately after a seal — so every file except the last ends with a
+//! SEAL.  A HEAD ([`SegmentStore::append_head`]) binds the entries written
+//! since the last checkpoint at the end of every batch, so only a batch a
+//! crash cut short leaves entries after the last checkpoint; those are
+//! recovered with hashes chained from it.  Recovery classifies damage:
 //!
 //! * an **incomplete final frame in the final file** is a torn write — the
 //!   one thing a crash can produce — and is silently truncated;
-//! * anything else (bad CRC mid-file, hash-chain break, bad seal, missing
-//!   trailing seal in a non-final file) required rewriting durable bytes and
-//!   is reported as [`StoreError::Tamper`].
+//! * anything else (bad CRC mid-file, a record that does not parse, a run
+//!   that misses its checkpoint, bad seal, missing trailing seal in a
+//!   non-final file) required rewriting durable bytes and is reported as
+//!   [`StoreError::Tamper`].
 
 use avm_crypto::keys::VerifyingKey;
 use avm_crypto::sha256::Digest;
-use avm_log::{verify_chain, Authenticator, LogEntry, LogSource, LogVerifyError};
-use avm_wire::{read_frame, write_frame, Decode, Encode, FrameError, Reader, Writer};
+use avm_log::entry::chain_hash;
+use avm_log::verify::{chain_in_parts, parts_for};
+use avm_log::{Authenticator, EntryView, LogEntry, LogEntryRef, LogSource, LogVerifyError};
+use avm_wire::{
+    decode_exact_with, read_frame, write_frame, Decode, Encode, FrameError, Reader, WireError,
+    WireResult, Writer,
+};
 
 use crate::error::{StoreError, TamperKind};
 use crate::fsync::{DurabilityMeter, DurabilityStats, FsyncModel, SyncPolicy};
@@ -40,11 +66,14 @@ use crate::storage::Storage;
 /// File-name prefix for segment files.
 pub const SEGMENT_PREFIX: &str = "seg-";
 
+/// First byte of every record that is not an entry (an entry's first byte
+/// is its kind tag, never 0); the record's type follows it.
+const CONTROL: u8 = 0;
 const REC_HEADER: u8 = 0;
-const REC_ENTRY: u8 = 1;
-const REC_SEAL: u8 = 2;
-const REC_MANIFEST: u8 = 3;
-const REC_PRUNE: u8 = 4;
+const REC_SEAL: u8 = 1;
+const REC_MANIFEST: u8 = 2;
+const REC_PRUNE: u8 = 3;
+const REC_HEAD: u8 = 4;
 
 /// Configuration for the segment writer.
 #[derive(Debug, Clone, Copy)]
@@ -79,7 +108,8 @@ fn segment_file_name(index: u64) -> String {
 /// Result of a read-only scan of the segment files.
 #[derive(Debug, Clone)]
 pub struct SegmentScan {
-    /// Decoded, chain-verified log entries in sequence order.
+    /// Decoded log entries in sequence order, every hash derived and every
+    /// run of them checked against its checkpoint.
     pub entries: Vec<LogEntry>,
     /// `(snapshot_id, manifest_digest)` records, in persistence order.
     pub manifests: Vec<(u64, Digest)>,
@@ -91,6 +121,8 @@ pub struct SegmentScan {
     pub torn_bytes: u64,
     /// Torn tail location: file name and the byte length to keep.
     pub torn: Option<(String, u64)>,
+    /// Highest sequence number a checkpoint claims the hash of.
+    claimed_upto: u64,
     /// Index of the final (writable) segment file.
     resume_index: u64,
     /// Length of the final file after the torn tail is dropped.
@@ -104,12 +136,86 @@ fn tamper(kind: TamperKind) -> StoreError {
     StoreError::Tamper(kind)
 }
 
+/// One parsed record.
+enum Record {
+    /// An entry, its hash not yet derived (zero until the chain pass).
+    Entry(LogEntry),
+    Header {
+        index: u64,
+        first_seq: u64,
+        anchor: Digest,
+    },
+    Seal(Authenticator),
+    Manifest(u64, Digest),
+    Prune(u64, Digest),
+    Head(Digest),
+}
+
+fn get_digest(r: &mut Reader<'_>) -> WireResult<Digest> {
+    Digest::from_slice(r.get_raw(32)?).ok_or(WireError::Corrupt("digest"))
+}
+
+/// Parses one record payload, which must be exactly one record; an entry
+/// gets seq `next_seq`.
+fn parse_record(payload: &[u8], next_seq: u64) -> WireResult<Record> {
+    decode_exact_with(payload, |r| {
+        if payload.first() != Some(&CONTROL) {
+            let entry = LogEntryRef::decode_record(r, next_seq)?;
+            return Ok(Record::Entry(entry.to_entry(Digest::ZERO)));
+        }
+        r.get_u8()?;
+        Ok(match r.get_u8()? {
+            REC_HEADER => Record::Header {
+                index: r.get_varint()?,
+                first_seq: r.get_varint()?,
+                anchor: get_digest(r)?,
+            },
+            REC_SEAL => Record::Seal(Authenticator::decode(r)?),
+            REC_MANIFEST => Record::Manifest(r.get_varint()?, get_digest(r)?),
+            REC_PRUNE => Record::Prune(r.get_varint()?, get_digest(r)?),
+            REC_HEAD => Record::Head(get_digest(r)?),
+            other => {
+                return Err(WireError::InvalidTag {
+                    what: "segment record",
+                    tag: other as u64,
+                })
+            }
+        })
+    })
+}
+
+/// The checkpoints the record pass found.
+#[derive(Default)]
+struct Checkpoints {
+    /// Per entry, the hash a checkpoint claims for it.
+    claims: Vec<Option<Digest>>,
+    /// `file_starts[i]` is the number of entries before file `i`.
+    file_starts: Vec<usize>,
+}
+
+impl Checkpoints {
+    /// Records a claim that `h_seq` is `hash` (`seq` 0: the anchor
+    /// `h_0 = 0`); false when an earlier checkpoint claims otherwise.
+    fn claim(&mut self, seq: u64, hash: Digest) -> bool {
+        let Some(index) = seq.checked_sub(1) else {
+            return hash == Digest::ZERO;
+        };
+        match &mut self.claims[index as usize] {
+            Some(claimed) => *claimed == hash,
+            slot => {
+                *slot = Some(hash);
+                true
+            }
+        }
+    }
+}
+
 /// Scans the segment files in `storage` without modifying anything.
 ///
-/// Verifies framing, the hash chain across file boundaries, and (when
-/// `verifier` is given) every seal signature.  A torn tail in the final file
-/// is reported in the scan, not an error; all other damage is
-/// [`StoreError::Tamper`].
+/// Verifies framing, file structure, the hash chain at every checkpoint
+/// across file boundaries, and (when `verifier` is given) every seal
+/// signature.  A torn tail in the final file is reported in the scan, not
+/// an error; all other damage is [`StoreError::Tamper`].
 pub fn scan_segments<S: Storage>(
     storage: &S,
     verifier: Option<&VerifyingKey>,
@@ -127,58 +233,77 @@ pub fn scan_segments<S: Storage>(
         sealed_upto: 0,
         torn_bytes: 0,
         torn: None,
+        claimed_upto: 0,
         resume_index: 0,
         resume_file_len: 0,
         needs_header: true,
     };
-    let mut file_starts = Vec::with_capacity(names.len());
-    let records = scan_records(storage, &names, verifier, &mut scan, &mut file_starts);
+    let mut checkpoints = Checkpoints::default();
+    let records = scan_records(storage, &names, verifier, &mut scan, &mut checkpoints);
 
-    // The record pass links headers and seals to the hashes entries *claim*;
-    // the claims themselves are checked here, in one batched pass.  Every
-    // collected entry was read before whatever stopped the record pass, so a
-    // chain fault is the earlier damage and is the one reported.
-    if let Some(index) = first_chain_fault(&scan.entries) {
-        let file = file_starts.partition_point(|&start| start <= index) - 1;
+    // The record pass collected the entries and the hashes checkpoints
+    // claim; the chain is derived here, every run up to a checkpoint in one
+    // batched pass.  Every collected entry was read before whatever stopped
+    // the record pass, so a chain fault is the earlier damage and is the one
+    // reported.
+    let claimed = checkpoints
+        .claims
+        .iter()
+        .rposition(Option::is_some)
+        .map_or(0, |i| i + 1);
+    let views: Vec<LogEntryRef<'_>> = scan.entries[..claimed]
+        .iter()
+        .zip(&checkpoints.claims)
+        .map(|(entry, claim)| LogEntryRef {
+            seq: entry.seq,
+            kind: entry.kind,
+            content: &entry.content,
+            claim: claim.as_ref().map(|hash| &hash.0),
+        })
+        .collect();
+    let chain = chain_in_parts(&Digest::ZERO, &views, parts_for(views.len()));
+    if let Err(fault) = chain.verdict {
+        let LogVerifyError::BrokenChain { seq } = fault else {
+            unreachable!("a stored entry's seq is its position, got {fault}")
+        };
+        let index = (seq - 1) as usize;
+        let file = checkpoints
+            .file_starts
+            .partition_point(|&start| start <= index)
+            - 1;
         return Err(tamper(TamperKind::BrokenHashChain {
             file: names[file].clone(),
-            seq: scan.entries[index].seq,
+            seq,
         }));
     }
+    for (entry, hash) in scan.entries.iter_mut().zip(chain.hashes) {
+        entry.hash = hash;
+    }
+    // Entries after the last checkpoint: a batch a crash cut short.
+    let mut prev = claimed
+        .checked_sub(1)
+        .map_or(Digest::ZERO, |i| scan.entries[i].hash);
+    for entry in &mut scan.entries[claimed..] {
+        entry.hash = chain_hash(&prev, entry.seq, entry.kind, &entry.content);
+        prev = entry.hash;
+    }
     records?;
+    scan.claimed_upto = claimed as u64;
     Ok(scan)
 }
 
-/// Index of the first entry that does not extend the dense, 1-based chain
-/// from `h_0 = 0`.
-fn first_chain_fault(entries: &[LogEntry]) -> Option<usize> {
-    if entries.first()?.seq != 1 {
-        return Some(0);
-    }
-    // Entries before the fault are dense from 1, so index = seq - 1.
-    match verify_chain(&Digest::ZERO, entries) {
-        Ok(()) => None,
-        Err(LogVerifyError::BadSequence { expected, .. }) => Some((expected - 1) as usize),
-        Err(LogVerifyError::BrokenChain { seq }) => Some((seq - 1) as usize),
-        Err(other) => unreachable!("verify_chain reports only chain faults, got {other}"),
-    }
-}
-
 /// The record pass of [`scan_segments`]: framing, file structure and seals,
-/// with every entry accepted on its claimed hash.  `file_starts[i]` is the
-/// number of entries collected before file `i`.
+/// with every entry's hash left for the chain pass and every checkpoint's
+/// claim collected into `checkpoints`.
 fn scan_records<S: Storage>(
     storage: &S,
     names: &[String],
     verifier: Option<&VerifyingKey>,
     scan: &mut SegmentScan,
-    file_starts: &mut Vec<usize>,
+    checkpoints: &mut Checkpoints,
 ) -> Result<(), StoreError> {
-    let mut last_hash = Digest::ZERO;
-    let mut prev_of_last = Digest::ZERO;
-
     for (fi, name) in names.iter().enumerate() {
-        file_starts.push(scan.entries.len());
+        checkpoints.file_starts.push(scan.entries.len());
         let data = storage.read(name)?;
         let is_last = fi + 1 == names.len();
         let mut off = 0usize;
@@ -191,6 +316,14 @@ fn scan_records<S: Storage>(
                 Ok(frame) => frame,
                 Err(FrameError::Truncated) if is_last => {
                     // A torn append: the one kind of damage a crash produces.
+                    // It tears the last append only, so a whole frame after
+                    // the cut means a length was rewritten, not torn.
+                    if (off + 1..data.len()).any(|p| read_frame(&data[p..]).is_ok()) {
+                        return Err(tamper(TamperKind::BadRecord {
+                            file: name.clone(),
+                            detail: "a frame cut short is followed by a whole frame".into(),
+                        }));
+                    }
                     scan.torn = Some((name.clone(), off as u64));
                     scan.torn_bytes = (data.len() - off) as u64;
                     keep_len = off;
@@ -203,71 +336,48 @@ fn scan_records<S: Storage>(
                     }))
                 }
             };
-            let mut r = Reader::new(payload);
-            let tag = r.get_u8().map_err(|e| {
-                tamper(TamperKind::BadRecord {
+            let bad_segment = |detail: &str| {
+                tamper(TamperKind::BadSegment {
                     file: name.clone(),
-                    detail: format!("empty record: {e:?}"),
-                })
-            })?;
-            let bad_record = |detail: String| {
-                tamper(TamperKind::BadRecord {
-                    file: name.clone(),
-                    detail,
+                    detail: detail.into(),
                 })
             };
-            if !saw_header {
-                if tag != REC_HEADER {
-                    return Err(tamper(TamperKind::BadSegment {
-                        file: name.clone(),
-                        detail: "file does not start with a segment header".into(),
-                    }));
-                }
-                let index = r
-                    .get_varint()
-                    .map_err(|e| bad_record(format!("header: {e:?}")))?;
-                let first_seq = r
-                    .get_varint()
-                    .map_err(|e| bad_record(format!("header: {e:?}")))?;
-                let anchor = Digest::from_slice(
-                    r.get_raw(32)
-                        .map_err(|e| bad_record(format!("header: {e:?}")))?,
-                )
-                .expect("32 bytes");
-                let expected_seq = scan.entries.len() as u64 + 1;
-                if index != fi as u64 || first_seq != expected_seq || anchor != last_hash {
-                    return Err(tamper(TamperKind::BadSegment {
-                        file: name.clone(),
-                        detail: format!(
+            let last_seq = scan.entries.len() as u64;
+            let record = parse_record(payload, last_seq + 1).map_err(|e| {
+                tamper(TamperKind::BadRecord {
+                    file: name.clone(),
+                    detail: format!("{e:?}"),
+                })
+            })?;
+            last_was_seal = matches!(record, Record::Seal(_));
+            match record {
+                Record::Header {
+                    index,
+                    first_seq,
+                    anchor,
+                } if !saw_header => {
+                    if index != fi as u64
+                        || first_seq != last_seq + 1
+                        || !checkpoints.claim(last_seq, anchor)
+                    {
+                        return Err(bad_segment(&format!(
                             "header (index {index}, first seq {first_seq}) does not \
                              anchor to the preceding segment"
-                        ),
-                    }));
+                        )));
+                    }
+                    saw_header = true;
                 }
-                saw_header = true;
-                last_was_seal = false;
-                off += consumed;
-                continue;
-            }
-            match tag {
-                REC_HEADER => {
-                    return Err(tamper(TamperKind::BadSegment {
-                        file: name.clone(),
-                        detail: "unexpected mid-file segment header".into(),
-                    }));
+                _ if !saw_header => {
+                    return Err(bad_segment("file does not start with a segment header"));
                 }
-                REC_ENTRY => {
-                    let entry = LogEntry::decode(&mut r)
-                        .map_err(|e| bad_record(format!("entry: {e:?}")))?;
-                    prev_of_last = last_hash;
-                    last_hash = entry.hash;
+                Record::Header { .. } => {
+                    return Err(bad_segment("unexpected mid-file segment header"));
+                }
+                Record::Entry(entry) => {
                     scan.entries.push(entry);
-                    last_was_seal = false;
+                    checkpoints.claims.push(None);
                 }
-                REC_SEAL => {
-                    let auth = Authenticator::decode(&mut r)
-                        .map_err(|e| bad_record(format!("seal: {e:?}")))?;
-                    let last_seq = scan.entries.len() as u64;
+                Record::Seal(auth) => {
                     let bad_seal = |detail: &str| {
                         tamper(TamperKind::BadSeal {
                             file: name.clone(),
@@ -275,9 +385,11 @@ fn scan_records<S: Storage>(
                             detail: detail.into(),
                         })
                     };
+                    // A seal commits to `h_{s-1}` and `h_s`: two checkpoints.
                     if auth.seq != last_seq
-                        || auth.hash != last_hash
-                        || auth.prev_hash != prev_of_last
+                        || last_seq == 0
+                        || !checkpoints.claim(last_seq - 1, auth.prev_hash)
+                        || !checkpoints.claim(last_seq, auth.hash)
                     {
                         return Err(bad_seal("seal does not commit to the chain head"));
                     }
@@ -286,37 +398,13 @@ fn scan_records<S: Storage>(
                             .map_err(|_| bad_seal("invalid seal signature"))?;
                     }
                     scan.sealed_upto = last_seq;
-                    last_was_seal = true;
                 }
-                REC_MANIFEST => {
-                    let id = r
-                        .get_varint()
-                        .map_err(|e| bad_record(format!("manifest: {e:?}")))?;
-                    let digest = Digest::from_slice(
-                        r.get_raw(32)
-                            .map_err(|e| bad_record(format!("manifest: {e:?}")))?,
-                    )
-                    .expect("32 bytes");
-                    scan.manifests.push((id, digest));
-                    last_was_seal = false;
-                }
-                REC_PRUNE => {
-                    let id = r
-                        .get_varint()
-                        .map_err(|e| bad_record(format!("prune: {e:?}")))?;
-                    let digest = Digest::from_slice(
-                        r.get_raw(32)
-                            .map_err(|e| bad_record(format!("prune: {e:?}")))?,
-                    )
-                    .expect("32 bytes");
-                    scan.prunes.push((id, digest));
-                    last_was_seal = false;
-                }
-                other => {
-                    return Err(tamper(TamperKind::BadSegment {
-                        file: name.clone(),
-                        detail: format!("unknown record tag {other}"),
-                    }));
+                Record::Manifest(id, digest) => scan.manifests.push((id, digest)),
+                Record::Prune(id, digest) => scan.prunes.push((id, digest)),
+                Record::Head(hash) => {
+                    if !checkpoints.claim(last_seq, hash) {
+                        return Err(bad_segment("head does not match the checkpoint before it"));
+                    }
                 }
             }
             off += consumed;
@@ -352,6 +440,8 @@ pub struct SegmentStore<S: Storage> {
     prev_of_last: Digest,
     entries_since_seal: u64,
     sealed_upto: u64,
+    /// Highest seq whose hash a HEADER, SEAL or HEAD on disk claims.
+    claimed_upto: u64,
     meter: DurabilityMeter,
 }
 
@@ -379,6 +469,7 @@ impl<S: Storage> SegmentStore<S> {
             prev_of_last: Digest::ZERO,
             entries_since_seal: 0,
             sealed_upto: 0,
+            claimed_upto: 0,
             meter: DurabilityMeter::new(cfg.fsync_model),
         };
         store.append_header()?;
@@ -415,6 +506,7 @@ impl<S: Storage> SegmentStore<S> {
             prev_of_last,
             entries_since_seal: last_seq - scan.sealed_upto,
             sealed_upto: scan.sealed_upto,
+            claimed_upto: scan.claimed_upto,
             meter: DurabilityMeter::new(cfg.fsync_model),
         };
         if scan.needs_header {
@@ -433,16 +525,26 @@ impl<S: Storage> SegmentStore<S> {
         Ok(())
     }
 
-    fn append_header(&mut self) -> Result<(), StoreError> {
+    /// A writer for a record of type `record`, the two leading bytes written.
+    fn control(record: u8) -> Writer {
         let mut w = Writer::new();
-        w.put_u8(REC_HEADER);
+        w.put_u8(CONTROL);
+        w.put_u8(record);
+        w
+    }
+
+    fn append_header(&mut self) -> Result<(), StoreError> {
+        let mut w = Self::control(REC_HEADER);
         w.put_varint(self.segment_index);
         w.put_varint(self.last_seq + 1);
         w.put_raw(self.last_hash.as_bytes());
-        self.append_frame(&w.into_bytes())
+        self.append_frame(&w.into_bytes())?;
+        self.claimed_upto = self.last_seq;
+        Ok(())
     }
 
-    /// Appends a log entry; it must extend the persisted chain exactly.
+    /// Appends a log entry — its record `t_i ‖ c_i`, [`LogEntry::stored_size`]
+    /// bytes in a frame; it must extend the persisted chain exactly.
     pub fn append_entry(&mut self, entry: &LogEntry) -> Result<(), StoreError> {
         if entry.seq != self.last_seq + 1 || !entry.verify_against(&self.last_hash) {
             return Err(StoreError::Io(format!(
@@ -451,8 +553,7 @@ impl<S: Storage> SegmentStore<S> {
             )));
         }
         let mut w = Writer::new();
-        w.put_u8(REC_ENTRY);
-        entry.encode(&mut w);
+        entry.encode_record(&mut w);
         self.append_frame(&w.into_bytes())?;
         self.prev_of_last = self.last_hash;
         self.last_hash = entry.hash;
@@ -481,12 +582,12 @@ impl<S: Storage> SegmentStore<S> {
                 "seal authenticator does not match the chain head".into(),
             ));
         }
-        let mut w = Writer::new();
-        w.put_u8(REC_SEAL);
+        let mut w = Self::control(REC_SEAL);
         auth.encode(&mut w);
         self.append_frame(&w.into_bytes())?;
         self.sync()?; // a seal is a durability point under every policy
         self.sealed_upto = self.last_seq;
+        self.claimed_upto = self.last_seq;
         self.entries_since_seal = 0;
         if self.file_len >= self.cfg.max_segment_bytes {
             self.segment_index += 1;
@@ -507,8 +608,7 @@ impl<S: Storage> SegmentStore<S> {
         snapshot_id: u64,
         manifest: Digest,
     ) -> Result<(), StoreError> {
-        let mut w = Writer::new();
-        w.put_u8(REC_MANIFEST);
+        let mut w = Self::control(REC_MANIFEST);
         w.put_varint(snapshot_id);
         w.put_raw(manifest.as_bytes());
         self.append_frame(&w.into_bytes())?;
@@ -522,12 +622,27 @@ impl<S: Storage> SegmentStore<S> {
     /// base whose manifest digest is `base_manifest`.  Always fsynced —
     /// arena compaction may delete blobs the moment this record is durable.
     pub fn append_prune(&mut self, base_id: u64, base_manifest: Digest) -> Result<(), StoreError> {
-        let mut w = Writer::new();
-        w.put_u8(REC_PRUNE);
+        let mut w = Self::control(REC_PRUNE);
         w.put_varint(base_id);
         w.put_raw(base_manifest.as_bytes());
         self.append_frame(&w.into_bytes())?;
         self.sync()
+    }
+
+    /// Appends a HEAD — the hash of the last entry, unsigned — unless a
+    /// seal or header already claims it.  The checkpoint that ends a batch
+    /// of appends (`avm-core`'s provider writes one at the end of every
+    /// flush): every entry before it is bound to a hash on disk, so a
+    /// changed entry is a chain break at recovery, signed or not.
+    pub fn append_head(&mut self) -> Result<(), StoreError> {
+        if self.claimed_upto == self.last_seq {
+            return Ok(());
+        }
+        let mut w = Self::control(REC_HEAD);
+        w.put_raw(self.last_hash.as_bytes());
+        self.append_frame(&w.into_bytes())?;
+        self.claimed_upto = self.last_seq;
+        Ok(())
     }
 
     /// Fsyncs outstanding appends (priced by the fsync model).
@@ -535,12 +650,14 @@ impl<S: Storage> SegmentStore<S> {
         self.meter.sync(&mut self.storage)
     }
 
-    /// Commit point for [`SyncPolicy::PerBatch`]: syncs unless the policy is
-    /// seal-only.
+    /// Commit point for [`SyncPolicy::PerBatch`]: syncs the batch under it.
+    /// [`SyncPolicy::PerEntry`] synced every entry as it was appended, and
+    /// the batch's HEAD rides on the next sync, as under
+    /// [`SyncPolicy::PerSeal`].
     pub fn flush_batch(&mut self) -> Result<(), StoreError> {
         match self.cfg.sync_policy {
-            SyncPolicy::PerSeal => Ok(()),
-            SyncPolicy::PerEntry | SyncPolicy::PerBatch => self.sync(),
+            SyncPolicy::PerBatch => self.sync(),
+            SyncPolicy::PerEntry | SyncPolicy::PerSeal => Ok(()),
         }
     }
 
@@ -807,10 +924,55 @@ mod tests {
         assert!(err.is_tamper(), "got {err:?}");
     }
 
+    /// Rewrites `file`, replacing each frame's payload with what `rewrite`
+    /// returns for it (given the payload and the seq of the entry it holds,
+    /// if it is an entry record), every frame re-framed with a valid CRC.
+    fn reframe(
+        storage: &SimStorage,
+        file: &str,
+        mut rewrite: impl FnMut(&[u8], Option<u64>) -> Option<Vec<u8>>,
+    ) {
+        let mut s = storage.clone();
+        let data = s.read(file).unwrap();
+        let first_seq = match parse_record(read_frame(&data).unwrap().0, 0) {
+            Ok(Record::Header { first_seq, .. }) => first_seq,
+            _ => panic!("{file} starts with a header"),
+        };
+        let (mut rewritten, mut off, mut seq) = (Vec::new(), 0, first_seq);
+        while off < data.len() {
+            let (payload, consumed) = read_frame(&data[off..]).unwrap();
+            let entry_seq = (payload[0] != CONTROL).then_some(seq);
+            seq += entry_seq.is_some() as u64;
+            match rewrite(payload, entry_seq) {
+                Some(payload) => {
+                    write_frame(&mut rewritten, &payload);
+                }
+                None => rewritten.extend_from_slice(&data[off..off + consumed]),
+            }
+            off += consumed;
+        }
+        s.remove(file).unwrap();
+        s.append(file, &rewritten).unwrap();
+    }
+
+    /// The record of `payload` (an entry record) with `content` in place of
+    /// its own.
+    fn with_content(payload: &[u8], content: &[u8]) -> Vec<u8> {
+        let entry = decode_exact_with(payload, |r| LogEntryRef::decode_record(r, 0)).unwrap();
+        let mut w = Writer::new();
+        LogEntry {
+            content: content.to_vec(),
+            ..entry.to_entry(Digest::ZERO)
+        }
+        .encode_record(&mut w);
+        w.into_bytes()
+    }
+
     /// A forged entry re-framed with a valid CRC is a chain break in the
-    /// file that holds it — also when a later file is damaged too (the
-    /// batched chain pass runs after the record pass, and must still report
-    /// the earlier damage).
+    /// file that holds it, at the first checkpoint at or after it (seq 3:
+    /// the seal of seq 4 commits to `h_3` too) — also when a later file is
+    /// damaged too (the batched chain pass runs after the record pass, and
+    /// must still report the earlier damage).
     #[test]
     fn reframed_forged_entry_is_a_chain_break_in_its_own_file() {
         let signing = key();
@@ -820,35 +982,12 @@ mod tests {
         write_log(&mut store, &mut log, &signing, 25).unwrap();
         assert!(store.segment_files() > 2);
 
-        // Rewrite seq 3 in seg-000000: new content under the old claimed hash.
-        let mut s = storage.clone();
-        let data = s.read("seg-000000").unwrap();
-        let mut rewritten = Vec::new();
-        let mut off = 0;
-        while off < data.len() {
-            let (payload, consumed) = read_frame(&data[off..]).unwrap();
-            let mut forged = None;
-            if payload[0] == REC_ENTRY {
-                let mut entry = LogEntry::decode_exact(&payload[1..]).unwrap();
-                if entry.seq == 3 {
-                    entry.content = b"forged".to_vec();
-                    let mut w = Writer::new();
-                    w.put_u8(REC_ENTRY);
-                    entry.encode(&mut w);
-                    forged = Some(w.into_bytes());
-                }
-            }
-            match forged {
-                Some(payload) => {
-                    write_frame(&mut rewritten, &payload);
-                }
-                None => rewritten.extend_from_slice(&data[off..off + consumed]),
-            }
-            off += consumed;
-        }
-        s.remove("seg-000000").unwrap();
-        s.append("seg-000000", &rewritten).unwrap();
+        // Rewrite seq 3 in seg-000000: new content, same place.
+        reframe(&storage, "seg-000000", |payload, seq| {
+            (seq == Some(3)).then(|| with_content(payload, b"forged"))
+        });
         // And chop the trailing seal off the second file.
+        let mut s = storage.clone();
         let len = s.read("seg-000001").unwrap().len() as u64;
         s.truncate("seg-000001", len - 5).unwrap();
 
@@ -857,6 +996,64 @@ mod tests {
             StoreError::Tamper(TamperKind::BrokenHashChain {
                 file: "seg-000000".into(),
                 seq: 3,
+            })
+        );
+    }
+
+    /// A stored entry is its record: what `append_entry` appends is one
+    /// frame around [`LogEntry::stored_size`] bytes, the entry's record.
+    #[test]
+    fn stored_size_is_what_append_entry_appends_less_framing() {
+        let storage = SimStorage::new();
+        let mut store = SegmentStore::create(storage.clone(), small_cfg()).unwrap();
+        let mut log = TamperEvidentLog::new();
+        for len in [0usize, 1, 126, 127, 128, 300, 16_384] {
+            let entry = log.append(EntryKind::Recv, vec![7; len]).clone();
+            let before = storage.read("seg-000000").unwrap().len();
+            let appended = store.stats().appended_bytes;
+            store.append_entry(&entry).unwrap();
+            let data = storage.read("seg-000000").unwrap();
+            let (payload, frame) = read_frame(&data[before..]).unwrap();
+            assert_eq!(frame, data.len() - before);
+            assert_eq!(store.stats().appended_bytes - appended, frame as u64);
+            let mut record = Writer::new();
+            entry.encode_record(&mut record);
+            assert_eq!(payload, record.as_slice());
+            assert_eq!(payload.len(), entry.stored_size(), "content of {len} B");
+        }
+    }
+
+    /// The entries written since the last seal are bound by the batch's
+    /// HEAD: a changed one is a chain break at the head's seq.  Entries a
+    /// crash left after the last checkpoint are recovered, hashes chained
+    /// from it.
+    #[test]
+    fn a_head_binds_the_entries_after_the_last_seal() {
+        let signing = key();
+        let storage = SimStorage::new();
+        let mut store = SegmentStore::create(storage.clone(), small_cfg()).unwrap();
+        let mut log = TamperEvidentLog::new();
+        write_log(&mut store, &mut log, &signing, 6).unwrap();
+        store.append_head().unwrap();
+        let bytes = store.stats().appended_bytes;
+        store.append_head().unwrap();
+        assert_eq!(
+            store.stats().appended_bytes,
+            bytes,
+            "seq 6 is claimed already"
+        );
+        write_log(&mut store, &mut log, &signing, 1).unwrap();
+        let scan = scan_segments(&storage, Some(&signing.verifying_key())).unwrap();
+        assert_eq!(scan.entries, log.entries(), "seq 7 chained from the head");
+
+        reframe(&storage, "seg-000000", |payload, seq| {
+            (seq == Some(5)).then(|| with_content(payload, b"forged"))
+        });
+        assert_eq!(
+            scan_segments(&storage, Some(&signing.verifying_key())).unwrap_err(),
+            StoreError::Tamper(TamperKind::BrokenHashChain {
+                file: "seg-000000".into(),
+                seq: 6,
             })
         );
     }
