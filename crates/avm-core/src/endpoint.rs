@@ -111,7 +111,10 @@ use crate::spotcheck::{snapshot_positions_in, SpotCheckReport};
 
 /// The provider endpoint of the audit protocol: answers every
 /// [`AuditRequest`] from the operator's tamper-evident log and snapshot
-/// store.
+/// store.  The log is borrowed as its entries: the recorder's whole log
+/// ([`AuditServer::new`]), or a prefix of it — a durable provider serves
+/// the entries already on disk
+/// ([`crate::persist::Provider::audit_server`]).
 ///
 /// The server is *stateless* between requests (each request carries all its
 /// addressing), which is what makes retransmitted requests on a lossy
@@ -145,7 +148,7 @@ use crate::spotcheck::{snapshot_positions_in, SpotCheckReport};
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct AuditServer<'a> {
-    log: Option<&'a dyn LogSource>,
+    log: Option<&'a [LogEntry]>,
     store: &'a SnapshotStore,
     attestor: Option<&'a Attestor>,
 }
@@ -154,13 +157,14 @@ impl<'a> AuditServer<'a> {
     /// A provider endpoint serving both a log and a snapshot store — what a
     /// full AVMM operator exposes to auditors.
     pub fn new(log: &'a TamperEvidentLog, store: &'a SnapshotStore) -> AuditServer<'a> {
-        AuditServer::with_log_source(log, store)
+        AuditServer::with_log_source(log.entries(), store)
     }
 
-    /// Like [`AuditServer::new`], but over any [`LogSource`] — in
-    /// particular a durable provider's disk-backed segment log, so audits
-    /// are served from exactly the bytes that survive a crash.
-    pub fn with_log_source(log: &'a dyn LogSource, store: &'a SnapshotStore) -> AuditServer<'a> {
+    /// Like [`AuditServer::new`], but over a run of entries from seq 1 —
+    /// in particular the prefix of a durable provider's log that is on
+    /// disk, so audits are served from exactly the entries that survive a
+    /// crash.
+    pub fn with_log_source(log: &'a [LogEntry], store: &'a SnapshotStore) -> AuditServer<'a> {
         AuditServer {
             log: Some(log),
             store,
@@ -189,7 +193,7 @@ impl<'a> AuditServer<'a> {
     /// Answers one request with the *encoded* [`AuditResponse`] — the body a
     /// transport seals ([`seal_encoded_message`]) — each byte written once
     /// from state the server only borrows: log entries are encoded in place
-    /// from [`LogSource::entries`], the section stream is serialised straight
+    /// from the borrowed entries, the section stream is serialised straight
     /// into the body, blobs are lent by the pool.  Failures are encoded as
     /// [`AuditResponse::Error`] with the message the in-process API would
     /// have raised, so clients surface identical errors on every transport;
@@ -278,18 +282,17 @@ impl<'a> AuditServer<'a> {
     /// syntactic phase reaches the malformed-log verdict on what it
     /// received — paying for exactly the entries it had to download to
     /// discover the corruption.
-    fn respond_log_chunk(&self, log: &dyn LogSource, start_snapshot: u64, chunk: u64) -> Vec<u8> {
-        let positions = match snapshot_positions_in(log.entries()) {
+    fn respond_log_chunk(&self, log: &[LogEntry], start_snapshot: u64, chunk: u64) -> Vec<u8> {
+        let positions = match snapshot_positions_in(log) {
             Ok(positions) => positions,
             Err(FaultReason::MalformedLog { seq }) => {
                 let upto = log
-                    .entries()
                     .iter()
                     .position(|e| e.seq == seq)
-                    .map_or(log.entries().len(), |i| i + 1);
+                    .map_or(log.len(), |i| i + 1);
                 // The prefix starts at the first entry, whose chain anchor
                 // is the genesis hash.
-                let prefix = &log.entries()[..upto];
+                let prefix = &log[..upto];
                 return encode_log_segment(&Digest::ZERO.0, 1, wire_entries(prefix));
             }
             // snapshot_positions only produces MalformedLog; be defensive.
@@ -313,11 +316,11 @@ impl<'a> AuditServer<'a> {
         // auditor authenticates the start state against is one the log
         // commits to; the anchor is the hash of the entry before it.
         let entries: &[LogEntry] = match end_idx {
-            Some(end) => &log.entries()[start_pos..=end],
-            None => &log.entries()[start_pos..],
+            Some(end) => &log[start_pos..=end],
+            None => &log[start_pos..],
         };
         let prev_hash = match start_pos.checked_sub(1) {
-            Some(before) => log.entries()[before].hash,
+            Some(before) => log[before].hash,
             None => Digest::ZERO,
         };
         encode_log_segment(&prev_hash.0, entries[0].seq, wire_entries(entries))
@@ -1323,7 +1326,7 @@ mod tests {
     /// `ProviderNode::on_delivery` — and the session goes on unharmed.
     #[test]
     fn session_survives_a_hostile_request_length_prefix() {
-        use crate::fleet::{ProviderConfig, ProviderNode};
+        use crate::fleet::ProviderNode;
         use avm_net::{Delivery, Endpoint};
 
         let mut hostile = vec![avm_wire::FRAME_MAGIC];
@@ -1346,7 +1349,7 @@ mod tests {
         let provider_rx = client.transport().network().stats(PROVIDER_NODE).rx_packets;
         assert_eq!(provider_rx, report.transport.round_trips + 1);
 
-        let mut node = ProviderNode::new(PROVIDER_NODE, server, ProviderConfig::default());
+        let mut node = ProviderNode::new(PROVIDER_NODE, server);
         let mut net = SimNet::new(LinkConfig::default());
         for payload in [
             hostile,

@@ -10,15 +10,15 @@
 //! * [`ProviderNode`] — the operator's audit server as a *sessionful*
 //!   network endpoint.  Each auditor speaks inside its own session (the
 //!   session id travels in every framed packet, giving each auditor a
-//!   private request-id space), requests queue per session, and a
-//!   round-robin scheduler with a configurable per-tick service budget
-//!   drains them fairly.  Every response is the encoded body
-//!   [`AuditServer::respond`] writes, sealed under the asking session's
-//!   envelope; the bodies of the cacheable, auditor-independent requests
-//!   (manifest, sections, §3.5 log chunks) are kept in a shared response
-//!   cache — N auditors checking the same epoch pay the serialisation a
-//!   single time, and a cached and an uncached answer are the same bytes.
-//!   Idle sessions can be expired after a configurable quiet period.
+//!   private request-id space), requests queue per session, and every tick
+//!   serves everything queued, one request per session in turn, in the
+//!   order the sessions opened.  Sessions live for the whole run.  Every
+//!   response is the encoded body [`AuditServer::respond`] writes, sealed
+//!   under the asking session's envelope; the bodies of the cacheable,
+//!   auditor-independent requests (manifest, sections, §3.5 log chunks) are
+//!   kept in a shared response cache — N auditors checking the same epoch
+//!   pay the serialisation a single time, and a cached and an uncached
+//!   answer are the same bytes.
 //! * [`FleetAuditor`] — the event-loop driver of
 //!   [`crate::session::AuditSession`], so hundreds of sessions interleave
 //!   on one network.  The spot-check procedure is the session's — the same
@@ -31,10 +31,10 @@
 //!   serialisation, retransmission — and nothing else: replay is a
 //!   zero-time event on that clock, and what it costs in wall-clock is
 //!   measured by `bench/`.
-//! * [`run_fleet`] — builds M providers and N auditors over one link
+//! * [`run_fleet`] — builds one provider and N auditors over one link
 //!   config, drives them with [`avm_net::run_event_loop`], and returns
-//!   every report plus per-session completion latencies, provider cache
-//!   and scheduler statistics, and per-node traffic counters.
+//!   every report plus per-session completion latencies, the provider's
+//!   cache and session statistics, and per-node traffic counters.
 //!
 //! Semantics never move: the verdict, the transfer columns and the wire
 //! accounting of every session equal the single-client transport's.  Only
@@ -68,36 +68,6 @@ use crate::spotcheck::SpotCheckReport;
 // Provider node
 // ---------------------------------------------------------------------------
 
-/// Scheduling and session-lifetime knobs for a [`ProviderNode`].
-///
-/// The defaults serve every queued request the moment it is due and never
-/// expire sessions — which is exactly what keeps a fleet of one on the
-/// single-client transport's timing.  Budgeted service and idle expiry are
-/// opt-in fleet behaviours.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProviderConfig {
-    /// Requests served per scheduler pass; the rest stay queued until the
-    /// next tick.  `usize::MAX` (default) = drain everything due now.
-    pub service_budget: usize,
-    /// When a pass leaves a backlog, re-tick after this many simulated µs.
-    /// `0` (default) = continue at the same instant (budget still bounds
-    /// each pass, so auditors between passes see interleaved service).
-    pub tick_interval_us: u64,
-    /// Expire a session this many µs after its last request, reclaiming its
-    /// state.  `None` (default) = sessions live for the whole run.
-    pub idle_expiry_us: Option<u64>,
-}
-
-impl Default for ProviderConfig {
-    fn default() -> ProviderConfig {
-        ProviderConfig {
-            service_budget: usize::MAX,
-            tick_interval_us: 0,
-            idle_expiry_us: None,
-        }
-    }
-}
-
 /// Shared-response-cache accounting (see [`ProviderStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -117,10 +87,6 @@ pub struct CacheStats {
 pub struct ProviderStats {
     /// Sessions opened (first packet seen with a new (peer, session) pair).
     pub sessions_created: u64,
-    /// Sessions reclaimed by idle expiry.
-    pub sessions_expired: u64,
-    /// Sessions still live when the stats were read.
-    pub active_sessions: u64,
     /// Requests answered (including re-answers to retransmitted requests).
     pub requests_served: u64,
     /// Shared response cache accounting.
@@ -156,44 +122,32 @@ impl ResponseKey {
     }
 }
 
-/// One auditor's server-side session state.
-#[derive(Debug)]
-struct SessionState {
-    /// Requests delivered but not yet served, in arrival order.
-    pending: VecDeque<(u64, AuditRequest)>,
-    /// Simulated time of the last packet from this session.
-    last_active_us: u64,
-}
-
 /// The operator's audit server as a long-lived, sessionful endpoint on a
 /// shared [`SimNet`] (see the module docs).
 pub struct ProviderNode<'a> {
     node: NodeId,
     server: AuditServer<'a>,
-    config: ProviderConfig,
-    sessions: HashMap<(NodeId, u64), SessionState>,
-    /// Session keys in creation order — the scheduler's rotation order.
-    /// (Never iterate the map: hash order would break determinism.)
+    /// Each session's requests delivered but not yet served, in arrival
+    /// order.
+    sessions: HashMap<(NodeId, u64), VecDeque<(u64, AuditRequest)>>,
+    /// Session keys in creation order — the rotation order.  (Never iterate
+    /// the map: hash order would break determinism.)
     order: Vec<(NodeId, u64)>,
-    /// Rotation position; persists across passes so budgeted service is
-    /// fair over time, not just within a pass.
+    /// Rotation position: the session after the last one served.
     cursor: usize,
     cache: HashMap<ResponseKey, Vec<u8>>,
     cache_hits: u64,
     cache_misses: u64,
     cache_bytes: u64,
-    sessions_created: u64,
-    sessions_expired: u64,
     requests_served: u64,
 }
 
 impl<'a> ProviderNode<'a> {
     /// A provider endpoint receiving on `node`, answering from `server`.
-    pub fn new(node: NodeId, server: AuditServer<'a>, config: ProviderConfig) -> ProviderNode<'a> {
+    pub fn new(node: NodeId, server: AuditServer<'a>) -> ProviderNode<'a> {
         ProviderNode {
             node,
             server,
-            config,
             sessions: HashMap::new(),
             order: Vec::new(),
             cursor: 0,
@@ -201,8 +155,6 @@ impl<'a> ProviderNode<'a> {
             cache_hits: 0,
             cache_misses: 0,
             cache_bytes: 0,
-            sessions_created: 0,
-            sessions_expired: 0,
             requests_served: 0,
         }
     }
@@ -210,9 +162,7 @@ impl<'a> ProviderNode<'a> {
     /// Run accounting so far.
     pub fn stats(&self) -> ProviderStats {
         ProviderStats {
-            sessions_created: self.sessions_created,
-            sessions_expired: self.sessions_expired,
-            active_sessions: self.sessions.len() as u64,
+            sessions_created: self.order.len() as u64,
             requests_served: self.requests_served,
             cache: CacheStats {
                 hits: self.cache_hits,
@@ -246,66 +196,6 @@ impl<'a> ProviderNode<'a> {
             None => seal_encoded_message(session_id, request_id, &self.server.respond(request)),
         }
     }
-
-    /// One scheduler pass: serve up to `service_budget` queued requests,
-    /// visiting sessions round-robin from where the last pass stopped.
-    /// Returns true when a backlog remains.
-    fn serve_pass(&mut self, net: &mut SimNet) -> bool {
-        let mut budget = self.config.service_budget;
-        let mut idle_streak = 0;
-        while budget > 0 && !self.order.is_empty() && idle_streak < self.order.len() {
-            let index = self.cursor % self.order.len();
-            self.cursor = (index + 1) % self.order.len();
-            let key = self.order[index];
-            let next = self
-                .sessions
-                .get_mut(&key)
-                .and_then(|s| s.pending.pop_front());
-            match next {
-                Some((request_id, request)) => {
-                    let packet = self.sealed_response(key.1, request_id, &request);
-                    let _ = net.send(self.node, key.0, packet);
-                    self.requests_served += 1;
-                    budget -= 1;
-                    idle_streak = 0;
-                }
-                None => idle_streak += 1,
-            }
-        }
-        self.sessions.values().any(|s| !s.pending.is_empty())
-    }
-
-    /// Reclaims sessions whose queues are empty and whose last packet is at
-    /// least `idle_expiry_us` old.
-    fn expire_idle(&mut self, now: u64) {
-        let Some(expiry) = self.config.idle_expiry_us else {
-            return;
-        };
-        let sessions = &self.sessions;
-        let expired: Vec<(NodeId, u64)> = self
-            .order
-            .iter()
-            .copied()
-            .filter(|key| {
-                sessions.get(key).is_some_and(|s| {
-                    s.pending.is_empty() && now.saturating_sub(s.last_active_us) >= expiry
-                })
-            })
-            .collect();
-        if expired.is_empty() {
-            return;
-        }
-        for key in &expired {
-            self.sessions.remove(key);
-            self.sessions_expired += 1;
-        }
-        self.order.retain(|key| !expired.contains(key));
-        self.cursor = if self.order.is_empty() {
-            0
-        } else {
-            self.cursor % self.order.len()
-        };
-    }
 }
 
 impl Endpoint for ProviderNode<'_> {
@@ -313,7 +203,7 @@ impl Endpoint for ProviderNode<'_> {
         self.node
     }
 
-    fn on_delivery(&mut self, net: &mut SimNet, delivery: Delivery) {
+    fn on_delivery(&mut self, _net: &mut SimNet, delivery: Delivery) {
         // Undecodable packets are dropped, like the stateless transport's
         // provider loop: the auditor's timeout owns recovery.
         let Ok((session_id, request_id, request)) =
@@ -322,32 +212,32 @@ impl Endpoint for ProviderNode<'_> {
             return;
         };
         let key = (delivery.from, session_id);
-        if let std::collections::hash_map::Entry::Vacant(slot) = self.sessions.entry(key) {
-            slot.insert(SessionState {
-                pending: VecDeque::new(),
-                last_active_us: 0,
-            });
+        let pending = self.sessions.entry(key).or_insert_with(|| {
             self.order.push(key);
-            self.sessions_created += 1;
-        }
-        let session = self.sessions.get_mut(&key).expect("session just ensured");
-        session.last_active_us = net.now();
-        session.pending.push_back((request_id, request));
+            VecDeque::new()
+        });
+        pending.push_back((request_id, request));
     }
 
+    /// Serves every queued request: one per session in turn, in session
+    /// creation order from where the last tick stopped, until every queue
+    /// is empty.  Nothing is left for a later tick.
     fn on_tick(&mut self, net: &mut SimNet) -> Option<u64> {
-        let now = net.now();
-        self.expire_idle(now);
-        if self.serve_pass(net) {
-            return Some(now.saturating_add(self.config.tick_interval_us));
+        let mut idle_streak = 0;
+        while idle_streak < self.order.len() {
+            let key = self.order[self.cursor];
+            self.cursor = (self.cursor + 1) % self.order.len();
+            match self.sessions.get_mut(&key).and_then(VecDeque::pop_front) {
+                Some((request_id, request)) => {
+                    let packet = self.sealed_response(key.1, request_id, &request);
+                    let _ = net.send(self.node, key.0, packet);
+                    self.requests_served += 1;
+                    idle_streak = 0;
+                }
+                None => idle_streak += 1,
+            }
         }
-        // No backlog: wake only if sessions are waiting to be expired.
-        let expiry = self.config.idle_expiry_us?;
-        self.order
-            .iter()
-            .filter_map(|key| self.sessions.get(key))
-            .map(|s| s.last_active_us.saturating_add(expiry))
-            .min()
+        None
     }
 }
 
@@ -572,16 +462,19 @@ impl Endpoint for FleetAuditor<'_> {
 // Fleet runner
 // ---------------------------------------------------------------------------
 
-/// Shape of one fleet run: topology, workload and scheduling.
+/// The provider's node in a fleet run; auditor `i` binds `NodeId(2 + i)`.
+const PROVIDER: NodeId = NodeId(1);
+
+/// Event-loop safety bound of a fleet run.
+const MAX_EVENT_LOOP_STEPS: u64 = 10_000_000;
+
+/// Shape of one fleet run: the link and the auditors' workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetConfig {
     /// Link config used for every auditor↔provider pair.
     pub link: LinkConfig,
     /// Number of concurrent auditors (N).
     pub auditors: usize,
-    /// Number of provider nodes (M); auditor `i` targets provider `i % M`.
-    /// All providers serve the same machine's log and store.
-    pub providers: usize,
     /// Gap between consecutive auditors' session starts, in simulated µs
     /// (`0` = everyone starts at once).
     pub inter_arrival_us: u64,
@@ -593,10 +486,6 @@ pub struct FleetConfig {
     pub chunk: u64,
     /// §3.5 on-demand mode (vs full state download).
     pub on_demand: bool,
-    /// Provider scheduling and session-lifetime knobs.
-    pub provider: ProviderConfig,
-    /// Event-loop safety bound.
-    pub max_steps: u64,
 }
 
 impl Default for FleetConfig {
@@ -604,13 +493,10 @@ impl Default for FleetConfig {
         FleetConfig {
             link: LinkConfig::default(),
             auditors: 1,
-            providers: 1,
             inter_arrival_us: 0,
             start_snapshot: 0,
             chunk: 1,
             on_demand: true,
-            provider: ProviderConfig::default(),
-            max_steps: 10_000_000,
         }
     }
 }
@@ -626,7 +512,8 @@ pub struct FleetOutcome {
     /// Session completion latency (scheduled start → verdict) per
     /// *successful* session, in auditor order.
     pub latencies_us: Vec<u64>,
-    /// Per-provider scheduler, session and cache accounting.
+    /// The provider's session and cache accounting: one element, the one
+    /// provider node.
     pub providers: Vec<ProviderStats>,
     /// Per-node traffic counters from the shared network.
     pub node_stats: Vec<(NodeId, NodeStats)>,
@@ -634,12 +521,12 @@ pub struct FleetOutcome {
     pub event_loop: EventLoopReport,
 }
 
-/// Runs N concurrent spot-check sessions against M provider nodes sharing
-/// one simulated network (see the module docs).
+/// Runs N concurrent spot-check sessions against one provider node on one
+/// simulated network (see the module docs).
 ///
-/// Providers bind nodes `1..=M`, auditors bind `M+1..`; auditor `i` opens
-/// session `CLIENT_SESSION + i` against provider `1 + (i % M)` — so a fleet
-/// of one speaks byte-identical packets to the single-client transport.
+/// The provider binds node 1, auditor `i` binds node `2 + i` and opens
+/// session `CLIENT_SESSION + i` — so a fleet of one speaks byte-identical
+/// packets to the single-client transport.
 pub fn run_fleet(
     log: &dyn LogSource,
     store: &SnapshotStore,
@@ -650,7 +537,7 @@ pub fn run_fleet(
     run_fleet_inner(log, store, image, registry, config, None)
 }
 
-/// [`run_fleet`] with attest-then-audit sessions: every provider node
+/// [`run_fleet`] with attest-then-audit sessions: the provider node
 /// answers challenges from `attestor`, and every auditor opens its session
 /// with an attestation challenge under `policy`, proceeding into its spot
 /// check only on a verified launch.  Per-session verdicts land in
@@ -685,21 +572,16 @@ fn run_fleet_inner(
 ) -> FleetOutcome {
     let timeout_us = link_timeout_us(&config.link);
     let mut net = SimNet::new(config.link);
-    let provider_count = config.providers.max(1);
-    let mut providers: Vec<ProviderNode> = (0..provider_count)
-        .map(|p| {
-            let mut server = AuditServer::with_log_source(log, store);
-            if let Some((attestor, _)) = attest {
-                server = server.with_attestor(attestor);
-            }
-            ProviderNode::new(NodeId(p as u32 + 1), server, config.provider)
-        })
-        .collect();
+    let mut server = AuditServer::with_log_source(log.entries(), store);
+    if let Some((attestor, _)) = attest {
+        server = server.with_attestor(attestor);
+    }
+    let mut provider = ProviderNode::new(PROVIDER, server);
     let mut auditors: Vec<FleetAuditor> = (0..config.auditors)
         .map(|i| {
             let mut auditor = FleetAuditor::new(
-                NodeId((provider_count + 1 + i) as u32),
-                NodeId((i % provider_count) as u32 + 1),
+                NodeId(PROVIDER.0 + 1 + i as u32),
+                PROVIDER,
                 CLIENT_SESSION + i as u64,
                 image,
                 registry,
@@ -717,16 +599,13 @@ fn run_fleet_inner(
             auditor
         })
         .collect();
-    let mut endpoints: Vec<&mut dyn Endpoint> = Vec::with_capacity(provider_count + auditors.len());
-    for provider in providers.iter_mut() {
-        endpoints.push(provider);
-    }
+    let mut endpoints: Vec<&mut dyn Endpoint> = Vec::with_capacity(1 + auditors.len());
+    endpoints.push(&mut provider);
     for auditor in auditors.iter_mut() {
         endpoints.push(auditor);
     }
-    let event_loop = run_event_loop(&mut net, &mut endpoints, config.max_steps);
+    let event_loop = run_event_loop(&mut net, &mut endpoints, MAX_EVENT_LOOP_STEPS);
     drop(endpoints);
-    let provider_stats = providers.iter().map(|p| p.stats()).collect();
     let node_stats = net.all_stats();
     let mut reports = Vec::with_capacity(auditors.len());
     let mut attest_verdicts = Vec::with_capacity(auditors.len());
@@ -746,7 +625,7 @@ fn run_fleet_inner(
         reports,
         attest_verdicts,
         latencies_us,
-        providers: provider_stats,
+        providers: vec![provider.stats()],
         node_stats,
         event_loop,
     }
@@ -757,7 +636,7 @@ mod tests {
     use super::*;
     use crate::endpoint::{AuditClient, SimNetTransport};
     use crate::testutil::record_with_snapshots;
-    use avm_wire::audit::seal_session_message;
+    use avm_wire::audit::{open_session_frame, seal_session_message};
 
     /// The tentpole pin: a fleet of ONE is *field-identical* — semantics,
     /// transfer columns, wire accounting, measured simulated latency — to
@@ -837,7 +716,6 @@ mod tests {
 
         let provider = &outcome.providers[0];
         assert_eq!(provider.sessions_created, n as u64);
-        assert_eq!(provider.sessions_expired, 0);
         // Each auditor sends the same chunk + manifest requests; the first
         // pays the encoding, the rest hit the cache.  (Blob requests are
         // per-auditor and bypass it.)
@@ -846,58 +724,34 @@ mod tests {
         assert_eq!(provider.cache.hits, 2 * (n as u64 - 1));
     }
 
-    /// Idle expiry reclaims finished sessions (and only finished ones), and
-    /// the loop still quiesces afterwards.
+    /// One tick serves every queued request, one per session in turn, in
+    /// session creation order (not peer order): three sessions' manifest
+    /// requests, then the first session's second request.  Nothing is left
+    /// for a later tick.
     #[test]
-    fn idle_sessions_expire_after_the_quiet_period() {
-        let (bob, image) = record_with_snapshots(3);
-        let registry = GuestRegistry::new();
-        let config = FleetConfig {
-            auditors: 3,
-            start_snapshot: 1,
-            chunk: 1,
-            provider: ProviderConfig {
-                idle_expiry_us: Some(50_000),
-                ..ProviderConfig::default()
-            },
-            ..FleetConfig::default()
-        };
-        let outcome = run_fleet(bob.log(), bob.snapshots(), &image, &registry, &config);
-        assert!(outcome.event_loop.quiescent);
-        for report in &outcome.reports {
-            assert!(report.as_ref().unwrap().consistent);
-        }
-        let provider = &outcome.providers[0];
-        assert_eq!(provider.sessions_created, 3);
-        assert_eq!(provider.sessions_expired, 3);
-        assert_eq!(provider.active_sessions, 0);
-    }
-
-    /// A budget-limited scheduler serves queued sessions round-robin: with
-    /// three sessions' requests queued and a budget of 2, the first pass
-    /// serves two *different* sessions and the backlog drains next pass.
-    #[test]
-    fn budgeted_scheduler_serves_sessions_round_robin() {
+    fn one_tick_serves_every_queued_session_in_creation_order() {
         let (bob, _image) = record_with_snapshots(3);
-        let mut provider = ProviderNode::new(
-            NodeId(1),
-            AuditServer::new(bob.log(), bob.snapshots()),
-            ProviderConfig {
-                service_budget: 2,
-                tick_interval_us: 40,
-                ..ProviderConfig::default()
-            },
-        );
+        let mut provider =
+            ProviderNode::new(NodeId(1), AuditServer::new(bob.log(), bob.snapshots()));
         let mut net = SimNet::new(LinkConfig::default());
-        for (peer, session) in [(10, 7), (11, 8), (12, 9)] {
-            let packet =
-                seal_session_message(session, 1, &AuditRequest::Manifest { snapshot_id: 1 });
+        let manifest = AuditRequest::Manifest { snapshot_id: 1 };
+        let whole_log = AuditRequest::LogSegment(SegmentAddress::Seq {
+            from_seq: 1,
+            to_seq: 0,
+        });
+        let queued = [
+            (12, 9, 1, &manifest),
+            (10, 7, 1, &manifest),
+            (11, 8, 1, &manifest),
+            (12, 9, 2, &whole_log),
+        ];
+        for (peer, session, request_id, request) in queued {
             provider.on_delivery(
                 &mut net,
                 Delivery {
                     from: NodeId(peer),
                     to: NodeId(1),
-                    payload: packet,
+                    payload: seal_session_message(session, request_id, request),
                     deliver_at: 0,
                     sent_at: 0,
                 },
@@ -905,21 +759,19 @@ mod tests {
         }
         assert_eq!(provider.stats().sessions_created, 3);
 
-        // First pass: budget 2 → two sessions served, one queued; the
-        // provider asks to be re-ticked after its interval.
-        let wake = provider.on_tick(&mut net);
-        assert_eq!(wake, Some(40));
-        assert_eq!(provider.stats().requests_served, 2);
-        assert_eq!(net.in_flight_count(), 2);
-
-        // Second pass serves the third session — round-robin, not
-        // first-session-wins — and goes quiet.
-        let wake = provider.on_tick(&mut net);
-        assert_eq!(wake, None);
-        assert_eq!(provider.stats().requests_served, 3);
-        assert_eq!(net.in_flight_count(), 3);
-        // One manifest encoding, two cache hits: the budget changes *when*
-        // each session is served, never *what* it costs.
+        assert_eq!(provider.on_tick(&mut net), None);
+        assert_eq!(provider.stats().requests_served, 4);
+        let sent: Vec<(u32, u64, u64)> = net
+            .advance_to(u64::MAX)
+            .iter()
+            .map(|d| {
+                let (session, request_id, _) = open_session_frame(&d.payload).unwrap();
+                (d.to.0, session, request_id)
+            })
+            .collect();
+        assert_eq!(sent, [(12, 9, 1), (10, 7, 1), (11, 8, 1), (12, 9, 2)]);
+        // One manifest encoding, two cache hits; the whole-log segment is
+        // not cached.
         assert_eq!(provider.stats().cache.misses, 1);
         assert_eq!(provider.stats().cache.hits, 2);
     }
@@ -1009,29 +861,5 @@ mod tests {
         // away at the door contributes no audit latency sample.
         assert_eq!(rejected.providers[0].requests_served, n as u64);
         assert!(rejected.latencies_us.is_empty());
-    }
-
-    /// Multiple provider nodes: auditors spread across them and each
-    /// provider serves only its own sessions.
-    #[test]
-    fn auditors_spread_across_multiple_providers() {
-        let (bob, image) = record_with_snapshots(3);
-        let registry = GuestRegistry::new();
-        let config = FleetConfig {
-            auditors: 4,
-            providers: 2,
-            start_snapshot: 1,
-            chunk: 1,
-            ..FleetConfig::default()
-        };
-        let outcome = run_fleet(bob.log(), bob.snapshots(), &image, &registry, &config);
-        assert!(outcome.event_loop.quiescent);
-        for report in &outcome.reports {
-            assert!(report.as_ref().unwrap().consistent);
-        }
-        assert_eq!(outcome.providers.len(), 2);
-        for provider in &outcome.providers {
-            assert_eq!(provider.sessions_created, 2);
-        }
     }
 }

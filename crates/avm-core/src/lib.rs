@@ -48,9 +48,8 @@
 //!   driver.
 //! * [`fleet`] — fleet-scale auditing: the sessionful [`fleet::ProviderNode`]
 //!   serving N concurrent [`fleet::FleetAuditor`]s — the session's
-//!   event-loop driver — over one shared simulated network, with
-//!   round-robin scheduling, a shared response cache and idle-session
-//!   expiry.
+//!   event-loop driver — over one shared simulated network, serving the
+//!   sessions in turn with a shared response cache.
 //! * [`paraudit`] — segment-parallel chunk replay (§6), kept only for the
 //!   standalone benchmark's per-layer timings; no audit path calls it.
 //! * [`multiparty`] — authenticator collection, the challenge protocol and

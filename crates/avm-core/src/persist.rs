@@ -23,6 +23,12 @@
 //! roots exactly like an auditor — and resumes a live [`Avmm`] at the
 //! recorded head.
 //!
+//! The provider keeps its log once, in the recorder's [`TamperEvidentLog`].
+//! [`Provider::audit_server`] serves auditors the prefix of that log the
+//! segment files hold — the entries a crash now would recover — so what an
+//! auditor downloads never runs ahead of the disk.  Recovery moves the
+//! entries it scanned into the resumed recorder's log.
+//!
 //! The crash-versus-tamper distinction (see [`avm_store::StoreError`])
 //! carries through: a torn write recovers silently by truncation; a flipped
 //! byte in sealed history, a broken hash chain or a forged seal fails
@@ -33,8 +39,8 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use avm_crypto::keys::SigningKey;
 use avm_crypto::sha256::{sha256, Digest};
-use avm_log::{Authenticator, EntryKind, LogSource, TamperEvidentLog};
-use avm_store::{ArenaStore, DurabilityStats, SegmentLog, SegmentStore, Storage, StoreError};
+use avm_log::{Authenticator, EntryKind, TamperEvidentLog};
+use avm_store::{ArenaStore, DurabilityStats, SegmentStore, Storage, StoreError};
 use avm_vm::devices::InputEvent;
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::{Decode, Encode, Reader, WireError, WireResult, Writer};
@@ -233,14 +239,11 @@ pub struct Provider<S: Storage + Clone> {
     avmm: Avmm,
     segments: SegmentStore<S>,
     arenas: ArenaStore<S>,
-    /// Disk-image of the log, served to auditors (see
-    /// [`Provider::audit_server`]) so audits read exactly what survives a
-    /// crash.
-    segment_log: SegmentLog,
     /// Manifest digest per retained snapshot id (the arenas' live set,
     /// together with the pooled payload digests).
     manifest_digests: BTreeMap<u64, Digest>,
-    /// Entries of `avmm.log()` already written to the segment files.
+    /// Entries of `avmm.log()` already written to the segment files — the
+    /// prefix [`Provider::audit_server`] serves.
     persisted_entries: u64,
     /// The launch attestation responder.  Its envelope bytes are persisted
     /// to the arenas at create time, and recovery re-derives the identical
@@ -273,16 +276,37 @@ impl<S: Storage + Clone> Provider<S> {
         options: AvmmOptions,
         cfg: PersistConfig,
     ) -> Result<Provider<S>, PersistError> {
+        let segments = SegmentStore::create(storage.clone(), cfg.segments)?;
+        let arenas = ArenaStore::create(storage, cfg.arenas)?;
+        Provider::start(
+            name,
+            image,
+            registry,
+            signing_key,
+            options,
+            segments,
+            arenas,
+        )
+    }
+
+    /// A fresh recorder over `segments` and `arenas`, its attestation
+    /// envelope and initial META entry persisted before this returns.
+    fn start(
+        name: &str,
+        image: &VmImage,
+        registry: &GuestRegistry,
+        signing_key: SigningKey,
+        options: AvmmOptions,
+        segments: SegmentStore<S>,
+        mut arenas: ArenaStore<S>,
+    ) -> Result<Provider<S>, PersistError> {
         let avmm = Avmm::new(name, image, registry, signing_key, options)?;
         let attestor = Attestor::for_avmm(&avmm, image)?;
-        let segments = SegmentStore::create(storage.clone(), cfg.segments)?;
-        let mut arenas = ArenaStore::create(storage, cfg.arenas)?;
         persist_envelope(&mut arenas, &attestor)?;
         let mut provider = Provider {
             avmm,
             segments,
             arenas,
-            segment_log: SegmentLog::new(),
             manifest_digests: BTreeMap::new(),
             persisted_entries: 0,
             attestor,
@@ -353,32 +377,28 @@ impl<S: Storage + Clone> Provider<S> {
         // malformed — so recovery re-runs the create path instead: a fresh
         // recorder whose initial META entry is persisted before this returns.
         if scan.entries.is_empty() {
-            let avmm = Avmm::new(name, image, registry, signing_key, options)?;
-            let attestor = Attestor::for_avmm(&avmm, image)?;
-            persist_envelope(&mut arenas, &attestor)?;
-            let report = RecoveryReport {
-                torn_bytes_truncated: scan.torn_bytes + arena_scan.torn_bytes,
-                arena_blobs: arenas.blob_count(),
-                arena_bytes: arenas.stored_bytes(),
-                ..RecoveryReport::default()
-            };
-            let mut provider = Provider {
-                avmm,
+            let provider = Provider::start(
+                name,
+                image,
+                registry,
+                signing_key,
+                options,
                 segments,
                 arenas,
-                segment_log: SegmentLog::new(),
-                manifest_digests: BTreeMap::new(),
-                persisted_entries: 0,
-                attestor,
+            )?;
+            let report = RecoveryReport {
+                torn_bytes_truncated: scan.torn_bytes + arena_scan.torn_bytes,
+                arena_blobs: provider.arenas.blob_count(),
+                arena_bytes: provider.arenas.stored_bytes(),
+                ..RecoveryReport::default()
             };
-            provider.flush()?;
             return Ok((provider, report));
         }
 
         // The scan already verified framing, chain and seals; from_entries
         // re-verifies the chain while building the in-memory log (defence
         // in depth — recovery must never trust a single pass).
-        let log = TamperEvidentLog::from_entries(scan.entries.clone())
+        let log = TamperEvidentLog::from_entries(scan.entries)
             .map_err(|e| PersistError::Tampered(FaultReason::SyntacticFailure(e.to_string())))?;
 
         // The log's META entry must commit to *our* image, like replay_meta
@@ -513,7 +533,6 @@ impl<S: Storage + Clone> Provider<S> {
             arena_bytes: arenas.stored_bytes(),
         };
 
-        let segment_log = SegmentLog::from_entries(log.entries().to_vec());
         let persisted_entries = log.len() as u64;
         let avmm = Avmm::resume(
             name,
@@ -530,7 +549,6 @@ impl<S: Storage + Clone> Provider<S> {
                 avmm,
                 segments,
                 arenas,
-                segment_log,
                 manifest_digests,
                 persisted_entries,
                 attestor,
@@ -618,13 +636,13 @@ impl<S: Storage + Clone> Provider<S> {
         Ok(freed)
     }
 
-    /// An audit endpoint serving the *disk image* of the log (with the
-    /// in-memory snapshot store), so what auditors download is exactly what
-    /// survives a crash — with the provider's attestation responder
-    /// attached, so sessions can attest-then-audit.
+    /// An audit endpoint serving the entries of the log the segment files
+    /// hold (with the in-memory snapshot store), so what auditors download
+    /// is exactly what survives a crash — with the provider's attestation
+    /// responder attached, so sessions can attest-then-audit.
     pub fn audit_server(&self) -> AuditServer<'_> {
-        AuditServer::with_log_source(&self.segment_log, self.avmm.snapshots())
-            .with_attestor(&self.attestor)
+        let on_disk = &self.avmm.log().entries()[..self.persisted_entries as usize];
+        AuditServer::with_log_source(on_disk, self.avmm.snapshots()).with_attestor(&self.attestor)
     }
 
     /// The provider's attestation responder.
@@ -636,11 +654,6 @@ impl<S: Storage + Clone> Provider<S> {
     /// byte for byte, across crash and recovery.
     pub fn attestation_envelope_bytes(&self) -> &[u8] {
         self.attestor.envelope_bytes()
-    }
-
-    /// The persisted mirror of the log, in sequence order.
-    pub fn segment_log(&self) -> &SegmentLog {
-        &self.segment_log
     }
 
     /// Durable-write accounting for the segment files.
@@ -697,16 +710,14 @@ impl<S: Storage + Clone> Provider<S> {
                 // manifest and blobs are durable.
                 self.arenas.flush()?;
             }
-            let entry = &self.avmm.log().entries()[index];
-            let prev = self
-                .segment_log
-                .entries()
-                .last()
-                .map_or(Digest::ZERO, |e| e.hash);
+            let entries = self.avmm.log().entries();
+            let entry = &entries[index];
             self.segments.append_entry(entry)?;
-            self.segment_log.push(entry.clone());
             self.persisted_entries += 1;
             if self.segments.needs_seal() {
+                let prev = index
+                    .checked_sub(1)
+                    .map_or(Digest::ZERO, |i| entries[i].hash);
                 let auth = Authenticator::create(self.avmm.signing_key(), entry, prev);
                 self.segments.seal(&auth)?;
             }
@@ -838,6 +849,7 @@ mod tests {
     use avm_store::{SimStorage, SyncPolicy};
     use avm_vm::packet::encode_guest_packet;
     use avm_vm::GuestRegistry;
+    use avm_wire::audit::{AuditRequest, AuditResponseRef, SegmentAddress};
 
     fn small_cfg() -> PersistConfig {
         PersistConfig {
@@ -995,6 +1007,109 @@ mod tests {
         let mut recovered = recovered;
         recovered.take_snapshot().unwrap();
         assert_eq!(recovered.avmm().log().len(), n + 1);
+    }
+
+    /// A durable provider serves what a crash leaves.  For crash points
+    /// spread over all of a workload's flushes, the killed provider's
+    /// whole-log answer is, byte for byte, the answer of the provider
+    /// recovered from its disk — also when the recorder's log had run ahead
+    /// of the disk.
+    #[test]
+    fn the_served_log_is_the_log_a_crash_recovers() {
+        let image = worker_image();
+        let (bob_key, alice_key) = (key(1), key(2));
+        let options = AvmmOptions::default().with_scheme(SignatureScheme::Rsa(512));
+        let recover = |storage: SimStorage| {
+            Provider::recover(
+                storage,
+                "bob",
+                &image,
+                &GuestRegistry::new(),
+                bob_key.clone(),
+                options.clone(),
+                small_cfg(),
+            )
+            .unwrap()
+        };
+        // A fresh provider, and the bytes it writes before its workload.
+        let create = || {
+            let storage = SimStorage::new();
+            let mut bob = Provider::create(
+                storage.clone(),
+                "bob",
+                &image,
+                &GuestRegistry::new(),
+                bob_key.clone(),
+                options.clone(),
+                small_cfg(),
+            )
+            .unwrap();
+            bob.add_peer("alice", alice_key.verifying_key());
+            (storage, bob)
+        };
+        // Three rounds of a delivered packet, an echo run and a snapshot;
+        // every storage write is inside a flush.  False once an operation
+        // failed.
+        let workload = |bob: &mut Provider<SimStorage>| {
+            let clock = HostClock::at(10);
+            (0..3u64).all(|i| {
+                let payload = encode_guest_packet("alice", format!("work-{i}").as_bytes());
+                let env = Envelope::create(
+                    EnvelopeKind::Data,
+                    "alice",
+                    "bob",
+                    i + 1,
+                    payload,
+                    &alice_key,
+                    None,
+                );
+                bob.deliver(&env).is_ok()
+                    && bob.run_slice(&clock, 100_000).is_ok()
+                    && bob.take_snapshot().is_ok()
+            })
+        };
+        let (storage, mut bob) = create();
+        let before = storage.total_bytes();
+        assert!(workload(&mut bob));
+        let written = storage.total_bytes() - before;
+
+        let whole_log = AuditRequest::LogSegment(SegmentAddress::Seq {
+            from_seq: 1,
+            to_seq: 0,
+        });
+        // Densely through the first round's log records (entries, seals,
+        // heads, a rotation), then spread over every round.
+        let budgets = (0..600)
+            .step_by(7)
+            .chain((1..40).map(|step| written * step / 40));
+        let mut ran_ahead = 0;
+        for budget in budgets {
+            let (storage, mut bob) = create();
+            storage.set_crash_point(budget);
+            assert!(!workload(&mut bob) && storage.crashed(), "budget {budget}");
+
+            let served = bob.audit_server().respond(&whole_log);
+            let Ok(AuditResponseRef::LogSegment { count, .. }) =
+                AuditResponseRef::decode_exact(&served)
+            else {
+                panic!("budget {budget}: no whole-log answer");
+            };
+            if count < bob.avmm().log().len() as u64 {
+                ran_ahead += 1;
+            }
+            drop(bob);
+            let (recovered, report) = recover(storage.reboot());
+            assert_eq!(report.entries_recovered, count, "budget {budget}");
+            assert_eq!(
+                recovered.audit_server().respond(&whole_log),
+                served,
+                "budget {budget}"
+            );
+        }
+        assert!(
+            ran_ahead > 0,
+            "no crash left the recorder ahead of the disk"
+        );
     }
 
     #[test]

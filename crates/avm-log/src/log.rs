@@ -64,12 +64,12 @@ impl TamperEvidentLog {
         kind: EntryKind,
         content: Vec<u8>,
         key: &SigningKey,
-    ) -> (LogEntry, Authenticator) {
+    ) -> (&LogEntry, Authenticator) {
         let prev = self.last_hash();
         let entry = LogEntry::chained(&prev, self.next_seq(), kind, content);
         let auth = Authenticator::create(key, &entry, prev);
-        self.entries.push(entry.clone());
-        (entry, auth)
+        self.entries.push(entry);
+        (self.entries.last().expect("just pushed"), auth)
     }
 
     /// Produces an authenticator for the most recent entry.

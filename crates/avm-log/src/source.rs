@@ -1,10 +1,9 @@
 //! Read-only log access, independent of where the entries live.
 //!
-//! The audit endpoint serves log segments to auditors (paper §3.5).  Before
-//! the storage layer existed, the only place entries could live was the
-//! in-memory [`TamperEvidentLog`]; with durable segment files the same
-//! protocol must be servable straight from recovered segments.  [`LogSource`]
-//! is the small trait both implement: a dense, 1-based, hash-chained run of
+//! The audit endpoint serves log segments to auditors (paper §3.5), from a
+//! recorder's whole [`TamperEvidentLog`] or from a prefix of its entries (a
+//! durable provider serves the entries already on disk).  [`LogSource`] is
+//! the small trait both implement: a dense, 1-based, hash-chained run of
 //! entries starting at the `h_0 = 0` anchor.
 
 use avm_crypto::sha256::Digest;
@@ -68,6 +67,13 @@ impl LogSource for TamperEvidentLog {
     }
 }
 
+/// A run of entries from seq 1 — a log's prefix — is a source of its own.
+impl LogSource for [LogEntry] {
+    fn entries(&self) -> &[LogEntry] {
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,18 +104,15 @@ mod tests {
 
     #[test]
     fn default_segment_impl_is_correct() {
-        // A minimal implementor that only provides `entries`.
-        #[derive(Debug)]
-        struct Plain(Vec<LogEntry>);
-        impl LogSource for Plain {
-            fn entries(&self) -> &[LogEntry] {
-                &self.0
-            }
-        }
+        // The slice implementor provides only `entries`.
         let log = sample(6);
-        let plain = Plain(log.entries().to_vec());
+        let plain: &[LogEntry] = log.entries();
         for (from, to) in [(1, 6), (2, 5), (1, 1), (6, 6), (0, 2), (4, 3), (3, 7)] {
             assert_eq!(plain.segment(from, to), log.segment(from, to));
         }
+        // A prefix serves only what it holds.
+        let prefix = &log.entries()[..4];
+        assert_eq!(prefix.segment(1, 4), log.segment(1, 4));
+        assert!(prefix.segment(3, 5).is_none());
     }
 }

@@ -8,8 +8,8 @@
 //! and [`run_event_loop`] advances simulated time to the next interesting
 //! instant (earliest in-flight delivery or earliest endpoint timer),
 //! dispatches the due deliveries to their destination endpoints, and ticks
-//! every endpoint so timer-driven work (retransmissions, session starts,
-//! idle expiry) happens at exactly the simulated microsecond it is due.
+//! every endpoint so timer-driven work (retransmissions, session starts)
+//! happens at exactly the simulated microsecond it is due.
 //!
 //! Determinism: deliveries are dispatched in the order [`SimNet::advance_to`]
 //! returns them, and endpoints are ticked in slice order at each step.  Two

@@ -37,7 +37,5 @@ pub mod storage;
 pub use arena::{scan_arenas, ArenaConfig, ArenaScan, ArenaStore, ARENA_PREFIX};
 pub use error::{StoreError, TamperKind};
 pub use fsync::{DurabilityStats, FsyncModel, SyncPolicy};
-pub use segment::{
-    scan_segments, SegmentConfig, SegmentLog, SegmentScan, SegmentStore, SEGMENT_PREFIX,
-};
+pub use segment::{scan_segments, SegmentConfig, SegmentScan, SegmentStore, SEGMENT_PREFIX};
 pub use storage::{FileStorage, SimStorage, Storage};

@@ -53,7 +53,7 @@ use avm_crypto::keys::VerifyingKey;
 use avm_crypto::sha256::Digest;
 use avm_log::entry::chain_hash;
 use avm_log::verify::{chain_in_parts, parts_for};
-use avm_log::{Authenticator, EntryView, LogEntry, LogEntryRef, LogSource, LogVerifyError};
+use avm_log::{Authenticator, EntryView, LogEntry, LogEntryRef, LogVerifyError};
 use avm_wire::{
     decode_exact_with, read_frame, write_frame, Decode, Encode, FrameError, Reader, WireError,
     WireResult, Writer,
@@ -687,48 +687,6 @@ impl<S: Storage> SegmentStore<S> {
     }
 }
 
-/// Log entries recovered from (or mirrored alongside) the segment files,
-/// serving auditors directly — the disk granularity *is* the §3.5 fetch
-/// granularity.
-#[derive(Debug, Clone, Default)]
-pub struct SegmentLog {
-    entries: Vec<LogEntry>,
-}
-
-impl SegmentLog {
-    /// An empty log.
-    pub fn new() -> SegmentLog {
-        SegmentLog::default()
-    }
-
-    /// Wraps entries already verified by [`scan_segments`].
-    pub fn from_entries(entries: Vec<LogEntry>) -> SegmentLog {
-        SegmentLog { entries }
-    }
-
-    /// Mirrors a newly persisted entry.
-    pub fn push(&mut self, entry: LogEntry) {
-        debug_assert_eq!(entry.seq, self.entries.len() as u64 + 1);
-        self.entries.push(entry);
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries are held.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-impl LogSource for SegmentLog {
-    fn entries(&self) -> &[LogEntry] {
-        &self.entries
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1114,22 +1072,5 @@ mod tests {
             totals[0].appended_bytes, totals[2].appended_bytes,
             "policy must not change what is written"
         );
-    }
-
-    #[test]
-    fn segment_log_serves_like_the_in_memory_log() {
-        let signing = key();
-        let storage = SimStorage::new();
-        let mut store = SegmentStore::create(storage.clone(), small_cfg()).unwrap();
-        let mut log = TamperEvidentLog::new();
-        write_log(&mut store, &mut log, &signing, 12).unwrap();
-        let scan = scan_segments(&storage, None).unwrap();
-        let seg_log = SegmentLog::from_entries(scan.entries);
-        assert_eq!(seg_log.len(), 12);
-        assert!(!seg_log.is_empty());
-        assert_eq!(LogSource::entries(&seg_log), log.entries());
-        assert_eq!(seg_log.segment(3, 9), log.segment(3, 9));
-        assert_eq!(seg_log.segment(1, 12), log.segment(1, 12));
-        assert_eq!(seg_log.segment(0, 2), None);
     }
 }

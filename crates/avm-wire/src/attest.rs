@@ -70,26 +70,27 @@ pub struct AttestQuote {
     pub signature: Vec<u8>,
 }
 
+impl AttestQuote {
+    /// This quote's borrowed view, which writes its bytes.
+    pub(crate) fn view(&self) -> AttestQuoteRef<'_> {
+        AttestQuoteRef {
+            envelope: &self.envelope,
+            nonce: self.nonce,
+            signed_at_us: self.signed_at_us,
+            signature: &self.signature,
+        }
+    }
+}
+
 impl Encode for AttestQuote {
     fn encode(&self, w: &mut Writer) {
-        w.put_bytes(&self.envelope);
-        w.put_raw(&self.nonce);
-        w.put_varint(self.signed_at_us);
-        w.put_bytes(&self.signature);
+        self.view().encode(w);
     }
 }
 
 impl Decode for AttestQuote {
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        let envelope = r.get_bytes()?.to_vec();
-        let mut nonce = [0u8; ATTEST_NONCE_LEN];
-        nonce.copy_from_slice(r.get_raw(ATTEST_NONCE_LEN)?);
-        Ok(AttestQuote {
-            envelope,
-            nonce,
-            signed_at_us: r.get_varint()?,
-            signature: r.get_bytes()?.to_vec(),
-        })
+        AttestQuoteRef::decode(r).map(|quote| quote.to_owned())
     }
 }
 

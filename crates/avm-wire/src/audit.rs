@@ -254,39 +254,12 @@ pub enum AuditResponse {
 
 impl Encode for AuditResponse {
     fn encode(&self, w: &mut Writer) {
-        match self {
-            AuditResponse::Manifest { manifest } => {
-                w.put_u8(1);
-                w.put_bytes(manifest);
-            }
-            AuditResponse::Blobs(resp) => {
-                w.put_u8(2);
-                resp.encode(w);
-            }
-            AuditResponse::LogSegment {
-                prev_hash,
-                first_seq,
-                count,
-                records,
-            } => put_log_segment(w, prev_hash, *first_seq, *count, records),
-            AuditResponse::Sections { stream } => {
-                w.put_u8(4);
-                w.put_bytes(stream);
-            }
-            AuditResponse::Error { message } => {
-                w.put_u8(5);
-                w.put_str(message);
-            }
-            AuditResponse::Attestation(quote) => {
-                w.put_u8(6);
-                quote.encode(w);
-            }
-        }
+        self.view().encode(w);
     }
 }
 
-/// Writes a [`AuditResponse::LogSegment`] body: the one layout both
-/// response types and [`encode_log_segment`] produce.
+/// Writes a [`AuditResponse::LogSegment`] body: the one layout every
+/// response writer and [`encode_log_segment`] produce.
 fn put_log_segment(
     w: &mut Writer,
     prev_hash: &[u8; 32],
@@ -367,36 +340,33 @@ pub fn encode_sections_with(len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<
 
 impl Decode for AuditResponse {
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        match r.get_u8()? {
-            1 => Ok(AuditResponse::Manifest {
-                manifest: r.get_bytes()?.to_vec(),
-            }),
-            2 => Ok(AuditResponse::Blobs(BlobResponse::decode(r)?)),
-            3 => {
-                let (prev_hash, first_seq, count, records) = get_log_segment(r)?;
-                Ok(AuditResponse::LogSegment {
-                    prev_hash,
-                    first_seq,
-                    count,
-                    records: records.to_vec(),
-                })
-            }
-            4 => Ok(AuditResponse::Sections {
-                stream: r.get_bytes()?.to_vec(),
-            }),
-            5 => Ok(AuditResponse::Error {
-                message: r.get_string()?,
-            }),
-            6 => Ok(AuditResponse::Attestation(AttestQuote::decode(r)?)),
-            tag => Err(WireError::InvalidTag {
-                what: "AuditResponse",
-                tag: tag as u64,
-            }),
-        }
+        AuditResponseRef::decode(r).map(|response| response.to_owned())
     }
 }
 
 impl AuditResponse {
+    /// This response's borrowed view, which writes its bytes.
+    fn view(&self) -> AuditResponseRef<'_> {
+        match self {
+            AuditResponse::Manifest { manifest } => AuditResponseRef::Manifest { manifest },
+            AuditResponse::Blobs(resp) => AuditResponseRef::Blobs(resp.view()),
+            AuditResponse::LogSegment {
+                prev_hash,
+                first_seq,
+                count,
+                records,
+            } => AuditResponseRef::LogSegment {
+                prev_hash: *prev_hash,
+                first_seq: *first_seq,
+                count: *count,
+                records,
+            },
+            AuditResponse::Sections { stream } => AuditResponseRef::Sections { stream },
+            AuditResponse::Error { message } => AuditResponseRef::Error { message },
+            AuditResponse::Attestation(quote) => AuditResponseRef::Attestation(quote.view()),
+        }
+    }
+
     /// The variant's name, for protocol-violation diagnostics.
     pub fn variant_name(&self) -> &'static str {
         match self {

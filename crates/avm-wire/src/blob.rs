@@ -144,6 +144,13 @@ impl BlobResponse {
     pub fn payload_bytes(&self) -> u64 {
         self.blobs.iter().flatten().map(|b| b.len() as u64).sum()
     }
+
+    /// This response's borrowed view, which writes its bytes.
+    pub(crate) fn view(&self) -> BlobResponseRef<'_> {
+        BlobResponseRef {
+            blobs: self.blobs.iter().map(Option::as_deref).collect(),
+        }
+    }
 }
 
 /// Encoded size of a blob response holding `blobs`: the count, then per
@@ -157,10 +164,7 @@ fn blobs_encoded_len<'a>(blobs: impl ExactSizeIterator<Item = Option<&'a [u8]>>)
 
 impl Encode for BlobResponse {
     fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.blobs.len() as u64);
-        for blob in &self.blobs {
-            blob.encode(w);
-        }
+        self.view().encode(w);
     }
 
     fn encoded_len(&self) -> usize {
@@ -170,17 +174,7 @@ impl Encode for BlobResponse {
 
 impl Decode for BlobResponse {
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        let n = r.get_varint()?;
-        // Every entry costs at least one tag byte.
-        let max = r.remaining() as u64;
-        if n > max {
-            return Err(WireError::LengthOverflow { declared: n, max });
-        }
-        let mut blobs = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            blobs.push(Option::<Vec<u8>>::decode(r)?);
-        }
-        Ok(BlobResponse { blobs })
+        BlobResponseRef::decode(r).map(|blobs| blobs.to_owned())
     }
 }
 

@@ -108,7 +108,7 @@ fn main() {
     };
 
     let outcome = run_attested_fleet(
-        provider.segment_log(),
+        provider.avmm().log(),
         provider.avmm().snapshots(),
         &image,
         &registry,
@@ -146,7 +146,7 @@ fn main() {
     );
 
     let outcome = run_attested_fleet(
-        recovered.segment_log(),
+        recovered.avmm().log(),
         recovered.avmm().snapshots(),
         &image,
         &registry,
@@ -173,7 +173,7 @@ fn main() {
     )
     .unwrap();
     let outcome = run_attested_fleet(
-        rogue.segment_log(),
+        rogue.avmm().log(),
         rogue.avmm().snapshots(),
         &rogue_image,
         &registry,

@@ -128,7 +128,7 @@ fn main() {
     assert_eq!(recovered.avmm().log().len(), recorded_entries);
     assert_eq!(recovered.avmm().snapshots().len(), recorded_snapshots);
 
-    // 4. Serve a fleet audit from the recovered segment image: 12 auditors
+    // 4. Serve a fleet audit from the recovered log: 12 auditors
     //    spot-check the same chunk concurrently over one simulated network,
     //    so the provider's shared response cache pays the log/manifest
     //    encoding once.
@@ -140,7 +140,7 @@ fn main() {
         ..FleetConfig::default()
     };
     let outcome = run_fleet(
-        recovered.segment_log(),
+        recovered.avmm().log(),
         recovered.avmm().snapshots(),
         &image,
         &registry,

@@ -3,14 +3,12 @@
 //! session reaches the same report a lone `SimNetTransport` client would
 //! have, under arbitrary write/snapshot interleavings, chunk choices,
 //! download modes, deterministic link loss, and arbitrary session
-//! interleavings (inter-arrival gaps, provider fan-out).
+//! interleavings (inter-arrival gaps).
 
 use avm_core::config::AvmmOptions;
 use avm_core::endpoint::{AuditClient, AuditServer, SimNetTransport};
 use avm_core::envelope::{Envelope, EnvelopeKind};
-use avm_core::fleet::{
-    run_fleet, AuditTask, FleetAuditor, FleetConfig, ProviderConfig, ProviderNode,
-};
+use avm_core::fleet::{run_fleet, AuditTask, FleetAuditor, FleetConfig, ProviderNode};
 use avm_core::recorder::{Avmm, HostClock};
 use avm_crypto::keys::{SignatureScheme, SigningKey};
 use avm_net::{run_event_loop, Endpoint, LinkConfig, NodeId, SimNet};
@@ -106,13 +104,13 @@ proptest! {
 
     /// (1) A single-session fleet run is *field-identical* (full `==`,
     /// transport timings included) to the blocking `SimNetTransport` client.
-    /// (2) With N interleaved sessions across M providers, every session's
+    /// (2) With N interleaved sessions on the provider, every session's
     /// report is semantically identical to that serial baseline — same
     /// verdict, fault, replay progress, transfer accounting and fetched
     /// digests — for any inter-arrival gap and link-loss pattern.
-    /// (3) The shared response cache pays each cacheable encoding once per
-    /// provider: exactly 2 misses (log chunk + manifest-or-sections), and
-    /// every further serve of those keys is a hit.
+    /// (3) The shared response cache pays each cacheable encoding once:
+    /// exactly 2 misses (log chunk + manifest-or-sections), and every
+    /// further serve of those keys is a hit.
     #[test]
     fn interleaved_fleet_sessions_match_serial_client(
         workload in proptest::collection::vec((0u8..6, any::<bool>()), 2..6),
@@ -121,7 +119,6 @@ proptest! {
         loss_pick in 0usize..4,
         on_demand in any::<bool>(),
         auditors in 2usize..6,
-        providers in 1usize..3,
         gap_pick in 0usize..4,
     ) {
         let image = worker_image();
@@ -159,16 +156,14 @@ proptest! {
         let single_report = single.reports[0].as_ref().unwrap();
         prop_assert_eq!(single_report, &baseline);
 
-        // (2) N interleaved sessions across M providers.
+        // (2) N interleaved sessions on one provider.
         let config = FleetConfig {
             link,
             auditors,
-            providers,
             inter_arrival_us,
             start_snapshot: start,
             chunk: k,
             on_demand,
-            ..FleetConfig::default()
         };
         let outcome = run_fleet(avmm.log(), avmm.snapshots(), &image, &registry, &config);
         prop_assert!(outcome.event_loop.quiescent);
@@ -183,25 +178,19 @@ proptest! {
             prop_assert!(report.transport.round_trips >= 1);
         }
 
-        // (3) Shared-cache accounting: each provider with at least one
-        // session encodes the two cacheable responses once; every further
-        // serve (other sessions, loss-induced re-requests) hits the cache.
-        let active = providers.min(auditors) as u64;
-        let mut hits = 0;
-        for stats in &outcome.providers {
-            if stats.sessions_created == 0 {
-                prop_assert_eq!(stats.cache.misses, 0);
-                continue;
-            }
-            prop_assert_eq!(stats.cache.entries, 2);
-            prop_assert_eq!(stats.cache.misses, 2);
-            hits += stats.cache.hits;
-        }
+        // (3) Shared-cache accounting: the provider encodes the two
+        // cacheable responses once; every further serve (other sessions,
+        // loss-induced re-requests) hits the cache.
+        prop_assert_eq!(outcome.providers.len(), 1);
+        let stats = &outcome.providers[0];
+        prop_assert_eq!(stats.sessions_created, auditors as u64);
+        prop_assert_eq!(stats.cache.entries, 2);
+        prop_assert_eq!(stats.cache.misses, 2);
         prop_assert!(
-            hits >= 2 * (auditors as u64 - active),
+            stats.cache.hits >= 2 * (auditors as u64 - 1),
             "expected at least {} shared-cache hits, saw {}",
-            2 * (auditors as u64 - active),
-            hits
+            2 * (auditors as u64 - 1),
+            stats.cache.hits
         );
     }
 }
@@ -244,11 +233,7 @@ fn heterogeneous_chunk_ranges_miss_per_distinct_key() {
     let link = LinkConfig::default();
     let timeout_us = 8 * link.latency_us + link.serialise_micros(1 << 20);
     let mut net = SimNet::new(link);
-    let mut provider = ProviderNode::new(
-        NodeId(1),
-        AuditServer::new(avmm.log(), avmm.snapshots()),
-        ProviderConfig::default(),
-    );
+    let mut provider = ProviderNode::new(NodeId(1), AuditServer::new(avmm.log(), avmm.snapshots()));
     let mut auditors: Vec<FleetAuditor> = tasks
         .iter()
         .enumerate()

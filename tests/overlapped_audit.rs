@@ -36,8 +36,7 @@ use avm_game::{client_image, game_registry, server_image, ClientConfig, ServerCo
 use avm_log::verify::{chain_in_parts, segment_in_parts, SPLIT_THRESHOLD};
 use avm_log::wire::{carries_hash, decode_entries, wire_entries};
 use avm_log::{
-    Acknowledgment, Authenticator, EntryKind, EntryView, LogEntry, LogEntryRef, LogSource,
-    TamperEvidentLog,
+    Acknowledgment, Authenticator, EntryKind, EntryView, LogEntry, LogEntryRef, TamperEvidentLog,
 };
 use avm_net::LinkConfig;
 use avm_vm::devices::InputEvent;
@@ -276,16 +275,6 @@ fn received(body: &[u8]) -> Vec<LogEntryRef<'_>> {
     }
 }
 
-/// A provider that serves `entries` exactly as given, damage included.
-#[derive(Debug)]
-struct Served(Vec<LogEntry>);
-
-impl LogSource for Served {
-    fn entries(&self) -> &[LogEntry] {
-        &self.0
-    }
-}
-
 /// Audits `segment` of `player` with both drivers and holds every report to
 /// the sequential composition; returns that composition's fault.
 fn audit_both_ways(
@@ -346,11 +335,11 @@ fn audit_both_ways(
     );
     check(&local, "audit::audit_log", &want, segment);
 
-    let served = Served(segment.to_vec());
+    // The provider serves `segment` exactly as given, damage included.
     let store = SnapshotStore::new();
     let client = || {
         AuditClient::new(SimNetTransport::new(
-            AuditServer::with_log_source(&served, &store),
+            AuditServer::with_log_source(segment, &store),
             LinkConfig::default(),
         ))
     };

@@ -16,9 +16,9 @@ use avm_core::persist::{PersistConfig, Provider};
 use avm_core::spotcheck::SpotCheckReport;
 use avm_core::{Avmm, AvmmOptions, Envelope, EnvelopeKind, HostClock};
 use avm_crypto::keys::{SignatureScheme, SigningKey};
-use avm_log::{EntryKind, LogSource, TamperEvidentLog};
+use avm_log::{EntryKind, TamperEvidentLog};
 use avm_net::LinkConfig;
-use avm_store::{ArenaConfig, SegmentConfig, SegmentLog, SegmentStore, SimStorage, SyncPolicy};
+use avm_store::{ArenaConfig, SegmentConfig, SegmentStore, SimStorage, SyncPolicy};
 use avm_vm::bytecode::assemble;
 use avm_vm::packet::encode_guest_packet;
 use avm_vm::{GuestRegistry, VmImage};
@@ -431,13 +431,12 @@ fn malformed_snapshot_record_prefix_is_identical_from_disk_segments() {
 
     let (_, scan) =
         SegmentStore::recover(storage.reboot(), cfg, Some(&signing.verifying_key())).unwrap();
-    let disk_log = SegmentLog::from_entries(scan.entries);
-    assert_eq!(disk_log.entries(), rebuilt.entries());
+    assert_eq!(scan.entries, rebuilt.entries());
 
     let from_memory =
         spot_check_report(AuditServer::new(&rebuilt, recorder.snapshots()), &image, 0);
     let from_disk = spot_check_report(
-        AuditServer::with_log_source(&disk_log, recorder.snapshots()),
+        AuditServer::with_log_source(&scan.entries, recorder.snapshots()),
         &image,
         0,
     );

@@ -15,7 +15,7 @@ use avm_core::attest::{challenge_nonce, Attestor};
 use avm_core::config::AvmmOptions;
 use avm_core::endpoint::{AuditServer, AuditTransport, SimNetTransport};
 use avm_core::envelope::{Envelope, EnvelopeKind};
-use avm_core::fleet::{ProviderConfig, ProviderNode};
+use avm_core::fleet::ProviderNode;
 use avm_core::recorder::{Avmm, HostClock};
 use avm_core::snapshot::SnapshotStore;
 use avm_crypto::keys::{SignatureScheme, SigningKey};
@@ -468,7 +468,7 @@ fn ask(
 fn provider_node_packets_are_identical_cached_and_uncached() {
     let provider = fixture();
     let mut net = SimNet::new(LinkConfig::default());
-    let mut node = ProviderNode::new(PROVIDER, provider.server(), ProviderConfig::default());
+    let mut node = ProviderNode::new(PROVIDER, provider.server());
     let mut request_id = 0;
     let (mut cacheable, mut cached_bytes) = (0u64, 0u64);
     for (request, expected) in cases(provider) {

@@ -25,7 +25,7 @@ use avm_core::endpoint::{
     AuditClient, AuditServer, AuditTransport, SimNetTransport, TransportStats,
 };
 use avm_core::envelope::{Envelope, EnvelopeKind};
-use avm_core::fleet::{AuditTask, FleetAuditor, ProviderConfig, ProviderNode};
+use avm_core::fleet::{AuditTask, FleetAuditor, ProviderNode};
 use avm_core::recorder::{Avmm, HostClock};
 use avm_core::snapshot::SnapshotStore;
 use avm_core::spotcheck::SpotCheckReport;
@@ -223,11 +223,7 @@ fn fleet_chunk_check(
 ) -> Result<SpotCheckReport, CoreError> {
     let registry = GuestRegistry::new();
     let mut net = SimNet::new(LinkConfig::default());
-    let mut provider = ProviderNode::new(
-        PROVIDER,
-        AuditServer::new(&rec.log, &rec.store),
-        ProviderConfig::default(),
-    );
+    let mut provider = ProviderNode::new(PROVIDER, AuditServer::new(&rec.log, &rec.store));
     let mut relay = Relay { corruption };
     let task = AuditTask {
         start_snapshot: 1,
