@@ -181,11 +181,11 @@ fn bench_fig6_snapshot_incremental(c: &mut Criterion) {
     group.finish();
 }
 
-/// The parallel chunk-hash stage: the scoped-thread worker pool versus a
+/// The parallel chunk-hash stage: `sha256_batch`'s scoped split versus a
 /// serial hash loop over the same dirty-chunk batch, plus the end-to-end
 /// `StateTreeCache::refresh` with a large dirty set (which routes its leaf
-/// hashing through the pool).  On a multi-core runner the pool beats the
-/// serial loop roughly by the worker count; on one core it ties.
+/// hashing through the split).  On a multi-core runner the split beats the
+/// serial loop roughly by the part count; on one core it does not split.
 fn bench_parallel_chunk_hashing(c: &mut Criterion) {
     use avm_bench::experiments::snapshot_machine;
     use avm_core::snapshot::StateTreeCache;
@@ -209,12 +209,12 @@ fn bench_parallel_chunk_hashing(c: &mut Criterion) {
     assert_eq!(
         sha256_batch(&slices),
         serial,
-        "worker pool must be bit-identical to serial hashing"
+        "the split must be bit-identical to serial hashing"
     );
     group.bench_function("serial_sha256_4096x512B", |b| {
         b.iter(|| slices.iter().map(|s| sha256(s)).collect::<Vec<_>>())
     });
-    group.bench_function("worker_pool_sha256_4096x512B", |b| {
+    group.bench_function("split_sha256_4096x512B", |b| {
         b.iter(|| sha256_batch(&slices))
     });
     // End to end: a refresh with 512 dirty chunks on a 1024-page guest.

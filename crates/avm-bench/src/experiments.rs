@@ -2017,9 +2017,9 @@ pub struct FleetResult {
     pub cache_hits_at_n10: u64,
     /// Every session in every row reached a consistent verdict.
     pub all_consistent: bool,
-    /// Worker-pool activity *during this sweep* (delta, not process-wide
-    /// totals): console telemetry only — the fleet workload is sized
-    /// below the pool's batching threshold, so claiming pool numbers in the
+    /// Parts run on threads of their own *during this sweep* (delta, not
+    /// process-wide totals): console telemetry only — the fleet workload is
+    /// sized below every split threshold, so claiming these numbers in the
     /// pinned metrics would be misleading.
     pub pool: avm_crypto::parallel::PoolStats,
 }
@@ -2039,7 +2039,7 @@ fn percentile_us(sorted: &[u64], numerator: u64, denominator: u64) -> u64 {
 ///
 /// Reports audits/sec, aggregate link throughput and median session
 /// completion latency per N, plus the provider's shared-response-cache hit
-/// rates and the hashing worker pool's occupancy.  Pins the semantics: the
+/// rates and the parts split off onto threads of their own.  Pins the semantics: the
 /// N=1 run is field-identical to the single-client `SimNetTransport` path.
 pub fn exp_fleet() -> FleetResult {
     use avm_core::endpoint::{AuditClient, AuditServer, SimNetTransport};
@@ -2186,10 +2186,10 @@ pub fn exp_fleet() -> FleetResult {
         );
     }
     println!(
-        "\nN=1 field-identical to SimNetTransport: {n1_identical}; worker pool during this \
-         sweep: {} hash jobs over {} batches, {} generic tasks ({} workers — these \
-         payloads sit below the pool's batching threshold, so an idle pool here is expected)",
-        pool.jobs, pool.batches, pool.tasks, pool.workers
+        "\nN=1 field-identical to SimNetTransport: {n1_identical}; threads split off during \
+         this sweep: {} hash parts, {} other parts (these payloads sit below every split \
+         threshold, so 0 here is expected)",
+        pool.jobs, pool.tasks
     );
 
     FleetResult {
@@ -2219,9 +2219,9 @@ pub fn fleet_metrics(r: &FleetResult) -> Vec<(String, u64)> {
         m.push((format!("n{n}_cache_hits"), row.cache_hits));
         m.push((format!("n{n}_retransmissions"), row.retransmissions));
     }
-    // No pool keys here: the fleet run never engages the hashing
-    // pool (payloads sit below its batching threshold), and pinning
-    // idle-pool numbers would claim coverage the run doesn't have.
+    // No split keys here: the fleet run never splits (payloads sit below
+    // every split threshold), and pinning zeros would claim coverage the
+    // run doesn't have.
     m
 }
 

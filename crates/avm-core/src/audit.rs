@@ -24,6 +24,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use avm_crypto::keys::VerifyingKey;
+use avm_crypto::parallel::in_parts;
 use avm_crypto::sha256::{sha256, Digest};
 use avm_log::verify::{chain_in_parts, parts_for};
 use avm_log::{verify_segment, Authenticator, EntryKind, EntryView, LogEntry};
@@ -250,12 +251,12 @@ pub(crate) fn owned_segment<E: EntryView>(segment: &[E], hashes: &[Digest]) -> V
 type FromImage = (Option<Result<ReplaySummary, FaultReason>>, ReplaySummary);
 
 /// The two phases of a whole-log audit.  A segment that
-/// [`avm_log::verify::parts_for`] splits is audited side by side: the
-/// syntactic phase (itself in parts) on a scoped thread, the replay on this
-/// one, and a failed syntactic phase stops the replay at its next entry.
-/// Any other segment — shorter than [`avm_log::verify::SPLIT_THRESHOLD`],
-/// or on a one-core host — is audited in sequence, and a failed syntactic
-/// phase replays nothing.
+/// [`avm_log::verify::parts_for`] splits is audited side by side, in two
+/// parts of [`in_parts`]: the syntactic phase (itself in parts) on this
+/// thread, the replay on a scoped one, and a failed syntactic phase stops
+/// the replay at its next entry.  Any other segment — shorter than
+/// [`avm_log::verify::SPLIT_THRESHOLD`], or on a one-core host — is audited
+/// in sequence, and a failed syntactic phase replays nothing.
 fn both_phases<E: EntryView>(
     prev_hash: &Digest,
     segment: &[E],
@@ -267,28 +268,32 @@ fn both_phases<E: EntryView>(
     let syntactic = || syntactic_phase(prev_hash, segment, authenticators, machine_key);
     let stop = AtomicBool::new(false);
     if parts_for(segment.len()) > 1 {
-        let side_by_side = std::thread::scope(|scope| {
-            let checker = std::thread::Builder::new()
-                .spawn_scoped(scope, || {
-                    let verdict = syntactic();
-                    if verdict.is_err() {
-                        // Relaxed: the flag publishes nothing; the verdict
-                        // itself comes back through the join.
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                    verdict
-                })
-                .ok()?;
-            let replayed = replay_from_image(reference, registry, segment, &stop);
-            let verdict = checker
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            Some((verdict, replayed))
-        });
-        // `None`: the host refused a thread; audit in sequence.
-        if let Some(both) = side_by_side {
-            return both;
+        /// What one part of the side-by-side audit came to.
+        enum Phase {
+            Syntactic(Result<Vec<Digest>, FaultReason>),
+            Replay(FromImage),
         }
+        // The syntactic phase is part 0: should the host refuse the replay
+        // a thread, it runs first, and a failed one stops the replay before
+        // its first entry.
+        let phases = in_parts(vec![(); 2], |i, ()| {
+            if i == 1 {
+                return Phase::Replay(replay_from_image(reference, registry, segment, &stop));
+            }
+            let verdict = syntactic();
+            if verdict.is_err() {
+                // Relaxed: the flag publishes nothing; the verdict itself
+                // comes back through the join.
+                stop.store(true, Ordering::Relaxed);
+            }
+            Phase::Syntactic(verdict)
+        });
+        let Ok([Phase::Syntactic(verdict), Phase::Replay(replayed)]) =
+            <[Phase; 2]>::try_from(phases)
+        else {
+            unreachable!("in_parts returns one result per part, in order");
+        };
+        return (verdict, replayed);
     }
     match syntactic() {
         Ok(hashes) => (

@@ -349,7 +349,7 @@ impl AuditorBlobCache {
         // insert_trusted, not insert_verified: leaf_hash *is* the SHA-256 of
         // exactly these contents, so re-hashing every leaf would double the
         // seed's cost for zero added assurance.  The hash derivation itself
-        // runs on the worker pool.
+        // is one `sha256_batch` per store.
         for store in machine.stores() {
             let all: Vec<usize> = (0..store.leaf_count()).collect();
             store.prime_hashes(&all);

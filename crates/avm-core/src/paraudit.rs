@@ -15,9 +15,10 @@
 //! the auditor can reconstruct and whose recorded root the previous segment
 //! verifies.  This module cuts the chunk at those boundaries into
 //! independent `(start snapshot, segment)` **replay units**, executes them
-//! concurrently on the generalized [`avm_crypto::parallel`] worker pool,
-//! and merges the per-unit outcomes into exactly the verdict, fault and
-//! progress counters a serial replay of the whole chunk produces.
+//! concurrently in lanes of [`avm_crypto::parallel::in_parts`], each lane
+//! replaying its units straight from the caller's entries, and merges the
+//! per-unit outcomes into exactly the verdict, fault and progress counters
+//! a serial replay of the whole chunk produces.
 //!
 //! Field-identity with the serial path is not best-effort — it is the
 //! contract (pinned by unit and property tests):
@@ -46,7 +47,7 @@
 
 use std::time::Instant;
 
-use avm_crypto::parallel::global_pool;
+use avm_crypto::parallel::in_parts;
 use avm_crypto::sha256::Digest;
 use avm_log::LogEntry;
 use avm_vm::{GuestRegistry, VmImage};
@@ -142,10 +143,6 @@ struct UnitResult {
     cpu_micros: u64,
 }
 
-/// One lane's boxed work: replays its contiguous run of units and returns
-/// `(unit index, result)` pairs.
-type LaneTask = Box<dyn FnOnce() -> Vec<(usize, UnitResult)> + Send>;
-
 fn run_unit(mut replayer: Replayer, entries: &[LogEntry]) -> UnitResult {
     let started = Instant::now();
     let fault = match replayer.replay(entries) {
@@ -193,8 +190,8 @@ fn serial_outcome(
 ///
 /// `snapshots` is the store the start snapshot materializes from; interior
 /// units materialize from the same store.
-/// Lanes run on the process-wide [`avm_crypto::parallel`] pool; actual
-/// concurrency is additionally bounded by its worker count.
+/// Lane 0 runs on the calling thread, every other on a scoped thread of its
+/// own ([`in_parts`]).
 pub fn replay_chunk_parallel(
     entries: &[LogEntry],
     image: &VmImage,
@@ -228,10 +225,8 @@ pub fn replay_chunk_parallel(
 
     // Prepare every unit on the calling thread: materialize its machine,
     // pin interior boundaries to the log-recorded root, seed cross-segment
-    // RECV context, and take an owned copy of its entry range (parked pool
-    // workers cannot borrow the caller's slices — the workspace forbids
-    // `unsafe`).
-    let mut prepared: Vec<(Replayer, Vec<LogEntry>)> = Vec::with_capacity(units.len());
+    // RECV context, and pair it with its entry range.
+    let mut prepared: Vec<(Replayer, &[LogEntry])> = Vec::with_capacity(units.len());
     for unit in &units {
         let mut replayer = match unit.boundary {
             None => Replayer::from_snapshot(image, registry, snapshots, start_snapshot)?,
@@ -266,46 +261,31 @@ pub fn replay_chunk_parallel(
             }
         };
         replayer.preload_recvs(&entries[..unit.range.start]);
-        prepared.push((replayer, entries[unit.range.clone()].to_vec()));
+        prepared.push((replayer, &entries[unit.range.clone()]));
     }
 
-    // Distribute units over lanes in contiguous runs (unit order within a
-    // lane is preserved; results are re-indexed, so distribution affects
-    // wall time only, never the merge).
+    // Distribute units over lanes in contiguous runs, so the lanes' results
+    // concatenate back in unit order; distribution affects wall time only,
+    // never the merge.
     let lanes = workers.min(prepared.len());
     let per = prepared.len() / lanes;
     let rem = prepared.len() % lanes;
-    let mut tasks: Vec<LaneTask> = Vec::with_capacity(lanes);
-    let mut next_index = 0usize;
     let mut iter = prepared.into_iter();
-    for lane in 0..lanes {
-        let take = per + usize::from(lane < rem);
-        let lane_units: Vec<(usize, Replayer, Vec<LogEntry>)> = (0..take)
-            .map(|offset| {
-                let (replayer, entries) = iter.next().expect("lane distribution exact");
-                (next_index + offset, replayer, entries)
-            })
-            .collect();
-        next_index += take;
-        tasks.push(Box::new(move || {
-            lane_units
-                .into_iter()
-                .map(|(index, replayer, entries)| (index, run_unit(replayer, &entries)))
-                .collect()
-        }));
-    }
-    let mut results: Vec<Option<UnitResult>> = (0..units.len()).map(|_| None).collect();
-    for (index, result) in global_pool().run_tasks(tasks).into_iter().flatten() {
-        results[index] = Some(result);
-    }
+    let lane_units: Vec<Vec<(Replayer, &[LogEntry])>> = (0..lanes)
+        .map(|lane| iter.by_ref().take(per + usize::from(lane < rem)).collect())
+        .collect();
+    let results = in_parts(lane_units, |_, lane| {
+        lane.into_iter()
+            .map(|(replayer, entries)| run_unit(replayer, entries))
+            .collect::<Vec<_>>()
+    });
 
     // Merge in unit order: lowest-index fault wins, counters sum across
     // every unit up to and including the faulting one.
     let mut progress = ReplaySummary::default();
     let mut fault = None;
     let mut unit_cpu_micros = Vec::with_capacity(units.len());
-    for result in results.iter_mut() {
-        let result = result.take().expect("every unit ran");
+    for result in results.into_iter().flatten() {
         unit_cpu_micros.push(result.cpu_micros);
         if fault.is_none() {
             progress.entries_replayed += result.summary.entries_replayed;

@@ -97,7 +97,7 @@
 //!    leaves plus the leaves flagged by the stores' dirty bits, updating
 //!    the tree in one O(dirty + log n) batch
 //!    ([`MerkleTree::update_leaf_hashes`]).  The dirty-leaf hashing itself
-//!    is fanned across a small hand-rolled scoped-thread worker pool
+//!    is split across scoped threads once the batch is large enough
 //!    ([`avm_vm::LeafStore::prime_hashes`] →
 //!    [`avm_crypto::parallel::sha256_batch`]), so the remaining O(dirty)
 //!    work scales across cores for large guests.
@@ -245,9 +245,9 @@ pub fn compute_state_root(machine: &Machine) -> Digest {
 /// Builds the full Merkle tree over machine state (exposed so auditors can
 /// produce inclusion proofs for individual chunks).
 ///
-/// Missing chunk/block hashes are filled in bulk across the scoped worker
-/// pool before the leaves are collected, so a cold full build parallelises
-/// the same way an incremental refresh does.
+/// Missing chunk/block hashes are filled in one batch per store, split
+/// across scoped threads when large, before the leaves are collected, so a
+/// cold full build parallelises the same way an incremental refresh does.
 pub fn build_state_tree(machine: &Machine) -> MerkleTree {
     let mut leaves = header_leaves(machine).to_vec();
     for store in machine.stores() {
@@ -262,7 +262,7 @@ pub fn build_state_tree(machine: &Machine) -> MerkleTree {
 }
 
 /// Reference tree construction that rehashes every chunk and block from raw
-/// contents, bypassing the VM hash caches, the worker pool and any
+/// contents, bypassing the VM hash caches, the split batch hashing and any
 /// [`StateTreeCache`].
 ///
 /// This is the seed implementation's cost model, kept as the baseline the
@@ -358,8 +358,9 @@ impl StateTreeCache {
                 }
                 let mut base = STATE_HEADER_LEAVES;
                 for (store, indices) in stores.into_iter().zip(leaves) {
-                    // Fan the leaf hashing across the worker pool before the
-                    // serial tree update reads the memoised values.
+                    // Hash the dirty leaves in one batch, split across cores
+                    // when large, before the serial tree update reads the
+                    // memoised values.
                     store.prime_hashes(indices);
                     updates.extend(
                         indices

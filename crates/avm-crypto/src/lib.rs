@@ -13,10 +13,9 @@
 //! * [`hmac`] — HMAC-SHA-256, the cheap end of the authentication trade-off
 //!   discussed in §6.8.
 //! * [`merkle`] — Merkle hash trees for authenticated snapshots.
-//! * [`parallel`] — a hand-rolled, long-lived worker pool whose jobs are
-//!   either batched leaf hashing (the snapshot pipeline's parallel
-//!   chunk-hash stage) or generic closures (the segment-parallel audit
-//!   replay engine's replay units).
+//! * [`parallel`] — the one place the workspace starts threads: a scoped
+//!   split into parts, under batched leaf hashing (the snapshot pipeline's
+//!   chunk-hash stage), the audit's chain checks and its replay lanes.
 //! * [`keys`] — named identities, signature-scheme selection (including the
 //!   `nosig` measurement configuration) and simple certificates.
 //!

@@ -1,474 +1,234 @@
-//! A small hand-rolled worker pool for batch hashing and generic tasks.
+//! The one place the workspace starts threads: a scoped split into parts.
 //!
-//! Refreshing a Merkle state tree hashes every dirty leaf — embarrassingly
-//! parallel work that the workspace's no-external-deps constraint keeps us
-//! from handing to rayon.  [`sha256_batch`] provides the one primitive the
-//! snapshot pipeline needs: hash a batch of byte slices, preserving input
-//! order, fanning the work across worker threads when the batch is large
-//! enough to amortise the coordination cost.
+//! [`in_parts`] runs part 0 on the calling thread and every other part on a
+//! scoped thread of its own.  A part borrows its input where it lies — a
+//! slice of the caller's batch, a range of a downloaded log segment — so
+//! nothing is copied to hand it over, and every thread is joined before the
+//! call returns.  Its callers:
 //!
-//! The same parked threads also run **generic closures**
-//! ([`WorkerPool::run_tasks`]): the parallel audit replay engine ships one
-//! independent `(start snapshot, log segment)` replay unit per task and
-//! collects the outcomes in input order.  Hash jobs and task jobs share one
-//! queue, so a pool saturated with replay units still drains dirty-leaf
-//! batches between them; the flattened-part hash path is untouched and
-//! remains the fast path.
+//! * [`sha256_batch`] hashes a batch of byte slices in input order, in
+//!   [`batch_workers_for`] parts once the batch carries enough work;
+//! * `avm_log::verify`'s chain and segment checks, in `parts_for` parts;
+//! * the whole-log audit, whose syntactic phase runs beside its replay;
+//! * the segment-parallel replay engine, one part per lane.
 //!
-//! Large batches are served by a **long-lived** [`WorkerPool`]: a fixed set
-//! of parked threads fed through a mutex-protected queue, created once per
-//! process ([`global_pool`]) instead of re-spawning `std::thread::scope`
-//! workers on every call.  Under a fleet of concurrent auditors the provider
-//! hashes thousands of batches per simulated second; amortising the spawn
-//! cost (tens of microseconds per thread) across the process lifetime is
-//! what makes that affordable.  The workspace forbids `unsafe`, so a parked
-//! worker cannot borrow the caller's slices the way a scoped thread could:
-//! each dispatched part instead carries one flat owned copy of its payload
-//! (a single allocation + memcpy, far cheaper than the hashing itself),
-//! while the calling thread hashes the *first* part directly from the
-//! borrowed input and then waits for the pool to finish the rest.
+//! Spawning and joining a thread costs tens of microseconds, so each caller
+//! splits only above a threshold and a small batch never leaves the calling
+//! thread.  The host's core count is read once per process ([`cores`]).
 //!
-//! The batch is split into contiguous ranges so results concatenate back in
-//! input order, and small batches take a serial fast path.  Hashing a 512 B
-//! chunk costs a few microseconds, so the [`MIN_PER_WORKER`] threshold keeps
-//! per-part coordination overhead well under the work each part receives.
-//!
-//! Within every thread — the serial fast path, the caller's own part, and
-//! each worker's flattened part — hashing runs through the multi-buffer
+//! Within every part, hashing runs through the multi-buffer
 //! [`sha256_multi`] core, which compresses up to 8 independent messages per
 //! pass, so thread-level and lane-level parallelism compose.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::sha256::{sha256_multi, Digest};
 
-/// Minimum number of inputs each worker must receive before an extra thread
-/// is worth spawning (the count-based bound, sized for 512 B chunk leaves).
+/// Minimum number of inputs each part of a [`sha256_batch`] must receive
+/// before an extra thread is worth spawning (the count-based bound, sized
+/// for 512 B chunk leaves).
 pub const MIN_PER_WORKER: usize = 64;
 
-/// Minimum payload bytes each worker must receive before an extra thread is
-/// worth spawning — the *measured-cost* bound: SHA-256 time scales with
-/// input bytes, and 32 KiB of hashing (a few hundred µs) comfortably
-/// amortises the dispatch overhead.  Equal to `MIN_PER_WORKER` 512 B
-/// chunks, so the chunk-leaf path behaves exactly as before, while batches
-/// of larger inputs (4 KiB disk blocks, whole sections) fan out at
-/// proportionally smaller counts.
+/// Minimum payload bytes each part of a [`sha256_batch`] must receive
+/// before an extra thread is worth spawning — the *measured-cost* bound:
+/// SHA-256 time scales with input bytes, and 32 KiB of hashing (a few
+/// hundred µs) comfortably amortises the spawn.  Equal to `MIN_PER_WORKER`
+/// 512 B chunks, while batches of larger inputs (4 KiB disk blocks, whole
+/// sections) fan out at proportionally smaller counts.
 pub const MIN_BYTES_PER_WORKER: usize = MIN_PER_WORKER * 512;
 
-/// Hard cap on concurrent hashing threads (pool workers plus the calling
-/// thread) — the hashing stage is meant to soak up a few otherwise-idle
-/// cores, not the whole machine.
+/// Hard cap on the threads one [`sha256_batch`] occupies (the calling
+/// thread included) — the hashing stage is meant to soak up a few
+/// otherwise-idle cores, not the whole machine.
 pub const MAX_WORKERS: usize = 8;
 
-/// Number of hashing threads [`sha256_batch`] would use for a batch of `n`
-/// inputs on this host, assuming chunk-sized inputs (1 = serial fast path).
-///
-/// This is the count-only estimate; [`batch_workers_for`] additionally
-/// weighs the batch's actual payload bytes.
-pub fn batch_workers(n: usize) -> usize {
-    let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
-    avail.min(MAX_WORKERS).min(n / MIN_PER_WORKER).max(1)
+/// The host's core count (1 if it cannot be read), read once per process:
+/// the read goes through the cgroup files on Linux and costs tens of
+/// microseconds.
+pub fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
-/// Adaptive worker count for a concrete batch: scales with the *work* in the
-/// batch — both input count and total payload bytes — instead of occupying a
-/// fixed-size pool.  Tiny dirty sets stay serial; a handful of large inputs
-/// still parallelises even though their count alone would not justify it.
+/// The number of parts [`sha256_batch`] hashes `inputs` in on this host:
+/// scales with the *work* in the batch — both input count and total payload
+/// bytes.  Tiny dirty sets stay serial; a handful of large inputs still
+/// splits even though their count alone would not justify it.
 pub fn batch_workers_for(inputs: &[&[u8]]) -> usize {
-    let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
     let total_bytes: usize = inputs.iter().map(|i| i.len()).sum();
     let by_count = inputs.len() / MIN_PER_WORKER;
     let by_bytes = total_bytes / MIN_BYTES_PER_WORKER;
-    avail
+    cores()
         .min(MAX_WORKERS)
         .min(by_count.max(by_bytes))
         .min(inputs.len())
         .max(1)
 }
 
-/// One part of a batch, flattened into a single owned buffer so handing it
-/// to a parked worker costs one allocation + memcpy instead of one per
-/// input.  `ends[i]` is the end offset of input `i` within `payload`.
-struct FlatPart {
-    payload: Vec<u8>,
-    ends: Vec<usize>,
-}
+/// Parts [`sha256_batch`] ran off the calling thread.
+static HASH_JOBS: AtomicU64 = AtomicU64::new(0);
+/// Parts every other [`in_parts`] caller ran off the calling thread.
+static TASKS: AtomicU64 = AtomicU64::new(0);
 
-impl FlatPart {
-    fn copy_from(inputs: &[&[u8]]) -> FlatPart {
-        let total: usize = inputs.iter().map(|i| i.len()).sum();
-        let mut payload = Vec::with_capacity(total);
-        let mut ends = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            payload.extend_from_slice(input);
-            ends.push(payload.len());
-        }
-        FlatPart { payload, ends }
-    }
-
-    fn hash_all(&self) -> Vec<Digest> {
-        let mut start = 0;
-        let slices: Vec<&[u8]> = self
-            .ends
-            .iter()
-            .map(|&end| {
-                let slice = &self.payload[start..end];
-                start = end;
-                slice
-            })
-            .collect();
-        sha256_multi(&slices)
-    }
-}
-
-/// Completion latch for one in-flight batch: dispatched parts store their
-/// digests into `parts` (indexed by part number) and the last one to finish
-/// wakes the caller.
-struct BatchState {
-    progress: Mutex<BatchProgress>,
-    finished: Condvar,
-}
-
-struct BatchProgress {
-    parts: Vec<Option<Vec<Digest>>>,
-    remaining: usize,
-}
-
-/// Completion latch for one in-flight [`WorkerPool::run_tasks`] call: each
-/// finished task decrements `remaining` and the last one wakes the caller.
-/// (Results travel inside the task closures themselves, which write into a
-/// shared slot vector — the latch only counts.)
-struct TaskLatch {
-    remaining: Mutex<usize>,
-    finished: Condvar,
-}
-
-/// One unit of queued work: a flattened hash part (the original fast path)
-/// or a generic closure.
-enum Job {
-    Hash {
-        part: FlatPart,
-        batch: Arc<BatchState>,
-        slot: usize,
-    },
-    Task {
-        run: Box<dyn FnOnce() + Send + 'static>,
-        latch: Arc<TaskLatch>,
-    },
-}
-
-struct PoolQueue {
-    jobs: VecDeque<Job>,
-    stop: bool,
-}
-
-struct PoolInner {
-    queue: Mutex<PoolQueue>,
-    work_ready: Condvar,
-    busy: AtomicUsize,
-    peak_busy: AtomicUsize,
-    jobs_dispatched: AtomicU64,
-    batches_dispatched: AtomicU64,
-    tasks_dispatched: AtomicU64,
-}
-
-/// Occupancy counters for a [`WorkerPool`], for capacity reports: how many
-/// threads the pool keeps parked, how much work has flowed through it, and
-/// the high-water mark of simultaneously busy workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How many parts ran off the calling thread, for the standalone
+/// benchmark's `crypto.pool_*` keys.  ROADMAP item 4-I(c) deletes it with
+/// those keys.
+#[derive(Debug, Clone)]
 pub struct PoolStats {
-    /// Long-lived worker threads owned by the pool.
-    pub workers: usize,
-    /// Parts dispatched to pool workers over the pool's lifetime (the
-    /// calling thread's own part is not counted — it never queues).
+    /// Parts [`sha256_batch`] ran on a thread of their own.
     pub jobs: u64,
-    /// Batches that fanned out through the pool.
-    pub batches: u64,
-    /// Generic closure tasks dispatched to pool workers ([`WorkerPool::
-    /// run_tasks`]; the calling thread's own task is not counted — it never
-    /// queues).
+    /// Parts of every other [`in_parts`] call run on a thread of their own.
     pub tasks: u64,
-    /// Most workers observed busy (hashing or running a task) at the same
-    /// instant.
-    pub peak_busy: usize,
 }
 
 impl PoolStats {
-    /// Counters accumulated since `earlier` (workers is a size, not a
-    /// counter, and carries over) — for per-run telemetry deltas.
+    /// Counters accumulated since `earlier` — for per-run telemetry deltas.
     pub fn since(&self, earlier: &PoolStats) -> PoolStats {
         PoolStats {
-            workers: self.workers,
             jobs: self.jobs - earlier.jobs,
-            batches: self.batches - earlier.batches,
             tasks: self.tasks - earlier.tasks,
-            peak_busy: self.peak_busy,
         }
     }
 }
 
-/// A fixed set of long-lived parked threads hashing flattened batch parts
-/// from a shared queue.
-///
-/// Created once per process by [`global_pool`]; tests may build private
-/// pools.  Dropping a pool stops and joins its threads.
-pub struct WorkerPool {
-    inner: Arc<PoolInner>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+/// The counters of every split this process has run.  ROADMAP item
+/// 4-I(c) deletes it with [`PoolStats`].
+pub fn global_pool_stats() -> PoolStats {
+    PoolStats {
+        jobs: HASH_JOBS.load(Ordering::Relaxed),
+        tasks: TASKS.load(Ordering::Relaxed),
+    }
 }
 
-impl WorkerPool {
-    /// A pool of exactly `workers` parked threads (minimum 1).
-    pub fn new(workers: usize) -> WorkerPool {
-        let workers = workers.max(1);
-        let inner = Arc::new(PoolInner {
-            queue: Mutex::new(PoolQueue {
-                jobs: VecDeque::new(),
-                stop: false,
-            }),
-            work_ready: Condvar::new(),
-            busy: AtomicUsize::new(0),
-            peak_busy: AtomicUsize::new(0),
-            jobs_dispatched: AtomicU64::new(0),
-            batches_dispatched: AtomicU64::new(0),
-            tasks_dispatched: AtomicU64::new(0),
-        });
-        let threads = (0..workers)
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(&inner))
-            })
-            .collect();
-        WorkerPool { inner, threads }
-    }
+/// The threads a split may add to the calling thread on this host.
+pub struct ThreadBudget {
+    workers: usize,
+}
 
-    /// Number of parked worker threads.
+impl ThreadBudget {
+    /// `min(cores, MAX_WORKERS) − 1`, at least 1: the threads a split adds
+    /// to the calling thread, which always runs a part of its own.
     pub fn workers(&self) -> usize {
-        self.threads.len()
-    }
-
-    /// Lifetime occupancy counters.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            workers: self.threads.len(),
-            jobs: self.inner.jobs_dispatched.load(Ordering::Relaxed),
-            batches: self.inner.batches_dispatched.load(Ordering::Relaxed),
-            tasks: self.inner.tasks_dispatched.load(Ordering::Relaxed),
-            peak_busy: self.inner.peak_busy.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Hashes every input, returning digests in input order — bit-identical
-    /// to `inputs.iter().map(|i| sha256(i)).collect()`.
-    ///
-    /// The batch is split into `parts` contiguous ranges (clamped to the
-    /// input count); the calling thread hashes the first range directly from
-    /// the borrowed inputs while the remaining ranges are copied, queued,
-    /// and hashed by pool workers.
-    pub fn hash_batch(&self, inputs: &[&[u8]], parts: usize) -> Vec<Digest> {
-        let parts = parts.min(inputs.len()).max(1);
-        if parts <= 1 {
-            return sha256_multi(inputs);
-        }
-        // Contiguous ranges, remainder spread over the first parts, so the
-        // concatenated results preserve input order.
-        let per = inputs.len() / parts;
-        let rem = inputs.len() % parts;
-        let first = per + usize::from(rem > 0);
-        let batch = Arc::new(BatchState {
-            progress: Mutex::new(BatchProgress {
-                parts: (1..parts).map(|_| None).collect(),
-                remaining: parts - 1,
-            }),
-            finished: Condvar::new(),
-        });
-        {
-            let mut queue = self.inner.queue.lock().unwrap();
-            let mut offset = first;
-            for w in 1..parts {
-                let take = per + usize::from(w < rem);
-                queue.jobs.push_back(Job::Hash {
-                    part: FlatPart::copy_from(&inputs[offset..offset + take]),
-                    batch: Arc::clone(&batch),
-                    slot: w - 1,
-                });
-                offset += take;
-            }
-            debug_assert_eq!(offset, inputs.len());
-            self.inner
-                .jobs_dispatched
-                .fetch_add(parts as u64 - 1, Ordering::Relaxed);
-            self.inner
-                .batches_dispatched
-                .fetch_add(1, Ordering::Relaxed);
-            self.inner.work_ready.notify_all();
-        }
-        let mut out = Vec::with_capacity(inputs.len());
-        out.extend(sha256_multi(&inputs[..first]));
-        let mut progress = batch.progress.lock().unwrap();
-        while progress.remaining > 0 {
-            progress = batch.finished.wait(progress).unwrap();
-        }
-        for slot in progress.parts.iter_mut() {
-            out.extend(slot.take().expect("finished batch part missing"));
-        }
-        out
-    }
-
-    /// Runs every closure, returning the results in input order.
-    ///
-    /// Mirrors [`WorkerPool::hash_batch`]'s structure: the calling thread
-    /// runs the *first* task itself while the remaining tasks are queued for
-    /// pool workers, so a `run_tasks` call always makes progress even on a
-    /// saturated (or single-worker) pool.  Tasks must own their inputs
-    /// (`'static`): the workspace forbids `unsafe`, so a parked worker
-    /// cannot borrow the caller's stack the way a scoped thread could.
-    ///
-    /// A panicking task poisons its result mutex and propagates the panic to
-    /// the caller — it is not swallowed.
-    pub fn run_tasks<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let n = tasks.len();
-        let mut iter = tasks.into_iter();
-        let Some(first) = iter.next() else {
-            return Vec::new();
-        };
-        if n == 1 {
-            return vec![first()];
-        }
-        let results: Arc<Mutex<Vec<Option<T>>>> =
-            Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-        let latch = Arc::new(TaskLatch {
-            remaining: Mutex::new(n - 1),
-            finished: Condvar::new(),
-        });
-        {
-            let mut queue = self.inner.queue.lock().unwrap();
-            for (offset, task) in iter.enumerate() {
-                let slot = offset + 1;
-                let results = Arc::clone(&results);
-                queue.jobs.push_back(Job::Task {
-                    run: Box::new(move || {
-                        let value = task();
-                        results.lock().unwrap()[slot] = Some(value);
-                    }),
-                    latch: Arc::clone(&latch),
-                });
-            }
-            self.inner
-                .tasks_dispatched
-                .fetch_add(n as u64 - 1, Ordering::Relaxed);
-            self.inner.work_ready.notify_all();
-        }
-        let first_value = first();
-        results.lock().unwrap()[0] = Some(first_value);
-        let mut remaining = latch.remaining.lock().unwrap();
-        while *remaining > 0 {
-            remaining = latch.finished.wait(remaining).unwrap();
-        }
-        drop(remaining);
-        let mut slots = results.lock().unwrap();
-        slots
-            .iter_mut()
-            .map(|slot| slot.take().expect("finished task result missing"))
-            .collect()
+        self.workers
     }
 }
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.inner.queue.lock().unwrap().stop = true;
-        self.inner.work_ready.notify_all();
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(inner: &PoolInner) {
-    loop {
-        let job = {
-            let mut queue = inner.queue.lock().unwrap();
-            loop {
-                if let Some(job) = queue.jobs.pop_front() {
-                    break job;
-                }
-                if queue.stop {
-                    return;
-                }
-                queue = inner.work_ready.wait(queue).unwrap();
-            }
-        };
-        let busy = inner.busy.fetch_add(1, Ordering::Relaxed) + 1;
-        inner.peak_busy.fetch_max(busy, Ordering::Relaxed);
-        match job {
-            Job::Hash { part, batch, slot } => {
-                let digests = part.hash_all();
-                let mut progress = batch.progress.lock().unwrap();
-                progress.parts[slot] = Some(digests);
-                progress.remaining -= 1;
-                if progress.remaining == 0 {
-                    batch.finished.notify_all();
-                }
-            }
-            Job::Task { run, latch } => {
-                // The closure stores its own result; the latch only counts.
-                run();
-                let mut remaining = latch.remaining.lock().unwrap();
-                *remaining -= 1;
-                if *remaining == 0 {
-                    latch.finished.notify_all();
-                }
-            }
-        }
-        inner.busy.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// The process-wide hashing pool, created on first use.  Sized one below the
-/// [`MAX_WORKERS`]/core bound because the calling thread always contributes
-/// a part of its own.
-pub fn global_pool() -> &'static WorkerPool {
-    static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
-        WorkerPool::new(avail.min(MAX_WORKERS).saturating_sub(1).max(1))
+/// This host's [`ThreadBudget`], for the standalone benchmark's lane count.
+/// ROADMAP item 4-I(c) deletes it.
+pub fn global_pool() -> &'static ThreadBudget {
+    static BUDGET: OnceLock<ThreadBudget> = OnceLock::new();
+    BUDGET.get_or_init(|| ThreadBudget {
+        workers: cores().min(MAX_WORKERS).saturating_sub(1).max(1),
     })
 }
 
-/// Occupancy counters of the process-wide pool ([`global_pool`]).
-pub fn global_pool_stats() -> PoolStats {
-    global_pool().stats()
+/// `part(i, input)` for every input `i`, results in input order, each part
+/// taking its own input — a disjoint slice of one output buffer, say —
+/// exactly once: part 0 on the calling thread, every other on a scoped
+/// thread of its own, or on the calling thread too should the host refuse
+/// a thread.  A panicking part re-raises its panic in the caller.
+pub fn in_parts<T: Send, R: Send>(inputs: Vec<T>, part: impl Fn(usize, T) -> R + Sync) -> Vec<R> {
+    split(inputs, &TASKS, part)
+}
+
+/// [`in_parts`], counting the parts run off the calling thread in `spawned`.
+fn split<T: Send, R: Send>(
+    inputs: Vec<T>,
+    spawned: &AtomicU64,
+    part: impl Fn(usize, T) -> R + Sync,
+) -> Vec<R> {
+    if inputs.len() <= 1 {
+        return inputs
+            .into_iter()
+            .enumerate()
+            .map(|(i, input)| part(i, input))
+            .collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = inputs.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let run = |i: usize| {
+        let input = slots[i]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("each part runs once");
+        part(i, input)
+    };
+    std::thread::scope(|scope| {
+        let run = &run;
+        let handles: Vec<_> = (1..slots.len())
+            .map(|i| {
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, move || run(i))
+                    .map_err(|_| i)
+            })
+            .collect();
+        let threads = handles.iter().filter(|handle| handle.is_ok()).count();
+        // Relaxed: a statistic; it publishes nothing.
+        spawned.fetch_add(threads as u64, Ordering::Relaxed);
+        let mut results = Vec::with_capacity(slots.len());
+        results.push(run(0));
+        for handle in handles {
+            results.push(match handle {
+                Ok(handle) => handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                Err(i) => run(i),
+            });
+        }
+        results
+    })
 }
 
 /// Hashes every input slice, returning digests in input order.
 ///
 /// Equivalent to `inputs.iter().map(|i| sha256(i)).collect()` — bit-identical
-/// output, checked by tests — but large batches are fanned across the
-/// long-lived [`global_pool`] so dirty-leaf hashing scales with cores without
-/// paying a thread spawn per batch.  The part count adapts to the batch
-/// ([`batch_workers_for`]): a tiny dirty set never pays for coordination it
-/// cannot feed.
+/// output, checked by tests — but a batch with enough work is split into
+/// [`batch_workers_for`] contiguous parts that [`in_parts`] hashes side by
+/// side, each straight from the borrowed slices.  A tiny dirty set never
+/// leaves the calling thread.
 pub fn sha256_batch(inputs: &[&[u8]]) -> Vec<Digest> {
-    let workers = batch_workers_for(inputs);
-    if workers <= 1 {
+    sha256_in_parts(inputs, batch_workers_for(inputs))
+}
+
+/// [`sha256_batch`] in `parts` contiguous parts (clamped to the input
+/// count) whatever the host: the first `len % parts` parts take one input
+/// more than the rest.
+fn sha256_in_parts(inputs: &[&[u8]], parts: usize) -> Vec<Digest> {
+    let parts = parts.min(inputs.len()).max(1);
+    if parts == 1 {
         return sha256_multi(inputs);
     }
-    global_pool().hash_batch(inputs, workers)
+    let per = inputs.len() / parts;
+    let rem = inputs.len() % parts;
+    let mut rest = inputs;
+    let ranges: Vec<&[&[u8]]> = (0..parts)
+        .map(|i| {
+            let (range, tail) = rest.split_at(per + usize::from(i < rem));
+            rest = tail;
+            range
+        })
+        .collect();
+    split(ranges, &HASH_JOBS, |_, range| sha256_multi(range)).concat()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sha256::sha256;
+    use std::sync::MutexGuard;
+
+    /// Held by every test that splits, so each can read exact counter
+    /// deltas while the others wait.
+    fn counted() -> MutexGuard<'static, ()> {
+        static COUNTED: Mutex<()> = Mutex::new(());
+        COUNTED.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn matches_serial_hashing_for_all_sizes() {
+        let _counted = counted();
         // Straddle the serial/parallel threshold in both directions.
         for n in [0usize, 1, 5, MIN_PER_WORKER, 4 * MIN_PER_WORKER + 3] {
             let data: Vec<Vec<u8>> = (0..n)
@@ -482,14 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_is_bounded() {
-        assert_eq!(batch_workers(0), 1);
-        assert_eq!(batch_workers(MIN_PER_WORKER - 1), 1);
-        assert!(batch_workers(MAX_WORKERS * MIN_PER_WORKER * 4) <= MAX_WORKERS);
-        assert!(batch_workers(usize::MAX) >= 1);
-    }
-
-    #[test]
     fn adaptive_worker_count_scales_with_batch_work() {
         let slices_of =
             |n: usize, len: usize| -> Vec<Vec<u8>> { (0..n).map(|_| vec![0u8; len]).collect() };
@@ -498,11 +250,12 @@ mod tests {
         let tiny = slices_of(3, 512);
         let tiny_refs: Vec<&[u8]> = tiny.iter().map(|v| v.as_slice()).collect();
         assert_eq!(batch_workers_for(&tiny_refs), 1);
-        // Chunk-sized inputs behave exactly like the count-only estimate.
+        // Chunk-sized inputs split by count alone.
         for n in [MIN_PER_WORKER - 1, MIN_PER_WORKER, 4 * MIN_PER_WORKER] {
             let chunks = slices_of(n, 512);
             let refs: Vec<&[u8]> = chunks.iter().map(|v| v.as_slice()).collect();
-            assert_eq!(batch_workers_for(&refs), batch_workers(n), "n={n}");
+            let by_count = cores().min(MAX_WORKERS).min(n / MIN_PER_WORKER).max(1);
+            assert_eq!(batch_workers_for(&refs), by_count, "n={n}");
         }
         // A few large inputs parallelise even though their count alone
         // would not justify a second thread (if cores are available).
@@ -510,8 +263,7 @@ mod tests {
         let refs: Vec<&[u8]> = blocks.iter().map(|v| v.as_slice()).collect();
         let workers = batch_workers_for(&refs);
         assert!(workers <= MAX_WORKERS.min(16));
-        let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
-        if avail > 1 {
+        if cores() > 1 {
             assert!(
                 workers > 1,
                 "16 × 64 KiB of hashing must fan out on a multi-core host"
@@ -525,116 +277,88 @@ mod tests {
 
     #[test]
     fn pool_output_matches_serial_for_every_part_count() {
-        let pool = WorkerPool::new(3);
+        let _counted = counted();
         let data: Vec<Vec<u8>> = (0..97).map(|i| vec![i as u8; 1 + (i % 50)]).collect();
         let slices: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let serial: Vec<Digest> = slices.iter().map(|s| sha256(s)).collect();
-        // Part counts below, at, and beyond both the pool size and the
-        // input count; all must concatenate back in input order.
-        for parts in [1usize, 2, 3, 4, 8, 97, 200] {
-            assert_eq!(pool.hash_batch(&slices, parts), serial, "parts={parts}");
+        // Every part count up to 9, and beyond the input count; all must
+        // concatenate back in input order, with one hash job per part off
+        // the calling thread.
+        for parts in (1usize..=9).chain([97, 200]) {
+            let before = global_pool_stats();
+            assert_eq!(sha256_in_parts(&slices, parts), serial, "parts={parts}");
+            let delta = global_pool_stats().since(&before);
+            assert_eq!(delta.jobs, parts.min(97) as u64 - 1, "parts={parts}");
+            assert_eq!(delta.tasks, 0, "parts={parts}");
         }
+        assert!(sha256_in_parts(&[], 4).is_empty());
     }
 
     #[test]
-    fn pool_reuses_threads_and_counts_occupancy() {
-        let pool = WorkerPool::new(2);
-        assert_eq!(pool.workers(), 2);
-        assert_eq!(
-            pool.stats(),
-            PoolStats {
-                workers: 2,
-                ..PoolStats::default()
-            }
-        );
-        let data: Vec<Vec<u8>> = (0..256).map(|i| vec![i as u8; 512]).collect();
-        let slices: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        for _ in 0..5 {
-            pool.hash_batch(&slices, 3);
-        }
-        let stats = pool.stats();
-        // 3 parts per batch = 2 dispatched jobs (the caller hashes part 0).
-        assert_eq!(stats.batches, 5);
-        assert_eq!(stats.jobs, 10);
-        assert!(stats.peak_busy >= 1 && stats.peak_busy <= 2);
-        // Serial fast path never touches the queue.
-        pool.hash_batch(&slices[..1], 1);
-        assert_eq!(pool.stats().batches, 5);
-    }
-
-    #[test]
-    fn run_tasks_preserves_input_order_and_counts_tasks() {
-        let pool = WorkerPool::new(3);
-        // Empty and singleton calls never touch the queue.
-        let none: Vec<fn() -> u64> = Vec::new();
-        assert!(pool.run_tasks(none).is_empty());
-        assert_eq!(pool.run_tasks(vec![|| 7u64]), vec![7]);
-        assert_eq!(pool.stats().tasks, 0);
+    fn in_parts_preserves_input_order_and_counts_tasks() {
+        let _counted = counted();
+        let before = global_pool_stats();
+        // Empty and singleton calls start no thread.
+        assert!(in_parts(Vec::<u64>::new(), |_, i| i).is_empty());
+        assert_eq!(in_parts(vec![7u64], |_, i| i), vec![7]);
+        assert_eq!(global_pool_stats().since(&before).tasks, 0);
         // Results come back in input order regardless of which thread ran
-        // each task or how long it took.
-        let tasks: Vec<_> = (0..25u64)
-            .map(|i| {
-                move || {
-                    if i % 3 == 0 {
-                        std::thread::sleep(std::time::Duration::from_micros(50 * (25 - i)));
-                    }
-                    i * i
-                }
-            })
-            .collect();
-        let out = pool.run_tasks(tasks);
+        // each part or how long it took.
+        let out = in_parts((0..25u64).collect(), |index, i| {
+            assert_eq!(index as u64, i);
+            if i % 3 == 0 {
+                std::thread::sleep(std::time::Duration::from_micros(50 * (25 - i)));
+            }
+            i * i
+        });
         assert_eq!(out, (0..25u64).map(|i| i * i).collect::<Vec<_>>());
-        let stats = pool.stats();
-        assert_eq!(stats.tasks, 24); // the caller ran task 0 inline
-        assert_eq!(stats.jobs, 0); // no hash parts were dispatched
+        let delta = global_pool_stats().since(&before);
+        assert_eq!(delta.tasks, 24); // the caller ran part 0
+        assert_eq!(delta.jobs, 0); // no hash parts
     }
 
     #[test]
-    fn tasks_and_hash_batches_share_the_pool() {
-        let pool = WorkerPool::new(2);
-        let data: Vec<Vec<u8>> = (0..256).map(|i| vec![i as u8; 512]).collect();
-        let slices: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let serial: Vec<Digest> = slices.iter().map(|s| sha256(s)).collect();
-        assert_eq!(pool.hash_batch(&slices, 3), serial);
-        let sums = pool.run_tasks(
-            (0..4u64)
-                .map(|i| move || (0..=i).sum::<u64>())
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(sums, vec![0, 1, 3, 6]);
-        assert_eq!(pool.hash_batch(&slices, 3), serial);
-        let stats = pool.stats();
-        assert_eq!(stats.batches, 2);
-        assert_eq!(stats.jobs, 4);
-        assert_eq!(stats.tasks, 3);
+    fn a_part_panicking_on_its_own_thread_panics_in_the_caller() {
+        let _counted = counted();
+        let caller = std::thread::current().id();
+        let panic = std::panic::catch_unwind(|| {
+            in_parts(vec![0u8; 3], |i, _| {
+                if i == 2 && std::thread::current().id() != caller {
+                    panic!("part 2 failed");
+                }
+                i
+            })
+        })
+        .expect_err("part 2's panic reaches the caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"part 2 failed"));
     }
 
     #[test]
     fn pool_stats_since_reports_the_delta() {
-        let pool = WorkerPool::new(2);
-        let before = pool.stats();
-        pool.run_tasks((0..3u64).map(|i| move || i).collect::<Vec<_>>());
-        let delta = pool.stats().since(&before);
-        assert_eq!(delta.workers, 2);
+        let _counted = counted();
+        let before = global_pool_stats();
+        in_parts((0..3u64).collect(), |_, i| i);
+        let delta = global_pool_stats().since(&before);
         assert_eq!(delta.tasks, 2);
         assert_eq!(delta.jobs, 0);
-        assert_eq!(delta.batches, 0);
     }
 
     #[test]
     fn global_pool_is_shared_and_reports_stats() {
+        let _counted = counted();
+        let workers = global_pool().workers();
+        assert_eq!(workers, cores().min(MAX_WORKERS).saturating_sub(1).max(1));
+        assert!(std::ptr::eq(global_pool(), global_pool()));
         let before = global_pool_stats();
-        assert!(before.workers >= 1);
         let data: Vec<Vec<u8>> = (0..4 * MIN_PER_WORKER)
             .map(|i| vec![i as u8; 512])
             .collect();
         let slices: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let out = sha256_batch(&slices);
         assert_eq!(out[7], sha256(&data[7]));
-        let after = global_pool_stats();
-        assert_eq!(after.workers, before.workers);
-        if batch_workers_for(&slices) > 1 {
-            assert!(after.batches > before.batches);
-        }
+        let delta = global_pool_stats().since(&before);
+        assert_eq!(delta.jobs, batch_workers_for(&slices) as u64 - 1);
+        assert_eq!(delta.tasks, 0);
+        assert_eq!(global_pool().workers(), workers);
     }
 }

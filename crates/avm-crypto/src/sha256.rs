@@ -368,7 +368,7 @@ fn sha256_group<const L: usize>(prefix: &[u8], msgs: &[&[u8]; L]) -> [Digest; L]
 /// `tests/crypto_differential.rs` — but compresses 8 (then 4) messages per
 /// pass through a shared message schedule. This is the serial building block
 /// under [`crate::parallel::sha256_batch`]; call that instead when batches
-/// are large enough to also spread across worker threads.
+/// are large enough to also split across threads.
 pub fn sha256_multi(inputs: &[&[u8]]) -> Vec<Digest> {
     sha256_multi_prefixed(&[], inputs)
 }

@@ -13,19 +13,20 @@
 //! [`verify_chain`] and [`verify_segment`] cut a segment of at least
 //! [`SPLIT_THRESHOLD`] entries into contiguous parts, two per core
 //! ([`parts_for`]), each starting at a run boundary, check part `i` from
-//! the claim before its first entry on a scoped thread, and verify the
-//! signatures of contiguous parts of the authenticator list beside it.  Of
+//! the claim before its first entry on a scoped thread
+//! ([`avm_crypto::parallel::in_parts`]: the part borrows the entries where
+//! they lie — in the packet, for an audit), and verify the signatures of
+//! contiguous parts of the authenticator list beside it.  Of
 //! the parts' results the first error in seq order wins, and a chain error
 //! before any authenticator error; the authenticators are then matched in
 //! list order against the hashes the parts computed — exactly the `Result`
 //! the serial scan returns.  A shorter segment, or any segment on a
 //! one-core host, is checked on the calling thread and spawns nothing.
 
-use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::{Mutex, OnceLock, PoisonError};
 
 use avm_crypto::keys::VerifyingKey;
+use avm_crypto::parallel::{cores, in_parts};
 use avm_crypto::sha256::{sha256_multi, Digest};
 
 use crate::auth::Authenticator;
@@ -146,9 +147,7 @@ pub const SPLIT_THRESHOLD: usize = 4096;
 /// two phases in sequence; its chain check alone took about 7.1 ms in one
 /// part, 3.9 ms in 2 and 4.4 ms in 4.
 pub fn parts_for(len: usize) -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let cores =
-        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
+    let cores = cores();
     if len < SPLIT_THRESHOLD || cores == 1 {
         return 1;
     }
@@ -158,53 +157,6 @@ pub fn parts_for(len: usize) -> usize {
 /// The `i`-th of the `parts` contiguous ranges `0..len` is cut into.
 fn part(len: usize, parts: usize, i: usize) -> Range<usize> {
     i * len / parts..(i + 1) * len / parts
-}
-
-/// `check(i, input)` for every part `i`, in part order, each part taking
-/// its own input — a disjoint slice of one output buffer, say — exactly
-/// once: part 0 on the calling thread, every other on a scoped thread of
-/// its own (or on the calling thread too, should the host refuse a
-/// thread).  Scoped, not `avm_crypto::parallel`'s parked pool: a part
-/// borrows the entries where they lie — in the packet, for an audit — and
-/// a pool worker could only take an owned copy.
-fn in_parts<T: Send, R: Send>(inputs: Vec<T>, check: impl Fn(usize, T) -> R + Sync) -> Vec<R> {
-    if inputs.len() <= 1 {
-        return inputs
-            .into_iter()
-            .enumerate()
-            .map(|(i, input)| check(i, input))
-            .collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = inputs.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let run = |i: usize| {
-        let input = slots[i]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-            .expect("each part runs once");
-        check(i, input)
-    };
-    std::thread::scope(|scope| {
-        let run = &run;
-        let spawned: Vec<_> = (1..slots.len())
-            .map(|i| {
-                std::thread::Builder::new()
-                    .spawn_scoped(scope, move || run(i))
-                    .map_err(|_| i)
-            })
-            .collect();
-        let mut results = Vec::with_capacity(slots.len());
-        results.push(run(0));
-        for handle in spawned {
-            results.push(match handle {
-                Ok(handle) => handle
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                Err(i) => run(i),
-            });
-        }
-        results
-    })
 }
 
 /// Length of the link preimage `h_{i-1} || s_i || t_i || H(c_i)`.

@@ -49,8 +49,8 @@
 //! is either empty or the hash of the leaf's current bytes (of its staged
 //! bytes, while it is staged).  The write path empties it the moment the
 //! leaf's contents change — an install that changes nothing keeps it — and
-//! [`LeafStore::leaf_hash`] refills it lazily (or in bulk, across the scoped
-//! worker pool, by [`LeafStore::prime_hashes`]).  Unlike the dirty bits the
+//! [`LeafStore::leaf_hash`] refills it lazily (or in bulk, split across
+//! scoped threads when the batch is large, by [`LeafStore::prime_hashes`]).  Unlike the dirty bits the
 //! slots are *never* cleared wholesale — their validity tracks content
 //! changes, not snapshot boundaries — so a state root rehashes only what was
 //! written since the previous root, however often dirty tracking is reset in
@@ -504,8 +504,8 @@ impl LeafStore {
     }
 
     /// Fills the hash slots of `indices` that are empty, hashing the missing
-    /// leaves across the scoped worker pool
-    /// ([`avm_crypto::parallel::sha256_batch`]).  Out-of-range indices are
+    /// leaves in one batch ([`avm_crypto::parallel::sha256_batch`], split
+    /// across scoped threads when large).  Out-of-range indices are
     /// ignored; [`LeafStore::leaf_hash`] on a primed index is a pure hit.
     pub fn prime_hashes(&self, indices: &[usize]) {
         let mut hashes = self.hashes.borrow_mut();
