@@ -182,15 +182,17 @@ fn bench_fig6_snapshot_incremental(c: &mut Criterion) {
 }
 
 /// The parallel chunk-hash stage: `sha256_batch`'s scoped split versus a
-/// serial hash loop over the same dirty-chunk batch, plus the end-to-end
+/// serial hash loop over the same dirty-chunk batch and versus one part of
+/// the multi-buffer core (`sha256_multi` on the calling thread, what the
+/// split runs in each part), plus the end-to-end
 /// `StateTreeCache::refresh` with a large dirty set (which routes its leaf
-/// hashing through the split).  On a multi-core runner the split beats the
-/// serial loop roughly by the part count; on one core it does not split.
+/// hashing through the split).  The gap between the one-part row and the
+/// split is what the threads buy; on one core it does not split.
 fn bench_parallel_chunk_hashing(c: &mut Criterion) {
     use avm_bench::experiments::snapshot_machine;
     use avm_core::snapshot::StateTreeCache;
     use avm_crypto::parallel::sha256_batch;
-    use avm_crypto::sha256::sha256;
+    use avm_crypto::sha256::{sha256, sha256_multi};
     use avm_vm::{CHUNK_SIZE, PAGE_SIZE};
 
     let mut group = c.benchmark_group("parallel_chunk_hashing");
@@ -211,8 +213,12 @@ fn bench_parallel_chunk_hashing(c: &mut Criterion) {
         serial,
         "the split must be bit-identical to serial hashing"
     );
+    assert_eq!(sha256_multi(&slices), serial, "and so must one part");
     group.bench_function("serial_sha256_4096x512B", |b| {
         b.iter(|| slices.iter().map(|s| sha256(s)).collect::<Vec<_>>())
+    });
+    group.bench_function("one_part_sha256_multi_4096x512B", |b| {
+        b.iter(|| sha256_multi(&slices))
     });
     group.bench_function("split_sha256_4096x512B", |b| {
         b.iter(|| sha256_batch(&slices))
@@ -795,7 +801,7 @@ fn bench_ondemand_residency(c: &mut Criterion) {
         let mut machine = Machine::from_image(&image, &registry).unwrap();
         let chunks = machine.memory().chunk_count();
         for idx in chunks - staged..chunks {
-            let hash = machine.memory().chunk_hash(idx).unwrap();
+            let hash = machine.memory().leaves().leaf_hash(idx).unwrap();
             machine
                 .memory_mut()
                 .stage_lazy_chunk(idx, vec![0u8; CHUNK_SIZE], hash)
@@ -804,15 +810,16 @@ fn bench_ondemand_residency(c: &mut Criterion) {
         let blocks = if staged == 4096 { 64 } else { 0 };
         for idx in 0..blocks {
             let disk = &mut machine.devices_mut().disk;
-            let hash = disk.block_hash(idx).unwrap();
-            disk.stage_lazy_block(idx, vec![0u8; CHUNK_SIZE], hash)
+            let hash = disk.leaves().leaf_hash(idx).unwrap();
+            disk.leaves_mut()
+                .stage_lazy(idx, vec![0u8; CHUNK_SIZE], hash)
                 .unwrap();
         }
         run(&mut machine);
         let root = compute_state_root(&machine);
         assert_eq!(*expected_root.get_or_insert(root), root, "K = {staged}");
-        assert_eq!(machine.memory().staged_chunk_count(), staged);
-        assert_eq!(machine.devices().disk.staged_block_count(), blocks);
+        assert_eq!(machine.memory().leaves().staged_count(), staged);
+        assert_eq!(machine.devices().disk.leaves().staged_count(), blocks);
         group.bench_function(format!("loop_200k_steps_staged_{staged}"), |b| {
             b.iter(|| {
                 run(&mut machine);

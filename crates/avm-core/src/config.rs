@@ -81,16 +81,10 @@ pub struct AvmmOptions {
     /// is the `vmware-rec` configuration.
     pub tamper_evident: bool,
     /// Enable the clock-read optimisation of §6.5: consecutive reads within
-    /// [`AvmmOptions::clock_opt_window_us`] are answered with exponentially
-    /// increasing artificial delays, collapsing busy-wait loops.
+    /// 5 µs are answered with exponentially increasing artificial delays
+    /// (50 µs, doubling, capped at 5 ms — the paper's constants), collapsing
+    /// busy-wait loops.
     pub clock_read_optimization: bool,
-    /// Window within which a subsequent read counts as "consecutive" (5 µs in
-    /// the paper).
-    pub clock_opt_window_us: u64,
-    /// Base artificial delay (50 µs in the paper).
-    pub clock_opt_base_delay_us: u64,
-    /// Cap on the artificial delay (5 ms in the paper).
-    pub clock_opt_max_delay_us: u64,
     /// Take a snapshot automatically every this many log entries
     /// (`None` disables automatic snapshots; they can still be requested).
     pub snapshot_every_entries: Option<u64>,
@@ -107,9 +101,6 @@ impl Default for AvmmOptions {
             signature_scheme: SignatureScheme::Rsa(768),
             tamper_evident: true,
             clock_read_optimization: false,
-            clock_opt_window_us: 5,
-            clock_opt_base_delay_us: 50,
-            clock_opt_max_delay_us: 5_000,
             snapshot_every_entries: None,
             full_memory_snapshots: true,
         }
@@ -183,8 +174,6 @@ mod tests {
         let o = AvmmOptions::default();
         assert!(o.tamper_evident);
         assert!(!o.clock_read_optimization);
-        assert_eq!(o.clock_opt_window_us, 5);
-        assert_eq!(o.clock_opt_max_delay_us, 5_000);
 
         let o = AvmmOptions::for_config(ExecConfig::AvmmNoSig)
             .with_clock_optimization()

@@ -142,11 +142,6 @@ impl Envelope {
         }
         Acknowledgment::decode_exact(&self.payload).ok()
     }
-
-    /// Size of the envelope on the wire, in bytes (traffic accounting, §6.7).
-    pub fn wire_size(&self) -> usize {
-        self.encoded_len()
-    }
 }
 
 impl Encode for Envelope {
@@ -208,7 +203,7 @@ mod tests {
         let bytes = env.encode_to_vec();
         let decoded = Envelope::decode_exact(&bytes).unwrap();
         assert_eq!(decoded, env);
-        assert_eq!(env.wire_size(), bytes.len());
+        assert_eq!(env.encoded_len(), bytes.len());
     }
 
     #[test]

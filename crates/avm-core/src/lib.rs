@@ -29,6 +29,10 @@
 //! * [`recorder`] — the recording AVMM ([`recorder::Avmm`]).
 //! * [`snapshot`] — incremental snapshots with Merkle roots, stored
 //!   content-addressed ([`snapshot::SnapshotStore`]).
+//! * [`persist`] — durable providers ([`persist::Provider`]): the recorder
+//!   mirrored to segment files and blob arenas — each snapshot as its
+//!   payloads plus its durable record, the [`snapshot::StoredSnapshot`]
+//!   itself without payloads — and crash recovery by checkpointed replay.
 //! * [`replay`] — the deterministic replayer (semantic check).
 //! * [`audit`] — the audit tool combining the syntactic and semantic checks,
 //!   and the evidence objects third parties can verify.
@@ -52,8 +56,8 @@
 //!   sessions in turn with a shared response cache.
 //! * [`paraudit`] — segment-parallel chunk replay (§6), kept only for the
 //!   standalone benchmark's per-layer timings; no audit path calls it.
-//! * [`multiparty`] — authenticator collection, the challenge protocol and
-//!   evidence distribution for multi-party scenarios (§4.6).
+//! * [`multiparty`] — authenticator collection and evidence distribution
+//!   for multi-party scenarios (§4.6).
 //! * [`runtime`] — a host runtime tying AVMM nodes to the simulated network,
 //!   with acknowledgment handling and retransmission.
 //!
@@ -159,7 +163,7 @@ pub use ondemand::{
     dedup_transfer_upto, fetch_blobs, materialize_on_demand, AuditorBlobCache, ChainManifest,
     DedupTransfer, OnDemandCost, OnDemandSession,
 };
-pub use persist::{PersistConfig, PersistError, Provider, RecoveryReport, SnapshotManifest};
+pub use persist::{PersistConfig, PersistError, Provider, RecoveryReport};
 pub use recorder::{Avmm, HostClock, OutboundMessage};
 pub use replay::{ReplayOutcome, Replayer};
 pub use session::{AuditSession, Start, Step};

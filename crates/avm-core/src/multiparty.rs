@@ -1,11 +1,10 @@
-//! Multi-party support: authenticator collection, the challenge protocol and
-//! evidence distribution (paper §4.6).
+//! Multi-party support: authenticator collection and evidence distribution
+//! (paper §4.6).
 //!
 //! In a multi-player game or a federated system, the auditor of a machine
-//! `M` needs authenticators that *other* users collected from `M`; a machine
-//! that answers some peers but ignores an auditor must not be able to avoid
-//! the audit; and evidence found by one user must be distributable to (and
-//! independently checkable by) everyone else.
+//! `M` needs authenticators that *other* users collected from `M`, and
+//! evidence found by one user must be distributable to (and independently
+//! checkable by) everyone else.
 
 use std::collections::HashMap;
 
@@ -73,66 +72,6 @@ impl AuthenticatorStore {
     /// Number of machines with collected authenticators.
     pub fn machine_count(&self) -> usize {
         self.by_machine.len()
-    }
-}
-
-/// A challenge issued against an unresponsive machine.
-///
-/// "Alice forwards the message that M does not answer as a challenge for M
-/// to the other nodes.  All nodes stop communicating with M until it responds
-/// to the challenge."
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Challenge {
-    /// The machine being challenged.
-    pub target: String,
-    /// Who issued the challenge.
-    pub issued_by: String,
-    /// First log sequence number whose segment is demanded.
-    pub from_seq: u64,
-    /// Last log sequence number whose segment is demanded (typically the
-    /// latest authenticator the issuer holds).
-    pub to_seq: u64,
-}
-
-/// Tracks challenges and suspended peers at one node.
-#[derive(Debug, Clone, Default)]
-pub struct ChallengeTracker {
-    open: HashMap<String, Challenge>,
-}
-
-impl ChallengeTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> ChallengeTracker {
-        ChallengeTracker::default()
-    }
-
-    /// Records a challenge; communication with the target is suspended.
-    pub fn open_challenge(&mut self, challenge: Challenge) {
-        self.open.insert(challenge.target.clone(), challenge);
-    }
-
-    /// True if the node must not communicate with `peer` (an unanswered
-    /// challenge is outstanding against it).
-    pub fn is_suspended(&self, peer: &str) -> bool {
-        self.open.contains_key(peer)
-    }
-
-    /// The open challenge against `peer`, if any.
-    pub fn challenge_for(&self, peer: &str) -> Option<&Challenge> {
-        self.open.get(peer)
-    }
-
-    /// Marks a challenge as answered: the target produced the demanded log
-    /// segment, so communication resumes.
-    pub fn resolve(&mut self, peer: &str) -> Option<Challenge> {
-        self.open.remove(peer)
-    }
-
-    /// Targets of all open challenges.
-    pub fn suspended_peers(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.open.keys().cloned().collect();
-        v.sort();
-        v
     }
 }
 
@@ -243,26 +182,6 @@ mod tests {
         assert_eq!(alice.latest_seq("nobody"), None);
         assert_eq!(alice.for_machine_in_range("bob", 4, 10).len(), 1);
         assert!(alice.for_machine("nobody").is_empty());
-    }
-
-    #[test]
-    fn challenge_lifecycle() {
-        let mut tracker = ChallengeTracker::new();
-        assert!(!tracker.is_suspended("bob"));
-        tracker.open_challenge(Challenge {
-            target: "bob".into(),
-            issued_by: "alice".into(),
-            from_seq: 1,
-            to_seq: 55,
-        });
-        assert!(tracker.is_suspended("bob"));
-        assert_eq!(tracker.suspended_peers(), vec!["bob".to_string()]);
-        assert_eq!(tracker.challenge_for("bob").unwrap().to_seq, 55);
-        // Bob answers the challenge: communication resumes.
-        let resolved = tracker.resolve("bob").unwrap();
-        assert_eq!(resolved.issued_by, "alice");
-        assert!(!tracker.is_suspended("bob"));
-        assert!(tracker.resolve("bob").is_none());
     }
 
     #[test]

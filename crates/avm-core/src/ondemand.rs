@@ -12,7 +12,7 @@
 //!    image does not already hold — and then
 //!    requests payload *blobs by digest* ([`avm_wire::BlobRequest`] /
 //!    [`avm_wire::BlobResponse`]).  Digests the auditor can already produce
-//!    (from its persistent [`AuditorBlobCache`], or because the public
+//!    (from its [`AuditorBlobCache`], or because the public
 //!    reference image holds that content somewhere) are never transferred,
 //!    and duplicate content (every zero chunk, say) is transferred at most
 //!    once.
@@ -263,7 +263,7 @@ impl SnapshotStore {
     }
 }
 
-/// The auditor's persistent store of verified payload blobs, keyed by
+/// The auditor's store of verified payload blobs, keyed by
 /// SHA-256.
 ///
 /// Every blob was either verified on receipt ([`AuditorBlobCache::
@@ -363,57 +363,6 @@ impl AuditorBlobCache {
             }
         }
     }
-
-    /// Persists every cached blob into a durable blob arena (content-
-    /// addressed, so blobs the arena already holds cost nothing), then
-    /// flushes.  Blobs are written in digest order, making the on-disk
-    /// image a deterministic function of the cache contents.
-    ///
-    /// Returns how many blobs were newly written.  A restarted auditor
-    /// recovers with [`AuditorBlobCache::from_arena_scan`] and never
-    /// refetches a digest it already paid for.
-    pub fn persist_into<S: avm_store::Storage>(
-        &self,
-        arena: &mut avm_store::ArenaStore<S>,
-    ) -> Result<u64, CoreError> {
-        let mut digests: Vec<&Digest> = self.blobs.keys().collect();
-        digests.sort();
-        let mut written = 0u64;
-        for digest in digests {
-            if arena
-                .put(*digest, &self.blobs[digest])
-                .map_err(persistence_error)?
-            {
-                written += 1;
-            }
-        }
-        arena.flush().map_err(persistence_error)?;
-        Ok(written)
-    }
-
-    /// Rebuilds a cache from an arena recovery scan, re-verifying every
-    /// payload against its digest — recovered bytes get no more trust than
-    /// received ones, so a corrupted arena surfaces here instead of
-    /// poisoning later audits.
-    pub fn from_arena_scan(scan: &avm_store::ArenaScan) -> Result<AuditorBlobCache, CoreError> {
-        let mut cache = AuditorBlobCache::new();
-        // One batched pass through the multi-buffer hashing pipeline instead
-        // of a scalar hash per recovered blob.
-        let payloads: Vec<&[u8]> = scan.blobs.iter().map(|(_, p)| p.as_slice()).collect();
-        let actual = sha256_batch(&payloads);
-        for ((digest, payload), hash) in scan.blobs.iter().zip(actual) {
-            if hash != *digest {
-                return Err(blob_mismatch(digest));
-            }
-            cache.insert_trusted(*digest, payload.clone());
-        }
-        Ok(cache)
-    }
-}
-
-/// Error for a blob-arena operation during cache persistence.
-fn persistence_error(e: avm_store::StoreError) -> CoreError {
-    CoreError::Snapshot(format!("blob cache persistence: {e}"))
 }
 
 /// Error for a digest the operator's store cannot substantiate.
@@ -425,7 +374,7 @@ fn operator_missing(digest: &Digest) -> CoreError {
 }
 
 /// Error for a payload that does not hash to the digest it was requested
-/// (or recovered) under.
+/// under.
 fn blob_mismatch(digest: &Digest) -> CoreError {
     CoreError::Snapshot(format!(
         "received blob does not hash to its requested digest {}",
@@ -701,7 +650,7 @@ impl OnDemandCost {
 /// the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StagedSource {
-    /// Already held in the auditor's persistent cache.
+    /// Already held in the auditor's cache.
     Cache,
     /// Derivable from the reference image (content-addressed: the local
     /// machine holds identical content, possibly at a different index).
@@ -1333,8 +1282,8 @@ mod tests {
         }
         assert_eq!(lazy.memory().faulted_chunks(), &[64, 152, 136, 128, 160]);
         assert_eq!(lazy.devices().disk.faulted_blocks(), &[24, 8, 0, 32]);
-        assert_eq!(lazy.memory().staged_chunk_count(), 1);
-        assert_eq!(lazy.devices().disk.staged_block_count(), 1);
+        assert_eq!(lazy.memory().leaves().staged_count(), 1);
+        assert_eq!(lazy.devices().disk.leaves().staged_count(), 1);
     }
 
     #[test]
@@ -1533,48 +1482,6 @@ mod tests {
         assert!(store.chain_manifest_upto(1).is_err());
     }
 
-    /// A cache persisted through a blob arena and recovered after a restart
-    /// is the same cache: the second audit's settle-time exchange fetches
-    /// nothing, because every digest it faults is already held.
-    #[test]
-    fn cache_persists_through_arena_and_skips_refetch_after_restart() {
-        use avm_store::{ArenaConfig, ArenaStore, SimStorage};
-
-        let (_, store, img, reg) = record_chain(4);
-
-        // First audit with a cold cache: pays for its faulted blobs.
-        let mut cache = AuditorBlobCache::new();
-        let (mut lazy, session) = materialize_on_demand(&store, 3, &img, &reg, &cache).unwrap();
-        lazy.inject_packet(vec![1]);
-        run_until_idle(&mut lazy);
-        let first = session.finish(&lazy, &store, &mut cache).unwrap();
-        assert!(!first.fetched.is_empty());
-
-        // Persist, "restart" (drop the arena handle), recover from the
-        // surviving bytes.
-        let storage = SimStorage::new();
-        let mut arena = ArenaStore::create(storage.clone(), ArenaConfig::default()).unwrap();
-        let written = cache.persist_into(&mut arena).unwrap();
-        assert_eq!(written, cache.len() as u64);
-        // Persisting again is free: the arena is content-addressed.
-        assert_eq!(cache.persist_into(&mut arena).unwrap(), 0);
-        drop(arena);
-        let (_, scan) = ArenaStore::recover(storage, ArenaConfig::default()).unwrap();
-        let recovered = AuditorBlobCache::from_arena_scan(&scan).unwrap();
-        assert_eq!(recovered.len(), cache.len());
-        assert_eq!(recovered.stored_bytes(), cache.stored_bytes());
-
-        // Second audit of the same epoch with the recovered cache: every
-        // fault is a cache hit, nothing crosses the wire.
-        let (mut lazy, session) = materialize_on_demand(&store, 3, &img, &reg, &recovered).unwrap();
-        lazy.inject_packet(vec![1]);
-        run_until_idle(&mut lazy);
-        let mut recovered = recovered;
-        let second = session.finish(&lazy, &store, &mut recovered).unwrap();
-        assert!(second.fetched.is_empty());
-        assert!(second.cache_hits >= first.fetched.len() as u64);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1606,21 +1513,5 @@ mod tests {
             };
             prop_assert_eq!(manifest.encoded_len(), manifest.encode_to_vec().len());
         }
-    }
-
-    /// Recovery re-verifies payloads: a flipped byte in the arena surfaces
-    /// as a digest mismatch instead of poisoning later audits.
-    #[test]
-    fn corrupted_arena_blob_is_rejected_on_recovery() {
-        let digest = sha256(b"payload");
-        let mut scan_blob = b"payload".to_vec();
-        scan_blob[0] ^= 1;
-        let scan = avm_store::scan_arenas(&avm_store::SimStorage::new())
-            .map(|mut s| {
-                s.blobs.push((digest, scan_blob));
-                s
-            })
-            .unwrap();
-        assert!(AuditorBlobCache::from_arena_scan(&scan).is_err());
     }
 }

@@ -7,18 +7,20 @@
 //!
 //! * every log entry goes to the append-only segment files, with the
 //!   provider's own signed authenticators persisted as periodic *seals*;
-//! * every snapshot's payload blobs and a [`SnapshotManifest`] (its
-//!   metadata and content-hash references) go to the blob arenas, and a
-//!   MANIFEST record ties the manifest digest into the segment stream;
-//! * prunes append a PRUNE record (the new base and its rebased manifest)
+//! * every snapshot's payload blobs and its durable record (the
+//!   [`StoredSnapshot`]'s metadata and content-hash references, stored as
+//!   an arena blob under the SHA-256 of its bytes) go to the blob arenas,
+//!   and a MANIFEST record ties the record's digest into the segment
+//!   stream;
+//! * prunes append a PRUNE record (the new base and its rebased record)
 //!   and then compact the arenas down to the live blob set.
 //!
 //! The write ordering is the durability invariant: for a snapshot, blobs →
-//! manifest blob → MANIFEST record → SNAPSHOT log entry.  Appends are
+//! record blob → MANIFEST record → SNAPSHOT log entry.  Appends are
 //! sequential, so any crash that leaves the SNAPSHOT entry readable also
 //! left everything the entry references readable.  [`Provider::recover`]
 //! relies on this: it scans the segments (truncating a torn tail, refusing
-//! on tampering), rebuilds the [`SnapshotStore`] from persisted manifests,
+//! on tampering), rebuilds the [`SnapshotStore`] from persisted records,
 //! replays the log tail from the last durable snapshot — verifying state
 //! roots exactly like an auditor — and resumes a live [`Avmm`] at the
 //! recorded head.
@@ -43,7 +45,7 @@ use avm_log::{Authenticator, EntryKind, TamperEvidentLog};
 use avm_store::{ArenaStore, DurabilityStats, SegmentStore, Storage, StoreError};
 use avm_vm::devices::InputEvent;
 use avm_vm::{GuestRegistry, VmImage};
-use avm_wire::{Decode, Encode, Reader, WireError, WireResult, Writer};
+use avm_wire::Decode;
 
 use crate::attest::{build_envelope_from_parts, Attestor};
 use crate::config::AvmmOptions;
@@ -53,7 +55,7 @@ use crate::error::{CoreError, FaultReason};
 use crate::events::{MetaRecord, SnapshotRecord};
 use crate::recorder::{Avmm, HostClock, OutboundMessage};
 use crate::replay::{ReplayOutcome, Replayer};
-use crate::snapshot::{Snapshot, SnapshotStore};
+use crate::snapshot::{SnapshotStore, StoredSnapshot};
 
 pub use avm_store::{ArenaConfig, SegmentConfig};
 
@@ -118,90 +120,6 @@ impl PersistError {
             PersistError::Tampered(_) => true,
             _ => false,
         }
-    }
-}
-
-/// The durable form of a [`crate::snapshot::StoredSnapshot`]: its metadata
-/// plus content-hash references into the blob arenas.  The manifest itself
-/// is stored as an arena blob under the SHA-256 of its encoding, and that
-/// digest is what MANIFEST / PRUNE segment records carry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotManifest {
-    /// Snapshot id.
-    pub id: u64,
-    /// Machine step count at capture time.
-    pub step: u64,
-    /// Whether the memory section holds every chunk.
-    pub full_memory: bool,
-    /// Whether the guest had halted.
-    pub halted: bool,
-    /// Merkle root over the machine state at capture time.
-    pub state_root: Digest,
-    /// Serialized CPU state.
-    pub cpu_state: Vec<u8>,
-    /// Serialized volatile device state.
-    pub dev_state: Vec<u8>,
-    /// Memory chunks as `(chunk index, arena content hash)`.
-    pub mem_chunks: Vec<(u32, Digest)>,
-    /// Disk blocks as `(block index, arena content hash)`.
-    pub disk_blocks: Vec<(u32, Digest)>,
-}
-
-impl SnapshotManifest {
-    /// Digest under which the encoded manifest is stored in the arenas.
-    pub fn digest(&self) -> Digest {
-        sha256(&self.encode_to_vec())
-    }
-}
-
-impl Encode for SnapshotManifest {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.id);
-        w.put_varint(self.step);
-        w.put_u8(self.full_memory as u8);
-        w.put_u8(self.halted as u8);
-        w.put_raw(self.state_root.as_bytes());
-        w.put_bytes(&self.cpu_state);
-        w.put_bytes(&self.dev_state);
-        w.put_varint(self.mem_chunks.len() as u64);
-        for (idx, hash) in &self.mem_chunks {
-            w.put_varint(*idx as u64);
-            w.put_raw(hash.as_bytes());
-        }
-        w.put_varint(self.disk_blocks.len() as u64);
-        for (idx, hash) in &self.disk_blocks {
-            w.put_varint(*idx as u64);
-            w.put_raw(hash.as_bytes());
-        }
-    }
-}
-
-impl Decode for SnapshotManifest {
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        fn digest(r: &mut Reader<'_>) -> WireResult<Digest> {
-            Digest::from_slice(r.get_raw(32)?).ok_or(WireError::Corrupt("digest"))
-        }
-        fn refs(r: &mut Reader<'_>) -> WireResult<Vec<(u32, Digest)>> {
-            let n = r.get_varint()? as usize;
-            let mut v = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                let idx = u32::try_from(r.get_varint()?)
-                    .map_err(|_| WireError::Corrupt("chunk index"))?;
-                v.push((idx, digest(r)?));
-            }
-            Ok(v)
-        }
-        Ok(SnapshotManifest {
-            id: r.get_varint()?,
-            step: r.get_varint()?,
-            full_memory: r.get_u8()? != 0,
-            halted: r.get_u8()? != 0,
-            state_root: digest(r)?,
-            cpu_state: r.get_bytes()?.to_vec(),
-            dev_state: r.get_bytes()?.to_vec(),
-            mem_chunks: refs(r)?,
-            disk_blocks: refs(r)?,
-        })
     }
 }
 
@@ -473,9 +391,9 @@ impl<S: Storage + Clone> Provider<S> {
         // A section that is not strictly increasing by index was never
         // captured: it is refused as tampering.
         let rebuild = |store: &mut SnapshotStore, id: u64| {
-            let snapshot = rebuild_snapshot(id, &manifest_digests, &blobs)?;
+            let stored = stored_snapshot(id, &manifest_digests, &blobs)?;
             store
-                .try_push(snapshot)
+                .try_push_stored(stored, |hash| &blobs[hash])
                 .map_err(|e| PersistError::Tampered(FaultReason::SyntacticFailure(e.to_string())))
         };
         if store.next_id() > 0 && manifest_digests.contains_key(&store.base_id()) {
@@ -620,8 +538,7 @@ impl<S: Storage + Clone> Provider<S> {
             .snapshots()
             .get(base_id)
             .expect("prune_upto retains its target");
-        let manifest = manifest_of_stored(base);
-        let bytes = manifest.encode_to_vec();
+        let bytes = base.record();
         let digest = sha256(&bytes);
         self.arenas.put(digest, &bytes)?;
         self.arenas.flush()?;
@@ -750,8 +667,7 @@ impl<S: Storage + Clone> Provider<S> {
                 arenas.put(*hash, payload)?;
             }
         }
-        let manifest = manifest_of_stored(snap);
-        let bytes = manifest.encode_to_vec();
+        let bytes = snap.record();
         let digest = sha256(&bytes);
         arenas.put(digest, &bytes)?;
         segments.append_manifest(id, digest)?;
@@ -774,27 +690,14 @@ fn persist_envelope<S: Storage + Clone>(
     Ok(())
 }
 
-/// The durable manifest of a stored snapshot.
-fn manifest_of_stored(s: &crate::snapshot::StoredSnapshot) -> SnapshotManifest {
-    SnapshotManifest {
-        id: s.id,
-        step: s.step,
-        full_memory: s.full_memory,
-        halted: s.halted,
-        state_root: s.state_root,
-        cpu_state: s.cpu_state.clone(),
-        dev_state: s.dev_state.clone(),
-        mem_chunks: s.mem_chunk_refs().to_vec(),
-        disk_blocks: s.disk_block_refs().to_vec(),
-    }
-}
-
-/// Rebuilds snapshot `id` from its persisted manifest and the arena blobs.
-fn rebuild_snapshot(
+/// Reads snapshot `id`'s durable record back: its digest from the
+/// persisted MANIFEST records, its bytes and every payload it references
+/// from the arena blobs.
+fn stored_snapshot(
     id: u64,
     manifest_digests: &BTreeMap<u64, Digest>,
     blobs: &HashMap<Digest, Vec<u8>>,
-) -> Result<Snapshot, PersistError> {
+) -> Result<StoredSnapshot, PersistError> {
     let digest = manifest_digests
         .get(&id)
         .ok_or_else(|| PersistError::Corrupt(format!("no persisted manifest for snapshot {id}")))?;
@@ -803,41 +706,26 @@ fn rebuild_snapshot(
             "manifest blob for snapshot {id} missing from arenas"
         ))
     })?;
-    let manifest = SnapshotManifest::decode_exact(bytes).map_err(|e| {
+    let stored = StoredSnapshot::from_record(bytes).map_err(|e| {
         PersistError::Corrupt(format!("manifest for snapshot {id} undecodable: {e}"))
     })?;
-    if manifest.id != id {
+    if stored.id != id {
         return Err(PersistError::Corrupt(format!(
             "manifest digest for snapshot {id} resolves to manifest of snapshot {}",
-            manifest.id
+            stored.id
         )));
     }
-    let fetch = |refs: &[(u32, Digest)]| -> Result<Vec<(u32, Digest, Vec<u8>)>, PersistError> {
-        refs.iter()
-            .map(|(idx, hash)| {
-                blobs
-                    .get(hash)
-                    .map(|payload| (*idx, *hash, payload.clone()))
-                    .ok_or_else(|| {
-                        PersistError::Corrupt(format!(
-                            "snapshot {id} payload {} missing from arenas",
-                            hash.short_hex()
-                        ))
-                    })
-            })
-            .collect()
-    };
-    Ok(Snapshot {
-        id: manifest.id,
-        step: manifest.step,
-        full_memory: manifest.full_memory,
-        mem_chunks: fetch(&manifest.mem_chunks)?,
-        disk_blocks: fetch(&manifest.disk_blocks)?,
-        cpu_state: manifest.cpu_state,
-        dev_state: manifest.dev_state,
-        halted: manifest.halted,
-        state_root: manifest.state_root,
-    })
+    let refs = stored
+        .mem_chunk_refs()
+        .iter()
+        .chain(stored.disk_block_refs());
+    if let Some((_, hash)) = refs.into_iter().find(|(_, hash)| !blobs.contains_key(hash)) {
+        return Err(PersistError::Corrupt(format!(
+            "snapshot {id} payload {} missing from arenas",
+            hash.short_hex()
+        )));
+    }
+    Ok(stored)
 }
 
 #[cfg(test)]
@@ -946,6 +834,7 @@ mod tests {
         let storage = SimStorage::new();
         let (bob, image) = provider_with_snapshots(storage.clone(), 3, small_cfg());
         let live_log = bob.avmm().log().entries().to_vec();
+        let live_snapshots = bob.avmm().snapshots().all().to_vec();
         let live_report = spot_check_via(&bob, &image, 1, 2);
         assert!(live_report.consistent);
         assert!(bob.segment_files() >= 2, "workload should rotate segments");
@@ -957,6 +846,9 @@ mod tests {
         assert_eq!(report.snapshots_recovered, 3);
         assert!(report.snapshots_verified >= 1);
         assert_eq!(recovered.avmm().log().entries(), &live_log[..]);
+        // Each snapshot's durable record reads back as the snapshot itself:
+        // id, step, flags, root, CPU and device state, references.
+        assert_eq!(recovered.avmm().snapshots().all(), &live_snapshots[..]);
         // The recovered provider's audits — served from the disk image of
         // the log — are indistinguishable from the never-killed provider's.
         assert_eq!(spot_check_via(&recovered, &image, 1, 2), live_report);
@@ -994,6 +886,7 @@ mod tests {
         }
         assert!(crashed, "crash budget should kill the provider");
         let live_log = bob.avmm().log().entries().to_vec();
+        let live_snapshots = bob.avmm().snapshots().all().to_vec();
         drop(bob);
 
         let (recovered, report) = recover_bob(storage.reboot(), &image, small_cfg());
@@ -1003,6 +896,11 @@ mod tests {
         assert!(n >= 2, "the pre-crash workload was durable");
         assert!(n <= live_log.len());
         assert_eq!(recovered.avmm().log().entries(), &live_log[..n]);
+        // So are its snapshots: every one whose SNAPSHOT entry became
+        // durable reads back field for field.
+        let snapshots = recovered.avmm().snapshots().all();
+        assert!(!snapshots.is_empty());
+        assert_eq!(snapshots, &live_snapshots[..snapshots.len()]);
         // And it keeps recording: the chain head extends without error.
         let mut recovered = recovered;
         recovered.take_snapshot().unwrap();
@@ -1216,11 +1114,12 @@ mod tests {
     fn a_persisted_section_out_of_order_is_tamper() {
         let storage = SimStorage::new();
         let (mut bob, image) = provider_with_snapshots(storage.clone(), 2, small_cfg());
-        let mut manifest = manifest_of_stored(bob.avmm().snapshots().get(1).unwrap());
-        assert!(manifest.mem_chunks.len() >= 2, "a full memory dump");
-        manifest.mem_chunks.swap(0, 1);
-        let swapped = manifest.mem_chunks[1].0;
-        let bytes = manifest.encode_to_vec();
+        let mut stored = bob.avmm().snapshots().get(1).unwrap().clone();
+        let mem_chunks = stored.mem_chunk_refs_mut();
+        assert!(mem_chunks.len() >= 2, "a full memory dump");
+        mem_chunks.swap(0, 1);
+        let swapped = mem_chunks[1].0;
+        let bytes = stored.record();
         let digest = sha256(&bytes);
         bob.arenas.put(digest, &bytes).unwrap();
         bob.arenas.flush().unwrap();

@@ -25,6 +25,15 @@ use crate::snapshot::{
     capture_with_cache, compute_state_root, SnapshotStore, StateTreeCache, StoredSnapshot,
 };
 
+/// §6.5's clock-read optimisation: a read within this many microseconds of
+/// the previous one counts as consecutive.
+const CLOCK_OPT_WINDOW_US: u64 = 5;
+/// The artificial delay of the second consecutive read; each further read
+/// doubles it.
+const CLOCK_OPT_BASE_DELAY_US: u64 = 50;
+/// Cap on the artificial delay.
+const CLOCK_OPT_MAX_DELAY_US: u64 = 5_000;
+
 /// The host's clock, in microseconds of simulated real time.
 ///
 /// The runtime advances it; the AVMM samples it to answer guest clock reads.
@@ -308,7 +317,7 @@ impl Avmm {
         if self.options.clock_read_optimization {
             let consecutive = matches!(
                 self.last_clock_host,
-                Some(prev) if host_now.saturating_sub(prev) < self.options.clock_opt_window_us
+                Some(prev) if host_now.saturating_sub(prev) < CLOCK_OPT_WINDOW_US
             );
             if consecutive {
                 self.consecutive_clock_reads += 1;
@@ -317,11 +326,9 @@ impl Avmm {
                 let n = self.consecutive_clock_reads;
                 if n >= 2 {
                     let exp = (n - 2).min(20);
-                    let delay = self
-                        .options
-                        .clock_opt_base_delay_us
+                    let delay = CLOCK_OPT_BASE_DELAY_US
                         .saturating_mul(1u64 << exp)
-                        .min(self.options.clock_opt_max_delay_us);
+                        .min(CLOCK_OPT_MAX_DELAY_US);
                     value = value.max(self.last_clock_value.saturating_add(delay));
                     self.stats.clock_reads_delayed += 1;
                 }

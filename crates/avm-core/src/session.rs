@@ -1826,7 +1826,7 @@ mod tests {
             let at = (0..)
                 .find(|&i| refs.get(i).is_none_or(|(idx, _)| *idx as usize != i))
                 .unwrap();
-            let mut other = image.baseline().chunk_hashes()[at];
+            let mut other = image.baseline().leaf_hashes()[0][at];
             other.0[0] ^= 1;
             refs.insert(at, (at as u32, other));
             return;

@@ -132,6 +132,7 @@ use avm_crypto::merkle::MerkleTree;
 use avm_crypto::sha256::{sha256, Digest};
 use avm_vm::image::ImageBaseline;
 use avm_vm::{GuestRegistry, LeafStore, Machine, VmImage, STATE_HEADER_LEAVES};
+use avm_wire::{decode_exact_with, Reader, WireError, WireResult, Writer};
 
 use crate::error::CoreError;
 use crate::ondemand::{stage_from_manifest, AuditorBlobCache};
@@ -465,7 +466,7 @@ pub fn capture_with_cache(
 /// sizes, identical to what the originating [`Snapshot`] reported — the
 /// dedup savings are a property of the store, visible through
 /// [`SnapshotStore::stored_payload_bytes`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredSnapshot {
     /// Dense snapshot identifier (0, 1, 2, …).
     pub id: u64,
@@ -519,6 +520,12 @@ impl StoredSnapshot {
         &self.disk_blocks
     }
 
+    /// The memory section's references, to damage in a test.
+    #[cfg(test)]
+    pub(crate) fn mem_chunk_refs_mut(&mut self) -> &mut Vec<(u32, Digest)> {
+        &mut self.mem_chunks
+    }
+
     /// Framing bytes beyond the raw payloads, mirroring
     /// [`Snapshot::metadata_bytes`].
     pub fn metadata_bytes(&self) -> u64 {
@@ -532,6 +539,82 @@ impl StoredSnapshot {
             + self.cpu_state.len() as u64
             + self.dev_state.len() as u64
             + self.metadata_bytes()
+    }
+
+    /// The precondition of the merge that collapses a chain: each section
+    /// strictly increasing by index, else an error naming the first index
+    /// out of order.
+    fn check_order(&self) -> Result<(), CoreError> {
+        let sections = [
+            ("chunk", &self.mem_chunks),
+            ("disk block", &self.disk_blocks),
+        ];
+        for (name, refs) in sections {
+            if let Some(idx) = first_out_of_order(refs.iter().map(|(idx, _)| *idx)) {
+                return Err(CoreError::Snapshot(format!(
+                    "snapshot {} section is not strictly increasing at {name} {idx}",
+                    self.id
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// The snapshot's durable record: its metadata and `(index, hash)`
+    /// references, without payloads.  A durable provider stores it as an
+    /// arena blob under the SHA-256 of these bytes
+    /// ([`crate::persist`]); [`StoredSnapshot::from_record`] reads it back.
+    pub(crate) fn record(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_varint(self.id);
+        w.put_varint(self.step);
+        w.put_u8(self.full_memory as u8);
+        w.put_u8(self.halted as u8);
+        w.put_raw(self.state_root.as_bytes());
+        w.put_bytes(&self.cpu_state);
+        w.put_bytes(&self.dev_state);
+        for refs in [&self.mem_chunks, &self.disk_blocks] {
+            w.put_varint(refs.len() as u64);
+            for (idx, hash) in refs {
+                w.put_varint(*idx as u64);
+                w.put_raw(hash.as_bytes());
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// Decodes a [`StoredSnapshot::record`].  The payload sizes are not in
+    /// the record: [`SnapshotStore::try_push_stored`] counts them as it
+    /// interns the payloads.
+    pub(crate) fn from_record(bytes: &[u8]) -> WireResult<StoredSnapshot> {
+        fn digest(r: &mut Reader<'_>) -> WireResult<Digest> {
+            Digest::from_slice(r.get_raw(32)?).ok_or(WireError::Corrupt("digest"))
+        }
+        fn refs(r: &mut Reader<'_>) -> WireResult<Vec<(u32, Digest)>> {
+            let n = r.get_varint()? as usize;
+            let mut v = Vec::with_capacity(n.min(1 << 16));
+            for _ in 0..n {
+                let idx = u32::try_from(r.get_varint()?)
+                    .map_err(|_| WireError::Corrupt("chunk index"))?;
+                v.push((idx, digest(r)?));
+            }
+            Ok(v)
+        }
+        decode_exact_with(bytes, |r| {
+            Ok(StoredSnapshot {
+                id: r.get_varint()?,
+                step: r.get_varint()?,
+                full_memory: r.get_u8()? != 0,
+                halted: r.get_u8()? != 0,
+                state_root: digest(r)?,
+                cpu_state: r.get_bytes()?.to_vec(),
+                dev_state: r.get_bytes()?.to_vec(),
+                mem_chunks: refs(r)?,
+                disk_blocks: refs(r)?,
+                mem_payload_bytes: 0,
+                disk_payload_bytes: 0,
+            })
+        })
     }
 }
 
@@ -708,66 +791,62 @@ impl SnapshotStore {
     ///
     /// # Panics
     ///
-    /// If a section of `snapshot` is not strictly increasing by index,
-    /// which no [`capture`] produces; [`SnapshotStore::try_push`] refuses
-    /// such a snapshot instead.
+    /// If a section of `snapshot` is not strictly increasing by index —
+    /// the precondition of the merge that collapses the chain into the
+    /// on-demand manifest and into a prune's rebased snapshot — which no
+    /// [`capture`] produces; recovery refuses such a record read back from
+    /// storage instead ([`crate::persist::PersistError::Tampered`]).
     pub fn push(&mut self, snapshot: Snapshot) {
-        if let Err(e) = self.try_push(snapshot) {
-            panic!("{e}");
-        }
-    }
-
-    /// [`SnapshotStore::push`] for a snapshot from outside the recorder
-    /// (recovery reads it back from storage): a section that is not
-    /// strictly increasing by index — the precondition of the merge that
-    /// collapses the chain into the on-demand manifest and into a prune's
-    /// rebased snapshot — is refused, with nothing changed, naming the
-    /// first index out of order.
-    pub fn try_push(&mut self, snapshot: Snapshot) -> Result<(), CoreError> {
-        let sections = [
-            ("chunk", &snapshot.mem_chunks),
-            ("disk block", &snapshot.disk_blocks),
-        ];
-        for (name, leaves) in sections {
-            if let Some(idx) = first_out_of_order(leaves.iter().map(|(idx, ..)| *idx)) {
-                return Err(CoreError::Snapshot(format!(
-                    "snapshot {} section is not strictly increasing at {name} {idx}",
-                    snapshot.id
-                )));
-            }
-        }
-        debug_assert_eq!(snapshot.id, self.next_id());
-        let mem_payload_bytes = snapshot.memory_bytes();
-        let disk_payload_bytes = snapshot.disk_bytes();
-        let mem_chunks = snapshot
-            .mem_chunks
-            .into_iter()
-            .map(|(idx, hash, chunk)| {
-                self.pool.intern(hash, chunk);
-                (idx, hash)
-            })
-            .collect();
-        let disk_blocks = snapshot
-            .disk_blocks
-            .into_iter()
-            .map(|(idx, hash, block)| {
-                self.pool.intern(hash, block);
-                (idx, hash)
-            })
-            .collect();
-        self.snapshots.push(StoredSnapshot {
+        let refs = |section: &[(u32, Digest, Vec<u8>)]| {
+            section.iter().map(|(idx, hash, _)| (*idx, *hash)).collect()
+        };
+        let stored = StoredSnapshot {
             id: snapshot.id,
             step: snapshot.step,
             full_memory: snapshot.full_memory,
             halted: snapshot.halted,
             state_root: snapshot.state_root,
+            mem_chunks: refs(&snapshot.mem_chunks),
+            disk_blocks: refs(&snapshot.disk_blocks),
+            mem_payload_bytes: snapshot.memory_bytes(),
+            disk_payload_bytes: snapshot.disk_bytes(),
             cpu_state: snapshot.cpu_state,
             dev_state: snapshot.dev_state,
-            mem_chunks,
-            disk_blocks,
-            mem_payload_bytes,
-            disk_payload_bytes,
-        });
+        };
+        if let Err(e) = stored.check_order() {
+            panic!("{e}");
+        }
+        for (_, hash, data) in snapshot.mem_chunks.into_iter().chain(snapshot.disk_blocks) {
+            self.pool.intern(hash, data);
+        }
+        debug_assert_eq!(stored.id, self.next_id());
+        self.snapshots.push(stored);
+    }
+
+    /// [`SnapshotStore::push`] for a record read back from storage
+    /// ([`StoredSnapshot::from_record`]): a section out of index order is
+    /// refused, with nothing changed, naming the first index out of order;
+    /// otherwise every referenced payload, which `payload` must hold, is
+    /// copied into the pool and counted.
+    pub(crate) fn try_push_stored<'p>(
+        &mut self,
+        mut stored: StoredSnapshot,
+        payload: impl Fn(&Digest) -> &'p [u8],
+    ) -> Result<(), CoreError> {
+        stored.check_order()?;
+        let mut intern = |section: &[(u32, Digest)]| -> u64 {
+            let mut bytes = 0;
+            for (_, hash) in section {
+                let data = payload(hash);
+                bytes += data.len() as u64;
+                self.pool.intern(*hash, data.to_vec());
+            }
+            bytes
+        };
+        stored.mem_payload_bytes = intern(&stored.mem_chunks);
+        stored.disk_payload_bytes = intern(&stored.disk_blocks);
+        debug_assert_eq!(stored.id, self.next_id());
+        self.snapshots.push(stored);
         Ok(())
     }
 
@@ -843,7 +922,8 @@ impl SnapshotStore {
     /// leaves are left out.
     ///
     /// Every section is strictly increasing by index
-    /// ([`SnapshotStore::try_push`] refuses one that is not, and a rebased
+    /// ([`SnapshotStore::push`] panics on one that is not,
+    /// [`SnapshotStore::try_push_stored`] refuses it, and a rebased
     /// section is this function's output), so the collapse is one k-way
     /// merge per store over the non-empty sections — O(references · log
     /// sections), a plain copy when one section holds the store's
@@ -1343,8 +1423,8 @@ mod tests {
         let img = image();
         let other = image_ending_with("movi r1, 7\n");
         assert_ne!(
-            img.baseline().chunk_hashes()[0],
-            other.baseline().chunk_hashes()[0]
+            img.baseline().leaf_hashes()[0][0],
+            other.baseline().leaf_hashes()[0][0]
         );
         let reg = GuestRegistry::new();
         let mut m = Machine::from_image(&img, &reg).unwrap();
@@ -1458,7 +1538,8 @@ mod tests {
             .unwrap();
         m.devices_mut()
             .disk
-            .stage_lazy_block(3, staged_block.clone(), sha256(&staged_block))
+            .leaves_mut()
+            .stage_lazy(3, staged_block.clone(), sha256(&staged_block))
             .unwrap();
 
         let tree = build_state_tree(&m);

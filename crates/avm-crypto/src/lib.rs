@@ -10,8 +10,6 @@
 //! * [`bignum`] — arbitrary-precision unsigned integers (the numeric core).
 //! * [`rsa`] — RSA keypairs, PKCS#1 v1.5-style signing and verification,
 //!   including the 768-bit keys the paper's evaluation uses.
-//! * [`hmac`] — HMAC-SHA-256, the cheap end of the authentication trade-off
-//!   discussed in §6.8.
 //! * [`merkle`] — Merkle hash trees for authenticated snapshots.
 //! * [`parallel`] — the one place the workspace starts threads: a scoped
 //!   split into parts, under batched leaf hashing (the snapshot pipeline's
@@ -37,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod bignum;
-pub mod hmac;
 pub mod keys;
 pub mod merkle;
 pub mod parallel;
@@ -45,7 +42,6 @@ pub mod rsa;
 pub mod sha256;
 
 pub use bignum::{ct_select64, BigUint, MontgomeryCtx64};
-pub use hmac::{hmac_sha256, hmac_verify};
 pub use keys::{Certificate, Identity, KeyError, SignatureScheme, SigningKey, VerifyingKey};
 pub use merkle::{MerkleProof, MerkleTree};
 pub use parallel::sha256_batch;

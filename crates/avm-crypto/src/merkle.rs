@@ -121,14 +121,10 @@ impl MerkleTree {
         self.levels.first().map_or(&[], |l| l.as_slice())
     }
 
-    /// Replaces leaf `index` with new data and updates the path to the root.
+    /// Replaces leaf `index` with an already-computed hash and updates the
+    /// path to the root.
     ///
     /// Returns `false` if the index is out of range.
-    pub fn update_leaf(&mut self, index: usize, data: &[u8]) -> bool {
-        self.update_leaf_hash(index, leaf_hash(data))
-    }
-
-    /// Replaces leaf `index` with an already-computed hash.
     pub fn update_leaf_hash(&mut self, index: usize, hash: Digest) -> bool {
         if self.levels.is_empty() || index >= self.levels[0].len() {
             return false;
@@ -337,7 +333,7 @@ mod tests {
         let data = leaves(10);
         let mut tree = MerkleTree::from_leaves(&data);
         let before = tree.root();
-        assert!(tree.update_leaf(4, b"new content"));
+        assert!(tree.update_leaf_hash(4, leaf_hash(b"new content")));
         let after = tree.root();
         assert_ne!(before, after);
 
@@ -355,7 +351,7 @@ mod tests {
     #[test]
     fn update_out_of_range_rejected() {
         let mut tree = MerkleTree::from_leaves(&leaves(3));
-        assert!(!tree.update_leaf(3, b"nope"));
+        assert!(!tree.update_leaf_hash(3, leaf_hash(b"nope")));
     }
 
     #[test]
@@ -364,7 +360,7 @@ mod tests {
             let data = leaves(n);
             let mut tree = MerkleTree::from_leaves(&data);
             for i in 0..n {
-                tree.update_leaf(i, format!("updated-{i}").as_bytes());
+                tree.update_leaf_hash(i, leaf_hash(format!("updated-{i}").as_bytes()));
             }
             let rebuilt: Vec<Vec<u8>> = (0..n)
                 .map(|i| format!("updated-{i}").into_bytes())

@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn mutations_dirty_the_disk() {
         let (mut server, mut dev, mut mem) = env();
-        assert!(dev.disk.dirty_blocks().is_empty());
+        assert!(dev.disk.leaves().dirty_leaves().is_empty());
         send_request(
             &mut server,
             &mut dev,
@@ -333,7 +333,7 @@ mod tests {
                 value: vec![0u8; 128],
             },
         );
-        assert!(!dev.disk.dirty_blocks().is_empty());
+        assert!(!dev.disk.leaves().dirty_leaves().is_empty());
     }
 
     #[test]

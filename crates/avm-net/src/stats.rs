@@ -26,15 +26,6 @@ impl NodeStats {
         let seconds = duration_us as f64 / 1_000_000.0;
         bits / seconds / 1000.0
     }
-
-    /// Average sent-packet size in bytes.
-    pub fn avg_tx_packet_size(&self) -> f64 {
-        if self.tx_packets == 0 {
-            0.0
-        } else {
-            self.tx_bytes as f64 / self.tx_packets as f64
-        }
-    }
 }
 
 /// A labelled traffic comparison row, e.g. "bare-hw" vs "avmm-rsa768"
@@ -70,12 +61,6 @@ mod tests {
         // Over one second: 1000 kbps.
         assert!((stats.tx_kbps(1_000_000) - 1000.0).abs() < 1e-9);
         assert_eq!(stats.tx_kbps(0), 0.0);
-        assert!((stats.avg_tx_packet_size() - 1250.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_packets_avg_size() {
-        assert_eq!(NodeStats::default().avg_tx_packet_size(), 0.0);
     }
 
     #[test]

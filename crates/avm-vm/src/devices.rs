@@ -162,15 +162,16 @@ impl InputQueue {
 /// Initial contents come from the VM image; because the guest is
 /// deterministic, the disk never needs to be logged — only snapshotted.
 /// How it is hashed, dirty-tracked and faulted in on demand is the store's
-/// ([`crate::store`]), and so is the leaf: the disk's is memory's.  A
-/// physical block device writes whole sectors, which would make leaves
-/// smaller than a sector pointless; this disk is byte-addressed — a guest's
-/// `diskwr` writes exactly the bytes it names, and a database appends records
-/// of a few dozen bytes — so a page-sized leaf would hash, store and ship
-/// 4 KiB to carry each such write.  What is the disk's own: the
-/// `reads`/`writes` statistics, which are part of the volatile device state,
-/// and [`VmError::DiskOutOfRange`], counted in leaves, which even a
-/// zero-length access earns when it points past the end.
+/// ([`Disk::leaves`] is the one way to read those), and so is the leaf: the
+/// disk's is memory's.  A physical block device writes whole sectors, which
+/// would make leaves smaller than a sector pointless; this disk is
+/// byte-addressed — a guest's `diskwr` writes exactly the bytes it names,
+/// and a database appends records of a few dozen bytes — so a page-sized
+/// leaf would hash, store and ship 4 KiB to carry each such write.  What is
+/// the disk's own: the `reads`/`writes` statistics, which are part of the
+/// volatile device state, and [`VmError::DiskOutOfRange`], counted in
+/// leaves, which even a zero-length access earns when it points past the
+/// end.
 #[derive(Debug, Clone)]
 pub struct Disk {
     store: LeafStore,
@@ -281,43 +282,14 @@ impl Disk {
             .ok_or(VmError::CorruptState("disk block restore out of range"))
     }
 
-    /// SHA-256 of block `idx` contents, memoised until the block is written.
-    pub fn block_hash(&self, idx: usize) -> Option<Digest> {
-        self.store.leaf_hash(idx)
-    }
-
-    /// Indices of blocks written since the last [`Disk::clear_dirty`].
-    pub fn dirty_blocks(&self) -> Vec<usize> {
-        self.store.dirty_leaves()
-    }
-
     /// Clears all dirty bits.
     pub fn clear_dirty(&mut self) {
         self.store.clear_dirty();
     }
 
-    /// Stages authentic contents for block `idx` to be installed on first
-    /// access, under the hash state roots report for it until then
-    /// ([`LeafStore::stage_lazy`]).
-    pub fn stage_lazy_block(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> VmResult<()> {
-        let refused = if content.len() != CHUNK_SIZE {
-            "staged disk block has wrong size"
-        } else {
-            "staged disk block index out of range"
-        };
-        self.store
-            .stage_lazy(idx, content, hash)
-            .ok_or(VmError::CorruptState(refused))
-    }
-
     /// Block indices faulted in from staging so far, in first-touch order.
     pub fn faulted_blocks(&self) -> &[usize] {
         self.store.faulted()
-    }
-
-    /// Number of staged blocks not yet touched.
-    pub fn staged_block_count(&self) -> usize {
-        self.store.staged_count()
     }
 }
 
@@ -529,9 +501,9 @@ mod tests {
         let mut buf = [0u8; 4];
         disk.read(CHUNK_SIZE as u64 - 2, &mut buf).unwrap();
         assert_eq!(buf, [9; 4]);
-        assert_eq!(disk.dirty_blocks(), vec![0, 1]);
+        assert_eq!(disk.leaves().dirty_leaves(), vec![0, 1]);
         disk.clear_dirty();
-        assert!(disk.dirty_blocks().is_empty());
+        assert!(disk.leaves().dirty_leaves().is_empty());
         assert!(disk.read(PAGE_SIZE as u64, &mut buf).is_err());
         assert!(disk.write(u64::MAX, &[1]).is_err());
     }
@@ -542,14 +514,18 @@ mod tests {
     fn an_eight_byte_write_dirties_exactly_one_leaf() {
         let mut disk = Disk::new(2 * PAGE_SIZE as u64);
         let before: Vec<Digest> = (0..disk.block_count())
-            .map(|b| disk.block_hash(b).unwrap())
+            .map(|b| disk.leaves().leaf_hash(b).unwrap())
             .collect();
         let leaf = CHUNKS_PER_PAGE + 3;
         disk.write((leaf * CHUNK_SIZE + 100) as u64, &[0xAB; 8])
             .unwrap();
-        assert_eq!(disk.dirty_blocks(), vec![leaf]);
+        assert_eq!(disk.leaves().dirty_leaves(), vec![leaf]);
         for (b, hash) in before.iter().enumerate() {
-            assert_eq!(disk.block_hash(b).unwrap() != *hash, b == leaf, "block {b}");
+            assert_eq!(
+                disk.leaves().leaf_hash(b).unwrap() != *hash,
+                b == leaf,
+                "block {b}"
+            );
         }
         assert_eq!(disk.block(leaf).unwrap().len(), CHUNK_SIZE);
     }
@@ -560,11 +536,11 @@ mod tests {
     fn a_write_straddling_a_leaf_boundary_dirties_both_leaves() {
         let mut disk = Disk::new(2 * PAGE_SIZE as u64);
         disk.write(2 * CHUNK_SIZE as u64 - 4, &[1; 8]).unwrap();
-        assert_eq!(disk.dirty_blocks(), vec![1, 2]);
+        assert_eq!(disk.leaves().dirty_leaves(), vec![1, 2]);
         disk.clear_dirty();
         disk.write(PAGE_SIZE as u64 - 1, &[2; 2]).unwrap();
         assert_eq!(
-            disk.dirty_blocks(),
+            disk.leaves().dirty_leaves(),
             vec![CHUNKS_PER_PAGE - 1, CHUNKS_PER_PAGE]
         );
         let mut bytes = [0u8; 8];
@@ -620,16 +596,16 @@ mod tests {
         let mut disk = Disk::new(2 * PAGE_SIZE as u64);
         let staged = vec![5u8; CHUNK_SIZE];
         let marker = sha256(b"not the block's hash");
-        disk.stage_lazy_block(1, staged, marker).unwrap();
+        disk.leaves_mut().stage_lazy(1, staged, marker).unwrap();
         let end = disk.size();
         for offset in [0, CHUNK_SIZE as u64 + 9, end] {
             disk.write(offset, &[]).unwrap();
             disk.read(offset, &mut []).unwrap();
         }
         assert_eq!((disk.reads, disk.writes), (3, 3));
-        assert!(disk.dirty_blocks().is_empty() && disk.faulted_blocks().is_empty());
-        assert_eq!(disk.staged_block_count(), 1);
-        assert_eq!(disk.block_hash(1), Some(marker));
+        assert!(disk.leaves().dirty_leaves().is_empty() && disk.faulted_blocks().is_empty());
+        assert_eq!(disk.leaves().staged_count(), 1);
+        assert_eq!(disk.leaves().leaf_hash(1), Some(marker));
         let leaves = 2 * CHUNKS_PER_PAGE as u64;
         let past_end = VmError::DiskOutOfRange {
             sector: leaves,
@@ -665,26 +641,29 @@ mod tests {
             .map(|b| disk.block(b).unwrap())
             .collect();
         assert_eq!(held.concat()[..sparse.len()], sparse);
-        assert!(disk.dirty_blocks().is_empty());
+        assert!(disk.leaves().dirty_leaves().is_empty());
     }
 
     #[test]
     fn disk_block_hash_cache_invalidated_by_writes() {
         let mut disk = Disk::new(PAGE_SIZE as u64);
-        let h0 = disk.block_hash(0).unwrap();
-        assert_eq!(disk.block_hash(0).unwrap(), h0);
+        let h0 = disk.leaves().leaf_hash(0).unwrap();
+        assert_eq!(disk.leaves().leaf_hash(0).unwrap(), h0);
         disk.write(10, &[1, 2, 3]).unwrap();
-        let h1 = disk.block_hash(0).unwrap();
+        let h1 = disk.leaves().leaf_hash(0).unwrap();
         assert_ne!(h0, h1);
         // Dirty clearing leaves the cache intact; the hash stays correct.
         disk.clear_dirty();
-        assert_eq!(disk.block_hash(0).unwrap(), h1);
+        assert_eq!(disk.leaves().leaf_hash(0).unwrap(), h1);
         let block = vec![9u8; CHUNK_SIZE];
         disk.set_block(1, &block).unwrap();
-        assert_eq!(disk.block_hash(1).unwrap(), sha256(&block));
-        assert!(disk.block_hash(disk.block_count()).is_none());
+        assert_eq!(disk.leaves().leaf_hash(1).unwrap(), sha256(&block));
+        assert!(disk.leaves().leaf_hash(disk.block_count()).is_none());
         for i in 0..disk.block_count() {
-            assert_eq!(disk.block_hash(i).unwrap(), sha256(disk.block(i).unwrap()));
+            assert_eq!(
+                disk.leaves().leaf_hash(i).unwrap(),
+                sha256(disk.block(i).unwrap())
+            );
         }
         // Seeded slots (marker values) are emptied by exactly the writes
         // that cover them.
@@ -693,9 +672,12 @@ mod tests {
             .collect();
         let mut disk = Disk::from_shared(&disk.leaves().shared_pages(), &seeds);
         disk.write(CHUNK_SIZE as u64 + 7, &[4]).unwrap();
-        assert_eq!(disk.block_hash(0).unwrap(), seeds[0]);
-        assert_eq!(disk.block_hash(1).unwrap(), sha256(disk.block(1).unwrap()));
-        assert_eq!(disk.block_hash(2).unwrap(), seeds[2]);
+        assert_eq!(disk.leaves().leaf_hash(0).unwrap(), seeds[0]);
+        assert_eq!(
+            disk.leaves().leaf_hash(1).unwrap(),
+            sha256(disk.block(1).unwrap())
+        );
+        assert_eq!(disk.leaves().leaf_hash(2).unwrap(), seeds[2]);
     }
 
     #[test]
@@ -704,47 +686,61 @@ mod tests {
         let mut authentic = vec![0u8; CHUNK_SIZE];
         authentic[0] = 0x55;
         let hash = sha256(&authentic);
-        disk.stage_lazy_block(1, authentic.clone(), hash).unwrap();
+        disk.leaves_mut()
+            .stage_lazy(1, authentic.clone(), hash)
+            .unwrap();
         // Hash reports the staged contents; raw block is still stale.
-        assert_eq!(disk.block_hash(1).unwrap(), hash);
+        assert_eq!(disk.leaves().leaf_hash(1).unwrap(), hash);
         assert_eq!(disk.block(1).unwrap()[0], 0);
-        assert_eq!(disk.staged_block_count(), 1);
+        assert_eq!(disk.leaves().staged_count(), 1);
         // A read faults it in without marking it dirty.
         let mut buf = [0u8; 1];
         disk.read(CHUNK_SIZE as u64, &mut buf).unwrap();
         assert_eq!(buf[0], 0x55);
         assert_eq!(disk.faulted_blocks(), &[1]);
-        assert!(disk.dirty_blocks().is_empty());
-        assert_eq!(disk.block_hash(1).unwrap(), hash);
+        assert!(disk.leaves().dirty_leaves().is_empty());
+        assert_eq!(disk.leaves().leaf_hash(1).unwrap(), hash);
         // A partial write to another staged block lands on authentic bytes.
         let mut b2 = vec![0u8; CHUNK_SIZE];
         b2[10] = 0x77;
-        disk.stage_lazy_block(2, b2.clone(), sha256(&b2)).unwrap();
+        disk.leaves_mut()
+            .stage_lazy(2, b2.clone(), sha256(&b2))
+            .unwrap();
         disk.write(2 * CHUNK_SIZE as u64, &[0x11]).unwrap();
         assert_eq!(disk.faulted_blocks(), &[1, 2]);
         assert_eq!(disk.block(2).unwrap()[10], 0x77);
         assert_eq!(disk.block(2).unwrap()[0], 0x11);
-        assert_eq!(disk.dirty_blocks(), vec![2]);
+        assert_eq!(disk.leaves().dirty_leaves(), vec![2]);
         // set_block drops staging without recording a fault.
         let mut disk2 = Disk::new(CHUNK_SIZE as u64);
-        disk2.stage_lazy_block(0, authentic.clone(), hash).unwrap();
+        disk2
+            .leaves_mut()
+            .stage_lazy(0, authentic.clone(), hash)
+            .unwrap();
         disk2.set_block(0, &vec![1u8; CHUNK_SIZE]).unwrap();
         assert!(disk2.faulted_blocks().is_empty());
-        assert_eq!(disk2.staged_block_count(), 0);
+        assert_eq!(disk2.leaves().staged_count(), 0);
         // So does a write() that fully covers the staged block.
         let mut disk3 = Disk::new(CHUNK_SIZE as u64);
-        disk3.stage_lazy_block(0, authentic.clone(), hash).unwrap();
+        disk3
+            .leaves_mut()
+            .stage_lazy(0, authentic.clone(), hash)
+            .unwrap();
         disk3.write(0, &vec![2u8; CHUNK_SIZE]).unwrap();
         assert!(disk3.faulted_blocks().is_empty());
-        assert_eq!(disk3.staged_block_count(), 0);
+        assert_eq!(disk3.leaves().staged_count(), 0);
         assert_eq!(disk3.block(0).unwrap()[0], 2);
         // Validation.
         let past_end = disk2.block_count();
         assert!(disk2
-            .stage_lazy_block(past_end, authentic.clone(), hash)
-            .is_err());
-        assert!(disk2.stage_lazy_block(0, vec![1, 2], hash).is_err());
-        assert!(disk2.stage_lazy_block(0, vec![1; PAGE_SIZE], hash).is_err());
+            .leaves_mut()
+            .stage_lazy(past_end, authentic.clone(), hash)
+            .is_none());
+        assert!(disk2.leaves_mut().stage_lazy(0, vec![1, 2], hash).is_none());
+        assert!(disk2
+            .leaves_mut()
+            .stage_lazy(0, vec![1; PAGE_SIZE], hash)
+            .is_none());
     }
 
     #[test]

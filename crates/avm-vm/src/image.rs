@@ -176,16 +176,6 @@ impl ImageBaseline {
         [chunks, blocks]
     }
 
-    /// SHA-256 of every memory chunk of a fresh machine, in chunk order.
-    pub fn chunk_hashes(&self) -> &[Digest] {
-        self.leaf_hashes()[0]
-    }
-
-    /// SHA-256 of every disk block of a fresh machine, in block order.
-    pub fn block_hashes(&self) -> &[Digest] {
-        self.leaf_hashes()[1]
-    }
-
     /// The first place a fresh machine holds content hashing to `digest`
     /// (memory before disk, ascending index), if it holds it anywhere — the
     /// auditor-local test for "derivable from the reference image".
@@ -503,21 +493,21 @@ mod tests {
         let m = Machine::from_image(&image, &GuestRegistry::new()).unwrap();
         let baseline = image.baseline();
         assert_eq!(baseline.digest(), image.compute_digest());
-        assert_eq!(baseline.chunk_hashes().len(), m.memory().chunk_count());
-        for (i, hash) in baseline.chunk_hashes().iter().enumerate() {
+        assert_eq!(baseline.leaf_hashes()[0].len(), m.memory().chunk_count());
+        for (i, hash) in baseline.leaf_hashes()[0].iter().enumerate() {
             assert_eq!(*hash, sha256(m.memory().chunk(i).unwrap()), "chunk {i}");
-            assert_eq!(m.memory().chunk_hash(i).unwrap(), *hash);
+            assert_eq!(m.memory().leaves().leaf_hash(i).unwrap(), *hash);
         }
-        assert_eq!(baseline.block_hashes().len(), CHUNKS_PER_PAGE);
-        for (b, hash) in baseline.block_hashes().iter().enumerate() {
+        assert_eq!(baseline.leaf_hashes()[1].len(), CHUNKS_PER_PAGE);
+        for (b, hash) in baseline.leaf_hashes()[1].iter().enumerate() {
             assert_eq!(*hash, sha256(m.devices().disk.block(b).unwrap()));
-            assert_eq!(m.devices().disk.block_hash(b).unwrap(), *hash);
+            assert_eq!(m.devices().disk.leaves().leaf_hash(b).unwrap(), *hash);
         }
         // The index names the *first* holder of each content.
         let zero = sha256(&[0u8; CHUNK_SIZE]);
         assert_eq!(baseline.locate(&zero), Some(BaselineLocation::Chunk(2)));
         assert_eq!(
-            baseline.locate(&baseline.block_hashes()[1]),
+            baseline.locate(&baseline.leaf_hashes()[1][1]),
             Some(BaselineLocation::Block(1))
         );
         assert_eq!(baseline.locate(&sha256(b"elsewhere")), None);
@@ -527,7 +517,7 @@ mod tests {
             STATE_HEADER_LEAVES + 32 + CHUNKS_PER_PAGE
         );
         assert_eq!(tree.leaves()[..STATE_HEADER_LEAVES], [Digest::ZERO; 3]);
-        assert!(m.memory().dirty_chunks().is_empty());
+        assert!(m.memory().leaves().dirty_leaves().is_empty());
     }
 
     /// The memo is shared by clones, invisible to `==` and `Debug`, and
@@ -549,8 +539,8 @@ mod tests {
         assert!(changed.baseline.get().is_none());
         assert_ne!(changed.digest(), digest);
         assert_ne!(
-            changed.baseline().block_hashes(),
-            warm.baseline().block_hashes()
+            changed.baseline().leaf_hashes()[1],
+            warm.baseline().leaf_hashes()[1]
         );
         // A program that does not fit has a digest but no machine.
         let unfit = VmImage::bytecode("img", 4096, vec![0; 64], 4090, 4090);

@@ -9,11 +9,14 @@
 //!
 //! * [`store::LeafStore`] — the hashed, dirty-tracked, lazily resident byte
 //!   array that is both guest RAM and the disk (the basis for incremental
-//!   snapshots, state roots and on-demand audits),
+//!   snapshots, state roots and on-demand audits), and the one leaf API:
+//!   leaf hashes, dirty sets, staging and residency are read and changed
+//!   through it (`GuestMemory::leaves`, `Disk::leaves`, their `_mut`
+//!   forms), never through per-kind aliases,
 //! * [`mem::GuestMemory`] — guest RAM: a store in 512 B chunks behind byte,
 //!   scalar and page views,
-//! * [`devices`] — a virtual clock, NIC, block disk (a store in 4 KiB
-//!   blocks), local-input device and console behind a single
+//! * [`devices`] — a virtual clock, NIC, block disk (a store in 512 B
+//!   blocks, the same leaf), local-input device and console behind a single
 //!   [`devices::DeviceState`],
 //! * [`bytecode`] — a small RISC-like ISA, an assembler and an interpreting
 //!   CPU, for guests expressed as machine code,

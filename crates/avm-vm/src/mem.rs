@@ -6,9 +6,11 @@
 //! **chunk** ([`CHUNK_SIZE`], [`CHUNKS_PER_PAGE`] per page), so an 8-byte
 //! counter bump costs one chunk of hashing, storage and transfer rather than
 //! a 4 KiB page, and a sparse replay that reads 8 bytes pulls 512 over the
-//! wire, not 4096.  What is memory's own: the scalar helpers the CPUs use,
-//! whole-page restore, and [`VmError::MemoryOutOfRange`], which a
-//! zero-length access never earns wherever it points.
+//! wire, not 4096.  Hashes, dirty sets and staging counts are read from
+//! [`GuestMemory::leaves`], the one leaf API.  What is memory's own: the
+//! scalar helpers the CPUs use, chunk restore and staging with memory's
+//! error values, and [`VmError::MemoryOutOfRange`], which a zero-length
+//! access never earns wherever it points.
 
 use avm_crypto::sha256::Digest;
 
@@ -147,21 +149,6 @@ impl GuestMemory {
         self.store.leaf(idx)
     }
 
-    /// Overwrites page `idx` wholesale from a slice that must be exactly one
-    /// page long.
-    pub fn set_page_from_slice(&mut self, idx: usize, data: &[u8]) -> VmResult<()> {
-        if data.len() != PAGE_SIZE {
-            return Err(VmError::CorruptState("snapshot page has wrong size"));
-        }
-        if idx >= self.page_count() {
-            return Err(VmError::CorruptState("snapshot page index out of range"));
-        }
-        for (c, chunk) in data.chunks_exact(CHUNK_SIZE).enumerate() {
-            self.set_chunk_from_slice(idx * CHUNKS_PER_PAGE + c, chunk)?;
-        }
-        Ok(())
-    }
-
     /// Overwrites chunk `idx` from a slice that must be exactly
     /// [`CHUNK_SIZE`] long (the snapshot-restore unit).
     pub fn set_chunk_from_slice(&mut self, idx: usize, data: &[u8]) -> VmResult<()> {
@@ -173,17 +160,6 @@ impl GuestMemory {
         self.store
             .set_leaf(idx, data)
             .ok_or(VmError::CorruptState(refused))
-    }
-
-    /// SHA-256 of chunk `idx` contents, memoised until the chunk is written.
-    pub fn chunk_hash(&self, idx: usize) -> Option<Digest> {
-        self.store.leaf_hash(idx)
-    }
-
-    /// Indices of chunks written since the last [`GuestMemory::clear_dirty`],
-    /// in ascending order.
-    pub fn dirty_chunks(&self) -> Vec<usize> {
-        self.store.dirty_leaves()
     }
 
     /// Clears all dirty bits.
@@ -209,18 +185,19 @@ impl GuestMemory {
     pub fn faulted_chunks(&self) -> &[usize] {
         self.store.faulted()
     }
-
-    /// Number of staged chunks not yet touched (their contents were never
-    /// needed, hence never transferred).
-    pub fn staged_chunk_count(&self) -> usize {
-        self.store.staged_count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use avm_crypto::sha256::sha256;
+
+    /// Restores page `idx` chunk by chunk, as a snapshot restore does.
+    fn set_page(mem: &mut GuestMemory, idx: usize, page: &[u8]) -> VmResult<()> {
+        page.chunks(CHUNK_SIZE)
+            .enumerate()
+            .try_for_each(|(c, chunk)| mem.set_chunk_from_slice(idx * CHUNKS_PER_PAGE + c, chunk))
+    }
 
     #[test]
     fn zeroed_on_creation() {
@@ -229,7 +206,7 @@ mod tests {
         assert_eq!(mem.page_count(), 2);
         assert_eq!(mem.chunk_count(), 2 * CHUNKS_PER_PAGE);
         assert_eq!(mem.read_u64(0).unwrap(), 0);
-        assert!(mem.dirty_chunks().is_empty());
+        assert!(mem.leaves().dirty_leaves().is_empty());
     }
 
     #[test]
@@ -250,7 +227,7 @@ mod tests {
         // Exactly the last chunk of page 0 and the first chunk of page 1 are
         // dirty.
         assert_eq!(
-            mem.dirty_chunks(),
+            mem.leaves().dirty_leaves(),
             vec![CHUNKS_PER_PAGE - 1, CHUNKS_PER_PAGE]
         );
     }
@@ -260,11 +237,11 @@ mod tests {
         let mut mem = GuestMemory::new(2 * PAGE_SIZE as u64);
         // 8 bytes inside chunk 3 of page 0.
         mem.write_u64(3 * CHUNK_SIZE as u64 + 16, 7).unwrap();
-        assert_eq!(mem.dirty_chunks(), vec![3]);
+        assert_eq!(mem.leaves().dirty_leaves(), vec![3]);
         // A write spanning the chunk boundary dirties both chunks.
         mem.clear_dirty();
         mem.write(CHUNK_SIZE as u64 - 2, &[1, 2, 3, 4]).unwrap();
-        assert_eq!(mem.dirty_chunks(), vec![0, 1]);
+        assert_eq!(mem.leaves().dirty_leaves(), vec![0, 1]);
     }
 
     #[test]
@@ -288,8 +265,8 @@ mod tests {
             mem.write(addr, &[]).unwrap();
             assert_eq!(mem.read_vec(addr, 0).unwrap(), Vec::<u8>::new());
         }
-        assert!(mem.dirty_chunks().is_empty() && mem.faulted_chunks().is_empty());
-        assert_eq!(mem.staged_chunk_count(), 1);
+        assert!(mem.leaves().dirty_leaves().is_empty() && mem.faulted_chunks().is_empty());
+        assert_eq!(mem.leaves().staged_count(), 1);
     }
 
     #[test]
@@ -305,54 +282,57 @@ mod tests {
     fn dirty_tracking_and_clearing() {
         let mut mem = GuestMemory::new(4 * PAGE_SIZE as u64);
         mem.write_u8(2 * PAGE_SIZE as u64, 1).unwrap();
-        assert_eq!(mem.dirty_chunks(), vec![2 * CHUNKS_PER_PAGE]);
+        assert_eq!(mem.leaves().dirty_leaves(), vec![2 * CHUNKS_PER_PAGE]);
         mem.clear_dirty();
-        assert!(mem.dirty_chunks().is_empty());
+        assert!(mem.leaves().dirty_leaves().is_empty());
     }
 
     #[test]
     fn chunk_hash_changes_with_content() {
         let mut mem = GuestMemory::new(PAGE_SIZE as u64);
-        let before = mem.chunk_hash(0).unwrap();
+        let before = mem.leaves().leaf_hash(0).unwrap();
         mem.write_u8(100, 42).unwrap();
-        assert_ne!(before, mem.chunk_hash(0).unwrap());
+        assert_ne!(before, mem.leaves().leaf_hash(0).unwrap());
         // A write to chunk 0 leaves chunk 1's hash alone.
         assert_eq!(
-            mem.chunk_hash(1).unwrap(),
+            mem.leaves().leaf_hash(1).unwrap(),
             sha256(&[0u8; CHUNK_SIZE]),
             "untouched chunk hash must be the zero-chunk hash"
         );
-        assert!(mem.chunk_hash(CHUNKS_PER_PAGE + 5).is_none());
+        assert!(mem.leaves().leaf_hash(CHUNKS_PER_PAGE + 5).is_none());
     }
 
     #[test]
     fn chunk_hash_cache_tracks_writes_not_dirty_bits() {
         let mut mem = GuestMemory::new(2 * PAGE_SIZE as u64);
-        let h0 = mem.chunk_hash(0).unwrap();
+        let h0 = mem.leaves().leaf_hash(0).unwrap();
         // Repeated reads return the memoised value.
-        assert_eq!(mem.chunk_hash(0).unwrap(), h0);
+        assert_eq!(mem.leaves().leaf_hash(0).unwrap(), h0);
         // Clearing dirty bits must NOT invalidate the hash cache...
         mem.write_u8(5, 1).unwrap();
-        let h1 = mem.chunk_hash(0).unwrap();
+        let h1 = mem.leaves().leaf_hash(0).unwrap();
         assert_ne!(h0, h1);
         mem.clear_dirty();
-        assert_eq!(mem.chunk_hash(0).unwrap(), h1);
+        assert_eq!(mem.leaves().leaf_hash(0).unwrap(), h1);
         // ...but any write path must.
         mem.write_u8(5, 2).unwrap();
-        assert_ne!(mem.chunk_hash(0).unwrap(), h1);
+        assert_ne!(mem.leaves().leaf_hash(0).unwrap(), h1);
         let page = vec![7u8; PAGE_SIZE];
-        mem.set_page_from_slice(1, &page).unwrap();
+        set_page(&mut mem, 1, &page).unwrap();
         assert_eq!(
-            mem.chunk_hash(CHUNKS_PER_PAGE).unwrap(),
+            mem.leaves().leaf_hash(CHUNKS_PER_PAGE).unwrap(),
             sha256(&page[..CHUNK_SIZE])
         );
-        assert!(mem.set_page_from_slice(1, &page[1..]).is_err());
+        assert!(set_page(&mut mem, 1, &page[1..]).is_err());
         assert!(mem
             .set_chunk_from_slice(0, &page[..CHUNK_SIZE - 1])
             .is_err());
         // The cached hash always equals a fresh hash of the contents.
         for i in 0..mem.chunk_count() {
-            assert_eq!(mem.chunk_hash(i).unwrap(), sha256(mem.chunk(i).unwrap()));
+            assert_eq!(
+                mem.leaves().leaf_hash(i).unwrap(),
+                sha256(mem.chunk(i).unwrap())
+            );
         }
         // A seeded cache obeys the same rule: a write empties exactly the
         // slots of the chunks it covers.  The seeds are marker values, so a
@@ -366,7 +346,7 @@ mod tests {
                 2 | 3 => sha256(mem.chunk(i).unwrap()),
                 _ => marker(i),
             };
-            assert_eq!(mem.chunk_hash(i).unwrap(), expected, "chunk {i}");
+            assert_eq!(mem.leaves().leaf_hash(i).unwrap(), expected, "chunk {i}");
         }
     }
 
@@ -380,7 +360,10 @@ mod tests {
         with_oob.push(mem.chunk_count() + 10);
         mem.leaves().prime_hashes(&with_oob);
         for i in all {
-            assert_eq!(mem.chunk_hash(i).unwrap(), sha256(mem.chunk(i).unwrap()));
+            assert_eq!(
+                mem.leaves().leaf_hash(i).unwrap(),
+                sha256(mem.chunk(i).unwrap())
+            );
         }
     }
 
@@ -390,10 +373,10 @@ mod tests {
         let mut page = [0u8; PAGE_SIZE];
         page[0] = 0xaa;
         page[PAGE_SIZE - 1] = 0xbb;
-        mem.set_page_from_slice(1, &page).unwrap();
+        set_page(&mut mem, 1, &page).unwrap();
         assert_eq!(mem.read_u8(PAGE_SIZE as u64).unwrap(), 0xaa);
         assert_eq!(mem.read_u8(2 * PAGE_SIZE as u64 - 1).unwrap(), 0xbb);
-        assert!(mem.set_page_from_slice(9, &page).is_err());
+        assert!(set_page(&mut mem, 9, &page).is_err());
     }
 
     #[test]
@@ -403,7 +386,7 @@ mod tests {
         chunk[0] = 0xcc;
         mem.set_chunk_from_slice(3, &chunk).unwrap();
         assert_eq!(mem.read_u8(3 * CHUNK_SIZE as u64).unwrap(), 0xcc);
-        assert_eq!(mem.dirty_chunks(), vec![3]);
+        assert_eq!(mem.leaves().dirty_leaves(), vec![3]);
         assert!(mem.set_chunk_from_slice(CHUNKS_PER_PAGE, &chunk).is_err());
     }
 
@@ -416,19 +399,19 @@ mod tests {
         mem.stage_lazy_chunk(idx, authentic.clone(), hash).unwrap();
         // The root-relevant hash is already the staged one, while the raw
         // chunk still holds the local (stale) bytes.
-        assert_eq!(mem.chunk_hash(idx).unwrap(), hash);
+        assert_eq!(mem.leaves().leaf_hash(idx).unwrap(), hash);
         assert_eq!(mem.chunk(idx).unwrap()[0], 0);
-        assert_eq!(mem.staged_chunk_count(), 1);
+        assert_eq!(mem.leaves().staged_count(), 1);
         assert!(mem.faulted_chunks().is_empty());
         // First read faults the contents in.
         let addr = (idx * CHUNK_SIZE) as u64 + 5;
         assert_eq!(mem.read_u8(addr).unwrap(), 7);
         assert_eq!(mem.faulted_chunks(), &[idx]);
-        assert_eq!(mem.staged_chunk_count(), 0);
+        assert_eq!(mem.leaves().staged_count(), 0);
         assert_eq!(mem.chunk(idx).unwrap()[0], 7);
         // The chunk is not dirty: it equals its at-snapshot contents.
-        assert!(mem.dirty_chunks().is_empty());
-        assert_eq!(mem.chunk_hash(idx).unwrap(), hash);
+        assert!(mem.leaves().dirty_leaves().is_empty());
+        assert_eq!(mem.leaves().leaf_hash(idx).unwrap(), hash);
     }
 
     #[test]
@@ -441,7 +424,7 @@ mod tests {
         // staged chunk untransferred — the whole point of sub-page faulting.
         mem.write_u8(0, 1).unwrap();
         assert_eq!(mem.read_u8(5 * CHUNK_SIZE as u64).unwrap(), 0);
-        assert_eq!(mem.staged_chunk_count(), 1);
+        assert_eq!(mem.leaves().staged_count(), 1);
         assert!(mem.faulted_chunks().is_empty());
         // Touching the staged chunk itself faults it in.
         assert_eq!(mem.read_u8(4 * CHUNK_SIZE as u64 + 1).unwrap(), 9);
@@ -464,10 +447,10 @@ mod tests {
         assert_eq!(mem.read_u8(100).unwrap(), 0xbb);
         // Now the chunk *is* dirty (the write changed it) and the hash cache
         // was invalidated by the write path.
-        assert_eq!(mem.dirty_chunks(), vec![0]);
+        assert_eq!(mem.leaves().dirty_leaves(), vec![0]);
         let mut expected = authentic;
         expected[1] = 0xcc;
-        assert_eq!(mem.chunk_hash(0).unwrap(), sha256(&expected));
+        assert_eq!(mem.leaves().leaf_hash(0).unwrap(), sha256(&expected));
     }
 
     #[test]
@@ -480,15 +463,15 @@ mod tests {
         mem.set_chunk_from_slice(0, &replacement).unwrap();
         // The staged contents were never needed: no fault recorded.
         assert!(mem.faulted_chunks().is_empty());
-        assert_eq!(mem.staged_chunk_count(), 0);
-        assert_eq!(mem.chunk_hash(0).unwrap(), sha256(&replacement));
-        // set_page_from_slice drops staged chunks across the page too.
+        assert_eq!(mem.leaves().staged_count(), 0);
+        assert_eq!(mem.leaves().leaf_hash(0).unwrap(), sha256(&replacement));
+        // Restoring a whole page drops staged chunks across it too.
         let mut mem2 = GuestMemory::new(PAGE_SIZE as u64);
         mem2.stage_lazy_chunk(5, authentic.clone(), sha256(&authentic))
             .unwrap();
-        mem2.set_page_from_slice(0, &[1u8; PAGE_SIZE]).unwrap();
+        set_page(&mut mem2, 0, &[1u8; PAGE_SIZE]).unwrap();
         assert!(mem2.faulted_chunks().is_empty());
-        assert_eq!(mem2.staged_chunk_count(), 0);
+        assert_eq!(mem2.leaves().staged_count(), 0);
     }
 
     #[test]
@@ -505,13 +488,16 @@ mod tests {
         let data = vec![0xEEu8; CHUNK_SIZE + 1];
         mem.write(2 * CHUNK_SIZE as u64, &data).unwrap();
         assert_eq!(mem.faulted_chunks(), &[3]);
-        assert_eq!(mem.staged_chunk_count(), 0);
+        assert_eq!(mem.leaves().staged_count(), 0);
         assert_eq!(mem.read_u8(2 * CHUNK_SIZE as u64).unwrap(), 0xEE);
         assert_eq!(mem.read_u8(3 * CHUNK_SIZE as u64).unwrap(), 0xEE);
         assert_eq!(mem.read_u8(3 * CHUNK_SIZE as u64 + 1).unwrap(), 9);
-        assert_eq!(mem.dirty_chunks(), vec![2, 3]);
+        assert_eq!(mem.leaves().dirty_leaves(), vec![2, 3]);
         for c in [2usize, 3] {
-            assert_eq!(mem.chunk_hash(c).unwrap(), sha256(mem.chunk(c).unwrap()));
+            assert_eq!(
+                mem.leaves().leaf_hash(c).unwrap(),
+                sha256(mem.chunk(c).unwrap())
+            );
         }
     }
 

@@ -80,11 +80,6 @@ impl<'a> GuestCtx<'a> {
         self.dev.nic.guest_recv()
     }
 
-    /// True if a received packet is waiting.
-    pub fn has_packet(&self) -> bool {
-        self.dev.nic.has_rx()
-    }
-
     /// Transmits a network packet (externally visible output).
     pub fn send_packet(&mut self, data: Vec<u8>) {
         self.dev.nic.note_tx(data.len());
@@ -100,11 +95,6 @@ impl<'a> GuestCtx<'a> {
     pub fn console(&mut self, data: &[u8]) {
         self.dev.console.write(data);
         self.outputs.push(VmExit::ConsoleOut(data.to_vec()));
-    }
-
-    /// Reads from the virtual disk.
-    pub fn disk_read(&mut self, offset: u64, buf: &mut [u8]) -> VmResult<()> {
-        self.dev.disk.read(offset, buf)
     }
 
     /// Writes to the virtual disk.

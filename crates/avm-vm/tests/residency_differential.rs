@@ -18,6 +18,10 @@ use avm_vm::devices::Disk;
 use avm_vm::{GuestMemory, LeafStore, VmError, CHUNKS_PER_PAGE, CHUNK_SIZE, PAGE_SIZE};
 use proptest::prelude::*;
 
+/// The disk stages through the store itself, which refuses a wrong length
+/// and an index past the end alike.
+const DISK_STAGE_REFUSED: &str = "staged disk block refused";
+
 /// Which type a [`Model`] stands in for: the two differ in their error
 /// values and in how a zero-length access is bounds-checked.
 #[derive(Debug, Clone, Copy)]
@@ -168,32 +172,13 @@ impl Model {
         Ok(())
     }
 
-    fn set_page(&mut self, page: usize, content: &[u8]) -> Result<(), VmError> {
-        if content.len() != PAGE_SIZE {
-            return Err(VmError::CorruptState("snapshot page has wrong size"));
-        }
-        if page >= self.units() / CHUNKS_PER_PAGE {
-            return Err(VmError::CorruptState("snapshot page index out of range"));
-        }
-        for c in 0..CHUNKS_PER_PAGE {
-            self.set_unit(
-                page * CHUNKS_PER_PAGE + c,
-                &content[c * CHUNK_SIZE..(c + 1) * CHUNK_SIZE],
-            )?;
-        }
-        Ok(())
-    }
-
     fn stage(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> Result<(), VmError> {
         let (bad_len, bad_idx) = match self.kind {
             Kind::Memory => (
                 "staged chunk has wrong size",
                 "staged chunk index out of range",
             ),
-            Kind::Disk => (
-                "staged disk block has wrong size",
-                "staged disk block index out of range",
-            ),
+            Kind::Disk => (DISK_STAGE_REFUSED, DISK_STAGE_REFUSED),
         };
         if content.len() != self.unit {
             return Err(VmError::CorruptState(bad_len));
@@ -291,9 +276,8 @@ trait Facade: Clone {
         self.write(addr, bytes)
     }
 
-    /// Restores page `page` on the facade and the model: eight chunks at
-    /// once for memory; for the disk, which has no page restore, its blocks
-    /// one by one up to the first refused.
+    /// Restores page `page` on the facade and the model, leaf by leaf up to
+    /// the first refused.
     fn set_page(
         &mut self,
         model: &mut Model,
@@ -359,17 +343,6 @@ impl Facade for GuestMemory {
             Err(_) => self.write_u8(addr, bytes[0]),
         }
     }
-    fn set_page(
-        &mut self,
-        model: &mut Model,
-        page: usize,
-        content: &[u8],
-    ) -> [Result<(), VmError>; 2] {
-        [
-            self.set_page_from_slice(page, content),
-            model.set_page(page, content),
-        ]
-    }
 }
 
 impl Facade for Disk {
@@ -387,7 +360,9 @@ impl Facade for Disk {
         self.leaves_mut()
     }
     fn stage(&mut self, idx: usize, content: Vec<u8>, hash: Digest) -> Result<(), VmError> {
-        self.stage_lazy_block(idx, content, hash)
+        self.leaves_mut()
+            .stage_lazy(idx, content, hash)
+            .ok_or(VmError::CorruptState(DISK_STAGE_REFUSED))
     }
     fn read(&mut self, addr: u64, len: usize) -> Result<Vec<u8>, VmError> {
         let mut buf = vec![0u8; len];
@@ -557,14 +532,14 @@ fn last_chunk_stages_and_faults() {
         Err(VmError::CorruptState("staged chunk index out of range"))
     );
     mem.stage_lazy_chunk(last, content, hash).unwrap();
-    assert_eq!(mem.staged_chunk_count(), 1);
+    assert_eq!(mem.leaves().staged_count(), 1);
     // The very last byte of memory faults it in; a read ending one past the
     // end is refused before it faults anything.
     assert!(mem.read_u64(mem.size() - 7).is_err());
     assert!(mem.faulted_chunks().is_empty());
     assert_eq!(mem.read_u8(mem.size() - 1).unwrap(), 7);
     assert_eq!(mem.faulted_chunks(), &[last]);
-    assert_eq!(mem.staged_chunk_count(), 0);
+    assert_eq!(mem.leaves().staged_count(), 0);
 }
 
 /// A write covering two staged chunks whole and half of a third needs the
@@ -582,8 +557,8 @@ fn write_over_two_and_a_half_staged_chunks_faults_the_half() {
     )
     .unwrap();
     assert_eq!(mem.faulted_chunks(), &[3]);
-    assert_eq!(mem.staged_chunk_count(), 0);
-    assert_eq!(mem.dirty_chunks(), vec![1, 2, 3]);
+    assert_eq!(mem.leaves().staged_count(), 0);
+    assert_eq!(mem.leaves().dirty_leaves(), vec![1, 2, 3]);
     let half = 3 * CHUNK_SIZE + CHUNK_SIZE / 2;
     assert_eq!(mem.read_u8(half as u64 - 1).unwrap(), 0xEE);
     assert_eq!(mem.read_u8(half as u64).unwrap(), 3);
@@ -599,11 +574,11 @@ fn staging_then_faulting_everything_leaves_nothing_staged() {
         let (content, hash) = staged_chunk(c as u8 + 1);
         mem.stage_lazy_chunk(c, content, hash).unwrap();
     }
-    assert_eq!(mem.staged_chunk_count(), staged.len());
+    assert_eq!(mem.leaves().staged_count(), staged.len());
     for &c in staged.iter().rev() {
         assert_eq!(mem.read_u8((c * CHUNK_SIZE) as u64).unwrap(), c as u8 + 1);
     }
-    assert_eq!(mem.staged_chunk_count(), 0);
+    assert_eq!(mem.leaves().staged_count(), 0);
     assert_eq!(mem.faulted_chunks(), &[15, 9, 5, 0]);
     let whole = mem.read_vec(0, mem.size() as usize).unwrap();
     assert_eq!(whole.iter().filter(|&&b| b != 0).count(), 4 * CHUNK_SIZE);
@@ -611,10 +586,11 @@ fn staging_then_faulting_everything_leaves_nothing_staged() {
 
     let mut disk = Disk::new(2 * PAGE_SIZE as u64);
     let block = vec![3u8; CHUNK_SIZE];
-    disk.stage_lazy_block(1, block.clone(), sha256(&block))
+    disk.leaves_mut()
+        .stage_lazy(1, block.clone(), sha256(&block))
         .unwrap();
     let mut byte = [0u8; 1];
     disk.read(2 * CHUNK_SIZE as u64 - 1, &mut byte).unwrap();
     assert_eq!((byte[0], disk.faulted_blocks()), (3, &[1usize][..]));
-    assert_eq!(disk.staged_block_count(), 0);
+    assert_eq!(disk.leaves().staged_count(), 0);
 }

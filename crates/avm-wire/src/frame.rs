@@ -147,25 +147,6 @@ pub fn read_frame(input: &[u8]) -> Result<(&[u8], usize), FrameError> {
     Ok((payload, total))
 }
 
-/// Iterates over all frames in a byte stream.
-pub fn iter_frames(mut input: &[u8]) -> impl Iterator<Item = Result<&[u8], FrameError>> {
-    std::iter::from_fn(move || {
-        if input.is_empty() {
-            return None;
-        }
-        match read_frame(input) {
-            Ok((payload, consumed)) => {
-                input = &input[consumed..];
-                Some(Ok(payload))
-            }
-            Err(e) => {
-                input = &[];
-                Some(Err(e))
-            }
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,8 +275,13 @@ mod tests {
         for i in 0..10u8 {
             write_frame(&mut out, &[i; 5]);
         }
-        let frames: Result<Vec<_>, _> = iter_frames(&out).collect();
-        let frames = frames.unwrap();
+        let mut rest = &out[..];
+        let mut frames = Vec::new();
+        while !rest.is_empty() {
+            let (payload, consumed) = read_frame(rest).unwrap();
+            frames.push(payload);
+            rest = &rest[consumed..];
+        }
         assert_eq!(frames.len(), 10);
         assert_eq!(frames[3], &[3u8; 5]);
     }

@@ -48,12 +48,6 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u16`.
-    pub fn get_u16(&mut self) -> WireResult<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     /// Reads a little-endian `u32`.
     pub fn get_u32(&mut self) -> WireResult<u32> {
         let b = self.take(4)?;

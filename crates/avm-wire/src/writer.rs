@@ -48,11 +48,6 @@ impl Writer {
         self.buf.push(v);
     }
 
-    /// Appends a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -103,13 +98,11 @@ mod tests {
     #[test]
     fn fixed_width_little_endian() {
         let mut w = Writer::new();
-        w.put_u16(0x0102);
         w.put_u32(0x03040506);
         w.put_u64(0x0708090a0b0c0d0e);
         assert_eq!(
             w.as_slice(),
             &[
-                0x02, 0x01, //
                 0x06, 0x05, 0x04, 0x03, //
                 0x0e, 0x0d, 0x0c, 0x0b, 0x0a, 0x09, 0x08, 0x07
             ]

@@ -102,7 +102,7 @@ fn check_baseline(image: &VmImage, registry: &GuestRegistry) -> Result<(), TestC
     let machine = Machine::from_image(image, registry).unwrap();
     let reference = build_state_tree_uncached(&machine);
     let baseline = image.baseline();
-    let (chunks, blocks) = (baseline.chunk_hashes(), baseline.block_hashes());
+    let [chunks, blocks] = baseline.leaf_hashes();
     prop_assert_eq!(chunks.len(), machine.memory().chunk_count());
     prop_assert_eq!(blocks.len(), machine.devices().disk.block_count());
     prop_assert_eq!(
@@ -225,7 +225,9 @@ fn apply(
             let (hash, mut byte) = (sha256(&content), [0u8]);
             if to_disk {
                 let disk = &mut machine.devices_mut().disk;
-                disk.stage_lazy_block(idx, content.clone(), hash).unwrap();
+                disk.leaves_mut()
+                    .stage_lazy(idx, content.clone(), hash)
+                    .unwrap();
                 disk.read(range.start as u64, &mut byte).unwrap();
             } else {
                 let mem = machine.memory_mut();
@@ -363,11 +365,11 @@ proptest! {
         }
         let baseline = image.baseline();
         for c in 0..m.memory().chunk_count() {
-            let hash = m.memory().chunk_hash(c).unwrap();
+            let hash = m.memory().leaves().leaf_hash(c).unwrap();
             prop_assert_eq!(hash, sha256(m.memory().chunk(c).unwrap()));
             // A chunk no write dirtied still answers with the seeded value.
-            if !m.memory().dirty_chunks().contains(&c) {
-                prop_assert_eq!(hash, baseline.chunk_hashes()[c]);
+            if !m.memory().leaves().dirty_leaves().contains(&c) {
+                prop_assert_eq!(hash, baseline.leaf_hashes()[0][c]);
             }
         }
     }
@@ -542,7 +544,7 @@ fn tampered_manifest_section_and_blob_still_fail() {
     // by the root), and one swapped for the reference image's own (nothing
     // staged there at all, caught by the root just the same).
     let manifest = store.chain_manifest_upto(0).unwrap();
-    let image_own = image.baseline().chunk_hashes()[COUNTER_CHUNK];
+    let image_own = image.baseline().leaf_hashes()[0][COUNTER_CHUNK];
     let pooled = manifest.mem_refs[BUFFER_CHUNK].1;
     assert_eq!(manifest.mem_refs[COUNTER_CHUNK].0 as usize, COUNTER_CHUNK);
     assert!(manifest.mem_refs[COUNTER_CHUNK].1 != image_own && pooled != image_own);
@@ -626,7 +628,7 @@ fn warmed_clone_with_disk_forgets_the_baseline() {
     let image = db_image(&DbConfig::new("alice"));
     let registry = db_registry();
     let digest = image.digest();
-    let blocks = image.baseline().block_hashes().to_vec();
+    let blocks = image.baseline().leaf_hashes()[1].to_vec();
     let mut machine = Machine::from_image(&image, &registry).unwrap();
     let store = store_of(capture(&mut machine, 0, true));
     store.materialize(0, &image, &registry).unwrap();
@@ -637,14 +639,14 @@ fn warmed_clone_with_disk_forgets_the_baseline() {
     assert_ne!(rogue.digest(), digest);
     let zero = sha256(&[0; CHUNK_SIZE]);
     assert_eq!(
-        rogue.baseline().block_hashes(),
+        rogue.baseline().leaf_hashes()[1],
         [
             &[sha256(&[0xEE; CHUNK_SIZE])][..],
             &[zero; CHUNKS_PER_PAGE - 1]
         ]
         .concat()
     );
-    assert!(!blocks.contains(&rogue.baseline().block_hashes()[0]));
+    assert!(!blocks.contains(&rogue.baseline().leaf_hashes()[1][0]));
     let machine = Machine::from_image(&rogue, &registry).unwrap();
     assert_eq!(
         compute_state_root(&machine),
@@ -652,7 +654,7 @@ fn warmed_clone_with_disk_forgets_the_baseline() {
     );
     // The honest image is untouched by what its clone went through.
     assert_eq!(image.digest(), digest);
-    assert_eq!(image.baseline().block_hashes(), &blocks[..]);
+    assert_eq!(image.baseline().leaf_hashes()[1], &blocks[..]);
 
     // A provider that booted the rogue image is rejected at the door.
     let (operator, _) = identities();

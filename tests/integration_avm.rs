@@ -5,7 +5,7 @@
 use avm_core::audit::audit_log;
 use avm_core::config::{AvmmOptions, ExecConfig};
 use avm_core::envelope::{Envelope, EnvelopeKind};
-use avm_core::multiparty::{AuthenticatorStore, Challenge, ChallengeTracker, EvidencePool};
+use avm_core::multiparty::{AuthenticatorStore, EvidencePool};
 use avm_core::recorder::{Avmm, HostClock};
 use avm_core::spotcheck::spot_check;
 use avm_crypto::keys::{Identity, SignatureScheme};
@@ -145,7 +145,7 @@ fn evidence_against_cheater_convinces_third_party_and_fills_pool() {
 }
 
 #[test]
-fn multiparty_authenticator_collection_and_challenge_flow() {
+fn multiparty_authenticator_collection_feeds_the_audit() {
     let (avmm, player_id, _, reference) = record_game_session(None);
     // Another user collected authenticators from the player's messages.
     let mut store = AuthenticatorStore::new();
@@ -173,19 +173,6 @@ fn multiparty_authenticator_collection_and_challenge_flow() {
         &game_registry(),
     );
     assert!(report.passed(), "{:?}", report.fault());
-
-    // If the player stopped responding, a challenge suspends communication
-    // until it is answered.
-    let mut tracker = ChallengeTracker::new();
-    tracker.open_challenge(Challenge {
-        target: "player".into(),
-        issued_by: "alice".into(),
-        from_seq: 1,
-        to_seq: last_seq,
-    });
-    assert!(tracker.is_suspended("player"));
-    tracker.resolve("player");
-    assert!(!tracker.is_suspended("player"));
 }
 
 #[test]
