@@ -1055,12 +1055,6 @@ pub struct ChunkedResult {
     /// then one blob exchange per miss (each asking for every blob the
     /// missing access needs).
     pub rtts_batched: u64,
-    /// Round trips a blob-at-a-time auditor would have paid.
-    pub rtts_unbatched: u64,
-    /// Modelled latency (µs) of the check's download under `TRANSFER_RTT`.
-    pub latency_batched_us: u64,
-    /// Modelled latency (µs) of the blob-at-a-time download.
-    pub latency_unbatched_us: u64,
     /// Payload bytes freed by pruning the first half of the chain.
     pub pruned_freed_bytes: u64,
     /// Whether the on-demand spot check agreed with the full-download one.
@@ -1126,7 +1120,7 @@ pub fn exp_chunked() -> ChunkedResult {
     use avm_core::ondemand::AuditorBlobCache;
     use avm_core::replay::{ReplayOutcome, Replayer};
     use avm_core::snapshot::SNAPSHOT_HEADER_BYTES;
-    use avm_core::spotcheck::{spot_check, spot_check_on_demand, TRANSFER_RTT};
+    use avm_core::spotcheck::{spot_check, spot_check_on_demand};
     use avm_crypto::sha256::sha256;
     use avm_vm::{GuestRegistry, CHUNKS_PER_PAGE, PAGE_SIZE};
     use std::collections::{HashMap, HashSet};
@@ -1272,9 +1266,14 @@ pub fn exp_chunked() -> ChunkedResult {
     )
     .unwrap();
     let rtts_batched = od_report.on_demand_round_trips().unwrap();
-    let latency_batched_us = od_report.on_demand_latency_micros(&TRANSFER_RTT).unwrap();
-    let (rtts_unbatched, latency_unbatched_us) =
-        pricing::unbatched_exchange(od_report.on_demand.as_ref().unwrap(), &TRANSFER_RTT);
+    // A blob-at-a-time auditor pays the manifest's round trip and one per
+    // fetched blob; an exchange per miss never pays more.
+    let rtts_unbatched = 1 + od_report.on_demand.as_ref().unwrap().fetched.len() as u64;
+    assert!(
+        rtts_batched <= rtts_unbatched,
+        "an exchange per miss must not cost more round trips than one per blob: \
+         {rtts_batched} vs {rtts_unbatched}"
+    );
 
     // Retention: prune the first half of the chain; surviving snapshots keep
     // materializing (authenticated internally) while unreferenced chunk
@@ -1296,9 +1295,6 @@ pub fn exp_chunked() -> ChunkedResult {
         chunk_ondemand_bytes: chunk_ondemand,
         page_ondemand_bytes: page_ondemand,
         rtts_batched,
-        rtts_unbatched,
-        latency_batched_us,
-        latency_unbatched_us,
         pruned_freed_bytes: freed,
         verdicts_agree: full_report.consistent == od_report.consistent
             && full_report.entries_replayed == od_report.entries_replayed,
@@ -1323,11 +1319,8 @@ pub fn exp_chunked() -> ChunkedResult {
         faulted_pages.len(),
     );
     println!(
-        "blob exchange round trips: {} (one per miss) vs {} blob-at-a-time ({} µs vs {} µs modelled)",
+        "blob exchange round trips: {} (one per miss) vs {rtts_unbatched} blob-at-a-time",
         result.rtts_batched,
-        result.rtts_unbatched,
-        result.latency_batched_us,
-        result.latency_unbatched_us,
     );
     println!(
         "prune_upto({}) freed {} B of pooled payload; later snapshots still authenticate",
@@ -1338,12 +1331,12 @@ pub fn exp_chunked() -> ChunkedResult {
 }
 
 // ---------------------------------------------------------------------------
-// Networked audit endpoints: one protocol, modelled vs measured latency
+// Networked audit endpoints: one protocol, measured on every link
 // ---------------------------------------------------------------------------
 
 /// Result of the networked-audit experiment: the same spot check driven
-/// in-process, over an RTT-modelled direct transport, and over the simulated
-/// network (clean and lossy links).
+/// over the simulated WAN (the free function) and over a simulated LAN
+/// (clean and lossy links).
 #[derive(Debug, Clone, Copy)]
 pub struct NetAuditResult {
     /// Whether the SimNet-driven check's verdict, faults and transfer
@@ -1356,10 +1349,6 @@ pub struct NetAuditResult {
     pub semantic_match_full: bool,
     /// Measured simulated latency of the clean-link check (µs).
     pub measured_clean_us: u64,
-    /// Single-call `RttModel` prediction for the same exchanges (µs).
-    pub predicted_us: u64,
-    /// Whether measured and predicted agree within 1%.
-    pub within_one_percent: bool,
     /// Measured simulated latency of the lossy-link check (µs).
     pub measured_lossy_us: u64,
     /// Requests retransmitted on the lossy link.
@@ -1367,12 +1356,12 @@ pub struct NetAuditResult {
 }
 
 /// Networked audit: drives the *same* §3.5 on-demand spot check over the
-/// modelled WAN (the free function), a lossless LAN and a lossy LAN and
+/// simulated WAN (the free function), a lossless LAN and a lossy LAN and
 /// compares them — the verdicts and transfer accounting must be identical
-/// everywhere, the clean-link simulated latency must match the `RttModel`
-/// prediction within 1%, and the lossy link must complete correctly via
+/// everywhere, and the lossy link must complete correctly via
 /// timeout-and-retransmit, paying for every retry in wire bytes and
-/// simulated wall time.
+/// simulated wall time.  (What a lossless exchange costs on a link is
+/// pinned per packet in `avm-core`'s endpoint tests.)
 pub fn exp_netaudit() -> NetAuditResult {
     use avm_core::endpoint::{AuditClient, AuditServer, SimNetTransport};
     use avm_core::ondemand::AuditorBlobCache;
@@ -1431,7 +1420,7 @@ pub fn exp_netaudit() -> NetAuditResult {
         ..link
     };
 
-    // 1. Baseline: the free-function wrapper (modelled WAN link).
+    // 1. Baseline: the free-function wrapper (simulated WAN link).
     let mut free_cache = AuditorBlobCache::new();
     let baseline = spot_check_on_demand(
         avmm.log(),
@@ -1476,8 +1465,6 @@ pub fn exp_netaudit() -> NetAuditResult {
     let semantic_match_lossy = baseline.semantic() == lossy_report.semantic();
     let semantic_match_full = full_baseline.semantic() == full_net_report.semantic();
     let measured_clean_us = clean_report.measured_latency_micros();
-    let predicted_us = clean_report.predicted_latency_micros(&link.rtt_model());
-    let within_one_percent = measured_clean_us.abs_diff(predicted_us) * 100 <= predicted_us;
     let measured_lossy_us = lossy_report.measured_latency_micros();
     let retransmissions_lossy = lossy_report.transport.retransmissions;
 
@@ -1487,10 +1474,6 @@ pub fn exp_netaudit() -> NetAuditResult {
     );
     assert!(semantic_match_lossy, "loss must not change the audit");
     assert!(semantic_match_full, "full-download mode must match too");
-    assert!(
-        within_one_percent,
-        "measured {measured_clean_us} µs vs predicted {predicted_us} µs"
-    );
     assert_eq!(clean_report.transport.retransmissions, 0);
     assert!(retransmissions_lossy > 0, "drop-every-2 must force retries");
     assert!(measured_lossy_us > measured_clean_us);
@@ -1513,9 +1496,8 @@ pub fn exp_netaudit() -> NetAuditResult {
         );
     }
     println!(
-        "\nclean-link measurement {measured_clean_us} µs vs single-call RttModel prediction \
-         {predicted_us} µs (within 1%: {within_one_percent}); lossy link finished correctly \
-         after {retransmissions_lossy} retransmissions in {measured_lossy_us} µs",
+        "\nclean link {measured_clean_us} µs; lossy link finished correctly after \
+         {retransmissions_lossy} retransmissions in {measured_lossy_us} µs",
     );
     println!(
         "verdict/accounting identical across transports: on-demand {}, lossy {}, full {}",
@@ -1527,8 +1509,6 @@ pub fn exp_netaudit() -> NetAuditResult {
         semantic_match_lossy,
         semantic_match_full,
         measured_clean_us,
-        predicted_us,
-        within_one_percent,
         measured_lossy_us,
         retransmissions_lossy,
     }
@@ -1626,8 +1606,10 @@ fn spot_check_durable(
     start: u64,
 ) -> avm_core::spotcheck::SpotCheckReport {
     use avm_core::endpoint::{AuditClient, SimNetTransport};
-    let link = avm_net::LinkConfig::from_rtt_model(&avm_core::spotcheck::TRANSFER_RTT);
-    let mut client = AuditClient::new(SimNetTransport::new(provider.audit_server(), link));
+    let mut client = AuditClient::new(SimNetTransport::new(
+        provider.audit_server(),
+        avm_net::LinkConfig::WAN,
+    ));
     client
         .spot_check(start, 1, image, &avm_vm::GuestRegistry::new())
         .unwrap()
@@ -1704,7 +1686,7 @@ pub fn exp_persist() -> PersistResult {
     };
 
     // 1. The fsync-policy trade-off: the identical workload under each
-    //    policy, priced like the RttModel prices the wire.
+    //    policy, with each fsync priced by the disk model.
     let mut policies = Vec::new();
     for (label, policy, model) in [
         ("per_entry", SyncPolicy::PerEntry, FsyncModel::DISK_2010),
@@ -1899,9 +1881,6 @@ pub fn chunked_metrics(r: &ChunkedResult) -> Vec<(String, u64)> {
         ("chunk_ondemand_bytes".into(), r.chunk_ondemand_bytes),
         ("page_ondemand_bytes".into(), r.page_ondemand_bytes),
         ("rtts_batched".into(), r.rtts_batched),
-        ("rtts_unbatched".into(), r.rtts_unbatched),
-        ("latency_batched_us".into(), r.latency_batched_us),
-        ("latency_unbatched_us".into(), r.latency_unbatched_us),
     ]
 }
 
@@ -1962,9 +1941,7 @@ pub fn netaudit_metrics(r: &NetAuditResult) -> Vec<(String, u64)> {
             "ok_semantic_match_full".into(),
             r.semantic_match_full as u64,
         ),
-        ("ok_within_one_percent".into(), r.within_one_percent as u64),
         ("measured_clean_us".into(), r.measured_clean_us),
-        ("predicted_us".into(), r.predicted_us),
         ("measured_lossy_us".into(), r.measured_lossy_us),
         ("retransmissions_lossy".into(), r.retransmissions_lossy),
     ]
@@ -2965,27 +2942,19 @@ mod tests {
             r.chunk_logical_bytes < r.page_logical_bytes,
             "sparse incremental captures must ship fewer bytes at chunk granularity"
         );
-        // One exchange per miss: never more round trips than one per blob,
-        // and as many when every miss needs a single blob.
-        assert!(
-            r.rtts_batched <= r.rtts_unbatched,
-            "an exchange per miss must not cost more round trips than one per blob: {} vs {}",
-            r.rtts_batched,
-            r.rtts_unbatched
-        );
-        assert!(r.latency_batched_us <= r.latency_unbatched_us);
+        // The manifest, then at least one exchange for a miss.
+        assert!(r.rtts_batched >= 2);
         assert!(r.pruned_freed_bytes > 0);
     }
 
-    /// The netaudit acceptance bar: identical semantics on every link,
-    /// lossless simulated latency within 1% of the RttModel prediction
-    /// (per-packet equality is pinned in `avm-core`'s endpoint tests), and a
-    /// correct finish through loss.
+    /// The netaudit acceptance bar: identical semantics on every link and a
+    /// correct finish through loss (what a lossless exchange costs per
+    /// packet is pinned in `avm-core`'s endpoint tests).
     #[test]
     fn netaudit_transports_agree_and_match_the_model() {
         let r = exp_netaudit();
         assert!(r.semantic_match_clean && r.semantic_match_lossy && r.semantic_match_full);
-        assert!(r.within_one_percent);
+        assert!(r.measured_clean_us > 0);
         assert!(r.retransmissions_lossy > 0);
         assert!(r.measured_lossy_us > r.measured_clean_us);
     }

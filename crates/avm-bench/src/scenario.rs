@@ -203,11 +203,6 @@ impl ScenarioResult {
         self.avmm(name).log_bytes()
     }
 
-    /// Guest steps executed by a host.
-    pub fn guest_steps(&self, name: &str) -> u64 {
-        self.avmm(name).machine().step_count()
-    }
-
     /// Frames rendered by a player's game client, recovered from the guest
     /// kernel state.
     pub fn frames_rendered(&self, player: &str) -> u64 {
@@ -238,7 +233,8 @@ mod tests {
     fn scenario_produces_traffic_logs_and_frames() {
         let result = tiny(ExecConfig::AvmmRsa768).run();
         for p in &result.players {
-            assert!(result.guest_steps(p) > 0, "{p} executed no steps");
+            let steps = result.avmm(p).machine().step_count();
+            assert!(steps > 0, "{p} executed no steps");
             assert!(result.frames_rendered(p) > 0, "{p} rendered no frames");
             assert!(result.stats(p).packets_out > 0, "{p} sent no packets");
             assert!(result.log_bytes(p) > 0);

@@ -21,12 +21,11 @@
 //! [`avm_net::SimNet`] link, *paying* simulated wall time per round trip
 //! (latency plus payload serialisation at the link bandwidth) and surviving
 //! deterministic packet loss by timeout-and-retransmit, matched by request
-//! id.  A lossless exchange takes exactly what the link's
-//! [`avm_wire::RttModel`] prices per packet ([`LinkConfig::rtt_model`] /
-//! [`LinkConfig::from_rtt_model`]), which is how the free functions in
-//! [`crate::spotcheck`] report modelled WAN latency: they run over
-//! `from_rtt_model(&TRANSFER_RTT)`.  The wire-level cost of every check is
-//! its report's [`TransportStats`] column
+//! id.  A lossless exchange takes two one-way latencies plus each packet's
+//! serialisation delay ([`LinkConfig::serialise_micros`]); the free
+//! functions in [`crate::spotcheck`] run over [`LinkConfig::WAN`], so the
+//! WAN latency they report is measured the same way.  The wire-level cost
+//! of every check is its report's [`TransportStats`] column
 //! ([`crate::spotcheck::SpotCheckReport::transport`]).
 //!
 //! # A response is written once
@@ -335,8 +334,8 @@ fn error_response(message: &str) -> Vec<u8> {
 // Transports
 // ---------------------------------------------------------------------------
 
-/// Wire-level accounting of the exchanges a transport performed: the
-/// *measured* column of an audit, beside the modelled one.
+/// Wire-level accounting of the exchanges a transport performed: what an
+/// audit's exchanges measurably cost on its link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransportStats {
     /// Completed request/response exchanges.
@@ -679,7 +678,7 @@ impl AuditTransport for SimNetTransport<'_> {
 /// [`AuditClient::spot_check`] and [`AuditClient::spot_check_on_demand`]
 /// differ only in the session they build).  The free functions in
 /// [`crate::spotcheck`] are thin wrappers that build a client over a
-/// [`SimNetTransport`] on the modelled WAN link.
+/// [`SimNetTransport`] on the simulated WAN link ([`LinkConfig::WAN`]).
 pub struct AuditClient<T> {
     transport: T,
     cache: AuditorBlobCache,
@@ -922,7 +921,7 @@ impl<T: AuditTransport> AuditClient<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spotcheck::{spot_check, spot_check_on_demand, TRANSFER_RTT};
+    use crate::spotcheck::{spot_check, spot_check_on_demand};
     use crate::testutil::{key, record_with_snapshots};
     use avm_log::EntryKind;
     use avm_vm::packet::encode_guest_packet;
@@ -931,10 +930,9 @@ mod tests {
     /// The acceptance pin for the endpoint redesign: a spot check driven
     /// over a LAN `SimNetTransport` yields identical verdicts, faults and
     /// transfer/round-trip accounting to the free-function path (the same
-    /// check over the modelled WAN), and a lossless spot check over
-    /// `from_rtt_model(m)` takes exactly what `m` prices per packet — one
-    /// RTT per exchange plus each framed packet's serialisation delay —
-    /// within 1% of the single-call model form.
+    /// check over the simulated WAN), and a lossless spot check takes
+    /// exactly two one-way latencies per exchange plus each framed packet's
+    /// serialisation delay on its link.
     #[test]
     fn simnet_spot_check_matches_direct_on_lossless_lan() {
         let (bob, image) = record_with_snapshots(4);
@@ -942,7 +940,7 @@ mod tests {
         let link = LinkConfig::default();
         let server = AuditServer::new(bob.log(), bob.snapshots());
 
-        // The free-function wrapper runs over from_rtt_model(TRANSFER_RTT).
+        // The free-function wrapper runs over LinkConfig::WAN.
         let mut free_cache = AuditorBlobCache::new();
         let baseline = spot_check_on_demand(
             bob.log(),
@@ -1001,28 +999,19 @@ mod tests {
         }
         assert_eq!(probe.stats().round_trips, s.round_trips);
         assert_eq!(probe.stats().wire_bytes(), s.wire_bytes());
-        let priced_per_packet = |model: &avm_wire::RttModel| -> u64 {
+        let priced_per_packet = |link: LinkConfig| -> u64 {
             packets
                 .iter()
                 .map(|&(request, response)| {
-                    model.rtt_micros
-                        + model.latency_micros(0, request)
-                        + model.latency_micros(0, response)
+                    2 * link.latency_us
+                        + link.serialise_micros(request as usize)
+                        + link.serialise_micros(response as usize)
                 })
                 .sum()
         };
-        assert_eq!(s.elapsed_micros, priced_per_packet(&link.rtt_model()));
-        assert_eq!(d.elapsed_micros, priced_per_packet(&TRANSFER_RTT));
+        assert_eq!(s.elapsed_micros, priced_per_packet(link));
+        assert_eq!(d.elapsed_micros, priced_per_packet(LinkConfig::WAN));
         assert!(s.elapsed_micros > 0);
-
-        // Within 1% of the single-call RttModel prediction (which
-        // serialises both directions in one division).
-        let predicted = sim_report.predicted_latency_micros(&link.rtt_model());
-        let measured = sim_report.measured_latency_micros();
-        assert!(
-            measured.abs_diff(predicted) * 100 <= predicted,
-            "measured {measured} µs vs predicted {predicted} µs"
-        );
 
         // The network's own byte counters agree with the transport's.
         let net = sim.transport().network();

@@ -50,11 +50,10 @@
 //! provider-side [`fetch_blobs`] / [`OnDemandSession::finish`] settle after
 //! it, both in requests of up to [`avm_wire::DEFAULT_BLOB_BATCH`] digests.
 //! Every accounting struct reports the round trips the exchange performed
-//! ([`BlobFetch::round_trips`], [`OnDemandCost::round_trips`]), priced in
-//! modelled wall time by a configurable [`avm_wire::RttModel`].  (What a
-//! blob-at-a-time auditor would have paid instead is `1 + fetched.len()`;
-//! the comparison lives with the experiment that prints it,
-//! `avm_bench::pricing`.)
+//! ([`BlobFetch::round_trips`], [`OnDemandCost::round_trips`]); what they
+//! cost in time is measured by the transport that carried them, on its
+//! simulated link ([`crate::endpoint::SimNetTransport`]).  (A blob-at-a-time
+//! auditor would have made `1 + fetched.len()`.)
 //!
 //! Authentication never weakens in either mode: the manifest is verified by
 //! deriving the Merkle state root its leaf hashes imply and comparing
@@ -85,8 +84,8 @@ use avm_crypto::sha256::{sha256, Digest};
 use avm_vm::{GuestRegistry, Machine, VmImage};
 use avm_wire::varint::varint_len;
 use avm_wire::{
-    BlobRequest, BlobResponse, BlobResponseRef, Decode, Encode, Reader, RttModel, WireResult,
-    Writer, DEFAULT_BLOB_BATCH,
+    BlobRequest, BlobResponse, BlobResponseRef, Decode, Encode, Reader, WireResult, Writer,
+    DEFAULT_BLOB_BATCH,
 };
 
 use crate::error::CoreError;
@@ -636,13 +635,6 @@ pub struct OnDemandCost {
     /// Bytes the auditor downloaded: the encoded manifest plus every encoded
     /// blob response.
     pub transfer_bytes: u64,
-}
-
-impl OnDemandCost {
-    /// Modelled wall time of the download under `model`.
-    pub fn latency_micros(&self, model: &RttModel) -> u64 {
-        model.latency_micros(self.round_trips, self.transfer_bytes)
-    }
 }
 
 /// Where a staged blob's contents came from, which decides what the auditor
@@ -1450,12 +1442,6 @@ mod tests {
             batched.round_trips < unbatched.round_trips,
             "this chain fetches {} blobs, so batching must save round trips",
             unbatched.fetched.len()
-        );
-        // The RTT model orders the two accordingly.
-        let model = RttModel::default();
-        assert!(
-            model.latency_micros(batched.round_trips, batched.response.raw_bytes)
-                < model.latency_micros(unbatched.round_trips, unbatched.response.raw_bytes)
         );
     }
 

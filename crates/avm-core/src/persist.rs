@@ -77,12 +77,12 @@ pub enum PersistError {
     /// The wrapped recorder failed.
     Core(CoreError),
     /// The persisted log is structurally intact but replay proved it
-    /// inconsistent (or it claims a different image) — the same verdict an
-    /// auditor would reach, raised at recovery time.
+    /// inconsistent (or it claims a different image), or a durable snapshot
+    /// record or payload is missing or misplaced, which no crash can cause
+    /// — the same verdict an auditor would reach, raised at recovery time.
     Tampered(FaultReason),
-    /// The persisted state is internally inconsistent in a way the tamper
-    /// taxonomy does not cover (e.g. a SNAPSHOT entry whose manifest or
-    /// blobs are missing from the arenas).
+    /// The provider's own in-memory state is inconsistent while it persists
+    /// it (e.g. a SNAPSHOT entry naming a snapshot its store does not hold).
     Corrupt(String),
 }
 
@@ -387,7 +387,7 @@ impl<S: Storage + Clone> Provider<S> {
         // Rebuild the store: the pruned base from its PRUNE manifest, then
         // every later snapshot whose SNAPSHOT entry became durable.  The
         // write ordering guarantees their manifests and blobs are durable
-        // too; a miss here is real corruption, not a crash artefact.
+        // too; a miss here is tampering, not a crash artefact.
         // A section that is not strictly increasing by index was never
         // captured: it is refused as tampering.
         let rebuild = |store: &mut SnapshotStore, id: u64| {
@@ -573,11 +573,6 @@ impl<S: Storage + Clone> Provider<S> {
         self.attestor.envelope_bytes()
     }
 
-    /// Durable-write accounting for the segment files.
-    pub fn segment_stats(&self) -> DurabilityStats {
-        self.segments.stats()
-    }
-
     /// Combined durable-write accounting (segments + arenas).
     pub fn durability_stats(&self) -> DurabilityStats {
         self.segments.stats().merged(&self.arenas.stats())
@@ -591,11 +586,6 @@ impl<S: Storage + Clone> Provider<S> {
     /// Highest sequence number covered by a persisted seal.
     pub fn sealed_upto(&self) -> u64 {
         self.segments.sealed_upto()
-    }
-
-    /// Blobs currently live in the arenas.
-    pub fn arena_blob_count(&self) -> u64 {
-        self.arenas.blob_count()
     }
 
     /// True when `digest` is already durable in the arenas — the test
@@ -693,24 +683,31 @@ fn persist_envelope<S: Storage + Clone>(
 /// Reads snapshot `id`'s durable record back: its digest from the
 /// persisted MANIFEST records, its bytes and every payload it references
 /// from the arena blobs.
+///
+/// It is called only for a snapshot whose SNAPSHOT entry (or PRUNE record)
+/// is durable, and [`Provider::flush`] makes the payloads, the record and
+/// its MANIFEST durable before that entry, while compaction makes its new
+/// arena files durable before it removes the old ones.  A crash therefore
+/// cannot leave any of them missing or misplaced: each failure here is a
+/// rewritten file, and is reported as tampering.
 fn stored_snapshot(
     id: u64,
     manifest_digests: &BTreeMap<u64, Digest>,
     blobs: &HashMap<Digest, Vec<u8>>,
 ) -> Result<StoredSnapshot, PersistError> {
+    let tampered = |detail: String| PersistError::Tampered(FaultReason::SyntacticFailure(detail));
     let digest = manifest_digests
         .get(&id)
-        .ok_or_else(|| PersistError::Corrupt(format!("no persisted manifest for snapshot {id}")))?;
+        .ok_or_else(|| tampered(format!("no persisted manifest for snapshot {id}")))?;
     let bytes = blobs.get(digest).ok_or_else(|| {
-        PersistError::Corrupt(format!(
+        tampered(format!(
             "manifest blob for snapshot {id} missing from arenas"
         ))
     })?;
-    let stored = StoredSnapshot::from_record(bytes).map_err(|e| {
-        PersistError::Corrupt(format!("manifest for snapshot {id} undecodable: {e}"))
-    })?;
+    let stored = StoredSnapshot::from_record(bytes)
+        .map_err(|e| tampered(format!("manifest for snapshot {id} undecodable: {e}")))?;
     if stored.id != id {
-        return Err(PersistError::Corrupt(format!(
+        return Err(tampered(format!(
             "manifest digest for snapshot {id} resolves to manifest of snapshot {}",
             stored.id
         )));
@@ -720,7 +717,7 @@ fn stored_snapshot(
         .iter()
         .chain(stored.disk_block_refs());
     if let Some((_, hash)) = refs.into_iter().find(|(_, hash)| !blobs.contains_key(hash)) {
-        return Err(PersistError::Corrupt(format!(
+        return Err(tampered(format!(
             "snapshot {id} payload {} missing from arenas",
             hash.short_hex()
         )));
@@ -796,11 +793,11 @@ mod tests {
         (bob, image)
     }
 
-    fn recover_bob(
+    fn try_recover_bob(
         storage: SimStorage,
         image: &VmImage,
         cfg: PersistConfig,
-    ) -> (Provider<SimStorage>, RecoveryReport) {
+    ) -> Result<(Provider<SimStorage>, RecoveryReport), PersistError> {
         Provider::recover(
             storage,
             "bob",
@@ -810,7 +807,14 @@ mod tests {
             AvmmOptions::default().with_scheme(SignatureScheme::Rsa(512)),
             cfg,
         )
-        .unwrap()
+    }
+
+    fn recover_bob(
+        storage: SimStorage,
+        image: &VmImage,
+        cfg: PersistConfig,
+    ) -> (Provider<SimStorage>, RecoveryReport) {
+        try_recover_bob(storage, image, cfg).unwrap()
     }
 
     fn spot_check_via(
@@ -1052,7 +1056,7 @@ mod tests {
         // Reference: the same workload with an uninterrupted prune.
         let (mut clean, image) = provider_with_snapshots(SimStorage::new(), 4, small_cfg());
         clean.prune_snapshots_upto(2).unwrap();
-        let compacted_blobs = clean.arena_blob_count();
+        let compacted_blobs = clean.arenas.blob_count();
         drop(clean);
 
         // Find a crash budget that lands after the PRUNE record is durable
@@ -1074,7 +1078,7 @@ mod tests {
             // The interrupted compaction was re-run during recovery: the
             // arenas hold exactly what a clean prune leaves, no orphans.
             assert_eq!(report.arena_blobs, compacted_blobs);
-            assert_eq!(recovered.arena_blob_count(), compacted_blobs);
+            assert_eq!(recovered.arenas.blob_count(), compacted_blobs);
             assert!(spot_check_via(&recovered, &image, 3, 1).consistent);
         }
         assert!(
@@ -1092,16 +1096,7 @@ mod tests {
         // sealed, fsynced history, nowhere near the writable tail.
         let rebooted = storage.reboot();
         rebooted.corrupt("seg-000000", 60);
-        let err = Provider::recover(
-            rebooted,
-            "bob",
-            &image,
-            &GuestRegistry::new(),
-            key(1),
-            AvmmOptions::default().with_scheme(SignatureScheme::Rsa(512)),
-            small_cfg(),
-        )
-        .unwrap_err();
+        let err = try_recover_bob(rebooted, &image, small_cfg()).unwrap_err();
         assert!(err.is_tamper(), "got non-tamper error: {err}");
         assert!(matches!(err, PersistError::Store(StoreError::Tamper(_))));
     }
@@ -1126,18 +1121,53 @@ mod tests {
         bob.segments.append_manifest(1, digest).unwrap();
         bob.segments.flush_batch().unwrap();
         drop(bob);
-        let err = Provider::recover(
-            storage.reboot(),
-            "bob",
-            &image,
-            &GuestRegistry::new(),
-            key(1),
-            AvmmOptions::default().with_scheme(SignatureScheme::Rsa(512)),
-            small_cfg(),
-        )
-        .unwrap_err();
+        let err = try_recover_bob(storage.reboot(), &image, small_cfg()).unwrap_err();
         assert!(err.is_tamper(), "got non-tamper error: {err}");
         let named = format!("snapshot 1 section is not strictly increasing at chunk {swapped}");
+        assert!(
+            matches!(&err, PersistError::Tampered(FaultReason::SyntacticFailure(d)) if d.contains(&named)),
+            "{err}"
+        );
+    }
+
+    /// A MANIFEST record that names another snapshot's durable record can
+    /// only come from a rewritten segment file: recovery reports tampering.
+    #[test]
+    fn a_manifest_naming_another_snapshot_is_tamper() {
+        let storage = SimStorage::new();
+        let (mut bob, image) = provider_with_snapshots(storage.clone(), 2, small_cfg());
+        let of_snapshot_0 = bob.manifest_digests[&0];
+        bob.segments.append_manifest(1, of_snapshot_0).unwrap();
+        bob.segments.flush_batch().unwrap();
+        drop(bob);
+        let err = try_recover_bob(storage.reboot(), &image, small_cfg()).unwrap_err();
+        assert!(err.is_tamper(), "got non-tamper error: {err}");
+        let named = "manifest digest for snapshot 1 resolves to manifest of snapshot 0";
+        assert!(
+            matches!(&err, PersistError::Tampered(FaultReason::SyntacticFailure(d)) if d == named),
+            "{err}"
+        );
+    }
+
+    /// Payloads are durable before the SNAPSHOT entry that references them,
+    /// and compaction removes old arena files only after the new ones are
+    /// durable, so no crash loses a live payload: arenas rewritten without
+    /// one are tampering.
+    #[test]
+    fn a_live_payload_missing_from_the_arenas_is_tamper() {
+        let storage = SimStorage::new();
+        let (mut bob, image) = provider_with_snapshots(storage.clone(), 2, small_cfg());
+        let snapshots = bob.avmm().snapshots();
+        let dropped = snapshots.get(1).unwrap().mem_chunk_refs()[0].1;
+        let mut live: HashSet<Digest> = snapshots.pooled_digests().into_iter().collect();
+        live.extend(bob.manifest_digests.values().copied());
+        live.insert(bob.attestor.envelope_digest());
+        assert!(live.remove(&dropped));
+        bob.arenas.compact(&live).unwrap();
+        drop(bob);
+        let err = try_recover_bob(storage.reboot(), &image, small_cfg()).unwrap_err();
+        assert!(err.is_tamper(), "got non-tamper error: {err}");
+        let named = format!("payload {} missing from arenas", dropped.short_hex());
         assert!(
             matches!(&err, PersistError::Tampered(FaultReason::SyntacticFailure(d)) if d.contains(&named)),
             "{err}"
@@ -1148,10 +1178,10 @@ mod tests {
     fn prune_is_durable_and_compacts_arenas() {
         let storage = SimStorage::new();
         let (mut bob, image) = provider_with_snapshots(storage.clone(), 4, small_cfg());
-        let blobs_before = bob.arena_blob_count();
+        let blobs_before = bob.arenas.blob_count();
         let freed = bob.prune_snapshots_upto(2).unwrap();
         assert!(freed > 0);
-        assert!(bob.arena_blob_count() < blobs_before);
+        assert!(bob.arenas.blob_count() < blobs_before);
         let live_report = spot_check_via(&bob, &image, 3, 1);
         assert!(live_report.consistent);
         drop(bob);
@@ -1243,8 +1273,8 @@ mod tests {
         };
         let (eager, _) = provider_with_snapshots(SimStorage::new(), 2, mk(SyncPolicy::PerEntry));
         let (lazy, _) = provider_with_snapshots(SimStorage::new(), 2, mk(SyncPolicy::PerSeal));
-        let eager_stats = eager.segment_stats();
-        let lazy_stats = lazy.segment_stats();
+        let eager_stats = eager.segments.stats();
+        let lazy_stats = lazy.segments.stats();
         assert!(eager_stats.syncs > lazy_stats.syncs);
         assert!(eager_stats.modelled_sync_micros > lazy_stats.modelled_sync_micros);
         assert_eq!(eager_stats.appended_bytes, lazy_stats.appended_bytes);

@@ -27,23 +27,23 @@
 //!
 //! The snapshot download is additionally reported in **round trips** — one
 //! for the manifest, then one per prefetch batch or per miss replay ran into
-//! ([`crate::session`], "# Prefetch and misses") — convertible to modelled
-//! wall time through a configurable [`RttModel`] (default: [`TRANSFER_RTT`]).
+//! ([`crate::session`], "# Prefetch and misses").
 //!
 //! Every spot check is one [`crate::session::AuditSession`] *driven through
 //! the audit protocol* ([`crate::endpoint`]): the free functions here are
 //! thin wrappers building an [`crate::endpoint::AuditClient`] over a
-//! [`crate::endpoint::SimNetTransport`] whose link is the modelled WAN
-//! ([`TRANSFER_RTT`]), and the report's [`SpotCheckReport::transport`]
+//! [`crate::endpoint::SimNetTransport`] on the simulated WAN link
+//! ([`LinkConfig::WAN`]), and the report's [`SpotCheckReport::transport`]
 //! column records the wire-level accounting of the exchanges the check
-//! actually performed, in simulated time.
+//! actually performed.  Every latency it reports is measured: the simulated
+//! time those exchanges took on that link.
 
 use avm_compress::CompressionLevel;
 use avm_crypto::sha256::Digest;
 use avm_log::{EntryKind, LogEntry, TamperEvidentLog};
 use avm_net::LinkConfig;
 use avm_vm::{GuestRegistry, VmImage};
-use avm_wire::{Decode, RttModel};
+use avm_wire::Decode;
 
 use crate::endpoint::{AuditClient, AuditServer, SimNetTransport, TransportStats};
 use crate::error::{CoreError, FaultReason};
@@ -57,12 +57,6 @@ use crate::snapshot::SnapshotStore;
 /// compares spot checks against a full-audit baseline compresses both sides
 /// of the ratio identically.
 pub const TRANSFER_COMPRESSION: CompressionLevel = CompressionLevel::Default;
-
-/// Round-trip model used when spot-check reports convert round-trip counts
-/// into modelled latency, and the link the free functions below run over;
-/// pass a different [`RttModel`] to the report accessors to re-price under
-/// other link assumptions.
-pub const TRANSFER_RTT: RttModel = RttModel::DEFAULT;
 
 /// Outcome and cost of one spot check — one data point of the paper's
 /// Figure 9: the verdict, truthful replay-progress counters, and the bytes
@@ -125,25 +119,11 @@ impl SpotCheckReport {
         self.on_demand.as_ref().map(|c| c.round_trips)
     }
 
-    /// Modelled wall time of the on-demand download under `model`
-    /// ([`TRANSFER_RTT`] for the default link), when available.
-    pub fn on_demand_latency_micros(&self, model: &RttModel) -> Option<u64> {
-        self.on_demand.as_ref().map(|c| c.latency_micros(model))
-    }
-
     /// The **measured** latency of this check's actual exchanges, in
     /// microseconds of simulated network time
     /// ([`crate::endpoint::SimNetTransport`]).
     pub fn measured_latency_micros(&self) -> u64 {
         self.transport.elapsed_micros
-    }
-
-    /// What `model` predicts for this check's wire exchanges (`round_trips`
-    /// RTTs plus serialising every framed byte both ways) — the prediction
-    /// the measured column is validated against in the `netaudit`
-    /// experiment.
-    pub fn predicted_latency_micros(&self, model: &RttModel) -> u64 {
-        model.latency_micros(self.transport.round_trips, self.transport.wire_bytes())
     }
 
     /// This report with the wire-level column cleared — what the check
@@ -190,17 +170,15 @@ pub fn snapshot_positions_in(
         .collect()
 }
 
-/// An auditor endpoint over the lossless link equivalent of [`TRANSFER_RTT`]:
-/// every exchange takes exactly what that model prices per packet, so the
-/// free functions report modelled-WAN latency in their `transport` column.
+/// An auditor endpoint over [`LinkConfig::WAN`], so the free functions
+/// report the simulated WAN latency in their `transport` column.
 fn wan_client<'a>(
     log: &'a TamperEvidentLog,
     snapshots: &'a SnapshotStore,
     cache: AuditorBlobCache,
 ) -> AuditClient<SimNetTransport<'a>> {
-    let link = LinkConfig::from_rtt_model(&TRANSFER_RTT);
     AuditClient::with_cache(
-        SimNetTransport::new(AuditServer::new(log, snapshots), link),
+        SimNetTransport::new(AuditServer::new(log, snapshots), LinkConfig::WAN),
         cache,
     )
 }
@@ -217,9 +195,8 @@ fn wan_client<'a>(
 /// [`spot_check_on_demand`] for the incremental-request mode.
 ///
 /// Thin wrapper over [`crate::endpoint::AuditClient::spot_check`] on the
-/// modelled WAN (`LinkConfig::from_rtt_model(&TRANSFER_RTT)`); build the
-/// client over another [`LinkConfig`] to pay every exchange on that link
-/// instead.
+/// simulated WAN ([`LinkConfig::WAN`]); build the client over another
+/// [`LinkConfig`] to pay every exchange on that link instead.
 pub fn spot_check(
     log: &TamperEvidentLog,
     snapshots: &SnapshotStore,
@@ -515,10 +492,6 @@ mod tests {
         let rtts = od.on_demand_round_trips().unwrap();
         assert!(rtts >= 2);
         assert!(rtts <= 1 + cost.fetched.len() as u64);
-        assert_eq!(
-            od.on_demand_latency_micros(&TRANSFER_RTT),
-            Some(TRANSFER_RTT.latency_micros(rtts, cost.transfer_bytes))
-        );
 
         // Warm cache: the same check again fetches zero blobs and pays for
         // the manifest alone.

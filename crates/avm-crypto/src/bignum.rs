@@ -96,16 +96,6 @@ impl BigUint {
         Some(out)
     }
 
-    /// Returns the value as a `u64` if it fits.
-    pub fn to_u64(&self) -> Option<u64> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0] as u64),
-            2 => Some(self.limbs[0] as u64 | (self.limbs[1] as u64) << 32),
-            _ => None,
-        }
-    }
-
     /// True if the value is zero.
     pub fn is_zero(&self) -> bool {
         self.limbs.is_empty()
@@ -1013,11 +1003,11 @@ mod tests {
         assert!(BigUint::zero().is_zero());
         assert!(BigUint::one().is_one());
         assert_eq!(
-            big(0x1234_5678_9abc_def0).to_u64(),
-            Some(0x1234_5678_9abc_def0)
+            big(0x1234_5678_9abc_def0).to_be_bytes(),
+            0x1234_5678_9abc_def0u64.to_be_bytes()
         );
         let n = BigUint::from_be_bytes(&[0x01, 0x02, 0x03, 0x04, 0x05]);
-        assert_eq!(n.to_u64(), Some(0x0102030405));
+        assert_eq!(n, big(0x0102030405));
         assert_eq!(n.to_be_bytes(), vec![0x01, 0x02, 0x03, 0x04, 0x05]);
         assert_eq!(
             n.to_be_bytes_padded(8).unwrap(),
@@ -1047,10 +1037,7 @@ mod tests {
         assert_eq!(big(0).mul(&big(55)), big(0));
         assert_eq!(big(7).mul(&big(6)), big(42));
         let a = big(u32::MAX as u64);
-        assert_eq!(
-            a.mul(&a).to_u64(),
-            Some((u32::MAX as u64) * (u32::MAX as u64))
-        );
+        assert_eq!(a.mul(&a), big((u32::MAX as u64) * (u32::MAX as u64)));
     }
 
     #[test]

@@ -164,31 +164,6 @@ impl RsaKeyPair {
         }
     }
 
-    /// Builds a keypair from known prime factors (used by deterministic tests).
-    pub fn from_primes(p: BigUint, q: BigUint) -> Result<RsaKeyPair, RsaError> {
-        let e = BigUint::from_u64(65537);
-        let public = RsaPublicKey::new(p.mul(&q), e.clone())?;
-        let one = BigUint::one();
-        let p1 = p.sub(&one);
-        let q1 = q.sub(&one);
-        let phi = p1.mul(&q1);
-        let d = e.modinv(&phi).ok_or(RsaError::BadSignature)?;
-        let dp = d.rem(&p1);
-        let dq = d.rem(&q1);
-        let qinv = q.modinv(&p).ok_or(RsaError::BadSignature)?;
-        Ok(RsaKeyPair {
-            private: RsaPrivateKey {
-                public,
-                d,
-                p,
-                q,
-                dp,
-                dq,
-                qinv,
-            },
-        })
-    }
-
     /// Returns the public key.
     pub fn public(&self) -> &RsaPublicKey {
         &self.private.public
@@ -450,16 +425,5 @@ mod tests {
         let kp2 = RsaKeyPair::generate(&mut rng, 512);
         assert_eq!(kp1.public().fingerprint(), kp1.public().fingerprint());
         assert_ne!(kp1.public().fingerprint(), kp2.public().fingerprint());
-    }
-
-    #[test]
-    fn deterministic_from_primes() {
-        // 256-bit primes known to be prime (generated once, embedded for determinism).
-        let mut rng = StdRng::seed_from_u64(1234);
-        let p = BigUint::generate_prime(&mut rng, 256, 16);
-        let q = BigUint::generate_prime(&mut rng, 256, 16);
-        let kp = RsaKeyPair::from_primes(p, q).unwrap();
-        let sig = kp.sign(b"deterministic");
-        kp.public().verify(b"deterministic", &sig).unwrap();
     }
 }

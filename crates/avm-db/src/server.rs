@@ -69,11 +69,6 @@ impl DbServer {
         }
     }
 
-    /// Number of records currently stored.
-    pub fn record_count(&self) -> usize {
-        self.records.len()
-    }
-
     /// Number of requests served.
     pub fn requests_served(&self) -> u64 {
         self.requests_served
@@ -317,7 +312,7 @@ mod tests {
             },
         );
         assert_eq!(r, DbResponse::Count(10));
-        assert_eq!(server.record_count(), 11);
+        assert_eq!(server.records.len(), 11);
     }
 
     #[test]
@@ -361,7 +356,7 @@ mod tests {
         let mut restored = DbServer::new(DbConfig::new("x"));
         restored.restore_state(&state).unwrap();
         assert_eq!(restored.save_state(), state);
-        assert_eq!(restored.record_count(), 1);
+        assert_eq!(restored.records.len(), 1);
         assert!(restored.restore_state(&state[..2]).is_err());
         assert_eq!(restored.name(), "db-server");
     }

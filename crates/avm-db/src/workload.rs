@@ -45,11 +45,6 @@ impl WorkloadGen {
         }
     }
 
-    /// Total number of requests the workload will produce.
-    pub fn total_requests(&self) -> u64 {
-        self.rows * WorkloadPhase::ALL.len() as u64
-    }
-
     /// Number of requests issued so far.
     pub fn issued(&self) -> u64 {
         self.issued
@@ -113,7 +108,6 @@ mod tests {
     #[test]
     fn phases_run_in_order_and_cover_all_rows() {
         let mut gen = WorkloadGen::new(10);
-        assert_eq!(gen.total_requests(), 40);
         assert_eq!(gen.current_phase(), Some(WorkloadPhase::Insert));
         let all: Vec<DbRequest> = (&mut gen).collect();
         assert_eq!(all.len(), 40);
@@ -135,7 +129,7 @@ mod tests {
     #[test]
     fn zero_rows_clamped_to_one() {
         let mut gen = WorkloadGen::new(0);
-        assert_eq!(gen.total_requests(), 4);
         assert!(gen.next_request().is_some());
+        assert_eq!(gen.count(), 3, "one row through each of the four phases");
     }
 }

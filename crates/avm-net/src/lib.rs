@@ -9,6 +9,13 @@
 //! Simulated time is in **microseconds**.  The network never advances time
 //! by itself; the driver (the AVMM runtime in `avm-core`, or a test) calls
 //! [`SimNet::advance_to`] and collects the deliveries that became due.
+//!
+//! [`LinkConfig`] is the one model of the network in the workspace: the
+//! default is the paper's switched LAN, and [`LinkConfig::WAN`] is the
+//! 2010-era WAN `avm-core`'s spot checks run over.  Every latency an audit
+//! reports is measured here, in simulated time — a lossless request/response
+//! exchange takes two one-way latencies plus each packet's serialisation
+//! delay ([`LinkConfig::serialise_micros`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,8 +3,6 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use avm_wire::RttModel;
-
 use crate::stats::NodeStats;
 
 /// Identifier of a node attached to the simulated network.
@@ -28,10 +26,9 @@ pub struct LinkConfig {
     /// Link bandwidth in bytes per second (0 = infinite bandwidth: packets
     /// pay no serialisation delay).  Large payloads — blob batches, snapshot
     /// section streams — therefore cost wall time proportional to their
-    /// size, with the same `bytes × 1 000 000 / bytes_per_sec` term an
-    /// [`RttModel`] charges, so a lossless request/response exchange prices
-    /// identically whether it is *simulated* here or *modelled* there (see
-    /// [`LinkConfig::rtt_model`]).
+    /// size ([`LinkConfig::serialise_micros`]), so a lossless
+    /// request/response exchange takes two one-way latencies plus the
+    /// serialisation of both packets.
     pub bytes_per_sec: u64,
 }
 
@@ -52,46 +49,22 @@ impl LinkConfig {
     /// 1 Gbit/s in bytes per second — the paper's switched LAN (§6.7).
     pub const LAN_BYTES_PER_SEC: u64 = 125_000_000;
 
+    /// A 2010-era consumer WAN, the paper's evaluation setting: 50 ms round
+    /// trip, 10 Mbit/s, no loss.  `avm_core::spotcheck`'s checks run over
+    /// it.
+    pub const WAN: LinkConfig = LinkConfig {
+        latency_us: 25_000,
+        drop_every: 0,
+        bytes_per_sec: 1_250_000,
+    };
+
     /// Serialisation delay, in microseconds, for a packet of `bytes` bytes
-    /// on this link — the same formula [`RttModel`] uses, so the simulated
-    /// and modelled price of one packet agree exactly.
+    /// on this link: `bytes × 1 000 000 / bytes_per_sec`, rounded down.
     pub fn serialise_micros(&self, bytes: usize) -> u64 {
         if self.bytes_per_sec == 0 {
             return 0;
         }
         (bytes as u64).saturating_mul(1_000_000) / self.bytes_per_sec
-    }
-
-    /// The [`RttModel`] equivalent of this link: one round trip costs two
-    /// one-way latencies, and bytes serialise at the same bandwidth.  A
-    /// lossless request/response exchange simulated over this link takes
-    /// exactly the time the returned model predicts when the model is
-    /// applied per packet (infinite bandwidth maps to `u64::MAX`).
-    pub fn rtt_model(&self) -> RttModel {
-        RttModel {
-            rtt_micros: 2 * self.latency_us,
-            bytes_per_sec: if self.bytes_per_sec == 0 {
-                u64::MAX
-            } else {
-                self.bytes_per_sec
-            },
-        }
-    }
-
-    /// The link equivalent of an [`RttModel`]: half the round trip each way,
-    /// same bandwidth, no loss — the inverse of [`LinkConfig::rtt_model`].
-    /// `LinkConfig::from_rtt_model(&RttModel::DEFAULT)` is the 2010-era WAN
-    /// the spot-check reports price their modelled columns under.
-    pub fn from_rtt_model(model: &RttModel) -> LinkConfig {
-        LinkConfig {
-            latency_us: model.rtt_micros / 2,
-            drop_every: 0,
-            bytes_per_sec: if model.bytes_per_sec == u64::MAX {
-                0
-            } else {
-                model.bytes_per_sec
-            },
-        }
     }
 }
 
@@ -442,50 +415,28 @@ mod tests {
         assert_eq!(net.send(A, C, vec![0u8; 100]).unwrap(), 310);
     }
 
-    #[test]
-    fn link_and_rtt_model_convert_both_ways() {
-        let lan = LinkConfig::default();
-        let model = lan.rtt_model();
-        assert_eq!(model.rtt_micros, 192, "paper's bare-hw ping RTT (§6.8)");
-        assert_eq!(model.bytes_per_sec, LinkConfig::LAN_BYTES_PER_SEC);
-        assert_eq!(LinkConfig::from_rtt_model(&model), lan);
-        // The WAN the spot-check reports model: RttModel::DEFAULT.
-        let wan = LinkConfig::from_rtt_model(&RttModel::DEFAULT);
-        assert_eq!(wan.latency_us, 25_000);
-        assert_eq!(wan.bytes_per_sec, 1_250_000);
-        assert_eq!(wan.rtt_model(), RttModel::DEFAULT);
-        // Infinite bandwidth maps to the model's "effectively infinite".
-        let infinite = LinkConfig {
-            bytes_per_sec: 0,
-            ..lan
-        };
-        assert_eq!(infinite.rtt_model().bytes_per_sec, u64::MAX);
-        assert_eq!(LinkConfig::from_rtt_model(&infinite.rtt_model()), infinite);
-    }
-
-    /// A lossless request/response exchange costs exactly what the link's
-    /// [`RttModel`] predicts when the model is applied per packet — the
-    /// calibration the audit transports rely on.
+    /// A lossless request/response exchange costs exactly two one-way
+    /// latencies plus each packet's serialisation delay, on the LAN and on
+    /// the WAN spot checks run over — the price the audit transports'
+    /// measured latencies are made of.
     #[test]
     fn lossless_exchange_prices_identically_under_link_and_model() {
-        let link = LinkConfig::default();
-        let model = link.rtt_model();
         let (req_len, resp_len) = (1_037usize, 16_411usize);
-        let mut net = SimNet::new(link);
-        let t0 = net.now();
-        let at_server = net.send(A, B, vec![0u8; req_len]).unwrap();
-        net.advance_to(at_server);
-        let at_client = net.send(B, A, vec![0u8; resp_len]).unwrap();
-        net.advance_to(at_client);
-        let simulated = net.now() - t0;
-        let modelled = model.rtt_micros
-            + model.latency_micros(0, req_len as u64)
-            + model.latency_micros(0, resp_len as u64);
-        assert_eq!(simulated, modelled);
-        // And the single-call form (serialising both payloads in one term)
-        // is within one µs per packet of the simulation.
-        let single = model.latency_micros(1, (req_len + resp_len) as u64);
-        assert!(single.abs_diff(simulated) <= 2);
+        for link in [LinkConfig::default(), LinkConfig::WAN] {
+            let mut net = SimNet::new(link);
+            let t0 = net.now();
+            let at_server = net.send(A, B, vec![0u8; req_len]).unwrap();
+            net.advance_to(at_server);
+            let at_client = net.send(B, A, vec![0u8; resp_len]).unwrap();
+            net.advance_to(at_client);
+            let priced = 2 * link.latency_us
+                + link.serialise_micros(req_len)
+                + link.serialise_micros(resp_len);
+            assert_eq!(net.now() - t0, priced);
+        }
+        // The paper's bare-hardware ping RTT (§6.8) and the WAN's 50 ms.
+        assert_eq!(2 * LinkConfig::default().latency_us, 192);
+        assert_eq!(2 * LinkConfig::WAN.latency_us, 50_000);
     }
 
     /// Deterministic loss interacts with per-link counters, not global ones:

@@ -1,9 +1,9 @@
-//! Modelled durability costs, in the spirit of `avm_wire::RttModel`.
+//! Modelled durability costs.
 //!
-//! The simulator does not sleep on an fsync any more than the network layer
-//! sleeps on a round trip.  Instead every sync is *priced* — a fixed device
-//! flush latency plus the unsynced bytes at sequential-write bandwidth — and
-//! the accumulated model time is reported next to real wall times by the
+//! The simulator does not sleep on an fsync any more than the simulated
+//! network (`avm_net::SimNet`) sleeps on a round trip.  Instead every sync
+//! is *priced* — a fixed device flush latency plus the unsynced bytes at
+//! sequential-write bandwidth — and the accumulated model time is reported next to real wall times by the
 //! `persist` experiment.  That makes the classic durability trade-off
 //! (sync per entry / per batch / per seal) measurable without real disks.
 
@@ -36,7 +36,8 @@ impl SyncPolicy {
     }
 }
 
-/// Prices an fsync the way `RttModel` prices a round trip.
+/// Prices an fsync: a fixed flush latency plus the unsynced bytes at a
+/// sequential-write bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FsyncModel {
     /// Fixed device-flush latency per sync, in microseconds.

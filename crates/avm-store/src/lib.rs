@@ -14,9 +14,11 @@
 //!
 //! Two backends implement [`Storage`]: [`SimStorage`] (in-memory, with
 //! byte-granular crash injection for the fault harness) and [`FileStorage`]
-//! (a real directory).  Durability costs are *priced* by [`FsyncModel`] the
-//! way `avm_wire::RttModel` prices the network, so the per-entry /
-//! per-batch / per-seal [`SyncPolicy`] trade-off is measurable in simulation.
+//! (a real directory).  Durability costs are *priced* by [`FsyncModel`], so
+//! the per-entry / per-batch / per-seal [`SyncPolicy`] trade-off is
+//! measurable in simulation.  (The network has no such model: audit
+//! exchanges run over `avm_net::SimNet`, and their latency is measured in
+//! its simulated time.)
 //!
 //! The crash-versus-tamper distinction is the load-bearing design point: a
 //! crash can only tear the tail of the last-appended file (recovered by

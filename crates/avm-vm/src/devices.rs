@@ -127,11 +127,6 @@ impl Nic {
         self.tx_packets += 1;
         self.tx_bytes += len as u64;
     }
-
-    /// True if a packet is waiting for the guest.
-    pub fn has_rx(&self) -> bool {
-        !self.rx_queue.is_empty()
-    }
 }
 
 /// Local input device queue.
@@ -448,10 +443,10 @@ mod tests {
     #[test]
     fn nic_inject_and_recv_in_order() {
         let mut nic = Nic::default();
-        assert!(!nic.has_rx());
+        assert!(nic.rx_queue.is_empty());
         nic.inject(vec![1, 2, 3]);
         nic.inject(vec![4]);
-        assert!(nic.has_rx());
+        assert_eq!(nic.rx_queue.len(), 2);
         assert_eq!(nic.guest_recv(), Some(vec![1, 2, 3]));
         assert_eq!(nic.guest_recv(), Some(vec![4]));
         assert_eq!(nic.guest_recv(), None);

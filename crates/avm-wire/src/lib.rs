@@ -31,7 +31,6 @@ pub mod blob;
 pub mod checksum;
 pub mod frame;
 pub mod reader;
-pub mod rtt;
 pub mod varint;
 pub mod writer;
 
@@ -48,7 +47,6 @@ pub use blob::{
 pub use checksum::crc32;
 pub use frame::{read_frame, write_frame, write_frame_parts, Frame, FrameError, FRAME_MAGIC};
 pub use reader::Reader;
-pub use rtt::RttModel;
 pub use writer::Writer;
 
 /// Error produced when decoding malformed wire data.
