@@ -9,7 +9,7 @@
 //!
 //! Exit 1: some key differs or is present on one side only
 //! ([`avm_bench::trajectory::compare`]).  Exit 2: a file is unreadable,
-//! holds a non-integer value or holds no metrics.
+//! holds a non-integer value, names a key twice or holds no metrics.
 
 use std::path::Path;
 use std::process::exit;

@@ -1,10 +1,11 @@
-//! One function per table/figure of the paper's evaluation.
+//! One function per pinned experiment of the paper's evaluation.
 //!
-//! Every function prints the regenerated rows (markdown-ish) to stdout and
-//! returns the key numbers; the matching `*_metrics` function flattens them
-//! into the integers the `BENCH_*.json` pin at the repository root holds.
-//! Every workload has one size and a fixed seed, and nothing here reads a
-//! host clock, so a run reproduces its pin exactly on any host.
+//! Every `exp_*` function prints the regenerated rows (markdown-ish) to
+//! stdout, asserts the relations its table or figure claims, and returns the
+//! integers the `BENCH_*.json` pin at the repository root holds, in the
+//! pin's key order.  Every workload has one size and a fixed seed, and
+//! nothing here reads a host clock, so a run reproduces its pin exactly on
+//! any host.
 
 use avm_attest::AttestVerdict;
 use avm_compress::{compress, CompressionLevel};
@@ -12,7 +13,7 @@ use avm_core::audit::audit_log;
 use avm_core::config::{AvmmOptions, ExecConfig};
 use avm_core::envelope::{Envelope, EnvelopeKind};
 use avm_core::events::{classify_entry, EntryClass};
-use avm_core::persist::{PersistConfig, Provider, RecoveryReport};
+use avm_core::persist::{PersistConfig, PersistError, Provider};
 use avm_core::recorder::{Avmm, HostClock};
 use avm_core::spotcheck::spot_check;
 use avm_crypto::keys::{Identity, SignatureScheme};
@@ -22,6 +23,7 @@ use avm_game::game_registry;
 use avm_log::{EntryKind, TamperEvidentLog};
 use avm_store::{ArenaConfig, FsyncModel, SegmentConfig, SimStorage, SyncPolicy};
 use avm_vm::packet::encode_guest_packet;
+use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::Encode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,7 +43,7 @@ fn small_scenario(config: ExecConfig) -> GameScenario {
 /// image — what a real cheater would do to hide the installed cheat.
 fn forge_meta_to_claim(
     log: &TamperEvidentLog,
-    honest_image: &avm_vm::VmImage,
+    honest_image: &VmImage,
     node: &str,
     scheme_label: &str,
 ) -> TamperEvidentLog {
@@ -64,30 +66,195 @@ fn forge_meta_to_claim(
 }
 
 // ---------------------------------------------------------------------------
+// Recordings: a client's signed packets fed to a recording host
+// ---------------------------------------------------------------------------
+
+/// The signature scheme of every recording outside the game sessions.
+const SCHEME: SignatureScheme = SignatureScheme::Rsa(512);
+
+/// A recording's options: the defaults, signing with [`SCHEME`].
+fn options() -> AvmmOptions {
+    AvmmOptions::default().with_scheme(SCHEME)
+}
+
+/// A recording's operator and client keys, drawn from `seed`.
+fn keys(seed: u64, host: &str) -> (Identity, Identity) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let operator = Identity::generate(&mut rng, host, SCHEME);
+    (operator, Identity::generate(&mut rng, "client", SCHEME))
+}
+
+/// A recorder of `image` named `host`, signing with the operator's key and
+/// taking the client's packets.
+fn live_host(
+    host: &str,
+    image: &VmImage,
+    registry: &GuestRegistry,
+    (operator, client): &(Identity, Identity),
+    options: AvmmOptions,
+) -> Avmm {
+    let mut avmm = Avmm::new(host, image, registry, operator.signing_key.clone(), options).unwrap();
+    avmm.add_peer("client", client.verifying_key());
+    avmm
+}
+
+/// What a recording feeds: the recorder alone, or a provider that mirrors
+/// every event to its storage (where an armed crash point fails a write).
+enum Host<'a> {
+    Live(&'a mut Avmm),
+    Durable(&'a mut Provider<SimStorage>),
+}
+
+impl Host<'_> {
+    /// Delivers `packet`, if any, then runs the guest for up to `steps`
+    /// steps at `clock`.
+    fn run(
+        &mut self,
+        packet: Option<&Envelope>,
+        clock: &HostClock,
+        steps: u64,
+    ) -> Result<(), PersistError> {
+        match self {
+            Host::Live(avmm) => {
+                if let Some(env) = packet {
+                    avmm.deliver(env)?;
+                }
+                avmm.run_slice(clock, steps)?;
+            }
+            Host::Durable(provider) => {
+                if let Some(env) = packet {
+                    provider.deliver(env)?;
+                }
+                provider.run_slice(clock, steps)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The guest's warm-up before the first packet: 50 000 steps at 1 ms.
+    fn warm_up(&mut self) -> Result<(), PersistError> {
+        self.run(None, &HostClock::at(1_000), 50_000)
+    }
+
+    /// Takes a snapshot and returns its id.
+    fn snapshot(&mut self) -> Result<u64, PersistError> {
+        match self {
+            Host::Live(avmm) => Ok(avmm.take_snapshot().id),
+            Host::Durable(provider) => provider.take_snapshot(),
+        }
+    }
+
+    /// The recorder being fed.
+    fn avmm(&self) -> &Avmm {
+        match self {
+            Host::Live(avmm) => avmm,
+            Host::Durable(provider) => provider.avmm(),
+        }
+    }
+}
+
+/// Feeds the sparse guest one signed client packet per message id in `ids`,
+/// each 2 ms after the one before from `clock`; round `i` carries `body(i)`,
+/// the page selector and then the disk block selector.  Each round is run
+/// and snapshotted, and `after` sees the recorder and the snapshot's id.
+/// The first write the host refuses ends the feed with its error.
+fn record_sparse(
+    mut host: Host,
+    client: &Identity,
+    mut clock: HostClock,
+    ids: impl IntoIterator<Item = u64>,
+    body: impl Fn(u64) -> [u8; 2],
+    mut after: impl FnMut(&Avmm, u64),
+) -> Result<(), PersistError> {
+    for (i, msg_id) in (0u64..).zip(ids) {
+        clock.advance_to(clock.now() + 2_000);
+        let payload = encode_guest_packet("host", &body(i));
+        let env = Envelope::create(
+            EnvelopeKind::Data,
+            "client",
+            "host",
+            msg_id,
+            payload,
+            &client.signing_key,
+            None,
+        );
+        host.run(Some(&env), &clock, 100_000)?;
+        let snapshot = host.snapshot()?;
+        after(host.avmm(), snapshot);
+    }
+    Ok(())
+}
+
+/// The sparse guest `image` recorded live with keys from `seed`: a warm-up,
+/// then `rounds` packets, round `i` bumping page `i % touch_pages` and disk
+/// block `i % 8`, each snapshotted.
+fn sparse_host(
+    seed: u64,
+    image: &VmImage,
+    options: AvmmOptions,
+    touch_pages: u64,
+    rounds: u64,
+    after: impl FnMut(&Avmm, u64),
+) -> Avmm {
+    let keys = keys(seed, "host");
+    let mut avmm = live_host("host", image, &GuestRegistry::new(), &keys, options);
+    let mut host = Host::Live(&mut avmm);
+    host.warm_up().unwrap();
+    let body = |i: u64| [(i % touch_pages) as u8, (i % 8) as u8];
+    record_sparse(host, &keys.1, HostClock::at(1_000), 1..=rounds, body, after).unwrap();
+    avmm
+}
+
+/// Feeds the database guest the sql-bench stream over `rows` rows after a
+/// warm-up: one signed client request every 5 ms, snapshotted after every
+/// `snapshot_every` requests.  Just before snapshot `n` is taken, `tamper`
+/// sees a live recorder and `n` (a provider hands its recorder to no one).
+fn record_db(
+    mut host: Host,
+    client: &Identity,
+    rows: u64,
+    snapshot_every: u64,
+    mut tamper: impl FnMut(&mut Avmm, u64),
+) -> Result<(), PersistError> {
+    let mut workload = WorkloadGen::new(rows);
+    let mut clock = HostClock::at(1_000);
+    host.warm_up()?;
+    let mut msg_id = 0u64;
+    while let Some(payload) = workload.next_packet("db-host") {
+        msg_id += 1;
+        clock.advance_to(clock.now() + 5_000);
+        let env = Envelope::create(
+            EnvelopeKind::Data,
+            "client",
+            "db-host",
+            msg_id,
+            payload,
+            &client.signing_key,
+            None,
+        );
+        host.run(Some(&env), &clock, 100_000)?;
+        if msg_id.is_multiple_of(snapshot_every) {
+            if let Host::Live(avmm) = &mut host {
+                tamper(avmm, msg_id / snapshot_every - 1);
+            }
+            host.snapshot()?;
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
 // Table 1 + §6.3
 // ---------------------------------------------------------------------------
 
-/// Result of the Table 1 reproduction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Table1Result {
-    /// Total cheats examined.
-    pub total: usize,
-    /// Cheats whose audit reported a fault.
-    pub detected: usize,
-    /// Cheats classified as detectable only in this implementation.
-    pub install_detectable: usize,
-    /// Cheats classified as detectable in any implementation.
-    pub any_implementation: usize,
-    /// Cheats not detected.
-    pub undetected: usize,
-}
-
-/// Table 1: detectability of the 26-cheat catalogue.
+/// Table 1 and §6.3: detectability of the 26-cheat catalogue, then the
+/// functionality check on a signed session.
 ///
 /// Every cheat is installed in a player's image; the player then *claims* to
 /// run the official image.  A full audit against the official image must
-/// report a fault for every single cheat; a missed cheat fails the run.
-pub fn exp_table1() -> Table1Result {
+/// report a fault for every single cheat; a missed cheat fails the run.  In
+/// the §6.3 session the first player cheats and the others play honestly.
+pub fn exp_table1() -> Vec<(String, u64)> {
     let catalog = cheat_catalog();
 
     println!("# Table 1: Detectability of Counterstrike-style cheats");
@@ -134,27 +301,26 @@ pub fn exp_table1() -> Table1Result {
             }
         );
     }
+    let total = catalog.len();
     let any_implementation = catalog
         .iter()
         .filter(|c| c.class == CheatClass::DetectableAnyImplementation)
         .count();
-    let result = Table1Result {
-        total: catalog.len(),
-        detected,
-        install_detectable: catalog.len() - any_implementation,
-        any_implementation,
-        undetected: catalog.len() - detected,
-    };
     println!(
         "\nTotal examined: {}  detectable: {}  (implementation-specific: {}, any implementation: {}, not detectable: {})",
-        result.total, result.detected, result.install_detectable, result.any_implementation, result.undetected
+        total, detected, total - any_implementation, any_implementation, total - detected
     );
-    assert_eq!(result.undetected, 0, "an installed cheat passed its audit");
-    result
-}
+    assert_eq!(total, 26, "the catalogue holds 26 cheats");
+    assert_eq!(detected, total, "an installed cheat passed its audit");
+    let mut m = vec![
+        ("cheats_total".to_string(), total as u64),
+        ("cheats_detected".to_string(), detected as u64),
+        (
+            "ok_every_cheat_detected".to_string(),
+            (detected == total) as u64,
+        ),
+    ];
 
-/// §6.3 functionality check: honest players pass, the cheater is caught.
-pub fn exp_functionality() -> (usize, usize) {
     let mut scenario = small_scenario(ExecConfig::AvmmRsa768);
     scenario.cheat_on_first_player = Some(
         avm_game::cheats::cheat_by_name("unlimited-ammo")
@@ -162,8 +328,8 @@ pub fn exp_functionality() -> (usize, usize) {
             .id,
     );
     let result = scenario.run();
-    let mut honest_pass = 0usize;
-    let mut cheaters_caught = 0usize;
+    let mut honest_pass = 0u64;
+    let mut cheaters_caught = 0u64;
     println!("# §6.3 functionality check");
     for (i, player) in result.players.iter().enumerate() {
         let avmm = result.avmm(player);
@@ -196,54 +362,26 @@ pub fn exp_functionality() -> (usize, usize) {
             honest_pass += 1;
         }
     }
-    (honest_pass, cheaters_caught)
-}
-
-/// Flattens [`exp_table1`] and [`exp_functionality`] into the
-/// `BENCH_table1.json` trajectory metrics: the paper's headline functional
-/// result — every catalogued cheat is caught, honest players are not.
-pub fn table1_metrics(
-    table: &Table1Result,
-    honest_pass: usize,
-    cheaters_caught: usize,
-) -> Vec<(String, u64)> {
-    vec![
-        ("cheats_total".into(), table.total as u64),
-        ("cheats_detected".into(), table.detected as u64),
-        (
-            "ok_every_cheat_detected".into(),
-            (table.detected == table.total) as u64,
-        ),
-        ("honest_players_passed".into(), honest_pass as u64),
-        ("ok_cheater_caught".into(), (cheaters_caught == 1) as u64),
-    ]
+    m.push(("honest_players_passed".into(), honest_pass));
+    m.push(("ok_cheater_caught".into(), (cheaters_caught == 1) as u64));
+    m
 }
 
 // ---------------------------------------------------------------------------
-// Figures 3 & 4: log growth and composition
+// Figures 3 & 4, §6.5, §6.7: one short game session's log and traffic
 // ---------------------------------------------------------------------------
 
-/// Result of the log-growth experiments.
-#[derive(Debug, Clone)]
-pub struct LogGrowthResult {
-    /// Simulated seconds of game play.
-    pub sim_seconds: f64,
-    /// AVMM log bytes (tamper-evident, as stored).
-    pub avmm_log_bytes: u64,
-    /// Equivalent replay-only ("VMware") log bytes.
-    pub replay_only_bytes: u64,
-    /// Compressed AVMM log bytes.
-    pub compressed_bytes: u64,
-    /// Bytes per entry class.
-    pub class_bytes: Vec<(EntryClass, u64)>,
-}
-
-/// Figures 3 and 4: log growth over time and composition by content class.
-pub fn exp_log_growth() -> LogGrowthResult {
-    let scenario = small_scenario(ExecConfig::AvmmRsa768);
-    let result = scenario.run();
-    let player = &result.players[1];
-    let avmm = result.avmm(player);
+/// Figures 3 and 4 (log growth and composition by content class), §6.5 (the
+/// frame-rate cap's busy-wait explodes the log; the exponential clock-read
+/// delay recovers it) and §6.7 (what accountability adds to a player's
+/// network traffic).  Figures 3/4 and §6.7 read the same signed session.
+///
+/// `compressed_bytes` depends on the log's *content*, which is a function of
+/// the session's inputs because `Runtime` runs its hosts in name order.
+pub fn exp_gamelog() -> Vec<(String, u64)> {
+    let result = small_scenario(ExecConfig::AvmmRsa768).run();
+    let player = result.players[1].clone();
+    let avmm = result.avmm(&player);
     let log = avmm.log();
 
     let mut class_bytes: Vec<(EntryClass, u64)> = vec![
@@ -292,129 +430,68 @@ pub fn exp_log_growth() -> LogGrowthResult {
             100.0 * *bytes as f64 / total.max(1) as f64
         );
     }
-    LogGrowthResult {
-        sim_seconds,
-        avmm_log_bytes: serialized.len() as u64,
-        replay_only_bytes,
-        compressed_bytes,
-        class_bytes,
+    let mut m = vec![
+        ("log_bytes".to_string(), serialized.len() as u64),
+        ("compressed_bytes".to_string(), compressed_bytes),
+        ("replay_only_bytes".to_string(), replay_only_bytes),
+    ];
+    for (class, bytes) in &class_bytes {
+        let label = class.label().replace('-', "_");
+        m.push((format!("class_bytes_{label}"), *bytes));
     }
-}
 
-// ---------------------------------------------------------------------------
-// §6.5: frame-rate cap and the clock-read optimisation
-// ---------------------------------------------------------------------------
-
-/// Result of the §6.5 experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct ClockOptResult {
-    /// Clock reads logged with the frame cap, optimisation off.
-    pub capped_reads: u64,
-    /// Clock reads logged without the frame cap.
-    pub uncapped_reads: u64,
-    /// Clock reads logged with the frame cap and the optimisation on.
-    pub capped_optimized_reads: u64,
-}
-
-/// §6.5: the frame-rate cap's busy-wait explodes the log; the exponential
-/// clock-read delay recovers it.
-pub fn exp_clock_optimization() -> ClockOptResult {
-    let run = |cap: Option<u32>, optimize: bool| -> u64 {
+    let clock_reads = |cap: Option<u32>, optimize: bool| -> u64 {
         let mut scenario = small_scenario(ExecConfig::AvmmNoSig);
         scenario.frame_cap_fps = cap;
         scenario.clock_optimization = optimize;
         let result = scenario.run();
         result.stats(&result.players[1].clone()).clock_reads
     };
-    let uncapped_reads = run(None, false);
-    let capped_reads = run(Some(72), false);
-    let capped_optimized_reads = run(Some(72), true);
+    let uncapped = clock_reads(None, false);
+    let capped = clock_reads(Some(72), false);
+    let capped_optimized = clock_reads(Some(72), true);
     println!("# §6.5 clock-read optimisation");
     println!("| configuration | clock reads logged |");
     println!("|---|---|");
-    println!("| uncapped | {uncapped_reads} |");
-    println!("| capped 72 fps | {capped_reads} |");
-    println!("| capped 72 fps + optimisation | {capped_optimized_reads} |");
-    ClockOptResult {
-        capped_reads,
-        uncapped_reads,
-        capped_optimized_reads,
-    }
-}
+    println!("| uncapped | {uncapped} |");
+    println!("| capped 72 fps | {capped} |");
+    println!("| capped 72 fps + optimisation | {capped_optimized} |");
+    assert!(
+        capped > 3 * uncapped,
+        "frame cap should multiply clock reads: capped={capped} uncapped={uncapped}"
+    );
+    assert!(
+        capped_optimized < capped / 2,
+        "optimisation should recover most of the growth: optimized={capped_optimized} capped={capped}"
+    );
+    m.push(("clock_reads_uncapped".into(), uncapped));
+    m.push(("clock_reads_capped".into(), capped));
+    m.push(("clock_reads_capped_optimized".into(), capped_optimized));
 
-// ---------------------------------------------------------------------------
-// §6.7: network traffic
-// ---------------------------------------------------------------------------
-
-/// §6.7: what accountability adds to a player's network traffic.  Returns
-/// `(payload_bytes, tx_bytes, packets_out)`: the guest payload bytes a bare
-/// machine would have sent, the bytes the AVMM actually put on the wire, and
-/// the packets they went out in.
-pub fn exp_traffic() -> (u64, u64, u64) {
-    let result = small_scenario(ExecConfig::AvmmRsa768).run();
-    let player = result.players[1].clone();
-    let duration_us = result.duration_us;
-    let stats = result.stats(&player);
-    // Bare hardware: only the guest payload bytes cross the wire.
-    let node = result.runtime.node_id(&player).unwrap();
-    let net_stats = result.runtime.net().stats(node);
+    // Bare hardware: only the guest payload bytes cross the wire.  Count the
+    // payload bytes recorded in SEND entries.
     let payload_bytes: u64 = {
-        // Approximate the raw game traffic by subtracting envelope overhead:
-        // count the payload bytes recorded in SEND entries.
         use avm_core::events::SendRecord;
         use avm_wire::Decode;
-        result
-            .avmm(&player)
-            .log()
-            .entries()
+        log.entries()
             .iter()
             .filter(|e| e.kind == EntryKind::Send)
             .filter_map(|e| SendRecord::decode_exact(&e.content).ok())
             .map(|r| r.payload.len() as u64)
             .sum()
     };
-    let secs = duration_us as f64 / 1e6;
-    let bare_kbps = payload_bytes as f64 * 8.0 / secs / 1000.0;
-    let avmm_kbps = net_stats.tx_bytes as f64 * 8.0 / secs / 1000.0;
+    let node = result.runtime.node_id(&player).unwrap();
+    let tx_bytes = result.runtime.net().stats(node).tx_bytes;
+    let packets_out = result.stats(&player).packets_out;
+    let bare_kbps = payload_bytes as f64 * 8.0 / sim_seconds / 1000.0;
+    let avmm_kbps = tx_bytes as f64 * 8.0 / sim_seconds / 1000.0;
     println!("# §6.7 network traffic ({player})");
     println!(
-        "bare-hw: {bare_kbps:.1} kbps   avmm-rsa768: {avmm_kbps:.1} kbps   packets sent: {}",
-        stats.packets_out
+        "bare-hw: {bare_kbps:.1} kbps   avmm-rsa768: {avmm_kbps:.1} kbps   packets sent: {packets_out}"
     );
-    (payload_bytes, net_stats.tx_bytes, stats.packets_out)
-}
-
-/// Flattens [`exp_log_growth`], [`exp_clock_optimization`] and
-/// [`exp_traffic`] — Figures 3/4, §6.5 and §6.7, all read off the same short
-/// game session — into the `BENCH_gamelog.json` trajectory metrics.
-///
-/// `compressed_bytes` depends on the log's *content*, which is a function of
-/// the session's inputs because `Runtime` runs its hosts in name order.
-pub fn gamelog_metrics(
-    growth: &LogGrowthResult,
-    clock: &ClockOptResult,
-    (payload_bytes, tx_bytes, packets_out): (u64, u64, u64),
-) -> Vec<(String, u64)> {
-    let mut m = vec![
-        ("log_bytes".to_string(), growth.avmm_log_bytes),
-        ("compressed_bytes".to_string(), growth.compressed_bytes),
-        ("replay_only_bytes".to_string(), growth.replay_only_bytes),
-    ];
-    for (class, bytes) in &growth.class_bytes {
-        let label = class.label().replace('-', "_");
-        m.push((format!("class_bytes_{label}"), *bytes));
-    }
-    m.extend([
-        ("clock_reads_uncapped".to_string(), clock.uncapped_reads),
-        ("clock_reads_capped".to_string(), clock.capped_reads),
-        (
-            "clock_reads_capped_optimized".to_string(),
-            clock.capped_optimized_reads,
-        ),
-        ("payload_bytes".to_string(), payload_bytes),
-        ("tx_bytes".to_string(), tx_bytes),
-        ("packets_out".to_string(), packets_out),
-    ]);
+    m.push(("payload_bytes".into(), payload_bytes));
+    m.push(("tx_bytes".into(), tx_bytes));
+    m.push(("packets_out".into(), packets_out));
     m
 }
 
@@ -422,87 +499,15 @@ pub fn gamelog_metrics(
 // Figure 9 + §6.12: spot checking on the database workload
 // ---------------------------------------------------------------------------
 
-/// One row of the Figure 9 result.
-#[derive(Debug, Clone, Copy)]
-pub struct SpotCheckRow {
-    /// Chunk size `k` (consecutive segments).
-    pub k: u64,
-    /// Chunks checked: one per valid starting snapshot.
-    pub chunks: u64,
-    /// Entries replayed, summed over the chunks.
-    pub entries_replayed: u64,
-    /// Raw bytes of the paper's model (log chunk + full snapshot dump),
-    /// summed over the chunks.
-    pub transfer_bytes: u64,
-    /// The same downloads through the §6.12 compression model.
-    pub transfer_compressed_bytes: u64,
-    /// Entries a full audit replays — what one chunk's replay is relative to.
-    pub full_audit_entries: u64,
-    /// Raw bytes a full audit downloads (the whole log, no snapshot).
-    pub full_audit_log_bytes: u64,
-    /// The full-audit download through the same compression model.
-    pub full_audit_log_compressed_bytes: u64,
-    /// Replay cost relative to a full audit (entries replayed).
-    pub relative_replay: f64,
-    /// Data transferred relative to a full audit (raw bytes over the raw
-    /// full-audit log download).
-    pub relative_transfer: f64,
-    /// Compressed data transferred relative to a *compressed* full audit —
-    /// both sides of the ratio use the §6.12 transfer model (the prototype
-    /// ships compressed snapshots and the audit tool compresses the log), so
-    /// this is directly comparable to `relative_transfer`.
-    pub relative_transfer_compressed: f64,
-}
-
 /// Figure 9 and §6.12: spot-check cost versus chunk size on the database
-/// workload, plus snapshot size statistics.
-pub fn exp_spotcheck() -> Vec<SpotCheckRow> {
+/// workload, plus snapshot size statistics.  Pins the full-audit
+/// denominators once, then per `k` the sums the printed ratios are means of.
+pub fn exp_spotcheck() -> Vec<(String, u64)> {
     let registry = db_registry();
-    let mut rng = StdRng::seed_from_u64(7);
-    let scheme = SignatureScheme::Rsa(512);
-    let operator = Identity::generate(&mut rng, "db-host", scheme);
-    let client = Identity::generate(&mut rng, "client", scheme);
-    let cfg = DbConfig::new("client");
-    let image = db_image(&cfg);
-    let mut avmm = Avmm::new(
-        "db-host",
-        &image,
-        &registry,
-        operator.signing_key.clone(),
-        AvmmOptions::default().with_scheme(scheme),
-    )
-    .unwrap();
-    avmm.add_peer("client", client.verifying_key());
-
-    // Drive the sql-bench-style workload, snapshotting periodically.
-    let rows = 60;
-    let snapshot_every = 40;
-    let mut workload = WorkloadGen::new(rows);
-    let mut clock = HostClock::at(1_000);
-    let mut msg_id = 0u64;
-    let mut since_snapshot = 0u64;
-    avmm.run_slice(&clock, 50_000).unwrap();
-    while let Some(req) = workload.next_request() {
-        msg_id += 1;
-        clock.advance_to(clock.now() + 5_000);
-        let payload = encode_guest_packet("db-host", &req.encode_to_vec());
-        let env = Envelope::create(
-            EnvelopeKind::Data,
-            "client",
-            "db-host",
-            msg_id,
-            payload,
-            &client.signing_key,
-            None,
-        );
-        avmm.deliver(&env).unwrap();
-        avmm.run_slice(&clock, 100_000).unwrap();
-        since_snapshot += 1;
-        if since_snapshot >= snapshot_every {
-            avmm.take_snapshot();
-            since_snapshot = 0;
-        }
-    }
+    let keys = keys(7, "db-host");
+    let image = db_image(&DbConfig::new("client"));
+    let mut avmm = live_host("db-host", &image, &registry, &keys, options());
+    record_db(Host::Live(&mut avmm), &keys.1, 60, 40, |_, _| {}).unwrap();
     avmm.take_snapshot();
 
     // Full-audit baseline: a full audit downloads the whole log (no
@@ -511,8 +516,6 @@ pub fn exp_spotcheck() -> Vec<SpotCheckRow> {
     // compression model.
     let total_entries = avmm.log().len() as u64;
     let whole_log = pricing::log_segment(avmm.log().entries());
-    let (total_log_bytes, total_log_compressed_bytes) =
-        (whole_log.raw_bytes, whole_log.compressed_bytes);
     let n_snapshots = avmm.snapshots().len() as u64;
 
     println!("# §6.12 snapshots");
@@ -542,11 +545,16 @@ pub fn exp_spotcheck() -> Vec<SpotCheckRow> {
         "| k | replay (relative) | transferred (relative) | transferred compressed (relative) |"
     );
     println!("|---|---|---|---|");
-    let mut out = Vec::new();
+    let mut m = vec![
+        ("full_audit_entries".to_string(), total_entries),
+        ("full_audit_log_bytes".to_string(), whole_log.raw_bytes),
+        (
+            "full_audit_log_compressed_bytes".to_string(),
+            whole_log.compressed_bytes,
+        ),
+    ];
+    let mut shorter = (0.0, 0.0);
     for k in [1u64, 2, 3] {
-        if k >= n_snapshots {
-            break;
-        }
         // Average over all valid starting snapshots (excluding chunks that
         // start at the very beginning, as the paper does).
         let (mut chunks, mut entries_replayed) = (0u64, 0u64);
@@ -569,59 +577,30 @@ pub fn exp_spotcheck() -> Vec<SpotCheckRow> {
             transfer_compressed_bytes += pricing::log_chunk(avmm.log(), &report).compressed_bytes
                 + full_dump.compressed_bytes;
         }
-        if chunks == 0 {
-            continue;
-        }
+        assert!(chunks > 0, "no chunk of {k} segments to check");
         let mean_over = |sum: u64, full: u64| sum as f64 / (chunks * full) as f64;
-        let row = SpotCheckRow {
-            k,
-            chunks,
-            entries_replayed,
-            transfer_bytes,
-            transfer_compressed_bytes,
-            full_audit_entries: total_entries,
-            full_audit_log_bytes: total_log_bytes,
-            full_audit_log_compressed_bytes: total_log_compressed_bytes,
-            relative_replay: mean_over(entries_replayed, total_entries),
-            relative_transfer: mean_over(transfer_bytes, total_log_bytes),
-            relative_transfer_compressed: mean_over(
-                transfer_compressed_bytes,
-                total_log_compressed_bytes,
-            ),
-        };
-        println!(
-            "| {} | {:.2} | {:.2} | {:.2} |",
-            row.k, row.relative_replay, row.relative_transfer, row.relative_transfer_compressed
+        let replay = mean_over(entries_replayed, total_entries);
+        let transfer = mean_over(transfer_bytes, whole_log.raw_bytes);
+        // Both sides of this ratio use the §6.12 transfer model (the
+        // prototype ships compressed snapshots and the audit tool compresses
+        // the log), so it is directly comparable to `transfer`.
+        let transfer_compressed = mean_over(transfer_compressed_bytes, whole_log.compressed_bytes);
+        println!("| {k} | {replay:.2} | {transfer:.2} | {transfer_compressed:.2} |");
+        assert!(
+            replay >= shorter.0 && transfer >= shorter.1,
+            "a longer chunk must cost at least as much: k={k} replay {replay} transfer {transfer}"
         );
-        out.push(row);
-    }
-    out
-}
-
-/// Flattens the [`SpotCheckRow`]s into the `BENCH_fig9.json` trajectory
-/// metrics: the full-audit denominators once, then per `k` the sums the
-/// printed ratios are means of.
-pub fn fig9_metrics(rows: &[SpotCheckRow]) -> Vec<(String, u64)> {
-    let full = rows.first().expect("fig9 checks at least k = 1");
-    let mut m = vec![
-        ("full_audit_entries".to_string(), full.full_audit_entries),
-        (
-            "full_audit_log_bytes".to_string(),
-            full.full_audit_log_bytes,
-        ),
-        (
-            "full_audit_log_compressed_bytes".to_string(),
-            full.full_audit_log_compressed_bytes,
-        ),
-    ];
-    for row in rows {
-        let k = row.k;
-        m.push((format!("k{k}_chunks"), row.chunks));
-        m.push((format!("k{k}_entries_replayed"), row.entries_replayed));
-        m.push((format!("k{k}_transfer_bytes"), row.transfer_bytes));
+        assert!(
+            transfer_compressed > 0.0 && transfer_compressed < transfer,
+            "compressed transfer should undercut raw: k={k} {transfer_compressed} vs {transfer}"
+        );
+        shorter = (replay, transfer);
+        m.push((format!("k{k}_chunks"), chunks));
+        m.push((format!("k{k}_entries_replayed"), entries_replayed));
+        m.push((format!("k{k}_transfer_bytes"), transfer_bytes));
         m.push((
             format!("k{k}_transfer_compressed_bytes"),
-            row.transfer_compressed_bytes,
+            transfer_compressed_bytes,
         ));
     }
     m
@@ -633,9 +612,9 @@ pub fn fig9_metrics(rows: &[SpotCheckRow]) -> Vec<(String, u64)> {
 
 /// The reference image behind [`snapshot_machine`]: an idle guest with
 /// `pages` of memory and a small disk.
-pub fn snapshot_image(pages: usize, disk_pages: usize) -> avm_vm::VmImage {
+pub fn snapshot_image(pages: usize, disk_pages: usize) -> VmImage {
     use avm_vm::bytecode::assemble;
-    use avm_vm::{VmImage, PAGE_SIZE};
+    use avm_vm::PAGE_SIZE;
     let code = assemble("halt", 0).unwrap();
     VmImage::bytecode("fig6-snapshot", (pages * PAGE_SIZE) as u64, code, 0, 0)
         .with_disk(vec![0u8; disk_pages * PAGE_SIZE])
@@ -645,31 +624,12 @@ pub fn snapshot_image(pages: usize, disk_pages: usize) -> avm_vm::VmImage {
 /// used by the snapshot experiments and the `fig6_snapshot_incremental` and
 /// `snapshot_dedup` bench groups.
 pub fn snapshot_machine(pages: usize, disk_pages: usize) -> avm_vm::Machine {
-    use avm_vm::{GuestRegistry, Machine};
-    Machine::from_image(&snapshot_image(pages, disk_pages), &GuestRegistry::new()).unwrap()
+    avm_vm::Machine::from_image(&snapshot_image(pages, disk_pages), &GuestRegistry::new()).unwrap()
 }
 
 // ---------------------------------------------------------------------------
 // §6.12 substrate: content-addressed snapshot storage + compressed transfer
 // ---------------------------------------------------------------------------
-
-/// Result of the snapshot dedup/compression experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotDedupResult {
-    /// Full-memory captures pushed into the store.
-    pub captures: usize,
-    /// Logical payload bytes across all captures (what a naive store holds).
-    pub logical_bytes: u64,
-    /// Unique payload bytes the content-addressed pool actually holds.
-    pub stored_bytes: u64,
-    /// Stored bytes at the end of the busy phase — the baseline the idle
-    /// captures must not grow.
-    pub stored_before_idle: u64,
-    /// Raw transfer bytes to materialize the final snapshot.
-    pub transfer_raw: u64,
-    /// Compressed transfer bytes to materialize the final snapshot.
-    pub transfer_compressed: u64,
-}
 
 /// §6.12 substrate: content-addressed snapshot storage and compression-aware
 /// transfer modelling.
@@ -680,10 +640,9 @@ pub struct SnapshotDedupResult {
 /// raw and compressed (the paper ships compressed incremental snapshots).
 /// Every materialization is authenticated against its recorded root, so the
 /// experiment doubles as a round-trip check of the pooled storage.
-pub fn exp_snapshot_dedup() -> SnapshotDedupResult {
-    use avm_compress::CompressionLevel;
+pub fn exp_snapshot_dedup() -> Vec<(String, u64)> {
     use avm_core::snapshot::{capture_with_cache, SnapshotStore, StateTreeCache};
-    use avm_vm::{GuestRegistry, PAGE_SIZE};
+    use avm_vm::PAGE_SIZE;
 
     let pages = 128;
     let idle_captures = 4;
@@ -729,9 +688,9 @@ pub fn exp_snapshot_dedup() -> SnapshotDedupResult {
     for _ in 0..idle_captures {
         push(&mut store, &mut m, &mut cache, &mut id, "idle");
     }
+    let (logical, stored) = (store.logical_payload_bytes(), store.stored_payload_bytes());
     assert_eq!(
-        store.stored_payload_bytes(),
-        stored_before_idle,
+        stored, stored_before_idle,
         "idle full captures must not grow the pool"
     );
 
@@ -748,70 +707,52 @@ pub fn exp_snapshot_dedup() -> SnapshotDedupResult {
     }
 
     let cost = store.transfer_cost_upto(id - 1, CompressionLevel::Default);
-    let result = SnapshotDedupResult {
-        captures: id as usize,
-        logical_bytes: store.logical_payload_bytes(),
-        stored_bytes: store.stored_payload_bytes(),
-        stored_before_idle,
-        transfer_raw: cost.raw_bytes,
-        transfer_compressed: cost.compressed_bytes,
-    };
     println!(
         "logical: {} bytes  stored: {} bytes ({:.1}x dedup, {} unique blobs)",
-        result.logical_bytes,
-        result.stored_bytes,
-        result.logical_bytes as f64 / result.stored_bytes.max(1) as f64,
+        logical,
+        stored,
+        logical as f64 / stored.max(1) as f64,
         store.unique_payloads(),
     );
     println!(
         "auditor transfer to the final snapshot: raw {} bytes, compressed {} bytes ({:.1}x)",
-        result.transfer_raw,
-        result.transfer_compressed,
+        cost.raw_bytes,
+        cost.compressed_bytes,
         cost.ratio(),
     );
-    result
+    // The logical volume kept growing over a pool that did not, and the
+    // idle guest compresses heavily.
+    assert!(logical > 4 * stored, "logical {logical} vs stored {stored}");
+    assert!(
+        cost.compressed_bytes > 0 && cost.compressed_bytes < cost.raw_bytes / 4,
+        "transfer raw {} vs compressed {}",
+        cost.raw_bytes,
+        cost.compressed_bytes
+    );
+    vec![
+        ("ok_captures".into(), id),
+        (
+            "ok_idle_captures_free".into(),
+            (stored == stored_before_idle) as u64,
+        ),
+        ("logical_bytes".into(), logical),
+        ("stored_bytes".into(), stored),
+        ("transfer_raw".into(), cost.raw_bytes),
+        ("transfer_compressed".into(), cost.compressed_bytes),
+    ]
 }
 
 // ---------------------------------------------------------------------------
 // §3.5 substrate: on-demand partial-state replay vs full snapshot downloads
 // ---------------------------------------------------------------------------
 
-/// Result of the on-demand transfer experiment: the three snapshot-transfer
-/// models of §3.5 priced on one sparse-touch workload.
-#[derive(Debug, Clone, Copy)]
-pub struct OnDemandResult {
-    /// Snapshots in the recorded chain.
-    pub snapshots: u64,
-    /// Full-dump download of the starting chain (raw / compressed).
-    pub full_raw: u64,
-    /// Compressed size of the full-dump download.
-    pub full_compressed: u64,
-    /// Digest-addressed full-state download (raw / compressed).
-    pub dedup_raw: u64,
-    /// Compressed size of the dedup download.
-    pub dedup_compressed: u64,
-    /// On-demand download: metadata + blobs replay actually touched.
-    pub ondemand_raw: u64,
-    /// Compressed size of the on-demand download.
-    pub ondemand_compressed: u64,
-    /// Memory chunks faulted in during the on-demand replay.
-    pub chunks_faulted: u64,
-    /// Staged (divergent) state the replay never touched — transfer saved.
-    pub untouched_staged: u64,
-    /// Blobs re-downloaded by an identical second check against the same
-    /// auditor cache (must be zero).
-    pub warm_refetches: u64,
-    /// Whether full and on-demand replay agreed on the verdict.
-    pub verdicts_agree: bool,
-}
-
 /// A guest with a large, sparsely-touched memory: packet `i` bumps a counter
 /// in page `i % touch_pages` of a dedicated region and mirrors it to disk
 /// block `i % 8`, so the divergent state grows with the run while any one
 /// log segment touches only a couple of pages.
-fn sparse_touch_image(pages: usize) -> avm_vm::VmImage {
+fn sparse_touch_image(pages: usize) -> VmImage {
     use avm_vm::bytecode::assemble;
-    use avm_vm::{VmImage, PAGE_SIZE};
+    use avm_vm::PAGE_SIZE;
     let src = r"
             movi r1, 0x8000     ; rx buffer
             movi r2, 64         ; max len
@@ -852,46 +793,11 @@ fn sparse_touch_image(pages: usize) -> avm_vm::VmImage {
 
 /// The recording behind [`exp_ondemand`]: the sparse-touch guest fed one
 /// packet (touching one fresh page + one disk block) per snapshot.  Returns
-/// the provider, its image and the number of snapshots taken.
-pub(crate) fn record_sparse_touch() -> (Avmm, avm_vm::VmImage, u64) {
-    let registry = avm_vm::GuestRegistry::new();
-    let scheme = SignatureScheme::Rsa(512);
-    let mut rng = StdRng::seed_from_u64(11);
-    let operator = Identity::generate(&mut rng, "host", scheme);
-    let client = Identity::generate(&mut rng, "client", scheme);
-    let pages = 96;
-    let touch_pages = 24;
-    let n_snapshots: u64 = 6;
-    let image = sparse_touch_image(pages);
-    let mut avmm = Avmm::new(
-        "host",
-        &image,
-        &registry,
-        operator.signing_key.clone(),
-        AvmmOptions::default().with_scheme(scheme),
-    )
-    .unwrap();
-    avmm.add_peer("client", client.verifying_key());
-
-    let mut clock = HostClock::at(1_000);
-    avmm.run_slice(&clock, 50_000).unwrap();
-    for i in 0..n_snapshots {
-        clock.advance_to(clock.now() + 2_000);
-        let sel = (i % touch_pages as u64) as u8;
-        let payload = encode_guest_packet("host", &[sel, (i % 8) as u8]);
-        let env = Envelope::create(
-            EnvelopeKind::Data,
-            "client",
-            "host",
-            i + 1,
-            payload,
-            &client.signing_key,
-            None,
-        );
-        avmm.deliver(&env).unwrap();
-        avmm.run_slice(&clock, 100_000).unwrap();
-        avmm.take_snapshot();
-    }
+/// the recorder, its image and the number of snapshots taken.
+pub(crate) fn ondemand_recording() -> (Avmm, VmImage, u64) {
+    let image = sparse_touch_image(96);
+    let n_snapshots = 6;
+    let avmm = sparse_host(11, &image, options(), 24, n_snapshots, |_, _| {});
     (avmm, image, n_snapshots)
 }
 
@@ -902,14 +808,14 @@ pub(crate) fn record_sparse_touch() -> (Avmm, avm_vm::VmImage, u64) {
 /// Reproduces the claim that an auditor who "incrementally request\[s\] the
 /// parts of the state that are accessed" downloads strictly less than any
 /// full-state download: the chain accumulates divergent pages the chunk's
-/// replay never touches.
-pub fn exp_ondemand() -> OnDemandResult {
+/// replay never touches.  Verdicts agree between modes, and a warm cache
+/// never re-downloads.
+pub fn exp_ondemand() -> Vec<(String, u64)> {
     use avm_core::ondemand::AuditorBlobCache;
-    use avm_core::spotcheck::{spot_check, spot_check_on_demand};
-    use avm_vm::GuestRegistry;
+    use avm_core::spotcheck::spot_check_on_demand;
 
     let registry = GuestRegistry::new();
-    let (avmm, image, n_snapshots) = record_sparse_touch();
+    let (avmm, image, n_snapshots) = ondemand_recording();
 
     // Fig. 9-style table: one row per k, averaged over starting snapshots,
     // with the three §3.5 transfer models side by side.  Each row uses fresh
@@ -942,9 +848,7 @@ pub fn exp_ondemand() -> OnDemandResult {
             }
             rows += 1;
         }
-        if rows == 0 {
-            continue;
-        }
+        assert!(rows > 0, "no chunk of {k} segments to check");
         println!(
             "| {} | {} / {} | {} / {} | {} / {} |",
             k,
@@ -965,53 +869,34 @@ pub fn exp_ondemand() -> OnDemandResult {
         spot_check(avmm.log(), avmm.snapshots(), start, k, &image, &registry).unwrap();
     let mut cache = AuditorBlobCache::new();
     let dedup = pricing::dedup_download(avmm.snapshots(), start, &image, &cache);
-    let od_report = spot_check_on_demand(
-        avmm.log(),
-        avmm.snapshots(),
-        start,
-        k,
-        &image,
-        &registry,
-        &mut cache,
-    )
-    .unwrap();
+    let check = |cache: &mut AuditorBlobCache| {
+        spot_check_on_demand(
+            avmm.log(),
+            avmm.snapshots(),
+            start,
+            k,
+            &image,
+            &registry,
+            cache,
+        )
+        .unwrap()
+    };
+    let od_report = check(&mut cache);
+    let warm = check(&mut cache);
     let cost = od_report.on_demand.as_ref().unwrap();
     let full = pricing::full_dump(avmm.snapshots(), &full_report);
     let on_demand = pricing::on_demand_download(avmm.snapshots(), &od_report);
-    let warm = spot_check_on_demand(
-        avmm.log(),
-        avmm.snapshots(),
-        start,
-        k,
-        &image,
-        &registry,
-        &mut cache,
-    )
-    .unwrap();
     let warm_refetches = warm.on_demand.as_ref().unwrap().fetched.len() as u64;
-
-    let result = OnDemandResult {
-        snapshots: n_snapshots,
-        full_raw: full.raw_bytes,
-        full_compressed: full.compressed_bytes,
-        dedup_raw: dedup.raw_bytes,
-        dedup_compressed: dedup.compressed_bytes,
-        ondemand_raw: cost.transfer_bytes,
-        ondemand_compressed: on_demand.compressed_bytes,
-        chunks_faulted: cost.chunks_faulted,
-        untouched_staged: cost.untouched_staged,
-        warm_refetches,
-        verdicts_agree: full_report.consistent == od_report.consistent
-            && full_report.entries_replayed == od_report.entries_replayed,
-    };
+    let verdicts_agree = full_report.consistent == od_report.consistent
+        && full_report.entries_replayed == od_report.entries_replayed;
     println!(
         "\nchunk (start={start}, k={k}): full dump {} B ({} B compressed), dedup {} B ({} B), on-demand {} B ({} B)",
-        result.full_raw,
-        result.full_compressed,
-        result.dedup_raw,
-        result.dedup_compressed,
-        result.ondemand_raw,
-        result.ondemand_compressed,
+        full.raw_bytes,
+        full.compressed_bytes,
+        dedup.raw_bytes,
+        dedup.compressed_bytes,
+        cost.transfer_bytes,
+        on_demand.compressed_bytes,
     );
     println!(
         "on-demand faulted {} chunks + {} blocks; {} staged divergent chunks/blocks were never touched (transfer saved)",
@@ -1019,55 +904,61 @@ pub fn exp_ondemand() -> OnDemandResult {
     );
     println!(
         "warm-cache re-check fetched {} blobs; verdicts agree: {}",
-        warm_refetches, result.verdicts_agree,
+        warm_refetches, verdicts_agree,
     );
-    result
+    assert!(verdicts_agree, "full and on-demand replay must agree");
+    assert!(
+        cost.transfer_bytes < dedup.raw_bytes,
+        "on-demand raw {} must be strictly below dedup raw {}",
+        cost.transfer_bytes,
+        dedup.raw_bytes
+    );
+    assert!(
+        on_demand.compressed_bytes < dedup.compressed_bytes,
+        "on-demand compressed {} must be strictly below dedup compressed {}",
+        on_demand.compressed_bytes,
+        dedup.compressed_bytes
+    );
+    assert!(
+        dedup.raw_bytes < full.raw_bytes,
+        "dedup raw {} must undercut the full dump {}",
+        dedup.raw_bytes,
+        full.raw_bytes
+    );
+    assert!(
+        cost.chunks_faulted > 0,
+        "the chunk's replay faults state in"
+    );
+    assert!(
+        cost.untouched_staged > 0,
+        "a sparse-touch chunk must leave divergent state untouched"
+    );
+    assert_eq!(warm_refetches, 0, "a warm cache never re-downloads");
+    vec![
+        ("ok_verdicts_agree".into(), verdicts_agree as u64),
+        ("ok_warm_refetches".into(), warm_refetches),
+        ("snapshots".into(), n_snapshots),
+        ("full_raw".into(), full.raw_bytes),
+        ("full_compressed".into(), full.compressed_bytes),
+        ("dedup_raw".into(), dedup.raw_bytes),
+        ("dedup_compressed".into(), dedup.compressed_bytes),
+        ("ondemand_raw".into(), cost.transfer_bytes),
+        ("ondemand_compressed".into(), on_demand.compressed_bytes),
+        ("chunks_faulted".into(), cost.chunks_faulted),
+    ]
 }
 
 // ---------------------------------------------------------------------------
 // Chunk-granular state pipeline: sub-page accounting end-to-end
 // ---------------------------------------------------------------------------
 
-/// Result of the chunk-granularity experiment: the same sparse-writer
-/// recording accounted at 512 B chunk granularity (what the pipeline does)
-/// and at 4 KiB page granularity (what it would have cost before the
-/// chunk refactor).
-#[derive(Debug, Clone, Copy)]
-pub struct ChunkedResult {
-    /// Snapshots in the recorded chain.
-    pub snapshots: u64,
-    /// Logical bytes of the incremental snapshot chain, chunk-granular.
-    pub chunk_logical_bytes: u64,
-    /// What the same chain would have carried at page granularity (each
-    /// capture ships every page with at least one dirty chunk).
-    pub page_logical_bytes: u64,
-    /// Unique payload bytes the chunk-granular content pool holds.
-    pub chunk_stored_bytes: u64,
-    /// Unique payload bytes a page-granular pool would hold for the same
-    /// captures (shadow-interned page contents).
-    pub page_stored_bytes: u64,
-    /// On-demand replay download (manifest + faulted 512 B chunk blobs).
-    pub chunk_ondemand_bytes: u64,
-    /// Page-granular equivalent of the same replay: page-ref manifest plus
-    /// one whole page per faulted divergent page.
-    pub page_ondemand_bytes: u64,
-    /// Round trips of the spot check's on-demand download: the manifest,
-    /// then one blob exchange per miss (each asking for every blob the
-    /// missing access needs).
-    pub rtts_batched: u64,
-    /// Payload bytes freed by pruning the first half of the chain.
-    pub pruned_freed_bytes: u64,
-    /// Whether the on-demand spot check agreed with the full-download one.
-    pub verdicts_agree: bool,
-}
-
 /// A sparse writer: each packet bumps an 8-byte counter in the page selected
 /// by the payload (dirtying exactly one 512 B chunk) and mirrors it to one
 /// disk block — the workload §3.5/§6.12 predict benefits most from sub-page
 /// accountability.
-fn sparse_writer_image(pages: usize) -> avm_vm::VmImage {
+fn sparse_writer_image(pages: usize) -> VmImage {
     use avm_vm::bytecode::assemble;
-    use avm_vm::{VmImage, PAGE_SIZE};
+    use avm_vm::PAGE_SIZE;
     let src = r"
             movi r1, 0x8000     ; rx buffer
             movi r2, 64         ; max len
@@ -1115,68 +1006,31 @@ fn sparse_writer_image(pages: usize) -> avm_vm::VmImage {
 /// chunk (shadow-interned by content so its pool dedups the same way), and
 /// an on-demand page auditor would fault whole pages where ours faults
 /// 512 B chunks.  The acceptance bar is strict inequality on snapshot
-/// stored bytes and on-demand transfer bytes.
-pub fn exp_chunked() -> ChunkedResult {
+/// logical and stored bytes and on-demand transfer bytes.
+pub fn exp_chunked() -> Vec<(String, u64)> {
     use avm_core::ondemand::AuditorBlobCache;
     use avm_core::replay::{ReplayOutcome, Replayer};
     use avm_core::snapshot::SNAPSHOT_HEADER_BYTES;
-    use avm_core::spotcheck::{spot_check, spot_check_on_demand};
+    use avm_core::spotcheck::spot_check_on_demand;
     use avm_crypto::sha256::sha256;
-    use avm_vm::{GuestRegistry, CHUNKS_PER_PAGE, PAGE_SIZE};
+    use avm_vm::{CHUNKS_PER_PAGE, PAGE_SIZE};
     use std::collections::{HashMap, HashSet};
 
     let registry = GuestRegistry::new();
-    let scheme = SignatureScheme::Rsa(512);
-    let mut rng = StdRng::seed_from_u64(23);
-    let operator = Identity::generate(&mut rng, "host", scheme);
-    let client = Identity::generate(&mut rng, "client", scheme);
-    let pages = 96;
-    // Selectors cycle over a small page set so a replayed segment revisits
-    // pages that already diverged at its starting snapshot — the faults a
-    // §3.5 auditor actually pays for.
-    let touch_pages = 6;
+    let image = sparse_writer_image(96);
     let n_snapshots: u64 = 8;
-    let image = sparse_writer_image(pages);
-    let mut avmm = Avmm::new(
-        "host",
-        &image,
-        &registry,
-        operator.signing_key.clone(),
-        AvmmOptions::default()
-            .with_scheme(scheme)
-            .with_incremental_snapshots(),
-    )
-    .unwrap();
-    avmm.add_peer("client", client.verifying_key());
 
-    // Record: one packet (8 bytes into one fresh page + one disk block) per
+    // Record: one packet (8 bytes into one page + one disk block) per
     // snapshot, tracking per capture what a page-granular pipeline would
     // have shipped (logical) and pooled (stored, shadow-interned by page
     // content so it dedups exactly like the real pool).
-    let mut clock = HostClock::at(1_000);
-    avmm.run_slice(&clock, 50_000).unwrap();
     let mut chunk_logical = 0u64;
     let mut page_logical = 0u64;
     let mut page_pool: HashMap<avm_crypto::sha256::Digest, u64> = HashMap::new();
     println!("# Chunk-granular state pipeline (sparse writer)");
     println!("| snapshot | chunks carried | chunk bytes | page-equivalent bytes |");
     println!("|---|---|---|---|");
-    for i in 0..n_snapshots {
-        clock.advance_to(clock.now() + 2_000);
-        let sel = (i % touch_pages as u64) as u8;
-        let payload = encode_guest_packet("host", &[sel, (i % 8) as u8]);
-        let env = Envelope::create(
-            EnvelopeKind::Data,
-            "client",
-            "host",
-            i + 1,
-            payload,
-            &client.signing_key,
-            None,
-        );
-        avmm.deliver(&env).unwrap();
-        avmm.run_slice(&clock, 100_000).unwrap();
-        let snap_id = avmm.take_snapshot().id;
+    let account = |avmm: &Avmm, snap_id: u64| {
         let snap = avmm.snapshots().get(snap_id).unwrap();
         let dirty_pages: HashSet<usize> = snap
             .mem_chunk_refs()
@@ -1204,7 +1058,12 @@ pub fn exp_chunked() -> ChunkedResult {
             snap.total_bytes(),
             snap_page_logical
         );
-    }
+    };
+    // Selectors cycle over a small page set so a replayed segment revisits
+    // pages that already diverged at its starting snapshot — the faults a
+    // §3.5 auditor actually pays for.
+    let incremental = options().with_incremental_snapshots();
+    let avmm = sparse_host(23, &image, incremental, 6, n_snapshots, account);
     let chunk_stored = avmm.snapshots().stored_payload_bytes();
     let page_stored: u64 = page_pool.values().sum();
 
@@ -1286,74 +1145,68 @@ pub fn exp_chunked() -> ChunkedResult {
             .expect("surviving snapshot must materialize after prune");
     }
 
-    let result = ChunkedResult {
-        snapshots: n_snapshots,
-        chunk_logical_bytes: chunk_logical,
-        page_logical_bytes: page_logical,
-        chunk_stored_bytes: chunk_stored,
-        page_stored_bytes: page_stored,
-        chunk_ondemand_bytes: chunk_ondemand,
-        page_ondemand_bytes: page_ondemand,
-        rtts_batched,
-        pruned_freed_bytes: freed,
-        verdicts_agree: full_report.consistent == od_report.consistent
-            && full_report.entries_replayed == od_report.entries_replayed,
-    };
+    let verdicts_agree = full_report.consistent == od_report.consistent
+        && full_report.entries_replayed == od_report.entries_replayed;
     println!(
         "\nsnapshot chain: {} B chunk-granular vs {} B page-equivalent ({:.1}x)",
-        result.chunk_logical_bytes,
-        result.page_logical_bytes,
-        result.page_logical_bytes as f64 / result.chunk_logical_bytes.max(1) as f64,
+        chunk_logical,
+        page_logical,
+        page_logical as f64 / chunk_logical.max(1) as f64,
     );
     println!(
         "pool stored: {} B chunk-granular vs {} B page-equivalent ({:.1}x)",
-        result.chunk_stored_bytes,
-        result.page_stored_bytes,
-        result.page_stored_bytes as f64 / result.chunk_stored_bytes.max(1) as f64,
+        chunk_stored,
+        page_stored,
+        page_stored as f64 / chunk_stored.max(1) as f64,
     );
     println!(
         "on-demand chunk ({start},k={k}): {} B chunk-granular ({} chunks faulted) vs {} B page-equivalent ({} pages)",
-        result.chunk_ondemand_bytes,
+        chunk_ondemand,
         cost.chunks_faulted,
-        result.page_ondemand_bytes,
+        page_ondemand,
         faulted_pages.len(),
     );
     println!(
         "blob exchange round trips: {} (one per miss) vs {rtts_unbatched} blob-at-a-time",
-        result.rtts_batched,
+        rtts_batched,
     );
     println!(
         "prune_upto({}) freed {} B of pooled payload; later snapshots still authenticate",
         n_snapshots / 2,
-        result.pruned_freed_bytes,
+        freed,
     );
-    result
+    assert!(verdicts_agree, "full and on-demand checks must agree");
+    assert!(
+        chunk_stored < page_stored,
+        "chunk pool {chunk_stored} B must be strictly below the page-equivalent pool {page_stored} B"
+    );
+    assert!(
+        chunk_ondemand < page_ondemand,
+        "chunk on-demand {chunk_ondemand} B must be strictly below the page equivalent {page_ondemand} B"
+    );
+    assert!(
+        chunk_logical < page_logical,
+        "sparse incremental captures must ship fewer bytes at chunk granularity"
+    );
+    // The manifest, then at least one exchange for a miss.
+    assert!(rtts_batched >= 2, "{rtts_batched} round trips");
+    assert!(freed > 0, "the prune must free pooled payload");
+    vec![
+        ("ok_verdicts_agree".into(), verdicts_agree as u64),
+        ("snapshots".into(), n_snapshots),
+        ("chunk_logical_bytes".into(), chunk_logical),
+        ("page_logical_bytes".into(), page_logical),
+        ("chunk_stored_bytes".into(), chunk_stored),
+        ("page_stored_bytes".into(), page_stored),
+        ("chunk_ondemand_bytes".into(), chunk_ondemand),
+        ("page_ondemand_bytes".into(), page_ondemand),
+        ("rtts_batched".into(), rtts_batched),
+    ]
 }
 
 // ---------------------------------------------------------------------------
 // Networked audit endpoints: one protocol, measured on every link
 // ---------------------------------------------------------------------------
-
-/// Result of the networked-audit experiment: the same spot check driven
-/// over the simulated WAN (the free function) and over a simulated LAN
-/// (clean and lossy links).
-#[derive(Debug, Clone, Copy)]
-pub struct NetAuditResult {
-    /// Whether the SimNet-driven check's verdict, faults and transfer
-    /// accounting equal the in-process path's, field for field (on-demand
-    /// mode, lossless link).
-    pub semantic_match_clean: bool,
-    /// The same equality on the deterministically lossy link.
-    pub semantic_match_lossy: bool,
-    /// The same equality for the full-download mode over the clean link.
-    pub semantic_match_full: bool,
-    /// Measured simulated latency of the clean-link check (µs).
-    pub measured_clean_us: u64,
-    /// Measured simulated latency of the lossy-link check (µs).
-    pub measured_lossy_us: u64,
-    /// Requests retransmitted on the lossy link.
-    pub retransmissions_lossy: u64,
-}
 
 /// Networked audit: drives the *same* §3.5 on-demand spot check over the
 /// simulated WAN (the free function), a lossless LAN and a lossy LAN and
@@ -1362,52 +1215,18 @@ pub struct NetAuditResult {
 /// timeout-and-retransmit, paying for every retry in wire bytes and
 /// simulated wall time.  (What a lossless exchange costs on a link is
 /// pinned per packet in `avm-core`'s endpoint tests.)
-pub fn exp_netaudit() -> NetAuditResult {
+pub fn exp_netaudit() -> Vec<(String, u64)> {
     use avm_core::endpoint::{AuditClient, AuditServer, SimNetTransport};
     use avm_core::ondemand::AuditorBlobCache;
-    use avm_core::spotcheck::{spot_check, spot_check_on_demand};
+    use avm_core::spotcheck::spot_check_on_demand;
     use avm_net::LinkConfig;
-    use avm_vm::GuestRegistry;
 
     let registry = GuestRegistry::new();
-    let scheme = SignatureScheme::Rsa(512);
-    let mut rng = StdRng::seed_from_u64(13);
-    let operator = Identity::generate(&mut rng, "host", scheme);
-    let client_id = Identity::generate(&mut rng, "client", scheme);
     // The sparse-touch guest writes into pages 64..64+touch_pages, so the
     // image must extend past that region.
-    let pages = 96;
-    let touch_pages = 16;
+    let image = sparse_touch_image(96);
     let n_snapshots: u64 = 5;
-    let image = sparse_touch_image(pages);
-    let mut avmm = Avmm::new(
-        "host",
-        &image,
-        &registry,
-        operator.signing_key.clone(),
-        AvmmOptions::default().with_scheme(scheme),
-    )
-    .unwrap();
-    avmm.add_peer("client", client_id.verifying_key());
-    let mut clock = HostClock::at(1_000);
-    avmm.run_slice(&clock, 50_000).unwrap();
-    for i in 0..n_snapshots {
-        clock.advance_to(clock.now() + 2_000);
-        let sel = (i % touch_pages as u64) as u8;
-        let payload = encode_guest_packet("host", &[sel, (i % 8) as u8]);
-        let env = Envelope::create(
-            EnvelopeKind::Data,
-            "client",
-            "host",
-            i + 1,
-            payload,
-            &client_id.signing_key,
-            None,
-        );
-        avmm.deliver(&env).unwrap();
-        avmm.run_slice(&clock, 100_000).unwrap();
-        avmm.take_snapshot();
-    }
+    let avmm = sparse_host(13, &image, options(), 16, n_snapshots, |_, _| {});
 
     let start = n_snapshots - 2;
     let k = 1u64;
@@ -1418,6 +1237,12 @@ pub fn exp_netaudit() -> NetAuditResult {
     let lossy_link = LinkConfig {
         drop_every: 2,
         ..link
+    };
+    let client = |link| {
+        AuditClient::new(SimNetTransport::new(
+            AuditServer::new(avmm.log(), avmm.snapshots()),
+            link,
+        ))
     };
 
     // 1. Baseline: the free-function wrapper (simulated WAN link).
@@ -1434,38 +1259,26 @@ pub fn exp_netaudit() -> NetAuditResult {
     .unwrap();
     assert!(baseline.consistent, "honest chunk must pass");
 
-    // 2. The simulated network, lossless LAN.
-    let mut clean = AuditClient::new(SimNetTransport::new(
-        AuditServer::new(avmm.log(), avmm.snapshots()),
-        link,
-    ));
-    let clean_report = clean
+    // 2. The simulated network, lossless LAN; 3. deterministically lossy.
+    let clean_report = client(link)
         .spot_check_on_demand(start, k, &image, &registry)
         .unwrap();
-
-    // 3. The simulated network, deterministically lossy link.
-    let mut lossy = AuditClient::new(SimNetTransport::new(
-        AuditServer::new(avmm.log(), avmm.snapshots()),
-        lossy_link,
-    ));
-    let lossy_report = lossy
+    let lossy_report = client(lossy_link)
         .spot_check_on_demand(start, k, &image, &registry)
         .unwrap();
 
     // 4. Full-download mode: free function vs the LAN.
     let full_baseline =
         spot_check(avmm.log(), avmm.snapshots(), start, k, &image, &registry).unwrap();
-    let mut full_net = AuditClient::new(SimNetTransport::new(
-        AuditServer::new(avmm.log(), avmm.snapshots()),
-        link,
-    ));
-    let full_net_report = full_net.spot_check(start, k, &image, &registry).unwrap();
+    let full_net_report = client(link)
+        .spot_check(start, k, &image, &registry)
+        .unwrap();
 
     let semantic_match_clean = baseline.semantic() == clean_report.semantic();
     let semantic_match_lossy = baseline.semantic() == lossy_report.semantic();
     let semantic_match_full = full_baseline.semantic() == full_net_report.semantic();
-    let measured_clean_us = clean_report.measured_latency_micros();
-    let measured_lossy_us = lossy_report.measured_latency_micros();
+    let measured_clean_us = clean_report.transport.elapsed_micros;
+    let measured_lossy_us = lossy_report.transport.elapsed_micros;
     let retransmissions_lossy = lossy_report.transport.retransmissions;
 
     assert!(
@@ -1475,6 +1288,7 @@ pub fn exp_netaudit() -> NetAuditResult {
     assert!(semantic_match_lossy, "loss must not change the audit");
     assert!(semantic_match_full, "full-download mode must match too");
     assert_eq!(clean_report.transport.retransmissions, 0);
+    assert!(measured_clean_us > 0, "a clean exchange takes time");
     assert!(retransmissions_lossy > 0, "drop-every-2 must force retries");
     assert!(measured_lossy_us > measured_clean_us);
 
@@ -1504,52 +1318,25 @@ pub fn exp_netaudit() -> NetAuditResult {
         semantic_match_clean, semantic_match_lossy, semantic_match_full,
     );
 
-    NetAuditResult {
-        semantic_match_clean,
-        semantic_match_lossy,
-        semantic_match_full,
-        measured_clean_us,
-        measured_lossy_us,
-        retransmissions_lossy,
-    }
+    vec![
+        (
+            "ok_semantic_match_clean".into(),
+            semantic_match_clean as u64,
+        ),
+        (
+            "ok_semantic_match_lossy".into(),
+            semantic_match_lossy as u64,
+        ),
+        ("ok_semantic_match_full".into(), semantic_match_full as u64),
+        ("measured_clean_us".into(), measured_clean_us),
+        ("measured_lossy_us".into(), measured_lossy_us),
+        ("retransmissions_lossy".into(), retransmissions_lossy),
+    ]
 }
 
 // ---------------------------------------------------------------------------
 // Durable accountability: fsync policies + crash recovery (avm-store/persist)
 // ---------------------------------------------------------------------------
-
-/// One fsync-policy row of the `persist` experiment: the durable write-path
-/// counters for an identical recording workload.
-#[derive(Debug, Clone, Copy)]
-pub struct PersistPolicyRow {
-    /// Table/JSON label: `per_entry`, `per_batch`, `per_seal`, or the SSD
-    /// contrast row `per_entry_ssd`.
-    pub label: &'static str,
-    /// fsyncs issued by the segment and arena writers together.
-    pub syncs: u64,
-    /// Bytes appended (framing included), segments + arenas.
-    pub appended_bytes: u64,
-    /// Accumulated modelled sync time, in microseconds.
-    pub modelled_sync_micros: u64,
-}
-
-/// Result of the `persist` experiment.
-#[derive(Debug, Clone)]
-pub struct PersistResult {
-    /// One row per sync policy under the 2010-era disk model, plus the
-    /// `per_entry_ssd` contrast row — all over the identical workload.
-    pub policies: Vec<PersistPolicyRow>,
-    /// Recovery report after a clean shutdown (preceded by a prune, so the
-    /// arena numbers reflect compaction).
-    pub clean: RecoveryReport,
-    /// Recovery report after a mid-write crash.
-    pub crash: RecoveryReport,
-    /// Whether the post-recovery spot check equals the pre-shutdown one,
-    /// field for field (verdict, roots, transfer accounting).
-    pub audit_identical_after_clean_recovery: bool,
-    /// Whether the crash-recovered provider still passes a spot check.
-    pub audit_consistent_after_crash_recovery: bool,
-}
 
 /// The store configuration the `persist` experiment runs under: small
 /// segments/arenas so rotation and sealing actually happen in a five-round run.
@@ -1568,33 +1355,40 @@ fn persist_cfg(policy: SyncPolicy, model: FsyncModel) -> PersistConfig {
     }
 }
 
-/// Drives the standard persist workload: `rounds` iterations of deliver a
-/// sparse-touch packet, run, snapshot — every event mirrored to storage.
-fn drive_persist_workload(
-    provider: &mut Provider<SimStorage>,
-    client: &Identity,
+/// The standard persist workload on a fresh provider over `storage`: a
+/// warm-up, then `rounds` sparse-touch packets over 16 pages, each run and
+/// snapshotted, every event mirrored to storage.
+fn persist_recording(
+    storage: SimStorage,
+    image: &VmImage,
+    (operator, client): &(Identity, Identity),
+    cfg: PersistConfig,
     rounds: u64,
-    touch_pages: u64,
-) -> Result<(), avm_core::persist::PersistError> {
-    let mut clock = HostClock::at(1_000);
-    provider.run_slice(&clock, 50_000)?;
-    for i in 0..rounds {
-        clock.advance_to(clock.now() + 2_000);
-        let payload = encode_guest_packet("host", &[(i % touch_pages) as u8, (i % 8) as u8]);
-        let env = Envelope::create(
-            EnvelopeKind::Data,
-            "client",
-            "host",
-            i + 1,
-            payload,
-            &client.signing_key,
-            None,
-        );
-        provider.deliver(&env)?;
-        provider.run_slice(&clock, 100_000)?;
-        provider.take_snapshot()?;
-    }
-    Ok(())
+) -> Provider<SimStorage> {
+    let mut provider = Provider::create(
+        storage,
+        "host",
+        image,
+        &GuestRegistry::new(),
+        operator.signing_key.clone(),
+        options(),
+        cfg,
+    )
+    .unwrap();
+    provider.add_peer("client", client.verifying_key());
+    let mut host = Host::Durable(&mut provider);
+    host.warm_up().unwrap();
+    let body = |i: u64| [(i % 16) as u8, (i % 8) as u8];
+    record_sparse(
+        host,
+        client,
+        HostClock::at(1_000),
+        1..=rounds,
+        body,
+        |_, _| {},
+    )
+    .unwrap();
+    provider
 }
 
 /// Spot-checks one chunk of a durable provider through its audit endpoint —
@@ -1602,7 +1396,7 @@ fn drive_persist_workload(
 /// auditor would see after the provider restarts.
 fn spot_check_durable(
     provider: &Provider<SimStorage>,
-    image: &avm_vm::VmImage,
+    image: &VmImage,
     start: u64,
 ) -> avm_core::spotcheck::SpotCheckReport {
     use avm_core::endpoint::{AuditClient, SimNetTransport};
@@ -1611,7 +1405,7 @@ fn spot_check_durable(
         avm_net::LinkConfig::WAN,
     ));
     client
-        .spot_check(start, 1, image, &avm_vm::GuestRegistry::new())
+        .spot_check(start, 1, image, &GuestRegistry::new())
         .unwrap()
 }
 
@@ -1622,31 +1416,16 @@ pub fn persist_demo_storage(
     rounds: u64,
 ) -> (
     SimStorage,
-    avm_vm::VmImage,
+    VmImage,
     avm_crypto::keys::SigningKey,
     PersistConfig,
 ) {
-    let registry = avm_vm::GuestRegistry::new();
-    let scheme = SignatureScheme::Rsa(512);
-    let mut rng = StdRng::seed_from_u64(29);
-    let operator = Identity::generate(&mut rng, "host", scheme);
-    let client = Identity::generate(&mut rng, "client", scheme);
+    let keys = keys(29, "host");
     let image = sparse_touch_image(96);
     let cfg = persist_cfg(SyncPolicy::PerBatch, FsyncModel::DISK_2010);
     let storage = SimStorage::new();
-    let mut provider = Provider::create(
-        storage.clone(),
-        "host",
-        &image,
-        &registry,
-        operator.signing_key.clone(),
-        AvmmOptions::default().with_scheme(scheme),
-        cfg,
-    )
-    .unwrap();
-    provider.add_peer("client", client.verifying_key());
-    drive_persist_workload(&mut provider, &client, rounds, 16).unwrap();
-    (storage, image, operator.signing_key, cfg)
+    persist_recording(storage.clone(), &image, &keys, cfg, rounds);
+    (storage, image, keys.0.signing_key, cfg)
 }
 
 /// Durable accountability (ROADMAP; paper §3 — the log *is* the evidence):
@@ -1657,119 +1436,75 @@ pub fn persist_demo_storage(
 /// — and checks the recovered audits: a clean restart must
 /// produce spot checks identical to the pre-shutdown provider's, and a crash
 /// recovery must truncate the torn tail and still pass.
-pub fn exp_persist() -> PersistResult {
-    use avm_vm::GuestRegistry;
-
-    let registry = GuestRegistry::new();
-    let scheme = SignatureScheme::Rsa(512);
-    let mut rng = StdRng::seed_from_u64(29);
-    let operator = Identity::generate(&mut rng, "host", scheme);
-    let client = Identity::generate(&mut rng, "client", scheme);
-    let pages = 96;
-    let touch_pages: u64 = 16;
+pub fn exp_persist() -> Vec<(String, u64)> {
+    let keys = keys(29, "host");
     let rounds: u64 = 5;
-    let image = sparse_touch_image(pages);
-    let options = || AvmmOptions::default().with_scheme(scheme);
-    let fresh_provider = |cfg: PersistConfig, storage: SimStorage| {
-        let mut p = Provider::create(
+    let image = sparse_touch_image(96);
+    let cfg = persist_cfg(SyncPolicy::PerBatch, FsyncModel::DISK_2010);
+    let recover = |storage: SimStorage| {
+        Provider::recover(
             storage,
             "host",
             &image,
-            &registry,
-            operator.signing_key.clone(),
+            &GuestRegistry::new(),
+            keys.0.signing_key.clone(),
             options(),
             cfg,
         )
-        .unwrap();
-        p.add_peer("client", client.verifying_key());
-        p
+        .unwrap()
     };
 
     // 1. The fsync-policy trade-off: the identical workload under each
     //    policy, with each fsync priced by the disk model.
-    let mut policies = Vec::new();
-    for (label, policy, model) in [
+    let mut m = Vec::new();
+    let policies = [
         ("per_entry", SyncPolicy::PerEntry, FsyncModel::DISK_2010),
         ("per_batch", SyncPolicy::PerBatch, FsyncModel::DISK_2010),
         ("per_seal", SyncPolicy::PerSeal, FsyncModel::DISK_2010),
         ("per_entry_ssd", SyncPolicy::PerEntry, FsyncModel::SSD),
-    ] {
-        let mut provider = fresh_provider(persist_cfg(policy, model), SimStorage::new());
-        drive_persist_workload(&mut provider, &client, rounds, touch_pages).unwrap();
+    ]
+    .map(|(label, policy, model)| {
+        let policy_cfg = persist_cfg(policy, model);
+        let provider = persist_recording(SimStorage::new(), &image, &keys, policy_cfg, rounds);
         let stats = provider.durability_stats();
-        policies.push(PersistPolicyRow {
-            label,
-            syncs: stats.syncs,
-            appended_bytes: stats.appended_bytes,
-            modelled_sync_micros: stats.modelled_sync_micros,
-        });
-    }
+        m.push((format!("{label}_syncs"), stats.syncs));
+        m.push((format!("{label}_appended_bytes"), stats.appended_bytes));
+        m.push((
+            format!("{label}_modelled_sync_micros"),
+            stats.modelled_sync_micros,
+        ));
+        (label, stats)
+    });
 
     // 2. Clean shutdown → recovery.  A prune first, so the recovered arena
     //    numbers include compaction; the pre-shutdown spot check is the
     //    reference the recovered one must equal field for field.
-    let cfg = persist_cfg(SyncPolicy::PerBatch, FsyncModel::DISK_2010);
     let storage = SimStorage::new();
-    let mut provider = fresh_provider(cfg, storage.clone());
-    drive_persist_workload(&mut provider, &client, rounds, touch_pages).unwrap();
+    let mut provider = persist_recording(storage.clone(), &image, &keys, cfg, rounds);
     let start = rounds - 2;
     provider.prune_snapshots_upto(start).unwrap();
     let before = spot_check_durable(&provider, &image, start);
     drop(provider); // the process dies; only the bytes in `storage` survive
-    let (recovered, clean) = Provider::recover(
-        storage.reboot(),
-        "host",
-        &image,
-        &registry,
-        operator.signing_key.clone(),
-        options(),
-        cfg,
-    )
-    .unwrap();
+    let (recovered, clean) = recover(storage.reboot());
     let after = spot_check_durable(&recovered, &image, start);
     let audit_identical_after_clean_recovery = before == after;
 
     // 3. Crash mid-write → recovery by torn-tail truncation.  Arm a byte
     //    budget and keep recording until a write dies mid-record.
     let storage = SimStorage::new();
-    let mut provider = fresh_provider(cfg, storage.clone());
-    drive_persist_workload(&mut provider, &client, rounds, touch_pages).unwrap();
+    let mut provider = persist_recording(storage.clone(), &image, &keys, cfg, rounds);
     storage.set_crash_point(6_000);
-    let mut clock = HostClock::at(1_000_000);
-    let mut i = 0u64;
-    loop {
-        clock.advance_to(clock.now() + 2_000);
-        let payload = encode_guest_packet("host", &[(i % touch_pages) as u8, 3]);
-        let env = Envelope::create(
-            EnvelopeKind::Data,
-            "client",
-            "host",
-            rounds + i + 1,
-            payload,
-            &client.signing_key,
-            None,
-        );
-        let died = provider.deliver(&env).is_err()
-            || provider.run_slice(&clock, 100_000).is_err()
-            || provider.take_snapshot().is_err();
-        if died {
-            break;
-        }
-        i += 1;
-        assert!(i < 1_000, "crash point never hit");
-    }
-    assert!(storage.crashed());
-    let survivor = storage.reboot();
-    let (crashed_recovered, crash) = Provider::recover(
-        survivor,
-        "host",
-        &image,
-        &registry,
-        operator.signing_key.clone(),
-        options(),
-        cfg,
+    record_sparse(
+        Host::Durable(&mut provider),
+        &keys.1,
+        HostClock::at(1_000_000),
+        rounds + 1..rounds + 1_001,
+        |i| [(i % 16) as u8, 3],
+        |_, _| {},
     )
-    .unwrap();
+    .expect_err("crash point never hit");
+    assert!(storage.crashed());
+    let (crashed_recovered, crash) = recover(storage.reboot());
     let crash_start = crash.snapshots_recovered.saturating_sub(2);
     let crash_check = spot_check_durable(&crashed_recovered, &image, crash_start);
     let audit_consistent_after_crash_recovery = crash_check.consistent;
@@ -1786,19 +1521,46 @@ pub fn exp_persist() -> PersistResult {
         clean.torn_bytes_truncated, 0,
         "clean shutdown tears nothing"
     );
+    assert!(
+        crash.torn_bytes_truncated > 0,
+        "the crash budget must land mid-record"
+    );
+    assert!(clean.snapshots_verified > 0 && crash.snapshots_verified > 0);
 
     println!("# Durable accountability: fsync-policy trade-off + crash recovery");
     println!("| sync policy | fsyncs | appended bytes | modelled sync time (ms) |");
     println!("|---|---|---|---|");
-    for row in &policies {
+    for (label, stats) in &policies {
         println!(
             "| {} | {} | {} | {:.3} |",
-            row.label,
-            row.syncs,
-            row.appended_bytes,
-            row.modelled_sync_micros as f64 / 1000.0
+            label,
+            stats.syncs,
+            stats.appended_bytes,
+            stats.modelled_sync_micros as f64 / 1000.0
         );
     }
+    // The ladder is ordered the way the cost model predicts, without
+    // changing what is written.
+    let [entry, batch, seal, ssd] = policies.map(|(_, stats)| stats);
+    assert!(
+        entry.syncs > batch.syncs && batch.syncs > seal.syncs,
+        "sync counts must fall from per-entry to per-seal: {} / {} / {}",
+        entry.syncs,
+        batch.syncs,
+        seal.syncs
+    );
+    assert_eq!(
+        entry.appended_bytes, seal.appended_bytes,
+        "the sync policy must not change what is written"
+    );
+    assert!(
+        entry.modelled_sync_micros > batch.modelled_sync_micros
+            && batch.modelled_sync_micros > seal.modelled_sync_micros
+    );
+    assert!(
+        ssd.modelled_sync_micros * 10 < entry.modelled_sync_micros,
+        "the SSD model must undercut the 2010 disk by an order of magnitude"
+    );
     println!(
         "\nclean restart: {} entries recovered, {} snapshots rebuilt (base {}), {} entries \
          replayed, {} roots verified; arenas {} blobs / {} B after prune+compaction; \
@@ -1822,81 +1584,7 @@ pub fn exp_persist() -> PersistResult {
         crash.snapshots_verified,
     );
 
-    PersistResult {
-        policies,
-        clean,
-        crash,
-        audit_identical_after_clean_recovery,
-        audit_consistent_after_crash_recovery,
-    }
-}
-
-/// Flattens a [`SnapshotDedupResult`] into the `BENCH_dedup.json` trajectory
-/// metrics.  Everything here is deterministic byte accounting: the stored and
-/// transfer sizes are the §6.12 claims themselves, so any drift is a real
-/// storage-efficiency regression.
-pub fn dedup_metrics(r: &SnapshotDedupResult) -> Vec<(String, u64)> {
-    vec![
-        ("ok_captures".into(), r.captures as u64),
-        (
-            "ok_idle_captures_free".into(),
-            (r.stored_bytes == r.stored_before_idle) as u64,
-        ),
-        ("logical_bytes".into(), r.logical_bytes),
-        ("stored_bytes".into(), r.stored_bytes),
-        ("transfer_raw".into(), r.transfer_raw),
-        ("transfer_compressed".into(), r.transfer_compressed),
-    ]
-}
-
-/// Flattens an [`OnDemandResult`] into the `BENCH_ondemand.json` trajectory
-/// metrics: the three download models' byte counts (all simulated, hence
-/// deterministic) plus the §3.5 correctness bits.
-pub fn ondemand_metrics(r: &OnDemandResult) -> Vec<(String, u64)> {
-    vec![
-        ("ok_verdicts_agree".into(), r.verdicts_agree as u64),
-        ("ok_warm_refetches".into(), r.warm_refetches),
-        ("snapshots".into(), r.snapshots),
-        ("full_raw".into(), r.full_raw),
-        ("full_compressed".into(), r.full_compressed),
-        ("dedup_raw".into(), r.dedup_raw),
-        ("dedup_compressed".into(), r.dedup_compressed),
-        ("ondemand_raw".into(), r.ondemand_raw),
-        ("ondemand_compressed".into(), r.ondemand_compressed),
-        ("chunks_faulted".into(), r.chunks_faulted),
-    ]
-}
-
-/// Flattens a [`ChunkedResult`] into the `BENCH_chunked.json` trajectory
-/// metrics: chunk- vs page-granular bytes at every pipeline stage and the
-/// blob-exchange round-trip accounting.
-pub fn chunked_metrics(r: &ChunkedResult) -> Vec<(String, u64)> {
-    vec![
-        ("ok_verdicts_agree".into(), r.verdicts_agree as u64),
-        ("snapshots".into(), r.snapshots),
-        ("chunk_logical_bytes".into(), r.chunk_logical_bytes),
-        ("page_logical_bytes".into(), r.page_logical_bytes),
-        ("chunk_stored_bytes".into(), r.chunk_stored_bytes),
-        ("page_stored_bytes".into(), r.page_stored_bytes),
-        ("chunk_ondemand_bytes".into(), r.chunk_ondemand_bytes),
-        ("page_ondemand_bytes".into(), r.page_ondemand_bytes),
-        ("rtts_batched".into(), r.rtts_batched),
-    ]
-}
-
-/// Flattens a [`PersistResult`] into the `BENCH_persist.json` trajectory
-/// metrics.
-pub fn persist_metrics(r: &PersistResult) -> Vec<(String, u64)> {
-    let mut m = Vec::new();
-    for row in &r.policies {
-        m.push((format!("{}_syncs", row.label), row.syncs));
-        m.push((format!("{}_appended_bytes", row.label), row.appended_bytes));
-        m.push((
-            format!("{}_modelled_sync_micros", row.label),
-            row.modelled_sync_micros,
-        ));
-    }
-    for (prefix, rep) in [("clean", &r.clean), ("crash", &r.crash)] {
+    for (prefix, rep) in [("clean", &clean), ("crash", &crash)] {
         m.push((format!("{prefix}_entries_recovered"), rep.entries_recovered));
         m.push((
             format!("{prefix}_snapshots_recovered"),
@@ -1916,90 +1604,18 @@ pub fn persist_metrics(r: &PersistResult) -> Vec<(String, u64)> {
     }
     m.push((
         "ok_audit_identical_after_clean_recovery".into(),
-        r.audit_identical_after_clean_recovery as u64,
+        audit_identical_after_clean_recovery as u64,
     ));
     m.push((
         "ok_audit_consistent_after_crash_recovery".into(),
-        r.audit_consistent_after_crash_recovery as u64,
+        audit_consistent_after_crash_recovery as u64,
     ));
     m
-}
-
-/// Flattens a [`NetAuditResult`] into the `BENCH_netaudit.json` trajectory
-/// metrics.
-pub fn netaudit_metrics(r: &NetAuditResult) -> Vec<(String, u64)> {
-    vec![
-        (
-            "ok_semantic_match_clean".into(),
-            r.semantic_match_clean as u64,
-        ),
-        (
-            "ok_semantic_match_lossy".into(),
-            r.semantic_match_lossy as u64,
-        ),
-        (
-            "ok_semantic_match_full".into(),
-            r.semantic_match_full as u64,
-        ),
-        ("measured_clean_us".into(), r.measured_clean_us),
-        ("measured_lossy_us".into(), r.measured_lossy_us),
-        ("retransmissions_lossy".into(), r.retransmissions_lossy),
-    ]
 }
 
 // ---------------------------------------------------------------------------
 // Fleet-scale auditing: N concurrent sessions against a shared provider node
 // ---------------------------------------------------------------------------
-
-/// One N-row of the `fleet` experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetRow {
-    /// Concurrent auditors (N).
-    pub auditors: u64,
-    /// Sessions that finished with a consistent verdict.
-    pub audits_ok: u64,
-    /// Simulated time from the first session start to quiescence, in µs.
-    pub sim_elapsed_us: u64,
-    /// Simulated µs per completed audit (inverse throughput).
-    pub us_per_audit: u64,
-    /// Completed audits per simulated second.
-    pub audits_per_sec: u64,
-    /// Median session completion latency (scheduled start → verdict), µs.
-    pub p50_us: u64,
-    /// Framed bytes across every link, both directions.
-    pub wire_bytes: u64,
-    /// Aggregate link throughput: wire bytes per simulated second.
-    pub bytes_per_sec: u64,
-    /// Provider responses served from the shared encoding cache.
-    pub cache_hits: u64,
-    /// Provider responses that had to be encoded (then cached).
-    pub cache_misses: u64,
-    /// Requests the provider scheduler served.
-    pub requests_served: u64,
-    /// Retransmissions across the whole fleet.
-    pub retransmissions: u64,
-}
-
-/// Result of the `fleet` experiment.
-#[derive(Debug, Clone)]
-pub struct FleetResult {
-    /// One row per fleet size in the sweep.
-    pub rows: Vec<FleetRow>,
-    /// The N=1 fleet report was *field-identical* (verdict, transfer
-    /// columns, wire accounting, measured latency) to the blocking
-    /// single-client `SimNetTransport` path.
-    pub n1_identical: bool,
-    /// Shared-cache hits at the N=10 row (must be > 0: nine auditors ride
-    /// the first one's encodings).
-    pub cache_hits_at_n10: u64,
-    /// Every session in every row reached a consistent verdict.
-    pub all_consistent: bool,
-    /// Parts run on threads of their own *during this sweep* (delta, not
-    /// process-wide totals): console telemetry only — the fleet workload is
-    /// sized below every split threshold, so claiming these numbers in the
-    /// pinned metrics would be misleading.
-    pub pool: avm_crypto::parallel::PoolStats,
-}
 
 /// Nearest-rank percentile over an ascending-sorted slice.
 fn percentile_us(sorted: &[u64], numerator: u64, denominator: u64) -> u64 {
@@ -2016,51 +1632,18 @@ fn percentile_us(sorted: &[u64], numerator: u64, denominator: u64) -> u64 {
 ///
 /// Reports audits/sec, aggregate link throughput and median session
 /// completion latency per N, plus the provider's shared-response-cache hit
-/// rates and the parts split off onto threads of their own.  Pins the semantics: the
-/// N=1 run is field-identical to the single-client `SimNetTransport` path.
-pub fn exp_fleet() -> FleetResult {
+/// rates.  Pins the semantics: the N=1 run is field-identical to the
+/// single-client `SimNetTransport` path, and ten auditors of one epoch share
+/// encodings.
+pub fn exp_fleet() -> Vec<(String, u64)> {
     use avm_core::endpoint::{AuditClient, AuditServer, SimNetTransport};
     use avm_core::fleet::{run_fleet, FleetConfig};
     use avm_net::LinkConfig;
-    use avm_vm::GuestRegistry;
 
     let registry = GuestRegistry::new();
-    let scheme = SignatureScheme::Rsa(512);
-    let mut rng = StdRng::seed_from_u64(23);
-    let operator = Identity::generate(&mut rng, "host", scheme);
-    let client_id = Identity::generate(&mut rng, "client", scheme);
-    let pages = 96;
-    let touch_pages = 16u64;
+    let image = sparse_touch_image(96);
     let n_snapshots: u64 = 5;
-    let image = sparse_touch_image(pages);
-    let mut avmm = Avmm::new(
-        "host",
-        &image,
-        &registry,
-        operator.signing_key.clone(),
-        AvmmOptions::default().with_scheme(scheme),
-    )
-    .unwrap();
-    avmm.add_peer("client", client_id.verifying_key());
-    let mut clock = HostClock::at(1_000);
-    avmm.run_slice(&clock, 50_000).unwrap();
-    for i in 0..n_snapshots {
-        clock.advance_to(clock.now() + 2_000);
-        let sel = (i % touch_pages) as u8;
-        let payload = encode_guest_packet("host", &[sel, (i % 8) as u8]);
-        let env = Envelope::create(
-            EnvelopeKind::Data,
-            "client",
-            "host",
-            i + 1,
-            payload,
-            &client_id.signing_key,
-            None,
-        );
-        avmm.deliver(&env).unwrap();
-        avmm.run_slice(&clock, 100_000).unwrap();
-        avmm.take_snapshot();
-    }
+    let avmm = sparse_host(23, &image, options(), 16, n_snapshots, |_, _| {});
 
     let start = n_snapshots - 2;
     let k = 1u64;
@@ -2076,16 +1659,19 @@ pub fn exp_fleet() -> FleetResult {
         .unwrap();
     assert!(baseline.consistent, "honest chunk must pass");
 
-    let sweep: &[usize] = &[1, 10, 100];
-    let pool_before = avm_crypto::parallel::global_pool_stats();
-    let mut rows = Vec::with_capacity(sweep.len());
+    println!("# Fleet auditing: N concurrent sessions, one provider node (start={start}, k={k})");
+    println!(
+        "| N | audits/s (sim) | µs/audit | p50 µs | wire MB | link MB/s | cache hit/miss | retx |"
+    );
+    println!("|---|---|---|---|---|---|---|---|");
+    let mut rows = Vec::new();
     let mut n1_identical = false;
     let mut cache_hits_at_n10 = 0u64;
     let mut all_consistent = true;
-    for &n in sweep {
+    for n in [1u64, 10, 100] {
         let config = FleetConfig {
             link,
-            auditors: n,
+            auditors: n as usize,
             start_snapshot: start,
             chunk: k,
             inter_arrival_us: 200,
@@ -2098,12 +1684,11 @@ pub fn exp_fleet() -> FleetResult {
             .iter()
             .filter(|r| r.as_ref().is_ok_and(|rep| rep.consistent))
             .count() as u64;
-        all_consistent &= audits_ok == n as u64;
+        all_consistent &= audits_ok == n;
         if n == 1 {
             n1_identical = outcome.reports[0]
                 .as_ref()
-                .map(|rep| rep == &baseline)
-                .unwrap_or(false);
+                .is_ok_and(|rep| rep == &baseline);
         }
         let provider = outcome.providers[0];
         if n == 10 {
@@ -2111,7 +1696,9 @@ pub fn exp_fleet() -> FleetResult {
         }
         let mut latencies = outcome.latencies_us.clone();
         latencies.sort_unstable();
+        let p50_us = percentile_us(&latencies, 50, 100);
         let sim_elapsed_us = outcome.event_loop.now_us.max(1);
+        let us_per_audit = sim_elapsed_us / audits_ok.max(1);
         let wire_bytes: u64 = outcome.node_stats.iter().map(|(_, s)| s.tx_bytes).sum();
         let retransmissions: u64 = outcome
             .reports
@@ -2119,23 +1706,25 @@ pub fn exp_fleet() -> FleetResult {
             .filter_map(|r| r.as_ref().ok())
             .map(|rep| rep.transport.retransmissions)
             .sum();
-        rows.push(FleetRow {
-            auditors: n as u64,
-            audits_ok,
-            sim_elapsed_us,
-            us_per_audit: sim_elapsed_us / (audits_ok.max(1)),
-            audits_per_sec: audits_ok * 1_000_000 / sim_elapsed_us,
-            p50_us: percentile_us(&latencies, 50, 100),
-            wire_bytes,
-            bytes_per_sec: wire_bytes * 1_000_000 / sim_elapsed_us,
-            cache_hits: provider.cache.hits,
-            cache_misses: provider.cache.misses,
-            requests_served: provider.requests_served,
+        println!(
+            "| {} | {} | {} | {} | {:.2} | {:.2} | {}/{} | {} |",
+            n,
+            audits_ok * 1_000_000 / sim_elapsed_us,
+            us_per_audit,
+            p50_us,
+            wire_bytes as f64 / 1e6,
+            (wire_bytes * 1_000_000 / sim_elapsed_us) as f64 / 1e6,
+            provider.cache.hits,
+            provider.cache.misses,
             retransmissions,
-        });
+        );
+        rows.push((format!("n{n}_us_per_audit"), us_per_audit));
+        rows.push((format!("n{n}_p50_us"), p50_us));
+        rows.push((format!("n{n}_wire_bytes"), wire_bytes));
+        rows.push((format!("n{n}_cache_hits"), provider.cache.hits));
+        rows.push((format!("n{n}_retransmissions"), retransmissions));
     }
-
-    let pool = avm_crypto::parallel::global_pool_stats().since(&pool_before);
+    println!("\nN=1 field-identical to SimNetTransport: {n1_identical}");
     assert!(n1_identical, "fleet N=1 must equal the blocking transport");
     assert!(all_consistent, "every fleet session must pass");
     assert!(
@@ -2143,138 +1732,21 @@ pub fn exp_fleet() -> FleetResult {
         "ten auditors of one epoch must share encodings"
     );
 
-    println!("# Fleet auditing: N concurrent sessions, one provider node (start={start}, k={k})");
-    println!(
-        "| N | audits/s (sim) | µs/audit | p50 µs | wire MB | link MB/s | cache hit/miss | retx |"
-    );
-    println!("|---|---|---|---|---|---|---|---|");
-    for row in &rows {
-        println!(
-            "| {} | {} | {} | {} | {:.2} | {:.2} | {}/{} | {} |",
-            row.auditors,
-            row.audits_per_sec,
-            row.us_per_audit,
-            row.p50_us,
-            row.wire_bytes as f64 / 1e6,
-            row.bytes_per_sec as f64 / 1e6,
-            row.cache_hits,
-            row.cache_misses,
-            row.retransmissions,
-        );
-    }
-    println!(
-        "\nN=1 field-identical to SimNetTransport: {n1_identical}; threads split off during \
-         this sweep: {} hash parts, {} other parts (these payloads sit below every split \
-         threshold, so 0 here is expected)",
-        pool.jobs, pool.tasks
-    );
-
-    FleetResult {
-        rows,
-        n1_identical,
-        cache_hits_at_n10,
-        all_consistent,
-        pool,
-    }
-}
-
-/// Flattens a [`FleetResult`] into the `BENCH_fleet.json` trajectory metrics.
-pub fn fleet_metrics(r: &FleetResult) -> Vec<(String, u64)> {
     let mut m = vec![
-        ("ok_n1_identical".to_string(), r.n1_identical as u64),
+        ("ok_n1_identical".to_string(), n1_identical as u64),
         (
             "ok_cache_hits_at_n10".to_string(),
-            (r.cache_hits_at_n10 > 0) as u64,
+            (cache_hits_at_n10 > 0) as u64,
         ),
-        ("ok_all_consistent".to_string(), r.all_consistent as u64),
+        ("ok_all_consistent".to_string(), all_consistent as u64),
     ];
-    for row in &r.rows {
-        let n = row.auditors;
-        m.push((format!("n{n}_us_per_audit"), row.us_per_audit));
-        m.push((format!("n{n}_p50_us"), row.p50_us));
-        m.push((format!("n{n}_wire_bytes"), row.wire_bytes));
-        m.push((format!("n{n}_cache_hits"), row.cache_hits));
-        m.push((format!("n{n}_retransmissions"), row.retransmissions));
-    }
-    // No split keys here: the fleet run never splits (payloads sit below
-    // every split threshold), and pinning zeros would claim coverage the
-    // run doesn't have.
+    m.extend(rows);
     m
 }
 
 // ---------------------------------------------------------------------------
 // Accountable attestation: attest-then-audit at fleet scale (avm-attest)
 // ---------------------------------------------------------------------------
-
-/// One fleet-size row of the `attest` experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct AttestRow {
-    /// Concurrent attest-then-audit auditors (N).
-    pub auditors: u64,
-    /// Sessions whose launch verdict came back `Verified`.
-    pub attested_ok: u64,
-    /// Sessions that went on to a consistent spot-check verdict.
-    pub audits_ok: u64,
-    /// Simulated time from first session start to quiescence, µs.
-    pub sim_elapsed_us: u64,
-    /// Median session completion latency (challenge → audit verdict), µs.
-    pub p50_us: u64,
-    /// 99th-percentile session completion latency, µs.
-    pub p99_us: u64,
-    /// Framed bytes across every link, both directions.
-    pub wire_bytes: u64,
-    /// Requests the provider scheduler served (one attest challenge plus
-    /// the audit traffic, per session).
-    pub requests_served: u64,
-    /// Shared-cache hits (quotes are nonce-bound and bypass the cache, so
-    /// these all come from the audit traffic).
-    pub cache_hits: u64,
-}
-
-/// Result of the `attest` experiment.
-#[derive(Debug, Clone)]
-pub struct AttestResult {
-    /// Honest attested-fleet sweep.
-    pub rows: Vec<AttestRow>,
-    /// Encoded attestation envelope size, bytes.
-    pub envelope_bytes: u64,
-    /// Encoded quote size for one challenge, bytes.
-    pub quote_bytes: u64,
-    /// One SimNet session: attest verified, then the on-demand spot check
-    /// continued over the same session and passed.
-    pub honest_session: bool,
-    /// Every session in every sweep row: launch `Verified` and audit
-    /// consistent.
-    pub honest_fleet: bool,
-    /// Launch verdict for the provider that booted a tampered image.
-    pub image_tamper: AttestVerdict,
-    /// Launch verdict for the boot event log extended after sealing.
-    pub log_fork: AttestVerdict,
-    /// Launch verdict for the replayed (stale-nonce) quote.
-    pub stale_nonce: AttestVerdict,
-    /// Honest + three tamper verdicts were pairwise distinct.
-    pub verdicts_distinct: bool,
-    /// Post-launch execution tamper: the launch attestation still verifies
-    /// (the envelope only covers the launch)...
-    pub post_launch_attest_verified: bool,
-    /// ...but the spot check over the tampered chunk catches it.
-    pub post_launch_audit_caught: bool,
-    /// A fleet pointed at the tampered-image provider: every session was
-    /// rejected at the attest step with `ImageMismatch`...
-    pub reject_fleet_all_mismatch: bool,
-    /// ...after exactly one served request per session — rejected sessions
-    /// produce no audit traffic.
-    pub reject_fleet_one_request_each: bool,
-    /// The crash-recovered provider re-served envelope bytes identical to
-    /// its unkilled twin's.
-    pub recovered_envelope_identical: bool,
-    /// ...and identical to the live (non-durable) recorder's — the envelope
-    /// is deterministic across provider instances.
-    pub recovered_matches_live: bool,
-    /// A fresh attested fleet against the recovered provider produced the
-    /// same verdicts and reports as against the unkilled twin.
-    pub recovered_fleet_matches: bool,
-}
 
 /// Accountable attestation at fleet scale: the avm-db server runs as an
 /// attested workload under client churn; a fleet of N auditors each opens a
@@ -2291,7 +1763,7 @@ pub struct AttestResult {
 /// (the envelope covers only the launch) and the spot check catches.  A
 /// crash/recovery pass pins that a durable provider re-serves byte-identical
 /// envelope bytes and passes the same fleet as its unkilled twin.
-pub fn exp_attest() -> AttestResult {
+pub fn exp_attest() -> Vec<(String, u64)> {
     use avm_attest::{AttestationEnvelope, BootEvent, BootEventLog};
     use avm_core::attest::{challenge_nonce, Attestor, LaunchPolicy};
     use avm_core::endpoint::{AuditClient, AuditServer, SimNetTransport};
@@ -2303,76 +1775,37 @@ pub fn exp_attest() -> AttestResult {
     use std::collections::HashSet;
 
     let registry = db_registry();
-    let scheme = SignatureScheme::Rsa(512);
-    let mut rng = StdRng::seed_from_u64(31);
-    let operator = Identity::generate(&mut rng, "db-host", scheme);
-    let client_id = Identity::generate(&mut rng, "client", scheme);
-    let cfg = DbConfig::new("client");
-    let image = db_image(&cfg);
-    let options = || AvmmOptions::default().with_scheme(scheme);
-    let rows_n: u64 = 8;
-    let snapshot_every: u64 = 8;
+    let keys = keys(31, "db-host");
+    let image = db_image(&DbConfig::new("client"));
 
-    // Churn driver: the sql-bench-style request stream delivered as signed
-    // envelopes, snapshotting every `snapshot_every` requests.  When
-    // `tamper_before` names a snapshot, guest memory is overwritten right
-    // before that snapshot is captured — execution tampering the launch
-    // attestation cannot see.
-    let drive = |avmm: &mut Avmm, tamper_before: Option<u64>| {
-        let mut workload = WorkloadGen::new(rows_n);
-        let mut clock = HostClock::at(1_000);
-        let mut msg_id = 0u64;
-        let mut since = 0u64;
-        let mut snaps = 0u64;
-        avmm.run_slice(&clock, 50_000).unwrap();
-        while let Some(payload) = workload.next_packet("db-host") {
-            msg_id += 1;
-            clock.advance_to(clock.now() + 5_000);
-            let env = Envelope::create(
-                EnvelopeKind::Data,
-                "client",
-                "db-host",
-                msg_id,
-                payload,
-                &client_id.signing_key,
-                None,
-            );
-            avmm.deliver(&env).unwrap();
-            avmm.run_slice(&clock, 100_000).unwrap();
-            since += 1;
-            if since >= snapshot_every {
-                if tamper_before == Some(snaps) {
-                    let addr = avmm.machine_mut().memory().size() - 64;
-                    avmm.machine_mut()
-                        .memory_mut()
-                        .write_u8(addr, 0xAA)
-                        .unwrap();
-                }
-                avmm.take_snapshot();
-                snaps += 1;
-                since = 0;
+    // Churn: the sql-bench stream over 8 rows, a snapshot every 8 requests
+    // and one at the end.  When `tamper_before` names a snapshot, guest
+    // memory is overwritten right before that snapshot is captured —
+    // execution tampering the launch attestation cannot see.
+    let record = |tamper_before: Option<u64>| {
+        let mut avmm = live_host("db-host", &image, &registry, &keys, options());
+        let tamper = |avmm: &mut Avmm, snapshot: u64| {
+            if tamper_before == Some(snapshot) {
+                let addr = avmm.machine().memory().size() - 64;
+                avmm.machine_mut()
+                    .memory_mut()
+                    .write_u8(addr, 0xAA)
+                    .unwrap();
             }
-        }
+        };
+        record_db(Host::Live(&mut avmm), &keys.1, 8, 8, tamper).unwrap();
         avmm.take_snapshot();
+        avmm
     };
 
-    let mut avmm = Avmm::new(
-        "db-host",
-        &image,
-        &registry,
-        operator.signing_key.clone(),
-        options(),
-    )
-    .unwrap();
-    avmm.add_peer("client", client_id.verifying_key());
-    drive(&mut avmm, None);
+    let avmm = record(None);
     let n_snapshots = avmm.snapshots().len() as u64;
     let start = n_snapshots - 2;
     let k = 1u64;
     let link = LinkConfig::default();
 
     let attestor = Attestor::for_avmm(&avmm, &image).unwrap();
-    let policy = LaunchPolicy::new(&image, "db-host", scheme, operator.verifying_key());
+    let policy = LaunchPolicy::new(&image, "db-host", SCHEME, keys.0.verifying_key());
     let envelope_bytes = attestor.envelope_bytes().len() as u64;
 
     // 1. One honest session over SimNetTransport: challenge → verify →
@@ -2393,13 +1826,16 @@ pub fn exp_attest() -> AttestResult {
         && audit_after.consistent;
 
     // 2. The honest attested-fleet sweep.
-    let sweep: &[usize] = &[1, 10, 50];
-    let mut fleet_rows = Vec::with_capacity(sweep.len());
+    println!("# Accountable attestation: attest-then-audit fleet (start={start}, k={k})");
+    println!("envelope: {envelope_bytes} B, quote: {quote_bytes} B");
+    println!("| N | attested | audits ok | p50 µs | p99 µs | wire MB | served | cache hits |");
+    println!("|---|---|---|---|---|---|---|---|");
+    let mut rows = Vec::new();
     let mut honest_fleet = true;
-    for &n in sweep {
+    for n in [1u64, 10, 50] {
         let config = FleetConfig {
             link,
-            auditors: n,
+            auditors: n as usize,
             start_snapshot: start,
             chunk: k,
             inter_arrival_us: 200,
@@ -2428,36 +1864,34 @@ pub fn exp_attest() -> AttestResult {
             .iter()
             .filter(|r| r.as_ref().is_ok_and(|rep| rep.consistent))
             .count() as u64;
-        honest_fleet &= attested_ok == n as u64 && audits_ok == n as u64;
+        honest_fleet &= attested_ok == n && audits_ok == n;
         let mut latencies = outcome.latencies_us.clone();
         latencies.sort_unstable();
-        let sim_elapsed_us = outcome.event_loop.now_us.max(1);
+        let p50_us = percentile_us(&latencies, 50, 100);
+        let wire_bytes: u64 = outcome.node_stats.iter().map(|(_, s)| s.tx_bytes).sum();
         let provider = outcome.providers[0];
-        fleet_rows.push(AttestRow {
-            auditors: n as u64,
+        println!(
+            "| {} | {} | {} | {} | {} | {:.2} | {} | {} |",
+            n,
             attested_ok,
             audits_ok,
-            sim_elapsed_us,
-            p50_us: percentile_us(&latencies, 50, 100),
-            p99_us: percentile_us(&latencies, 99, 100),
-            wire_bytes: outcome.node_stats.iter().map(|(_, s)| s.tx_bytes).sum(),
-            requests_served: provider.requests_served,
-            cache_hits: provider.cache.hits,
-        });
+            p50_us,
+            percentile_us(&latencies, 99, 100),
+            wire_bytes as f64 / 1e6,
+            provider.requests_served,
+            provider.cache.hits,
+        );
+        rows.push((format!("n{n}_p50_us"), p50_us));
+        rows.push((format!("n{n}_wire_bytes"), wire_bytes));
+        rows.push((format!("n{n}_requests_served"), provider.requests_served));
+        rows.push((format!("n{n}_cache_hits"), provider.cache.hits));
     }
 
     // 3. Tampered initial image: a provider that booted something else.
     //    Verified directly, then as a fleet — rejected sessions must end at
     //    the challenge, generating no audit traffic.
     let tampered_image = image.clone().with_disk(vec![0xEEu8; 512]);
-    let tampered_avmm = Avmm::new(
-        "db-host",
-        &tampered_image,
-        &registry,
-        operator.signing_key.clone(),
-        options(),
-    )
-    .unwrap();
+    let tampered_avmm = live_host("db-host", &tampered_image, &registry, &keys, options());
     let tampered_attestor = Attestor::for_avmm(&tampered_avmm, &tampered_image).unwrap();
     let ch = AttestChallenge {
         nonce: challenge_nonce(901, 20_000),
@@ -2504,7 +1938,7 @@ pub fn exp_attest() -> AttestResult {
         boot: BootEventLog::from_parts(events, seal),
         ..envelope
     };
-    let forger = Attestor::new(&forged, operator.signing_key.clone());
+    let forger = Attestor::new(&forged, keys.0.signing_key.clone());
     let ch = AttestChallenge {
         nonce: challenge_nonce(902, 30_000),
         issued_at_us: 30_000,
@@ -2535,17 +1969,8 @@ pub fn exp_attest() -> AttestResult {
     //    spot check over the tampered chunk goes red.  Launch measurement
     //    alone is not accountability; the audit continues where the
     //    envelope's coverage ends.
-    let mut tampered_exec = Avmm::new(
-        "db-host",
-        &image,
-        &registry,
-        operator.signing_key.clone(),
-        options(),
-    )
-    .unwrap();
-    tampered_exec.add_peer("client", client_id.verifying_key());
     let tamper_snapshot = n_snapshots - 2;
-    drive(&mut tampered_exec, Some(tamper_snapshot));
+    let tampered_exec = record(Some(tamper_snapshot));
     let exec_attestor = Attestor::for_avmm(&tampered_exec, &image).unwrap();
     let ch = AttestChallenge {
         nonce: challenge_nonce(904, 60_000),
@@ -2564,55 +1989,36 @@ pub fn exp_attest() -> AttestResult {
     .unwrap();
     let post_launch_audit_caught = !post_report.consistent;
 
-    // 7. Crash/recovery: a durable twin pair over avm-store.  The recovered
-    //    provider must re-serve *the* envelope (byte-identical) and pass
-    //    the same fleet attest-then-audit as the unkilled twin.
+    // 7. Crash/recovery: a durable twin pair over avm-store, each fed the
+    //    stream over 3 rows with a snapshot after every request.  The
+    //    recovered provider must re-serve *the* envelope (byte-identical)
+    //    and pass the same fleet attest-then-audit as the unkilled twin.
     let pcfg = persist_cfg(SyncPolicy::PerBatch, FsyncModel::DISK_2010);
-    let provider_rounds: u64 = 12;
-    let make_provider = |storage: SimStorage| {
+    let durable = |storage: SimStorage| {
         let mut p = Provider::create(
             storage,
             "db-host",
             &image,
             &registry,
-            operator.signing_key.clone(),
+            keys.0.signing_key.clone(),
             options(),
             pcfg,
         )
         .unwrap();
-        p.add_peer("client", client_id.verifying_key());
-        let mut workload = WorkloadGen::new(provider_rounds / 4);
-        let mut clock = HostClock::at(1_000);
-        let mut msg_id = 0u64;
-        p.run_slice(&clock, 50_000).unwrap();
-        while let Some(payload) = workload.next_packet("db-host") {
-            msg_id += 1;
-            clock.advance_to(clock.now() + 5_000);
-            let env = Envelope::create(
-                EnvelopeKind::Data,
-                "client",
-                "db-host",
-                msg_id,
-                payload,
-                &client_id.signing_key,
-                None,
-            );
-            p.deliver(&env).unwrap();
-            p.run_slice(&clock, 100_000).unwrap();
-            p.take_snapshot().unwrap();
-        }
+        p.add_peer("client", keys.1.verifying_key());
+        record_db(Host::Durable(&mut p), &keys.1, 3, 1, |_, _| {}).unwrap();
         p
     };
-    let twin = make_provider(SimStorage::new());
+    let twin = durable(SimStorage::new());
     let storage = SimStorage::new();
-    let victim = make_provider(storage.clone());
+    let victim = durable(storage.clone());
     drop(victim); // the process dies; only the bytes in `storage` survive
     let (recovered, _) = Provider::recover(
         storage.reboot(),
         "db-host",
         &image,
         &registry,
-        operator.signing_key.clone(),
+        keys.0.signing_key.clone(),
         options(),
         pcfg,
     )
@@ -2659,23 +2065,6 @@ pub fn exp_attest() -> AttestResult {
             .iter()
             .all(|r| r.as_ref().is_some_and(|rep| rep.consistent));
 
-    println!("# Accountable attestation: attest-then-audit fleet (start={start}, k={k})");
-    println!("envelope: {envelope_bytes} B, quote: {quote_bytes} B");
-    println!("| N | attested | audits ok | p50 µs | p99 µs | wire MB | served | cache hits |");
-    println!("|---|---|---|---|---|---|---|---|");
-    for row in &fleet_rows {
-        println!(
-            "| {} | {} | {} | {} | {} | {:.2} | {} | {} |",
-            row.auditors,
-            row.attested_ok,
-            row.audits_ok,
-            row.p50_us,
-            row.p99_us,
-            row.wire_bytes as f64 / 1e6,
-            row.requests_served,
-            row.cache_hits,
-        );
-    }
     println!(
         "\ntamper verdicts: image={image_tamper}, boot-log fork={log_fork}, replay={stale_nonce} \
          (distinct: {verdicts_distinct}); post-launch tamper: attest says {post_verdict}, \
@@ -2691,78 +2080,42 @@ pub fn exp_attest() -> AttestResult {
          {recovered_fleet_matches}"
     );
 
-    AttestResult {
-        rows: fleet_rows,
-        envelope_bytes,
-        quote_bytes,
-        honest_session,
-        honest_fleet,
-        image_tamper,
-        log_fork,
-        stale_nonce,
-        verdicts_distinct,
-        post_launch_attest_verified,
-        post_launch_audit_caught,
-        reject_fleet_all_mismatch,
-        reject_fleet_one_request_each,
-        recovered_envelope_identical,
-        recovered_matches_live,
-        recovered_fleet_matches,
-    }
-}
-
-/// Flattens an [`AttestResult`] into the `BENCH_attest.json` trajectory
-/// metrics.
-pub fn attest_metrics(r: &AttestResult) -> Vec<(String, u64)> {
-    let mut m = vec![
-        ("ok_honest_session".to_string(), r.honest_session as u64),
-        ("ok_honest_fleet".to_string(), r.honest_fleet as u64),
+    let mut m: Vec<(String, u64)> = [
+        ("ok_honest_session", honest_session),
+        ("ok_honest_fleet", honest_fleet),
         (
-            "ok_image_tamper_distinct".to_string(),
-            (r.image_tamper == AttestVerdict::ImageMismatch) as u64,
+            "ok_image_tamper_distinct",
+            image_tamper == AttestVerdict::ImageMismatch,
         ),
         (
-            "ok_log_fork_distinct".to_string(),
-            (r.log_fork == AttestVerdict::BootLogForged) as u64,
+            "ok_log_fork_distinct",
+            log_fork == AttestVerdict::BootLogForged,
         ),
         (
-            "ok_stale_nonce_distinct".to_string(),
-            (r.stale_nonce == AttestVerdict::StaleNonce) as u64,
+            "ok_stale_nonce_distinct",
+            stale_nonce == AttestVerdict::StaleNonce,
+        ),
+        ("ok_verdicts_distinct", verdicts_distinct),
+        (
+            "ok_post_launch_detected",
+            post_launch_attest_verified && post_launch_audit_caught,
         ),
         (
-            "ok_verdicts_distinct".to_string(),
-            r.verdicts_distinct as u64,
+            "ok_reject_no_audit_traffic",
+            reject_fleet_all_mismatch && reject_fleet_one_request_each,
         ),
         (
-            "ok_post_launch_detected".to_string(),
-            (r.post_launch_attest_verified && r.post_launch_audit_caught) as u64,
+            "ok_recovered_envelope_identical",
+            recovered_envelope_identical,
         ),
-        (
-            "ok_reject_no_audit_traffic".to_string(),
-            (r.reject_fleet_all_mismatch && r.reject_fleet_one_request_each) as u64,
-        ),
-        (
-            "ok_recovered_envelope_identical".to_string(),
-            r.recovered_envelope_identical as u64,
-        ),
-        (
-            "ok_recovered_matches_live".to_string(),
-            r.recovered_matches_live as u64,
-        ),
-        (
-            "ok_recovered_fleet_matches".to_string(),
-            r.recovered_fleet_matches as u64,
-        ),
-        ("envelope_bytes".to_string(), r.envelope_bytes),
-        ("quote_bytes".to_string(), r.quote_bytes),
-    ];
-    for row in &r.rows {
-        let n = row.auditors;
-        m.push((format!("n{n}_p50_us"), row.p50_us));
-        m.push((format!("n{n}_wire_bytes"), row.wire_bytes));
-        m.push((format!("n{n}_requests_served"), row.requests_served));
-        m.push((format!("n{n}_cache_hits"), row.cache_hits));
-    }
+        ("ok_recovered_matches_live", recovered_matches_live),
+        ("ok_recovered_fleet_matches", recovered_fleet_matches),
+    ]
+    .map(|(key, ok)| (key.to_string(), ok as u64))
+    .into();
+    m.push(("envelope_bytes".into(), envelope_bytes));
+    m.push(("quote_bytes".into(), quote_bytes));
+    m.extend(rows);
     m
 }
 
@@ -2779,11 +2132,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     (
         &["table1", "functionality", "sec6.3"],
         "BENCH_table1.json",
-        || {
-            let table = exp_table1();
-            let (honest_pass, cheaters_caught) = exp_functionality();
-            table1_metrics(&table, honest_pass, cheaters_caught)
-        },
+        exp_table1,
     ),
     (
         &[
@@ -2797,235 +2146,70 @@ pub const EXPERIMENTS: &[Experiment] = &[
             "traffic",
         ],
         "BENCH_gamelog.json",
-        || gamelog_metrics(&exp_log_growth(), &exp_clock_optimization(), exp_traffic()),
+        exp_gamelog,
     ),
-    (&["fig9", "sec6.12", "spotcheck"], "BENCH_fig9.json", || {
-        fig9_metrics(&exp_spotcheck())
-    }),
+    (
+        &["fig9", "sec6.12", "spotcheck"],
+        "BENCH_fig9.json",
+        exp_spotcheck,
+    ),
     (
         &["dedup", "cas", "snapshotdedup"],
         "BENCH_dedup.json",
-        || dedup_metrics(&exp_snapshot_dedup()),
+        exp_snapshot_dedup,
     ),
     (
         &["ondemand", "sec3.5", "partialstate"],
         "BENCH_ondemand.json",
-        || ondemand_metrics(&exp_ondemand()),
+        exp_ondemand,
     ),
     (
         &["chunked", "subpage", "chunks"],
         "BENCH_chunked.json",
-        || chunked_metrics(&exp_chunked()),
+        exp_chunked,
     ),
     (
         &["netaudit", "netcheck", "endpoints"],
         "BENCH_netaudit.json",
-        || netaudit_metrics(&exp_netaudit()),
+        exp_netaudit,
     ),
     (
         &["persist", "durability", "crashrecovery"],
         "BENCH_persist.json",
-        || persist_metrics(&exp_persist()),
+        exp_persist,
     ),
-    (&["fleet", "sessions", "scale"], "BENCH_fleet.json", || {
-        fleet_metrics(&exp_fleet())
-    }),
+    (
+        &["fleet", "sessions", "scale"],
+        "BENCH_fleet.json",
+        exp_fleet,
+    ),
     (
         &["attest", "attestation", "launch"],
         "BENCH_attest.json",
-        || attest_metrics(&exp_attest()),
+        exp_attest,
     ),
 ];
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::EXPERIMENTS;
 
+    /// `experiments <id>` runs the first entry that lists `id`, and two
+    /// entries writing one file would overwrite each other's pin: every
+    /// selection id and every pin file names one experiment, and no id is
+    /// the binary's `all`.
     #[test]
-    fn clock_optimization_shape_matches_section_6_5() {
-        let r = exp_clock_optimization();
-        assert!(
-            r.capped_reads > 3 * r.uncapped_reads,
-            "frame cap should multiply clock reads: capped={} uncapped={}",
-            r.capped_reads,
-            r.uncapped_reads
-        );
-        assert!(
-            r.capped_optimized_reads < r.capped_reads / 2,
-            "optimisation should recover most of the growth: optimized={} capped={}",
-            r.capped_optimized_reads,
-            r.capped_reads
-        );
-    }
-
-    /// Table 1, the paper's headline functional result: every catalogued
-    /// cheat's audit reports a fault.
-    #[test]
-    fn table1_detects_every_catalogued_cheat() {
-        let r = exp_table1();
-        assert_eq!((r.total, r.detected, r.undetected), (26, 26, 0));
-    }
-
-    #[test]
-    fn spotcheck_cost_grows_with_k() {
-        let rows = exp_spotcheck();
-        assert!(!rows.is_empty());
-        for w in rows.windows(2) {
-            assert!(w[1].relative_replay >= w[0].relative_replay);
-            assert!(w[1].relative_transfer >= w[0].relative_transfer);
+    fn every_id_and_pin_file_names_one_experiment() {
+        let ids: Vec<&str> = EXPERIMENTS
+            .iter()
+            .flat_map(|(ids, ..)| ids.iter().copied())
+            .collect();
+        let files: Vec<&str> = EXPERIMENTS.iter().map(|&(_, file, _)| file).collect();
+        assert!(!ids.contains(&"all"), "`all` selects every experiment");
+        for names in [ids, files] {
+            for (i, name) in names.iter().enumerate() {
+                assert!(!names[..i].contains(name), "{name} names two experiments");
+            }
         }
-        for row in &rows {
-            assert!(
-                row.relative_transfer_compressed > 0.0
-                    && row.relative_transfer_compressed < row.relative_transfer,
-                "compressed transfer should undercut raw: {row:?}"
-            );
-        }
-    }
-
-    /// Acceptance for the §3.5 reproduction: on-demand transfer strictly
-    /// below the dedup full-state download (raw AND compressed), which in
-    /// turn undercuts the full dump; verdicts agree between modes; a warm
-    /// cache never re-downloads.
-    #[test]
-    fn ondemand_transfer_strictly_below_dedup_and_full() {
-        let r = exp_ondemand();
-        assert!(r.verdicts_agree);
-        assert!(
-            r.ondemand_raw < r.dedup_raw,
-            "on-demand raw {} must be strictly below dedup raw {}",
-            r.ondemand_raw,
-            r.dedup_raw
-        );
-        assert!(
-            r.ondemand_compressed < r.dedup_compressed,
-            "on-demand compressed {} must be strictly below dedup compressed {}",
-            r.ondemand_compressed,
-            r.dedup_compressed
-        );
-        assert!(
-            r.dedup_raw < r.full_raw,
-            "dedup raw {} must undercut the full dump {}",
-            r.dedup_raw,
-            r.full_raw
-        );
-        assert!(r.chunks_faulted > 0);
-        assert!(
-            r.untouched_staged > 0,
-            "a sparse-touch chunk must leave divergent state untouched"
-        );
-        assert_eq!(r.warm_refetches, 0);
-    }
-
-    /// Acceptance for the chunk-granular pipeline: snapshot stored bytes and
-    /// on-demand transfer bytes strictly below the page-granular
-    /// equivalents on the sparse-writer workload, round trips no more than
-    /// blob-at-a-time, verdicts agreeing between modes, and the
-    /// prune actually freeing pooled payload.
-    #[test]
-    fn chunked_pipeline_beats_page_granularity() {
-        let r = exp_chunked();
-        assert!(r.verdicts_agree);
-        assert!(
-            r.chunk_stored_bytes < r.page_stored_bytes,
-            "chunk pool {} B must be strictly below the page-equivalent pool {} B",
-            r.chunk_stored_bytes,
-            r.page_stored_bytes
-        );
-        assert!(
-            r.chunk_ondemand_bytes < r.page_ondemand_bytes,
-            "chunk on-demand {} B must be strictly below the page equivalent {} B",
-            r.chunk_ondemand_bytes,
-            r.page_ondemand_bytes
-        );
-        assert!(
-            r.chunk_logical_bytes < r.page_logical_bytes,
-            "sparse incremental captures must ship fewer bytes at chunk granularity"
-        );
-        // The manifest, then at least one exchange for a miss.
-        assert!(r.rtts_batched >= 2);
-        assert!(r.pruned_freed_bytes > 0);
-    }
-
-    /// The netaudit acceptance bar: identical semantics on every link and a
-    /// correct finish through loss (what a lossless exchange costs per
-    /// packet is pinned in `avm-core`'s endpoint tests).
-    #[test]
-    fn netaudit_transports_agree_and_match_the_model() {
-        let r = exp_netaudit();
-        assert!(r.semantic_match_clean && r.semantic_match_lossy && r.semantic_match_full);
-        assert!(r.measured_clean_us > 0);
-        assert!(r.retransmissions_lossy > 0);
-        assert!(r.measured_lossy_us > r.measured_clean_us);
-    }
-
-    /// Acceptance for durable accountability: the fsync-policy ladder is
-    /// ordered the way the cost model predicts (without changing what is
-    /// written), a clean restart reproduces field-identical audits, and a
-    /// mid-write crash recovers by torn-tail truncation and still passes.
-    #[test]
-    fn persist_policies_ordered_and_recovered_audits_pass() {
-        let r = exp_persist();
-        let by = |label: &str| {
-            r.policies
-                .iter()
-                .find(|p| p.label == label)
-                .copied()
-                .unwrap()
-        };
-        let (entry, batch, seal) = (by("per_entry"), by("per_batch"), by("per_seal"));
-        let ssd = by("per_entry_ssd");
-        assert!(
-            entry.syncs > batch.syncs && batch.syncs > seal.syncs,
-            "sync counts must fall from per-entry to per-seal: {} / {} / {}",
-            entry.syncs,
-            batch.syncs,
-            seal.syncs
-        );
-        assert_eq!(
-            entry.appended_bytes, seal.appended_bytes,
-            "the sync policy must not change what is written"
-        );
-        assert!(
-            entry.modelled_sync_micros > batch.modelled_sync_micros
-                && batch.modelled_sync_micros > seal.modelled_sync_micros
-        );
-        assert!(
-            ssd.modelled_sync_micros * 10 < entry.modelled_sync_micros,
-            "the SSD model must undercut the 2010 disk by an order of magnitude"
-        );
-        assert!(r.audit_identical_after_clean_recovery);
-        assert!(r.audit_consistent_after_crash_recovery);
-        assert_eq!(r.clean.torn_bytes_truncated, 0);
-        assert!(
-            r.crash.torn_bytes_truncated > 0,
-            "the crash budget must land mid-record"
-        );
-        assert!(r.clean.snapshots_verified > 0 && r.crash.snapshots_verified > 0);
-        // The emitted trajectory metrics carry every pinned key class.
-        let metrics = persist_metrics(&r);
-        assert!(metrics
-            .iter()
-            .any(|(k, _)| k == "per_seal_modelled_sync_micros"));
-        assert!(metrics
-            .iter()
-            .any(|(k, _)| k == "crash_torn_bytes_truncated"));
-        assert!(metrics
-            .iter()
-            .any(|(k, v)| k == "ok_audit_identical_after_clean_recovery" && *v == 1));
-    }
-
-    #[test]
-    fn dedup_store_is_o_unique_pages() {
-        let r = exp_snapshot_dedup();
-        // Idle full captures added exactly zero stored payload (asserted
-        // inside the experiment too) while the logical volume kept growing.
-        assert_eq!(r.stored_bytes, r.stored_before_idle);
-        assert!(r.logical_bytes > 4 * r.stored_bytes, "{r:?}");
-        // The modelled auditor download reports both raw and compressed, and
-        // the idle guest compresses heavily.
-        assert!(r.transfer_raw > 0);
-        assert!(r.transfer_compressed > 0);
-        assert!(r.transfer_compressed < r.transfer_raw / 4, "{r:?}");
     }
 }

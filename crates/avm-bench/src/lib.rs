@@ -1,11 +1,12 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (§5.4, §6).
 //!
-//! Each `exp_*` function in [`experiments`] corresponds to one table, figure
-//! or numbered subsection of the evaluation; `cargo run -p avm-bench --bin
-//! experiments -- <id>` prints the regenerated rows/series and writes the
-//! `BENCH_*.json` metric file that [`trajectory::compare`] holds equal to the
-//! committed pin.
+//! Each `exp_*` function in [`experiments`] regenerates one pinned table,
+//! figure or group of subsections of the evaluation: it prints the rows,
+//! asserts the relations the paper claims for them and returns the pin's
+//! metrics.  `cargo run -p avm-bench --bin experiments -- <id>` writes them
+//! as the `BENCH_*.json` metric file that [`trajectory::compare`] holds equal
+//! to the committed pin.
 //!
 //! Absolute numbers differ from the paper's 2010 testbed (our substrate is a
 //! simulator, not VMware on a Core i7), but the *shape* of every result —

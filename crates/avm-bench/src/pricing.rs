@@ -95,7 +95,7 @@ pub fn on_demand_download(store: &SnapshotStore, report: &SpotCheckReport) -> Tr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::record_sparse_touch;
+    use crate::experiments::ondemand_recording;
     use avm_core::spotcheck::{spot_check, spot_check_on_demand};
     use avm_vm::GuestRegistry;
 
@@ -104,7 +104,7 @@ mod tests {
     /// drift between the two fails here instead of shifting a pinned key.
     #[test]
     fn reconstructions_match_what_the_sessions_received() {
-        let (avmm, image, n_snapshots) = record_sparse_touch();
+        let (avmm, image, n_snapshots) = ondemand_recording();
         let registry = GuestRegistry::new();
         let (log, store) = (avmm.log(), avmm.snapshots());
         for (start, k) in [(1, 1), (n_snapshots - 2, 1), (1, 2)] {
@@ -143,7 +143,7 @@ mod tests {
     /// miss never costs more round trips than one per blob.
     #[test]
     fn priced_columns_order_as_the_paper_predicts() {
-        let (avmm, image, n_snapshots) = record_sparse_touch();
+        let (avmm, image, n_snapshots) = ondemand_recording();
         let registry = GuestRegistry::new();
         let (log, store) = (avmm.log(), avmm.snapshots());
         let start = n_snapshots - 2;

@@ -4,7 +4,8 @@
 //! `BENCH_netaudit.json`, …); the committed copies at the repository root
 //! pin the numbers.  A pin is an exact value that a fixed-seed run
 //! reproduces on any host, so there is one rule: [`compare`] reports every
-//! key whose value differs or that is present on one side only.  Wall-clock
+//! key whose value differs or that is present on one side only.  A metric
+//! list names each key once; a key named twice is reported too.  Wall-clock
 //! time is not a pin; it is measured and gated by `bench/`.
 //!
 //! The format is deliberately a flat string→integer map so that both the
@@ -54,9 +55,20 @@ pub fn write_metrics(
     Ok(path.to_path_buf())
 }
 
+/// Every entry of `metrics` whose key an earlier entry already names: a
+/// metric list names each key once, so these are its faults.
+fn repeats(metrics: &[(String, u64)]) -> impl Iterator<Item = &(String, u64)> {
+    metrics
+        .iter()
+        .enumerate()
+        .filter(|(i, (key, _))| metrics[..*i].iter().any(|(k, _)| k == key))
+        .map(|(_, entry)| entry)
+}
+
 /// Parses a metric file written by [`write_metrics`]: every `"key": value`
 /// line of the `"metrics"` object becomes a metric.  A value that is not a
-/// `u64` is an error, never a key silently left out of the comparison.
+/// `u64`, or a key named twice, is an error, never a key silently left out
+/// of the comparison.
 pub fn parse_metrics(text: &str) -> Result<Vec<(String, u64)>, String> {
     let mut lines = text.lines().map(str::trim);
     if !lines.any(|line| line == "\"metrics\": {") {
@@ -72,6 +84,9 @@ pub fn parse_metrics(text: &str) -> Result<Vec<(String, u64)>, String> {
             .parse::<u64>()
             .map_err(|_| format!("value is not an unsigned integer: {line}"))?;
         metrics.push((key.trim().trim_matches('"').to_string(), value));
+    }
+    if let Some((key, _)) = repeats(&metrics).next() {
+        return Err(format!("key named twice: {key}"));
     }
     Ok(metrics)
 }
@@ -109,6 +124,8 @@ impl core::fmt::Display for Regression {
 
 /// Compares a fresh run against its pin: every key whose value differs, or
 /// that only one side has, is reported — pinned keys first, in pin order.
+/// Each further entry of a key a side names twice is then reported as a key
+/// only that side has, so a doubled key never hides behind its first value.
 pub fn compare(pinned: &[(String, u64)], fresh: &[(String, u64)]) -> Vec<Regression> {
     let lookup =
         |side: &[(String, u64)], key: &str| side.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
@@ -124,6 +141,16 @@ pub fn compare(pinned: &[(String, u64)], fresh: &[(String, u64)]) -> Vec<Regress
             fresh: lookup(fresh, key),
         })
         .filter(|r| r.pinned != r.fresh)
+        .chain(repeats(pinned).map(|(key, value)| Regression {
+            key: key.clone(),
+            pinned: Some(*value),
+            fresh: None,
+        }))
+        .chain(repeats(fresh).map(|(key, value)| Regression {
+            key: key.clone(),
+            pinned: None,
+            fresh: Some(*value),
+        }))
         .collect()
 }
 
@@ -181,6 +208,34 @@ mod tests {
         assert_eq!(
             (regressions[0].pinned, regressions[0].fresh),
             (None, Some(9))
+        );
+    }
+
+    #[test]
+    fn key_a_fresh_run_names_twice_is_flagged() {
+        let pinned = m(&[("a", 1), ("b", 2)]);
+        let regressions = compare(&pinned, &m(&[("a", 1), ("a", 2), ("b", 2)]));
+        assert_eq!(keys(&regressions), ["a"]);
+        assert_eq!(
+            (regressions[0].pinned, regressions[0].fresh),
+            (None, Some(2))
+        );
+        // The same doubling on the pinned side is flagged too.
+        assert_eq!(
+            keys(&compare(&m(&[("a", 1), ("a", 1)]), &m(&[("a", 1)]))),
+            ["a"]
+        );
+    }
+
+    #[test]
+    fn key_named_twice_is_a_parse_error() {
+        let text = render_metrics(
+            "persist",
+            &m(&[("bytes", 4096), ("ok", 1), ("bytes", 4096)]),
+        );
+        assert_eq!(
+            parse_metrics(&text),
+            Err("key named twice: bytes".to_string())
         );
     }
 

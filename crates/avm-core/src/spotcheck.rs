@@ -119,13 +119,6 @@ impl SpotCheckReport {
         self.on_demand.as_ref().map(|c| c.round_trips)
     }
 
-    /// The **measured** latency of this check's actual exchanges, in
-    /// microseconds of simulated network time
-    /// ([`crate::endpoint::SimNetTransport`]).
-    pub fn measured_latency_micros(&self) -> u64 {
-        self.transport.elapsed_micros
-    }
-
     /// This report with the wire-level column cleared — what the check
     /// looks like independent of the transport that carried it.  Two
     /// reports whose `semantic()` forms are equal reached identical

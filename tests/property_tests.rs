@@ -801,6 +801,6 @@ proptest! {
             prop_assert_eq!(net_report.transport.retransmissions, 0);
         }
         prop_assert!(net_report.transport.round_trips >= 1);
-        prop_assert!(net_report.measured_latency_micros() > 0);
+        prop_assert!(net_report.transport.elapsed_micros > 0);
     }
 }
