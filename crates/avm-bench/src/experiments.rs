@@ -1632,9 +1632,10 @@ fn percentile_us(sorted: &[u64], numerator: u64, denominator: u64) -> u64 {
 ///
 /// Reports audits/sec, aggregate link throughput and median session
 /// completion latency per N, plus the provider's shared-response-cache hit
-/// rates.  Pins the semantics: the N=1 run is field-identical to the
-/// single-client `SimNetTransport` path, and ten auditors of one epoch share
-/// encodings.
+/// rates.  Pins the semantics: the N=1 run equals a lone `AuditClient`'s
+/// report — by construction, since the client runs its audit as that same
+/// auditor against that same provider node — and ten auditors of one epoch
+/// share encodings.
 pub fn exp_fleet() -> Vec<(String, u64)> {
     use avm_core::endpoint::{AuditClient, AuditServer, SimNetTransport};
     use avm_core::fleet::{run_fleet, FleetConfig};
@@ -1649,7 +1650,7 @@ pub fn exp_fleet() -> Vec<(String, u64)> {
     let k = 1u64;
     let link = LinkConfig::default();
 
-    // The identity pin: the blocking single-client transport's report.
+    // The identity pin: a lone client's report.
     let mut client = AuditClient::new(SimNetTransport::new(
         AuditServer::new(avmm.log(), avmm.snapshots()),
         link,
@@ -1724,8 +1725,8 @@ pub fn exp_fleet() -> Vec<(String, u64)> {
         rows.push((format!("n{n}_cache_hits"), provider.cache.hits));
         rows.push((format!("n{n}_retransmissions"), retransmissions));
     }
-    println!("\nN=1 field-identical to SimNetTransport: {n1_identical}");
-    assert!(n1_identical, "fleet N=1 must equal the blocking transport");
+    println!("\nN=1 equal to a lone client: {n1_identical}");
+    assert!(n1_identical, "fleet N=1 must equal a lone client");
     assert!(all_consistent, "every fleet session must pass");
     assert!(
         cache_hits_at_n10 > 0,

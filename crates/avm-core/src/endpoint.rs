@@ -1,5 +1,5 @@
-//! Auditor/provider endpoints: one audit protocol, one audit session, two
-//! ways to drive it.
+//! Auditor/provider endpoints: one audit protocol, one audit session, one
+//! driver.
 //!
 //! The paper's audits are a *distributed* exchange — Alice downloads Bob's
 //! log, snapshots and on-demand state over a real link (§3.5; §6.8 measures
@@ -7,21 +7,21 @@
 //! reproduction one: every download an audit performs is an
 //! [`AuditRequest`]/[`AuditResponse`] exchange (defined in
 //! [`avm_wire::audit`]) between an [`AuditClient`] and an [`AuditServer`],
-//! carried by an [`AuditTransport`].
+//! over a simulated link ([`SimNetTransport`]).
 //!
 //! The audit procedure itself — from the image or from a snapshot — lives in
 //! [`crate::session::AuditSession`], a sans-IO state machine that emits
-//! requests and consumes responses.  [`AuditClient`] is its *blocking*
-//! driver: a loop over [`AuditTransport::exchange`], which runs whole-log
-//! audits and spot checks alike.  ([`crate::fleet::FleetAuditor`] is the
-//! other driver, on a shared event loop; both hand the session the same
-//! borrowed view of the provider's packet.)
+//! requests and consumes responses.  It has one driver,
+//! [`crate::fleet::FleetAuditor`], an endpoint on [`avm_net::run_event_loop`].
+//! [`AuditClient`] runs each audit as one `FleetAuditor` against a
+//! [`crate::fleet::ProviderNode`] on the client's own [`avm_net::SimNet`],
+//! and each standalone download as one exchange on the same loop, so a
+//! client's spot check and a fleet of one are the same run.
 //!
-//! [`SimNetTransport`] carries the framed messages over an
-//! [`avm_net::SimNet`] link, *paying* simulated wall time per round trip
-//! (latency plus payload serialisation at the link bandwidth) and surviving
-//! deterministic packet loss by timeout-and-retransmit, matched by request
-//! id.  A lossless exchange takes two one-way latencies plus each packet's
+//! Every exchange pays simulated wall time on its link (latency plus
+//! payload serialisation at the link bandwidth) and survives deterministic
+//! packet loss by timeout-and-retransmit, matched by request id.  A
+//! lossless exchange takes two one-way latencies plus each packet's
 //! serialisation delay ([`LinkConfig::serialise_micros`]); the free
 //! functions in [`crate::spotcheck`] run over [`LinkConfig::WAN`], so the
 //! WAN latency they report is measured the same way.  The wire-level cost
@@ -34,9 +34,9 @@
 //! returns the *encoded* [`AuditResponse`] body, each byte written once
 //! from the log and store the server only borrows (log entries encoded in
 //! place into a buffer sized up front, the section stream serialised
-//! straight into the body, blobs lent by the pool).  A provider driver seals
-//! that body ([`seal_encoded_message`]) and sends it — [`SimNetTransport`]
-//! here, [`crate::fleet::ProviderNode`] on a shared network — so a whole-log
+//! straight into the body, blobs lent by the pool).  The provider endpoint
+//! ([`crate::fleet::ProviderNode`]) seals that body
+//! ([`avm_wire::audit::seal_encoded_message`]) and sends it, so a whole-log
 //! segment costs two copies and three allocations on the provider, however
 //! many entries it has.  [`AuditServer::handle`] is the decoded view of
 //! `respond`, for callers that inspect a response instead of sending it.
@@ -67,13 +67,13 @@
 //! let mut store = SnapshotStore::new();
 //! store.push(capture(&mut m, 0, true));
 //!
-//! // The auditor drives the protocol through a client over a transport.
+//! // The auditor's client, on a simulated link to the provider.
 //! let server = AuditServer::for_store(&store);
 //! let mut client = AuditClient::new(SimNetTransport::new(server, LinkConfig::default()));
 //! let manifest = client.fetch_manifest(0).unwrap();
 //! assert_eq!(manifest.snapshot_id, 0);
 //!
-//! // The paper's whole-section snapshot dump over the same endpoint.
+//! // The paper's whole-section snapshot dump over the same link.
 //! let stream = client.fetch_sections(0).unwrap();
 //! assert_eq!(stream.len() as u64, store.transfer_bytes_upto(0));
 //! assert_eq!(client.transport_stats().round_trips, 2);
@@ -83,23 +83,23 @@
 use avm_crypto::sha256::Digest;
 use avm_log::wire::wire_entries;
 use avm_log::{LogEntry, LogSource, TamperEvidentLog};
-use avm_net::{LinkConfig, NodeId, SimNet};
+use avm_net::{run_event_loop, Delivery, Endpoint, LinkConfig, NodeId, SimNet};
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::attest::AttestChallenge;
 use avm_wire::audit::{
-    encode_log_segment, encode_sections_with, open_session_frame, open_session_message,
-    seal_encoded_message, seal_session_message, AuditRequest, AuditResponse, AuditResponseRef,
-    SegmentAddress, CLIENT_SESSION,
+    encode_log_segment, encode_sections_with, open_session_frame, seal_session_message,
+    AuditRequest, AuditResponse, AuditResponseRef, SegmentAddress, CLIENT_SESSION,
 };
 use avm_wire::Encode;
 
 use crate::attest::{Attestor, LaunchPolicy};
 use crate::audit::AuditReport;
 use crate::error::{CoreError, FaultReason};
+use crate::fleet::{FleetAuditor, ProviderNode};
 use crate::ondemand::{AuditorBlobCache, ChainManifest};
 use crate::session::{
     anchor_root, expect_attestation, expect_log_segment, expect_manifest, unexpected, AuditSession,
-    Start, Step,
+    Start,
 };
 use crate::snapshot::SnapshotStore;
 use crate::spotcheck::{snapshot_positions_in, SpotCheckReport};
@@ -190,13 +190,13 @@ impl<'a> AuditServer<'a> {
     }
 
     /// Answers one request with the *encoded* [`AuditResponse`] — the body a
-    /// transport seals ([`seal_encoded_message`]) — each byte written once
-    /// from state the server only borrows: log entries are encoded in place
-    /// from the borrowed entries, the section stream is serialised straight
-    /// into the body, blobs are lent by the pool.  Failures are encoded as
-    /// [`AuditResponse::Error`] with the message the in-process API would
-    /// have raised, so clients surface identical errors on every transport;
-    /// a chunk request on a log whose SNAPSHOT records do not all decode is
+    /// provider endpoint seals ([`avm_wire::audit::seal_encoded_message`]) —
+    /// each byte written once from state the server only borrows: log
+    /// entries are encoded in place from the borrowed entries, the section
+    /// stream is serialised straight into the body, blobs are lent by the
+    /// pool.  Failures are encoded as [`AuditResponse::Error`] with the
+    /// message the in-process API would have raised, so clients surface
+    /// identical errors over any link; a chunk request on a log whose SNAPSHOT records do not all decode is
     /// answered with the log prefix ([`AuditResponse::LogSegment`]).
     ///
     /// This is the one place a response is assembled; [`AuditServer::handle`]
@@ -331,10 +331,10 @@ fn error_response(message: &str) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------------
-// Transports
+// The wire
 // ---------------------------------------------------------------------------
 
-/// Wire-level accounting of the exchanges a transport performed: what an
+/// Wire-level accounting of the exchanges an auditor performed: what an
 /// audit's exchanges measurably cost on its link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransportStats {
@@ -345,7 +345,7 @@ pub struct TransportStats {
     /// Framed response bytes accepted from the wire.
     pub response_bytes: u64,
     /// Requests retransmitted after a timeout (always 0 on a lossless
-    /// transport).
+    /// link).
     pub retransmissions: u64,
     /// Wall time the exchanges took, in simulated network microseconds.
     pub elapsed_micros: u64,
@@ -353,7 +353,7 @@ pub struct TransportStats {
 
 impl TransportStats {
     /// The stats accumulated since `earlier` (a snapshot of the same
-    /// transport taken before some exchanges).
+    /// auditor's stats taken before some exchanges).
     pub fn since(&self, earlier: &TransportStats) -> TransportStats {
         TransportStats {
             round_trips: self.round_trips - earlier.round_trips,
@@ -370,33 +370,20 @@ impl TransportStats {
     }
 }
 
-/// Carries [`AuditRequest`]s to a provider and lends back its responses,
-/// accounting every exchange.  The responses are all an auditor learns of
-/// the provider.
-pub trait AuditTransport {
-    /// Performs one request/response exchange.  The response is *lent* to
-    /// `on_response` as a borrowed view of the packet it arrived in — the
-    /// bytes are parsed once, in place, and the caller copies only what it
-    /// keeps — and whatever `on_response` returns is returned.
-    fn exchange<R>(
-        &mut self,
-        request: &AuditRequest,
-        on_response: impl FnOnce(AuditResponseRef<'_>) -> R,
-    ) -> Result<R, CoreError>;
-
-    /// Accumulated wire-level accounting.
-    fn stats(&self) -> TransportStats;
-}
-
-/// Node id the auditor endpoint binds by default.
-pub const AUDITOR_NODE: NodeId = NodeId(1);
-/// Node id the provider endpoint binds by default.
-pub const PROVIDER_NODE: NodeId = NodeId(2);
+/// Node id every provider endpoint binds: [`SimNetTransport`]'s and a
+/// fleet's ([`crate::fleet::run_fleet`]).
+pub const PROVIDER_NODE: NodeId = NodeId(1);
+/// Node id an [`AuditClient`] binds, and auditor 0 of a fleet; auditor `i`
+/// binds the `i`-th id after it.
+pub const AUDITOR_NODE: NodeId = NodeId(2);
 
 /// Default cap on send attempts per exchange before the auditor gives up.
 pub const DEFAULT_MAX_ATTEMPTS: u32 = 16;
 
-/// The retransmit-if-silent timeout both drivers derive from a link: eight
+/// Event-loop safety bound of one run on a simulated network.
+pub(crate) const MAX_EVENT_LOOP_STEPS: u64 = 10_000_000;
+
+/// The retransmit-if-silent timeout an auditor derives from its link: eight
 /// one-way latencies plus the serialisation time of 1 MiB.
 pub(crate) fn link_timeout_us(link: &LinkConfig) -> u64 {
     8 * link.latency_us + link.serialise_micros(1 << 20)
@@ -456,30 +443,11 @@ impl AuditorWire {
     }
 }
 
-/// The error an exchange ends with when its response arrives intact but its
-/// body does not decode.
-pub(crate) fn undecodable(error: avm_wire::WireError) -> CoreError {
-    CoreError::Snapshot(format!("audit transport: undecodable response: {error}"))
-}
-
-/// What [`PendingExchange::on_timer`] did.
-pub(crate) enum Timer {
-    /// Nothing to do before this simulated instant.
-    Wait(u64),
-    /// The deadline passed but packets are still in flight; they will wake
-    /// the driver, which asks again once they are delivered.
-    WireBusy,
-    /// The request was sent again; the new deadline.
-    Resent(u64),
-    /// Every attempt went unanswered.
-    GaveUp(CoreError),
-}
-
 /// One in-flight request/response exchange ([`AuditorWire::send`]) and the
 /// whole retransmission policy: per-attempt byte accounting, the retransmit
-/// timer, the attempt cap.  Both auditor drivers —
-/// [`SimNetTransport::exchange`] and the fleet's event-loop endpoint — keep
-/// one of these per outstanding request.
+/// timer, the attempt cap.  Every auditor endpoint — the session's
+/// [`crate::fleet::FleetAuditor`] and a client's standalone download —
+/// keeps one of these per outstanding request.
 ///
 /// Responses are matched by the (session, request) ids the envelope carries,
 /// so a late or duplicated response (after a retransmission) is discarded
@@ -520,24 +488,31 @@ impl PendingExchange {
         Some(AuditResponseRef::decode_exact(body).map_err(undecodable))
     }
 
-    /// Runs the retransmit timer at `net.now()`.  It only fires on a
-    /// *silent* wire: while any packet is still in flight (a large response
-    /// serialising past the nominal timeout, a stale duplicate draining) the
-    /// link is visibly active and retransmitting into it would only
-    /// duplicate traffic — so the deadline stretches to the wire going
-    /// quiet, and a lossless link never retransmits regardless of payload
-    /// size.
-    pub(crate) fn on_timer(&mut self, net: &mut SimNet, wire: &mut AuditorWire) -> Timer {
+    /// Runs the retransmit timer at `net.now()` and returns when the
+    /// auditor next wants waking ([`avm_net::Endpoint::on_tick`]), or the
+    /// error that ends the exchange once every attempt went unanswered.
+    /// The timer only fires on a *silent* wire: while any packet is still
+    /// in flight (a large response serialising past the nominal timeout, a
+    /// stale duplicate draining) the link is visibly active and
+    /// retransmitting into it would only duplicate traffic — the packets in
+    /// flight wake the auditor instead, so the deadline stretches to the
+    /// wire going quiet, and a lossless link never retransmits regardless
+    /// of payload size.
+    pub(crate) fn on_timer(
+        &mut self,
+        net: &mut SimNet,
+        wire: &mut AuditorWire,
+    ) -> Result<Option<u64>, CoreError> {
         let now = net.now();
         if now < self.deadline {
-            return Timer::Wait(self.deadline);
+            return Ok(Some(self.deadline));
         }
         if net.in_flight_count() > 0 {
-            return Timer::WireBusy;
+            return Ok(None);
         }
         if self.attempts >= wire.max_attempts {
             wire.stats.elapsed_micros += now - self.started_at;
-            return Timer::GaveUp(CoreError::Snapshot(format!(
+            return Err(CoreError::Snapshot(format!(
                 "audit transport: no response after {} attempts ({} µs timeout each)",
                 wire.max_attempts, wire.timeout_us
             )));
@@ -547,121 +522,113 @@ impl PendingExchange {
         let _ = net.send(wire.auditor, wire.provider, self.packet.clone());
         self.attempts += 1;
         self.deadline = now + wire.timeout_us;
-        Timer::Resent(self.deadline)
+        Ok(Some(self.deadline))
     }
 }
 
-/// Transport over the simulated network: every exchange is two framed
-/// packets on an [`avm_net::SimNet`] link, paying real simulated latency and
-/// serialisation delay, and surviving deterministic packet loss by
-/// timeout-and-retransmit.
+/// The error an exchange ends with when its response arrives intact but its
+/// body does not decode.
+fn undecodable(error: avm_wire::WireError) -> CoreError {
+    CoreError::Snapshot(format!("audit transport: undecodable response: {error}"))
+}
+
+/// The error of an auditor whose run ended before its answer: the event
+/// loop's step bound was reached.
+pub(crate) fn unfinished(session_id: u64) -> CoreError {
+    CoreError::Snapshot(format!("audit session {session_id} did not finish"))
+}
+
+/// An auditor's own simulated link to one provider endpoint, and its end of
+/// the wire: the network with its clock and traffic counters, the provider,
+/// and the session's request ids and accounting, all kept across the
+/// client's audits and downloads.  Each of them is one
+/// [`avm_net::run_event_loop`] run on this network, to quiescence.
 ///
-/// The provider is stateless, so retransmitted requests are simply answered
-/// again; the auditor keeps the first matching response and drops the rest.
-#[derive(Debug)]
+/// Both directions use the link given; loss is deterministic, and the
+/// retransmission timeout is derived from the link (eight one-way latencies
+/// plus the serialisation time of 1 MiB).  It bounds how long the auditor
+/// waits on a *silent* wire before resending; a response still in flight
+/// past the deadline is waited out instead of being retransmitted into,
+/// which keeps the measured latency of a lossless exchange equal to what
+/// the link's model prices per packet.
 pub struct SimNetTransport<'a> {
-    server: AuditServer<'a>,
     net: SimNet,
+    provider: Box<dyn Endpoint + 'a>,
     wire: AuditorWire,
 }
 
 impl<'a> SimNetTransport<'a> {
-    /// A two-node network where both directions use `link`.
-    ///
-    /// The retransmission timeout is derived from the link: eight one-way
-    /// latencies plus the serialisation time of 1 MiB.  It bounds how long
-    /// the auditor waits on a *silent* wire before resending; a response
-    /// still in flight past the deadline (arbitrarily large sections
-    /// streams serialise for longer) is waited out instead of being
-    /// retransmitted into, which is what keeps the measured latency of a
-    /// lossless exchange equal to what the link's model prices per packet.
+    /// A link to a [`crate::fleet::ProviderNode`] answering from `server`.
     pub fn new(server: AuditServer<'a>, link: LinkConfig) -> SimNetTransport<'a> {
-        let mut net = SimNet::new(link);
-        // Make both directed links explicit so callers inspecting
-        // `network().all_stats()` see the topology they configured.
-        net.set_link(AUDITOR_NODE, PROVIDER_NODE, link);
-        net.set_link(PROVIDER_NODE, AUDITOR_NODE, link);
+        SimNetTransport::with_provider(ProviderNode::new(PROVIDER_NODE, server), link)
+    }
+
+    /// A link to any endpoint that speaks the audit protocol on the node it
+    /// binds — a provider that tampers with what it sends, or one that
+    /// answers from recorded bodies.
+    pub fn with_provider(provider: impl Endpoint + 'a, link: LinkConfig) -> SimNetTransport<'a> {
+        let wire = AuditorWire::new(
+            AUDITOR_NODE,
+            provider.node(),
+            CLIENT_SESSION,
+            link_timeout_us(&link),
+        );
         SimNetTransport {
-            server,
-            net,
-            wire: AuditorWire::new(
-                AUDITOR_NODE,
-                PROVIDER_NODE,
-                CLIENT_SESSION,
-                link_timeout_us(&link),
-            ),
+            net: SimNet::new(link),
+            provider: Box::new(provider),
+            wire,
         }
     }
 
-    /// Overrides the retransmission timeout (µs of simulated time an
-    /// exchange waits for its response before resending the request).
-    pub fn with_timeout(mut self, timeout_us: u64) -> SimNetTransport<'a> {
-        self.wire.timeout_us = timeout_us;
-        self
-    }
-
-    /// Overrides the per-exchange attempt cap.
-    pub fn with_max_attempts(mut self, max_attempts: u32) -> SimNetTransport<'a> {
-        self.wire.max_attempts = max_attempts.max(1);
-        self
-    }
-
-    /// The simulated network (for traffic inspection: byte and packet
-    /// counters per node, current simulated time).
-    pub fn network(&self) -> &SimNet {
-        &self.net
-    }
-
-    /// The retransmission timeout in simulated microseconds.
-    pub fn timeout_us(&self) -> u64 {
-        self.wire.timeout_us
+    /// Runs `auditor` — an endpoint on this link's auditor node — against
+    /// the provider until the network is quiet.
+    fn run(&mut self, auditor: &mut dyn Endpoint) {
+        run_event_loop(
+            &mut self.net,
+            &mut [&mut *self.provider, auditor],
+            MAX_EVENT_LOOP_STEPS,
+        );
     }
 }
 
-impl AuditTransport for SimNetTransport<'_> {
-    fn exchange<R>(
-        &mut self,
-        request: &AuditRequest,
-        on_response: impl FnOnce(AuditResponseRef<'_>) -> R,
-    ) -> Result<R, CoreError> {
-        let Self { server, net, wire } = self;
-        let mut pending = wire.send(net, request);
-        loop {
-            // Drive deliveries (ours and the provider's) until the wire is
-            // silent or the awaited response arrives.
-            while let Some(next_at) = net.next_delivery_at() {
-                for delivery in net.advance_to(next_at) {
-                    if delivery.to == wire.provider {
-                        // The provider answers every (possibly duplicated)
-                        // request it can decode, statelessly.
-                        if let Ok((sid, rid, req)) =
-                            open_session_message::<AuditRequest>(&delivery.payload)
-                        {
-                            if sid == wire.session_id {
-                                let response =
-                                    seal_encoded_message(sid, rid, &server.respond(&req));
-                                let _ = net.send(wire.provider, wire.auditor, response);
-                            }
-                        }
-                    } else if let Some(answer) = pending.accept(wire, net.now(), &delivery.payload)
-                    {
-                        return answer.map(on_response);
-                    }
-                }
-            }
-            match pending.on_timer(net, wire) {
-                // A silent wire before the deadline: idle until it.
-                Timer::Wait(deadline) => {
-                    net.advance_to(deadline);
-                }
-                Timer::Resent(_) | Timer::WireBusy => {}
-                Timer::GaveUp(error) => return Err(error),
-            }
+/// One standalone download as an auditor endpoint: the exchange in flight,
+/// and the parser its answer is handed to.
+struct Download<F, R> {
+    wire: AuditorWire,
+    pending: Option<(PendingExchange, F)>,
+    answer: Option<Result<R, CoreError>>,
+}
+
+impl<F, R> Endpoint for Download<F, R>
+where
+    F: FnOnce(AuditResponseRef<'_>) -> Result<R, CoreError>,
+{
+    fn node(&self) -> NodeId {
+        self.wire.auditor
+    }
+
+    fn on_delivery(&mut self, net: &mut SimNet, delivery: Delivery) {
+        let Some((pending, _)) = &self.pending else {
+            return;
+        };
+        let Some(answer) = pending.accept(&mut self.wire, net.now(), &delivery.payload) else {
+            return;
+        };
+        if let Some((_, parse)) = self.pending.take() {
+            self.answer = Some(answer.and_then(parse));
         }
     }
 
-    fn stats(&self) -> TransportStats {
-        self.wire.stats
+    fn on_tick(&mut self, net: &mut SimNet) -> Option<u64> {
+        let (pending, _) = self.pending.as_mut()?;
+        match pending.on_timer(net, &mut self.wire) {
+            Ok(wake) => wake,
+            Err(error) => {
+                self.pending = None;
+                self.answer = Some(Err(error));
+                None
+            }
+        }
     }
 }
 
@@ -669,29 +636,34 @@ impl AuditTransport for SimNetTransport<'_> {
 // Auditor endpoint
 // ---------------------------------------------------------------------------
 
-/// The auditor endpoint: owns the persistent [`AuditorBlobCache`] and drives
-/// every audit — spot checks in both §3.5 download modes, full log audits,
-/// and standalone downloads — through an [`AuditTransport`].
+/// The auditor endpoint: owns the persistent [`AuditorBlobCache`] and its
+/// link to one provider, and runs every audit — spot checks in both §3.5
+/// download modes, full log audits — and standalone downloads over it.
 ///
-/// Every audit is one [`AuditSession`], driven by a blocking loop
-/// ([`AuditClient::run`]; [`AuditClient::audit_log`],
+/// Every audit is one [`AuditSession`], run as a
+/// [`crate::fleet::FleetAuditor`] against the provider on the link's event
+/// loop ([`AuditClient::run`]; [`AuditClient::audit_log`],
 /// [`AuditClient::spot_check`] and [`AuditClient::spot_check_on_demand`]
 /// differ only in the session they build).  The free functions in
-/// [`crate::spotcheck`] are thin wrappers that build a client over a
-/// [`SimNetTransport`] on the simulated WAN link ([`LinkConfig::WAN`]).
+/// [`crate::spotcheck`] are thin wrappers that build a client on the
+/// simulated WAN link ([`LinkConfig::WAN`]).  The transport is always a
+/// [`SimNetTransport`]; the type parameter names it.
 pub struct AuditClient<T> {
     transport: T,
     cache: AuditorBlobCache,
 }
 
-impl<T: AuditTransport> AuditClient<T> {
+impl<'a> AuditClient<SimNetTransport<'a>> {
     /// A client with an empty blob cache.
-    pub fn new(transport: T) -> AuditClient<T> {
+    pub fn new(transport: SimNetTransport<'a>) -> AuditClient<SimNetTransport<'a>> {
         AuditClient::with_cache(transport, AuditorBlobCache::new())
     }
 
     /// A client resuming with a persistent cache from earlier audits.
-    pub fn with_cache(transport: T, cache: AuditorBlobCache) -> AuditClient<T> {
+    pub fn with_cache(
+        transport: SimNetTransport<'a>,
+        cache: AuditorBlobCache,
+    ) -> AuditClient<SimNetTransport<'a>> {
         AuditClient { transport, cache }
     }
 
@@ -705,31 +677,36 @@ impl<T: AuditTransport> AuditClient<T> {
         self.cache
     }
 
-    /// The transport, for configuration or network inspection.
-    pub fn transport(&self) -> &T {
-        &self.transport
-    }
-
     /// Accumulated wire-level accounting across every exchange this client
     /// performed.
     pub fn transport_stats(&self) -> TransportStats {
-        self.transport.stats()
+        self.transport.wire.stats
     }
 
-    /// One exchange whose response `parse` (one of the
+    /// One exchange on the link whose response `parse` (one of the
     /// [`crate::session`] `expect_*` parsers) turns into a value;
     /// provider-side errors surface as [`CoreError`].
-    fn request<R>(
+    fn download<R>(
         &mut self,
-        request: &AuditRequest,
+        request: AuditRequest,
         parse: impl FnOnce(AuditResponseRef<'_>) -> Result<R, CoreError>,
     ) -> Result<R, CoreError> {
-        self.transport.exchange(request, parse)?
+        let pending = self.transport.wire.send(&mut self.transport.net, &request);
+        let mut download = Download {
+            wire: self.transport.wire,
+            pending: Some((pending, parse)),
+            answer: None,
+        };
+        self.transport.run(&mut download);
+        self.transport.wire = download.wire;
+        download
+            .answer
+            .unwrap_or_else(|| Err(unfinished(download.wire.session_id)))
     }
 
     /// Downloads and decodes the chain manifest for `snapshot_id`.
     pub fn fetch_manifest(&mut self, snapshot_id: u64) -> Result<ChainManifest, CoreError> {
-        self.request(&AuditRequest::Manifest { snapshot_id }, expect_manifest)
+        self.download(AuditRequest::Manifest { snapshot_id }, expect_manifest)
             .map(|(manifest, _)| manifest)
     }
 
@@ -753,7 +730,7 @@ impl<T: AuditTransport> AuditClient<T> {
         ),
         CoreError,
     > {
-        let quote = self.request(&AuditRequest::Attest(*challenge), expect_attestation)?;
+        let quote = self.download(AuditRequest::Attest(*challenge), expect_attestation)?;
         Ok(policy.verify(&quote, challenge, now_us))
     }
 
@@ -769,7 +746,7 @@ impl<T: AuditTransport> AuditClient<T> {
         to_seq: u64,
     ) -> Result<(Digest, Vec<LogEntry>), CoreError> {
         let address = SegmentAddress::Seq { from_seq, to_seq };
-        self.request(&AuditRequest::LogSegment(address), |response| {
+        self.download(AuditRequest::LogSegment(address), |response| {
             expect_log_segment(response, Some(from_seq))
         })
         .map(|(prev, entries, _)| (prev, entries))
@@ -792,7 +769,7 @@ impl<T: AuditTransport> AuditClient<T> {
             start_snapshot,
             chunk,
         };
-        let (_, mut entries, _) = self.request(&AuditRequest::LogSegment(address), |response| {
+        let (_, mut entries, _) = self.download(AuditRequest::LogSegment(address), |response| {
             expect_log_segment(response, None)
         })?;
         let anchor = entries.first().ok_or_else(|| {
@@ -810,8 +787,8 @@ impl<T: AuditTransport> AuditClient<T> {
     /// `Sections`, to time the request, and nothing in the workspace reads
     /// the stream it returns.
     pub fn fetch_sections(&mut self, upto_id: u64) -> Result<Vec<u8>, CoreError> {
-        self.request(
-            &AuditRequest::Sections { upto_id },
+        self.download(
+            AuditRequest::Sections { upto_id },
             |response| match response {
                 AuditResponseRef::Sections { stream } => Ok(stream.to_vec()),
                 other => Err(unexpected("Sections", other)),
@@ -838,9 +815,10 @@ impl<T: AuditTransport> AuditClient<T> {
         reference: &VmImage,
         registry: &GuestRegistry,
     ) -> Result<AuditReport, CoreError> {
-        let mut session = AuditSession::new(Start::Image { from_seq, to_seq }, reference, registry)
+        let session = AuditSession::new(Start::Image { from_seq, to_seq }, reference, registry)
             .with_authenticators(machine_key, authenticators);
-        self.drive(&mut session)?;
+        let (outcome, session) = self.audit(session);
+        outcome?;
         Ok(session
             .into_audit_report(machine_name)
             .expect("an image start that settled has judged its segment"))
@@ -881,40 +859,33 @@ impl<T: AuditTransport> AuditClient<T> {
         self.run(AuditSession::new(start, image, registry))
     }
 
-    /// Runs `session` to its report over this client's transport, with the
+    /// Runs `session` to its report over this client's link, with the
     /// client's blob cache in place of the session's.
     pub fn run(&mut self, session: AuditSession<'_>) -> Result<SpotCheckReport, CoreError> {
-        let mut session = session.with_cache(std::mem::take(&mut self.cache));
-        let outcome = self.drive(&mut session);
+        let session = session.with_cache(std::mem::take(&mut self.cache));
+        let (outcome, session) = self.audit(session);
         // Blobs fetched before a failure stay verified; keep them.
         self.cache = session.into_cache();
         outcome
     }
 
-    /// The blocking driver of [`AuditSession`]: every request the session
-    /// issues is one [`AuditTransport::exchange`], whose response goes
-    /// straight back in.  A blocking client has no clock, so session time
-    /// stands still at 0.
-    fn drive(&mut self, session: &mut AuditSession<'_>) -> Result<SpotCheckReport, CoreError> {
-        let stats_before = self.transport.stats();
-        let mut step = session.start(0);
-        let outcome = loop {
-            step = match step {
-                Step::Send(request) => {
-                    let exchanged = self
-                        .transport
-                        .exchange(&request, |response| session.on_response(0, response));
-                    match exchanged {
-                        Ok(next) => next,
-                        Err(error) => break Err(error),
-                    }
-                }
-                Step::Done(outcome) => break outcome,
-            };
-        };
-        let mut report = outcome?;
-        report.transport = self.transport.stats().since(&stats_before);
-        Ok(report)
+    /// Runs `session` as a [`FleetAuditor`] on this client's end of the
+    /// wire, against the provider: how it ended — a report's `transport`
+    /// column is what this session's exchanges cost — and the session.
+    fn audit<'s>(
+        &mut self,
+        session: AuditSession<'s>,
+    ) -> (Result<SpotCheckReport, CoreError>, AuditSession<'s>) {
+        let before = self.transport.wire.stats;
+        let mut auditor = FleetAuditor::with_session(self.transport.wire, session);
+        self.transport.run(&mut auditor);
+        let (outcome, wire, session) = auditor.into_session();
+        self.transport.wire = wire;
+        let outcome = outcome.map(|mut report| {
+            report.transport = wire.stats.since(&before);
+            report
+        });
+        (outcome, session)
     }
 }
 
@@ -925,10 +896,10 @@ mod tests {
     use crate::testutil::{key, record_with_snapshots};
     use avm_log::EntryKind;
     use avm_vm::packet::encode_guest_packet;
+    use avm_wire::audit::seal_encoded_message;
     use avm_wire::Decode;
 
-    /// The acceptance pin for the endpoint redesign: a spot check driven
-    /// over a LAN `SimNetTransport` yields identical verdicts, faults and
+    /// A spot check over a LAN link yields identical verdicts, faults and
     /// transfer/round-trip accounting to the free-function path (the same
     /// check over the simulated WAN), and a lossless spot check takes
     /// exactly two one-way latencies per exchange plus each framed packet's
@@ -975,8 +946,8 @@ mod tests {
             s.response_bytes >= sim_report.snapshot_transfer_bytes + sim_report.log_transfer_bytes
         );
 
-        // … and *exactly* the per-packet price on each link.  Re-issue the
-        // check's exchanges one by one to learn each packet's framed size.
+        // … and *exactly* the per-packet price on each link.  The check's
+        // exchanges in order, each packet sealed as the wire carries it.
         let mut requests = vec![
             AuditRequest::LogSegment(SegmentAddress::Chunk {
                 start_snapshot: 2,
@@ -989,16 +960,17 @@ mod tests {
             let digests = digests.by_ref().take(n).collect();
             requests.push(AuditRequest::Blobs(avm_wire::BlobRequest { digests }));
         }
-        let mut probe = SimNetTransport::new(server, link);
-        let mut packets = Vec::new();
-        for request in &requests {
-            let before = probe.stats();
-            probe.exchange(request, |_| ()).unwrap();
-            let t = probe.stats().since(&before);
-            packets.push((t.request_bytes, t.response_bytes));
-        }
-        assert_eq!(probe.stats().round_trips, s.round_trips);
-        assert_eq!(probe.stats().wire_bytes(), s.wire_bytes());
+        let packets: Vec<(u64, u64)> = (1..)
+            .zip(&requests)
+            .map(|(id, request)| {
+                let asked = seal_session_message(CLIENT_SESSION, id, request);
+                let answer = seal_encoded_message(CLIENT_SESSION, id, &server.respond(request));
+                (asked.len() as u64, answer.len() as u64)
+            })
+            .collect();
+        assert_eq!(packets.len() as u64, s.round_trips);
+        let sealed: u64 = packets.iter().map(|(asked, answer)| asked + answer).sum();
+        assert_eq!(sealed, s.wire_bytes());
         let priced_per_packet = |link: LinkConfig| -> u64 {
             packets
                 .iter()
@@ -1013,8 +985,8 @@ mod tests {
         assert_eq!(d.elapsed_micros, priced_per_packet(LinkConfig::WAN));
         assert!(s.elapsed_micros > 0);
 
-        // The network's own byte counters agree with the transport's.
-        let net = sim.transport().network();
+        // The network's own byte counters agree with the client's.
+        let net = &sim.transport.net;
         assert_eq!(net.stats(AUDITOR_NODE).tx_bytes, s.request_bytes);
         assert_eq!(net.stats(AUDITOR_NODE).rx_bytes, s.response_bytes);
         assert_eq!(net.stats(PROVIDER_NODE).rx_bytes, s.request_bytes);
@@ -1099,12 +1071,12 @@ mod tests {
             lt.elapsed_micros > clean_report.transport.elapsed_micros,
             "every retransmission waits out a timeout"
         );
-        let net = lossy.transport().network();
+        let net = &lossy.transport.net;
         assert!(net.stats(AUDITOR_NODE).dropped + net.stats(PROVIDER_NODE).dropped > 0);
     }
 
     /// A checksummed answer that does not decode ends the exchange on its
-    /// first copy, on both drivers (each hands `accept`'s error straight
+    /// first copy (every auditor endpoint hands `accept`'s error straight
     /// back): one round trip, nothing sent again.  A packet for another
     /// request is no answer.
     #[test]
@@ -1134,11 +1106,10 @@ mod tests {
             drop_every: 1,
             ..LinkConfig::default()
         };
-        let mut client = AuditClient::new(
-            SimNetTransport::new(AuditServer::new(bob.log(), bob.snapshots()), black_hole)
-                .with_max_attempts(3)
-                .with_timeout(1_000),
-        );
+        let mut transport =
+            SimNetTransport::new(AuditServer::new(bob.log(), bob.snapshots()), black_hole);
+        (transport.wire.max_attempts, transport.wire.timeout_us) = (3, 1_000);
+        let mut client = AuditClient::new(transport);
         let err = client.spot_check(0, 1, &image, &registry).unwrap_err();
         assert!(
             err.to_string().contains("no response after 3 attempts"),
@@ -1167,8 +1138,9 @@ mod tests {
         };
         let serialise_us = |bytes: u64| bytes * 1_000_000 / slow_link.bytes_per_sec;
         let server = AuditServer::new(bob.log(), bob.snapshots());
-        let mut client =
-            AuditClient::new(SimNetTransport::new(server, slow_link).with_timeout(200));
+        let mut transport = SimNetTransport::new(server, slow_link);
+        transport.wire.timeout_us = 200;
+        let mut client = AuditClient::new(transport);
         let report = client.spot_check(0, 1, &image, &registry).unwrap();
         assert!(report.consistent);
         assert_eq!(report.transport.retransmissions, 0);
@@ -1311,13 +1283,9 @@ mod tests {
 
     /// A request frame whose complete length prefix no packet could hold
     /// (`u64::MAX - 2`: the header arithmetic used to overflow) is dropped
-    /// by both provider sides — the blocking transport's provider loop and
-    /// `ProviderNode::on_delivery` — and the session goes on unharmed.
+    /// by the provider, and the session goes on unharmed.
     #[test]
     fn session_survives_a_hostile_request_length_prefix() {
-        use crate::fleet::ProviderNode;
-        use avm_net::{Delivery, Endpoint};
-
         let mut hostile = vec![avm_wire::FRAME_MAGIC];
         avm_wire::varint::write_varint(&mut hostile, u64::MAX - 2);
         hostile.extend_from_slice(&[0; 16]);
@@ -1328,34 +1296,13 @@ mod tests {
         let mut clean = AuditClient::new(SimNetTransport::new(server, LinkConfig::default()));
         let expected = clean.spot_check(1, 1, &image, &registry).unwrap();
         let mut transport = SimNetTransport::new(server, LinkConfig::default());
-        transport
-            .net
-            .send(AUDITOR_NODE, PROVIDER_NODE, hostile.clone());
+        transport.net.send(AUDITOR_NODE, PROVIDER_NODE, hostile);
         let mut client = AuditClient::new(transport);
         let report = client.spot_check(1, 1, &image, &registry).unwrap();
         assert!(report.consistent);
         assert_eq!(report.semantic(), expected.semantic());
-        let provider_rx = client.transport().network().stats(PROVIDER_NODE).rx_packets;
+        let provider_rx = client.transport.net.stats(PROVIDER_NODE).rx_packets;
         assert_eq!(provider_rx, report.transport.round_trips + 1);
-
-        let mut node = ProviderNode::new(PROVIDER_NODE, server);
-        let mut net = SimNet::new(LinkConfig::default());
-        for payload in [
-            hostile,
-            seal_session_message(7, 1, &AuditRequest::Manifest { snapshot_id: 1 }),
-        ] {
-            let delivery = Delivery {
-                from: AUDITOR_NODE,
-                to: PROVIDER_NODE,
-                payload,
-                deliver_at: 0,
-                sent_at: 0,
-            };
-            node.on_delivery(&mut net, delivery);
-        }
-        node.on_tick(&mut net);
-        assert_eq!(node.stats().sessions_created, 1);
-        assert_eq!(node.stats().requests_served, 1);
     }
 
     /// A store-only provider serves snapshot state and answers log requests

@@ -2,10 +2,8 @@
 //!
 //! The paper's deployment model (§2, §6) has *many mutually distrusting
 //! auditors* — every customer of a machine audits it independently.  The
-//! single-client [`crate::endpoint::SimNetTransport`] cannot express that:
-//! it borrows the whole simulated network for one blocking exchange at a
-//! time.  This module restructures the audit plane around long-lived
-//! endpoints on a shared [`SimNet`]:
+//! audit plane is therefore built from long-lived endpoints on a shared
+//! [`SimNet`], driven by [`avm_net::run_event_loop`]:
 //!
 //! * [`ProviderNode`] — the operator's audit server as a *sessionful*
 //!   network endpoint.  Each auditor speaks inside its own session (the
@@ -19,27 +17,22 @@
 //!   kept in a shared response cache — N auditors checking the same epoch
 //!   pay the serialisation a single time, and a cached and an uncached
 //!   answer are the same bytes.
-//! * [`FleetAuditor`] — the event-loop driver of
-//!   [`crate::session::AuditSession`], so hundreds of sessions interleave
-//!   on one network.  The spot-check procedure is the session's — the same
-//!   one [`crate::endpoint::AuditClient`] drives with a blocking loop — and
-//!   the retransmission policy is the shared
-//!   [`crate::endpoint::SimNetTransport`] one; this endpoint adds only the
-//!   session envelope and the pending-exchange timer.  A single-session
-//!   fleet run is field-identical to the blocking path (pinned by unit and
-//!   property tests).  Simulated time is what [`SimNet`] measures — latency,
-//!   serialisation, retransmission — and nothing else: replay is a
-//!   zero-time event on that clock, and what it costs in wall-clock is
-//!   measured by `bench/`.
+//! * [`FleetAuditor`] — the one driver of [`crate::session::AuditSession`]:
+//!   the session envelope and the pending-exchange timer around it, as an
+//!   endpoint, so hundreds of sessions interleave on one network.  An
+//!   [`crate::endpoint::AuditClient`] runs each of its audits as one of
+//!   these against a `ProviderNode` on its own network.  Simulated time is
+//!   what [`SimNet`] measures — latency, serialisation, retransmission —
+//!   and nothing else: replay is a zero-time event on that clock, and what
+//!   it costs in wall-clock is measured by `bench/`.
 //! * [`run_fleet`] — builds one provider and N auditors over one link
 //!   config, drives them with [`avm_net::run_event_loop`], and returns
 //!   every report plus per-session completion latencies, the provider's
 //!   cache and session statistics, and per-node traffic counters.
 //!
 //! Semantics never move: the verdict, the transfer columns and the wire
-//! accounting of every session equal the single-client transport's.  Only
-//! *when* each packet is served differs — and on a fleet of one, not even
-//! that.
+//! accounting of every session equal a lone client's.  Only *when* each
+//! packet is served differs — and on a fleet of one, not even that.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -56,7 +49,8 @@ use avm_wire::audit::{
 
 use crate::attest::{Attestor, LaunchPolicy};
 use crate::endpoint::{
-    link_timeout_us, AuditServer, AuditorWire, PendingExchange, Timer, TransportStats,
+    link_timeout_us, unfinished, AuditServer, AuditorWire, PendingExchange, AUDITOR_NODE,
+    MAX_EVENT_LOOP_STEPS, PROVIDER_NODE,
 };
 use crate::error::CoreError;
 use crate::ondemand::AuditorBlobCache;
@@ -204,8 +198,8 @@ impl Endpoint for ProviderNode<'_> {
     }
 
     fn on_delivery(&mut self, _net: &mut SimNet, delivery: Delivery) {
-        // Undecodable packets are dropped, like the stateless transport's
-        // provider loop: the auditor's timeout owns recovery.
+        // Undecodable packets are dropped: the auditor's timeout owns
+        // recovery.
         let Ok((session_id, request_id, request)) =
             open_session_message::<AuditRequest>(&delivery.payload)
         else {
@@ -269,10 +263,10 @@ impl AuditTask {
     }
 }
 
-/// A §3.5 spot check as a non-blocking endpoint: one
-/// [`AuditSession`] driven from [`Endpoint::on_delivery`] /
-/// [`Endpoint::on_tick`], so N copies interleave on one shared network (see
-/// the module docs).
+/// An audit as an endpoint: one [`AuditSession`] driven from
+/// [`Endpoint::on_delivery`] / [`Endpoint::on_tick`], so N copies interleave
+/// on one shared network, and a client runs one per audit (see the module
+/// docs).
 pub struct FleetAuditor<'a> {
     wire: AuditorWire,
     /// Simulated µs at which the session opens.
@@ -284,21 +278,11 @@ pub struct FleetAuditor<'a> {
     finished_at_us: Option<u64>,
 }
 
-#[cfg(test)]
-impl<'a> FleetAuditor<'a> {
-    /// This auditor running `session` instead of its task's: a start no
-    /// [`AuditTask`] names, such as a whole log.
-    pub(crate) fn with_session(mut self, session: AuditSession<'a>) -> FleetAuditor<'a> {
-        self.session = session;
-        self
-    }
-}
-
 impl<'a> FleetAuditor<'a> {
     /// An auditor on `node` auditing `provider` inside session `session_id`.
     ///
     /// `timeout_us` is the retransmit-if-silent deadline, normally derived
-    /// from the link exactly like [`crate::endpoint::SimNetTransport::new`]
+    /// from the link the way [`crate::endpoint::SimNetTransport::new`]
     /// derives it.
     pub fn new(
         node: NodeId,
@@ -310,10 +294,22 @@ impl<'a> FleetAuditor<'a> {
         timeout_us: u64,
     ) -> FleetAuditor<'a> {
         FleetAuditor {
-            wire: AuditorWire::new(node, provider, session_id, timeout_us),
             start_at_us: task.start_at_us,
+            ..FleetAuditor::with_session(
+                AuditorWire::new(node, provider, session_id, timeout_us),
+                AuditSession::new(task.start(), image, registry),
+            )
+        }
+    }
+
+    /// An auditor running `session` over `wire`, opening it at once: what
+    /// a client runs for each of its audits, on its own end of the wire.
+    pub(crate) fn with_session(wire: AuditorWire, session: AuditSession<'a>) -> FleetAuditor<'a> {
+        FleetAuditor {
+            wire,
+            start_at_us: 0,
             started: false,
-            session: AuditSession::new(task.start(), image, registry),
+            session,
             pending: None,
             outcome: None,
             finished_at_us: None,
@@ -370,22 +366,27 @@ impl<'a> FleetAuditor<'a> {
             .map(|at| at.saturating_sub(self.start_at_us))
     }
 
-    /// Wire accounting so far (the report's `transport` field once done).
-    pub fn transport_stats(&self) -> TransportStats {
-        self.wire.stats
-    }
-
     /// Consumes the auditor: the report (or the error that ended the
     /// session; an unfinished session is an error) and the blob cache, for
     /// persistence across restarts.
     pub fn into_parts(self) -> (Result<SpotCheckReport, CoreError>, AuditorBlobCache) {
-        let outcome = self.outcome.unwrap_or_else(|| {
-            Err(CoreError::Snapshot(format!(
-                "audit session {} did not finish",
-                self.wire.session_id
-            )))
-        });
-        (outcome, self.session.into_cache())
+        let (outcome, _, session) = self.into_session();
+        (outcome, session.into_cache())
+    }
+
+    /// Consumes the auditor: how its session ended, its end of the wire and
+    /// the session itself.
+    pub(crate) fn into_session(
+        self,
+    ) -> (
+        Result<SpotCheckReport, CoreError>,
+        AuditorWire,
+        AuditSession<'a>,
+    ) {
+        let outcome = self
+            .outcome
+            .unwrap_or_else(|| Err(unfinished(self.wire.session_id)));
+        (outcome, self.wire, self.session)
     }
 
     fn complete(&mut self, now: u64, outcome: Result<SpotCheckReport, CoreError>) {
@@ -446,11 +447,8 @@ impl Endpoint for FleetAuditor<'_> {
             self.advance(net, step);
         }
         match self.pending.as_mut()?.on_timer(net, &mut self.wire) {
-            Timer::Wait(at) | Timer::Resent(at) => Some(at),
-            // Whatever is in flight will wake the loop; the next tick
-            // re-evaluates.
-            Timer::WireBusy => None,
-            Timer::GaveUp(error) => {
+            Ok(wake) => wake,
+            Err(error) => {
                 self.complete(now, Err(error));
                 None
             }
@@ -461,12 +459,6 @@ impl Endpoint for FleetAuditor<'_> {
 // ---------------------------------------------------------------------------
 // Fleet runner
 // ---------------------------------------------------------------------------
-
-/// The provider's node in a fleet run; auditor `i` binds `NodeId(2 + i)`.
-const PROVIDER: NodeId = NodeId(1);
-
-/// Event-loop safety bound of a fleet run.
-const MAX_EVENT_LOOP_STEPS: u64 = 10_000_000;
 
 /// Shape of one fleet run: the link and the auditors' workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -524,9 +516,9 @@ pub struct FleetOutcome {
 /// Runs N concurrent spot-check sessions against one provider node on one
 /// simulated network (see the module docs).
 ///
-/// The provider binds node 1, auditor `i` binds node `2 + i` and opens
-/// session `CLIENT_SESSION + i` — so a fleet of one speaks byte-identical
-/// packets to the single-client transport.
+/// The provider binds [`PROVIDER_NODE`], auditor `i` binds the `i`-th node
+/// after [`AUDITOR_NODE`] and opens session `CLIENT_SESSION + i` — so a
+/// fleet of one is an [`crate::endpoint::AuditClient`]'s run.
 pub fn run_fleet(
     log: &dyn LogSource,
     store: &SnapshotStore,
@@ -576,12 +568,12 @@ fn run_fleet_inner(
     if let Some((attestor, _)) = attest {
         server = server.with_attestor(attestor);
     }
-    let mut provider = ProviderNode::new(PROVIDER, server);
+    let mut provider = ProviderNode::new(PROVIDER_NODE, server);
     let mut auditors: Vec<FleetAuditor> = (0..config.auditors)
         .map(|i| {
             let mut auditor = FleetAuditor::new(
-                NodeId(PROVIDER.0 + 1 + i as u32),
-                PROVIDER,
+                NodeId(AUDITOR_NODE.0 + i as u32),
+                PROVIDER_NODE,
                 CLIENT_SESSION + i as u64,
                 image,
                 registry,
@@ -638,48 +630,6 @@ mod tests {
     use crate::testutil::record_with_snapshots;
     use avm_wire::audit::{open_session_frame, seal_session_message};
 
-    /// The tentpole pin: a fleet of ONE is *field-identical* — semantics,
-    /// transfer columns, wire accounting, measured simulated latency — to
-    /// the blocking single-client transport, in both download modes and
-    /// under deterministic packet loss.
-    #[test]
-    fn single_session_fleet_is_field_identical_to_simnet_transport() {
-        let (bob, image) = record_with_snapshots(4);
-        let registry = GuestRegistry::new();
-        for (on_demand, drop_every) in [(true, 0), (false, 0), (true, 3), (false, 5)] {
-            let link = LinkConfig {
-                drop_every,
-                ..LinkConfig::default()
-            };
-
-            let mut client = AuditClient::new(SimNetTransport::new(
-                AuditServer::new(bob.log(), bob.snapshots()),
-                link,
-            ));
-            let baseline = if on_demand {
-                client.spot_check_on_demand(2, 1, &image, &registry)
-            } else {
-                client.spot_check(2, 1, &image, &registry)
-            }
-            .unwrap();
-
-            let config = FleetConfig {
-                link,
-                on_demand,
-                start_snapshot: 2,
-                chunk: 1,
-                ..FleetConfig::default()
-            };
-            let outcome = run_fleet(bob.log(), bob.snapshots(), &image, &registry, &config);
-            assert!(outcome.event_loop.quiescent);
-            let fleet_report = outcome.reports[0].as_ref().unwrap();
-            assert_eq!(
-                &baseline, fleet_report,
-                "fleet N=1 diverged (on_demand={on_demand}, drop_every={drop_every})"
-            );
-        }
-    }
-
     /// N auditors checking the same epoch: every verdict matches the serial
     /// baseline, the provider opened one session per auditor, and the shared
     /// response cache served all but the first encoding of each response.
@@ -732,7 +682,7 @@ mod tests {
     fn one_tick_serves_every_queued_session_in_creation_order() {
         let (bob, _image) = record_with_snapshots(3);
         let mut provider =
-            ProviderNode::new(NodeId(1), AuditServer::new(bob.log(), bob.snapshots()));
+            ProviderNode::new(PROVIDER_NODE, AuditServer::new(bob.log(), bob.snapshots()));
         let mut net = SimNet::new(LinkConfig::default());
         let manifest = AuditRequest::Manifest { snapshot_id: 1 };
         let whole_log = AuditRequest::LogSegment(SegmentAddress::Seq {
@@ -750,7 +700,7 @@ mod tests {
                 &mut net,
                 Delivery {
                     from: NodeId(peer),
-                    to: NodeId(1),
+                    to: PROVIDER_NODE,
                     payload: seal_session_message(session, request_id, request),
                     deliver_at: 0,
                     sent_at: 0,

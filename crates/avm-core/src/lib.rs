@@ -47,13 +47,13 @@
 //!   syntactic phase before any state request, a report at the end.
 //! * [`endpoint`] — the auditor/provider endpoints ([`endpoint::AuditClient`]
 //!   / [`endpoint::AuditServer`]) speaking the audit protocol of
-//!   [`avm_wire::audit`] over the simulated network with retransmission
-//!   ([`endpoint::SimNetTransport`]); the client is the session's blocking
-//!   driver.
+//!   [`avm_wire::audit`] over a simulated link with retransmission
+//!   ([`endpoint::SimNetTransport`]); the client runs each audit as one
+//!   [`fleet::FleetAuditor`] on that link.
 //! * [`fleet`] — fleet-scale auditing: the sessionful [`fleet::ProviderNode`]
-//!   serving N concurrent [`fleet::FleetAuditor`]s — the session's
-//!   event-loop driver — over one shared simulated network, serving the
-//!   sessions in turn with a shared response cache.
+//!   serving N concurrent [`fleet::FleetAuditor`]s — the session's one
+//!   driver, an event-loop endpoint — over one shared simulated network,
+//!   serving the sessions in turn with a shared response cache.
 //! * [`paraudit`] — segment-parallel chunk replay (§6), kept only for the
 //!   standalone benchmark's per-layer timings; no audit path calls it.
 //! * [`multiparty`] — authenticator collection and evidence distribution
@@ -155,7 +155,7 @@ pub(crate) mod testutil;
 pub use attest::{build_envelope, challenge_nonce, expected_launch, Attestor, LaunchPolicy};
 pub use audit::{audit_log, AuditOutcome, AuditReport, Evidence};
 pub use config::{AvmmOptions, ExecConfig};
-pub use endpoint::{AuditClient, AuditServer, AuditTransport, SimNetTransport, TransportStats};
+pub use endpoint::{AuditClient, AuditServer, SimNetTransport, TransportStats};
 pub use envelope::{Envelope, EnvelopeKind};
 pub use error::{CoreError, FaultReason};
 pub use events::{NdDetail, NdEventRecord, RecvRecord, SendRecord, SnapshotRecord};

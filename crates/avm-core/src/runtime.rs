@@ -265,7 +265,8 @@ impl Runtime {
     }
 
     /// Number of messages a host is still waiting to have acknowledged.
-    pub fn pending_count(&self, name: &str) -> usize {
+    #[cfg(test)]
+    fn pending_count(&self, name: &str) -> usize {
         self.hosts.get(name).map(|h| h.pending.len()).unwrap_or(0)
     }
 

@@ -31,11 +31,10 @@
 //!
 //! Every spot check is one [`crate::session::AuditSession`] *driven through
 //! the audit protocol* ([`crate::endpoint`]): the free functions here are
-//! thin wrappers building an [`crate::endpoint::AuditClient`] over a
-//! [`crate::endpoint::SimNetTransport`] on the simulated WAN link
-//! ([`LinkConfig::WAN`]), and the report's [`SpotCheckReport::transport`]
-//! column records the wire-level accounting of the exchanges the check
-//! actually performed.  Every latency it reports is measured: the simulated
+//! thin wrappers building an [`crate::endpoint::AuditClient`] on the
+//! simulated WAN link ([`LinkConfig::WAN`]), and the report's
+//! [`SpotCheckReport::transport`] column records the wire-level accounting
+//! of the exchanges the check actually performed.  Every latency it reports is measured: the simulated
 //! time those exchanges took on that link.
 
 use avm_compress::CompressionLevel;
@@ -100,10 +99,10 @@ pub struct SpotCheckReport {
     /// lacked, in prefetch batches; an on-demand check's is what its misses
     /// asked for.  Absent after a failed syntactic phase.
     pub on_demand: Option<OnDemandCost>,
-    /// Wire-level accounting of the exchanges this check drove through its
-    /// [`crate::endpoint::AuditTransport`]: round trips, framed bytes,
-    /// retransmissions, and the **measured** latency in simulated network
-    /// time.
+    /// Wire-level accounting of the exchanges this check drove over its
+    /// link ([`crate::endpoint::SimNetTransport`]): round trips, framed
+    /// bytes, retransmissions, and the **measured** latency in simulated
+    /// network time.
     pub transport: TransportStats,
 }
 

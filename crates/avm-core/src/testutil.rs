@@ -4,29 +4,25 @@
 //! always record the same workload.  Beside it: shared unsigned recordings
 //! of the worker and the database guest (each with a twin execution), a
 //! *converging* twin of the worker's start state, a native guest that
-//! appends records across disk leaves, and providers that tamper with what
-//! they send, for both audit drivers.
+//! appends records across disk leaves, and a provider that tampers with
+//! what it sends.
 
 use std::sync::OnceLock;
 
 use crate::config::AvmmOptions;
-use crate::endpoint::{link_timeout_us, undecodable, AuditServer, AuditTransport, TransportStats};
+use crate::endpoint::{AuditClient, AuditServer, SimNetTransport, PROVIDER_NODE};
 use crate::envelope::{Envelope, EnvelopeKind};
-use crate::error::CoreError;
-use crate::fleet::{AuditTask, FleetAuditor};
-use crate::ondemand::AuditorBlobCache;
 use crate::recorder::{Avmm, HostClock};
 use crate::snapshot::SnapshotStore;
-use crate::spotcheck::SpotCheckReport;
 use avm_crypto::keys::{SignatureScheme, SigningKey};
 use avm_log::{Authenticator, TamperEvidentLog};
-use avm_net::{run_event_loop, Delivery, Endpoint, LinkConfig, NodeId, SimNet};
+use avm_net::{Delivery, Endpoint, LinkConfig, NodeId, SimNet};
 use avm_vm::bytecode::assemble;
 use avm_vm::packet::encode_guest_packet;
 use avm_vm::{
     GuestCtx, GuestKernel, GuestRegistry, GuestStep, Machine, VmError, VmImage, CHUNK_SIZE,
 };
-use avm_wire::audit::{open_session_message, seal_encoded_message, AuditRequest, AuditResponseRef};
+use avm_wire::audit::{open_session_message, seal_encoded_message, AuditRequest};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -382,44 +378,18 @@ pub(crate) fn db_recording(twin: bool) -> &'static Recording {
     })
 }
 
-/// A provider on no network whose encoded response passes through `tamper`
-/// (with the request it answers) on its way to the auditor.  A body that no
-/// longer decodes ends the exchange with its decode error, as
-/// `PendingExchange::accept` ends it.
-pub(crate) struct TamperingTransport<'a, F> {
-    pub server: AuditServer<'a>,
-    pub tamper: F,
-}
-
-impl<F: FnMut(&AuditRequest, Vec<u8>) -> Vec<u8>> AuditTransport for TamperingTransport<'_, F> {
-    fn exchange<R>(
-        &mut self,
-        request: &AuditRequest,
-        on_response: impl FnOnce(AuditResponseRef<'_>) -> R,
-    ) -> Result<R, CoreError> {
-        let body = (self.tamper)(request, self.server.respond(request));
-        let response = AuditResponseRef::decode_exact(&body).map_err(undecodable)?;
-        Ok(on_response(response))
-    }
-
-    fn stats(&self) -> TransportStats {
-        TransportStats::default()
-    }
-}
-
-/// [`TamperingTransport`]'s provider as an endpoint on a shared network:
-/// each request is answered, through `tamper`, the moment it arrives.
+/// A provider endpoint whose encoded response passes through `tamper`
+/// (with the request it answers) on its way to the auditor: each request is
+/// answered the moment it arrives.  A body that no longer decodes ends the
+/// exchange with its decode error.
 pub(crate) struct TamperingProvider<'a, F> {
     pub server: AuditServer<'a>,
     pub tamper: F,
 }
 
-/// Node the fleet fixtures' provider binds.
-const PROVIDER: NodeId = NodeId(1);
-
 impl<F: FnMut(&AuditRequest, Vec<u8>) -> Vec<u8>> Endpoint for TamperingProvider<'_, F> {
     fn node(&self) -> NodeId {
-        PROVIDER
+        PROVIDER_NODE
     }
 
     fn on_delivery(&mut self, net: &mut SimNet, delivery: Delivery) {
@@ -429,7 +399,7 @@ impl<F: FnMut(&AuditRequest, Vec<u8>) -> Vec<u8>> Endpoint for TamperingProvider
         };
         let body = (self.tamper)(&request, self.server.respond(&request));
         let _ = net.send(
-            PROVIDER,
+            PROVIDER_NODE,
             delivery.from,
             seal_encoded_message(session, id, &body),
         );
@@ -440,31 +410,17 @@ impl<F: FnMut(&AuditRequest, Vec<u8>) -> Vec<u8>> Endpoint for TamperingProvider
     }
 }
 
-/// A [`FleetAuditor`] for the fleet fixtures' provider, checking the chunk
-/// after `start` (`k = 1`) `on_demand` or in full.
-pub(crate) fn fleet_auditor<'a>(
-    image: &'a VmImage,
-    registry: &'a GuestRegistry,
-    start: u64,
-    on_demand: bool,
-) -> FleetAuditor<'a> {
-    let task = AuditTask {
-        start_snapshot: start,
-        chunk: 1,
-        on_demand,
-        start_at_us: 0,
-    };
-    let timeout = link_timeout_us(&LinkConfig::default());
-    FleetAuditor::new(NodeId(2), PROVIDER, 7, image, registry, task, timeout)
-}
-
-/// Runs `auditor` against `provider` on a lossless shared network: how it
-/// ended, and the blob cache it left.
-pub(crate) fn fleet_spot_check(
-    provider: &mut dyn Endpoint,
-    mut auditor: FleetAuditor<'_>,
-) -> (Result<SpotCheckReport, CoreError>, AuditorBlobCache) {
-    let mut net = SimNet::new(LinkConfig::default());
-    run_event_loop(&mut net, &mut [provider, &mut auditor], 1_000_000);
-    auditor.into_parts()
+/// A client on a lossless link to a [`TamperingProvider`].
+pub(crate) fn tampering_client<'a, F>(
+    server: AuditServer<'a>,
+    tamper: F,
+) -> AuditClient<SimNetTransport<'a>>
+where
+    F: FnMut(&AuditRequest, Vec<u8>) -> Vec<u8> + 'a,
+{
+    let provider = TamperingProvider { server, tamper };
+    AuditClient::new(SimNetTransport::with_provider(
+        provider,
+        LinkConfig::default(),
+    ))
 }

@@ -8,12 +8,13 @@
 //! phase stops the replay.  These tests audit game logs above the threshold
 //! — honest, a guest cheat, a twin history, a flipped byte, an undecodable
 //! record, a history whose replay faults differently from its syntactic
-//! phase — and hold both drivers to the sequential composition written out
-//! below: the same verdict, fault, `entries_examined`, `syntactic_ok`,
-//! replay progress, and evidence that verifies.  The audit over the wire
-//! is held to the composition over the segment as it ships — a hash every
-//! 64 entries ([`avm_log::wire`]) — so a damaged run is named at its
-//! checkpoint, and its evidence holds the hashes the chain check computed.
+//! phase — and hold the in-process audit and the audit over the wire to the
+//! sequential composition written out below: the same verdict, fault,
+//! `entries_examined`, `syntactic_ok`, replay progress, and evidence that
+//! verifies.  The audit over the wire is held to the composition over the
+//! segment as it ships — a hash every 64 entries ([`avm_log::wire`]) — so a
+//! damaged run is named at its checkpoint, and its evidence holds the
+//! hashes the chain check computed.
 //! On a one-core host the audit takes the sequential path and the
 //! equalities hold trivially.
 
@@ -275,8 +276,9 @@ fn received(body: &[u8]) -> Vec<LogEntryRef<'_>> {
     }
 }
 
-/// Audits `segment` of `player` with both drivers and holds every report to
-/// the sequential composition; returns that composition's fault.
+/// Audits `segment` of `player` in process and over the wire, and holds
+/// every report to the sequential composition; returns that composition's
+/// fault.
 fn audit_both_ways(
     player: &Player,
     segment: &[LogEntry],

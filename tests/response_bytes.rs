@@ -1,19 +1,21 @@
-//! The bytes a provider answers with, per variant and per driver.
+//! The bytes a provider answers with, per variant, and the packet that
+//! carries them.
 //!
 //! `AuditServer::respond` writes each response once, straight from the log
 //! and store it borrows; every other way a response reaches an auditor —
-//! `AuditServer::handle`, `SimNetTransport`, `ProviderNode`'s cached and
-//! uncached arms — is derived from it.  These tests pin its output against
-//! an [`AuditResponse`] built *by hand* from the log's and the store's public
+//! `AuditServer::handle`, `ProviderNode`'s cached and uncached arms — is
+//! derived from it.  These tests pin its output against an
+//! [`AuditResponse`] built *by hand* from the log's and the store's public
 //! API and encoded by `AuditResponse`'s own `Encode`, for every request kind
-//! including the ones answered with an error, and then pin every driver's
-//! packet against `seal_session_message` over that same response.
+//! including the ones answered with an error, and then pin the provider
+//! endpoint's packet — what every auditor, a client's or a fleet's, receives
+//! — against `seal_session_message` over that same response.
 
 use std::sync::OnceLock;
 
 use avm_core::attest::{challenge_nonce, Attestor};
 use avm_core::config::AvmmOptions;
-use avm_core::endpoint::{AuditServer, AuditTransport, SimNetTransport};
+use avm_core::endpoint::{AuditServer, AUDITOR_NODE, PROVIDER_NODE};
 use avm_core::envelope::{Envelope, EnvelopeKind};
 use avm_core::fleet::ProviderNode;
 use avm_core::recorder::{Avmm, HostClock};
@@ -22,14 +24,13 @@ use avm_crypto::keys::{SignatureScheme, SigningKey};
 use avm_crypto::sha256::Digest;
 use avm_log::wire::carries_hash;
 use avm_log::{EntryKind, LogEntry, TamperEvidentLog};
-use avm_net::{Endpoint, LinkConfig, NodeId, SimNet};
+use avm_net::{Endpoint, LinkConfig, SimNet};
 use avm_vm::bytecode::assemble;
 use avm_vm::packet::encode_guest_packet;
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::attest::AttestChallenge;
 use avm_wire::audit::{
-    seal_encoded_message, seal_session_message, AuditRequest, AuditResponse, SegmentAddress,
-    CLIENT_SESSION,
+    seal_session_message, AuditRequest, AuditResponse, SegmentAddress, CLIENT_SESSION,
 };
 use avm_wire::varint::write_varint;
 use avm_wire::{BlobRequest, BlobResponse, Encode};
@@ -400,38 +401,6 @@ fn segment_of_boundary_sized_entries_is_the_owned_encoding() {
     }
 }
 
-/// The packet `SimNetTransport`'s provider half puts on the simulated wire
-/// for the `n`-th exchange is `seal_session_message(CLIENT_SESSION, n, ..)`
-/// over the hand-built response.  The packet itself is internal to the
-/// exchange; it was accepted (so its checksum, session and request ids are
-/// right), its length is what the transport counted, and its body is lent to
-/// the callback — which together determine it.
-#[test]
-fn simnet_transport_packets_are_the_sealed_hand_built_responses() {
-    let provider = fixture();
-    let server = provider.server();
-    let mut transport = SimNetTransport::new(server, LinkConfig::default());
-    for (i, (request, expected)) in cases(provider).into_iter().enumerate() {
-        let request_id = i as u64 + 1;
-        let before = transport.stats();
-        let body = transport
-            .exchange(&request, |response| response.encode_to_vec())
-            .unwrap();
-        let packet = seal_session_message(CLIENT_SESSION, request_id, &expected);
-        assert_eq!(
-            seal_encoded_message(CLIENT_SESSION, request_id, &body),
-            packet,
-            "{request:?}"
-        );
-        let counted = transport.stats().since(&before);
-        assert_eq!(counted.response_bytes, packet.len() as u64, "{request:?}");
-        assert_eq!(counted.round_trips, 1);
-    }
-}
-
-const AUDITOR: NodeId = NodeId(7);
-const PROVIDER: NodeId = NodeId(9);
-
 /// Sends `request` to `provider` over `net` as (`session_id`, `request_id`)
 /// and returns the one packet it answers with.
 fn ask(
@@ -442,14 +411,14 @@ fn ask(
     request: &AuditRequest,
 ) -> Vec<u8> {
     net.send(
-        AUDITOR,
-        PROVIDER,
+        AUDITOR_NODE,
+        PROVIDER_NODE,
         seal_session_message(session_id, request_id, request),
     );
     let mut answers = Vec::new();
     while let Some(at) = net.next_delivery_at() {
         for delivery in net.advance_to(at) {
-            if delivery.to == PROVIDER {
+            if delivery.to == PROVIDER_NODE {
                 provider.on_delivery(net, delivery);
                 provider.on_tick(net);
             } else {
@@ -468,7 +437,7 @@ fn ask(
 fn provider_node_packets_are_identical_cached_and_uncached() {
     let provider = fixture();
     let mut net = SimNet::new(LinkConfig::default());
-    let mut node = ProviderNode::new(PROVIDER, provider.server());
+    let mut node = ProviderNode::new(PROVIDER_NODE, provider.server());
     let mut request_id = 0;
     let (mut cacheable, mut cached_bytes) = (0u64, 0u64);
     for (request, expected) in cases(provider) {

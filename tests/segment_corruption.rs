@@ -6,10 +6,8 @@
 //! `LogSegment` body — and re-seals it, so the frame checksum passes — gets
 //! no consistent report.  Each corrupted body ends the audit with a decode
 //! error or a `SyntacticFailure`, for a whole log and for a spot-check
-//! chunk, on both auditors: `AuditClient` over a transport that seals and
-//! opens every body as `SimNetTransport` does (`SimNetTransport`'s own
-//! provider half serves only honest bodies), and `FleetAuditor` against a
-//! real `ProviderNode` behind a relay that rewrites its sealed responses.
+//! chunk: an `AuditClient` audits a real `ProviderNode` behind a relay that
+//! rewrites its sealed responses.
 //!
 //! A segment body is `prev_hash ‖ first_seq ‖ count ‖ records`, the records
 //! one run with no seq and no length of their own.  A body whose count,
@@ -21,25 +19,21 @@
 use std::sync::OnceLock;
 
 use avm_core::config::AvmmOptions;
-use avm_core::endpoint::{
-    AuditClient, AuditServer, AuditTransport, SimNetTransport, TransportStats,
-};
+use avm_core::endpoint::{AuditClient, AuditServer, SimNetTransport, AUDITOR_NODE};
 use avm_core::envelope::{Envelope, EnvelopeKind};
-use avm_core::fleet::{AuditTask, FleetAuditor, ProviderNode};
+use avm_core::fleet::ProviderNode;
 use avm_core::recorder::{Avmm, HostClock};
 use avm_core::snapshot::SnapshotStore;
-use avm_core::spotcheck::SpotCheckReport;
-use avm_core::{CoreError, FaultReason};
+use avm_core::FaultReason;
 use avm_crypto::keys::{SignatureScheme, SigningKey, VerifyingKey};
 use avm_log::wire::{carries_hash, decode_entries};
 use avm_log::{EntryKind, TamperEvidentLog};
-use avm_net::{run_event_loop, Delivery, Endpoint, LinkConfig, NodeId, SimNet};
+use avm_net::{Delivery, Endpoint, LinkConfig, NodeId, SimNet};
 use avm_vm::bytecode::assemble;
 use avm_vm::packet::encode_guest_packet;
 use avm_vm::{GuestRegistry, VmImage};
 use avm_wire::audit::{
     open_session_frame, seal_encoded_message, AuditRequest, AuditResponseRef, SegmentAddress,
-    CLIENT_SESSION,
 };
 use avm_wire::varint::{varint_len, write_varint};
 use avm_wire::WireError;
@@ -144,59 +138,30 @@ fn corrupt(body: &[u8], corruption: Corruption) -> Vec<u8> {
     }
 }
 
-/// A provider answering in process whose `LogSegment` bodies are corrupted,
-/// each body sealed into a frame and opened again as the simulated wire's
-/// two halves do.
-struct CorruptingTransport<'a> {
-    server: AuditServer<'a>,
-    corruption: Option<Corruption>,
-    next_request_id: u64,
-}
-
-impl AuditTransport for CorruptingTransport<'_> {
-    fn exchange<R>(
-        &mut self,
-        request: &AuditRequest,
-        on_response: impl FnOnce(AuditResponseRef<'_>) -> R,
-    ) -> Result<R, CoreError> {
-        let mut body = self.server.respond(request);
-        if let (AuditRequest::LogSegment(_), Some(corruption)) = (request, self.corruption) {
-            body = corrupt(&body, corruption);
-        }
-        self.next_request_id += 1;
-        let packet = seal_encoded_message(CLIENT_SESSION, self.next_request_id, &body);
-        let undecodable = |e: WireError| {
-            CoreError::Snapshot(format!("audit transport: undecodable response: {e}"))
-        };
-        let (_, _, body) = open_session_frame(&packet).map_err(undecodable)?;
-        let response = AuditResponseRef::decode_exact(body).map_err(undecodable)?;
-        Ok(on_response(response))
-    }
-
-    fn stats(&self) -> TransportStats {
-        TransportStats::default()
-    }
-}
-
-const AUDITOR: NodeId = NodeId(2);
 const RELAY: NodeId = NodeId(5);
 const PROVIDER: NodeId = NodeId(9);
 
-/// Sits between the auditor and a real `ProviderNode`: forwards requests,
-/// and re-seals every `LogSegment` response with one byte of its body
-/// corrupted.
-struct Relay {
+/// Sits between the auditor and a real `ProviderNode` it holds: hands it
+/// every request, and re-seals every `LogSegment` response the provider
+/// sends back over the wire with its body corrupted.
+struct Relay<'a> {
+    provider: ProviderNode<'a>,
     corruption: Option<Corruption>,
 }
 
-impl Endpoint for Relay {
+impl Endpoint for Relay<'_> {
     fn node(&self) -> NodeId {
         RELAY
     }
 
     fn on_delivery(&mut self, net: &mut SimNet, delivery: Delivery) {
         if delivery.from != PROVIDER {
-            let _ = net.send(RELAY, PROVIDER, delivery.payload);
+            let forwarded = Delivery {
+                from: RELAY,
+                to: PROVIDER,
+                ..delivery
+            };
+            self.provider.on_delivery(net, forwarded);
             return;
         }
         let (session, id, body) = open_session_frame(&delivery.payload).unwrap();
@@ -207,40 +172,28 @@ impl Endpoint for Relay {
             (AuditResponseRef::LogSegment { .. }, Some(corruption)) => corrupt(body, corruption),
             _ => body.to_vec(),
         };
-        let _ = net.send(RELAY, AUDITOR, seal_encoded_message(session, id, &body));
+        let _ = net.send(
+            RELAY,
+            AUDITOR_NODE,
+            seal_encoded_message(session, id, &body),
+        );
     }
 
-    fn on_tick(&mut self, _: &mut SimNet) -> Option<u64> {
-        None
+    fn on_tick(&mut self, net: &mut SimNet) -> Option<u64> {
+        self.provider.on_tick(net)
     }
 }
 
-/// The chunk after snapshot 1, checked by a `FleetAuditor` against a
-/// `ProviderNode` behind the relay.
-fn fleet_chunk_check(
+/// A client auditing `rec` through the relay.
+fn relayed_client(
     rec: &Recording,
     corruption: Option<Corruption>,
-) -> Result<SpotCheckReport, CoreError> {
-    let registry = GuestRegistry::new();
-    let mut net = SimNet::new(LinkConfig::default());
-    let mut provider = ProviderNode::new(PROVIDER, AuditServer::new(&rec.log, &rec.store));
-    let mut relay = Relay { corruption };
-    let task = AuditTask {
-        start_snapshot: 1,
-        chunk: 1,
-        on_demand: false,
-        start_at_us: 0,
+) -> AuditClient<SimNetTransport<'_>> {
+    let relay = Relay {
+        provider: ProviderNode::new(PROVIDER, AuditServer::new(&rec.log, &rec.store)),
+        corruption,
     };
-    let mut auditor = FleetAuditor::new(AUDITOR, RELAY, 7, &rec.image, &registry, task, 100_000);
-    run_event_loop(
-        &mut net,
-        &mut [&mut relay, &mut provider, &mut auditor],
-        100_000,
-    );
-    // A lossless link: an answer that does not decode ends the exchange on
-    // its first copy, and nothing is ever sent again.
-    assert_eq!(auditor.transport_stats().retransmissions, 0);
-    auditor.into_parts().0
+    AuditClient::new(SimNetTransport::with_provider(relay, LinkConfig::default()))
 }
 
 /// How an audit of a corrupted segment ended: `Err` (a decode error, a
@@ -248,47 +201,34 @@ fn fleet_chunk_check(
 type Outcome = Result<FaultReason, String>;
 
 fn refused_whole_log(rec: &Recording, corruption: Option<Corruption>) -> Outcome {
-    let report = AuditClient::new(CorruptingTransport {
-        server: AuditServer::new(&rec.log, &rec.store),
-        corruption,
-        next_request_id: 0,
-    })
-    .audit_log(
-        "bob",
-        1,
-        0,
-        &[],
-        &rec.key,
-        &rec.image,
-        &GuestRegistry::new(),
-    )
-    .map_err(|e| e.to_string())?;
+    let report = relayed_client(rec, corruption)
+        .audit_log(
+            "bob",
+            1,
+            0,
+            &[],
+            &rec.key,
+            &rec.image,
+            &GuestRegistry::new(),
+        )
+        .map_err(|e| e.to_string())?;
     Ok(report
         .fault()
         .cloned()
         .unwrap_or_else(|| panic!("{corruption:?}: a corrupted log passes")))
 }
 
-fn chunk_fault(report: SpotCheckReport) -> FaultReason {
-    assert!(!report.consistent);
-    report.fault.expect("an inconsistent chunk names its fault")
-}
-
+/// The chunk after snapshot 1, checked in full through the relay.
 fn refused_chunk(rec: &Recording, corruption: Option<Corruption>) -> Outcome {
-    let report = AuditClient::new(CorruptingTransport {
-        server: AuditServer::new(&rec.log, &rec.store),
-        corruption,
-        next_request_id: 0,
-    })
-    .spot_check(1, 1, &rec.image, &GuestRegistry::new())
-    .map_err(|e| e.to_string())?;
-    Ok(chunk_fault(report))
-}
-
-fn refused_fleet_chunk(rec: &Recording, corruption: Option<Corruption>) -> Outcome {
-    fleet_chunk_check(rec, corruption)
-        .map(chunk_fault)
-        .map_err(|e| e.to_string())
+    let mut client = relayed_client(rec, corruption);
+    let report = client
+        .spot_check(1, 1, &rec.image, &GuestRegistry::new())
+        .map_err(|e| e.to_string())?;
+    // A lossless link: an answer that does not decode ends the exchange on
+    // its first copy, and nothing is ever sent again.
+    assert_eq!(client.transport_stats().retransmissions, 0);
+    assert!(!report.consistent);
+    Ok(report.fault.expect("an inconsistent chunk names its fault"))
 }
 
 /// The length of a `LogSegment` body: the whole log, and the chunk after
@@ -333,28 +273,14 @@ fn the_honest_segments_pass_and_ship_runs() {
     let chunk_len = chunk.entries_replayed as usize + 1;
     assert!(chunk_len >= 16, "{chunk_len} entries");
     assert!(rec.log.len() >= 64, "{} entries", rec.log.len());
-    // The corrupting transport and relay, corrupting nothing, agree.
-    let whole = AuditClient::new(CorruptingTransport {
-        server: AuditServer::new(&rec.log, &rec.store),
-        corruption: None,
-        next_request_id: 0,
-    })
-    .audit_log("bob", 1, 0, &[], &rec.key, &rec.image, &registry)
-    .unwrap();
+    // The relay, corrupting nothing, agrees.
+    let mut relayed = relayed_client(rec, None);
+    let whole = relayed
+        .audit_log("bob", 1, 0, &[], &rec.key, &rec.image, &registry)
+        .unwrap();
     assert_eq!(whole, report);
-    for outcome in [
-        fleet_chunk_check(rec, None).unwrap(),
-        AuditClient::new(CorruptingTransport {
-            server: AuditServer::new(&rec.log, &rec.store),
-            corruption: None,
-            next_request_id: 0,
-        })
-        .spot_check(1, 1, &rec.image, &registry)
-        .unwrap(),
-    ] {
-        assert!(outcome.consistent, "{:?}", outcome.fault);
-        assert_eq!(outcome.log_transfer_bytes, chunk.log_transfer_bytes);
-    }
+    let relayed_chunk = relayed.spot_check(1, 1, &rec.image, &registry).unwrap();
+    assert_eq!(relayed_chunk.semantic(), chunk.semantic());
 }
 
 #[test]
@@ -377,11 +303,6 @@ fn every_single_byte_corruption_of_a_segment_is_refused() {
             );
             if at < chunk_len {
                 tally(corruption, "chunk", refused_chunk(rec, Some(corruption)));
-                tally(
-                    corruption,
-                    "fleet chunk",
-                    refused_fleet_chunk(rec, Some(corruption)),
-                );
             }
         }
     }
@@ -453,7 +374,7 @@ fn seq_past_the_end(body: &[u8]) -> Vec<u8> {
 }
 
 /// Each hostile body — for a whole log and for a chunk — is refused by
-/// both auditors with an error, never a report and never a panic; the
+/// the auditor with an error, never a report and never a panic; the
 /// decoders refuse it within the input: a count above what the run could
 /// hold before any view is allocated, and an honest run's views at most
 /// one per two bytes of it.
@@ -463,7 +384,7 @@ fn a_body_at_odds_with_its_size_is_refused_within_the_input() {
     let server = AuditServer::new(&rec.log, &rec.store);
     type Rewrite = fn(&[u8]) -> Vec<u8>;
     // A body that is no response at all ends the exchange on its first copy:
-    // both auditors name the decode error.
+    // the auditor names the decode error.
     let hostile: [(Rewrite, &str); 5] = [
         (
             count_above_the_bytes,
@@ -498,9 +419,8 @@ fn a_body_at_odds_with_its_size_is_refused_within_the_input() {
             let outcomes = [
                 refused_whole_log(rec, corruption),
                 refused_chunk(rec, corruption),
-                refused_fleet_chunk(rec, corruption),
             ];
-            for (outcome, way) in outcomes.into_iter().zip(["whole log", "chunk", "fleet"]) {
+            for (outcome, way) in outcomes.into_iter().zip(["whole log", "chunk"]) {
                 let error = outcome.expect_err(way);
                 // A whole log that does not start at seq 1 is refused
                 // before it is decoded.
