@@ -378,7 +378,7 @@ pub const PROVIDER_NODE: NodeId = NodeId(1);
 pub const AUDITOR_NODE: NodeId = NodeId(2);
 
 /// Default cap on send attempts per exchange before the auditor gives up.
-pub const DEFAULT_MAX_ATTEMPTS: u32 = 16;
+const DEFAULT_MAX_ATTEMPTS: u32 = 16;
 
 /// Event-loop safety bound of one run on a simulated network.
 pub(crate) const MAX_EVENT_LOOP_STEPS: u64 = 10_000_000;
@@ -665,11 +665,6 @@ impl<'a> AuditClient<SimNetTransport<'a>> {
         cache: AuditorBlobCache,
     ) -> AuditClient<SimNetTransport<'a>> {
         AuditClient { transport, cache }
-    }
-
-    /// The client's persistent blob cache.
-    pub fn cache(&self) -> &AuditorBlobCache {
-        &self.cache
     }
 
     /// Consumes the client, returning the cache for the next session.

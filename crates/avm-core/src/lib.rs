@@ -26,7 +26,8 @@
 //!   injections, send/receive records, snapshot records).
 //! * [`envelope`] — the signed, authenticated wire format exchanged between
 //!   machines.
-//! * [`recorder`] — the recording AVMM ([`recorder::Avmm`]).
+//! * [`recorder`] — the recording AVMM ([`recorder::Avmm`]), the one owner
+//!   of the commitment protocol (acknowledgments, duplicates, resends).
 //! * [`snapshot`] — incremental snapshots with Merkle roots, stored
 //!   content-addressed ([`snapshot::SnapshotStore`]).
 //! * [`persist`] — durable providers ([`persist::Provider`]): the recorder
@@ -58,8 +59,8 @@
 //!   standalone benchmark's per-layer timings; no audit path calls it.
 //! * [`multiparty`] — authenticator collection and evidence distribution
 //!   for multi-party scenarios (§4.6).
-//! * [`runtime`] — a host runtime tying AVMM nodes to the simulated network,
-//!   with acknowledgment handling and retransmission.
+//! * [`runtime`] — a host runtime tying AVMM nodes to the simulated network:
+//!   it carries the packets each AVMM hands it and keeps no protocol state.
 //!
 //! # Quickstart: record an accountable execution and audit it
 //!

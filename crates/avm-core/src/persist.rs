@@ -499,7 +499,8 @@ impl<S: Storage + Clone> Provider<S> {
         Ok(outbound)
     }
 
-    /// [`Avmm::deliver`], persisted.
+    /// [`Avmm::deliver`], persisted: a duplicate logs nothing, so nothing
+    /// is written for it.
     pub fn deliver(&mut self, envelope: &Envelope) -> Result<Option<Envelope>, PersistError> {
         let ack = self.avmm.deliver(envelope)?;
         self.flush()?;

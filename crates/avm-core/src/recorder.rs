@@ -6,12 +6,16 @@
 //! verifies and logs every incoming message before injecting it, emits
 //! acknowledgments, takes periodic snapshots and keeps the whole record in a
 //! tamper-evident log.
+//!
+//! It alone keeps §4.3's protocol state: what is unacknowledged, what is
+//! due to be "retransmitted a few times" ([`Avmm::resends_due`]), and what
+//! was received, so a duplicate is logged once and acknowledged again.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use avm_crypto::keys::{SigningKey, VerifyingKey};
 use avm_crypto::sha256::Digest;
-use avm_log::{Acknowledgment, Authenticator, EntryKind, TamperEvidentLog};
+use avm_log::{Acknowledgment, Authenticator, EntryKind, LogEntry, TamperEvidentLog};
 use avm_vm::devices::InputEvent;
 use avm_vm::packet::parse_guest_packet;
 use avm_vm::{GuestRegistry, Machine, StopCondition, VmExit, VmImage};
@@ -20,7 +24,10 @@ use avm_wire::{Decode, Encode};
 use crate::config::AvmmOptions;
 use crate::envelope::{Envelope, EnvelopeKind};
 use crate::error::CoreError;
-use crate::events::{AckRecord, MetaRecord, NdDetail, NdEventRecord, RecvRecord, SendRecord};
+use crate::events::{
+    AckRecord, MetaRecord, NdDetail, NdEventRecord, RecvRecord, RecvRecordRef, SendRecord,
+    SendRecordRef,
+};
 use crate::snapshot::{
     capture_with_cache, compute_state_root, SnapshotStore, StateTreeCache, StoredSnapshot,
 };
@@ -33,6 +40,13 @@ const CLOCK_OPT_WINDOW_US: u64 = 5;
 const CLOCK_OPT_BASE_DELAY_US: u64 = 50;
 /// Cap on the artificial delay.
 const CLOCK_OPT_MAX_DELAY_US: u64 = 5_000;
+
+/// How long a send waits for its acknowledgment before a resend (µs).
+const RETRANSMIT_TIMEOUT_US: u64 = 50_000;
+/// Sends of one message, the first included.  A message still
+/// unacknowledged after the last stays in [`Avmm::unacknowledged`]: §4.3's
+/// grounds to suspect the peer.
+const MAX_RETRANSMITS: u8 = 5;
 
 /// The host's clock, in microseconds of simulated real time.
 ///
@@ -71,8 +85,6 @@ impl HostClock {
 pub struct OutboundMessage {
     /// The signed envelope to hand to the network.
     pub envelope: Envelope,
-    /// Log sequence number of the SEND entry (if the AVMM records).
-    pub send_seq: Option<u64>,
 }
 
 /// Counters the benchmark harness reads to model CPU and network overhead.
@@ -97,6 +109,24 @@ pub struct AvmmStats {
     pub console_bytes: u64,
 }
 
+/// A sent message no acknowledgment has answered yet.
+struct Unacked {
+    /// Sequence number of its SEND entry, from which a resend is rebuilt.
+    send_seq: u64,
+    last_sent_us: u64,
+    attempts: u8,
+}
+
+impl Unacked {
+    fn first_sent(send_seq: u64, last_sent_us: u64) -> Unacked {
+        Unacked {
+            send_seq,
+            last_sent_us,
+            attempts: 1,
+        }
+    }
+}
+
 /// The recording accountable virtual machine monitor.
 pub struct Avmm {
     name: String,
@@ -110,7 +140,11 @@ pub struct Avmm {
     /// Long-lived Merkle tree over machine state; each snapshot refreshes
     /// only the dirty leaves (O(dirty + log n)) instead of rebuilding.
     state_tree: StateTreeCache,
-    outstanding_sends: HashMap<u64, u64>,
+    /// Ordered, so resends leave in msg-id order.  Only a tamper-evident
+    /// AVMM tracks its sends: only a tamper-evident peer acknowledges.
+    unacked: BTreeMap<u64, Unacked>,
+    /// The RECV seq of every Data message accepted, by sender and msg id.
+    received: HashMap<String, HashMap<u64, u64>>,
     msg_counter: u64,
     entries_at_last_snapshot: u64,
     // Clock-read optimisation state (§6.5).
@@ -144,7 +178,8 @@ impl Avmm {
             log: TamperEvidentLog::new(),
             snapshots: SnapshotStore::for_image(image),
             state_tree: StateTreeCache::new(),
-            outstanding_sends: HashMap::new(),
+            unacked: BTreeMap::new(),
+            received: HashMap::new(),
             msg_counter: 0,
             entries_at_last_snapshot: 0,
             last_clock_host: None,
@@ -165,10 +200,13 @@ impl Avmm {
     /// a machine replayed to the log head, the verified log itself and the
     /// snapshot store rebuilt from durable manifests.
     ///
-    /// The private bookkeeping (`outstanding_sends`, message counter,
+    /// The private bookkeeping (unacknowledged sends, message counter,
     /// auto-snapshot cursor, clock monotonicity floor) is itself a pure
-    /// function of the log, so it is re-derived here by one scan.  Peer keys
-    /// are not logged; callers re-register them via [`Avmm::add_peer`].
+    /// function of the log, so it is re-derived here by one scan; each
+    /// unacknowledged send counts as sent once at time 0 (the crash may
+    /// have kept it off the wire).  A RECV entry carries no msg id, so what
+    /// was received is forgotten.  Peer keys are not logged; callers
+    /// re-register them via [`Avmm::add_peer`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn resume(
         name: &str,
@@ -181,7 +219,7 @@ impl Avmm {
         snapshots: SnapshotStore,
     ) -> Avmm {
         let mut msg_counter = 0u64;
-        let mut outstanding_sends: HashMap<u64, u64> = HashMap::new();
+        let mut unacked = BTreeMap::new();
         let mut seq_to_msg: HashMap<u64, u64> = HashMap::new();
         let mut entries_at_last_snapshot = 0u64;
         let mut last_clock_value = 0u64;
@@ -191,7 +229,9 @@ impl Avmm {
                 EntryKind::Send => {
                     // Message ids are dense in SEND order (see record_send).
                     msg_counter += 1;
-                    outstanding_sends.insert(msg_counter, entry.seq);
+                    if options.tamper_evident {
+                        unacked.insert(msg_counter, Unacked::first_sent(entry.seq, 0));
+                    }
                     seq_to_msg.insert(entry.seq, msg_counter);
                     stats.packets_out += 1;
                 }
@@ -199,7 +239,7 @@ impl Avmm {
                 EntryKind::Ack => {
                     if let Ok(rec) = AckRecord::decode_exact(&entry.content) {
                         if let Some(msg_id) = seq_to_msg.get(&rec.send_seq) {
-                            outstanding_sends.remove(msg_id);
+                            unacked.remove(msg_id);
                         }
                     }
                 }
@@ -228,7 +268,8 @@ impl Avmm {
             log,
             snapshots,
             state_tree,
-            outstanding_sends,
+            unacked,
+            received: HashMap::new(),
             msg_counter,
             entries_at_last_snapshot,
             last_clock_host: None,
@@ -365,7 +406,7 @@ impl Avmm {
                     self.stats.clock_reads += 1;
                 }
                 VmExit::NetTx(payload) => {
-                    outbound.push(self.record_send(payload));
+                    outbound.push(self.record_send(payload, clock.now()));
                 }
                 VmExit::ConsoleOut(data) => {
                     self.stats.console_bytes += data.len() as u64;
@@ -377,8 +418,9 @@ impl Avmm {
         Ok(outbound)
     }
 
-    /// Logs a SEND entry for `payload` and wraps it in a signed envelope.
-    fn record_send(&mut self, payload: Vec<u8>) -> OutboundMessage {
+    /// Logs a SEND entry for `payload` sent at `now_us`, and wraps it in a
+    /// signed envelope.
+    fn record_send(&mut self, payload: Vec<u8>, now_us: u64) -> OutboundMessage {
         let step = self.machine.step_count();
         let dest = parse_guest_packet(&payload)
             .map(|(d, _)| d)
@@ -392,19 +434,20 @@ impl Avmm {
             dest: dest.clone(),
             payload: payload.clone(),
         };
-        let (entry, auth) = if self.options.tamper_evident {
+        let auth = if self.options.tamper_evident {
             let (entry, auth) = self.log.append_authenticated(
                 EntryKind::Send,
                 rec.encode_to_vec(),
                 &self.signing_key,
             );
             self.stats.signatures_made += 1;
-            (entry.seq, Some(auth))
+            self.unacked
+                .insert(msg_id, Unacked::first_sent(entry.seq, now_us));
+            Some(auth)
         } else {
-            let seq = self.log.append(EntryKind::Send, rec.encode_to_vec()).seq;
-            (seq, None)
+            self.log.append(EntryKind::Send, rec.encode_to_vec());
+            None
         };
-        self.outstanding_sends.insert(msg_id, entry);
 
         let envelope = Envelope::create(
             EnvelopeKind::Data,
@@ -416,19 +459,19 @@ impl Avmm {
             auth,
         );
         self.stats.signatures_made += 1;
-        OutboundMessage {
-            envelope,
-            send_seq: Some(entry),
-        }
+        OutboundMessage { envelope }
     }
 
     /// Delivers an incoming envelope.
     ///
     /// For Data envelopes: verifies the sender's signature, logs RECV and the
     /// injection event, injects the payload into the guest NIC, and returns
-    /// the acknowledgment envelope to transmit back.  For Ack envelopes:
-    /// verifies and logs the acknowledgment.  Challenge traffic is not
-    /// handled here (see [`crate::multiparty`]).
+    /// the acknowledgment envelope to transmit back; a duplicate (sender and
+    /// msg id already accepted) logs nothing and returns the same
+    /// acknowledgment again.  For Ack envelopes: checks that it comes from
+    /// the peer the message went to and verifies it, and only then logs it
+    /// and stops resending.  Challenge traffic is not handled here (see
+    /// [`crate::multiparty`]).
     pub fn deliver(&mut self, envelope: &Envelope) -> Result<Option<Envelope>, CoreError> {
         match envelope.kind {
             EnvelopeKind::Data => self.deliver_data(envelope),
@@ -444,18 +487,53 @@ impl Avmm {
         }
     }
 
-    fn deliver_data(&mut self, envelope: &Envelope) -> Result<Option<Envelope>, CoreError> {
-        // Verify the sender's signature if we know the sender; unknown
-        // senders are rejected outright when tamper evidence is on.
+    /// Verifies the sender's signature if we know the sender; unknown
+    /// senders are rejected outright when tamper evidence is on.
+    fn verify_sender(&mut self, envelope: &Envelope) -> Result<(), CoreError> {
         if let Some(key) = self.peer_keys.get(&envelope.from) {
             self.stats.signatures_verified += 1;
             envelope
                 .verify_signature(key)
-                .map_err(|_| CoreError::BadMessageSignature)?;
+                .map_err(|_| CoreError::BadMessageSignature)
         } else if self.options.tamper_evident {
-            return Err(CoreError::BadMessageSignature);
+            Err(CoreError::BadMessageSignature)
+        } else {
+            Ok(())
         }
+    }
 
+    fn deliver_data(&mut self, envelope: &Envelope) -> Result<Option<Envelope>, CoreError> {
+        self.verify_sender(envelope)?;
+        let accepted = self.received.get(&envelope.from);
+        let recv_auth = match accepted.and_then(|ids| ids.get(&envelope.msg_id)) {
+            // A duplicate logs nothing.  Its ACK is rebuilt from the logged
+            // RECV: the first ACK's bytes, as signing is deterministic, so no
+            // ACK is kept per message.
+            Some(&recv_seq) => self.options.tamper_evident.then(|| {
+                self.stats.signatures_made += 1;
+                authenticated(&self.log, recv_seq, &self.signing_key).1
+            }),
+            None => self.record_recv(envelope),
+        };
+        let Some(auth) = recv_auth else {
+            return Ok(None);
+        };
+        let recv = self.log.entry(auth.seq).expect("the RECV is logged");
+        let rec = RecvRecordRef::decode_exact(&recv.content).expect("own RECV record");
+        let ack = Acknowledgment::avmm_ack(&self.signing_key, rec.payload, auth);
+        self.stats.signatures_made += 2;
+        Ok(Some(Envelope::ack(
+            &self.name,
+            &envelope.from,
+            envelope.msg_id,
+            &ack,
+            &self.signing_key,
+        )))
+    }
+
+    /// Logs RECV for `envelope`, injects its payload into the guest and logs
+    /// the injection; returns the RECV's authenticator if tamper evident.
+    fn record_recv(&mut self, envelope: &Envelope) -> Option<Authenticator> {
         let rec = RecvRecord {
             source: envelope.from.clone(),
             payload: envelope.payload.clone(),
@@ -477,6 +555,10 @@ impl Avmm {
             recv_entry_seq = self.log.append(EntryKind::Recv, rec.encode_to_vec()).seq;
             recv_auth = None;
         }
+        self.received
+            .entry(envelope.from.clone())
+            .or_default()
+            .insert(envelope.msg_id, recv_entry_seq);
 
         // Inject into the guest (the signature was already stripped: the
         // guest sees only the payload the sender's guest produced).
@@ -491,44 +573,62 @@ impl Avmm {
         };
         self.log.append(EntryKind::NdEvent, nd.encode_to_vec());
         self.maybe_auto_snapshot();
-
-        if !self.options.tamper_evident {
-            return Ok(None);
-        }
-        // Build the acknowledgment carrying our RECV authenticator.
-        let auth = recv_auth.expect("tamper evident implies authenticator");
-        let ack = Acknowledgment::avmm_ack(&self.signing_key, &envelope.payload, auth);
-        self.stats.signatures_made += 1;
-        let ack_env = Envelope::ack(
-            &self.name,
-            &envelope.from,
-            envelope.msg_id,
-            &ack,
-            &self.signing_key,
-        );
-        self.stats.signatures_made += 1;
-        Ok(Some(ack_env))
+        recv_auth
     }
 
     fn deliver_ack(&mut self, envelope: &Envelope) -> Result<(), CoreError> {
         let send_seq = self
-            .outstanding_sends
-            .remove(&envelope.msg_id)
-            .ok_or(CoreError::UnknownAck)?;
-        if let Some(key) = self.peer_keys.get(&envelope.from) {
-            self.stats.signatures_verified += 1;
-            envelope
-                .verify_signature(key)
-                .map_err(|_| CoreError::BadMessageSignature)?;
+            .unacked
+            .get(&envelope.msg_id)
+            .ok_or(CoreError::UnknownAck)?
+            .send_seq;
+        // Only the peer the message went to can acknowledge it.
+        let entry = self.log.entry(send_seq).expect("a tracked SEND is logged");
+        if SendRecordRef::decode_exact(&entry.content).map(|rec| rec.dest)
+            != Ok(envelope.from.as_str())
+        {
+            return Err(CoreError::UnknownAck);
         }
-        if self.options.tamper_evident {
-            let rec = AckRecord {
-                send_seq,
-                ack_bytes: envelope.payload.clone(),
-            };
-            self.log.append(EntryKind::Ack, rec.encode_to_vec());
-        }
+        self.verify_sender(envelope)?;
+        self.unacked.remove(&envelope.msg_id);
+        let rec = AckRecord {
+            send_seq,
+            ack_bytes: envelope.payload.clone(),
+        };
+        self.log.append(EntryKind::Ack, rec.encode_to_vec());
         Ok(())
+    }
+
+    /// The envelopes of every unacknowledged message with sends left whose
+    /// last send was a retransmit timeout or more before `now_us`, in msg-id
+    /// order; each counts as sent at `now_us`.  Each is rebuilt from its
+    /// SEND entry: the same bytes as its first send, since RSA PKCS#1 v1.5
+    /// signing is deterministic.
+    pub fn resends_due(&mut self, now_us: u64) -> Vec<Envelope> {
+        let mut due = Vec::new();
+        for (&msg_id, sent) in &mut self.unacked {
+            if sent.attempts == MAX_RETRANSMITS
+                || now_us.saturating_sub(sent.last_sent_us) < RETRANSMIT_TIMEOUT_US
+            {
+                continue;
+            }
+            sent.attempts += 1;
+            sent.last_sent_us = now_us;
+            let (entry, auth) = authenticated(&self.log, sent.send_seq, &self.signing_key);
+            let rec = SendRecordRef::decode_exact(&entry.content).expect("own SEND record");
+            let payload = rec.payload.to_vec();
+            due.push(Envelope::create(
+                EnvelopeKind::Data,
+                &self.name,
+                rec.dest,
+                msg_id,
+                payload,
+                &self.signing_key,
+                Some(auth),
+            ));
+        }
+        self.stats.signatures_made += 2 * due.len() as u64;
+        due
     }
 
     /// Injects a local input event (keyboard/mouse), logging it as a
@@ -542,11 +642,10 @@ impl Avmm {
         self.log.append(EntryKind::NdEvent, rec.encode_to_vec());
     }
 
-    /// Message ids for which no acknowledgment has arrived yet.
+    /// Message ids for which no acknowledgment has arrived yet, ascending
+    /// (only a tamper-evident AVMM expects acknowledgments).
     pub fn unacknowledged(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.outstanding_sends.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.unacked.keys().copied().collect()
     }
 
     /// Takes a snapshot now, logging its state root.
@@ -593,6 +692,17 @@ impl Avmm {
     pub fn log_bytes(&self) -> u64 {
         self.log.total_stored_size()
     }
+}
+
+/// Entry `seq` of `log` and its authenticator, as appending it produced it.
+fn authenticated<'a>(
+    log: &'a TamperEvidentLog,
+    seq: u64,
+    key: &SigningKey,
+) -> (&'a LogEntry, Authenticator) {
+    let prev = log.entry(seq - 1).map_or(Digest::ZERO, |entry| entry.hash);
+    let entry = log.entry(seq).expect("a tracked entry is logged");
+    (entry, Authenticator::create(key, entry, prev))
 }
 
 impl core::fmt::Debug for Avmm {
@@ -797,6 +907,102 @@ mod tests {
         assert_eq!(bob.deliver(&ack_env).unwrap_err(), CoreError::UnknownAck);
         // An ACK entry was logged.
         assert!(bob.log().entries().iter().any(|e| e.kind == EntryKind::Ack));
+    }
+
+    /// Bob's echo of a packet from alice addressed to `dest`: bob, the
+    /// envelope it sent, and how many entries it had logged by then.
+    fn bob_echoing_to(dest: &str, alice_key: &SigningKey) -> (Avmm, Envelope, usize) {
+        let mut bob =
+            Avmm::new("bob", &echo_image(), &GuestRegistry::new(), key(1), opts()).unwrap();
+        bob.add_peer("alice", alice_key.verifying_key());
+        let clock = HostClock::new();
+        bob.run_slice(&clock, 10_000).unwrap();
+        let payload = encode_guest_packet(dest, b"x");
+        let env = Envelope::create(
+            EnvelopeKind::Data,
+            "alice",
+            "bob",
+            1,
+            payload,
+            alice_key,
+            None,
+        );
+        bob.deliver(&env).unwrap();
+        let mut out = bob.run_slice(&clock, 50_000).unwrap();
+        assert_eq!(out.len(), 1);
+        let logged = bob.log().len();
+        (bob, out.remove(0).envelope, logged)
+    }
+
+    #[test]
+    fn a_forged_or_unknown_ack_clears_nothing() {
+        let alice_key = key(2);
+        let mallory_key = key(3);
+        // An ACK "from alice" signed by mallory, and an ACK from dave, whose
+        // key bob does not know.
+        for (dest, signer) in [("alice", &mallory_key), ("dave", &alice_key)] {
+            let (mut bob, sent, logged) = bob_echoing_to(dest, &alice_key);
+            let ack = Acknowledgment::user_ack(signer, &sent.payload);
+            let ack_env = Envelope::ack(dest, "bob", sent.msg_id, &ack, signer);
+            assert_eq!(
+                bob.deliver(&ack_env).unwrap_err(),
+                CoreError::BadMessageSignature,
+                "{dest}"
+            );
+            assert_eq!(bob.unacknowledged(), vec![sent.msg_id], "{dest}");
+            assert_eq!(bob.log().len(), logged, "{dest}: an ACK was logged");
+            assert_eq!(bob.resends_due(RETRANSMIT_TIMEOUT_US), vec![sent], "{dest}");
+        }
+        // A genuine ACK from a peer the message did not go to is unknown.
+        let (mut bob, sent, logged) = bob_echoing_to("alice", &alice_key);
+        let carol_key = key(4);
+        bob.add_peer("carol", carol_key.verifying_key());
+        let ack = Acknowledgment::user_ack(&carol_key, &sent.payload);
+        let ack_env = Envelope::ack("carol", "bob", sent.msg_id, &ack, &carol_key);
+        assert_eq!(bob.deliver(&ack_env).unwrap_err(), CoreError::UnknownAck);
+        assert_eq!(bob.unacknowledged(), vec![sent.msg_id]);
+        assert_eq!(bob.log().len(), logged);
+    }
+
+    #[test]
+    fn a_duplicate_is_logged_once_and_acknowledged_again() {
+        let alice_key = key(2);
+        let mut bob =
+            Avmm::new("bob", &echo_image(), &GuestRegistry::new(), key(1), opts()).unwrap();
+        bob.add_peer("alice", alice_key.verifying_key());
+        bob.run_slice(&HostClock::new(), 10_000).unwrap();
+        let env = Envelope::create(
+            EnvelopeKind::Data,
+            "alice",
+            "bob",
+            7,
+            encode_guest_packet("alice", b"once"),
+            &alice_key,
+            None,
+        );
+        let ack = bob.deliver(&env).unwrap().expect("ack");
+        let logged = bob.log().len();
+        let stats = bob.stats();
+        assert_eq!(bob.deliver(&env).unwrap(), Some(ack));
+        assert_eq!(bob.log().len(), logged);
+        assert_eq!(bob.stats().packets_in, stats.packets_in);
+        // Rebuilding signs the RECV authenticator, the ACK and its envelope.
+        assert_eq!(bob.stats().signatures_made, stats.signatures_made + 3);
+    }
+
+    #[test]
+    fn resends_are_the_first_send_until_the_attempts_run_out() {
+        let alice_key = key(2);
+        let (mut bob, sent, _) = bob_echoing_to("alice", &alice_key);
+        assert!(bob.resends_due(RETRANSMIT_TIMEOUT_US - 1).is_empty());
+        let mut now = 0;
+        for _ in 1..MAX_RETRANSMITS {
+            now += RETRANSMIT_TIMEOUT_US;
+            assert_eq!(bob.resends_due(now), vec![sent.clone()]);
+            assert!(bob.resends_due(now).is_empty(), "resent twice at once");
+        }
+        assert!(bob.resends_due(now + RETRANSMIT_TIMEOUT_US).is_empty());
+        assert_eq!(bob.unacknowledged(), vec![sent.msg_id]);
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! The runtime plays the role of the host machines and the LAN in the
 //! paper's testbed (§6.2): it advances simulated time, runs each AVMM in
-//! slices, forwards outbound envelopes through [`SimNet`], delivers incoming
-//! envelopes (with duplicate suppression), sends and matches
-//! acknowledgments, and retransmits unacknowledged messages — "the original
-//! message is retransmitted a few times" (§4.3).
+//! slices, and carries packets — it puts on the wire what each AVMM hands
+//! it (new messages, then the resends [`Avmm::resends_due`] names) and
+//! delivers what arrives, sending back any acknowledgment the AVMM returns.
+//! The commitment protocol's state (what is unacknowledged, what was
+//! already received) is the AVMM's alone.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use avm_net::{LinkConfig, NodeId, SimNet};
 use avm_wire::{Decode, Encode};
@@ -16,26 +17,9 @@ use crate::envelope::{Envelope, EnvelopeKind};
 use crate::error::CoreError;
 use crate::recorder::{Avmm, HostClock};
 
-/// Default retransmission timeout (µs).
-const RETRANSMIT_TIMEOUT_US: u64 = 50_000;
-/// Maximum retransmission attempts before a message is dropped.
-const MAX_RETRANSMITS: u8 = 5;
-
-/// An in-flight (not yet acknowledged) message.
-#[derive(Debug, Clone)]
-struct PendingSend {
-    envelope: Envelope,
-    dest: NodeId,
-    last_sent_us: u64,
-    attempts: u8,
-}
-
 struct HostEntry {
     avmm: Avmm,
     node_id: NodeId,
-    pending: Vec<PendingSend>,
-    seen: HashSet<(String, u64)>,
-    delivered_payload_bytes: u64,
 }
 
 /// The multi-node scenario runtime.
@@ -44,7 +28,6 @@ pub struct Runtime {
     /// Ordered by name: every loop over the hosts runs in the same order in
     /// every process, so a session's logs are a function of its inputs.
     hosts: BTreeMap<String, HostEntry>,
-    node_names: HashMap<NodeId, String>,
     next_node: u32,
     steps_per_slice: u64,
 }
@@ -55,7 +38,6 @@ impl Runtime {
         Runtime {
             net: SimNet::new(link),
             hosts: BTreeMap::new(),
-            node_names: HashMap::new(),
             next_node: 1,
             steps_per_slice: 200_000,
         }
@@ -76,17 +58,7 @@ impl Runtime {
         let node_id = NodeId(self.next_node);
         self.next_node += 1;
         let name = avmm.name().to_string();
-        self.node_names.insert(node_id, name.clone());
-        self.hosts.insert(
-            name,
-            HostEntry {
-                avmm,
-                node_id,
-                pending: Vec::new(),
-                seen: HashSet::new(),
-                delivered_payload_bytes: 0,
-            },
-        );
+        self.hosts.insert(name, HostEntry { avmm, node_id });
         node_id
     }
 
@@ -121,82 +93,56 @@ impl Runtime {
     }
 
     /// Runs one tick of `dt_us` simulated microseconds: every host executes a
-    /// slice, outbound traffic enters the network, due packets are delivered
-    /// and acknowledged, and stale messages are retransmitted.
+    /// slice, its new messages and then its due resends enter the network,
+    /// and due packets are delivered, each acknowledgment an AVMM returns
+    /// going back after the last delivery.
     pub fn tick(&mut self, dt_us: u64) -> Result<(), CoreError> {
         let now = self.net.now();
         let clock = HostClock::at(now);
         let steps = self.steps_per_slice;
 
-        // 1. Run every guest and queue its outbound envelopes.
-        let names = self.host_names();
-        let mut to_transmit: Vec<(String, Envelope)> = Vec::new();
-        for name in &names {
-            let host = self.hosts.get_mut(name).expect("host exists");
-            let outbound = host.avmm.run_slice(&clock, steps)?;
-            for out in outbound {
-                to_transmit.push((name.clone(), out.envelope));
+        // 1. Run every guest and send what it produced, then every resend.
+        let mut outbound: Vec<(NodeId, Envelope)> = Vec::new();
+        for host in self.hosts.values_mut() {
+            for out in host.avmm.run_slice(&clock, steps)? {
+                outbound.push((host.node_id, out.envelope));
             }
         }
-        for (from, envelope) in to_transmit {
-            self.transmit(&from, envelope, now);
+        for host in self.hosts.values_mut() {
+            for envelope in host.avmm.resends_due(now) {
+                outbound.push((host.node_id, envelope));
+            }
+        }
+        for (from, envelope) in outbound {
+            self.transmit(from, &envelope);
         }
 
-        // 2. Retransmit stale unacknowledged messages.
-        self.retransmit(now);
-
-        // 3. Advance the network and deliver everything that is due.
-        let due = self.net.advance_to(now + dt_us);
-        let mut acks_to_send: Vec<(String, Envelope)> = Vec::new();
-        for delivery in due {
-            let Some(dest_name) = self.node_names.get(&delivery.to).cloned() else {
+        // 2. Advance the network and deliver everything that is due.
+        let mut acks: Vec<(NodeId, Envelope)> = Vec::new();
+        for delivery in self.net.advance_to(now + dt_us) {
+            let Some(host) = self.hosts.values_mut().find(|h| h.node_id == delivery.to) else {
                 continue;
             };
-            let envelope = match Envelope::decode_exact(&delivery.payload) {
-                Ok(e) => e,
-                Err(_) => continue, // corrupt frames are dropped
+            let Ok(envelope) = Envelope::decode_exact(&delivery.payload) else {
+                continue; // corrupt frames are dropped
             };
-            let host = self.hosts.get_mut(&dest_name).expect("host exists");
-            match envelope.kind {
-                EnvelopeKind::Data => {
-                    let dedup_key = (envelope.from.clone(), envelope.msg_id);
-                    if host.seen.contains(&dedup_key) {
-                        // Duplicate (a retransmission we already accepted):
-                        // do not log it again, but do re-acknowledge so the
-                        // sender stops retransmitting.
-                        continue;
-                    }
-                    match host.avmm.deliver(&envelope) {
-                        Ok(Some(ack)) => {
-                            host.seen.insert(dedup_key);
-                            host.delivered_payload_bytes += envelope.payload.len() as u64;
-                            acks_to_send.push((dest_name.clone(), ack));
-                        }
-                        Ok(None) => {
-                            host.seen.insert(dedup_key);
-                            host.delivered_payload_bytes += envelope.payload.len() as u64;
-                        }
-                        Err(CoreError::BadMessageSignature) => {
-                            // A correct AVMM silently discards forged traffic.
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                EnvelopeKind::Ack => {
-                    // Match against the pending sends of the destination host.
-                    host.pending.retain(|p| {
-                        !(p.envelope.msg_id == envelope.msg_id && p.envelope.to == envelope.from)
-                    });
-                    // Let the AVMM log the acknowledgment.
-                    let _ = host.avmm.deliver(&envelope);
-                }
-                EnvelopeKind::Challenge | EnvelopeKind::ChallengeResponse => {
-                    // Challenge traffic is routed by higher-level harnesses.
-                }
+            if matches!(
+                envelope.kind,
+                EnvelopeKind::Challenge | EnvelopeKind::ChallengeResponse
+            ) {
+                continue; // challenge traffic is routed by higher-level harnesses
+            }
+            match host.avmm.deliver(&envelope) {
+                Ok(Some(ack)) => acks.push((host.node_id, ack)),
+                Ok(None) => {}
+                // A correct AVMM silently discards forged traffic and
+                // acknowledgments it cannot match.
+                Err(CoreError::BadMessageSignature | CoreError::UnknownAck) => {}
+                Err(e) => return Err(e),
             }
         }
-        for (from, ack) in acks_to_send {
-            self.transmit_unreliable(&from, ack);
+        for (from, ack) in acks {
+            self.transmit(from, &ack);
         }
         Ok(())
     }
@@ -211,71 +157,12 @@ impl Runtime {
         Ok(())
     }
 
-    /// Queues a Data envelope for transmission with retransmission tracking.
-    fn transmit(&mut self, from: &str, envelope: Envelope, now: u64) {
-        let Some(dest_id) = self.hosts.get(&envelope.to).map(|h| h.node_id) else {
+    /// Puts `envelope` on the wire from node `from` to the host it names.
+    fn transmit(&mut self, from: NodeId, envelope: &Envelope) {
+        let Some(to) = self.hosts.get(&envelope.to).map(|h| h.node_id) else {
             return; // destination unknown: drop (mirrors a misaddressed packet)
         };
-        let from_id = self.hosts[from].node_id;
-        let bytes = envelope.encode_to_vec();
-        self.net.send(from_id, dest_id, bytes);
-        if envelope.kind == EnvelopeKind::Data {
-            self.hosts
-                .get_mut(from)
-                .expect("host")
-                .pending
-                .push(PendingSend {
-                    envelope,
-                    dest: dest_id,
-                    last_sent_us: now,
-                    attempts: 1,
-                });
-        }
-    }
-
-    /// Sends an envelope without retransmission tracking (acknowledgments).
-    fn transmit_unreliable(&mut self, from: &str, envelope: Envelope) {
-        let Some(dest_id) = self.hosts.get(&envelope.to).map(|h| h.node_id) else {
-            return;
-        };
-        let from_id = self.hosts[from].node_id;
-        let bytes = envelope.encode_to_vec();
-        self.net.send(from_id, dest_id, bytes);
-    }
-
-    fn retransmit(&mut self, now: u64) {
-        let mut to_resend: Vec<(NodeId, NodeId, Vec<u8>)> = Vec::new();
-        for host in self.hosts.values_mut() {
-            host.pending.retain_mut(|p| {
-                if now.saturating_sub(p.last_sent_us) < RETRANSMIT_TIMEOUT_US {
-                    return true;
-                }
-                if p.attempts >= MAX_RETRANSMITS {
-                    return false;
-                }
-                p.attempts += 1;
-                p.last_sent_us = now;
-                to_resend.push((host.node_id, p.dest, p.envelope.encode_to_vec()));
-                true
-            });
-        }
-        for (from, to, bytes) in to_resend {
-            self.net.send(from, to, bytes);
-        }
-    }
-
-    /// Number of messages a host is still waiting to have acknowledged.
-    #[cfg(test)]
-    fn pending_count(&self, name: &str) -> usize {
-        self.hosts.get(name).map(|h| h.pending.len()).unwrap_or(0)
-    }
-
-    /// Total guest payload bytes delivered into a host.
-    pub fn delivered_payload_bytes(&self, name: &str) -> u64 {
-        self.hosts
-            .get(name)
-            .map(|h| h.delivered_payload_bytes)
-            .unwrap_or(0)
+        self.net.send(from, to, envelope.encode_to_vec());
     }
 }
 
@@ -292,7 +179,9 @@ impl core::fmt::Debug for Runtime {
 mod tests {
     use super::*;
     use crate::config::AvmmOptions;
+    use crate::events::{AckRecord, RecvRecord};
     use avm_crypto::keys::{SignatureScheme, SigningKey};
+    use avm_log::EntryKind;
     use avm_vm::bytecode::assemble;
     use avm_vm::{GuestRegistry, VmImage};
     use rand::rngs::StdRng;
@@ -363,14 +252,18 @@ mod tests {
     }
 
     fn make_avmm(name: &str, image: &VmImage, seed: u64, peers: &[(&str, &SigningKey)]) -> Avmm {
-        let mut avmm = Avmm::new(
-            name,
-            image,
-            &GuestRegistry::new(),
-            key(seed),
-            AvmmOptions::default().with_scheme(SignatureScheme::Rsa(512)),
-        )
-        .unwrap();
+        let options = AvmmOptions::default().with_scheme(SignatureScheme::Rsa(512));
+        make_avmm_with(name, image, seed, peers, options)
+    }
+
+    fn make_avmm_with(
+        name: &str,
+        image: &VmImage,
+        seed: u64,
+        peers: &[(&str, &SigningKey)],
+        options: AvmmOptions,
+    ) -> Avmm {
+        let mut avmm = Avmm::new(name, image, &GuestRegistry::new(), key(seed), options).unwrap();
         for (peer, peer_key) in peers {
             avmm.add_peer(peer, peer_key.verifying_key());
         }
@@ -410,9 +303,8 @@ mod tests {
         // header names bob itself, the runtime routes it back to bob — the
         // point is simply that traffic flows and is acknowledged.
         assert!(rt.net().stats(rt.node_id("alice").unwrap()).tx_packets > 0);
-        // Acks eventually clear the pending queues.
-        assert_eq!(rt.pending_count("alice"), 0);
-        assert!(rt.delivered_payload_bytes("bob") > 0);
+        // Acks eventually clear what alice waits for.
+        assert!(rt.host("alice").unwrap().unacknowledged().is_empty());
         assert!(rt.now() >= 20_000);
     }
 
@@ -505,6 +397,135 @@ mod tests {
         let mut rt = Runtime::lan();
         rt.add_host(alice);
         rt.run_for(5_000, 1_000).unwrap();
-        assert_eq!(rt.pending_count("alice"), 0);
+        // Nothing reached the wire, and nobody acknowledged what was sent.
+        let alice = rt.host("alice").unwrap();
+        assert_eq!(rt.net().stats(rt.node_id("alice").unwrap()).tx_packets, 0);
+        let sent = alice.stats().packets_out;
+        assert!(sent >= 1);
+        assert_eq!(alice.unacknowledged(), (1..=sent).collect::<Vec<_>>());
+    }
+
+    /// The sender signatures of `avmm`'s RECV entries (one per message: the
+    /// signature covers the msg id), and the SEND seqs its ACK entries name.
+    fn recv_and_acks(avmm: &Avmm) -> (Vec<Vec<u8>>, Vec<u64>) {
+        let entries = avmm.log().entries();
+        let recvs = entries
+            .iter()
+            .filter(|e| e.kind == EntryKind::Recv)
+            .map(|e| RecvRecord::decode_exact(&e.content).unwrap().signature)
+            .collect();
+        let acked = entries
+            .iter()
+            .filter(|e| e.kind == EntryKind::Ack)
+            .map(|e| AckRecord::decode_exact(&e.content).unwrap().send_seq)
+            .collect();
+        (recvs, acked)
+    }
+
+    /// §4.3 under loss: two pingers over a link that drops every n-th
+    /// packet.  A resend whose first copy arrived is logged once and
+    /// acknowledged again, so every ACK that was lost is replaced.
+    #[test]
+    fn loss_logs_each_message_once_and_reacknowledges_duplicates() {
+        let keys = [key(1), key(2)];
+        for drop_every in [0, 2, 3, 4, 5, 7] {
+            let mut rt = Runtime::new(LinkConfig {
+                drop_every,
+                ..LinkConfig::default()
+            });
+            rt.set_steps_per_slice(50_000);
+            let images = [pinger_image("bob"), pinger_image("alice")];
+            rt.add_host(make_avmm("alice", &images[0], 1, &[("bob", &keys[1])]));
+            rt.add_host(make_avmm("bob", &images[1], 2, &[("alice", &keys[0])]));
+            rt.run_for(2_000_000, 1_000).unwrap();
+            for (i, name) in ["alice", "bob"].into_iter().enumerate() {
+                let avmm = rt.host(name).unwrap();
+                let (recvs, acked) = recv_and_acks(avmm);
+                for mut logged in [
+                    recvs.clone(),
+                    acked.iter().map(|s| s.to_le_bytes().to_vec()).collect(),
+                ] {
+                    let all = logged.len();
+                    logged.sort_unstable();
+                    logged.dedup();
+                    assert_eq!(
+                        logged.len(),
+                        all,
+                        "{name}, drop_every {drop_every}: logged twice"
+                    );
+                }
+                assert_eq!(
+                    recvs.len(),
+                    5,
+                    "{name}, drop_every {drop_every}: a RECV per message"
+                );
+                let unacked = avmm.unacknowledged();
+                assert_eq!(
+                    acked.len() + unacked.len(),
+                    5,
+                    "{name}, drop_every {drop_every}"
+                );
+                if drop_every == 2 {
+                    // Both hosts ping at the same instants, so on each link
+                    // every ACK — to a first send or to a resend — is an
+                    // even-numbered packet and is dropped: nothing can
+                    // acknowledge through this pattern, and the sender
+                    // rightly holds every message unacknowledged.
+                    assert_eq!(unacked, vec![1, 2, 3, 4, 5], "{name}");
+                } else {
+                    assert_eq!(
+                        unacked,
+                        Vec::<u64>::new(),
+                        "{name}, drop_every {drop_every}"
+                    );
+                }
+                let (prev, segment) = avmm.log().segment(1, avmm.log().len() as u64).unwrap();
+                let report = crate::audit::audit_log(
+                    name,
+                    &prev,
+                    &segment,
+                    &[],
+                    &keys[i].verifying_key(),
+                    &images[i],
+                    &GuestRegistry::new(),
+                );
+                assert!(
+                    report.passed(),
+                    "{name}, drop_every {drop_every}: {:?}",
+                    report.fault()
+                );
+            }
+        }
+    }
+
+    /// Only a tamper-evident host acknowledges, so a host without tamper
+    /// evidence neither waits for acknowledgments nor resends.
+    #[test]
+    fn without_tamper_evidence_every_packet_is_sent_once() {
+        let options = AvmmOptions {
+            tamper_evident: false,
+            ..AvmmOptions::default().with_scheme(SignatureScheme::Rsa(512))
+        };
+        let alice_key = key(1);
+        let alice_img = pinger_image("bob");
+        let bob_key = key(2);
+        let alice = make_avmm_with(
+            "alice",
+            &alice_img,
+            1,
+            &[("bob", &bob_key)],
+            options.clone(),
+        );
+        let bob = make_avmm_with("bob", &echo_image(), 2, &[("alice", &alice_key)], options);
+        let mut rt = Runtime::lan();
+        rt.set_steps_per_slice(50_000);
+        rt.add_host(alice);
+        rt.add_host(bob);
+        rt.run_for(2_000_000, 1_000).unwrap();
+        let alice = rt.host("alice").unwrap();
+        assert_eq!(alice.stats().packets_out, 5);
+        let tx = rt.net().stats(rt.node_id("alice").unwrap()).tx_packets;
+        assert_eq!(tx, alice.stats().packets_out);
+        assert!(alice.unacknowledged().is_empty());
     }
 }
