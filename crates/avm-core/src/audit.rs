@@ -20,12 +20,11 @@
 //! [`crate::session::Start::Snapshot`] — no state is requested until the
 //! syntactic phase has passed.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use avm_crypto::keys::VerifyingKey;
 use avm_crypto::parallel::in_parts;
-use avm_crypto::sha256::{sha256, Digest};
+use avm_crypto::sha256::Digest;
 use avm_log::verify::{chain_in_parts, parts_for};
 use avm_log::{verify_segment, Authenticator, EntryKind, EntryView, LogEntry};
 use avm_vm::{GuestRegistry, VmImage};
@@ -351,11 +350,12 @@ pub fn syntactic_phase<E: EntryView>(
 }
 
 /// Additional syntactic checks on entry contents: every RECV, ACK,
-/// nondeterministic-event and SNAPSHOT record must decode, and every packet
-/// injection must cross-reference a logged RECV entry with a matching
-/// payload hash (paper §4.4: "the AVMM cross-references messages and inputs
-/// in such a way that any discrepancies can easily be detected"), and every
-/// ACK a logged SEND.
+/// nondeterministic-event and SNAPSHOT record must decode, every packet
+/// injection must name an earlier RECV entry (paper §4.4: "the AVMM
+/// cross-references messages and inputs in such a way that any
+/// discrepancies can easily be detected"), and every ACK an earlier SEND.
+/// An injection carries no copy of the payload it names, so replay injects
+/// the RECV's own.
 ///
 /// A reference to a seq below the segment's first is to an entry the
 /// auditor did not receive — a spot check's chunk starts mid-log — so it is
@@ -363,21 +363,21 @@ pub fn syntactic_phase<E: EntryView>(
 /// seq.  (Replay still needs an injection's RECV: it faults on one it never
 /// saw.)
 ///
-/// Records are decoded in place; per RECV the check keeps the one thing a
-/// later injection is compared with — the hash of its payload.
+/// Records are decoded in place; the check keeps the seq of every RECV and
+/// SEND and nothing else.
 pub fn syntactic_content_checks<E: EntryView>(segment: &[E]) -> Result<(), FaultReason> {
     let first = segment.first().map_or(0, EntryView::seq);
-    let mut recv_payload_hashes: HashMap<u64, Digest> = HashMap::new();
-    // SEND seqs in segment order: ascending, since `verify_segment` has
-    // already established dense sequence numbers.
+    // RECV and SEND seqs in segment order: ascending, since `verify_segment`
+    // has already established dense sequence numbers.
+    let mut recv_seqs: Vec<u64> = Vec::new();
     let mut send_seqs: Vec<u64> = Vec::new();
     for entry in segment {
         let seq = entry.seq();
         let malformed = |_| FaultReason::MalformedLog { seq };
         match entry.kind() {
             EntryKind::Recv => {
-                let rec = RecvRecordRef::decode_exact(entry.content()).map_err(malformed)?;
-                recv_payload_hashes.insert(seq, sha256(rec.payload));
+                RecvRecordRef::decode_exact(entry.content()).map_err(malformed)?;
+                recv_seqs.push(seq);
             }
             EntryKind::Send => {
                 send_seqs.push(seq);
@@ -399,26 +399,14 @@ pub fn syntactic_content_checks<E: EntryView>(segment: &[E]) -> Result<(), Fault
             }
             EntryKind::NdEvent => {
                 let rec = NdEventRecord::decode_exact(entry.content()).map_err(malformed)?;
-                if let NdDetail::PacketInjected {
-                    recv_seq,
-                    payload_hash,
-                } = rec.detail
-                {
-                    match recv_payload_hashes.get(&recv_seq) {
-                        Some(logged) if *logged == payload_hash => {}
-                        Some(_) => {
-                            return Err(FaultReason::CrossReferenceFailure {
-                                seq,
-                                detail: "injected payload differs from the logged RECV message".into(),
-                            })
-                        }
-                        None if recv_seq >= first => {
-                            return Err(FaultReason::CrossReferenceFailure {
-                                seq,
-                                detail: format!("injection references RECV entry {recv_seq} not present in the segment"),
-                            })
-                        }
-                        None => {}
+                if let NdDetail::PacketInjected { recv_seq } = rec.detail {
+                    if recv_seq >= first && recv_seqs.binary_search(&recv_seq).is_err() {
+                        return Err(FaultReason::CrossReferenceFailure {
+                            seq,
+                            detail: format!(
+                                "injection references RECV entry {recv_seq} not present in the segment"
+                            ),
+                        });
                     }
                 }
             }
@@ -436,6 +424,7 @@ mod tests {
     use crate::events::AckRecord;
     use crate::recorder::{Avmm, HostClock};
     use avm_crypto::keys::{SignatureScheme, SigningKey};
+    use avm_crypto::sha256::sha256;
     use avm_vm::bytecode::assemble;
     use avm_vm::packet::encode_guest_packet;
     use avm_wire::Encode;
@@ -629,6 +618,97 @@ mod tests {
         let fault = syntactic_content_checks(log.entries_range(4..=6)).unwrap_err();
         assert!(
             matches!(fault, FaultReason::CrossReferenceFailure { seq: 6, .. }),
+            "got {fault:?}"
+        );
+    }
+
+    /// An injection names its RECV by seq alone, so the seq must be a RECV
+    /// earlier in the segment: a SEND, a SNAPSHOT, the injection itself or
+    /// a later entry is the fault, at the injection's seq, on a whole log
+    /// and on a chunk; a seq below the chunk is no fault.
+    #[test]
+    fn an_injection_must_name_an_earlier_recv() {
+        let machine_key = key(1).verifying_key();
+        let inject = |recv_seq: u64| {
+            NdEventRecord {
+                step: 1,
+                detail: NdDetail::PacketInjected { recv_seq },
+            }
+            .encode_to_vec()
+        };
+        let recv = crate::events::RecvRecord {
+            source: "alice".into(),
+            msg_id: 1,
+            payload: b"pkt".to_vec(),
+            signature: Vec::new(),
+        }
+        .encode_to_vec();
+        let snapshot = SnapshotRecord {
+            step: 1,
+            snapshot_id: 0,
+            state_root: Digest::ZERO,
+        }
+        .encode_to_vec();
+        // A SEND, a SNAPSHOT, the injection itself, a later RECV.
+        for named in [3, 4, 6, 7] {
+            let mut log = avm_log::TamperEvidentLog::new();
+            log.append(EntryKind::Meta, Vec::new()); // 1
+            log.append(EntryKind::Recv, recv.clone()); // 2
+            log.append(EntryKind::Send, b"out".to_vec()); // 3
+            log.append(EntryKind::Snapshot, snapshot.clone()); // 4
+            log.append(EntryKind::NdEvent, inject(2)); // 5
+            log.append(EntryKind::NdEvent, inject(named)); // 6
+            log.append(EntryKind::Recv, recv.clone()); // 7
+            for (from, to) in [(1, 7), (2, 7), (3, 7)] {
+                let (prev, segment) = log.segment(from, to).unwrap();
+                let fault = syntactic_phase(&prev, &segment, &[], &machine_key).unwrap_err();
+                assert!(
+                    matches!(fault, FaultReason::CrossReferenceFailure { seq: 6, .. }),
+                    "injection naming {named} in {from}..={to}: got {fault:?}"
+                );
+            }
+        }
+        // From seq 3 on, injection 5 names a RECV the chunk does not hold.
+        let mut log = avm_log::TamperEvidentLog::new();
+        log.append(EntryKind::Meta, Vec::new()); // 1
+        log.append(EntryKind::Recv, recv.clone()); // 2
+        log.append(EntryKind::Send, b"out".to_vec()); // 3
+        log.append(EntryKind::NdEvent, inject(2)); // 4
+        for from in [1, 2, 3, 4] {
+            let (prev, segment) = log.segment(from, 4).unwrap();
+            syntactic_phase(&prev, &segment, &[], &machine_key).unwrap();
+        }
+    }
+
+    /// A spot check that starts between a RECV and its injection passes the
+    /// syntactic phase; the replay, which never saw the RECV, is the fault.
+    #[test]
+    fn an_injection_naming_a_recv_below_the_chunk_faults_in_replay() {
+        let image = echo_image();
+        let (bob, _, _) = record(key(1), &image);
+        let entries = bob.log().entries();
+        let recv = entries
+            .iter()
+            .position(|e| e.kind == EntryKind::Recv)
+            .unwrap();
+        let chunk = &entries[recv + 1..];
+        let injection = chunk[0].seq;
+        assert!(matches!(
+            NdEventRecord::decode_exact(&chunk[0].content).unwrap().detail,
+            NdDetail::PacketInjected { recv_seq } if recv_seq == injection - 1
+        ));
+        syntactic_content_checks(chunk).unwrap();
+        // The replayer holds the state the chunk starts from.
+        let mut replayer = Replayer::from_image(&image, &GuestRegistry::new()).unwrap();
+        for entry in &entries[..recv] {
+            replayer.replay_entry(entry).unwrap();
+        }
+        let fault = replayer.replay(chunk).fault().cloned();
+        assert!(
+            matches!(
+                fault,
+                Some(FaultReason::CrossReferenceFailure { seq, .. }) if seq == injection
+            ),
             "got {fault:?}"
         );
     }

@@ -13,8 +13,14 @@
 //! decoded from: an audit compares and hashes them where they lie and copies
 //! only the one packet it injects.  Each owned record's `Decode` is the
 //! borrowed decode followed by a copy, so there is one parser per format.
+//!
+//! The two streams are cross-referenced by seq alone: a packet injection
+//! names the RECV entry it injected (`step ‖ 2 ‖ recv_seq`) and an ACK the
+//! SEND it acknowledges.  No record repeats a digest of bytes the log
+//! already holds — the auditor hashes what it received, and replay injects
+//! the RECV's own payload.
 
-use avm_crypto::sha256::{sha256, Digest};
+use avm_crypto::sha256::Digest;
 use avm_log::EntryKind;
 use avm_vm::devices::InputEvent;
 use avm_wire::{decode_exact_with, Decode, Encode, Reader, WireError, WireResult, Writer};
@@ -79,27 +85,25 @@ impl<'a> SendRecordRef<'a> {
 }
 
 /// Content of a RECV entry: an incoming message, logged together with the
-/// sender's signature (which the AVMM strips before injection, §4.3).
+/// sender's signature (which the AVMM strips before injection, §4.3) and
+/// the message id that signature covers, so that the log and the sender's
+/// key suffice to check it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecvRecord {
     /// Name of the sending node.
     pub source: String,
+    /// The sender's message number, as its envelope carried it.
+    pub msg_id: u64,
     /// Message payload.
     pub payload: Vec<u8>,
     /// The sender's signature over the message.
     pub signature: Vec<u8>,
 }
 
-impl RecvRecord {
-    /// Hash of the payload, used to cross-reference the later injection.
-    pub fn payload_hash(&self) -> Digest {
-        sha256(&self.payload)
-    }
-}
-
 impl Encode for RecvRecord {
     fn encode(&self, w: &mut Writer) {
         w.put_str(&self.source);
+        w.put_varint(self.msg_id);
         w.put_bytes(&self.payload);
         w.put_bytes(&self.signature);
     }
@@ -110,6 +114,7 @@ impl Decode for RecvRecord {
         let rec = RecvRecordRef::decode(r)?;
         Ok(RecvRecord {
             source: rec.source.to_string(),
+            msg_id: rec.msg_id,
             payload: rec.payload.to_vec(),
             signature: rec.signature.to_vec(),
         })
@@ -121,6 +126,8 @@ impl Decode for RecvRecord {
 pub struct RecvRecordRef<'a> {
     /// Name of the sending node.
     pub source: &'a str,
+    /// The sender's message number, as its envelope carried it.
+    pub msg_id: u64,
     /// Message payload.
     pub payload: &'a [u8],
     /// The sender's signature over the message.
@@ -132,6 +139,7 @@ impl<'a> RecvRecordRef<'a> {
     pub fn decode(r: &mut Reader<'a>) -> WireResult<RecvRecordRef<'a>> {
         Ok(RecvRecordRef {
             source: r.get_str()?,
+            msg_id: r.get_varint()?,
             payload: r.get_bytes()?,
             signature: r.get_bytes()?,
         })
@@ -203,13 +211,15 @@ pub enum NdDetail {
         /// Microsecond value delivered to the guest.
         value: u64,
     },
-    /// A received message was injected into the guest NIC.  Cross-references
-    /// the RECV entry so forged injections are detectable.
+    /// A received message was injected into the guest NIC.  Names the RECV
+    /// entry whose payload was injected: the injection carries no copy or
+    /// hash of that payload, so what the guest was given is the logged RECV
+    /// by construction, and the syntactic phase checks that the RECV is
+    /// there.
     PacketInjected {
-        /// Sequence number of the corresponding RECV entry.
+        /// Sequence number of the corresponding RECV entry, earlier in the
+        /// log.
         recv_seq: u64,
-        /// Hash of the injected payload (must equal the RECV payload hash).
-        payload_hash: Digest,
     },
     /// A local input event (keyboard/mouse) was injected.
     InputInjected {
@@ -237,13 +247,9 @@ impl Encode for NdEventRecord {
                 w.put_u8(1);
                 w.put_varint(*value);
             }
-            NdDetail::PacketInjected {
-                recv_seq,
-                payload_hash,
-            } => {
+            NdDetail::PacketInjected { recv_seq } => {
                 w.put_u8(2);
                 w.put_varint(*recv_seq);
-                w.put_raw(payload_hash.as_bytes());
             }
             NdDetail::InputInjected { event } => {
                 w.put_u8(3);
@@ -263,8 +269,6 @@ impl Decode for NdEventRecord {
             },
             2 => NdDetail::PacketInjected {
                 recv_seq: r.get_varint()?,
-                payload_hash: Digest::from_slice(r.get_raw(32)?)
-                    .ok_or(WireError::Corrupt("digest"))?,
             },
             3 => NdDetail::InputInjected {
                 event: InputEvent::decode(r)?,
@@ -389,6 +393,7 @@ pub fn classify_entry(kind: EntryKind, content: &[u8]) -> EntryClass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avm_crypto::sha256::sha256;
 
     #[test]
     fn send_record_roundtrip() {
@@ -401,14 +406,17 @@ mod tests {
     }
 
     #[test]
-    fn recv_record_roundtrip_and_hash() {
+    fn recv_record_roundtrip() {
         let rec = RecvRecord {
             source: "alice".into(),
+            msg_id: 300,
             payload: b"hello".to_vec(),
             signature: vec![9; 64],
         };
-        assert_eq!(RecvRecord::decode_exact(&rec.encode_to_vec()).unwrap(), rec);
-        assert_eq!(rec.payload_hash(), sha256(b"hello"));
+        let bytes = rec.encode_to_vec();
+        assert_eq!(RecvRecord::decode_exact(&bytes).unwrap(), rec);
+        // source ‖ varint msg_id (two bytes for 300) ‖ payload ‖ signature.
+        assert_eq!(bytes.len(), (1 + 5) + 2 + (1 + 5) + (1 + 64));
     }
 
     #[test]
@@ -429,10 +437,7 @@ mod tests {
             },
             NdEventRecord {
                 step: 2,
-                detail: NdDetail::PacketInjected {
-                    recv_seq: 7,
-                    payload_hash: sha256(b"pkt"),
-                },
+                detail: NdDetail::PacketInjected { recv_seq: 7 },
             },
             NdEventRecord {
                 step: 3,
@@ -451,6 +456,12 @@ mod tests {
                 rec
             );
         }
+        // An injection is its step, its tag and the RECV's seq, nothing more.
+        let injection = NdEventRecord {
+            step: 2,
+            detail: NdDetail::PacketInjected { recv_seq: 300 },
+        };
+        assert_eq!(injection.encode_to_vec(), [2, 2, 0xac, 0x02]);
     }
 
     #[test]
@@ -492,10 +503,7 @@ mod tests {
         );
         let pkt = NdEventRecord {
             step: 1,
-            detail: NdDetail::PacketInjected {
-                recv_seq: 1,
-                payload_hash: sha256(b"x"),
-            },
+            detail: NdDetail::PacketInjected { recv_seq: 1 },
         };
         assert_eq!(
             classify_entry(EntryKind::NdEvent, &pkt.encode_to_vec()),

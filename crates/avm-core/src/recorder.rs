@@ -204,8 +204,9 @@ impl Avmm {
     /// auto-snapshot cursor, clock monotonicity floor) is itself a pure
     /// function of the log, so it is re-derived here by one scan; each
     /// unacknowledged send counts as sent once at time 0 (the crash may
-    /// have kept it off the wire).  A RECV entry carries no msg id, so what
-    /// was received is forgotten.  Peer keys are not logged; callers
+    /// have kept it off the wire).  What was received is forgotten: a RECV
+    /// entry logs its sender's msg id, but duplicate detection is not yet
+    /// rebuilt from it.  Peer keys are not logged; callers
     /// re-register them via [`Avmm::add_peer`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn resume(
@@ -536,10 +537,10 @@ impl Avmm {
     fn record_recv(&mut self, envelope: &Envelope) -> Option<Authenticator> {
         let rec = RecvRecord {
             source: envelope.from.clone(),
+            msg_id: envelope.msg_id,
             payload: envelope.payload.clone(),
             signature: envelope.signature.clone(),
         };
-        let payload_hash = rec.payload_hash();
         let recv_entry_seq;
         let recv_auth;
         if self.options.tamper_evident {
@@ -568,7 +569,6 @@ impl Avmm {
             step,
             detail: NdDetail::PacketInjected {
                 recv_seq: recv_entry_seq,
-                payload_hash,
             },
         };
         self.log.append(EntryKind::NdEvent, nd.encode_to_vec());

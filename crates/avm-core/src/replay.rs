@@ -39,7 +39,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use avm_crypto::sha256::{sha256, Digest};
+use avm_crypto::sha256::Digest;
 use avm_log::{EntryKind, EntryView};
 use avm_vm::{GuestRegistry, Machine, StopCondition, VmExit, VmImage};
 use avm_wire::{Decode, Encode};
@@ -516,25 +516,16 @@ impl Replayer {
                 self.summary.inputs_reinjected += 1;
                 Ok(())
             }
-            NdDetail::PacketInjected {
-                recv_seq,
-                payload_hash,
-            } => {
-                let payload = self.pending_recvs.get(&recv_seq).ok_or(
-                    FaultReason::CrossReferenceFailure {
+            NdDetail::PacketInjected { recv_seq } => {
+                // The guest's copy; the table keeps its own.
+                let payload = self
+                    .pending_recvs
+                    .get(&recv_seq)
+                    .ok_or(FaultReason::CrossReferenceFailure {
                         seq,
                         detail: format!("injection references unknown RECV entry {recv_seq}"),
-                    },
-                )?;
-                if sha256(payload) != payload_hash {
-                    return Err(FaultReason::CrossReferenceFailure {
-                        seq,
-                        detail: "injected payload does not match the logged RECV message".into(),
-                    }
-                    .into());
-                }
-                // The guest's copy; the table keeps its own.
-                let payload = payload.clone();
+                    })?
+                    .clone();
                 self.run_to_step(seq, rec.step)?;
                 self.machine.inject_packet(payload);
                 self.summary.inputs_reinjected += 1;
@@ -709,7 +700,7 @@ mod tests {
     use super::*;
     use crate::config::AvmmOptions;
     use crate::envelope::{Envelope, EnvelopeKind};
-    use crate::events::SendRecord;
+    use crate::events::{RecvRecord, SendRecord};
     use crate::ondemand::AuditorBlobCache;
     use crate::recorder::{Avmm, HostClock};
     use avm_crypto::keys::{SignatureScheme, SigningKey};
@@ -951,36 +942,45 @@ mod tests {
         ));
     }
 
+    /// Bob rewrites a received message in his log and rebuilds the chain:
+    /// the injection still names that RECV, so the syntactic phase passes,
+    /// and replay injects the rewritten payload, which the echo guest sends
+    /// back — unlike the SEND the log records.
     #[test]
-    fn forged_injection_detected_by_cross_reference() {
+    fn rewritten_recv_payload_detected_by_replay() {
         let image = echo_image();
         let (bob, _) = record_session(&image);
-        let entries = bob.log().entries().to_vec();
-        // Change an injection event so it references the right RECV entry but
-        // a different payload hash (i.e. the AVMM injected something other
-        // than what was received).
+        let entries = bob.log().entries();
+        let idx = entries
+            .iter()
+            .position(|e| e.kind == EntryKind::Recv)
+            .unwrap();
+        let mut rec = RecvRecord::decode_exact(&entries[idx].content).unwrap();
+        *rec.payload.last_mut().unwrap() ^= 0xff;
         let mut rebuilt = avm_log::TamperEvidentLog::new();
-        for e in &entries {
-            let content = if e.kind == EntryKind::NdEvent {
-                let mut rec = NdEventRecord::decode_exact(&e.content).unwrap();
-                if let NdDetail::PacketInjected { recv_seq, .. } = rec.detail {
-                    rec.detail = NdDetail::PacketInjected {
-                        recv_seq,
-                        payload_hash: avm_crypto::sha256(b"forged"),
-                    };
-                }
+        for (i, e) in entries.iter().enumerate() {
+            let content = if i == idx {
                 rec.encode_to_vec()
             } else {
                 e.content.clone()
             };
             rebuilt.append(e.kind, content);
         }
+        crate::audit::syntactic_content_checks(rebuilt.entries()).unwrap();
+        let echo = entries[idx..]
+            .iter()
+            .find(|e| e.kind == EntryKind::Send)
+            .unwrap()
+            .seq;
         let mut replayer = Replayer::from_image(&image, &GuestRegistry::new()).unwrap();
         let outcome = replayer.replay(rebuilt.entries());
-        assert!(matches!(
-            outcome.fault(),
-            Some(FaultReason::CrossReferenceFailure { .. })
-        ));
+        assert!(
+            matches!(
+                outcome.fault(),
+                Some(FaultReason::OutputDivergence { seq, .. }) if *seq == echo
+            ),
+            "got {outcome:?}"
+        );
     }
 
     /// The RECV table keeps what it has seen: a log that injects the same

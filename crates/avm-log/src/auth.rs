@@ -90,10 +90,12 @@ impl Decode for Authenticator {
 /// Alice acknowledges with "just a signed hash of the corresponding message"
 /// (paper §4.3).  Both forms are represented here: `authenticator` is present
 /// for AVMM-side acks and absent for plain user acks.
+///
+/// The acknowledged message is not carried: whoever checks an
+/// acknowledgment holds the message it acknowledges, and
+/// [`Acknowledgment::verify`] hashes it there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Acknowledgment {
-    /// Hash of the acknowledged message.
-    pub message_hash: Digest,
     /// Authenticator for the receiver's RECV entry (AVMM-side acks).
     pub authenticator: Option<Authenticator>,
     /// Signature over the message hash (user-side acks, or additional
@@ -102,31 +104,27 @@ pub struct Acknowledgment {
 }
 
 impl Acknowledgment {
-    /// Bytes covered by the acknowledgment signature.
-    fn signed_payload(message_hash: &Digest) -> Vec<u8> {
+    /// Bytes covered by the acknowledgment signature: `"avm-ack" || H(m)`.
+    fn signed_payload(message: &[u8]) -> Vec<u8> {
         let mut payload = Vec::with_capacity(32 + 8);
         payload.extend_from_slice(b"avm-ack");
-        payload.extend_from_slice(message_hash.as_bytes());
+        payload.extend_from_slice(sha256(message).as_bytes());
         payload
     }
 
     /// Creates a user-side acknowledgment (signed message hash only).
     pub fn user_ack(key: &SigningKey, message: &[u8]) -> Acknowledgment {
-        let message_hash = sha256(message);
         Acknowledgment {
-            message_hash,
             authenticator: None,
-            signature: key.sign(&Self::signed_payload(&message_hash)),
+            signature: key.sign(&Self::signed_payload(message)),
         }
     }
 
     /// Creates an AVMM-side acknowledgment carrying the RECV authenticator.
     pub fn avmm_ack(key: &SigningKey, message: &[u8], recv_auth: Authenticator) -> Acknowledgment {
-        let message_hash = sha256(message);
         Acknowledgment {
-            message_hash,
             authenticator: Some(recv_auth),
-            signature: key.sign(&Self::signed_payload(&message_hash)),
+            signature: key.sign(&Self::signed_payload(message)),
         }
     }
 
@@ -137,10 +135,7 @@ impl Acknowledgment {
     /// use [`Acknowledgment::verify_with_recv_content`] to additionally check
     /// that it commits to a specific RECV entry content.
     pub fn verify(&self, key: &VerifyingKey, message: &[u8]) -> Result<(), KeyError> {
-        if sha256(message) != self.message_hash {
-            return Err(KeyError::BadSignature);
-        }
-        key.verify(&Self::signed_payload(&self.message_hash), &self.signature)?;
+        key.verify(&Self::signed_payload(message), &self.signature)?;
         if let Some(auth) = &self.authenticator {
             auth.verify_signature(key)?;
         }
@@ -167,7 +162,6 @@ impl Acknowledgment {
 
 impl Encode for Acknowledgment {
     fn encode(&self, w: &mut Writer) {
-        w.put_raw(self.message_hash.as_bytes());
         self.authenticator.encode(w);
         w.put_bytes(&self.signature);
     }
@@ -175,12 +169,9 @@ impl Encode for Acknowledgment {
 
 impl Decode for Acknowledgment {
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        let message_hash =
-            Digest::from_slice(r.get_raw(32)?).ok_or(WireError::Corrupt("digest"))?;
         let authenticator = Option::<Authenticator>::decode(r)?;
         let signature = r.get_bytes()?.to_vec();
         Ok(Acknowledgment {
-            message_hash,
             authenticator,
             signature,
         })

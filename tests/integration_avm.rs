@@ -2,18 +2,23 @@
 //! span the VM, the tamper-evident log, the AVMM, the workloads and the
 //! audit tool.
 
+use std::collections::HashMap;
+
 use avm_core::audit::audit_log;
 use avm_core::config::{AvmmOptions, ExecConfig};
 use avm_core::envelope::{Envelope, EnvelopeKind};
+use avm_core::events::RecvRecord;
 use avm_core::multiparty::{AuthenticatorStore, EvidencePool};
 use avm_core::recorder::{Avmm, HostClock};
+use avm_core::runtime::Runtime;
 use avm_core::spotcheck::spot_check;
-use avm_crypto::keys::{Identity, SignatureScheme};
+use avm_crypto::keys::{Identity, SignatureScheme, VerifyingKey};
 use avm_db::{db_image, db_registry, server::DbConfig, WorkloadGen};
-use avm_game::{cheats, client_image, game_registry, ClientConfig};
-use avm_log::EntryKind;
+use avm_game::{cheats, client_image, game_registry, server_image, ClientConfig, ServerConfig};
+use avm_log::{EntryKind, TamperEvidentLog};
+use avm_net::LinkConfig;
 use avm_vm::packet::encode_guest_packet;
-use avm_wire::Encode;
+use avm_wire::{Decode, Encode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -175,8 +180,10 @@ fn multiparty_authenticator_collection_feeds_the_audit() {
     assert!(report.passed(), "{:?}", report.fault());
 }
 
-#[test]
-fn database_workload_spot_check_end_to_end() {
+/// Records the database guest serving the workload over `rows` rows (four
+/// requests per row), with a snapshot every 16 requests; returns the host's AVMM, the operator's and the
+/// customer's identities and the image.
+fn record_db_session(rows: u64) -> (Avmm, Identity, Identity, avm_vm::VmImage) {
     let registry = db_registry();
     let mut rng = rng();
     let scheme = SignatureScheme::Rsa(512);
@@ -196,7 +203,7 @@ fn database_workload_spot_check_end_to_end() {
 
     let mut clock = HostClock::at(500);
     avmm.run_slice(&clock, 20_000).unwrap();
-    let mut workload = WorkloadGen::new(12);
+    let mut workload = WorkloadGen::new(rows);
     let mut msg = 0u64;
     let mut n = 0u64;
     while let Some(req) = workload.next_request() {
@@ -219,6 +226,13 @@ fn database_workload_spot_check_end_to_end() {
         }
     }
     avmm.take_snapshot();
+    (avmm, operator, customer, image)
+}
+
+#[test]
+fn database_workload_spot_check_end_to_end() {
+    let registry = db_registry();
+    let (avmm, operator, _, image) = record_db_session(12);
     assert!(avmm.snapshots().len() >= 3);
 
     // Spot-check a middle chunk; it passes and costs less than a full audit.
@@ -246,5 +260,96 @@ fn exec_config_matrix_is_consistent_with_options() {
         let options = AvmmOptions::for_config(config);
         assert_eq!(options.tamper_evident, config.tamper_evident());
         assert_eq!(options.signature_scheme, config.signature_scheme());
+    }
+}
+
+/// Rebuilds the envelope behind every RECV entry of `host`'s log — sender,
+/// msg id, payload and signature as the record logged them, `host` as the
+/// recipient — and checks it under the sender's key; returns how many it
+/// checked.  A RECV whose msg id is off by one must not check: the id is
+/// part of what the sender signed.
+fn check_recv_envelopes(
+    host: &str,
+    log: &TamperEvidentLog,
+    keys: &HashMap<String, VerifyingKey>,
+) -> usize {
+    let mut checked = 0;
+    for entry in log.entries().iter().filter(|e| e.kind == EntryKind::Recv) {
+        let rec = RecvRecord::decode_exact(&entry.content).unwrap();
+        let key = &keys[&rec.source];
+        let mut envelope = Envelope {
+            kind: EnvelopeKind::Data,
+            from: rec.source,
+            to: host.to_string(),
+            msg_id: rec.msg_id,
+            payload: rec.payload,
+            signature: rec.signature,
+            authenticator: None,
+        };
+        envelope
+            .verify_signature(key)
+            .unwrap_or_else(|e| panic!("{host}: RECV {} does not check: {e:?}", entry.seq));
+        envelope.msg_id += 1;
+        assert!(
+            envelope.verify_signature(key).is_err(),
+            "{host}: RECV {} checks under another msg id",
+            entry.seq
+        );
+        checked += 1;
+    }
+    checked
+}
+
+/// A RECV entry holds all its sender signed: the log and the sender's key
+/// suffice to check it, on the database host and on every game host.
+#[test]
+fn every_recv_entry_carries_the_envelope_its_sender_signed() {
+    let (db, _, customer, _) = record_db_session(2);
+    let keys = HashMap::from([("customer".to_string(), customer.verifying_key())]);
+    assert_eq!(check_recv_envelopes("host", db.log(), &keys), 8);
+
+    let registry = game_registry();
+    let mut rng = rng();
+    let scheme = SignatureScheme::Rsa(512);
+    let players = ["alice", "bob"];
+    let ids: Vec<Identity> = ["alice", "bob", "server"]
+        .iter()
+        .map(|name| Identity::generate(&mut rng, name, scheme))
+        .collect();
+    let options = AvmmOptions::for_config(ExecConfig::AvmmRsa768).with_scheme(scheme);
+    let mut rt = Runtime::new(LinkConfig::default());
+    rt.set_steps_per_slice(30_000);
+    let names: Vec<String> = players.iter().map(|p| p.to_string()).collect();
+    let mut server = Avmm::new(
+        "server",
+        &server_image(&ServerConfig::new("server", &names)),
+        &registry,
+        ids[2].signing_key.clone(),
+        options.clone(),
+    )
+    .unwrap();
+    for (i, player) in players.iter().enumerate() {
+        let mut avmm = Avmm::new(
+            player,
+            &client_image(&ClientConfig::new(player, "server")),
+            &registry,
+            ids[i].signing_key.clone(),
+            options.clone(),
+        )
+        .unwrap();
+        avmm.add_peer("server", ids[2].verifying_key());
+        server.add_peer(player, ids[i].verifying_key());
+        rt.add_host(avmm);
+    }
+    rt.add_host(server);
+    rt.run_for(200_000, 10_000).unwrap();
+    let keys: HashMap<String, VerifyingKey> = ["alice", "bob", "server"]
+        .iter()
+        .zip(&ids)
+        .map(|(name, id)| (name.to_string(), id.verifying_key()))
+        .collect();
+    for host in ["alice", "bob", "server"] {
+        let checked = check_recv_envelopes(host, rt.host(host).unwrap().log(), &keys);
+        assert!(checked > 0, "{host} received nothing");
     }
 }
